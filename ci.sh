@@ -30,8 +30,19 @@
 #                        sockets only; still offline.
 #   ci.sh bench-smoke    NOT tier-1: every bench once in quick mode
 #                        (QNN_BENCH_QUICK=1: 1 iteration, no warmup,
-#                        speedup assertions off) — catches bench-harness
-#                        rot without waiting for real measurement runs.
+#                        speedup assertions off), then the repo benchmark
+#                        in its own quick mode (`benchmark/run.sh --quick`:
+#                        a separate workspace tier-1 never compiles, and it
+#                        links against the public `dfe`/`kernels` types) —
+#                        catches harness rot without waiting for real
+#                        measurement runs.
+#   ci.sh perf-gate PARENT.json
+#                        NOT tier-1 (minutes): run the repo benchmark and
+#                        compare its ledger against PARENT.json (a ledger
+#                        from the parent commit, e.g.
+#                        benchmark/baselines/pr11.json) under the bounds in
+#                        BENCHMARK.json — exact for simulated counts,
+#                        banded for wall-clock. Fails on a regression.
 #   ci.sh matrix         NOT tier-1: the full test suite in release under
 #                        every QNN_SCHED_REPLAY x QNN_MACRO_TICKS x
 #                        QNN_SCHEDULER cell, so env-selected defaults get
@@ -134,7 +145,16 @@ if [[ "${1:-}" == "bench-smoke" ]]; then
                macro_tick schedule_replay dse_frontier; do
     run cargo bench -q --offline -p qnn-bench --bench "$bench"
   done
+  run bash benchmark/run.sh --quick
   echo "ci.sh bench-smoke: all green"
+  exit 0
+fi
+
+if [[ "${1:-}" == "perf-gate" ]]; then
+  parent="${2:?usage: ci.sh perf-gate PARENT.json}"
+  run bash benchmark/run.sh
+  run bash benchmark/run.sh compare "$parent" benchmark/out/ledger.json
+  echo "ci.sh perf-gate: all green"
   exit 0
 fi
 

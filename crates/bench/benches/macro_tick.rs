@@ -13,12 +13,17 @@
 //! conv net lives in) amortize best.
 //!
 //! Run via `cargo bench --bench macro_tick` (tier-1 only builds it). The
-//! ≥1.5× assertion below backs the PR's acceptance criterion: ResNet-18
+//! ≥1.5× assertion below backs the PR 6 acceptance criterion: ResNet-18
 //! at 224² end-to-end against the PR 4 ready-list per-element baseline.
+//! The last row is the same network at the `dse::pick` design point, whose
+//! folded front layers promise spans at their lane rates (≥1.2× asserted:
+//! spans are shorter there — a folded position is a quarter as many ticks
+//! — and the per-element side already runs 2.29× fewer cycles).
 
+use qnn::compiler::dse::{pick, ResourceBudget};
 use qnn::compiler::{run_images, CompileOptions, SimResult};
 use qnn::data::Dataset;
-use qnn::dfe::SchedulerMode;
+use qnn::dfe::{SchedulerMode, STRATIX_10_GX2800};
 use qnn::nn::{models, Network, NetworkSpec};
 use qnn_bench::render_table;
 use qnn_testkit::{black_box, Bench};
@@ -27,6 +32,7 @@ use std::time::Instant;
 fn run_mode(
     net: &Network,
     images: &[qnn::tensor::Tensor3<i8>],
+    base: &CompileOptions,
     macro_ticks: bool,
 ) -> SimResult {
     let opts = CompileOptions {
@@ -35,7 +41,7 @@ fn run_mode(
         // Keep the A/B about span dispatch alone: steady-state replay is
         // benchmarked separately (`schedule_replay` bench).
         schedule_replay: false,
-        ..CompileOptions::default()
+        ..base.clone()
     };
     run_images(net, images, &opts).expect("sim")
 }
@@ -49,7 +55,13 @@ const ITERS: usize = 5;
 /// Interleaved element/span pairs with per-side medians, for the same
 /// reason as `scheduler_overhead`: ambient machine drift hits both sides
 /// equally, and the median absorbs a noisy pair.
-fn measure(label: &str, spec: NetworkSpec, classes: usize, n_images: usize) -> (f64, f64, f64) {
+fn measure(
+    label: &str,
+    spec: NetworkSpec,
+    base: &CompileOptions,
+    classes: usize,
+    n_images: usize,
+) -> (f64, f64, f64) {
     let side = spec.input.h;
     let data = Dataset {
         name: "bench",
@@ -59,8 +71,8 @@ fn measure(label: &str, spec: NetworkSpec, classes: usize, n_images: usize) -> (
     let net = Network::random(spec, 3);
     let images = data.images(n_images);
 
-    let element = run_mode(&net, &images, false);
-    let span = run_mode(&net, &images, true);
+    let element = run_mode(&net, &images, base, false);
+    let span = run_mode(&net, &images, base, true);
     assert_eq!(
         element.logits, span.logits,
         "{label}: outputs must be bit-identical"
@@ -77,10 +89,10 @@ fn measure(label: &str, spec: NetworkSpec, classes: usize, n_images: usize) -> (
     let mut t_span = Vec::with_capacity(ITERS);
     for _ in 0..ITERS {
         let t = Instant::now();
-        black_box(run_mode(&net, &images, false));
+        black_box(run_mode(&net, &images, base, false));
         t_element.push(t.elapsed());
         let t = Instant::now();
-        black_box(run_mode(&net, &images, true));
+        black_box(run_mode(&net, &images, base, true));
         t_span.push(t.elapsed());
     }
     t_element.sort();
@@ -96,18 +108,28 @@ fn main() {
     // the target: conv1 alone emits 112×112×64 elements through a
     // 67-kernel pipeline, in stretches uniform enough for thousand-cycle
     // bursts.
+    let default = CompileOptions::default();
+    let picked = pick(
+        &models::resnet18(1000),
+        &ResourceBudget::new(STRATIX_10_GX2800, 2),
+    )
+    .expect("ResNet-18 fits two Stratix 10 devices")
+    .compile_options();
     let workloads = [
-        ("test_net/16 residual", models::test_net(16, 4, 2), 10, 2),
-        ("vgg_like/32", models::vgg_like(32, 10, 2), 10, 2),
-        ("vgg_like_deep/32", models::vgg_like_deep(32, 10, 2), 10, 1),
-        ("resnet18/224", models::resnet18(1000), 1000, 1),
+        ("test_net/16 residual", models::test_net(16, 4, 2), &default, 10, 2),
+        ("vgg_like/32", models::vgg_like(32, 10, 2), &default, 10, 2),
+        ("vgg_like_deep/32", models::vgg_like_deep(32, 10, 2), &default, 10, 1),
+        ("resnet18/224", models::resnet18(1000), &default, 1000, 1),
+        ("resnet18/224 dse::pick", models::resnet18(1000), &picked, 1000, 1),
     ];
     let mut rows = Vec::new();
-    let mut imagenet_speedup = 0.0;
-    for (label, spec, classes, n) in workloads {
-        let (e, s, x) = measure(label, spec, classes, n);
-        if label.starts_with("resnet18") {
-            imagenet_speedup = x;
+    let (mut imagenet_speedup, mut picked_speedup) = (0.0, 0.0);
+    for (label, spec, base, classes, n) in workloads {
+        let (e, s, x) = measure(label, spec, base, classes, n);
+        match label {
+            "resnet18/224" => imagenet_speedup = x,
+            "resnet18/224 dse::pick" => picked_speedup = x,
+            _ => {}
         }
         rows.push(vec![
             label.to_string(),
@@ -128,5 +150,10 @@ fn main() {
         imagenet_speedup >= 1.5,
         "macro-tick dispatch should be >=1.5x on an ImageNet-scale full-network sim, \
          got {imagenet_speedup:.2}x"
+    );
+    assert!(
+        picked_speedup >= 1.2,
+        "macro-tick dispatch should be >=1.2x at the dse::pick ResNet-18 point \
+         (folded kernels must join bursts), got {picked_speedup:.2}x"
     );
 }

@@ -6,9 +6,11 @@
 //! randomized networks.
 
 use crate::kernel::{Io, Kernel, Progress, SpanIo, SpanPlan, WakeHint, MAX_SPAN_PORTS};
-use crate::replay::{ReplayDiag, ReplayPhase, ReplayState, Step};
+use crate::replay::{Participant, ReplayDiag, ReplayPhase, ReplayState, SpanStream, Step};
 use crate::sched::{macro_ticks_default, schedule_replay_default, SchedulerMode};
-use crate::stream::{StreamSpec, StreamState};
+use crate::stream::{
+    span_level, span_limit, span_peak, SpanFault, SpanPort, StreamSpec, StreamState,
+};
 use crate::trace::Trace;
 use std::fmt;
 
@@ -19,6 +21,15 @@ pub struct StreamId(pub(crate) usize);
 /// Identifier of a kernel within a [`Graph`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct KernelId(pub(crate) usize);
+
+/// The kernel on one end of a stream: its node index and which of that
+/// node's output (writer end) or input (reader end) ports the stream is
+/// wired to.
+#[derive(Clone, Copy)]
+struct End {
+    node: usize,
+    port: usize,
+}
 
 struct Node {
     kernel: Box<dyn Kernel>,
@@ -140,8 +151,8 @@ impl CycleReport {
 pub struct Graph {
     nodes: Vec<Node>,
     streams: Vec<StreamState>,
-    writers: Vec<Option<usize>>,
-    readers: Vec<Option<usize>>,
+    writers: Vec<Option<End>>,
+    readers: Vec<Option<End>>,
     scheduler: SchedulerMode,
     /// Ready-list state: `Some((p, c))` means node `i` parked at cycle `c`
     /// with verdict `p`; `None` means it will be ticked next cycle. Stall
@@ -188,30 +199,27 @@ pub struct Graph {
     burst_cooldown: u64,
     /// Cooldown the *next* failure will impose (doubles up to the cap).
     burst_backoff: u64,
-    /// Scratch for [`Graph::try_burst`]: the burst participants as
-    /// `(node, plan, offset, demoted)` — awake kernels at offset 0, plus
-    /// demoted awake kernels (`demoted = Some(blocked verdict)`) and
-    /// recruited parked kernels, both at the offset dense stepping would
-    /// first tick them `Busy` (`u64::MAX` until the relaxation pass
-    /// resolves it).
-    burst_plans: Vec<(usize, SpanPlan, u64, Option<Progress>)>,
-    /// Scratch for [`Graph::try_burst`] phase 1: demoted awake kernels as
-    /// `(node, plan, blocked verdict)`, buffered so `burst_plans` keeps its
-    /// offset-0 prefix until the scan completes. Always empty between
-    /// attempts.
-    burst_demoted: Vec<(usize, SpanPlan, Progress)>,
+    /// Scratch for [`Graph::try_burst`]: the burst participants — awake
+    /// kernels starting at cycle 0, plus demoted awake kernels
+    /// (`demoted = Some(blocked verdict)`) and recruited parked kernels,
+    /// both starting at the cycle dense stepping would first tick them
+    /// `Busy` (`u64::MAX` until the relaxation pass resolves it).
+    burst_plans: Vec<Participant>,
+    /// Scratch for [`Graph::try_burst`] phase 1: demoted awake kernels,
+    /// buffered so `burst_plans` keeps its cycle-0 prefix until the scan
+    /// completes. Always empty between attempts.
+    burst_demoted: Vec<Participant>,
     /// Scratch: `Idle`-blocked participants whose first masked-input
     /// arrival `f` lands before they run — dense flips them to a
     /// port-inert `Stalled` park at `f` (see the admission pass).
     burst_ripen: Vec<(usize, u64)>,
-    /// Scratch: streams touched by the planned burst, as
-    /// `(stream, start_len, pushes, pops)` — queue length at burst start and
-    /// the element counts the dispatched span will move (for closed-form
-    /// occupancy crediting).
-    burst_streams: Vec<(usize, usize, u64, u64)>,
-    /// Scratch, indexed by stream: burst read/write involvement flags
-    /// (`BURST_W` / `BURST_R`). Always all-zero between burst attempts.
-    stream_flags: Vec<u8>,
+    /// Scratch: streams touched by the planned burst — queue length at
+    /// burst start and, once the span length is final, the closed-form
+    /// occupancy peak the dispatched span credits.
+    burst_streams: Vec<SpanStream>,
+    /// Scratch, indexed by stream: whether the stream already has a
+    /// `burst_streams` entry. Always all-false between burst attempts.
+    stream_flags: Vec<bool>,
     /// Scratch, indexed by node: index into `burst_plans`, `u32::MAX` when
     /// the node is not a participant. Always all-`MAX` between attempts.
     part_of: Vec<u32>,
@@ -231,13 +239,6 @@ enum ReplayOutcome {
     Fallback,
 }
 
-/// `stream_flags` bit: the stream is written (one element per cycle) during
-/// the planned burst.
-const BURST_W: u8 = 1;
-/// `stream_flags` bit: the stream is read during the planned burst.
-const BURST_R: u8 = 2;
-
-/// TEMP profiling counters (scratch instrumentation; removed before commit).
 impl Default for Graph {
     /// Empty graph using the process-default [`SchedulerMode`] (the
     /// `QNN_SCHEDULER` environment variable; `ReadyList` when unset).
@@ -397,7 +398,7 @@ impl Graph {
         self.streams.push(StreamState::new(spec));
         self.writers.push(None);
         self.readers.push(None);
-        self.stream_flags.push(0);
+        self.stream_flags.push(false);
         StreamId(self.streams.len() - 1)
     }
 
@@ -418,21 +419,21 @@ impl Graph {
         outputs: &[StreamId],
     ) -> KernelId {
         let id = self.nodes.len();
-        for &StreamId(s) in inputs {
+        for (port, &StreamId(s)) in inputs.iter().enumerate() {
             assert!(
                 self.readers[s].is_none(),
                 "stream '{}' already has a reader",
                 self.streams[s].spec.name
             );
-            self.readers[s] = Some(id);
+            self.readers[s] = Some(End { node: id, port });
         }
-        for &StreamId(s) in outputs {
+        for (port, &StreamId(s)) in outputs.iter().enumerate() {
             assert!(
                 self.writers[s].is_none(),
                 "stream '{}' already has a writer",
                 self.streams[s].spec.name
             );
-            self.writers[s] = Some(id);
+            self.writers[s] = Some(End { node: id, port });
         }
         let (read_lanes, write_lanes) = kernel.lanes();
         assert!(
@@ -440,16 +441,6 @@ impl Graph {
             "kernel '{}' declared a zero-lane stream interface",
             kernel.name()
         );
-        if cfg!(debug_assertions) && (read_lanes != 1 || write_lanes != 1) {
-            // Folded kernels run per-element: the burst planner's
-            // feasibility math assumes one element per cycle per port.
-            let zeros = vec![0usize; inputs.len()];
-            debug_assert!(
-                kernel.span_hint(&zeros).is_none(),
-                "folded kernel '{}' must not offer SpanPlans",
-                kernel.name()
-            );
-        }
         self.nodes.push(Node {
             kernel,
             inputs: inputs.iter().map(|s| s.0).collect(),
@@ -855,7 +846,7 @@ impl Graph {
                     // writer later in node order (`w > i`) still ticks this
                     // cycle, so its credited span excludes cycle `c`; one
                     // earlier was already skipped this cycle and includes it.
-                    if let Some(w) = writers[nodes[i].inputs[p]] {
+                    if let Some(End { node: w, .. }) = writers[nodes[i].inputs[p]] {
                         if w != i {
                             if let Some((verdict, since)) = parked[w].take() {
                                 awake[w / 64] |= 1 << (w % 64);
@@ -881,7 +872,7 @@ impl Graph {
                 committed = true;
                 // Elements became readable; wake the stream's reader (its
                 // credited span includes cycle `c`, which it skipped).
-                if let Some(r) = readers[s] {
+                if let Some(End { node: r, .. }) = readers[s] {
                     if let Some((verdict, since)) = parked[r].take() {
                         awake[r / 64] |= 1 << (r % 64);
                         if verdict == Progress::Stalled {
@@ -898,23 +889,28 @@ impl Graph {
 
     /// Macro-tick span dispatch: attempt to replay a whole span of `k ≥ 2`
     /// cycles in one dispatch per participating kernel, advancing the clock
-    /// by `k`. Returns the cycles advanced, or `None` when this cycle must
-    /// be stepped per-element.
+    /// by `k`. Returns `Ok(k)`, the cycles advanced, or `Err(hint)` when
+    /// this cycle must be stepped per-element: `hint > 0` is the number of
+    /// dense cycles after which the vetoing phase ends and a retry can
+    /// succeed, `0` means no such bound is known (the caller backs off).
     ///
     /// A burst replays exactly the cycles the per-element ready-list
     /// stepper would execute, credited arithmetically. Its participants
-    /// form a **wavefront**: each takes part from a per-kernel *offset*
+    /// form a **wavefront**: each takes part from a per-kernel *start*
     /// `o` — the first burst cycle dense stepping would tick it `Busy` —
-    /// and runs the remaining `k − o` cycles uniformly.
+    /// and runs uniformly from there, to the burst's end or to the cycle a
+    /// full output parks it.
     ///
     /// * Every **awake** kernel must offer a [`SpanPlan`] — a contract that
-    ///   each of its next ticks reads/writes exactly one element on fixed
+    ///   each of its next ticks moves a fixed number of elements
+    ///   ([`SpanPlan::read_rate`] / [`SpanPlan::write_rate`]: one for the
+    ///   paper's kernels, up to the lane count for folded ones) on fixed
     ///   port sets and reports `Busy` whenever those ports are serviceable
     ///   (and is a port-inert fixed point when they are not, per
     ///   [`WakeHint::Parkable`]). One non-promising awake kernel (a
     ///   [`StallInjector`](crate::StallInjector), a shifting delay line, a
     ///   custom kernel) vetoes the burst; that is the per-element fallback.
-    ///   Awake kernels participate at offset 0.
+    ///   Awake kernels participate from cycle 0.
     /// * An awake kernel that is **currently blocked** — its plan declares
     ///   a dry read port ([`SpanPlan::blocked`]), or a masked output is
     ///   full with no earlier-ordered participant popping it this cycle
@@ -922,26 +918,26 @@ impl Graph {
     ///   rather than vetoing: dense would tick it once (non-`Busy` and
     ///   port-inert), park it, and wake it like any recruit, so the burst
     ///   models exactly that — one blocked tick at the first cycle, a park
-    ///   at `now`, and an offset solved by the relaxation pass. This is
+    ///   at `now`, and a start solved by the relaxation pass. This is
     ///   what lets a wavefront advance past stragglers: an adder waiting
     ///   on a convolution mid-absorb, a writer into a full FIFO.
     /// * **Parked** kernels that a burst stream event would wake are
     ///   *recruited* instead of vetoing: a read stream's parked-`Stalled`
     ///   writer (dense wakes it at the first pop) and a written stream's
-    ///   parked reader (woken at the first commit). A recruit's offset is
+    ///   parked reader (woken at the first commit). A recruit's start is
     ///   solved from per-port readiness — an empty input becomes
     ///   serviceable one cycle after its in-burst writer's first push
     ///   (`a + 1`, the registered-output latency), a full output when its
     ///   in-burst reader's pops free a slot (`b + 1`, or `b` when the
     ///   reader runs earlier in node order, freeing the slot within the
-    ///   writer's own tick cycle). Offsets relax to a fixpoint; they only
+    ///   writer's own tick cycle). Starts relax to a fixpoint; they only
     ///   decrease, so the loop terminates. The skipped cycles
     ///   `[since .. now + o)` settle with exactly the lazy credit
     ///   [`Graph::step_cycle_ready`]'s wakes apply — all three wake paths
     ///   reduce to `stalled += now + o − 1 − since` for a `Stalled` park,
     ///   nothing for `Idle`. Any intermediate wake/re-park oscillation
     ///   dense would perform is counter-invisible by the `Parkable`
-    ///   fixed-point contract, so a recruit whose offset lands at or
+    ///   fixed-point contract, so a recruit whose start lands at or
     ///   beyond `k` simply stays parked, as does one whose plan has no
     ///   cycles to offer. A read stream's parked-**Idle** writer is *not*
     ///   recruited: `Idle` is input-driven (a kernel needing output space
@@ -950,30 +946,38 @@ impl Graph {
     ///   its streams.
     /// * **Feasibility** then caps `k` so every promised tick would have
     ///   succeeded under dense interleaving. For one stream with start
-    ///   length `L`, capacity `C`, writer pushing from offset `a` and
-    ///   reader popping from offset `b` (`∞` when inactive): pops need a
-    ///   committed element — first missing at `b + L` when no same-burst
-    ///   push lands in time (`a = ∞` or `b + L ≤ a`), at `a` when the
-    ///   buffered lead runs out (`b < a` with `L ≤ a − b`), at `b` for the
-    ///   rate-matched `a = b` case starting empty. Pushes need headroom at
-    ///   the writer's tick — first full at `a + (C − L)` with no in-burst
-    ///   pops, at `a` for the rate-matched case starting full (unless the
-    ///   reader runs earlier in node order and frees the slot first), and
-    ///   for a late reader (`b > a`) the queue plateaus at
-    ///   `L + (b − a)` (one less for an earlier-ordered reader), capping
-    ///   at `min(b, a + (C − L))` if that plateau would overflow. Finally,
-    ///   the burst replays each participant's whole span in node order, so
-    ///   a reader *earlier in node order* than its writer can only consume
-    ///   the buffered lead: `k ≤ b + L`. A *suppressed opportunistic read*
+    ///   length `L`, capacity `C`, a writer pushing `wr` per cycle over
+    ///   its cycles and a reader popping `rr` per cycle over its own, the
+    ///   start-of-cycle occupancy is piecewise linear with breakpoints
+    ///   where a side starts or stops, and the cap is the first cycle it
+    ///   leaves `[rr, C − wr]`: a pop needs `rr` committed
+    ///   elements, a push `wr` free slots at the writer's tick (`rr` more
+    ///   once a reader earlier in node order has popped within the cycle),
+    ///   and an *exact* port ([`SpanPlan::exact_reads`]) pins its bound
+    ///   from both sides. [`span_limit`] has the arithmetic, including the
+    ///   dispatch rule that a reader *earlier in node order* than its
+    ///   writer — replayed whole before the writer's span — can only
+    ///   consume the buffered lead. A *suppressed opportunistic read*
     ///   ([`SpanPlan::opt_reads`] — a dry port the kernel promises not to
     ///   read while it stays dry) caps the span before the port refills:
-    ///   `k ≤ a + 1`. Every cap shortens the burst below
-    ///   what dense could overlap — which costs speed, never equivalence.
+    ///   `k ≤ a + 1` for a writer starting at `a`. Every cap shortens the
+    ///   burst below what dense could overlap — which costs speed, never
+    ///   equivalence.
+    /// * One fault **stops a participant** instead of capping the burst: a
+    ///   *halting* writer ([`SpanPlan::halt`]) that finds its FIFO
+    ///   completely full mid-burst, with nobody draining it before `k` and
+    ///   its own masked inputs holding data. Dense ticks that kernel
+    ///   `Stalled` there and parks it; every later re-tick (an input
+    ///   commit, a pop on another output) re-stalls, so the lazy credit
+    ///   telescopes exactly as for a demoted kernel. Its other streams see
+    ///   its traffic end at the stop, which may in turn fill the FIFO
+    ///   behind it — the feasibility scan repeats until no stream objects.
     ///
     /// Under those caps the dense outcome is exactly: participant `i`
-    /// gains `busy += k − o_i` (plus its lazy stall settlement), each
-    /// burst stream moves `k − a` pushes and `k − b` pops with its
-    /// occupancy peak in closed form ([`StreamState::note_span`]), no
+    /// gains one `busy` per cycle it runs (plus its lazy stall settlement,
+    /// and one explicit stall where it stops early), each burst stream
+    /// moves `wr` pushes and `rr` pops per active cycle with
+    /// its occupancy peak in closed form ([`span_peak`]), no
     /// other counter moves, and the clock advances `k`. That arithmetic is
     /// what this method applies; the differential battery
     /// (`tests/macro_tick_equivalence.rs`) holds it to bit-identity.
@@ -1021,9 +1025,9 @@ impl Graph {
             // depends on node order) — does not veto: dense would tick it
             // once (non-`Busy`, port-inert by the `Parkable` contract) and
             // park it, so it is *demoted* to a recruit-like participant
-            // whose offset the relaxation pass solves. Demoted entries are
+            // whose start the relaxation pass solves. Demoted entries are
             // buffered until the scan ends so `burst_plans[..awake_cnt]`
-            // stays exactly the offset-0 set — which is also what the
+            // stays exactly the cycle-0 set — which is also what the
             // write-block check scans for same-cycle pops.
             let mut i = 0usize;
             while i < n {
@@ -1036,30 +1040,31 @@ impl Graph {
                 if i >= n {
                     break;
                 }
-                let lens = input_lens(streams, &nodes[i]);
-                let plan = nodes[i].kernel.span_hint(&lens[..nodes[i].inputs.len()]);
-                match plan {
+                match span_hint(streams, &nodes[i]) {
                     Some(plan) if plan.cycles >= 1 => {
                         if let Some(v) = plan.blocked {
-                            burst_demoted.push((i, plan, v));
+                            burst_demoted.push(Participant::new(i, plan, u64::MAX, Some(v)));
                         } else {
-                            let write_blocked = nodes[i].outputs.iter().enumerate().any(
-                                |(p, &s)| {
+                            let write_blocked =
+                                nodes[i].outputs.iter().enumerate().any(|(p, &s)| {
                                     plan.writes & (1 << p) != 0
                                         && streams[s].queue.len() == streams[s].spec.capacity
-                                        && !pops_at_start(s, i, readers, part_of, burst_plans, nodes)
-                                },
-                            );
+                                        && !readers[s].is_some_and(|r| {
+                                            r.node < i
+                                                && pop_port(r, part_of, burst_plans).start == 0
+                                        })
+                                });
                             if write_blocked {
                                 if plan.halt {
-                                    burst_demoted.push((i, plan, Progress::Stalled));
+                                    let v = Some(Progress::Stalled);
+                                    burst_demoted.push(Participant::new(i, plan, u64::MAX, v));
                                 } else {
                                     break 'plan false;
                                 }
                             } else if plan.cycles >= min_burst {
                                 k = k.min(plan.cycles);
                                 part_of[i] = burst_plans.len() as u32;
-                                burst_plans.push((i, plan, 0, None));
+                                burst_plans.push(Participant::new(i, plan, 0, None));
                             } else {
                                 // Too short to be worth a burst — but the
                                 // phase boundary is exact: after this many
@@ -1078,122 +1083,101 @@ impl Graph {
             let awake_cnt = burst_plans.len();
             if awake_cnt == 0 {
                 // All-demoted (or no awake kernels at all): nothing runs at
-                // offset 0, so a burst would only advance the clock. Fall
+                // cycle 0, so a burst would only advance the clock. Fall
                 // back to per-element stepping, which also keeps deadlock
                 // detection live.
                 break 'plan false;
             }
-            for (i, plan, v) in burst_demoted.drain(..) {
-                part_of[i] = burst_plans.len() as u32;
-                burst_plans.push((i, plan, u64::MAX, Some(v)));
+            for p in burst_demoted.drain(..) {
+                part_of[p.node] = burst_plans.len() as u32;
+                burst_plans.push(p);
             }
-            // Phase 2: flag burst streams, recruit parked neighbours the
-            // burst's stream events would wake, and relax recruit offsets
-            // to a fixpoint.
+            // Phase 2: flag each participant's streams and recruit the
+            // parked kernel on a stream's other end that the burst's
+            // traffic would wake — a read stream's parked-`Stalled` writer
+            // (at the first pop), a written stream's parked reader (at the
+            // first commit). Recruits join the list being walked, so the
+            // wavefront grows until it closes.
             let mut cursor = 0usize;
+            while cursor < burst_plans.len() {
+                let Participant { node: i, plan, .. } = burst_plans[cursor];
+                cursor += 1;
+                let node = &nodes[i];
+                debug_assert!(
+                    node.inputs.len() <= MAX_SPAN_PORTS && node.outputs.len() <= MAX_SPAN_PORTS,
+                    "span-capable kernel '{}' has too many ports",
+                    node.kernel.name()
+                );
+                for (p, &s) in node.inputs.iter().enumerate() {
+                    if plan.reads & (1 << p) == 0 {
+                        continue;
+                    }
+                    if !std::mem::replace(&mut stream_flags[s], true) {
+                        burst_streams.push(span_stream(s, streams));
+                    }
+                    let w = writers[s].expect("validated").node;
+                    if part_of[w] == u32::MAX
+                        && matches!(parked[w], Some((Progress::Stalled, _)))
+                        && !recruit(w, nodes, streams, part_of, burst_plans)
+                    {
+                        break 'plan false;
+                    }
+                }
+                for (p, &s) in node.outputs.iter().enumerate() {
+                    if plan.writes & (1 << p) == 0 {
+                        continue;
+                    }
+                    if !std::mem::replace(&mut stream_flags[s], true) {
+                        burst_streams.push(span_stream(s, streams));
+                    }
+                    let r = readers[s].expect("validated").node;
+                    if part_of[r] == u32::MAX
+                        && parked[r].is_some()
+                        && !recruit(r, nodes, streams, part_of, burst_plans)
+                    {
+                        break 'plan false;
+                    }
+                }
+            }
+            // The wavefront is closed: each stream's two sides as the plans
+            // have them (starts and stops still move below).
+            let part_of = &*part_of;
+            let writer = |s: usize| writers[s].expect("validated");
+            let reader = |s: usize| readers[s].expect("validated");
+            let pushing = |s: usize, plans: &[Participant]| push_port(writer(s), part_of, plans);
+            let popping = |s: usize, plans: &[Participant]| pop_port(reader(s), part_of, plans);
+            // The cycle writer `w` first sees a slot freed on `s`: that of
+            // the reader's first pop if the reader ticks earlier in node
+            // order, the one after otherwise.
+            let freed = |s: usize, w: usize, plans: &[Participant]| {
+                let b = popping(s, plans).start;
+                b.saturating_add(u64::from(reader(s).node > w))
+            };
+            // Relax recruit (and demoted) starts to a fixpoint: each is
+            // ready once every masked port is serviceable.
             loop {
-                while cursor < burst_plans.len() {
-                    let (i, plan, ..) = burst_plans[cursor];
-                    let node = &nodes[i];
-                    debug_assert!(
-                        node.inputs.len() <= MAX_SPAN_PORTS
-                            && node.outputs.len() <= MAX_SPAN_PORTS,
-                        "span-capable kernel '{}' has too many ports",
-                        node.kernel.name()
-                    );
-                    for (p, &s) in node.inputs.iter().enumerate() {
-                        if plan.reads & (1 << p) != 0 {
-                            if stream_flags[s] == 0 {
-                                burst_streams.push((s, streams[s].queue.len(), 0, 0));
-                            }
-                            stream_flags[s] |= BURST_R;
-                        }
-                    }
-                    for (p, &s) in node.outputs.iter().enumerate() {
-                        if plan.writes & (1 << p) != 0 {
-                            if stream_flags[s] == 0 {
-                                burst_streams.push((s, streams[s].queue.len(), 0, 0));
-                            }
-                            stream_flags[s] |= BURST_W;
-                        }
-                    }
-                    cursor += 1;
-                }
-                let before = burst_plans.len();
-                for &(s, ..) in burst_streams.iter() {
-                    let flags = stream_flags[s];
-                    if flags & BURST_R != 0 {
-                        let w = writers[s].expect("validated");
-                        if part_of[w] == u32::MAX {
-                            if let Some((Progress::Stalled, _)) = parked[w] {
-                                let lens = input_lens(streams, &nodes[w]);
-                                match nodes[w].kernel.span_hint(&lens[..nodes[w].inputs.len()]) {
-                                    None | Some(SpanPlan { cycles: 0, .. }) => {
-                                        break 'plan false;
-                                    }
-                                    Some(plan) => {
-                                        part_of[w] = burst_plans.len() as u32;
-                                        burst_plans.push((w, plan, u64::MAX, None));
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    if flags & BURST_W != 0 {
-                        let r = readers[s].expect("validated");
-                        if part_of[r] == u32::MAX && parked[r].is_some() {
-                            let lens = input_lens(streams, &nodes[r]);
-                            match nodes[r].kernel.span_hint(&lens[..nodes[r].inputs.len()]) {
-                                None | Some(SpanPlan { cycles: 0, .. }) => {
-                                    break 'plan false;
-                                }
-                                Some(plan) => {
-                                    part_of[r] = burst_plans.len() as u32;
-                                    burst_plans.push((r, plan, u64::MAX, None));
-                                }
-                            }
-                        }
-                    }
-                }
-                if burst_plans.len() > before || cursor < burst_plans.len() {
-                    continue;
-                }
                 let mut changed = false;
                 for pi in awake_cnt..burst_plans.len() {
-                    let (i, plan, old, _) = burst_plans[pi];
+                    let Participant {
+                        node: i,
+                        plan,
+                        start: old,
+                        ..
+                    } = burst_plans[pi];
                     let mut o = 0u64;
                     for (p, &s) in nodes[i].inputs.iter().enumerate() {
-                        if plan.reads & (1 << p) == 0 {
-                            continue;
+                        if plan.reads & (1 << p) != 0 && streams[s].queue.is_empty() {
+                            o = o.max(pushing(s, burst_plans).start.saturating_add(1));
                         }
-                        let ready = if !streams[s].queue.is_empty() {
-                            0
-                        } else {
-                            let w = writers[s].expect("validated");
-                            push_offset(s, w, part_of, burst_plans, nodes).saturating_add(1)
-                        };
-                        o = o.max(ready);
                     }
                     for (p, &s) in nodes[i].outputs.iter().enumerate() {
-                        if plan.writes & (1 << p) == 0 {
-                            continue;
-                        }
                         let st = &streams[s];
-                        let ready = if st.queue.len() < st.spec.capacity {
-                            0
-                        } else {
-                            let r = readers[s].expect("validated");
-                            let b = pop_offset(s, r, part_of, burst_plans, nodes);
-                            if r < i {
-                                b
-                            } else {
-                                b.saturating_add(1)
-                            }
-                        };
-                        o = o.max(ready);
+                        if plan.writes & (1 << p) != 0 && st.queue.len() == st.spec.capacity {
+                            o = o.max(freed(s, i, burst_plans));
+                        }
                     }
                     if o < old {
-                        burst_plans[pi].2 = o;
+                        burst_plans[pi].start = o;
                         changed = true;
                     }
                 }
@@ -1202,71 +1186,87 @@ impl Graph {
                 }
             }
             // Phase 3: cap `k` so every promised tick would have succeeded.
-            for &(_, plan, o, _) in burst_plans.iter() {
-                k = k.min(o.saturating_add(plan.cycles));
+            for p in burst_plans.iter() {
+                k = k.min(p.start.saturating_add(p.plan.cycles));
             }
-            for &(s, len, _, _) in burst_streams.iter() {
-                let st = &streams[s];
-                debug_assert!(st.staged.is_empty(), "staged writes between cycles");
-                let l = len as u64;
-                let cap = st.spec.capacity as u64;
-                let w = writers[s].expect("validated");
-                let r = readers[s].expect("validated");
-                let a = push_offset(s, w, part_of, burst_plans, nodes);
-                let b = pop_offset(s, r, part_of, burst_plans, nodes);
-                // Pops at [b, k) must find a committed element.
-                if b != u64::MAX {
-                    if a == u64::MAX {
-                        k = k.min(b.saturating_add(l));
-                    } else if a > b {
-                        if l > a - b {
-                            // The buffered lead outlasts the push delay.
-                        } else if b.saturating_add(l) <= a {
-                            k = k.min(b.saturating_add(l));
-                        } else {
-                            k = k.min(a);
-                        }
-                    } else if a == b && l == 0 {
-                        k = k.min(b);
+            // Stream feasibility. The first infeasible cycle on a stream
+            // caps the span — unless the fault is a halting writer finding
+            // its FIFO full with nobody draining it: dense ticks that
+            // kernel `Stalled` there and parks it, which the burst can
+            // model (the participant *stops* early) instead of ending.
+            // A stop shortens the kernel's traffic on its other streams,
+            // so the scan repeats until no stream objects.
+            loop {
+                let mut settled = true;
+                for bs in burst_streams.iter() {
+                    let s = bs.stream;
+                    let st = &streams[s];
+                    debug_assert!(st.staged.is_empty(), "staged writes between cycles");
+                    let w = writer(s).node;
+                    let drain = popping(s, burst_plans);
+                    let (t, fault) = span_limit(
+                        bs.start_len,
+                        st.spec.capacity,
+                        pushing(s, burst_plans),
+                        drain,
+                        reader(s).node < w,
+                    );
+                    if t >= k {
+                        continue;
+                    }
+                    // Stalled at `t` and on every re-tick up to `k`: a
+                    // halting writer, already running, its output never
+                    // drained (its inputs are checked below).
+                    let parks = fault == SpanFault::Full && !drain.active_within(t, k) && {
+                        let writer = &burst_plans[part_of[w] as usize];
+                        writer.plan.halt && t > writer.start
+                    };
+                    if parks {
+                        burst_plans[part_of[w] as usize].stop = t;
+                        settled = false;
+                    } else {
+                        k = t;
                     }
                 }
-                // Pushes at [a, k) must find headroom at the writer's tick
-                // (a pop by an earlier-ordered reader lands first).
-                if a != u64::MAX {
-                    let rb = b != u64::MAX && r < w;
-                    if b == u64::MAX {
-                        k = k.min(a.saturating_add(cap - l));
-                    } else if b > a {
-                        let plateau = l + (b - a) - rb as u64;
-                        if plateau > cap - 1 {
-                            k = k.min(b.min(a.saturating_add(cap - l)));
-                        }
-                    } else if b == a && !rb && l == cap {
-                        k = k.min(a);
-                    }
+                if settled {
+                    break;
                 }
-                // The burst replays whole spans in node order, so a reader
-                // earlier than its writer sees none of this burst's pushes.
-                if a != u64::MAX && b != u64::MAX && r < w {
-                    k = k.min(b.saturating_add(l));
+            }
+            // A halting kernel's blocked tick is `Stalled` only while its
+            // masked inputs hold data (they can only grow once it stops
+            // reading, so holding at the stop is holding until `k`); a
+            // participant stopped with a dry input ends the span instead.
+            for p in burst_plans.iter() {
+                if p.stop < k
+                    && !nodes[p.node].inputs.iter().enumerate().all(|(port, &u)| {
+                        p.plan.reads & (1 << port) == 0
+                            || span_level(
+                                streams[u].queue.len(),
+                                pushing(u, burst_plans),
+                                popping(u, burst_plans),
+                                p.stop,
+                            ) >= 1
+                    })
+                {
+                    k = p.stop;
                 }
             }
             // A suppressed opportunistic read ([`SpanPlan::opt_reads`]) is
             // a promise that the port *stays* empty: an in-burst push at
-            // writer offset `a` commits end-of-cycle `a` and turns readable
+            // writer start `a` commits end-of-cycle `a` and turns readable
             // at `a + 1`, where dense stepping would resume the read, so
             // the span must end first (`k ≤ a + 1`). With no in-burst
             // writer the port cannot refill and the promise holds for any
             // `k`. A recruit holding such a promise needs no extra care:
-            // its premise must hold from its offset `o`, and this cap
+            // its premise must hold from its start `o`, and this cap
             // forces `o ≥ a + 1 ≥ k` whenever data would land first, which
             // keeps it from running at all.
-            for &(i, plan, ..) in burst_plans.iter() {
-                if plan.opt_reads == 0 {
+            for p in burst_plans.iter() {
+                if p.plan.opt_reads == 0 {
                     continue;
                 }
-                for (p, &s) in nodes[i].inputs.iter().enumerate() {
-                    if plan.opt_reads & (1 << p) == 0 {
+                for (port, &s) in nodes[p.node].inputs.iter().enumerate() {
+                    if p.plan.opt_reads & (1 << port) == 0 {
                         continue;
                     }
                     debug_assert!(
@@ -1274,8 +1274,7 @@ impl Graph {
                         "opt_reads promised on non-empty stream '{}'",
                         streams[s].spec.name
                     );
-                    let a =
-                        push_offset(s, writers[s].expect("validated"), part_of, burst_plans, nodes);
+                    let a = pushing(s, burst_plans).start;
                     if a != u64::MAX {
                         k = k.min(a + 1);
                     }
@@ -1294,12 +1293,12 @@ impl Graph {
             // *verdict-stable* (each re-tick re-reports the parked verdict,
             // so the lazy credit telescopes) — true for a `Stalled` park
             // whose masked inputs all hold data (inputs only grow and the
-            // offset-driving output stays blocked until `o`, so every
-            // pre-offset tick re-stalls), or whose plan declares
+            // start-driving output stays blocked until `o`, so every
+            // pre-start tick re-stalls), or whose plan declares
             // [`SpanPlan::blocked`]`(Stalled)` (port-inert `Stalled` until
-            // every masked port is serviceable, i.e. until the offset, by
+            // every masked port is serviceable, i.e. until the start, by
             // that declaration's contract) — or if no event ticks it
-            // strictly before its offset at all (the first tick is the
+            // strictly before its start at all (the first tick is the
             // `Busy` one). One more trajectory is closed-form: a
             // participant declaring [`SpanPlan::blocked`]`(Idle)` (all
             // masked inputs dry; by that contract the tick flips to a
@@ -1311,9 +1310,9 @@ impl Graph {
             // telescope, recorded in `burst_ripen` for the dispatch loop.
             // Anything else (an `Idle` park with no declared contract)
             // vetoes the burst.
-            for pi in awake_cnt..burst_plans.len() {
-                let (i, plan, o, demoted) = burst_plans[pi];
-                let verdict = match demoted {
+            for p in burst_plans[awake_cnt..].iter() {
+                let (i, plan, o) = (p.node, p.plan, p.start);
+                let verdict = match p.demoted {
                     Some(v) => v,
                     None => parked[i].expect("recruits are parked").0,
                 };
@@ -1325,6 +1324,7 @@ impl Graph {
                 if stable {
                     continue;
                 }
+                let first_push = |s: usize| pushing(s, burst_plans).start.saturating_add(1);
                 if verdict == Progress::Idle && plan.blocked == Some(Progress::Idle) {
                     let mut f = u64::MAX;
                     for (p, &s) in nodes[i].inputs.iter().enumerate() {
@@ -1336,14 +1336,7 @@ impl Graph {
                             "blocked(Idle) declared with data on '{}'",
                             streams[s].spec.name
                         );
-                        let a = push_offset(
-                            s,
-                            writers[s].expect("validated"),
-                            part_of,
-                            burst_plans,
-                            nodes,
-                        );
-                        f = f.min(a.saturating_add(1));
+                        f = f.min(first_push(s));
                     }
                     if f < o.min(k) {
                         burst_ripen.push((i, f));
@@ -1352,66 +1345,60 @@ impl Graph {
                 }
                 let mut first_tick = u64::MAX;
                 for &s in nodes[i].inputs.iter() {
-                    let a =
-                        push_offset(s, writers[s].expect("validated"), part_of, burst_plans, nodes);
-                    first_tick = first_tick.min(a.saturating_add(1));
+                    first_tick = first_tick.min(first_push(s));
                 }
                 for &s in nodes[i].outputs.iter() {
-                    let r = readers[s].expect("validated");
-                    let b = pop_offset(s, r, part_of, burst_plans, nodes);
-                    first_tick = first_tick.min(if i > r { b } else { b.saturating_add(1) });
+                    first_tick = first_tick.min(freed(s, i, burst_plans));
                 }
                 if first_tick < o.min(k) {
                     break 'plan false;
                 }
             }
-            // A recruit or demoted kernel that never runs (`o ≥ k`) must
-            // still end the burst
-            // in the park state dense would leave it in: awake when a
-            // last-cycle event wakes it for the cycle after the burst — a
-            // commit from a writer pushing through `k − 1`, or a pop by a
-            // later-ordered reader (an *earlier*-ordered reader's pop wakes
-            // it within cycle `k − 1`, where it re-parks). Encode the
-            // decision in the offset: `k` wakes at burst end, `MAX` stays
-            // parked.
-            for pi in awake_cnt..burst_plans.len() {
-                let (i, _, o, _) = burst_plans[pi];
-                if o < k {
+            // A participant parked over the burst's last cycle — a recruit
+            // or demoted kernel that never runs, or one stopped early —
+            // must still end the burst in the park state dense would leave
+            // it in: awake when a last-cycle event wakes it for the cycle
+            // after the burst — a commit from a writer pushing on `k − 1`,
+            // or a pop by a later-ordered reader (an *earlier*-ordered
+            // reader's pop wakes it within cycle `k − 1`, where it
+            // re-parks).
+            for pi in 0..burst_plans.len() {
+                let p = burst_plans[pi];
+                if p.start < k && p.stop >= k {
                     continue;
                 }
-                let end_awake = nodes[i].inputs.iter().any(|&s| {
-                    push_offset(s, writers[s].expect("validated"), part_of, burst_plans, nodes) < k
-                }) || nodes[i].outputs.iter().any(|&s| {
-                    let r = readers[s].expect("validated");
-                    i < r && pop_offset(s, r, part_of, burst_plans, nodes) < k
-                });
-                burst_plans[pi].2 = if end_awake { k } else { u64::MAX };
+                let node = &nodes[p.node];
+                let fed = |&s: &usize| pushing(s, burst_plans).active_at(k - 1);
+                let drained = |&s: &usize| {
+                    p.node < reader(s).node && popping(s, burst_plans).active_at(k - 1)
+                };
+                burst_plans[pi].end_awake =
+                    node.inputs.iter().any(fed) || node.outputs.iter().any(drained);
             }
-            // Record each stream's span traffic against the final `k`.
+            // Credit each stream's occupancy peak against the final `k`.
             for bs in burst_streams.iter_mut() {
-                let s = bs.0;
-                let a = push_offset(s, writers[s].expect("validated"), part_of, burst_plans, nodes);
-                let b = pop_offset(s, readers[s].expect("validated"), part_of, burst_plans, nodes);
-                bs.2 = k.saturating_sub(a);
-                bs.3 = k.saturating_sub(b);
+                let s = bs.stream;
+                let (w, r) = (pushing(s, burst_plans), popping(s, burst_plans));
+                bs.peak = span_peak(bs.start_len, w, r, k);
+                bs.traffic = w.start < k || r.start < k;
             }
             true
         };
         if !planned {
-            for &(s, ..) in burst_streams.iter() {
-                stream_flags[s] = 0;
+            for bs in burst_streams.iter() {
+                stream_flags[bs.stream] = false;
             }
-            for &(i, ..) in burst_plans.iter() {
-                part_of[i] = u32::MAX;
+            for p in burst_plans.iter() {
+                part_of[p.node] = u32::MAX;
             }
             return Err(retry);
         }
         // Phases 4+5 (dispatch + occupancy credit) are shared with schedule
         // replay: `dispatch_span` re-executes exactly this plan set, so a
         // recorded burst replays through the identical code path.
-        burst_plans.sort_unstable_by_key(|&(i, ..)| i);
-        for &(i, ..) in burst_plans.iter() {
-            part_of[i] = u32::MAX;
+        burst_plans.sort_unstable_by_key(|p| p.node);
+        for p in burst_plans.iter() {
+            part_of[p.node] = u32::MAX;
         }
         let sink_progress = dispatch_span(
             nodes,
@@ -1424,8 +1411,8 @@ impl Graph {
             t_now,
             k,
         );
-        for &(s, ..) in burst_streams.iter() {
-            stream_flags[s] = 0;
+        for bs in burst_streams.iter() {
+            stream_flags[bs.stream] = false;
         }
         self.now += k;
         self.sink_progress = sink_progress;
@@ -1483,7 +1470,7 @@ impl Graph {
                     || tape
                         .streams(&rec)
                         .iter()
-                        .any(|&(s, start_len, ..)| live_streams[s].queue.len() != start_len)
+                        .any(|bs| live_streams[bs.stream].queue.len() != bs.start_len)
                 {
                     return self.replay_guard_fallback();
                 }
@@ -1557,22 +1544,6 @@ impl Graph {
             return;
         }
         let fp_matches = self.replay.fp_scratch == self.replay.prev_fp;
-        // Boundary tracing (QNN_REPLAY_DEBUG=1): which fingerprint slots
-        // moved between periods — the first question when a stream that
-        // should replay never leaves `Armed`.
-        static DEBUG: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-        if *DEBUG.get_or_init(|| std::env::var("QNN_REPLAY_DEBUG").is_ok()) {
-            let diff: Vec<usize> = (0..self.replay.fp_scratch.len().max(self.replay.prev_fp.len()))
-                .filter(|&i| self.replay.fp_scratch.get(i) != self.replay.prev_fp.get(i))
-                .collect();
-            eprintln!(
-                "replay boundary popped={} phase={:?} match={} diff_idx={:?}",
-                popped,
-                self.replay.phase,
-                fp_matches,
-                &diff[..diff.len().min(20)]
-            );
-        }
         match self.replay.phase {
             ReplayPhase::Vetoed => {}
             ReplayPhase::Armed { have_prev } => {
@@ -1713,8 +1684,8 @@ impl Graph {
                 s.spec.name,
                 s.queue.len(),
                 s.spec.capacity,
-                self.writers[i].map(|k| self.nodes[k].kernel.name()),
-                self.readers[i].map(|k| self.nodes[k].kernel.name()),
+                self.writers[i].map(|e| self.nodes[e.node].kernel.name()),
+                self.readers[i].map(|e| self.nodes[e.node].kernel.name()),
             );
         }
         out
@@ -1722,41 +1693,57 @@ impl Graph {
 }
 
 /// Execute an admitted span plan set: dispatch participants in node order
-/// from their offsets (demotion ticks, ripening, lazy-credit settlement,
-/// `run_span` calls), then credit stream occupancy peaks in closed form.
-/// Returns whether a sink kernel ran.
+/// over their `start..stop` cycles (demotion ticks, ripening, lazy-credit
+/// settlement, `run_span` calls, mid-span parks), then credit stream
+/// occupancy peaks in closed form. Returns whether a sink kernel ran.
 ///
 /// Shared by [`Graph::try_burst`] (which just planned `plans`) and
 /// [`Graph::try_replay_step`] (which recorded them on a schedule-replay
 /// tape) — replayed spans go through the identical mutation path as planned
 /// ones, which is what keeps them bit-identical. `plans` must be sorted by
-/// node index with offsets finalized, and `ripen`/`span_streams` must be
-/// the matching scratch the planner produced.
+/// node index with starts and stops finalized, and `ripen`/`span_streams`
+/// must be the matching scratch the planner produced.
 #[allow(clippy::too_many_arguments)]
 fn dispatch_span(
     nodes: &mut [Node],
     streams: &mut [StreamState],
     parked: &mut [Option<(Progress, u64)>],
     awake: &mut [u64],
-    plans: &[(usize, SpanPlan, u64, Option<Progress>)],
+    plans: &[Participant],
     ripen: &[(usize, u64)],
-    span_streams: &[(usize, usize, u64, u64)],
+    span_streams: &[SpanStream],
     t_now: u64,
     k: u64,
 ) -> bool {
     let mut sink_progress = false;
-    for &(i, ref plan, o, demoted) in plans.iter() {
-        if let Some(v) = demoted {
+    for p in plans.iter() {
+        let i = p.node;
+        // One port-inert tick of `verdict` at span cycle `at`, then parked.
+        let park = |node: &mut Node, parked: &mut [_], awake: &mut [u64], verdict, at: u64| {
+            if verdict == Progress::Stalled {
+                node.stalled += 1;
+            }
+            awake[i / 64] &= !(1 << (i % 64));
+            parked[i] = Some((verdict, t_now + at));
+        };
+        // Awake entering span cycle `at`, the lazy credit of the cycles
+        // skipped while parked settled.
+        let wake =
+            |node: &mut Node, parked: &mut [Option<(Progress, u64)>], awake: &mut [u64], at| {
+                if let Some((verdict, since)) = parked[i].take() {
+                    awake[i / 64] |= 1 << (i % 64);
+                    if verdict == Progress::Stalled {
+                        node.stalled += t_now + at - 1 - since;
+                    }
+                }
+            };
+        if let Some(v) = p.demoted {
             // Replay dense's first burst cycle for a demoted kernel:
             // one blocked, port-inert tick (counted here) and a park at
             // `t_now`. The shared paths below then treat it exactly
-            // like a recruit — wake at its offset with the lazy credit
+            // like a recruit — wake at its start with the lazy credit
             // settled, run any busy span, or stay parked.
-            if v == Progress::Stalled {
-                nodes[i].stalled += 1;
-            }
-            awake[i / 64] &= !(1 << (i % 64));
-            parked[i] = Some((v, t_now));
+            park(&mut nodes[i], parked, awake, v, 0);
         }
         if let Some(&(_, f)) = (!ripen.is_empty())
             .then(|| ripen.iter().find(|&&(j, _)| j == i))
@@ -1766,158 +1753,102 @@ fn dispatch_span(
             // masked input flips the fixed point to `Stalled` — dense
             // ticks it `Stalled` once at `f` and re-parks there; later
             // re-wakes telescope into the lazy credit settled below
-            // (at the run offset, or at burst end via `o == k`).
-            nodes[i].stalled += 1;
-            parked[i] = Some((Progress::Stalled, t_now + f));
-        }
-        if o >= k {
-            if o == k {
-                // Dense's last-cycle event leaves this recruit awake
-                // entering the next cycle without ever running it;
-                // settle its lazy credit at the wake instant.
-                if let Some((verdict, since)) = parked[i].take() {
-                    awake[i / 64] |= 1 << (i % 64);
-                    if verdict == Progress::Stalled {
-                        nodes[i].stalled += t_now + k - 1 - since;
-                    }
-                }
-            }
-            // Otherwise dense would only wake-and-repark it inside the
-            // span; staying parked is counter-invisible (lazy credit).
-            continue;
-        }
-        let span = k - o;
-        if let Some((verdict, since)) = parked[i].take() {
-            awake[i / 64] |= 1 << (i % 64);
-            if verdict == Progress::Stalled {
-                nodes[i].stalled += t_now + o - 1 - since;
-            }
+            // (at the start, or at burst end via `end_awake`).
+            park(&mut nodes[i], parked, awake, Progress::Stalled, f);
         }
         let node = &mut nodes[i];
-        let mut sio = SpanIo::new(streams, &node.inputs, &node.outputs, plan.opt_reads);
-        node.kernel.run_span(&mut sio, span);
-        #[cfg(debug_assertions)]
-        {
-            let (reads, writes) = sio.counts();
-            for (p, &got) in reads.iter().enumerate().take(node.inputs.len()) {
-                let want = if plan.reads & (1 << p) != 0 { span } else { 0 };
-                assert_eq!(
-                    got,
-                    want,
-                    "kernel '{}' popped {got} from port {p}, promised {want} (SpanPlan contract)",
-                    node.kernel.name()
-                );
-            }
-            for (p, &got) in writes.iter().enumerate().take(node.outputs.len()) {
-                let want = if plan.writes & (1 << p) != 0 { span } else { 0 };
-                assert_eq!(
-                    got,
-                    want,
-                    "kernel '{}' pushed {got} to port {p}, promised {want} (SpanPlan contract)",
-                    node.kernel.name()
-                );
+        if p.runs(k) {
+            let span = p.stop.min(k) - p.start;
+            wake(node, parked, awake, p.start);
+            let mut sio = SpanIo::new(streams, &node.inputs, &node.outputs, &p.plan);
+            node.kernel.run_span(&mut sio, span);
+            #[cfg(debug_assertions)]
+            sio.audit(&p.plan, span, node.kernel.name());
+            node.busy += span;
+            sink_progress |= node.outputs.is_empty();
+            if p.stop < k {
+                // A full output blocks it mid-span: dense ticks it
+                // `Stalled` at `stop` and parks it there.
+                park(node, parked, awake, Progress::Stalled, p.stop);
             }
         }
-        node.busy += span;
-        sink_progress |= node.outputs.is_empty();
+        if p.end_awake {
+            // Dense's last-cycle event leaves it awake entering the next
+            // cycle without running it; otherwise dense would only
+            // wake-and-repark it inside the span, and staying parked is
+            // counter-invisible (lazy credit).
+            wake(node, parked, awake, k);
+        }
     }
-    for &(s, start_len, pushes, pops) in span_streams.iter() {
-        streams[s].note_span(start_len, pushes, pops);
+    for bs in span_streams.iter() {
+        streams[bs.stream].note_span(bs.peak);
     }
     sink_progress
 }
 
-/// Committed input-queue lengths of `node`'s ports, for
-/// [`Kernel::span_hint`]'s availability argument. Fixed-size so the planner
-/// hot path never allocates; callers slice to `node.inputs.len()`.
-/// Does an already-admitted offset-0 participant earlier in node order than
-/// `w` pop stream `s` at the burst's first cycle? Pops are immediate, so
-/// such a pop frees a slot within `w`'s own tick cycle — the one case where
-/// a full output is *not* write-blocking. Only valid during the phase-1
-/// ascending scan, where `burst_plans` holds exactly the offset-0
-/// participants decided so far (all with node index < the node under
-/// decision).
-fn pops_at_start(
-    s: usize,
-    w: usize,
-    readers: &[Option<usize>],
-    part_of: &[u32],
-    burst_plans: &[(usize, SpanPlan, u64, Option<Progress>)],
-    nodes: &[Node],
-) -> bool {
-    let Some(r) = readers[s] else { return false };
-    if r >= w || part_of[r] == u32::MAX {
-        return false;
-    }
-    let (_, plan, _, _) = burst_plans[part_of[r] as usize];
-    let port = nodes[r]
-        .inputs
-        .iter()
-        .position(|&x| x == s)
-        .expect("stream's reader lacks a port for it");
-    plan.reads & (1 << port) != 0
-}
-
-fn input_lens(streams: &[StreamState], node: &Node) -> [usize; MAX_SPAN_PORTS] {
+/// Ask `node`'s kernel for a span promise, showing it the committed length
+/// of each input queue and the free slots of each output queue
+/// ([`Kernel::span_hint`]'s availability arguments). Fixed-size scratch so
+/// the planner hot path never allocates.
+fn span_hint(streams: &[StreamState], node: &Node) -> Option<SpanPlan> {
     let mut lens = [0; MAX_SPAN_PORTS];
     for (p, &s) in node.inputs.iter().enumerate() {
         lens[p] = streams[s].queue.len();
     }
-    lens
+    let mut room = [0; MAX_SPAN_PORTS];
+    for (p, &s) in node.outputs.iter().enumerate() {
+        room[p] = streams[s].spec.capacity - streams[s].queue.len();
+    }
+    node.kernel
+        .span_hint(&lens[..node.inputs.len()], &room[..node.outputs.len()])
 }
 
-/// First burst cycle at which node `w` pushes to stream `s`: the offset of
-/// `w`'s burst participation, or `u64::MAX` when `w` is not a participant
-/// or its [`SpanPlan`] does not write `s`. Helper for [`Graph::try_burst`].
-fn push_offset(
-    s: usize,
-    w: usize,
-    part_of: &[u32],
-    burst_plans: &[(usize, SpanPlan, u64, Option<Progress>)],
+/// Add parked node `x` to the wavefront, its start still unsolved. `false`
+/// when it has no promise to offer (the burst must be abandoned: dense
+/// would wake it into behaviour the planner cannot model).
+fn recruit(
+    x: usize,
     nodes: &[Node],
-) -> u64 {
-    match part_of[w] {
-        u32::MAX => u64::MAX,
-        wp => {
-            let (_, plan, o, _) = burst_plans[wp as usize];
-            let port = nodes[w]
-                .outputs
-                .iter()
-                .position(|&x| x == s)
-                .expect("stream's writer lacks a port for it");
-            if plan.writes & (1 << port) != 0 {
-                o
-            } else {
-                u64::MAX
-            }
+    streams: &[StreamState],
+    part_of: &mut [u32],
+    burst_plans: &mut Vec<Participant>,
+) -> bool {
+    match span_hint(streams, &nodes[x]) {
+        Some(plan) if plan.cycles >= 1 => {
+            part_of[x] = burst_plans.len() as u32;
+            burst_plans.push(Participant::new(x, plan, u64::MAX, None));
+            true
         }
+        _ => false,
     }
 }
 
-/// First burst cycle at which node `r` pops from stream `s` (see
-/// [`push_offset`]).
-fn pop_offset(
-    s: usize,
-    r: usize,
-    part_of: &[u32],
-    burst_plans: &[(usize, SpanPlan, u64, Option<Progress>)],
-    nodes: &[Node],
-) -> u64 {
-    match part_of[r] {
-        u32::MAX => u64::MAX,
-        rp => {
-            let (_, plan, o, _) = burst_plans[rp as usize];
-            let port = nodes[r]
-                .inputs
-                .iter()
-                .position(|&x| x == s)
-                .expect("stream's reader lacks a port for it");
-            if plan.reads & (1 << port) != 0 {
-                o
-            } else {
-                u64::MAX
-            }
-        }
+/// A fresh `burst_streams` entry for stream `s`.
+fn span_stream(s: usize, streams: &[StreamState]) -> SpanStream {
+    SpanStream {
+        stream: s,
+        start_len: streams[s].queue.len(),
+        peak: 0,
+        traffic: false,
+    }
+}
+
+/// The push side of a stream during the planned burst: its writer `w`'s
+/// cycles and per-cycle write rate, or [`SpanPort::IDLE`] when `w` is not a
+/// participant or its [`SpanPlan`] does not write the stream. Helper for
+/// [`Graph::try_burst`].
+fn push_port(w: End, part_of: &[u32], burst_plans: &[Participant]) -> SpanPort {
+    match part_of[w.node] {
+        u32::MAX => SpanPort::IDLE,
+        ix => burst_plans[ix as usize].push_port(w.port),
+    }
+}
+
+/// The pop side of a stream during the planned burst (see [`push_port`]).
+fn pop_port(r: End, part_of: &[u32], burst_plans: &[Participant]) -> SpanPort {
+    match part_of[r.node] {
+        u32::MAX => SpanPort::IDLE,
+        ix => burst_plans[ix as usize].pop_port(r.port),
     }
 }
 
@@ -2196,4 +2127,3 @@ mod tests {
         assert_eq!(g.parked_state(KernelId(0)), None);
     }
 }
-

@@ -84,7 +84,7 @@ impl Kernel for HostSource {
 
     /// One element out per cycle until the buffer empties. Halting: a full
     /// output freezes the tick at `Stalled`.
-    fn span_hint(&self, _in_len: &[usize]) -> Option<SpanPlan> {
+    fn span_hint(&self, _in_len: &[usize], _out_room: &[usize]) -> Option<SpanPlan> {
         if self.data.is_empty() {
             None
         } else {
@@ -220,7 +220,7 @@ impl Kernel for HostSink {
     /// One element in per cycle until the expected count is reached — the
     /// span promise stops exactly at completion, so `is_done` flips at the
     /// same cycle as under per-element stepping.
-    fn span_hint(&self, in_len: &[usize]) -> Option<SpanPlan> {
+    fn span_hint(&self, in_len: &[usize], _out_room: &[usize]) -> Option<SpanPlan> {
         let remaining = self.expected - lock_state(&self.state).collected.len();
         if remaining == 0 {
             None

@@ -140,17 +140,35 @@ impl<'a> Io<'a> {
 pub const MAX_SPAN_PORTS: usize = 8;
 
 /// A **uniform-span promise** (see [`Kernel::span_hint`]): for up to
-/// `cycles` consecutive cycles — provided every port in `reads` has an
-/// element available and every port in `writes` has space available on each
-/// of those cycles — every tick of this kernel would
+/// `cycles` consecutive cycles — provided every port in `reads` has
+/// `read_rate` elements available and every port in `writes` has
+/// `write_rate` slots free on each of those cycles — every tick of this
+/// kernel would
 ///
-/// * read exactly one element from each input port whose bit is set in
-///   `reads`, and no element from any other input port,
-/// * write exactly one element to each output port whose bit is set in
-///   `writes`, and none to any other output port,
+/// * read exactly `read_rate` elements from each input port whose bit is
+///   set in `reads`, and no element from any other input port,
+/// * write exactly `write_rate` elements to each output port whose bit is
+///   set in `writes`, and none to any other output port,
 /// * return [`Progress::Busy`], and
 /// * leave the kernel after cycle `n ≤ cycles` in exactly the state `n`
 ///   consecutive `tick` calls would have.
+///
+/// One side may finish before the other: the read ports move elements on
+/// the first [`SpanPlan::read_cycles`] of the `cycles`, the write ports on
+/// the first [`SpanPlan::write_cycles`], and the kernel ticks on `Busy`
+/// with the longer side alone (a convolution still emitting a position
+/// after the next window's last element has arrived, or still absorbing
+/// after the position is out).
+///
+/// Both rates are 1 for the paper's one-element-per-clock kernels. A
+/// *folded* kernel ([`Kernel::lanes`]) promises up to its lane count, and —
+/// because a folded tick is greedy, moving `min(lanes, available, phase
+/// budget)` elements — may promise a **sub-lane** rate taken from the
+/// availability [`Kernel::span_hint`] is shown, marking the side *exact*
+/// ([`SpanPlan::exact_reads`] / [`SpanPlan::exact_writes`]): the promise
+/// then holds only while availability *equals* the rate on every tick (a
+/// rate-1 producer feeding a two-lane consumer), where an ordinary port
+/// needs only "at least".
 ///
 /// The macro-tick scheduler uses the promise to replay a whole span of
 /// cycles in one [`Kernel::run_span`] dispatch with the busy/stall counters
@@ -161,12 +179,12 @@ pub struct SpanPlan {
     /// Maximum cycles the promise covers (`u64::MAX` ⇒ unbounded; the
     /// scheduler caps it by stream feasibility). Must be ≥ 1.
     pub cycles: u64,
-    /// Bitmask of input ports read once per cycle.
+    /// Bitmask of input ports read `read_rate` times per cycle.
     pub reads: u32,
-    /// Bitmask of output ports written once per cycle.
+    /// Bitmask of output ports written `write_rate` times per cycle.
     pub writes: u32,
     /// Bitmask of **suppressed opportunistic reads**: input ports the
-    /// kernel *would* read once per cycle if data were present, promised
+    /// kernel *would* read every cycle if data were present, promised
     /// unread because the port's queue is empty at plan time (the
     /// `in_len` argument of [`Kernel::span_hint`]). A kernel that keeps
     /// making progress while such a port starves — a convolution emitting
@@ -178,6 +196,23 @@ pub struct SpanPlan {
     /// and turns readable at `a + 1`, so `k ≤ a + 1`), and never treats
     /// the port as a read for recruitment or feasibility.
     pub opt_reads: u32,
+    /// Leading cycles of the span on which the read ports move elements
+    /// (≤ `cycles`; [`SpanPlan::new`] sets it equal).
+    pub read_cycles: u64,
+    /// Leading cycles of the span on which the write ports move elements.
+    pub write_cycles: u64,
+    /// Elements moved per cycle on every port in `reads` (≥ 1).
+    pub read_rate: u16,
+    /// Elements moved per cycle on every port in `writes` (≥ 1).
+    pub write_rate: u16,
+    /// The read ports are **exact**: the kernel would take more than
+    /// `read_rate` if more were queued, so the promise holds only while
+    /// each tick finds exactly `read_rate` elements.
+    pub exact_reads: bool,
+    /// The write ports are **exact**: the kernel would emit more than
+    /// `write_rate` if more slots were free, so the promise holds only
+    /// while each tick finds exactly `write_rate` slots.
+    pub exact_writes: bool,
     /// Kernel-declared **current blockage**: `Some(v)` asserts that with
     /// the availability shown in `in_len` the kernel's next tick performs
     /// no port action and returns verdict `v` — typically because a
@@ -189,12 +224,13 @@ pub struct SpanPlan {
     /// solved offset.
     ///
     /// Contract for `Some(Stalled)`: ticks stay port-inert `Stalled` until
-    /// **every** masked port is serviceable, not merely the ports dry at
-    /// plan time (an all-or-nothing kernel satisfies this trivially; a
-    /// partially-opportunistic one may declare it only in states where the
-    /// opportunism is off, e.g. a convolution mid-absorb). `Some(Idle)`
-    /// carries no stability promise; the scheduler admits it only when no
-    /// stream event can re-tick the kernel before its offset.
+    /// **every** masked port is serviceable (holds an element / a free
+    /// slot), not merely the ports dry at plan time (an all-or-nothing
+    /// kernel satisfies this trivially; a partially-opportunistic one may
+    /// declare it only in states where the opportunism is off, e.g. a
+    /// convolution mid-absorb). `Some(Idle)` carries no stability promise;
+    /// the scheduler admits it only when no stream event can re-tick the
+    /// kernel before its offset.
     pub blocked: Option<Progress>,
     /// Asserts the plan's ports are **halting** on backpressure: whenever
     /// every masked read port holds data but some masked write port is
@@ -209,16 +245,101 @@ pub struct SpanPlan {
 }
 
 impl SpanPlan {
-    /// Promise `cycles` uniform cycles reading the ports in `reads` and
-    /// writing the ports in `writes` (bitmasks, bit `p` = port `p`).
+    /// Promise `cycles` uniform cycles moving one element per cycle on the
+    /// ports in `reads` and `writes` (bitmasks, bit `p` = port `p`).
     pub fn new(cycles: u64, reads: u32, writes: u32) -> Self {
         Self {
             cycles,
             reads,
             writes,
             opt_reads: 0,
+            read_cycles: cycles,
+            write_cycles: cycles,
+            read_rate: 1,
+            write_rate: 1,
+            exact_reads: false,
+            exact_writes: false,
             blocked: None,
             halt: false,
+        }
+    }
+
+    /// What a greedy port moves per tick when its phase wants `want`
+    /// elements and `avail` are on offer (queued elements for a read port,
+    /// free slots for a write port): `(rate, exact)`. With nothing on offer
+    /// the port is blocked and the promise describes the ticks after the
+    /// blockage clears, so it assumes the full `want`.
+    pub fn greedy(want: usize, avail: usize) -> (usize, bool) {
+        if avail == 0 || avail >= want {
+            (want, false)
+        } else {
+            (avail, true)
+        }
+    }
+
+    /// Move `rate` elements per cycle on the read ports; `exact` as in
+    /// [`SpanPlan::exact_reads`].
+    pub fn at_read_rate(mut self, rate: usize, exact: bool) -> Self {
+        self.read_rate = span_rate(rate);
+        self.exact_reads = exact;
+        self
+    }
+
+    /// Move `rate` elements per cycle on the write ports; `exact` as in
+    /// [`SpanPlan::exact_writes`].
+    pub fn at_write_rate(mut self, rate: usize, exact: bool) -> Self {
+        self.write_rate = span_rate(rate);
+        self.exact_writes = exact;
+        self
+    }
+
+    /// The read side of a greedy kernel's current phase as a promise of its
+    /// own: `budget ≥ 1` elements still to absorb through the ports in
+    /// `reads`, at most `lanes` per tick, `queued` on offer now — whole
+    /// ticks at the [`SpanPlan::greedy`] rate. Also returns whether the
+    /// side then ends exactly on its phase boundary, leaving no sub-rate
+    /// remainder tick.
+    pub fn greedy_reads(reads: u32, lanes: usize, budget: usize, queued: usize) -> (Self, bool) {
+        let (rate, exact) = Self::greedy(lanes.min(budget), queued);
+        let plan = Self::new((budget / rate) as u64, reads, 0).at_read_rate(rate, exact);
+        (plan, budget % rate == 0)
+    }
+
+    /// The write side of a greedy kernel's current phase (see
+    /// [`SpanPlan::greedy_reads`]), with `room` free slots on offer now.
+    pub fn greedy_writes(writes: u32, lanes: usize, budget: usize, room: usize) -> (Self, bool) {
+        let (rate, exact) = Self::greedy(lanes.min(budget), room);
+        let plan = Self::new((budget / rate) as u64, 0, writes).at_write_rate(rate, exact);
+        (plan, budget % rate == 0)
+    }
+
+    /// A write-side and a read-side promise (each with its "ends on the
+    /// phase boundary" flag) kept in the same ticks — the emit + absorb
+    /// phase of a kernel that overlaps its input and output. Lasts as long
+    /// as both sides do; if the side that finishes first ends on its
+    /// boundary, the other then runs on alone to its own end.
+    pub fn overlapped(
+        (emit, emit_clean): (Self, bool),
+        (absorb, absorb_clean): (Self, bool),
+    ) -> Self {
+        let tail_ok = if emit.cycles < absorb.cycles {
+            emit_clean
+        } else {
+            absorb_clean
+        };
+        let cycles = if tail_ok {
+            emit.cycles.max(absorb.cycles)
+        } else {
+            emit.cycles.min(absorb.cycles)
+        };
+        Self {
+            cycles,
+            reads: absorb.reads,
+            read_cycles: absorb.cycles.min(cycles),
+            write_cycles: emit.cycles.min(cycles),
+            read_rate: absorb.read_rate,
+            exact_reads: absorb.exact_reads,
+            ..emit
         }
     }
 
@@ -245,6 +366,16 @@ impl SpanPlan {
     }
 }
 
+/// A per-cycle port rate as stored on a [`SpanPlan`]: at least one element,
+/// at most a lane count ([`Kernel::lanes`] is `u16`).
+fn span_rate(rate: usize) -> u16 {
+    assert!(
+        rate >= 1,
+        "a span port moves at least one element per cycle"
+    );
+    u16::try_from(rate).expect("span rate exceeds the lane-count range")
+}
+
 /// Batched port access handed to [`Kernel::run_span`].
 ///
 /// Unlike [`Io`], elements move directly through the FIFO queues: the
@@ -260,6 +391,8 @@ pub struct SpanIo<'a> {
     inputs: &'a [usize],
     outputs: &'a [usize],
     suppressed: u32,
+    read_rate: u16,
+    write_rate: u16,
     #[cfg(debug_assertions)]
     reads_done: [u64; MAX_SPAN_PORTS],
     #[cfg(debug_assertions)]
@@ -271,7 +404,7 @@ impl<'a> SpanIo<'a> {
         streams: &'a mut [StreamState],
         inputs: &'a [usize],
         outputs: &'a [usize],
-        suppressed: u32,
+        plan: &SpanPlan,
     ) -> Self {
         assert!(
             inputs.len() <= MAX_SPAN_PORTS && outputs.len() <= MAX_SPAN_PORTS,
@@ -281,7 +414,9 @@ impl<'a> SpanIo<'a> {
             streams,
             inputs,
             outputs,
-            suppressed,
+            suppressed: plan.opt_reads,
+            read_rate: plan.read_rate,
+            write_rate: plan.write_rate,
             #[cfg(debug_assertions)]
             reads_done: [0; MAX_SPAN_PORTS],
             #[cfg(debug_assertions)]
@@ -297,6 +432,20 @@ impl<'a> SpanIo<'a> {
     /// dense stepping would only expose *after* this span ends.
     pub fn read_suppressed(&self, p: usize) -> bool {
         self.suppressed & (1 << p) != 0
+    }
+
+    /// Elements each tick of the dispatched span pops from every read
+    /// port ([`SpanPlan::read_rate`]). A folded kernel's promise may carry
+    /// a sub-lane rate fixed at plan time, which `run_span` cannot recover
+    /// from live queue state (upstream spans have already run).
+    pub fn read_rate(&self) -> usize {
+        usize::from(self.read_rate)
+    }
+
+    /// Elements each tick of the dispatched span pushes to every write
+    /// port ([`SpanPlan::write_rate`]).
+    pub fn write_rate(&self) -> usize {
+        usize::from(self.write_rate)
     }
 
     /// Consume the next element from input port `p`.
@@ -366,12 +515,29 @@ impl<'a> SpanIo<'a> {
         s.queue.extend((0..n).map(|_| f()));
     }
 
-    /// Elements read from / written to each port so far (scheduler-side
-    /// contract verification; debug builds only — release builds omit the
-    /// counters entirely so span dispatch never zeroes or bumps them).
+    /// Scheduler-side contract verification after a `span`-cycle dispatch of
+    /// `plan`: every port must have moved exactly what the plan promised
+    /// (debug builds only — release builds omit the counters entirely so
+    /// span dispatch never zeroes or bumps them).
     #[cfg(debug_assertions)]
-    pub(crate) fn counts(&self) -> (&[u64; MAX_SPAN_PORTS], &[u64; MAX_SPAN_PORTS]) {
-        (&self.reads_done, &self.writes_done)
+    pub(crate) fn audit(&self, plan: &SpanPlan, span: u64, kernel: &str) {
+        let reads = (&self.reads_done, self.inputs.len(), plan.reads);
+        let writes = (&self.writes_done, self.outputs.len(), plan.writes);
+        let sides = [
+            ("popped", reads, plan.read_cycles, plan.read_rate),
+            ("pushed", writes, plan.write_cycles, plan.write_rate),
+        ];
+        for (did, (done, ports, mask), cycles, rate) in sides {
+            for (port, &got) in done.iter().enumerate().take(ports) {
+                let masked = u64::from(mask & (1 << port) != 0);
+                let want = masked * span.min(cycles) * u64::from(rate);
+                assert_eq!(
+                    got, want,
+                    "kernel '{kernel}' {did} {got} on port {port}, promised {want} \
+                     (SpanPlan contract)"
+                );
+            }
+        }
     }
 }
 
@@ -408,10 +574,8 @@ pub trait Kernel: Send {
     ///
     /// Captured once at [`Graph::add_kernel`](crate::Graph::add_kernel) —
     /// the width is a hardware-elaboration property and must not change at
-    /// runtime. A kernel with lanes > 1 must not offer [`SpanPlan`]s: the
-    /// burst planner's feasibility arithmetic assumes one element per cycle
-    /// per port, so folded kernels return `None` from
-    /// [`Kernel::span_hint`] and run per-element.
+    /// runtime. It bounds the per-cycle rates a [`SpanPlan`] may promise
+    /// (`read_rate ≤ read_lanes`, `write_rate ≤ write_lanes`).
     fn lanes(&self) -> (u16, u16) {
         (1, 1)
     }
@@ -435,18 +599,21 @@ pub trait Kernel: Send {
     /// contract and implement [`Kernel::run_span`].
     ///
     /// `in_len` holds the committed queue length of each input port at plan
-    /// time. Most kernels ignore it; a kernel that reads opportunistically
-    /// (keeps ticking `Busy` without the read when a port is dry) uses it
-    /// to decide between promising the read and suppressing it
-    /// ([`SpanPlan::opt_reads`]) — the masks must describe what dense
+    /// time and `out_room` the free slots of each output port. Most kernels
+    /// ignore both; a kernel that reads opportunistically (keeps ticking
+    /// `Busy` without the read when a port is dry) uses `in_len` to decide
+    /// between promising the read and suppressing it
+    /// ([`SpanPlan::opt_reads`]), and a folded kernel uses both to derive
+    /// the rate its greedy tick would actually move
+    /// ([`SpanPlan::greedy`]) — the masks and rates must describe what dense
     /// stepping will actually do, and for such kernels that depends on
     /// availability.
     ///
     /// The promise may be conservative: any `cycles ≥ 1` prefix of a longer
     /// uniform run is valid, and returning `None` merely falls the graph
     /// back to per-element ticking for that cycle.
-    fn span_hint(&self, in_len: &[usize]) -> Option<SpanPlan> {
-        let _ = in_len;
+    fn span_hint(&self, in_len: &[usize], out_room: &[usize]) -> Option<SpanPlan> {
+        let _ = (in_len, out_room);
         None
     }
 
@@ -463,14 +630,19 @@ pub trait Kernel: Send {
     /// ([`crate::replay::token_mix`] folds several counters into one);
     /// element *values* do not, because port behaviour may not depend on
     /// them for a replayable kernel. Kernels with data-dependent control
-    /// flow, external effects, or folded lanes must return `None`.
+    /// flow or external effects must return `None`. Lane widths are fixed
+    /// at elaboration and stream occupancies are fingerprinted separately,
+    /// so a folded kernel's token is the same counters as an unfolded one.
     fn replay_token(&self) -> Option<u64> {
         None
     }
 
-    /// Process `n` cycles of the promised span in one dispatch: exactly `n`
-    /// pops from each read-masked port, `n` pushes to each write-masked
-    /// port, and the internal-state update of `n` consecutive `Busy` ticks.
+    /// Process `n` cycles of the promised span in one dispatch: exactly
+    /// `read_rate` pops from each read-masked port on each of the first
+    /// `read_cycles` of them, `write_rate` pushes to each write-masked
+    /// port on each of the first `write_cycles` (the rates as handed back
+    /// by [`SpanIo::read_rate`] / [`SpanIo::write_rate`]), and the
+    /// internal-state update of `n` consecutive `Busy` ticks.
     /// Only called with `1 ≤ n ≤ span_hint().cycles`; the default is
     /// unreachable for kernels that never return a promise.
     fn run_span(&mut self, io: &mut SpanIo<'_>, n: u64) {

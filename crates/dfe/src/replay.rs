@@ -38,8 +38,8 @@
 //!   mismatch at a period boundary (e.g. the source running dry on the last
 //!   image) falls the graph back to normal stepping and re-arms.
 //! * **Vetoed** — any kernel without a replay token (a
-//!   [`StallInjector`](crate::StallInjector), a cross-device channel, a
-//!   folded-lane kernel, a custom kernel) permanently disables replay for
+//!   [`StallInjector`](crate::StallInjector), a cross-device channel, an
+//!   attention kernel, a custom kernel) permanently disables replay for
 //!   the graph; boundaries are no longer even checked.
 //!
 //! ## Equivalence argument
@@ -58,6 +58,92 @@
 //! all — they run the ordinary stepper — so they cannot diverge.
 
 use crate::kernel::{Progress, SpanPlan};
+use crate::stream::SpanPort;
+
+/// One kernel's part in a planned span of `k` cycles.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Participant {
+    pub node: usize,
+    pub plan: SpanPlan,
+    /// First span cycle dense stepping would tick the kernel `Busy`
+    /// (`u64::MAX` ⇒ not within this span).
+    pub start: u64,
+    /// One past its last `Busy` cycle: the span's end, or earlier when a
+    /// full output blocks it mid-span (it then ticks `Stalled` once at
+    /// `stop` and parks).
+    pub stop: u64,
+    /// `Some(v)`: awake at the span's first cycle but blocked — one
+    /// port-inert tick of verdict `v` there, then parked like a recruit.
+    pub demoted: Option<Progress>,
+    /// Parked over the span's last cycle, but a stream event on that cycle
+    /// leaves it awake for the cycle after.
+    pub end_awake: bool,
+}
+
+impl Participant {
+    pub fn new(node: usize, plan: SpanPlan, start: u64, demoted: Option<Progress>) -> Self {
+        Self {
+            node,
+            plan,
+            start,
+            stop: u64::MAX,
+            demoted,
+            end_awake: false,
+        }
+    }
+
+    /// Does the kernel tick `Busy` at all within a span of `k` cycles?
+    pub fn runs(&self, k: u64) -> bool {
+        self.start < self.stop.min(k)
+    }
+
+    /// The cycles one side of the plan is active, as a stream sees them:
+    /// from `start` until the kernel stops or that side's cycles run out.
+    fn port(&self, masked: bool, cycles: u64, rate: u16, exact: bool) -> SpanPort {
+        if !masked {
+            return SpanPort::IDLE;
+        }
+        SpanPort {
+            start: self.start,
+            stop: self.stop.min(self.start.saturating_add(cycles)),
+            rate,
+            exact,
+        }
+    }
+
+    /// The push side of the stream on output port `port` ([`SpanPort::IDLE`]
+    /// when the plan does not write it).
+    pub fn push_port(&self, port: usize) -> SpanPort {
+        let plan = &self.plan;
+        let masked = plan.writes & (1 << port) != 0;
+        self.port(
+            masked,
+            plan.write_cycles,
+            plan.write_rate,
+            plan.exact_writes,
+        )
+    }
+
+    /// The pop side of the stream on input port `port`.
+    pub fn pop_port(&self, port: usize) -> SpanPort {
+        let plan = &self.plan;
+        let masked = plan.reads & (1 << port) != 0;
+        self.port(masked, plan.read_cycles, plan.read_rate, plan.exact_reads)
+    }
+}
+
+/// One stream a planned span touches.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct SpanStream {
+    pub stream: usize,
+    /// Committed queue length when the span starts (the replay guard).
+    pub start_len: usize,
+    /// Occupancy high-water mark the span credits in closed form
+    /// ([`crate::stream::span_peak`]; 0 ⇒ nothing committed).
+    pub peak: usize,
+    /// Whether any participant that actually runs moves elements here.
+    pub traffic: bool,
+}
 
 /// Schedule-replay diagnostics, surfaced on
 /// [`CycleReport`](crate::CycleReport) next to the per-kernel counters.
@@ -111,8 +197,8 @@ pub(crate) enum Step {
 /// reads cost more than the ~25% of memory interning saved).
 ///
 /// The recorded entries are *pruned*: participant entries whose dispatch is
-/// a no-op (offset past the span end, no demotion, no ripen entry —
-/// `dispatch_span` would skip them without touching any counter) and
+/// a no-op (never running, no end-of-span wake, no demotion, no ripen entry
+/// — `dispatch_span` would skip them without touching any counter) and
 /// streams with no span traffic are dropped. Pruning is what makes the
 /// short mined spans cheap to replay — for a 3-cycle span most of the
 /// planner's wavefront is exactly such dead weight.
@@ -132,9 +218,9 @@ pub(crate) struct SpanRec {
 pub(crate) struct ScheduleTape {
     pub steps: Vec<Step>,
     pub span_recs: Vec<SpanRec>,
-    pub plan_pool: Vec<(usize, SpanPlan, u64, Option<Progress>)>,
+    pub plan_pool: Vec<Participant>,
     pub ripen_pool: Vec<(usize, u64)>,
-    pub stream_pool: Vec<(usize, usize, u64, u64)>,
+    pub stream_pool: Vec<SpanStream>,
     pub mask_pool: Vec<u64>,
 }
 
@@ -156,7 +242,7 @@ impl ScheduleTape {
         self.mask_pool.clear();
     }
 
-    pub fn plans(&self, r: &SpanRec) -> &[(usize, SpanPlan, u64, Option<Progress>)] {
+    pub fn plans(&self, r: &SpanRec) -> &[Participant] {
         window(&self.plan_pool, r.plans)
     }
 
@@ -164,7 +250,7 @@ impl ScheduleTape {
         window(&self.ripen_pool, r.ripen)
     }
 
-    pub fn streams(&self, r: &SpanRec) -> &[(usize, usize, u64, u64)] {
+    pub fn streams(&self, r: &SpanRec) -> &[SpanStream] {
         window(&self.stream_pool, r.streams)
     }
 
@@ -175,7 +261,6 @@ impl ScheduleTape {
     fn entries(&self) -> usize {
         self.plan_pool.len() + self.ripen_pool.len() + self.stream_pool.len() + self.mask_pool.len()
     }
-
 }
 
 /// Replay control state machine (see the module docs).
@@ -261,25 +346,28 @@ impl ReplayState {
     pub fn record_span(
         &mut self,
         k: u64,
-        plans: &[(usize, SpanPlan, u64, Option<Progress>)],
+        plans: &[Participant],
         ripen: &[(usize, u64)],
-        streams: &[(usize, usize, u64, u64)],
+        streams: &[SpanStream],
     ) -> bool {
         self.flush_dense();
         let t = &mut self.tape;
         let p0 = t.plan_pool.len() as u32;
         // A participant is replay-relevant when dispatch mutates state for
-        // it: it runs (`o < k`), wakes at the span edge (`o == k`), replays
-        // a demotion, or ripens. Anything else is `dispatch_span`'s bare
-        // `continue` — dead weight on every future replay of this step.
-        t.plan_pool.extend(plans.iter().copied().filter(|&(i, _, o, demoted)| {
-            o <= k || demoted.is_some() || ripen.iter().any(|&(j, _)| j == i)
+        // it: it runs, wakes at the span edge, replays a demotion, or
+        // ripens. Anything else `dispatch_span` passes over — dead weight
+        // on every future replay of this step.
+        t.plan_pool.extend(plans.iter().copied().filter(|p| {
+            p.runs(k)
+                || p.end_awake
+                || p.demoted.is_some()
+                || ripen.iter().any(|&(j, _)| j == p.node)
         }));
         let r0 = t.ripen_pool.len() as u32;
         t.ripen_pool.extend_from_slice(ripen);
         let s0 = t.stream_pool.len() as u32;
         t.stream_pool
-            .extend(streams.iter().copied().filter(|&(.., pushes, pops)| pushes > 0 || pops > 0));
+            .extend(streams.iter().copied().filter(|s| s.traffic));
         let m0 = t.mask_pool.len() as u32;
         t.mask_pool.extend_from_slice(&self.mask_scratch);
         let ix = t.span_recs.len() as u32;
@@ -299,6 +387,15 @@ impl ReplayState {
 mod tests {
     use super::*;
 
+    fn stream(stream: usize, start_len: usize, traffic: bool) -> SpanStream {
+        SpanStream {
+            stream,
+            start_len,
+            peak: if traffic { start_len } else { 0 },
+            traffic,
+        }
+    }
+
     #[test]
     fn token_mix_separates_nearby_states() {
         // Counter states differing by one element must not collide (the
@@ -315,10 +412,13 @@ mod tests {
     fn tape_windows_recover_recorded_steps() {
         let mut st = ReplayState::new(true);
         let plan = SpanPlan::new(4, 0b1, 0b1);
-        let plans_a = [(0usize, plan, 0u64, None)];
-        let streams_a = [(0usize, 2usize, 4u64, 4u64)];
-        let plans_b = [(1usize, plan, 0u64, None), (2usize, plan, 0u64, None)];
-        let streams_b = [(1usize, 3usize, 6u64, 6u64)];
+        let plans_a = [Participant::new(0, plan, 0, None)];
+        let streams_a = [stream(0, 2, true)];
+        let plans_b = [
+            Participant::new(1, plan, 0, None),
+            Participant::new(2, plan, 0, None),
+        ];
+        let streams_b = [stream(1, 3, true)];
         st.snapshot_mask(&[0b01]);
         assert!(st.record_span(4, &plans_a, &[], &streams_a));
         st.snapshot_mask(&[0b110]);
@@ -341,22 +441,25 @@ mod tests {
         let mut st = ReplayState::new(true);
         let plan = SpanPlan::new(4, 0b1, 0b1);
         let plans = [
-            (0usize, plan, 0u64, None),                        // runs: kept
-            (1usize, plan, 4u64, None),                        // wakes at edge: kept
-            (2usize, plan, 7u64, None),                        // pure no-op: pruned
-            (3usize, plan, u64::MAX, None),                    // pure no-op: pruned
-            (4usize, plan, u64::MAX, Some(Progress::Stalled)), // demotion: kept
-            (5usize, plan, u64::MAX, None),                    // ripens: kept
+            Participant::new(0, plan, 0, None), // runs: kept
+            Participant {
+                end_awake: true, // wakes at edge: kept
+                ..Participant::new(1, plan, 4, None)
+            },
+            Participant::new(2, plan, 7, None), // pure no-op: pruned
+            Participant::new(3, plan, u64::MAX, None), // pure no-op: pruned
+            Participant::new(4, plan, u64::MAX, Some(Progress::Stalled)), // demotion: kept
+            Participant::new(5, plan, u64::MAX, None), // ripens: kept
         ];
         let ripen = [(5usize, 2u64)];
         let streams = [
-            (0usize, 3usize, 4u64, 4u64), // traffic: kept
-            (1usize, 3usize, 0u64, 0u64), // no traffic: pruned
+            stream(0, 3, true),  // traffic: kept
+            stream(1, 3, false), // no traffic: pruned
         ];
         st.snapshot_mask(&[0b111111]);
         assert!(st.record_span(4, &plans, &ripen, &streams));
         let rec = st.tape.span_recs[0];
-        let kept: Vec<usize> = st.tape.plans(&rec).iter().map(|&(i, ..)| i).collect();
+        let kept: Vec<usize> = st.tape.plans(&rec).iter().map(|p| p.node).collect();
         assert_eq!(kept, [0, 1, 4, 5], "no-op participants pruned");
         assert_eq!(st.tape.streams(&rec).len(), 1, "traffic-free stream pruned");
         assert_eq!(st.tape.ripen(&rec), ripen);

@@ -106,7 +106,7 @@ impl Kernel for DelayLine {
     /// back slot and refills the front, keeping the line full. A line with
     /// bubbles shifts them without port activity (that's the timer
     /// behaviour behind `AlwaysTick`), so it makes no promise.
-    fn span_hint(&self, _in_len: &[usize]) -> Option<SpanPlan> {
+    fn span_hint(&self, _in_len: &[usize], _out_room: &[usize]) -> Option<SpanPlan> {
         if self.slots.iter().all(Option::is_some) {
             Some(SpanPlan::new(u64::MAX, 1, 1))
         } else {

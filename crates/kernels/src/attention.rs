@@ -12,10 +12,10 @@
 //! so they compose with the conv/pool/elemwise kernels unchanged. None of
 //! them overrides [`Kernel::span_hint`] or [`Kernel::replay_token`]: the
 //! attention head gathers a whole `seq_len × head_dim` tile before it can
-//! emit anything, so its port behaviour is phase-dependent in a way the
-//! uniform-span planner cannot describe, and — matching the folded-kernel
-//! precedent — the whole family vetoes both span dispatch and schedule
-//! replay rather than promise contracts it cannot keep. Transformer graphs
+//! emit anything, so its port behaviour is phase-dependent in a way no
+//! span promise has been written for yet, and the whole family vetoes both
+//! span dispatch and schedule replay rather than promise contracts it
+//! cannot keep. Transformer graphs
 //! therefore always run with live planning; CNN graphs are unaffected.
 //!
 //! The numeric core lives in `qnn_quant::attention` and is shared verbatim
@@ -454,7 +454,7 @@ mod tests {
         let ln = LayerNormKernel::new("l", vec![1, 1], 2);
         let ks: [&dyn Kernel; 4] = [&hs, &attn, &cat, &ln];
         for k in ks {
-            assert!(k.span_hint(&[8; 3]).is_none(), "{} must not offer spans", k.name());
+            assert!(k.span_hint(&[8; 3], &[8; 3]).is_none(), "{} must not offer spans", k.name());
             assert!(k.replay_token().is_none(), "{} must veto replay", k.name());
         }
     }

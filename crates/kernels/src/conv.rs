@@ -441,6 +441,90 @@ impl ConvKernel {
             },
         }
     }
+
+    /// The stream element for filter `o` of the latched window: its
+    /// accumulator, through the fused thresholds when present.
+    fn output(&self, o: usize) -> i32 {
+        let acc = self.accumulate(o);
+        match &self.thresholds {
+            Some(t) => i32::from(t[o].activate(acc)),
+            None => acc,
+        }
+    }
+
+    /// Latch the next window as soon as it is complete.
+    #[inline]
+    fn latch_if_ready(&mut self) {
+        if self.emitting.is_none()
+            && self.out_pos < self.positions()
+            && self.received >= self.needed_cached(self.out_pos)
+        {
+            self.latch_window();
+            self.emitting = Some(0);
+        }
+    }
+
+    /// Filters `..next` of the latched position are out: move the emit
+    /// cursor, on to the next position after the last filter.
+    #[inline]
+    fn advance_emit(&mut self, next: usize) {
+        if next == self.geom.filter.o {
+            self.emitting = None;
+            self.out_pos += 1;
+        } else {
+            self.emitting = Some(next);
+        }
+    }
+
+    /// `received` may run up to the completing element of window `pos` —
+    /// prefetching further would evict ring data another window still
+    /// needs — or to the image end once only the drain remains.
+    fn read_limit(&self, pos: usize) -> usize {
+        if pos >= self.positions() {
+            self.total_inputs()
+        } else {
+            self.needed(pos)
+        }
+    }
+
+    /// [`ConvKernel::read_limit`] through the `needed` memo.
+    #[inline]
+    fn read_limit_cached(&mut self, pos: usize) -> usize {
+        if pos >= self.positions() {
+            self.total_inputs()
+        } else {
+            self.needed_cached(pos)
+        }
+    }
+
+    /// Land one stream element in the window ring.
+    #[inline]
+    fn absorb(&mut self, v: i32) {
+        match &mut self.ring {
+            WindowRing::Scalar(ring) => ring[self.wr] = v,
+            // Pack on arrival: O(bits) plane writes, high bits dropped
+            // exactly as the scalar repack drops them.
+            WindowRing::Packed(ring) => ring.set(self.wr, v as u8),
+        }
+        self.wr += 1;
+        if self.wr == self.ring.capacity() {
+            self.wr = 0;
+        }
+        self.received += 1;
+    }
+
+    /// Image complete: reset for the next one.
+    #[inline]
+    fn reset_if_image_done(&mut self) {
+        if self.out_pos == self.positions()
+            && self.received == self.total_inputs()
+            && self.emitting.is_none()
+        {
+            self.received = 0;
+            self.wr = 0;
+            self.out_pos = 0;
+        }
+    }
 }
 
 impl Kernel for ConvKernel {
@@ -468,15 +552,7 @@ impl Kernel for ConvKernel {
         }
 
         let mut progress = Progress::Idle;
-
-        // Latch the next window as soon as it is complete.
-        if self.emitting.is_none()
-            && self.out_pos < self.positions()
-            && self.received >= self.needed_cached(self.out_pos)
-        {
-            self.latch_window();
-            self.emitting = Some(0);
-        }
+        self.latch_if_ready();
 
         // Emit up to `pe` filter results this clock (one for the unfolded
         // kernel), never crossing the position boundary — the next window
@@ -489,20 +565,9 @@ impl Kernel for ConvKernel {
                 if emitted == self.pe || !io.can_write(0) {
                     break;
                 }
-                let acc = self.accumulate(o);
-                let out = match &self.thresholds {
-                    Some(t) => i32::from(t[o].activate(acc)),
-                    None => acc,
-                };
-                io.write(0, out);
+                io.write(0, self.output(o));
                 emitted += 1;
-                let next = o + 1;
-                if next == self.geom.filter.o {
-                    self.emitting = None;
-                    self.out_pos += 1;
-                } else {
-                    self.emitting = Some(next);
-                }
+                self.advance_emit(o + 1);
             }
             if emitted > 0 {
                 progress = Progress::Busy;
@@ -512,35 +577,19 @@ impl Kernel for ConvKernel {
             }
         }
 
-        // Absorb one input element — up to the next unlatched window's last
-        // element (prefetching further would evict ring data another window
-        // still needs), or everything if only the drain remains. In
-        // halt-strict mode no input moves in a cycle that produced output.
+        // Absorb up to `simd` input elements, bounded by the next unlatched
+        // window ([`ConvKernel::read_limit`]). In halt-strict mode no input
+        // moves in a cycle that produced output.
         let read_limit = if self.halt_input && (did_emit || self.emitting.is_some()) {
             0
         } else {
-            let next_pos = self.out_pos + usize::from(self.emitting.is_some());
-            if next_pos >= self.positions() {
-                self.total_inputs()
-            } else {
-                self.needed_cached(next_pos)
-            }
+            self.read_limit_cached(self.out_pos + usize::from(self.emitting.is_some()))
         };
         let mut absorbed = 0;
         while self.received < read_limit && absorbed < self.simd {
             match io.read(0) {
                 Some(v) => {
-                    match &mut self.ring {
-                        WindowRing::Scalar(ring) => ring[self.wr] = v,
-                        // Pack on arrival: O(bits) plane writes, high bits
-                        // dropped exactly as the scalar repack drops them.
-                        WindowRing::Packed(ring) => ring.set(self.wr, v as u8),
-                    }
-                    self.wr += 1;
-                    if self.wr == self.ring.capacity() {
-                        self.wr = 0;
-                    }
-                    self.received += 1;
+                    self.absorb(v);
                     absorbed += 1;
                     progress = Progress::Busy;
                 }
@@ -553,15 +602,7 @@ impl Kernel for ConvKernel {
             }
         }
 
-        // Image complete: reset for the next one.
-        if self.out_pos == self.positions()
-            && self.received == self.total_inputs()
-            && self.emitting.is_none()
-        {
-            self.received = 0;
-            self.wr = 0;
-            self.out_pos = 0;
-        }
+        self.reset_if_image_done();
         progress
     }
 
@@ -595,13 +636,18 @@ impl Kernel for ConvKernel {
     ///   port cannot serve;
     /// * fill/drain — reads up to the current window's completing element
     ///   (the start-of-tick latch fires only on the tick *after* that).
-    fn span_hint(&self, in_len: &[usize]) -> Option<SpanPlan> {
-        // Folded kernels move several elements per port per tick, which the
-        // burst planner's one-element-per-cycle feasibility math cannot
-        // model; veto spans and run per-element (see [`Kernel::lanes`]).
-        if self.pe > 1 || self.simd > 1 {
-            return None;
-        }
+    ///
+    /// Each side moves what the greedy tick would ([`SpanPlan::greedy`]):
+    /// `pe` results and `simd` elements when the streams keep up, fewer —
+    /// an *exact* promise — when a narrower neighbour sets the pace. The
+    /// span covers whole ticks at that rate; the sub-rate tail of a phase
+    /// (`O mod pe` results, the last `< simd` elements of a window) is a
+    /// one-tick promise of its own. When the emit + absorb phase has one
+    /// side finish cleanly first, the promise runs on with the other alone
+    /// ([`SpanPlan::overlapped`]): emit-only once the next window is in,
+    /// fill once the position is out — the same ticks the emit-only and
+    /// fill promises would cover next.
+    fn span_hint(&self, in_len: &[usize], out_room: &[usize]) -> Option<SpanPlan> {
         if let Some(loader) = &self.loader {
             let plan = SpanPlan::new(loader.remaining() as u64, 0b10, 0);
             return Some(if in_len[1] == 0 {
@@ -621,47 +667,35 @@ impl Kernel for ConvKernel {
             }
             None => None,
         };
+        let absorb = |reads_left| SpanPlan::greedy_reads(0b1, self.simd, reads_left, in_len[0]);
         match emit_from {
             Some(o) => {
-                let emit_left = (self.geom.filter.o - o) as u64;
+                let emit_left = self.geom.filter.o - o;
+                let emit = SpanPlan::greedy_writes(0b1, self.pe, emit_left, out_room[0]);
                 if self.halt_input {
-                    return Some(SpanPlan::new(emit_left, 0, 0b1).halting());
+                    return Some(emit.0.halting());
                 }
-                let next_pos = self.out_pos + 1;
-                let read_limit = if next_pos >= self.positions() {
-                    self.total_inputs()
-                } else {
-                    self.needed(next_pos)
-                };
-                let reads_left = (read_limit - self.received) as u64;
+                let reads_left = self.read_limit(self.out_pos + 1) - self.received;
                 if reads_left == 0 {
                     // No absorb possible: a blocked emit is a bare stall.
-                    Some(SpanPlan::new(emit_left, 0, 0b1).halting())
+                    Some(emit.0.halting())
                 } else if in_len[0] == 0 {
                     // Dry input can't refill in-span (the opt_reads cap),
                     // so a blocked emit stalls here too.
-                    Some(SpanPlan::new(emit_left, 0, 0b1).with_opt_reads(0b1).halting())
+                    Some(emit.0.with_opt_reads(0b1).halting())
                 } else {
                     // Not halting: a blocked emit still absorbs (`Busy`).
-                    Some(SpanPlan::new(emit_left.min(reads_left), 0b1, 0b1))
+                    Some(SpanPlan::overlapped(emit, absorb(reads_left)))
                 }
             }
             None => {
-                let read_limit = if self.out_pos >= self.positions() {
-                    self.total_inputs()
-                } else {
-                    self.needed(self.out_pos)
-                };
-                let reads_left = (read_limit - self.received) as u64;
+                let reads_left = self.read_limit(self.out_pos) - self.received;
                 if reads_left == 0 {
                     None
+                } else if in_len[0] == 0 {
+                    Some(absorb(reads_left).0.blocked(Progress::Stalled))
                 } else {
-                    let plan = SpanPlan::new(reads_left, 0b1, 0);
-                    Some(if in_len[0] == 0 {
-                        plan.blocked(Progress::Stalled)
-                    } else {
-                        plan
-                    })
+                    Some(absorb(reads_left).0)
                 }
             }
         }
@@ -670,13 +704,8 @@ impl Kernel for ConvKernel {
     /// Control state is the phase machine: loader progress, absorb count,
     /// emit position and latch flag. The ring write index tracks `received`
     /// modulo the ring length and the latched window codes are data (they
-    /// never alter port behaviour), so neither enters the token. Folded
-    /// kernels veto replay for the same reason they veto spans — the
-    /// per-tick port traffic is not one-element-per-port.
+    /// never alter port behaviour), so neither enters the token.
     fn replay_token(&self) -> Option<u64> {
-        if self.pe > 1 || self.simd > 1 {
-            return None;
-        }
         Some(dfe_platform::replay::token_mix(&[
             self.received as u64,
             self.out_pos as u64,
@@ -685,12 +714,15 @@ impl Kernel for ConvKernel {
         ]))
     }
 
-    /// Replicates `tick`'s state machine element by element — latch, emit,
-    /// absorb, reset — with direct queue transfers in place of the staged
-    /// `Io` port protocol. The span promise guarantees each iteration makes
-    /// exactly the promised port accesses.
+    /// Replicates `tick`'s state machine — latch, emit, absorb, reset — one
+    /// uniform *segment* of ticks at a time, with batched queue transfers
+    /// in place of the staged `Io` port protocol: within a segment every
+    /// tick emits and absorbs the same counts, and the order of pops and
+    /// pushes across ports is unobservable. The span promise guarantees
+    /// each tick moves exactly the promised per-port rates.
     fn run_span(&mut self, io: &mut SpanIo<'_>, n: u64) {
         let absorb_ok = !io.read_suppressed(0);
+        let (per_read, per_write) = (io.read_rate(), io.write_rate());
         if self.loader.is_some() {
             io.pop_n(1, n, |word| {
                 let loader = self.loader.as_mut().expect("span within loader phase");
@@ -704,147 +736,43 @@ impl Kernel for ConvKernel {
             });
             return;
         }
-        // Canonicalise a latch-ready entry state (the generic loop below
-        // does this at the top of its first tick anyway) so the fast paths
-        // see `emitting` directly.
-        if self.emitting.is_none()
-            && self.out_pos < self.positions()
-            && self.received >= self.needed_cached(self.out_pos)
-        {
-            self.latch_window();
-            self.emitting = Some(0);
-        }
-        // Emit-only spans — the long tail of every output position (strict
-        // halt, dry/suppressed input, or a fully-absorbed next window) —
-        // stream straight into the output queue. Absorb stays impossible
-        // through the final tick: once the last filter emits, `out_pos`
-        // advances to exactly the `next_pos` whose `needed` bound
-        // `received` already meets.
-        if let Some(o) = self.emitting {
-            let next_pos = self.out_pos + 1;
-            let read_limit = if next_pos >= self.positions() {
-                self.total_inputs()
+        let mut left = n as usize;
+        while left > 0 {
+            self.latch_if_ready();
+            // Ticks until this segment's emit (the position) or absorb (the
+            // window bound) runs out; either ends the segment.
+            let mut ticks = left;
+            if let Some(o) = self.emitting {
+                ticks = ticks.min((self.geom.filter.o - o) / per_write);
+            }
+            let read_limit = if self.halt_input && self.emitting.is_some() {
+                0
             } else {
-                self.needed_cached(next_pos)
+                self.read_limit_cached(self.out_pos + usize::from(self.emitting.is_some()))
             };
-            let pure = self.halt_input || !absorb_ok || self.received >= read_limit;
-            if pure && n <= (self.geom.filter.o - o) as u64 {
+            let absorbing = absorb_ok && self.received < read_limit;
+            if absorbing {
+                ticks = ticks.min((read_limit - self.received) / per_read);
+            }
+            // A kept promise always leaves a whole tick; a broken one is
+            // caught by the pops below (or the dispatcher's audit).
+            let ticks = ticks.max(1);
+            if let Some(o) = self.emitting {
+                let total = ticks * per_write;
                 let conv = &*self;
                 let mut f = o;
-                io.push_n(0, n, || {
-                    let acc = conv.accumulate(f);
-                    let out = match &conv.thresholds {
-                        Some(t) => i32::from(t[f].activate(acc)),
-                        None => acc,
-                    };
+                io.push_n(0, total as u64, || {
+                    let out = conv.output(f);
                     f += 1;
                     out
                 });
-                let end = o + n as usize;
-                if end == self.geom.filter.o {
-                    self.emitting = None;
-                    self.out_pos += 1;
-                } else {
-                    self.emitting = Some(end);
-                }
-                if self.out_pos == self.positions()
-                    && self.received == self.total_inputs()
-                    && self.emitting.is_none()
-                {
-                    self.received = 0;
-                    self.wr = 0;
-                    self.out_pos = 0;
-                }
-                return;
+                self.advance_emit(o + total);
             }
-        } else if absorb_ok {
-            // Fill/drain spans are all reads: no latch can fire mid-span
-            // (`received` stays below the current window's bound until the
-            // final pop, and the latch runs at the start of the next tick).
-            let read_limit = if self.out_pos >= self.positions() {
-                self.total_inputs()
-            } else {
-                self.needed_cached(self.out_pos)
-            };
-            if self.received + n as usize <= read_limit {
-                let cap = self.ring.capacity();
-                io.pop_n(0, n, |v| {
-                    match &mut self.ring {
-                        WindowRing::Scalar(ring) => ring[self.wr] = v,
-                        WindowRing::Packed(ring) => ring.set(self.wr, v as u8),
-                    }
-                    self.wr += 1;
-                    if self.wr == cap {
-                        self.wr = 0;
-                    }
-                    self.received += 1;
-                });
-                if self.out_pos == self.positions() && self.received == self.total_inputs() {
-                    self.received = 0;
-                    self.wr = 0;
-                    self.out_pos = 0;
-                }
-                return;
+            if absorbing {
+                io.pop_n(0, (ticks * per_read) as u64, |v| self.absorb(v));
             }
-        }
-        for _ in 0..n {
-            if self.emitting.is_none()
-                && self.out_pos < self.positions()
-                && self.received >= self.needed_cached(self.out_pos)
-            {
-                self.latch_window();
-                self.emitting = Some(0);
-            }
-
-            let mut did_emit = false;
-            if let Some(o) = self.emitting {
-                let acc = self.accumulate(o);
-                let out = match &self.thresholds {
-                    Some(t) => i32::from(t[o].activate(acc)),
-                    None => acc,
-                };
-                io.push(0, out);
-                let next = o + 1;
-                if next == self.geom.filter.o {
-                    self.emitting = None;
-                    self.out_pos += 1;
-                } else {
-                    self.emitting = Some(next);
-                }
-                did_emit = true;
-            }
-
-            let read_limit = if self.halt_input && (did_emit || self.emitting.is_some()) {
-                0
-            } else {
-                let next_pos = self.out_pos + usize::from(self.emitting.is_some());
-                if next_pos >= self.positions() {
-                    self.total_inputs()
-                } else {
-                    self.needed_cached(next_pos)
-                }
-            };
-            if absorb_ok && self.received < read_limit {
-                let v = io.pop(0);
-                match &mut self.ring {
-                    WindowRing::Scalar(ring) => ring[self.wr] = v,
-                    WindowRing::Packed(ring) => ring.set(self.wr, v as u8),
-                }
-                self.wr += 1;
-                if self.wr == self.ring.capacity() {
-                    self.wr = 0;
-                }
-                self.received += 1;
-            }
-
-            if self.out_pos == self.positions()
-                && self.received == self.total_inputs()
-                && self.emitting.is_none()
-            {
-                self.received = 0;
-                self.wr = 0;
-                self.out_pos = 0;
-            }
+            self.reset_if_image_done();
+            left -= ticks;
         }
     }
 }

@@ -46,7 +46,7 @@ impl Kernel for AddKernel {
     /// nothing per tick, so the plan is halting; a dry operand blocks the
     /// whole tick — `Stalled` while the other operand waits, `Idle` when
     /// both run dry (mirroring `tick`'s verdicts exactly).
-    fn span_hint(&self, in_len: &[usize]) -> Option<SpanPlan> {
+    fn span_hint(&self, in_len: &[usize], _out_room: &[usize]) -> Option<SpanPlan> {
         let plan = SpanPlan::new(u64::MAX, 0b11, 0b1).halting();
         Some(match (in_len[0] == 0, in_len[1] == 0) {
             (false, false) => plan,
@@ -110,7 +110,7 @@ impl Kernel for SplitKernel {
     /// Stateless one-in-two-out: uniform for any span length, halting
     /// (both outputs must have room or nothing moves), `Idle` on a dry
     /// input — `tick` never reaches the output checks without an element.
-    fn span_hint(&self, in_len: &[usize]) -> Option<SpanPlan> {
+    fn span_hint(&self, in_len: &[usize], _out_room: &[usize]) -> Option<SpanPlan> {
         let plan = SpanPlan::new(u64::MAX, 0b1, 0b11).halting();
         Some(if in_len[0] == 0 {
             plan.blocked(Progress::Idle)
@@ -189,7 +189,7 @@ impl Kernel for ThresholdKernel {
     /// One element per cycle with only the channel counter as state, which
     /// advances identically whatever the span length. Halting (the counter
     /// moves only on a completed read-write pair), `Idle` on a dry input.
-    fn span_hint(&self, in_len: &[usize]) -> Option<SpanPlan> {
+    fn span_hint(&self, in_len: &[usize], _out_room: &[usize]) -> Option<SpanPlan> {
         let plan = SpanPlan::new(u64::MAX, 0b1, 0b1).halting();
         Some(if in_len[0] == 0 {
             plan.blocked(Progress::Idle)

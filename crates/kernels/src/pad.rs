@@ -134,18 +134,18 @@ impl Kernel for PadInserter {
     }
 
     /// Uniform within a run of same-kind elements: border runs emit `fill`
-    /// without reading, interior runs pass one element through per cycle.
-    /// The promise stops at the next kind boundary (conservatively at row
-    /// ends for border rows). Halting (a blocked port freezes the whole
-    /// tick), with a starved interior pixel declared `Stalled` — exactly
-    /// `tick`'s verdict.
-    fn span_hint(&self, in_len: &[usize]) -> Option<SpanPlan> {
-        // Folded kernels run per-element (see [`dfe_platform::Kernel::lanes`]).
-        if self.lanes > 1 {
-            return None;
-        }
+    /// without reading, interior runs pass elements straight through. The
+    /// promise stops at the next kind boundary (conservatively at row ends
+    /// for border rows). Halting (a blocked port freezes the whole tick),
+    /// with a starved interior pixel declared `Stalled` — exactly `tick`'s
+    /// verdict. A tick moves as many elements as its lanes, the queued
+    /// input and the free output slots all allow ([`SpanPlan::greedy`]);
+    /// one that would run past the end of the run mixes both kinds and has
+    /// no uniform description, so it is left to per-element stepping.
+    fn span_hint(&self, in_len: &[usize], out_room: &[usize]) -> Option<SpanPlan> {
         let out = self.output_shape();
-        let run = if self.is_border() {
+        let border = self.is_border();
+        let run = if border {
             let in_row = self.y >= self.pad && self.y < self.pad + self.input.h;
             if in_row && self.x < self.pad {
                 // Left border: runs up to the first interior pixel.
@@ -160,9 +160,28 @@ impl Kernel for PadInserter {
             // Interior segment: up to the right border of this row.
             (self.pad + self.input.w - self.x) * out.c - self.c
         };
-        let reads = u32::from(!self.is_border());
-        let plan = SpanPlan::new(run as u64, reads, 0b1).halting();
-        Some(if reads != 0 && in_len[0] == 0 {
+        let (fed, exact_r) = if border {
+            (self.lanes, false)
+        } else {
+            SpanPlan::greedy(self.lanes, in_len[0])
+        };
+        let (moved, exact_w) = SpanPlan::greedy(fed, out_room[0]);
+        // A tick stops at the run's end only if it is out of lanes or of
+        // output slots there; one held back by a short input queue would
+        // carry on into the border beyond, so its promise stops a tick shy.
+        let ticks = if moved == self.lanes || exact_w {
+            run / moved
+        } else {
+            (run - 1) / moved
+        };
+        if ticks == 0 {
+            return None;
+        }
+        let plan = SpanPlan::new(ticks as u64, u32::from(!border), 0b1)
+            .at_read_rate(moved, exact_r && !exact_w)
+            .at_write_rate(moved, exact_w)
+            .halting();
+        Some(if !border && in_len[0] == 0 {
             plan.blocked(Progress::Stalled)
         } else {
             plan
@@ -170,7 +189,7 @@ impl Kernel for PadInserter {
     }
 
     fn run_span(&mut self, io: &mut SpanIo<'_>, n: u64) {
-        for _ in 0..n {
+        for _ in 0..n * io.write_rate() as u64 {
             if self.is_border() {
                 io.push(0, self.fill);
             } else {
@@ -183,12 +202,8 @@ impl Kernel for PadInserter {
 
     /// The scan position is the only state; linearize it over the padded
     /// image (it wraps at the image boundary, so the token is periodic
-    /// across a steady-state image stream). Folded pads veto replay like
-    /// they veto spans.
+    /// across a steady-state image stream).
     fn replay_token(&self) -> Option<u64> {
-        if self.lanes > 1 {
-            return None;
-        }
         let out = self.output_shape();
         Some(((self.y * out.w + self.x) * out.c + self.c) as u64)
     }

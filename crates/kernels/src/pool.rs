@@ -263,20 +263,23 @@ impl Kernel for PoolKernel {
 
     /// Three uniform phases, bounded so no mask change can occur mid-span:
     /// * emit + absorb while pending outputs and read headroom both last
-    ///   (`min(pending, reads_left)` — a refill landing on the final tick
-    ///   is inside that tick, after both ports fired). With a **dry input**
-    ///   the absorb is opportunistic — dense keeps draining `pending`
-    ///   without the read — so the promise suppresses it
-    ///   ([`SpanPlan::opt_reads`]) instead of claiming a read the starved
-    ///   port cannot serve;
+    ///   (a refill landing on the final tick is inside that tick, after
+    ///   both ports fired). With a **dry input** the absorb is
+    ///   opportunistic — dense keeps draining `pending` without the read —
+    ///   so the promise suppresses it ([`SpanPlan::opt_reads`]) instead of
+    ///   claiming a read the starved port cannot serve;
     /// * emit-only while reads are capped at the current window boundary;
     /// * absorb-only while pending is empty — the promise runs up to the
     ///   read that completes the window, whose compute fires at span end.
-    fn span_hint(&self, in_len: &[usize]) -> Option<SpanPlan> {
-        // Folded kernels run per-element (see [`dfe_platform::Kernel::lanes`]).
-        if self.pe > 1 || self.simd > 1 {
-            return None;
-        }
+    ///
+    /// Each side moves what the greedy tick would ([`SpanPlan::greedy`]),
+    /// in whole ticks at that rate. One tick has no uniform description: a
+    /// wide absorb that reaches the window boundary while `pending` is
+    /// empty folds the completed position in and *keeps reading* into the
+    /// next window, so its read count depends on how much is queued — the
+    /// promise is then exact at the window's remainder, or refused when
+    /// more than that is already queued.
+    fn span_hint(&self, in_len: &[usize], out_room: &[usize]) -> Option<SpanPlan> {
         let read_cap = if self.out_pos >= self.positions() {
             self.input.len()
         } else {
@@ -285,32 +288,44 @@ impl Kernel for PoolKernel {
             self.needed(self.out_pos)
         };
         let reads_left = read_cap - self.received;
-        match (self.pending.len(), reads_left) {
-            (0, 0) => None,
-            (0, r) if in_len[0] == 0 => {
-                Some(SpanPlan::new(r as u64, 0b1, 0).blocked(Progress::Stalled))
+        let pending = self.pending.len();
+        let emit = || SpanPlan::greedy_writes(0b1, self.pe, pending, out_room[0]);
+        // `emptied`: this tick's emit leaves `pending` empty, so a read
+        // that completes the window folds the position in mid-tick.
+        let absorb = |emptied: bool| {
+            let (mut plan, clean) =
+                SpanPlan::greedy_reads(0b1, self.simd, reads_left, in_len[0]);
+            if emptied && reads_left < self.simd {
+                if in_len[0] > reads_left {
+                    return None;
+                }
+                plan.exact_reads = true;
             }
-            (0, r) => Some(SpanPlan::new(r as u64, 0b1, 0)),
+            Some((plan, clean))
+        };
+        match (pending, reads_left) {
+            (0, 0) => None,
+            (0, _) if in_len[0] == 0 => Some(absorb(true)?.0.blocked(Progress::Stalled)),
+            (0, _) => Some(absorb(true)?.0),
             // Emit without absorb headroom: a blocked emit is a bare stall.
-            (p, 0) => Some(SpanPlan::new(p as u64, 0, 0b1).halting()),
+            (_, 0) => Some(emit().0.halting()),
             // Dry input can't refill in-span (the opt_reads cap), so a
             // blocked emit stalls here too.
-            (p, _) if in_len[0] == 0 => {
-                Some(SpanPlan::new(p as u64, 0, 0b1).with_opt_reads(0b1).halting())
+            _ if in_len[0] == 0 => Some(emit().0.with_opt_reads(0b1).halting()),
+            // Not halting: a blocked emit still absorbs (`Busy`). Whichever
+            // side finishes cleanly first leaves the other running alone.
+            _ => {
+                let emit = emit();
+                let emptied = out_room[0] > 0 && usize::from(emit.0.write_rate) == pending;
+                Some(SpanPlan::overlapped(emit, absorb(emptied)?))
             }
-            // Not halting: a blocked emit still absorbs (`Busy`).
-            (p, r) => Some(SpanPlan::new(p.min(r) as u64, 0b1, 0b1)),
         }
     }
 
     /// Control state: absorb count, emit position and the number of queued
     /// results (their *values* are data). The ring write index tracks
-    /// `received` modulo the ring length, so it adds nothing. Folded
-    /// kernels veto replay like they veto spans.
+    /// `received` modulo the ring length, so it adds nothing.
     fn replay_token(&self) -> Option<u64> {
-        if self.pe > 1 || self.simd > 1 {
-            return None;
-        }
         Some(dfe_platform::replay::token_mix(&[
             self.received as u64,
             self.out_pos as u64,
@@ -320,20 +335,26 @@ impl Kernel for PoolKernel {
 
     fn run_span(&mut self, io: &mut SpanIo<'_>, n: u64) {
         let absorb_ok = !io.read_suppressed(0);
+        let (per_read, per_write) = (io.read_rate(), io.write_rate());
         for _ in 0..n {
-            if let Some(v) = self.pending.pop_front() {
+            for v in self.pending.drain(..per_write.min(self.pending.len())) {
                 io.push(0, v);
             }
             let ahead_ok = absorb_ok
                 && (self.out_pos >= self.positions()
                     || self.received < self.needed_cached(self.out_pos));
             if ahead_ok && self.received < self.input.len() {
-                self.ring[self.wr] = io.pop(0);
-                self.wr += 1;
-                if self.wr == self.ring.len() {
-                    self.wr = 0;
+                // A promised tick never reads past the window boundary, so
+                // folding completed positions in after the batch is the
+                // per-read fold `tick` does.
+                for _ in 0..per_read {
+                    self.ring[self.wr] = io.pop(0);
+                    self.wr += 1;
+                    if self.wr == self.ring.len() {
+                        self.wr = 0;
+                    }
+                    self.received += 1;
                 }
-                self.received += 1;
             }
             while self.out_pos < self.positions()
                 && self.pending.is_empty()

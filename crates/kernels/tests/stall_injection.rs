@@ -11,11 +11,21 @@
 //! injected stall can legitimately produce a full no-progress cycle (see
 //! the `dfe_platform::stall` module docs); the cycle budget still bounds
 //! every run.
+//!
+//! The folded pad → conv → pool cell at the end adds the *dispatch*
+//! dimension: clean runs with macro-tick spans on and off (and dense
+//! stepping) must agree on every counter, at any PE/SIMD folding — the
+//! rate-annotated span promises of the three folded kernels against their
+//! own `tick`.
 
-use dfe_platform::{Graph, HostSink, HostSource, Kernel, StallInjector, StreamSpec};
-use qnn_kernels::{AddKernel, PoolKernel, PoolOp, SplitKernel, ThresholdKernel};
+use dfe_platform::{
+    CycleReport, Graph, HostSink, HostSource, Kernel, SchedulerMode, StallInjector, StreamSpec,
+};
+use qnn_kernels::{
+    AddKernel, ConvKernel, DotMode, PadInserter, PoolKernel, PoolOp, SplitKernel, ThresholdKernel,
+};
 use qnn_quant::{BnParams, QuantSpec, ThresholdUnit};
-use qnn_tensor::{Shape3, Tensor3};
+use qnn_tensor::{BinaryFilters, ConvGeometry, FilterShape, Shape3, Tensor3};
 use qnn_testkit::{any, prop_assert_eq, prop_assume, props};
 
 const MAX_CYCLES: u64 = 100_000_000;
@@ -67,7 +77,114 @@ fn run_cell(
     handles.into_iter().map(|h| h.take()).collect()
 }
 
+/// A folded front end in miniature: source → pad → 3×3 conv → max pool →
+/// sink, with per-kernel folding and one FIFO depth throughout.
+#[derive(Clone, Copy, Debug)]
+struct FoldedCell {
+    side: usize,
+    channels: usize,
+    filters: usize,
+    conv_stride: usize,
+    /// Pool window and stride.
+    pool: (usize, usize),
+    conv_fold: (usize, usize),
+    pool_fold: (usize, usize),
+    cap: usize,
+}
+
+impl FoldedCell {
+    fn image(&self, seed: u64) -> Vec<i32> {
+        (0..self.side * self.side * self.channels)
+            .map(|i| ((seed.wrapping_add(i as u64 * 29) >> 3) % 4) as i32)
+            .collect()
+    }
+
+    /// Run `images` through the cell; `stall` wraps every node in a
+    /// [`StallInjector`]. Returns the output stream, the report, and the
+    /// cycles covered by bursts.
+    fn run(
+        &self,
+        images: &[Vec<i32>],
+        scheduler: SchedulerMode,
+        macro_ticks: bool,
+        stall: Option<(u64, u8)>,
+    ) -> (Vec<i32>, CycleReport, u64) {
+        let inject = |k: Box<dyn Kernel>, node: u64| match stall {
+            Some((seed, pct)) => StallInjector::wrap(k, node_seed(seed, node), pct),
+            None => k,
+        };
+        let input = Shape3::new(self.side, self.side, self.channels);
+        let geom = ConvGeometry::new(
+            Shape3::new(self.side + 2, self.side + 2, self.channels),
+            FilterShape::new(3, self.channels, self.filters),
+            self.conv_stride,
+            0,
+        );
+        let weights: Vec<f32> = (0..geom.filter.total_weights())
+            .map(|i| if (i * 7 + i / 3) % 5 < 2 { 1.0 } else { -1.0 })
+            .collect();
+        let filters = BinaryFilters::from_float_rows(&weights, geom.filter.weights_per_filter());
+        let (pe, simd) = self.conv_fold;
+        let pad = PadInserter::new("pad", input, 1, 0).with_lanes(simd);
+        let conv = ConvKernel::new("conv", geom, filters, None, DotMode::Codes { bits: 2 })
+            .with_folding(pe, simd);
+        let pool = PoolKernel::new("pool", geom.output(), self.pool.0, self.pool.1, PoolOp::Max)
+            .with_folding(self.pool_fold.0, self.pool_fold.1);
+        let out_len = pool.output_shape().len() * images.len();
+
+        let mut g = Graph::with_scheduler(scheduler);
+        g.set_macro_ticks(macro_ticks);
+        let streams: Vec<_> = ["in", "padded", "conv.out", "pool.out"]
+            .iter()
+            .map(|name| g.add_stream(StreamSpec::new(*name, 32, self.cap)))
+            .collect();
+        let src = HostSource::new("src", images.concat());
+        g.add_kernel(inject(Box::new(src), 0), &[], &[streams[0]]);
+        g.add_kernel(inject(Box::new(pad), 1), &[streams[0]], &[streams[1]]);
+        g.add_kernel(inject(Box::new(conv), 2), &[streams[1]], &[streams[2]]);
+        g.add_kernel(inject(Box::new(pool), 3), &[streams[2]], &[streams[3]]);
+        let (sink, handle) = HostSink::new("dst", out_len);
+        g.add_kernel(inject(Box::new(sink), 4), &[streams[3]], &[]);
+        let report = g.run_opts(MAX_CYCLES, stall.is_none()).expect("folded cell run");
+        (handle.take(), report, g.burst_cycles())
+    }
+}
+
 props! {
+    /// Folded pad/conv/pool: span dispatch, per-element ready-list stepping
+    /// and dense stepping agree on outputs and on every counter of the
+    /// report, at any folding, FIFO depth and image count — and the output
+    /// stream survives random stall injection on every node.
+    #[test]
+    fn folded_cell_agrees_with_spans_on_and_off(
+        side in 4usize..9,
+        channels in 1usize..4,
+        filters in 1usize..13,
+        conv_stride in 1usize..3,
+        pool in (1usize..4, 1usize..3),
+        conv_fold in (1usize..5, 1usize..5),
+        pool_fold in (1usize..4, 1usize..9),
+        cap in 2usize..40,
+        n_images in 1usize..3,
+        seed in any::<u64>(),
+        stall in 5u8..60,
+    ) {
+        prop_assume!((side - 1) / conv_stride + 1 >= pool.0);
+        let cell = FoldedCell {
+            side, channels, filters, conv_stride, pool, conv_fold, pool_fold, cap,
+        };
+        let images: Vec<_> = (0..n_images as u64).map(|i| cell.image(seed ^ i)).collect();
+        let (out, spans, _) = cell.run(&images, SchedulerMode::ReadyList, true, None);
+        let (out_e, element, _) = cell.run(&images, SchedulerMode::ReadyList, false, None);
+        prop_assert_eq!(&out, &out_e);
+        prop_assert_eq!(&spans, &element, "span dispatch diverges from per-element");
+        let (out_d, dense, _) = cell.run(&images, SchedulerMode::Dense, false, None);
+        prop_assert_eq!(&out, &out_d);
+        prop_assert_eq!(&spans, &dense, "span dispatch diverges from dense");
+        let (out_s, ..) = cell.run(&images, SchedulerMode::ReadyList, true, Some((seed, stall)));
+        prop_assert_eq!(&out, &out_s, "stall injection changed the output");
+    }
+
     /// Pooling (both ops) is bit-identical under random stall injection,
     /// and still matches the analytic reference.
     #[test]
@@ -205,4 +322,28 @@ fn skip_cell_survives_independent_stall_patterns() {
         let expect: Vec<i32> = data.iter().map(|v| v * 2).collect();
         assert_eq!(h.take(), expect, "seed {seed}");
     }
+}
+
+/// The folded cell must actually burst (with its three folded kernels
+/// awake for nearly the whole run, any burst has them as participants):
+/// most of a run at lane-rate folding is covered by spans.
+#[test]
+fn folded_cell_bursts() {
+    let cell = FoldedCell {
+        side: 12,
+        channels: 4,
+        filters: 64,
+        conv_stride: 1,
+        pool: (2, 2),
+        conv_fold: (4, 2),
+        pool_fold: (2, 4),
+        cap: 64,
+    };
+    let images = [cell.image(5), cell.image(6)];
+    let (_, report, burst_cycles) = cell.run(&images, SchedulerMode::ReadyList, true, None);
+    assert!(
+        burst_cycles * 2 > report.cycles,
+        "spans cover {burst_cycles} of {} cycles at a folded cell",
+        report.cycles
+    );
 }

@@ -66,6 +66,36 @@ fn assert_dispatch_agrees(
     Ok(())
 }
 
+/// Span coverage of one single-device run with spans on: the report, the
+/// cycles covered by bursts, and the busy count of the kernel named
+/// `kernel`. Bursts need every awake kernel's promise, so
+/// `burst_cycles + busy > cycles` proves (pigeonhole) that `kernel` ran
+/// inside a burst rather than vetoing whenever it was awake.
+fn span_coverage(
+    net: &Network,
+    images: &[Tensor3<i8>],
+    base: &CompileOptions,
+    kernel: &str,
+) -> (u64, u64, u64) {
+    let opts = CompileOptions {
+        scheduler: SchedulerMode::ReadyList,
+        macro_ticks: true,
+        ..base.clone()
+    };
+    let mut compiled = compile(net, images, &opts);
+    let [graph] = &mut compiled.graphs[..] else {
+        panic!("single-device run expected");
+    };
+    let report = graph.run(100_000_000).expect("run");
+    let busy = report
+        .kernels
+        .iter()
+        .find(|k| k.name == kernel)
+        .unwrap_or_else(|| panic!("no kernel named {kernel}"))
+        .busy;
+    (report.cycles, graph.burst_cycles(), busy)
+}
+
 props! {
     /// Single-device: random conv/pool/fc networks, multi-image sequences
     /// (image-reset state in conv/pool must survive spans), with the
@@ -105,12 +135,12 @@ props! {
         assert_dispatch_agrees(&net, std::slice::from_ref(&img), &base)?;
     }
 
-    /// A non-trivial folded design point: folded kernels return no
-    /// `SpanPlan` (their per-cycle port counts defeat the one-element
-    /// burst arithmetic), so span dispatch must step them densely while
-    /// still bursting the unfolded stages around them — with identical
-    /// logits and reports. This pins the folding/span interaction the DSE
-    /// frontier relies on.
+    /// A non-trivial folded design point: folded kernels promise spans at
+    /// their lane rates (or the sub-lane rate a narrower neighbour holds
+    /// them to), so the wavefront carries several elements per port per
+    /// cycle — with identical logits and reports, and with bursts actually
+    /// firing. This pins the folding/span interaction the DSE frontier
+    /// relies on.
     #[test]
     fn folded_design_point_reports_identical(
         seed in 0u64..200,
@@ -134,6 +164,8 @@ props! {
             ..CompileOptions::default()
         };
         assert_dispatch_agrees(&net, &images, &base)?;
+        let (_, burst_cycles, _) = span_coverage(&net, &images, &base, "conv0");
+        prop_assert!(burst_cycles > 0, "no burst fired at a folded design point");
     }
 
     /// 1–3-device lockstep cuts. The lockstep executor drives
@@ -293,7 +325,7 @@ impl Kernel for SpanAffine {
     fn wake_hint(&self) -> WakeHint {
         WakeHint::Parkable
     }
-    fn span_hint(&self, _in_len: &[usize]) -> Option<SpanPlan> {
+    fn span_hint(&self, _in_len: &[usize], _out_room: &[usize]) -> Option<SpanPlan> {
         Some(SpanPlan::new(u64::MAX, 0b1, 0b1))
     }
     fn run_span(&mut self, io: &mut SpanIo<'_>, n: u64) {
@@ -342,3 +374,29 @@ fn macro_tick_env_default_is_on() {
     }
 }
 
+/// Folded kernels must *join* bursts, not merely tolerate them: at a design
+/// point whose folded first layer is busy for most of the run, the cycles
+/// covered by bursts and the cycles that layer is busy cannot both fit in
+/// the run unless they overlap. A folded kernel that silently went back to
+/// vetoing (no promise while awake) would cap coverage at the cycles it
+/// sleeps through and fail this.
+#[test]
+fn folded_kernels_run_inside_bursts() {
+    let net = Network::random(models::vgg_like(16, 10, 2), 11);
+    let images = [image_for(&net.spec, 40)];
+    let base = CompileOptions {
+        layer_folding: FoldPlan::new()
+            .with("conv0", Fold::new(4, 1))
+            .with("conv1", Fold::new(2, 2))
+            .with("pool2", Fold::new(2, 4)),
+        ..CompileOptions::default()
+    };
+    for kernel in ["conv0", "conv1.pad", "conv1", "pool2"] {
+        let (cycles, burst_cycles, busy) = span_coverage(&net, &images, &base, kernel);
+        assert!(
+            burst_cycles + busy > cycles,
+            "{kernel}: {burst_cycles} burst cycles + {busy} busy cycles fit in {cycles} \
+             without overlapping — it never ran inside a burst"
+        );
+    }
+}

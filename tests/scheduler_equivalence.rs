@@ -11,7 +11,7 @@
 //!
 //! Part of `./ci.sh soak` at `QNN_TEST_CASES=1024`.
 
-use qnn::compiler::{run_images, CompileOptions, Fold, FoldPlan};
+use qnn::compiler::{compile, run_images, CompileOptions, Fold, FoldPlan};
 use qnn::dfe::{
     Graph, HostSink, HostSource, Io, Kernel, Progress, SchedulerMode, StallInjector, StreamSpec,
     WakeHint,
@@ -19,7 +19,7 @@ use qnn::dfe::{
 use qnn::nn::specgen::spec_strategy;
 use qnn::nn::{models, Network, NetworkSpec};
 use qnn::tensor::Tensor3;
-use qnn_testkit::{prop_assert_eq, props};
+use qnn_testkit::{prop_assert, prop_assert_eq, props};
 
 fn image_for(spec: &NetworkSpec, seed: u64) -> Tensor3<i8> {
     Tensor3::from_fn(spec.input, |y, x, c| {
@@ -128,9 +128,11 @@ props! {
     }
 
     /// A non-trivial folded design point on the full-featured residual
-    /// test net: folded kernels move several elements per lane per cycle
-    /// and veto span dispatch, so ready-list parking must stay bit-exact
-    /// against dense stepping with multi-lane wakeups in play.
+    /// test net: folded kernels move several elements per lane per cycle,
+    /// so ready-list parking and span dispatch must stay bit-exact against
+    /// dense stepping with multi-lane wakeups in play — and spans must
+    /// still engage (a folded kernel that went back to vetoing would leave
+    /// the ready-list tier stepping per-element, unnoticed).
     #[test]
     fn folded_design_point_reports_identical(
         seed in 0u64..200,
@@ -152,6 +154,20 @@ props! {
             ..CompileOptions::default()
         };
         assert_modes_agree(&net, std::slice::from_ref(&img), &base)?;
+        let mut spans = compile(
+            &net,
+            std::slice::from_ref(&img),
+            &CompileOptions {
+                scheduler: SchedulerMode::ReadyList,
+                macro_ticks: true,
+                ..base
+            },
+        );
+        spans.graphs[0].run(100_000_000).expect("span run");
+        prop_assert!(
+            spans.graphs[0].burst_cycles() > 0,
+            "no burst fired at a folded design point"
+        );
     }
 
     /// StallInjector-laced pipelines: parkable stages interleaved with
