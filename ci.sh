@@ -74,6 +74,7 @@ if [[ "${1:-}" == "soak" ]]; then
   run cargo test -q --release --offline -p qnn-kernels --test proptests
   run cargo test -q --release --offline -p qnn-kernels --test stall_injection
   run cargo test -q --release --offline -p dfe-platform --test proptests
+  run cargo test -q --release --offline -p dfe-platform --lib span_io_slice_ops
   run cargo test -q --release --offline -p dfe-platform --test span_conservation
   run cargo test -q --release --offline -p qnn --test property_streaming
   run cargo test -q --release --offline -p qnn --test scheduler_equivalence

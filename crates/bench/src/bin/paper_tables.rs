@@ -11,6 +11,8 @@
 //! numbers with full cycle-accurate simulations where feasible (224×224
 //! runs take a minute or two each in release mode).
 
+#![forbid(unsafe_code)]
+
 use qnn::data::{CIFAR10, STL10, STL10_144};
 use qnn::dfe::{MAIA_FCLK_MHZ, STRATIX_V_5SGSD8};
 use qnn::hw::specs::{paper, FINN_CNV_CIFAR10};

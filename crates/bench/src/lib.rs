@@ -6,6 +6,8 @@
 //! and the binary both call these, so the printed artifacts and the timed
 //! artifacts can never diverge.
 
+#![forbid(unsafe_code)]
+
 use qnn::compiler::{partition, run_images, CompileOptions, Partition};
 use qnn::data::Dataset;
 use qnn::dfe::{MaxRing, MAIA_FCLK_MHZ, STRATIX_V_5SGSD8};

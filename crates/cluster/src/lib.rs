@@ -56,6 +56,8 @@
 //! assert_eq!(report.completed, 1);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod autoscale;
 pub mod config;
 pub mod net;

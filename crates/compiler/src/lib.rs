@@ -15,6 +15,8 @@
 //! scheduler or across devices under the threaded executor — with
 //! bit-identical results.
 
+#![forbid(unsafe_code)]
+
 pub mod dse;
 pub mod lower;
 pub mod partition;

@@ -16,6 +16,8 @@
 //!   `agreement(2-bit) > agreement(1-bit)` on the identical inference
 //!   datapath.
 
+#![forbid(unsafe_code)]
+
 pub mod datasets;
 pub mod eval;
 

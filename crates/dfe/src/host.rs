@@ -6,6 +6,7 @@
 //! the binding constraint).
 
 use crate::kernel::{Io, Kernel, Progress, SpanIo, SpanPlan, WakeHint};
+use crate::stream::front_slices;
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -93,9 +94,11 @@ impl Kernel for HostSource {
     }
 
     fn run_span(&mut self, io: &mut SpanIo<'_>, n: u64) {
-        for _ in 0..n {
-            io.push(0, self.data.pop_front().expect("span within buffer"));
-        }
+        let n = n as usize;
+        let (head, tail) = front_slices(&self.data, n);
+        io.push_slice(0, head);
+        io.push_slice(0, tail);
+        self.data.drain(..n);
     }
 
     /// Remaining-count token, period-quantized (see [`drain_token`]): the
@@ -236,9 +239,7 @@ impl Kernel for HostSink {
 
     fn run_span(&mut self, io: &mut SpanIo<'_>, n: u64) {
         let mut state = lock_state(&self.state);
-        for _ in 0..n {
-            state.collected.push(io.pop(0));
-        }
+        io.pop_n(0, n, |vals| state.collected.extend_from_slice(vals));
     }
 
     /// Remaining-count token, period-quantized (see [`drain_token`]).

@@ -1,6 +1,6 @@
 //! The kernel abstraction: a clocked state machine with ports.
 
-use crate::stream::StreamState;
+use crate::stream::{front_slices, StreamState};
 
 /// What a kernel accomplished during one tick; used for busy/stall
 /// accounting and deadlock detection.
@@ -385,7 +385,10 @@ fn span_rate(rate: usize) -> u16 {
 /// bypassed and occupancy statistics are credited arithmetically by the
 /// scheduler afterwards. Per-port FIFO order is preserved exactly; the
 /// interleaving of `pop`/`push` calls across ports within one dispatch is
-/// unobservable.
+/// unobservable, which is what lets a kernel move a whole segment of a
+/// span per port at once — [`SpanIo::pop_n`], [`SpanIo::push_slice`],
+/// [`SpanIo::push_fill`], [`SpanIo::transfer`] — instead of an element at
+/// a time.
 pub struct SpanIo<'a> {
     streams: &'a mut [StreamState],
     inputs: &'a [usize],
@@ -478,41 +481,83 @@ impl<'a> SpanIo<'a> {
         }
     }
 
-    /// Consume the next `n` elements from input port `p`, feeding each to
-    /// `f` in FIFO order. Equivalent to `n` [`SpanIo::pop`] calls, but the
-    /// queue is drained once instead of re-resolved per element — worth it
-    /// on the long single-phase spans (loader words, window fills) where
-    /// per-element port bookkeeping is the only cost left.
+    /// Consume the next `n` elements from input port `p`, handing them to
+    /// `f` in FIFO order as slices of the queue's own storage — at most
+    /// two calls (a ring buffer is contiguous up to its seam), none when
+    /// `n` is 0. Equivalent to `n` [`SpanIo::pop`] calls feeding `f` one
+    /// element each; a kernel body working on whole slices (a bulk ring
+    /// write, an `extend_from_slice`) pays no per-element port cost.
     ///
     /// # Panics
     /// Panics if fewer than `n` elements are queued (a broken
     /// [`SpanPlan`] contract, as with [`SpanIo::pop`]).
-    pub fn pop_n(&mut self, p: usize, n: u64, mut f: impl FnMut(i32)) {
+    pub fn pop_n(&mut self, p: usize, n: u64, mut f: impl FnMut(&[i32])) {
         #[cfg(debug_assertions)]
         {
             self.reads_done[p] += n;
         }
+        let n = n as usize;
         let q = &mut self.streams[self.inputs[p]].queue;
-        assert!(
-            q.len() as u64 >= n,
-            "span pop_n past queue end (SpanPlan contract violation)"
-        );
-        for v in q.drain(..n as usize) {
-            f(v);
+        let (head, tail) = front_slices(q, n);
+        for vals in [head, tail] {
+            if !vals.is_empty() {
+                f(vals);
+            }
         }
+        q.drain(..n);
     }
 
-    /// Produce the next `n` elements on output port `p` from `f`, appended
-    /// with a single reservation. Equivalent to `n` [`SpanIo::push`] calls.
-    pub fn push_n(&mut self, p: usize, n: u64, mut f: impl FnMut() -> i32) {
+    /// Produce `vals` on output port `p`, in order. Equivalent to one
+    /// [`SpanIo::push`] per element.
+    pub fn push_slice(&mut self, p: usize, vals: &[i32]) {
+        #[cfg(debug_assertions)]
+        {
+            self.writes_done[p] += vals.len() as u64;
+        }
+        let s = &mut self.streams[self.outputs[p]];
+        s.pushed += vals.len() as u64;
+        s.queue.extend(vals);
+    }
+
+    /// Produce `n` copies of `v` on output port `p`. Equivalent to `n`
+    /// [`SpanIo::push`] calls.
+    pub fn push_fill(&mut self, p: usize, v: i32, n: u64) {
         #[cfg(debug_assertions)]
         {
             self.writes_done[p] += n;
         }
         let s = &mut self.streams[self.outputs[p]];
         s.pushed += n;
-        s.queue.reserve(n as usize);
-        s.queue.extend((0..n).map(|_| f()));
+        s.queue.resize(s.queue.len() + n as usize, v);
+    }
+
+    /// Move the next `n` elements of input port `from` to output port
+    /// `to` unchanged, queue to queue. Equivalent to `n` times
+    /// `push(to, pop(from))`.
+    ///
+    /// # Panics
+    /// Panics if fewer than `n` elements are queued on `from`, or if both
+    /// ports are the same stream.
+    pub fn transfer(&mut self, from: usize, to: usize, n: u64) {
+        #[cfg(debug_assertions)]
+        {
+            self.reads_done[from] += n;
+            self.writes_done[to] += n;
+        }
+        let n = n as usize;
+        let (i, o) = (self.inputs[from], self.outputs[to]);
+        assert_ne!(i, o, "span transfer from a stream to itself");
+        let (lo, hi) = self.streams.split_at_mut(i.max(o));
+        let (src, dst) = if i < o {
+            (&mut lo[i], &mut hi[0])
+        } else {
+            (&mut hi[0], &mut lo[o])
+        };
+        let (head, tail) = front_slices(&src.queue, n);
+        dst.queue.extend(head);
+        dst.queue.extend(tail);
+        dst.pushed += n as u64;
+        src.queue.drain(..n);
     }
 
     /// Scheduler-side contract verification after a `span`-cycle dispatch of
@@ -734,6 +779,109 @@ mod tests {
         assert!(!streams[1].can_read());
         streams[1].commit();
         assert_eq!(streams[1].queue.iter().copied().collect::<Vec<_>>(), vec![10, 11, 12]);
+    }
+
+    /// One input stream whose queue holds `preload`, physically wrapped
+    /// around the end of its buffer when `rotate > 0`, and two outputs.
+    fn span_streams(preload: &[i32], rotate: usize) -> Vec<StreamState> {
+        let mut streams = vec![
+            StreamState::new(StreamSpec::new("in", 32, 16)),
+            StreamState::new(StreamSpec::new("out0", 32, 16)),
+            StreamState::new(StreamSpec::new("out1", 32, 16)),
+        ];
+        let q = &mut streams[0].queue;
+        q.extend(std::iter::repeat_n(0, rotate));
+        // One by one: a drain to empty would move the head back to 0.
+        for _ in 0..rotate {
+            q.pop_front();
+        }
+        q.extend(preload);
+        streams
+    }
+
+    #[test]
+    fn pop_n_hands_out_both_halves_of_a_wrapped_queue() {
+        let preload: Vec<i32> = (1..=10).collect();
+        let mut streams = span_streams(&preload, 12);
+        let (inputs, outputs) = (vec![0usize], vec![1usize, 2]);
+        let plan = SpanPlan::new(1, 0b1, 0);
+        let mut halves = Vec::new();
+        SpanIo::new(&mut streams, &inputs, &outputs, &plan)
+            .pop_n(0, 9, |vals| halves.push(vals.to_vec()));
+        assert_eq!(halves, [vec![1, 2, 3, 4], vec![5, 6, 7, 8, 9]]);
+        assert_eq!(streams[0].queue, [10]);
+    }
+
+    qnn_testkit::props! {
+        /// Each slice-level transfer leaves the queues, the `pushed`
+        /// totals and (debug builds) the audit counters exactly as the
+        /// `pop`/`push` loop it replaces, and hands its closure the same
+        /// elements in the same order — on queues that wrap.
+        #[test]
+        fn span_io_slice_ops_match_element_loops(
+            preload in qnn_testkit::vec(qnn_testkit::any::<u32>(), 0..17),
+            rotate in 0usize..16,
+            ops in qnn_testkit::vec((0u8..4, 0usize..9, qnn_testkit::any::<u32>()), 0..8),
+        ) {
+            let preload: Vec<i32> = preload.iter().map(|&v| v as i32).collect();
+            let (inputs, outputs) = (vec![0usize], vec![1usize, 2]);
+            let plan = SpanPlan::new(1, 0b1, 0b11);
+            let mut sliced = span_streams(&preload, rotate);
+            let mut looped = span_streams(&preload, rotate);
+            let mut a = SpanIo::new(&mut sliced, &inputs, &outputs, &plan);
+            let mut b = SpanIo::new(&mut looped, &inputs, &outputs, &plan);
+            let mut left = preload.len();
+            let (mut seen_a, mut seen_b) = (Vec::new(), Vec::new());
+            for &(op, k, v) in &ops {
+                let (take, v) = (k.min(left), v as i32);
+                match op {
+                    0 => {
+                        a.pop_n(0, take as u64, |vals| {
+                            assert!(!vals.is_empty(), "pop_n handed out an empty slice");
+                            seen_a.extend_from_slice(vals);
+                        });
+                        (0..take).for_each(|_| seen_b.push(b.pop(0)));
+                        left -= take;
+                    }
+                    1 => {
+                        let vals: Vec<i32> = (0..k as i32).map(|j| v.wrapping_add(j)).collect();
+                        a.push_slice(0, &vals);
+                        vals.iter().for_each(|&x| b.push(0, x));
+                    }
+                    2 => {
+                        a.push_fill(1, v, k as u64);
+                        (0..k).for_each(|_| b.push(1, v));
+                    }
+                    _ => {
+                        a.transfer(0, 1, take as u64);
+                        for _ in 0..take {
+                            let x = b.pop(0);
+                            b.push(1, x);
+                        }
+                        left -= take;
+                    }
+                }
+            }
+            #[cfg(debug_assertions)]
+            {
+                qnn_testkit::prop_assert_eq!(a.reads_done, b.reads_done);
+                qnn_testkit::prop_assert_eq!(a.writes_done, b.writes_done);
+            }
+            qnn_testkit::prop_assert_eq!(&seen_a, &seen_b);
+            for (s, l) in sliced.iter().zip(&looped) {
+                qnn_testkit::prop_assert_eq!(&s.queue, &l.queue, "stream '{}'", s.spec.name);
+                qnn_testkit::prop_assert_eq!(s.pushed, l.pushed, "stream '{}'", s.spec.name);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "past queue end")]
+    fn span_transfer_past_queue_end_panics() {
+        let mut streams = span_streams(&[1, 2], 0);
+        let (inputs, outputs) = (vec![0usize], vec![1usize, 2]);
+        let plan = SpanPlan::new(1, 0b1, 0b1);
+        SpanIo::new(&mut streams, &inputs, &outputs, &plan).transfer(0, 0, 3);
     }
 
     #[test]

@@ -35,6 +35,8 @@
 //!   limits so the compiler can place kernels onto multiple DFEs and verify
 //!   link feasibility.
 
+#![forbid(unsafe_code)]
+
 pub mod device;
 pub mod graph;
 pub mod host;

@@ -119,6 +119,23 @@ impl StreamState {
     }
 }
 
+/// The first `n` elements of `queue` in FIFO order, as the (at most two)
+/// contiguous pieces of its ring storage.
+///
+/// # Panics
+/// Panics if fewer than `n` elements are queued — span dispatch only moves
+/// what a [`SpanPlan`](crate::SpanPlan) promised, so a short queue is a
+/// broken contract, not a stall.
+pub(crate) fn front_slices(queue: &VecDeque<i32>, n: usize) -> (&[i32], &[i32]) {
+    assert!(
+        queue.len() >= n,
+        "span moves {n} elements past queue end (SpanPlan contract violation)"
+    );
+    let (head, tail) = queue.as_slices();
+    let first = head.len().min(n);
+    (&head[..first], &tail[..n - first])
+}
+
 /// One side of a FIFO over a macro-tick span: the kernel on it moves `rate`
 /// elements per cycle on the cycles `start..stop`. `exact` marks a greedy
 /// port promised below its lane width ([`SpanPlan::exact_reads`] /

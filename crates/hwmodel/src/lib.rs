@@ -16,6 +16,8 @@
 //!   overhead + effective GEMM throughput, specs from Table IIa) and the
 //!   power/energy models for Figures 7 and 8.
 
+#![forbid(unsafe_code)]
+
 pub mod cycles;
 pub mod folding;
 pub mod gpu;

@@ -38,15 +38,19 @@
 //! each busy cycle's arithmetic is selected by [`ConvDatapath`]:
 //!
 //! * [`ConvDatapath::Packed`] (default) — pack-on-arrival: code-mode inputs
-//!   land directly in a [`PlaneRing`] (O(bits) bit writes per input tick),
+//!   land directly in a [`PlaneRing`] (O(bits) bit writes per input tick;
+//!   inside a span, one masked word store per plane per 64 arriving codes),
 //!   a window latch is `K` contiguous bit-span copies per plane, and all
 //!   `O` filter accumulators are precomputed in one weights-stationary
-//!   blocked bit-GEMM ([`qnn_quant::conv_accumulate_all`]); each emit tick
-//!   pops one. The i8 first layer keeps its scalar ring but still
-//!   precomputes accumulators at latch time.
+//!   blocked bit-GEMM ([`qnn_quant::conv_accumulate_all`]) and pushed
+//!   through the fused thresholds in one banked compare pass
+//!   ([`ThresholdBank`]) at latch time; each emit tick pops one finished
+//!   stream element, and a span pushes a slice of them. The i8 first layer
+//!   keeps its scalar ring but latches the same way.
 //! * [`ConvDatapath::ScalarReference`] — the original datapath: a scalar
-//!   `Vec<i32>` ring, a gather-and-repack at every latch, and one full
-//!   window dot product per emit tick.
+//!   `Vec<i32>` ring written one element at a time, a gather-and-repack at
+//!   every latch, and one full window dot product plus one threshold binary
+//!   search per emit tick.
 //!
 //! Both datapaths make identical `tick` I/O decisions and per-filter
 //! arithmetic (`(2·agree − ones) << p`, planes ascending), so outputs *and*
@@ -59,7 +63,8 @@
 use crate::loader::{LoadStep, ParamLoader};
 use dfe_platform::{Io, Kernel, Progress, SpanIo, SpanPlan, WakeHint};
 use qnn_quant::{
-    conv_accumulate_all, conv_accumulate_all_i8, dot_i8, ActPlanes, PlaneRing, ThresholdUnit,
+    conv_accumulate_all, conv_accumulate_all_i8_into, dot_i8, ActPlanes, PlaneRing, ThresholdBank,
+    ThresholdUnit,
 };
 use qnn_tensor::{BinaryFilters, BitVec, ConvGeometry};
 use std::sync::OnceLock;
@@ -143,6 +148,9 @@ pub struct ConvKernel {
     geom: ConvGeometry,
     filters: BinaryFilters,
     thresholds: Option<Vec<ThresholdUnit>>,
+    /// `thresholds` as the comparator bank the packed datapath latches
+    /// through.
+    bank: Option<ThresholdBank>,
     mode: DotMode,
     datapath: ConvDatapath,
     // --- window buffer ---
@@ -177,9 +185,12 @@ pub struct ConvKernel {
     window_codes: Vec<u8>,
     window_i8: Vec<i8>,
     planes: ActPlanes,
-    /// Accumulators precomputed at latch time (packed datapath); emit tick
-    /// `o` pops `acc[o]`.
-    acc: Vec<i32>,
+    /// Packed-pixel words of the i8 accumulator precompute.
+    px_words: Vec<u64>,
+    /// Stream elements of the latched position, finished at latch time
+    /// (packed datapath): every filter's accumulator, through the fused
+    /// thresholds when present. Emit tick `o` pops `latched[o]`.
+    latched: Vec<i32>,
 }
 
 impl ConvKernel {
@@ -270,6 +281,7 @@ impl ConvKernel {
             name: name.into(),
             geom,
             filters,
+            bank: thresholds.as_deref().map(ThresholdBank::new),
             thresholds,
             mode,
             datapath,
@@ -286,7 +298,8 @@ impl ConvKernel {
             window_codes: vec![0; wsize],
             window_i8: vec![0; wsize],
             planes: ActPlanes::new(bits, wsize),
-            acc: vec![0; geom.filter.o],
+            px_words: Vec::new(),
+            latched: vec![0; geom.filter.o],
         }
     }
 
@@ -380,11 +393,23 @@ impl ConvKernel {
         self.needed_memo.1
     }
 
+    /// The loader has delivered the caches: install them.
+    fn install_params(&mut self, filters: BinaryFilters, thresholds: Option<Vec<ThresholdUnit>>) {
+        self.filters = filters;
+        if thresholds.is_some() {
+            self.bank = thresholds.as_deref().map(ThresholdBank::new);
+            self.thresholds = thresholds;
+        }
+    }
+
     /// Latch the current window out of the ring. Scalar datapath: gather
     /// into scratch and (in code mode) repack the bit planes; accumulators
     /// are then computed one per emit tick. Packed datapath: span-copy the
-    /// packed planes (or gather the i8 scratch) and precompute *all* filter
-    /// accumulators now — the emit loop just pops them.
+    /// packed planes (or gather the i8 scratch), precompute *all* filter
+    /// accumulators and run them through the threshold bank now — the emit
+    /// loop just pops finished elements. The comparators see nothing but
+    /// the latched accumulator, so firing them here instead of on the emit
+    /// clock is unobservable.
     fn latch_window(&mut self) {
         let out_w = self.geom.output().w;
         let (oy, ox) = (self.out_pos / out_w, self.out_pos % out_w);
@@ -397,7 +422,7 @@ impl ConvKernel {
                 // K contiguous bit-spans of K·I slots, one ring row apart.
                 let start = ((ty * w + tx) * i) % ring.capacity();
                 ring.extract_window(start, k, k * i, w * i, &mut self.planes);
-                conv_accumulate_all(&self.filters, &self.planes, &mut self.acc);
+                conv_accumulate_all(&self.filters, &self.planes, &mut self.latched);
             }
             WindowRing::Scalar(ring) => {
                 let cap = ring.len();
@@ -422,30 +447,31 @@ impl ConvKernel {
                 }
                 match (self.mode, self.datapath) {
                     (DotMode::Codes { .. }, _) => self.planes.pack(&self.window_codes),
-                    (DotMode::I8, ConvDatapath::Packed) => {
-                        conv_accumulate_all_i8(&self.filters, &self.window_i8, &mut self.acc);
-                    }
+                    (DotMode::I8, ConvDatapath::Packed) => conv_accumulate_all_i8_into(
+                        &self.filters,
+                        &self.window_i8,
+                        &mut self.px_words,
+                        &mut self.latched,
+                    ),
                     (DotMode::I8, ConvDatapath::ScalarReference) => {}
                 }
             }
         }
-    }
-
-    /// Accumulator for filter `o` of the latched window.
-    fn accumulate(&self, o: usize) -> i32 {
-        match self.datapath {
-            ConvDatapath::Packed => self.acc[o],
-            ConvDatapath::ScalarReference => match self.mode {
-                DotMode::Codes { .. } => self.planes.dot(self.filters.filter(o)),
-                DotMode::I8 => dot_i8(self.filters.filter(o), &self.window_i8),
-            },
+        if let (ConvDatapath::Packed, Some(bank)) = (self.datapath, &self.bank) {
+            bank.activate_all(&mut self.latched);
         }
     }
 
     /// The stream element for filter `o` of the latched window: its
     /// accumulator, through the fused thresholds when present.
     fn output(&self, o: usize) -> i32 {
-        let acc = self.accumulate(o);
+        if self.datapath == ConvDatapath::Packed {
+            return self.latched[o];
+        }
+        let acc = match self.mode {
+            DotMode::Codes { .. } => self.planes.dot(self.filters.filter(o)),
+            DotMode::I8 => dot_i8(self.filters.filter(o), &self.window_i8),
+        };
         match &self.thresholds {
             Some(t) => i32::from(t[o].activate(acc)),
             None => acc,
@@ -513,6 +539,22 @@ impl ConvKernel {
         self.received += 1;
     }
 
+    /// Land a run of stream elements in the window ring: a word-packed
+    /// plane write or a block copy, where the scalar reference stays
+    /// element by element.
+    fn absorb_run(&mut self, vals: &[i32]) {
+        if self.datapath == ConvDatapath::ScalarReference {
+            vals.iter().for_each(|&v| self.absorb(v));
+            return;
+        }
+        match &mut self.ring {
+            WindowRing::Scalar(ring) => crate::ring_write(ring, self.wr, vals),
+            WindowRing::Packed(ring) => ring.write_codes(self.wr, vals),
+        }
+        self.wr = (self.wr + vals.len()) % self.ring.capacity();
+        self.received += vals.len();
+    }
+
     /// Image complete: reset for the next one.
     #[inline]
     fn reset_if_image_done(&mut self) {
@@ -539,11 +581,8 @@ impl Kernel for ConvKernel {
             return match io.read(1) {
                 Some(word) => {
                     if let LoadStep::Done(filters, thresholds) = loader.push(word) {
-                        self.filters = filters;
-                        if thresholds.is_some() {
-                            self.thresholds = thresholds;
-                        }
                         self.loader = None;
+                        self.install_params(filters, thresholds);
                     }
                     Progress::Busy
                 }
@@ -715,25 +754,29 @@ impl Kernel for ConvKernel {
     }
 
     /// Replicates `tick`'s state machine — latch, emit, absorb, reset — one
-    /// uniform *segment* of ticks at a time, with batched queue transfers
-    /// in place of the staged `Io` port protocol: within a segment every
-    /// tick emits and absorbs the same counts, and the order of pops and
-    /// pushes across ports is unobservable. The span promise guarantees
-    /// each tick moves exactly the promised per-port rates.
+    /// uniform *segment* of ticks at a time, with slice-level queue
+    /// transfers in place of the staged `Io` port protocol: within a
+    /// segment every tick emits and absorbs the same counts, and the order
+    /// of pops and pushes across ports is unobservable, so the segment's
+    /// finished elements go out as one slice and its arrivals land in the
+    /// ring as one run. The span promise guarantees each tick moves exactly
+    /// the promised per-port rates.
     fn run_span(&mut self, io: &mut SpanIo<'_>, n: u64) {
         let absorb_ok = !io.read_suppressed(0);
         let (per_read, per_write) = (io.read_rate(), io.write_rate());
-        if self.loader.is_some() {
-            io.pop_n(1, n, |word| {
-                let loader = self.loader.as_mut().expect("span within loader phase");
-                if let LoadStep::Done(filters, thresholds) = loader.push(word) {
-                    self.filters = filters;
-                    if thresholds.is_some() {
-                        self.thresholds = thresholds;
+        if let Some(loader) = &mut self.loader {
+            let mut done = None;
+            io.pop_n(1, n, |words| {
+                for &word in words {
+                    if let LoadStep::Done(filters, thresholds) = loader.push(word) {
+                        done = Some((filters, thresholds));
                     }
-                    self.loader = None;
                 }
             });
+            if let Some((filters, thresholds)) = done {
+                self.loader = None;
+                self.install_params(filters, thresholds);
+            }
             return;
         }
         let mut left = n as usize;
@@ -759,17 +802,16 @@ impl Kernel for ConvKernel {
             let ticks = ticks.max(1);
             if let Some(o) = self.emitting {
                 let total = ticks * per_write;
-                let conv = &*self;
-                let mut f = o;
-                io.push_n(0, total as u64, || {
-                    let out = conv.output(f);
-                    f += 1;
-                    out
-                });
+                match self.datapath {
+                    ConvDatapath::Packed => io.push_slice(0, &self.latched[o..o + total]),
+                    ConvDatapath::ScalarReference => {
+                        (o..o + total).for_each(|f| io.push(0, self.output(f)));
+                    }
+                }
                 self.advance_emit(o + total);
             }
             if absorbing {
-                io.pop_n(0, (ticks * per_read) as u64, |v| self.absorb(v));
+                io.pop_n(0, (ticks * per_read) as u64, |vals| self.absorb_run(vals));
             }
             self.reset_if_image_done();
             left -= ticks;

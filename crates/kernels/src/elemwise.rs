@@ -2,19 +2,24 @@
 //! and the standalone fused BatchNorm + activation unit (§III-B3).
 
 use dfe_platform::{Io, Kernel, Progress, SpanIo, SpanPlan, WakeHint};
-use qnn_quant::ThresholdUnit;
+use qnn_quant::{ThresholdBank, ThresholdUnit};
 
 /// Adds two streams element-wise — the skip-connection adder. One element
 /// per cycle; both operands must be present (the skip buffer upstream
 /// absorbs the path-delay mismatch).
 pub struct AddKernel {
     name: String,
+    /// A span's operands and then its sums (reused across dispatches).
+    scratch: Vec<i32>,
 }
 
 impl AddKernel {
     /// Create an adder.
     pub fn new(name: impl Into<String>) -> Self {
-        Self { name: name.into() }
+        Self {
+            name: name.into(),
+            scratch: Vec::new(),
+        }
     }
 }
 
@@ -56,11 +61,17 @@ impl Kernel for AddKernel {
     }
 
     fn run_span(&mut self, io: &mut SpanIo<'_>, n: u64) {
-        for _ in 0..n {
-            let a = io.pop(0);
-            let b = io.pop(1);
-            io.push(0, a + b);
-        }
+        let sums = &mut self.scratch;
+        sums.clear();
+        io.pop_n(0, n, |a| sums.extend_from_slice(a));
+        let mut at = 0;
+        io.pop_n(1, n, |b| {
+            for (sum, &b) in sums[at..].iter_mut().zip(b) {
+                *sum += b;
+            }
+            at += b.len();
+        });
+        io.push_slice(0, sums);
     }
 
     /// Stateless: any two ticks with identical stream surroundings behave
@@ -74,12 +85,17 @@ impl Kernel for AddKernel {
 /// ("the result is split into two paths").
 pub struct SplitKernel {
     name: String,
+    /// A span's elements between the pop and the two pushes.
+    scratch: Vec<i32>,
 }
 
 impl SplitKernel {
     /// Create a splitter.
     pub fn new(name: impl Into<String>) -> Self {
-        Self { name: name.into() }
+        Self {
+            name: name.into(),
+            scratch: Vec::new(),
+        }
     }
 }
 
@@ -120,11 +136,11 @@ impl Kernel for SplitKernel {
     }
 
     fn run_span(&mut self, io: &mut SpanIo<'_>, n: u64) {
-        for _ in 0..n {
-            let v = io.pop(0);
-            io.push(0, v);
-            io.push(1, v);
-        }
+        let vals = &mut self.scratch;
+        vals.clear();
+        io.pop_n(0, n, |v| vals.extend_from_slice(v));
+        io.push_slice(0, vals);
+        io.push_slice(1, vals);
     }
 
     /// Stateless: any two ticks with identical stream surroundings behave
@@ -140,7 +156,11 @@ impl Kernel for SplitKernel {
 pub struct ThresholdKernel {
     name: String,
     units: Vec<ThresholdUnit>,
+    /// `units` as the comparator bank a span runs through in one pass.
+    bank: ThresholdBank,
     channel: usize,
+    /// A span's accumulators and then its codes.
+    scratch: Vec<i32>,
 }
 
 impl ThresholdKernel {
@@ -152,8 +172,10 @@ impl ThresholdKernel {
         );
         Self {
             name: name.into(),
+            bank: ThresholdBank::new(&units),
             units,
             channel: 0,
+            scratch: Vec::new(),
         }
     }
 }
@@ -199,15 +221,12 @@ impl Kernel for ThresholdKernel {
     }
 
     fn run_span(&mut self, io: &mut SpanIo<'_>, n: u64) {
-        for _ in 0..n {
-            let a = io.pop(0);
-            let q = self.units[self.channel].activate(a);
-            io.push(0, i32::from(q));
-            self.channel += 1;
-            if self.channel == self.units.len() {
-                self.channel = 0;
-            }
-        }
+        let vals = &mut self.scratch;
+        vals.clear();
+        io.pop_n(0, n, |a| vals.extend_from_slice(a));
+        self.bank.activate_run(self.channel, vals);
+        io.push_slice(0, vals);
+        self.channel = (self.channel + vals.len()) % self.units.len();
     }
 
     /// The channel counter is the only state (threshold parameters are

@@ -24,6 +24,8 @@
 //! output stream is directly the next layer's input stream — "we can treat
 //! other layers as a black box that receives or provides pixels" (§III-B).
 
+#![forbid(unsafe_code)]
+
 pub mod attention;
 pub mod conv;
 pub mod elemwise;
@@ -37,3 +39,15 @@ pub use loader::{encode_conv_params, ParamLoader};
 pub use elemwise::{AddKernel, SplitKernel, ThresholdKernel};
 pub use pad::PadInserter;
 pub use pool::{PoolKernel, PoolOp};
+
+/// Write `vals` into the scalar window ring `ring` at consecutive slots
+/// from `at` on, wrapping at the end — `ring[(at + j) % len] = vals[j]`
+/// as block copies (a run longer than the ring overwrites its own head).
+pub(crate) fn ring_write(ring: &mut [i32], mut at: usize, mut vals: &[i32]) {
+    while !vals.is_empty() {
+        let (run, rest) = vals.split_at((ring.len() - at).min(vals.len()));
+        ring[at..at + run.len()].copy_from_slice(run);
+        vals = rest;
+        at = 0;
+    }
+}

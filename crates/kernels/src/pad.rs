@@ -74,6 +74,36 @@ impl PadInserter {
         y < self.pad || y >= self.pad + self.input.h || x < self.pad || x >= self.pad + self.input.w
     }
 
+    /// Elements from the current one to the end of its run of same-kind
+    /// elements: to the first interior pixel on the left border, to the
+    /// right border inside a row, and (conservatively — the next row may
+    /// extend the border) to the row end on the top/bottom rows and the
+    /// right border.
+    fn run_len(&self) -> usize {
+        let out = self.output_shape();
+        let in_row = self.y >= self.pad && self.y < self.pad + self.input.h;
+        let end_x = if in_row && self.x < self.pad {
+            self.pad
+        } else if in_row && self.x < self.pad + self.input.w {
+            self.pad + self.input.w
+        } else {
+            out.w
+        };
+        (end_x - self.x) * out.c - self.c
+    }
+
+    /// Advance the counters `n` elements within the current row.
+    fn advance_in_row(&mut self, n: usize) {
+        let out = self.output_shape();
+        let at = self.x * out.c + self.c + n;
+        debug_assert!(at <= out.w * out.c, "advance past the row end");
+        (self.x, self.c) = (at / out.c, at % out.c);
+        if self.x == out.w {
+            self.x = 0;
+            self.y = (self.y + 1) % out.h;
+        }
+    }
+
     /// Advance the (y, x, c) counters one element, wrapping at image end.
     fn advance(&mut self) {
         let out = self.output_shape();
@@ -143,23 +173,8 @@ impl Kernel for PadInserter {
     /// one that would run past the end of the run mixes both kinds and has
     /// no uniform description, so it is left to per-element stepping.
     fn span_hint(&self, in_len: &[usize], out_room: &[usize]) -> Option<SpanPlan> {
-        let out = self.output_shape();
         let border = self.is_border();
-        let run = if border {
-            let in_row = self.y >= self.pad && self.y < self.pad + self.input.h;
-            if in_row && self.x < self.pad {
-                // Left border: runs up to the first interior pixel.
-                (self.pad - self.x) * out.c - self.c
-            } else {
-                // Top/bottom border rows and the right border: run to the
-                // row end (the next row may extend the border; a shorter
-                // promise is still valid).
-                (out.w - self.x) * out.c - self.c
-            }
-        } else {
-            // Interior segment: up to the right border of this row.
-            (self.pad + self.input.w - self.x) * out.c - self.c
-        };
+        let run = self.run_len();
         let (fed, exact_r) = if border {
             (self.lanes, false)
         } else {
@@ -188,15 +203,19 @@ impl Kernel for PadInserter {
         })
     }
 
+    /// One run of same-kind elements at a time: a border run is a fill, an
+    /// interior run a queue-to-queue move.
     fn run_span(&mut self, io: &mut SpanIo<'_>, n: u64) {
-        for _ in 0..n * io.write_rate() as u64 {
+        let mut left = n as usize * io.write_rate();
+        while left > 0 {
+            let run = self.run_len().min(left);
             if self.is_border() {
-                io.push(0, self.fill);
+                io.push_fill(0, self.fill, run as u64);
             } else {
-                let v = io.pop(0);
-                io.push(0, v);
+                io.transfer(0, 0, run as u64);
             }
-            self.advance();
+            self.advance_in_row(run);
+            left -= run;
         }
     }
 

@@ -9,7 +9,6 @@
 
 use dfe_platform::{Io, Kernel, Progress, SpanIo, SpanPlan, WakeHint};
 use qnn_tensor::Shape3;
-use std::collections::VecDeque;
 
 /// Pooling operation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -40,7 +39,12 @@ pub struct PoolKernel {
     /// Memo of the last `needed(pos)` query: `(pos, value)` — same
     /// per-clock div/mod avoidance as the convolution kernel.
     needed_memo: (usize, usize),
-    pending: VecDeque<i32>,
+    /// The `I` channel results of the last completed position, of which
+    /// `pending[sent..]` still wait for their emit tick.
+    pending: Vec<i32>,
+    sent: usize,
+    /// Per-channel window sums of an [`PoolOp::AvgShift`] position.
+    sums: Vec<i64>,
     /// Outputs emitted per tick (write-lane folding; 1 ⇒ one per clock).
     pe: usize,
     /// Inputs absorbed per tick (read-lane folding; 1 ⇒ one per clock).
@@ -74,7 +78,9 @@ impl PoolKernel {
             wr: 0,
             out_pos: 0,
             needed_memo: (usize::MAX, 0),
-            pending: VecDeque::with_capacity(input.c),
+            pending: Vec::with_capacity(input.c),
+            sent: 0,
+            sums: Vec::new(),
             pe: 1,
             simd: 1,
         }
@@ -131,31 +137,79 @@ impl PoolKernel {
         self.needed_memo.1
     }
 
-    /// Compute all `I` channel outputs for the completed position.
+    /// Results computed but not yet emitted.
+    fn pending_len(&self) -> usize {
+        self.pending.len() - self.sent
+    }
+
+    /// Compute all `I` channel outputs for the completed position (only
+    /// ever called with nothing pending). The `I` channels of one window
+    /// tap sit side by side in the ring, so each tap folds into the
+    /// results as a slice pass (two at the ring seam).
     fn compute_position(&mut self) {
         let out_w = self.output_shape().w;
         let (oy, ox) = (self.out_pos / out_w, self.out_pos % out_w);
         let (ty, tx) = (oy * self.stride, ox * self.stride);
         let cap = self.ring.len();
         let i = self.input.c;
-        for c in 0..i {
-            let mut max = i32::MIN;
-            let mut sum = 0i64;
-            for ky in 0..self.k {
-                for kx in 0..self.k {
-                    let idx = ((ty + ky) * self.input.w + tx + kx) * i + c;
-                    let v = self.ring[idx % cap];
-                    max = max.max(v);
-                    sum += i64::from(v);
+        self.pending.clear();
+        self.sent = 0;
+        match self.op {
+            PoolOp::Max => self.pending.resize(i, i32::MIN),
+            PoolOp::AvgShift => {
+                self.sums.clear();
+                self.sums.resize(i, 0);
+            }
+        }
+        for ky in 0..self.k {
+            for kx in 0..self.k {
+                let start = (((ty + ky) * self.input.w + tx + kx) * i) % cap;
+                let head = i.min(cap - start);
+                let halves = [(0, &self.ring[start..start + head]), (head, &self.ring[..i - head])];
+                for (c, tap) in halves {
+                    match self.op {
+                        PoolOp::Max => {
+                            for (max, &v) in self.pending[c..].iter_mut().zip(tap) {
+                                *max = (*max).max(v);
+                            }
+                        }
+                        PoolOp::AvgShift => {
+                            for (sum, &v) in self.sums[c..].iter_mut().zip(tap) {
+                                *sum += i64::from(v);
+                            }
+                        }
+                    }
                 }
             }
-            let out = match self.op {
-                PoolOp::Max => max,
-                PoolOp::AvgShift => (sum >> self.shift) as i32,
-            };
-            self.pending.push_back(out);
+        }
+        if self.op == PoolOp::AvgShift {
+            let shift = self.shift;
+            self.pending.extend(self.sums.iter().map(|&sum| (sum >> shift) as i32));
         }
         self.out_pos += 1;
+    }
+
+    /// Completed positions become pending outputs (combinational w.r.t.
+    /// this model's bookkeeping; the emit itself still costs a cycle).
+    fn fold_completed(&mut self) {
+        while self.out_pos < self.positions()
+            && self.pending_len() == 0
+            && self.received >= self.needed_cached(self.out_pos)
+        {
+            self.compute_position();
+        }
+    }
+
+    /// Image finished: reset for the next one.
+    fn reset_if_image_done(&mut self) {
+        if self.out_pos == self.positions()
+            && self.received == self.input.len()
+            && self.pending_len() == 0
+        {
+            self.received = 0;
+            self.wr = 0;
+            self.out_pos = 0;
+        }
     }
 }
 
@@ -169,13 +223,10 @@ impl Kernel for PoolKernel {
 
         // Emit up to `pe` pending outputs (same cycle as reads — no halt).
         let mut emitted = 0;
-        while emitted < self.pe {
-            let Some(&v) = self.pending.front() else {
-                break;
-            };
+        while emitted < self.pe && self.pending_len() > 0 {
             if io.can_write(0) {
-                io.write(0, v);
-                self.pending.pop_front();
+                io.write(0, self.pending[self.sent]);
+                self.sent += 1;
                 emitted += 1;
                 progress = Progress::Busy;
             } else {
@@ -212,12 +263,7 @@ impl Kernel for PoolKernel {
                     self.received += 1;
                     absorbed += 1;
                     progress = Progress::Busy;
-                    while self.out_pos < self.positions()
-                        && self.pending.is_empty()
-                        && self.received >= self.needed_cached(self.out_pos)
-                    {
-                        self.compute_position();
-                    }
+                    self.fold_completed();
                 }
                 None => {
                     if progress == Progress::Idle {
@@ -228,24 +274,8 @@ impl Kernel for PoolKernel {
             }
         }
 
-        // Completed positions become pending outputs (combinational w.r.t.
-        // this model's bookkeeping; the emit itself still costs a cycle).
-        while self.out_pos < self.positions()
-            && self.pending.is_empty()
-            && self.received >= self.needed_cached(self.out_pos)
-        {
-            self.compute_position();
-        }
-
-        // Image finished: reset for the next one.
-        if self.out_pos == self.positions()
-            && self.received == self.input.len()
-            && self.pending.is_empty()
-        {
-            self.received = 0;
-            self.wr = 0;
-            self.out_pos = 0;
-        }
+        self.fold_completed();
+        self.reset_if_image_done();
         progress
     }
 
@@ -288,7 +318,7 @@ impl Kernel for PoolKernel {
             self.needed(self.out_pos)
         };
         let reads_left = read_cap - self.received;
-        let pending = self.pending.len();
+        let pending = self.pending_len();
         let emit = || SpanPlan::greedy_writes(0b1, self.pe, pending, out_room[0]);
         // `emptied`: this tick's emit leaves `pending` empty, so a read
         // that completes the window folds the position in mid-tick.
@@ -329,47 +359,54 @@ impl Kernel for PoolKernel {
         Some(dfe_platform::replay::token_mix(&[
             self.received as u64,
             self.out_pos as u64,
-            self.pending.len() as u64,
+            self.pending_len() as u64,
         ]))
     }
 
+    /// `tick`'s state machine one uniform *segment* at a time, like the
+    /// convolution's: a segment runs until the pending results run out or
+    /// the absorb reaches the window's completing element, whichever comes
+    /// first, so no position can complete inside it — its emits go out as
+    /// one slice, its arrivals land in the ring as one run, and the
+    /// completed position is folded in at the boundary.
     fn run_span(&mut self, io: &mut SpanIo<'_>, n: u64) {
         let absorb_ok = !io.read_suppressed(0);
         let (per_read, per_write) = (io.read_rate(), io.write_rate());
-        for _ in 0..n {
-            for v in self.pending.drain(..per_write.min(self.pending.len())) {
-                io.push(0, v);
+        let mut left = n as usize;
+        while left > 0 {
+            let mut ticks = left;
+            let emitting = self.pending_len() > 0;
+            if emitting {
+                ticks = ticks.min(self.pending_len() / per_write);
             }
-            let ahead_ok = absorb_ok
-                && (self.out_pos >= self.positions()
-                    || self.received < self.needed_cached(self.out_pos));
-            if ahead_ok && self.received < self.input.len() {
-                // A promised tick never reads past the window boundary, so
-                // folding completed positions in after the batch is the
-                // per-read fold `tick` does.
-                for _ in 0..per_read {
-                    self.ring[self.wr] = io.pop(0);
-                    self.wr += 1;
-                    if self.wr == self.ring.len() {
-                        self.wr = 0;
-                    }
-                    self.received += 1;
-                }
+            let read_cap = if self.out_pos >= self.positions() {
+                self.input.len()
+            } else {
+                self.needed_cached(self.out_pos)
+            };
+            let absorbing = absorb_ok && self.received < read_cap;
+            if absorbing {
+                ticks = ticks.min((read_cap - self.received) / per_read);
             }
-            while self.out_pos < self.positions()
-                && self.pending.is_empty()
-                && self.received >= self.needed_cached(self.out_pos)
-            {
-                self.compute_position();
+            // A kept promise always leaves a whole tick; a broken one is
+            // caught by the pops below (or the dispatcher's audit).
+            let ticks = ticks.max(1);
+            if emitting {
+                let total = (ticks * per_write).min(self.pending_len());
+                io.push_slice(0, &self.pending[self.sent..self.sent + total]);
+                self.sent += total;
             }
-            if self.out_pos == self.positions()
-                && self.received == self.input.len()
-                && self.pending.is_empty()
-            {
-                self.received = 0;
-                self.wr = 0;
-                self.out_pos = 0;
+            if absorbing {
+                let total = ticks * per_read;
+                io.pop_n(0, total as u64, |vals| {
+                    crate::ring_write(&mut self.ring, self.wr, vals);
+                    self.wr = (self.wr + vals.len()) % self.ring.len();
+                });
+                self.received += total;
             }
+            self.fold_completed();
+            self.reset_if_image_done();
+            left -= ticks;
         }
     }
 }

@@ -12,11 +12,12 @@
 //! the `dfe_platform::stall` module docs); the cycle budget still bounds
 //! every run.
 //!
-//! The folded pad → conv → pool cell at the end adds the *dispatch*
-//! dimension: clean runs with macro-tick spans on and off (and dense
-//! stepping) must agree on every counter, at any PE/SIMD folding — the
-//! rate-annotated span promises of the three folded kernels against their
-//! own `tick`.
+//! The folded pad → conv → pool → residual pair → FC cell at the end adds
+//! the *dispatch* dimension: clean runs with macro-tick spans on and off
+//! (and dense stepping) must agree on every counter, at any PE/SIMD
+//! folding — the rate-annotated span promises of the folded kernels, and
+//! the slice-level `run_span` body of every kernel in the cell, against
+//! their own `tick`.
 
 use dfe_platform::{
     CycleReport, Graph, HostSink, HostSource, Kernel, SchedulerMode, StallInjector, StreamSpec,
@@ -77,7 +78,9 @@ fn run_cell(
     handles.into_iter().map(|h| h.take()).collect()
 }
 
-/// A folded front end in miniature: source → pad → 3×3 conv → max pool →
+/// A folded network in miniature, one of every span-capable kernel:
+/// source → pad → 3×3 conv (thresholds fused or not) → pool → split →
+/// {threshold unit | skip} → add → 1×1 FC-style conv over 8-plane codes →
 /// sink, with per-kernel folding and one FIFO depth throughout.
 #[derive(Clone, Copy, Debug)]
 struct FoldedCell {
@@ -85,10 +88,16 @@ struct FoldedCell {
     channels: usize,
     filters: usize,
     conv_stride: usize,
+    /// Fuse BatchNorm+activation thresholds into the 3×3 conv's emit.
+    fused: bool,
     /// Pool window and stride.
     pool: (usize, usize),
+    /// Average (sum and shift) instead of max.
+    avg: bool,
     conv_fold: (usize, usize),
     pool_fold: (usize, usize),
+    /// Output maps and `(pe, simd)` folding of the closing 1×1 conv.
+    fc: (usize, (usize, usize)),
     cap: usize,
 }
 
@@ -124,46 +133,79 @@ impl FoldedCell {
             .map(|i| if (i * 7 + i / 3) % 5 < 2 { 1.0 } else { -1.0 })
             .collect();
         let filters = BinaryFilters::from_float_rows(&weights, geom.filter.weights_per_filter());
+        // Per-channel units of either direction, and a constant one.
+        let spec = QuantSpec::paper_2bit();
+        let units = |salt: usize| -> Vec<ThresholdUnit> {
+            (0..self.filters)
+                .map(|c| {
+                    let gamma = [0.5, -0.25, 0.0, 2.0][(c + salt) % 4];
+                    let bn = BnParams::new(gamma, (c * 3) as f32 - 4.0, 0.5, 0.3 * c as f32);
+                    ThresholdUnit::from_batchnorm(&bn, &spec)
+                })
+                .collect()
+        };
         let (pe, simd) = self.conv_fold;
         let pad = PadInserter::new("pad", input, 1, 0).with_lanes(simd);
-        let conv = ConvKernel::new("conv", geom, filters, None, DotMode::Codes { bits: 2 })
+        let fused = self.fused.then(|| units(0));
+        let conv = ConvKernel::new("conv", geom, filters, fused, DotMode::Codes { bits: 2 })
             .with_folding(pe, simd);
-        let pool = PoolKernel::new("pool", geom.output(), self.pool.0, self.pool.1, PoolOp::Max)
+        let op = if self.avg { PoolOp::AvgShift } else { PoolOp::Max };
+        let pool = PoolKernel::new("pool", geom.output(), self.pool.0, self.pool.1, op)
             .with_folding(self.pool_fold.0, self.pool_fold.1);
-        let out_len = pool.output_shape().len() * images.len();
+        let (fc_out, (fc_pe, fc_simd)) = self.fc;
+        let fc_geom = ConvGeometry::new(
+            pool.output_shape(),
+            FilterShape::new(1, self.filters, fc_out),
+            1,
+            0,
+        );
+        let fc_weights: Vec<f32> = (0..fc_geom.filter.total_weights())
+            .map(|i| if (i * 5 + i / 7) % 3 == 0 { 1.0 } else { -1.0 })
+            .collect();
+        let fc_filters =
+            BinaryFilters::from_float_rows(&fc_weights, fc_geom.filter.weights_per_filter());
+        let fc = ConvKernel::new("fc", fc_geom, fc_filters, None, DotMode::Codes { bits: 8 })
+            .with_folding(fc_pe, fc_simd);
+        let out_len = fc_geom.output().len() * images.len();
 
         let mut g = Graph::with_scheduler(scheduler);
         g.set_macro_ticks(macro_ticks);
-        let streams: Vec<_> = ["in", "padded", "conv.out", "pool.out"]
-            .iter()
-            .map(|name| g.add_stream(StreamSpec::new(*name, 32, self.cap)))
-            .collect();
+        let [s_in, padded, conv_out, pool_out, main, skip, act, sum, fc_out] =
+            ["in", "padded", "conv.out", "pool.out", "main", "skip", "act", "sum", "fc.out"]
+                .map(|name| g.add_stream(StreamSpec::new(name, 32, self.cap)));
         let src = HostSource::new("src", images.concat());
-        g.add_kernel(inject(Box::new(src), 0), &[], &[streams[0]]);
-        g.add_kernel(inject(Box::new(pad), 1), &[streams[0]], &[streams[1]]);
-        g.add_kernel(inject(Box::new(conv), 2), &[streams[1]], &[streams[2]]);
-        g.add_kernel(inject(Box::new(pool), 3), &[streams[2]], &[streams[3]]);
+        g.add_kernel(inject(Box::new(src), 0), &[], &[s_in]);
+        g.add_kernel(inject(Box::new(pad), 1), &[s_in], &[padded]);
+        g.add_kernel(inject(Box::new(conv), 2), &[padded], &[conv_out]);
+        g.add_kernel(inject(Box::new(pool), 3), &[conv_out], &[pool_out]);
+        let split = SplitKernel::new("split");
+        g.add_kernel(inject(Box::new(split), 4), &[pool_out], &[main, skip]);
+        let thr = ThresholdKernel::new("thr", units(1));
+        g.add_kernel(inject(Box::new(thr), 5), &[main], &[act]);
+        g.add_kernel(inject(Box::new(AddKernel::new("add")), 6), &[act, skip], &[sum]);
+        g.add_kernel(inject(Box::new(fc), 7), &[sum], &[fc_out]);
         let (sink, handle) = HostSink::new("dst", out_len);
-        g.add_kernel(inject(Box::new(sink), 4), &[streams[3]], &[]);
+        g.add_kernel(inject(Box::new(sink), 8), &[fc_out], &[]);
         let report = g.run_opts(MAX_CYCLES, stall.is_none()).expect("folded cell run");
         (handle.take(), report, g.burst_cycles())
     }
 }
 
 props! {
-    /// Folded pad/conv/pool: span dispatch, per-element ready-list stepping
-    /// and dense stepping agree on outputs and on every counter of the
-    /// report, at any folding, FIFO depth and image count — and the output
+    /// The folded cell: span dispatch, per-element ready-list stepping and
+    /// dense stepping agree on outputs and on every counter of the report,
+    /// at any folding, stride, FIFO depth and image count — and the output
     /// stream survives random stall injection on every node.
     #[test]
     fn folded_cell_agrees_with_spans_on_and_off(
         side in 4usize..9,
         channels in 1usize..4,
         filters in 1usize..13,
-        conv_stride in 1usize..3,
+        (conv_stride, fused, avg) in (1usize..3, any::<bool>(), any::<bool>()),
         pool in (1usize..4, 1usize..3),
         conv_fold in (1usize..5, 1usize..5),
         pool_fold in (1usize..4, 1usize..9),
+        fc in (1usize..10, (1usize..4, 1usize..4)),
         cap in 2usize..40,
         n_images in 1usize..3,
         seed in any::<u64>(),
@@ -171,7 +213,7 @@ props! {
     ) {
         prop_assume!((side - 1) / conv_stride + 1 >= pool.0);
         let cell = FoldedCell {
-            side, channels, filters, conv_stride, pool, conv_fold, pool_fold, cap,
+            side, channels, filters, conv_stride, fused, pool, avg, conv_fold, pool_fold, fc, cap,
         };
         let images: Vec<_> = (0..n_images as u64).map(|i| cell.image(seed ^ i)).collect();
         let (out, spans, _) = cell.run(&images, SchedulerMode::ReadyList, true, None);
@@ -324,9 +366,9 @@ fn skip_cell_survives_independent_stall_patterns() {
     }
 }
 
-/// The folded cell must actually burst (with its three folded kernels
-/// awake for nearly the whole run, any burst has them as participants):
-/// most of a run at lane-rate folding is covered by spans.
+/// The folded cell must actually burst (with its folded kernels awake for
+/// nearly the whole run, any burst has them as participants): most of a
+/// run at lane-rate folding is covered by spans.
 #[test]
 fn folded_cell_bursts() {
     let cell = FoldedCell {
@@ -334,9 +376,12 @@ fn folded_cell_bursts() {
         channels: 4,
         filters: 64,
         conv_stride: 1,
+        fused: true,
         pool: (2, 2),
+        avg: false,
         conv_fold: (4, 2),
         pool_fold: (2, 4),
+        fc: (8, (2, 2)),
         cap: 64,
     };
     let images = [cell.image(5), cell.image(6)];

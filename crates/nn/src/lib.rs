@@ -15,6 +15,8 @@
 //!   16-bit integers; we compute in `i32` and *model* the 16-bit width,
 //!   asserting the values stay in `i16` range).
 
+#![forbid(unsafe_code)]
+
 pub mod graph;
 pub mod init;
 pub mod models;

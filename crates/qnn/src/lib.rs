@@ -38,6 +38,8 @@
 //! let _ = CIFAR10.image(0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use dfe_platform as dfe;
 pub use qnn_cluster as cluster;
 pub use hw_model as hw;

@@ -127,6 +127,18 @@ const BYTE_MASKS: [u64; 256] = byte_masks();
 /// Panics if `acc.len() != filters.num_filters()` or the filter width
 /// differs from the pixel count.
 pub fn conv_accumulate_all_i8(filters: &BinaryFilters, pixels: &[i8], acc: &mut [i32]) {
+    conv_accumulate_all_i8_into(filters, pixels, &mut Vec::new(), acc);
+}
+
+/// [`conv_accumulate_all_i8`] with the packed-pixel words built in a
+/// caller-owned scratch (contents ignored on entry), so a kernel latching
+/// thousands of windows per image allocates it once.
+pub fn conv_accumulate_all_i8_into(
+    filters: &BinaryFilters,
+    pixels: &[i8],
+    px: &mut Vec<u64>,
+    acc: &mut [i32],
+) {
     assert_eq!(acc.len(), filters.num_filters(), "one accumulator per filter");
     assert_eq!(
         filters.bits_per_filter(),
@@ -137,7 +149,8 @@ pub fn conv_accumulate_all_i8(filters: &BinaryFilters, pixels: &[i8], acc: &mut 
     // Pixels offset by +128 into unsigned byte lanes, 8 per word, in the
     // same element order as the filter bits; padding bytes stay zero and
     // are never selected (trailing filter bits are zero by invariant).
-    let mut px = vec![0u64; n.div_ceil(8)];
+    px.clear();
+    px.resize(n.div_ceil(8), 0);
     for (i, &p) in pixels.iter().enumerate() {
         px[i / 8] |= ((p as i32 + 128) as u64) << (8 * (i % 8));
     }

@@ -19,6 +19,8 @@
 //! Every fast path here has a slow, obviously-correct reference counterpart
 //! and a test (or property test) proving equality.
 
+#![forbid(unsafe_code)]
+
 pub mod attention;
 pub mod batchnorm;
 pub mod dot;
@@ -33,7 +35,10 @@ pub use attention::{
 };
 pub use batchnorm::BnParams;
 pub use dot::{dot_codes, dot_i8, dot_planes, dot_pm1};
-pub use gemm::{conv_accumulate_all, conv_accumulate_all_i8, conv_accumulate_all_reference};
+pub use gemm::{
+    conv_accumulate_all, conv_accumulate_all_i8, conv_accumulate_all_i8_into,
+    conv_accumulate_all_reference,
+};
 pub use planes::ActPlanes;
 pub use ring::PlaneRing;
-pub use threshold::{QuantSpec, ThresholdUnit};
+pub use threshold::{QuantSpec, ThresholdBank, ThresholdUnit};

@@ -4,16 +4,20 @@
 //! `Vec<i32>` ring and re-packs all `K·K·I` codes into bit planes at every
 //! latched output position. [`PlaneRing`] moves the packing to the *input*
 //! side: each arriving n-bit activation code costs O(n) bit writes into n
-//! packed ring planes, and a window latch becomes `K` contiguous bit-span
-//! copies per plane ([`qnn_tensor::BitVec::copy_bitrange_from`]) instead of
-//! `K·K·I` scalar loads plus a repack — the word-parallel structure of the
-//! paper's Fig. 3 datapath (and of FINN-R's bit-serial matrix multiply).
+//! packed ring planes — or, when a whole run of codes arrives in one span
+//! dispatch, one masked word store per plane per 64 codes
+//! ([`PlaneRing::write_codes`]) — and a window latch becomes `K` contiguous
+//! bit-span copies per plane ([`qnn_tensor::BitVec::copy_bitrange_from`])
+//! instead of `K·K·I` scalar loads plus a repack — the word-parallel
+//! structure of the paper's Fig. 3 datapath (and of FINN-R's bit-serial
+//! matrix multiply).
 //!
 //! Codes are never stored unpacked, so the ring also models the hardware
 //! more faithfully: the Fig. 4a shift-register buffer holds exactly the
 //! quantized wire bits.
 
 use crate::planes::ActPlanes;
+use qnn_tensor::bits::WORD_BITS;
 use qnn_tensor::BitVec;
 
 /// A ring of `n` packed bit planes over `capacity` slots — the depth-first
@@ -60,6 +64,37 @@ impl PlaneRing {
         debug_assert!(slot < self.capacity);
         for (p, plane) in self.planes.iter_mut().enumerate() {
             plane.set(slot, (code >> p) & 1 == 1);
+        }
+    }
+
+    /// Store a run of arriving stream elements in consecutive slots from
+    /// `slot` on, wrapping at the ring seam: element `j` lands where
+    /// `set((slot + j) % capacity, codes[j] as u8)` would put it (a run
+    /// longer than the ring overwrites its own head, as the `set` loop
+    /// would). Each plane's bits are assembled in a register, up to a word
+    /// at a time, and land with one masked store — no branch on the data
+    /// and no read-modify-write per element.
+    pub fn write_codes(&mut self, slot: usize, mut codes: &[i32]) {
+        assert!(slot < self.capacity, "slot {slot} outside the ring");
+        let mut at = slot;
+        while !codes.is_empty() {
+            // Up to the next word boundary of the planes, or the seam.
+            let n = (WORD_BITS - at % WORD_BITS)
+                .min(self.capacity - at)
+                .min(codes.len());
+            let (chunk, rest) = codes.split_at(n);
+            for (p, plane) in self.planes.iter_mut().enumerate() {
+                let mut word = 0u64;
+                for (j, &code) in chunk.iter().enumerate() {
+                    word |= u64::from((code >> p) & 1 != 0) << j;
+                }
+                plane.store_bits(at, n, word);
+            }
+            codes = rest;
+            at += n;
+            if at == self.capacity {
+                at = 0;
+            }
         }
     }
 

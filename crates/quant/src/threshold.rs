@@ -224,9 +224,164 @@ impl ThresholdUnit {
     }
 }
 
+/// Every [`ThresholdUnit`] of one layer as a flat comparator bank: the
+/// thresholds of all `O` units in `[T][O]` structure-of-arrays order, so a
+/// whole position's accumulators become output codes in one branch-free
+/// compare-and-count pass the compiler can vectorise — FINN-R's
+/// matrix-vector-threshold unit comparing against every threshold at once,
+/// where [`ThresholdUnit::activate`] is the paper's binary search.
+///
+/// Exact for anything a `ThresholdUnit` can hold. An `i32` accumulator
+/// cannot tell an `i64` threshold beyond its range from one at the edge of
+/// it, so each comparator is stored as the strict `i32` bound `a > b`:
+/// `i32::MAX` for one that never fires, while one that always fires is
+/// counted into the unit's `base` code instead. A decreasing unit's code is
+/// the number of comparators that do *not* fire past their threshold, which
+/// the `negate` mask turns into a subtraction; a constant unit is a `base`
+/// with no live comparator.
+#[derive(Clone, Debug)]
+pub struct ThresholdBank {
+    /// Units (`O`).
+    units: usize,
+    /// `[T][O]`: comparator `t` of unit `o` fires when `a > bounds[t·O + o]`.
+    bounds: Vec<i32>,
+    /// Code of unit `o` when none of its comparators fires.
+    base: Vec<i32>,
+    /// `0` ⇒ code = base + fired; `-1` ⇒ code = base − fired.
+    negate: Vec<i32>,
+}
+
+impl ThresholdBank {
+    /// Accumulators handled per pass of the inner compare loop (the fired
+    /// counts live in a stack array this long).
+    const LANES: usize = 64;
+
+    /// Bank the units of one layer, in channel order.
+    ///
+    /// # Panics
+    /// Panics if `units` is empty.
+    pub fn new(units: &[ThresholdUnit]) -> Self {
+        assert!(!units.is_empty(), "threshold bank needs at least one unit");
+        let n = units.len();
+        let depth = units.iter().map(ThresholdUnit::num_thresholds).max().unwrap_or(0);
+        let mut bank = Self {
+            units: n,
+            bounds: vec![i32::MAX; depth * n],
+            base: vec![0; n],
+            negate: vec![0; n],
+        };
+        let (lo, hi) = (i64::from(i32::MIN), i64::from(i32::MAX));
+        for (o, unit) in units.iter().enumerate() {
+            match unit.direction {
+                Direction::Constant(q) => bank.base[o] = i32::from(q),
+                // `a ≥ t` ⟺ `a > t − 1`; always true at or below i32::MIN.
+                Direction::Increasing => {
+                    for (t, &thr) in unit.thresholds.iter().enumerate() {
+                        if thr <= lo {
+                            bank.base[o] += 1;
+                        } else if thr <= hi {
+                            bank.bounds[t * n + o] = (thr - 1) as i32;
+                        }
+                    }
+                }
+                // `a ≤ t` ⟺ not `a > t`: counted in `base`, uncounted when
+                // the comparator fires; never true below i32::MIN.
+                Direction::Decreasing => {
+                    bank.negate[o] = -1;
+                    for (t, &thr) in unit.thresholds.iter().enumerate() {
+                        if thr >= lo {
+                            bank.base[o] += 1;
+                            bank.bounds[t * n + o] = thr.min(hi) as i32;
+                        }
+                    }
+                }
+            }
+        }
+        bank
+    }
+
+    /// Replace every accumulator of one position by its output code:
+    /// `acc[o] = units[o].activate(acc[o])` for all `o`.
+    ///
+    /// # Panics
+    /// Panics if `acc.len()` differs from the unit count.
+    pub fn activate_all(&self, acc: &mut [i32]) {
+        assert_eq!(acc.len(), self.units, "one accumulator per unit");
+        self.activate_span(0, acc);
+    }
+
+    /// Activate a run of a depth-first stream in place: `vals[i]` goes
+    /// through unit `(first + i) % O`.
+    ///
+    /// # Panics
+    /// Panics if `first` is not a unit index.
+    pub fn activate_run(&self, first: usize, mut vals: &mut [i32]) {
+        assert!(first < self.units, "unit {first} outside the bank");
+        let mut o = first;
+        while !vals.is_empty() {
+            let (span, rest) = vals.split_at_mut((self.units - o).min(vals.len()));
+            self.activate_span(o, span);
+            vals = rest;
+            o = 0;
+        }
+    }
+
+    /// Units `first..first + vals.len()` against their accumulators.
+    fn activate_span(&self, first: usize, vals: &mut [i32]) {
+        for (i, chunk) in vals.chunks_mut(Self::LANES).enumerate() {
+            let units = first + i * Self::LANES..first + i * Self::LANES + chunk.len();
+            let mut fired = [0i32; Self::LANES];
+            for row in self.bounds.chunks_exact(self.units) {
+                for ((f, &a), &b) in fired.iter_mut().zip(chunk.iter()).zip(&row[units.clone()]) {
+                    *f += i32::from(a > b);
+                }
+            }
+            let (base, negate) = (&self.base[units.clone()], &self.negate[units]);
+            for (((a, &f), &b), &m) in chunk.iter_mut().zip(&fired).zip(base).zip(negate) {
+                // `& 0xFF`: `activate` returns the count as a `u8`.
+                *a = (b + ((f ^ m) - m)) & 0xFF;
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn bank_matches_units_at_the_edges_of_i32() {
+        let spec = QuantSpec::paper_2bit();
+        let mut decreasing = ThresholdUnit::from_raw_thresholds(vec![
+            i64::MIN,
+            i64::from(i32::MIN) - 1,
+            i64::from(i32::MIN),
+            -4,
+            -4,
+            i64::from(i32::MAX) - 1,
+            i64::from(i32::MAX),
+            i64::MAX,
+        ]);
+        decreasing.direction = Direction::Decreasing;
+        let mut increasing = decreasing.clone();
+        increasing.direction = Direction::Increasing;
+        let units = vec![
+            increasing,
+            decreasing,
+            ThresholdUnit::from_batchnorm(&BnParams::new(0.0, 5.0, 1.0, 2.5), &spec),
+            ThresholdUnit::from_batchnorm(&BnParams::new(-0.7, 3.0, 0.4, 2.0), &spec),
+            ThresholdUnit::from_raw_thresholds((0..300).collect()),
+        ];
+        let bank = ThresholdBank::new(&units);
+        for a in [i32::MIN, i32::MIN + 1, -5, -4, -3, 0, 1, 3, 299, 300, i32::MAX - 1, i32::MAX] {
+            let mut acc = vec![a; units.len()];
+            bank.activate_all(&mut acc);
+            for (o, unit) in units.iter().enumerate() {
+                assert_eq!(acc[o], i32::from(unit.activate(a)), "unit {o} a={a}");
+                assert_eq!(unit.activate(a), unit.activate_linear(a), "unit {o} a={a}");
+            }
+        }
+    }
 
     #[test]
     fn quantize_partitions_range_evenly() {

@@ -2,10 +2,77 @@
 
 use qnn_testkit::{any, prop_assert, prop_assert_eq, prop_assume, props, Strategy};
 use qnn_quant::{
-    dot_codes, dot_pm1, weighted_average, ActPlanes, BnParams, QuantSpec, SoftmaxLadder,
-    ThresholdUnit, SOFTMAX_WEIGHT_BITS,
+    dot_codes, dot_pm1, weighted_average, ActPlanes, BnParams, PlaneRing, QuantSpec,
+    SoftmaxLadder, ThresholdBank, ThresholdUnit, SOFTMAX_WEIGHT_BITS,
 };
 use qnn_tensor::BitVec;
+
+/// Values where an `i32` accumulator and an `i64` threshold part ways.
+const EDGES: [i64; 12] = [
+    i64::MIN,
+    i32::MIN as i64 - 1,
+    i32::MIN as i64,
+    i32::MIN as i64 + 1,
+    -2,
+    0,
+    0,
+    3,
+    i32::MAX as i64 - 1,
+    i32::MAX as i64,
+    i32::MAX as i64 + 1,
+    i64::MAX,
+];
+
+/// A threshold unit of every construction the public API offers, drawn
+/// from `seed`: increasing / decreasing / constant, duplicate thresholds,
+/// thresholds at and beyond the ends of the `i32` range.
+fn unit_from(kind: u8, seed: u64) -> ThresholdUnit {
+    let pick = |k: u32| (seed >> (5 * k)) as usize;
+    let spec = QuantSpec::paper_2bit();
+    match kind {
+        // Small ascending thresholds, duplicates likely.
+        0 => {
+            let mut ts: Vec<i64> = (0..pick(0) % 7).map(|k| (pick(k as u32 + 1) % 9) as i64 - 4).collect();
+            ts.sort_unstable();
+            ThresholdUnit::from_raw_thresholds(ts)
+        }
+        // Increasing, thresholds at the edges of (and outside) i32.
+        1 => {
+            let mut ts: Vec<i64> = (0..pick(0) % 6).map(|k| EDGES[pick(k as u32 + 1) % EDGES.len()]).collect();
+            ts.sort_unstable();
+            ThresholdUnit::from_raw_thresholds(ts)
+        }
+        // Decreasing (wire direction 1) or constant (2) inside i32.
+        2 | 3 => {
+            let mut ts: Vec<i32> = (1..4)
+                .map(|k| EDGES[2 + pick(k) % 8].clamp(i32::MIN.into(), i32::MAX.into()) as i32)
+                .collect();
+            ts.sort_unstable();
+            let head = if kind == 2 { 1 } else { 2 };
+            ThresholdUnit::from_wire(&[head, ts[0], ts[1], ts[2]], 2)
+        }
+        // BatchNorm slopes from vanishing (thresholds saturate at the ends
+        // of i64, either direction) through zero (constant) to steep.
+        _ => {
+            let slopes = [1e-30f32, -1e-30, 1e-8, -1e-8, 0.0, 0.3, -0.3, 40.0, -40.0];
+            let gamma = slopes[pick(0) % slopes.len()];
+            let mu = (pick(1) % 2001) as f32 - 1000.0;
+            let beta = (pick(2) % 9) as f32 - 2.0;
+            ThresholdUnit::from_batchnorm(&BnParams::new(gamma, mu, 1.0, beta), &spec)
+        }
+    }
+}
+
+/// An accumulator drawn from `seed`: the ends of `i32`, the neighbourhood
+/// of the small thresholds, or anything.
+fn acc_from(seed: u64) -> i32 {
+    match seed % 4 {
+        0 => [i32::MIN, i32::MIN + 1, i32::MAX - 1, i32::MAX][(seed >> 2) as usize % 4],
+        1 => ((seed >> 2) % 13) as i32 - 6,
+        2 => ((seed >> 2) % 2101) as i32 - 1050,
+        _ => (seed >> 2) as i32,
+    }
+}
 
 fn finite_param() -> impl qnn_testkit::Strategy<Value = f32> {
     (-8.0f32..8.0).prop_filter("nonzero-ish", |x| x.abs() > 1e-3 || *x == 0.0)
@@ -45,6 +112,63 @@ props! {
         ts.sort_unstable();
         let unit = ThresholdUnit::from_raw_thresholds(ts);
         prop_assert_eq!(unit.activate(a), unit.activate_linear(a));
+    }
+
+    /// The comparator bank, the binary search and the linear comparator
+    /// scan agree on every unit the public API can build, position by
+    /// position and along a stream that starts and ends mid-bank.
+    #[test]
+    fn threshold_bank_equals_unit_search_equals_scan(
+        units in qnn_testkit::vec((0u8..5, any::<u64>()), 1..80),
+        accs in qnn_testkit::vec(any::<u64>(), 1..200),
+        first in any::<u64>(),
+    ) {
+        let units: Vec<ThresholdUnit> = units.iter().map(|&(k, s)| unit_from(k, s)).collect();
+        let bank = ThresholdBank::new(&units);
+        let o = units.len();
+        let mut position: Vec<i32> = (0..o).map(|c| acc_from(accs[c % accs.len()])).collect();
+        let before = position.clone();
+        bank.activate_all(&mut position);
+        for (c, unit) in units.iter().enumerate() {
+            prop_assert_eq!(unit.activate(before[c]), unit.activate_linear(before[c]));
+            prop_assert_eq!(position[c], i32::from(unit.activate(before[c])), "unit {c}");
+        }
+        let first = (first % o as u64) as usize;
+        let stream: Vec<i32> = accs.iter().map(|&s| acc_from(s)).collect();
+        let mut run = stream.clone();
+        bank.activate_run(first, &mut run);
+        for (i, (&a, &q)) in stream.iter().zip(&run).enumerate() {
+            prop_assert_eq!(q, i32::from(units[(first + i) % o].activate(a)), "element {i}");
+        }
+    }
+
+    /// A run of arriving elements written word-at-a-time lands exactly
+    /// where the per-element `set` loop puts it: any plane count, any
+    /// start slot, runs that cross word seams and the ring seam (or lap
+    /// the ring), code bits above the plane count — sign included —
+    /// dropped.
+    #[test]
+    fn ring_write_codes_equals_set_loop(
+        bits in 1u32..9,
+        cap in 1usize..260,
+        start in any::<u64>(),
+        raw in qnn_testkit::vec(any::<u32>(), 0..201),
+        prior in any::<u64>(),
+    ) {
+        let slot = (start % cap as u64) as usize;
+        let codes: Vec<i32> = raw.iter().map(|&r| r as i32).collect();
+        let mut got = PlaneRing::new(bits, cap);
+        for s in 0..cap {
+            got.set(s, (prior >> (s % 57)) as u8);
+        }
+        let mut expect = got.clone();
+        got.write_codes(slot, &codes);
+        for (j, &code) in codes.iter().enumerate() {
+            expect.set((slot + j) % cap, code as u8);
+        }
+        for s in 0..cap {
+            prop_assert_eq!(got.code(s), expect.code(s), "slot {s}");
+        }
     }
 
     /// Plane-decomposed dot product equals the code-level reference for any

@@ -91,6 +91,8 @@
 //! assert_eq!(report.completed, 4);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod config;
 mod registry;
 mod server;

@@ -71,16 +71,14 @@ impl BitVec {
         (self.words[i / WORD_BITS] >> (i % WORD_BITS)) & 1 == 1
     }
 
-    /// Write bit `i`.
+    /// Write bit `i`. A mask-merge, not a branch on `v`: activation bits
+    /// are close to coin flips, and the streaming kernels write one per
+    /// plane per arriving element.
     #[inline]
     pub fn set(&mut self, i: usize, v: bool) {
         debug_assert!(i < self.len);
         let (w, b) = (i / WORD_BITS, i % WORD_BITS);
-        if v {
-            self.words[w] |= 1 << b;
-        } else {
-            self.words[w] &= !(1 << b);
-        }
+        self.words[w] = (self.words[w] & !(1 << b)) | (u64::from(v) << b);
     }
 
     /// The ±1 value encoded by bit `i`.
@@ -167,6 +165,23 @@ impl BitVec {
         assert!(src_off + len <= src.len, "copy_bitrange source overrun");
         assert!(dst_off + len <= self.len, "copy_bitrange destination overrun");
         copy_bitrange(&mut self.words, dst_off, &src.words, src_off, len);
+    }
+
+    /// Overwrite the `n ∈ 1..=64` bits starting at bit `off` with the low
+    /// `n` bits of `v` (bit `j` of `v` lands at `off + j`), leaving every
+    /// other bit untouched — the register-to-plane store of
+    /// `PlaneRing::write_codes`, where [`BitVec::copy_bitrange_from`] is the
+    /// plane-to-plane one.
+    ///
+    /// # Panics
+    /// Panics if `n` is outside `1..=64`, the span runs past the vector, or
+    /// `v` has bits set at or above `n`.
+    #[inline]
+    pub fn store_bits(&mut self, off: usize, n: usize, v: u64) {
+        assert!((1..=WORD_BITS).contains(&n), "store_bits width {n} outside 1..=64");
+        assert!(off + n <= self.len, "store_bits overrun");
+        assert!(n == WORD_BITS || v >> n == 0, "store_bits value wider than {n} bits");
+        set_bits(&mut self.words, off, n, v);
     }
 
     /// Popcount of the `len`-bit span starting at bit `off`.
@@ -437,6 +452,56 @@ mod tests {
             dst.copy_bitrange_from(dst_off, &src, src_off, len);
             assert_eq!(dst, expect, "src_off={src_off} dst_off={dst_off} len={len}");
         }
+    }
+
+    #[test]
+    fn set_is_a_mask_merge_at_word_seams() {
+        // Against the branching form it replaced (`|=` / `&= !`), writing
+        // both values over both prior values on each side of every seam.
+        for i in [0usize, 1, 62, 63, 64, 65, 127, 128, 190, 199] {
+            for prior in [false, true] {
+                for v in [false, true] {
+                    let mut got = patterned(200, 11);
+                    got.set(i, prior);
+                    let mut expect = got.clone();
+                    let (w, b) = (i / WORD_BITS, i % WORD_BITS);
+                    if v {
+                        expect.words[w] |= 1 << b;
+                    } else {
+                        expect.words[w] &= !(1 << b);
+                    }
+                    got.set(i, v);
+                    assert_eq!(got, expect, "bit {i}: {prior} -> {v}");
+                    assert_eq!(got.get(i), v);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn store_bits_matches_a_set_loop_across_word_seams() {
+        for (off, n) in [(0, 64), (0, 1), (63, 1), (63, 2), (1, 64), (60, 9), (64, 64), (130, 64), (199, 1), (136, 64)] {
+            let v = 0xA5C3_96F0_1E87_D24Bu64 >> (WORD_BITS - n);
+            let mut got = patterned(200, 29);
+            let mut expect = got.clone();
+            for j in 0..n {
+                expect.set(off + j, (v >> j) & 1 == 1);
+            }
+            got.store_bits(off, n, v);
+            assert_eq!(got, expect, "off={off} n={n}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "store_bits overrun")]
+    fn store_bits_rejects_overrun() {
+        BitVec::zeros(70).store_bits(60, 11, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "wider than")]
+    fn store_bits_rejects_stray_high_bits() {
+        BitVec::zeros(70).store_bits(0, 3, 0b1000);
     }
 
     #[test]

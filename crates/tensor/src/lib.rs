@@ -11,6 +11,8 @@
 //! [`BitVec`] / [`BinaryFilters`], packed 64 per machine word so that the
 //! XNOR-popcount convolution in `qnn-quant` runs on whole words.
 
+#![forbid(unsafe_code)]
+
 pub mod bits;
 pub mod shape;
 pub mod tensor;

@@ -16,6 +16,8 @@
 //! * [`bench`] — a wall-clock warmup/iterate/median/p95 runner for the
 //!   `harness = false` benches (replaces `criterion`).
 
+#![forbid(unsafe_code)]
+
 pub mod bench;
 pub mod prop;
 pub mod rng;
