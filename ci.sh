@@ -12,10 +12,12 @@
 # Modes:
 #   ci.sh                tier-1: offline release build + full test suite
 #                        + clippy
-#   ci.sh soak           NOT tier-1: the property suites only, in release,
-#                        at QNN_TEST_CASES=1024 (overridable) — a
-#                        long-running hunt for rare ring-buffer/stall/
-#                        scheduler/shrink bugs (see README).
+#   ci.sh soak           NOT tier-1: the property suites, in release, at
+#                        QNN_TEST_CASES=1024 (overridable) — a long-running
+#                        hunt for rare ring-buffer/stall/scheduler/re-arm/
+#                        shrink bugs (see README) — plus the serving policy
+#                        suite at release speed, where service times are
+#                        short enough for batcher races to show.
 #   ci.sh release-tests  NOT tier-1: the `#[ignore]`d ImageNet/STL-scale
 #                        full-network runs, in release (minutes, not
 #                        tier-1 seconds).
@@ -77,12 +79,14 @@ if [[ "${1:-}" == "soak" ]]; then
   run cargo test -q --release --offline -p dfe-platform --lib span_io_slice_ops
   run cargo test -q --release --offline -p dfe-platform --test span_conservation
   run cargo test -q --release --offline -p qnn --test property_streaming
+  run cargo test -q --release --offline -p qnn --test pipeline_rearm
   run cargo test -q --release --offline -p qnn --test scheduler_equivalence
   run cargo test -q --release --offline -p qnn --test conv_datapath_equivalence
   run cargo test -q --release --offline -p qnn --test macro_tick_equivalence
   run cargo test -q --release --offline -p qnn --test dse_frontier
   run cargo test -q --release --offline -p hw-model --test folding_monotonic
   run cargo test -q --release --offline -p qnn --test serve_multimodel
+  run cargo test -q --release --offline -p qnn-serve --test serving
   run cargo test -q --release --offline -p qnn --test transformer_equivalence
   run cargo test -q --release --offline -p qnn-cluster --test wire_proptests
   echo "ci.sh soak: all green"

@@ -16,10 +16,6 @@
 use qnn::cluster::{Autoscaler, AutoscalerConfig};
 use qnn::dfe::MAIA_FCLK_MHZ;
 use qnn::nn::{models, Network};
-// The deprecated `serve` shim stays in the bench so the closure path keeps
-// a throughput baseline until removal (new code: Server::builder).
-#[allow(deprecated)]
-use qnn::serve::serve;
 use qnn::serve::{
     DispatchPolicy, ModelOptions, Priority, Server, ServerConfig, ServerReport, SubmitOptions,
     Ticket,
@@ -42,39 +38,41 @@ fn trace() -> Vec<Tensor3<i8>> {
         .collect()
 }
 
-#[allow(deprecated)]
 fn serve_trace(net: &Network, images: &[Tensor3<i8>], replicas: usize) -> ServerReport {
-    // Long flush deadline + round-robin pinned: the burst always fills
-    // batches to max_batch and shard sizes depend only on the flush
-    // sequence, so the cycle makespan is deterministic run to run (the
-    // default least-loaded policy shards by wall-clock timing).
+    // One image per batch + round-robin pinned: shard sizes depend only on
+    // the flush sequence, so the cycle makespan is deterministic run to
+    // run. (Larger batches would not be: the work-conserving batcher cuts
+    // them wherever a replica happens to free, and the default
+    // least-loaded policy shards by wall-clock timing.)
     let config = ServerConfig {
         replicas,
-        max_batch: 2,
-        flush_deadline: Duration::from_secs(1),
+        max_batch: 1,
         dispatch: DispatchPolicy::RoundRobin,
         ..ServerConfig::default()
     };
-    let ((), report) = serve(net, &config, |client| {
-        let tickets: Vec<Ticket> =
-            images.iter().map(|i| client.submit(i.clone()).expect("admitted")).collect();
-        for t in tickets {
-            t.wait().expect("answered");
-        }
-    });
+    let server = Server::builder().config(config).model("m", net).start().expect("valid server");
+    let client = server.client();
+    let tickets: Vec<Ticket> =
+        images.iter().map(|i| client.submit(i.clone()).expect("admitted")).collect();
+    for t in tickets {
+        t.wait().expect("answered");
+    }
+    let report = server.shutdown();
     assert_eq!(report.completed, REQUESTS as u64);
     report
 }
 
-/// Two-model mixed load: a foreground model ("fg") takes a trickle of
-/// latency-sensitive requests while a background model ("bg") keeps batch
-/// pressure on the server. Returns the foreground p95 latency when the
-/// trickle runs as `Priority::Interactive` (own 1 ms flush deadline,
-/// dispatched first) vs. as the default batch class (waits out the 25 ms
-/// batch flush deadline in its partial batches).
+/// Mixed load on one pool: a foreground trickle of latency-sensitive
+/// requests shares a model — and its single replica — with a background
+/// burst that keeps a backlog of batch-class work queued. Returns the
+/// foreground p95 latency when the trickle runs as `Priority::Interactive`
+/// (its own lane, dispatched first whenever the replica can take a batch)
+/// vs. as the default batch class (in line behind the backlog). An idle
+/// pool would serve both at once — the batcher is work-conserving — so the
+/// classes only differ under pressure; service time is a synthetic
+/// per-batch delay, so the contrast is reproducible on any host.
 fn mixed_load_fg_p95(net: &Network, interactive: bool) -> Duration {
     let config = ServerConfig {
-        replicas: 1,
         max_batch: 4,
         flush_deadline: Duration::from_millis(25),
         interactive_flush_deadline: Duration::from_millis(1),
@@ -82,48 +80,37 @@ fn mixed_load_fg_p95(net: &Network, interactive: bool) -> Duration {
     };
     let server = Server::builder()
         .config(config)
-        .model("fg", net)
-        .model("bg", net)
+        .model_with("m", net, ModelOptions::new().synthetic_delay(Duration::from_millis(2)))
         .start()
         .expect("valid server");
     let client = server.client();
 
-    let bg_client = client.clone();
-    let background = std::thread::spawn(move || {
-        let mut rng = Rng::seed_from_u64(13);
-        let tickets: Vec<Ticket> = (0..24)
-            .map(|_| {
-                let img = Tensor3::from_fn(Shape3::square(8, 3), |_, _, _| {
-                    rng.gen_range(-127i8..=127)
-                });
-                bg_client.submit_with(img, SubmitOptions::model("bg")).expect("admitted")
-            })
-            .collect();
-        for t in tickets {
-            t.wait().expect("answered");
-        }
-    });
+    // 48 requests at once: twelve 2 ms batches of backlog, draining for the
+    // whole 25 ms the trickle lasts.
+    let mut rng = Rng::seed_from_u64(13);
+    let mut random_image =
+        move || Tensor3::from_fn(Shape3::square(8, 3), |_, _, _| rng.gen_range(-127i8..=127));
+    let background: Vec<Ticket> =
+        (0..48).map(|_| client.submit(random_image()).expect("admitted")).collect();
 
-    let mut rng = Rng::seed_from_u64(17);
     let mut fg_tickets = Vec::new();
     for _ in 0..10 {
-        let img =
-            Tensor3::from_fn(Shape3::square(8, 3), |_, _, _| rng.gen_range(-127i8..=127));
         let opts = if interactive {
-            SubmitOptions::model("fg").priority(Priority::Interactive)
+            SubmitOptions::default().priority(Priority::Interactive)
         } else {
-            SubmitOptions::model("fg")
+            SubmitOptions::default()
         };
-        fg_tickets.push(client.submit_with(img, opts).expect("admitted"));
-        std::thread::sleep(Duration::from_millis(5));
+        fg_tickets.push(client.submit_with(random_image(), opts).expect("admitted"));
+        std::thread::sleep(Duration::from_micros(2500));
     }
-    for t in fg_tickets {
+    let mut latencies: Vec<Duration> =
+        fg_tickets.into_iter().map(|t| t.wait().expect("answered").stats.latency).collect();
+    for t in background {
         t.wait().expect("answered");
     }
-    background.join().expect("background submitter");
-
-    let report = server.shutdown();
-    report.model("fg").and_then(|m| m.latency).expect("fg requests completed").p95
+    server.shutdown();
+    latencies.sort();
+    latencies[(latencies.len() - 1) * 95 / 100]
 }
 
 /// Cluster scenario: a saturating interactive stream hits a "hot" model
@@ -259,7 +246,7 @@ fn main() {
         })
         .collect();
     println!(
-        "\n== serving scaling ({REQUESTS} requests, max_batch 2, device clock {MAIA_FCLK_MHZ} MHz) ==\n{}",
+        "\n== serving scaling ({REQUESTS} requests, max_batch 1, device clock {MAIA_FCLK_MHZ} MHz) ==\n{}",
         render_table(
             &["replicas", "device img/s", "speedup", "efficiency", "host img/s", "host speedup"],
             &rows
@@ -279,7 +266,7 @@ fn main() {
         .min()
         .expect("at least one run");
     println!(
-        "\n== mixed load (fg trickle under bg batch pressure, two models) ==\n\
+        "\n== mixed load (fg trickle behind a bg backlog, one pool) ==\n\
          fg p95 latency: interactive class {:.3} ms, single class {:.3} ms",
         interactive_p95.as_secs_f64() * 1e3,
         single_class_p95.as_secs_f64() * 1e3,

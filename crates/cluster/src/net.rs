@@ -7,10 +7,11 @@
 //!   submits each request straight into the wrapped server (so admission,
 //!   batching, and scheduling are exactly the in-process paths — the edge
 //!   adds no queueing of its own);
-//! * a **completion** thread holds the resulting tickets and writes each
-//!   response the moment its ticket resolves — **out of order** by
-//!   request id, so one slow batch never head-of-line-blocks the
-//!   connection.
+//! * a **completion** thread sleeps on the connection's one reply channel
+//!   — every request of the connection is submitted with it
+//!   (`Client::submit_to`, tagged with its wire id) — and writes each
+//!   response the moment it arrives: **in completion order**, so one slow
+//!   batch never head-of-line-blocks the connection.
 //!
 //! Reads run under a short timeout so every blocked thread notices the
 //! server's stop flag; the [`FrameBuffer`] keeps partial frames across
@@ -26,15 +27,15 @@ use crate::wire::{
 };
 use qnn_compiler::Logits;
 use qnn_serve::{
-    Client, Dropped, Response, Server, ServerReport, SubmitError, SubmitOptions, Ticket,
+    Client, Completion, Dropped, Response, Server, ServerReport, SubmitError, SubmitOptions,
 };
 use qnn_tensor::Tensor3;
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::{channel, sync_channel, Receiver, RecvTimeoutError, Sender, SyncSender};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -43,11 +44,10 @@ use std::time::{Duration, Instant};
 const READ_TIMEOUT: Duration = Duration::from_millis(50);
 /// Read chunk size; frames larger than this reassemble across reads.
 const READ_BUF: usize = 64 * 1024;
-/// Bounded ticket hand-off between a connection's reader and its
-/// completion thread; filling it backpressures the reader (and through
-/// it, the TCP window) instead of buffering unboundedly.
-const PENDING_DEPTH: usize = 1024;
-/// Default [`NetServer`] guard against tickets that never resolve.
+/// How often a connection's completion thread looks for requests that
+/// outlived the response timeout (it sleeps on the reply channel between).
+const TIMEOUT_SWEEP: Duration = Duration::from_millis(250);
+/// Default [`NetServer`] guard against requests that never resolve.
 const DEFAULT_RESPONSE_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// A TCP front-end wrapping a [`Server`]. Dropping without
@@ -137,12 +137,15 @@ fn accept_loop(
     }
 }
 
-/// A ticket awaiting its response, tagged with the *wire* request id (the
-/// client's id space, distinct from the server's internal ids).
-struct Pending {
-    wire_id: u64,
-    ticket: Ticket,
-    since: Instant,
+/// A connection's admitted, unanswered requests: wire id → when it was
+/// admitted. The reader adds an id *before* submitting it, so a completion
+/// always finds its entry; whoever removes the entry — the completion or
+/// the timeout sweep — answers the request, exactly once. The server's
+/// admission bound keeps the map small.
+type Outstanding = Arc<Mutex<HashMap<u64, Instant>>>;
+
+fn unanswered(outstanding: &Outstanding) -> MutexGuard<'_, HashMap<u64, Instant>> {
+    outstanding.lock().expect("outstanding map poisoned")
 }
 
 fn serve_conn(
@@ -157,10 +160,11 @@ fn serve_conn(
     let _ = stream.set_nodelay(true);
     let Ok(write_half) = stream.try_clone() else { return };
     let writer = Arc::new(Mutex::new(write_half));
-    let (tx, rx) = sync_channel::<Pending>(PENDING_DEPTH);
+    let outstanding = Outstanding::default();
+    let (replies, completions) = channel::<Completion>();
     let completion = thread::Builder::new().name("qnn-net-completion".into()).spawn({
-        let writer = Arc::clone(&writer);
-        move || completion_loop(rx, writer, response_timeout)
+        let (writer, outstanding) = (Arc::clone(&writer), Arc::clone(&outstanding));
+        move || completion_loop(completions, outstanding, writer, response_timeout)
     });
     let Ok(completion) = completion else { return };
 
@@ -176,9 +180,7 @@ fn serve_conn(
                     match frames.next_frame() {
                         Ok(None) => break,
                         Ok(Some(Frame::Request(req))) => {
-                            if !handle_request(req, &client, &writer, &tx) {
-                                break 'conn;
-                            }
+                            handle_request(req, &client, &writer, &outstanding, &replies);
                         }
                         Ok(Some(_)) => {
                             // Only requests flow client → server.
@@ -213,101 +215,92 @@ fn serve_conn(
             Err(_) => break,
         }
     }
-    // Closing the hand-off lets the completion thread drain what is
-    // already in flight and exit; admitted requests still resolve inside
-    // the server, so the admission ledger balances even when the peer
-    // disconnected mid-request.
-    drop(tx);
+    // Dropping the reader's end of the reply channel leaves the requests in
+    // flight holding the only senders: the completion thread drains them
+    // and exits when the last one resolves. Admitted requests resolve
+    // inside the server whatever the peer does, so the admission ledger
+    // balances even when it disconnected mid-request.
+    drop(replies);
     let _ = completion.join();
     let _ = reader.shutdown(Shutdown::Both);
 }
 
-/// Submit one decoded request. Returns `false` when the connection should
-/// drop (the completion thread is gone).
+/// Submit one decoded request, its completion routed to the connection's
+/// reply channel under its wire id.
 fn handle_request(
     req: RequestFrame,
     client: &Client,
     writer: &Arc<Mutex<TcpStream>>,
-    tx: &SyncSender<Pending>,
-) -> bool {
+    outstanding: &Outstanding,
+    replies: &Sender<Completion>,
+) {
     let RequestFrame { id: wire_id, model, priority, deadline_us, image } = req;
     let opts = SubmitOptions {
         model: if model.is_empty() { None } else { Some(model) },
         priority,
         deadline: deadline_us.map(Duration::from_micros),
     };
-    match client.submit_with(image, opts) {
-        Ok(ticket) => tx.send(Pending { wire_id, ticket, since: Instant::now() }).is_ok(),
-        Err(e) => {
-            let code = match &e {
-                SubmitError::QueueFull(_) => ErrorCode::Rejected,
-                SubmitError::UnknownModel { .. } => ErrorCode::UnknownModel,
-                SubmitError::AmbiguousModel(_) => ErrorCode::BadRequest,
-                SubmitError::Stopped => ErrorCode::Stopped,
-            };
-            write_frame(writer, &error_frame(wire_id, code, &e.to_string()));
-            true
+    match unanswered(outstanding).entry(wire_id) {
+        Entry::Vacant(slot) => slot.insert(Instant::now()),
+        Entry::Occupied(_) => {
+            let message = "request id is already in flight on this connection";
+            write_frame(writer, &error_frame(wire_id, ErrorCode::BadRequest, message));
+            return;
         }
+    };
+    if let Err(e) = client.submit_to(image, opts, wire_id, replies) {
+        unanswered(outstanding).remove(&wire_id);
+        let code = match &e {
+            SubmitError::QueueFull(_) => ErrorCode::Rejected,
+            SubmitError::UnknownModel { .. } => ErrorCode::UnknownModel,
+            SubmitError::AmbiguousModel(_) => ErrorCode::BadRequest,
+            SubmitError::Stopped => ErrorCode::Stopped,
+        };
+        write_frame(writer, &error_frame(wire_id, code, &e.to_string()));
     }
 }
 
-/// Stream responses back as tickets resolve, in resolution order — not
-/// submission order.
+/// Stream responses back as requests resolve, in resolution order — not
+/// submission order — and answer [`ErrorCode::Timeout`] for any that
+/// outlive `response_timeout` (e.g. a lost worker). Returns once the
+/// reader has gone and every admitted request has resolved.
 fn completion_loop(
-    rx: Receiver<Pending>,
+    completions: Receiver<Completion>,
+    outstanding: Outstanding,
     writer: Arc<Mutex<TcpStream>>,
     response_timeout: Duration,
 ) {
-    let mut pending: Vec<Pending> = Vec::new();
-    // Once a write fails the peer is gone; keep draining tickets (they
-    // resolve inside the server regardless) but stop writing.
+    // Once a write fails the peer is gone; keep draining completions (the
+    // requests resolve inside the server regardless) but stop writing.
     let mut peer_alive = true;
+    let sweep_every = TIMEOUT_SWEEP.min(response_timeout);
+    let mut swept = Instant::now();
     loop {
-        if pending.is_empty() {
-            // Idle: block until the reader hands over a ticket (or goes
-            // away, which ends the connection's completion work).
-            match rx.recv() {
-                Ok(p) => pending.push(p),
-                Err(_) => return,
-            }
-        }
-        while let Ok(p) = rx.try_recv() {
-            pending.push(p);
-        }
-        // Park briefly on the oldest ticket, then sweep the rest without
-        // blocking — resolution order, not submission order.
-        let head = pending[0].ticket.wait_timeout(Duration::from_millis(5));
-        let mut done: Vec<usize> = Vec::new();
-        if let Some(resolution) = head {
-            if peer_alive && !write_resolution(&writer, pending[0].wire_id, resolution) {
-                peer_alive = false;
-            }
-            done.push(0);
-        }
-        for (i, p) in pending.iter().enumerate().skip(1) {
-            if let Some(resolution) = p.ticket.try_wait() {
-                if peer_alive && !write_resolution(&writer, p.wire_id, resolution) {
-                    peer_alive = false;
+        match completions.recv_timeout(sweep_every) {
+            Ok(Completion { tag: wire_id, result }) => {
+                if unanswered(&outstanding).remove(&wire_id).is_some() && peer_alive {
+                    peer_alive = write_resolution(&writer, wire_id, result);
                 }
-                done.push(i);
             }
+            Err(RecvTimeoutError::Timeout) => {}
+            Err(RecvTimeoutError::Disconnected) => return,
         }
-        // Guard against tickets that will never resolve (e.g. a lost
-        // worker): answer Timeout and forget them.
-        for (i, p) in pending.iter().enumerate() {
-            if !done.contains(&i) && p.since.elapsed() > response_timeout {
+        if swept.elapsed() >= sweep_every {
+            swept = Instant::now();
+            let mut expired = Vec::new();
+            unanswered(&outstanding).retain(|&wire_id, since| {
+                let late = since.elapsed() > response_timeout;
+                if late {
+                    expired.push(wire_id);
+                }
+                !late
+            });
+            for wire_id in expired {
                 if peer_alive {
-                    write_frame(
-                        &writer,
-                        &error_frame(p.wire_id, ErrorCode::Timeout, "response timed out"),
-                    );
+                    let frame = error_frame(wire_id, ErrorCode::Timeout, "response timed out");
+                    peer_alive = write_frame(&writer, &frame);
                 }
-                done.push(i);
             }
-        }
-        done.sort_unstable();
-        for i in done.into_iter().rev() {
-            pending.remove(i);
         }
     }
 }

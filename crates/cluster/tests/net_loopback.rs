@@ -103,6 +103,79 @@ fn responses_stream_out_of_order_by_request_id() {
 }
 
 #[test]
+fn resolved_reply_does_not_wait_behind_an_older_slower_one() {
+    // The completion thread sleeps on the connection's reply channel, not
+    // on its oldest request: with a 100 ms request outstanding, a later
+    // request to an idle pool is on the wire as soon as it resolves.
+    let net = Network::random(models::test_net(8, 4, 2), 33);
+    let server = Server::builder()
+        .model("fast", &net)
+        .model_with(
+            "slow",
+            &net,
+            ModelOptions::new().synthetic_delay(Duration::from_millis(100)),
+        )
+        .start()
+        .expect("valid server");
+    let edge = NetServer::bind(server, "127.0.0.1:0").expect("bind loopback");
+    let client = NetClient::connect(edge.local_addr()).expect("connect");
+    let img = trace(1, 0xF00).pop().expect("one image");
+
+    // Warm the fast pool's pipeline so the timed request only runs it.
+    client.submit(img.clone(), SubmitOptions::model("fast")).expect("submit").wait().expect("ok");
+    let slow = client.submit(img.clone(), SubmitOptions::model("slow")).expect("submit slow");
+    let started = Instant::now();
+    client.submit(img, SubmitOptions::model("fast")).expect("submit fast").wait().expect("ok");
+    let waited = started.elapsed();
+    assert!(
+        waited < Duration::from_millis(20),
+        "resolved reply waited {waited:?} behind an older, slower request"
+    );
+    assert_eq!(slow.wait_timeout(Duration::ZERO), None, "the slow request is still in flight");
+    slow.wait().expect("slow eventually answers");
+
+    drop(client);
+    let report = edge.shutdown();
+    assert_eq!(report.completed, 3);
+}
+
+#[test]
+fn duplicate_in_flight_request_id_is_refused() {
+    // Replies are routed by wire id, so an id may be in flight once.
+    let net = Network::random(models::test_net(8, 4, 2), 34);
+    let server = Server::builder()
+        .model_with("m", &net, ModelOptions::new().synthetic_delay(Duration::from_millis(100)))
+        .start()
+        .expect("valid server");
+    let edge = NetServer::bind(server, "127.0.0.1:0").expect("bind loopback");
+    let mut raw = TcpStream::connect(edge.local_addr()).expect("connect raw");
+    let request = Frame::Request(qnn_cluster::wire::RequestFrame {
+        id: 7,
+        model: "m".into(),
+        priority: Priority::Batch,
+        deadline_us: None,
+        image: trace(1, 0xD0B).pop().expect("one image"),
+    })
+    .encode();
+    raw.write_all(&request).expect("first request");
+    raw.write_all(&request).expect("same id again");
+    match read_one_frame(&mut raw) {
+        Some(Frame::Error(ErrorFrame { id: 7, code: ErrorCode::BadRequest, message })) => {
+            assert!(message.contains("already in flight"), "message was: {message}");
+        }
+        other => panic!("expected a BadRequest for the duplicate id, got {other:?}"),
+    }
+    match read_one_frame(&mut raw) {
+        Some(Frame::Response(r)) => assert_eq!(r.id, 7),
+        other => panic!("expected the first request's response, got {other:?}"),
+    }
+    drop(raw);
+    let report = edge.shutdown();
+    assert_eq!(report.submitted, 1);
+    assert_eq!(report.completed, 1);
+}
+
+#[test]
 fn unknown_model_resolves_to_a_typed_remote_error() {
     let net = Network::random(models::test_net(8, 4, 2), 41);
     let server = Server::builder().model("mnist", &net).start().expect("valid server");

@@ -25,7 +25,10 @@ pub mod run;
 
 pub use dse::{explore, DesignPoint, DseConfig, Frontier, ResourceBudget};
 pub use hw_model::{Fold, FoldPlan};
-pub use lower::{compile, try_compile, validate_options, CompileOptions, CompiledNetwork, OptionsError};
+pub use lower::{
+    compile, elaborate, try_compile, validate_options, CompileOptions, CompiledNetwork,
+    OptionsError,
+};
 pub use partition::{partition, partition_balanced, Partition, PartitionError};
-pub use replicate::{compile_replicas, ArtifactCache, ModelArtifact, Replica, SpecMismatch};
+pub use replicate::{ArtifactCache, ModelArtifact, SpecMismatch};
 pub use run::{run_image, run_images, Logits, SimResult};

@@ -1,10 +1,11 @@
 //! Lowering: network spec + parameters → streaming kernel graph(s).
 
-use dfe_platform::threaded::link;
+use dfe_platform::threaded::{link, LinkHandle};
 use dfe_platform::{
-    Graph, HostSink, HostSource, Kernel, SchedulerMode, SinkHandle, StreamId, StreamSpec,
+    Graph, HostSink, HostSource, Kernel, SchedulerMode, SinkHandle, SourceHandle, StreamId,
+    StreamSpec,
 };
-use hw_model::{Fold, FoldPlan};
+use hw_model::{CycleModel, Fold, FoldPlan};
 use qnn_kernels::loader::encode_conv_params;
 use qnn_kernels::{
     AddKernel, AttentionHeadKernel, ConcatKernel, ConvDatapath, ConvKernel, DotMode,
@@ -35,8 +36,8 @@ pub struct CompileOptions {
     /// (§III-B1a) instead of instantiating pre-filled caches. Functionally
     /// identical; adds the one-time load cycles to the run.
     pub stream_parameters: bool,
-    /// Cycle-stepping strategy for every compiled device graph (and, via
-    /// `compile_replicas`, every `qnn-serve` replica worker). Dense and
+    /// Cycle-stepping strategy for every compiled device graph (and so
+    /// every `qnn-serve` replica worker). Dense and
     /// ReadyList are bit-identical in outputs and reports; the default
     /// follows `QNN_SCHEDULER` (ReadyList when unset).
     pub scheduler: SchedulerMode,
@@ -156,15 +157,65 @@ impl std::fmt::Display for OptionsError {
 impl std::error::Error for OptionsError {}
 
 /// A compiled network: one graph per device plus the logits sink handle.
+///
+/// Lowering and loading are separate steps. [`elaborate`] builds the
+/// kernels, rings and FIFOs once; [`CompiledNetwork::load`] arms that
+/// pipeline for one batch of images and can be called again after each
+/// [`CompiledNetwork::run`], so a long-lived owner (a `qnn-serve` replica)
+/// lowers its network once per weight version instead of once per batch.
+/// [`try_compile`] is the two steps back to back.
 pub struct CompiledNetwork {
     /// Device graphs in ring order. Length 1 for single-DFE builds.
     pub graphs: Vec<Graph>,
     /// Handle collecting `classes × images` logits.
     pub sink: SinkHandle,
-    /// Number of images preloaded into the source.
+    /// Number of images loaded into the source (0 until the first load).
     pub images: usize,
     /// Number of classes per image.
     pub classes: usize,
+    /// Shape every loaded image must have.
+    input: Shape3,
+    source: SourceHandle,
+    /// Each inter-device link with the elements it carries per image.
+    links: Vec<(LinkHandle, u64)>,
+    /// Generous cycle budget per loaded image: several times the fully
+    /// serialized bound (a correct pipeline finishes far earlier; a wedged
+    /// one times out).
+    pub(crate) budget_per_image: u64,
+    /// Injected stalls can produce legitimate full-stall cycles, so runs
+    /// with stall injection rely on the budget alone to bound them.
+    pub(crate) detect_deadlock: bool,
+    /// A run on this instance returned an error: its kernels and streams
+    /// hold mid-run state no re-arm is specified for.
+    pub(crate) failed: bool,
+}
+
+impl CompiledNetwork {
+    /// Arm the pipeline for one batch: hand `images` to the host source,
+    /// size the sink and every inter-device link for that many images, and
+    /// re-arm every device graph ([`Graph::rearm`]). The next run then
+    /// behaves exactly as on a [`try_compile`] of the same batch — same
+    /// logits, same cycle reports, same dispatch diagnostics.
+    ///
+    /// # Panics
+    /// Panics on an empty batch, on an image of the wrong shape, and on an
+    /// instance whose last run failed (elaborate a new one).
+    pub fn load(&mut self, images: &[Tensor3<i8>]) {
+        assert!(!images.is_empty(), "compile needs at least one image");
+        assert!(!self.failed, "a pipeline whose run failed cannot be reloaded");
+        let mut pixels = Vec::with_capacity(self.input.len() * images.len());
+        for img in images {
+            assert_eq!(img.shape(), self.input, "image shape mismatch");
+            pixels.extend(img.as_slice().iter().map(|&p| i32::from(p)));
+        }
+        self.source.refill(pixels);
+        self.sink.set_expected(self.classes * images.len());
+        for (link, per_image) in &self.links {
+            link.set_expected(per_image * images.len() as u64);
+        }
+        self.graphs.iter_mut().for_each(Graph::rearm);
+        self.images = images.len();
+    }
 }
 
 /// A stream endpoint: device index + stream id within that device's graph.
@@ -178,7 +229,7 @@ struct Builder {
     graphs: Vec<Graph>,
     fifo_capacity: usize,
     ring_capacity: usize,
-    links: usize,
+    links: Vec<(LinkHandle, u64)>,
     stream_parameters: bool,
     act_bits: u32,
     conv_datapath: ConvDatapath,
@@ -206,7 +257,7 @@ impl Builder {
                 .collect(),
             fifo_capacity: opts.fifo_capacity,
             ring_capacity: opts.ring_capacity,
-            links: 0,
+            links: Vec::new(),
             stream_parameters: opts.stream_parameters,
             act_bits,
             conv_datapath: opts.conv_datapath,
@@ -283,15 +334,17 @@ impl Builder {
         self.graphs[device].add_kernel(k, &ins, &outs);
     }
 
-    /// Move `wire` to `device` through a MaxRing channel if needed.
+    /// Move `wire` — `per_image` elements an image — to `device` through a
+    /// MaxRing channel if needed.
     #[allow(clippy::wrong_self_convention)] // "to" = destination device, not a conversion
-    fn to_device(&mut self, wire: Wire, device: usize, bits: u32, expected: u64) -> Wire {
+    fn to_device(&mut self, wire: Wire, device: usize, bits: u32, per_image: usize) -> Wire {
         if wire.device == device {
             return wire;
         }
-        let name = format!("ring{}", self.links);
-        self.links += 1;
-        let (egress, ingress) = link(&name, self.ring_capacity, expected);
+        let name = format!("ring{}", self.links.len());
+        // Sized by `CompiledNetwork::load`, once the batch is known.
+        let (egress, ingress) = link(&name, self.ring_capacity, 0);
+        self.links.push((egress.handle(), per_image as u64));
         self.kernel(wire.device, Box::new(egress), &[wire], &[]);
         let out = self.stream(device, format!("{name}.out"), bits, self.fifo_capacity);
         self.kernel(device, Box::new(ingress), &[], &[out]);
@@ -422,19 +475,30 @@ pub fn compile(net: &Network, images: &[Tensor3<i8>], opts: &CompileOptions) -> 
 }
 
 /// Validate `opts` against `net` without keeping the compiled graphs:
-/// compiles one all-zero image and reports the first override error.
+/// elaborates the network and reports the first override error.
 pub fn validate_options(net: &Network, opts: &CompileOptions) -> Result<(), OptionsError> {
-    let zero = Tensor3::<i8>::zeros(net.spec.input);
-    try_compile(net, &[zero], opts).map(|_| ())
+    elaborate(net, opts).map(|_| ())
 }
 
 /// Compile a network over `images` into per-device graphs, rejecting
-/// invalid `layer_folding` / `fifo_overrides` entries with a typed error.
+/// invalid `layer_folding` / `fifo_overrides` entries with a typed error:
+/// [`elaborate`], then [`CompiledNetwork::load`].
 pub fn try_compile(
     net: &Network,
     images: &[Tensor3<i8>],
     opts: &CompileOptions,
 ) -> Result<CompiledNetwork, OptionsError> {
+    let mut compiled = elaborate(net, opts)?;
+    compiled.load(images);
+    Ok(compiled)
+}
+
+/// Lower a network into per-device graphs with nothing loaded yet,
+/// rejecting invalid `layer_folding` / `fifo_overrides` entries with a
+/// typed error. Everything that does not depend on a batch happens here,
+/// once: kernels with their packed weights, FIFOs, inter-device rings, the
+/// replay marker and the per-image cycle budget.
+pub fn elaborate(net: &Network, opts: &CompileOptions) -> Result<CompiledNetwork, OptionsError> {
     for (label, fold) in opts.layer_folding.entries() {
         if fold.pe == 0 || fold.simd == 0 {
             return Err(OptionsError::ZeroFolding(label.clone()));
@@ -446,8 +510,6 @@ pub fn try_compile(
         }
     }
     let spec = &net.spec;
-    let n_images = images.len();
-    assert!(n_images > 0, "compile needs at least one image");
     let act_bits = spec.act_bits;
     let stage_device: Vec<usize> = opts
         .stage_device
@@ -462,19 +524,12 @@ pub fn try_compile(
 
     let mut b = Builder::new(devices, opts, act_bits);
 
-    // Image source on the first device.
-    let mut pixels = Vec::with_capacity(spec.input.len() * n_images);
-    for img in images {
-        assert_eq!(img.shape(), spec.input, "image shape mismatch");
-        pixels.extend(img.as_slice().iter().map(|&p| i32::from(p)));
-    }
+    // Image source on the first device; `load` hands it each batch.
     let mut prev = b.stream(stage_device[0], "image".into(), 8, opts.fifo_capacity);
-    b.kernel(
-        stage_device[0],
-        Box::new(HostSource::new("host.src", pixels).with_period(spec.input.len())),
-        &[],
-        &[prev],
-    );
+    let (source, source_handle) = HostSource::new("host.src", Vec::new())
+        .with_period(spec.input.len())
+        .refillable();
+    b.kernel(stage_device[0], Box::new(source), &[], &[prev]);
     let mut prev_shape = spec.input;
     let mut prev_bits = 8u32;
     // Carried skip stream (produced by an identity-linked residual stage).
@@ -484,13 +539,13 @@ pub fn try_compile(
 
     for (i, (stage, params)) in spec.stages.iter().zip(&net.params).enumerate() {
         let dev = stage_device[i];
-        prev = b.to_device(prev, dev, prev_bits, (prev_shape.len() * n_images) as u64);
+        prev = b.to_device(prev, dev, prev_bits, prev_shape.len());
         if let Some(s) = skip {
             // Skip crosses the cut only when the consumer needs it.
             let consumed_here =
                 matches!(stage, Stage::Residual { geom } if geom.downsample.is_none());
             if consumed_here && s.device != dev {
-                skip = Some(b.to_device(s, dev, 16, (prev_shape.len() * n_images) as u64));
+                skip = Some(b.to_device(s, dev, 16, prev_shape.len()));
             }
         }
         // Does the *next* stage consume a carried skip?
@@ -638,8 +693,6 @@ pub fn try_compile(
                     downsample,
                 },
             ) => {
-                let elems = (prev_shape.len() * n_images) as u64;
-                let _ = elems;
                 // --- establish the conv-path input and the skip input ---
                 let (conv_in, skip_in) = match (geom.downsample, downsample) {
                     (Some(ds_geom), Some(ds_filters)) => {
@@ -947,7 +1000,7 @@ pub fn try_compile(
 
     let logits = logits_wire.expect("network must end in a logits FC layer");
     let classes = spec.classes();
-    let (sink, handle) = HostSink::new("host.sink", classes * n_images);
+    let (sink, handle) = HostSink::new("host.sink", 0);
     let sink = sink.with_period(classes);
     b.kernel(logits.device, Box::new(sink), &[logits], &[]);
     // Arm the replay marker on the logits wire: one image boundary per
@@ -969,8 +1022,14 @@ pub fn try_compile(
     Ok(CompiledNetwork {
         graphs: b.graphs,
         sink: handle,
-        images: n_images,
+        images: 0,
         classes,
+        input: spec.input,
+        source: source_handle,
+        links: b.links,
+        budget_per_image: CycleModel::analyze(spec).serial_bound() * 8 + 2_000_000,
+        detect_deadlock: opts.stall_injection.is_none(),
+        failed: false,
     })
 }
 

@@ -1,4 +1,4 @@
-//! Compiled model artifacts, replica pools, and the artifact cache.
+//! Compiled model artifacts and the artifact cache.
 //!
 //! The paper scales *one* image stream across devices (model parallelism
 //! over MaxRing); a serving deployment additionally replicates the whole
@@ -9,12 +9,12 @@
 //!
 //! A [`ModelArtifact`] is the unit the serving layer schedules against:
 //! one immutable snapshot of (parameters, compile options, weight
-//! version). Because a compiled [`crate::CompiledNetwork`] bakes the
-//! batch's pixels into its `HostSource` (the PCIe burst of §III-B6), the
-//! device graph itself is materialized per batch; the artifact owns what
-//! is batch-invariant — the validated placement and the parameter set —
-//! behind an `Arc`, so an entire replica pool shares **one** copy of the
-//! weights instead of one per worker.
+//! version), behind an `Arc` so a whole replica pool shares one copy of
+//! the source parameters. A *replica* is a serving worker holding one
+//! elaborated pipeline of the artifact ([`ModelArtifact::pipeline`]) that
+//! it loads and runs batch after batch — the device is configured once
+//! and then streamed, as in the paper — and replaces when a batch arrives
+//! stamped with another weight version.
 //!
 //! Weight swapping is modeled exactly like the paper's PCIe parameter
 //! streaming: publishing new weights produces a *new* artifact with a
@@ -27,11 +27,8 @@
 //! same model again with the same options (or sizing a pool up) reuses
 //! the existing snapshot instead of re-cloning parameters.
 
-use crate::lower::CompileOptions;
-use crate::run::{run_images, SimResult};
-use dfe_platform::RunError;
+use crate::lower::{elaborate, CompileOptions, CompiledNetwork};
 use qnn_nn::Network;
-use qnn_tensor::Tensor3;
 use std::fmt;
 use std::sync::Arc;
 
@@ -106,13 +103,19 @@ impl ModelArtifact {
         &self.opts
     }
 
-    /// Run one batch of images through this artifact's pipeline.
+    /// Elaborate one pipeline instance of this artifact, ready to
+    /// [`load`](CompiledNetwork::load) and [`run`](CompiledNetwork::run)
+    /// batch after batch. Each batch runs exactly as [`crate::run_images`]
+    /// on the artifact's network and options would run it — logits *and*
+    /// cycle reports — which is what keeps serving bit-identical to direct
+    /// execution.
     ///
-    /// Identical to calling [`run_images`] on the artifact's network and
-    /// options directly — the serving runtime's 1-replica path is therefore
-    /// bit-identical to direct execution (logits *and* cycle reports).
-    pub fn run_batch(&self, images: &[Tensor3<i8>]) -> Result<SimResult, RunError> {
-        run_images(&self.net, images, &self.opts)
+    /// # Panics
+    /// Panics when the artifact's options name a layer or stream the
+    /// network does not have (see [`crate::try_compile`]).
+    pub fn pipeline(&self) -> CompiledNetwork {
+        elaborate(&self.net, &self.opts)
+            .unwrap_or_else(|e| panic!("invalid CompileOptions: {e}"))
     }
 }
 
@@ -188,64 +191,11 @@ impl ArtifactCache {
     }
 }
 
-/// One worker's handle onto a compiled pipeline: a pool index plus a
-/// shared [`ModelArtifact`]. All replicas of a pool hold the *same*
-/// artifact `Arc` — they share parameters and placement, and materialize
-/// independent device graphs per batch, so they can run concurrently on
-/// worker threads with bit-identical per-image results.
-pub struct Replica {
-    id: usize,
-    artifact: Arc<ModelArtifact>,
-}
-
-impl Replica {
-    /// Replica index within its pool (0-based).
-    pub fn id(&self) -> usize {
-        self.id
-    }
-
-    /// The shared compiled snapshot this replica serves.
-    pub fn artifact(&self) -> &Arc<ModelArtifact> {
-        &self.artifact
-    }
-
-    /// The network this replica serves.
-    pub fn network(&self) -> &Network {
-        self.artifact.network()
-    }
-
-    /// Compile options (placement, FIFO sizing) this replica was built with.
-    pub fn options(&self) -> &CompileOptions {
-        self.artifact.options()
-    }
-
-    /// Run one batch of images through this replica's pipeline.
-    pub fn run_batch(&self, images: &[Tensor3<i8>]) -> Result<SimResult, RunError> {
-        self.artifact.run_batch(images)
-    }
-}
-
-/// Build a pool of `n` replicas sharing one compiled artifact.
-///
-/// The returned instances can be moved onto separate worker threads and
-/// driven concurrently without any shared mutable state; unlike the
-/// pre-registry version, the parameters are stored once (`Arc`), not
-/// cloned per replica.
-///
-/// # Panics
-/// Panics when `n == 0` — a serving pool needs at least one pipeline.
-pub fn compile_replicas(net: &Network, n: usize, opts: &CompileOptions) -> Vec<Replica> {
-    assert!(n > 0, "a replica group needs at least one pipeline");
-    let artifact = Arc::new(ModelArtifact::compile(net, opts));
-    (0..n)
-        .map(|id| Replica { id, artifact: Arc::clone(&artifact) })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use qnn_nn::models;
+    use qnn_tensor::Tensor3;
     use qnn_testkit::Rng;
 
     fn image(side: usize, seed: u64) -> Tensor3<i8> {
@@ -253,60 +203,6 @@ mod tests {
         Tensor3::from_fn(qnn_tensor::Shape3::square(side, 3), |_, _, _| {
             rng.gen_range(-127i8..=127)
         })
-    }
-
-    #[test]
-    fn replicas_match_direct_execution_bit_for_bit() {
-        let net = Network::random(models::test_net(8, 4, 2), 21);
-        let imgs: Vec<_> = (0..3).map(|s| image(8, s)).collect();
-        let opts = CompileOptions::default();
-        let direct = run_images(&net, &imgs, &opts).expect("direct");
-        for r in compile_replicas(&net, 3, &opts) {
-            let got = r.run_batch(&imgs).expect("replica");
-            assert_eq!(got.logits, direct.logits, "replica {}", r.id());
-            assert_eq!(got.reports, direct.reports, "replica {} cycle report", r.id());
-        }
-    }
-
-    #[test]
-    fn replicas_preserve_partitioned_placement() {
-        let spec = models::test_net(8, 4, 2);
-        let cut = spec.stages.len() / 2;
-        let stage_device: Vec<usize> =
-            (0..spec.stages.len()).map(|i| usize::from(i >= cut)).collect();
-        let net = Network::random(spec, 22);
-        let opts =
-            CompileOptions { stage_device: Some(stage_device), ..CompileOptions::default() };
-        let imgs = vec![image(8, 9)];
-        let direct = run_images(&net, &imgs, &opts).expect("direct");
-        assert_eq!(direct.reports.len(), 2, "expected a two-device split");
-        let replicas = compile_replicas(&net, 2, &opts);
-        for r in &replicas {
-            let got = r.run_batch(&imgs).expect("replica");
-            assert_eq!(got.reports.len(), 2, "replica {} lost the placement", r.id());
-            assert_eq!(got.logits, direct.logits);
-        }
-    }
-
-    #[test]
-    fn replica_ids_are_sequential_and_share_one_artifact() {
-        let net = Network::random(models::test_net(8, 3, 2), 23);
-        let replicas = compile_replicas(&net, 4, &CompileOptions::default());
-        let ids: Vec<usize> = replicas.iter().map(Replica::id).collect();
-        assert_eq!(ids, vec![0, 1, 2, 3]);
-        for r in &replicas[1..] {
-            assert!(
-                Arc::ptr_eq(r.artifact(), replicas[0].artifact()),
-                "pool replicas must share one parameter snapshot"
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one pipeline")]
-    fn zero_replicas_rejected() {
-        let net = Network::random(models::test_net(8, 3, 2), 24);
-        let _ = compile_replicas(&net, 0, &CompileOptions::default());
     }
 
     #[test]
@@ -319,10 +215,12 @@ mod tests {
         let a1 = a0.with_weights(new.clone()).expect("same spec");
         assert_eq!(a1.version(), 1);
         let img = image(8, 5);
-        let got_old = a0.run_batch(std::slice::from_ref(&img)).expect("old");
-        let got_new = a1.run_batch(std::slice::from_ref(&img)).expect("new");
-        assert_eq!(got_old.logits[0], old.forward(&img).logits);
-        assert_eq!(got_new.logits[0], new.forward(&img).logits);
+        for (artifact, net) in [(&a0, &old), (&a1, &new)] {
+            let mut pipeline = artifact.pipeline();
+            pipeline.load(std::slice::from_ref(&img));
+            let got = pipeline.run().expect("sim run");
+            assert_eq!(got.logits[0], net.forward(&img).logits);
+        }
     }
 
     #[test]

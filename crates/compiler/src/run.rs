@@ -2,7 +2,6 @@
 
 use crate::lower::{compile, CompileOptions, CompiledNetwork};
 use dfe_platform::{threaded, CycleReport, RunError};
-use hw_model::CycleModel;
 use qnn_nn::Network;
 use qnn_tensor::Tensor3;
 
@@ -80,14 +79,33 @@ impl SimResult {
     }
 }
 
-/// Generous cycle budget for a run: several times the fully serialized
-/// bound (a correct pipeline finishes far earlier; a wedged one times out).
-fn cycle_budget(net: &Network, images: usize) -> u64 {
-    let serial = CycleModel::analyze(&net.spec).serial_bound();
-    (serial * 8 + 2_000_000) * images as u64
+impl CompiledNetwork {
+    /// Run the loaded batch to completion and collect its logits, within
+    /// the instance's own cycle budget for that many images.
+    pub fn run(&mut self) -> Result<SimResult, RunError> {
+        self.run_within(self.budget_per_image * self.images as u64)
+    }
+
+    /// [`CompiledNetwork::run`] under an explicit cycle budget. After an
+    /// `Err` the instance holds mid-run state and must be dropped:
+    /// [`CompiledNetwork::load`] refuses it.
+    pub fn run_within(&mut self, max_cycles: u64) -> Result<SimResult, RunError> {
+        let run = if let [graph] = &mut self.graphs[..] {
+            graph.run_opts(max_cycles, self.detect_deadlock).map(|r| vec![r])
+        } else {
+            threaded::run_devices_in_place(&mut self.graphs, max_cycles)
+        };
+        let reports = run.inspect_err(|_| self.failed = true)?;
+        let flat = self.sink.take();
+        assert_eq!(flat.len(), self.classes * self.images, "sink under-filled");
+        let logits = flat.chunks_exact(self.classes).map(<[i32]>::to_vec).collect();
+        Ok(SimResult { logits, reports })
+    }
 }
 
-/// Run `images` through the compiled streaming pipeline.
+/// Run `images` through the compiled streaming pipeline: elaborate, load,
+/// run. A warm serving replica takes the same three steps through the same
+/// code; it just repeats only the last two for each further batch.
 ///
 /// The cycle-stepping strategy comes from `opts.scheduler`
 /// (`QNN_SCHEDULER` by default); Dense and ReadyList runs return
@@ -97,25 +115,7 @@ pub fn run_images(
     images: &[Tensor3<i8>],
     opts: &CompileOptions,
 ) -> Result<SimResult, RunError> {
-    let CompiledNetwork {
-        mut graphs,
-        sink,
-        classes,
-        ..
-    } = compile(net, images, opts);
-    let budget = cycle_budget(net, images.len());
-    // Injected stalls can produce legitimate full-stall cycles, so runs
-    // with stall injection rely on the budget alone to bound them.
-    let detect_deadlock = opts.stall_injection.is_none();
-    let reports = if graphs.len() == 1 {
-        vec![graphs[0].run_opts(budget, detect_deadlock)?]
-    } else {
-        threaded::run_devices(graphs, budget)?
-    };
-    let flat = sink.take();
-    assert_eq!(flat.len(), classes * images.len(), "sink under-filled");
-    let logits = flat.chunks_exact(classes).map(<[i32]>::to_vec).collect();
-    Ok(SimResult { logits, reports })
+    compile(net, images, opts).run()
 }
 
 /// Run a single image on a single DFE.

@@ -393,6 +393,52 @@ impl Graph {
         self.awake.iter_mut().for_each(|w| *w = !0);
     }
 
+    /// Return the graph to the state it was in when its last kernel was
+    /// added, so [`Graph::run`] can execute it again on new host data: the
+    /// clock, every kernel's counters and control state
+    /// ([`Kernel::rearm`]), every stream's contents and statistics, the
+    /// park and awake sets, the burst counters and back-off, and the
+    /// schedule-replay tape with its diagnostics. Structure (kernels,
+    /// streams, wiring), configuration (scheduler, dispatch flags, replay
+    /// marker) and the kernels' weights are kept.
+    ///
+    /// The reset is explicit, not inferred from where the last run
+    /// stopped: a run ends at the sink's last element, which leaves
+    /// upstream kernels mid-image (see [`Kernel::rearm`]), nodes parked
+    /// mid-verdict and FIFOs holding elements nobody will read. A re-armed
+    /// graph runs a batch exactly as a freshly built one does — same
+    /// outputs, same [`CycleReport`], same dispatch diagnostics
+    /// (`tests/pipeline_rearm.rs`). Not meant for a graph whose run
+    /// returned a [`RunError`]; build a new one.
+    pub fn rearm(&mut self) {
+        for node in &mut self.nodes {
+            node.kernel.rearm();
+            node.busy = 0;
+            node.stalled = 0;
+        }
+        for s in &mut self.streams {
+            s.clear();
+        }
+        self.parked.fill(None);
+        self.awake.fill(0);
+        for i in 0..self.nodes.len() {
+            self.awake[i / 64] |= 1 << (i % 64);
+        }
+        self.dirty.clear();
+        self.now = 0;
+        self.sink_progress = false;
+        self.bursts = 0;
+        self.burst_cycles = 0;
+        self.burst_cooldown = 0;
+        self.burst_backoff = 1;
+        self.replay.rearm();
+        self.replay.diag = ReplayDiag::default();
+        // Streams are empty again, so the marker has popped nothing.
+        if let Some((_, period)) = self.replay.marker {
+            self.replay.next_target = period;
+        }
+    }
+
     /// Register a stream.
     pub fn add_stream(&mut self, spec: StreamSpec) -> StreamId {
         self.streams.push(StreamState::new(spec));
@@ -1911,6 +1957,7 @@ mod tests {
                 Progress::Idle
             }
         }
+        fn rearm(&mut self) {}
     }
 
     fn pipeline(data: Vec<i32>, stages: usize) -> (Graph, crate::host::SinkHandle) {
@@ -2057,6 +2104,9 @@ mod tests {
         }
         fn is_done(&self) -> bool {
             self.got >= self.expect
+        }
+        fn rearm(&mut self) {
+            unreachable!("built per run")
         }
     }
 

@@ -6,18 +6,37 @@
 //! the binding constraint).
 
 use crate::kernel::{Io, Kernel, Progress, SpanIo, SpanPlan, WakeHint};
-use crate::stream::front_slices;
-use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Feeds a preloaded buffer into its single output stream, one element per
 /// cycle.
 pub struct HostSource {
     name: String,
-    data: VecDeque<i32>,
+    data: Vec<i32>,
+    /// Index of the next element to send; [`Kernel::rearm`] rewinds it, so
+    /// a re-armed source replays its buffer (a parameter blob is streamed
+    /// again, exactly as a freshly built graph would stream it).
+    next: usize,
     /// Elements per image for the schedule-replay token (see
     /// [`HostSource::with_period`]).
     period: Option<u64>,
+    /// Buffer posted through a [`SourceHandle`], taken at the next re-arm.
+    refill: Option<Arc<Mutex<Option<Vec<i32>>>>>,
+}
+
+/// Host-side handle for giving a [`HostSource`] the next run's data.
+#[derive(Clone)]
+pub struct SourceHandle {
+    refill: Arc<Mutex<Option<Vec<i32>>>>,
+}
+
+impl SourceHandle {
+    /// Post `data` (already in stream order) as the source's next buffer.
+    /// It replaces the current one when the source is next re-armed
+    /// ([`Graph::rearm`](crate::Graph::rearm)).
+    pub fn refill(&self, data: Vec<i32>) {
+        *lock_state(&self.refill) = Some(data);
+    }
 }
 
 impl HostSource {
@@ -25,9 +44,23 @@ impl HostSource {
     pub fn new(name: impl Into<String>, data: Vec<i32>) -> Self {
         Self {
             name: name.into(),
-            data: data.into(),
+            data,
+            next: 0,
             period: None,
+            refill: None,
         }
+    }
+
+    /// Make the source refillable between runs, returning the handle the
+    /// host posts each run's data through.
+    pub fn refillable(mut self) -> (Self, SourceHandle) {
+        let refill = Arc::new(Mutex::new(None));
+        self.refill = Some(Arc::clone(&refill));
+        (self, SourceHandle { refill })
+    }
+
+    fn remaining(&self) -> usize {
+        self.data.len() - self.next
     }
 
     /// Declare the stream periodic with `elems` elements per image, letting
@@ -61,20 +94,31 @@ impl Kernel for HostSource {
     }
 
     fn tick(&mut self, io: &mut Io<'_>) -> Progress {
-        if self.data.is_empty() {
+        if self.remaining() == 0 {
             return Progress::Idle;
         }
         if io.can_write(0) {
-            let v = self.data.pop_front().expect("checked non-empty");
-            io.write(0, v);
+            io.write(0, self.data[self.next]);
+            self.next += 1;
             Progress::Busy
         } else {
             Progress::Stalled
         }
     }
 
+    /// Rewind to the start of the buffer — the posted one, if the host
+    /// posted a refill since the last re-arm.
+    fn rearm(&mut self) {
+        if let Some(refill) = &self.refill {
+            if let Some(data) = lock_state(refill).take() {
+                self.data = data;
+            }
+        }
+        self.next = 0;
+    }
+
     fn is_done(&self) -> bool {
-        self.data.is_empty()
+        self.remaining() == 0
     }
 
     /// Stalls only on a full output (woken by the reader's pop); idles only
@@ -86,43 +130,42 @@ impl Kernel for HostSource {
     /// One element out per cycle until the buffer empties. Halting: a full
     /// output freezes the tick at `Stalled`.
     fn span_hint(&self, _in_len: &[usize], _out_room: &[usize]) -> Option<SpanPlan> {
-        if self.data.is_empty() {
+        if self.remaining() == 0 {
             None
         } else {
-            Some(SpanPlan::new(self.data.len() as u64, 0, 1).halting())
+            Some(SpanPlan::new(self.remaining() as u64, 0, 1).halting())
         }
     }
 
     fn run_span(&mut self, io: &mut SpanIo<'_>, n: u64) {
-        let n = n as usize;
-        let (head, tail) = front_slices(&self.data, n);
-        io.push_slice(0, head);
-        io.push_slice(0, tail);
-        self.data.drain(..n);
+        let end = self.next + n as usize;
+        io.push_slice(0, &self.data[self.next..end]);
+        self.next = end;
     }
 
     /// Remaining-count token, period-quantized (see [`drain_token`]): the
-    /// buffer length is the only control state.
+    /// remaining count is the only control state.
     fn replay_token(&self) -> Option<u64> {
-        Some(drain_token(self.data.len() as u64, self.period))
+        Some(drain_token(self.remaining() as u64, self.period))
     }
 }
 
-#[derive(Default)]
 struct SinkState {
     collected: Vec<i32>,
+    /// Element count the sink's *next* run collects; the kernel adopts it
+    /// when it is re-armed.
+    expected: usize,
 }
 
 /// Shared handle to a [`HostSink`]'s collected output.
 #[derive(Clone)]
 pub struct SinkHandle {
     state: Arc<Mutex<SinkState>>,
-    expected: usize,
 }
 
-/// Lock a sink's state, surviving poisoning: a panicking device thread
+/// Lock host-shared state, surviving poisoning: a panicking device thread
 /// must not hide the elements already collected from the test harness.
-fn lock_state(state: &Mutex<SinkState>) -> MutexGuard<'_, SinkState> {
+fn lock_state<T>(state: &Mutex<T>) -> MutexGuard<'_, T> {
     state
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -146,7 +189,15 @@ impl SinkHandle {
 
     /// True when all expected elements arrived.
     pub fn is_complete(&self) -> bool {
-        self.len() == self.expected
+        let state = lock_state(&self.state);
+        state.collected.len() == state.expected
+    }
+
+    /// Set the element count of the sink's next run. Takes effect when the
+    /// sink is next re-armed ([`Graph::rearm`](crate::Graph::rearm)), which
+    /// also discards anything collected and not taken.
+    pub fn set_expected(&self, expected: usize) {
+        lock_state(&self.state).expected = expected;
     }
 }
 
@@ -164,10 +215,12 @@ impl HostSink {
     /// Create a sink expecting `expected` elements, returning the kernel and
     /// a handle for retrieving results after the run.
     pub fn new(name: impl Into<String>, expected: usize) -> (Self, SinkHandle) {
-        let state = Arc::new(Mutex::new(SinkState::default()));
+        let state = Arc::new(Mutex::new(SinkState {
+            collected: Vec::new(),
+            expected,
+        }));
         let handle = SinkHandle {
             state: Arc::clone(&state),
-            expected,
         };
         (
             Self {
@@ -208,6 +261,14 @@ impl Kernel for HostSink {
             }
             None => Progress::Stalled,
         }
+    }
+
+    /// Empty the collection buffer and adopt the expected count last set
+    /// through [`SinkHandle::set_expected`].
+    fn rearm(&mut self) {
+        let mut state = lock_state(&self.state);
+        state.collected.clear();
+        self.expected = state.expected;
     }
 
     fn is_done(&self) -> bool {

@@ -598,6 +598,23 @@ pub trait Kernel: Send {
     /// Advance one clock cycle.
     fn tick(&mut self, io: &mut Io<'_>) -> Progress;
 
+    /// Restore the control state the kernel had right after construction —
+    /// position counters, phase machines, pending outputs, PRNG state,
+    /// parameter loaders — keeping everything that is expensive and
+    /// batch-invariant (packed weights, threshold banks, scratch
+    /// capacity). Called by [`Graph::rearm`](crate::Graph::rearm) between
+    /// two runs of one elaborated graph.
+    ///
+    /// Deliberately has no default body. A run stops at the sink's last
+    /// element, not at a kernel-state boundary: a strided pool or
+    /// convolution may still be owed trailing input no window reads, an
+    /// attention head may hold a half-gathered tile, a stall injector has
+    /// advanced its generator. A kernel that silently kept such state
+    /// would make the second batch on a warm graph differ from the same
+    /// batch on a fresh one, so every kernel must say what its start state
+    /// is.
+    fn rearm(&mut self);
+
     /// True once the kernel will never produce further output (used by the
     /// threaded executor for shutdown; the cycle scheduler stops on sink
     /// completion instead).

@@ -51,7 +51,7 @@ pub mod trace;
 
 pub use device::{DeviceSpec, ResourceUsage, MAIA_FCLK_MHZ, STRATIX_10_GX2800, STRATIX_V_5SGSD8};
 pub use graph::{CycleReport, Graph, KernelId, RunError, StreamId};
-pub use host::{HostSink, HostSource, SinkHandle};
+pub use host::{HostSink, HostSource, SinkHandle, SourceHandle};
 pub use kernel::{Io, Kernel, Progress, SpanIo, SpanPlan, WakeHint};
 pub use replay::ReplayDiag;
 pub use ring::MaxRing;

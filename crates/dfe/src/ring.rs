@@ -91,6 +91,11 @@ impl Kernel for DelayLine {
         }
     }
 
+    /// Empty every stage.
+    fn rearm(&mut self) {
+        self.slots.iter_mut().for_each(|slot| *slot = None);
+    }
+
     /// A delay line is a timer: while elements are in flight, even a tick
     /// that touches no port shifts them toward the output, so it must keep
     /// ticking. Only a fully drained line is a fixed point.

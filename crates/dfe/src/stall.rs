@@ -25,6 +25,7 @@ use crate::kernel::{Io, Kernel, Progress, WakeHint};
 /// Wraps a kernel and randomly suppresses its ticks. See the module docs.
 pub struct StallInjector {
     inner: Box<dyn Kernel>,
+    seed: u64,
     state: u64,
     stall_percent: u8,
     injected: u64,
@@ -44,6 +45,7 @@ impl StallInjector {
         );
         Self {
             inner,
+            seed,
             state: seed,
             stall_percent,
             injected: 0,
@@ -86,6 +88,14 @@ impl Kernel for StallInjector {
         self.inner.tick(io)
     }
 
+    /// Restart the stall pattern from the seed, so a re-armed graph stalls
+    /// on the same cycles a freshly built one would.
+    fn rearm(&mut self) {
+        self.state = self.seed;
+        self.injected = 0;
+        self.inner.rearm();
+    }
+
     fn is_done(&self) -> bool {
         self.inner.is_done()
     }
@@ -122,6 +132,7 @@ mod tests {
                 Progress::Idle
             }
         }
+        fn rearm(&mut self) {}
     }
 
     fn run_inc(stall: Option<(u64, u8)>) -> (Vec<i32>, u64) {

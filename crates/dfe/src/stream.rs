@@ -73,6 +73,14 @@ impl StreamState {
         }
     }
 
+    /// Empty the FIFO and zero its statistics ([`crate::Graph::rearm`]).
+    pub fn clear(&mut self) {
+        self.queue.clear();
+        self.staged.clear();
+        self.pushed = 0;
+        self.max_occupancy = 0;
+    }
+
     /// Committed + staged occupancy (what a writer must respect).
     pub fn total_len(&self) -> usize {
         self.queue.len() + self.staged.len()

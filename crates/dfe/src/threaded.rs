@@ -20,7 +20,9 @@
 
 use crate::graph::{CycleReport, Graph, RunError};
 use crate::kernel::{Io, Kernel, Progress, WakeHint};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError, TrySendError};
+use std::sync::Arc;
 
 /// Create a channel-backed inter-device link of `capacity` elements,
 /// returning the egress kernel (placed on the upstream device) and ingress
@@ -33,6 +35,7 @@ use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError, TrySendE
 pub fn link(name: &str, capacity: usize, expected: u64) -> (ChannelEgress, ChannelIngress) {
     assert!(capacity > 0, "a zero-capacity link can never make progress");
     let (tx, rx) = sync_channel(capacity);
+    let next_expected = Arc::new(AtomicU64::new(expected));
     (
         ChannelEgress {
             name: format!("{name}.tx"),
@@ -40,14 +43,34 @@ pub fn link(name: &str, capacity: usize, expected: u64) -> (ChannelEgress, Chann
             pending: None,
             sent: 0,
             expected,
+            next_expected: Arc::clone(&next_expected),
         },
         ChannelIngress {
             name: format!("{name}.rx"),
             rx,
             received: 0,
             expected,
+            next_expected,
         },
     )
+}
+
+/// Host-side handle for setting how many elements a [`link`] carries on
+/// its next run.
+#[derive(Clone)]
+pub struct LinkHandle {
+    next_expected: Arc<AtomicU64>,
+}
+
+impl LinkHandle {
+    /// Set the element count of the link's next run. Both ends adopt it
+    /// when their graphs are next re-armed
+    /// ([`Graph::rearm`](crate::Graph::rearm)).
+    pub fn set_expected(&self, expected: u64) {
+        // Published by the re-arm that follows on the same thread (or after
+        // a hand-off that synchronizes), so no ordering is needed here.
+        self.next_expected.store(expected, Ordering::Relaxed);
+    }
 }
 
 /// Sends its input stream into an inter-device channel.
@@ -57,6 +80,14 @@ pub struct ChannelEgress {
     pending: Option<i32>,
     sent: u64,
     expected: u64,
+    next_expected: Arc<AtomicU64>,
+}
+
+impl ChannelEgress {
+    /// The handle that re-sizes this link between runs.
+    pub fn handle(&self) -> LinkHandle {
+        LinkHandle { next_expected: Arc::clone(&self.next_expected) }
+    }
 }
 
 impl Kernel for ChannelEgress {
@@ -90,6 +121,12 @@ impl Kernel for ChannelEgress {
         }
     }
 
+    fn rearm(&mut self) {
+        self.pending = None;
+        self.sent = 0;
+        self.expected = self.next_expected.load(Ordering::Relaxed);
+    }
+
     fn is_done(&self) -> bool {
         self.sent >= self.expected && self.pending.is_none()
     }
@@ -110,6 +147,7 @@ pub struct ChannelIngress {
     rx: Receiver<i32>,
     received: u64,
     expected: u64,
+    next_expected: Arc<AtomicU64>,
 }
 
 impl Kernel for ChannelIngress {
@@ -137,6 +175,15 @@ impl Kernel for ChannelIngress {
         }
     }
 
+    /// Also empties the channel: a downstream device stops at its sink's
+    /// last element, so trailing elements no window of its first strided
+    /// layer reads may still be in flight when the run ends.
+    fn rearm(&mut self) {
+        while self.rx.try_recv().is_ok() {}
+        self.received = 0;
+        self.expected = self.next_expected.load(Ordering::Relaxed);
+    }
+
     /// Never parkable: elements arrive on the external channel with no
     /// local stream event, so the ingress must poll every cycle.
     fn wake_hint(&self) -> WakeHint {
@@ -159,7 +206,16 @@ impl Kernel for ChannelIngress {
 /// makes progress or commits a stream element, no future cycle can differ,
 /// and the combined stream dump of every device is reported.
 pub fn run_devices(mut graphs: Vec<Graph>, max_cycles: u64) -> Result<Vec<CycleReport>, RunError> {
-    for g in &graphs {
+    run_devices_in_place(&mut graphs, max_cycles)
+}
+
+/// [`run_devices`] over borrowed graphs, so a multi-device pipeline can be
+/// re-armed ([`Graph::rearm`]) and run again.
+pub fn run_devices_in_place(
+    graphs: &mut [Graph],
+    max_cycles: u64,
+) -> Result<Vec<CycleReport>, RunError> {
+    for g in graphs.iter() {
         g.validate()?;
     }
     let mut done: Vec<bool> = graphs.iter().map(Graph::complete).collect();
@@ -247,6 +303,7 @@ mod tests {
                     Progress::Stalled
                 }
             }
+            fn rearm(&mut self) {}
         }
 
         let n = data.len();

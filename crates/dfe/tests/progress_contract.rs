@@ -22,6 +22,7 @@ impl Kernel for IdleLiar {
     fn name(&self) -> &str {
         "idle-liar"
     }
+    fn rearm(&mut self) {}
     fn tick(&mut self, io: &mut Io<'_>) -> Progress {
         let _ = io.read(0);
         Progress::Idle
@@ -35,6 +36,7 @@ impl Kernel for ParkableStallLiar {
     fn name(&self) -> &str {
         "stall-liar"
     }
+    fn rearm(&mut self) {}
     fn tick(&mut self, io: &mut Io<'_>) -> Progress {
         if io.can_write(0) {
             io.write(0, 1);
@@ -110,6 +112,7 @@ impl Kernel for Affine {
     fn name(&self) -> &str {
         "affine"
     }
+    fn rearm(&mut self) {}
     fn tick(&mut self, io: &mut Io<'_>) -> Progress {
         if io.can_read(0) && io.can_write(0) {
             let v = io.read(0).expect("checked");

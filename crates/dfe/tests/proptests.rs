@@ -21,6 +21,7 @@ impl Kernel for Affine {
     fn name(&self) -> &str {
         &self.name
     }
+    fn rearm(&mut self) {}
 
     fn tick(&mut self, io: &mut Io<'_>) -> Progress {
         if io.can_read(0) && io.can_write(0) {

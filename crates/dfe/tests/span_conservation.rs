@@ -32,6 +32,7 @@ impl Kernel for SpanAffine {
     fn name(&self) -> &str {
         &self.name
     }
+    fn rearm(&mut self) {}
 
     fn tick(&mut self, io: &mut Io<'_>) -> Progress {
         if io.can_read(0) && io.can_write(0) {
@@ -124,6 +125,7 @@ impl Kernel for WideAffine {
     fn name(&self) -> &str {
         &self.name
     }
+    fn rearm(&mut self) {}
 
     fn tick(&mut self, io: &mut Io<'_>) -> Progress {
         let mut moved = 0;
@@ -181,6 +183,9 @@ struct WideSource {
 impl Kernel for WideSource {
     fn name(&self) -> &str {
         "wide-src"
+    }
+    fn rearm(&mut self) {
+        self.pos = 0;
     }
 
     fn tick(&mut self, io: &mut Io<'_>) -> Progress {

@@ -68,6 +68,11 @@ impl Kernel for HeadSplitKernel {
         }
     }
 
+    /// Back to channel 0.
+    fn rearm(&mut self) {
+        self.channel = 0;
+    }
+
     /// Port-inert when blocked: the channel counter only advances on a
     /// completed move, so a non-`Busy` tick is a fixed point.
     fn wake_hint(&self) -> WakeHint {
@@ -169,6 +174,15 @@ impl Kernel for AttentionHeadKernel {
         }
     }
 
+    /// Empty tiles, nothing pending.
+    fn rearm(&mut self) {
+        self.q.clear();
+        self.k.clear();
+        self.v.clear();
+        self.pending.clear();
+        self.emitted = 0;
+    }
+
     /// Both phases only act on a stream event (new input while gathering,
     /// output space while emitting), so a non-`Busy` tick is a fixed
     /// point. A full-but-unread port cannot occur: buffers only stay full
@@ -220,6 +234,12 @@ impl Kernel for ConcatKernel {
         } else {
             Progress::Idle
         }
+    }
+
+    /// Back to the first element of head 0.
+    fn rearm(&mut self) {
+        self.head = 0;
+        self.idx = 0;
     }
 
     /// Counters only advance on a completed move; data on a non-current
@@ -290,6 +310,13 @@ impl Kernel for LayerNormKernel {
         } else {
             Progress::Idle
         }
+    }
+
+    /// Empty row, nothing pending.
+    fn rearm(&mut self) {
+        self.row.clear();
+        self.pending.clear();
+        self.emitted = 0;
     }
 
     /// Gather acts only on input arrival, emit only on output space: every

@@ -181,6 +181,9 @@ pub struct ConvKernel {
     /// Parameter loader, present until the CPU finishes streaming the
     /// weight/threshold caches over input port 1 (§III-B1a).
     loader: Option<ParamLoader>,
+    /// `(with_thresholds, act_bits)` of a [`ConvKernel::new_streamed`]
+    /// kernel: what a re-arm needs to expect the parameter stream again.
+    streamed: Option<(bool, u32)>,
     // --- scratch (reused across positions, no per-cycle allocation) ---
     window_codes: Vec<u8>,
     window_i8: Vec<i8>,
@@ -226,13 +229,21 @@ impl ConvKernel {
                 .collect(),
         );
         let mut k = Self::build(name, geom, placeholder, None, mode, false);
-        k.loader = Some(ParamLoader::new(
-            geom.filter.weights_per_filter(),
-            geom.filter.o,
-            with_thresholds,
-            act_bits,
-        ));
+        k.streamed = Some((with_thresholds, act_bits));
+        k.loader = k.fresh_loader();
         k
+    }
+
+    /// The loader a streamed kernel starts a run with.
+    fn fresh_loader(&self) -> Option<ParamLoader> {
+        self.streamed.map(|(with_thresholds, act_bits)| {
+            ParamLoader::new(
+                self.geom.filter.weights_per_filter(),
+                self.geom.filter.o,
+                with_thresholds,
+                act_bits,
+            )
+        })
     }
 
     /// The halt-strict variant of §III-B1 (see the module docs).
@@ -295,6 +306,7 @@ impl ConvKernel {
             pe: 1,
             simd: 1,
             loader: None,
+            streamed: None,
             window_codes: vec![0; wsize],
             window_i8: vec![0; wsize],
             planes: ActPlanes::new(bits, wsize),
@@ -643,6 +655,20 @@ impl Kernel for ConvKernel {
 
         self.reset_if_image_done();
         progress
+    }
+
+    /// Back to the first element of an image with nothing latched. A run
+    /// can stop with trailing rows no window reads still owed, or (an early
+    /// layer of a multi-device split) mid-position. Preloaded weight caches
+    /// stay; a streamed kernel expects its parameter stream again, as a
+    /// freshly built one does. Ring contents are not cleared: a window
+    /// latches only after all its elements arrived in *this* image.
+    fn rearm(&mut self) {
+        self.received = 0;
+        self.wr = 0;
+        self.out_pos = 0;
+        self.emitting = None;
+        self.loader = self.fresh_loader();
     }
 
     /// Every non-`Busy` verdict (loader waiting on a parameter word, input

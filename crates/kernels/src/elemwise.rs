@@ -41,6 +41,9 @@ impl Kernel for AddKernel {
         }
     }
 
+    /// Stateless.
+    fn rearm(&mut self) {}
+
     /// Pure element-wise stage: every non-`Busy` tick is a port-inert
     /// fixed point, so the kernel can park until a stream event.
     fn wake_hint(&self) -> WakeHint {
@@ -116,6 +119,9 @@ impl Kernel for SplitKernel {
             Progress::Idle
         }
     }
+
+    /// Stateless.
+    fn rearm(&mut self) {}
 
     /// Pure element-wise stage: every non-`Busy` tick is a port-inert
     /// fixed point, so the kernel can park until a stream event.
@@ -200,6 +206,11 @@ impl Kernel for ThresholdKernel {
         } else {
             Progress::Idle
         }
+    }
+
+    /// Back to channel 0.
+    fn rearm(&mut self) {
+        self.channel = 0;
     }
 
     /// Pure element-wise stage: every non-`Busy` tick is a port-inert

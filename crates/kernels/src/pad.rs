@@ -151,6 +151,11 @@ impl Kernel for PadInserter {
         }
     }
 
+    /// Back to the top-left corner of the padded image.
+    fn rearm(&mut self) {
+        (self.y, self.x, self.c) = (0, 0, 0);
+    }
+
     /// Stalls only on output backpressure or a starved interior pixel;
     /// both are port-inert and resolve only via stream events (a folded
     /// tick that moved nothing touched no port either).

@@ -279,6 +279,17 @@ impl Kernel for PoolKernel {
         progress
     }
 
+    /// Back to the first element of an image with nothing pending. A run
+    /// can stop while the last input row or column — which no window reads
+    /// when `(size − k) % stride ≠ 0` — is still owed.
+    fn rearm(&mut self) {
+        self.received = 0;
+        self.wr = 0;
+        self.out_pos = 0;
+        self.pending.clear();
+        self.sent = 0;
+    }
+
     /// Pooling decisions are made within the tick that has the data; a
     /// stalled or idle tick touches nothing and repeats until its input
     /// commits or its output drains.

@@ -35,19 +35,17 @@ pub enum DispatchPolicy {
 /// Scheduling class of a request — level 1 of the two-level scheduler.
 ///
 /// Classes keep separate batcher lanes per model: an `Interactive` lane
-/// flushes at its own (shorter) deadline and is dispatched ahead of
-/// `Batch` work at every scheduling decision, so trickle-latency traffic
-/// is not held hostage by throughput traffic still filling its batch.
+/// is dispatched ahead of `Batch` work at every scheduling decision and,
+/// while the pool is busy, closes at its own (shorter) deadline — so
+/// latency traffic never queues behind a throughput backlog.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
 pub enum Priority {
-    /// Latency-sensitive traffic: partial batches flush after
-    /// [`ServerConfig::interactive_flush_deadline`], and expired lanes of
-    /// this class always flush before `Batch` lanes.
+    /// Latency-sensitive traffic: on a busy pool partial batches close
+    /// after [`ServerConfig::interactive_flush_deadline`], and ready lanes
+    /// of this class always dispatch before `Batch` lanes.
     Interactive,
-    /// Throughput traffic: fills batches to `max_batch` under the longer
-    /// [`ServerConfig::flush_deadline`]. The default — single-class
-    /// traffic through [`crate::serve`] behaves exactly like the
-    /// pre-registry server.
+    /// Throughput traffic: on a busy pool fills batches to `max_batch`
+    /// under the longer [`ServerConfig::flush_deadline`]. The default.
     #[default]
     Batch,
 }
@@ -125,8 +123,7 @@ impl fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
-/// Configuration of a serving runtime instance ([`crate::Server`] or the
-/// [`crate::serve`] shim).
+/// Configuration of a serving runtime instance ([`crate::Server`]).
 ///
 /// Fields stay public for struct-literal construction in tests and
 /// benches; [`ServerConfig::builder`] is the validating path — it returns
@@ -139,18 +136,22 @@ pub struct ServerConfig {
     /// the lockstep device executor on its own thread; batches are
     /// dispatched within a model's pool per [`DispatchPolicy`].
     pub replicas: usize,
-    /// Maximum images per batch. A full batch dispatches immediately.
+    /// Maximum images per batch. A lane that reaches it closes into the
+    /// batch a busy replica queues behind the one it is running.
     pub max_batch: usize,
-    /// Maximum wall time a partial [`Priority::Batch`] batch may wait for
-    /// more requests, measured from its lane's first queued request.
-    /// Mirrors the paper's PCIe burst assembly: the host trades a little
-    /// latency for occupancy.
+    /// Upper bound while the pool is busy: the longest a partial
+    /// [`Priority::Batch`] batch keeps filling, measured from the
+    /// submission of its oldest request, before it closes into a busy
+    /// replica's queue. A lane whose pool has an idle replica never waits
+    /// for it. Mirrors the paper's PCIe burst assembly: under load the
+    /// host trades a little latency for occupancy.
     pub flush_deadline: Duration,
-    /// Maximum wall time a partial [`Priority::Interactive`] batch may
-    /// wait — the latency-class analogue of `flush_deadline`, normally
-    /// much shorter.
+    /// Upper bound while the pool is busy for partial
+    /// [`Priority::Interactive`] batches — the latency-class analogue of
+    /// `flush_deadline`, normally much shorter.
     pub interactive_flush_deadline: Duration,
-    /// Depth of the bounded submission queue (requests, not batches).
+    /// Admission bound: requests admitted but not yet placed in a batch
+    /// (requests, not batches), across all models.
     pub queue_depth: usize,
     /// Behaviour when the submission queue is full.
     pub admission: AdmissionPolicy,
@@ -233,19 +234,21 @@ impl ServerConfigBuilder {
         self
     }
 
-    /// Flush deadline for partial [`Priority::Batch`] batches.
+    /// Flush deadline for partial [`Priority::Batch`] batches on a busy
+    /// pool.
     pub fn flush_deadline(mut self, deadline: Duration) -> Self {
         self.config.flush_deadline = deadline;
         self
     }
 
-    /// Flush deadline for partial [`Priority::Interactive`] batches.
+    /// Flush deadline for partial [`Priority::Interactive`] batches on a
+    /// busy pool.
     pub fn interactive_flush_deadline(mut self, deadline: Duration) -> Self {
         self.config.interactive_flush_deadline = deadline;
         self
     }
 
-    /// Submission queue depth.
+    /// Admission bound (requests not yet batched).
     pub fn queue_depth(mut self, depth: usize) -> Self {
         self.config.queue_depth = depth;
         self
@@ -348,8 +351,6 @@ mod tests {
             .build()
             .err();
         assert_eq!(err, Some(ConfigError::SyntheticDelayLength { expected: 2, got: 1 }));
-        // The error is also a readable message for the panic path of the
-        // legacy `serve` shim.
         assert!(err.unwrap().to_string().contains("every replica"));
     }
 

@@ -20,11 +20,15 @@
 //!   deadline has already passed; level 2 picks the replica inside the
 //!   target model's pool (least-loaded, or round-robin via
 //!   [`DispatchPolicy`]);
-//! * a **bounded submission queue** with configurable admission (block
-//!   for backpressure, or reject-when-full for load shedding);
-//! * a **batcher** that assembles per-(model, class) batches, dispatching
-//!   on whichever comes first — the batch filling to `max_batch` (the
-//!   PCIe image burst of §III-B6) or the class's flush deadline expiring;
+//! * **bounded admission** (at most `queue_depth` requests not yet placed
+//!   in a batch) with a configurable policy (block for backpressure, or
+//!   reject-when-full for load shedding);
+//! * a **work-conserving batcher** that assembles per-(model, class)
+//!   batches and dispatches a lane the moment a replica of its pool is
+//!   idle; `max_batch` (the PCIe image burst of §III-B6) and the class's
+//!   flush deadline bound how long a lane fills while the pool is busy;
+//! * **warm replicas**: each worker lowers its network once per weight
+//!   version and re-arms that pipeline between batches;
 //! * **per-request, per-class, per-model, and per-replica statistics** —
 //!   queue wait, batch occupancy, p50/p95 latency, shed counts,
 //!   images/sec — via `qnn-testkit`'s bench helpers;
@@ -65,31 +69,6 @@
 //! let report = server.shutdown();
 //! assert_eq!(report.completed, 1);
 //! ```
-//!
-//! ## Example: single-model shim (the legacy closure API, deprecated)
-//!
-//! ```
-//! # #![allow(deprecated)]
-//! use qnn_nn::{models, Network};
-//! use qnn_serve::{serve, ServerConfig};
-//! use qnn_tensor::{Shape3, Tensor3};
-//!
-//! let net = Network::random(models::test_net(8, 4, 2), 42);
-//! let config = ServerConfig { replicas: 2, max_batch: 4, ..ServerConfig::default() };
-//! let (responses, report) = serve(&net, &config, |client| {
-//!     let tickets: Vec<_> = (0..4)
-//!         .map(|s| {
-//!             let img = Tensor3::from_fn(Shape3::square(8, 3), |y, x, c| {
-//!                 ((s + y * 31 + x * 7 + c) % 255) as i8
-//!             });
-//!             client.submit(img).expect("admitted")
-//!         })
-//!         .collect();
-//!     tickets.into_iter().map(|t| t.wait().expect("answered")).collect::<Vec<_>>()
-//! });
-//! assert_eq!(responses.len(), 4);
-//! assert_eq!(report.completed, 4);
-//! ```
 
 #![forbid(unsafe_code)]
 
@@ -103,13 +82,9 @@ pub use config::{
 };
 pub use registry::{ModelRegistry, PublishError};
 pub use server::{
-    Client, Dropped, ModelOptions, ResizeError, Response, Server, ServerBuilder, SubmitError,
-    SubmitOptions, Ticket, DEFAULT_MODEL,
+    Client, Completion, Dropped, ModelOptions, ResizeError, Response, Server, ServerBuilder,
+    SubmitError, SubmitOptions, Ticket,
 };
-// Re-exported separately so the deprecation travels with the item without
-// tripping `deprecated` on the facade's own `use`.
-#[allow(deprecated)]
-pub use server::serve;
 pub use stats::{
     ClassStats, LatencySummary, LoadWindow, ModelStats, ReplicaStats, RequestStats, ServerReport,
 };

@@ -1,59 +1,65 @@
-//! The serving runtime: submission queue → two-level scheduler → per-model
-//! replica pools.
+//! The serving runtime: bounded admission → two-level scheduler →
+//! per-model replica pools.
 //!
-//! Thread topology (all `std::sync::mpsc` + owned `std::thread::spawn`
-//! threads, per the hermetic-build policy):
+//! Thread topology (owned `std::thread::spawn` threads, a mutex + condvar
+//! inbox and `std::sync::mpsc` channels, per the hermetic-build policy):
 //!
 //! ```text
-//!  clients ──submit(model, priority, deadline)──▶ [bounded submission queue]
+//!  clients ──submit(model, priority, deadline)──▶ [inbox: ≤ queue_depth
+//!                                                  requests not yet batched]
 //!                                                        │
 //!                                                  batcher thread
 //!                              lanes per (model, priority); level 1 picks the
-//!                            class (interactive first, per-class flush deadlines,
-//!                          deadline-expired requests shed at dispatch), level 2
-//!                            picks the replica inside the model's pool (least-
-//!                                      loaded or round-robin)
+//!                            class (interactive first, deadline-expired requests
+//!                           shed at dispatch), level 2 picks the replica inside
+//!                          the model's pool (least-loaded or round-robin)
 //!                          │           │          ‖           ‖
-//!                     [batch q]   [batch q]   [batch q]   [batch q]    (depth 1)
-//!                          │           │          ‖           ‖
+//!                     [batch q]   [batch q]   [batch q]   [batch q]   (1 running
+//!                          │           │          ‖           ‖        + 1 queued)
 //!                      mnist/0     mnist/1     resnet/0    resnet/1    (worker
 //!                          │           │          ‖           ‖      threads, one
-//!                          └───────────┴─per-request reply channels─▶ tickets
+//!                          └───────────┴──── reply channels ────▶ tickets  warm
+//!                          ╰── "finished a batch" wakes the batcher       pipeline
+//!                                                                          each)
 //! ```
+//!
+//! The flush rule is **work-conserving**: a lane closes into a batch the
+//! moment a replica of its pool has nothing in flight — on arrival, or when
+//! a worker reports a finished batch — so a request never waits for company
+//! beside an idle replica. `max_batch` and the per-class flush deadlines
+//! bind only while every replica of the pool is busy: they close the lane
+//! into the one batch a busy replica may queue behind the one it runs.
 //!
 //! Every batch is stamped with the model's *current* weight snapshot
 //! ([`qnn_compiler::ModelArtifact`], sampled once at flush time), so a
 //! [`Server::publish_weights`] swap behaves like the paper's PCIe parameter
 //! streaming: in-flight batches finish on the old weights, later batches run
 //! bit-identically on the new ones, and versions never mix inside a batch.
+//! A worker keeps one elaborated pipeline per weight version it is running
+//! and re-arms it between batches, instead of lowering the network again.
 //!
-//! Shutdown is explicit and drains: [`Server::shutdown`] closes admission,
-//! sends the batcher a shutdown marker (FIFO-ordered after every request
-//! already submitted), the batcher flushes its lanes (interactive first)
-//! and drops the batch senders; each worker drains its remaining batches
-//! and returns its counters. Every request admitted before `shutdown` is
-//! answered — with a [`Response`] or, if its deadline expired while it
-//! queued, with [`Dropped::Deadline`].
+//! Shutdown is explicit and drains: [`Server::shutdown`] closes admission;
+//! the batcher lanes every request admitted before that, flushes its lanes
+//! (interactive first) and drops the batch senders; each worker drains its
+//! remaining batches and returns its counters. Every request admitted
+//! before `shutdown` is answered — with a [`Response`] or, if its deadline
+//! expired while it queued, with [`Dropped::Deadline`].
 
 use crate::config::{AdmissionPolicy, ConfigError, DispatchPolicy, Priority, ServerConfig};
 use crate::registry::{self, ModelRegistry, PublishError};
 use crate::stats::{
     ClassStats, LatencySummary, LoadWindow, ModelStats, ReplicaStats, RequestStats, ServerReport,
 };
-use qnn_compiler::{ArtifactCache, CompileOptions, Logits, ModelArtifact};
+use qnn_compiler::{ArtifactCache, CompileOptions, CompiledNetwork, Logits, ModelArtifact};
 use qnn_nn::Network;
 use qnn_tensor::Tensor3;
+use std::collections::VecDeque;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{
-    channel, sync_channel, Receiver, RecvTimeoutError, Sender, SyncSender, TrySendError,
-};
-use std::sync::Arc;
-use std::thread::{self, JoinHandle};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{channel, sync_channel, Receiver, RecvTimeoutError, Sender, SyncSender};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Model name the single-model [`serve`] shim registers.
-pub const DEFAULT_MODEL: &str = "default";
 
 /// One completed inference.
 #[derive(Clone, Debug)]
@@ -154,10 +160,20 @@ impl fmt::Display for SubmitError {
     }
 }
 
+/// How an admitted request resolved, as delivered on its reply channel.
+#[derive(Debug)]
+pub struct Completion {
+    /// The request's tag: its id for a [`Ticket`], the caller's choice for
+    /// [`Client::submit_to`].
+    pub tag: u64,
+    /// The response, or why there is none.
+    pub result: Result<Response, Dropped>,
+}
+
 /// Claim ticket for an in-flight request.
 pub struct Ticket {
     id: u64,
-    rx: Receiver<Result<Response, Dropped>>,
+    rx: Receiver<Completion>,
 }
 
 impl Ticket {
@@ -170,20 +186,19 @@ impl Ticket {
     /// dropped — [`Dropped::Deadline`] for a dispatch-time shed,
     /// [`Dropped::Stopped`] if the runtime tore down without answering.
     pub fn wait(self) -> Result<Response, Dropped> {
-        self.rx.recv().unwrap_or(Err(Dropped::Stopped))
+        self.rx.recv().map_or(Err(Dropped::Stopped), |c| c.result)
     }
 
     /// Bounded wait: block at most `timeout` for the request to resolve.
     ///
     /// `None` means the request is still in flight when the budget runs
-    /// out — the ticket stays redeemable, so callers (the TCP front-end in
-    /// particular) can retry or give up without hanging forever on a lost
-    /// worker. A ticket whose server has torn down resolves to
-    /// `Some(Err(Dropped::Stopped))`. A resolved ticket answers at most
-    /// once; later calls report `Dropped::Stopped`.
+    /// out — the ticket stays redeemable, so callers can retry or give up
+    /// without hanging forever on a lost worker. A ticket whose server has
+    /// torn down resolves to `Some(Err(Dropped::Stopped))`. A resolved
+    /// ticket answers at most once; later calls report `Dropped::Stopped`.
     pub fn wait_timeout(&self, timeout: Duration) -> Option<Result<Response, Dropped>> {
         match self.rx.recv_timeout(timeout) {
-            Ok(resolution) => Some(resolution),
+            Ok(completion) => Some(completion.result),
             Err(RecvTimeoutError::Timeout) => None,
             Err(RecvTimeoutError::Disconnected) => Some(Err(Dropped::Stopped)),
         }
@@ -191,7 +206,7 @@ impl Ticket {
 
     /// Non-blocking poll; `None` while the request is still in flight.
     pub fn try_wait(&self) -> Option<Result<Response, Dropped>> {
-        self.rx.try_recv().ok()
+        self.rx.try_recv().ok().map(|c| c.result)
     }
 }
 
@@ -230,15 +245,54 @@ impl SubmitOptions {
     }
 }
 
+/// Everything the batcher waits for, behind one lock, so it has a single
+/// place to sleep: a request, a pool command, a finished batch and the
+/// shutdown flag all wake the same condition variable.
+#[derive(Default)]
+struct Inbox {
+    /// Admitted requests the batcher has not laned yet.
+    requests: Vec<Request>,
+    /// Admitted requests not yet closed into a batch or shed — what
+    /// `queue_depth` bounds. The batcher lanes arrivals at once, so the
+    /// bound is on work it cannot place, whichever model it is for.
+    backlog: usize,
+    /// Pool commands. They are not queued behind requests, so a resize
+    /// lands while the pool is saturated — exactly when it is needed.
+    control: Vec<Control>,
+    /// A worker finished a batch since the batcher last looked.
+    freed: bool,
+    /// Admission is closed; the batcher drains and exits.
+    shutdown: bool,
+}
+
 struct Shared {
     registry: ModelRegistry,
+    admission: AdmissionPolicy,
+    queue_depth: usize,
     next_id: AtomicU64,
     /// Global replica id allocator — replicas spawned by a pool resize get
     /// fresh ids, so `RequestStats::replica` stays unique server-wide.
     next_replica: AtomicU64,
     submitted: AtomicU64,
     rejected: AtomicU64,
-    stopped: AtomicBool,
+    inbox: Mutex<Inbox>,
+    /// The batcher sleeps here; anything put in the inbox signals it.
+    wake: Condvar,
+    /// Blocked submitters sleep here; a falling backlog signals it.
+    space: Condvar,
+}
+
+impl Shared {
+    fn inbox(&self) -> MutexGuard<'_, Inbox> {
+        self.inbox.lock().expect("a serving thread panicked holding the inbox")
+    }
+
+    /// Close admission and tell the batcher to drain.
+    fn close(&self) {
+        self.inbox().shutdown = true;
+        self.wake.notify_one();
+        self.space.notify_all();
+    }
 }
 
 /// Submission-side handle, created by [`Server::client`].
@@ -247,8 +301,6 @@ struct Shared {
 /// to as many submitter threads as the traffic model needs.
 #[derive(Clone)]
 pub struct Client {
-    tx: SyncSender<Msg>,
-    admission: AdmissionPolicy,
     shared: Arc<Shared>,
 }
 
@@ -265,11 +317,37 @@ impl Client {
         image: Tensor3<i8>,
         opts: SubmitOptions,
     ) -> Result<Ticket, SubmitError> {
-        if self.shared.stopped.load(Ordering::Acquire) {
-            return Err(SubmitError::Stopped);
-        }
+        let (reply, rx) = channel();
+        let id = self.admit(image, opts, None, reply)?;
+        Ok(Ticket { id, rx })
+    }
+
+    /// Submit one image whose [`Completion`] is sent to `replies` tagged
+    /// `tag`, instead of to a [`Ticket`] of its own. A front-end holding
+    /// many requests in flight hands every one the same channel and sleeps
+    /// on that, so it hears of each completion the moment it happens and
+    /// in completion order.
+    pub fn submit_to(
+        &self,
+        image: Tensor3<i8>,
+        opts: SubmitOptions,
+        tag: u64,
+        replies: &Sender<Completion>,
+    ) -> Result<(), SubmitError> {
+        self.admit(image, opts, Some(tag), replies.clone()).map(|_| ())
+    }
+
+    fn admit(
+        &self,
+        image: Tensor3<i8>,
+        opts: SubmitOptions,
+        tag: Option<u64>,
+        reply: Sender<Completion>,
+    ) -> Result<u64, SubmitError> {
+        let shared = &*self.shared;
+        let submitted_at = Instant::now();
         let model = match &opts.model {
-            Some(name) => match self.shared.registry.resolve(name) {
+            Some(name) => match shared.registry.resolve(name) {
                 Some(idx) => idx,
                 None => {
                     return Err(SubmitError::UnknownModel {
@@ -278,46 +356,55 @@ impl Client {
                     })
                 }
             },
-            None if self.shared.registry.len() == 1 => 0,
+            None if shared.registry.len() == 1 => 0,
             None => return Err(SubmitError::AmbiguousModel(Box::new(image))),
         };
-        let id = self.shared.next_id.fetch_add(1, Ordering::Relaxed);
-        let (reply, rx) = sync_channel(1);
-        let req = Request {
+        let mut inbox = shared.inbox();
+        loop {
+            if inbox.shutdown {
+                return Err(SubmitError::Stopped);
+            }
+            if inbox.backlog < shared.queue_depth {
+                break;
+            }
+            match shared.admission {
+                AdmissionPolicy::Block => {
+                    inbox = shared.space.wait(inbox).expect("inbox poisoned");
+                }
+                AdmissionPolicy::Reject => {
+                    // A rejected attempt still counts as submitted, so the
+                    // admission ledger stays a partition:
+                    // completed + rejected + shed == submitted.
+                    shared.submitted.fetch_add(1, Ordering::Relaxed);
+                    shared.rejected.fetch_add(1, Ordering::Relaxed);
+                    return Err(SubmitError::QueueFull(Box::new(image)));
+                }
+            }
+        }
+        // Counted in the critical section that publishes the request: no
+        // worker can answer it — and count it back out — before it is in.
+        let id = shared.next_id.fetch_add(1, Ordering::Relaxed);
+        shared.submitted.fetch_add(1, Ordering::Relaxed);
+        // Per-model live window: offered load and backlog, sampled by the
+        // autoscaler (and any other saturation-aware router) while the
+        // server runs.
+        let live = shared.registry.live(model);
+        live.submitted.fetch_add(1, Ordering::Relaxed);
+        live.in_flight.fetch_add(1, Ordering::Relaxed);
+        inbox.backlog += 1;
+        inbox.requests.push(Request {
             id,
+            tag: tag.unwrap_or(id),
             model,
             priority: opts.priority,
             deadline: opts.deadline,
             image,
-            submitted_at: Instant::now(),
+            submitted_at,
             reply,
-        };
-        match self.admission {
-            AdmissionPolicy::Block => {
-                self.tx.send(Msg::Request(req)).map_err(|_| SubmitError::Stopped)?;
-            }
-            AdmissionPolicy::Reject => match self.tx.try_send(Msg::Request(req)) {
-                Ok(()) => {}
-                Err(TrySendError::Full(Msg::Request(req))) => {
-                    // A rejected attempt still counts as submitted, so the
-                    // admission ledger stays a partition:
-                    // completed + rejected + shed == submitted.
-                    self.shared.submitted.fetch_add(1, Ordering::Relaxed);
-                    self.shared.rejected.fetch_add(1, Ordering::Relaxed);
-                    return Err(SubmitError::QueueFull(Box::new(req.image)));
-                }
-                Err(TrySendError::Full(_)) => unreachable!("only requests use try_send"),
-                Err(TrySendError::Disconnected(_)) => return Err(SubmitError::Stopped),
-            },
-        }
-        self.shared.submitted.fetch_add(1, Ordering::Relaxed);
-        // Per-model live window: offered load and backlog, sampled by the
-        // autoscaler (and any other saturation-aware router) while the
-        // server runs.
-        let live = self.shared.registry.live(model);
-        live.submitted.fetch_add(1, Ordering::Relaxed);
-        live.in_flight.fetch_add(1, Ordering::Relaxed);
-        Ok(Ticket { id, rx })
+        });
+        drop(inbox);
+        shared.wake.notify_one();
+        Ok(id)
     }
 
     /// Total backlog across every model: requests admitted but not yet
@@ -333,33 +420,27 @@ impl Client {
 
 struct Request {
     id: u64,
+    tag: u64,
     model: usize,
     priority: Priority,
     deadline: Option<Duration>,
     image: Tensor3<i8>,
     submitted_at: Instant,
-    reply: SyncSender<Result<Response, Dropped>>,
+    reply: Sender<Completion>,
 }
 
-enum Msg {
-    Request(Request),
-    /// Wake the scheduling loop so it drains the control channel. Carries
-    /// no data itself — the actual command travels on the control channel,
-    /// which jumps the request FIFO (see [`Control`]).
-    Nudge,
-    Shutdown,
+impl Request {
+    /// The ticket (or the front-end) may have gone away; the request still
+    /// counts as resolved.
+    fn resolve(&self, result: Result<Response, Dropped>) {
+        let _ = self.reply.send(Completion { tag: self.tag, result });
+    }
 }
 
-/// Out-of-band commands to the batcher. These ride a dedicated unbounded
-/// channel rather than the request queue, because a control action must
-/// land *while* the pool is saturated — exactly when the request FIFO is
-/// deepest. The batcher drains this channel at the top of every scheduling
-/// iteration and inside every dispatch stall, so a resize takes effect
-/// within one retry beat even under a full backlog.
+/// Commands to the batcher, the sole owner of pool handles.
 enum Control {
-    /// Grow or shrink one model's replica pool to `replicas` workers.
-    /// Handled by the batcher (the sole owner of pool handles), ack'd with
-    /// `(old_size, new_size)` once the pool has the new shape.
+    /// Grow or shrink one model's replica pool to `replicas` workers,
+    /// ack'd with `(old_size, new_size)` once the pool has the new shape.
     Resize { model: usize, replicas: usize, ack: SyncSender<(usize, usize)> },
 }
 
@@ -375,11 +456,36 @@ struct Batch {
     requests: Vec<Request>,
 }
 
-/// One live replica worker, as the batcher sees it: its batch queue and
-/// its dispatch-side in-flight image counter.
+/// Dispatch-side load of one replica: incremented by the batcher before a
+/// batch is sent, decremented by the worker once it is fully answered, so
+/// both counts cover queued *and* running work. The worker's `AcqRel`
+/// decrements pair with the batcher's `Acquire` loads; a stale read only
+/// makes a replica look busier than it is.
+#[derive(Default)]
+struct SlotLoad {
+    images: AtomicU64,
+    batches: AtomicU64,
+}
+
+/// Batches a replica may hold: the one it runs and one queued behind it,
+/// so it never idles between back-to-back batches but the batcher cannot
+/// run arbitrarily far ahead of a slow replica.
+const SLOT_DEPTH: u64 = 2;
+
+/// One live replica worker, as the batcher sees it.
 struct ReplicaSlot {
-    tx: SyncSender<Batch>,
-    in_flight: Arc<AtomicU64>,
+    tx: Sender<Batch>,
+    load: Arc<SlotLoad>,
+}
+
+impl ReplicaSlot {
+    fn images(&self) -> u64 {
+        self.load.images.load(Ordering::Acquire)
+    }
+
+    fn accepts(&self) -> bool {
+        self.load.batches.load(Ordering::Acquire) < SLOT_DEPTH
+    }
 }
 
 /// Batcher-side view of one model's replica pool. Pools are resizable at
@@ -395,12 +501,6 @@ struct PoolHandle {
     /// ([`ModelOptions::synthetic_delay`]); replicas added by a resize
     /// inherit it, so scaling experiments stay apples-to-apples.
     delay: Duration,
-}
-
-#[derive(Default)]
-struct Lane {
-    pending: Vec<Request>,
-    first_at: Option<Instant>,
 }
 
 struct BatcherStats {
@@ -426,294 +526,224 @@ impl BatcherKnobs {
     }
 }
 
-/// How long a stalled dispatch sleeps between retries while every replica
-/// of the target pool is busy. Each retry beat re-drains the control
-/// channel, so this also bounds resize latency under saturation.
-const DISPATCH_RETRY: Duration = Duration::from_millis(1);
+/// Assembles requests into per-(model, class) batches and dispatches them.
+///
+/// The batcher is also the pool supervisor: it owns every replica slot and
+/// every worker join handle (including workers retired by a shrink), so
+/// [`Control::Resize`] needs no lock around pool shape.
+///
+/// One scheduling step: dispatch every lane that is *ready*, then sleep on
+/// the inbox until a request, a command, a finished batch, shutdown or the
+/// next lane deadline. A lane is ready when it is non-empty and
+///
+/// * a replica of its pool has nothing in flight (work-conserving: a
+///   request never waits beside an idle replica), or
+/// * it holds `max_batch` requests, or its oldest request has waited the
+///   class's flush deadline — the two bounds on how long a lane keeps
+///   filling while every replica is busy.
+///
+/// A ready lane is closed only if a replica can take the batch (it holds
+/// fewer than [`SLOT_DEPTH`]); otherwise it stays as it is — still
+/// accepting arrivals, still one lane — until a worker reports a finished
+/// batch. Nothing the batcher does blocks on one pool, so a saturated
+/// model never delays another model's lanes.
+struct Batcher {
+    shared: Arc<Shared>,
+    knobs: BatcherKnobs,
+    pools: Vec<PoolHandle>,
+    workers: Vec<JoinHandle<WorkerOutput>>,
+    /// Per model, per class index, in arrival order.
+    lanes: Vec<[VecDeque<Request>; 2]>,
+    stats: BatcherStats,
+    /// Requests batched or shed since the inbox was last locked: taken off
+    /// its backlog at the next lock.
+    closed: usize,
+}
 
-/// Apply every queued control command. Called at the top of each batcher
-/// iteration and between dispatch retries, so pool reshapes land promptly
-/// regardless of how deep the request FIFO is.
-fn apply_control(
-    control: &Receiver<Control>,
-    pools: &mut [PoolHandle],
-    workers: &mut Vec<JoinHandle<WorkerOutput>>,
-    shared: &Arc<Shared>,
-) {
-    while let Ok(Control::Resize { model, replicas, ack }) = control.try_recv() {
-        let old = pools[model].slots.len();
-        while pools[model].slots.len() < replicas {
-            let delay = pools[model].delay;
-            let (slot, handle) = spawn_worker(shared, model, delay);
-            pools[model].slots.push(slot);
-            workers.push(handle);
+impl Batcher {
+    fn run(mut self) -> (BatcherStats, Vec<JoinHandle<WorkerOutput>>) {
+        loop {
+            let now = Instant::now();
+            self.flush_ready(now);
+            let (arrivals, control, shutdown) = self.wait(self.next_deadline(now));
+            for command in control {
+                self.apply(command);
+            }
+            for req in arrivals {
+                self.lanes[req.model][req.priority.index()].push_back(req);
+            }
+            if shutdown {
+                // Everything admitted before the flag is laned by now.
+                for priority in Priority::ALL {
+                    for model in 0..self.lanes.len() {
+                        while self.dispatch(model, priority, true) {}
+                    }
+                }
+                return (self.stats, self.workers);
+            }
+        }
+    }
+
+    /// Sleep until the inbox has something or `wake_at` passes, and take
+    /// what it has.
+    fn wait(&mut self, wake_at: Option<Instant>) -> (Vec<Request>, Vec<Control>, bool) {
+        let shared = &*self.shared;
+        let mut inbox = shared.inbox();
+        if self.closed > 0 {
+            inbox.backlog -= std::mem::take(&mut self.closed);
+            shared.space.notify_all();
+        }
+        while inbox.requests.is_empty()
+            && inbox.control.is_empty()
+            && !inbox.freed
+            && !inbox.shutdown
+        {
+            inbox = match wake_at {
+                None => shared.wake.wait(inbox).expect("inbox poisoned"),
+                Some(at) => {
+                    let left = at.saturating_duration_since(Instant::now());
+                    if left.is_zero() {
+                        break;
+                    }
+                    shared.wake.wait_timeout(inbox, left).expect("inbox poisoned").0
+                }
+            };
+        }
+        inbox.freed = false;
+        (
+            std::mem::take(&mut inbox.requests),
+            std::mem::take(&mut inbox.control),
+            inbox.shutdown,
+        )
+    }
+
+    fn apply(&mut self, Control::Resize { model, replicas, ack }: Control) {
+        let pool = &mut self.pools[model];
+        let old = pool.slots.len();
+        while pool.slots.len() < replicas {
+            let (slot, handle) = spawn_worker(&self.shared, model, pool.delay);
+            pool.slots.push(slot);
+            self.workers.push(handle);
         }
         // Shrink: dropping the slot's sender lets the worker drain any
         // batch already queued to it, answer those requests, and exit;
         // its join handle stays with the batcher for shutdown, so its
         // counters still reach the final report.
-        while pools[model].slots.len() > replicas {
-            pools[model].slots.pop();
-        }
-        shared.registry.set_replicas(model, replicas);
+        pool.slots.truncate(replicas);
+        self.shared.registry.set_replicas(model, replicas);
         let _ = ack.send((old, replicas));
     }
-}
 
-/// Close `lane` into a batch: shed deadline-expired requests, pin the
-/// model's current weight snapshot, and dispatch to a pool replica.
-#[allow(clippy::too_many_arguments)] // the batcher's whole working set
-fn flush_lane(
-    lane: &mut Lane,
-    pools: &mut [PoolHandle],
-    model: usize,
-    priority: Priority,
-    control: &Receiver<Control>,
-    workers: &mut Vec<JoinHandle<WorkerOutput>>,
-    shared: &Arc<Shared>,
-    dispatch: DispatchPolicy,
-    stats: &mut BatcherStats,
-) {
-    let registry = &shared.registry;
-    lane.first_at = None;
-    if lane.pending.is_empty() {
-        return;
-    }
-    let requests = std::mem::take(&mut lane.pending);
-    // Dispatch-time deadline check: a request that already blew its
-    // latency budget is answered `Dropped::Deadline` now — running it
-    // would waste a pipeline slot on an answer nobody is waiting for.
-    let now = Instant::now();
-    let mut kept = Vec::with_capacity(requests.len());
-    for req in requests {
-        match req.deadline {
-            Some(budget) if now.duration_since(req.submitted_at) > budget => {
-                stats.shed[model][priority.index()] += 1;
-                let live = registry.live(model);
-                live.shed.fetch_add(1, Ordering::Relaxed);
-                live.in_flight.fetch_sub(1, Ordering::Relaxed);
-                let _ = req.reply.send(Err(Dropped::Deadline));
+    /// When the earliest lane that is still filling hits its class
+    /// deadline. A lane already past it is waiting for a replica, not for
+    /// the clock: a finished batch wakes the batcher for those.
+    fn next_deadline(&self, now: Instant) -> Option<Instant> {
+        let mut wake = None;
+        for pair in &self.lanes {
+            for priority in Priority::ALL {
+                if let Some(oldest) = pair[priority.index()].front() {
+                    let at = oldest.submitted_at + self.knobs.deadline_of(priority);
+                    if at > now {
+                        wake = Some(wake.map_or(at, |w: Instant| w.min(at)));
+                    }
+                }
             }
-            _ => kept.push(req),
+        }
+        wake
+    }
+
+    fn ready(&self, model: usize, priority: Priority, now: Instant) -> bool {
+        let lane = &self.lanes[model][priority.index()];
+        let Some(oldest) = lane.front() else { return false };
+        lane.len() >= self.knobs.max_batch
+            || now.duration_since(oldest.submitted_at) >= self.knobs.deadline_of(priority)
+            || self.pools[model].slots.iter().any(|slot| slot.images() == 0)
+    }
+
+    /// Dispatch every ready lane — interactive lanes first, so latency
+    /// traffic is placed ahead of throughput traffic at every scheduling
+    /// decision.
+    fn flush_ready(&mut self, now: Instant) {
+        for priority in Priority::ALL {
+            for model in 0..self.lanes.len() {
+                while self.ready(model, priority, now) && self.dispatch(model, priority, false) {}
+            }
         }
     }
-    if kept.is_empty() {
-        return;
-    }
-    // Round-robin assigns a sequence slot once per batch (reproducible
-    // shard order); least-loaded re-picks on every retry, so a replica
-    // added by a mid-stall resize is targeted immediately.
-    let assigned = match dispatch {
-        DispatchPolicy::RoundRobin => {
-            let s = pools[model].seq;
-            pools[model].seq += 1;
-            Some(s)
-        }
-        DispatchPolicy::LeastLoaded => None,
-    };
-    let id = stats.batches;
-    stats.batches += 1;
-    stats.occupancy_sum += kept.len() as u64;
-    let images = kept.len() as u64;
-    let artifact = registry.current(model);
-    let mut batch = Batch { id, priority, artifact, requests: kept };
-    loop {
-        let pool = &pools[model];
-        let target = match assigned {
-            Some(s) => s % pool.slots.len(),
+
+    /// The replica the next batch of `model` goes to, if one can take it
+    /// (any one, when `force`d by the shutdown drain).
+    fn target(&self, model: usize, force: bool) -> Option<usize> {
+        let pool = &self.pools[model];
+        match self.knobs.dispatch {
+            // The sequence slot moves only when a batch is sent, so shard
+            // order depends on the flush sequence alone.
+            DispatchPolicy::RoundRobin => {
+                let next = pool.seq % pool.slots.len();
+                (force || pool.slots[next].accepts()).then_some(next)
+            }
             // Fewest in-flight images wins, ties to the lowest id. The
             // loads move underneath us (workers decrement as batches
             // finish), but only the batcher increments, so the chosen
             // replica can only be less loaded than observed.
-            None => pool
+            DispatchPolicy::LeastLoaded => pool
                 .slots
                 .iter()
                 .enumerate()
-                .min_by_key(|(_, slot)| slot.in_flight.load(Ordering::Relaxed))
-                .map(|(i, _)| i)
-                .expect("at least one replica"),
-        };
-        match pools[model].slots[target].tx.try_send(batch) {
-            Ok(()) => {
-                pools[model].slots[target].in_flight.fetch_add(images, Ordering::Relaxed);
-                return;
-            }
-            // Every replica busy and its batch slot occupied: backpressure
-            // propagates through the batcher to the bounded submission
-            // queue and ultimately to the admission edge. The stall stays
-            // control-responsive, so a scale-up can land mid-stall — the
-            // moment it is most needed — and the next retry targets the
-            // fresh, empty replica.
-            Err(TrySendError::Full(b)) => {
-                batch = b;
-                apply_control(control, pools, workers, shared);
-                thread::sleep(DISPATCH_RETRY);
-            }
-            Err(TrySendError::Disconnected(_)) => {
-                panic!("model {model} replica {target} hung up before shutdown")
-            }
+                .filter(|(_, slot)| force || slot.accepts())
+                .min_by_key(|(_, slot)| slot.images())
+                .map(|(i, _)| i),
         }
     }
-}
 
-/// Flush every lane whose class deadline has expired — interactive lanes
-/// first, so latency traffic is dispatched ahead of throughput traffic at
-/// every scheduling decision.
-fn flush_expired(
-    lanes: &mut [[Lane; 2]],
-    pools: &mut [PoolHandle],
-    control: &Receiver<Control>,
-    workers: &mut Vec<JoinHandle<WorkerOutput>>,
-    shared: &Arc<Shared>,
-    knobs: &BatcherKnobs,
-    stats: &mut BatcherStats,
-) {
-    let now = Instant::now();
-    for priority in Priority::ALL {
-        for (model, pair) in lanes.iter_mut().enumerate() {
-            let lane = &mut pair[priority.index()];
-            let expired = lane
-                .first_at
-                .is_some_and(|t0| now.duration_since(t0) >= knobs.deadline_of(priority));
-            if expired {
-                flush_lane(
-                    lane,
-                    pools,
-                    model,
-                    priority,
-                    control,
-                    workers,
-                    shared,
-                    knobs.dispatch,
-                    stats,
-                );
+    /// Close the front of a lane (up to `max_batch` requests) into a batch:
+    /// shed deadline-expired requests, pin the model's current weight
+    /// snapshot, and send it to a pool replica. `false` when the lane is
+    /// empty or no replica can take a batch now.
+    fn dispatch(&mut self, model: usize, priority: Priority, force: bool) -> bool {
+        if self.lanes[model][priority.index()].is_empty() {
+            return false;
+        }
+        let Some(target) = self.target(model, force) else { return false };
+        let lane = &mut self.lanes[model][priority.index()];
+        let take = lane.len().min(self.knobs.max_batch);
+        self.closed += take;
+        // Dispatch-time deadline check: a request that already blew its
+        // latency budget is answered `Dropped::Deadline` now — running it
+        // would waste a pipeline slot on an answer nobody is waiting for.
+        let now = Instant::now();
+        let registry = &self.shared.registry;
+        let mut kept = Vec::with_capacity(take);
+        for req in lane.drain(..take) {
+            match req.deadline {
+                Some(budget) if now.duration_since(req.submitted_at) > budget => {
+                    self.stats.shed[model][priority.index()] += 1;
+                    let live = registry.live(model);
+                    live.shed.fetch_add(1, Ordering::Relaxed);
+                    live.in_flight.fetch_sub(1, Ordering::Relaxed);
+                    req.resolve(Err(Dropped::Deadline));
+                }
+                _ => kept.push(req),
             }
         }
-    }
-}
-
-/// Assemble requests into per-(model, class) batches and dispatch them.
-///
-/// The batcher is also the pool supervisor: it owns every replica slot and
-/// every worker join handle (including workers retired by a shrink), so
-/// [`Control::Resize`] needs no lock around pool shape — it is applied on
-/// the scheduling loop, from a dedicated channel that jumps the request
-/// FIFO (drained each iteration and inside dispatch stalls). Returns its
-/// stats plus the handles of every worker it ever supervised, for the
-/// shutdown join.
-fn run_batcher(
-    rx: Receiver<Msg>,
-    control: Receiver<Control>,
-    mut pools: Vec<PoolHandle>,
-    mut workers: Vec<JoinHandle<WorkerOutput>>,
-    shared: Arc<Shared>,
-    knobs: BatcherKnobs,
-) -> (BatcherStats, Vec<JoinHandle<WorkerOutput>>) {
-    let models = pools.len();
-    let mut stats =
-        BatcherStats { batches: 0, occupancy_sum: 0, shed: vec![[0; 2]; models] };
-    let mut lanes: Vec<[Lane; 2]> = (0..models).map(|_| Default::default()).collect();
-    loop {
-        apply_control(&control, &mut pools, &mut workers, &shared);
-        // Wake at the earliest lane deadline: each lane's clock starts at
-        // its *own* first queued request and runs against its *own* class
-        // deadline (a partial interactive batch flushes on time even while
-        // a batch-class lane is still filling).
-        let mut wake: Option<Instant> = None;
-        for pair in &lanes {
-            for priority in Priority::ALL {
-                if let Some(t0) = pair[priority.index()].first_at {
-                    let at = t0 + knobs.deadline_of(priority);
-                    wake = Some(wake.map_or(at, |w| w.min(at)));
-                }
-            }
+        if kept.is_empty() {
+            return true;
         }
-        let msg = match wake {
-            None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
-            Some(at) => rx.recv_timeout(at.saturating_duration_since(Instant::now())),
-        };
-        match msg {
-            Ok(Msg::Request(req)) => {
-                let (model, priority) = (req.model, req.priority);
-                let lane = &mut lanes[model][priority.index()];
-                if lane.pending.is_empty() {
-                    lane.first_at = Some(Instant::now());
-                }
-                lane.pending.push(req);
-                if lane.pending.len() >= knobs.max_batch {
-                    let lane = &mut lanes[model][priority.index()];
-                    flush_lane(
-                        lane,
-                        &mut pools,
-                        model,
-                        priority,
-                        &control,
-                        &mut workers,
-                        &shared,
-                        knobs.dispatch,
-                        &mut stats,
-                    );
-                }
-                // A steady request stream keeps `recv_timeout` from ever
-                // timing out, so expired lanes are also checked after
-                // every message — without this, flood traffic in one lane
-                // would starve the deadline of every other lane.
-                flush_expired(
-                    &mut lanes,
-                    &mut pools,
-                    &control,
-                    &mut workers,
-                    &shared,
-                    &knobs,
-                    &mut stats,
-                );
-            }
-            Ok(Msg::Nudge) => {
-                // A control command was just posted; apply it now rather
-                // than waiting for the next natural wake-up.
-                apply_control(&control, &mut pools, &mut workers, &shared);
-                flush_expired(
-                    &mut lanes,
-                    &mut pools,
-                    &control,
-                    &mut workers,
-                    &shared,
-                    &knobs,
-                    &mut stats,
-                );
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                flush_expired(
-                    &mut lanes,
-                    &mut pools,
-                    &control,
-                    &mut workers,
-                    &shared,
-                    &knobs,
-                    &mut stats,
-                );
-            }
-            Ok(Msg::Shutdown) | Err(RecvTimeoutError::Disconnected) => {
-                apply_control(&control, &mut pools, &mut workers, &shared);
-                for priority in Priority::ALL {
-                    for (model, pair) in lanes.iter_mut().enumerate() {
-                        let lane = &mut pair[priority.index()];
-                        flush_lane(
-                            lane,
-                            &mut pools,
-                            model,
-                            priority,
-                            &control,
-                            &mut workers,
-                            &shared,
-                            knobs.dispatch,
-                            &mut stats,
-                        );
-                    }
-                }
-                return (stats, workers);
-            }
-        }
+        let id = self.stats.batches;
+        self.stats.batches += 1;
+        self.stats.occupancy_sum += kept.len() as u64;
+        let pool = &mut self.pools[model];
+        pool.seq += 1;
+        let slot = &pool.slots[target];
+        // Counted before the send: the worker counts a batch out when it
+        // is answered, which may be before this thread runs again.
+        slot.load.images.fetch_add(kept.len() as u64, Ordering::AcqRel);
+        slot.load.batches.fetch_add(1, Ordering::AcqRel);
+        let artifact = registry.current(model);
+        slot.tx
+            .send(Batch { id, priority, artifact, requests: kept })
+            .unwrap_or_else(|_| panic!("model {model} replica {target} hung up before shutdown"));
+        true
     }
 }
 
@@ -729,9 +759,9 @@ struct WorkerOutput {
     samples: Vec<Sample>,
 }
 
-/// Spawn one replica worker for `model_idx`, wired to a fresh depth-1
-/// batch queue and a fresh in-flight counter. Used both at server start
-/// and by the batcher when a resize grows a pool.
+/// Spawn one replica worker for `model_idx`, wired to a fresh batch queue
+/// and a fresh load counter. Used both at server start and by the batcher
+/// when a resize grows a pool.
 fn spawn_worker(
     shared: &Arc<Shared>,
     model_idx: usize,
@@ -739,32 +769,32 @@ fn spawn_worker(
 ) -> (ReplicaSlot, JoinHandle<WorkerOutput>) {
     let name = Arc::clone(&shared.registry.entry(model_idx).name);
     let global_id = shared.next_replica.fetch_add(1, Ordering::Relaxed) as usize;
-    // Depth 1: one batch may queue while the previous one runs, so a
-    // replica never idles between back-to-back batches, but the batcher
-    // cannot run arbitrarily far ahead of slow replicas.
-    let (tx, rx) = sync_channel::<Batch>(1);
-    let in_flight = Arc::new(AtomicU64::new(0));
-    let load = Arc::clone(&in_flight);
+    // Unbounded, but the batcher never puts more than `SLOT_DEPTH` batches
+    // in flight per replica (the shutdown drain excepted).
+    let (tx, rx) = channel::<Batch>();
+    let load = Arc::new(SlotLoad::default());
+    let slot = ReplicaSlot { tx, load: Arc::clone(&load) };
     let shared = Arc::clone(shared);
     let handle = std::thread::spawn(move || {
         run_worker(shared, model_idx, name, global_id, rx, load, synthetic_delay)
     });
-    (ReplicaSlot { tx, in_flight }, handle)
+    (slot, handle)
 }
 
 /// Execute batches on one pool replica until its queue disconnects
-/// (drain). `in_flight` is this replica's dispatch-side image count:
-/// decremented once a batch is fully answered, so the batcher's
-/// least-loaded view covers queued *and* running work. `synthetic_delay`
-/// injects extra busy time per batch (test/bench knob modeling a slow
-/// card).
+/// (drain), telling the batcher after each one that the replica has room.
+///
+/// The replica keeps one elaborated pipeline for the weight version it is
+/// running and re-arms it for each batch; a batch stamped with another
+/// version replaces the pipeline. `synthetic_delay` injects extra busy time
+/// per batch (test/bench knob modeling a slow card).
 fn run_worker(
     shared: Arc<Shared>,
     model_idx: usize,
     model: Arc<str>,
     global_id: usize,
     rx: Receiver<Batch>,
-    in_flight: Arc<AtomicU64>,
+    load: Arc<SlotLoad>,
     synthetic_delay: Duration,
 ) -> WorkerOutput {
     let mut out = WorkerOutput {
@@ -776,17 +806,29 @@ fn run_worker(
             images: 0,
             busy: Duration::ZERO,
             cycles: 0,
+            lowerings: 0,
         },
         samples: Vec::new(),
     };
+    let mut warm: Option<(u64, CompiledNetwork)> = None;
     while let Ok(batch) = rx.recv() {
         let Batch { id: batch_id, priority, artifact, requests } = batch;
         let started = Instant::now();
         let images: Vec<Tensor3<i8>> = requests.iter().map(|r| r.image.clone()).collect();
+        let version = artifact.version();
+        let pipeline = match &mut warm {
+            Some((held, pipeline)) if *held == version => pipeline,
+            stale => {
+                out.stats.lowerings += 1;
+                &mut stale.insert((version, artifact.pipeline())).1
+            }
+        };
+        pipeline.load(&images);
         // A RunError here (deadlock/timeout) means the compiled pipeline
         // itself is broken — a programming error, not a load condition —
-        // so it propagates as a panic with the executor's diagnostics.
-        let sim = artifact.run_batch(&images).unwrap_or_else(|e| {
+        // so it propagates as a panic with the executor's diagnostics,
+        // taking the wedged instance down with the worker.
+        let sim = pipeline.run().unwrap_or_else(|e| {
             panic!("model {model} replica {global_id}: batch of {} failed: {e}", images.len())
         });
         if !synthetic_delay.is_zero() {
@@ -796,10 +838,11 @@ fn run_worker(
         out.stats.batches += 1;
         out.stats.images += requests.len() as u64;
         out.stats.busy += busy;
-        out.stats.cycles += sim.cycles();
+        let cycles = sim.cycles();
+        out.stats.cycles += cycles;
         let n = requests.len();
         let live = shared.registry.live(model_idx);
-        for (i, req) in requests.into_iter().enumerate() {
+        for (req, logits) in requests.into_iter().zip(sim.logits) {
             let queue_wait = started.saturating_duration_since(req.submitted_at);
             let latency = req.submitted_at.elapsed();
             out.samples.push(Sample { priority, queue_wait, latency });
@@ -811,10 +854,10 @@ fn run_worker(
             if priority == Priority::Interactive {
                 live.push_interactive(latency);
             }
-            let response = Response {
+            req.resolve(Ok(Response {
                 id: req.id,
                 model: model.to_string(),
-                logits: sim.logits[i].clone(),
+                logits,
                 stats: RequestStats {
                     queue_wait,
                     latency,
@@ -822,15 +865,15 @@ fn run_worker(
                     batch_id,
                     replica: global_id,
                     priority,
-                    weight_version: artifact.version(),
-                    cycles: sim.cycles(),
+                    weight_version: version,
+                    cycles,
                 },
-            };
-            // The ticket may have been dropped; the request still counts
-            // as completed (the work was done).
-            let _ = req.reply.send(Ok(response));
+            }));
         }
-        in_flight.fetch_sub(n as u64, Ordering::Relaxed);
+        load.images.fetch_sub(n as u64, Ordering::AcqRel);
+        load.batches.fetch_sub(1, Ordering::AcqRel);
+        shared.inbox().freed = true;
+        shared.wake.notify_one();
     }
     out
 }
@@ -939,11 +982,15 @@ impl ServerBuilder {
         }
         let shared = Arc::new(Shared {
             registry: ModelRegistry::new(entries),
+            admission: config.admission,
+            queue_depth: config.queue_depth,
             next_id: AtomicU64::new(0),
             next_replica: AtomicU64::new(0),
             submitted: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
-            stopped: AtomicBool::new(false),
+            inbox: Mutex::new(Inbox::default()),
+            wake: Condvar::new(),
+            space: Condvar::new(),
         });
 
         let mut pools = Vec::with_capacity(pool_specs.len());
@@ -967,27 +1014,23 @@ impl ServerBuilder {
             });
         }
 
-        let (sub_tx, sub_rx) = sync_channel::<Msg>(config.queue_depth);
-        let (control_tx, control_rx) = channel::<Control>();
-        let knobs = BatcherKnobs {
-            max_batch: config.max_batch,
-            flush_deadline: config.flush_deadline,
-            interactive_flush_deadline: config.interactive_flush_deadline,
-            dispatch: config.dispatch,
+        let batcher = Batcher {
+            shared: Arc::clone(&shared),
+            knobs: BatcherKnobs {
+                max_batch: config.max_batch,
+                flush_deadline: config.flush_deadline,
+                interactive_flush_deadline: config.interactive_flush_deadline,
+                dispatch: config.dispatch,
+            },
+            lanes: (0..pools.len()).map(|_| Default::default()).collect(),
+            stats: BatcherStats { batches: 0, occupancy_sum: 0, shed: vec![[0; 2]; pools.len()] },
+            pools,
+            workers,
+            closed: 0,
         };
-        let batcher_shared = Arc::clone(&shared);
-        let batcher = std::thread::spawn(move || {
-            run_batcher(sub_rx, control_rx, pools, workers, batcher_shared, knobs)
-        });
+        let batcher = Some(std::thread::spawn(move || batcher.run()));
 
-        Ok(Server {
-            shared,
-            tx: sub_tx,
-            control_tx,
-            admission: config.admission,
-            batcher,
-            started: Instant::now(),
-        })
+        Ok(Server { shared, batcher, started: Instant::now() })
     }
 }
 
@@ -998,13 +1041,16 @@ impl ServerBuilder {
 /// [`Server::shutdown`], which drains and returns the [`ServerReport`].
 pub struct Server {
     shared: Arc<Shared>,
-    tx: SyncSender<Msg>,
-    /// Out-of-band command lane to the batcher ([`Control`]); commands on
-    /// it jump the request FIFO.
-    control_tx: Sender<Control>,
-    admission: AdmissionPolicy,
-    batcher: JoinHandle<(BatcherStats, Vec<JoinHandle<WorkerOutput>>)>,
+    /// Taken by [`Server::shutdown`]; a server dropped without it only
+    /// closes admission and lets its threads drain unobserved.
+    batcher: Option<JoinHandle<(BatcherStats, Vec<JoinHandle<WorkerOutput>>)>>,
     started: Instant,
+}
+
+impl Drop for Server {
+    fn drop(&mut self) {
+        self.shared.close();
+    }
 }
 
 impl Server {
@@ -1016,11 +1062,7 @@ impl Server {
     /// A new submission handle. Clients are independent and cheap; create
     /// one per traffic source.
     pub fn client(&self) -> Client {
-        Client {
-            tx: self.tx.clone(),
-            admission: self.admission,
-            shared: Arc::clone(&self.shared),
-        }
+        Client { shared: Arc::clone(&self.shared) }
     }
 
     /// The model registry (names, current weight versions).
@@ -1057,13 +1099,8 @@ impl Server {
             .resolve(model)
             .ok_or_else(|| ResizeError::UnknownModel(model.to_string()))?;
         let (ack, rx) = sync_channel(1);
-        self.control_tx
-            .send(Control::Resize { model: idx, replicas, ack })
-            .map_err(|_| ResizeError::Stopped)?;
-        // Wake the batcher if it is parked on an empty request queue. A
-        // full queue is fine to skip: a busy batcher re-drains the control
-        // channel every scheduling iteration and every dispatch retry.
-        let _ = self.tx.try_send(Msg::Nudge);
+        self.shared.inbox().control.push(Control::Resize { model: idx, replicas, ack });
+        self.shared.wake.notify_one();
         rx.recv().map_err(|_| ResizeError::Stopped)
     }
 
@@ -1096,12 +1133,10 @@ impl Server {
     /// Requests admitted before the call are answered (completed or shed);
     /// `submit` calls racing the shutdown may instead resolve their
     /// tickets to [`Dropped::Stopped`].
-    pub fn shutdown(self) -> ServerReport {
-        self.shared.stopped.store(true, Ordering::Release);
-        // FIFO marker: everything already in the queue is processed first.
-        let _ = self.tx.send(Msg::Shutdown);
-        drop(self.tx);
-        let (batcher_stats, workers) = self.batcher.join().expect("batcher thread panicked");
+    pub fn shutdown(mut self) -> ServerReport {
+        self.shared.close();
+        let batcher = self.batcher.take().expect("shutdown consumes the server");
+        let (batcher_stats, workers) = batcher.join().expect("batcher thread panicked");
         let outputs: Vec<WorkerOutput> = workers
             .into_iter()
             .map(|h| h.join().expect("replica worker panicked"))
@@ -1220,6 +1255,7 @@ fn build_report(
         rejected: shared.rejected.load(Ordering::Relaxed),
         shed: batcher.shed.iter().map(|s| s[0] + s[1]).sum(),
         batches: batcher.batches,
+        lowerings: per_replica.iter().map(|r| r.lowerings).sum(),
         wall,
         mean_batch_occupancy: if batcher.batches > 0 {
             batcher.occupancy_sum as f64 / batcher.batches as f64
@@ -1232,34 +1268,4 @@ fn build_report(
         per_model,
         per_priority,
     }
-}
-
-/// Run a single-model serving session — the legacy closure entrypoint,
-/// now a thin shim over [`Server`]: it registers `net` as
-/// [`DEFAULT_MODEL`], hands a [`Client`] to `body`, and shuts the server
-/// down (draining every in-flight batch) after `body` returns.
-///
-/// Returns `body`'s result and the aggregate [`ServerReport`].
-///
-/// # Panics
-/// Panics when `config` is invalid — new code should use
-/// [`Server::builder`] with [`ServerConfig::builder`], which surface
-/// [`ConfigError`] instead.
-#[deprecated(
-    note = "use Server::builder().model(..).start() and shutdown() — see DESIGN.md §7"
-)]
-pub fn serve<R>(
-    net: &Network,
-    config: &ServerConfig,
-    body: impl FnOnce(&Client) -> R,
-) -> (R, ServerReport) {
-    let server = Server::builder()
-        .config(config.clone())
-        .model(DEFAULT_MODEL, net)
-        .start()
-        .unwrap_or_else(|e| panic!("invalid server configuration: {e}"));
-    let client = server.client();
-    let result = body(&client);
-    drop(client);
-    (result, server.shutdown())
 }

@@ -45,6 +45,9 @@ pub struct ReplicaStats {
     pub busy: Duration,
     /// Simulated fabric cycles executed, summed over batches.
     pub cycles: u64,
+    /// Pipelines this replica built: one for the first batch of each
+    /// weight version it ran, never one per batch.
+    pub lowerings: u64,
 }
 
 /// p50/p95/max over a set of duration samples (via `qnn-testkit`'s
@@ -147,8 +150,8 @@ pub struct ModelStats {
     pub per_priority: Vec<ClassStats>,
 }
 
-/// Aggregate report returned by [`crate::Server::shutdown`] (and the
-/// [`crate::serve`] shim) after the drain completes.
+/// Aggregate report returned by [`crate::Server::shutdown`] after the
+/// drain completes.
 #[derive(Clone, Debug)]
 pub struct ServerReport {
     /// Total replica workers across every model's pool.
@@ -166,6 +169,8 @@ pub struct ServerReport {
     pub shed: u64,
     /// Batches dispatched.
     pub batches: u64,
+    /// Pipelines built, summed over replicas ([`ReplicaStats::lowerings`]).
+    pub lowerings: u64,
     /// Wall time from server start to the end of the drain.
     pub wall: Duration,
     /// Mean images per dispatched batch.
@@ -306,6 +311,7 @@ mod tests {
             rejected: 0,
             shed: 1,
             batches: 5,
+            lowerings: 2,
             wall: Duration::from_millis(100),
             mean_batch_occupancy: 2.0,
             queue_wait: None,

@@ -3,19 +3,16 @@
 //! invariants. Everything uses the small `test_net` so the whole file runs
 //! in tier-1 time.
 
-// This suite predates the builder API and doubles as the deprecated
-// `serve` shim's coverage until the shim is removed (DESIGN.md §7).
-#![allow(deprecated)]
-
-use qnn_compiler::{run_images, CompileOptions};
 use qnn_nn::{models, Network};
 use qnn_serve::{
-    serve, AdmissionPolicy, ConfigError, DispatchPolicy, ModelOptions, Priority, ResizeError,
+    AdmissionPolicy, ConfigError, DispatchPolicy, ModelOptions, Priority, ResizeError, Response,
     Server, ServerConfig, SubmitError, SubmitOptions, Ticket,
 };
 use qnn_tensor::{Shape3, Tensor3};
 use qnn_testkit::Rng;
-use std::time::Duration;
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::time::{Duration, Instant};
 
 fn image(side: usize, seed: u64) -> Tensor3<i8> {
     let mut rng = Rng::seed_from_u64(seed);
@@ -26,16 +23,33 @@ fn net() -> Network {
     Network::random(models::test_net(8, 4, 2), 42)
 }
 
+/// A running single-model server under `config`.
+fn start(net: &Network, config: ServerConfig) -> Server {
+    Server::builder().config(config).model("m", net).start().expect("valid server")
+}
+
+/// A single-model server whose one replica takes `service` per batch.
+fn start_slow(net: &Network, config: ServerConfig, service: Duration) -> Server {
+    Server::builder()
+        .config(config)
+        .model_with("m", net, ModelOptions::new().replicas(1).synthetic_delay(service))
+        .start()
+        .expect("valid server")
+}
+
+fn wait_all(tickets: Vec<Ticket>) -> Vec<Response> {
+    tickets.into_iter().map(|t| t.wait().expect("answered")).collect()
+}
+
 #[test]
 fn responses_match_the_reference_interpreter() {
     let net = net();
     let imgs: Vec<_> = (0..6).map(|s| image(8, s)).collect();
-    let config = ServerConfig { replicas: 2, max_batch: 3, ..ServerConfig::default() };
-    let (responses, report) = serve(&net, &config, |client| {
-        let tickets: Vec<Ticket> =
-            imgs.iter().map(|i| client.submit(i.clone()).expect("admitted")).collect();
-        tickets.into_iter().map(|t| t.wait().expect("answered")).collect::<Vec<_>>()
-    });
+    let server = start(&net, ServerConfig { replicas: 2, max_batch: 3, ..ServerConfig::default() });
+    let client = server.client();
+    let tickets = imgs.iter().map(|i| client.submit(i.clone()).expect("admitted")).collect();
+    let responses = wait_all(tickets);
+    let report = server.shutdown();
     assert_eq!(report.completed, imgs.len() as u64);
     assert_eq!(report.rejected, 0);
     for (resp, img) in responses.iter().zip(&imgs) {
@@ -49,58 +63,31 @@ fn responses_are_matched_to_their_requests_not_merely_in_order() {
     // ticket must still carry its own image's logits.
     let net = net();
     let imgs: Vec<_> = (0..5).map(|s| image(8, 100 + s)).collect();
-    let config = ServerConfig { replicas: 3, max_batch: 2, ..ServerConfig::default() };
-    let (responses, _) = serve(&net, &config, |client| {
-        let tickets: Vec<Ticket> =
-            imgs.iter().map(|i| client.submit(i.clone()).expect("admitted")).collect();
-        let mut out: Vec<_> =
-            tickets.into_iter().rev().map(|t| t.wait().expect("answered")).collect();
-        out.reverse();
-        out
-    });
+    let server = start(&net, ServerConfig { replicas: 3, max_batch: 2, ..ServerConfig::default() });
+    let client = server.client();
+    let tickets: Vec<Ticket> =
+        imgs.iter().map(|i| client.submit(i.clone()).expect("admitted")).collect();
+    let mut responses: Vec<_> =
+        tickets.into_iter().rev().map(|t| t.wait().expect("answered")).collect();
+    responses.reverse();
+    server.shutdown();
     for (resp, img) in responses.iter().zip(&imgs) {
         assert_eq!(resp.logits, net.forward(img).logits, "request {}", resp.id);
     }
 }
 
 #[test]
-fn single_replica_serve_is_bit_identical_to_direct_execution() {
-    // One replica, one batch covering the whole trace: the serve path must
-    // produce the same logits as run_images on the same batch.
-    let net = net();
-    let imgs: Vec<_> = (0..4).map(|s| image(8, 50 + s)).collect();
-    let direct = run_images(&net, &imgs, &CompileOptions::default()).expect("direct");
-    let config = ServerConfig {
-        replicas: 1,
-        max_batch: imgs.len(),
-        flush_deadline: Duration::from_secs(5),
-        ..ServerConfig::default()
-    };
-    let (logits, report) = serve(&net, &config, |client| {
-        let tickets: Vec<Ticket> =
-            imgs.iter().map(|i| client.submit(i.clone()).expect("admitted")).collect();
-        tickets
-            .into_iter()
-            .map(|t| t.wait().expect("answered").logits)
-            .collect::<Vec<_>>()
-    });
-    assert_eq!(logits, direct.logits);
-    assert_eq!(report.completed, imgs.len() as u64);
-}
-
-#[test]
 fn shutdown_drains_every_admitted_request() {
-    // Return from the body without waiting on any ticket: the drain must
-    // still execute every admitted request, and the buffered responses
-    // must be redeemable afterwards.
+    // Shut down without waiting on any ticket: the drain must still
+    // execute every admitted request, and the buffered responses must be
+    // redeemable afterwards.
     let net = net();
     let imgs: Vec<_> = (0..5).map(|s| image(8, 200 + s)).collect();
-    let config = ServerConfig { replicas: 2, max_batch: 2, ..ServerConfig::default() };
-    let (tickets, report) = serve(&net, &config, |client| {
-        imgs.iter()
-            .map(|i| client.submit(i.clone()).expect("admitted"))
-            .collect::<Vec<Ticket>>()
-    });
+    let server = start(&net, ServerConfig { replicas: 2, max_batch: 2, ..ServerConfig::default() });
+    let client = server.client();
+    let tickets: Vec<Ticket> =
+        imgs.iter().map(|i| client.submit(i.clone()).expect("admitted")).collect();
+    let report = server.shutdown();
     assert_eq!(report.completed, imgs.len() as u64, "drain lost requests");
     for (t, img) in tickets.into_iter().zip(&imgs) {
         let resp = t.wait().expect("response was buffered before shutdown");
@@ -109,21 +96,25 @@ fn shutdown_drains_every_admitted_request() {
 }
 
 #[test]
-fn deadline_flushes_partial_batches() {
-    // One request against a huge max_batch: only the deadline can flush
-    // it. The request completing at all proves the deadline path works.
+fn idle_pool_answers_a_lone_request_without_waiting_for_company() {
+    // A huge max_batch and flush deadlines far beyond the test: nothing
+    // but the work-conserving rule can close this lane. An idle replica
+    // takes the request at once, alone.
     let net = net();
     let config = ServerConfig {
         replicas: 1,
         max_batch: 64,
-        flush_deadline: Duration::from_millis(1),
+        flush_deadline: Duration::from_secs(10),
+        interactive_flush_deadline: Duration::from_secs(10),
         ..ServerConfig::default()
     };
-    let ((), report) = serve(&net, &config, |client| {
-        let t = client.submit(image(8, 7)).expect("admitted");
-        let resp = t.wait().expect("deadline must flush the batch");
-        assert_eq!(resp.stats.batch_size, 1);
-    });
+    let server = start(&net, config);
+    let started = Instant::now();
+    let resp = server.client().submit(image(8, 7)).expect("admitted").wait().expect("answered");
+    let waited = started.elapsed();
+    assert_eq!(resp.stats.batch_size, 1);
+    assert!(waited < Duration::from_secs(1), "lone request waited {waited:?} beside an idle replica");
+    let report = server.shutdown();
     assert_eq!(report.completed, 1);
     assert_eq!(report.batches, 1);
 }
@@ -141,27 +132,22 @@ fn reject_admission_sheds_load_without_losing_accepted_requests() {
         admission: AdmissionPolicy::Reject,
         ..ServerConfig::default()
     };
-    let (outcome, report) = serve(&net, &config, |client| {
-        let mut tickets = Vec::new();
-        let mut rejected = 0u64;
-        for s in 0..attempts {
-            match client.submit(image(8, 300 + s as u64)) {
-                Ok(t) => tickets.push(t),
-                Err(SubmitError::QueueFull(img)) => {
-                    assert_eq!(img.shape(), Shape3::square(8, 3), "image handed back");
-                    rejected += 1;
-                }
-                Err(e) => panic!("unexpected submit error: {e:?}"),
+    let server = start(&net, config);
+    let client = server.client();
+    let mut tickets = Vec::new();
+    let mut rejected = 0u64;
+    for s in 0..attempts {
+        match client.submit(image(8, 300 + s as u64)) {
+            Ok(t) => tickets.push(t),
+            Err(SubmitError::QueueFull(img)) => {
+                assert_eq!(img.shape(), Shape3::square(8, 3), "image handed back");
+                rejected += 1;
             }
+            Err(e) => panic!("unexpected submit error: {e:?}"),
         }
-        let mut completed = 0u64;
-        for t in tickets {
-            t.wait().expect("accepted requests must complete");
-            completed += 1;
-        }
-        (completed, rejected)
-    });
-    let (completed, rejected) = outcome;
+    }
+    let completed = wait_all(tickets).len() as u64;
+    let report = server.shutdown();
     assert_eq!(completed + rejected, attempts as u64, "an attempt vanished");
     assert_eq!(report.completed, completed);
     assert_eq!(report.rejected, rejected);
@@ -172,18 +158,16 @@ fn reject_admission_sheds_load_without_losing_accepted_requests() {
 fn report_statistics_are_internally_consistent() {
     let net = net();
     let n = 8usize;
-    let config = ServerConfig { replicas: 2, max_batch: 4, ..ServerConfig::default() };
-    let ((), report) = serve(&net, &config, |client| {
-        let tickets: Vec<Ticket> =
-            (0..n).map(|s| client.submit(image(8, s as u64)).expect("admitted")).collect();
-        for t in tickets {
-            let resp = t.wait().expect("answered");
-            assert!(resp.stats.batch_size >= 1 && resp.stats.batch_size <= 4);
-            assert!(resp.stats.replica < 2);
-            assert!(resp.stats.queue_wait <= resp.stats.latency);
-            assert!(resp.stats.cycles > 0);
-        }
-    });
+    let server = start(&net, ServerConfig { replicas: 2, max_batch: 4, ..ServerConfig::default() });
+    let client = server.client();
+    let tickets = (0..n).map(|s| client.submit(image(8, s as u64)).expect("admitted")).collect();
+    for resp in wait_all(tickets) {
+        assert!(resp.stats.batch_size >= 1 && resp.stats.batch_size <= 4);
+        assert!(resp.stats.replica < 2);
+        assert!(resp.stats.queue_wait <= resp.stats.latency);
+        assert!(resp.stats.cycles > 0);
+    }
+    let report = server.shutdown();
     assert_eq!(report.submitted, n as u64);
     assert_eq!(report.completed, n as u64);
     assert!(report.batches >= (n as u64).div_ceil(4), "too few batches");
@@ -204,21 +188,16 @@ fn work_is_sharded_across_replicas() {
     // replica must execute at least one batch (round-robin pinned: the
     // guarantee is policy-specific).
     let net = net();
-    let n = 12usize;
     let config = ServerConfig {
         replicas: 3,
         max_batch: 1,
-        flush_deadline: Duration::from_millis(1),
         dispatch: DispatchPolicy::RoundRobin,
         ..ServerConfig::default()
     };
-    let ((), report) = serve(&net, &config, |client| {
-        let tickets: Vec<Ticket> =
-            (0..n).map(|s| client.submit(image(8, s as u64)).expect("admitted")).collect();
-        for t in tickets {
-            t.wait().expect("answered");
-        }
-    });
+    let server = start(&net, config);
+    let client = server.client();
+    wait_all((0..12).map(|s| client.submit(image(8, s)).expect("admitted")).collect());
+    let report = server.shutdown();
     assert_eq!(report.per_replica.len(), 3);
     for r in &report.per_replica {
         assert!(r.batches >= 1, "replica {} never ran a batch", r.replica);
@@ -229,28 +208,24 @@ fn work_is_sharded_across_replicas() {
 #[test]
 fn least_loaded_dispatch_steers_work_away_from_a_slow_replica() {
     // Replica 0 is artificially slowed by 60 ms per batch; replica 1 runs
-    // at full speed. Under least-loaded dispatch the slow replica's
-    // in-flight count stays pinned high, so after the first few flushes
-    // every batch goes to the drained fast replica. Round-robin would
-    // split the 12 single-image batches 6/6; least-loaded must give the
-    // fast replica strictly more (in practice ~3/9).
+    // at full speed. Under least-loaded dispatch the slow replica holds at
+    // most the batch it runs and the one queued behind it, so nearly every
+    // batch goes to the fast replica as it drains. Round-robin would split
+    // the 12 single-image batches 6/6; least-loaded must give the fast
+    // replica strictly more (in practice ~3/9).
     let net = net();
     let n = 12usize;
     let config = ServerConfig {
         replicas: 2,
         max_batch: 1,
-        flush_deadline: Duration::from_millis(1),
         synthetic_replica_delay: vec![Duration::from_millis(60), Duration::ZERO],
         ..ServerConfig::default()
     };
     assert_eq!(config.dispatch, DispatchPolicy::LeastLoaded, "the default policy");
-    let ((), report) = serve(&net, &config, |client| {
-        let tickets: Vec<Ticket> =
-            (0..n).map(|s| client.submit(image(8, 500 + s as u64)).expect("admitted")).collect();
-        for t in tickets {
-            t.wait().expect("answered");
-        }
-    });
+    let server = start(&net, config);
+    let client = server.client();
+    wait_all((0..n).map(|s| client.submit(image(8, 500 + s as u64)).expect("admitted")).collect());
+    let report = server.shutdown();
     assert_eq!(report.completed, n as u64);
     let slow = report.per_replica.iter().find(|r| r.replica == 0).expect("replica 0");
     let fast = report.per_replica.iter().find(|r| r.replica == 1).expect("replica 1");
@@ -274,15 +249,18 @@ fn serving_works_over_a_partitioned_pipeline() {
     let config = ServerConfig {
         replicas: 2,
         max_batch: 2,
-        compile: CompileOptions { stage_device: Some(stage_device), ..CompileOptions::default() },
+        compile: qnn_compiler::CompileOptions {
+            stage_device: Some(stage_device),
+            ..Default::default()
+        },
         ..ServerConfig::default()
     };
     let imgs: Vec<_> = (0..4).map(|s| image(8, 400 + s)).collect();
-    let (responses, _) = serve(&net, &config, |client| {
-        let tickets: Vec<Ticket> =
-            imgs.iter().map(|i| client.submit(i.clone()).expect("admitted")).collect();
-        tickets.into_iter().map(|t| t.wait().expect("answered")).collect::<Vec<_>>()
-    });
+    let server = start(&net, config);
+    let client = server.client();
+    let responses =
+        wait_all(imgs.iter().map(|i| client.submit(i.clone()).expect("admitted")).collect());
+    server.shutdown();
     for (resp, img) in responses.iter().zip(&imgs) {
         assert_eq!(resp.logits, net.forward(img).logits);
     }
@@ -294,34 +272,31 @@ fn concurrent_submitters_share_one_client() {
     let net = net();
     let net = &net;
     let per_thread = 3usize;
-    let config = ServerConfig { replicas: 2, max_batch: 4, ..ServerConfig::default() };
-    let (all, report) = serve(net, &config, |client| {
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..3u64)
-                .map(|t| {
-                    s.spawn(move || {
-                        (0..per_thread)
-                            .map(|i| {
-                                let img = image(8, 1000 * t + i as u64);
-                                let expect = net.forward(&img).logits;
-                                let got = client
-                                    .submit(img)
-                                    .expect("admitted")
-                                    .wait()
-                                    .expect("answered")
-                                    .logits;
-                                (got, expect)
-                            })
-                            .collect::<Vec<_>>()
-                    })
+    let server = start(net, ServerConfig { replicas: 2, max_batch: 4, ..ServerConfig::default() });
+    let client = &server.client();
+    let all: Vec<_> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..3u64)
+            .map(|t| {
+                s.spawn(move || {
+                    (0..per_thread)
+                        .map(|i| {
+                            let img = image(8, 1000 * t + i as u64);
+                            let expect = net.forward(&img).logits;
+                            let got = client
+                                .submit(img)
+                                .expect("admitted")
+                                .wait()
+                                .expect("answered")
+                                .logits;
+                            (got, expect)
+                        })
+                        .collect::<Vec<_>>()
                 })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("submitter"))
-                .collect::<Vec<_>>()
-        })
+            })
+            .collect();
+        handles.into_iter().flat_map(|h| h.join().expect("submitter")).collect()
     });
+    let report = server.shutdown();
     assert_eq!(all.len(), 9);
     for (got, expect) in all {
         assert_eq!(got, expect);
@@ -330,32 +305,81 @@ fn concurrent_submitters_share_one_client() {
 }
 
 #[test]
-fn partial_interactive_batch_flushes_at_its_own_deadline_under_batch_flood() {
-    // Regression: the batcher used to check lane deadlines only when its
-    // recv timed out, so a steady message stream starved every deadline
-    // flush. With per-(model, class) lanes and expiry checks on the
-    // message path, a partial interactive batch must dispatch at its own
-    // short deadline even while a batch-class lane is still filling under
-    // a continuous flood.
+fn busy_pool_coalesces_arrivals_and_serves_interactive_first() {
+    // One replica held busy 300 ms per batch, flush deadlines far beyond
+    // the test: while it runs the first request, arrivals can only coalesce.
     let net = net();
     let config = ServerConfig {
-        replicas: 2,
+        max_batch: 4,
+        flush_deadline: Duration::from_secs(10),
+        interactive_flush_deadline: Duration::from_secs(10),
+        ..ServerConfig::default()
+    };
+    let server = start_slow(&net, config, Duration::from_millis(300));
+    let client = server.client();
+    let submit = |seed, priority| {
+        let opts = SubmitOptions::default().priority(priority);
+        client.submit_with(image(8, seed), opts).expect("admitted")
+    };
+    let head = submit(0, Priority::Batch);
+    // Let the idle replica take it before the rest arrive.
+    std::thread::sleep(Duration::from_millis(50));
+    let batch: Vec<Ticket> = (1..=6).map(|s| submit(s, Priority::Batch)).collect();
+    let interactive: Vec<Ticket> = (7..=8).map(|s| submit(s, Priority::Interactive)).collect();
+
+    let head = head.wait().expect("answered");
+    let batch = wait_all(batch);
+    let interactive = wait_all(interactive);
+    server.shutdown();
+
+    assert_eq!(head.stats.batch_size, 1, "the idle replica took the first request alone");
+    // The batch lane reached max_batch while the replica was busy: it
+    // closed into the one batch a busy replica queues.
+    for resp in &batch[..4] {
+        assert_eq!(resp.stats.batch_size, 4);
+        assert_eq!(resp.stats.batch_id, batch[0].stats.batch_id);
+    }
+    // When the replica next freed, both lanes were waiting: the interactive
+    // one went first although it was submitted last.
+    for resp in &interactive {
+        assert_eq!(resp.stats.batch_size, 2);
+        assert!(
+            resp.stats.batch_id < batch[4].stats.batch_id,
+            "interactive batch {} dispatched after batch-class batch {}",
+            resp.stats.batch_id,
+            batch[4].stats.batch_id
+        );
+    }
+    assert_eq!(batch[4].stats.batch_id, batch[5].stats.batch_id);
+    assert_eq!(batch[4].stats.batch_size, 2);
+}
+
+#[test]
+fn partial_interactive_batch_closes_at_its_own_deadline_on_a_busy_pool() {
+    // On a busy pool the class deadlines are what closes a partial lane.
+    // The replica runs 150 ms per batch; a batch-class flood fills its
+    // lane (max_batch 400, 10 s deadline: it keeps filling for as long as
+    // the pool is busy) while one interactive request arrives mid-flood.
+    // Its 2 ms deadline closes it, alone, into the slot queued behind the
+    // running batch — ahead of the whole flood.
+    let net = net();
+    let config = ServerConfig {
         max_batch: 400,
         flush_deadline: Duration::from_secs(10),
         interactive_flush_deadline: Duration::from_millis(2),
         ..ServerConfig::default()
     };
-    let server = Server::builder().config(config).model("m", &net).start().expect("start");
+    let server = start_slow(&net, config, Duration::from_millis(150));
     let client = server.client();
 
+    let head = client.submit(image(8, 1)).expect("admitted");
     let feeder = {
         let client = client.clone();
         std::thread::spawn(move || {
-            (0..150u64)
+            (0..50u64)
                 .map(|i| {
-                    let t = client.submit(image(8, 9000 + i)).expect("admitted");
                     std::thread::sleep(Duration::from_millis(2));
-                    t
+                    client.submit(image(8, 9000 + i)).expect("admitted")
                 })
                 .collect::<Vec<_>>()
         })
@@ -364,7 +388,7 @@ fn partial_interactive_batch_flushes_at_its_own_deadline_under_batch_flood() {
     // Let the flood establish a steady stream, then time one interactive
     // request through the middle of it.
     std::thread::sleep(Duration::from_millis(50));
-    let started = std::time::Instant::now();
+    let started = Instant::now();
     let resp = client
         .submit_with(image(8, 77), SubmitOptions::default().priority(Priority::Interactive))
         .expect("admitted")
@@ -373,27 +397,207 @@ fn partial_interactive_batch_flushes_at_its_own_deadline_under_batch_flood() {
     let waited = started.elapsed();
 
     assert_eq!(resp.stats.priority, Priority::Interactive);
-    assert_eq!(resp.stats.batch_size, 1, "partial interactive batch must flush alone");
+    assert_eq!(resp.stats.batch_size, 1, "partial interactive batch must close alone");
     assert!(
-        waited < Duration::from_millis(500),
+        waited < Duration::from_secs(2),
         "interactive request starved behind the batch flood: waited {waited:?}"
     );
 
-    let batch_tickets = feeder.join().expect("feeder thread");
-    // The batch-class lane is still filling (max_batch 400, 10 s flush
-    // deadline): none of the flood may have dispatched yet.
-    assert!(
-        batch_tickets.last().expect("non-empty").try_wait().is_none(),
-        "batch-class lane flushed early"
-    );
+    // The batch-class lane had not closed when the interactive batch did:
+    // every flood request rides a later batch.
+    let head = head.wait().expect("answered");
+    assert!(head.stats.batch_id < resp.stats.batch_id);
+    let flood = wait_all(feeder.join().expect("feeder thread"));
+    for r in &flood {
+        assert!(
+            r.stats.batch_id > resp.stats.batch_id,
+            "batch-class lane closed (batch {}) before the interactive one (batch {})",
+            r.stats.batch_id,
+            resp.stats.batch_id
+        );
+    }
 
     let report = server.shutdown();
-    for t in batch_tickets {
-        t.wait().expect("batch-class requests drain at shutdown");
-    }
-    assert_eq!(report.completed, 151);
+    assert_eq!(report.completed, 52);
     assert_eq!(report.class(Priority::Interactive).map(|c| c.completed), Some(1));
-    assert_eq!(report.class(Priority::Batch).map(|c| c.completed), Some(150));
+    assert_eq!(report.class(Priority::Batch).map(|c| c.completed), Some(51));
+}
+
+#[test]
+fn saturated_model_does_not_delay_another_models_idle_replica() {
+    // Model "a" is flooded far past what its pool can hold (one replica,
+    // 100 ms per batch, lanes long past their 1 ms deadlines); model "b"
+    // idles. A request for "b" must go straight to b's replica — the
+    // batcher may never wait on a's pool.
+    let net = net();
+    let config = ServerConfig {
+        max_batch: 2,
+        flush_deadline: Duration::from_millis(1),
+        interactive_flush_deadline: Duration::from_millis(1),
+        ..ServerConfig::default()
+    };
+    let server = Server::builder()
+        .config(config)
+        .model_with("a", &net, ModelOptions::new().synthetic_delay(Duration::from_millis(100)))
+        .model("b", &net)
+        .start()
+        .expect("valid server");
+    let client = server.client();
+    let flood: Vec<Ticket> = (0..12)
+        .map(|s| client.submit_with(image(8, s), SubmitOptions::model("a")).expect("admitted"))
+        .collect();
+    // a's replica now runs one batch and queues another; the rest of the
+    // flood sits in a's lane, overdue.
+    std::thread::sleep(Duration::from_millis(10));
+    let started = Instant::now();
+    client
+        .submit_with(image(8, 99), SubmitOptions::model("b"))
+        .expect("admitted")
+        .wait()
+        .expect("answered");
+    let waited = started.elapsed();
+    assert!(
+        waited < Duration::from_millis(50),
+        "b's idle replica waited {waited:?} behind a's saturated pool"
+    );
+    wait_all(flood);
+    let report = server.shutdown();
+    assert_eq!(report.completed, 13);
+}
+
+#[test]
+fn publish_during_traffic_is_batch_atomic_and_balances_the_ledger() {
+    let spec = models::test_net(8, 4, 2);
+    let versions: Vec<Network> = (0..4).map(|v| Network::random(spec.clone(), 70 + v)).collect();
+    let imgs: Vec<_> = (0..8).map(|s| image(8, 600 + s)).collect();
+    let oracle: Vec<Vec<Vec<i32>>> = versions
+        .iter()
+        .map(|net| imgs.iter().map(|img| net.forward(img).logits).collect())
+        .collect();
+    let server =
+        start(&versions[0], ServerConfig { replicas: 2, max_batch: 3, ..ServerConfig::default() });
+    let client = &server.client();
+    let imgs = &imgs;
+
+    let responses: Vec<(usize, Response)> = std::thread::scope(|s| {
+        let submitters: Vec<_> = (0..3usize)
+            .map(|t| {
+                s.spawn(move || {
+                    (0..40usize)
+                        .map(|i| {
+                            let which = (t * 3 + i) % imgs.len();
+                            let ticket = client.submit(imgs[which].clone()).expect("admitted");
+                            // Keep a few in flight so batches form.
+                            if i % 4 == 3 {
+                                std::thread::sleep(Duration::from_millis(1));
+                            }
+                            (which, ticket)
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        for net in &versions[1..] {
+            std::thread::sleep(Duration::from_millis(15));
+            server.publish_weights("m", net.clone()).expect("same architecture");
+        }
+        submitters
+            .into_iter()
+            .flat_map(|h| h.join().expect("submitter"))
+            .map(|(which, ticket)| (which, ticket.wait().expect("answered")))
+            .collect()
+    });
+    let report = server.shutdown();
+
+    let mut version_of_batch = BTreeMap::new();
+    for (which, resp) in &responses {
+        let version = resp.stats.weight_version;
+        assert_eq!(
+            resp.logits, oracle[version as usize][*which],
+            "request {} does not match the oracle of the version it carries ({version})",
+            resp.id
+        );
+        let seen = *version_of_batch.entry(resp.stats.batch_id).or_insert(version);
+        assert_eq!(seen, version, "batch {} mixed weight versions", resp.stats.batch_id);
+    }
+    assert_eq!(responses.len(), 120);
+    assert_eq!(report.completed + report.rejected + report.shed, report.submitted);
+    assert_eq!(report.model("m").map(|m| m.weight_publishes), Some(3));
+}
+
+#[test]
+fn replica_lowers_once_per_weight_version_not_once_per_batch() {
+    let spec = models::test_net(8, 4, 2);
+    let v0 = Network::random(spec.clone(), 81);
+    let v1 = Network::random(spec, 82);
+    let server = start(&v0, ServerConfig { replicas: 1, max_batch: 1, ..ServerConfig::default() });
+    let client = server.client();
+    let mut versions = BTreeSet::new();
+    for i in 0..60u64 {
+        if i == 50 {
+            server.publish_weights("m", v1.clone()).expect("same architecture");
+        }
+        let resp = client.submit(image(8, i)).expect("admitted").wait().expect("answered");
+        versions.insert(resp.stats.weight_version);
+    }
+    let report = server.shutdown();
+    assert_eq!(report.batches, 60);
+    assert_eq!(versions.len(), 2);
+    assert_eq!(report.per_replica[0].lowerings, versions.len() as u64);
+    assert_eq!(report.lowerings, versions.len() as u64);
+}
+
+#[test]
+fn queue_depth_never_exceeds_unanswered_submissions() {
+    // Regression: `submit` used to count a request in *after* publishing
+    // it, so a fast worker could count it out first and wrap the backlog
+    // gauge to 2⁶⁴ − 1 — which a cluster router reads as saturation.
+    let net = net();
+    let server = start(&net, ServerConfig { replicas: 1, max_batch: 2, ..ServerConfig::default() });
+    let client = &server.client();
+    // Bumped before each submit and after each answer, so at any instant
+    // the server's own backlog is at most `submitted − answered`.
+    let (submitted, answered) = (&AtomicU64::new(0), &AtomicU64::new(0));
+    let done = &AtomicBool::new(false);
+    std::thread::scope(|s| {
+        let submitters: Vec<_> = (0..4u64)
+            .map(|t| {
+                s.spawn(move || {
+                    for i in 0..150 {
+                        submitted.fetch_add(1, Ordering::SeqCst);
+                        let ticket = client.submit(image(8, 10 * t + i % 10)).expect("admitted");
+                        ticket.wait().expect("answered");
+                        answered.fetch_add(1, Ordering::SeqCst);
+                    }
+                })
+            })
+            .collect();
+        let sampler = s.spawn(move || {
+            let mut reads = 0u64;
+            while !done.load(Ordering::SeqCst) {
+                // Both counters only grow, so reading `answered` first and
+                // `submitted` last can only loosen the bound.
+                let answered = answered.load(Ordering::SeqCst);
+                let depth = client.queue_depth();
+                let submitted = submitted.load(Ordering::SeqCst);
+                assert!(
+                    depth <= submitted - answered,
+                    "queue_depth {depth} with only {} unanswered",
+                    submitted - answered
+                );
+                reads += 1;
+            }
+            reads
+        });
+        for h in submitters {
+            h.join().expect("submitter");
+        }
+        done.store(true, Ordering::SeqCst);
+        assert!(sampler.join().expect("sampler") > 0);
+    });
+    assert_eq!(client.queue_depth(), 0);
+    let report = server.shutdown();
+    assert_eq!(report.completed, 600);
 }
 
 #[test]
@@ -501,7 +705,7 @@ fn resize_pool_lands_while_the_pool_is_saturated() {
     let held: Vec<Ticket> =
         (0..30).map(|i| client.submit(image(8, 100 + i)).expect("admitted")).collect();
     let resized_in = {
-        let t0 = std::time::Instant::now();
+        let t0 = Instant::now();
         assert_eq!(server.resize_pool("m", 3), Ok((1, 3)));
         t0.elapsed()
     };

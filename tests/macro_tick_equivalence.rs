@@ -311,6 +311,7 @@ impl Kernel for SpanAffine {
     fn name(&self) -> &str {
         "affine"
     }
+    fn rearm(&mut self) {}
     fn tick(&mut self, io: &mut Io<'_>) -> Progress {
         if io.can_read(0) && io.can_write(0) {
             let v = io.read(0).expect("checked");

@@ -1,22 +1,21 @@
 //! Determinism guarantees of the serving runtime.
 //!
 //! The serving path adds host-side concurrency (batcher + replica worker
-//! threads) on top of the lockstep device executor; these tests pin down
-//! that none of it leaks into results. A fixed request trace must produce
-//! (a) bit-identical logits to the direct `run_images` path with one
-//! replica, and (b) identical responses across repeated runs with several
-//! replicas, even though batch boundaries and replica assignment are
-//! timing-dependent.
+//! threads) and warm, re-armed pipelines on top of the device executor;
+//! these tests pin down that none of it leaks into results. However the
+//! batcher happens to cut a fixed request trace into batches, (a) every
+//! batch a replica ran is bit-identical — logits *and* simulated cycles —
+//! to a direct `run_images` of exactly that batch on a freshly lowered
+//! pipeline, and (b) responses are identical across repeated runs with
+//! several replicas, even though batch boundaries and replica assignment
+//! are timing-dependent.
 
 use qnn::compiler::{run_images, CompileOptions};
 use qnn::nn::{models, Network};
-// The deprecated closure shim is exercised deliberately: this suite is its
-// remaining coverage until removal (new code: Server::builder, DESIGN.md §7).
-#[allow(deprecated)]
-use qnn::serve::serve;
-use qnn::serve::{ServerConfig, Ticket};
+use qnn::serve::{Response, Server, ServerConfig, Ticket};
 use qnn::tensor::{Shape3, Tensor3};
 use qnn_testkit::Rng;
+use std::collections::BTreeMap;
 
 fn trace(n: usize) -> Vec<Tensor3<i8>> {
     let mut rng = Rng::seed_from_u64(0xD57);
@@ -27,15 +26,18 @@ fn trace(n: usize) -> Vec<Tensor3<i8>> {
         .collect()
 }
 
-#[allow(deprecated)]
-fn serve_trace(net: &Network, images: &[Tensor3<i8>], config: &ServerConfig) -> Vec<Vec<i32>> {
-    let (logits, report) = serve(net, config, |client| {
-        let tickets: Vec<Ticket> =
-            images.iter().map(|i| client.submit(i.clone()).expect("admitted")).collect();
-        tickets.into_iter().map(|t| t.wait().expect("answered").logits).collect::<Vec<_>>()
-    });
+/// Serve `images` in submission order; responses come back in that order.
+fn serve_trace(net: &Network, images: &[Tensor3<i8>], config: &ServerConfig) -> Vec<Response> {
+    let server =
+        Server::builder().config(config.clone()).model("m", net).start().expect("valid server");
+    let client = server.client();
+    let tickets: Vec<Ticket> =
+        images.iter().map(|i| client.submit(i.clone()).expect("admitted")).collect();
+    let responses: Vec<Response> =
+        tickets.into_iter().map(|t| t.wait().expect("answered")).collect();
+    let report = server.shutdown();
     assert_eq!(report.completed, images.len() as u64);
-    logits
+    responses
 }
 
 /// Every dispatch tier must serve the same bits: per-element, span
@@ -54,36 +56,46 @@ fn both_dispatch_modes() -> [CompileOptions; 3] {
 }
 
 #[test]
-fn one_replica_trace_matches_direct_run_devices_path_bit_for_bit() {
+fn every_served_batch_matches_a_direct_run_of_that_batch_bit_for_bit() {
     let net = Network::random(models::test_net(8, 4, 2), 21);
-    let images = trace(6);
-    let direct = run_images(
-        &net,
-        &images,
-        &CompileOptions {
-            macro_ticks: false,
-            schedule_replay: false,
-            ..CompileOptions::default()
-        },
-    )
-    .expect("direct");
+    // Submitted as one burst to one replica: the first request runs alone
+    // and the rest coalesce behind it, so the warm pipeline runs several
+    // batches of several sizes.
+    let images = trace(12);
+    let reference = CompileOptions {
+        macro_ticks: false,
+        schedule_replay: false,
+        ..CompileOptions::default()
+    };
     for compile in both_dispatch_modes() {
-        // max_batch covers the trace, so the single replica sees the very
-        // same batch the direct path compiled.
         let config = ServerConfig {
             replicas: 1,
-            max_batch: images.len(),
-            flush_deadline: std::time::Duration::from_secs(10),
+            max_batch: 4,
             compile: compile.clone(),
             ..ServerConfig::default()
         };
-        assert_eq!(
-            serve_trace(&net, &images, &config),
-            direct.logits,
-            "macro_ticks={}/replay={} diverged from the per-element direct path",
-            compile.macro_ticks,
-            compile.schedule_replay
-        );
+        let responses = serve_trace(&net, &images, &config);
+        // A batch holds its requests in submission order.
+        let mut batches: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
+        for (i, resp) in responses.iter().enumerate() {
+            batches.entry(resp.stats.batch_id).or_default().push(i);
+        }
+        for (batch_id, members) in batches {
+            let batch: Vec<_> = members.iter().map(|&i| images[i].clone()).collect();
+            let direct = run_images(&net, &batch, &reference).expect("direct");
+            for (slot, &i) in members.iter().enumerate() {
+                let resp = &responses[i];
+                let mode = format!(
+                    "macro_ticks={}/replay={}, batch {batch_id} of {}",
+                    compile.macro_ticks,
+                    compile.schedule_replay,
+                    members.len()
+                );
+                assert_eq!(resp.stats.batch_size, members.len(), "{mode}");
+                assert_eq!(resp.logits, direct.logits[slot], "{mode}: logits diverged");
+                assert_eq!(resp.stats.cycles, direct.cycles(), "{mode}: cycles diverged");
+            }
+        }
     }
 }
 
@@ -101,18 +113,12 @@ fn multi_replica_serving_is_identical_across_ten_runs() {
             compile: compile.clone(),
             ..ServerConfig::default()
         };
-        let reference = serve_trace(&net, &images, &config);
-        assert_eq!(
-            reference, expected,
-            "macro_ticks={}/replay={}: serving diverged from the interpreter",
-            compile.macro_ticks,
-            compile.schedule_replay
-        );
-        for run in 1..5 {
+        for run in 0..5 {
+            let logits: Vec<Vec<i32>> =
+                serve_trace(&net, &images, &config).into_iter().map(|r| r.logits).collect();
             assert_eq!(
-                serve_trace(&net, &images, &config),
-                reference,
-                "macro_ticks={}/replay={}: run {run} diverged",
+                logits, expected,
+                "macro_ticks={}/replay={}: run {run} diverged from the interpreter",
                 compile.macro_ticks,
                 compile.schedule_replay
             );
