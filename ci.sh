@@ -11,7 +11,8 @@
 #
 # Modes:
 #   ci.sh                tier-1: offline release build + full test suite
-#                        + clippy
+#                        + clippy + the no-ambient-configuration guard
+#                        (only crates/testkit may read the environment)
 #   ci.sh soak           NOT tier-1: the property suites, in release, at
 #                        QNN_TEST_CASES=1024 (overridable) — a long-running
 #                        hunt for rare ring-buffer/stall/scheduler/re-arm/
@@ -45,15 +46,10 @@
 #                        benchmark/baselines/pr11.json) under the bounds in
 #                        BENCHMARK.json — exact for simulated counts,
 #                        banded for wall-clock. Fails on a regression.
-#   ci.sh matrix         NOT tier-1: the full test suite in release under
-#                        every QNN_SCHED_REPLAY x QNN_MACRO_TICKS x
-#                        QNN_SCHEDULER cell, so env-selected defaults get
-#                        the same coverage the per-test parameterizations
-#                        give the in-process flags.
 #   ci.sh transformer    NOT tier-1 (but fast): the streaming-attention
 #                        batteries in release — the encoder equivalence
 #                        grid/property suite (stall injection, FIFO
-#                        stress, both macro-tick modes) and the mixed
+#                        stress, every scheduler tier) and the mixed
 #                        CNN+transformer serving suite — at the tier-1
 #                        case count (soak reruns the property half at
 #                        1024).
@@ -126,28 +122,10 @@ if [[ "${1:-}" == "net" ]]; then
   exit 0
 fi
 
-if [[ "${1:-}" == "matrix" ]]; then
-  # The in-process flags (CompileOptions / set_macro_ticks) are covered by
-  # the parameterized suites; this sweeps the *env* defaults, which seed
-  # every test that never mentions a scheduler or dispatch mode.
-  for replay in 0 1; do
-    for mt in 0 1; do
-      for sched in dense ready; do
-        echo "==[ matrix: QNN_SCHED_REPLAY=$replay QNN_MACRO_TICKS=$mt QNN_SCHEDULER=$sched ]=="
-        QNN_SCHED_REPLAY="$replay" QNN_MACRO_TICKS="$mt" QNN_SCHEDULER="$sched" \
-          run cargo test -q --release --offline
-      done
-    done
-  done
-  echo "ci.sh matrix: all green"
-  exit 0
-fi
-
 if [[ "${1:-}" == "bench-smoke" ]]; then
   export QNN_BENCH_QUICK=1
   for bench in table3_networks fig5_runtime fig6_resources fig7_fig8_power_energy \
-               ablations kernels_micro scheduler_overhead serve_throughput conv_datapath \
-               macro_tick schedule_replay dse_frontier; do
+               ablations kernels_micro serve_throughput dse_frontier; do
     run cargo bench -q --offline -p qnn-bench --bench "$bench"
   done
   run bash benchmark/run.sh --quick
@@ -172,5 +150,10 @@ fi
 run cargo build --release --offline
 run cargo test -q --offline
 run cargo clippy --all-targets --offline -- -D warnings
+# Configuration is a typed value, never ambient process state: only the
+# test/bench harness knobs (QNN_TEST_*, QNN_BENCH_*) read the environment.
+if grep -rn 'env::var' crates/*/src --include='*.rs' | grep -v '^crates/testkit/'; then
+  echo "ci.sh: env::var outside crates/testkit (see above)" >&2; exit 1
+fi
 
 echo "ci.sh: all green"

@@ -12,7 +12,7 @@
 //! every cut against the MaxRing bandwidth budget. [`compile`] then builds
 //! one [`dfe_platform::Graph`] per device, inserting channel-backed ring
 //! hops at the cuts, so the same network runs on one device under the cycle
-//! scheduler or across devices under the threaded executor — with
+//! scheduler or across devices under the lockstep executor — with
 //! bit-identical results.
 
 #![forbid(unsafe_code)]

@@ -36,27 +36,18 @@ pub struct CompileOptions {
     /// (§III-B1a) instead of instantiating pre-filled caches. Functionally
     /// identical; adds the one-time load cycles to the run.
     pub stream_parameters: bool,
-    /// Cycle-stepping strategy for every compiled device graph (and so
-    /// every `qnn-serve` replica worker). Dense and
-    /// ReadyList are bit-identical in outputs and reports; the default
-    /// follows `QNN_SCHEDULER` (ReadyList when unset).
+    /// Scheduler tier for every compiled device graph (and so every
+    /// `qnn-serve` replica worker): `Dense < ReadyList < Span < Replay`,
+    /// each a host-side fast-forward of the tier below and all
+    /// bit-identical in outputs and reports. The default is the top tier;
+    /// `Dense` is the oracle the differential batteries compare against.
+    /// Multi-device graphs are stepped by the lockstep executor, where
+    /// `Span` and `Replay` step as `ReadyList`.
     pub scheduler: SchedulerMode,
-    /// Busy-path datapath for every convolution kernel. Packed and
-    /// ScalarReference are bit-identical in outputs and reports; the
-    /// default follows `QNN_CONV_DATAPATH` (Packed when unset).
+    /// Busy-path datapath for every convolution kernel. Packed (the
+    /// default) and ScalarReference (the oracle) are bit-identical in
+    /// outputs and reports.
     pub conv_datapath: ConvDatapath,
-    /// Macro-tick span dispatch for every compiled device graph: wake a
-    /// kernel once per available span instead of once per element. On and
-    /// off are bit-identical in outputs and reports; the default follows
-    /// `QNN_MACRO_TICKS` (on when unset).
-    pub macro_ticks: bool,
-    /// Steady-state schedule replay for single-device graphs: record one
-    /// image's wake/commit trace and replay it for subsequent images
-    /// (see `dfe_platform::replay`). On and off are bit-identical in
-    /// outputs and reports; the default follows `QNN_SCHED_REPLAY` (on
-    /// when unset). Only takes effect under `ReadyList`; multi-device
-    /// graphs are stepped by the lockstep executor and never engage it.
-    pub schedule_replay: bool,
     /// Per-layer folding overrides, keyed by the lowering's stage labels
     /// (`conv0`, `pool1`, `fc5`, `res2.conv1`, `res3.ds`, …). Layers not
     /// mentioned run unfolded. Folding changes per-cycle lane widths only,
@@ -89,35 +80,9 @@ impl Default for CompileOptions {
             stream_parameters: false,
             scheduler: SchedulerMode::default(),
             conv_datapath: ConvDatapath::default(),
-            macro_ticks: dfe_platform::macro_ticks_default(),
-            schedule_replay: dfe_platform::schedule_replay_default(),
             layer_folding: FoldPlan::new(),
             fifo_overrides: Vec::new(),
             stall_injection: None,
-        }
-    }
-}
-
-impl CompileOptions {
-    /// Build options with every environment knob re-read *now*:
-    /// `QNN_SCHEDULER`, `QNN_CONV_DATAPATH`, `QNN_MACRO_TICKS` and
-    /// `QNN_SCHED_REPLAY` are parsed fresh from the current environment,
-    /// while everything else keeps its built-in default.
-    ///
-    /// This is the one place the env-knob precedence lives: an explicit
-    /// field set by the caller beats the environment, and the environment
-    /// beats the built-in default. [`CompileOptions::default`] reads the
-    /// same knobs but through per-process caches (resolved once at first
-    /// use), which is what long-lived tools want; `from_env` is for
-    /// harnesses that mutate the environment between compiles and expect
-    /// the change to take effect.
-    pub fn from_env() -> Self {
-        Self {
-            scheduler: SchedulerMode::from_env(),
-            conv_datapath: ConvDatapath::from_env(),
-            macro_ticks: dfe_platform::macro_ticks_from_env(),
-            schedule_replay: dfe_platform::schedule_replay_from_env(),
-            ..Self::default()
         }
     }
 }
@@ -248,12 +213,7 @@ impl Builder {
     fn new(devices: usize, opts: &CompileOptions, act_bits: u32) -> Self {
         Self {
             graphs: (0..devices)
-                .map(|_| {
-                    let mut g = Graph::with_scheduler(opts.scheduler);
-                    g.set_macro_ticks(opts.macro_ticks);
-                    g.set_schedule_replay(opts.schedule_replay);
-                    g
-                })
+                .map(|_| Graph::with_scheduler(opts.scheduler))
                 .collect(),
             fifo_capacity: opts.fifo_capacity,
             ring_capacity: opts.ring_capacity,
@@ -1031,91 +991,6 @@ pub fn elaborate(net: &Network, opts: &CompileOptions) -> Result<CompiledNetwork
         detect_deadlock: opts.stall_injection.is_none(),
         failed: false,
     })
-}
-
-#[cfg(test)]
-mod from_env_tests {
-    use super::*;
-    use std::sync::Mutex;
-
-    /// Env-var tests share the process environment, so they serialize on
-    /// one lock and restore whatever value they found.
-    static ENV_LOCK: Mutex<()> = Mutex::new(());
-
-    fn with_env(key: &str, value: &str, f: impl FnOnce()) {
-        let guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        // Force the process-wide caches to resolve *before* mutating the
-        // environment: `Default::default()` must keep returning the value
-        // it resolved at first use, whatever this test sets.
-        let _ = CompileOptions::default();
-        let saved = std::env::var(key).ok();
-        std::env::set_var(key, value);
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
-        match saved {
-            Some(v) => std::env::set_var(key, v),
-            None => std::env::remove_var(key),
-        }
-        drop(guard);
-        if let Err(e) = result {
-            std::panic::resume_unwind(e);
-        }
-    }
-
-    #[test]
-    fn scheduler_knob_is_read_fresh() {
-        with_env("QNN_SCHEDULER", "dense", || {
-            assert_eq!(CompileOptions::from_env().scheduler, SchedulerMode::Dense);
-        });
-        with_env("QNN_SCHEDULER", "ready", || {
-            assert_eq!(CompileOptions::from_env().scheduler, SchedulerMode::ReadyList);
-        });
-    }
-
-    #[test]
-    fn conv_datapath_knob_is_read_fresh() {
-        with_env("QNN_CONV_DATAPATH", "scalar", || {
-            assert_eq!(
-                CompileOptions::from_env().conv_datapath,
-                ConvDatapath::ScalarReference
-            );
-        });
-        with_env("QNN_CONV_DATAPATH", "packed", || {
-            assert_eq!(CompileOptions::from_env().conv_datapath, ConvDatapath::Packed);
-        });
-    }
-
-    #[test]
-    fn macro_ticks_knob_is_read_fresh() {
-        with_env("QNN_MACRO_TICKS", "0", || {
-            assert!(!CompileOptions::from_env().macro_ticks);
-        });
-        with_env("QNN_MACRO_TICKS", "1", || {
-            assert!(CompileOptions::from_env().macro_ticks);
-        });
-    }
-
-    #[test]
-    fn schedule_replay_knob_is_read_fresh() {
-        with_env("QNN_SCHED_REPLAY", "0", || {
-            assert!(!CompileOptions::from_env().schedule_replay);
-        });
-        with_env("QNN_SCHED_REPLAY", "1", || {
-            assert!(CompileOptions::from_env().schedule_replay);
-        });
-    }
-
-    #[test]
-    fn non_knob_fields_keep_their_defaults() {
-        with_env("QNN_MACRO_TICKS", "0", || {
-            let opts = CompileOptions::from_env();
-            let defaults = CompileOptions::default();
-            assert_eq!(opts.fifo_capacity, defaults.fifo_capacity);
-            assert_eq!(opts.ring_capacity, defaults.ring_capacity);
-            assert_eq!(opts.stage_device, defaults.stage_device);
-            assert_eq!(opts.layer_folding, defaults.layer_folding);
-            assert_eq!(opts.fifo_overrides, defaults.fifo_overrides);
-        });
-    }
 }
 
 #[cfg(test)]

@@ -107,8 +107,7 @@ impl CompiledNetwork {
 /// run. A warm serving replica takes the same three steps through the same
 /// code; it just repeats only the last two for each further batch.
 ///
-/// The cycle-stepping strategy comes from `opts.scheduler`
-/// (`QNN_SCHEDULER` by default); Dense and ReadyList runs return
+/// The scheduler tier comes from `opts.scheduler`; every tier returns
 /// bit-identical logits and reports, differing only in wall-clock time.
 pub fn run_images(
     net: &Network,

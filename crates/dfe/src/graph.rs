@@ -1,13 +1,13 @@
 //! The kernel graph and the deterministic cycle scheduler.
 //!
-//! Two stepping strategies are available (see [`SchedulerMode`]); both are
+//! Four stepping tiers are available (see [`SchedulerMode`]); all are
 //! cycle-accurate-equivalent — identical outputs, identical
 //! [`CycleReport`]s — which `tests/scheduler_equivalence.rs` asserts over
 //! randomized networks.
 
 use crate::kernel::{Io, Kernel, Progress, SpanIo, SpanPlan, WakeHint, MAX_SPAN_PORTS};
 use crate::replay::{Participant, ReplayDiag, ReplayPhase, ReplayState, SpanStream, Step};
-use crate::sched::{macro_ticks_default, schedule_replay_default, SchedulerMode};
+use crate::sched::SchedulerMode;
 use crate::stream::{
     span_level, span_limit, span_peak, SpanFault, SpanPort, StreamSpec, StreamState,
 };
@@ -174,12 +174,6 @@ pub struct Graph {
     /// re-check completion (an `is_done` call per sink, one of which takes
     /// a mutex) only when this is set.
     sink_progress: bool,
-    /// Macro-tick span dispatch (see [`Graph::try_burst`]): when the graph
-    /// steps itself under the ready-list scheduler, whole uniform spans of
-    /// cycles are replayed in one dispatch per kernel. Bit-identical to
-    /// per-element stepping by construction; defaults from
-    /// `QNN_MACRO_TICKS`.
-    macro_ticks: bool,
     /// Number of spans dispatched by [`Graph::try_burst`] — diagnostics
     /// only, deliberately not part of [`CycleReport`] (which must stay
     /// bit-identical across dispatch modes).
@@ -223,8 +217,8 @@ pub struct Graph {
     /// Scratch, indexed by node: index into `burst_plans`, `u32::MAX` when
     /// the node is not a participant. Always all-`MAX` between attempts.
     part_of: Vec<u32>,
-    /// Steady-state schedule replay — the third scheduler tier (see
-    /// [`crate::replay`]). Inert until armed with a marker via
+    /// Steady-state schedule replay — the [`SchedulerMode::Replay`] tier
+    /// (see [`crate::replay`]). Inert until armed with a marker via
     /// [`Graph::set_replay_marker`].
     replay: ReplayState,
 }
@@ -240,8 +234,7 @@ enum ReplayOutcome {
 }
 
 impl Default for Graph {
-    /// Empty graph using the process-default [`SchedulerMode`] (the
-    /// `QNN_SCHEDULER` environment variable; `ReadyList` when unset).
+    /// Empty graph at the default [`SchedulerMode`].
     fn default() -> Self {
         Self::with_scheduler(SchedulerMode::default())
     }
@@ -274,7 +267,7 @@ impl Graph {
     /// short-phase residue back to dense stepping.
     const REPLAY_MIN_BURST: u64 = 2;
 
-    /// Empty graph with the process-default scheduler.
+    /// Empty graph at the default [`SchedulerMode`].
     pub fn new() -> Self {
         Self::default()
     }
@@ -292,7 +285,6 @@ impl Graph {
             dirty: Vec::new(),
             now: 0,
             sink_progress: false,
-            macro_ticks: macro_ticks_default(),
             bursts: 0,
             burst_cycles: 0,
             burst_cooldown: 0,
@@ -303,40 +295,8 @@ impl Graph {
             burst_streams: Vec::new(),
             stream_flags: Vec::new(),
             part_of: Vec::new(),
-            replay: ReplayState::new(schedule_replay_default()),
+            replay: ReplayState::new(),
         }
-    }
-
-    /// Whether macro-tick span dispatch is enabled (only effective under
-    /// [`SchedulerMode::ReadyList`] in self-stepped runs).
-    pub fn macro_ticks(&self) -> bool {
-        self.macro_ticks
-    }
-
-    /// Enable or disable macro-tick span dispatch. Safe at any point,
-    /// including mid-run: bursts leave no cross-cycle state behind (no
-    /// staged writes, identical park bookkeeping), so the next cycle steps
-    /// per-element or in spans indistinguishably. Any schedule-replay tape
-    /// is dropped (it encodes the old dispatch policy's step sequence);
-    /// replay re-arms and re-detects steady state.
-    pub fn set_macro_ticks(&mut self, on: bool) {
-        self.macro_ticks = on;
-        self.replay.rearm();
-    }
-
-    /// Whether steady-state schedule replay is enabled (only effective on a
-    /// marker-armed graph under [`SchedulerMode::ReadyList`] in self-stepped
-    /// runs; see [`crate::replay`]).
-    pub fn schedule_replay(&self) -> bool {
-        self.replay.enabled
-    }
-
-    /// Enable or disable schedule replay. Safe at any point: the tape and
-    /// fingerprint history are dropped, and the next cycle steps normally
-    /// (diagnostics counters survive — they describe the whole run).
-    pub fn set_schedule_replay(&mut self, on: bool) {
-        self.replay.enabled = on;
-        self.replay.rearm();
     }
 
     /// Arm schedule replay: watch `marker` (conventionally the logits
@@ -373,11 +333,13 @@ impl Graph {
         self.scheduler
     }
 
-    /// Switch scheduler mode. Safe at any point: pending park state is
-    /// settled (outstanding stall credit lands on the counters) and
-    /// cleared, so every kernel is ticked on the next cycle in either mode.
-    /// Any schedule-replay tape is dropped (replay re-arms; its tape
-    /// encodes ready-list park state that the switch just settled).
+    /// Switch scheduler tier. Safe at any point, including mid-run: pending
+    /// park state is settled (outstanding stall credit lands on the
+    /// counters) and cleared, so every kernel is ticked on the next cycle
+    /// in any tier, and bursts leave no cross-cycle state behind (no staged
+    /// writes, identical park bookkeeping). Any schedule-replay tape is
+    /// dropped (replay re-arms; its tape encodes park state that the switch
+    /// just settled, and the old tier's dispatch policy).
     pub fn set_scheduler(&mut self, scheduler: SchedulerMode) {
         self.scheduler = scheduler;
         self.replay.rearm();
@@ -399,8 +361,8 @@ impl Graph {
     /// ([`Kernel::rearm`]), every stream's contents and statistics, the
     /// park and awake sets, the burst counters and back-off, and the
     /// schedule-replay tape with its diagnostics. Structure (kernels,
-    /// streams, wiring), configuration (scheduler, dispatch flags, replay
-    /// marker) and the kernels' weights are kept.
+    /// streams, wiring), configuration (scheduler tier, replay marker) and
+    /// the kernels' weights are kept.
     ///
     /// The reset is explicit, not inferred from where the last run
     /// stopped: a run ends at the sink's last element, which leaves
@@ -563,9 +525,10 @@ impl Graph {
 
     /// Like [`Graph::run`], with deadlock detection optional.
     ///
-    /// The threaded multi-DFE executor disables detection because a graph
-    /// legitimately idles while waiting for elements from another device's
-    /// clock domain; it yields the thread instead.
+    /// A graph whose kernels legitimately go all-quiet for whole cycles —
+    /// a [`StallInjector`](crate::StallInjector) holding its stream, a
+    /// timer-driven sink — disables detection and relies on the
+    /// `max_cycles` budget instead.
     pub fn run_opts(
         &mut self,
         max_cycles: u64,
@@ -612,15 +575,12 @@ impl Graph {
         // mutex lock per simulated cycle, which dominates shallow cycles.
         // Macro-tick span dispatch is a self-stepped ready-list refinement;
         // traced runs sample per-cycle state and so step per-element.
-        let burst_ok = self.macro_ticks
-            && self.scheduler == SchedulerMode::ReadyList
-            && trace.is_none();
+        let burst_ok = self.scheduler >= SchedulerMode::Span && trace.is_none();
         // Schedule replay (see [`crate::replay`]) rides the same
-        // self-stepped ready-list path and needs a marker stream to observe
-        // image boundaries; unarmed graphs skip every replay branch.
-        let replay_ok = self.replay.enabled
+        // self-stepped path and needs a marker stream to observe image
+        // boundaries; unarmed graphs skip every replay branch.
+        let replay_ok = self.scheduler == SchedulerMode::Replay
             && self.replay.marker.is_some()
-            && self.scheduler == SchedulerMode::ReadyList
             && trace.is_none();
         if !self.complete() {
             loop {
@@ -715,15 +675,11 @@ impl Graph {
                 if recording {
                     self.replay.record_dense();
                 }
-                if !any_progress && !committed {
-                    if detect_deadlock {
-                        return Err(RunError::Deadlock {
-                            cycle,
-                            diagnostics: self.dump_streams(),
-                        });
-                    }
-                    // Waiting on another clock domain: let its thread run.
-                    std::thread::yield_now();
+                if !any_progress && !committed && detect_deadlock {
+                    return Err(RunError::Deadlock {
+                        cycle,
+                        diagnostics: self.dump_streams(),
+                    });
                 }
                 cycle += 1;
                 if replay_ok {
@@ -758,13 +714,14 @@ impl Graph {
     /// Returns `(any_progress, committed)`: whether any kernel reported
     /// [`Progress::Busy`] and whether any stream element moved from staging
     /// into its FIFO. The lockstep multi-device executor drives this
-    /// directly, one call per global clock edge. Dispatches on the active
-    /// [`SchedulerMode`]; both variants produce bit-identical stream
+    /// directly, one call per global clock edge (so under it the `Span` and
+    /// `Replay` tiers step as `ReadyList`). Dispatches on the active
+    /// [`SchedulerMode`]; both steppers produce bit-identical stream
     /// contents and counters.
     pub(crate) fn step_cycle(&mut self) -> (bool, bool) {
         match self.scheduler {
             SchedulerMode::Dense => self.step_cycle_dense(),
-            SchedulerMode::ReadyList => self.step_cycle_ready(),
+            _ => self.step_cycle_ready(),
         }
     }
 

@@ -615,9 +615,8 @@ pub trait Kernel: Send {
     /// is.
     fn rearm(&mut self);
 
-    /// True once the kernel will never produce further output (used by the
-    /// threaded executor for shutdown; the cycle scheduler stops on sink
-    /// completion instead).
+    /// True once the kernel will never produce further output (run loops
+    /// stop when every sink reports it).
     ///
     /// Contract: for a sink kernel (no output streams), the value may only
     /// change as a result of a tick that returned [`Progress::Busy`]. Run

@@ -20,17 +20,16 @@
 //! * **The cycle scheduler** advances the graph one clock at a time and
 //!   reports cycle counts, per-kernel busy/stall statistics and stream
 //!   occupancies. It detects deadlock (no progress while sinks are
-//!   incomplete). Two stepping strategies exist — the dense reference
-//!   stepper and an event-driven ready-list stepper that parks
-//!   stalled/idle kernels until a stream event — selected by
-//!   [`SchedulerMode`] (env `QNN_SCHEDULER`); they are bit-identical in
-//!   outputs and reports.
-//! * **The multi-device executors** run the same kernel graph cut across
-//!   devices connected by bounded channels. The lockstep default steps
-//!   every device on one global clock, so outputs and cycle reports are
-//!   bit-identical across runs; the free-running threaded variant (one OS
-//!   thread per device) checks that the functional result is independent
-//!   of the execution strategy.
+//!   incomplete). Four stepping tiers exist — the dense reference
+//!   stepper, an event-driven ready-list stepper that parks stalled/idle
+//!   kernels until a stream event, span dispatch on top of it, and
+//!   steady-state schedule replay on top of that — selected by the one
+//!   ordered [`SchedulerMode`]; they are bit-identical in outputs and
+//!   reports.
+//! * **The multi-device executor** runs the same kernel graph cut across
+//!   devices connected by bounded channels, stepping every device on one
+//!   global clock, so outputs and cycle reports are bit-identical across
+//!   runs.
 //! * **Devices and MaxRing links** carry resource budgets and bandwidth
 //!   limits so the compiler can place kernels onto multiple DFEs and verify
 //!   link feasibility.
@@ -55,10 +54,7 @@ pub use host::{HostSink, HostSource, SinkHandle, SourceHandle};
 pub use kernel::{Io, Kernel, Progress, SpanIo, SpanPlan, WakeHint};
 pub use replay::ReplayDiag;
 pub use ring::MaxRing;
-pub use sched::{
-    macro_ticks_default, macro_ticks_from_env, schedule_replay_default, schedule_replay_from_env,
-    SchedulerMode,
-};
+pub use sched::SchedulerMode;
 pub use stall::StallInjector;
 pub use stream::StreamSpec;
 pub use trace::Trace;

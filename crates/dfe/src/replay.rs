@@ -1,4 +1,5 @@
-//! Steady-state schedule replay — the third scheduler tier.
+//! Steady-state schedule replay — the top scheduler tier
+//! ([`SchedulerMode::Replay`](crate::SchedulerMode::Replay)).
 //!
 //! The paper's pipeline is statically scheduled in hardware: every image
 //! takes the identical path through the fabric, so at steady state the
@@ -150,7 +151,7 @@ pub(crate) struct SpanStream {
 /// Deliberately **excluded from report equality**: like
 /// [`Graph::bursts`](crate::Graph::bursts), these describe how the run was
 /// dispatched, not what it computed, and reports must stay bit-identical
-/// across all three scheduler tiers.
+/// across every scheduler tier.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ReplayDiag {
     /// Steps in the validated tape (dense runs + spans), 0 before a tape
@@ -278,8 +279,6 @@ pub(crate) enum ReplayPhase {
 }
 
 pub(crate) struct ReplayState {
-    /// The `CompileOptions::schedule_replay` / `QNN_SCHED_REPLAY` knob.
-    pub enabled: bool,
     /// Marker stream index and period in elements; `None` ⇒ never armed.
     pub marker: Option<(usize, u64)>,
     /// Next popped-count multiple that constitutes a boundary.
@@ -297,9 +296,8 @@ pub(crate) struct ReplayState {
 }
 
 impl ReplayState {
-    pub fn new(enabled: bool) -> Self {
+    pub fn new() -> Self {
         Self {
-            enabled,
             marker: None,
             next_target: 0,
             phase: ReplayPhase::Armed { have_prev: false },
@@ -313,8 +311,7 @@ impl ReplayState {
     }
 
     /// Drop any tape and fingerprint history and return to `Armed` — the
-    /// reset applied on guard failures and on mid-run reconfiguration
-    /// (`set_scheduler` / `set_macro_ticks` / `set_schedule_replay`).
+    /// reset applied on guard failures and on a mid-run `set_scheduler`.
     /// Diagnostics counters survive (they describe the whole run).
     pub fn rearm(&mut self) {
         self.phase = ReplayPhase::Armed { have_prev: false };
@@ -410,7 +407,7 @@ mod tests {
 
     #[test]
     fn tape_windows_recover_recorded_steps() {
-        let mut st = ReplayState::new(true);
+        let mut st = ReplayState::new();
         let plan = SpanPlan::new(4, 0b1, 0b1);
         let plans_a = [Participant::new(0, plan, 0, None)];
         let streams_a = [stream(0, 2, true)];
@@ -438,7 +435,7 @@ mod tests {
 
     #[test]
     fn record_span_prunes_noop_participants_and_idle_streams() {
-        let mut st = ReplayState::new(true);
+        let mut st = ReplayState::new();
         let plan = SpanPlan::new(4, 0b1, 0b1);
         let plans = [
             Participant::new(0, plan, 0, None), // runs: kept
@@ -467,7 +464,7 @@ mod tests {
 
     #[test]
     fn dense_runs_flush_before_spans() {
-        let mut st = ReplayState::new(true);
+        let mut st = ReplayState::new();
         st.record_dense();
         st.record_dense();
         st.snapshot_mask(&[0b1]);

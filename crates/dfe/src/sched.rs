@@ -1,11 +1,15 @@
-//! Scheduler mode selection for the cycle simulator.
+//! Scheduler tier selection for the cycle simulator.
 //!
-//! The graph executor has two cycle-stepping strategies that produce
-//! **bit-identical** outputs and [`CycleReport`](crate::CycleReport)s:
+//! The simulated machine has one execution semantics — clocked kernels
+//! exchanging elements over bounded streams. The graph executor offers four
+//! host-side ways of stepping it, each a fast-forward of the tier below, all
+//! producing **bit-identical** outputs and
+//! [`CycleReport`](crate::CycleReport)s (see DESIGN.md §6 "Scheduler tiers"
+//! for the table of batteries that hold each tier equal to `Dense`):
 //!
-//! * [`SchedulerMode::Dense`] — the original stepper: every kernel is
-//!   ticked on every cycle, in node order. Simple, obviously correct,
-//!   and O(kernels) work per cycle even when the pipeline is mostly
+//! * [`SchedulerMode::Dense`] — the reference stepper and the oracle every
+//!   battery compares against: every kernel is ticked on every cycle, in
+//!   node order. O(kernels) work per cycle even when the pipeline is mostly
 //!   drained or starved.
 //! * [`SchedulerMode::ReadyList`] — the event-driven stepper: a kernel
 //!   that reported [`Stalled`](crate::Progress::Stalled) or
@@ -16,113 +20,35 @@
 //!   an element at commit, or an output gains free space when its reader
 //!   pops). While parked, the kernel's last verdict is replayed into the
 //!   busy/stall counters, so reports match the dense stepper exactly.
-//!   See DESIGN.md §"Ready-list scheduler" for the equivalence argument.
+//! * [`SchedulerMode::Span`] — ready-list stepping plus macro-tick span
+//!   dispatch: in self-stepped, untraced runs, whole uniform spans of
+//!   cycles are replayed in one dispatch per kernel.
+//! * [`SchedulerMode::Replay`] — span dispatch plus steady-state schedule
+//!   replay on a graph armed with a replay marker (see [`crate::replay`]).
 //!
-//! The default mode is read once from the `QNN_SCHEDULER` environment
-//! variable (`dense` or `ready`; unset ⇒ `ready`) and cached for the
-//! process, so every `Graph::new()` — including the ones built inside
-//! `qnn-serve` replica workers — picks it up without plumbing. Call sites
-//! that need a specific mode (the differential test battery, the
-//! `scheduler_overhead` bench) set it explicitly via
-//! [`Graph::set_scheduler`](crate::Graph::set_scheduler) or the
+//! The tier is a plain value: [`SchedulerMode::default`] is the constant
+//! [`SchedulerMode::Replay`], and a call site that wants another tier sets
+//! it with [`Graph::set_scheduler`](crate::Graph::set_scheduler) or the
 //! compiler's `CompileOptions::scheduler`.
 
-use std::sync::OnceLock;
-
-/// Which cycle-stepping strategy a [`Graph`](crate::Graph) uses.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+/// Which cycle-stepping tier a [`Graph`](crate::Graph) uses. Totally
+/// ordered: each tier adds one fast-forward mechanism to the tier below.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum SchedulerMode {
     /// Tick every kernel every cycle (the reference stepper).
     Dense,
     /// Skip parked kernels until a stream event wakes them.
     ReadyList,
+    /// `ReadyList`, dispatching uniform spans of cycles as single bursts.
+    Span,
+    /// `Span`, replaying a recorded steady-state schedule per image.
+    #[default]
+    Replay,
 }
 
 impl SchedulerMode {
-    /// Resolve the mode from `QNN_SCHEDULER` (`dense` / `ready`,
-    /// case-insensitive; unset defaults to `ReadyList`).
-    ///
-    /// # Panics
-    /// Panics on an unrecognized value — a typo silently falling back to a
-    /// default would make benchmark A/B runs lie.
-    pub fn from_env() -> Self {
-        match std::env::var("QNN_SCHEDULER") {
-            Ok(v) => match v.to_ascii_lowercase().as_str() {
-                "dense" => SchedulerMode::Dense,
-                "ready" | "readylist" | "ready-list" => SchedulerMode::ReadyList,
-                other => panic!("QNN_SCHEDULER='{other}' (expected 'dense' or 'ready')"),
-            },
-            Err(_) => SchedulerMode::ReadyList,
-        }
-    }
-
-    /// Process-wide default: `from_env`, resolved once and cached.
-    pub(crate) fn default_mode() -> Self {
-        static MODE: OnceLock<SchedulerMode> = OnceLock::new();
-        *MODE.get_or_init(Self::from_env)
-    }
-}
-
-impl Default for SchedulerMode {
-    /// The process default (see [`SchedulerMode::from_env`]).
-    fn default() -> Self {
-        Self::default_mode()
-    }
-}
-
-/// Resolve macro-tick span dispatch from `QNN_MACRO_TICKS` (`1`/`on`/`true`
-/// enable, `0`/`off`/`false` disable, case-insensitive; unset defaults to
-/// **enabled**). Macro-ticks only take effect under
-/// [`SchedulerMode::ReadyList`]; the dense stepper ignores the flag.
-///
-/// # Panics
-/// Panics on an unrecognized value — a typo silently falling back to a
-/// default would make benchmark A/B runs lie (same rule as
-/// [`SchedulerMode::from_env`]).
-pub fn macro_ticks_from_env() -> bool {
-    match std::env::var("QNN_MACRO_TICKS") {
-        Ok(v) => match v.to_ascii_lowercase().as_str() {
-            "1" | "on" | "true" => true,
-            "0" | "off" | "false" => false,
-            other => panic!("QNN_MACRO_TICKS='{other}' (expected '0' or '1')"),
-        },
-        Err(_) => true,
-    }
-}
-
-/// Process-wide default for macro-ticks: `macro_ticks_from_env`, resolved
-/// once and cached (same lifecycle as [`SchedulerMode::default`]).
-pub fn macro_ticks_default() -> bool {
-    static ON: OnceLock<bool> = OnceLock::new();
-    *ON.get_or_init(macro_ticks_from_env)
-}
-
-/// Resolve steady-state schedule replay from `QNN_SCHED_REPLAY`
-/// (`1`/`on`/`true` enable, `0`/`off`/`false` disable, case-insensitive;
-/// unset defaults to **enabled**). Replay only takes effect under
-/// [`SchedulerMode::ReadyList`] on a graph armed with a replay marker (the
-/// compiler arms single-device pipelines); see [`crate::replay`].
-///
-/// # Panics
-/// Panics on an unrecognized value — a typo silently falling back to a
-/// default would make benchmark A/B runs lie (same rule as
-/// [`SchedulerMode::from_env`]).
-pub fn schedule_replay_from_env() -> bool {
-    match std::env::var("QNN_SCHED_REPLAY") {
-        Ok(v) => match v.to_ascii_lowercase().as_str() {
-            "1" | "on" | "true" => true,
-            "0" | "off" | "false" => false,
-            other => panic!("QNN_SCHED_REPLAY='{other}' (expected '0' or '1')"),
-        },
-        Err(_) => true,
-    }
-}
-
-/// Process-wide default for schedule replay: `schedule_replay_from_env`,
-/// resolved once and cached (same lifecycle as [`SchedulerMode::default`]).
-pub fn schedule_replay_default() -> bool {
-    static ON: OnceLock<bool> = OnceLock::new();
-    *ON.get_or_init(schedule_replay_from_env)
+    /// Every tier, slowest (the `Dense` oracle) first.
+    pub const ALL: [Self; 4] = [Self::Dense, Self::ReadyList, Self::Span, Self::Replay];
 }
 
 #[cfg(test)]
@@ -130,25 +56,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn macro_ticks_default_on_when_env_unset() {
-        if std::env::var("QNN_MACRO_TICKS").is_err() {
-            assert!(macro_ticks_from_env(), "span dispatch defaults to on");
-        }
-    }
-
-    #[test]
-    fn schedule_replay_default_on_when_env_unset() {
-        if std::env::var("QNN_SCHED_REPLAY").is_err() {
-            assert!(schedule_replay_from_env(), "schedule replay defaults to on");
-        }
-    }
-
-    #[test]
-    fn default_is_ready_list_when_env_unset() {
-        // The test harness does not set QNN_SCHEDULER; the cached default
-        // must be the event-driven mode.
-        if std::env::var("QNN_SCHEDULER").is_err() {
-            assert_eq!(SchedulerMode::default(), SchedulerMode::ReadyList);
-        }
+    fn tiers_are_strictly_increasing_and_default_is_the_top() {
+        assert!(SchedulerMode::ALL.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(Some(&SchedulerMode::default()), SchedulerMode::ALL.last());
     }
 }

@@ -1,22 +1,15 @@
 //! Multi-DFE execution: device graphs connected by bounded channels
 //! standing in for MaxRing hops.
 //!
-//! Two executors share the same [`link`] kernels:
+//! [`run_devices`] is the **lockstep** executor over graphs joined by
+//! [`link`] kernels: one global clock; every device is stepped exactly once
+//! per edge, in device order. Cycle reports (including per-kernel
+//! busy/stall tallies) are bit-identical across runs, which is what
+//! regression gating and the paper's cycle-count claims need.
 //!
-//! * [`run_devices`] — the default, **lockstep** executor. One global
-//!   clock; every device is stepped exactly once per edge, in device
-//!   order. Cycle reports (including per-kernel busy/stall tallies) are
-//!   bit-identical across runs, which is what regression gating and the
-//!   paper's cycle-count claims need.
-//! * [`run_devices_threaded`] — one OS thread per device, each free-running
-//!   its own clock domain, exactly like the real platform's daisy-chained
-//!   DFEs coupled by a rate-limited serial link. Outputs are identical to
-//!   the lockstep run (FIFO links preserve order), but cycle counts depend
-//!   on OS scheduling, so reports are *not* reproducible.
-//!
-//! Both demonstrate the paper's scale-out claim: the same kernel graph,
-//! cut at layer boundaries, runs across devices with results identical to
-//! the single-device run.
+//! It demonstrates the paper's scale-out claim: the same kernel graph, cut
+//! at layer boundaries, runs across devices with results identical to the
+//! single-device run.
 
 use crate::graph::{CycleReport, Graph, RunError};
 use crate::kernel::{Io, Kernel, Progress, WakeHint};
@@ -255,32 +248,6 @@ pub fn run_devices_in_place(
         .collect())
 }
 
-/// Run several device graphs concurrently, one free-running thread each.
-///
-/// Returns each device's cycle report in input order. Deadlock detection is
-/// disabled inside each device (cross-device waits are legitimate); a
-/// `max_cycles` budget per device bounds runaway executions instead.
-///
-/// Outputs match [`run_devices`] exactly (the links are FIFOs), but the
-/// per-device cycle and stall counts depend on how the OS interleaves the
-/// threads — use the lockstep executor when reports must be reproducible.
-pub fn run_devices_threaded(
-    graphs: Vec<Graph>,
-    max_cycles: u64,
-) -> Result<Vec<CycleReport>, RunError> {
-    let results = std::thread::scope(|scope| {
-        let handles: Vec<_> = graphs
-            .into_iter()
-            .map(|mut g| scope.spawn(move || g.run_opts(max_cycles, false)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("device thread panicked"))
-            .collect::<Vec<_>>()
-    });
-    results.into_iter().collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -345,19 +312,6 @@ mod tests {
         for (i, v) in out.iter().enumerate() {
             assert_eq!(*v, -2 * i as i32);
         }
-    }
-
-    #[test]
-    fn threaded_executor_matches_lockstep_outputs() {
-        let data: Vec<i32> = (0..500).collect();
-        let (graphs, handle) = two_device_setup(data.clone());
-        run_devices(graphs, 10_000_000).expect("lockstep ok");
-        let lockstep_out = handle.take();
-
-        let (graphs, handle) = two_device_setup(data);
-        let reports = run_devices_threaded(graphs, 10_000_000).expect("threaded ok");
-        assert_eq!(reports.len(), 2);
-        assert_eq!(handle.take(), lockstep_out);
     }
 
     #[test]

@@ -80,12 +80,10 @@ fn build_chain(
     stages: &[(i32, i32)],
     cap: usize,
     scheduler: SchedulerMode,
-    macro_ticks: bool,
     stall: Option<(u64, u8)>,
 ) -> (Graph, SinkHandle, Vec<StreamId>) {
     let n = data.len();
     let mut g = Graph::with_scheduler(scheduler);
-    g.set_macro_ticks(macro_ticks);
     let mut ids = Vec::new();
     let mut prev = g.add_stream(StreamSpec::new("s0", 32, cap));
     ids.push(prev);
@@ -241,11 +239,9 @@ fn build_wide_chain(
     src_lanes: usize,
     stages: &[(i32, i32, usize, usize)],
     scheduler: SchedulerMode,
-    macro_ticks: bool,
 ) -> (Graph, SinkHandle) {
     let n = data.len();
     let mut g = Graph::with_scheduler(scheduler);
-    g.set_macro_ticks(macro_ticks);
     let mut prev = g.add_stream(StreamSpec::new("s0", 32, stages[0].3));
     let src = WideSource { data, pos: 0, lanes: src_lanes };
     g.add_kernel(Box::new(src), &[], &[prev]);
@@ -421,13 +417,13 @@ props! {
         let n = data.len();
         let expect = reference(&data, &stages);
         let (mut g, handle, ids) =
-            build_chain(data.clone(), &stages, cap, SchedulerMode::ReadyList, true, None);
+            build_chain(data.clone(), &stages, cap, SchedulerMode::Span, None);
         let report = g.run(BUDGET).expect("macro-tick chain must complete");
         prop_assert_eq!(handle.take(), expect.clone());
         assert_ledger(&g, &report, &ids, n, stages.len())?;
 
         let (mut gd, hd, _) =
-            build_chain(data, &stages, cap, SchedulerMode::Dense, false, None);
+            build_chain(data, &stages, cap, SchedulerMode::Dense, None);
         let dense = gd.run(BUDGET).expect("dense chain must complete");
         prop_assert_eq!(hd.take(), expect);
         prop_assert_eq!(report, dense, "macro-tick report diverges from dense");
@@ -450,8 +446,7 @@ props! {
             data,
             &stages,
             cap,
-            SchedulerMode::ReadyList,
-            true,
+            SchedulerMode::Span,
             Some((seed, pct)),
         );
         // Injected stalls can idle the whole graph for a cycle; that is not
@@ -545,19 +540,17 @@ props! {
             &data,
             &stages.iter().map(|&(mul, add, ..)| (mul, add)).collect::<Vec<_>>(),
         );
-        let run = |scheduler, macro_ticks| {
-            let (mut g, handle) =
-                build_wide_chain(data.clone(), src_lanes, &stages, scheduler, macro_ticks);
+        let run = |scheduler| {
+            let (mut g, handle) = build_wide_chain(data.clone(), src_lanes, &stages, scheduler);
             let report = g.run(BUDGET).expect("wide chain must complete");
             (handle.take(), report)
         };
-        let (out, span) = run(SchedulerMode::ReadyList, true);
-        prop_assert_eq!(&out, &expect);
-        let (out, element) = run(SchedulerMode::ReadyList, false);
-        prop_assert_eq!(&out, &expect);
-        prop_assert_eq!(&span, &element, "span dispatch diverges from per-element");
-        let (_, dense) = run(SchedulerMode::Dense, false);
-        prop_assert_eq!(&span, &dense, "span dispatch diverges from dense");
+        let (_, dense) = run(SchedulerMode::Dense);
+        for mode in &SchedulerMode::ALL[1..] {
+            let (out, report) = run(*mode);
+            prop_assert_eq!(&out, &expect, "{:?}", mode);
+            prop_assert_eq!(&report, &dense, "{:?} diverges from dense", mode);
+        }
     }
 }
 
@@ -570,8 +563,7 @@ fn bursts_fire_on_a_wide_chain() {
     // Lane-width traffic: a 4-wide source into 4-wide stages over deep
     // FIFOs (the sink's one-per-cycle drain backs up only at the end).
     let fast = [(3, 7, 4, 8192), (-1, 11, 4, 8192)];
-    let (mut g, handle) =
-        build_wide_chain(data.clone(), 4, &fast, SchedulerMode::ReadyList, true);
+    let (mut g, handle) = build_wide_chain(data.clone(), 4, &fast, SchedulerMode::Span);
     let report = g.run(BUDGET).expect("run");
     assert_eq!(handle.take(), reference(&data, &[(3, 7), (-1, 11)]));
     assert!(g.burst_cycles() > 0, "no burst on a wide pipeline");
@@ -582,8 +574,7 @@ fn bursts_fire_on_a_wide_chain() {
     );
     // Sub-lane traffic: the same stages behind a one-per-cycle source run
     // one element per tick — an exact promise, every tick.
-    let (mut g, handle) =
-        build_wide_chain(data.clone(), 1, &fast, SchedulerMode::ReadyList, true);
+    let (mut g, handle) = build_wide_chain(data.clone(), 1, &fast, SchedulerMode::Span);
     let report = g.run(BUDGET).expect("run");
     assert_eq!(handle.take(), reference(&data, &[(3, 7), (-1, 11)]));
     assert_eq!(report.kernels[1].busy, 4096, "one tick per element");
@@ -602,7 +593,7 @@ fn bursts_fire_on_a_span_capable_chain() {
     let data: Vec<i32> = (0..512).collect();
     let stages = [(3, 7), (-1, 11)];
     let (mut g, handle, _) =
-        build_chain(data.clone(), &stages, 16, SchedulerMode::ReadyList, true, None);
+        build_chain(data.clone(), &stages, 16, SchedulerMode::Span, None);
     let report = g.run(BUDGET).expect("run");
     assert_eq!(handle.take(), reference(&data, &stages));
     assert!(
@@ -613,16 +604,16 @@ fn bursts_fire_on_a_span_capable_chain() {
     assert!(report.cycles >= 512);
 
     let (mut g_off, handle_off, _) =
-        build_chain(data.clone(), &stages, 16, SchedulerMode::ReadyList, false, None);
+        build_chain(data.clone(), &stages, 16, SchedulerMode::ReadyList, None);
     let report_off = g_off.run(BUDGET).expect("run");
     assert_eq!(handle_off.take(), reference(&data, &stages));
-    assert_eq!(g_off.bursts(), 0, "macro_ticks=false must never burst");
+    assert_eq!(g_off.bursts(), 0, "the ready-list tier must never burst");
     assert_eq!(report, report_off, "dispatch mode leaked into the report");
 }
 
 /// Mid-run mode switches are safe: bursts leave no cross-cycle state, so
-/// toggling `set_macro_ticks` between segments of a multi-image run keeps
-/// the stream contents coherent.
+/// dropping a tier with `set_scheduler` between segments of a multi-image
+/// run keeps the stream contents coherent.
 #[test]
 fn mode_switch_mid_run_preserves_output() {
     let stages = [(5, -3)];
@@ -631,10 +622,10 @@ fn mode_switch_mid_run_preserves_output() {
     // Run the first half with spans on, then flip them off and continue on
     // the same graph with the remaining input arriving via a second run.
     let (mut g, handle, _) =
-        build_chain(all.clone(), &stages, 8, SchedulerMode::ReadyList, true, None);
+        build_chain(all.clone(), &stages, 8, SchedulerMode::Span, None);
     // Step a bounded prefix: too few cycles to finish, enough to burst.
     let _ = g.run_opts(64, false);
-    g.set_macro_ticks(false);
+    g.set_scheduler(SchedulerMode::ReadyList);
     g.run_opts(BUDGET, false).expect("finish per-element");
     assert_eq!(handle.take(), expect);
 }

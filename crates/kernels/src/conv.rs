@@ -56,9 +56,9 @@
 //! arithmetic (`(2·agree − ones) << p`, planes ascending), so outputs *and*
 //! [`CycleReport`](dfe_platform::CycleReport)s are bit-identical — enforced
 //! by the `conv_datapath_equivalence` differential suite, the golden
-//! vectors, and the scheduler-equivalence battery. The process default is
-//! read once from `QNN_CONV_DATAPATH` (`packed` / `scalar`; unset ⇒
-//! `packed`), mirroring `QNN_SCHEDULER`.
+//! vectors, and the scheduler-equivalence battery. The default is the
+//! constant `Packed`; `ScalarReference` is the oracle those suites select
+//! through `CompileOptions::conv_datapath`.
 
 use crate::loader::{LoadStep, ParamLoader};
 use dfe_platform::{Io, Kernel, Progress, SpanIo, SpanPlan, WakeHint};
@@ -67,7 +67,6 @@ use qnn_quant::{
     ThresholdUnit,
 };
 use qnn_tensor::{BinaryFilters, BitVec, ConvGeometry};
-use std::sync::OnceLock;
 
 /// Input-operand flavor of the dot-product datapath.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -83,46 +82,14 @@ pub enum DotMode {
 
 /// How the simulator computes the arithmetic of each modeled busy cycle
 /// (see the module docs — the cycle model itself is datapath-independent).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum ConvDatapath {
     /// Pack-on-arrival plane ring + blocked accumulator precompute.
+    #[default]
     Packed,
     /// Scalar window ring, one full window dot per emit tick. Kept callable
-    /// for the differential suite and the `kernels_micro`/`conv_datapath`
-    /// benches.
+    /// for the differential suite.
     ScalarReference,
-}
-
-impl ConvDatapath {
-    /// Resolve the datapath from `QNN_CONV_DATAPATH` (`packed` / `scalar`,
-    /// case-insensitive; unset defaults to `Packed`).
-    ///
-    /// # Panics
-    /// Panics on an unrecognized value — a typo silently falling back to a
-    /// default would make benchmark A/B runs lie.
-    pub fn from_env() -> Self {
-        match std::env::var("QNN_CONV_DATAPATH") {
-            Ok(v) => match v.to_ascii_lowercase().as_str() {
-                "packed" => ConvDatapath::Packed,
-                "scalar" | "scalar-reference" | "reference" => ConvDatapath::ScalarReference,
-                other => panic!("QNN_CONV_DATAPATH='{other}' (expected 'packed' or 'scalar')"),
-            },
-            Err(_) => ConvDatapath::Packed,
-        }
-    }
-
-    /// Process-wide default: `from_env`, resolved once and cached.
-    fn default_mode() -> Self {
-        static MODE: OnceLock<ConvDatapath> = OnceLock::new();
-        *MODE.get_or_init(Self::from_env)
-    }
-}
-
-impl Default for ConvDatapath {
-    /// The process default (see [`ConvDatapath::from_env`]).
-    fn default() -> Self {
-        Self::default_mode()
-    }
 }
 
 /// The depth-first window buffer, in whichever representation the active

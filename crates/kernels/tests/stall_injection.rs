@@ -115,7 +115,6 @@ impl FoldedCell {
         &self,
         images: &[Vec<i32>],
         scheduler: SchedulerMode,
-        macro_ticks: bool,
         stall: Option<(u64, u8)>,
     ) -> (Vec<i32>, CycleReport, u64) {
         let inject = |k: Box<dyn Kernel>, node: u64| match stall {
@@ -169,7 +168,6 @@ impl FoldedCell {
         let out_len = fc_geom.output().len() * images.len();
 
         let mut g = Graph::with_scheduler(scheduler);
-        g.set_macro_ticks(macro_ticks);
         let [s_in, padded, conv_out, pool_out, main, skip, act, sum, fc_out] =
             ["in", "padded", "conv.out", "pool.out", "main", "skip", "act", "sum", "fc.out"]
                 .map(|name| g.add_stream(StreamSpec::new(name, 32, self.cap)));
@@ -192,10 +190,10 @@ impl FoldedCell {
 }
 
 props! {
-    /// The folded cell: span dispatch, per-element ready-list stepping and
-    /// dense stepping agree on outputs and on every counter of the report,
-    /// at any folding, stride, FIFO depth and image count — and the output
-    /// stream survives random stall injection on every node.
+    /// The folded cell: every scheduler tier agrees with dense stepping on
+    /// outputs and on every counter of the report, at any folding, stride,
+    /// FIFO depth and image count — and the output stream survives random
+    /// stall injection on every node.
     #[test]
     fn folded_cell_agrees_with_spans_on_and_off(
         side in 4usize..9,
@@ -216,15 +214,14 @@ props! {
             side, channels, filters, conv_stride, fused, pool, avg, conv_fold, pool_fold, fc, cap,
         };
         let images: Vec<_> = (0..n_images as u64).map(|i| cell.image(seed ^ i)).collect();
-        let (out, spans, _) = cell.run(&images, SchedulerMode::ReadyList, true, None);
-        let (out_e, element, _) = cell.run(&images, SchedulerMode::ReadyList, false, None);
-        prop_assert_eq!(&out, &out_e);
-        prop_assert_eq!(&spans, &element, "span dispatch diverges from per-element");
-        let (out_d, dense, _) = cell.run(&images, SchedulerMode::Dense, false, None);
-        prop_assert_eq!(&out, &out_d);
-        prop_assert_eq!(&spans, &dense, "span dispatch diverges from dense");
-        let (out_s, ..) = cell.run(&images, SchedulerMode::ReadyList, true, Some((seed, stall)));
-        prop_assert_eq!(&out, &out_s, "stall injection changed the output");
+        let (out_d, dense, _) = cell.run(&images, SchedulerMode::Dense, None);
+        for mode in &SchedulerMode::ALL[1..] {
+            let (out, report, _) = cell.run(&images, *mode, None);
+            prop_assert_eq!(&out, &out_d, "{:?}", mode);
+            prop_assert_eq!(&report, &dense, "{:?} diverges from dense", mode);
+        }
+        let (out_s, ..) = cell.run(&images, SchedulerMode::Span, Some((seed, stall)));
+        prop_assert_eq!(&out_d, &out_s, "stall injection changed the output");
     }
 
     /// Pooling (both ops) is bit-identical under random stall injection,
@@ -385,7 +382,7 @@ fn folded_cell_bursts() {
         cap: 64,
     };
     let images = [cell.image(5), cell.image(6)];
-    let (_, report, burst_cycles) = cell.run(&images, SchedulerMode::ReadyList, true, None);
+    let (_, report, burst_cycles) = cell.run(&images, SchedulerMode::Span, None);
     assert!(
         burst_cycles * 2 > report.cycles,
         "spans cover {burst_cycles} of {} cycles at a folded cell",

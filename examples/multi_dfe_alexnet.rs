@@ -1,8 +1,8 @@
-//! AlexNet split across multiple DFEs with the threaded executor — the
+//! AlexNet split across multiple DFEs with the lockstep executor — the
 //! paper's §III-B6 scale-out demonstration, shrunk to STL-sized inputs so
-//! the multi-threaded cycle simulation completes quickly. Each device runs
-//! in its own thread (its own clock domain) connected by MaxRing channel
-//! links, and the result is bit-identical to a single-device run.
+//! the cycle simulation completes quickly. The devices step on one global
+//! clock, connected by MaxRing channel links, and the result is
+//! bit-identical to a single-device run.
 //!
 //! ```text
 //! cargo run --release --example multi_dfe_alexnet
@@ -26,7 +26,7 @@ fn main() {
         MaxRing::default().rate_gbps);
 
     // Now actually execute a scale-out: a VGG-like network forced across
-    // three devices, threaded executor, verified against the reference.
+    // three devices, lockstep executor, verified against the reference.
     let spec = models::vgg_like(32, 10, 2);
     let n_stages = spec.stages.len();
     let stage_device: Vec<usize> = (0..n_stages).map(|i| (3 * i / n_stages).min(2)).collect();

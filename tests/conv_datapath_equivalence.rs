@@ -2,8 +2,8 @@
 //! convolution busy path must be **bit-identical** to the scalar reference
 //! datapath — same logits, same `CycleReport`s (cycle counts, per-kernel
 //! busy/stall tallies, per-stream pushed/max-occupancy) — across randomized
-//! networks, streamed-parameter loading, multi-device cuts, and both
-//! schedulers.
+//! networks, streamed-parameter loading, multi-device cuts, and every
+//! scheduler tier.
 //!
 //! This is the proof obligation behind making `Packed` the default: every
 //! golden vector, determinism test, and flaky-threshold band was calibrated
@@ -63,8 +63,8 @@ fn assert_datapaths_agree(
 }
 
 props! {
-    /// Single-device: random conv/pool/fc networks, 1–2 images, both
-    /// schedulers, with the §III-B1a parameter-streaming path folded in —
+    /// Single-device: random conv/pool/fc networks, 1–2 images, a random
+    /// scheduler tier, with the §III-B1a parameter-streaming path folded in —
     /// streamed loading swaps the filter bank *after* the plane rings are
     /// built, so it exercises the placeholder-filters path too.
     #[test]
@@ -73,7 +73,7 @@ props! {
         seed in 0u64..1000,
         n_images in 1usize..3,
         stream_params in 0u8..2,
-        ready in 0u8..2,
+        tier in 0usize..4,
     ) {
         let Some(spec) = spec else {
             return Ok(());
@@ -83,11 +83,7 @@ props! {
             (0..n_images as u64).map(|i| image_for(&net.spec, seed + i)).collect();
         let base = CompileOptions {
             stream_parameters: stream_params == 1,
-            scheduler: if ready == 1 {
-                SchedulerMode::ReadyList
-            } else {
-                SchedulerMode::Dense
-            },
+            scheduler: SchedulerMode::ALL[tier],
             ..CompileOptions::default()
         };
         assert_datapaths_agree(&net, &images, &base)?;
@@ -155,14 +151,4 @@ fn cycle_counts_identical_on_residual_network() {
     assert_eq!(packed.logits, scalar.logits);
     assert_eq!(packed.reports, scalar.reports);
     assert!(packed.cycles() > 0);
-}
-
-/// `QNN_CONV_DATAPATH` is the documented selection mechanism; pin the
-/// default when the variable is unset (mirrors the scheduler-mode test —
-/// the parser itself is covered by its documented contract).
-#[test]
-fn conv_datapath_env_default_is_packed() {
-    if std::env::var("QNN_CONV_DATAPATH").is_err() {
-        assert_eq!(ConvDatapath::default(), ConvDatapath::Packed);
-    }
 }

@@ -4,8 +4,9 @@
 //! here as a concrete logit diff, not just a reference-mismatch boolean.
 //!
 //! The vectors were produced by this same harness (see `regen` below) and
-//! hold for both the reference interpreter and the streaming simulator —
-//! the two must stay bit-identical to each other *and* to history.
+//! hold for both the reference interpreter and the streaming simulator on
+//! every scheduler tier and conv datapath — all must stay bit-identical to
+//! each other *and* to history.
 //!
 //! To regenerate after an intentional semantic change:
 //!
@@ -13,7 +14,9 @@
 //! cargo test --release --test golden_vectors -- --ignored --nocapture
 //! ```
 
-use qnn::compiler::run_image;
+use qnn::compiler::{run_image, run_images, CompileOptions};
+use qnn::dfe::SchedulerMode;
+use qnn::kernels::ConvDatapath;
 use qnn::data::{Dataset, CIFAR10};
 use qnn::nn::{models, Network, NetworkSpec};
 use qnn::tensor::Tensor3;
@@ -38,19 +41,32 @@ const CNV_GOLDEN: [i32; 10] = [10, -110, -16, 16, -100, 36, 48, 44, 24, 14];
 
 const RESNET_BLOCK_GOLDEN: [i32; 6] = [-20, -2, 0, 14, 18, -24];
 
+/// The streaming logits of `(net, img)` equal `golden` in every
+/// scheduler-tier × conv-datapath cell.
+fn assert_streaming_matches(net: &Network, img: &Tensor3<i8>, golden: &[i32]) {
+    for scheduler in SchedulerMode::ALL {
+        for conv_datapath in [ConvDatapath::Packed, ConvDatapath::ScalarReference] {
+            let opts = CompileOptions { scheduler, conv_datapath, ..CompileOptions::default() };
+            let sim = run_images(net, std::slice::from_ref(img), &opts).expect("sim");
+            assert_eq!(
+                sim.logits[0], golden,
+                "streaming logits drifted at {scheduler:?}/{conv_datapath:?}"
+            );
+        }
+    }
+}
+
 #[test]
 fn cnv_streaming_logits_match_golden() {
     let (net, img) = cnv_case();
-    let sim = run_image(&net, &img).expect("sim");
-    assert_eq!(sim.logits[0], CNV_GOLDEN, "streaming CNV logits drifted");
+    assert_streaming_matches(&net, &img, &CNV_GOLDEN);
     assert_eq!(net.forward(&img).logits, CNV_GOLDEN, "reference CNV logits drifted");
 }
 
 #[test]
 fn resnet_block_streaming_logits_match_golden() {
     let (net, img) = resnet_block_case();
-    let sim = run_image(&net, &img).expect("sim");
-    assert_eq!(sim.logits[0], RESNET_BLOCK_GOLDEN, "streaming residual logits drifted");
+    assert_streaming_matches(&net, &img, &RESNET_BLOCK_GOLDEN);
     assert_eq!(net.forward(&img).logits, RESNET_BLOCK_GOLDEN, "reference residual logits drifted");
 }
 

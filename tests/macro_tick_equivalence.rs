@@ -1,9 +1,9 @@
-//! Differential macro-tick battery: span dispatch must be
-//! **bit-identical** to per-element stepping — same logits, same
-//! `CycleReport`s (cycle counts, per-kernel busy/stall tallies,
-//! per-stream pushed/max-occupancy) — across randomized networks,
+//! Differential macro-tick battery: span dispatch (and every other
+//! scheduler tier) must be **bit-identical** to dense per-element stepping
+//! — same logits, same `CycleReport`s (cycle counts, per-kernel busy/stall
+//! tallies, per-stream pushed/max-occupancy) — across randomized networks,
 //! streamed-parameter loading, multi-image sequences, 1–3-device
-//! lockstep cuts, stall-injected pipelines, and mid-run mode switches.
+//! lockstep cuts, stall-injected pipelines, and mid-run tier switches.
 //!
 //! This is the proof obligation behind crediting whole spans
 //! arithmetically: a burst replays `k` dense cycles in one dispatch per
@@ -32,42 +32,27 @@ fn image_for(spec: &NetworkSpec, seed: u64) -> Tensor3<i8> {
     })
 }
 
-/// Run the same workload with spans on and off (both ready-list), span
-/// dispatch with schedule replay armed on top, plus the dense reference,
-/// and assert logits and every per-device report agree.
+/// Run the same workload on every scheduler tier and assert logits and
+/// every per-device report agree with the `Dense` oracle.
 fn assert_dispatch_agrees(
     net: &Network,
     images: &[Tensor3<i8>],
     base: &CompileOptions,
 ) -> qnn_testkit::prop::CaseResult {
-    let run = |scheduler, macro_ticks, schedule_replay| {
-        run_images(
-            net,
-            images,
-            &CompileOptions {
-                scheduler,
-                macro_ticks,
-                schedule_replay,
-                ..base.clone()
-            },
-        )
-        .expect("run")
+    let run = |scheduler| {
+        run_images(net, images, &CompileOptions { scheduler, ..base.clone() }).expect("run")
     };
-    let element = run(SchedulerMode::ReadyList, false, false);
-    let span = run(SchedulerMode::ReadyList, true, false);
-    prop_assert_eq!(&element.logits, &span.logits);
-    prop_assert_eq!(&element.reports, &span.reports);
-    let replay = run(SchedulerMode::ReadyList, true, true);
-    prop_assert_eq!(&element.logits, &replay.logits);
-    prop_assert_eq!(&element.reports, &replay.reports);
-    let dense = run(SchedulerMode::Dense, false, false);
-    prop_assert_eq!(&dense.logits, &span.logits);
-    prop_assert_eq!(&dense.reports, &span.reports);
+    let dense = run(SchedulerMode::Dense);
+    for mode in &SchedulerMode::ALL[1..] {
+        let got = run(*mode);
+        prop_assert_eq!(&got.logits, &dense.logits, "{:?}", mode);
+        prop_assert_eq!(&got.reports, &dense.reports, "{:?}", mode);
+    }
     Ok(())
 }
 
-/// Span coverage of one single-device run with spans on: the report, the
-/// cycles covered by bursts, and the busy count of the kernel named
+/// Span coverage of one single-device run at the `Span` tier: the report,
+/// the cycles covered by bursts, and the busy count of the kernel named
 /// `kernel`. Bursts need every awake kernel's promise, so
 /// `burst_cycles + busy > cycles` proves (pigeonhole) that `kernel` ran
 /// inside a burst rather than vetoing whenever it was awake.
@@ -77,11 +62,7 @@ fn span_coverage(
     base: &CompileOptions,
     kernel: &str,
 ) -> (u64, u64, u64) {
-    let opts = CompileOptions {
-        scheduler: SchedulerMode::ReadyList,
-        macro_ticks: true,
-        ..base.clone()
-    };
+    let opts = CompileOptions { scheduler: SchedulerMode::Span, ..base.clone() };
     let mut compiled = compile(net, images, &opts);
     let [graph] = &mut compiled.graphs[..] else {
         panic!("single-device run expected");
@@ -210,9 +191,8 @@ props! {
         seed in 0u64..10_000,
         wrap_mask in 0u32..64,
     ) {
-        let build = |macro_ticks: bool| {
-            let mut g = Graph::with_scheduler(SchedulerMode::ReadyList);
-            g.set_macro_ticks(macro_ticks);
+        let build = |mode| {
+            let mut g = Graph::with_scheduler(mode);
             let data: Vec<i32> = (0..n as i32).collect();
             let mut prev = g.add_stream(StreamSpec::new("s0", 8, fifo));
             g.add_kernel(Box::new(HostSource::new("src", data)), &[], &[prev]);
@@ -234,57 +214,49 @@ props! {
             let report = g.run_opts(4_000_000, false).expect("run");
             (handle.take(), report)
         };
-        let (out_e, rep_e) = build(false);
-        let (out_s, rep_s) = build(true);
-        prop_assert_eq!(&out_e, &out_s);
-        prop_assert_eq!(&rep_e, &rep_s);
+        let (out_d, rep_d) = build(SchedulerMode::Dense);
+        for mode in &SchedulerMode::ALL[1..] {
+            let (out, rep) = build(*mode);
+            prop_assert_eq!(&out, &out_d, "{:?}", mode);
+            prop_assert_eq!(&rep, &rep_d, "{:?}", mode);
+        }
     }
 
-    /// Mid-run mode switches on a compiled network: flip span dispatch on
-    /// and off at arbitrary cycle boundaries mid-inference. Bursts leave
-    /// no cross-cycle state behind, so the stitched run must equal one
-    /// uninterrupted per-element run — same logits, same cumulative
-    /// counters, same total cycle count.
+    /// Mid-run tier switches on a compiled network: hop between scheduler
+    /// tiers at arbitrary cycle boundaries mid-inference. Bursts leave no
+    /// cross-cycle state behind and a switch settles park state, so the
+    /// stitched run must equal one uninterrupted dense run — same logits,
+    /// same cumulative counters, same total cycle count.
     #[test]
     fn mid_run_mode_switches_are_invisible(
         seed in 0u64..200,
         segment in 16u64..400,
-        start_on in 0u8..2,
+        start in 0usize..4,
+        stride in 1usize..4,
     ) {
         let net = Network::random(models::test_net(8, 3, 2), seed);
         let img = image_for(&net.spec, seed + 3);
         let images = std::slice::from_ref(&img);
-        let opts = CompileOptions::default();
-        let reference = run_images(&net, images, &CompileOptions {
-            scheduler: SchedulerMode::ReadyList,
-            macro_ticks: false,
-            schedule_replay: false,
-            ..opts.clone()
-        }).expect("reference run");
+        let tier = |hop: usize| SchedulerMode::ALL[hop % SchedulerMode::ALL.len()];
+        let at = |scheduler| CompileOptions { scheduler, ..CompileOptions::default() };
+        let reference =
+            run_images(&net, images, &at(SchedulerMode::Dense)).expect("reference run");
 
-        let compiled = compile(&net, images, &CompileOptions {
-            scheduler: SchedulerMode::ReadyList,
-            macro_ticks: start_on == 1,
-            schedule_replay: start_on == 1,
-            ..opts
-        });
+        let compiled = compile(&net, images, &at(tier(start)));
         let mut graphs = compiled.graphs;
         prop_assert_eq!(graphs.len(), 1);
         let g = &mut graphs[0];
-        let mut on = start_on == 1;
+        let mut hop = start;
         let mut total: u64 = 0;
         let report = loop {
             match g.run_opts(segment, false) {
                 Ok(report) => break report,
                 Err(_) => {
-                    // Timed out mid-flight: flip the dispatch mode and
-                    // keep going on the same graph state.
+                    // Timed out mid-flight: hop to another tier and keep
+                    // going on the same graph state.
                     total += segment;
-                    on = !on;
-                    g.set_macro_ticks(on);
-                    // Replay re-arms on every knob flip; toggling it in
-                    // lockstep keeps the switch storm honest.
-                    g.set_schedule_replay(on);
+                    hop += stride;
+                    g.set_scheduler(tier(hop));
                     prop_assert!(total < 50_000_000, "mode-switch run wedged");
                 }
             }
@@ -338,40 +310,27 @@ impl Kernel for SpanAffine {
 }
 
 /// Deterministic spot-check (not property-sized): the exact cycle count of
-/// a full residual network is identical across dispatch modes, so the
+/// a full residual network is identical across scheduler tiers, so the
 /// EXPERIMENTS flaky-threshold bands calibrated under per-element stepping
 /// carry over unchanged.
 #[test]
 fn cycle_counts_identical_on_residual_network() {
     let net = Network::random(models::test_net(16, 4, 2), 3);
     let img = image_for(&net.spec, 11);
-    let run = |macro_ticks| {
+    let run = |scheduler| {
         run_images(
             &net,
             std::slice::from_ref(&img),
-            &CompileOptions {
-                scheduler: SchedulerMode::ReadyList,
-                macro_ticks,
-                ..CompileOptions::default()
-            },
+            &CompileOptions { scheduler, ..CompileOptions::default() },
         )
         .expect("run")
     };
-    let element = run(false);
-    let span = run(true);
-    assert_eq!(element.logits, span.logits);
-    assert_eq!(element.reports, span.reports);
-    assert!(span.cycles() > 0);
-}
-
-/// `QNN_MACRO_TICKS` is the documented selection mechanism; pin the
-/// default (on) without mutating the process env under a threaded harness
-/// (the parser's spellings are covered by dfe-platform unit tests).
-#[test]
-fn macro_tick_env_default_is_on() {
-    if std::env::var("QNN_MACRO_TICKS").is_err() {
-        assert!(qnn::dfe::macro_ticks_from_env());
-        assert!(CompileOptions::default().macro_ticks);
+    let dense = run(SchedulerMode::Dense);
+    assert!(dense.cycles() > 0);
+    for mode in &SchedulerMode::ALL[1..] {
+        let got = run(*mode);
+        assert_eq!(got.logits, dense.logits, "{mode:?}");
+        assert_eq!(got.reports, dense.reports, "{mode:?}");
     }
 }
 

@@ -1,8 +1,8 @@
 //! Differential warm-pipeline battery: batch *k* on a re-armed instance
 //! must be **bit-identical** to the same batch on a fresh `try_compile` —
 //! logits, every `CycleReport` field, the schedule-replay diagnostics and
-//! the burst counters — for any sequence of batch sizes, under every
-//! dispatch mode, and for every lowering option that adds control state a
+//! the burst counters — for any sequence of batch sizes, on every
+//! scheduler tier, and for every lowering option that adds control state a
 //! re-arm must restore (parameter loaders, stall injectors, inter-device
 //! rings, folded lanes, attention tiles).
 //!
@@ -17,8 +17,8 @@
 use qnn::compiler::dse::{pick, ResourceBudget};
 use qnn::compiler::{elaborate, try_compile, CompileOptions, CompiledNetwork};
 use qnn::dfe::{
-    CycleReport, Graph, HostSink, HostSource, Io, Kernel, Progress, ReplayDiag, RunError, SpanIo,
-    SpanPlan, StreamSpec, WakeHint, STRATIX_10_GX2800,
+    CycleReport, Graph, HostSink, HostSource, Io, Kernel, Progress, ReplayDiag, RunError,
+    SchedulerMode, SpanIo, SpanPlan, StreamSpec, WakeHint, STRATIX_10_GX2800,
 };
 use qnn::kernels::{PoolKernel, PoolOp};
 use qnn::nn::specgen::{random_spec, spec_strategy};
@@ -57,9 +57,8 @@ fn observe(pipeline: &mut CompiledNetwork) -> Observed {
     }
 }
 
-/// The four dispatch modes: macro-ticks × schedule replay.
-fn dispatch_mode(opts: &CompileOptions, mode: usize) -> CompileOptions {
-    CompileOptions { macro_ticks: mode & 1 != 0, schedule_replay: mode & 2 != 0, ..opts.clone() }
+fn at_tier(opts: &CompileOptions, scheduler: SchedulerMode) -> CompileOptions {
+    CompileOptions { scheduler, ..opts.clone() }
 }
 
 /// Run batches of `sizes` images one after another on one warm instance,
@@ -84,9 +83,9 @@ fn warm_matches_fresh(
         let want = observe(&mut try_compile(net, &batch, opts).expect("valid options"));
         if got != want {
             return Err(format!(
-                "batch {k} ({size} images, sizes {sizes:?}, macro_ticks={} replay={}) \
+                "batch {k} ({size} images, sizes {sizes:?}, {:?}) \
                  differs on the warm instance:\n warm  {got:?}\n fresh {want:?}",
-                opts.macro_ticks, opts.schedule_replay
+                opts.scheduler
             ));
         }
         let expect: Vec<_> = batch.iter().map(|img| net.forward(img).logits).collect();
@@ -97,17 +96,17 @@ fn warm_matches_fresh(
     Ok(())
 }
 
-/// The fixed-spec cases run a mixed batch sequence under all four modes.
+/// The fixed-spec cases run a mixed batch sequence on all four tiers.
 fn check_all_modes(net: &Network, opts: &CompileOptions) {
-    for mode in 0..4 {
-        warm_matches_fresh(net, &dispatch_mode(opts, mode), &[2, 1, 5, 1, 3], 7)
+    for mode in SchedulerMode::ALL {
+        warm_matches_fresh(net, &at_tier(opts, mode), &[2, 1, 5, 1, 3], 7)
             .unwrap_or_else(|e| panic!("{e}"));
     }
 }
 
 props! {
     /// Random conv/pool/fc chains, a random sequence of 3–6 batches of 1–5
-    /// images, a random dispatch mode, and one of the lowering options
+    /// images, a random scheduler tier, and one of the lowering options
     /// whose kernels carry state between images.
     #[test]
     fn warm_instance_matches_fresh_compile_on_random_specs(
@@ -130,7 +129,8 @@ props! {
             },
             _ => CompileOptions { fifo_capacity: 8, ..CompileOptions::default() },
         };
-        let outcome = warm_matches_fresh(&net, &dispatch_mode(&base, mode), &sizes, seed);
+        let outcome =
+            warm_matches_fresh(&net, &at_tier(&base, SchedulerMode::ALL[mode]), &sizes, seed);
         prop_assert_eq!(outcome, Ok(()));
     }
 }

@@ -2,8 +2,8 @@
 //! period must be **bit-identical** to planning every burst live — same
 //! logits, same `CycleReport`s — and must *fall back* (never corrupt)
 //! whenever the stream leaves steady state: the final-period drain, short
-//! ramps that never settle, stall-injected pipelines, and mid-run knob
-//! flips. Folded lanes replay like any other kernel.
+//! ramps that never settle, stall-injected pipelines, and mid-run tier
+//! switches. Folded lanes replay like any other kernel.
 //!
 //! The equivalence argument lives in `dfe_platform::replay` and DESIGN.md
 //! §"Steady-state schedule replay"; these tests are its proof obligation
@@ -16,6 +16,8 @@ use qnn::dfe::{
 };
 use qnn::nn::{models, Network, NetworkSpec};
 use qnn::tensor::Tensor3;
+// `Replay` is held against the tier below it: `Span` plans every burst live.
+use SchedulerMode::{Replay, Span};
 
 fn image_for(spec: &NetworkSpec, seed: u64) -> Tensor3<i8> {
     Tensor3::from_fn(spec.input, |y, x, c| {
@@ -27,18 +29,13 @@ fn image_for(spec: &NetworkSpec, seed: u64) -> Tensor3<i8> {
     })
 }
 
-fn run_replay(net: &Network, images: &[Tensor3<i8>], replay: bool) -> qnn::compiler::SimResult {
-    run_images(
-        net,
-        images,
-        &CompileOptions {
-            scheduler: SchedulerMode::ReadyList,
-            macro_ticks: true,
-            schedule_replay: replay,
-            ..CompileOptions::default()
-        },
-    )
-    .expect("run")
+fn run_at(
+    net: &Network,
+    images: &[Tensor3<i8>],
+    scheduler: SchedulerMode,
+) -> qnn::compiler::SimResult {
+    run_images(net, images, &CompileOptions { scheduler, ..CompileOptions::default() })
+        .expect("run")
 }
 
 /// The tentpole invariant: on a stream long enough to reach steady state,
@@ -50,8 +47,8 @@ fn run_replay(net: &Network, images: &[Tensor3<i8>], replay: bool) -> qnn::compi
 fn long_stream_replays_and_stays_bit_identical() {
     let net = Network::random(models::test_net(8, 4, 2), 42);
     let images: Vec<_> = (0..24).map(|s| image_for(&net.spec, s)).collect();
-    let on = run_replay(&net, &images, true);
-    let off = run_replay(&net, &images, false);
+    let on = run_at(&net, &images, Replay);
+    let off = run_at(&net, &images, Span);
     assert_eq!(on.logits, off.logits);
     assert_eq!(on.reports, off.reports);
     let d = on.reports[0].replay;
@@ -71,8 +68,8 @@ fn long_stream_replays_and_stays_bit_identical() {
 fn short_ramp_never_replays_but_stays_correct() {
     let net = Network::random(models::test_net(8, 4, 2), 42);
     let images: Vec<_> = (0..2).map(|s| image_for(&net.spec, s)).collect();
-    let on = run_replay(&net, &images, true);
-    let off = run_replay(&net, &images, false);
+    let on = run_at(&net, &images, Replay);
+    let off = run_at(&net, &images, Span);
     assert_eq!(on.logits, off.logits);
     assert_eq!(on.reports, off.reports);
     assert_eq!(on.reports[0].replay.images_replayed, 0);
@@ -92,20 +89,20 @@ fn folded_lanes_replay() {
     let folding = FoldPlan::new()
         .with("conv0", Fold::new(2, 2))
         .with("pool1", Fold::new(2, 2));
-    let run = |replay| {
+    let run = |scheduler| {
         run_images(
             &net,
             &images,
             &CompileOptions {
-                schedule_replay: replay,
+                scheduler,
                 layer_folding: folding.clone(),
                 ..CompileOptions::default()
             },
         )
         .expect("run")
     };
-    let on = run(true);
-    let off = run(false);
+    let on = run(Replay);
+    let off = run(Span);
     assert_eq!(on.logits, off.logits);
     assert_eq!(on.reports, off.reports);
     let d = on.reports[0].replay;
@@ -165,9 +162,8 @@ fn stall_injected_marker_graph_vetoes_replay() {
     let per_image = 16usize;
     let images = 12usize;
     let n = per_image * images;
-    let build = |replay: bool| {
-        let mut g = Graph::with_scheduler(SchedulerMode::ReadyList);
-        g.set_schedule_replay(replay);
+    let build = |scheduler| {
+        let mut g = Graph::with_scheduler(scheduler);
         let data: Vec<i32> = (0..n as i32).map(|v| v % per_image as i32).collect();
         let s0 = g.add_stream(StreamSpec::new("s0", 8, 8));
         g.add_kernel(
@@ -190,36 +186,28 @@ fn stall_injected_marker_graph_vetoes_replay() {
         let diag = g.replay_diag();
         (handle.take(), report, diag)
     };
-    let (out_on, rep_on, diag) = build(true);
-    let (out_off, rep_off, _) = build(false);
+    let (out_on, rep_on, diag) = build(Replay);
+    let (out_off, rep_off, _) = build(Span);
     assert_eq!(out_on, out_off);
     assert_eq!(rep_on, rep_off);
     assert_eq!(diag.images_replayed, 0, "injector must veto: {diag:?}");
     assert_eq!(diag.tape_len, 0, "vetoed graphs never record: {diag:?}");
 }
 
-/// Mid-run knob flips: toggling `set_schedule_replay` (and macro-ticks) at
-/// arbitrary segment boundaries mid-inference re-arms the state machine
+/// Mid-run tier switches: hopping between `Replay`, `Span` and `ReadyList`
+/// at arbitrary segment boundaries mid-inference re-arms the state machine
 /// and must be invisible — the stitched run equals one uninterrupted
 /// replay-off run in logits, cumulative counters, and total cycles.
 #[test]
 fn mid_run_replay_switches_are_invisible() {
     let net = Network::random(models::test_net(8, 4, 2), 5);
     let images: Vec<_> = (0..16).map(|s| image_for(&net.spec, s + 100)).collect();
-    let reference = run_replay(&net, &images, false);
+    let reference = run_at(&net, &images, Span);
 
-    let compiled = compile(
-        &net,
-        &images,
-        &CompileOptions {
-            scheduler: SchedulerMode::ReadyList,
-            macro_ticks: true,
-            schedule_replay: true,
-            ..CompileOptions::default()
-        },
-    );
+    let compiled = compile(&net, &images, &CompileOptions::default());
     let mut graphs = compiled.graphs;
     assert_eq!(graphs.len(), 1);
+    assert_eq!(graphs[0].scheduler(), Replay);
     let g = &mut graphs[0];
     let segment = 700u64;
     let mut flips = 0u32;
@@ -230,10 +218,13 @@ fn mid_run_replay_switches_are_invisible() {
             Err(_) => {
                 total += segment;
                 flips += 1;
-                g.set_schedule_replay(flips % 2 == 0);
-                if flips % 3 == 0 {
-                    g.set_macro_ticks(flips % 2 == 1);
-                }
+                g.set_scheduler(if flips % 2 == 0 {
+                    Replay
+                } else if flips % 3 == 0 {
+                    SchedulerMode::ReadyList
+                } else {
+                    Span
+                });
                 assert!(total < 50_000_000, "switch run wedged");
             }
         }
@@ -251,30 +242,22 @@ fn mid_run_replay_switches_are_invisible() {
 /// Replay diagnostics are observability, not behaviour: `CycleReport`
 /// equality deliberately ignores them (so every differential battery can
 /// compare replay-on vs replay-off reports bit-for-bit), and the counters
-/// survive the re-arms that knob flips trigger instead of resetting.
+/// survive the re-arms that tier switches trigger instead of resetting.
 #[test]
 fn replay_diag_is_excluded_from_report_equality_and_survives_rearm() {
     let net = Network::random(models::test_net(8, 4, 2), 42);
     let images: Vec<_> = (0..24).map(|s| image_for(&net.spec, s)).collect();
-    let on = run_replay(&net, &images, true);
-    let off = run_replay(&net, &images, false);
+    let on = run_at(&net, &images, Replay);
+    let off = run_at(&net, &images, Span);
     // The diags differ…
     assert_ne!(on.reports[0].replay, off.reports[0].replay);
     // …but the reports compare equal: diag is outside the equality.
     assert_eq!(on.reports, off.reports);
 
-    // Counter persistence across a mid-run re-arm: flip the knob off and
-    // back on after the run completes a stretch; the accumulated counters
+    // Counter persistence across a mid-run re-arm: drop a tier and come
+    // back after the run completes a stretch; the accumulated counters
     // must not reset (they describe the whole run).
-    let compiled = compile(
-        &net,
-        &images,
-        &CompileOptions {
-            scheduler: SchedulerMode::ReadyList,
-            schedule_replay: true,
-            ..CompileOptions::default()
-        },
-    );
+    let compiled = compile(&net, &images, &CompileOptions::default());
     let mut graphs = compiled.graphs;
     let g = &mut graphs[0];
     let mut banked = qnn::dfe::ReplayDiag::default();
@@ -291,8 +274,8 @@ fn replay_diag_is_excluded_from_report_equality_and_survives_rearm() {
                 );
                 banked = d;
                 // Re-arm (twice: off and back on). Counters must survive.
-                g.set_schedule_replay(false);
-                g.set_schedule_replay(true);
+                g.set_scheduler(Span);
+                g.set_scheduler(Replay);
                 let d = g.replay_diag();
                 assert_eq!(d.images_replayed, banked.images_replayed);
                 assert_eq!(d.guard_fallbacks, banked.guard_fallbacks);
@@ -301,15 +284,4 @@ fn replay_diag_is_excluded_from_report_equality_and_survives_rearm() {
         }
     }
     compiled.sink.take();
-}
-
-/// `QNN_SCHED_REPLAY` is the documented selection mechanism; pin the
-/// default (on) without mutating the process env under a threaded harness
-/// (the parser's spellings are covered by dfe-platform unit tests).
-#[test]
-fn schedule_replay_env_default_is_on() {
-    if std::env::var("QNN_SCHED_REPLAY").is_err() {
-        assert!(qnn::dfe::schedule_replay_from_env());
-        assert!(CompileOptions::default().schedule_replay);
-    }
 }

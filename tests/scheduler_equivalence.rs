@@ -1,11 +1,12 @@
 //! Differential scheduler battery: the event-driven ready-list stepper
-//! must be **bit-identical** to the dense reference stepper — same
-//! logits, same `CycleReport`s (cycle counts, per-kernel busy/stall
-//! tallies, per-stream pushed/max-occupancy) — across randomized
-//! networks, multi-device lockstep cuts, streamed-parameter loading, and
-//! graphs laced with random stall injection.
+//! (and every tier built on it) must be **bit-identical** to the dense
+//! reference stepper — same logits, same `CycleReport`s (cycle counts,
+//! per-kernel busy/stall tallies, per-stream pushed/max-occupancy) —
+//! across randomized networks, multi-device lockstep cuts,
+//! streamed-parameter loading, and graphs laced with random stall
+//! injection.
 //!
-//! This is the proof obligation behind making `ReadyList` the default:
+//! This is the proof obligation behind defaulting to a tier above `Dense`:
 //! every golden vector, determinism test, and flaky-threshold band was
 //! calibrated under dense stepping and must carry over unchanged.
 //!
@@ -31,37 +32,21 @@ fn image_for(spec: &NetworkSpec, seed: u64) -> Tensor3<i8> {
     })
 }
 
-/// Run the same workload under both schedulers — the ready-list side with
-/// schedule replay both off and on — and assert logits and every
-/// per-device report are identical.
+/// Run the same workload on every scheduler tier and assert logits and
+/// every per-device report are identical to the `Dense` oracle's.
 fn assert_modes_agree(
     net: &Network,
     images: &[Tensor3<i8>],
     base: &CompileOptions,
 ) -> qnn_testkit::prop::CaseResult {
-    let dense = run_images(
-        net,
-        images,
-        &CompileOptions {
-            scheduler: SchedulerMode::Dense,
-            schedule_replay: false,
-            ..base.clone()
-        },
-    )
-    .expect("dense run");
-    for replay in [false, true] {
-        let ready = run_images(
-            net,
-            images,
-            &CompileOptions {
-                scheduler: SchedulerMode::ReadyList,
-                schedule_replay: replay,
-                ..base.clone()
-            },
-        )
-        .expect("ready-list run");
-        prop_assert_eq!(&dense.logits, &ready.logits);
-        prop_assert_eq!(&dense.reports, &ready.reports);
+    let run = |scheduler| {
+        run_images(net, images, &CompileOptions { scheduler, ..base.clone() }).expect("run")
+    };
+    let dense = run(SchedulerMode::Dense);
+    for mode in &SchedulerMode::ALL[1..] {
+        let got = run(*mode);
+        prop_assert_eq!(&got.logits, &dense.logits, "{:?}", mode);
+        prop_assert_eq!(&got.reports, &dense.reports, "{:?}", mode);
     }
     Ok(())
 }
@@ -157,11 +142,7 @@ props! {
         let mut spans = compile(
             &net,
             std::slice::from_ref(&img),
-            &CompileOptions {
-                scheduler: SchedulerMode::ReadyList,
-                macro_ticks: true,
-                ..base
-            },
+            &CompileOptions { scheduler: SchedulerMode::Span, ..base },
         );
         spans.graphs[0].run(100_000_000).expect("span run");
         prop_assert!(
@@ -208,9 +189,11 @@ props! {
             (handle.take(), report)
         };
         let (out_d, rep_d) = build(SchedulerMode::Dense);
-        let (out_r, rep_r) = build(SchedulerMode::ReadyList);
-        prop_assert_eq!(&out_d, &out_r);
-        prop_assert_eq!(&rep_d, &rep_r);
+        for mode in &SchedulerMode::ALL[1..] {
+            let (out, rep) = build(*mode);
+            prop_assert_eq!(&out, &out_d, "{:?}", mode);
+            prop_assert_eq!(&rep, &rep_d, "{:?}", mode);
+        }
     }
 }
 
@@ -243,7 +226,7 @@ impl Kernel for Affine {
 }
 
 /// Deterministic spot-check (not property-sized): the exact cycle count of
-/// a full residual network is identical in both modes, so the EXPERIMENTS
+/// a full residual network is identical on every tier, so the EXPERIMENTS
 /// flaky-threshold bands calibrated under dense stepping carry over.
 #[test]
 fn cycle_counts_identical_on_residual_network() {
@@ -253,28 +236,15 @@ fn cycle_counts_identical_on_residual_network() {
         run_images(
             &net,
             std::slice::from_ref(&img),
-            &CompileOptions {
-                scheduler,
-                ..CompileOptions::default()
-            },
+            &CompileOptions { scheduler, ..CompileOptions::default() },
         )
         .expect("run")
     };
     let dense = run(SchedulerMode::Dense);
-    let ready = run(SchedulerMode::ReadyList);
-    assert_eq!(dense.logits, ready.logits);
-    assert_eq!(dense.reports, ready.reports);
     assert!(dense.cycles() > 0);
-}
-
-/// `QNN_SCHEDULER` is the documented selection mechanism; make sure the
-/// value parser accepts what the README advertises.
-#[test]
-fn scheduler_mode_env_spellings() {
-    // Can't mutate the process env safely under a threaded test harness;
-    // the parser itself is covered via from_env's documented contract in
-    // unit tests. Here we only pin the default.
-    if std::env::var("QNN_SCHEDULER").is_err() {
-        assert_eq!(SchedulerMode::default(), SchedulerMode::ReadyList);
+    for mode in &SchedulerMode::ALL[1..] {
+        let got = run(*mode);
+        assert_eq!(got.logits, dense.logits, "{mode:?}");
+        assert_eq!(got.reports, dense.reports, "{mode:?}");
     }
 }

@@ -11,6 +11,7 @@
 //! are timing-dependent.
 
 use qnn::compiler::{run_images, CompileOptions};
+use qnn::dfe::SchedulerMode;
 use qnn::nn::{models, Network};
 use qnn::serve::{Response, Server, ServerConfig, Ticket};
 use qnn::tensor::{Shape3, Tensor3};
@@ -40,19 +41,12 @@ fn serve_trace(net: &Network, images: &[Tensor3<i8>], config: &ServerConfig) -> 
     responses
 }
 
-/// Every dispatch tier must serve the same bits: per-element, span
-/// dispatch, and span dispatch with schedule replay armed. The direct
-/// reference is pinned to per-element dispatch so a span-crediting or
-/// tape-replay bug in the serving path cannot hide by also infecting the
-/// reference.
-fn both_dispatch_modes() -> [CompileOptions; 3] {
-    [(false, false), (true, false), (true, true)].map(|(macro_ticks, schedule_replay)| {
-        CompileOptions {
-            macro_ticks,
-            schedule_replay,
-            ..CompileOptions::default()
-        }
-    })
+/// Every scheduler tier must serve the same bits. The direct reference
+/// runs on the `Dense` oracle, which shares no parking, span or replay code
+/// with the tiers above it, so a span-crediting or tape-replay bug in the
+/// serving path cannot hide by also infecting the reference.
+fn at_tier(scheduler: SchedulerMode) -> CompileOptions {
+    CompileOptions { scheduler, ..CompileOptions::default() }
 }
 
 #[test]
@@ -62,16 +56,12 @@ fn every_served_batch_matches_a_direct_run_of_that_batch_bit_for_bit() {
     // and the rest coalesce behind it, so the warm pipeline runs several
     // batches of several sizes.
     let images = trace(12);
-    let reference = CompileOptions {
-        macro_ticks: false,
-        schedule_replay: false,
-        ..CompileOptions::default()
-    };
-    for compile in both_dispatch_modes() {
+    let reference = at_tier(SchedulerMode::Dense);
+    for tier in SchedulerMode::ALL {
         let config = ServerConfig {
             replicas: 1,
             max_batch: 4,
-            compile: compile.clone(),
+            compile: at_tier(tier),
             ..ServerConfig::default()
         };
         let responses = serve_trace(&net, &images, &config);
@@ -85,12 +75,7 @@ fn every_served_batch_matches_a_direct_run_of_that_batch_bit_for_bit() {
             let direct = run_images(&net, &batch, &reference).expect("direct");
             for (slot, &i) in members.iter().enumerate() {
                 let resp = &responses[i];
-                let mode = format!(
-                    "macro_ticks={}/replay={}, batch {batch_id} of {}",
-                    compile.macro_ticks,
-                    compile.schedule_replay,
-                    members.len()
-                );
+                let mode = format!("{tier:?}, batch {batch_id} of {}", members.len());
                 assert_eq!(resp.stats.batch_size, members.len(), "{mode}");
                 assert_eq!(resp.logits, direct.logits[slot], "{mode}: logits diverged");
                 assert_eq!(resp.stats.cycles, direct.cycles(), "{mode}: cycles diverged");
@@ -102,15 +87,15 @@ fn every_served_batch_matches_a_direct_run_of_that_batch_bit_for_bit() {
 #[test]
 fn multi_replica_serving_is_identical_across_ten_runs() {
     // Batch composition and replica assignment vary run to run with the
-    // thread scheduler; the logits must not — under either dispatch mode.
+    // thread scheduler; the logits must not — on any scheduler tier.
     let net = Network::random(models::test_net(8, 4, 2), 22);
     let images = trace(8);
     let expected: Vec<Vec<i32>> = images.iter().map(|i| net.forward(i).logits).collect();
-    for compile in both_dispatch_modes() {
+    for tier in SchedulerMode::ALL {
         let config = ServerConfig {
             replicas: 3,
             max_batch: 2,
-            compile: compile.clone(),
+            compile: at_tier(tier),
             ..ServerConfig::default()
         };
         for run in 0..5 {
@@ -118,9 +103,7 @@ fn multi_replica_serving_is_identical_across_ten_runs() {
                 serve_trace(&net, &images, &config).into_iter().map(|r| r.logits).collect();
             assert_eq!(
                 logits, expected,
-                "macro_ticks={}/replay={}: run {run} diverged from the interpreter",
-                compile.macro_ticks,
-                compile.schedule_replay
+                "{tier:?}: run {run} diverged from the interpreter"
             );
         }
     }

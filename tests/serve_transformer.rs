@@ -9,6 +9,7 @@
 //! balanced.
 
 use qnn::compiler::{run_images, CompileOptions};
+use qnn::dfe::SchedulerMode;
 use qnn::nn::{models, Network};
 use qnn::serve::{Server, ServerConfig, SubmitOptions};
 use qnn::tensor::{Shape3, Tensor3};
@@ -27,21 +28,22 @@ fn transformer() -> Network {
     Network::random(models::tiny_transformer(6, 2, 3, 5, 2, 8), 62)
 }
 
-/// Interleaved CNN and transformer requests through one server, under
-/// both macro-tick settings: responses bit-identical to direct execution,
-/// ledger balanced across both models.
+/// Interleaved CNN and transformer requests through one server, on every
+/// scheduler tier: responses bit-identical to direct execution on the
+/// `Dense` oracle, ledger balanced across both models.
 #[test]
 fn mixed_cnn_and_transformer_traffic_matches_direct_execution() {
     let cnn_net = cnn();
     let tf_net = transformer();
     let cnn_trace = trace(cnn_net.spec.input, 0xC44, 5);
     let tf_trace = trace(tf_net.spec.input, 0x7F0, 5);
-    let element = CompileOptions { macro_ticks: false, ..CompileOptions::default() };
-    let cnn_direct = run_images(&cnn_net, &cnn_trace, &element).expect("cnn direct");
-    let tf_direct = run_images(&tf_net, &tf_trace, &element).expect("transformer direct");
+    let at_tier = |scheduler| CompileOptions { scheduler, ..CompileOptions::default() };
+    let dense = at_tier(SchedulerMode::Dense);
+    let cnn_direct = run_images(&cnn_net, &cnn_trace, &dense).expect("cnn direct");
+    let tf_direct = run_images(&tf_net, &tf_trace, &dense).expect("transformer direct");
 
-    for macro_ticks in [false, true] {
-        let compile = CompileOptions { macro_ticks, ..CompileOptions::default() };
+    for tier in SchedulerMode::ALL {
+        let compile = at_tier(tier);
         let server = Server::builder()
             .config(ServerConfig {
                 replicas: 2,
@@ -76,12 +78,12 @@ fn mixed_cnn_and_transformer_traffic_matches_direct_execution() {
             assert_eq!(pair[0].model, "cnn");
             assert_eq!(
                 pair[0].logits, cnn_direct.logits[i],
-                "macro_ticks={macro_ticks}: cnn image {i} diverged"
+                "{tier:?}: cnn image {i} diverged"
             );
             assert_eq!(pair[1].model, "transformer");
             assert_eq!(
                 pair[1].logits, tf_direct.logits[i],
-                "macro_ticks={macro_ticks}: transformer image {i} diverged"
+                "{tier:?}: transformer image {i} diverged"
             );
         }
 

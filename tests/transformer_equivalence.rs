@@ -2,7 +2,7 @@
 //! Q/K/V projections, per-head fan-out, attention tile engines, concat,
 //! output projection, residual adds and LayerNorm — must match the
 //! reference interpreter bit for bit, across a geometry grid, randomized
-//! specs, stall injection, and both macro-tick settings.
+//! specs, stall injection, and every scheduler tier.
 //!
 //! The numeric core (`qnn_quant::attention`) is shared between the two
 //! paths, so these tests pin the *plumbing*: stream ordering through the
@@ -10,6 +10,7 @@
 //! state machines under backpressure and arbitrary stall patterns.
 
 use qnn::compiler::{run_images, CompileOptions};
+use qnn::dfe::SchedulerMode;
 use qnn::nn::specgen::{encoder_spec_strategy, random_encoder_spec};
 use qnn::nn::{models, Network, NetworkSpec};
 use qnn::tensor::Tensor3;
@@ -26,7 +27,7 @@ fn image_for(spec: &NetworkSpec, seed: u64) -> Tensor3<i8> {
 }
 
 /// Deterministic grid over heads × head_dim × seq_len × FFN × act_bits,
-/// each point checked under both macro-tick settings. Covers the corners
+/// each point checked on every scheduler tier. Covers the corners
 /// the random battery may miss (single-token sequences, single head,
 /// 1-bit codes) with a stable, always-run set.
 #[test]
@@ -47,15 +48,15 @@ fn encoder_grid_sweep_is_bit_exact_in_both_dispatch_modes() {
                         let net = Network::random(spec, seed);
                         let img = image_for(&net.spec, seed);
                         let expect = net.forward(&img).logits;
-                        for macro_ticks in [false, true] {
+                        for scheduler in SchedulerMode::ALL {
                             let opts =
-                                CompileOptions { macro_ticks, ..CompileOptions::default() };
+                                CompileOptions { scheduler, ..CompileOptions::default() };
                             let sim = run_images(&net, std::slice::from_ref(&img), &opts)
                                 .expect("sim");
                             assert_eq!(
                                 sim.logits[0], expect,
                                 "h{heads} d{head_dim} s{seq_len} ff{ff_hidden} \
-                                 b{act_bits} macro={macro_ticks}"
+                                 b{act_bits} {scheduler:?}"
                             );
                         }
                         checked += 1;
@@ -83,20 +84,20 @@ fn transformer_image_stream_is_bit_exact() {
 props! {
     /// Randomized encoder specs stay bit-exact under random stall
     /// injection — every kernel's handshake must tolerate arbitrary
-    /// flow-control timing — in both macro-tick modes.
+    /// flow-control timing — on a random scheduler tier.
     #[test]
     fn random_encoders_bit_exact_under_stall_injection(
         spec in encoder_spec_strategy(),
         seed in 0u64..1000,
         pct in 0u8..40,
-        macro_ticks in 0u8..2,
+        tier in 0usize..4,
     ) {
         let net = Network::random(spec, seed);
         let img = image_for(&net.spec, seed);
         let expect = net.forward(&img).logits;
         let opts = CompileOptions {
             stall_injection: Some((seed ^ 0xA77E_1710, pct)),
-            macro_ticks: macro_ticks == 1,
+            scheduler: SchedulerMode::ALL[tier],
             ..CompileOptions::default()
         };
         let sim = run_images(&net, std::slice::from_ref(&img), &opts).expect("sim");
