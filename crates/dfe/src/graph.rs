@@ -5,12 +5,12 @@
 //! [`CycleReport`]s — which `tests/scheduler_equivalence.rs` asserts over
 //! randomized networks.
 
-use crate::kernel::{Io, Kernel, Progress, SpanIo, SpanPlan, WakeHint, MAX_SPAN_PORTS};
-use crate::replay::{Participant, ReplayDiag, ReplayPhase, ReplayState, SpanStream, Step};
+use crate::burst::{dispatch, Planner, View};
+use crate::diag::{BurstDiag, Refusal};
+use crate::kernel::{Io, Kernel, Progress, WakeHint};
+use crate::replay::{ReplayDiag, ReplayPhase, ReplayState, Step};
 use crate::sched::SchedulerMode;
-use crate::stream::{
-    span_level, span_limit, span_peak, SpanFault, SpanPort, StreamSpec, StreamState,
-};
+use crate::stream::{StreamSpec, StreamState};
 use crate::trace::Trace;
 use std::fmt;
 
@@ -26,23 +26,23 @@ pub struct KernelId(pub(crate) usize);
 /// node's output (writer end) or input (reader end) ports the stream is
 /// wired to.
 #[derive(Clone, Copy)]
-struct End {
-    node: usize,
-    port: usize,
+pub(crate) struct End {
+    pub node: usize,
+    pub port: usize,
 }
 
-struct Node {
-    kernel: Box<dyn Kernel>,
-    inputs: Vec<usize>,
-    outputs: Vec<usize>,
+pub(crate) struct Node {
+    pub kernel: Box<dyn Kernel>,
+    pub inputs: Vec<usize>,
+    pub outputs: Vec<usize>,
     /// Per-port elements moved this cycle, bounded by the lane counts
     /// below (1 for ordinary kernels, >1 for folded ones).
     read_used: Vec<u16>,
     write_used: Vec<u16>,
     read_lanes: u16,
     write_lanes: u16,
-    busy: u64,
-    stalled: u64,
+    pub busy: u64,
+    pub stalled: u64,
 }
 
 /// Why a run stopped abnormally.
@@ -182,6 +182,12 @@ pub struct Graph {
     /// with [`Graph::bursts`], the coverage view: `burst_cycles / cycles`
     /// is the fraction of the run that skipped per-element stepping.
     burst_cycles: u64,
+    /// Burst explainers (see [`crate::diag`]) — diagnostics only, like
+    /// `bursts`.
+    burst_diag: BurstDiag,
+    /// The last refused attempt's reason and the clock at the refusal; the
+    /// per-element cycles since are credited to it at the next attempt.
+    pending_refusal: Option<(Refusal, u64)>,
     /// Per-element cycles left before the next burst attempt. A failed
     /// attempt costs a full planning scan, and the graph states that fail
     /// (a kernel mid-row-transition, a trickle-fed consumer about to run
@@ -193,30 +199,8 @@ pub struct Graph {
     burst_cooldown: u64,
     /// Cooldown the *next* failure will impose (doubles up to the cap).
     burst_backoff: u64,
-    /// Scratch for [`Graph::try_burst`]: the burst participants — awake
-    /// kernels starting at cycle 0, plus demoted awake kernels
-    /// (`demoted = Some(blocked verdict)`) and recruited parked kernels,
-    /// both starting at the cycle dense stepping would first tick them
-    /// `Busy` (`u64::MAX` until the relaxation pass resolves it).
-    burst_plans: Vec<Participant>,
-    /// Scratch for [`Graph::try_burst`] phase 1: demoted awake kernels,
-    /// buffered so `burst_plans` keeps its cycle-0 prefix until the scan
-    /// completes. Always empty between attempts.
-    burst_demoted: Vec<Participant>,
-    /// Scratch: `Idle`-blocked participants whose first masked-input
-    /// arrival `f` lands before they run — dense flips them to a
-    /// port-inert `Stalled` park at `f` (see the admission pass).
-    burst_ripen: Vec<(usize, u64)>,
-    /// Scratch: streams touched by the planned burst — queue length at
-    /// burst start and, once the span length is final, the closed-form
-    /// occupancy peak the dispatched span credits.
-    burst_streams: Vec<SpanStream>,
-    /// Scratch, indexed by stream: whether the stream already has a
-    /// `burst_streams` entry. Always all-false between burst attempts.
-    stream_flags: Vec<bool>,
-    /// Scratch, indexed by node: index into `burst_plans`, `u32::MAX` when
-    /// the node is not a participant. Always all-`MAX` between attempts.
-    part_of: Vec<u32>,
+    /// The burst planner and its scratch (see [`crate::burst`]).
+    planner: Planner,
     /// Steady-state schedule replay — the [`SchedulerMode::Replay`] tier
     /// (see [`crate::replay`]). Inert until armed with a marker via
     /// [`Graph::set_replay_marker`].
@@ -248,11 +232,14 @@ impl Graph {
     /// planning scan per cap instead of one per cycle.
     const BURST_BACKOFF_CAP: u64 = 64;
 
-    /// Smallest span worth dispatching as a burst. Planning a wavefront
-    /// costs a couple of microseconds; below this many cycles the same
-    /// work is cheaper stepped densely, so the attempt is treated as a
-    /// failure (and backs off) instead. Correctness is unaffected — a
-    /// rejected burst just falls back to per-element stepping.
+    /// Smallest span worth dispatching as a burst. Planning an attempt costs
+    /// 20–28 µs on ResNet-18 whatever it finds, against 0.6–1.6 µs for one
+    /// per-element cycle (DESIGN.md §9); a burst shorter than this is
+    /// refused, and the caller steps the short stretch per element and
+    /// retries right after the bound that cut it. Since a burst runs to a
+    /// stream limit or the end of a kernel's phase chain, the floor rarely
+    /// binds. Correctness is unaffected — a refused burst just falls back to
+    /// per-element stepping.
     const MIN_BURST: u64 = 8;
 
     /// Span floor while a schedule-replay tape records. `min_burst` is an
@@ -287,14 +274,11 @@ impl Graph {
             sink_progress: false,
             bursts: 0,
             burst_cycles: 0,
+            burst_diag: BurstDiag::default(),
+            pending_refusal: None,
             burst_cooldown: 0,
             burst_backoff: 1,
-            burst_plans: Vec::new(),
-            burst_demoted: Vec::new(),
-            burst_ripen: Vec::new(),
-            burst_streams: Vec::new(),
-            stream_flags: Vec::new(),
-            part_of: Vec::new(),
+            planner: Planner::default(),
             replay: ReplayState::new(),
         }
     }
@@ -328,6 +312,26 @@ impl Graph {
         self.burst_cycles
     }
 
+    /// Why burst attempts were refused and what ended accepted bursts
+    /// (diagnostics only, outside [`CycleReport`] equality; see
+    /// [`crate::diag`]). Per-element cycles stepped since the last refusal
+    /// count toward it.
+    pub fn burst_diag(&self) -> BurstDiag {
+        let mut diag = self.burst_diag;
+        if let Some((reason, at)) = self.pending_refusal {
+            diag.add_dense(reason, self.now - at);
+        }
+        diag
+    }
+
+    /// Credit the per-element cycles stepped since the last refusal to its
+    /// reason (called at each attempt and each replayed span).
+    fn settle_refusal(&mut self) {
+        if let Some((reason, at)) = self.pending_refusal.take() {
+            self.burst_diag.add_dense(reason, self.now - at);
+        }
+    }
+
     /// The active scheduler mode.
     pub fn scheduler(&self) -> SchedulerMode {
         self.scheduler
@@ -341,6 +345,7 @@ impl Graph {
     /// dropped (replay re-arms; its tape encodes park state that the switch
     /// just settled, and the old tier's dispatch policy).
     pub fn set_scheduler(&mut self, scheduler: SchedulerMode) {
+        self.settle_refusal();
         self.scheduler = scheduler;
         self.replay.rearm();
         for i in 0..self.nodes.len() {
@@ -391,6 +396,8 @@ impl Graph {
         self.sink_progress = false;
         self.bursts = 0;
         self.burst_cycles = 0;
+        self.burst_diag = BurstDiag::default();
+        self.pending_refusal = None;
         self.burst_cooldown = 0;
         self.burst_backoff = 1;
         self.replay.rearm();
@@ -406,7 +413,6 @@ impl Graph {
         self.streams.push(StreamState::new(spec));
         self.writers.push(None);
         self.readers.push(None);
-        self.stream_flags.push(false);
         StreamId(self.streams.len() - 1)
     }
 
@@ -461,7 +467,6 @@ impl Graph {
             stalled: 0,
         });
         self.parked.push(None);
-        self.part_of.push(u32::MAX);
         if id % 64 == 0 {
             self.awake.push(0);
         }
@@ -626,9 +631,9 @@ impl Graph {
                         if let Ok(k) = self.try_burst(max_cycles - cycle, Self::REPLAY_MIN_BURST) {
                             let within_cap = self.replay.record_span(
                                 k,
-                                &self.burst_plans,
-                                &self.burst_ripen,
-                                &self.burst_streams,
+                                &self.planner.parts,
+                                &self.planner.quotas,
+                                &self.planner.streams,
                             );
                             if !within_cap {
                                 // A period too irregular to record compactly
@@ -657,9 +662,9 @@ impl Graph {
                                 }
                                 continue;
                             }
-                            // A phase-bounded veto names the exact dense
-                            // stretch to step through; retry right after it
-                            // without escalating the blind backoff.
+                            // A refusal that names the cycle its binding
+                            // bound passes steps through to it and retries
+                            // there, without escalating the blind backoff.
                             Err(hint) if hint > 0 => self.burst_cooldown = hint,
                             Err(_) => {
                                 self.burst_cooldown = self.burst_backoff;
@@ -890,545 +895,81 @@ impl Graph {
         (any_progress, committed)
     }
 
-    /// Macro-tick span dispatch: attempt to replay a whole span of `k ≥ 2`
-    /// cycles in one dispatch per participating kernel, advancing the clock
-    /// by `k`. Returns `Ok(k)`, the cycles advanced, or `Err(hint)` when
-    /// this cycle must be stepped per-element: `hint > 0` is the number of
-    /// dense cycles after which the vetoing phase ends and a retry can
-    /// succeed, `0` means no such bound is known (the caller backs off).
+    /// Macro-tick span dispatch: attempt to fast-forward a whole burst of
+    /// `k ≥ 2` cycles in one dispatch per participating kernel, advancing
+    /// the clock by `k`. Returns `Ok(k)`, the cycles advanced, or
+    /// `Err(hint)` when this cycle must be stepped per-element: `hint > 0`
+    /// is the number of dense cycles after which the bound that cut the
+    /// attempt short has passed and a retry can succeed, `0` means no such
+    /// bound is known (the caller backs off). Every refusal is counted by
+    /// reason in [`Graph::burst_diag`].
     ///
-    /// A burst replays exactly the cycles the per-element ready-list
-    /// stepper would execute, credited arithmetically. Its participants
-    /// form a **wavefront**: each takes part from a per-kernel *start*
-    /// `o` — the first burst cycle dense stepping would tick it `Busy` —
-    /// and runs uniformly from there, to the burst's end or to the cycle a
-    /// full output parks it.
-    ///
-    /// * Every **awake** kernel must offer a [`SpanPlan`] — a contract that
-    ///   each of its next ticks moves a fixed number of elements
-    ///   ([`SpanPlan::read_rate`] / [`SpanPlan::write_rate`]: one for the
-    ///   paper's kernels, up to the lane count for folded ones) on fixed
-    ///   port sets and reports `Busy` whenever those ports are serviceable
-    ///   (and is a port-inert fixed point when they are not, per
-    ///   [`WakeHint::Parkable`]). One non-promising awake kernel (a
-    ///   [`StallInjector`](crate::StallInjector), a shifting delay line, a
-    ///   custom kernel) vetoes the burst; that is the per-element fallback.
-    ///   Awake kernels participate from cycle 0.
-    /// * An awake kernel that is **currently blocked** — its plan declares
-    ///   a dry read port ([`SpanPlan::blocked`]), or a masked output is
-    ///   full with no earlier-ordered participant popping it this cycle
-    ///   and the plan is halting ([`SpanPlan::halt`]) — is *demoted*
-    ///   rather than vetoing: dense would tick it once (non-`Busy` and
-    ///   port-inert), park it, and wake it like any recruit, so the burst
-    ///   models exactly that — one blocked tick at the first cycle, a park
-    ///   at `now`, and a start solved by the relaxation pass. This is
-    ///   what lets a wavefront advance past stragglers: an adder waiting
-    ///   on a convolution mid-absorb, a writer into a full FIFO.
-    /// * **Parked** kernels that a burst stream event would wake are
-    ///   *recruited* instead of vetoing: a read stream's parked-`Stalled`
-    ///   writer (dense wakes it at the first pop) and a written stream's
-    ///   parked reader (woken at the first commit). A recruit's start is
-    ///   solved from per-port readiness — an empty input becomes
-    ///   serviceable one cycle after its in-burst writer's first push
-    ///   (`a + 1`, the registered-output latency), a full output when its
-    ///   in-burst reader's pops free a slot (`b + 1`, or `b` when the
-    ///   reader runs earlier in node order, freeing the slot within the
-    ///   writer's own tick cycle). Starts relax to a fixpoint; they only
-    ///   decrease, so the loop terminates. The skipped cycles
-    ///   `[since .. now + o)` settle with exactly the lazy credit
-    ///   [`Graph::step_cycle_ready`]'s wakes apply — all three wake paths
-    ///   reduce to `stalled += now + o − 1 − since` for a `Stalled` park,
-    ///   nothing for `Idle`. Any intermediate wake/re-park oscillation
-    ///   dense would perform is counter-invisible by the `Parkable`
-    ///   fixed-point contract, so a recruit whose start lands at or
-    ///   beyond `k` simply stays parked, as does one whose plan has no
-    ///   cycles to offer. A read stream's parked-**Idle** writer is *not*
-    ///   recruited: `Idle` is input-driven (a kernel needing output space
-    ///   reports `Stalled`, see [`Progress`]), so pops cannot un-idle it —
-    ///   though the same kernel may still be recruited through another of
-    ///   its streams.
-    /// * **Feasibility** then caps `k` so every promised tick would have
-    ///   succeeded under dense interleaving. For one stream with start
-    ///   length `L`, capacity `C`, a writer pushing `wr` per cycle over
-    ///   its cycles and a reader popping `rr` per cycle over its own, the
-    ///   start-of-cycle occupancy is piecewise linear with breakpoints
-    ///   where a side starts or stops, and the cap is the first cycle it
-    ///   leaves `[rr, C − wr]`: a pop needs `rr` committed
-    ///   elements, a push `wr` free slots at the writer's tick (`rr` more
-    ///   once a reader earlier in node order has popped within the cycle),
-    ///   and an *exact* port ([`SpanPlan::exact_reads`]) pins its bound
-    ///   from both sides. [`span_limit`] has the arithmetic, including the
-    ///   dispatch rule that a reader *earlier in node order* than its
-    ///   writer — replayed whole before the writer's span — can only
-    ///   consume the buffered lead. A *suppressed opportunistic read*
-    ///   ([`SpanPlan::opt_reads`] — a dry port the kernel promises not to
-    ///   read while it stays dry) caps the span before the port refills:
-    ///   `k ≤ a + 1` for a writer starting at `a`. Every cap shortens the
-    ///   burst below what dense could overlap — which costs speed, never
-    ///   equivalence.
-    /// * One fault **stops a participant** instead of capping the burst: a
-    ///   *halting* writer ([`SpanPlan::halt`]) that finds its FIFO
-    ///   completely full mid-burst, with nobody draining it before `k` and
-    ///   its own masked inputs holding data. Dense ticks that kernel
-    ///   `Stalled` there and parks it; every later re-tick (an input
-    ///   commit, a pop on another output) re-stalls, so the lazy credit
-    ///   telescopes exactly as for a demoted kernel. Its other streams see
-    ///   its traffic end at the stop, which may in turn fill the FIFO
-    ///   behind it — the feasibility scan repeats until no stream objects.
-    ///
-    /// Under those caps the dense outcome is exactly: participant `i`
-    /// gains one `busy` per cycle it runs (plus its lazy stall settlement,
-    /// and one explicit stall where it stops early), each burst stream
-    /// moves `wr` pushes and `rr` pops per active cycle with
-    /// its occupancy peak in closed form ([`span_peak`]), no
-    /// other counter moves, and the clock advances `k`. That arithmetic is
-    /// what this method applies; the differential battery
-    /// (`tests/macro_tick_equivalence.rs`) holds it to bit-identity.
-    /// `min_burst` is the smallest span worth dispatching on this attempt —
-    /// [`Graph::MIN_BURST`] normally, [`Graph::REPLAY_MIN_BURST`] while a
-    /// schedule-replay tape records (a pure cost knob; see the const docs).
+    /// The burst is solved from the [`SpanPlan`](crate::SpanPlan) chains of
+    /// every kernel it touches — awake kernels from cycle 0, parked ones as
+    /// the schedules reach them — to exactly the cycles the per-element
+    /// ready-list stepper would execute, and credited arithmetically; see
+    /// [`crate::burst`] for the planner and the equivalence argument. The
+    /// differential battery (`tests/macro_tick_equivalence.rs`) holds it to
+    /// bit-identity. `min_burst` is the smallest span worth dispatching on
+    /// this attempt — [`Graph::MIN_BURST`] normally,
+    /// [`Graph::REPLAY_MIN_BURST`] while a schedule-replay tape records (a
+    /// pure cost knob; see the const docs).
     fn try_burst(&mut self, budget: u64, min_burst: u64) -> Result<u64, u64> {
-        if budget < 2 {
-            return Err(0);
+        if budget < min_burst.max(2) {
+            // Too close to the cycle budget for any burst worth taking.
+            return Err(budget);
         }
-        let t_now = self.now;
-        let Self {
-            nodes,
-            streams,
-            writers,
-            readers,
-            parked,
-            awake,
-            burst_plans,
-            burst_demoted,
-            burst_ripen,
-            burst_streams,
-            stream_flags,
-            part_of,
-            ..
-        } = self;
-        let n = nodes.len();
-        let mut k = budget;
-        burst_plans.clear();
-        burst_demoted.clear();
-        burst_ripen.clear();
-        burst_streams.clear();
-
-        // On failure, the cycles until the vetoing kernel's current phase
-        // ends — the earliest instant the graph can look different — or 0
-        // when no such bound is known (caller falls back to exponential
-        // backoff).
-        let mut retry = 0u64;
-        let planned = 'plan: {
-            // Phase 1: every awake kernel must promise a span. A kernel
-            // that is *currently blocked* — by its own declaration
-            // ([`SpanPlan::blocked`], a dry read port) or by a full output
-            // no earlier-ordered participant's same-cycle pop will clear
-            // ([`SpanPlan::halt`]; only the planner can judge this, it
-            // depends on node order) — does not veto: dense would tick it
-            // once (non-`Busy`, port-inert by the `Parkable` contract) and
-            // park it, so it is *demoted* to a recruit-like participant
-            // whose start the relaxation pass solves. Demoted entries are
-            // buffered until the scan ends so `burst_plans[..awake_cnt]`
-            // stays exactly the cycle-0 set — which is also what the
-            // write-block check scans for same-cycle pops.
-            let mut i = 0usize;
-            while i < n {
-                let rest = awake[i / 64] >> (i % 64);
-                if rest == 0 {
-                    i = (i / 64 + 1) * 64;
-                    continue;
-                }
-                i += rest.trailing_zeros() as usize;
-                if i >= n {
-                    break;
-                }
-                match span_hint(streams, &nodes[i]) {
-                    Some(plan) if plan.cycles >= 1 => {
-                        if let Some(v) = plan.blocked {
-                            burst_demoted.push(Participant::new(i, plan, u64::MAX, Some(v)));
-                        } else {
-                            let write_blocked =
-                                nodes[i].outputs.iter().enumerate().any(|(p, &s)| {
-                                    plan.writes & (1 << p) != 0
-                                        && streams[s].queue.len() == streams[s].spec.capacity
-                                        && !readers[s].is_some_and(|r| {
-                                            r.node < i
-                                                && pop_port(r, part_of, burst_plans).start == 0
-                                        })
-                                });
-                            if write_blocked {
-                                if plan.halt {
-                                    let v = Some(Progress::Stalled);
-                                    burst_demoted.push(Participant::new(i, plan, u64::MAX, v));
-                                } else {
-                                    break 'plan false;
-                                }
-                            } else if plan.cycles >= min_burst {
-                                k = k.min(plan.cycles);
-                                part_of[i] = burst_plans.len() as u32;
-                                burst_plans.push(Participant::new(i, plan, 0, None));
-                            } else {
-                                // Too short to be worth a burst — but the
-                                // phase boundary is exact: after this many
-                                // dense cycles the kernel promises afresh.
-                                retry = plan.cycles;
-                                break 'plan false;
-                            }
-                        }
-                    }
-                    _ => {
-                        break 'plan false;
-                    }
-                }
-                i += 1;
-            }
-            let awake_cnt = burst_plans.len();
-            if awake_cnt == 0 {
-                // All-demoted (or no awake kernels at all): nothing runs at
-                // cycle 0, so a burst would only advance the clock. Fall
-                // back to per-element stepping, which also keeps deadlock
-                // detection live.
-                break 'plan false;
-            }
-            for p in burst_demoted.drain(..) {
-                part_of[p.node] = burst_plans.len() as u32;
-                burst_plans.push(p);
-            }
-            // Phase 2: flag each participant's streams and recruit the
-            // parked kernel on a stream's other end that the burst's
-            // traffic would wake — a read stream's parked-`Stalled` writer
-            // (at the first pop), a written stream's parked reader (at the
-            // first commit). Recruits join the list being walked, so the
-            // wavefront grows until it closes.
-            let mut cursor = 0usize;
-            while cursor < burst_plans.len() {
-                let Participant { node: i, plan, .. } = burst_plans[cursor];
-                cursor += 1;
-                let node = &nodes[i];
-                debug_assert!(
-                    node.inputs.len() <= MAX_SPAN_PORTS && node.outputs.len() <= MAX_SPAN_PORTS,
-                    "span-capable kernel '{}' has too many ports",
-                    node.kernel.name()
-                );
-                for (p, &s) in node.inputs.iter().enumerate() {
-                    if plan.reads & (1 << p) == 0 {
-                        continue;
-                    }
-                    if !std::mem::replace(&mut stream_flags[s], true) {
-                        burst_streams.push(span_stream(s, streams));
-                    }
-                    let w = writers[s].expect("validated").node;
-                    if part_of[w] == u32::MAX
-                        && matches!(parked[w], Some((Progress::Stalled, _)))
-                        && !recruit(w, nodes, streams, part_of, burst_plans)
-                    {
-                        break 'plan false;
-                    }
-                }
-                for (p, &s) in node.outputs.iter().enumerate() {
-                    if plan.writes & (1 << p) == 0 {
-                        continue;
-                    }
-                    if !std::mem::replace(&mut stream_flags[s], true) {
-                        burst_streams.push(span_stream(s, streams));
-                    }
-                    let r = readers[s].expect("validated").node;
-                    if part_of[r] == u32::MAX
-                        && parked[r].is_some()
-                        && !recruit(r, nodes, streams, part_of, burst_plans)
-                    {
-                        break 'plan false;
-                    }
-                }
-            }
-            // The wavefront is closed: each stream's two sides as the plans
-            // have them (starts and stops still move below).
-            let part_of = &*part_of;
-            let writer = |s: usize| writers[s].expect("validated");
-            let reader = |s: usize| readers[s].expect("validated");
-            let pushing = |s: usize, plans: &[Participant]| push_port(writer(s), part_of, plans);
-            let popping = |s: usize, plans: &[Participant]| pop_port(reader(s), part_of, plans);
-            // The cycle writer `w` first sees a slot freed on `s`: that of
-            // the reader's first pop if the reader ticks earlier in node
-            // order, the one after otherwise.
-            let freed = |s: usize, w: usize, plans: &[Participant]| {
-                let b = popping(s, plans).start;
-                b.saturating_add(u64::from(reader(s).node > w))
-            };
-            // Relax recruit (and demoted) starts to a fixpoint: each is
-            // ready once every masked port is serviceable.
-            loop {
-                let mut changed = false;
-                for pi in awake_cnt..burst_plans.len() {
-                    let Participant {
-                        node: i,
-                        plan,
-                        start: old,
-                        ..
-                    } = burst_plans[pi];
-                    let mut o = 0u64;
-                    for (p, &s) in nodes[i].inputs.iter().enumerate() {
-                        if plan.reads & (1 << p) != 0 && streams[s].queue.is_empty() {
-                            o = o.max(pushing(s, burst_plans).start.saturating_add(1));
-                        }
-                    }
-                    for (p, &s) in nodes[i].outputs.iter().enumerate() {
-                        let st = &streams[s];
-                        if plan.writes & (1 << p) != 0 && st.queue.len() == st.spec.capacity {
-                            o = o.max(freed(s, i, burst_plans));
-                        }
-                    }
-                    if o < old {
-                        burst_plans[pi].start = o;
-                        changed = true;
-                    }
-                }
-                if !changed {
-                    break;
-                }
-            }
-            // Phase 3: cap `k` so every promised tick would have succeeded.
-            for p in burst_plans.iter() {
-                k = k.min(p.start.saturating_add(p.plan.cycles));
-            }
-            // Stream feasibility. The first infeasible cycle on a stream
-            // caps the span — unless the fault is a halting writer finding
-            // its FIFO full with nobody draining it: dense ticks that
-            // kernel `Stalled` there and parks it, which the burst can
-            // model (the participant *stops* early) instead of ending.
-            // A stop shortens the kernel's traffic on its other streams,
-            // so the scan repeats until no stream objects.
-            loop {
-                let mut settled = true;
-                for bs in burst_streams.iter() {
-                    let s = bs.stream;
-                    let st = &streams[s];
-                    debug_assert!(st.staged.is_empty(), "staged writes between cycles");
-                    let w = writer(s).node;
-                    let drain = popping(s, burst_plans);
-                    let (t, fault) = span_limit(
-                        bs.start_len,
-                        st.spec.capacity,
-                        pushing(s, burst_plans),
-                        drain,
-                        reader(s).node < w,
-                    );
-                    if t >= k {
-                        continue;
-                    }
-                    // Stalled at `t` and on every re-tick up to `k`: a
-                    // halting writer, already running, its output never
-                    // drained (its inputs are checked below).
-                    let parks = fault == SpanFault::Full && !drain.active_within(t, k) && {
-                        let writer = &burst_plans[part_of[w] as usize];
-                        writer.plan.halt && t > writer.start
-                    };
-                    if parks {
-                        burst_plans[part_of[w] as usize].stop = t;
-                        settled = false;
-                    } else {
-                        k = t;
-                    }
-                }
-                if settled {
-                    break;
-                }
-            }
-            // A halting kernel's blocked tick is `Stalled` only while its
-            // masked inputs hold data (they can only grow once it stops
-            // reading, so holding at the stop is holding until `k`); a
-            // participant stopped with a dry input ends the span instead.
-            for p in burst_plans.iter() {
-                if p.stop < k
-                    && !nodes[p.node].inputs.iter().enumerate().all(|(port, &u)| {
-                        p.plan.reads & (1 << port) == 0
-                            || span_level(
-                                streams[u].queue.len(),
-                                pushing(u, burst_plans),
-                                popping(u, burst_plans),
-                                p.stop,
-                            ) >= 1
-                    })
-                {
-                    k = p.stop;
-                }
-            }
-            // A suppressed opportunistic read ([`SpanPlan::opt_reads`]) is
-            // a promise that the port *stays* empty: an in-burst push at
-            // writer start `a` commits end-of-cycle `a` and turns readable
-            // at `a + 1`, where dense stepping would resume the read, so
-            // the span must end first (`k ≤ a + 1`). With no in-burst
-            // writer the port cannot refill and the promise holds for any
-            // `k`. A recruit holding such a promise needs no extra care:
-            // its premise must hold from its start `o`, and this cap
-            // forces `o ≥ a + 1 ≥ k` whenever data would land first, which
-            // keeps it from running at all.
-            for p in burst_plans.iter() {
-                if p.plan.opt_reads == 0 {
-                    continue;
-                }
-                for (port, &s) in nodes[p.node].inputs.iter().enumerate() {
-                    if p.plan.opt_reads & (1 << port) == 0 {
-                        continue;
-                    }
-                    debug_assert!(
-                        streams[s].queue.is_empty(),
-                        "opt_reads promised on non-empty stream '{}'",
-                        streams[s].spec.name
-                    );
-                    let a = pushing(s, burst_plans).start;
-                    if a != u64::MAX {
-                        k = k.min(a + 1);
-                    }
-                }
-            }
-            if k < min_burst {
-                // Stream-capped: the binding queue state clears (or the
-                // verdict changes) only after the capped span elapses.
-                retry = k.max(1);
-                break 'plan false;
-            }
-            // Admission: inside the span, dense wakes a parked (or
-            // demoted — its modelled park starts at the burst's first
-            // cycle) kernel at every event on its streams and re-ticks it.
-            // Those replayed ticks are accounted for only if they are
-            // *verdict-stable* (each re-tick re-reports the parked verdict,
-            // so the lazy credit telescopes) — true for a `Stalled` park
-            // whose masked inputs all hold data (inputs only grow and the
-            // start-driving output stays blocked until `o`, so every
-            // pre-start tick re-stalls), or whose plan declares
-            // [`SpanPlan::blocked`]`(Stalled)` (port-inert `Stalled` until
-            // every masked port is serviceable, i.e. until the start, by
-            // that declaration's contract) — or if no event ticks it
-            // strictly before its start at all (the first tick is the
-            // `Busy` one). One more trajectory is closed-form: a
-            // participant declaring [`SpanPlan::blocked`]`(Idle)` (all
-            // masked inputs dry; by that contract the tick flips to a
-            // port-inert `Stalled` fixed point once *any* masked input
-            // holds data, until every masked port is serviceable). Its
-            // dense trajectory is `Idle` until the first masked-input
-            // arrival `f`, `Stalled` on `[f, o)`, then `Busy` — one
-            // explicit stall at `f` plus a lazy span whose credits
-            // telescope, recorded in `burst_ripen` for the dispatch loop.
-            // Anything else (an `Idle` park with no declared contract)
-            // vetoes the burst.
-            for p in burst_plans[awake_cnt..].iter() {
-                let (i, plan, o) = (p.node, p.plan, p.start);
-                let verdict = match p.demoted {
-                    Some(v) => v,
-                    None => parked[i].expect("recruits are parked").0,
-                };
-                let stable = verdict == Progress::Stalled
-                    && (plan.blocked == Some(Progress::Stalled)
-                        || nodes[i].inputs.iter().enumerate().all(|(p, &s)| {
-                            plan.reads & (1 << p) == 0 || !streams[s].queue.is_empty()
-                        }));
-                if stable {
-                    continue;
-                }
-                let first_push = |s: usize| pushing(s, burst_plans).start.saturating_add(1);
-                if verdict == Progress::Idle && plan.blocked == Some(Progress::Idle) {
-                    let mut f = u64::MAX;
-                    for (p, &s) in nodes[i].inputs.iter().enumerate() {
-                        if plan.reads & (1 << p) == 0 {
-                            continue;
-                        }
-                        debug_assert!(
-                            streams[s].queue.is_empty(),
-                            "blocked(Idle) declared with data on '{}'",
-                            streams[s].spec.name
-                        );
-                        f = f.min(first_push(s));
-                    }
-                    if f < o.min(k) {
-                        burst_ripen.push((i, f));
-                    }
-                    continue;
-                }
-                let mut first_tick = u64::MAX;
-                for &s in nodes[i].inputs.iter() {
-                    first_tick = first_tick.min(first_push(s));
-                }
-                for &s in nodes[i].outputs.iter() {
-                    first_tick = first_tick.min(freed(s, i, burst_plans));
-                }
-                if first_tick < o.min(k) {
-                    break 'plan false;
-                }
-            }
-            // A participant parked over the burst's last cycle — a recruit
-            // or demoted kernel that never runs, or one stopped early —
-            // must still end the burst in the park state dense would leave
-            // it in: awake when a last-cycle event wakes it for the cycle
-            // after the burst — a commit from a writer pushing on `k − 1`,
-            // or a pop by a later-ordered reader (an *earlier*-ordered
-            // reader's pop wakes it within cycle `k − 1`, where it
-            // re-parks).
-            for pi in 0..burst_plans.len() {
-                let p = burst_plans[pi];
-                if p.start < k && p.stop >= k {
-                    continue;
-                }
-                let node = &nodes[p.node];
-                let fed = |&s: &usize| pushing(s, burst_plans).active_at(k - 1);
-                let drained = |&s: &usize| {
-                    p.node < reader(s).node && popping(s, burst_plans).active_at(k - 1)
-                };
-                burst_plans[pi].end_awake =
-                    node.inputs.iter().any(fed) || node.outputs.iter().any(drained);
-            }
-            // Credit each stream's occupancy peak against the final `k`.
-            for bs in burst_streams.iter_mut() {
-                let s = bs.stream;
-                let (w, r) = (pushing(s, burst_plans), popping(s, burst_plans));
-                bs.peak = span_peak(bs.start_len, w, r, k);
-                bs.traffic = w.start < k || r.start < k;
-            }
-            true
+        self.settle_refusal();
+        // The next schedule-replay boundary: pops still due on the marker.
+        let marker = match self.replay.phase {
+            ReplayPhase::Vetoed => None,
+            _ => self.replay.marker.map(|(m, _)| {
+                let st = &self.streams[m];
+                let popped = st.pushed - st.total_len() as u64;
+                (m, self.replay.next_target.saturating_sub(popped))
+            }),
         };
-        if !planned {
-            for bs in burst_streams.iter() {
-                stream_flags[bs.stream] = false;
+        let view = View {
+            nodes: &self.nodes,
+            streams: &self.streams,
+            writers: &self.writers,
+            readers: &self.readers,
+            parked: &self.parked,
+            awake: &self.awake,
+        };
+        let planned = match self.planner.plan(&view, budget, min_burst, marker) {
+            Ok(planned) => planned,
+            Err(refused) => {
+                self.burst_diag.refuse(refused.reason);
+                self.pending_refusal = Some((refused.reason, self.now));
+                return Err(refused.retry);
             }
-            for p in burst_plans.iter() {
-                part_of[p.node] = u32::MAX;
-            }
-            return Err(retry);
-        }
-        // Phases 4+5 (dispatch + occupancy credit) are shared with schedule
-        // replay: `dispatch_span` re-executes exactly this plan set, so a
-        // recorded burst replays through the identical code path.
-        burst_plans.sort_unstable_by_key(|p| p.node);
-        for p in burst_plans.iter() {
-            part_of[p.node] = u32::MAX;
-        }
-        let sink_progress = dispatch_span(
-            nodes,
-            streams,
-            parked,
-            awake,
-            burst_plans,
-            burst_ripen,
-            burst_streams,
-            t_now,
+        };
+        let k = planned.k;
+        let sink_progress = dispatch(
+            &mut self.nodes,
+            &mut self.streams,
+            &mut self.parked,
+            &mut self.awake,
+            &self.planner.parts,
+            &self.planner.quotas,
+            &self.planner.streams,
+            self.now,
             k,
         );
-        for bs in burst_streams.iter() {
-            stream_flags[bs.stream] = false;
-        }
         self.now += k;
         self.sink_progress = sink_progress;
         self.bursts += 1;
         self.burst_cycles += k;
+        self.burst_diag.accept(planned.end);
         Ok(k)
     }
 
     /// Execute the replay-tape step under the cursor (see
     /// [`crate::replay`]). Span steps re-check their guards — the live
     /// awake mask and every recorded stream's queue length must equal the
-    /// recorded pre-dispatch state — and then re-dispatch the recorded plan
-    /// set through [`dispatch_span`], the same code path a planned burst
+    /// recorded pre-dispatch state — and then re-dispatch the recorded
+    /// records through [`dispatch`], the same code path a planned burst
     /// takes. Any guard failure re-arms replay and reports
     /// [`ReplayOutcome::Fallback`]; the caller steps the cycle normally.
     fn try_replay_step(&mut self, budget: u64) -> ReplayOutcome {
@@ -1485,13 +1026,13 @@ impl Graph {
                 // state per the boundary fingerprint), so the dispatch is
                 // the same fast-forward of dense cycles it was originally.
                 let k = rec.k;
-                let sink_progress = dispatch_span(
+                let sink_progress = dispatch(
                     nodes,
                     live_streams,
                     parked,
                     awake,
-                    tape.plans(&rec),
-                    tape.ripen(&rec),
+                    tape.parts(&rec),
+                    &tape.quota_pool,
                     tape.streams(&rec),
                     t_now,
                     k,
@@ -1692,166 +1233,6 @@ impl Graph {
             );
         }
         out
-    }
-}
-
-/// Execute an admitted span plan set: dispatch participants in node order
-/// over their `start..stop` cycles (demotion ticks, ripening, lazy-credit
-/// settlement, `run_span` calls, mid-span parks), then credit stream
-/// occupancy peaks in closed form. Returns whether a sink kernel ran.
-///
-/// Shared by [`Graph::try_burst`] (which just planned `plans`) and
-/// [`Graph::try_replay_step`] (which recorded them on a schedule-replay
-/// tape) — replayed spans go through the identical mutation path as planned
-/// ones, which is what keeps them bit-identical. `plans` must be sorted by
-/// node index with starts and stops finalized, and `ripen`/`span_streams`
-/// must be the matching scratch the planner produced.
-#[allow(clippy::too_many_arguments)]
-fn dispatch_span(
-    nodes: &mut [Node],
-    streams: &mut [StreamState],
-    parked: &mut [Option<(Progress, u64)>],
-    awake: &mut [u64],
-    plans: &[Participant],
-    ripen: &[(usize, u64)],
-    span_streams: &[SpanStream],
-    t_now: u64,
-    k: u64,
-) -> bool {
-    let mut sink_progress = false;
-    for p in plans.iter() {
-        let i = p.node;
-        // One port-inert tick of `verdict` at span cycle `at`, then parked.
-        let park = |node: &mut Node, parked: &mut [_], awake: &mut [u64], verdict, at: u64| {
-            if verdict == Progress::Stalled {
-                node.stalled += 1;
-            }
-            awake[i / 64] &= !(1 << (i % 64));
-            parked[i] = Some((verdict, t_now + at));
-        };
-        // Awake entering span cycle `at`, the lazy credit of the cycles
-        // skipped while parked settled.
-        let wake =
-            |node: &mut Node, parked: &mut [Option<(Progress, u64)>], awake: &mut [u64], at| {
-                if let Some((verdict, since)) = parked[i].take() {
-                    awake[i / 64] |= 1 << (i % 64);
-                    if verdict == Progress::Stalled {
-                        node.stalled += t_now + at - 1 - since;
-                    }
-                }
-            };
-        if let Some(v) = p.demoted {
-            // Replay dense's first burst cycle for a demoted kernel:
-            // one blocked, port-inert tick (counted here) and a park at
-            // `t_now`. The shared paths below then treat it exactly
-            // like a recruit — wake at its start with the lazy credit
-            // settled, run any busy span, or stay parked.
-            park(&mut nodes[i], parked, awake, v, 0);
-        }
-        if let Some(&(_, f)) = (!ripen.is_empty())
-            .then(|| ripen.iter().find(|&&(j, _)| j == i))
-            .flatten()
-        {
-            // An `Idle` park ripens: the first in-burst arrival on a
-            // masked input flips the fixed point to `Stalled` — dense
-            // ticks it `Stalled` once at `f` and re-parks there; later
-            // re-wakes telescope into the lazy credit settled below
-            // (at the start, or at burst end via `end_awake`).
-            park(&mut nodes[i], parked, awake, Progress::Stalled, f);
-        }
-        let node = &mut nodes[i];
-        if p.runs(k) {
-            let span = p.stop.min(k) - p.start;
-            wake(node, parked, awake, p.start);
-            let mut sio = SpanIo::new(streams, &node.inputs, &node.outputs, &p.plan);
-            node.kernel.run_span(&mut sio, span);
-            #[cfg(debug_assertions)]
-            sio.audit(&p.plan, span, node.kernel.name());
-            node.busy += span;
-            sink_progress |= node.outputs.is_empty();
-            if p.stop < k {
-                // A full output blocks it mid-span: dense ticks it
-                // `Stalled` at `stop` and parks it there.
-                park(node, parked, awake, Progress::Stalled, p.stop);
-            }
-        }
-        if p.end_awake {
-            // Dense's last-cycle event leaves it awake entering the next
-            // cycle without running it; otherwise dense would only
-            // wake-and-repark it inside the span, and staying parked is
-            // counter-invisible (lazy credit).
-            wake(node, parked, awake, k);
-        }
-    }
-    for bs in span_streams.iter() {
-        streams[bs.stream].note_span(bs.peak);
-    }
-    sink_progress
-}
-
-/// Ask `node`'s kernel for a span promise, showing it the committed length
-/// of each input queue and the free slots of each output queue
-/// ([`Kernel::span_hint`]'s availability arguments). Fixed-size scratch so
-/// the planner hot path never allocates.
-fn span_hint(streams: &[StreamState], node: &Node) -> Option<SpanPlan> {
-    let mut lens = [0; MAX_SPAN_PORTS];
-    for (p, &s) in node.inputs.iter().enumerate() {
-        lens[p] = streams[s].queue.len();
-    }
-    let mut room = [0; MAX_SPAN_PORTS];
-    for (p, &s) in node.outputs.iter().enumerate() {
-        room[p] = streams[s].spec.capacity - streams[s].queue.len();
-    }
-    node.kernel
-        .span_hint(&lens[..node.inputs.len()], &room[..node.outputs.len()])
-}
-
-/// Add parked node `x` to the wavefront, its start still unsolved. `false`
-/// when it has no promise to offer (the burst must be abandoned: dense
-/// would wake it into behaviour the planner cannot model).
-fn recruit(
-    x: usize,
-    nodes: &[Node],
-    streams: &[StreamState],
-    part_of: &mut [u32],
-    burst_plans: &mut Vec<Participant>,
-) -> bool {
-    match span_hint(streams, &nodes[x]) {
-        Some(plan) if plan.cycles >= 1 => {
-            part_of[x] = burst_plans.len() as u32;
-            burst_plans.push(Participant::new(x, plan, u64::MAX, None));
-            true
-        }
-        _ => false,
-    }
-}
-
-/// A fresh `burst_streams` entry for stream `s`.
-fn span_stream(s: usize, streams: &[StreamState]) -> SpanStream {
-    SpanStream {
-        stream: s,
-        start_len: streams[s].queue.len(),
-        peak: 0,
-        traffic: false,
-    }
-}
-
-/// The push side of a stream during the planned burst: its writer `w`'s
-/// cycles and per-cycle write rate, or [`SpanPort::IDLE`] when `w` is not a
-/// participant or its [`SpanPlan`] does not write the stream. Helper for
-/// [`Graph::try_burst`].
-fn push_port(w: End, part_of: &[u32], burst_plans: &[Participant]) -> SpanPort {
-    match part_of[w.node] {
-        u32::MAX => SpanPort::IDLE,
-        ix => burst_plans[ix as usize].push_port(w.port),
-    }
-}
-
-/// The pop side of a stream during the planned burst (see [`push_port`]).
-fn pop_port(r: End, part_of: &[u32], burst_plans: &[Participant]) -> SpanPort {
-    match part_of[r.node] {
-        u32::MAX => SpanPort::IDLE,
-        ix => burst_plans[ix as usize].pop_port(r.port),
     }
 }
 

@@ -5,7 +5,7 @@
 //! PCIe link is far faster than 8 bits × 105 MHz, so the fabric clock is
 //! the binding constraint).
 
-use crate::kernel::{Io, Kernel, Progress, SpanIo, SpanPlan, WakeHint};
+use crate::kernel::{Io, Kernel, Progress, SpanIo, SpanPhase, SpanPlan, WakeHint};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Feeds a preloaded buffer into its single output stream, one element per
@@ -133,12 +133,14 @@ impl Kernel for HostSource {
         if self.remaining() == 0 {
             None
         } else {
-            Some(SpanPlan::new(self.remaining() as u64, 0, 1).halting())
+            // One element per free slot; a full FIFO is a bare stall.
+            let pushes = SpanPhase::coupled(self.remaining() as u64, 0, 1);
+            Some(SpanPlan::of(pushes.stalls(Progress::Stalled)))
         }
     }
 
-    fn run_span(&mut self, io: &mut SpanIo<'_>, n: u64) {
-        let end = self.next + n as usize;
+    fn run_span(&mut self, io: &mut SpanIo<'_>, _n: u64) {
+        let end = self.next + io.write_quota(0) as usize;
         io.push_slice(0, &self.data[self.next..end]);
         self.next = end;
     }
@@ -283,23 +285,21 @@ impl Kernel for HostSink {
 
     /// One element in per cycle until the expected count is reached — the
     /// span promise stops exactly at completion, so `is_done` flips at the
-    /// same cycle as under per-element stepping.
-    fn span_hint(&self, in_len: &[usize], _out_room: &[usize]) -> Option<SpanPlan> {
+    /// same cycle as under per-element stepping. A dry input is a bare
+    /// stall.
+    fn span_hint(&self, _in_len: &[usize], _out_room: &[usize]) -> Option<SpanPlan> {
         let remaining = self.expected - lock_state(&self.state).collected.len();
         if remaining == 0 {
             None
         } else {
-            let plan = SpanPlan::new(remaining as u64, 1, 0);
-            Some(if in_len[0] == 0 {
-                plan.blocked(Progress::Stalled)
-            } else {
-                plan
-            })
+            let pops = SpanPhase::coupled(remaining as u64, 1, 0);
+            Some(SpanPlan::of(pops.stalls(Progress::Stalled)))
         }
     }
 
-    fn run_span(&mut self, io: &mut SpanIo<'_>, n: u64) {
+    fn run_span(&mut self, io: &mut SpanIo<'_>, _n: u64) {
         let mut state = lock_state(&self.state);
+        let n = io.read_quota(0);
         io.pop_n(0, n, |vals| state.collected.extend_from_slice(vals));
     }
 

@@ -139,263 +139,248 @@ impl<'a> Io<'a> {
 /// allocates. Every in-tree kernel has ≤ 2 ports per direction.
 pub const MAX_SPAN_PORTS: usize = 8;
 
-/// A **uniform-span promise** (see [`Kernel::span_hint`]): for up to
-/// `cycles` consecutive cycles — provided every port in `reads` has
-/// `read_rate` elements available and every port in `writes` has
-/// `write_rate` slots free on each of those cycles — every tick of this
-/// kernel would
+/// Most phases one [`SpanPlan`] chains.
+pub const MAX_SPAN_PHASES: usize = 8;
+
+/// One phase of a [`SpanPlan`]: a stretch of the kernel's state machine
+/// whose ticks all follow one rule, stated in elements rather than cycles.
 ///
-/// * read exactly `read_rate` elements from each input port whose bit is
-///   set in `reads`, and no element from any other input port,
-/// * write exactly `write_rate` elements to each output port whose bit is
-///   set in `writes`, and none to any other output port,
-/// * return [`Progress::Busy`], and
-/// * leave the kernel after cycle `n ≤ cycles` in exactly the state `n`
-///   consecutive `tick` calls would have.
+/// A **coupled** phase ([`SpanPhase::coupled`]) moves `len` elements through
+/// every masked port in lockstep: each tick moves the same count `m` on
+/// every read-masked and write-masked port, `m` being as many as its lanes,
+/// the committed elements of every masked input, the free slots of every
+/// masked output and what is left of `len` allow — an element-wise stage, a
+/// padder, a source or a sink.
 ///
-/// One side may finish before the other: the read ports move elements on
-/// the first [`SpanPlan::read_cycles`] of the `cycles`, the write ports on
-/// the first [`SpanPlan::write_cycles`], and the kernel ticks on `Busy`
-/// with the longer side alone (a convolution still emitting a position
-/// after the next window's last element has arrived, or still absorbing
-/// after the position is out).
+/// An **overlapped** phase ([`SpanPhase::overlapped`]) has two independent
+/// sides: each tick reads as many of `read_len` as its read lanes and the
+/// queued input allow and, in the same tick, writes as many of `write_len`
+/// as its write lanes and the free slots allow — a convolution emitting one
+/// position while absorbing the next window. The phase ends on the tick after
+/// the later side finishes.
 ///
-/// Both rates are 1 for the paper's one-element-per-clock kernels. A
-/// *folded* kernel ([`Kernel::lanes`]) promises up to its lane count, and —
-/// because a folded tick is greedy, moving `min(lanes, available, phase
-/// budget)` elements — may promise a **sub-lane** rate taken from the
-/// availability [`Kernel::span_hint`] is shown, marking the side *exact*
-/// ([`SpanPlan::exact_reads`] / [`SpanPlan::exact_writes`]): the promise
-/// then holds only while availability *equals* the rate on every tick (a
-/// rate-1 producer feeding a two-lane consumer), where an ordinary port
-/// needs only "at least".
+/// A tick that moves nothing is a **stall**. With [`SpanPhase::stalls`] the
+/// kernel promises that such a tick is a port-inert fixed point (the
+/// [`WakeHint::Parkable`] contract) with verdict `Stalled` whenever some
+/// masked input holds an element or every masked input does (an output is
+/// full), and the given *dry* verdict otherwise; an overlapped phase always
+/// stalls `Stalled`. Without it (the lockstep promise of [`SpanPlan::new`])
+/// every tick must move exactly its lane count, and the promise ends where
+/// one could not.
 ///
-/// The macro-tick scheduler uses the promise to replay a whole span of
-/// cycles in one [`Kernel::run_span`] dispatch with the busy/stall counters
-/// and stream statistics credited arithmetically, which is what keeps
-/// [`CycleReport`](crate::CycleReport)s bit-identical to dense stepping.
+/// The scheduler solves each phase's ticks from the neighbours' schedules,
+/// so a kernel states only what its state machine does, never when.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub struct SpanPhase {
+    /// Bitmask of the input ports read (bit `p` = port `p`).
+    pub reads: u8,
+    /// Bitmask of the output ports written.
+    pub writes: u8,
+    /// Most elements per read port per tick.
+    pub read_lanes: u16,
+    /// Most elements per write port per tick.
+    pub write_lanes: u16,
+    /// Elements the phase reads from every read-masked port.
+    pub read_len: u64,
+    /// Elements the phase writes to every write-masked port.
+    pub write_len: u64,
+    /// Independent read and write sides (see the type docs).
+    pub overlapped: bool,
+    /// The verdict of a stall tick with every masked input empty, or `None`
+    /// when the phase never stalls (see the type docs).
+    pub dry: Option<Progress>,
+    /// A tick that finishes the phase with lanes to spare carries on into
+    /// the next phase within the same cycle (a folded padder crossing from
+    /// an interior run into a border, a folded pool reading past a window
+    /// that completes mid-tick). The scheduler ends the promise before such
+    /// a tick.
+    pub spill: bool,
+}
+
+/// A port mask as a phase stores it ([`MAX_SPAN_PORTS`] bits).
+fn span_mask(mask: u32) -> u8 {
+    u8::try_from(mask).expect("span port mask exceeds MAX_SPAN_PORTS")
+}
+
+/// A per-tick lane count as a phase stores it ([`Kernel::lanes`] is `u16`).
+fn span_lanes(lanes: usize) -> u16 {
+    assert!(lanes >= 1, "a span port moves at least one element per tick");
+    u16::try_from(lanes).expect("span lanes exceed the lane-count range")
+}
+
+impl SpanPhase {
+    /// A coupled phase of `len` elements per masked port, one per tick and
+    /// never stalling (widen with [`SpanPhase::lanes`], let it stall with
+    /// [`SpanPhase::stalls`]).
+    pub fn coupled(len: u64, reads: u32, writes: u32) -> Self {
+        debug_assert!(reads | writes != 0, "a span phase moves through some port");
+        Self {
+            reads: span_mask(reads),
+            writes: span_mask(writes),
+            read_lanes: 1,
+            write_lanes: 1,
+            read_len: if reads != 0 { len } else { 0 },
+            write_len: if writes != 0 { len } else { 0 },
+            overlapped: false,
+            dry: None,
+            spill: false,
+        }
+    }
+
+    /// An overlapped phase: `read_len` elements from the ports in `reads`
+    /// at up to `read_lanes` per tick and, independently, `write_len` to the
+    /// ports in `writes` at up to `write_lanes`. Stalls `Stalled`.
+    pub fn overlapped(
+        reads: u32,
+        read_len: u64,
+        read_lanes: usize,
+        writes: u32,
+        write_len: u64,
+        write_lanes: usize,
+    ) -> Self {
+        Self {
+            reads: span_mask(reads),
+            writes: span_mask(writes),
+            read_lanes: span_lanes(read_lanes),
+            write_lanes: span_lanes(write_lanes),
+            read_len,
+            write_len,
+            overlapped: true,
+            dry: Some(Progress::Stalled),
+            spill: false,
+        }
+    }
+
+    /// Move up to `lanes` elements per port per tick.
+    pub fn lanes(mut self, lanes: usize) -> Self {
+        self.read_lanes = span_lanes(lanes);
+        self.write_lanes = self.read_lanes;
+        self
+    }
+
+    /// Let a tick that moves nothing stall, with verdict `dry` when every
+    /// masked input is empty (see the type docs).
+    pub fn stalls(mut self, dry: Progress) -> Self {
+        debug_assert_ne!(dry, Progress::Busy, "a stall tick is non-Busy");
+        self.dry = Some(dry);
+        self
+    }
+
+    /// Mark the phase as spilling into the next one (see
+    /// [`SpanPhase::spill`]).
+    pub fn spills(mut self) -> Self {
+        self.spill = true;
+        self
+    }
+
+    /// `self` followed by `next` as one phase, when `next` continues it
+    /// tick for tick.
+    fn merged(&self, next: &Self) -> Option<Self> {
+        let same = !self.overlapped
+            && Self {
+                read_len: 0,
+                write_len: 0,
+                ..*self
+            } == Self {
+                read_len: 0,
+                write_len: 0,
+                ..*next
+            };
+        same.then(|| Self {
+            read_len: self.read_len.saturating_add(next.read_len),
+            write_len: self.write_len.saturating_add(next.write_len),
+            ..*self
+        })
+    }
+}
+
+/// A **span promise** (see [`Kernel::span_hint`]): the kernel's next ticks
+/// as a chain of up to [`MAX_SPAN_PHASES`] [`SpanPhase`]s, from its current
+/// state onward. The promise covers every tick until the chain runs out;
+/// the scheduler fast-forwards whole bursts of cycles against the promises
+/// of every kernel they touch, crediting the busy/stall counters and stream
+/// statistics arithmetically, which is what keeps [`CycleReport`]s
+/// bit-identical to per-element stepping.
+///
+/// The promise is conditional only on the kernel's own state: a phase says
+/// what each tick does *given* the ports it finds, and the scheduler works
+/// out, from every stream's level and the other kernels' promises, when
+/// each tick finds what. A chain may stop short at any phase boundary —
+/// any prefix of a valid promise is valid.
+///
+/// [`CycleReport`]: crate::CycleReport
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SpanPlan {
-    /// Maximum cycles the promise covers (`u64::MAX` ⇒ unbounded; the
-    /// scheduler caps it by stream feasibility). Must be ≥ 1.
-    pub cycles: u64,
-    /// Bitmask of input ports read `read_rate` times per cycle.
-    pub reads: u32,
-    /// Bitmask of output ports written `write_rate` times per cycle.
-    pub writes: u32,
-    /// Bitmask of **suppressed opportunistic reads**: input ports the
-    /// kernel *would* read every cycle if data were present, promised
-    /// unread because the port's queue is empty at plan time (the
-    /// `in_len` argument of [`Kernel::span_hint`]). A kernel that keeps
-    /// making progress while such a port starves — a convolution emitting
-    /// precomputed filters, a pool draining pending outputs — uses this to
-    /// promise the dense starved-tick behaviour instead of a read it
-    /// cannot get. The promise is conditional on the port *staying* empty:
-    /// the scheduler caps the span so no element becomes readable there
-    /// (an in-burst push at writer offset `a` commits end-of-cycle `a`
-    /// and turns readable at `a + 1`, so `k ≤ a + 1`), and never treats
-    /// the port as a read for recruitment or feasibility.
-    pub opt_reads: u32,
-    /// Leading cycles of the span on which the read ports move elements
-    /// (≤ `cycles`; [`SpanPlan::new`] sets it equal).
-    pub read_cycles: u64,
-    /// Leading cycles of the span on which the write ports move elements.
-    pub write_cycles: u64,
-    /// Elements moved per cycle on every port in `reads` (≥ 1).
-    pub read_rate: u16,
-    /// Elements moved per cycle on every port in `writes` (≥ 1).
-    pub write_rate: u16,
-    /// The read ports are **exact**: the kernel would take more than
-    /// `read_rate` if more were queued, so the promise holds only while
-    /// each tick finds exactly `read_rate` elements.
-    pub exact_reads: bool,
-    /// The write ports are **exact**: the kernel would emit more than
-    /// `write_rate` if more slots were free, so the promise holds only
-    /// while each tick finds exactly `write_rate` slots.
-    pub exact_writes: bool,
-    /// Kernel-declared **current blockage**: `Some(v)` asserts that with
-    /// the availability shown in `in_len` the kernel's next tick performs
-    /// no port action and returns verdict `v` — typically because a
-    /// read-masked port is dry. The masks then describe the ticks once the
-    /// blockage clears. The scheduler *demotes* such a kernel from an
-    /// offset-0 participant to a recruit-like one: its modelled trajectory
-    /// is one dense tick of verdict `v` at the burst's first cycle, a park,
-    /// and (if its ports become serviceable in-burst) a busy span from the
-    /// solved offset.
-    ///
-    /// Contract for `Some(Stalled)`: ticks stay port-inert `Stalled` until
-    /// **every** masked port is serviceable (holds an element / a free
-    /// slot), not merely the ports dry at plan time (an all-or-nothing
-    /// kernel satisfies this trivially; a partially-opportunistic one may
-    /// declare it only in states where the opportunism is off, e.g. a
-    /// convolution mid-absorb). `Some(Idle)` carries no stability promise;
-    /// the scheduler admits it only when no stream event can re-tick the
-    /// kernel before its offset.
-    pub blocked: Option<Progress>,
-    /// Asserts the plan's ports are **halting** on backpressure: whenever
-    /// every masked read port holds data but some masked write port is
-    /// full, the kernel's tick performs no port action and returns
-    /// `Stalled`. Lets the scheduler demote a backpressured kernel (the
-    /// write-full case of [`SpanPlan::blocked`], which only the scheduler
-    /// can judge — a same-cycle pop by an earlier-ordered reader unblocks
-    /// the writer within its own tick). False for plans that keep working
-    /// under backpressure, e.g. a convolution absorbing input while its
-    /// emit is blocked.
-    pub halt: bool,
+    phases: [SpanPhase; MAX_SPAN_PHASES],
+    len: u8,
 }
 
 impl SpanPlan {
-    /// Promise `cycles` uniform cycles moving one element per cycle on the
-    /// ports in `reads` and `writes` (bitmasks, bit `p` = port `p`).
+    /// The lockstep promise: for `cycles` ticks, one element per tick on
+    /// every port in `reads` and `writes` (bitmasks, bit `p` = port `p`),
+    /// never stalling.
     pub fn new(cycles: u64, reads: u32, writes: u32) -> Self {
-        Self {
-            cycles,
-            reads,
-            writes,
-            opt_reads: 0,
-            read_cycles: cycles,
-            write_cycles: cycles,
-            read_rate: 1,
-            write_rate: 1,
-            exact_reads: false,
-            exact_writes: false,
-            blocked: None,
-            halt: false,
+        Self::of(SpanPhase::coupled(cycles, reads, writes))
+    }
+
+    /// A one-phase promise.
+    pub fn of(phase: SpanPhase) -> Self {
+        let mut phases = [phase; MAX_SPAN_PHASES];
+        phases[1..].fill(SpanPhase::coupled(0, 1, 0));
+        Self { phases, len: 1 }
+    }
+
+    /// The phases, in order.
+    pub fn phases(&self) -> &[SpanPhase] {
+        &self.phases[..usize::from(self.len)]
+    }
+
+    /// Append `phase`; a coupled phase that continues the last one tick for
+    /// tick (same ports, lanes and stall rule) extends it instead. `false`
+    /// (and no change) when the chain is full.
+    pub fn push(&mut self, phase: SpanPhase) -> bool {
+        let last = &mut self.phases[usize::from(self.len) - 1];
+        if let Some(merged) = last.merged(&phase) {
+            *last = merged;
+            return true;
         }
-    }
-
-    /// What a greedy port moves per tick when its phase wants `want`
-    /// elements and `avail` are on offer (queued elements for a read port,
-    /// free slots for a write port): `(rate, exact)`. With nothing on offer
-    /// the port is blocked and the promise describes the ticks after the
-    /// blockage clears, so it assumes the full `want`.
-    pub fn greedy(want: usize, avail: usize) -> (usize, bool) {
-        if avail == 0 || avail >= want {
-            (want, false)
-        } else {
-            (avail, true)
+        if usize::from(self.len) == MAX_SPAN_PHASES {
+            return false;
         }
+        self.phases[usize::from(self.len)] = phase;
+        self.len += 1;
+        true
     }
 
-    /// Move `rate` elements per cycle on the read ports; `exact` as in
-    /// [`SpanPlan::exact_reads`].
-    pub fn at_read_rate(mut self, rate: usize, exact: bool) -> Self {
-        self.read_rate = span_rate(rate);
-        self.exact_reads = exact;
+    /// `self` with `phase` appended (see [`SpanPlan::push`]).
+    ///
+    /// # Panics
+    /// Panics when the chain is full.
+    pub fn then(mut self, phase: SpanPhase) -> Self {
+        assert!(self.push(phase), "SpanPlan chain is full");
         self
     }
-
-    /// Move `rate` elements per cycle on the write ports; `exact` as in
-    /// [`SpanPlan::exact_writes`].
-    pub fn at_write_rate(mut self, rate: usize, exact: bool) -> Self {
-        self.write_rate = span_rate(rate);
-        self.exact_writes = exact;
-        self
-    }
-
-    /// The read side of a greedy kernel's current phase as a promise of its
-    /// own: `budget ≥ 1` elements still to absorb through the ports in
-    /// `reads`, at most `lanes` per tick, `queued` on offer now — whole
-    /// ticks at the [`SpanPlan::greedy`] rate. Also returns whether the
-    /// side then ends exactly on its phase boundary, leaving no sub-rate
-    /// remainder tick.
-    pub fn greedy_reads(reads: u32, lanes: usize, budget: usize, queued: usize) -> (Self, bool) {
-        let (rate, exact) = Self::greedy(lanes.min(budget), queued);
-        let plan = Self::new((budget / rate) as u64, reads, 0).at_read_rate(rate, exact);
-        (plan, budget % rate == 0)
-    }
-
-    /// The write side of a greedy kernel's current phase (see
-    /// [`SpanPlan::greedy_reads`]), with `room` free slots on offer now.
-    pub fn greedy_writes(writes: u32, lanes: usize, budget: usize, room: usize) -> (Self, bool) {
-        let (rate, exact) = Self::greedy(lanes.min(budget), room);
-        let plan = Self::new((budget / rate) as u64, 0, writes).at_write_rate(rate, exact);
-        (plan, budget % rate == 0)
-    }
-
-    /// A write-side and a read-side promise (each with its "ends on the
-    /// phase boundary" flag) kept in the same ticks — the emit + absorb
-    /// phase of a kernel that overlaps its input and output. Lasts as long
-    /// as both sides do; if the side that finishes first ends on its
-    /// boundary, the other then runs on alone to its own end.
-    pub fn overlapped(
-        (emit, emit_clean): (Self, bool),
-        (absorb, absorb_clean): (Self, bool),
-    ) -> Self {
-        let tail_ok = if emit.cycles < absorb.cycles {
-            emit_clean
-        } else {
-            absorb_clean
-        };
-        let cycles = if tail_ok {
-            emit.cycles.max(absorb.cycles)
-        } else {
-            emit.cycles.min(absorb.cycles)
-        };
-        Self {
-            cycles,
-            reads: absorb.reads,
-            read_cycles: absorb.cycles.min(cycles),
-            write_cycles: emit.cycles.min(cycles),
-            read_rate: absorb.read_rate,
-            exact_reads: absorb.exact_reads,
-            ..emit
-        }
-    }
-
-    /// Mark `mask` ports as suppressed opportunistic reads (see
-    /// [`SpanPlan::opt_reads`]). The mask must be disjoint from `reads`.
-    pub fn with_opt_reads(mut self, mask: u32) -> Self {
-        debug_assert_eq!(self.reads & mask, 0, "opt_reads overlaps reads");
-        self.opt_reads = mask;
-        self
-    }
-
-    /// Declare the kernel currently blocked with verdict `v` (see
-    /// [`SpanPlan::blocked`]).
-    pub fn blocked(mut self, v: Progress) -> Self {
-        debug_assert_ne!(v, Progress::Busy, "a blocked tick is non-Busy");
-        self.blocked = Some(v);
-        self
-    }
-
-    /// Declare the plan halting on backpressure (see [`SpanPlan::halt`]).
-    pub fn halting(mut self) -> Self {
-        self.halt = true;
-        self
-    }
-}
-
-/// A per-cycle port rate as stored on a [`SpanPlan`]: at least one element,
-/// at most a lane count ([`Kernel::lanes`] is `u16`).
-fn span_rate(rate: usize) -> u16 {
-    assert!(
-        rate >= 1,
-        "a span port moves at least one element per cycle"
-    );
-    u16::try_from(rate).expect("span rate exceeds the lane-count range")
 }
 
 /// Batched port access handed to [`Kernel::run_span`].
 ///
 /// Unlike [`Io`], elements move directly through the FIFO queues: the
-/// scheduler has already proven (from the [`SpanPlan`]s of every awake
-/// kernel plus stream occupancies) that the dense per-cycle interleaving
-/// would succeed for the whole span, so the per-cycle staging buffer is
-/// bypassed and occupancy statistics are credited arithmetically by the
-/// scheduler afterwards. Per-port FIFO order is preserved exactly; the
+/// scheduler has already solved (from the [`SpanPlan`]s of every kernel the
+/// burst touches plus stream occupancies) exactly which elements each port
+/// moves over the burst, so the per-cycle staging buffer is bypassed and
+/// occupancy statistics are credited arithmetically by the scheduler
+/// afterwards. Each port moves exactly its *quota* ([`SpanIo::read_quota`],
+/// [`SpanIo::write_quota`]). Per-port FIFO order is preserved exactly; the
 /// interleaving of `pop`/`push` calls across ports within one dispatch is
-/// unobservable, which is what lets a kernel move a whole segment of a
-/// span per port at once — [`SpanIo::pop_n`], [`SpanIo::push_slice`],
-/// [`SpanIo::push_fill`], [`SpanIo::transfer`] — instead of an element at
-/// a time.
+/// unobservable, which is what lets a kernel move a whole run per port at
+/// once — [`SpanIo::pop_n`], [`SpanIo::push_slice`], [`SpanIo::push_fill`],
+/// [`SpanIo::transfer`] — instead of an element at a time.
 pub struct SpanIo<'a> {
     streams: &'a mut [StreamState],
     inputs: &'a [usize],
     outputs: &'a [usize],
-    suppressed: u32,
-    read_rate: u16,
-    write_rate: u16,
+    read_quota: &'a [u64],
+    write_quota: &'a [u64],
     #[cfg(debug_assertions)]
     reads_done: [u64; MAX_SPAN_PORTS],
     #[cfg(debug_assertions)]
@@ -403,11 +388,14 @@ pub struct SpanIo<'a> {
 }
 
 impl<'a> SpanIo<'a> {
+    /// Port access for a dispatch moving `read_quota[p]` elements from each
+    /// input port and `write_quota[p]` to each output port.
     pub(crate) fn new(
         streams: &'a mut [StreamState],
         inputs: &'a [usize],
         outputs: &'a [usize],
-        plan: &SpanPlan,
+        read_quota: &'a [u64],
+        write_quota: &'a [u64],
     ) -> Self {
         assert!(
             inputs.len() <= MAX_SPAN_PORTS && outputs.len() <= MAX_SPAN_PORTS,
@@ -417,9 +405,8 @@ impl<'a> SpanIo<'a> {
             streams,
             inputs,
             outputs,
-            suppressed: plan.opt_reads,
-            read_rate: plan.read_rate,
-            write_rate: plan.write_rate,
+            read_quota,
+            write_quota,
             #[cfg(debug_assertions)]
             reads_done: [0; MAX_SPAN_PORTS],
             #[cfg(debug_assertions)]
@@ -427,36 +414,22 @@ impl<'a> SpanIo<'a> {
         }
     }
 
-    /// Whether the dispatched [`SpanPlan`] suppressed input port `p` as an
-    /// opportunistic read (see [`SpanPlan::opt_reads`]). A kernel whose
-    /// `tick` reads such a port whenever data is present must consult this
-    /// instead of live queue state: dispatch runs whole spans in node
-    /// order, so an upstream writer may already have pushed elements that
-    /// dense stepping would only expose *after* this span ends.
-    pub fn read_suppressed(&self, p: usize) -> bool {
-        self.suppressed & (1 << p) != 0
+    /// Elements this dispatch pops from input port `p`.
+    pub fn read_quota(&self, p: usize) -> u64 {
+        self.read_quota[p]
     }
 
-    /// Elements each tick of the dispatched span pops from every read
-    /// port ([`SpanPlan::read_rate`]). A folded kernel's promise may carry
-    /// a sub-lane rate fixed at plan time, which `run_span` cannot recover
-    /// from live queue state (upstream spans have already run).
-    pub fn read_rate(&self) -> usize {
-        usize::from(self.read_rate)
-    }
-
-    /// Elements each tick of the dispatched span pushes to every write
-    /// port ([`SpanPlan::write_rate`]).
-    pub fn write_rate(&self) -> usize {
-        usize::from(self.write_rate)
+    /// Elements this dispatch pushes to output port `p`.
+    pub fn write_quota(&self, p: usize) -> u64 {
+        self.write_quota[p]
     }
 
     /// Consume the next element from input port `p`.
     ///
     /// # Panics
     /// Panics if the queue is empty — the scheduler guarantees availability
-    /// for exactly the promised reads, so an empty pop is a broken
-    /// [`SpanPlan`] contract, not a stall.
+    /// for exactly the quota, so an empty pop is a broken [`SpanPlan`]
+    /// contract, not a stall.
     pub fn pop(&mut self, p: usize) -> i32 {
         // Contract bookkeeping for the dispatcher's debug audit only — the
         // counter arrays don't even exist in release builds.
@@ -560,22 +533,18 @@ impl<'a> SpanIo<'a> {
         src.queue.drain(..n);
     }
 
-    /// Scheduler-side contract verification after a `span`-cycle dispatch of
-    /// `plan`: every port must have moved exactly what the plan promised
-    /// (debug builds only — release builds omit the counters entirely so
-    /// span dispatch never zeroes or bumps them).
+    /// Scheduler-side contract verification after a dispatch: every port
+    /// must have moved exactly its quota (debug builds only — release builds
+    /// omit the counters entirely so span dispatch never zeroes or bumps
+    /// them).
     #[cfg(debug_assertions)]
-    pub(crate) fn audit(&self, plan: &SpanPlan, span: u64, kernel: &str) {
-        let reads = (&self.reads_done, self.inputs.len(), plan.reads);
-        let writes = (&self.writes_done, self.outputs.len(), plan.writes);
+    pub(crate) fn audit(&self, kernel: &str) {
         let sides = [
-            ("popped", reads, plan.read_cycles, plan.read_rate),
-            ("pushed", writes, plan.write_cycles, plan.write_rate),
+            ("popped", &self.reads_done, self.read_quota),
+            ("pushed", &self.writes_done, self.write_quota),
         ];
-        for (did, (done, ports, mask), cycles, rate) in sides {
-            for (port, &got) in done.iter().enumerate().take(ports) {
-                let masked = u64::from(mask & (1 << port) != 0);
-                let want = masked * span.min(cycles) * u64::from(rate);
+        for (did, done, quota) in sides {
+            for (port, (&got, &want)) in done.iter().zip(quota).enumerate() {
                 assert_eq!(
                     got, want,
                     "kernel '{kernel}' {did} {got} on port {port}, promised {want} \
@@ -635,8 +604,7 @@ pub trait Kernel: Send {
     ///
     /// Captured once at [`Graph::add_kernel`](crate::Graph::add_kernel) —
     /// the width is a hardware-elaboration property and must not change at
-    /// runtime. It bounds the per-cycle rates a [`SpanPlan`] may promise
-    /// (`read_rate ≤ read_lanes`, `write_rate ≤ write_lanes`).
+    /// runtime. It bounds the per-tick lanes a [`SpanPhase`] may promise.
     fn lanes(&self) -> (u16, u16) {
         (1, 1)
     }
@@ -653,26 +621,21 @@ pub trait Kernel: Send {
         WakeHint::AlwaysTick
     }
 
-    /// Offer a uniform-span promise for the kernel's *current* state, or
-    /// `None` (the default) if the next tick's port behaviour cannot be
-    /// predicted. Consulted by the macro-tick scheduler every cycle; must be
-    /// cheap. A kernel returning `Some` must honour the [`SpanPlan`]
-    /// contract and implement [`Kernel::run_span`].
+    /// Offer a span promise for the kernel's *current* state — its next
+    /// phases as a [`SpanPlan`] chain — or `None` (the default) if the next
+    /// tick's port behaviour cannot be predicted. Consulted by the burst
+    /// planner for every kernel a burst touches; must be cheap. A kernel
+    /// returning `Some` must honour the [`SpanPlan`] contract and implement
+    /// [`Kernel::run_span`].
     ///
     /// `in_len` holds the committed queue length of each input port at plan
-    /// time and `out_room` the free slots of each output port. Most kernels
-    /// ignore both; a kernel that reads opportunistically (keeps ticking
-    /// `Busy` without the read when a port is dry) uses `in_len` to decide
-    /// between promising the read and suppressing it
-    /// ([`SpanPlan::opt_reads`]), and a folded kernel uses both to derive
-    /// the rate its greedy tick would actually move
-    /// ([`SpanPlan::greedy`]) — the masks and rates must describe what dense
-    /// stepping will actually do, and for such kernels that depends on
-    /// availability.
+    /// time and `out_room` the free slots of each output port; a promise
+    /// states what the kernel's ticks do given what they find, so most
+    /// kernels ignore both.
     ///
-    /// The promise may be conservative: any `cycles ≥ 1` prefix of a longer
-    /// uniform run is valid, and returning `None` merely falls the graph
-    /// back to per-element ticking for that cycle.
+    /// The promise may be conservative: any prefix of the chain is valid,
+    /// and returning `None` merely falls the graph back to per-element
+    /// ticking while this kernel is awake.
     fn span_hint(&self, in_len: &[usize], out_room: &[usize]) -> Option<SpanPlan> {
         let _ = (in_len, out_room);
         None
@@ -698,14 +661,13 @@ pub trait Kernel: Send {
         None
     }
 
-    /// Process `n` cycles of the promised span in one dispatch: exactly
-    /// `read_rate` pops from each read-masked port on each of the first
-    /// `read_cycles` of them, `write_rate` pushes to each write-masked
-    /// port on each of the first `write_cycles` (the rates as handed back
-    /// by [`SpanIo::read_rate`] / [`SpanIo::write_rate`]), and the
-    /// internal-state update of `n` consecutive `Busy` ticks.
-    /// Only called with `1 ≤ n ≤ span_hint().cycles`; the default is
-    /// unreachable for kernels that never return a promise.
+    /// Advance the kernel over a prefix of its promise in one dispatch:
+    /// move exactly [`SpanIo::read_quota`] elements from each input port and
+    /// [`SpanIo::write_quota`] to each output port, and apply the
+    /// internal-state update of the `n` `Busy` ticks that move them. The
+    /// quotas always end on a tick the promise describes; a kernel whose
+    /// state machine is driven by element counts can ignore `n`. The
+    /// default is unreachable for kernels that never return a promise.
     fn run_span(&mut self, io: &mut SpanIo<'_>, n: u64) {
         let _ = (io, n);
         unreachable!(
@@ -820,9 +782,8 @@ mod tests {
         let preload: Vec<i32> = (1..=10).collect();
         let mut streams = span_streams(&preload, 12);
         let (inputs, outputs) = (vec![0usize], vec![1usize, 2]);
-        let plan = SpanPlan::new(1, 0b1, 0);
         let mut halves = Vec::new();
-        SpanIo::new(&mut streams, &inputs, &outputs, &plan)
+        SpanIo::new(&mut streams, &inputs, &outputs, &[0], &[0, 0])
             .pop_n(0, 9, |vals| halves.push(vals.to_vec()));
         assert_eq!(halves, [vec![1, 2, 3, 4], vec![5, 6, 7, 8, 9]]);
         assert_eq!(streams[0].queue, [10]);
@@ -841,11 +802,10 @@ mod tests {
         ) {
             let preload: Vec<i32> = preload.iter().map(|&v| v as i32).collect();
             let (inputs, outputs) = (vec![0usize], vec![1usize, 2]);
-            let plan = SpanPlan::new(1, 0b1, 0b11);
             let mut sliced = span_streams(&preload, rotate);
             let mut looped = span_streams(&preload, rotate);
-            let mut a = SpanIo::new(&mut sliced, &inputs, &outputs, &plan);
-            let mut b = SpanIo::new(&mut looped, &inputs, &outputs, &plan);
+            let mut a = SpanIo::new(&mut sliced, &inputs, &outputs, &[0], &[0, 0]);
+            let mut b = SpanIo::new(&mut looped, &inputs, &outputs, &[0], &[0, 0]);
             let mut left = preload.len();
             let (mut seen_a, mut seen_b) = (Vec::new(), Vec::new());
             for &(op, k, v) in &ops {
@@ -896,8 +856,7 @@ mod tests {
     fn span_transfer_past_queue_end_panics() {
         let mut streams = span_streams(&[1, 2], 0);
         let (inputs, outputs) = (vec![0usize], vec![1usize, 2]);
-        let plan = SpanPlan::new(1, 0b1, 0b1);
-        SpanIo::new(&mut streams, &inputs, &outputs, &plan).transfer(0, 0, 3);
+        SpanIo::new(&mut streams, &inputs, &outputs, &[0], &[0, 0]).transfer(0, 0, 3);
     }
 
     #[test]

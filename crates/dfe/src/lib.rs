@@ -36,7 +36,9 @@
 
 #![forbid(unsafe_code)]
 
+mod burst;
 pub mod device;
+pub mod diag;
 pub mod graph;
 pub mod host;
 pub mod kernel;
@@ -49,9 +51,10 @@ pub mod threaded;
 pub mod trace;
 
 pub use device::{DeviceSpec, ResourceUsage, MAIA_FCLK_MHZ, STRATIX_10_GX2800, STRATIX_V_5SGSD8};
+pub use diag::{BurstDiag, BurstEnd, Refusal};
 pub use graph::{CycleReport, Graph, KernelId, RunError, StreamId};
 pub use host::{HostSink, HostSource, SinkHandle, SourceHandle};
-pub use kernel::{Io, Kernel, Progress, SpanIo, SpanPlan, WakeHint};
+pub use kernel::{Io, Kernel, Progress, SpanIo, SpanPhase, SpanPlan, WakeHint, MAX_SPAN_PHASES};
 pub use replay::ReplayDiag;
 pub use ring::MaxRing;
 pub use sched::SchedulerMode;

@@ -58,93 +58,7 @@
 //! it was not planned for. Dense steps are not replayed from the tape at
 //! all — they run the ordinary stepper — so they cannot diverge.
 
-use crate::kernel::{Progress, SpanPlan};
-use crate::stream::SpanPort;
-
-/// One kernel's part in a planned span of `k` cycles.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) struct Participant {
-    pub node: usize,
-    pub plan: SpanPlan,
-    /// First span cycle dense stepping would tick the kernel `Busy`
-    /// (`u64::MAX` ⇒ not within this span).
-    pub start: u64,
-    /// One past its last `Busy` cycle: the span's end, or earlier when a
-    /// full output blocks it mid-span (it then ticks `Stalled` once at
-    /// `stop` and parks).
-    pub stop: u64,
-    /// `Some(v)`: awake at the span's first cycle but blocked — one
-    /// port-inert tick of verdict `v` there, then parked like a recruit.
-    pub demoted: Option<Progress>,
-    /// Parked over the span's last cycle, but a stream event on that cycle
-    /// leaves it awake for the cycle after.
-    pub end_awake: bool,
-}
-
-impl Participant {
-    pub fn new(node: usize, plan: SpanPlan, start: u64, demoted: Option<Progress>) -> Self {
-        Self {
-            node,
-            plan,
-            start,
-            stop: u64::MAX,
-            demoted,
-            end_awake: false,
-        }
-    }
-
-    /// Does the kernel tick `Busy` at all within a span of `k` cycles?
-    pub fn runs(&self, k: u64) -> bool {
-        self.start < self.stop.min(k)
-    }
-
-    /// The cycles one side of the plan is active, as a stream sees them:
-    /// from `start` until the kernel stops or that side's cycles run out.
-    fn port(&self, masked: bool, cycles: u64, rate: u16, exact: bool) -> SpanPort {
-        if !masked {
-            return SpanPort::IDLE;
-        }
-        SpanPort {
-            start: self.start,
-            stop: self.stop.min(self.start.saturating_add(cycles)),
-            rate,
-            exact,
-        }
-    }
-
-    /// The push side of the stream on output port `port` ([`SpanPort::IDLE`]
-    /// when the plan does not write it).
-    pub fn push_port(&self, port: usize) -> SpanPort {
-        let plan = &self.plan;
-        let masked = plan.writes & (1 << port) != 0;
-        self.port(
-            masked,
-            plan.write_cycles,
-            plan.write_rate,
-            plan.exact_writes,
-        )
-    }
-
-    /// The pop side of the stream on input port `port`.
-    pub fn pop_port(&self, port: usize) -> SpanPort {
-        let plan = &self.plan;
-        let masked = plan.reads & (1 << port) != 0;
-        self.port(masked, plan.read_cycles, plan.read_rate, plan.exact_reads)
-    }
-}
-
-/// One stream a planned span touches.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) struct SpanStream {
-    pub stream: usize,
-    /// Committed queue length when the span starts (the replay guard).
-    pub start_len: usize,
-    /// Occupancy high-water mark the span credits in closed form
-    /// ([`crate::stream::span_peak`]; 0 ⇒ nothing committed).
-    pub peak: usize,
-    /// Whether any participant that actually runs moves elements here.
-    pub traffic: bool,
-}
+use crate::burst::{SpanPart, SpanStream};
 
 /// Schedule-replay diagnostics, surfaced on
 /// [`CycleReport`](crate::CycleReport) next to the per-kernel counters.
@@ -197,30 +111,28 @@ pub(crate) enum Step {
 /// offsets and stream lengths drift across the image — and the scattered
 /// reads cost more than the ~25% of memory interning saved).
 ///
-/// The recorded entries are *pruned*: participant entries whose dispatch is
-/// a no-op (never running, no end-of-span wake, no demotion, no ripen entry
-/// — `dispatch_span` would skip them without touching any counter) and
-/// streams with no span traffic are dropped. Pruning is what makes the
-/// short mined spans cheap to replay — for a 3-cycle span most of the
-/// planner's wavefront is exactly such dead weight.
+/// The recorded entries are already *pruned* by the planner: a participant
+/// parked throughout on one verdict has no dispatch record, and a stream
+/// without traffic no stream entry — for a short span most of the
+/// wavefront is exactly such dead weight.
 #[derive(Clone, Copy)]
 pub(crate) struct SpanRec {
     pub k: u64,
-    pub plans: (u32, u32),
-    pub ripen: (u32, u32),
+    pub parts: (u32, u32),
     pub streams: (u32, u32),
     /// Awake-mask snapshot taken just before the recording burst attempt.
     pub mask: (u32, u32),
 }
 
 /// The recorded schedule of one steady-state period, as one `Step` list
-/// plus flat side pools indexed by [`SpanRec`] windows.
+/// plus flat side pools indexed by [`SpanRec`] windows. A part's quota
+/// window indexes `quota_pool` directly.
 #[derive(Default)]
 pub(crate) struct ScheduleTape {
     pub steps: Vec<Step>,
     pub span_recs: Vec<SpanRec>,
-    pub plan_pool: Vec<Participant>,
-    pub ripen_pool: Vec<(usize, u64)>,
+    pub part_pool: Vec<SpanPart>,
+    pub quota_pool: Vec<u64>,
     pub stream_pool: Vec<SpanStream>,
     pub mask_pool: Vec<u64>,
 }
@@ -237,18 +149,14 @@ impl ScheduleTape {
     pub fn clear(&mut self) {
         self.steps.clear();
         self.span_recs.clear();
-        self.plan_pool.clear();
-        self.ripen_pool.clear();
+        self.part_pool.clear();
+        self.quota_pool.clear();
         self.stream_pool.clear();
         self.mask_pool.clear();
     }
 
-    pub fn plans(&self, r: &SpanRec) -> &[Participant] {
-        window(&self.plan_pool, r.plans)
-    }
-
-    pub fn ripen(&self, r: &SpanRec) -> &[(usize, u64)] {
-        window(&self.ripen_pool, r.ripen)
+    pub fn parts(&self, r: &SpanRec) -> &[SpanPart] {
+        window(&self.part_pool, r.parts)
     }
 
     pub fn streams(&self, r: &SpanRec) -> &[SpanStream] {
@@ -260,7 +168,7 @@ impl ScheduleTape {
     }
 
     fn entries(&self) -> usize {
-        self.plan_pool.len() + self.ripen_pool.len() + self.stream_pool.len() + self.mask_pool.len()
+        self.part_pool.len() + self.quota_pool.len() + self.stream_pool.len() + self.mask_pool.len()
     }
 }
 
@@ -336,42 +244,33 @@ impl ReplayState {
         }
     }
 
-    /// Append a dispatched span (the scheduler's burst scratch, post-plan)
-    /// to the tape, pruned of no-op participants and traffic-free streams
-    /// (see [`SpanRec`]). Returns `false` when the tape overran its size
-    /// cap — the caller vetoes replay for this graph.
+    /// Append a dispatched span (the planner's dispatch records) to the
+    /// tape. Returns `false` when the tape overran its size cap — the
+    /// caller vetoes replay for this graph.
     pub fn record_span(
         &mut self,
         k: u64,
-        plans: &[Participant],
-        ripen: &[(usize, u64)],
+        parts: &[SpanPart],
+        quotas: &[u64],
         streams: &[SpanStream],
     ) -> bool {
         self.flush_dense();
         let t = &mut self.tape;
-        let p0 = t.plan_pool.len() as u32;
-        // A participant is replay-relevant when dispatch mutates state for
-        // it: it runs, wakes at the span edge, replays a demotion, or
-        // ripens. Anything else `dispatch_span` passes over — dead weight
-        // on every future replay of this step.
-        t.plan_pool.extend(plans.iter().copied().filter(|p| {
-            p.runs(k)
-                || p.end_awake
-                || p.demoted.is_some()
-                || ripen.iter().any(|&(j, _)| j == p.node)
+        let p0 = t.part_pool.len() as u32;
+        let q0 = t.quota_pool.len() as u32;
+        t.part_pool.extend(parts.iter().map(|p| SpanPart {
+            quotas: (p.quotas.0 + q0, p.quotas.1),
+            ..*p
         }));
-        let r0 = t.ripen_pool.len() as u32;
-        t.ripen_pool.extend_from_slice(ripen);
+        t.quota_pool.extend_from_slice(quotas);
         let s0 = t.stream_pool.len() as u32;
-        t.stream_pool
-            .extend(streams.iter().copied().filter(|s| s.traffic));
+        t.stream_pool.extend_from_slice(streams);
         let m0 = t.mask_pool.len() as u32;
         t.mask_pool.extend_from_slice(&self.mask_scratch);
         let ix = t.span_recs.len() as u32;
         t.span_recs.push(SpanRec {
             k,
-            plans: (p0, t.plan_pool.len() as u32 - p0),
-            ripen: (r0, t.ripen_pool.len() as u32 - r0),
+            parts: (p0, t.part_pool.len() as u32 - p0),
             streams: (s0, t.stream_pool.len() as u32 - s0),
             mask: (m0, t.mask_pool.len() as u32 - m0),
         });
@@ -383,13 +282,23 @@ impl ReplayState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::Progress;
 
-    fn stream(stream: usize, start_len: usize, traffic: bool) -> SpanStream {
+    fn stream(stream: usize, start_len: usize) -> SpanStream {
         SpanStream {
             stream,
             start_len,
-            peak: if traffic { start_len } else { 0 },
-            traffic,
+            peak: start_len,
+        }
+    }
+
+    fn part(node: u32, quotas: (u32, u32)) -> SpanPart {
+        SpanPart {
+            node,
+            busy: 4,
+            stalled: 0,
+            quotas,
+            end: None,
         }
     }
 
@@ -408,58 +317,46 @@ mod tests {
     #[test]
     fn tape_windows_recover_recorded_steps() {
         let mut st = ReplayState::new();
-        let plan = SpanPlan::new(4, 0b1, 0b1);
-        let plans_a = [Participant::new(0, plan, 0, None)];
-        let streams_a = [stream(0, 2, true)];
-        let plans_b = [
-            Participant::new(1, plan, 0, None),
-            Participant::new(2, plan, 0, None),
-        ];
-        let streams_b = [stream(1, 3, true)];
+        let parts_a = [part(0, (0, 2))];
+        let streams_a = [stream(0, 2)];
+        let parts_b = [part(1, (0, 2)), part(2, (2, 2))];
+        let streams_b = [stream(1, 3)];
         st.snapshot_mask(&[0b01]);
-        assert!(st.record_span(4, &plans_a, &[], &streams_a));
+        assert!(st.record_span(4, &parts_a, &[4, 4], &streams_a));
         st.snapshot_mask(&[0b110]);
-        assert!(st.record_span(6, &plans_b, &[], &streams_b));
+        assert!(st.record_span(6, &parts_b, &[6, 6, 6, 5], &streams_b));
         assert_eq!(st.tape.steps.len(), 2);
         assert_eq!(st.tape.span_recs.len(), 2);
         let a = st.tape.span_recs[0];
         let b = st.tape.span_recs[1];
-        assert_eq!(st.tape.plans(&a), plans_a);
+        assert_eq!(st.tape.parts(&a), parts_a);
         assert_eq!(st.tape.streams(&a), streams_a);
         assert_eq!(st.tape.mask(&a), [0b01]);
         assert_eq!(b.k, 6);
-        assert_eq!(st.tape.plans(&b), plans_b);
         assert_eq!(st.tape.streams(&b), streams_b);
         assert_eq!(st.tape.mask(&b), [0b110]);
     }
 
+    /// Each recorded part's quota window is rebased onto the tape's quota
+    /// pool, so replay reads the quotas the span was planned with.
     #[test]
-    fn record_span_prunes_noop_participants_and_idle_streams() {
+    fn record_span_rebases_quota_windows() {
         let mut st = ReplayState::new();
-        let plan = SpanPlan::new(4, 0b1, 0b1);
-        let plans = [
-            Participant::new(0, plan, 0, None), // runs: kept
-            Participant {
-                end_awake: true, // wakes at edge: kept
-                ..Participant::new(1, plan, 4, None)
-            },
-            Participant::new(2, plan, 7, None), // pure no-op: pruned
-            Participant::new(3, plan, u64::MAX, None), // pure no-op: pruned
-            Participant::new(4, plan, u64::MAX, Some(Progress::Stalled)), // demotion: kept
-            Participant::new(5, plan, u64::MAX, None), // ripens: kept
-        ];
-        let ripen = [(5usize, 2u64)];
-        let streams = [
-            stream(0, 3, true),  // traffic: kept
-            stream(1, 3, false), // no traffic: pruned
-        ];
-        st.snapshot_mask(&[0b111111]);
-        assert!(st.record_span(4, &plans, &ripen, &streams));
-        let rec = st.tape.span_recs[0];
-        let kept: Vec<usize> = st.tape.plans(&rec).iter().map(|p| p.node).collect();
-        assert_eq!(kept, [0, 1, 4, 5], "no-op participants pruned");
-        assert_eq!(st.tape.streams(&rec).len(), 1, "traffic-free stream pruned");
-        assert_eq!(st.tape.ripen(&rec), ripen);
+        st.snapshot_mask(&[0b11]);
+        assert!(st.record_span(3, &[part(0, (0, 1))], &[3], &[]));
+        let parked = SpanPart {
+            end: Some(Progress::Stalled),
+            ..part(1, (1, 1))
+        };
+        assert!(st.record_span(5, &[part(0, (0, 1)), parked], &[2, 5], &[]));
+        let rec = st.tape.span_recs[1];
+        let recorded = st.tape.parts(&rec);
+        let quotas: Vec<u64> = recorded
+            .iter()
+            .map(|p| st.tape.quota_pool[p.quotas.0 as usize])
+            .collect();
+        assert_eq!(quotas, [2, 5]);
+        assert_eq!(recorded[1].end, Some(Progress::Stalled));
     }
 
     #[test]

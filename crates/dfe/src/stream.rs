@@ -144,186 +144,94 @@ pub(crate) fn front_slices(queue: &VecDeque<i32>, n: usize) -> (&[i32], &[i32]) 
     (&head[..first], &tail[..n - first])
 }
 
-/// One side of a FIFO over a macro-tick span: the kernel on it moves `rate`
-/// elements per cycle on the cycles `start..stop`. `exact` marks a greedy
-/// port promised below its lane width ([`SpanPlan::exact_reads`] /
-/// [`SpanPlan::exact_writes`](crate::SpanPlan::exact_writes)): each of its
-/// ticks must find *exactly* `rate` elements (slots), where an ordinary port
-/// needs at least that many.
-///
-/// [`SpanPlan::exact_reads`]: crate::SpanPlan::exact_reads
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SpanPort {
-    /// First span cycle the port moves elements (`u64::MAX` ⇒ never).
+/// One constant-rate stretch of a stream side over a burst: the kernel on
+/// that end moves `rate` elements on each of the cycles `start..stop`.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SpanRun {
+    /// First cycle of the run.
     pub start: u64,
-    /// One past the last cycle it does (`u64::MAX` ⇒ to the span's end).
+    /// One past its last cycle.
     pub stop: u64,
-    /// Elements per cycle (≥ 1 on an active port).
+    /// Elements per cycle (≥ 1).
     pub rate: u16,
-    /// Availability must equal `rate`, not merely reach it.
-    pub exact: bool,
 }
 
-impl SpanPort {
-    /// A side that moves nothing during the span.
-    pub const IDLE: SpanPort = SpanPort {
-        start: u64::MAX,
-        stop: u64::MAX,
-        rate: 0,
-        exact: false,
-    };
+/// Append a run to a side (ascending, disjoint runs); an empty run is
+/// skipped and one that continues the last at the same rate extends it.
+pub fn push_run(side: &mut Vec<SpanRun>, start: u64, stop: u64, rate: u16) {
+    push_run_from(side, 0, start, stop, rate);
+}
 
-    /// Does this side move elements on cycle `t`?
-    pub fn active_at(&self, t: u64) -> bool {
-        self.start <= t && t < self.stop
+/// [`push_run`] onto the side that starts at index `from` of `runs`.
+fn push_run_from(runs: &mut Vec<SpanRun>, from: usize, start: u64, stop: u64, rate: u16) {
+    if start >= stop {
+        return;
     }
-
-    /// Does this side move elements on any cycle of `from..to`?
-    pub fn active_within(&self, from: u64, to: u64) -> bool {
-        self.start.max(from) < self.stop.min(to)
-    }
-
-    /// Elements moved on the cycles before `t`.
-    fn moved_before(&self, t: u64) -> i64 {
-        i64::from(self.rate) * (t.min(self.stop).saturating_sub(self.start)) as i64
-    }
-}
-
-/// `n / d` for `n ≥ 0`, skipping the hardware divide on the unit rates every
-/// unfolded graph plans with.
-#[inline]
-fn div_rate(n: i64, d: i64) -> i64 {
-    if d == 1 {
-        n
-    } else {
-        n / d
-    }
-}
-
-/// Start-of-cycle occupancy of one FIFO on span cycle `t`: `len` at the
-/// span's start, plus the writer's pushes on earlier cycles (staged writes
-/// commit at the end of their cycle), minus the reader's pops on earlier
-/// cycles.
-pub fn span_level(len: usize, writer: SpanPort, reader: SpanPort, t: u64) -> i64 {
-    len as i64 + writer.moved_before(t) - reader.moved_before(t)
-}
-
-/// Why [`span_limit`]'s cycle is infeasible.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SpanFault {
-    /// The writer's tick finds the FIFO completely full — the one fault
-    /// that is a clean stall (a halting writer ticks `Stalled`, port-inert)
-    /// rather than a change of behaviour.
-    Full,
-    /// Anything else: the reader short of data, a port finding *some* but
-    /// not enough, an exact port finding too much, or a reader dispatched
-    /// ahead of its writer outrunning the buffered lead.
-    Other,
-}
-
-/// First span cycle at which a promised tick on one FIFO would **fail**
-/// under dense interleaving (`u64::MAX` when none ever does), and how — the
-/// stream half of the macro-tick feasibility argument.
-///
-/// The FIFO starts the span with `len` of `cap` slots committed. Its writer
-/// stages `writer.rate` elements on each of its cycles, readable one cycle
-/// later (registered outputs); its reader pops `reader.rate` on each of
-/// its cycles, immediately. So the start-of-cycle occupancy `Q(t)`
-/// ([`span_level`]) is piecewise linear with breakpoints where a side
-/// starts or stops, and every promised tick succeeds while `Q` stays inside
-/// a band: a pop needs `Q(t) ≥ rr`; a push needs `wr` free slots at the
-/// writer's tick, `Q(t) ≤ cap − wr` — relaxed by `rr` once a reader that
-/// runs *earlier in node order* (`reader_first`) has popped within the same
-/// cycle. An exact side pins its bound from both directions. The result is
-/// the first cycle `Q` leaves the band, segment by segment.
-///
-/// One dispatch artefact rides along: a burst replays each participant's
-/// whole span in node order, so a `reader_first` reader sees none of this
-/// burst's pushes and can only consume the buffered lead.
-pub fn span_limit(
-    len: usize,
-    cap: usize,
-    writer: SpanPort,
-    reader: SpanPort,
-    reader_first: bool,
-) -> (u64, SpanFault) {
-    let (wr, rr) = (i64::from(writer.rate), i64::from(reader.rate));
-    let mut q = len as i64;
-    // Nothing moves before the earlier side starts.
-    let mut t = writer.start.min(reader.start);
-    let mut limit = (u64::MAX, SpanFault::Other);
-    while t != u64::MAX {
-        let (pushing, popping) = (writer.active_at(t), reader.active_at(t));
-        let next = [writer.start, writer.stop, reader.start, reader.stop]
-            .into_iter()
-            .filter(|&b| b > t)
-            .min()
-            .unwrap_or(u64::MAX);
-        let (mut lo, mut hi) = (i64::MIN, i64::MAX);
-        if popping {
-            lo = rr;
-            if reader.exact {
-                hi = rr;
-            }
+    let own = runs.len() > from;
+    let side = runs;
+    if let Some(last) = side.last_mut().filter(|_| own) {
+        debug_assert!(last.stop <= start, "span runs overlap or are out of order");
+        if last.stop == start && last.rate == rate {
+            last.stop = stop;
+            return;
         }
-        // `brim`: the occupancy at which the writer's tick finds no slot.
-        let brim = cap as i64 + if popping && reader_first { rr } else { 0 };
-        if pushing {
-            hi = hi.min(brim - wr);
-            if writer.exact {
-                lo = lo.max(brim - wr);
-            }
-        }
-        let slope = if pushing { wr } else { 0 } - if popping { rr } else { 0 };
-        // The band's bound on the side `q` drifts toward is finite: a
-        // positive slope means a writer (upper bound), a negative one a
-        // reader (lower bound).
-        let exit = if q < lo || q > hi {
-            Some(0)
-        } else if slope > 0 {
-            Some(div_rate(hi - q, slope) + 1)
-        } else if slope < 0 {
-            Some(div_rate(q - lo, -slope) + 1)
-        } else {
-            None
-        };
-        if let Some(d) = exit {
-            let x = t.saturating_add(d as u64);
-            if x < next {
-                // A clean stall: the writer finds no slot at all, and the
-                // reader's tick of that cycle is not in trouble itself.
-                let at = q + slope * d;
-                let popped = !popping || (at >= rr && (!reader.exact || at == rr));
-                let full = pushing && at == brim && popped;
-                limit = (
-                    x,
-                    if full {
-                        SpanFault::Full
-                    } else {
-                        SpanFault::Other
-                    },
-                );
-                break;
-            }
-        }
-        if next == u64::MAX {
+    }
+    side.push(SpanRun { start, stop, rate });
+}
+
+/// Elements a side moves on the cycles before `t`.
+pub fn moved_before(side: &[SpanRun], t: u64) -> u64 {
+    let mut n = 0;
+    for r in side {
+        if r.start >= t {
             break;
         }
-        // No exit before the breakpoint, so the drift stayed in-band: small.
-        q += slope * (next - t) as i64;
-        t = next;
+        n += u64::from(r.rate) * (t.min(r.stop) - r.start);
     }
-    if reader_first && writer.start != u64::MAX && reader.start != u64::MAX {
-        let lead = reader.start.saturating_add(len as u64 / rr as u64);
-        if lead < reader.stop && lead < limit.0 {
-            limit = (lead, SpanFault::Other);
+    n
+}
+
+/// Elements a side moves on cycle `c`.
+pub(crate) fn rate_at(side: &[SpanRun], c: u64) -> u64 {
+    side.iter()
+        .find(|r| c < r.stop)
+        .filter(|r| r.start <= c)
+        .map_or(0, |r| u64::from(r.rate))
+}
+
+/// The first run edge (start or stop) after cycle `c`.
+fn next_edge(side: &[SpanRun], c: u64) -> u64 {
+    side.iter()
+        .find(|r| r.stop > c)
+        .map_or(u64::MAX, |r| if r.start > c { r.start } else { r.stop })
+}
+
+/// The cycle of the move that brings a side's total to `n ≥ 1` elements —
+/// the first `c` with `moved_before(c + 1) ≥ n` (`u64::MAX` ⇒ never).
+pub fn reach(side: &[SpanRun], n: u64) -> u64 {
+    debug_assert!(n >= 1, "reach needs a positive count");
+    let mut moved = 0u64;
+    for r in side {
+        let rate = u64::from(r.rate);
+        let more = rate.saturating_mul(r.stop - r.start);
+        if moved.saturating_add(more) >= n {
+            return r.start + (n - moved).div_ceil(rate) - 1;
         }
+        moved += more;
     }
-    limit
+    u64::MAX
+}
+
+/// Start-of-cycle occupancy of one FIFO on burst cycle `t`: `len` at the
+/// burst's start, plus the writer's pushes on earlier cycles (staged writes
+/// commit at the end of their cycle), minus the reader's pops on earlier
+/// cycles.
+pub fn span_level(len: usize, writer: &[SpanRun], reader: &[SpanRun], t: u64) -> i64 {
+    len as i64 + moved_before(writer, t) as i64 - moved_before(reader, t) as i64
 }
 
 /// Occupancy high-water mark dense stepping would record on one FIFO over a
-/// feasible span of `k` cycles (0 ⇒ nothing committed, nothing sampled).
+/// burst of `k` cycles (0 ⇒ nothing committed, nothing sampled).
 ///
 /// Sampling the live queue after a batch is wrong in both directions. The
 /// span dispatcher moves all of a writer's elements before its reader runs,
@@ -332,23 +240,234 @@ pub fn span_limit(
 /// sampling after the reader's pops is only right by accident: dense
 /// samples at every end-of-cycle commit, so the true peak is the maximum of
 /// the post-commit length `Q(t + 1)` over the writer's push cycles `t`.
-/// `Q` ([`span_level`]) is linear between the cycles where the reader
-/// starts or stops, so that maximum sits at the first push, the last push,
-/// or one of those two breakpoints. For unit rates the slope is `+1` then
-/// `0` and the peak closes to `len + pushes − pops`, the final push
-/// cycle's post-commit length.
-pub fn span_peak(len: usize, writer: SpanPort, reader: SpanPort, k: u64) -> usize {
-    let (first, last) = (writer.start.saturating_add(1), writer.stop.min(k));
-    if first > last {
-        return 0;
+/// `Q` ([`span_level`]) is linear between run edges, so over each writer
+/// run that maximum sits at the run's first or last push or at an edge of
+/// a reader run inside it.
+pub fn span_peak(len: usize, writer: &[SpanRun], reader: &[SpanRun], k: u64) -> usize {
+    let mut peak = None;
+    for w in writer {
+        let (first, last) = (w.start.saturating_add(1), w.stop.min(k));
+        if first > last {
+            break;
+        }
+        let edges = reader.iter().flat_map(|r| [r.start, r.stop]);
+        let run_peak = [first, last]
+            .into_iter()
+            .chain(edges.filter(|&e| first < e && e < last))
+            .map(|t| span_level(len, writer, reader, t))
+            .max()
+            .expect("two candidates");
+        peak = peak.max(Some(run_peak));
     }
-    let peak = [first, last, reader.start, reader.stop]
-        .into_iter()
-        .map(|t| span_level(len, writer, reader, t.clamp(first, last)))
-        .max()
-        .expect("four candidates");
+    let peak = peak.unwrap_or(0);
     debug_assert!(peak >= 0, "span peak {peak} below empty");
     peak as usize
+}
+
+/// One port of a greedy span side as [`follow`] sees it: what the kernel on
+/// this end finds at its tick on cycle `t` is `base` (the committed
+/// elements of an input, the free slots of an output, at the burst's start)
+/// plus what the other end moved before — its side `other`, counted through
+/// cycle `t + shift − 1` — less what this end moved itself (`mine`).
+///
+/// `shift` is the dense-stepping order artefact: an input sees pushes one
+/// cycle late (staged writes commit at the end of their cycle), so 0; an
+/// output whose reader ticks *earlier* in node order sees that cycle's pops
+/// too, so 1; a later reader's pops free their slots for the next cycle, 0.
+#[derive(Clone, Copy, Debug)]
+pub struct SpanFeed<'a> {
+    /// The other end's side.
+    pub other: &'a [SpanRun],
+    /// 1 when the other end's moves on cycle `t` count at `t` (see above).
+    pub shift: u64,
+    /// Elements (input) or free slots (output) at the burst's start.
+    pub base: i64,
+    /// Elements this end has moved so far.
+    pub mine: u64,
+    /// An input port (its data decides a stall's verdict).
+    pub input: bool,
+    /// Set by [`follow`] once the port held the side back — a tick found
+    /// less here than it wanted, or a stall waited on it. A port that never
+    /// did cannot change the schedule by offering more.
+    pub bound: bool,
+}
+
+impl<'a> SpanFeed<'a> {
+    /// An input port holding `len` committed elements, fed by `writer`.
+    pub fn input(writer: &'a [SpanRun], len: usize) -> Self {
+        Self { other: writer, shift: 0, base: len as i64, mine: 0, input: true, bound: false }
+    }
+
+    /// An output port with `room` free slots, drained by `reader` — which
+    /// ticks earlier in node order when `reader_first`.
+    pub fn output(reader: &'a [SpanRun], room: usize, reader_first: bool) -> Self {
+        Self {
+            other: reader,
+            shift: u64::from(reader_first),
+            base: room as i64,
+            mine: 0,
+            input: false,
+            bound: false,
+        }
+    }
+
+    /// What the tick on cycle `t` finds.
+    pub fn avail(&self, t: u64) -> i64 {
+        self.base + moved_before(self.other, t + self.shift) as i64 - self.mine as i64
+    }
+
+    /// The first cycle `≥ t` whose tick finds at least one, `mine` held
+    /// (`u64::MAX` ⇒ never within the other end's runs).
+    pub fn ready(&self, t: u64) -> u64 {
+        let need = 1 - self.base + self.mine as i64;
+        if need <= moved_before(self.other, t + self.shift) as i64 {
+            return t;
+        }
+        match reach(self.other, need as u64) {
+            u64::MAX => u64::MAX,
+            c => (c + 1 - self.shift).max(t),
+        }
+    }
+}
+
+/// A stretch of ticks on which a greedy side moved nothing, and the first
+/// of them on which some input port held data (the stall's verdict turns
+/// `Stalled` there; `start` when the side has no input).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct SpanStall {
+    pub start: u64,
+    pub stop: u64,
+    pub fed: u64,
+}
+
+/// How a greedy side's schedule ended (see [`follow`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum FollowEnd {
+    /// Every element moved; the last tick was the cycle before this one.
+    Done(u64),
+    /// Still going at the horizon.
+    Horizon,
+    /// A strict side could not move its full count on this cycle.
+    Break(u64),
+}
+
+/// Schedule a greedy span side from cycle `t`: on every tick move
+/// `m = min(lanes, left, every port's availability)` elements on every
+/// port, until `left` elements have moved or the horizon `h`. Appends the
+/// moves to `runs` and each stretch of zero-move ticks to `stalls`; a
+/// `strict` side (a lockstep promise) must move `min(lanes, left)` on every
+/// tick and breaks where it cannot. Between stalls the availability of every
+/// port only grows (the kernel moves nothing), so a stall lasts until every
+/// port is [ready](SpanFeed::ready).
+///
+/// Runs come out at run-length cost: a rate holds while a port's
+/// availability stays pinned at it (the lane count, or a port fed at exactly
+/// that rate) and every other port stays above it, piecewise between the
+/// other ends' run edges.
+#[allow(clippy::too_many_arguments)]
+pub fn follow(
+    ports: &mut [SpanFeed<'_>],
+    lanes: u64,
+    mut left: u64,
+    strict: bool,
+    mut t: u64,
+    h: u64,
+    runs: &mut Vec<SpanRun>,
+    stalls: &mut Vec<SpanStall>,
+) -> FollowEnd {
+    let from = runs.len();
+    while left > 0 {
+        if t >= h {
+            return FollowEnd::Horizon;
+        }
+        let want = lanes.min(left);
+        let mut avail = i64::MAX;
+        for p in ports.iter_mut() {
+            let a = p.avail(t);
+            p.bound |= a < want as i64;
+            avail = avail.min(a);
+        }
+        let m = want.min(avail.max(0) as u64);
+        if strict && m < want {
+            return FollowEnd::Break(t);
+        }
+        if m == 0 {
+            let ready = ports.iter().map(|p| p.ready(t)).max().unwrap_or(t);
+            let fed = ports
+                .iter()
+                .filter(|p| p.input)
+                .map(|p| p.ready(t))
+                .min()
+                .unwrap_or(t);
+            stalls.push(SpanStall {
+                start: t,
+                stop: ready.min(h),
+                fed: fed.min(ready).min(h),
+            });
+            if ready >= h {
+                return FollowEnd::Horizon;
+            }
+            t = ready;
+            continue;
+        }
+        let d = run_len(ports, m, lanes, left, t, h);
+        push_run_from(runs, from, t, t + d, m as u16);
+        for p in ports.iter_mut() {
+            p.mine += m * d;
+        }
+        left -= m * d;
+        t += d;
+    }
+    FollowEnd::Done(t)
+}
+
+/// Ticks from `t` on which a greedy side keeps moving exactly `m` (≥ 1, the
+/// count of tick `t` itself) — see [`follow`].
+fn run_len(ports: &[SpanFeed<'_>], m: u64, lanes: u64, left: u64, t: u64, h: u64) -> u64 {
+    let d_max = (h - t).min(left / m);
+    if d_max <= 1 {
+        return 1;
+    }
+    let end = t + d_max;
+    let mine = |p: &SpanFeed<'_>, s: u64| p.avail(s) - (m * (s - t)) as i64;
+    let mut s = t;
+    loop {
+        // Every port's per-tick gain is constant on `s..e`.
+        let e = ports
+            .iter()
+            .map(|p| next_edge(p.other, s + p.shift).saturating_sub(p.shift))
+            .min()
+            .unwrap_or(u64::MAX)
+            .min(end);
+        if s > t {
+            // A new stretch: the tick moves `m` only if nothing fell below it
+            // and something still holds it there.
+            let low = ports.iter().map(|p| mine(p, s)).min().unwrap_or(i64::MAX);
+            if low.min(lanes as i64) != m as i64 {
+                return s - t;
+            }
+        }
+        let mut pinned = lanes == m;
+        let mut exit = u64::MAX;
+        for p in ports {
+            let v = mine(p, s);
+            let slope = rate_at(p.other, s + p.shift) as i64 - m as i64;
+            pinned |= v == m as i64 && slope == 0;
+            if slope < 0 {
+                exit = exit.min(s + ((v - m as i64) / -slope) as u64 + 1);
+            }
+        }
+        if !pinned {
+            return s + 1 - t;
+        }
+        if exit < e {
+            return exit - t;
+        }
+        if e >= end {
+            return d_max;
+        }
+        s = e;
+    }
 }
 
 #[cfg(test)]
@@ -400,17 +519,12 @@ mod tests {
         assert_eq!(st.max_occupancy, 2, "high-water mark never regresses");
     }
 
-    fn port(start: u64, rate: u16) -> SpanPort {
-        SpanPort {
-            start,
-            stop: u64::MAX,
-            rate,
-            exact: false,
-        }
+    fn port(start: u64, rate: u16) -> Vec<SpanRun> {
+        vec![SpanRun { start, stop: u64::MAX / 4, rate }]
     }
 
-    fn limit(len: usize, cap: usize, w: SpanPort, r: SpanPort, reader_first: bool) -> u64 {
-        span_limit(len, cap, w, r, reader_first).0
+    fn peak(len: usize, w: Vec<SpanRun>, r: Vec<SpanRun>, k: u64) -> usize {
+        span_peak(len, &w, &r, k)
     }
 
     /// Regression (macro-tick span commits): a fill-while-drain batch must
@@ -422,18 +536,18 @@ mod tests {
         let mut st = StreamState::new(StreamSpec::new("s", 2, 8));
         // Steady state: 3 elements queued, then a 4-cycle span in which the
         // writer pushes 4 and the reader pops 4 (dense: length pinned at 3).
-        st.note_span(span_peak(3, port(0, 1), port(0, 1), 4));
+        st.note_span(peak(3, port(0, 1), port(0, 1), 4));
         assert_eq!(
             st.max_occupancy, 3,
             "rate-matched span must sample the constant dense length"
         );
         // Fill-only span: 2 more pushes with a parked reader peak at 5.
-        st.note_span(span_peak(3, port(0, 1), SpanPort::IDLE, 2));
+        st.note_span(peak(3, port(0, 1), vec![], 2));
         assert_eq!(st.max_occupancy, 5, "fill-only span peaks at the end");
         // Drain-only span: no commits happen, so no sample is taken even
         // though the queue was longer at span start than the recorded max.
         st.max_occupancy = 0;
-        st.note_span(span_peak(5, SpanPort::IDLE, port(0, 1), 4));
+        st.note_span(peak(5, vec![], port(0, 1), 4));
         assert_eq!(st.max_occupancy, 0, "pop-only spans never sample");
     }
 
@@ -444,44 +558,73 @@ mod tests {
     fn span_peak_sits_at_the_readers_first_pop_when_the_drain_is_faster() {
         // len 2; writer +1/cycle from 0; reader −4/cycle from 3; k = 4.
         // Post-commit lengths: 3, 4, 5, then 5 − 4 + 1 = 2.
-        assert_eq!(span_peak(2, port(0, 1), port(3, 4), 4), 5);
+        assert_eq!(peak(2, port(0, 1), port(3, 4), 4), 5);
         // Writer faster than reader: the peak is the end state.
-        assert_eq!(span_peak(2, port(0, 4), port(0, 1), 3), 2 + 3 * 3);
+        assert_eq!(peak(2, port(0, 4), port(0, 1), 3), 2 + 3 * 3);
+    }
+
+    /// Schedule one greedy reader of `lanes` against `writer` from `len`
+    /// queued elements: its runs and stalls.
+    fn read_side(
+        len: i64,
+        writer: &[SpanRun],
+        lanes: u64,
+        left: u64,
+        strict: bool,
+    ) -> (Vec<SpanRun>, Vec<SpanStall>, FollowEnd) {
+        let mut feed = [SpanFeed::input(writer, len as usize)];
+        let (mut runs, mut stalls) = (Vec::new(), Vec::new());
+        let end = follow(&mut feed, lanes, left, strict, 0, 1000, &mut runs, &mut stalls);
+        (runs, stalls, end)
     }
 
     #[test]
-    fn span_limit_unit_rate_cases() {
-        // Reader alone drains the buffered lead.
-        assert_eq!(limit(3, 8, SpanPort::IDLE, port(2, 1), false), 5);
-        // Writer alone fills the headroom.
-        assert_eq!(limit(3, 8, port(1, 1), SpanPort::IDLE, false), 6);
-        // Rate-matched from an empty FIFO: the first pop finds nothing.
-        assert_eq!(limit(0, 8, port(0, 1), port(0, 1), false), 0);
-        // Rate-matched from a full FIFO: stuck unless the reader pops first.
-        assert_eq!(limit(8, 8, port(0, 1), port(0, 1), false), 0);
-        assert_eq!(limit(8, 8, port(0, 1), port(0, 1), true), 8);
-        // Steady state never fails.
-        assert_eq!(limit(3, 8, port(0, 1), port(0, 1), false), u64::MAX);
+    fn follow_unit_rate_cases() {
+        let run = |start, stop, rate| SpanRun { start, stop, rate };
+        // A lead of 3 drains at once; then each push is read the cycle
+        // after it commits.
+        let writer = [run(5, 8, 1)];
+        let (runs, stalls, end) = read_side(3, &writer, 1, 6, false);
+        assert_eq!(runs, [run(0, 3, 1), run(6, 9, 1)]);
+        assert_eq!(stalls, [SpanStall { start: 3, stop: 6, fed: 6 }]);
+        assert_eq!(end, FollowEnd::Done(9));
+        // A lockstep reader breaks where the lead runs out instead.
+        let (_, _, end) = read_side(3, &writer, 1, 6, true);
+        assert_eq!(end, FollowEnd::Break(3));
+        // Starved past the writer's last push: still waiting at the horizon.
+        let (_, _, end) = read_side(0, &writer, 1, 10, false);
+        assert_eq!(end, FollowEnd::Horizon);
     }
 
     #[test]
-    fn span_limit_exact_ports_need_a_steady_level() {
-        let exact = |start, rate| SpanPort {
-            exact: true,
-            ..port(start, rate)
-        };
-        // A two-lane reader fed one element per cycle: exactly one queued
-        // on every tick, forever.
-        assert_eq!(limit(1, 8, port(0, 1), exact(0, 1), false), u64::MAX);
-        // Two queued: the greedy tick would take both — refuse at once.
-        assert_eq!(limit(2, 8, port(0, 1), exact(0, 1), false), 0);
-        // A faster writer breaks the equality after the first tick.
-        assert_eq!(limit(1, 8, port(0, 2), exact(0, 1), false), 1);
-        // A two-lane writer into a FIFO drained one per cycle with one
-        // slot free: exactly one slot on every tick.
-        assert_eq!(limit(7, 8, exact(0, 1), port(0, 1), false), u64::MAX);
-        // Without the drain the slot is gone after one push.
-        assert_eq!(limit(7, 8, exact(0, 1), SpanPort::IDLE, false), 1);
+    fn follow_wide_side_settles_on_the_feed_rate() {
+        let run = |start, stop, rate| SpanRun { start, stop, rate };
+        // Four lanes, five queued, fed two per cycle: 4, then 1 + 2, then
+        // the feed rate.
+        let writer = [run(0, 10, 2)];
+        let (runs, _, _) = read_side(5, &writer, 4, 17, false);
+        assert_eq!(runs, [run(0, 1, 4), run(1, 2, 3), run(2, 7, 2)]);
+        // A writer at the lane rate never lets a full reader drop below it.
+        let writer = [run(0, 10, 4)];
+        let (runs, _, _) = read_side(4, &writer, 4, 40, false);
+        assert_eq!(runs, [run(0, 10, 4)]);
+    }
+
+    /// A side with runs separated by gaps and at different rates.
+    #[test]
+    fn chained_sides_walk_every_run_edge() {
+        let mut w = Vec::new();
+        push_run(&mut w, 0, 4, 1);
+        push_run(&mut w, 4, 6, 1); // contiguous, same rate: merged
+        push_run(&mut w, 10, 12, 2);
+        assert_eq!(w.len(), 2);
+        assert_eq!(moved_before(&w, 11), 6 + 2);
+        assert_eq!(reach(&w, 7), 10, "the second run's first cycle brings 8");
+        assert_eq!(reach(&w, 11), u64::MAX);
+        // Over 8 cycles the level peaks at 2 after the first run's commits.
+        let mut r = Vec::new();
+        push_run(&mut r, 2, 8, 1);
+        assert_eq!(peak(0, w, r, 8), 2);
     }
 
     #[test]

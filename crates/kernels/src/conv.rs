@@ -61,7 +61,7 @@
 //! through `CompileOptions::conv_datapath`.
 
 use crate::loader::{LoadStep, ParamLoader};
-use dfe_platform::{Io, Kernel, Progress, SpanIo, SpanPlan, WakeHint};
+use dfe_platform::{Io, Kernel, Progress, SpanIo, SpanPhase, SpanPlan, WakeHint};
 use qnn_quant::{
     conv_accumulate_all, conv_accumulate_all_i8_into, dot_i8, ActPlanes, PlaneRing, ThresholdBank,
     ThresholdUnit,
@@ -107,6 +107,15 @@ impl WindowRing {
             WindowRing::Packed(r) => r.capacity(),
         }
     }
+}
+
+/// The convolution's control state — the counters its port behaviour
+/// follows — as a span chain walks it forward from the live kernel.
+#[derive(Clone, Copy)]
+struct ConvCtl {
+    received: usize,
+    out_pos: usize,
+    emitting: Option<usize>,
 }
 
 /// The streaming convolution kernel.
@@ -534,6 +543,58 @@ impl ConvKernel {
         self.received += vals.len();
     }
 
+    /// The control state a span chain starts from.
+    fn ctl(&self) -> ConvCtl {
+        ConvCtl {
+            received: self.received,
+            out_pos: self.out_pos,
+            emitting: self.emitting,
+        }
+    }
+
+    /// The phase that starts in control state `ctl`, and the control state
+    /// it leaves. With a window latched (or completing at the top of the
+    /// next tick) the phase emits the position's remaining results while —
+    /// unless halt-strict — absorbing up to the next window's completing
+    /// element; otherwise it fills up to the current window's. `None` when
+    /// there is nothing left to do.
+    fn phase(&self, ctl: ConvCtl) -> Option<(SpanPhase, ConvCtl)> {
+        let positions = self.positions();
+        let emit_from = match ctl.emitting {
+            Some(o) => Some(o),
+            None if ctl.out_pos < positions && ctl.received >= self.needed(ctl.out_pos) => Some(0),
+            None => None,
+        };
+        let mut next = ctl;
+        let (reads, writes) = match emit_from {
+            Some(o) => {
+                next.emitting = None;
+                next.out_pos += 1;
+                if !self.halt_input {
+                    next.received = self.read_limit(ctl.out_pos + 1);
+                }
+                (next.received - ctl.received, self.geom.filter.o - o)
+            }
+            None => {
+                next.received = self.read_limit(ctl.out_pos);
+                (next.received - ctl.received, 0)
+            }
+        };
+        if reads == 0 && writes == 0 {
+            return None;
+        }
+        if next.out_pos == positions && next.received == self.total_inputs() {
+            next = ConvCtl {
+                received: 0,
+                out_pos: 0,
+                emitting: None,
+            };
+        }
+        let phase =
+            SpanPhase::overlapped(0b1, reads as u64, self.simd, 0b1, writes as u64, self.pe);
+        Some((phase, next))
+    }
+
     /// Image complete: reset for the next one.
     #[inline]
     fn reset_if_image_done(&mut self) {
@@ -653,84 +714,36 @@ impl Kernel for ConvKernel {
         (self.simd as u16, self.pe as u16)
     }
 
-    /// Phase-bounded promises. Each phase has a constant per-tick port mask
-    /// and the span length stops exactly at the next phase boundary:
-    ///
-    /// * loader — one port-1 word per tick for `remaining()` ticks;
-    /// * emit (+ overlapped absorb) — `O − o` filter writes, reads capped at
-    ///   the *next* window's completing element (`needed` is strictly
-    ///   increasing in position, so the cap is never negative, and it is
-    ///   invariant across the span because `next_pos` equals `out_pos + 1`
-    ///   whether the final emit has advanced `out_pos` yet or not). With a
-    ///   **dry input** the absorb is opportunistic — dense keeps emitting
-    ///   `Busy` without the read — so the promise suppresses it
-    ///   ([`SpanPlan::opt_reads`]) instead of claiming a read the starved
-    ///   port cannot serve;
-    /// * fill/drain — reads up to the current window's completing element
-    ///   (the start-of-tick latch fires only on the tick *after* that).
-    ///
-    /// Each side moves what the greedy tick would ([`SpanPlan::greedy`]):
-    /// `pe` results and `simd` elements when the streams keep up, fewer —
-    /// an *exact* promise — when a narrower neighbour sets the pace. The
-    /// span covers whole ticks at that rate; the sub-rate tail of a phase
-    /// (`O mod pe` results, the last `< simd` elements of a window) is a
-    /// one-tick promise of its own. When the emit + absorb phase has one
-    /// side finish cleanly first, the promise runs on with the other alone
-    /// ([`SpanPlan::overlapped`]): emit-only once the next window is in,
-    /// fill once the position is out — the same ticks the emit-only and
-    /// fill promises would cover next.
-    fn span_hint(&self, in_len: &[usize], out_room: &[usize]) -> Option<SpanPlan> {
-        if let Some(loader) = &self.loader {
-            let plan = SpanPlan::new(loader.remaining() as u64, 0b10, 0);
-            return Some(if in_len[1] == 0 {
-                plan.blocked(Progress::Stalled)
-            } else {
-                plan
-            });
-        }
-        // Where the emit phase stands after any start-of-tick latch. (The
-        // memo needs `&mut self`; `needed` runs once per burst here.)
-        let emit_from = match self.emitting {
-            Some(o) => Some(o),
-            None if self.out_pos < self.positions()
-                && self.received >= self.needed(self.out_pos) =>
-            {
-                Some(0)
-            }
-            None => None,
-        };
-        let absorb = |reads_left| SpanPlan::greedy_reads(0b1, self.simd, reads_left, in_len[0]);
-        match emit_from {
-            Some(o) => {
-                let emit_left = self.geom.filter.o - o;
-                let emit = SpanPlan::greedy_writes(0b1, self.pe, emit_left, out_room[0]);
-                if self.halt_input {
-                    return Some(emit.0.halting());
-                }
-                let reads_left = self.read_limit(self.out_pos + 1) - self.received;
-                if reads_left == 0 {
-                    // No absorb possible: a blocked emit is a bare stall.
-                    Some(emit.0.halting())
-                } else if in_len[0] == 0 {
-                    // Dry input can't refill in-span (the opt_reads cap),
-                    // so a blocked emit stalls here too.
-                    Some(emit.0.with_opt_reads(0b1).halting())
-                } else {
-                    // Not halting: a blocked emit still absorbs (`Busy`).
-                    Some(SpanPlan::overlapped(emit, absorb(reads_left)))
-                }
+    /// One overlapped phase per position (see [`ConvKernel::phase`]): the
+    /// emit side moves up to `pe` results per tick as the output frees, the
+    /// absorb side up to `simd` elements per tick as input arrives, bounded
+    /// by the next window's completing element (`needed` is strictly
+    /// increasing in position, and the bound is the same whether the final
+    /// emit has advanced `out_pos` yet or not). The next window latches at
+    /// the top of the tick after both sides are through, which is where the
+    /// next phase starts — position after position. A streamed kernel's
+    /// parameter load comes first: one word per tick from port 1. A tick
+    /// that can do nothing is a bare `Stalled` stall.
+    fn span_hint(&self, _in_len: &[usize], _out_room: &[usize]) -> Option<SpanPlan> {
+        let mut ctl = self.ctl();
+        let mut plan = match &self.loader {
+            Some(loader) => {
+                let load = SpanPhase::coupled(loader.remaining() as u64, 0b10, 0);
+                SpanPlan::of(load.stalls(Progress::Stalled))
             }
             None => {
-                let reads_left = self.read_limit(self.out_pos) - self.received;
-                if reads_left == 0 {
-                    None
-                } else if in_len[0] == 0 {
-                    Some(absorb(reads_left).0.blocked(Progress::Stalled))
-                } else {
-                    Some(absorb(reads_left).0)
-                }
+                let (first, next) = self.phase(ctl)?;
+                ctl = next;
+                SpanPlan::of(first)
             }
+        };
+        while let Some((phase, next)) = self.phase(ctl) {
+            if !plan.push(phase) {
+                break;
+            }
+            ctl = next;
         }
+        Some(plan)
     }
 
     /// Control state is the phase machine: loader progress, absorb count,
@@ -747,19 +760,16 @@ impl Kernel for ConvKernel {
     }
 
     /// Replicates `tick`'s state machine — latch, emit, absorb, reset — one
-    /// uniform *segment* of ticks at a time, with slice-level queue
-    /// transfers in place of the staged `Io` port protocol: within a
-    /// segment every tick emits and absorbs the same counts, and the order
-    /// of pops and pushes across ports is unobservable, so the segment's
-    /// finished elements go out as one slice and its arrivals land in the
-    /// ring as one run. The span promise guarantees each tick moves exactly
-    /// the promised per-port rates.
-    fn run_span(&mut self, io: &mut SpanIo<'_>, n: u64) {
-        let absorb_ok = !io.read_suppressed(0);
-        let (per_read, per_write) = (io.read_rate(), io.write_rate());
+    /// *segment* at a time, with slice-level queue transfers in place of the
+    /// staged `Io` port protocol: a segment emits the rest of the latched
+    /// position and absorbs up to the window bound (both within the
+    /// quotas), and the order of pops and pushes across ports is
+    /// unobservable, so the segment's finished elements go out as one slice
+    /// and its arrivals land in the ring as one run.
+    fn run_span(&mut self, io: &mut SpanIo<'_>, _n: u64) {
         if let Some(loader) = &mut self.loader {
             let mut done = None;
-            io.pop_n(1, n, |words| {
+            io.pop_n(1, io.read_quota(1), |words| {
                 for &word in words {
                     if let LoadStep::Done(filters, thresholds) = loader.push(word) {
                         done = Some((filters, thresholds));
@@ -770,45 +780,38 @@ impl Kernel for ConvKernel {
                 self.loader = None;
                 self.install_params(filters, thresholds);
             }
-            return;
         }
-        let mut left = n as usize;
-        while left > 0 {
+        let (mut reads, mut writes) = (io.read_quota(0) as usize, io.write_quota(0) as usize);
+        loop {
             self.latch_if_ready();
-            // Ticks until this segment's emit (the position) or absorb (the
-            // window bound) runs out; either ends the segment.
-            let mut ticks = left;
+            let mut emitted = 0;
             if let Some(o) = self.emitting {
-                ticks = ticks.min((self.geom.filter.o - o) / per_write);
+                emitted = writes.min(self.geom.filter.o - o);
+                match self.datapath {
+                    ConvDatapath::Packed => io.push_slice(0, &self.latched[o..o + emitted]),
+                    ConvDatapath::ScalarReference => {
+                        (o..o + emitted).for_each(|f| io.push(0, self.output(f)));
+                    }
+                }
+                self.advance_emit(o + emitted);
+                writes -= emitted;
             }
             let read_limit = if self.halt_input && self.emitting.is_some() {
                 0
             } else {
                 self.read_limit_cached(self.out_pos + usize::from(self.emitting.is_some()))
             };
-            let absorbing = absorb_ok && self.received < read_limit;
-            if absorbing {
-                ticks = ticks.min((read_limit - self.received) / per_read);
-            }
-            // A kept promise always leaves a whole tick; a broken one is
-            // caught by the pops below (or the dispatcher's audit).
-            let ticks = ticks.max(1);
-            if let Some(o) = self.emitting {
-                let total = ticks * per_write;
-                match self.datapath {
-                    ConvDatapath::Packed => io.push_slice(0, &self.latched[o..o + total]),
-                    ConvDatapath::ScalarReference => {
-                        (o..o + total).for_each(|f| io.push(0, self.output(f)));
-                    }
-                }
-                self.advance_emit(o + total);
-            }
-            if absorbing {
-                io.pop_n(0, (ticks * per_read) as u64, |vals| self.absorb_run(vals));
+            let absorbed = reads.min(read_limit.saturating_sub(self.received));
+            if absorbed > 0 {
+                io.pop_n(0, absorbed as u64, |vals| self.absorb_run(vals));
+                reads -= absorbed;
             }
             self.reset_if_image_done();
-            left -= ticks;
+            if emitted == 0 && absorbed == 0 {
+                break;
+            }
         }
+        debug_assert_eq!((reads, writes), (0, 0), "conv span quota past its promise");
     }
 }
 

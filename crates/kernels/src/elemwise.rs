@@ -1,7 +1,7 @@
 //! Element-wise kernels: the skip-connection adder and split (paper Fig. 2)
 //! and the standalone fused BatchNorm + activation unit (§III-B3).
 
-use dfe_platform::{Io, Kernel, Progress, SpanIo, SpanPlan, WakeHint};
+use dfe_platform::{Io, Kernel, Progress, SpanIo, SpanPhase, SpanPlan, WakeHint};
 use qnn_quant::{ThresholdBank, ThresholdUnit};
 
 /// Adds two streams element-wise — the skip-connection adder. One element
@@ -50,20 +50,17 @@ impl Kernel for AddKernel {
         WakeHint::Parkable
     }
 
-    /// Stateless two-in-one-out: uniform for any span length. All-or-
-    /// nothing per tick, so the plan is halting; a dry operand blocks the
-    /// whole tick — `Stalled` while the other operand waits, `Idle` when
-    /// both run dry (mirroring `tick`'s verdicts exactly).
-    fn span_hint(&self, in_len: &[usize], _out_room: &[usize]) -> Option<SpanPlan> {
-        let plan = SpanPlan::new(u64::MAX, 0b11, 0b1).halting();
-        Some(match (in_len[0] == 0, in_len[1] == 0) {
-            (false, false) => plan,
-            (true, true) => plan.blocked(Progress::Idle),
-            _ => plan.blocked(Progress::Stalled),
-        })
+    /// Stateless two-in-one-out: one element through per tick, for ever.
+    /// A tick missing an operand or the output slot is a bare stall —
+    /// `Stalled` while an operand waits, `Idle` when both run dry (exactly
+    /// `tick`'s verdicts).
+    fn span_hint(&self, _in_len: &[usize], _out_room: &[usize]) -> Option<SpanPlan> {
+        let pass = SpanPhase::coupled(u64::MAX, 0b11, 0b1);
+        Some(SpanPlan::of(pass.stalls(Progress::Idle)))
     }
 
-    fn run_span(&mut self, io: &mut SpanIo<'_>, n: u64) {
+    fn run_span(&mut self, io: &mut SpanIo<'_>, _n: u64) {
+        let n = io.read_quota(0);
         let sums = &mut self.scratch;
         sums.clear();
         io.pop_n(0, n, |a| sums.extend_from_slice(a));
@@ -129,19 +126,16 @@ impl Kernel for SplitKernel {
         WakeHint::Parkable
     }
 
-    /// Stateless one-in-two-out: uniform for any span length, halting
-    /// (both outputs must have room or nothing moves), `Idle` on a dry
-    /// input — `tick` never reaches the output checks without an element.
-    fn span_hint(&self, in_len: &[usize], _out_room: &[usize]) -> Option<SpanPlan> {
-        let plan = SpanPlan::new(u64::MAX, 0b1, 0b11).halting();
-        Some(if in_len[0] == 0 {
-            plan.blocked(Progress::Idle)
-        } else {
-            plan
-        })
+    /// Stateless one-in-two-out: one element through per tick, for ever.
+    /// Both outputs must have room or nothing moves; `Idle` on a dry input
+    /// — `tick` never reaches the output checks without an element.
+    fn span_hint(&self, _in_len: &[usize], _out_room: &[usize]) -> Option<SpanPlan> {
+        let pass = SpanPhase::coupled(u64::MAX, 0b1, 0b11);
+        Some(SpanPlan::of(pass.stalls(Progress::Idle)))
     }
 
-    fn run_span(&mut self, io: &mut SpanIo<'_>, n: u64) {
+    fn run_span(&mut self, io: &mut SpanIo<'_>, _n: u64) {
+        let n = io.read_quota(0);
         let vals = &mut self.scratch;
         vals.clear();
         io.pop_n(0, n, |v| vals.extend_from_slice(v));
@@ -219,19 +213,17 @@ impl Kernel for ThresholdKernel {
         WakeHint::Parkable
     }
 
-    /// One element per cycle with only the channel counter as state, which
-    /// advances identically whatever the span length. Halting (the counter
-    /// moves only on a completed read-write pair), `Idle` on a dry input.
-    fn span_hint(&self, in_len: &[usize], _out_room: &[usize]) -> Option<SpanPlan> {
-        let plan = SpanPlan::new(u64::MAX, 0b1, 0b1).halting();
-        Some(if in_len[0] == 0 {
-            plan.blocked(Progress::Idle)
-        } else {
-            plan
-        })
+    /// One element per tick with only the channel counter as state, which
+    /// advances identically however the ticks fall. The counter moves only
+    /// on a completed read-write pair, so a tick missing either is a bare
+    /// stall, `Idle` on a dry input.
+    fn span_hint(&self, _in_len: &[usize], _out_room: &[usize]) -> Option<SpanPlan> {
+        let pass = SpanPhase::coupled(u64::MAX, 0b1, 0b1);
+        Some(SpanPlan::of(pass.stalls(Progress::Idle)))
     }
 
-    fn run_span(&mut self, io: &mut SpanIo<'_>, n: u64) {
+    fn run_span(&mut self, io: &mut SpanIo<'_>, _n: u64) {
+        let n = io.read_quota(0);
         let vals = &mut self.scratch;
         vals.clear();
         io.pop_n(0, n, |a| vals.extend_from_slice(a));

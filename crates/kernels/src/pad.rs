@@ -6,8 +6,16 @@
 //! convolution kernel always sees a pre-padded stream; the clock cost (one
 //! cycle per padded element) is identical.
 
-use dfe_platform::{Io, Kernel, Progress, SpanIo, SpanPlan, WakeHint};
+use dfe_platform::{Io, Kernel, Progress, SpanIo, SpanPhase, SpanPlan, WakeHint, MAX_SPAN_PHASES};
 use qnn_tensor::Shape3;
+
+/// A scan position in the *padded* output image.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct PadPos {
+    y: usize,
+    x: usize,
+    c: usize,
+}
 
 /// Inserts `pad` rows/columns of `fill` around each image of the stream.
 pub struct PadInserter {
@@ -15,12 +23,10 @@ pub struct PadInserter {
     input: Shape3,
     pad: usize,
     fill: i32,
-    /// Position in the *padded* output image, kept as explicit (y, x, c)
-    /// counters — the kernel runs once per clock, and deriving the
-    /// coordinates from a linear index would cost two divisions per tick.
-    y: usize,
-    x: usize,
-    c: usize,
+    /// Position of the next element, kept as explicit (y, x, c) counters —
+    /// the kernel runs once per clock, and deriving the coordinates from a
+    /// linear index would cost two divisions per tick.
+    pos: PadPos,
     /// Elements passed through per tick (1 ⇒ the one-per-clock contract;
     /// more than 1 models the widened stream interface in front of a
     /// folded consumer).
@@ -36,9 +42,7 @@ impl PadInserter {
             input,
             pad,
             fill,
-            y: 0,
-            x: 0,
-            c: 0,
+            pos: PadPos { y: 0, x: 0, c: 0 },
             lanes: 1,
         }
     }
@@ -48,7 +52,7 @@ impl PadInserter {
     /// bit-identical at any width. Must be applied before streaming starts.
     pub fn with_lanes(mut self, lanes: usize) -> Self {
         assert!(
-            (self.y, self.x, self.c) == (0, 0, 0),
+            self.pos == PadPos { y: 0, x: 0, c: 0 },
             "lane change mid-stream"
         );
         assert!(
@@ -68,56 +72,78 @@ impl PadInserter {
         )
     }
 
-    /// Is the current (y, x) position a border (padding) element?
-    fn is_border(&self) -> bool {
-        let (y, x) = (self.y, self.x);
+    /// Is `pos` a border (padding) element?
+    fn is_border(&self, pos: PadPos) -> bool {
+        let (y, x) = (pos.y, pos.x);
         y < self.pad || y >= self.pad + self.input.h || x < self.pad || x >= self.pad + self.input.w
     }
 
-    /// Elements from the current one to the end of its run of same-kind
-    /// elements: to the first interior pixel on the left border, to the
-    /// right border inside a row, and (conservatively — the next row may
-    /// extend the border) to the row end on the top/bottom rows and the
-    /// right border.
-    fn run_len(&self) -> usize {
+    /// Elements from `pos` to the end of its run of same-kind elements: to
+    /// the first interior pixel on the left border, to the right border
+    /// inside a row, and (conservatively — the next row may extend the
+    /// border) to the row end on the top/bottom rows and the right border.
+    fn run_len(&self, pos: PadPos) -> usize {
         let out = self.output_shape();
-        let in_row = self.y >= self.pad && self.y < self.pad + self.input.h;
-        let end_x = if in_row && self.x < self.pad {
+        let in_row = pos.y >= self.pad && pos.y < self.pad + self.input.h;
+        let end_x = if in_row && pos.x < self.pad {
             self.pad
-        } else if in_row && self.x < self.pad + self.input.w {
+        } else if in_row && pos.x < self.pad + self.input.w {
             self.pad + self.input.w
         } else {
             out.w
         };
-        (end_x - self.x) * out.c - self.c
+        (end_x - pos.x) * out.c - pos.c
     }
 
-    /// Advance the counters `n` elements within the current row.
-    fn advance_in_row(&mut self, n: usize) {
+    /// `pos` advanced `n` elements within its row (wrapping to the next
+    /// row, and at the image end to the next image, when it completes it).
+    fn advance_in_row(&self, pos: PadPos, n: usize) -> PadPos {
         let out = self.output_shape();
-        let at = self.x * out.c + self.c + n;
+        let at = pos.x * out.c + pos.c + n;
         debug_assert!(at <= out.w * out.c, "advance past the row end");
-        (self.x, self.c) = (at / out.c, at % out.c);
-        if self.x == out.w {
-            self.x = 0;
-            self.y = (self.y + 1) % out.h;
+        let (x, c) = (at / out.c, at % out.c);
+        if x == out.w {
+            PadPos {
+                y: (pos.y + 1) % out.h,
+                x: 0,
+                c,
+            }
+        } else {
+            PadPos { y: pos.y, x, c }
         }
     }
 
-    /// Advance the (y, x, c) counters one element, wrapping at image end.
+    /// Advance the scan position one element, wrapping at image end.
     fn advance(&mut self) {
         let out = self.output_shape();
-        self.c += 1;
-        if self.c == out.c {
-            self.c = 0;
-            self.x += 1;
-            if self.x == out.w {
-                self.x = 0;
-                self.y += 1;
-                if self.y == out.h {
-                    self.y = 0; // next image
+        let pos = &mut self.pos;
+        pos.c += 1;
+        if pos.c == out.c {
+            pos.c = 0;
+            pos.x += 1;
+            if pos.x == out.w {
+                pos.x = 0;
+                pos.y += 1;
+                if pos.y == out.h {
+                    pos.y = 0; // next image
                 }
             }
+        }
+    }
+
+    /// The run that starts at `pos` as a span phase: a border run writes
+    /// `fill` without reading, an interior run passes elements through.
+    fn phase(&self, pos: PadPos) -> SpanPhase {
+        let reads = u32::from(!self.is_border(pos));
+        let phase = SpanPhase::coupled(self.run_len(pos) as u64, reads, 0b1)
+            .lanes(self.lanes)
+            .stalls(Progress::Stalled);
+        // A folded tick finishing a run with lanes to spare goes on into
+        // the next one.
+        if self.lanes > 1 {
+            phase.spills()
+        } else {
+            phase
         }
     }
 }
@@ -133,7 +159,7 @@ impl Kernel for PadInserter {
             if !io.can_write(0) {
                 break;
             }
-            if self.is_border() {
+            if self.is_border(self.pos) {
                 io.write(0, self.fill);
             } else {
                 match io.read(0) {
@@ -153,7 +179,7 @@ impl Kernel for PadInserter {
 
     /// Back to the top-left corner of the padded image.
     fn rearm(&mut self) {
-        (self.y, self.x, self.c) = (0, 0, 0);
+        self.pos = PadPos { y: 0, x: 0, c: 0 };
     }
 
     /// Stalls only on output backpressure or a starved interior pixel;
@@ -168,58 +194,38 @@ impl Kernel for PadInserter {
         (self.lanes as u16, self.lanes as u16)
     }
 
-    /// Uniform within a run of same-kind elements: border runs emit `fill`
-    /// without reading, interior runs pass elements straight through. The
-    /// promise stops at the next kind boundary (conservatively at row ends
-    /// for border rows). Halting (a blocked port freezes the whole tick),
-    /// with a starved interior pixel declared `Stalled` — exactly `tick`'s
-    /// verdict. A tick moves as many elements as its lanes, the queued
-    /// input and the free output slots all allow ([`SpanPlan::greedy`]);
-    /// one that would run past the end of the run mixes both kinds and has
-    /// no uniform description, so it is left to per-element stepping.
-    fn span_hint(&self, in_len: &[usize], out_room: &[usize]) -> Option<SpanPlan> {
-        let border = self.is_border();
-        let run = self.run_len();
-        let (fed, exact_r) = if border {
-            (self.lanes, false)
-        } else {
-            SpanPlan::greedy(self.lanes, in_len[0])
-        };
-        let (moved, exact_w) = SpanPlan::greedy(fed, out_room[0]);
-        // A tick stops at the run's end only if it is out of lanes or of
-        // output slots there; one held back by a short input queue would
-        // carry on into the border beyond, so its promise stops a tick shy.
-        let ticks = if moved == self.lanes || exact_w {
-            run / moved
-        } else {
-            (run - 1) / moved
-        };
-        if ticks == 0 {
-            return None;
+    /// One phase per run of same-kind elements: border runs emit `fill`
+    /// without reading, interior runs pass elements straight through (runs
+    /// end conservatively at row ends for border rows), chained row after
+    /// row. A tick moves as many elements as its lanes, the queued input
+    /// and the free output slots allow, and one that moves nothing is a
+    /// bare `Stalled` stall — exactly `tick`'s behaviour.
+    fn span_hint(&self, _in_len: &[usize], _out_room: &[usize]) -> Option<SpanPlan> {
+        let mut plan = SpanPlan::of(self.phase(self.pos));
+        let mut pos = self.advance_in_row(self.pos, self.run_len(self.pos));
+        // Runs of one kind merge into one phase (every run does when `pad`
+        // is 0), so bound the walk rather than wait for the chain to fill.
+        for _ in 0..4 * MAX_SPAN_PHASES {
+            if !plan.push(self.phase(pos)) {
+                break;
+            }
+            pos = self.advance_in_row(pos, self.run_len(pos));
         }
-        let plan = SpanPlan::new(ticks as u64, u32::from(!border), 0b1)
-            .at_read_rate(moved, exact_r && !exact_w)
-            .at_write_rate(moved, exact_w)
-            .halting();
-        Some(if !border && in_len[0] == 0 {
-            plan.blocked(Progress::Stalled)
-        } else {
-            plan
-        })
+        Some(plan)
     }
 
     /// One run of same-kind elements at a time: a border run is a fill, an
     /// interior run a queue-to-queue move.
-    fn run_span(&mut self, io: &mut SpanIo<'_>, n: u64) {
-        let mut left = n as usize * io.write_rate();
+    fn run_span(&mut self, io: &mut SpanIo<'_>, _n: u64) {
+        let mut left = io.write_quota(0) as usize;
         while left > 0 {
-            let run = self.run_len().min(left);
-            if self.is_border() {
+            let run = self.run_len(self.pos).min(left);
+            if self.is_border(self.pos) {
                 io.push_fill(0, self.fill, run as u64);
             } else {
                 io.transfer(0, 0, run as u64);
             }
-            self.advance_in_row(run);
+            self.pos = self.advance_in_row(self.pos, run);
             left -= run;
         }
     }
@@ -229,7 +235,8 @@ impl Kernel for PadInserter {
     /// across a steady-state image stream).
     fn replay_token(&self) -> Option<u64> {
         let out = self.output_shape();
-        Some(((self.y * out.w + self.x) * out.c + self.c) as u64)
+        let PadPos { y, x, c } = self.pos;
+        Some(((y * out.w + x) * out.c + c) as u64)
     }
 }
 

@@ -7,7 +7,7 @@
 //! overlaps reading and writing: each tick it may consume one element *and*
 //! emit one pending output.
 
-use dfe_platform::{Io, Kernel, Progress, SpanIo, SpanPlan, WakeHint};
+use dfe_platform::{Io, Kernel, Progress, SpanIo, SpanPhase, SpanPlan, WakeHint};
 use qnn_tensor::Shape3;
 
 /// Pooling operation.
@@ -18,6 +18,16 @@ pub enum PoolOp {
     /// Window sum followed by a right shift of ⌊log₂ k²⌋ — the integral
     /// average pooling used before ResNet-18's classifier.
     AvgShift,
+}
+
+/// The pooling kernel's control state — the counters its port behaviour
+/// follows — as a span chain walks it forward from the live kernel.
+#[derive(Clone, Copy)]
+struct PoolCtl {
+    received: usize,
+    out_pos: usize,
+    /// Results computed but not yet emitted.
+    pending: usize,
 }
 
 /// The streaming pooling kernel. Like the convolution kernel it scans
@@ -200,6 +210,61 @@ impl PoolKernel {
         }
     }
 
+    /// The control state a span chain starts from.
+    fn ctl(&self) -> PoolCtl {
+        PoolCtl {
+            received: self.received,
+            out_pos: self.out_pos,
+            pending: self.pending_len(),
+        }
+    }
+
+    /// The phase that starts in control state `ctl` — emit the pending
+    /// results while absorbing up to the next window's completing element —
+    /// and the control state it leaves: the completed position folded in
+    /// (pending again) and, at the image end, the reset. `None` when there
+    /// is nothing left to do.
+    fn phase(&self, ctl: PoolCtl) -> Option<(SpanPhase, PoolCtl)> {
+        let read_cap = if ctl.out_pos >= self.positions() {
+            self.input.len()
+        } else {
+            // `needed` is a div/mod per *phase* here, not per tick, so the
+            // memo (which needs `&mut self`) is not worth threading through.
+            self.needed(ctl.out_pos)
+        };
+        let reads = read_cap - ctl.received;
+        if reads == 0 && ctl.pending == 0 {
+            return None;
+        }
+        let mut phase =
+            SpanPhase::overlapped(0b1, reads as u64, self.simd, 0b1, ctl.pending as u64, self.pe);
+        if self.simd > 1 {
+            // A wide absorb completing the window with the pending results
+            // out folds the position in and reads on within the tick.
+            phase = phase.spills();
+        }
+        let mut next = PoolCtl {
+            received: read_cap,
+            out_pos: ctl.out_pos,
+            pending: 0,
+        };
+        if next.out_pos < self.positions() {
+            next.out_pos += 1;
+            next.pending = self.input.c;
+        }
+        if next.out_pos == self.positions()
+            && next.received == self.input.len()
+            && next.pending == 0
+        {
+            next = PoolCtl {
+                received: 0,
+                out_pos: 0,
+                pending: 0,
+            };
+        }
+        Some((phase, next))
+    }
+
     /// Image finished: reset for the next one.
     fn reset_if_image_done(&mut self) {
         if self.out_pos == self.positions()
@@ -302,65 +367,22 @@ impl Kernel for PoolKernel {
         (self.simd as u16, self.pe as u16)
     }
 
-    /// Three uniform phases, bounded so no mask change can occur mid-span:
-    /// * emit + absorb while pending outputs and read headroom both last
-    ///   (a refill landing on the final tick is inside that tick, after
-    ///   both ports fired). With a **dry input** the absorb is
-    ///   opportunistic — dense keeps draining `pending` without the read —
-    ///   so the promise suppresses it ([`SpanPlan::opt_reads`]) instead of
-    ///   claiming a read the starved port cannot serve;
-    /// * emit-only while reads are capped at the current window boundary;
-    /// * absorb-only while pending is empty — the promise runs up to the
-    ///   read that completes the window, whose compute fires at span end.
-    ///
-    /// Each side moves what the greedy tick would ([`SpanPlan::greedy`]),
-    /// in whole ticks at that rate. One tick has no uniform description: a
-    /// wide absorb that reaches the window boundary while `pending` is
-    /// empty folds the completed position in and *keeps reading* into the
-    /// next window, so its read count depends on how much is queued — the
-    /// promise is then exact at the window's remainder, or refused when
-    /// more than that is already queued.
-    fn span_hint(&self, in_len: &[usize], out_room: &[usize]) -> Option<SpanPlan> {
-        let read_cap = if self.out_pos >= self.positions() {
-            self.input.len()
-        } else {
-            // `needed` is a div/mod per *burst* here, not per tick, so the
-            // memo (which needs `&mut self`) is not worth threading through.
-            self.needed(self.out_pos)
-        };
-        let reads_left = read_cap - self.received;
-        let pending = self.pending_len();
-        let emit = || SpanPlan::greedy_writes(0b1, self.pe, pending, out_room[0]);
-        // `emptied`: this tick's emit leaves `pending` empty, so a read
-        // that completes the window folds the position in mid-tick.
-        let absorb = |emptied: bool| {
-            let (mut plan, clean) =
-                SpanPlan::greedy_reads(0b1, self.simd, reads_left, in_len[0]);
-            if emptied && reads_left < self.simd {
-                if in_len[0] > reads_left {
-                    return None;
-                }
-                plan.exact_reads = true;
+    /// One overlapped phase per position: emit the pending results (up to
+    /// `pe` per tick, as the output frees) while absorbing (up to `simd`
+    /// per tick, as input arrives) up to the element that completes the
+    /// next window, whose results become pending on the tick after both
+    /// sides are through — chained position after position. A tick that can
+    /// do neither is a bare stall.
+    fn span_hint(&self, _in_len: &[usize], _out_room: &[usize]) -> Option<SpanPlan> {
+        let (first, mut ctl) = self.phase(self.ctl())?;
+        let mut plan = SpanPlan::of(first);
+        while let Some((phase, next)) = self.phase(ctl) {
+            if !plan.push(phase) {
+                break;
             }
-            Some((plan, clean))
-        };
-        match (pending, reads_left) {
-            (0, 0) => None,
-            (0, _) if in_len[0] == 0 => Some(absorb(true)?.0.blocked(Progress::Stalled)),
-            (0, _) => Some(absorb(true)?.0),
-            // Emit without absorb headroom: a blocked emit is a bare stall.
-            (_, 0) => Some(emit().0.halting()),
-            // Dry input can't refill in-span (the opt_reads cap), so a
-            // blocked emit stalls here too.
-            _ if in_len[0] == 0 => Some(emit().0.with_opt_reads(0b1).halting()),
-            // Not halting: a blocked emit still absorbs (`Busy`). Whichever
-            // side finishes cleanly first leaves the other running alone.
-            _ => {
-                let emit = emit();
-                let emptied = out_room[0] > 0 && usize::from(emit.0.write_rate) == pending;
-                Some(SpanPlan::overlapped(emit, absorb(emptied)?))
-            }
+            ctl = next;
         }
+        Some(plan)
     }
 
     /// Control state: absorb count, emit position and the number of queued
@@ -374,51 +396,42 @@ impl Kernel for PoolKernel {
         ]))
     }
 
-    /// `tick`'s state machine one uniform *segment* at a time, like the
-    /// convolution's: a segment runs until the pending results run out or
-    /// the absorb reaches the window's completing element, whichever comes
-    /// first, so no position can complete inside it — its emits go out as
-    /// one slice, its arrivals land in the ring as one run, and the
-    /// completed position is folded in at the boundary.
-    fn run_span(&mut self, io: &mut SpanIo<'_>, n: u64) {
-        let absorb_ok = !io.read_suppressed(0);
-        let (per_read, per_write) = (io.read_rate(), io.write_rate());
-        let mut left = n as usize;
-        while left > 0 {
-            let mut ticks = left;
-            let emitting = self.pending_len() > 0;
-            if emitting {
-                ticks = ticks.min(self.pending_len() / per_write);
+    /// `tick`'s state machine one segment at a time, like the
+    /// convolution's: a segment emits what is pending and absorbs up to the
+    /// window's completing element (both within the quotas), so no position
+    /// can complete inside it — its emits go out as one slice, its arrivals
+    /// land in the ring as one run, and the completed position is folded in
+    /// at the boundary.
+    fn run_span(&mut self, io: &mut SpanIo<'_>, _n: u64) {
+        let (mut reads, mut writes) = (io.read_quota(0) as usize, io.write_quota(0) as usize);
+        loop {
+            let emit = writes.min(self.pending_len());
+            if emit > 0 {
+                io.push_slice(0, &self.pending[self.sent..self.sent + emit]);
+                self.sent += emit;
+                writes -= emit;
             }
             let read_cap = if self.out_pos >= self.positions() {
                 self.input.len()
             } else {
                 self.needed_cached(self.out_pos)
             };
-            let absorbing = absorb_ok && self.received < read_cap;
-            if absorbing {
-                ticks = ticks.min((read_cap - self.received) / per_read);
-            }
-            // A kept promise always leaves a whole tick; a broken one is
-            // caught by the pops below (or the dispatcher's audit).
-            let ticks = ticks.max(1);
-            if emitting {
-                let total = (ticks * per_write).min(self.pending_len());
-                io.push_slice(0, &self.pending[self.sent..self.sent + total]);
-                self.sent += total;
-            }
-            if absorbing {
-                let total = ticks * per_read;
-                io.pop_n(0, total as u64, |vals| {
+            let absorb = reads.min(read_cap - self.received);
+            if absorb > 0 {
+                io.pop_n(0, absorb as u64, |vals| {
                     crate::ring_write(&mut self.ring, self.wr, vals);
                     self.wr = (self.wr + vals.len()) % self.ring.len();
                 });
-                self.received += total;
+                self.received += absorb;
+                reads -= absorb;
             }
             self.fold_completed();
             self.reset_if_image_done();
-            left -= ticks;
+            if emit == 0 && absorb == 0 {
+                break;
+            }
         }
+        debug_assert_eq!((reads, writes), (0, 0), "pool span quota past its promise");
     }
 }
 

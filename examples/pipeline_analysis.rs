@@ -1,6 +1,8 @@
 //! Pipeline analysis: trace a streaming run and report per-kernel
 //! utilization and buffer occupancy — the §IV-B2 bottleneck analysis done
-//! with data instead of intuition.
+//! with data instead of intuition. A traced run steps every cycle, so a
+//! second, untraced run of the same images reports how much of the run the
+//! simulator fast-forwarded in bursts, and why it stepped the rest.
 //!
 //! ```text
 //! cargo run --release --example pipeline_analysis
@@ -56,4 +58,19 @@ fn main() {
     let b = report.bottleneck().expect("kernels exist");
     println!("\nbottleneck: {} ({} busy cycles) — compare §IV-B2's analysis.", b.name, b.busy);
     println!("\n(occupancy/utilization CSV available via Trace::occupancy_csv / utilization_csv)");
+
+    // The same images untraced: the simulator's burst dispatch at work.
+    let compiled = compile(&net, &images, &CompileOptions::default());
+    let mut graphs = compiled.graphs;
+    let g = &mut graphs[0];
+    let untraced = g.run(100_000_000).expect("untraced run");
+    assert_eq!(untraced, report, "tracing must not change the report");
+    let coverage = g.burst_cycles() as f64 / untraced.cycles as f64;
+    println!(
+        "\nuntraced: {} bursts cover {:.1}% of the cycles (mean span {:.1}); burst planner:",
+        g.bursts(),
+        coverage * 100.0,
+        g.burst_cycles() as f64 / g.bursts().max(1) as f64
+    );
+    println!("{}", g.burst_diag());
 }

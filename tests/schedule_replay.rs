@@ -11,8 +11,8 @@
 
 use qnn::compiler::{compile, run_images, CompileOptions, Fold, FoldPlan};
 use qnn::dfe::{
-    Graph, HostSink, HostSource, Io, Kernel, Progress, SchedulerMode, SpanIo, SpanPlan,
-    StallInjector, StreamSpec, WakeHint,
+    Graph, HostSink, HostSource, Io, Kernel, Progress, SchedulerMode, SpanIo, SpanPhase,
+    SpanPlan, StallInjector, StreamSpec, WakeHint,
 };
 use qnn::nn::{models, Network, NetworkSpec};
 use qnn::tensor::Tensor3;
@@ -152,6 +152,163 @@ impl Kernel for SpanAffine {
     fn replay_token(&self) -> Option<u64> {
         Some(0)
     }
+}
+
+/// A stage whose span plan is a chain: it absorbs a batch of `m` elements,
+/// then emits their running sums, one element per tick either way — two
+/// phases per batch, chained batch after batch. A dry input idles it while
+/// absorbing; a full output stalls it while emitting.
+struct Batcher {
+    m: usize,
+    held: Vec<i32>,
+    sent: usize,
+}
+
+impl Batcher {
+    fn new(m: usize) -> Self {
+        Self { m, held: Vec::new(), sent: 0 }
+    }
+
+    fn emitting(&self) -> bool {
+        self.held.len() == self.m
+    }
+
+    /// The running sum of the batch through element `i`.
+    fn sum_through(&self, i: usize) -> i32 {
+        self.held[..=i].iter().fold(0i32, |a, &v| a.wrapping_add(v))
+    }
+
+    fn emitted(&mut self) {
+        self.sent += 1;
+        if self.sent == self.m {
+            self.held.clear();
+            self.sent = 0;
+        }
+    }
+}
+
+impl Kernel for Batcher {
+    fn name(&self) -> &str {
+        "batcher"
+    }
+    fn rearm(&mut self) {
+        self.held.clear();
+        self.sent = 0;
+    }
+    fn tick(&mut self, io: &mut Io<'_>) -> Progress {
+        if self.emitting() {
+            if !io.can_write(0) {
+                return Progress::Stalled;
+            }
+            io.write(0, self.sum_through(self.sent));
+            self.emitted();
+        } else {
+            let Some(v) = io.read(0) else {
+                return Progress::Idle;
+            };
+            self.held.push(v);
+        }
+        Progress::Busy
+    }
+    fn wake_hint(&self) -> WakeHint {
+        WakeHint::Parkable
+    }
+    fn span_hint(&self, _in_len: &[usize], _out_room: &[usize]) -> Option<SpanPlan> {
+        let absorb = |n: usize| SpanPhase::coupled(n as u64, 0b1, 0).stalls(Progress::Idle);
+        let emit = |n: usize| SpanPhase::coupled(n as u64, 0, 0b1).stalls(Progress::Stalled);
+        let mut plan = if self.emitting() {
+            SpanPlan::of(emit(self.m - self.sent))
+        } else {
+            SpanPlan::of(absorb(self.m - self.held.len())).then(emit(self.m))
+        };
+        while plan.push(absorb(self.m)) && plan.push(emit(self.m)) {}
+        Some(plan)
+    }
+    fn run_span(&mut self, io: &mut SpanIo<'_>, _n: u64) {
+        let (mut reads, mut writes) = (io.read_quota(0), io.write_quota(0));
+        while reads + writes > 0 {
+            if self.emitting() {
+                assert!(writes > 0, "batcher span quota ends mid-batch");
+                io.push(0, self.sum_through(self.sent));
+                self.emitted();
+                writes -= 1;
+            } else {
+                assert!(reads > 0, "batcher span quota ends mid-batch");
+                self.held.push(io.pop(0));
+                reads -= 1;
+            }
+        }
+    }
+    fn replay_token(&self) -> Option<u64> {
+        Some((self.held.len() * (self.m + 1) + self.sent) as u64)
+    }
+}
+
+/// Chained participants on the tape: two batchers whose span plans cross
+/// their absorb/emit edges are recorded over one steady-state period and
+/// replayed, bit-identical to dense stepping, in bursts longer than any
+/// single phase. Run again in cycle-budget segments, a segment ends partway
+/// through a replayed period, so the next recorded span fails its guard
+/// (it would overrun the budget) with both batchers mid-chain; live
+/// planning takes over, and the stitched run is still the dense one.
+#[test]
+fn chained_spans_replay_and_fall_back_mid_chain() {
+    const SEGMENT: u64 = 240;
+    let (per_image, images) = (24usize, 20usize);
+    let n = per_image * images;
+    let build = |scheduler| {
+        let mut g = Graph::with_scheduler(scheduler);
+        let data: Vec<i32> = (0..n as i32).map(|v| v % 13).collect();
+        let s0 = g.add_stream(StreamSpec::new("s0", 8, 8));
+        g.add_kernel(
+            Box::new(HostSource::new("src", data).with_period(per_image)),
+            &[],
+            &[s0],
+        );
+        let s1 = g.add_stream(StreamSpec::new("s1", 8, 8));
+        g.add_kernel(Box::new(Batcher::new(4)), &[s0], &[s1]);
+        let s2 = g.add_stream(StreamSpec::new("s2", 8, 8));
+        g.add_kernel(Box::new(Batcher::new(6)), &[s1], &[s2]);
+        let (sink, handle) = HostSink::new("dst", n);
+        g.add_kernel(Box::new(sink.with_period(per_image)), &[s2], &[]);
+        g.set_replay_marker(s2, per_image as u64);
+        (g, handle)
+    };
+    let (mut g, handle) = build(SchedulerMode::Dense);
+    let dense = g.run(1_000_000).expect("dense run");
+    let expect = handle.take();
+
+    let (mut g, handle) = build(Replay);
+    let report = g.run(1_000_000).expect("replay run");
+    assert_eq!(handle.take(), expect);
+    assert_eq!(report, dense);
+    let whole = g.replay_diag();
+    assert!(whole.images_replayed >= 8, "replay barely engaged: {whole:?}");
+    assert!(whole.spans_bypassed > 0, "replayed images must bypass planning: {whole:?}");
+    let mean_span = g.burst_cycles() as f64 / g.bursts() as f64;
+    assert!(mean_span > 6.0, "bursts of {mean_span:.1} cycles never crossed a phase edge");
+
+    let (mut g, handle) = build(Replay);
+    let mut total = 0;
+    let report = loop {
+        match g.run_opts(SEGMENT, false) {
+            Ok(report) => break report,
+            Err(_) => {
+                total += SEGMENT;
+                assert!(total < 1_000_000, "segmented run wedged");
+            }
+        }
+    };
+    assert_eq!(handle.take(), expect, "segmented outputs diverged");
+    assert_eq!(report.kernels, dense.kernels);
+    assert_eq!(report.streams, dense.streams);
+    assert_eq!(total + report.cycles, dense.cycles);
+    let cut = g.replay_diag();
+    assert!(cut.images_replayed > 0, "segments left no room to replay: {cut:?}");
+    assert!(
+        cut.guard_fallbacks > whole.guard_fallbacks,
+        "no segment end cut a replayed period: {cut:?} vs {whole:?}"
+    );
 }
 
 /// Stall-injected pipelines with an armed marker: the injector has no
