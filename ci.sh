@@ -13,6 +13,8 @@
 #   ci.sh                tier-1: offline release build + full test suite
 #                        + clippy + the no-ambient-configuration guard
 #                        (only crates/testkit may read the environment)
+#                        + the single-threaded-simulator guard (no mpsc or
+#                        atomics in crates/dfe/src)
 #   ci.sh soak           NOT tier-1: the property suites, in release, at
 #                        QNN_TEST_CASES=1024 (overridable) — a long-running
 #                        hunt for rare ring-buffer/stall/scheduler/re-arm/
@@ -154,6 +156,11 @@ run cargo clippy --all-targets --offline -- -D warnings
 # test/bench harness knobs (QNN_TEST_*, QNN_BENCH_*) read the environment.
 if grep -rn 'env::var' crates/*/src --include='*.rs' | grep -v '^crates/testkit/'; then
   echo "ci.sh: env::var outside crates/testkit (see above)" >&2; exit 1
+fi
+# The simulator is single-threaded: a device is a tag on one graph, so no
+# cross-thread channel or atomic belongs in it.
+if grep -rn 'mpsc\|atomic::' crates/dfe/src; then
+  echo "ci.sh: cross-thread primitive in crates/dfe/src (see above)" >&2; exit 1
 fi
 
 echo "ci.sh: all green"

@@ -13,7 +13,9 @@
 //!   resource budget;
 //! * default FIFO capacity — a small candidate sweep (elasticity vs BRAM);
 //! * device cuts — greedy contiguous first-fit of fold-aware per-stage
-//!   resource estimates onto the budget's device type.
+//!   resource estimates onto the budget's device type, refusing any cut
+//!   the default MaxRing cannot carry at the device's clock (as
+//!   [`partition`](crate::partition()) does).
 //!
 //! Every candidate is scored analytically
 //! (`hw_model::cycles::analyze_folded` + `estimate_stage_folded`),
@@ -24,7 +26,8 @@
 //! estimator's promises against the cycle simulator.
 
 use crate::lower::CompileOptions;
-use dfe_platform::{DeviceSpec, ResourceUsage};
+use crate::partition::Partition;
+use dfe_platform::{DeviceSpec, MaxRing, ResourceUsage};
 use hw_model::resources::{estimate_stage_folded, PER_DFE_INFRA_BRAM_KBITS};
 use hw_model::{CycleModel, Fold, FoldPlan};
 use qnn_nn::NetworkSpec;
@@ -134,7 +137,8 @@ fn foldable(name: &str) -> bool {
 /// Greedy contiguous first-fit of fold-aware stage estimates, charging a
 /// per-kernel FIFO BRAM term for the chosen default capacity. Returns the
 /// per-stage device map and per-device usage, or `None` when any stage
-/// alone (or the chain) exceeds the budget.
+/// alone (or the chain) exceeds the budget or a cut exceeds the default
+/// MaxRing's bandwidth.
 fn place(
     spec: &NetworkSpec,
     plan: &FoldPlan,
@@ -157,6 +161,10 @@ fn place(
         if cur.plus(need).fits(&budget.device) {
             *cur = cur.plus(need);
         } else {
+            let cut = Partition::cut_bits(spec, i);
+            if !MaxRing::default().supports(&cut, budget.device.fclk_mhz) {
+                return None;
+            }
             per_device.push(infra.plus(need));
         }
         stage_device.push(per_device.len() - 1);
@@ -290,7 +298,8 @@ pub fn pick(spec: &NetworkSpec, budget: &ResourceBudget) -> Option<DesignPoint> 
 mod tests {
     use super::*;
     use dfe_platform::{STRATIX_10_GX2800, STRATIX_V_5SGSD8};
-    use qnn_nn::models;
+    use qnn_nn::{models, PoolKind, ResidualGeometry, SpecBuilder};
+    use qnn_tensor::{ConvGeometry, FilterShape, Shape3};
 
     #[test]
     fn resnet18_frontier_beats_uniform() {
@@ -354,5 +363,47 @@ mod tests {
         let point = pick(&spec, &budget).expect("test_net fits");
         let net = qnn_nn::Network::random(spec.clone(), 7);
         crate::lower::validate_options(&net, &point.compile_options()).expect("options valid");
+    }
+
+    /// Stem, two identity residual blocks, classifier, on a device whose
+    /// LUTs hold the stem and one block but not both blocks. Every
+    /// two-device placement then cuts between the blocks, where the 2-bit
+    /// stream and the 16-bit skip cross together: 18 bits × 525 MHz =
+    /// 9.45 Gbps against the default ring's 4. At 105 MHz (1.89 Gbps) the
+    /// same cut is fine.
+    #[test]
+    fn a_cut_the_ring_cannot_carry_is_not_a_design_point() {
+        let input = Shape3::square(8, 3);
+        let stem = ConvGeometry::new(input, FilterShape::new(3, 3, 16), 1, 1);
+        let conv = ConvGeometry::new(stem.output(), FilterShape::new(3, 16, 16), 1, 1);
+        let block = ResidualGeometry { conv1: conv, conv2: conv, downsample: None };
+        let spec = SpecBuilder::new("skip-cut", input, 2)
+            .conv_input(stem)
+            .residual(block)
+            .residual(block)
+            .pool(block.output(), 8, 8, 0, PoolKind::AvgSum)
+            .fully_connected(16, 4, false)
+            .try_build()
+            .expect("valid spec");
+        let luts = |i: usize| {
+            estimate_stage_folded(&spec.stages[i], 2, i, &FoldPlan::new()).usage.luts
+        };
+        let mut device = STRATIX_10_GX2800;
+        let usable = luts(0) + luts(1) + luts(2) / 2;
+        device.luts = (usable as f64 / device.usable_fraction).ceil() as u64;
+        let cfg = DseConfig::default();
+
+        let fast = explore(&spec, &ResourceBudget::new(device, 2), &cfg);
+        assert!(fast.points.iter().all(|p| p.num_devices() == 1), "{:?}", fast.points);
+        let slow = explore(
+            &spec,
+            &ResourceBudget::new(DeviceSpec { fclk_mhz: 105.0, ..device }, 2),
+            &cfg,
+        );
+        assert!(
+            slow.points.iter().any(|p| p.stage_device == [0, 0, 1, 1, 1]),
+            "{:?}",
+            slow.points
+        );
     }
 }

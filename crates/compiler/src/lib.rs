@@ -10,10 +10,10 @@
 //! [`partition()`] places stages onto one or more DFEs (greedy, contiguous,
 //! first-fit against the device's usable resources — §III-B6) and verifies
 //! every cut against the MaxRing bandwidth budget. [`compile`] then builds
-//! one [`dfe_platform::Graph`] per device, inserting channel-backed ring
-//! hops at the cuts, so the same network runs on one device under the cycle
-//! scheduler or across devices under the lockstep executor — with
-//! bit-identical results.
+//! one [`dfe_platform::Graph`] whatever the placement: a device is a tag on
+//! each kernel and stream, a cut is an ordinary stream, and a run's report
+//! is split per device by tag ([`SimResult::reports`]) — so a cut network
+//! computes, clocks and bursts exactly like the uncut one.
 
 #![forbid(unsafe_code)]
 

@@ -1,9 +1,8 @@
-//! Lowering: network spec + parameters → streaming kernel graph(s).
+//! Lowering: network spec + parameters → one streaming kernel graph.
 
-use dfe_platform::threaded::{link, LinkHandle};
 use dfe_platform::{
-    Graph, HostSink, HostSource, Kernel, SchedulerMode, SinkHandle, SourceHandle, StreamId,
-    StreamSpec,
+    CycleReport, Graph, HostSink, HostSource, Kernel, ReplayDiag, SchedulerMode, SinkHandle,
+    SourceHandle, StreamId, StreamSpec,
 };
 use hw_model::{CycleModel, Fold, FoldPlan};
 use qnn_kernels::loader::encode_conv_params;
@@ -27,22 +26,20 @@ pub struct CompileOptions {
     /// buffers are small; 512 gives ample elasticity without hiding
     /// backpressure effects.
     pub fifo_capacity: usize,
-    /// Capacity of cross-device ring channels (elements).
-    pub ring_capacity: usize,
     /// Device index per stage (`None` ⇒ everything on one device). Obtain
-    /// from [`crate::partition()`].
+    /// from [`crate::partition()`]. A device is a tag: the network lowers
+    /// to the same one graph whatever the placement, and the tags only
+    /// split its report per device (see [`crate::SimResult::reports`]).
     pub stage_device: Option<Vec<usize>>,
     /// Stream parameters over per-kernel CPU links before inference
     /// (§III-B1a) instead of instantiating pre-filled caches. Functionally
     /// identical; adds the one-time load cycles to the run.
     pub stream_parameters: bool,
-    /// Scheduler tier for every compiled device graph (and so every
+    /// Scheduler tier for the compiled graph (and so every
     /// `qnn-serve` replica worker): `Dense < ReadyList < Span < Replay`,
     /// each a host-side fast-forward of the tier below and all
     /// bit-identical in outputs and reports. The default is the top tier;
     /// `Dense` is the oracle the differential batteries compare against.
-    /// Multi-device graphs are stepped by the lockstep executor, where
-    /// `Span` and `Replay` step as `ReadyList`.
     pub scheduler: SchedulerMode,
     /// Busy-path datapath for every convolution kernel. Packed (the
     /// default) and ScalarReference (the oracle) are bit-identical in
@@ -75,7 +72,6 @@ impl Default for CompileOptions {
     fn default() -> Self {
         Self {
             fifo_capacity: 512,
-            ring_capacity: 4096,
             stage_device: None,
             stream_parameters: false,
             scheduler: SchedulerMode::default(),
@@ -98,6 +94,13 @@ pub enum OptionsError {
     UnknownStream(String),
     /// A `fifo_overrides` entry had capacity 0.
     ZeroFifoCapacity(String),
+    /// `stage_device` did not name exactly one device per stage.
+    StageDeviceCount {
+        /// Stages in the network.
+        stages: usize,
+        /// Entries in `stage_device`.
+        got: usize,
+    },
 }
 
 impl std::fmt::Display for OptionsError {
@@ -115,22 +118,28 @@ impl std::fmt::Display for OptionsError {
             OptionsError::ZeroFifoCapacity(s) => {
                 write!(f, "fifo_overrides for {s:?} has capacity 0; streams need at least one slot")
             }
+            OptionsError::StageDeviceCount { stages, got } => {
+                write!(f, "stage_device has {got} entries for {stages} stages; it needs one device per stage")
+            }
         }
     }
 }
 
 impl std::error::Error for OptionsError {}
 
-/// A compiled network: one graph per device plus the logits sink handle.
+/// A compiled network: its one graph plus the logits sink handle.
 ///
 /// Lowering and loading are separate steps. [`elaborate`] builds the
-/// kernels, rings and FIFOs once; [`CompiledNetwork::load`] arms that
-/// pipeline for one batch of images and can be called again after each
+/// kernels and FIFOs once; [`CompiledNetwork::load`] arms that pipeline
+/// for one batch of images and can be called again after each
 /// [`CompiledNetwork::run`], so a long-lived owner (a `qnn-serve` replica)
 /// lowers its network once per weight version instead of once per batch.
 /// [`try_compile`] is the two steps back to back.
 pub struct CompiledNetwork {
-    /// Device graphs in ring order. Length 1 for single-DFE builds.
+    /// The network's graph. Always exactly one, whatever `stage_device`
+    /// says: a device is a tag on kernels and streams, not a graph. (A
+    /// `Vec` only because the repo benchmark's allowed API surface,
+    /// `benchmark/README.md`, lists it.)
     pub graphs: Vec<Graph>,
     /// Handle collecting `classes × images` logits.
     pub sink: SinkHandle,
@@ -141,8 +150,8 @@ pub struct CompiledNetwork {
     /// Shape every loaded image must have.
     input: Shape3,
     source: SourceHandle,
-    /// Each inter-device link with the elements it carries per image.
-    links: Vec<(LinkHandle, u64)>,
+    /// Device tags of a network cut across devices; `None` on one device.
+    pub(crate) placement: Option<Placement>,
     /// Generous cycle budget per loaded image: several times the fully
     /// serialized bound (a correct pipeline finishes far earlier; a wedged
     /// one times out).
@@ -157,10 +166,10 @@ pub struct CompiledNetwork {
 
 impl CompiledNetwork {
     /// Arm the pipeline for one batch: hand `images` to the host source,
-    /// size the sink and every inter-device link for that many images, and
-    /// re-arm every device graph ([`Graph::rearm`]). The next run then
-    /// behaves exactly as on a [`try_compile`] of the same batch — same
-    /// logits, same cycle reports, same dispatch diagnostics.
+    /// size the sink for that many images, and re-arm the graph
+    /// ([`Graph::rearm`]). The next run then behaves exactly as on a
+    /// [`try_compile`] of the same batch — same logits, same cycle
+    /// reports, same dispatch diagnostics.
     ///
     /// # Panics
     /// Panics on an empty batch, on an image of the wrong shape, and on an
@@ -175,26 +184,60 @@ impl CompiledNetwork {
         }
         self.source.refill(pixels);
         self.sink.set_expected(self.classes * images.len());
-        for (link, per_image) in &self.links {
-            link.set_expected(per_image * images.len() as u64);
-        }
         self.graphs.iter_mut().for_each(Graph::rearm);
         self.images = images.len();
     }
 }
 
-/// A stream endpoint: device index + stream id within that device's graph.
+/// Which device each kernel and stream of a cut network's graph sits on.
+/// A kernel takes its stage's device and a stream its reader's, so a
+/// stream crossing a cut is tagged with the downstream device.
+pub(crate) struct Placement {
+    devices: usize,
+    /// Device per kernel, in node order.
+    kernels: Vec<usize>,
+    /// Device per stream, in stream order.
+    streams: Vec<usize>,
+    /// Device of the logits sink, whose report carries the replay
+    /// diagnostics.
+    logits: usize,
+}
+
+impl Placement {
+    /// Split the run's report into one report per device: the shared
+    /// clock, that device's kernels and streams in graph order, and the
+    /// replay diagnostics on the logits device only, so sums over devices
+    /// count each once.
+    pub(crate) fn project(&self, report: &CycleReport) -> Vec<CycleReport> {
+        fn on<T: Clone>(items: &[T], tags: &[usize], d: usize) -> Vec<T> {
+            items.iter().zip(tags).filter(|&(_, &t)| t == d).map(|(x, _)| x.clone()).collect()
+        }
+        (0..self.devices)
+            .map(|d| CycleReport {
+                cycles: report.cycles,
+                kernels: on(&report.kernels, &self.kernels, d),
+                streams: on(&report.streams, &self.streams, d),
+                replay: if d == self.logits { report.replay } else { ReplayDiag::default() },
+            })
+            .collect()
+    }
+}
+
+/// A stream endpoint: its id, plus its index in the builder's device tags.
 #[derive(Clone, Copy, Debug)]
 struct Wire {
-    device: usize,
     id: StreamId,
+    ix: usize,
 }
 
 struct Builder {
-    graphs: Vec<Graph>,
+    graph: Graph,
+    /// Device of the stage being lowered: every kernel added is tagged
+    /// with it, and so is every stream that kernel reads.
+    device: usize,
+    kernel_device: Vec<usize>,
+    stream_device: Vec<usize>,
     fifo_capacity: usize,
-    ring_capacity: usize,
-    links: Vec<(LinkHandle, u64)>,
     stream_parameters: bool,
     act_bits: u32,
     conv_datapath: ConvDatapath,
@@ -203,21 +246,19 @@ struct Builder {
     folds: Vec<(String, Fold, bool)>,
     /// FIFO capacity overrides with a consumed flag, same discipline.
     fifos: Vec<(String, usize, bool)>,
-    /// Stall-injection setting and a running kernel counter for per-kernel
-    /// seed derivation.
+    /// Stall-injection setting; each kernel's seed is derived from its
+    /// node index.
     stall: Option<(u64, u8)>,
-    kernel_seq: u64,
 }
 
 impl Builder {
-    fn new(devices: usize, opts: &CompileOptions, act_bits: u32) -> Self {
+    fn new(opts: &CompileOptions, act_bits: u32) -> Self {
         Self {
-            graphs: (0..devices)
-                .map(|_| Graph::with_scheduler(opts.scheduler))
-                .collect(),
+            graph: Graph::with_scheduler(opts.scheduler),
+            device: 0,
+            kernel_device: Vec::new(),
+            stream_device: Vec::new(),
             fifo_capacity: opts.fifo_capacity,
-            ring_capacity: opts.ring_capacity,
-            links: Vec::new(),
             stream_parameters: opts.stream_parameters,
             act_bits,
             conv_datapath: opts.conv_datapath,
@@ -233,7 +274,6 @@ impl Builder {
                 .map(|(n, c)| (n.clone(), *c, false))
                 .collect(),
             stall: opts.stall_injection,
-            kernel_seq: 0,
         }
     }
 
@@ -248,7 +288,7 @@ impl Builder {
         Fold::UNIT
     }
 
-    fn stream(&mut self, device: usize, name: String, bits: u32, capacity: usize) -> Wire {
+    fn stream(&mut self, name: String, bits: u32, capacity: usize) -> Wire {
         let mut capacity = capacity;
         for (n, c, used) in &mut self.fifos {
             if *n == name {
@@ -256,59 +296,30 @@ impl Builder {
                 capacity = *c;
             }
         }
-        let id = self.graphs[device].add_stream(StreamSpec::new(name, bits, capacity));
-        Wire { device, id }
+        let id = self.graph.add_stream(StreamSpec::new(name, bits, capacity));
+        // Re-tagged with the reader's device once a kernel reads it.
+        self.stream_device.push(self.device);
+        Wire { id, ix: self.stream_device.len() - 1 }
     }
 
-    fn kernel(&mut self, device: usize, k: Box<dyn Kernel>, inputs: &[Wire], outputs: &[Wire]) {
+    fn kernel(&mut self, k: Box<dyn Kernel>, inputs: &[Wire], outputs: &[Wire]) {
         // Stall injection wraps every kernel with its own splitmix-spread
         // seed, so each one sees an independent stall pattern.
         let k = match self.stall {
             Some((seed, pct)) => {
-                let per_kernel = seed ^ self.kernel_seq.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                let seq = self.kernel_device.len() as u64;
+                let per_kernel = seed ^ seq.wrapping_mul(0x9E37_79B9_7F4A_7C15);
                 dfe_platform::StallInjector::wrap(k, per_kernel, pct)
             }
             None => k,
         };
-        self.kernel_seq += 1;
-        let ins: Vec<StreamId> = inputs
-            .iter()
-            .map(|w| {
-                assert_eq!(
-                    w.device, device,
-                    "input wire crosses devices without a link"
-                );
-                w.id
-            })
-            .collect();
-        let outs: Vec<StreamId> = outputs
-            .iter()
-            .map(|w| {
-                assert_eq!(
-                    w.device, device,
-                    "output wire crosses devices without a link"
-                );
-                w.id
-            })
-            .collect();
-        self.graphs[device].add_kernel(k, &ins, &outs);
-    }
-
-    /// Move `wire` — `per_image` elements an image — to `device` through a
-    /// MaxRing channel if needed.
-    #[allow(clippy::wrong_self_convention)] // "to" = destination device, not a conversion
-    fn to_device(&mut self, wire: Wire, device: usize, bits: u32, per_image: usize) -> Wire {
-        if wire.device == device {
-            return wire;
+        for w in inputs {
+            self.stream_device[w.ix] = self.device;
         }
-        let name = format!("ring{}", self.links.len());
-        // Sized by `CompiledNetwork::load`, once the batch is known.
-        let (egress, ingress) = link(&name, self.ring_capacity, 0);
-        self.links.push((egress.handle(), per_image as u64));
-        self.kernel(wire.device, Box::new(egress), &[wire], &[]);
-        let out = self.stream(device, format!("{name}.out"), bits, self.fifo_capacity);
-        self.kernel(device, Box::new(ingress), &[], &[out]);
-        out
+        self.kernel_device.push(self.device);
+        let ins: Vec<StreamId> = inputs.iter().map(|w| w.id).collect();
+        let outs: Vec<StreamId> = outputs.iter().map(|w| w.id).collect();
+        self.graph.add_kernel(k, &ins, &outs);
     }
 
     /// Pad (if needed) then convolve. Returns the output wire. `geom` is
@@ -317,7 +328,6 @@ impl Builder {
     #[allow(clippy::too_many_arguments)]
     fn conv(
         &mut self,
-        device: usize,
         label: &str,
         input: Wire,
         geom: &ConvGeometry,
@@ -333,16 +343,10 @@ impl Builder {
         };
         let fold = self.fold_for(label);
         let conv_in = if geom.pad > 0 {
-            let padded = self.stream(
-                device,
-                format!("{label}.padded"),
-                in_bits,
-                self.fifo_capacity,
-            );
+            let padded = self.stream(format!("{label}.padded"), in_bits, self.fifo_capacity);
             // The pad inserter widens with the conv's input side so it
             // never throttles a folded consumer.
             self.kernel(
-                device,
                 Box::new(
                     PadInserter::new(format!("{label}.pad"), geom.input, geom.pad, 0)
                         .with_lanes(fold.simd),
@@ -355,20 +359,18 @@ impl Builder {
             input
         };
         let padded_geom = ConvGeometry::new(geom.padded_input(), geom.filter, geom.stride, 0);
-        let out = self.stream(device, format!("{label}.out"), out_bits, out_capacity);
+        let out = self.stream(format!("{label}.out"), out_bits, out_capacity);
         if self.stream_parameters {
             // §III-B1a: caches are filled from a CPU parameter stream
             // before the first image; the kernel binarizes on arrival.
             let blob = encode_conv_params(filters, thresholds, self.act_bits);
-            let params = self.stream(device, format!("{label}.params"), 32, self.fifo_capacity);
+            let params = self.stream(format!("{label}.params"), 32, self.fifo_capacity);
             self.kernel(
-                device,
                 Box::new(HostSource::new(format!("{label}.param_src"), blob)),
                 &[],
                 &[params],
             );
             self.kernel(
-                device,
                 Box::new(
                     ConvKernel::new_streamed(
                         label.to_string(),
@@ -385,7 +387,6 @@ impl Builder {
             );
         } else {
             self.kernel(
-                device,
                 Box::new(
                     ConvKernel::new(
                         label.to_string(),
@@ -425,7 +426,7 @@ fn skip_capacity(geom: &qnn_nn::ResidualGeometry) -> usize {
     b1 + b2 + geom.conv2.filter.o + 256
 }
 
-/// Compile a network over `images` into per-device graphs, panicking on
+/// Compile a network over `images` into its graph, panicking on
 /// invalid per-layer overrides (see [`try_compile`] for the checked form).
 pub fn compile(net: &Network, images: &[Tensor3<i8>], opts: &CompileOptions) -> CompiledNetwork {
     match try_compile(net, images, opts) {
@@ -440,7 +441,7 @@ pub fn validate_options(net: &Network, opts: &CompileOptions) -> Result<(), Opti
     elaborate(net, opts).map(|_| ())
 }
 
-/// Compile a network over `images` into per-device graphs, rejecting
+/// Compile a network over `images` into its graph, rejecting
 /// invalid `layer_folding` / `fifo_overrides` entries with a typed error:
 /// [`elaborate`], then [`CompiledNetwork::load`].
 pub fn try_compile(
@@ -453,10 +454,10 @@ pub fn try_compile(
     Ok(compiled)
 }
 
-/// Lower a network into per-device graphs with nothing loaded yet,
-/// rejecting invalid `layer_folding` / `fifo_overrides` entries with a
-/// typed error. Everything that does not depend on a batch happens here,
-/// once: kernels with their packed weights, FIFOs, inter-device rings, the
+/// Lower a network into its graph with nothing loaded yet, rejecting
+/// invalid `layer_folding` / `fifo_overrides` / `stage_device` entries
+/// with a typed error. Everything that does not depend on a batch happens
+/// here, once: kernels with their packed weights, FIFOs, device tags, the
 /// replay marker and the per-image cycle budget.
 pub fn elaborate(net: &Network, opts: &CompileOptions) -> Result<CompiledNetwork, OptionsError> {
     for (label, fold) in opts.layer_folding.entries() {
@@ -471,43 +472,35 @@ pub fn elaborate(net: &Network, opts: &CompileOptions) -> Result<CompiledNetwork
     }
     let spec = &net.spec;
     let act_bits = spec.act_bits;
-    let stage_device: Vec<usize> = opts
-        .stage_device
-        .clone()
-        .unwrap_or_else(|| vec![0; spec.stages.len()]);
-    assert_eq!(
-        stage_device.len(),
-        spec.stages.len(),
-        "one device per stage"
-    );
+    let stage_device: Vec<usize> = match &opts.stage_device {
+        Some(sd) if sd.len() != spec.stages.len() => {
+            return Err(OptionsError::StageDeviceCount {
+                stages: spec.stages.len(),
+                got: sd.len(),
+            });
+        }
+        Some(sd) => sd.clone(),
+        None => vec![0; spec.stages.len()],
+    };
     let devices = stage_device.iter().max().copied().unwrap_or(0) + 1;
 
-    let mut b = Builder::new(devices, opts, act_bits);
+    let mut b = Builder::new(opts, act_bits);
 
-    // Image source on the first device; `load` hands it each batch.
-    let mut prev = b.stream(stage_device[0], "image".into(), 8, opts.fifo_capacity);
+    // Image source on the first stage's device; `load` hands it each batch.
+    b.device = stage_device[0];
+    let mut prev = b.stream("image".into(), 8, opts.fifo_capacity);
     let (source, source_handle) = HostSource::new("host.src", Vec::new())
         .with_period(spec.input.len())
         .refillable();
-    b.kernel(stage_device[0], Box::new(source), &[], &[prev]);
-    let mut prev_shape = spec.input;
-    let mut prev_bits = 8u32;
+    b.kernel(Box::new(source), &[], &[prev]);
     // Carried skip stream (produced by an identity-linked residual stage).
     let mut skip: Option<Wire> = None;
 
-    let mut logits_wire: Option<Wire> = None;
+    // The logits wire and the device of the layer writing it.
+    let mut logits_wire: Option<(Wire, usize)> = None;
 
     for (i, (stage, params)) in spec.stages.iter().zip(&net.params).enumerate() {
-        let dev = stage_device[i];
-        prev = b.to_device(prev, dev, prev_bits, prev_shape.len());
-        if let Some(s) = skip {
-            // Skip crosses the cut only when the consumer needs it.
-            let consumed_here =
-                matches!(stage, Stage::Residual { geom } if geom.downsample.is_none());
-            if consumed_here && s.device != dev {
-                skip = Some(b.to_device(s, dev, 16, prev_shape.len()));
-            }
-        }
+        b.device = stage_device[i];
         // Does the *next* stage consume a carried skip?
         let next_wants_skip = matches!(
             spec.stages.get(i + 1),
@@ -523,7 +516,6 @@ pub fn elaborate(net: &Network, opts: &CompileOptions) -> Result<CompiledNetwork
                 },
             ) => {
                 prev = b.conv(
-                    dev,
                     &format!("conv{i}"),
                     prev,
                     geom,
@@ -533,8 +525,6 @@ pub fn elaborate(net: &Network, opts: &CompileOptions) -> Result<CompiledNetwork
                     act_bits,
                     opts.fifo_capacity,
                 );
-                prev_shape = geom.output();
-                prev_bits = act_bits;
                 skip = None;
             }
             (
@@ -545,7 +535,6 @@ pub fn elaborate(net: &Network, opts: &CompileOptions) -> Result<CompiledNetwork
                 },
             ) => {
                 prev = b.conv(
-                    dev,
                     &format!("conv{i}"),
                     prev,
                     geom,
@@ -555,8 +544,6 @@ pub fn elaborate(net: &Network, opts: &CompileOptions) -> Result<CompiledNetwork
                     act_bits,
                     opts.fifo_capacity,
                 );
-                prev_shape = geom.output();
-                prev_bits = act_bits;
                 skip = None;
             }
             (
@@ -571,10 +558,8 @@ pub fn elaborate(net: &Network, opts: &CompileOptions) -> Result<CompiledNetwork
             ) => {
                 let fold = b.fold_for(&format!("pool{i}"));
                 let pool_in = if *pad > 0 {
-                    let padded =
-                        b.stream(dev, format!("pool{i}.padded"), act_bits, opts.fifo_capacity);
+                    let padded = b.stream(format!("pool{i}.padded"), act_bits, opts.fifo_capacity);
                     b.kernel(
-                        dev,
                         Box::new(
                             PadInserter::new(format!("pool{i}.pad"), *input, *pad, 0)
                                 .with_lanes(fold.simd),
@@ -593,12 +578,9 @@ pub fn elaborate(net: &Network, opts: &CompileOptions) -> Result<CompiledNetwork
                 };
                 let kernel = PoolKernel::new(format!("pool{i}"), padded_shape, *k, *stride, op)
                     .with_folding(fold.pe, fold.simd);
-                let out_shape = kernel.output_shape();
-                let out = b.stream(dev, format!("pool{i}.out"), act_bits, opts.fifo_capacity);
-                b.kernel(dev, Box::new(kernel), &[pool_in], &[out]);
+                let out = b.stream(format!("pool{i}.out"), act_bits, opts.fifo_capacity);
+                b.kernel(Box::new(kernel), &[pool_in], &[out]);
                 prev = out;
-                prev_shape = out_shape;
-                prev_bits = act_bits;
                 skip = None;
             }
             (
@@ -626,7 +608,6 @@ pub fn elaborate(net: &Network, opts: &CompileOptions) -> Result<CompiledNetwork
                     (None, 32)
                 };
                 prev = b.conv(
-                    dev,
                     &format!("fc{i}"),
                     prev,
                     &geom,
@@ -636,11 +617,9 @@ pub fn elaborate(net: &Network, opts: &CompileOptions) -> Result<CompiledNetwork
                     out_bits,
                     opts.fifo_capacity,
                 );
-                prev_shape = Shape3::new(1, 1, *out_features);
-                prev_bits = out_bits;
                 skip = None;
                 if !bn_act {
-                    logits_wire = Some(prev);
+                    logits_wire = Some((prev, b.device));
                 }
             }
             (
@@ -658,17 +637,14 @@ pub fn elaborate(net: &Network, opts: &CompileOptions) -> Result<CompiledNetwork
                     (Some(ds_geom), Some(ds_filters)) => {
                         // Split the regular input; the skip path goes
                         // through the 1×1 strided downsample conv.
-                        let a = b.stream(dev, format!("res{i}.a"), act_bits, opts.fifo_capacity);
-                        let ds_in =
-                            b.stream(dev, format!("res{i}.dsin"), act_bits, skip_capacity(geom));
+                        let a = b.stream(format!("res{i}.a"), act_bits, opts.fifo_capacity);
+                        let ds_in = b.stream(format!("res{i}.dsin"), act_bits, skip_capacity(geom));
                         b.kernel(
-                            dev,
                             Box::new(SplitKernel::new(format!("res{i}.split_in"))),
                             &[prev],
                             &[a, ds_in],
                         );
                         let ds_out = b.conv(
-                            dev,
                             &format!("res{i}.ds"),
                             ds_in,
                             &ds_geom,
@@ -688,12 +664,9 @@ pub fn elaborate(net: &Network, opts: &CompileOptions) -> Result<CompiledNetwork
                         Some(s) => (prev, s),
                         None => {
                             // Chain head: skip is the widened regular input.
-                            let a =
-                                b.stream(dev, format!("res{i}.a"), act_bits, opts.fifo_capacity);
-                            let s =
-                                b.stream(dev, format!("res{i}.skipbuf"), 16, skip_capacity(geom));
+                            let a = b.stream(format!("res{i}.a"), act_bits, opts.fifo_capacity);
+                            let s = b.stream(format!("res{i}.skipbuf"), 16, skip_capacity(geom));
                             b.kernel(
-                                dev,
                                 Box::new(SplitKernel::new(format!("res{i}.split_in"))),
                                 &[prev],
                                 &[a, s],
@@ -706,7 +679,6 @@ pub fn elaborate(net: &Network, opts: &CompileOptions) -> Result<CompiledNetwork
 
                 // --- conv path: conv1 (+BN+act) → conv2 (raw) ---
                 let mid = b.conv(
-                    dev,
                     &format!("res{i}.conv1"),
                     conv_in,
                     &geom.conv1,
@@ -717,7 +689,6 @@ pub fn elaborate(net: &Network, opts: &CompileOptions) -> Result<CompiledNetwork
                     opts.fifo_capacity,
                 );
                 let c2 = b.conv(
-                    dev,
                     &format!("res{i}.conv2"),
                     mid,
                     &geom.conv2,
@@ -729,15 +700,13 @@ pub fn elaborate(net: &Network, opts: &CompileOptions) -> Result<CompiledNetwork
                 );
 
                 // --- adder and the output split of Fig. 2 ---
-                let z = b.stream(dev, format!("res{i}.z"), 16, opts.fifo_capacity);
+                let z = b.stream(format!("res{i}.z"), 16, opts.fifo_capacity);
                 b.kernel(
-                    dev,
                     Box::new(AddKernel::new(format!("res{i}.add"))),
                     &[c2, skip_in],
                     &[z],
                 );
 
-                let out_shape = geom.output();
                 let thr_in = if next_wants_skip {
                     // Split z: one copy continues as the next block's skip,
                     // sized for that block's path delay.
@@ -745,15 +714,9 @@ pub fn elaborate(net: &Network, opts: &CompileOptions) -> Result<CompiledNetwork
                         Stage::Residual { geom } => geom,
                         _ => unreachable!("lookahead said residual"),
                     };
-                    let z_a = b.stream(dev, format!("res{i}.z_a"), 16, opts.fifo_capacity);
-                    let z_skip = b.stream(
-                        dev,
-                        format!("res{i}.skipbuf"),
-                        16,
-                        skip_capacity(&next_geom),
-                    );
+                    let z_a = b.stream(format!("res{i}.z_a"), 16, opts.fifo_capacity);
+                    let z_skip = b.stream(format!("res{i}.skipbuf"), 16, skip_capacity(&next_geom));
                     b.kernel(
-                        dev,
                         Box::new(SplitKernel::new(format!("res{i}.split_out"))),
                         &[z],
                         &[z_a, z_skip],
@@ -764,16 +727,13 @@ pub fn elaborate(net: &Network, opts: &CompileOptions) -> Result<CompiledNetwork
                     skip = None;
                     z
                 };
-                let out = b.stream(dev, format!("res{i}.out"), act_bits, opts.fifo_capacity);
+                let out = b.stream(format!("res{i}.out"), act_bits, opts.fifo_capacity);
                 b.kernel(
-                    dev,
                     Box::new(ThresholdKernel::new(format!("res{i}.thr"), thr_out.clone())),
                     &[thr_in],
                     &[out],
                 );
                 prev = out;
-                prev_shape = out_shape;
-                prev_bits = act_bits;
             }
             (Stage::Encoder { geom }, StageParams::Encoder(p)) => {
                 let projs = geom.projection_geometries();
@@ -787,40 +747,37 @@ pub fn elaborate(net: &Network, opts: &CompileOptions) -> Result<CompiledNetwork
                 let skip_cap = geom.seq_len * d + 2 * d + 64;
 
                 // --- attention sublayer: split skip, fan out Q/K/V ---
-                let a = b.stream(dev, format!("enc{i}.a"), act_bits, opts.fifo_capacity);
-                let skip_s = b.stream(dev, format!("enc{i}.skipbuf"), 16, skip_cap);
+                let a = b.stream(format!("enc{i}.a"), act_bits, opts.fifo_capacity);
+                let skip_s = b.stream(format!("enc{i}.skipbuf"), 16, skip_cap);
                 b.kernel(
-                    dev,
                     Box::new(SplitKernel::new(format!("enc{i}.split_in"))),
                     &[prev],
                     &[a, skip_s],
                 );
-                let qa = b.stream(dev, format!("enc{i}.qa"), act_bits, opts.fifo_capacity);
-                let kva = b.stream(dev, format!("enc{i}.kva"), act_bits, opts.fifo_capacity);
+                let qa = b.stream(format!("enc{i}.qa"), act_bits, opts.fifo_capacity);
+                let kva = b.stream(format!("enc{i}.kva"), act_bits, opts.fifo_capacity);
                 b.kernel(
-                    dev,
                     Box::new(SplitKernel::new(format!("enc{i}.split_q"))),
                     &[a],
                     &[qa, kva],
                 );
-                let ka = b.stream(dev, format!("enc{i}.ka"), act_bits, opts.fifo_capacity);
-                let va = b.stream(dev, format!("enc{i}.va"), act_bits, opts.fifo_capacity);
+                let ka = b.stream(format!("enc{i}.ka"), act_bits, opts.fifo_capacity);
+                let va = b.stream(format!("enc{i}.va"), act_bits, opts.fifo_capacity);
                 b.kernel(
-                    dev,
                     Box::new(SplitKernel::new(format!("enc{i}.split_kv"))),
                     &[kva],
                     &[ka, va],
                 );
                 let q = b.conv(
-                    dev, &format!("enc{i}.q"), qa, &projs[0], &p.wq, Some(&p.thr_q),
+                    &format!("enc{i}.q"), qa, &projs[0], &p.wq, Some(&p.thr_q),
                     codes, act_bits, opts.fifo_capacity,
                 );
                 let k = b.conv(
-                    dev, &format!("enc{i}.k"), ka, &projs[1], &p.wk, Some(&p.thr_k),
+                    &format!("enc{i}.k"), ka, &projs[1], &p.wk, Some(&p.thr_k),
                     codes, act_bits, opts.fifo_capacity,
                 );
                 let v = b.conv(
-                    dev, &format!("enc{i}.v"), va, &projs[2], &p.wv, Some(&p.thr_v),
+                    &format!("enc{i}.v"), va, &projs[2], &p.wv, Some(&p.thr_v),
                     codes, act_bits, opts.fifo_capacity,
                 );
 
@@ -830,7 +787,6 @@ pub fn elaborate(net: &Network, opts: &CompileOptions) -> Result<CompiledNetwork
                     let outs: Vec<Wire> = (0..geom.heads)
                         .map(|h| {
                             b.stream(
-                                dev,
                                 format!("enc{i}.{which}.h{h}"),
                                 act_bits,
                                 opts.fifo_capacity,
@@ -838,7 +794,6 @@ pub fn elaborate(net: &Network, opts: &CompileOptions) -> Result<CompiledNetwork
                         })
                         .collect();
                     b.kernel(
-                        dev,
                         Box::new(HeadSplitKernel::new(
                             format!("enc{i}.{which}.heads"),
                             geom.heads,
@@ -852,13 +807,11 @@ pub fn elaborate(net: &Network, opts: &CompileOptions) -> Result<CompiledNetwork
                 let attn_outs: Vec<Wire> = (0..geom.heads)
                     .map(|h| {
                         let out = b.stream(
-                            dev,
                             format!("enc{i}.attn{h}.out"),
                             act_bits,
                             opts.fifo_capacity,
                         );
                         b.kernel(
-                            dev,
                             Box::new(AttentionHeadKernel::new(
                                 format!("enc{i}.attn{h}"),
                                 act_bits,
@@ -871,9 +824,8 @@ pub fn elaborate(net: &Network, opts: &CompileOptions) -> Result<CompiledNetwork
                         out
                     })
                     .collect();
-                let cat = b.stream(dev, format!("enc{i}.cat.out"), act_bits, opts.fifo_capacity);
+                let cat = b.stream(format!("enc{i}.cat.out"), act_bits, opts.fifo_capacity);
                 b.kernel(
-                    dev,
                     Box::new(ConcatKernel::new(
                         format!("enc{i}.cat"),
                         geom.heads,
@@ -885,19 +837,17 @@ pub fn elaborate(net: &Network, opts: &CompileOptions) -> Result<CompiledNetwork
 
                 // --- output projection (raw), residual add, LayerNorm ---
                 let proj = b.conv(
-                    dev, &format!("enc{i}.proj"), cat, &projs[3], &p.wo, None,
+                    &format!("enc{i}.proj"), cat, &projs[3], &p.wo, None,
                     codes, 16, opts.fifo_capacity,
                 );
-                let z = b.stream(dev, format!("enc{i}.z"), 16, opts.fifo_capacity);
+                let z = b.stream(format!("enc{i}.z"), 16, opts.fifo_capacity);
                 b.kernel(
-                    dev,
                     Box::new(AddKernel::new(format!("enc{i}.add"))),
                     &[proj, skip_s],
                     &[z],
                 );
-                let ln_out = b.stream(dev, format!("enc{i}.ln.out"), act_bits, opts.fifo_capacity);
+                let ln_out = b.stream(format!("enc{i}.ln.out"), act_bits, opts.fifo_capacity);
                 b.kernel(
-                    dev,
                     Box::new(LayerNormKernel::new(
                         format!("enc{i}.ln"),
                         p.ln_gain.clone(),
@@ -913,33 +863,30 @@ pub fn elaborate(net: &Network, opts: &CompileOptions) -> Result<CompiledNetwork
                     // ff1/ff2 emit token t's output right after absorbing
                     // token t, so two tokens of each width cover the lead.
                     let ff_cap = 2 * (d + geom.ff_hidden) + 64;
-                    let fa = b.stream(dev, format!("enc{i}.ffa"), act_bits, opts.fifo_capacity);
-                    let fskip = b.stream(dev, format!("enc{i}.ffskip"), 16, ff_cap);
+                    let fa = b.stream(format!("enc{i}.ffa"), act_bits, opts.fifo_capacity);
+                    let fskip = b.stream(format!("enc{i}.ffskip"), 16, ff_cap);
                     b.kernel(
-                        dev,
                         Box::new(SplitKernel::new(format!("enc{i}.split_ff"))),
                         &[prev],
                         &[fa, fskip],
                     );
                     let f1 = b.conv(
-                        dev, &format!("enc{i}.ff1"), fa, &projs[4], &ffn.w1, Some(&ffn.thr1),
+                        &format!("enc{i}.ff1"), fa, &projs[4], &ffn.w1, Some(&ffn.thr1),
                         codes, act_bits, opts.fifo_capacity,
                     );
                     let f2 = b.conv(
-                        dev, &format!("enc{i}.ff2"), f1, &projs[5], &ffn.w2, None,
+                        &format!("enc{i}.ff2"), f1, &projs[5], &ffn.w2, None,
                         codes, 16, opts.fifo_capacity,
                     );
-                    let z2 = b.stream(dev, format!("enc{i}.z2"), 16, opts.fifo_capacity);
+                    let z2 = b.stream(format!("enc{i}.z2"), 16, opts.fifo_capacity);
                     b.kernel(
-                        dev,
                         Box::new(AddKernel::new(format!("enc{i}.add2"))),
                         &[f2, fskip],
                         &[z2],
                     );
                     let ln2_out =
-                        b.stream(dev, format!("enc{i}.ln2.out"), act_bits, opts.fifo_capacity);
+                        b.stream(format!("enc{i}.ln2.out"), act_bits, opts.fifo_capacity);
                     b.kernel(
-                        dev,
                         Box::new(LayerNormKernel::new(
                             format!("enc{i}.ln2"),
                             ffn.ln2_gain.clone(),
@@ -950,25 +897,21 @@ pub fn elaborate(net: &Network, opts: &CompileOptions) -> Result<CompiledNetwork
                     );
                     prev = ln2_out;
                 }
-                prev_shape = geom.shape();
-                prev_bits = act_bits;
                 skip = None;
             }
             _ => unreachable!("stage/params variant mismatch"),
         }
     }
 
-    let logits = logits_wire.expect("network must end in a logits FC layer");
+    let (logits, logits_device) = logits_wire.expect("network must end in a logits FC layer");
     let classes = spec.classes();
     let (sink, handle) = HostSink::new("host.sink", 0);
     let sink = sink.with_period(classes);
-    b.kernel(logits.device, Box::new(sink), &[logits], &[]);
+    b.device = logits_device;
+    b.kernel(Box::new(sink), &[logits], &[]);
     // Arm the replay marker on the logits wire: one image boundary per
-    // `classes` popped logits. Single-device only — multi-device graphs
-    // are stepped by the lockstep executor, which bypasses `run`.
-    if devices == 1 {
-        b.graphs[logits.device].set_replay_marker(logits.id, classes as u64);
-    }
+    // `classes` popped logits.
+    b.graph.set_replay_marker(logits.id, classes as u64);
 
     // Every override must have been consumed by the lowering; leftovers
     // name layers/streams this network does not have.
@@ -980,13 +923,18 @@ pub fn elaborate(net: &Network, opts: &CompileOptions) -> Result<CompiledNetwork
     }
 
     Ok(CompiledNetwork {
-        graphs: b.graphs,
+        graphs: vec![b.graph],
         sink: handle,
         images: 0,
         classes,
         input: spec.input,
         source: source_handle,
-        links: b.links,
+        placement: (devices > 1).then_some(Placement {
+            devices,
+            kernels: b.kernel_device,
+            streams: b.stream_device,
+            logits: logits_device,
+        }),
         budget_per_image: CycleModel::analyze(spec).serial_bound() * 8 + 2_000_000,
         detect_deadlock: opts.stall_injection.is_none(),
         failed: false,
@@ -1023,6 +971,19 @@ mod options_tests {
         // The message tells the user what the labels look like.
         let msg = OptionsError::UnknownLayer("conv99".into()).to_string();
         assert!(msg.contains("conv99") && msg.contains("conv0"), "{msg}");
+    }
+
+    #[test]
+    fn stage_device_count_is_a_typed_error() {
+        let stages = net().spec.stages.len();
+        let opts = CompileOptions {
+            stage_device: Some(vec![0; stages - 1]),
+            ..CompileOptions::default()
+        };
+        let err = OptionsError::StageDeviceCount { stages, got: stages - 1 };
+        assert_eq!(validate_options(&net(), &opts), Err(err.clone()));
+        let msg = err.to_string();
+        assert!(msg.contains("stage_device") && msg.contains("one device per stage"), "{msg}");
     }
 
     #[test]

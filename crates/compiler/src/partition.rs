@@ -67,7 +67,7 @@ impl Partition {
     /// Stream widths crossing the cut before `stage` (activation codes,
     /// plus the 16-bit skip when both sides are identity-linked residual
     /// stages).
-    fn cut_bits(spec: &NetworkSpec, stage: usize) -> Vec<u32> {
+    pub(crate) fn cut_bits(spec: &NetworkSpec, stage: usize) -> Vec<u32> {
         let mut bits = vec![spec.act_bits];
         let prev_residual = matches!(spec.stages[stage - 1], Stage::Residual { .. });
         let next_identity = matches!(

@@ -1,7 +1,7 @@
 //! Convenience runners: compile + execute + collect logits.
 
 use crate::lower::{compile, CompileOptions, CompiledNetwork};
-use dfe_platform::{threaded, CycleReport, RunError};
+use dfe_platform::{CycleReport, RunError};
 use qnn_nn::Network;
 use qnn_tensor::Tensor3;
 
@@ -55,10 +55,13 @@ impl<'a> Logits<'a> {
 pub struct SimResult {
     /// Per-image logits.
     pub logits: Vec<Vec<i32>>,
-    /// Per-device cycle reports (length 1 for single-DFE runs).
-    /// Multi-device runs use the lockstep executor, so each device's count
-    /// is its share of the one global clock and the reports are
-    /// bit-identical across repeated runs of the same compile.
+    /// One cycle report per device (length 1 for single-DFE runs). A cut
+    /// network runs as one graph on one clock, so each report is a
+    /// projection of that run's report: `cycles` is the shared clock, and
+    /// `kernels`/`streams` are the ones on that device (a stream sits on
+    /// its reader's device), in graph order. The replay diagnostics sit on
+    /// the logits device's report; the others carry
+    /// `ReplayDiag::default()`, so sums over devices stay correct.
     pub reports: Vec<CycleReport>,
 }
 
@@ -73,7 +76,7 @@ impl SimResult {
         self.logits_view(i).argmax()
     }
 
-    /// Cycles of the (single-device) run.
+    /// Cycles of the run (every device's report carries the same clock).
     pub fn cycles(&self) -> u64 {
         self.reports.iter().map(|r| r.cycles).max().unwrap_or(0)
     }
@@ -90,12 +93,13 @@ impl CompiledNetwork {
     /// `Err` the instance holds mid-run state and must be dropped:
     /// [`CompiledNetwork::load`] refuses it.
     pub fn run_within(&mut self, max_cycles: u64) -> Result<SimResult, RunError> {
-        let run = if let [graph] = &mut self.graphs[..] {
-            graph.run_opts(max_cycles, self.detect_deadlock).map(|r| vec![r])
-        } else {
-            threaded::run_devices_in_place(&mut self.graphs, max_cycles)
+        let report = self.graphs[0]
+            .run_opts(max_cycles, self.detect_deadlock)
+            .inspect_err(|_| self.failed = true)?;
+        let reports = match &self.placement {
+            Some(placement) => placement.project(&report),
+            None => vec![report],
         };
-        let reports = run.inspect_err(|_| self.failed = true)?;
         let flat = self.sink.take();
         assert_eq!(flat.len(), self.classes * self.images, "sink under-filled");
         let logits = flat.chunks_exact(self.classes).map(<[i32]>::to_vec).collect();
@@ -125,6 +129,7 @@ pub fn run_image(net: &Network, image: &Tensor3<i8>) -> Result<SimResult, RunErr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dfe_platform::ReplayDiag;
     use qnn_nn::models;
     use qnn_testkit::Rng;
 
@@ -152,6 +157,69 @@ mod tests {
         for (i, img) in imgs.iter().enumerate() {
             assert_eq!(got.logits[i], net.forward(img).logits, "image {i}");
         }
+    }
+
+    /// A deadlock reachable from configuration, across a device cut: the
+    /// skip stream `res2.skipbuf`, from stage 2's output split to stage
+    /// 3's adder, crosses the cut, and one slot cannot cover stage 3's
+    /// window fill. The run reports a deadlock naming that stream.
+    #[test]
+    fn undersized_crossing_skip_stream_deadlocks() {
+        use qnn_nn::{PoolKind, ResidualGeometry, SpecBuilder};
+        use qnn_tensor::{ConvGeometry, FilterShape, Shape3};
+        let input = Shape3::square(8, 3);
+        let stem = ConvGeometry::new(input, FilterShape::new(3, 3, 8), 1, 1);
+        let conv = ConvGeometry::new(stem.output(), FilterShape::new(3, 8, 8), 1, 1);
+        let block = ResidualGeometry { conv1: conv, conv2: conv, downsample: None };
+        let spec = SpecBuilder::new("skip-cut", input, 2)
+            .conv_input(stem)
+            .residual(block)
+            .residual(block)
+            .residual(block)
+            .pool(block.output(), 8, 8, 0, PoolKind::AvgSum)
+            .fully_connected(8, 4, false)
+            .try_build()
+            .expect("valid spec");
+        let net = Network::random(spec, 3);
+        let opts = CompileOptions {
+            stage_device: Some(vec![0, 0, 0, 1, 1, 1]),
+            fifo_overrides: vec![("res2.skipbuf".into(), 1)],
+            ..CompileOptions::default()
+        };
+        match run_images(&net, &[image(8, 1)], &opts) {
+            Err(RunError::Deadlock { diagnostics, .. }) => {
+                assert!(diagnostics.contains("'res2.skipbuf': 1/1 occupied"), "{diagnostics}");
+            }
+            other => panic!("expected a deadlock, got {other:?}"),
+        }
+    }
+
+    /// A cut network's reports are projections of one run: a stream that
+    /// crosses the cut sits on its reader's device, every report carries
+    /// the shared clock, and the replay diagnostics sit on the logits
+    /// device only.
+    #[test]
+    fn cut_reports_project_the_one_run_by_device() {
+        let net = Network::random(models::test_net(8, 4, 2), 42);
+        let imgs: Vec<_> = (0..12).map(|s| image(8, s)).collect();
+        let whole = run_images(&net, &imgs, &CompileOptions::default()).expect("uncut");
+        let opts = CompileOptions {
+            stage_device: Some(vec![0, 0, 0, 1, 1, 1, 1]),
+            ..CompileOptions::default()
+        };
+        let cut = run_images(&net, &imgs, &opts).expect("cut");
+        assert_eq!(cut.logits, whole.logits);
+        let [d0, d1] = &cut.reports[..] else {
+            panic!("expected two device reports");
+        };
+        // res2's threshold kernel writes `res2.out` on device 0; res3 reads
+        // it on device 1.
+        assert!(d0.kernels.iter().any(|k| k.name == "res2.thr"));
+        assert!(d1.streams.iter().any(|s| s.name == "res2.out"));
+        assert!(d0.streams.iter().all(|s| s.name != "res2.out"));
+        assert_eq!((d0.cycles, d1.cycles), (whole.cycles(), whole.cycles()));
+        assert_ne!(whole.reports[0].replay, ReplayDiag::default(), "replay never engaged");
+        assert_eq!((d0.replay, d1.replay), (ReplayDiag::default(), whole.reports[0].replay));
     }
 
     #[test]

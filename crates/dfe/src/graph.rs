@@ -494,7 +494,7 @@ impl Graph {
         self.streams.iter().map(|s| s.spec.fmem_bits()).sum()
     }
 
-    pub(crate) fn validate(&self) -> Result<(), RunError> {
+    fn validate(&self) -> Result<(), RunError> {
         for (i, s) in self.streams.iter().enumerate() {
             if self.writers[i].is_none() {
                 return Err(RunError::Invalid(format!(
@@ -516,7 +516,7 @@ impl Graph {
     }
 
     /// True when every sink kernel (no output ports) reports completion.
-    pub(crate) fn complete(&self) -> bool {
+    fn complete(&self) -> bool {
         self.nodes
             .iter()
             .filter(|n| n.outputs.is_empty())
@@ -718,12 +718,9 @@ impl Graph {
     ///
     /// Returns `(any_progress, committed)`: whether any kernel reported
     /// [`Progress::Busy`] and whether any stream element moved from staging
-    /// into its FIFO. The lockstep multi-device executor drives this
-    /// directly, one call per global clock edge (so under it the `Span` and
-    /// `Replay` tiers step as `ReadyList`). Dispatches on the active
-    /// [`SchedulerMode`]; both steppers produce bit-identical stream
-    /// contents and counters.
-    pub(crate) fn step_cycle(&mut self) -> (bool, bool) {
+    /// into its FIFO. Dispatches on the active [`SchedulerMode`]; both
+    /// steppers produce bit-identical stream contents and counters.
+    fn step_cycle(&mut self) -> (bool, bool) {
         match self.scheduler {
             SchedulerMode::Dense => self.step_cycle_dense(),
             _ => self.step_cycle_ready(),
@@ -1177,7 +1174,7 @@ impl Graph {
         }
     }
 
-    pub(crate) fn report(&self, cycles: u64) -> CycleReport {
+    fn report(&self, cycles: u64) -> CycleReport {
         CycleReport {
             cycles,
             replay: self.replay.diag,
@@ -1210,14 +1207,7 @@ impl Graph {
         self.parked[id.0].map(|(p, _)| p)
     }
 
-    /// Whether the last `step_cycle` saw a sink kernel tick `Busy` — the
-    /// only event after which [`Graph::complete`] can newly hold, so the
-    /// lockstep executor gates its completion re-check on this.
-    pub(crate) fn made_sink_progress(&self) -> bool {
-        self.sink_progress
-    }
-
-    pub(crate) fn dump_streams(&self) -> String {
+    fn dump_streams(&self) -> String {
         use std::fmt::Write;
         let mut out = String::new();
         for (i, s) in self.streams.iter().enumerate() {

@@ -26,13 +26,11 @@
 //!   steady-state schedule replay on top of that — selected by the one
 //!   ordered [`SchedulerMode`]; they are bit-identical in outputs and
 //!   reports.
-//! * **The multi-device executor** runs the same kernel graph cut across
-//!   devices connected by bounded channels, stepping every device on one
-//!   global clock, so outputs and cycle reports are bit-identical across
-//!   runs.
 //! * **Devices and MaxRing links** carry resource budgets and bandwidth
 //!   limits so the compiler can place kernels onto multiple DFEs and verify
-//!   link feasibility.
+//!   link feasibility. The simulator itself knows nothing of devices: a
+//!   network cut across DFEs is one graph whose kernels the compiler tags
+//!   by device, and a MaxRing hop is an ordinary stream.
 
 #![forbid(unsafe_code)]
 

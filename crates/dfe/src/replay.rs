@@ -39,9 +39,9 @@
 //!   mismatch at a period boundary (e.g. the source running dry on the last
 //!   image) falls the graph back to normal stepping and re-arms.
 //! * **Vetoed** — any kernel without a replay token (a
-//!   [`StallInjector`](crate::StallInjector), a cross-device channel, an
-//!   attention kernel, a custom kernel) permanently disables replay for
-//!   the graph; boundaries are no longer even checked.
+//!   [`StallInjector`](crate::StallInjector), an attention kernel, a
+//!   custom kernel) permanently disables replay for the graph; boundaries
+//!   are no longer even checked.
 //!
 //! ## Equivalence argument
 //!

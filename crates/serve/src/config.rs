@@ -133,8 +133,8 @@ impl std::error::Error for ConfigError {}
 pub struct ServerConfig {
     /// Default pool size: independent pipeline replicas (worker threads)
     /// per registered model that does not override it. Each replica runs
-    /// the lockstep device executor on its own thread; batches are
-    /// dispatched within a model's pool per [`DispatchPolicy`].
+    /// its own warm pipeline on its own thread; batches are dispatched
+    /// within a model's pool per [`DispatchPolicy`].
     pub replicas: usize,
     /// Maximum images per batch. A lane that reaches it closes into the
     /// batch a busy replica queues behind the one it is running.

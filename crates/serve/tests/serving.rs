@@ -239,8 +239,8 @@ fn least_loaded_dispatch_steers_work_away_from_a_slow_replica() {
 
 #[test]
 fn serving_works_over_a_partitioned_pipeline() {
-    // Replicas of a two-device placement: the serve path must route
-    // through the multi-DFE lockstep executor and stay bit-exact.
+    // Replicas of a two-device placement: a cut network is one graph with
+    // device tags, so the warm serve path must stay bit-exact over it.
     let spec = models::test_net(8, 4, 2);
     let cut = spec.stages.len() / 2;
     let stage_device: Vec<usize> =

@@ -89,9 +89,8 @@ props! {
         assert_datapaths_agree(&net, &images, &base)?;
     }
 
-    /// Multi-device lockstep cuts: ring-channel backpressure interleaves
-    /// with the conv kernels' latch/emit cadence differently than a single
-    /// device, so report identity must hold across the cut too.
+    /// Multi-device cuts: report identity must hold for every per-device
+    /// projection of the cut run too.
     #[test]
     fn multi_device_datapaths_identical(
         spec in spec_strategy(),

@@ -1,9 +1,10 @@
-//! Executor determinism: the lockstep multi-DFE executor is a pure
-//! function of the compiled graphs. Ten runs of the same (network, images,
-//! placement) must produce bit-identical logits *and* bit-identical
-//! [`CycleReport`]s — cycle totals, per-kernel busy/stall tallies, and
-//! per-stream high-water marks included. This is what makes cycle counts
-//! citable as reproduction results and regressions diffable.
+//! Executor determinism: a run is a pure function of the compiled graph,
+//! on one device or cut across several. Ten runs of the same (network,
+//! images, placement) must produce bit-identical logits *and*
+//! bit-identical per-device [`CycleReport`]s — cycle totals, per-kernel
+//! busy/stall tallies, and per-stream high-water marks included. This is
+//! what makes cycle counts citable as reproduction results and regressions
+//! diffable.
 
 use qnn::compiler::{run_images, CompileOptions, SimResult};
 use qnn::nn::{models, Network};
@@ -34,7 +35,7 @@ fn assert_identical_runs(runs: &[SimResult]) {
 }
 
 #[test]
-fn threaded_two_device_executor_is_deterministic_over_10_runs() {
+fn two_device_executor_is_deterministic_over_10_runs() {
     let spec = models::test_net(8, 4, 2);
     let cut = spec.stages.len() / 2;
     let stage_device: Vec<usize> =

@@ -2,8 +2,9 @@
 //! scheduler tier) must be **bit-identical** to dense per-element stepping
 //! — same logits, same `CycleReport`s (cycle counts, per-kernel busy/stall
 //! tallies, per-stream pushed/max-occupancy) — across randomized networks,
-//! streamed-parameter loading, multi-image sequences, 1–3-device
-//! lockstep cuts, stall-injected pipelines, and mid-run tier switches.
+//! streamed-parameter loading, multi-image sequences, 1–3-device cuts
+//! (which must also be invisible next to the uncut run), stall-injected
+//! pipelines, and mid-run tier switches.
 //!
 //! This is the proof obligation behind crediting whole spans
 //! arithmetically: a burst replays `k` dense cycles in one dispatch per
@@ -12,15 +13,16 @@
 //!
 //! Part of `./ci.sh soak` at `QNN_TEST_CASES=1024`.
 
-use qnn::compiler::{compile, run_images, CompileOptions, Fold, FoldPlan};
+use qnn::compiler::{compile, run_images, CompileOptions, Fold, FoldPlan, SimResult};
 use qnn::dfe::{
-    Graph, HostSink, HostSource, Io, Kernel, Progress, SchedulerMode, SpanIo, SpanPlan,
-    StallInjector, StreamSpec, WakeHint,
+    CycleReport, Graph, HostSink, HostSource, Io, Kernel, Progress, ReplayDiag, SchedulerMode,
+    SpanIo, SpanPlan, StallInjector, StreamSpec, WakeHint,
 };
 use qnn::nn::specgen::spec_strategy;
 use qnn::nn::{models, Network, NetworkSpec, PoolKind, SpecBuilder};
 use qnn::tensor::{ConvGeometry, FilterShape, Shape3, Tensor3};
-use qnn_testkit::{prop_assert, prop_assert_eq, props};
+use qnn_testkit::prop::CaseResult;
+use qnn_testkit::{prop_assert, prop_assert_eq, props, vec};
 
 fn image_for(spec: &NetworkSpec, seed: u64) -> Tensor3<i8> {
     Tensor3::from_fn(spec.input, |y, x, c| {
@@ -38,7 +40,7 @@ fn assert_dispatch_agrees(
     net: &Network,
     images: &[Tensor3<i8>],
     base: &CompileOptions,
-) -> qnn_testkit::prop::CaseResult {
+) -> CaseResult {
     let run = |scheduler| {
         run_images(net, images, &CompileOptions { scheduler, ..base.clone() }).expect("run")
     };
@@ -149,31 +151,42 @@ props! {
         prop_assert!(burst_cycles > 0, "no burst fired at a folded design point");
     }
 
-    /// 1–3-device lockstep cuts. The lockstep executor drives
-    /// `step_cycle` directly — per-edge, never bursting — so span
-    /// equivalence across cuts is structural; this pins it, and the
-    /// single-device span runs must still match the cut's per-element
-    /// logits.
+    /// 1–3-device cuts, contiguous or not (`[0, 1, 0, …]`). A device is a
+    /// tag, so a cut network is the uncut network's graph: on every tier
+    /// it matches `Dense`, and it matches the *uncut* run — same logits,
+    /// same clock, same bursts — while its per-device reports partition
+    /// the uncut report.
     #[test]
     fn device_cuts_reports_identical(
         spec in spec_strategy(),
         seed in 0u64..1000,
-        devices in 1usize..4,
+        pattern in vec(0usize..3, 1..6),
     ) {
         let Some(spec) = spec else {
             return Ok(());
         };
-        let stages = spec.stages.len();
-        let devices = devices.min(stages);
         let stage_device: Vec<usize> =
-            (0..stages).map(|i| (i * devices / stages).min(devices - 1)).collect();
+            (0..spec.stages.len()).map(|i| pattern[i % pattern.len()]).collect();
+        let devices = stage_device.iter().max().copied().unwrap_or(0) + 1;
         let net = Network::random(spec, seed);
         let img = image_for(&net.spec, seed);
-        let base = CompileOptions {
+        let images = std::slice::from_ref(&img);
+        let cut = CompileOptions {
             stage_device: Some(stage_device),
             ..CompileOptions::default()
         };
-        assert_dispatch_agrees(&net, std::slice::from_ref(&img), &base)?;
+        assert_dispatch_agrees(&net, images, &cut)?;
+        for scheduler in SchedulerMode::ALL {
+            let (parts, cut_bursts) =
+                run_counted(&net, images, &CompileOptions { scheduler, ..cut.clone() });
+            let uncut = CompileOptions { scheduler, ..CompileOptions::default() };
+            let (whole, whole_bursts) = run_counted(&net, images, &uncut);
+            prop_assert_eq!(&parts.logits, &whole.logits, "{:?}", scheduler);
+            prop_assert_eq!(parts.cycles(), whole.cycles(), "{:?}", scheduler);
+            prop_assert_eq!(cut_bursts, whole_bursts, "{:?}", scheduler);
+            prop_assert_eq!(parts.reports.len(), devices);
+            assert_partition(&parts.reports, &whole.reports[0])?;
+        }
     }
 
     /// StallInjector-laced pipelines: injector-wrapped stages are
@@ -270,6 +283,51 @@ props! {
         prop_assert_eq!(&report.streams, &reference_report.streams);
         prop_assert_eq!(total + report.cycles, reference_report.cycles);
     }
+}
+
+/// One run plus its graph's `(bursts, burst_cycles)`.
+fn run_counted(
+    net: &Network,
+    images: &[Tensor3<i8>],
+    opts: &CompileOptions,
+) -> (SimResult, (u64, u64)) {
+    let mut compiled = compile(net, images, opts);
+    let sim = compiled.run().expect("run");
+    let [graph] = &compiled.graphs[..] else {
+        panic!("a network lowers to one graph");
+    };
+    (sim, (graph.bursts(), graph.burst_cycles()))
+}
+
+/// Per-device reports partition `whole`: each carries its clock, every
+/// kernel and stream of `whole` lands on exactly one device, each device
+/// keeps graph order, and the replay diagnostics appear once.
+fn assert_partition(parts: &[CycleReport], whole: &CycleReport) -> CaseResult {
+    for p in parts {
+        prop_assert_eq!(p.cycles, whole.cycles);
+    }
+    let kernels: Vec<&[_]> = parts.iter().map(|p| &p.kernels[..]).collect();
+    prop_assert!(splits(&kernels, &whole.kernels), "kernels: {parts:?} vs {whole:?}");
+    let streams: Vec<&[_]> = parts.iter().map(|p| &p.streams[..]).collect();
+    prop_assert!(splits(&streams, &whole.streams), "streams: {parts:?} vs {whole:?}");
+    let replay: Vec<ReplayDiag> =
+        parts.iter().map(|p| p.replay).filter(|r| *r != ReplayDiag::default()).collect();
+    prop_assert!(replay.len() <= 1, "replay diagnostics on several devices");
+    prop_assert_eq!(replay.first().copied().unwrap_or_default(), whole.replay);
+    Ok(())
+}
+
+/// Whether `whole` is an interleaving of `parts` that uses each of their
+/// elements exactly once.
+fn splits<T: PartialEq>(parts: &[&[T]], whole: &[T]) -> bool {
+    let mut next = vec![0; parts.len()];
+    whole.iter().all(|x| match (0..parts.len()).find(|&d| parts[d].get(next[d]) == Some(x)) {
+        Some(d) => {
+            next[d] += 1;
+            true
+        }
+        None => false,
+    }) && next.iter().zip(parts).all(|(&n, p)| n == p.len())
 }
 
 /// A span-capable pass-through stage for the injector battery: parkable,

@@ -3,8 +3,8 @@
 //! logits, every `CycleReport` field, the schedule-replay diagnostics and
 //! the burst counters — for any sequence of batch sizes, on every
 //! scheduler tier, and for every lowering option that adds control state a
-//! re-arm must restore (parameter loaders, stall injectors, inter-device
-//! rings, folded lanes, attention tiles).
+//! re-arm must restore (parameter loaders, stall injectors, device cuts,
+//! folded lanes, attention tiles).
 //!
 //! The argument lives in DESIGN.md §7 ("warm instances"): a run stops at
 //! the sink's last element, so end-of-run state is *not* start-of-run
@@ -43,7 +43,7 @@ struct Observed {
     reports: Vec<CycleReport>,
     /// Excluded from `CycleReport` equality, so compared on its own.
     replay: Vec<ReplayDiag>,
-    /// Per device: `(bursts, burst_cycles)`.
+    /// Per graph (there is one): `(bursts, burst_cycles)`.
     bursts: Vec<(u64, u64)>,
 }
 
@@ -156,23 +156,25 @@ fn folded_design_point_rearms() {
 }
 
 #[test]
-fn two_device_split_rearms_its_rings() {
+fn two_device_split_rearms() {
     let spec = models::test_net(8, 4, 2);
     let cut = spec.stages.len() / 2;
     let stage_device = (0..spec.stages.len()).map(|i| usize::from(i >= cut)).collect();
     let net = Network::random(spec, 22);
     let opts = CompileOptions { stage_device: Some(stage_device), ..CompileOptions::default() };
-    assert_eq!(elaborate(&net, &opts).expect("valid").graphs.len(), 2);
+    let batch = [image_for(&net.spec, 0)];
+    let sim = try_compile(&net, &batch, &opts).expect("valid").run().expect("run");
+    assert_eq!(sim.reports.len(), 2, "expected a two-device split");
     check_all_modes(&net, &opts);
 }
 
 /// A split whose second device opens with a strided layer leaves trailing
-/// elements in the ring when its sink completes; the ingress must drain
-/// them before the next batch.
+/// elements in the stream crossing the cut when the sink completes;
+/// `Graph::rearm` must clear them before the next batch.
 #[test]
-fn ring_left_holding_trailing_elements_rearms() {
+fn crossing_stream_left_holding_trailing_elements_rearms() {
     let spec = random_spec(9, 1, 1, 0, 2, 1, 0, 2, 2).expect("valid geometry");
-    // conv0 | conv1, pool, fc: the 9×9 map crosses the ring whole, then a
+    // conv0 | conv1, pool, fc: the 9×9 map crosses the cut whole, then a
     // 2/2 pool leaves row and column 8 unread.
     let net = Network::random(spec, 5);
     let opts = CompileOptions {

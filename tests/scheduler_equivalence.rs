@@ -2,7 +2,7 @@
 //! (and every tier built on it) must be **bit-identical** to the dense
 //! reference stepper — same logits, same `CycleReport`s (cycle counts,
 //! per-kernel busy/stall tallies, per-stream pushed/max-occupancy) —
-//! across randomized networks, multi-device lockstep cuts,
+//! across randomized networks, multi-device cuts,
 //! streamed-parameter loading, and graphs laced with random stall
 //! injection.
 //!
@@ -75,10 +75,9 @@ props! {
         assert_modes_agree(&net, &images, &base)?;
     }
 
-    /// Multi-device lockstep: the same random networks cut across two
-    /// devices at a random stage boundary. The lockstep executor calls
-    /// `step_cycle` directly, so this exercises parking across
-    /// channel-linked graphs (ingress/egress kernels must never park).
+    /// Multi-device: the same random networks cut across two devices at a
+    /// random stage boundary. The cut is a tag on one graph, so every tier
+    /// must still agree, per-device projections included.
     #[test]
     fn multi_device_lockstep_reports_identical(
         spec in spec_strategy(),

@@ -52,8 +52,8 @@ fn consecutive_images_stay_aligned() {
 
 #[test]
 fn multi_device_execution_matches_single_device() {
-    // Force a two-device split at an arbitrary stage boundary and run the
-    // lockstep executor: results must be identical to the single-DFE run.
+    // Force a two-device split at an arbitrary stage boundary: results
+    // must be identical to the single-DFE run.
     let spec = models::test_net(8, 4, 2);
     let cut = spec.stages.len() / 2;
     let stage_device: Vec<usize> =
