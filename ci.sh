@@ -11,7 +11,8 @@
 #
 # Modes:
 #   ci.sh                tier-1: offline release build + full test suite
-#                        + clippy + the no-ambient-configuration guard
+#                        + clippy + rustdoc with broken intra-doc links
+#                        denied + the no-ambient-configuration guard
 #                        (only crates/testkit may read the environment)
 #                        + the single-threaded-simulator guard (no mpsc or
 #                        atomics in crates/dfe/src)
@@ -152,6 +153,9 @@ fi
 run cargo build --release --offline
 run cargo test -q --offline
 run cargo clippy --all-targets --offline -- -D warnings
+# Doc links must resolve, so deleting an item also finds the docs naming it.
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" \
+  run cargo doc --no-deps --workspace --offline
 # Configuration is a typed value, never ambient process state: only the
 # test/bench harness knobs (QNN_TEST_*, QNN_BENCH_*) read the environment.
 if grep -rn 'env::var' crates/*/src --include='*.rs' | grep -v '^crates/testkit/'; then

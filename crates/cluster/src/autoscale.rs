@@ -4,7 +4,7 @@
 //! ## Control law
 //!
 //! Every tick, for every model, the scaler reads one
-//! [`LoadWindow`](qnn_serve::LoadWindow) and classifies it:
+//! [`LoadWindow`] and classifies it:
 //!
 //! * **breached** — the window's interactive p95 exceeds `target_p95`,
 //!   *or* the backlog exceeds `backlog_per_replica × replicas` (the

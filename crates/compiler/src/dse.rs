@@ -362,7 +362,7 @@ mod tests {
         let budget = ResourceBudget::single(STRATIX_10_GX2800);
         let point = pick(&spec, &budget).expect("test_net fits");
         let net = qnn_nn::Network::random(spec.clone(), 7);
-        crate::lower::validate_options(&net, &point.compile_options()).expect("options valid");
+        crate::lower::elaborate(&net, &point.compile_options()).expect("options valid");
     }
 
     /// Stem, two identity residual blocks, classifier, on a device whose

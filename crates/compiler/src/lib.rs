@@ -9,7 +9,7 @@
 //!
 //! [`partition()`] places stages onto one or more DFEs (greedy, contiguous,
 //! first-fit against the device's usable resources — §III-B6) and verifies
-//! every cut against the MaxRing bandwidth budget. [`compile`] then builds
+//! every cut against the MaxRing bandwidth budget. [`try_compile`] then builds
 //! one [`dfe_platform::Graph`] whatever the placement: a device is a tag on
 //! each kernel and stream, a cut is an ordinary stream, and a run's report
 //! is split per device by tag ([`SimResult::reports`]) — so a cut network
@@ -25,10 +25,7 @@ pub mod run;
 
 pub use dse::{explore, DesignPoint, DseConfig, Frontier, ResourceBudget};
 pub use hw_model::{Fold, FoldPlan};
-pub use lower::{
-    compile, elaborate, try_compile, validate_options, CompileOptions, CompiledNetwork,
-    OptionsError,
-};
-pub use partition::{partition, partition_balanced, Partition, PartitionError};
+pub use lower::{elaborate, try_compile, CompileOptions, CompiledNetwork, OptionsError};
+pub use partition::{partition, Partition, PartitionError};
 pub use replicate::{ArtifactCache, ModelArtifact, SpecMismatch};
-pub use run::{run_image, run_images, Logits, SimResult};
+pub use run::{run_image, run_images, Logits, SimError, SimResult};

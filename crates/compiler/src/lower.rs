@@ -426,21 +426,6 @@ fn skip_capacity(geom: &qnn_nn::ResidualGeometry) -> usize {
     b1 + b2 + geom.conv2.filter.o + 256
 }
 
-/// Compile a network over `images` into its graph, panicking on
-/// invalid per-layer overrides (see [`try_compile`] for the checked form).
-pub fn compile(net: &Network, images: &[Tensor3<i8>], opts: &CompileOptions) -> CompiledNetwork {
-    match try_compile(net, images, opts) {
-        Ok(c) => c,
-        Err(e) => panic!("invalid CompileOptions: {e}"),
-    }
-}
-
-/// Validate `opts` against `net` without keeping the compiled graphs:
-/// elaborates the network and reports the first override error.
-pub fn validate_options(net: &Network, opts: &CompileOptions) -> Result<(), OptionsError> {
-    elaborate(net, opts).map(|_| ())
-}
-
 /// Compile a network over `images` into its graph, rejecting
 /// invalid `layer_folding` / `fifo_overrides` entries with a typed error:
 /// [`elaborate`], then [`CompiledNetwork::load`].
@@ -965,8 +950,8 @@ mod options_tests {
             ..CompileOptions::default()
         };
         assert_eq!(
-            validate_options(&net(), &opts),
-            Err(OptionsError::UnknownLayer("conv99".into()))
+            elaborate(&net(), &opts).err(),
+            Some(OptionsError::UnknownLayer("conv99".into()))
         );
         // The message tells the user what the labels look like.
         let msg = OptionsError::UnknownLayer("conv99".into()).to_string();
@@ -981,7 +966,7 @@ mod options_tests {
             ..CompileOptions::default()
         };
         let err = OptionsError::StageDeviceCount { stages, got: stages - 1 };
-        assert_eq!(validate_options(&net(), &opts), Err(err.clone()));
+        assert_eq!(elaborate(&net(), &opts).err(), Some(err.clone()));
         let msg = err.to_string();
         assert!(msg.contains("stage_device") && msg.contains("one device per stage"), "{msg}");
     }
@@ -993,8 +978,8 @@ mod options_tests {
             ..CompileOptions::default()
         };
         assert_eq!(
-            validate_options(&net(), &opts),
-            Err(OptionsError::ZeroFolding("conv0".into()))
+            elaborate(&net(), &opts).err(),
+            Some(OptionsError::ZeroFolding("conv0".into()))
         );
     }
 
@@ -1005,8 +990,8 @@ mod options_tests {
             ..CompileOptions::default()
         };
         assert_eq!(
-            validate_options(&net(), &opts),
-            Err(OptionsError::ZeroFifoCapacity("image".into()))
+            elaborate(&net(), &opts).err(),
+            Some(OptionsError::ZeroFifoCapacity("image".into()))
         );
     }
 
@@ -1017,23 +1002,9 @@ mod options_tests {
             ..CompileOptions::default()
         };
         assert_eq!(
-            validate_options(&net(), &opts),
-            Err(OptionsError::UnknownStream("nope.out".into()))
+            elaborate(&net(), &opts).err(),
+            Some(OptionsError::UnknownStream("nope.out".into()))
         );
-    }
-
-    #[test]
-    fn compile_panics_with_the_typed_message() {
-        let opts = CompileOptions {
-            layer_folding: FoldPlan::new().with("fc99", Fold::new(2, 2)),
-            ..CompileOptions::default()
-        };
-        let err = std::panic::catch_unwind(|| {
-            let _ = compile(&net(), &[image(0)], &opts);
-        })
-        .expect_err("compile must reject the bad label");
-        let msg = err.downcast_ref::<String>().expect("string panic");
-        assert!(msg.contains("fc99"), "{msg}");
     }
 
     /// `Default` equivalence: an explicit folding=1 entry for every layer

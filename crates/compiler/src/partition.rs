@@ -116,97 +116,6 @@ pub fn partition(
     Ok(Partition { stage_device, per_device, device: *device })
 }
 
-/// Utilization of a contiguous stage range placed on one device (against
-/// *usable* budgets, so 1.0 means "exactly fits").
-fn range_utilization(needs: &[ResourceUsage], a: usize, b: usize, device: &DeviceSpec) -> f64 {
-    let infra = ResourceUsage { luts: 0, ffs: 0, bram_kbits: PER_DFE_INFRA_BRAM_KBITS };
-    let total: ResourceUsage = needs[a..b].iter().copied().fold(infra, ResourceUsage::plus);
-    let l = total.luts as f64 / device.usable_luts() as f64;
-    let f = total.ffs as f64 / device.usable_ffs() as f64;
-    let br = total.bram_kbits as f64 / device.usable_bram_kbits() as f64;
-    l.max(f).max(br)
-}
-
-/// Balanced placement: the same minimal device count as [`partition`]
-/// (greedy first-fit is optimal for contiguous placements), but with cut
-/// points chosen by dynamic programming to minimize the most-utilized
-/// device — spreading the load like a human floorplanner would, instead of
-/// packing the first DFEs to the brim.
-pub fn partition_balanced(
-    spec: &NetworkSpec,
-    device: &DeviceSpec,
-    ring: &MaxRing,
-) -> Result<Partition, PartitionError> {
-    let greedy = partition(spec, device, ring)?;
-    let k = greedy.num_dfes();
-    if k == 1 {
-        return Ok(greedy);
-    }
-    let needs: Vec<ResourceUsage> =
-        spec.stages.iter().map(|st| estimate_stage(st, spec.act_bits).usage).collect();
-    let n = needs.len();
-
-    // dp[j][i] = minimal achievable max-utilization for stages[0..i] on j
-    // devices; cut[j][i] records the chosen split point.
-    let inf = f64::INFINITY;
-    let mut dp = vec![vec![inf; n + 1]; k + 1];
-    let mut cut = vec![vec![0usize; n + 1]; k + 1];
-    dp[0][0] = 0.0;
-    for j in 1..=k {
-        for i in 1..=n {
-            for p in (j - 1)..i {
-                if dp[j - 1][p] == inf {
-                    continue;
-                }
-                let u = range_utilization(&needs, p, i, device);
-                if u > 1.0 {
-                    continue; // this range does not fit one device
-                }
-                let m = dp[j - 1][p].max(u);
-                if m < dp[j][i] {
-                    dp[j][i] = m;
-                    cut[j][i] = p;
-                }
-            }
-        }
-    }
-    if dp[k][n] == inf {
-        // Should not happen (greedy found a k-partition), but fall back.
-        return Ok(greedy);
-    }
-
-    // Reconstruct the cut points and check the ring on each.
-    let mut bounds = vec![n];
-    let mut i = n;
-    for j in (1..=k).rev() {
-        i = cut[j][i];
-        bounds.push(i);
-    }
-    bounds.reverse(); // [0, c1, c2, ..., n]
-    let infra = ResourceUsage { luts: 0, ffs: 0, bram_kbits: PER_DFE_INFRA_BRAM_KBITS };
-    let mut stage_device = vec![0usize; n];
-    let mut per_device = Vec::with_capacity(k);
-    for d in 0..k {
-        let (a, b) = (bounds[d], bounds[d + 1]);
-        if d > 0 {
-            let bits = Partition::cut_bits(spec, a);
-            if !ring.supports(&bits, device.fclk_mhz) {
-                return Err(PartitionError::RingOverloaded {
-                    at_stage: a,
-                    demand_mbps: MaxRing::demand_mbps(&bits, device.fclk_mhz),
-                });
-            }
-        }
-        let mut usage = infra;
-        for (s, need) in needs.iter().enumerate().take(b).skip(a) {
-            stage_device[s] = d;
-            usage = usage.plus(*need);
-        }
-        per_device.push(usage);
-    }
-    Ok(Partition { stage_device, per_device, device: *device })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -282,49 +191,6 @@ mod tests {
         let tiny_ring = MaxRing { rate_gbps: 0.0001, latency_cycles: 4 };
         let err = partition(&models::resnet18(1000), &STRATIX_V_5SGSD8, &tiny_ring).unwrap_err();
         assert!(matches!(err, PartitionError::RingOverloaded { .. }), "{err}");
-    }
-
-    #[test]
-    fn balanced_partition_reduces_peak_utilization() {
-        for spec in [models::alexnet(1000), models::resnet18(1000)] {
-            let greedy = partition(&spec, &STRATIX_V_5SGSD8, &ring()).expect("greedy");
-            let balanced = partition_balanced(&spec, &STRATIX_V_5SGSD8, &ring()).expect("dp");
-            assert_eq!(balanced.num_dfes(), greedy.num_dfes(), "{}", spec.name);
-            let peak = |p: &Partition| {
-                p.per_device
-                    .iter()
-                    .map(|u| u.utilization(&STRATIX_V_5SGSD8))
-                    .fold(0.0f64, f64::max)
-            };
-            assert!(
-                peak(&balanced) <= peak(&greedy) + 1e-9,
-                "{}: balanced {} vs greedy {}",
-                spec.name,
-                peak(&balanced),
-                peak(&greedy)
-            );
-            // Same total design either way (infra included per device).
-            assert_eq!(balanced.total_usage(), greedy.total_usage());
-        }
-    }
-
-    #[test]
-    fn balanced_partition_is_contiguous_and_fits() {
-        let spec = models::resnet18(1000);
-        let p = partition_balanced(&spec, &STRATIX_V_5SGSD8, &ring()).expect("dp");
-        for w in p.stage_device.windows(2) {
-            assert!(w[1] == w[0] || w[1] == w[0] + 1);
-        }
-        for u in &p.per_device {
-            assert!(u.fits(&STRATIX_V_5SGSD8), "{u:?}");
-        }
-    }
-
-    #[test]
-    fn balanced_single_device_is_identity() {
-        let spec = models::vgg_like(32, 10, 2);
-        let p = partition_balanced(&spec, &STRATIX_V_5SGSD8, &ring()).expect("dp");
-        assert_eq!(p.num_dfes(), 1);
     }
 
     #[test]

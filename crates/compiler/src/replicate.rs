@@ -27,7 +27,7 @@
 //! same model again with the same options (or sizing a pool up) reuses
 //! the existing snapshot instead of re-cloning parameters.
 
-use crate::lower::{elaborate, CompileOptions, CompiledNetwork};
+use crate::lower::{elaborate, CompileOptions, CompiledNetwork, OptionsError};
 use qnn_nn::Network;
 use std::fmt;
 use std::sync::Arc;
@@ -56,22 +56,14 @@ pub struct ModelArtifact {
 }
 
 impl ModelArtifact {
-    /// Build version-0 artifact for `net` under `opts`.
+    /// Build the version-0 artifact for `net` under `opts`.
     ///
-    /// Placement is validated eagerly — a bad `stage_device` vector fails
-    /// here, at registration time, not on the first dispatched batch.
-    ///
-    /// # Panics
-    /// Panics when `opts.stage_device` does not name every stage.
-    pub fn compile(net: &Network, opts: &CompileOptions) -> Self {
-        if let Some(sd) = &opts.stage_device {
-            assert_eq!(
-                sd.len(),
-                net.spec.stages.len(),
-                "stage_device must name every stage"
-            );
-        }
-        Self { net: Arc::new(net.clone()), opts: opts.clone(), version: 0 }
+    /// The options are checked here, once, by elaborating the network: a
+    /// bad placement, layer label or stream name fails at registration
+    /// time, not on the first dispatched batch.
+    pub fn try_new(net: &Network, opts: &CompileOptions) -> Result<Self, OptionsError> {
+        elaborate(net, opts)?;
+        Ok(Self { net: Arc::new(net.clone()), opts: opts.clone(), version: 0 })
     }
 
     /// A new artifact with `net`'s parameters and this artifact's options,
@@ -109,13 +101,9 @@ impl ModelArtifact {
     /// on the artifact's network and options would run it — logits *and*
     /// cycle reports — which is what keeps serving bit-identical to direct
     /// execution.
-    ///
-    /// # Panics
-    /// Panics when the artifact's options name a layer or stream the
-    /// network does not have (see [`crate::try_compile`]).
     pub fn pipeline(&self) -> CompiledNetwork {
         elaborate(&self.net, &self.opts)
-            .unwrap_or_else(|e| panic!("invalid CompileOptions: {e}"))
+            .expect("options were checked in try_new, and with_weights keeps the spec")
     }
 }
 
@@ -135,7 +123,9 @@ impl ArtifactCache {
         Self::default()
     }
 
-    /// The cached artifact for `(name, opts)`, compiling `net` on miss.
+    /// The cached artifact for `(name, opts)`, built from `net` on a miss
+    /// by [`ModelArtifact::try_new`]: options `net` cannot take are an
+    /// error, and nothing is cached.
     ///
     /// The cache trusts the caller that one model *name* maps to one
     /// parameter set: publishing new weights for a name goes through
@@ -145,16 +135,16 @@ impl ArtifactCache {
         name: &str,
         net: &Network,
         opts: &CompileOptions,
-    ) -> Arc<ModelArtifact> {
+    ) -> Result<Arc<ModelArtifact>, OptionsError> {
         if let Some((_, _, a)) =
             self.entries.iter().find(|(n, o, _)| n == name && o == opts)
         {
             self.hits += 1;
-            return Arc::clone(a);
+            return Ok(Arc::clone(a));
         }
-        let artifact = Arc::new(ModelArtifact::compile(net, opts));
+        let artifact = Arc::new(ModelArtifact::try_new(net, opts)?);
         self.entries.push((name.to_string(), opts.clone(), Arc::clone(&artifact)));
-        artifact
+        Ok(artifact)
     }
 
     /// Swap weights for every cached artifact of `name`, bumping each
@@ -210,7 +200,7 @@ mod tests {
         let spec = models::test_net(8, 4, 2);
         let old = Network::random(spec.clone(), 1);
         let new = Network::random(spec, 2);
-        let a0 = ModelArtifact::compile(&old, &CompileOptions::default());
+        let a0 = ModelArtifact::try_new(&old, &CompileOptions::default()).expect("valid options");
         assert_eq!(a0.version(), 0);
         let a1 = a0.with_weights(new.clone()).expect("same spec");
         assert_eq!(a1.version(), 1);
@@ -225,10 +215,11 @@ mod tests {
 
     #[test]
     fn with_weights_rejects_a_different_architecture() {
-        let a = ModelArtifact::compile(
+        let a = ModelArtifact::try_new(
             &Network::random(models::test_net(8, 4, 2), 1),
             &CompileOptions::default(),
-        );
+        )
+        .expect("valid options");
         let other = Network::random(models::test_net(8, 3, 2), 1);
         assert_eq!(a.with_weights(other).err(), Some(SpecMismatch));
     }
@@ -238,13 +229,13 @@ mod tests {
         let net = Network::random(models::test_net(8, 3, 2), 3);
         let mut cache = ArtifactCache::new();
         let opts = CompileOptions::default();
-        let a = cache.get_or_compile("m", &net, &opts);
-        let b = cache.get_or_compile("m", &net, &opts);
+        let a = cache.get_or_compile("m", &net, &opts).expect("valid options");
+        let b = cache.get_or_compile("m", &net, &opts).expect("valid options");
         assert!(Arc::ptr_eq(&a, &b), "same (name, options) must hit");
         assert_eq!(cache.hits(), 1);
         let streamed =
             CompileOptions { stream_parameters: true, ..CompileOptions::default() };
-        let c = cache.get_or_compile("m", &net, &streamed);
+        let c = cache.get_or_compile("m", &net, &streamed).expect("valid options");
         assert!(!Arc::ptr_eq(&a, &c), "different options are distinct artifacts");
         assert_eq!(cache.len(), 2);
     }
@@ -255,11 +246,11 @@ mod tests {
         let old = Network::random(spec.clone(), 4);
         let new = Network::random(spec, 5);
         let mut cache = ArtifactCache::new();
-        let a0 = cache.get_or_compile("m", &old, &CompileOptions::default());
+        let a0 = cache.get_or_compile("m", &old, &CompileOptions::default()).expect("valid");
         let swapped = cache.publish("m", &new).expect("same spec");
         assert_eq!(swapped.len(), 1);
         assert_eq!(swapped[0].version(), 1);
-        let a1 = cache.get_or_compile("m", &new, &CompileOptions::default());
+        let a1 = cache.get_or_compile("m", &new, &CompileOptions::default()).expect("valid");
         assert!(Arc::ptr_eq(&swapped[0], &a1), "cache must serve the new weights");
         assert_eq!(a0.version(), 0, "dispatched handles keep the old snapshot");
     }

@@ -1,9 +1,43 @@
 //! Convenience runners: compile + execute + collect logits.
 
-use crate::lower::{compile, CompileOptions, CompiledNetwork};
+use crate::lower::{try_compile, CompileOptions, CompiledNetwork, OptionsError};
 use dfe_platform::{CycleReport, RunError};
 use qnn_nn::Network;
 use qnn_tensor::Tensor3;
+use std::fmt;
+
+/// Why [`run_images`] returned no logits: the options were rejected
+/// before anything ran, or the run itself stopped abnormally.
+#[derive(Debug)]
+pub enum SimError {
+    /// [`try_compile`] rejected the compile options for this network.
+    Options(OptionsError),
+    /// The simulation deadlocked, timed out or found the graph malformed.
+    Run(RunError),
+}
+
+impl fmt::Display for SimError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SimError::Options(e) => write!(f, "invalid CompileOptions: {e}"),
+            SimError::Run(e) => e.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for SimError {}
+
+impl From<OptionsError> for SimError {
+    fn from(e: OptionsError) -> Self {
+        SimError::Options(e)
+    }
+}
+
+impl From<RunError> for SimError {
+    fn from(e: RunError) -> Self {
+        SimError::Run(e)
+    }
+}
 
 /// Borrowed view over one image's logits, carrying the post-processing
 /// every surface shares. Both the simulator's [`SimResult`] and
@@ -113,16 +147,18 @@ impl CompiledNetwork {
 ///
 /// The scheduler tier comes from `opts.scheduler`; every tier returns
 /// bit-identical logits and reports, differing only in wall-clock time.
+/// Options the network cannot take come back as [`SimError::Options`]
+/// before anything runs.
 pub fn run_images(
     net: &Network,
     images: &[Tensor3<i8>],
     opts: &CompileOptions,
-) -> Result<SimResult, RunError> {
-    compile(net, images, opts).run()
+) -> Result<SimResult, SimError> {
+    Ok(try_compile(net, images, opts)?.run()?)
 }
 
 /// Run a single image on a single DFE.
-pub fn run_image(net: &Network, image: &Tensor3<i8>) -> Result<SimResult, RunError> {
+pub fn run_image(net: &Network, image: &Tensor3<i8>) -> Result<SimResult, SimError> {
     run_images(net, std::slice::from_ref(image), &CompileOptions::default())
 }
 
@@ -159,6 +195,23 @@ mod tests {
         }
     }
 
+    /// Options the network cannot take are an error, not a panic: an
+    /// unknown stream in `fifo_overrides` comes back before anything runs.
+    #[test]
+    fn unknown_fifo_override_is_an_options_error() {
+        let net = Network::random(models::test_net(8, 4, 2), 42);
+        let opts = CompileOptions {
+            fifo_overrides: vec![("no_such_stream".into(), 4)],
+            ..CompileOptions::default()
+        };
+        match run_images(&net, &[image(8, 1)], &opts) {
+            Err(SimError::Options(OptionsError::UnknownStream(name))) => {
+                assert_eq!(name, "no_such_stream");
+            }
+            other => panic!("expected an unknown-stream error, got {other:?}"),
+        }
+    }
+
     /// A deadlock reachable from configuration, across a device cut: the
     /// skip stream `res2.skipbuf`, from stage 2's output split to stage
     /// 3's adder, crosses the cut, and one slot cannot cover stage 3's
@@ -187,7 +240,7 @@ mod tests {
             ..CompileOptions::default()
         };
         match run_images(&net, &[image(8, 1)], &opts) {
-            Err(RunError::Deadlock { diagnostics, .. }) => {
+            Err(SimError::Run(RunError::Deadlock { diagnostics, .. })) => {
                 assert!(diagnostics.contains("'res2.skipbuf': 1/1 occupied"), "{diagnostics}");
             }
             other => panic!("expected a deadlock, got {other:?}"),

@@ -145,7 +145,7 @@ impl Kernel for HostSource {
         self.next = end;
     }
 
-    /// Remaining-count token, period-quantized (see [`drain_token`]): the
+    /// Remaining-count token, period-quantized (see `drain_token`): the
     /// remaining count is the only control state.
     fn replay_token(&self) -> Option<u64> {
         Some(drain_token(self.remaining() as u64, self.period))
@@ -303,7 +303,7 @@ impl Kernel for HostSink {
         io.pop_n(0, n, |vals| state.collected.extend_from_slice(vals));
     }
 
-    /// Remaining-count token, period-quantized (see [`drain_token`]).
+    /// Remaining-count token, period-quantized (see `drain_token`).
     fn replay_token(&self) -> Option<u64> {
         let remaining = self.expected - lock_state(&self.state).collected.len();
         Some(drain_token(remaining as u64, self.period))

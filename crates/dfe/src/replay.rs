@@ -26,7 +26,7 @@
 //!   mined into tiny spans — burst policy is a pure cost knob, so this is
 //!   semantics-neutral. Each step (a dense cycle or a dispatched span with
 //!   its participant plans, offsets, stream traffic, and pre-dispatch awake
-//!   mask) is appended to the [`ScheduleTape`]. If the closing boundary's
+//!   mask) is appended to the `ScheduleTape`. If the closing boundary's
 //!   fingerprint still matches, the tape is valid and replay begins.
 //! * **Replaying** — tape steps are executed directly: dense steps run the
 //!   ordinary ready-list cycle (already event-driven), span steps re-check

@@ -714,7 +714,7 @@ impl Kernel for ConvKernel {
         (self.simd as u16, self.pe as u16)
     }
 
-    /// One overlapped phase per position (see [`ConvKernel::phase`]): the
+    /// One overlapped phase per position (see `ConvKernel::phase`): the
     /// emit side moves up to `pe` results per tick as the output frees, the
     /// absorb side up to `simd` elements per tick as input arrives, bounded
     /// by the next window's completing element (`needed` is strictly

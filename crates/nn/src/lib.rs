@@ -17,7 +17,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod graph;
 pub mod init;
 pub mod models;
 pub mod network;
@@ -26,7 +25,6 @@ pub mod reference;
 pub mod spec;
 pub mod specgen;
 
-pub use graph::{OpGraph, OpKind, OpNode};
 pub use network::{EncoderFfn, EncoderParams, Network, StageParams};
 pub use spec::{
     EncoderGeometry, NetworkSpec, PoolKind, ResidualGeometry, SpecBuilder, SpecError, Stage,

@@ -205,27 +205,17 @@ impl NetworkSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::PoolKind;
+    use crate::spec::{PoolKind, SpecBuilder};
     use qnn_tensor::{FilterShape, Shape3};
 
     fn spec() -> NetworkSpec {
         let g1 = ConvGeometry::new(Shape3::square(8, 3), FilterShape::new(3, 3, 4), 1, 1);
-        NetworkSpec::new(
-            "t",
-            Shape3::square(8, 3),
-            2,
-            vec![
-                Stage::ConvInput { geom: g1 },
-                Stage::Pool {
-                    input: Shape3::square(8, 4),
-                    k: 2,
-                    stride: 2,
-                    pad: 0,
-                    kind: PoolKind::Max,
-                },
-                Stage::FullyConnected { in_features: 64, out_features: 10, bn_act: false },
-            ],
-        )
+        SpecBuilder::new("t", Shape3::square(8, 3), 2)
+            .conv_input(g1)
+            .pool(Shape3::square(8, 4), 2, 2, 0, PoolKind::Max)
+            .fully_connected(64, 10, false)
+            .try_build()
+            .expect("valid spec")
     }
 
     #[test]

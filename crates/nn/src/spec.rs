@@ -6,12 +6,10 @@
 //! validated description and can never disagree about sizes.
 //!
 //! Construction goes through [`SpecBuilder`], whose `try_build` returns a
-//! typed [`SpecError`] instead of panicking; [`NetworkSpec::new`] remains as
-//! a thin panicking shim over the builder for existing callers. Stages are
-//! still stored as an ordered list, but two of them — [`Stage::Residual`]
-//! and [`Stage::Encoder`] — expand into *branching* op subgraphs (skip
-//! splits, attention-head fan-out/rejoin); [`NetworkSpec::op_graph`] exposes
-//! that structure explicitly (see `graph.rs`).
+//! typed [`SpecError`] instead of panicking. Stages are stored as an
+//! ordered list, but two of them — [`Stage::Residual`] and
+//! [`Stage::Encoder`] — expand into *branching* subgraphs (skip splits,
+//! attention-head fan-out/rejoin) when the compiler lowers them.
 
 use qnn_tensor::{ConvGeometry, FilterShape, Shape3};
 
@@ -51,7 +49,7 @@ impl ResidualGeometry {
         self.conv1.input
     }
 
-    /// Internal consistency as a typed result (builder path).
+    /// Internal consistency, checked by [`SpecBuilder::try_build`].
     fn check(&self) -> Result<(), String> {
         if self.conv1.output() != self.conv2.input {
             return Err("residual conv1 output must feed conv2".into());
@@ -72,14 +70,6 @@ impl ResidualGeometry {
             }
         }
         Ok(())
-    }
-
-    /// Validate internal consistency, panicking with the same messages the
-    /// pre-builder API used.
-    fn validate(&self) {
-        if let Err(e) = self.check() {
-            panic!("{e}");
-        }
     }
 }
 
@@ -118,7 +108,7 @@ impl EncoderGeometry {
         self.ff_hidden > 0
     }
 
-    /// Internal consistency as a typed result (builder path).
+    /// Internal consistency, checked by [`SpecBuilder::try_build`].
     fn check(&self) -> Result<(), String> {
         if self.seq_len == 0 {
             return Err("encoder needs at least one token".into());
@@ -483,30 +473,6 @@ pub struct NetworkSpec {
 }
 
 impl NetworkSpec {
-    /// Build and shape-check a spec — a thin panicking shim over
-    /// [`SpecBuilder::try_build`] kept for existing callers.
-    ///
-    /// # Panics
-    /// Panics when consecutive stages disagree about shapes (FC layers accept
-    /// any predecessor whose element count matches).
-    pub fn new(name: impl Into<String>, input: Shape3, act_bits: u32, stages: Vec<Stage>) -> Self {
-        // Keep the legacy panic messages: residual geometry first (the
-        // pre-builder API validated blocks before chaining shapes).
-        for stage in &stages {
-            if let Stage::Residual { geom } = stage {
-                geom.validate();
-            }
-        }
-        let mut b = SpecBuilder::new(name, input, act_bits);
-        for stage in stages {
-            b = b.stage(stage);
-        }
-        match b.try_build() {
-            Ok(spec) => spec,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
     /// Final output shape (1×1×classes for the paper's networks).
     pub fn output_shape(&self) -> Shape3 {
         self.stages.last().expect("validated non-empty").output_shape()
@@ -568,17 +534,13 @@ mod tests {
     fn tiny_spec() -> NetworkSpec {
         let g1 = ConvGeometry::new(Shape3::square(8, 3), FilterShape::new(3, 3, 4), 1, 1);
         let g2 = ConvGeometry::new(Shape3::square(8, 4), FilterShape::new(3, 4, 4), 1, 1);
-        NetworkSpec::new(
-            "tiny",
-            Shape3::square(8, 3),
-            2,
-            vec![
-                Stage::ConvInput { geom: g1 },
-                Stage::Conv { geom: g2 },
-                Stage::Pool { input: Shape3::square(8, 4), k: 2, stride: 2, pad: 0, kind: PoolKind::Max },
-                Stage::FullyConnected { in_features: 4 * 4 * 4, out_features: 10, bn_act: false },
-            ],
-        )
+        SpecBuilder::new("tiny", Shape3::square(8, 3), 2)
+            .conv_input(g1)
+            .conv(g2)
+            .pool(Shape3::square(8, 4), 2, 2, 0, PoolKind::Max)
+            .fully_connected(4 * 4 * 4, 10, false)
+            .try_build()
+            .expect("valid spec")
     }
 
     #[test]
@@ -609,7 +571,7 @@ mod tests {
         let c1 = ConvGeometry::new(Shape3::square(56, 64), FilterShape::new(3, 64, 64), 1, 1);
         let c2 = c1;
         let geom = ResidualGeometry { conv1: c1, conv2: c2, downsample: None };
-        geom.validate();
+        assert_eq!(geom.check(), Ok(()));
         assert_eq!(geom.output(), Shape3::square(56, 64));
     }
 
@@ -619,37 +581,17 @@ mod tests {
         let c2 = ConvGeometry::new(Shape3::square(28, 128), FilterShape::new(3, 128, 128), 1, 1);
         let ds = ConvGeometry::new(Shape3::square(56, 64), FilterShape::new(1, 64, 128), 2, 0);
         let geom = ResidualGeometry { conv1: c1, conv2: c2, downsample: Some(ds) };
-        geom.validate();
+        assert_eq!(geom.check(), Ok(()));
         assert_eq!(geom.output(), Shape3::square(28, 128));
     }
 
     #[test]
-    #[should_panic(expected = "identity skip")]
-    fn residual_shape_change_without_downsample_panics() {
+    fn residual_shape_change_without_downsample_is_rejected() {
         let c1 = ConvGeometry::new(Shape3::square(56, 64), FilterShape::new(3, 64, 128), 2, 1);
         let c2 = ConvGeometry::new(Shape3::square(28, 128), FilterShape::new(3, 128, 128), 1, 1);
         let geom = ResidualGeometry { conv1: c1, conv2: c2, downsample: None };
-        geom.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "expects input")]
-    fn shape_mismatch_between_stages_panics() {
-        let g1 = ConvGeometry::new(Shape3::square(8, 3), FilterShape::new(3, 3, 4), 1, 1);
-        let g2 = ConvGeometry::new(Shape3::square(7, 4), FilterShape::new(3, 4, 4), 1, 1);
-        let _ = NetworkSpec::new(
-            "bad",
-            Shape3::square(8, 3),
-            2,
-            vec![Stage::ConvInput { geom: g1 }, Stage::Conv { geom: g2 }],
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "first stage")]
-    fn network_must_start_with_input_conv() {
-        let g = ConvGeometry::new(Shape3::square(8, 3), FilterShape::new(3, 3, 4), 1, 1);
-        let _ = NetworkSpec::new("bad", Shape3::square(8, 3), 2, vec![Stage::Conv { geom: g }]);
+        let reason = geom.check().unwrap_err();
+        assert!(reason.contains("identity skip"), "{reason}");
     }
 
     fn encoder_geom(seq: usize, heads: usize, head_dim: usize, ff: usize) -> EncoderGeometry {
@@ -707,8 +649,16 @@ mod tests {
             .conv(g2)
             .try_build()
             .unwrap_err();
-        assert!(matches!(err, SpecError::ShapeMismatch { index: 1, .. }), "{err}");
-        assert!(err.to_string().contains("expects input"));
+        assert_eq!(
+            err,
+            SpecError::ShapeMismatch {
+                index: 1,
+                stage: format!("{:?}", Stage::Conv { geom: g2 }),
+                expected: Shape3::square(7, 4),
+                found: Shape3::square(8, 4),
+            }
+        );
+        assert!(err.to_string().contains("expects input"), "{err}");
     }
 
     #[test]
@@ -718,29 +668,8 @@ mod tests {
             SpecError::Empty
         );
         let g = ConvGeometry::new(Shape3::square(8, 3), FilterShape::new(3, 3, 4), 1, 1);
-        assert_eq!(
-            SpecBuilder::new("h", Shape3::square(8, 3), 2).conv(g).try_build().unwrap_err(),
-            SpecError::FirstStageNotInput
-        );
-    }
-
-    #[test]
-    fn builder_and_shim_agree_on_a_cnn_chain() {
-        let g1 = ConvGeometry::new(Shape3::square(8, 3), FilterShape::new(3, 3, 4), 1, 1);
-        let built = SpecBuilder::new("tiny", Shape3::square(8, 3), 2)
-            .conv_input(g1)
-            .fully_connected(8 * 8 * 4, 10, false)
-            .try_build()
-            .expect("valid");
-        let shimmed = NetworkSpec::new(
-            "tiny",
-            Shape3::square(8, 3),
-            2,
-            vec![
-                Stage::ConvInput { geom: g1 },
-                Stage::FullyConnected { in_features: 8 * 8 * 4, out_features: 10, bn_act: false },
-            ],
-        );
-        assert_eq!(built, shimmed);
+        let err = SpecBuilder::new("h", Shape3::square(8, 3), 2).conv(g).try_build().unwrap_err();
+        assert_eq!(err, SpecError::FirstStageNotInput);
+        assert!(err.to_string().contains("first stage"), "{err}");
     }
 }

@@ -6,7 +6,7 @@
 //! The scalar datapath re-walks the packed window once *per emit tick*;
 //! here the whole `O × (K·K·I)` bit-GEMM runs once at latch time, register-
 //! blocked over filters so each window word is loaded once per
-//! [`FILTER_BLOCK`] filters, and the filter rows — the big operand, the
+//! `FILTER_BLOCK` filters, and the filter rows — the big operand, the
 //! paper's weight cache — stream through exactly once. Each emit tick then
 //! pops a precomputed accumulator.
 //!
@@ -119,9 +119,9 @@ const BYTE_MASKS: [u64; 256] = byte_masks();
 /// is a masked byte sum: pixels are offset to unsigned bytes once, then
 /// each 8-bit filter chunk selects its 8 pixel bytes via a mask table and
 /// a SWAR horizontal add folds them — ~8 ops per 8 pixels against
-/// [`dot_i8`]'s ~5 per pixel. Every step is exact integer arithmetic
+/// [`dot_i8`](crate::dot::dot_i8)'s ~5 per pixel. Every step is exact integer arithmetic
 /// (`S₁ = S₁ᵤ − 128·popcount(w)`, no lane can overflow), so the values are
-/// bit-identical to the scalar datapath's per-emit-tick [`dot_i8`].
+/// bit-identical to the scalar datapath's per-emit-tick [`dot_i8`](crate::dot::dot_i8).
 ///
 /// # Panics
 /// Panics if `acc.len() != filters.num_filters()` or the filter width

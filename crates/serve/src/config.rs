@@ -1,7 +1,7 @@
 //! Serving-runtime configuration: admission, batching, dispatch, and the
 //! scheduling classes of the two-level scheduler.
 
-use qnn_compiler::CompileOptions;
+use qnn_compiler::{CompileOptions, OptionsError};
 use std::fmt;
 use std::time::Duration;
 
@@ -98,6 +98,14 @@ pub enum ConfigError {
     NoModels,
     /// Two models were registered under the same name.
     DuplicateModel(String),
+    /// A model's compile options do not fit its network (an unknown
+    /// layer or stream, a zero override, a short `stage_device`).
+    InvalidOptions {
+        /// The model the options were registered with.
+        model: String,
+        /// What [`qnn_compiler::elaborate`] rejected.
+        error: OptionsError,
+    },
 }
 
 impl fmt::Display for ConfigError {
@@ -116,6 +124,9 @@ impl fmt::Display for ConfigError {
             ConfigError::NoModels => write!(f, "a server needs at least one model"),
             ConfigError::DuplicateModel(name) => {
                 write!(f, "model {name:?} registered twice")
+            }
+            ConfigError::InvalidOptions { model, error } => {
+                write!(f, "model {model:?}: {error}")
             }
         }
     }
@@ -273,7 +284,7 @@ impl ServerConfigBuilder {
     }
 
     /// Default compile options for registered models.
-    pub fn compile(mut self, compile: CompileOptions) -> Self {
+    pub fn compile_options(mut self, compile: CompileOptions) -> Self {
         self.config.compile = compile;
         self
     }

@@ -909,7 +909,7 @@ impl ModelOptions {
     }
 
     /// Override this model's compile options.
-    pub fn compile(mut self, compile: CompileOptions) -> Self {
+    pub fn compile_options(mut self, compile: CompileOptions) -> Self {
         self.compile = Some(compile);
         self
     }
@@ -954,7 +954,8 @@ impl ServerBuilder {
     /// Validate, compile every registered model (through an
     /// [`ArtifactCache`] keyed by options, so pools share parameter
     /// snapshots), spawn the batcher and every pool's workers, and return
-    /// the running [`Server`].
+    /// the running [`Server`]. Options a model cannot take are
+    /// [`ConfigError::InvalidOptions`], before any thread starts.
     pub fn start(self) -> Result<Server, ConfigError> {
         let config = self.config;
         config.validate()?;
@@ -976,7 +977,9 @@ impl ServerBuilder {
                 return Err(ConfigError::ZeroReplicas);
             }
             let compile = opts.compile.as_ref().unwrap_or(&config.compile);
-            let artifact = cache.get_or_compile(name, net, compile);
+            let artifact = cache.get_or_compile(name, net, compile).map_err(|error| {
+                ConfigError::InvalidOptions { model: name.clone(), error }
+            })?;
             entries.push(registry::entry(name.clone(), artifact, replicas));
             pool_specs.push((replicas, opts.synthetic_delay));
         }

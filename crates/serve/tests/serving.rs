@@ -3,6 +3,7 @@
 //! invariants. Everything uses the small `test_net` so the whole file runs
 //! in tier-1 time.
 
+use qnn_compiler::{CompileOptions, OptionsError};
 use qnn_nn::{models, Network};
 use qnn_serve::{
     AdmissionPolicy, ConfigError, DispatchPolicy, ModelOptions, Priority, ResizeError, Response,
@@ -647,6 +648,55 @@ fn builder_rejects_invalid_registrations_with_typed_errors() {
             .start(),
         Err(ConfigError::ZeroReplicas)
     ));
+}
+
+/// Options the model cannot take refuse the server before any replica
+/// starts: a worker would otherwise panic on its first batch and leave the
+/// ticket unresolved.
+#[test]
+fn unknown_fifo_override_refuses_the_server() {
+    let net = net();
+    let compile = CompileOptions {
+        fifo_overrides: vec![("no_such_stream".into(), 4)],
+        ..CompileOptions::default()
+    };
+    let started = Server::builder()
+        .model("ok", &net)
+        .model_with("m", &net, ModelOptions { compile: Some(compile), ..ModelOptions::new() })
+        .start();
+    match started {
+        Err(ConfigError::InvalidOptions { model, error }) => {
+            assert_eq!(model, "m");
+            assert_eq!(error, OptionsError::UnknownStream("no_such_stream".into()));
+        }
+        Err(e) => panic!("expected InvalidOptions, got {e}"),
+        Ok(_) => panic!("a server whose replicas cannot elaborate must not start"),
+    }
+}
+
+#[test]
+fn short_stage_device_refuses_the_server() {
+    let net = net();
+    let stages = net.spec.stages.len();
+    let compile =
+        CompileOptions { stage_device: Some(vec![0; stages - 1]), ..CompileOptions::default() };
+    let started = Server::builder()
+        .model_with("m", &net, ModelOptions { compile: Some(compile), ..ModelOptions::new() })
+        .start();
+    match started {
+        Err(err @ ConfigError::InvalidOptions { .. }) => {
+            assert_eq!(
+                err,
+                ConfigError::InvalidOptions {
+                    model: "m".into(),
+                    error: OptionsError::StageDeviceCount { stages, got: stages - 1 },
+                }
+            );
+            assert!(err.to_string().contains("\"m\""), "{err}");
+        }
+        Err(e) => panic!("expected InvalidOptions, got {e}"),
+        Ok(_) => panic!("a server with a short stage_device must not start"),
+    }
 }
 
 #[test]

@@ -13,7 +13,7 @@
 //! * [`prop`] + the [`props!`] macro — a seeded property-testing harness
 //!   with shrink-on-failure (replaces `proptest`), tuned via
 //!   `QNN_TEST_SEED` / `QNN_TEST_CASES`;
-//! * [`bench`] — a wall-clock warmup/iterate/median/p95 runner for the
+//! * [`mod@bench`] — a wall-clock warmup/iterate/median/p95 runner for the
 //!   `harness = false` benches (replaces `criterion`).
 
 #![forbid(unsafe_code)]

@@ -190,7 +190,7 @@ pub fn vec<S: Strategy>(element: S, len: Range<usize>) -> VecStrategy<S> {
     VecStrategy { element, len }
 }
 
-/// See [`vec`].
+/// See [`fn@vec`].
 #[derive(Clone, Debug)]
 pub struct VecStrategy<S> {
     element: S,

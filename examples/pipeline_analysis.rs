@@ -8,7 +8,7 @@
 //! cargo run --release --example pipeline_analysis
 //! ```
 
-use qnn::compiler::{compile, CompileOptions};
+use qnn::compiler::{try_compile, CompileOptions};
 use qnn::data::CIFAR10;
 use qnn::nn::{models, Network};
 
@@ -16,7 +16,7 @@ fn main() {
     let spec = models::vgg_like(32, 10, 2);
     let net = Network::random(spec, 3);
     let images = CIFAR10.images(2);
-    let compiled = compile(&net, &images, &CompileOptions::default());
+    let compiled = try_compile(&net, &images, &CompileOptions::default()).expect("valid options");
     let mut graphs = compiled.graphs;
     assert_eq!(graphs.len(), 1, "single-DFE build expected");
 
@@ -60,7 +60,7 @@ fn main() {
     println!("\n(occupancy/utilization CSV available via Trace::occupancy_csv / utilization_csv)");
 
     // The same images untraced: the simulator's burst dispatch at work.
-    let compiled = compile(&net, &images, &CompileOptions::default());
+    let compiled = try_compile(&net, &images, &CompileOptions::default()).expect("valid options");
     let mut graphs = compiled.graphs;
     let g = &mut graphs[0];
     let untraced = g.run(100_000_000).expect("untraced run");

@@ -13,7 +13,7 @@
 //! Part of `./ci.sh dse` (tier-1, reduced cases) and `./ci.sh soak`.
 
 use qnn::compiler::dse::{explore, pick, DseConfig, ResourceBudget};
-use qnn::compiler::{run_images, CompileOptions};
+use qnn::compiler::{run_images, CompileOptions, SimError};
 use qnn::dfe::STRATIX_10_GX2800;
 use qnn::hw::CycleModel;
 use qnn::nn::specgen::spec_strategy;
@@ -166,7 +166,7 @@ fn undersized_skip_fifo_deadlocks_with_diagnostics() {
     )
     .expect_err("a 2-slot skip buffer cannot absorb the conv path's lead");
     match err {
-        qnn::dfe::RunError::Deadlock { cycle, diagnostics } => {
+        SimError::Run(qnn::dfe::RunError::Deadlock { cycle, diagnostics }) => {
             assert!(cycle > 0);
             assert!(
                 diagnostics.contains("res2.skipbuf"),

@@ -13,7 +13,7 @@
 //!
 //! Part of `./ci.sh soak` at `QNN_TEST_CASES=1024`.
 
-use qnn::compiler::{compile, run_images, CompileOptions, Fold, FoldPlan, SimResult};
+use qnn::compiler::{run_images, try_compile, CompileOptions, Fold, FoldPlan, SimResult};
 use qnn::dfe::{
     CycleReport, Graph, HostSink, HostSource, Io, Kernel, Progress, ReplayDiag, SchedulerMode,
     SpanIo, SpanPlan, StallInjector, StreamSpec, WakeHint,
@@ -65,7 +65,7 @@ fn span_coverage(
     kernel: &str,
 ) -> (u64, u64, u64) {
     let opts = CompileOptions { scheduler: SchedulerMode::Span, ..base.clone() };
-    let mut compiled = compile(net, images, &opts);
+    let mut compiled = try_compile(net, images, &opts).expect("valid options");
     let [graph] = &mut compiled.graphs[..] else {
         panic!("single-device run expected");
     };
@@ -255,7 +255,7 @@ props! {
         let reference =
             run_images(&net, images, &at(SchedulerMode::Dense)).expect("reference run");
 
-        let compiled = compile(&net, images, &at(tier(start)));
+        let compiled = try_compile(&net, images, &at(tier(start))).expect("valid options");
         let mut graphs = compiled.graphs;
         prop_assert_eq!(graphs.len(), 1);
         let g = &mut graphs[0];
@@ -291,7 +291,7 @@ fn run_counted(
     images: &[Tensor3<i8>],
     opts: &CompileOptions,
 ) -> (SimResult, (u64, u64)) {
-    let mut compiled = compile(net, images, opts);
+    let mut compiled = try_compile(net, images, opts).expect("valid options");
     let sim = compiled.run().expect("run");
     let [graph] = &compiled.graphs[..] else {
         panic!("a network lowers to one graph");

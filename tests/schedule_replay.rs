@@ -9,7 +9,7 @@
 //! §"Steady-state schedule replay"; these tests are its proof obligation
 //! at the compiled-network level.
 
-use qnn::compiler::{compile, run_images, CompileOptions, Fold, FoldPlan};
+use qnn::compiler::{run_images, try_compile, CompileOptions, Fold, FoldPlan};
 use qnn::dfe::{
     Graph, HostSink, HostSource, Io, Kernel, Progress, SchedulerMode, SpanIo, SpanPhase,
     SpanPlan, StallInjector, StreamSpec, WakeHint,
@@ -361,7 +361,7 @@ fn mid_run_replay_switches_are_invisible() {
     let images: Vec<_> = (0..16).map(|s| image_for(&net.spec, s + 100)).collect();
     let reference = run_at(&net, &images, Span);
 
-    let compiled = compile(&net, &images, &CompileOptions::default());
+    let compiled = try_compile(&net, &images, &CompileOptions::default()).expect("valid options");
     let mut graphs = compiled.graphs;
     assert_eq!(graphs.len(), 1);
     assert_eq!(graphs[0].scheduler(), Replay);
@@ -414,7 +414,7 @@ fn replay_diag_is_excluded_from_report_equality_and_survives_rearm() {
     // Counter persistence across a mid-run re-arm: drop a tier and come
     // back after the run completes a stretch; the accumulated counters
     // must not reset (they describe the whole run).
-    let compiled = compile(&net, &images, &CompileOptions::default());
+    let compiled = try_compile(&net, &images, &CompileOptions::default()).expect("valid options");
     let mut graphs = compiled.graphs;
     let g = &mut graphs[0];
     let mut banked = qnn::dfe::ReplayDiag::default();

@@ -12,7 +12,7 @@
 //!
 //! Part of `./ci.sh soak` at `QNN_TEST_CASES=1024`.
 
-use qnn::compiler::{compile, run_images, CompileOptions, Fold, FoldPlan};
+use qnn::compiler::{run_images, try_compile, CompileOptions, Fold, FoldPlan};
 use qnn::dfe::{
     Graph, HostSink, HostSource, Io, Kernel, Progress, SchedulerMode, StallInjector, StreamSpec,
     WakeHint,
@@ -138,11 +138,11 @@ props! {
             ..CompileOptions::default()
         };
         assert_modes_agree(&net, std::slice::from_ref(&img), &base)?;
-        let mut spans = compile(
+        let mut spans = try_compile(
             &net,
             std::slice::from_ref(&img),
             &CompileOptions { scheduler: SchedulerMode::Span, ..base },
-        );
+        ).expect("valid options");
         spans.graphs[0].run(100_000_000).expect("span run");
         prop_assert!(
             spans.graphs[0].burst_cycles() > 0,

@@ -238,7 +238,7 @@ props! {
             .replicas(replicas)
             .max_batch(max_batch)
             .queue_depth(queue_depth)
-            .compile(at_tier(SchedulerMode::ALL[tier]))
+            .compile_options(at_tier(SchedulerMode::ALL[tier]))
             .admission(AdmissionPolicy::Reject)
             .flush_deadline(Duration::from_micros(200))
             .interactive_flush_deadline(Duration::from_micros(50))
