@@ -662,6 +662,28 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "expects input")]
+    fn shape_mismatch_between_stages_panics() {
+        let g1 = ConvGeometry::new(Shape3::square(8, 3), FilterShape::new(3, 3, 4), 1, 1);
+        let g2 = ConvGeometry::new(Shape3::square(7, 4), FilterShape::new(3, 4, 4), 1, 1);
+        let _ = SpecBuilder::new("bad", Shape3::square(8, 3), 2)
+            .conv_input(g1)
+            .conv(g2)
+            .try_build()
+            .unwrap_or_else(|e| panic!("{e}"));
+    }
+
+    #[test]
+    #[should_panic(expected = "first stage")]
+    fn network_must_start_with_input_conv() {
+        let g = ConvGeometry::new(Shape3::square(8, 3), FilterShape::new(3, 3, 4), 1, 1);
+        let _ = SpecBuilder::new("bad", Shape3::square(8, 3), 2)
+            .conv(g)
+            .try_build()
+            .unwrap_or_else(|e| panic!("{e}"));
+    }
+
+    #[test]
     fn builder_rejects_empty_and_headless_chains() {
         assert_eq!(
             SpecBuilder::new("e", Shape3::square(8, 3), 2).try_build().unwrap_err(),
