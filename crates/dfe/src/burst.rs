@@ -2,104 +2,114 @@
 //! [`SpanPlan`] chains of the kernels a burst touches, so that `k` cycles of
 //! the clocked pipeline run in one dispatch per kernel.
 //!
-//! ## The schedule of one kernel
+//! ## One pass in time
 //!
 //! A participant walks its chain phase by phase. Each tick of a phase moves
 //! what the kernel's greedy tick would — as many elements as its lanes, the
 //! queued input, the free output slots and the phase's remaining length
 //! allow ([`SpanPhase`]) — and a tick that moves nothing is a port-inert
-//! stall. Given the other end's side of every stream it touches (the cycles
-//! on which the writer of each input pushes and the reader of each output
-//! pops, as run lists), that greedy schedule follows in closed form, run by
-//! run ([`follow`]): a stall lasts until every port it needs is serviceable
-//! again, a run lasts while the rate holds. The result is the kernel's
-//! *acts* (busy stretches and stalls with their verdicts, up to where its
-//! chain runs out) and a side per port.
+//! stall. While the other end of every stream it touches keeps its rate,
+//! what it does is constant for a stretch that follows in closed form
+//! ([`greedy`]): a move repeats while its rate holds, a wait lasts until
+//! every port it needs is serviceable again.
 //!
-//! ## The schedule of the burst
-//!
-//! Each schedule depends on its neighbours', so the planner iterates to a
-//! fixpoint: every participant starts with empty sides, and sweeps in node
-//! order recompute any participant whose neighbours' sides changed. Sides
-//! only grow from sweep to sweep (more pushes mean more to read, more pops
-//! more room) and a change at cycle `τ` affects the neighbours only from
-//! `τ` on, so the iteration climbs to the one schedule in which every kernel
-//! is greedy against every other — dense stepping's. A feed-forward stretch
-//! settles in one sweep; a backpressured one (a writer into a full FIFO
-//! following its reader) in one more per link against node order, so as
-//! many sweeps as there are participants settle any chain of such links.
-//! Only a feedback loop — a reader ahead of its writer in node order, each
-//! waiting on the other — can need more; the sweeps stop there and the burst
-//! is cut at the earliest cycle a pending change could still move.
+//! So the planner simulates the burst event by event. It keeps every
+//! participant's current *move* (a rate per side of its phase, or a wait
+//! with its verdict) and every stream's running push and pop counts
+//! ([`Flow`]), advances to the earliest cycle at which some move changes —
+//! ties in node order, dense stepping's order within a cycle — and
+//! re-evaluates only that participant. A change of its rates on a stream
+//! re-evaluates the kernel on the other end when the port held that
+//! kernel's move back (or starts to before its next evaluation), from the
+//! first tick the change can show: a reader sees a push on the next cycle
+//! (staged writes commit at the end of theirs), a writer sees a pop on the
+//! next cycle too, unless the reader ticks earlier in node order, when the
+//! slot frees within the same cycle. Every stretch is appended once, in
+//! time order, and never solved again. A folded tick that finishes a
+//! coupled phase with lanes to spare goes on into the next phases within
+//! its cycle ([`SpanPhase::spill`]): one one-cycle move across them.
 //!
 //! The burst starts with every awake kernel (each must promise, or the
-//! attempt is refused) and grows as the schedules reach parked ones: a
-//! parked kernel whose input receives data or whose full output is drained
-//! is recruited with its own promise — or, if it offers none, the burst
-//! ends before it would wake.
+//! attempt is refused) and grows as moves reach parked ones: a parked
+//! kernel whose input receives data or whose full output is drained is
+//! recruited with its own promise — or, if it offers none, the burst ends
+//! before it would wake.
 //!
 //! ## The length
 //!
-//! `k` is the earliest of: the cycle budget, where any participant's chain
-//! runs out or breaks, a recruit veto, a pending fixpoint change, the next
-//! schedule-replay boundary, and one dispatch artefact — a reader earlier in
-//! node order than its writer runs its whole burst first, so it can consume
-//! only what was queued at the start. Within `k` the dense outcome is
-//! exactly what the acts and sides say, so the dispatch credits it
+//! `k` is the earliest cycle at which one of these happens: the cycle
+//! budget runs out, a participant's chain runs out or breaks (a lockstep
+//! phase starved or blocked, a tick spilling past the phases the chain
+//! holds), a recruit vetoes, the whole graph goes quiet, the next
+//! schedule-replay boundary comes, or one dispatch artefact — a reader
+//! earlier in node order than its writer runs its whole burst first, so it
+//! can consume only what was queued at the start. Each is a check at the
+//! event where it happens, and the pass stops there. Within `k` the dense
+//! outcome is exactly what the moves say, so the dispatch credits it
 //! arithmetically: per participant, its busy and stall counts, one
 //! [`Kernel::run_span`](crate::Kernel::run_span) moving each port's quota,
 //! and the park state dense stepping would leave it in; per stream, the
-//! occupancy peak in closed form ([`span_peak`]).
+//! occupancy peak ([`Flow::peak`]).
 
 use crate::diag::{BurstEnd, Refusal};
 use crate::graph::{End, Node};
-use crate::kernel::{Progress, SpanIo, SpanPhase, SpanPlan, WakeHint, MAX_SPAN_PHASES};
-use crate::stream::{
-    follow, moved_before, rate_at, reach, span_peak, FollowEnd, SpanFeed, SpanRun,
-    SpanStall, StreamState,
-};
+use crate::kernel::{Progress, SpanIo, SpanPhase, SpanPlan, WakeHint, MAX_SPAN_PORTS};
+use crate::stream::{greedy, Flow, Gauge, Step, StreamState};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
-/// Farthest cycle a schedule is solved to, so run arithmetic never nears
+/// Farthest cycle a burst is planned to, so rate arithmetic never nears
 /// `u64` overflow; budgets beyond it are clamped.
 const HORIZON_CAP: u64 = 1 << 40;
 
-/// One stretch of a participant's schedule: busy ticks, or a stall with the
-/// verdict its ticks report.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct Act {
-    start: u64,
-    stop: u64,
-    stall: Option<Progress>,
+/// Ports of one kernel (inputs, then outputs).
+const PORTS: usize = 2 * MAX_SPAN_PORTS;
+
+/// One stream port of a participant, resolved when it joins.
+#[derive(Clone, Copy)]
+struct Port {
+    stream: usize,
+    input: bool,
+    /// The kernel on the stream's other end, and the index of this stream
+    /// among its ports (inputs, then outputs).
+    other: usize,
+    facing: usize,
+    /// The reader ticks earlier in node order than the writer: it is
+    /// dispatched first, and the writer sees its pops within the cycle.
+    early: bool,
+    /// Free slots at the burst's start (an output).
+    room: i64,
 }
 
-/// Where a participant's schedule stops.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Ending {
-    /// The chain ran out.
-    Chain,
-    /// Still going at the planning horizon.
-    Horizon,
-    /// A tick the promise does not cover (a lockstep phase starved or
-    /// blocked, a tick spilling into a phase the chain does not hold).
-    Break { output: bool },
-}
-
-/// A kernel taking part in the planned burst.
+/// A kernel taking part in the planned burst, as of cycle `since`.
 struct Part {
     node: usize,
-    plan: SpanPlan,
+    /// Its ports' window into `Planner::ports`, and how many are inputs.
+    ports: (u32, u32),
+    ni: usize,
     /// Park verdict at the burst's start (`None`: awake).
     parked: Option<Progress>,
-    /// Index into `wins` of its first port side (inputs, then outputs).
-    win: usize,
-    acts: (u32, u32),
-    /// The schedule covers cycles `0..horizon`.
-    horizon: u64,
-    ending: Ending,
-    /// Ports that held the last schedule back, bit per port (inputs, then
-    /// outputs): only a change on one of them can move it.
-    bound: u32,
-    scheduled: bool,
+    /// The phase of its chain it is in, and the elements left on each side
+    /// of it: a coupled phase has one side, an overlapped one a read side
+    /// and a write side.
+    phase: usize,
+    left: [u64; 2],
+    /// Elements per tick on each side from `since` on.
+    rate: [u64; 2],
+    since: u64,
+    /// What it does from `since` on (`None`: busy), and on the cycle before.
+    act: Option<Progress>,
+    prev: Option<Progress>,
+    /// Busy and `Stalled` ticks before `since`.
+    busy: u64,
+    stalled: u64,
+    /// Every tick before `since` repeated the verdict it is parked on.
+    kept_park: bool,
+    /// The cycle it is next evaluated on (`u64::MAX`: none pending).
+    next: u64,
+    /// Ports that held its move back at `since`, bit per port: found empty
+    /// (an input) or full (an output), or holding no more than it moves.
+    held: u32,
 }
 
 /// One participant's part in a planned burst, as the dispatch applies it
@@ -123,7 +133,7 @@ pub(crate) struct SpanStream {
     /// Committed queue length when the burst starts (the replay guard).
     pub start_len: usize,
     /// Occupancy high-water mark the burst credits in closed form
-    /// ([`span_peak`]; 0 ⇒ nothing committed).
+    /// ([`Flow::peak`]; 0 ⇒ nothing committed).
     pub peak: usize,
 }
 
@@ -156,101 +166,208 @@ pub(crate) struct Refused {
 #[derive(Default)]
 pub(crate) struct Planner {
     list: Vec<Part>,
+    /// Each participant's promise, parallel to `list`.
+    plans: Vec<SpanPlan>,
+    ports: Vec<Port>,
     /// Node → index into `list` (`u32::MAX`: not a participant).
     part_of: Vec<u32>,
-    /// Port side windows into `runs`.
-    wins: Vec<(u32, u32)>,
-    runs: Vec<SpanRun>,
-    acts: Vec<Act>,
-    /// Nodes to (re)schedule, one bit each.
-    dirty: Vec<u64>,
-    /// Per node: the earliest cycle a change not yet seen by it differs.
-    pending: Vec<u64>,
-    /// How far schedules are solved: the budget, lowered to the earliest
-    /// chain end found so far (the burst cannot run past it).
-    reach: u64,
-    // Per-schedule scratch.
-    phase_runs: Vec<SpanRun>,
-    write_runs: Vec<SpanRun>,
-    stalls: Vec<SpanStall>,
-    new_acts: Vec<Act>,
-    new_runs: Vec<SpanRun>,
-    slots: Vec<u32>,
+    /// Per stream: its running counts, valid where `live`.
+    flows: Vec<Flow>,
+    live: Vec<bool>,
+    /// The streams with a live flow, in the order they joined.
+    touched: Vec<usize>,
+    /// Pending evaluations as `(cycle, node)`, earliest first; an entry
+    /// whose cycle is no longer its participant's `next` is stale.
+    events: BinaryHeap<Reverse<(u64, u32)>>,
+    /// Participants that are busy on the cycle being planned.
+    busy: usize,
+    /// The schedule-replay boundary: the marker stream and the pops due.
+    marker: Option<(usize, u64)>,
+    /// The burst length so far and what bounds it.
+    cut: Cut,
+    /// Participants in node order, for [`Planner::emit`].
+    order: Vec<u32>,
     pub parts: Vec<SpanPart>,
     pub quotas: Vec<u64>,
     pub streams: Vec<SpanStream>,
 }
 
-/// Append an act, merging it into the last one when it continues it.
-fn push_act(acts: &mut Vec<Act>, start: u64, stop: u64, stall: Option<Progress>) {
-    if start >= stop {
-        return;
-    }
-    if let Some(last) = acts.last_mut() {
-        if last.stop == start && last.stall == stall {
-            last.stop = stop;
-            return;
-        }
-    }
-    acts.push(Act { start, stop, stall });
+/// Where a planned burst ends, what ends it there, and the reason to give
+/// when that makes it too short.
+struct Cut {
+    k: u64,
+    end: BurstEnd,
+    reason: Refusal,
 }
 
-/// The side of stream end `e` under the current schedules (empty when its
-/// kernel is not a participant).
-fn side_of<'a>(
-    e: End,
-    input: bool,
-    nodes: &[Node],
-    list: &[Part],
-    part_of: &[u32],
-    wins: &[(u32, u32)],
-    runs: &'a [SpanRun],
-) -> &'a [SpanRun] {
-    match part_of[e.node] {
-        u32::MAX => &[],
-        ix => {
-            let p = &list[ix as usize];
-            let off = if input { e.port } else { nodes[e.node].inputs.len() + e.port };
-            let (at, len) = wins[p.win + off];
-            &runs[at as usize..(at + len) as usize]
+impl Default for Cut {
+    fn default() -> Self {
+        Self { k: u64::MAX, end: BurstEnd::Budget, reason: Refusal::ShortPhase }
+    }
+}
+
+/// What a participant does on a tick: a rate per side and a verdict, held
+/// for some ticks while the other ends keep theirs — or a tick its promise
+/// does not cover, and why.
+enum Tick {
+    Runs { rate: [u64; 2], act: Option<Progress>, ticks: u64 },
+    Breaks(Refusal),
+}
+
+/// A phase's sides as port masks (bit per port: inputs, then outputs)
+/// with their lanes: one coupled side, or an overlapped read side and
+/// write side.
+fn sides(ph: &SpanPhase, ni: usize) -> [(u32, u64); 2] {
+    let (reads, writes) = (u32::from(ph.reads), u32::from(ph.writes) << ni);
+    if ph.overlapped {
+        [(reads, u64::from(ph.read_lanes)), (writes, u64::from(ph.write_lanes))]
+    } else {
+        [(reads | writes, u64::from(ph.read_lanes.max(ph.write_lanes))), (0, 0)]
+    }
+}
+
+/// The ports set in a mask.
+fn bits(mut mask: u32) -> impl Iterator<Item = usize> + Clone {
+    std::iter::from_fn(move || {
+        let q = mask.trailing_zeros() as usize;
+        mask &= mask.wrapping_sub(1);
+        (q < 32).then_some(q)
+    })
+}
+
+/// The elements each side of a phase moves.
+fn side_lens(ph: &SpanPhase) -> [u64; 2] {
+    match (ph.overlapped, ph.reads != 0) {
+        (true, _) => [ph.read_len, ph.write_len],
+        (false, true) => [ph.read_len, 0],
+        (false, false) => [ph.write_len, 0],
+    }
+}
+
+/// The tick of phase `ph` with `left` elements per side, on ports that
+/// look like `g` (inputs `0..ni`, then outputs).
+fn decide(ph: &SpanPhase, left: [u64; 2], ni: usize, g: &[Gauge]) -> Tick {
+    let strict = ph.dry.is_none();
+    let (mut rate, mut ticks, mut idle) = ([0; 2], u64::MAX, false);
+    for (s, (mask, lanes)) in sides(ph, ni).into_iter().enumerate() {
+        if left[s] == 0 {
+            continue;
+        }
+        let side = bits(mask).map(|q| g[q]);
+        let step = greedy(side.clone(), lanes, left[s]);
+        let full = matches!(step, Step::Move { m, .. } if m == lanes.min(left[s]));
+        if strict && !full {
+            let lanes = i64::from(ph.write_lanes);
+            return Tick::Breaks(if side.clone().any(|g| !g.input && g.avail < lanes) {
+                Refusal::WriteBlockedNonHalting
+            } else {
+                Refusal::StreamCap
+            });
+        }
+        match step {
+            Step::Move { m, ticks: d } => {
+                rate[s] = m;
+                ticks = ticks.min(d);
+            }
+            Step::Wait { ticks: d, fed } => {
+                // Idle while every masked input is empty, if the phase's
+                // dry verdict says so; `Stalled` from the first element on.
+                let dry = !ph.overlapped && ph.dry == Some(Progress::Idle) && ph.reads != 0;
+                idle = dry && fed > 0;
+                ticks = ticks.min(if idle { fed } else { d });
+            }
         }
     }
+    let act = match (rate, idle) {
+        ([0, 0], true) => Some(Progress::Idle),
+        ([0, 0], false) => Some(Progress::Stalled),
+        _ => None,
+    };
+    Tick::Runs { rate, act, ticks }
 }
 
 impl Planner {
-    /// Size the per-node scratch for a graph of `nodes` kernels.
-    fn reset(&mut self, nodes: usize) {
+    /// Clear the last attempt and size the per-node and per-stream scratch.
+    fn reset(&mut self, view: &View<'_>) {
+        if self.part_of.len() == view.nodes.len() {
+            for p in &self.list {
+                self.part_of[p.node] = u32::MAX;
+            }
+        } else {
+            self.part_of = vec![u32::MAX; view.nodes.len()];
+        }
+        if self.flows.len() == view.streams.len() {
+            for &s in &self.touched {
+                self.live[s] = false;
+            }
+        } else {
+            self.flows = vec![Flow::default(); view.streams.len()];
+            self.live = vec![false; view.streams.len()];
+        }
         self.list.clear();
-        self.wins.clear();
-        self.runs.clear();
-        self.acts.clear();
+        self.plans.clear();
+        self.ports.clear();
+        self.touched.clear();
+        self.events.clear();
         self.parts.clear();
         self.quotas.clear();
         self.streams.clear();
-        if self.part_of.len() != nodes {
-            self.part_of = vec![u32::MAX; nodes];
-            self.pending = vec![u64::MAX; nodes];
-            self.dirty = vec![0; nodes.div_ceil(64)];
-        }
+        self.busy = 0;
     }
 
-    /// Add node `i` with promise `plan` and mark it for scheduling.
-    fn add(&mut self, view: &View<'_>, i: usize, plan: SpanPlan) {
+    /// Add node `i` with promise `plan`, doing `act` from cycle 0 until its
+    /// first evaluation on cycle `at`.
+    fn add(&mut self, view: &View<'_>, i: usize, plan: SpanPlan, act: Option<Progress>, at: u64) {
         self.part_of[i] = self.list.len() as u32;
-        let ports = view.nodes[i].inputs.len() + view.nodes[i].outputs.len();
+        let node = &view.nodes[i];
+        let p0 = self.ports.len() as u32;
+        let ends =
+            node.inputs.iter().map(|&s| (s, true)).chain(node.outputs.iter().map(|&s| (s, false)));
+        for (s, input) in ends {
+            if !self.live[s] {
+                self.live[s] = true;
+                self.touched.push(s);
+                self.flows[s] = Flow::new(view.streams[s].queue.len());
+            }
+            let (w, r) = (view.writers[s].expect("validated"), view.readers[s].expect("validated"));
+            let (other, facing) = if input {
+                (w.node, view.nodes[w.node].inputs.len() + w.port)
+            } else {
+                (r.node, r.port)
+            };
+            let st = &view.streams[s];
+            let room = (st.spec.capacity - st.queue.len()) as i64;
+            self.ports.push(Port { stream: s, input, other, facing, early: r.node < w.node, room });
+        }
+        let ports = (p0, self.ports.len() as u32 - p0);
+        self.busy += usize::from(act.is_none());
+        self.plans.push(plan);
         self.list.push(Part {
             node: i,
-            plan,
+            ports,
+            ni: node.inputs.len(),
             parked: view.parked[i].map(|(v, _)| v),
-            win: self.wins.len(),
-            acts: (0, 0),
-            horizon: 0,
-            ending: Ending::Horizon,
-            bound: 0,
-            scheduled: false,
+            phase: 0,
+            left: side_lens(&plan.phases()[0]),
+            rate: [0; 2],
+            since: 0,
+            act,
+            prev: act,
+            busy: 0,
+            stalled: 0,
+            kept_park: true,
+            next: at,
+            held: u32::MAX,
         });
-        self.wins.extend(std::iter::repeat_n((0, 0), ports));
-        self.dirty[i / 64] |= 1 << (i % 64);
+        self.events.push(Reverse((at, i as u32)));
+    }
+
+    /// Lower the burst to end at cycle `at`, for reason `end` (`reason`
+    /// when that makes it too short).
+    fn bound(&mut self, at: u64, end: BurstEnd, reason: Refusal) {
+        if at < self.cut.k {
+            self.cut = Cut { k: at, end, reason };
+        }
     }
 
     /// Plan a burst of at most `budget` cycles starting now, worth taking
@@ -263,10 +380,12 @@ impl Planner {
         min_burst: u64,
         marker: Option<(usize, u64)>,
     ) -> Result<Planned, Refused> {
-        let n = view.nodes.len();
-        self.reset(n);
+        self.reset(view);
         let refuse = |reason, retry| Err(Refused { reason, retry });
+        self.cut = Cut { k: budget.min(HORIZON_CAP), ..Cut::default() };
+        self.marker = marker.filter(|&(_, due)| due > 0);
         // Every awake kernel takes part from cycle 0 and must promise.
+        let n = view.nodes.len();
         let mut i = 0usize;
         while i < n {
             let rest = view.awake[i / 64] >> (i % 64);
@@ -279,572 +398,375 @@ impl Planner {
                 break;
             }
             match span_hint(view.streams, &view.nodes[i]) {
-                Some(plan) => self.add(view, i, plan),
-                None => {
-                    self.clear_marks();
-                    return refuse(Refusal::NoPlan, 0);
-                }
+                Some(plan) => self.add(view, i, plan, None, 0),
+                None => return refuse(Refusal::NoPlan, 0),
             }
             i += 1;
         }
         if self.list.is_empty() {
             return refuse(Refusal::AllDemoted, 0);
         }
-        self.reach = budget.min(HORIZON_CAP);
-        let mut veto = u64::MAX;
-        // One sweep per participant (recruits included) settles every chain
-        // of links against node order (see the module docs).
-        let mut sweeps = 0;
-        while sweeps <= self.list.len() && self.sweep(view, &mut veto) {
-            sweeps += 1;
+        if let Err(reason) = self.run(view) {
+            return refuse(reason, 0);
         }
-        // A change no sweep has propagated yet bounds the settled prefix.
-        let mut unsettled = u64::MAX;
-        for (w, word) in self.dirty.iter_mut().enumerate() {
-            while *word != 0 {
-                let b = word.trailing_zeros() as usize;
-                *word &= *word - 1;
-                unsettled = unsettled.min(self.pending[w * 64 + b]);
-                self.pending[w * 64 + b] = u64::MAX;
-            }
+        let Cut { k, end, reason } = self.cut;
+        if k < min_burst.max(2) {
+            return refuse(reason, k);
         }
+        self.emit(view, k);
+        Ok(Planned { k, end })
+    }
 
-        // The burst length and what bounds it.
-        let mut k = budget;
-        let mut end = BurstEnd::Budget;
-        let mut reason = Refusal::ShortPhase;
-        let mut bound = |at: u64, e: BurstEnd, r: Refusal| {
-            if at < k {
-                k = at;
-                end = e;
-                reason = r;
+    /// The pass: evaluate participants in `(cycle, node)` order until the
+    /// burst's end. A cycle after which nobody is busy changes nothing, so
+    /// nobody is busy after it either: that is where dense stepping stops
+    /// to report a deadlock, or idles out its budget — and where nothing
+    /// runs on the first cycle, nothing ever would, so the attempt is left
+    /// to per-element stepping, which keeps deadlock detection live.
+    fn run(&mut self, view: &View<'_>) -> Result<(), Refusal> {
+        let mut cycle = 0;
+        while let Some(&Reverse((t, i))) = self.events.peek() {
+            if t >= self.cut.k {
+                break;
             }
-        };
-        for p in &self.list {
-            match p.ending {
-                Ending::Chain => bound(p.horizon, BurstEnd::Phase, Refusal::ShortPhase),
-                Ending::Horizon => {}
-                Ending::Break { output } => bound(
-                    p.horizon,
-                    BurstEnd::Stream,
-                    if output {
-                        Refusal::WriteBlockedNonHalting
-                    } else {
-                        Refusal::StreamCap
-                    },
-                ),
-            }
-        }
-        // A cycle on which no participant is busy changes nothing, so none
-        // is busy after it either: that is where dense stepping stops to
-        // report a deadlock, or idles out its budget.
-        let quiet = self
-            .list
-            .iter()
-            .filter_map(|p| {
-                let acts = &self.acts[p.acts.0 as usize..(p.acts.0 + p.acts.1) as usize];
-                acts.iter().rev().find(|a| a.stall.is_none()).map(|a| a.stop)
-            })
-            .max()
-            .unwrap_or(0);
-        bound(quiet, BurstEnd::Phase, Refusal::AllDemoted);
-        bound(veto, BurstEnd::Stream, Refusal::RecruitVeto);
-        bound(unsettled, BurstEnd::Stream, Refusal::Admission);
-        // A reader dispatched before its writer sees only the queued lead.
-        for p in &self.list {
-            let node = &view.nodes[p.node];
-            for (q, &s) in node.inputs.iter().enumerate() {
-                let w = view.writers[s].expect("validated");
-                if w.node > p.node && self.part_of[w.node] != u32::MAX {
-                    let lead = view.streams[s].queue.len() as u64;
-                    let pops = self.side(view, End { node: p.node, port: q }, true);
-                    bound(reach(pops, lead + 1), BurstEnd::Stream, Refusal::StreamCap);
+            if t > cycle {
+                if self.busy == 0 {
+                    break;
                 }
+                cycle = t;
+            }
+            self.events.pop();
+            let pi = self.part_of[i as usize] as usize;
+            if self.list[pi].next == t {
+                self.eval(view, pi, t)?;
             }
         }
-        // A replay boundary inside the burst ends it: the fingerprint must
-        // see the state dense stepping reaches there.
-        if let Some((s, due)) = marker {
-            let r = view.readers[s].expect("validated");
-            if self.part_of[r.node] != u32::MAX && due > 0 {
-                let pops = self.side(view, r, true);
-                bound(reach(pops, due).saturating_add(1), BurstEnd::Budget, Refusal::ShortPhase);
-            }
+        if self.busy == 0 {
+            self.bound(cycle, BurstEnd::Phase, Refusal::AllDemoted);
         }
+        Ok(())
+    }
 
-        // A parked participant's schedule must open with the verdict it is
-        // parked on (its ticks are a fixed point until an event wakes it).
-        let first = |p: &Part| self.acts[p.acts.0 as usize..].first().filter(|_| p.acts.1 > 0);
-        let admitted = self.list.iter().all(|p| match (p.parked, first(p)) {
-            (Some(v), Some(a)) => a.stall.is_none_or(|s| s == v),
-            _ => true,
-        });
-        let runs_now = self
-            .list
-            .iter()
-            .any(|p| first(p).is_some_and(|a| a.stall.is_none()));
-        let result = if !admitted {
-            refuse(Refusal::Admission, 0)
-        } else if !runs_now {
-            // Nothing runs on the first cycle, so nothing ever would: leave
-            // it to per-element stepping, which keeps deadlock detection live.
-            refuse(Refusal::AllDemoted, 0)
-        } else if k < min_burst.max(2) {
-            refuse(reason, k)
+    /// What a port finds on its tick at cycle `t`.
+    fn gauge(&self, port: &Port, t: u64) -> Gauge {
+        let f = &self.flows[port.stream];
+        if port.input {
+            let avail = f.len + f.pushed_before(t) - f.popped_before(t);
+            Gauge { avail: avail as i64, gain: f.rates_on(t).0 as i64, input: true }
         } else {
-            self.emit(view, k);
-            Ok(Planned { k, end })
-        };
-        self.clear_marks();
-        result
-    }
-
-    /// Reset the per-node marks an attempt leaves behind.
-    fn clear_marks(&mut self) {
-        for p in &self.list {
-            self.part_of[p.node] = u32::MAX;
-            self.pending[p.node] = u64::MAX;
+            // A reader earlier in node order frees its slots within the cycle.
+            let popped = f.popped_before(t + u64::from(port.early)) as i64;
+            let avail = port.room - f.pushed_before(t) as i64 + popped;
+            Gauge { avail, gain: f.rates_on(t).1 as i64, input: false }
         }
-        self.dirty.iter_mut().for_each(|w| *w = 0);
     }
 
-    /// The side of stream end `e` (see [`side_of`]).
-    fn side(&self, view: &View<'_>, e: End, input: bool) -> &[SpanRun] {
-        side_of(e, input, view.nodes, &self.list, &self.part_of, &self.wins, &self.runs)
-    }
-
-    /// One sweep in node order over the dirty participants; `false` when
-    /// there were none.
-    fn sweep(&mut self, view: &View<'_>, veto: &mut u64) -> bool {
-        let mut any = false;
-        let mut w = 0;
-        while w < self.dirty.len() {
-            let word = self.dirty[w];
-            if word == 0 {
-                w += 1;
-                continue;
+    /// Re-evaluate participant `pi` on cycle `t`: credit what it did since
+    /// its last evaluation, then find its move from `t` on and publish the
+    /// rates that changed.
+    fn eval(&mut self, view: &View<'_>, pi: usize, t: u64) -> Result<(), Refusal> {
+        let p = &mut self.list[pi];
+        let elapsed = t - p.since;
+        if elapsed > 0 {
+            match p.act {
+                None => p.busy += elapsed,
+                Some(v) => {
+                    p.stalled += elapsed * u64::from(v == Progress::Stalled);
+                    p.kept_park &= p.parked == Some(v);
+                }
             }
-            let b = word.trailing_zeros() as usize;
-            self.dirty[w] &= !(1 << b);
-            let i = w * 64 + b;
-            self.pending[i] = u64::MAX;
-            any = true;
-            let pi = self.part_of[i] as usize;
-            self.schedule(view, pi, self.reach);
-            let p = &self.list[pi];
-            if p.ending == Ending::Chain {
-                // Chain ends only come earlier as sides grow, so no later
-                // sweep can need a schedule past this one.
-                self.reach = self.reach.min(p.horizon);
-            }
-            self.commit(view, pi, veto);
-            // Marks set at or below `w` are picked up on the next pass.
+            p.left = [0, 1].map(|s| p.left[s] - p.rate[s] * elapsed);
+            (p.prev, p.since) = (p.act, t);
         }
-        any
-    }
-
-    /// Solve participant `pi`'s schedule against the current sides into the
-    /// per-schedule scratch (`new_acts`, `new_runs`, `slots`).
-    fn schedule(&mut self, view: &View<'_>, pi: usize, h: u64) {
-        let Self {
-            list,
-            part_of,
-            wins,
-            runs,
-            phase_runs,
-            write_runs,
-            stalls,
-            new_acts,
-            new_runs,
-            slots,
-            ..
-        } = self;
-        let part = &list[pi];
-        let node = &view.nodes[part.node];
-        let (ni, no) = (node.inputs.len(), node.outputs.len());
-        let side = |e: End, input: bool| side_of(e, input, view.nodes, list, part_of, wins, runs);
-        // What each port has moved so far, and the feed it sees.
-        let mut mine = [0u64; 2 * crate::kernel::MAX_SPAN_PORTS];
-        let feed = |port: usize, mine: &[u64]| -> SpanFeed<'_> {
-            if port < ni {
-                let s = node.inputs[port];
-                SpanFeed {
-                    mine: mine[port],
-                    ..SpanFeed::input(
-                        side(view.writers[s].expect("validated"), false),
-                        view.streams[s].queue.len(),
-                    )
-                }
-            } else {
-                let s = node.outputs[port - ni];
-                let r = view.readers[s].expect("validated");
-                let st = &view.streams[s];
-                SpanFeed {
-                    mine: mine[port],
-                    ..SpanFeed::output(
-                        side(r, true),
-                        st.spec.capacity - st.queue.len(),
-                        r.node < part.node,
-                    )
-                }
+        let (i, ni, (p0, np)) = (p.node, p.ni, p.ports);
+        let (mut phase, mut left) = (p.phase, p.left);
+        let chain = self.plans[pi].phases().len();
+        while left == [0, 0] {
+            phase += 1;
+            if phase == chain {
+                self.bound(t, BurstEnd::Phase, Refusal::ShortPhase);
+                return Ok(());
+            }
+            left = side_lens(&self.plans[pi].phases()[phase]);
+        }
+        let ph = &self.plans[pi].phases()[phase].clone();
+        // What the phase's ports find (the others cannot bind its move).
+        let [(mask, lanes), (mask1, _)] = sides(ph, ni);
+        let mut seen = mask | mask1;
+        let mut g = [Gauge { avail: 0, gain: 0, input: false }; PORTS];
+        for q in bits(seen) {
+            g[q] = self.gauge(&self.ports[p0 as usize + q], t);
+        }
+        let (mut rate, act, mut ticks) = match decide(ph, left, ni, &g) {
+            Tick::Runs { rate, act, ticks } => (rate, act, ticks),
+            Tick::Breaks(reason) => {
+                self.bound(t, BurstEnd::Stream, reason);
+                return Ok(());
             }
         };
-        let ports_of = |reads: u8, writes: u8| {
-            (0..ni)
-                .filter(move |&p| reads & (1 << p) != 0)
-                .chain((0..no).filter(move |&p| writes & (1 << p) != 0).map(move |p| ni + p))
-        };
-        new_acts.clear();
-        phase_runs.clear();
-        // Per phase: the range of `phase_runs` each side moved.
-        let mut ranges = [((0u32, 0u32), (0u32, 0u32)); MAX_SPAN_PHASES];
-        let phases = part.plan.phases();
-        let mut t = 0u64;
-        let mut ending = Ending::Chain;
-        let mut done = 0;
-        // Ports that held the schedule back (see `SpanFeed::bound`).
-        let mut bound = 0u32;
-        for (j, ph) in phases.iter().enumerate() {
-            let mut feeds = [SpanFeed::input(&[], 0); 2 * crate::kernel::MAX_SPAN_PORTS];
-            let r0 = phase_runs.len() as u32;
-            let (end, last) = if ph.overlapped {
-                let mut nr = 0;
-                for p in ports_of(ph.reads, 0) {
-                    feeds[nr] = feed(p, &mine);
-                    nr += 1;
-                }
-                stalls.clear();
-                let r_end = follow(
-                    &mut feeds[..nr],
-                    u64::from(ph.read_lanes),
-                    ph.read_len,
-                    false,
-                    t,
-                    h,
-                    phase_runs,
-                    stalls,
-                );
-                let mut nw = nr;
-                for p in ports_of(0, ph.writes) {
-                    feeds[nw] = feed(p, &mine);
-                    nw += 1;
-                }
-                write_runs.clear();
-                let w_end = follow(
-                    &mut feeds[nr..nw],
-                    u64::from(ph.write_lanes),
-                    ph.write_len,
-                    false,
-                    t,
-                    h,
-                    write_runs,
-                    stalls,
-                );
-                let r1 = phase_runs.len() as u32;
-                phase_runs.extend_from_slice(write_runs);
-                ranges[j] = ((r0, r1 - r0), (r1, phase_runs.len() as u32 - r1));
-                for (f, p) in feeds[..nw].iter().zip(ports_of(ph.reads, ph.writes)) {
-                    mine[p] = f.mine;
-                    bound |= u32::from(f.bound) << p;
-                }
-                let end = match (r_end, w_end) {
-                    (FollowEnd::Done(a), FollowEnd::Done(b)) => Some(a.max(b)),
-                    _ => None,
-                };
-                let stop = end.unwrap_or(h);
-                let (rr, wr) = (&phase_runs[r0 as usize..r1 as usize], &write_runs[..]);
-                union_acts(rr, wr, t, stop, new_acts);
+        // A recruit woken on cycle 0 must open with the verdict it is
+        // parked on (its ticks are a fixed point until an event wakes it).
+        let parked = self.list[pi].parked;
+        if t == 0 && parked.is_some() && act.is_some() && act != parked {
+            return Err(Refusal::Admission);
+        }
+        let mut moves = [0u64; PORTS];
+        bits(mask).for_each(|q| moves[q] = rate[0]);
+        bits(mask1).for_each(|q| moves[q] = rate[1]);
+        if ph.spill && rate[0] > 0 && rate[0] < lanes {
+            if rate[0] * ticks == left[0] && ticks > 1 {
+                // The tick finishing the phase may spill: evaluate it alone.
+                ticks -= 1;
+            } else if rate[0] == left[0] && ph.overlapped {
                 // A folded read finishing the phase with lanes to spare
                 // keeps reading past it in the same tick once the writes
                 // are out.
-                if let (Some(_), true, Some(lr)) = (end, ph.spill, rr.last()) {
-                    let c = lr.stop - 1;
-                    let writes_out = wr.last().is_none_or(|w| w.stop <= lr.stop);
-                    let fed = feeds[..nr].iter().all(|f| f.avail(c) > 0);
-                    bound |= u32::from(ph.reads);
-                    if u64::from(lr.rate) < u64::from(ph.read_lanes) && writes_out && fed {
-                        t = c;
-                        ending = Ending::Break { output: false };
-                        done = j + 1;
-                        break;
+                if rate[1] == left[1] && bits(mask).all(|q| g[q].avail > rate[0] as i64) {
+                    self.bound(t, BurstEnd::Stream, Refusal::StreamCap);
+                    return Ok(());
+                }
+            } else if rate[0] == left[0] {
+                // A folded coupled tick finishing the phase with lanes to
+                // spare carries on into the next phases within the cycle.
+                let mut spare = lanes - rate[0];
+                let mut rest = None;
+                loop {
+                    let Some(&next) = self.plans[pi].phases().get(phase + 1) else {
+                        // Past the phases the chain holds: end before it.
+                        self.bound(t, BurstEnd::Stream, Refusal::StreamCap);
+                        return Ok(());
+                    };
+                    let [(mask, lanes), _] = sides(&next, ni);
+                    for q in bits(mask & !seen) {
+                        g[q] = self.gauge(&self.ports[p0 as usize + q], t);
                     }
-                }
-                (end, None)
-            } else {
-                let mut nf = 0;
-                for p in ports_of(ph.reads, ph.writes) {
-                    feeds[nf] = feed(p, &mine);
-                    nf += 1;
-                }
-                stalls.clear();
-                let len = if ph.reads != 0 { ph.read_len } else { ph.write_len };
-                let res = follow(
-                    &mut feeds[..nf],
-                    u64::from(ph.read_lanes.max(ph.write_lanes)),
-                    len,
-                    ph.dry.is_none(),
-                    t,
-                    h,
-                    phase_runs,
-                    stalls,
-                );
-                let r1 = phase_runs.len() as u32;
-                ranges[j] = if ph.reads != 0 {
-                    ((r0, r1 - r0), (r0, if ph.writes != 0 { r1 - r0 } else { 0 }))
-                } else {
-                    ((r0, 0), (r0, r1 - r0))
-                };
-                for (f, p) in feeds[..nf].iter().zip(ports_of(ph.reads, ph.writes)) {
-                    mine[p] = f.mine;
-                    bound |= u32::from(f.bound) << p;
-                }
-                coupled_acts(
-                    &phase_runs[r0 as usize..],
-                    stalls,
-                    ph,
-                    new_acts,
-                );
-                match res {
-                    FollowEnd::Done(e) => (Some(e), phase_runs[r0 as usize..].last().copied()),
-                    FollowEnd::Horizon => (None, None),
-                    FollowEnd::Break(c) => {
-                        let output = feeds[..nf]
-                            .iter()
-                            .any(|f| !f.input && f.avail(c) < i64::from(ph.write_lanes));
-                        t = c;
-                        ending = Ending::Break { output };
-                        done = j + 1;
-                        break;
-                    }
-                }
-            };
-            done = j + 1;
-            let Some(e) = end else {
-                t = h;
-                ending = Ending::Horizon;
-                break;
-            };
-            // A folded coupled tick finishing the phase with lanes to spare
-            // carries on into the next phase within the same cycle.
-            if let (true, Some(lr)) = (ph.spill, last) {
-                if u64::from(lr.rate) < u64::from(ph.read_lanes.max(ph.write_lanes)) {
-                    let c = e - 1;
-                    let spills = phases.get(j + 1).is_none_or(|next| {
-                        ports_of(next.reads, next.writes).all(|p| {
-                            bound |= 1 << p;
-                            feed(p, &mine).avail(c) > 0
-                        })
-                    });
-                    if spills {
-                        t = c;
-                        ending = Ending::Break { output: false };
-                        break;
-                    }
-                }
-            }
-            t = e;
-        }
-        // Each port's side: the runs of every phase that moves it.
-        new_runs.clear();
-        slots.clear();
-        for port in 0..ni + no {
-            let at = new_runs.len() as u32;
-            for (ph, &(rr, wr)) in phases.iter().zip(&ranges).take(done) {
-                let (mask, range) = if port < ni {
-                    (ph.reads & (1 << port) != 0, rr)
-                } else {
-                    (ph.writes & (1 << (port - ni)) != 0, wr)
-                };
-                if mask {
-                    for r in &phase_runs[range.0 as usize..(range.0 + range.1) as usize] {
-                        // Phases meeting at one rate continue one run.
-                        let own = new_runs.len() > at as usize;
-                        match new_runs.last_mut() {
-                            Some(l) if own && (l.stop, l.rate) == (r.start, r.rate) => {
-                                l.stop = r.stop
-                            }
-                            _ => new_runs.push(*r),
+                    seen |= mask;
+                    let room = bits(mask).map(|q| g[q].avail - moves[q] as i64).min();
+                    let room = room.unwrap_or(i64::MAX).max(0) as u64;
+                    if next.overlapped || next.dry.is_none() {
+                        if room > 0 {
+                            // Not a tick a promise covers: end before it.
+                            self.bound(t, BurstEnd::Stream, Refusal::StreamCap);
+                            return Ok(());
                         }
+                        break;
+                    }
+                    let len = side_lens(&next)[0];
+                    let m = spare.min(lanes).min(len).min(room);
+                    if m == 0 {
+                        break;
+                    }
+                    bits(mask).for_each(|q| moves[q] += m);
+                    (phase, spare, rest) = (phase + 1, spare - m, Some(len - m));
+                    if len > m || !next.spill || spare == 0 {
+                        break;
                     }
                 }
+                if let Some(rest) = rest {
+                    // A one-cycle move across the phases.
+                    (left, rate, ticks) = ([rest, 0], [0, 0], 1);
+                }
             }
-            slots.push(at);
         }
-        slots.push(new_runs.len() as u32);
-        let part = &mut list[pi];
-        part.horizon = t;
-        part.ending = ending;
-        part.bound = bound;
-        part.scheduled = true;
+        // Input watches: a reader ahead of its writer in node order is
+        // dispatched first, so it may pop only the queued lead; the marker's
+        // reader ends the burst on the cycle after its due pop.
+        let mut next = t.saturating_add(ticks);
+        for (q, &m) in moves.iter().enumerate().take(ni) {
+            let port = self.ports[p0 as usize + q];
+            let f = &self.flows[port.stream];
+            let (len, popped) = (f.len, f.popped_before(t));
+            if port.early {
+                if popped + m > len {
+                    self.bound(t, BurstEnd::Stream, Refusal::StreamCap);
+                    return Ok(());
+                } else if let Some(d) = (len - popped).checked_div(m) {
+                    next = next.min(t + d);
+                }
+            }
+            if let Some((_, due)) = self.marker.filter(|&(ms, _)| ms == port.stream) {
+                if popped < due && popped + m >= due {
+                    self.bound(t + 1, BurstEnd::Budget, Refusal::ShortPhase);
+                } else if popped < due && m > 0 {
+                    next = next.min(t + (due - popped).div_ceil(m) - 1);
+                }
+            }
+        }
+        // The ports that held its move back: any change on them may move it.
+        let held = bits(seen).filter(|&q| g[q].avail <= moves[q] as i64).fold(0, |h, q| h | 1 << q);
+        let p = &mut self.list[pi];
+        self.busy = self.busy + usize::from(act.is_none()) - usize::from(p.act.is_none());
+        (p.phase, p.left, p.rate, p.act, p.next, p.held) = (phase, left, rate, act, next, held);
+        if next < self.cut.k {
+            self.events.push(Reverse((next, i as u32)));
+        }
+        for (q, &m) in moves.iter().enumerate().take(np as usize) {
+            self.publish(view, self.ports[p0 as usize + q], t, m);
+        }
+        Ok(())
     }
 
-    /// Install the schedule just solved for `pi`, marking the neighbours of
-    /// every side that changed (recruiting parked ones it reaches).
-    fn commit(&mut self, view: &View<'_>, pi: usize, veto: &mut u64) {
-        let h = self.reach;
-        let a0 = self.acts.len() as u32;
-        self.acts.extend_from_slice(&self.new_acts);
-        self.list[pi].acts = (a0, self.new_acts.len() as u32);
-        let (i, win) = (self.list[pi].node, self.list[pi].win);
-        let node = &view.nodes[i];
-        let ni = node.inputs.len();
-        for port in 0..self.slots.len() - 1 {
-            let fresh = &self.new_runs[self.slots[port] as usize..self.slots[port + 1] as usize];
-            let (at, len) = self.wins[win + port];
-            let old = &self.runs[at as usize..(at + len) as usize];
-            if old == fresh {
-                continue;
+    /// A participant moves `rate` per tick through `port` from cycle `t` on:
+    /// advance the stream's flow and re-evaluate the other end from the
+    /// first tick the change can show in its move — or, on the first move
+    /// towards a parked kernel, recruit it.
+    fn publish(&mut self, view: &View<'_>, port: Port, t: u64, rate: u64) {
+        let f = &mut self.flows[port.stream];
+        let (first, sees) = if port.input {
+            if f.rates_on(t).1 == rate {
+                return;
             }
-            // The first cycle the two sides differ.
-            let tau = match old.iter().zip(fresh).find(|(a, b)| a != b) {
-                Some((a, b)) if (a.start, a.rate) == (b.start, b.rate) => a.stop.min(b.stop),
-                Some((a, b)) => a.start.min(b.start),
-                None => old.get(fresh.len()).or(fresh.get(old.len())).map_or(0, |r| r.start),
-            };
-            let at = self.runs.len() as u32;
-            self.runs.extend_from_slice(fresh);
-            self.wins[win + port] = (at, fresh.len() as u32);
-            // The kernel on the stream's other end, the cycle of the first
-            // event it sees (a pop of its output, a push to its input) and
-            // the cycle that event wakes it for: a later-ordered writer
-            // ticks within the pop's cycle, anything else on the next.
-            let event = fresh.first().map_or(u64::MAX, |r| r.start);
-            let (other, wakes_at) = if port < ni {
-                let w = view.writers[node.inputs[port]].expect("validated");
-                (w, event.saturating_add(u64::from(w.node < i)))
-            } else {
-                let r = view.readers[node.outputs[port - ni]].expect("validated");
-                (r, event.saturating_add(1))
-            };
-            let o = other.node;
-            if self.part_of[o] != u32::MAX {
-                // The port on the other end: an input of a reader, an
-                // output of a writer. Offering more to a port that never
-                // held its kernel back changes nothing (sides only grow).
-                let q = &self.list[self.part_of[o] as usize];
-                let facing = if port < ni {
-                    view.nodes[o].inputs.len() + other.port
-                } else {
-                    other.port
-                };
-                if tau < h && (!q.scheduled || q.bound & (1 << facing) != 0) {
-                    self.dirty[o / 64] |= 1 << (o % 64);
-                    self.pending[o] = self.pending[o].min(tau);
+            let first = f.popped_before(t) == 0;
+            f.set_pop(t, rate);
+            (first, t + u64::from(!port.early))
+        } else {
+            if f.rates_on(t).0 == rate {
+                return;
+            }
+            let first = f.pushed_before(t) == 0;
+            f.set_push(t, rate);
+            (first, t + 1)
+        };
+        let o = port.other;
+        let pi = match self.part_of[o] {
+            u32::MAX if first && rate > 0 && t < self.cut.k => {
+                return self.recruit(view, o, port.input, t, sees);
+            }
+            u32::MAX => return,
+            pi => pi as usize,
+        };
+        // Only a port that held its move back, or starts to before its next
+        // evaluation, can change what the other end does.
+        let p = &self.list[pi];
+        let (next, held) = (p.next, p.held & 1 << port.facing != 0);
+        if sees >= next {
+            return;
+        }
+        let (push, pop) = self.flows[port.stream].rates_on(sees);
+        let m = (if port.input { push } else { pop }) as i64;
+        if m == 0 && !held {
+            return;
+        }
+        let g = self.gauge(&self.ports[p.ports.0 as usize + port.facing], sees);
+        let at = match g.gain - m {
+            // A wait on the port ends once it holds an element.
+            _ if m == 0 && g.avail >= 1 => sees,
+            _ if m == 0 && g.gain > 0 => sees + ((g.gain - g.avail) / g.gain) as u64,
+            _ if m == 0 => return,
+            _ if g.avail < m => sees,
+            slope if slope < 0 => sees + ((g.avail - m) / -slope) as u64 + 1,
+            // More on a port that held the move back lifts it.
+            _ if held && g.avail > m => sees,
+            slope if held && slope > 0 => sees + 1,
+            _ => return,
+        };
+        if at < next {
+            self.list[pi].next = at;
+            if at < self.cut.k {
+                self.events.push(Reverse((at, o as u32)));
+            }
+        }
+    }
+
+    /// The first move on cycle `t` towards parked node `o` (a pop of its
+    /// output when `drained`, else a push to its input) wakes it on cycle
+    /// `wakes`: it joins with its own promise, or the burst ends before the
+    /// event.
+    fn recruit(&mut self, view: &View<'_>, o: usize, drained: bool, t: u64, wakes: u64) {
+        let verdict = match view.parked[o] {
+            // Pops cannot un-idle a writer: `Idle` is input-driven, so it
+            // wakes, re-ticks `Idle` and parks again.
+            Some((Progress::Idle, _)) if drained => return,
+            Some((v, _)) => v,
+            None => unreachable!("awake kernels are participants"),
+        };
+        let Some(plan) = span_hint(view.streams, &view.nodes[o]) else {
+            // Without a promise the burst must end before the event, so
+            // per-element stepping delivers the wake.
+            self.bound(t, BurstEnd::Stream, Refusal::RecruitVeto);
+            return;
+        };
+        self.add(view, o, plan, Some(verdict), wakes);
+        if wakes > 0 {
+            // Its ticks before the wake are a fixed point of its state at the
+            // burst's start: the promise must say the same there.
+            let p = self.list.last().expect("just added");
+            let mut base = [Gauge { avail: 0, gain: 0, input: false }; PORTS];
+            let ports = &self.ports[p.ports.0 as usize..][..p.ports.1 as usize];
+            for (g, port) in base.iter_mut().zip(ports) {
+                let avail = if port.input { self.flows[port.stream].len as i64 } else { port.room };
+                *g = Gauge { avail, gain: 0, input: port.input };
+            }
+            let first = plan.phases().iter().find(|ph| side_lens(ph) != [0, 0]);
+            match first.map(|ph| decide(ph, side_lens(ph), p.ni, &base)) {
+                None => self.bound(0, BurstEnd::Phase, Refusal::ShortPhase),
+                Some(Tick::Breaks(reason)) => self.bound(0, BurstEnd::Stream, reason),
+                Some(Tick::Runs { act, .. }) if act != Some(verdict) => {
+                    self.bound(0, BurstEnd::Stream, Refusal::Admission);
                 }
-            } else if event < h {
-                // An event inside the burst wakes the kernel, even when
-                // the wake itself lands on the cycle after it.
-                match view.parked[o] {
-                    // Pops cannot un-idle a writer: `Idle` is input-driven,
-                    // so it wakes, re-ticks `Idle` and parks again.
-                    Some((Progress::Idle, _)) if port < ni => {}
-                    Some(_) => match span_hint(view.streams, &view.nodes[o]) {
-                        Some(plan) => {
-                            // Until it is scheduled, the burst holds only
-                            // up to its wake.
-                            self.add(view, o, plan);
-                            self.pending[o] = wakes_at;
-                        }
-                        // Without a promise the burst must end before the
-                        // event, so per-element stepping delivers the wake.
-                        None => *veto = (*veto).min(event),
-                    },
-                    None => unreachable!("awake kernels are participants"),
-                }
+                Some(Tick::Runs { .. }) => {}
             }
         }
     }
 
     /// Build the dispatch records of a burst of `k` cycles.
     fn emit(&mut self, view: &View<'_>, k: u64) {
-        let (mut parts, mut quotas, mut streams) = (
-            std::mem::take(&mut self.parts),
-            std::mem::take(&mut self.quotas),
-            std::mem::take(&mut self.streams),
-        );
-        let mut order: Vec<usize> = (0..self.list.len()).collect();
-        order.sort_unstable_by_key(|&pi| self.list[pi].node);
-        for pi in order {
-            let p = &self.list[pi];
+        let mut order = std::mem::take(&mut self.order);
+        order.clear();
+        order.extend(0..self.list.len() as u32);
+        order.sort_unstable_by_key(|&pi| self.list[pi as usize].node);
+        for &pi in &order {
+            let p = &self.list[pi as usize];
             let node = &view.nodes[p.node];
-            let acts = &self.acts[p.acts.0 as usize..(p.acts.0 + p.acts.1) as usize];
-            let (mut busy, mut stalled, mut last) = (0, 0, None);
-            let mut same_park = true;
-            for a in acts {
-                if a.start >= k {
-                    break;
+            let elapsed = k - p.since;
+            let (mut busy, mut stalled, mut kept_park) = (p.busy, p.stalled, p.kept_park);
+            match p.act {
+                None => busy += elapsed,
+                Some(v) if elapsed > 0 => {
+                    stalled += elapsed * u64::from(v == Progress::Stalled);
+                    kept_park &= p.parked == Some(v);
                 }
-                let len = a.stop.min(k) - a.start;
-                match a.stall {
-                    None => busy += len,
-                    Some(v) => {
-                        if v == Progress::Stalled {
-                            stalled += len;
-                        }
-                        same_park &= p.parked == Some(v);
-                    }
-                }
-                last = Some(a.stall);
+                Some(_) => {}
             }
-            let Some(last) = last else {
-                // Never scheduled: parked until after the burst.
-                continue;
-            };
+            let last = if elapsed > 0 { p.act } else { p.prev };
             // Parked over the last cycle, unless an event on it wakes the
             // kernel for the next: a commit on an input (a push on `k − 1`)
             // or a pop by a reader later in node order.
             let end = last.filter(|_| {
-                let fed = node.inputs.iter().any(|&s| {
-                    let w = view.writers[s].expect("validated");
-                    rate_at(self.side(view, w, false), k - 1) > 0
-                });
+                let fed = node.inputs.iter().any(|&s| self.flows[s].rates_on(k - 1).0 > 0);
                 let drained = node.outputs.iter().any(|&s| {
-                    let r = view.readers[s].expect("validated");
-                    r.node > p.node && rate_at(self.side(view, r, true), k - 1) > 0
+                    view.readers[s].expect("validated").node > p.node
+                        && self.flows[s].rates_on(k - 1).1 > 0
                 });
                 !fed && !drained
             });
-            if busy == 0 && same_park && end == p.parked {
+            if busy == 0 && kept_park && end == p.parked {
                 // Parked throughout on one verdict: the lazy credit already
                 // covers it.
                 continue;
             }
-            let q0 = quotas.len() as u32;
-            for port in 0..node.inputs.len() + node.outputs.len() {
-                let (at, len) = self.wins[p.win + port];
-                quotas.push(moved_before(&self.runs[at as usize..(at + len) as usize], k));
-            }
-            parts.push(SpanPart {
+            let q0 = self.quotas.len() as u32;
+            let quotas = node.inputs.iter().map(|&s| self.flows[s].popped_before(k));
+            self.quotas.extend(quotas);
+            let quotas = node.outputs.iter().map(|&s| self.flows[s].pushed_before(k));
+            self.quotas.extend(quotas);
+            self.parts.push(SpanPart {
                 node: p.node as u32,
                 busy,
                 stalled,
-                quotas: (q0, quotas.len() as u32 - q0),
+                quotas: (q0, self.quotas.len() as u32 - q0),
                 end,
             });
         }
-        // Every stream the burst moves elements through, once: through its
-        // writer when that takes part, else through its reader.
-        let mut note = |s: usize, w: &[SpanRun], r: &[SpanRun]| {
-            let moves = |side: &[SpanRun]| side.first().is_some_and(|run| run.start < k);
-            if moves(w) || moves(r) {
-                let start_len = view.streams[s].queue.len();
-                let peak = span_peak(start_len, w, r, k);
-                streams.push(SpanStream { stream: s, start_len, peak });
-            }
-        };
-        for p in &self.list {
-            let node = &view.nodes[p.node];
-            for (q, &s) in node.outputs.iter().enumerate() {
-                let w = self.side(view, End { node: p.node, port: q }, false);
-                note(s, w, self.side(view, view.readers[s].expect("validated"), true));
-            }
-            for (q, &s) in node.inputs.iter().enumerate() {
-                if self.part_of[view.writers[s].expect("validated").node] == u32::MAX {
-                    note(s, &[], self.side(view, End { node: p.node, port: q }, true));
-                }
+        self.order = order;
+        // Every stream the burst moves elements through, once.
+        for &s in &self.touched {
+            let f = &self.flows[s];
+            if f.pushed_before(k) + f.popped_before(k) > 0 {
+                let (start_len, peak) = (f.len as usize, f.peak(k));
+                self.streams.push(SpanStream { stream: s, start_len, peak });
             }
         }
-        (self.parts, self.quotas, self.streams) = (parts, quotas, streams);
     }
 }
 
@@ -861,76 +783,7 @@ fn span_hint(streams: &[StreamState], node: &Node) -> Option<SpanPlan> {
     for (p, &s) in node.outputs.iter().enumerate() {
         room[p] = streams[s].spec.capacity - streams[s].queue.len();
     }
-    node.kernel
-        .span_hint(&lens[..node.inputs.len()], &room[..node.outputs.len()])
-}
-
-/// The acts of a coupled phase: its runs busy, its stalls `Stalled` —
-/// or, for a phase whose dry verdict is `Idle`, `Idle` until some masked
-/// input holds data.
-fn coupled_acts(runs: &[SpanRun], stalls: &[SpanStall], ph: &SpanPhase, acts: &mut Vec<Act>) {
-    let dry = ph.dry.unwrap_or(Progress::Stalled);
-    let idle_first = dry == Progress::Idle && ph.reads != 0;
-    let (mut r, mut s) = (runs.iter().peekable(), stalls.iter().peekable());
-    loop {
-        let run_first = match (r.peek(), s.peek()) {
-            (Some(a), Some(b)) => a.start < b.start,
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (None, None) => break,
-        };
-        if run_first {
-            let a = r.next().expect("peeked");
-            push_act(acts, a.start, a.stop, None);
-        } else {
-            let b = s.next().expect("peeked");
-            if idle_first {
-                push_act(acts, b.start, b.fed, Some(Progress::Idle));
-                push_act(acts, b.fed.max(b.start), b.stop, Some(Progress::Stalled));
-            } else {
-                push_act(acts, b.start, b.stop, Some(Progress::Stalled));
-            }
-        }
-    }
-}
-
-/// The acts of an overlapped phase over `from..to`: busy on every cycle
-/// either side moves, `Stalled` between.
-fn union_acts(a: &[SpanRun], b: &[SpanRun], from: u64, to: u64, acts: &mut Vec<Act>) {
-    let (mut i, mut j) = (0, 0);
-    let mut t = from;
-    while t < to {
-        // The next busy stretch starting at or after `t`.
-        let next = match (a.get(i), b.get(j)) {
-            (Some(x), Some(y)) => {
-                if x.start <= y.start {
-                    i += 1;
-                    *x
-                } else {
-                    j += 1;
-                    *y
-                }
-            }
-            (Some(x), None) => {
-                i += 1;
-                *x
-            }
-            (None, Some(y)) => {
-                j += 1;
-                *y
-            }
-            (None, None) => {
-                push_act(acts, t, to, Some(Progress::Stalled));
-                break;
-            }
-        };
-        if next.stop <= t {
-            continue;
-        }
-        push_act(acts, t, next.start.max(t).min(to), Some(Progress::Stalled));
-        push_act(acts, next.start.max(t), next.stop.min(to), None);
-        t = t.max(next.stop);
-    }
+    node.kernel.span_hint(&lens[..node.inputs.len()], &room[..node.outputs.len()])
 }
 
 /// Apply a planned (or replayed) burst of `k` cycles starting at clock

@@ -24,11 +24,11 @@ pub enum Refusal {
     /// the burst must end before that event.
     RecruitVeto,
     /// A stream limit: a lockstep phase starved, a folded tick spilling
-    /// into a phase the chain does not hold, or a reader dispatched ahead
-    /// of its writer outrunning the queued lead.
+    /// past the phases the chain holds, or a reader dispatched ahead of its
+    /// writer outrunning the queued lead.
     StreamCap,
     /// A parked kernel's schedule would open on a verdict other than the
-    /// one it is parked on, or the schedules had not settled past the cut.
+    /// one it is parked on.
     Admission,
     /// Nothing would run on the burst's first cycle (every awake kernel
     /// waits, or none is awake), or the whole graph goes quiet.

@@ -233,7 +233,7 @@ impl Graph {
     const BURST_BACKOFF_CAP: u64 = 64;
 
     /// Smallest span worth dispatching as a burst. Planning an attempt costs
-    /// 20–28 µs on ResNet-18 whatever it finds, against 0.6–1.6 µs for one
+    /// 17–35 µs on ResNet-18 whatever it finds, against 0.6–1.6 µs for one
     /// per-element cycle (DESIGN.md §9); a burst shorter than this is
     /// refused, and the caller steps the short stretch per element and
     /// retries right after the bound that cut it. Since a burst runs to a
@@ -1259,6 +1259,9 @@ fn check_progress_contract(node: &Node, prog: Progress) {
         }
     }
 }
+
+#[cfg(test)]
+mod burst_table;
 
 #[cfg(test)]
 mod tests {

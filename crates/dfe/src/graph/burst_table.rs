@@ -1,0 +1,313 @@
+//! The burst planner as a pure function: small hand-built graphs, each
+//! with the burst it must plan from a given state — its length and what
+//! bounds it, or why it is refused — and, for a planned burst, every
+//! participant's busy, stall and quota counts checked against dense
+//! stepping of the same graph over the same cycles.
+
+use super::*;
+use crate::burst::View;
+use crate::diag::BurstEnd;
+use crate::host::{HostSink, HostSource};
+use crate::kernel::{SpanIo, SpanPhase, SpanPlan};
+
+/// A pass-through stage, one element a tick. One without a promise
+/// vetoes the bursts that would wake it.
+struct Pass {
+    promise: bool,
+}
+
+impl Kernel for Pass {
+    fn name(&self) -> &str {
+        "pass"
+    }
+    fn rearm(&mut self) {}
+    fn tick(&mut self, io: &mut Io<'_>) -> Progress {
+        match (io.can_read(0), io.can_write(0)) {
+            (true, true) => {
+                let v = io.read(0).expect("checked");
+                io.write(0, v);
+                Progress::Busy
+            }
+            (true, false) => Progress::Stalled,
+            _ => Progress::Idle,
+        }
+    }
+    fn wake_hint(&self) -> WakeHint {
+        WakeHint::Parkable
+    }
+    fn span_hint(&self, _: &[usize], _: &[usize]) -> Option<SpanPlan> {
+        let pass = SpanPhase::coupled(u64::MAX, 0b1, 0b1).stalls(Progress::Idle);
+        self.promise.then(|| SpanPlan::of(pass))
+    }
+    fn run_span(&mut self, io: &mut SpanIo<'_>, _: u64) {
+        io.transfer(0, 0, io.read_quota(0));
+    }
+}
+
+/// A folded splicer, the shape of a folded padder: passes `pass` elements
+/// through, then writes `fill` zeros, over and over, up to `lanes`
+/// elements a tick — a tick finishing a run with lanes to spare goes on
+/// into the next one.
+struct Splice {
+    pass: usize,
+    fill: usize,
+    lanes: usize,
+    pos: usize,
+}
+
+impl Splice {
+    /// Elements left in the run at `pos`, and whether it passes input.
+    fn run(&self, pos: usize) -> (usize, bool) {
+        if pos < self.pass {
+            (self.pass - pos, true)
+        } else {
+            (self.pass + self.fill - pos, false)
+        }
+    }
+}
+
+impl Kernel for Splice {
+    fn name(&self) -> &str {
+        "splice"
+    }
+    fn rearm(&mut self) {
+        self.pos = 0;
+    }
+    fn tick(&mut self, io: &mut Io<'_>) -> Progress {
+        let mut moved = 0;
+        while moved < self.lanes && io.can_write(0) {
+            if self.pos < self.pass {
+                match io.read(0) {
+                    Some(v) => io.write(0, v),
+                    None => break,
+                }
+            } else {
+                io.write(0, 0);
+            }
+            self.pos = (self.pos + 1) % (self.pass + self.fill);
+            moved += 1;
+        }
+        if moved > 0 {
+            Progress::Busy
+        } else {
+            Progress::Stalled
+        }
+    }
+    fn lanes(&self) -> (u16, u16) {
+        (self.lanes as u16, self.lanes as u16)
+    }
+    fn wake_hint(&self) -> WakeHint {
+        WakeHint::Parkable
+    }
+    fn span_hint(&self, _: &[usize], _: &[usize]) -> Option<SpanPlan> {
+        let phase = |pos| {
+            let (len, reads) = self.run(pos);
+            let ph = SpanPhase::coupled(len as u64, u32::from(reads), 0b1).lanes(self.lanes);
+            ph.stalls(Progress::Stalled).spills()
+        };
+        let mut plan = SpanPlan::of(phase(self.pos));
+        let mut pos = (self.pos + self.run(self.pos).0) % (self.pass + self.fill);
+        while plan.push(phase(pos)) {
+            pos = (pos + self.run(pos).0) % (self.pass + self.fill);
+        }
+        Some(plan)
+    }
+    fn run_span(&mut self, io: &mut SpanIo<'_>, _: u64) {
+        let mut left = io.write_quota(0) as usize;
+        while left > 0 {
+            let (len, reads) = self.run(self.pos);
+            let n = len.min(left);
+            if reads {
+                io.transfer(0, 0, n as u64);
+            } else {
+                io.push_fill(0, 0, n as u64);
+            }
+            self.pos = (self.pos + n) % (self.pass + self.fill);
+            left -= n;
+        }
+    }
+}
+
+/// A kernel of a table graph, in node order.
+#[derive(Clone, Copy)]
+enum K {
+    /// A host source of 40 elements.
+    Src,
+    /// A host sink.
+    Dst,
+    /// A [`Pass`], with or without a promise.
+    Pass(bool),
+    /// A [`Splice`]: `(pass, fill, lanes, pos)`.
+    Splice(usize, usize, usize, usize),
+}
+
+/// One row of the table: the FIFO depths, the kernels in node order with
+/// the streams they read and write, the ready-list cycles stepped before
+/// the attempt, the schedule-replay boundary (stream, pops due), and the
+/// burst the planner must find.
+type Row = (
+    &'static str,
+    &'static [usize],
+    &'static [(K, usize, usize)],
+    u64,
+    Option<(usize, u64)>,
+    Result<(u64, BurstEnd), Refusal>,
+);
+
+/// No stream on that side.
+const NO: usize = usize::MAX;
+
+fn build(scheduler: SchedulerMode, depths: &[usize], kernels: &[(K, usize, usize)]) -> Graph {
+    let mut g = Graph::with_scheduler(scheduler);
+    let ids: Vec<StreamId> =
+        depths.iter().map(|&d| g.add_stream(StreamSpec::new("s", 8, d))).collect();
+    for &(k, i, o) in kernels {
+        let kernel: Box<dyn Kernel> = match k {
+            K::Src => Box::new(HostSource::new("src", (0..40).collect())),
+            K::Dst => Box::new(HostSink::new("dst", 1000).0),
+            K::Pass(promise) => Box::new(Pass { promise }),
+            K::Splice(pass, fill, lanes, pos) => Box::new(Splice { pass, fill, lanes, pos }),
+        };
+        let port = |s: usize| if s == NO { vec![] } else { vec![ids[s]] };
+        g.add_kernel(kernel, &port(i), &port(o));
+    }
+    g
+}
+
+/// Per node: busy and stalled counts, and per port the elements moved
+/// (inputs popped, then outputs pushed) — as dense stepping counts them.
+fn dense_counts(g: &Graph) -> Vec<(u64, u64, Vec<u64>)> {
+    let popped = |s: usize| g.streams[s].pushed - g.streams[s].total_len() as u64;
+    g.nodes
+        .iter()
+        .map(|n| {
+            let ports = n.inputs.iter().map(|&s| popped(s));
+            let ports = ports.chain(n.outputs.iter().map(|&s| g.streams[s].pushed));
+            (n.busy, n.stalled, ports.collect())
+        })
+        .collect()
+}
+
+use K::{Dst, Pass as P, Splice as S, Src};
+
+const CHAIN: &[(K, usize, usize)] = &[(Src, NO, 0), (P(true), 0, 1), (Dst, 1, NO)];
+
+const ROWS: &[Row] = &[
+    // The writer sees a pop a cycle late, so a full 1-deep FIFO passes one
+    // element every other cycle, until the source runs dry.
+    (
+        "writer into a full 1-deep FIFO ahead of its reader",
+        &[1, 1, 64],
+        &[(Src, NO, 0), (P(true), 0, 1), (P(true), 1, 2), (Dst, 2, NO)],
+        6,
+        None,
+        Ok((73, BurstEnd::Phase)),
+    ),
+    // Dispatched first, the reader may pop only the queued lead — here at
+    // most one element, too short a burst.
+    (
+        "reader ahead of its writer in node order",
+        &[4, 4, 64],
+        &[(Src, NO, 0), (P(true), 1, 2), (P(true), 0, 1), (Dst, 2, NO)],
+        5,
+        None,
+        Err(Refusal::StreamCap),
+    ),
+    // A four-wide writer builds the lead up to the FIFO's depth.
+    (
+        "reader ahead of its writer, with a lead",
+        &[64, 8, 64],
+        &[(Src, NO, 0), (P(true), 1, 2), (S(1, 3, 4, 0), 0, 1), (Dst, 2, NO)],
+        6,
+        None,
+        Ok((8, BurstEnd::Stream)),
+    ),
+    // The reader, blocked downstream by a consumer that reads one element
+    // in seven, frees a slot of the full FIFO, and the writer behind it in
+    // node order refills it in the same cycle.
+    (
+        "reader ahead of its writer frees a full FIFO",
+        &[64, 4, 1, 64],
+        &[(Src, NO, 0), (P(true), 1, 2), (P(true), 0, 1), (S(1, 6, 1, 0), 2, 3), (Dst, 3, NO)],
+        12,
+        None,
+        Ok((27, BurstEnd::Phase)),
+    ),
+    // The sink parks idle on its empty input; the first element the stage
+    // passes recruits it with its promise.
+    ("parked recruit", &[64, 64], CHAIN, 1, None, Ok((39, BurstEnd::Phase))),
+    // The same with a parked stage that offers no promise.
+    (
+        "recruit veto",
+        &[64, 64, 64],
+        &[(Src, NO, 0), (P(true), 0, 1), (P(false), 1, 2), (Dst, 2, NO)],
+        1,
+        None,
+        Err(Refusal::RecruitVeto),
+    ),
+    // One element left in the pass run, two lanes: the first tick moves it
+    // and the first fill element.
+    (
+        "spill tick on cycle 0",
+        &[64, 64],
+        &[(Src, NO, 0), (S(5, 3, 2, 4), 0, 1), (Dst, 1, NO)],
+        1,
+        None,
+        Ok((17, BurstEnd::Phase)),
+    ),
+    // The boundary ends the burst on the cycle after the due pop.
+    (
+        "replay marker inside the burst",
+        &[64, 64],
+        CHAIN,
+        3,
+        Some((1, 7)),
+        Ok((7, BurstEnd::Budget)),
+    ),
+];
+
+#[test]
+fn planned_bursts_match_dense_stepping() {
+    for &(name, depths, kernels, warmup, marker, expect) in ROWS {
+        let mut g = build(SchedulerMode::ReadyList, depths, kernels);
+        let _ = g.run_opts(warmup, false);
+        let view = View {
+            nodes: &g.nodes,
+            streams: &g.streams,
+            writers: &g.writers,
+            readers: &g.readers,
+            parked: &g.parked,
+            awake: &g.awake,
+        };
+        let planned = match g.planner.plan(&view, 1000, 2, marker) {
+            Ok(p) => Ok((p.k, p.end)),
+            Err(r) => Err(r.reason),
+        };
+        assert_eq!(planned, expect, "{name}");
+        let Ok((k, _)) = planned else { continue };
+        // The same graph stepped densely over the same cycles.
+        let mut dense = build(SchedulerMode::Dense, depths, kernels);
+        let _ = dense.run_opts(warmup, false);
+        let before = dense_counts(&dense);
+        let _ = dense.run_opts(k, false);
+        let after = dense_counts(&dense);
+        for (i, (b, a)) in before.iter().zip(&after).enumerate() {
+            let moved: Vec<u64> = b.2.iter().zip(&a.2).map(|(b, a)| a - b).collect();
+            let counts = (a.0 - b.0, a.1 - b.1, &moved[..]);
+            match g.planner.parts.iter().find(|p| p.node as usize == i) {
+                Some(p) => {
+                    let q = &g.planner.quotas[p.quotas.0 as usize..][..p.quotas.1 as usize];
+                    assert_eq!((p.busy, p.stalled, q), counts, "{name}: node {i}");
+                }
+                // Parked throughout: nothing moves, the lazy credit covers it.
+                None => {
+                    let parked = g.parked[i].map(|(v, _)| v);
+                    let stalled = u64::from(parked == Some(Progress::Stalled)) * k;
+                    assert_eq!(counts.0, 0, "{name}: node {i} outside");
+                    assert_eq!(counts.1, stalled, "{name}: node {i} outside");
+                    assert!(moved.iter().all(|&m| m == 0), "{name}: node {i} moved");
+                }
+            }
+        }
+    }
+}

@@ -192,8 +192,9 @@ pub struct SpanPhase {
     /// A tick that finishes the phase with lanes to spare carries on into
     /// the next phase within the same cycle (a folded padder crossing from
     /// an interior run into a border, a folded pool reading past a window
-    /// that completes mid-tick). The scheduler ends the promise before such
-    /// a tick.
+    /// that completes mid-tick). The scheduler plans such a tick across
+    /// the coupled phases the chain holds, and ends the promise before one
+    /// it cannot state that way.
     pub spill: bool,
 }
 

@@ -8,16 +8,15 @@
 //! bit-identical to dense stepping on the same pipeline.
 //!
 //! Further properties pin the planner arithmetic itself: the closed forms
-//! for one FIFO (`follow`, the greedy schedule of one side against the
-//! other end's runs, phase after phase of a chain, and `span_peak`) against
-//! a cycle-by-cycle trajectory over multi-run sides, and whole pipelines of
-//! *wide* greedy kernels
+//! for one FIFO (`greedy`, what one side does from a tick on while the
+//! other end keeps its rate, driven change by change as the planner drives
+//! every participant, phase after phase of a chain; and `Flow`, the
+//! running counts and occupancy peak) against a cycle-by-cycle trajectory
+//! over multi-run sides, and whole pipelines of *wide* greedy kernels
 //! (several elements per port per tick, sub-lane rates, mid-span stalls)
 //! against dense stepping.
 
-use dfe_platform::stream::{
-    follow, moved_before, span_peak, FollowEnd, SpanFeed, SpanRun, SpanStall,
-};
+use dfe_platform::stream::{greedy, Flow, Gauge, Step};
 use dfe_platform::{
     Graph, HostSink, HostSource, Io, Kernel, Progress, SchedulerMode, SinkHandle, SpanIo,
     SpanPhase, SpanPlan, StallInjector, StreamId, StreamSpec, WakeHint,
@@ -246,28 +245,32 @@ fn build_wide_chain(
     (g, handle)
 }
 
+/// One constant-rate stretch of a drawn side: `rate` elements on each of
+/// the cycles `start..stop`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Run {
+    start: u64,
+    stop: u64,
+    rate: u64,
+}
+
 /// A side as the properties draw it: runs of `(gap, len, rate)` after one
 /// another, each `gap` cycles after the last one ends.
-fn drawn_side(runs: &[(u64, u64, u16)]) -> Vec<SpanRun> {
+fn drawn_side(runs: &[(u64, u64, u16)]) -> Vec<Run> {
     let mut side = Vec::new();
     let mut at = 0;
     for &(gap, len, rate) in runs {
         let start = at + gap;
         let stop = start + len.max(1);
-        side.push(SpanRun { start, stop, rate });
+        side.push(Run { start, stop, rate: u64::from(rate) });
         at = stop;
     }
     side
 }
 
 /// Elements a side moves on cycle `t`.
-fn moves_at(side: &[SpanRun], t: u64) -> u64 {
-    moved_before(side, t + 1) - moved_before(side, t)
-}
-
-/// The per-cycle moves of a side, over `horizon` cycles.
-fn per_cycle(side: &[SpanRun], horizon: u64) -> Vec<u64> {
-    (0..horizon).map(|t| moves_at(side, t)).collect()
+fn moves_at(side: &[Run], t: u64) -> u64 {
+    side.iter().find(|r| r.start <= t && t < r.stop).map_or(0, |r| r.rate)
 }
 
 /// One phase of a side as the properties draw it: `(lanes, len, strict)` —
@@ -282,7 +285,7 @@ type Phase = (u64, u64, bool);
 /// on the tick after one finishes.
 fn brute_reader(
     len: u64,
-    writer: &[SpanRun],
+    writer: &[Run],
     phases: &[Phase],
     horizon: u64,
 ) -> (Vec<u64>, Option<u64>) {
@@ -316,7 +319,7 @@ fn brute_reader(
 fn brute_writer(
     len: u64,
     cap: u64,
-    reader: &[SpanRun],
+    reader: &[Run],
     phases: &[Phase],
     reader_first: bool,
     horizon: u64,
@@ -358,40 +361,121 @@ fn brute_writer(
 }
 
 /// A side from per-cycle moves.
-fn side_from(moves: &[u64]) -> Vec<SpanRun> {
-    let mut side: Vec<SpanRun> = Vec::new();
+fn side_from(moves: &[u64]) -> Vec<Run> {
+    let mut side: Vec<Run> = Vec::new();
     for (t, &m) in moves.iter().enumerate() {
         if m == 0 {
             continue;
         }
         let t = t as u64;
         match side.last_mut() {
-            Some(run) if run.stop == t && u64::from(run.rate) == m => run.stop += 1,
-            _ => side.push(SpanRun { start: t, stop: t + 1, rate: m as u16 }),
+            Some(run) if run.stop == t && run.rate == m => run.stop += 1,
+            _ => side.push(Run { start: t, stop: t + 1, rate: m }),
         }
     }
     side
 }
 
-/// `follow` for one port from cycle 0, phase after phase as the planner
-/// chains them: each phase starts where the last one's final tick ended,
-/// with the port's own moves carried over. Stops at a strict break or the
-/// horizon.
-fn follow_chain(
-    feed: SpanFeed<'_>,
+/// The FIFO end a driven side sits on.
+#[derive(Clone, Copy)]
+enum End {
+    /// A reader of a queue holding `len` committed elements.
+    Reader { len: u64 },
+    /// A writer into a FIFO of `cap` holding `len`, whose reader ticks
+    /// earlier in node order when `reader_first`.
+    Writer { len: u64, cap: u64, reader_first: bool },
+}
+
+/// One greedy side driven from cycle `start` against the other end's
+/// fixed runs, change by change as the burst planner drives a participant:
+/// at each tick [`greedy`] says what the side does and for how long while
+/// the other end keeps its rate, and the stretch ends there, at the other
+/// end's next change or at the phase's end. Returns the side's per-cycle
+/// moves and the cycle a strict phase breaks (`None`: not within the
+/// horizon).
+fn drive(
+    end: End,
+    other: &[Run],
     phases: &[Phase],
+    start: u64,
     horizon: u64,
-) -> (Vec<SpanRun>, Vec<SpanStall>, FollowEnd) {
-    let (mut runs, mut stalls) = (Vec::new(), Vec::new());
-    let mut feeds = [feed];
-    let mut end = FollowEnd::Done(0);
-    for &(lanes, left, strict) in phases {
-        let FollowEnd::Done(t) = end else {
-            break;
+) -> (Vec<u64>, Option<u64>) {
+    let mut flow = match end {
+        End::Reader { len } | End::Writer { len, .. } => Flow::new(len as usize),
+    };
+    let mut moves = vec![0; horizon as usize];
+    let mut chain = phases.iter().copied();
+    let Some((mut lanes, mut left, mut strict)) = chain.next() else {
+        return (moves, None);
+    };
+    let mut t = 0;
+    while t < horizon {
+        while left == 0 {
+            match chain.next() {
+                Some(p) => (lanes, left, strict) = p,
+                None => return (moves, None),
+            }
+        }
+        // The other end's rate on this cycle, and the first cycle the side
+        // could see it change.
+        let rate = moves_at(other, t);
+        let edge = other
+            .iter()
+            .flat_map(|r| [r.start, r.stop])
+            .filter(|&e| e > t)
+            .min()
+            .unwrap_or(u64::MAX);
+        let gauge = match end {
+            End::Reader { len } => {
+                flow.set_push(t, rate);
+                let avail = len + flow.pushed_before(t) - flow.popped_before(t);
+                Gauge { avail: avail as i64, gain: rate as i64, input: true }
+            }
+            End::Writer { len, cap, reader_first } => {
+                flow.set_pop(t, rate);
+                let popped = flow.popped_before(t + u64::from(reader_first));
+                let avail = (cap - len) as i64 - flow.pushed_before(t) as i64 + popped as i64;
+                Gauge { avail, gain: rate as i64, input: false }
+            }
         };
-        end = follow(&mut feeds, lanes, left, strict, t, horizon, &mut runs, &mut stalls);
+        let (m, ticks) = match greedy([gauge].into_iter(), lanes, left) {
+            // Idle until the side starts.
+            _ if t < start => (0, start - t),
+            Step::Move { m, ticks } => (m, ticks),
+            Step::Wait { ticks, .. } => (0, ticks),
+        };
+        if strict && t >= start && m < lanes.min(left) {
+            return (moves, Some(t));
+        }
+        let stop = t.saturating_add(ticks).min(edge).min(horizon);
+        match end {
+            End::Reader { .. } => flow.set_pop(t, m),
+            End::Writer { .. } => flow.set_push(t, m),
+        }
+        moves[t as usize..stop as usize].fill(m);
+        left -= m * (stop - t);
+        t = stop;
     }
-    (runs, stalls, end)
+    (moves, None)
+}
+
+/// The flow of a FIFO holding `len` whose writer and reader move
+/// `pushes[t]` and `pops[t]` on each cycle `t < k`, advanced only where a
+/// rate changes.
+fn flow_of(len: u64, pushes: &[u64], pops: &[u64], k: u64) -> Flow {
+    let mut flow = Flow::new(len as usize);
+    let (mut push, mut pop) = (0, 0);
+    for t in 0..k as usize {
+        if pushes[t] != push {
+            push = pushes[t];
+            flow.set_push(t as u64, push);
+        }
+        if pops[t] != pop {
+            pop = pops[t];
+            flow.set_pop(t as u64, pop);
+        }
+    }
+    flow
 }
 
 /// The unit-rate feasibility caps exactly as the planner computed them
@@ -518,10 +602,10 @@ props! {
 
 props! {
     /// The planner's closed forms for one FIFO against the trajectory they
-    /// summarize, over multi-run sides at random rates: a greedy reader's
-    /// schedule (`follow`) against a writer's runs, a greedy writer's
-    /// against a reader's (in either node order), and the occupancy peak
-    /// (`span_peak`) of every prefix of the resulting pair.
+    /// summarize, over multi-run sides at random rates: a greedy reader
+    /// driven by `greedy` against a writer's runs, a greedy writer against
+    /// a reader's (in either node order), and the occupancy peak
+    /// (`Flow::peak`) of every prefix of the resulting pair.
     #[test]
     fn fifo_closed_forms_match_the_brute_force_trajectory(
         cap in 1u64..25,
@@ -537,27 +621,12 @@ props! {
         let side = drawn_side(&other);
 
         // A reader following the drawn writer.
-        let feed = SpanFeed::input(&side, len as usize);
         let phase = [(lanes, left, strict)];
-        let (runs, stalls, end) = follow_chain(feed, &phase, HORIZON);
+        let (got, end) = drive(End::Reader { len }, &side, &phase, 0, HORIZON);
         let (pops, broke) = brute_reader(len, &side, &phase, HORIZON);
-        let got = per_cycle(&runs, HORIZON);
         let cut = broke.unwrap_or(HORIZON) as usize;
         prop_assert_eq!(&got[..cut], &pops[..cut], "reader pops");
-        match end {
-            FollowEnd::Break(t) => prop_assert_eq!(Some(t), broke, "strict break"),
-            FollowEnd::Done(t) => {
-                prop_assert!(broke.is_none());
-                prop_assert_eq!(pops.iter().sum::<u64>(), left);
-                prop_assert_eq!(runs.last().map_or(0, |r| r.stop), t, "last tick");
-            }
-            FollowEnd::Horizon => prop_assert!(broke.is_none()),
-        }
-        for st in &stalls {
-            let (from, to) = (st.start as usize, st.stop as usize);
-            prop_assert!(pops[from..to].iter().all(|&m| m == 0), "a stall moves nothing");
-            prop_assert!(to as u64 == HORIZON || pops[to] > 0, "a stall ends on a pop");
-        }
+        prop_assert_eq!(end, broke, "strict break");
 
         // A writer following the drawn reader: the reader pops what is
         // there, so check the writer against the reader's actual pops.
@@ -565,13 +634,12 @@ props! {
         let (pushes, actual_pops, peaks) =
             brute_writer(len, cap, &side, &phase, reader_first, HORIZON);
         let popped = side_from(&actual_pops);
-        let feed = SpanFeed::output(&popped, (cap - len) as usize, reader_first);
-        let (runs, _, _) = follow_chain(feed, &phase, HORIZON);
-        prop_assert_eq!(per_cycle(&runs, HORIZON), pushes.clone(), "writer pushes");
-        let pushed = side_from(&pushes);
+        let writer = End::Writer { len, cap, reader_first };
+        let (got, _) = drive(writer, &popped, &phase, 0, HORIZON);
+        prop_assert_eq!(&got, &pushes, "writer pushes");
         for k in 0..=HORIZON {
             prop_assert_eq!(
-                span_peak(len as usize, &pushed, &popped, k) as u64,
+                flow_of(len, &pushes, &actual_pops, k).peak(k) as u64,
                 peaks[k as usize],
                 "occupancy peak of a {}-cycle span",
                 k
@@ -583,9 +651,10 @@ props! {
     /// side — the piecewise-rate side a multi-phase span plan puts on a
     /// stream: the lane count changes at every phase edge, a strict
     /// (lockstep) phase may break, and any other phase waits out the ticks
-    /// that find nothing until its port is serviceable again. `follow`,
-    /// phase after phase, must reproduce the cycle-by-cycle drive of the
-    /// whole chain, and `span_peak` its occupancy peak for every prefix.
+    /// that find nothing until its port is serviceable again. The driven
+    /// side, phase after phase, must reproduce the cycle-by-cycle drive of
+    /// the whole chain, and `Flow::peak` its occupancy peak for every
+    /// prefix.
     #[test]
     fn phase_chains_match_the_brute_force_trajectory(
         cap in 1u64..25,
@@ -599,33 +668,23 @@ props! {
         let side = drawn_side(&other);
 
         // A reader chain following the drawn writer.
-        let feed = SpanFeed::input(&side, len as usize);
-        let (runs, _, end) = follow_chain(feed, &phases, HORIZON);
+        let (got, end) = drive(End::Reader { len }, &side, &phases, 0, HORIZON);
         let (pops, broke) = brute_reader(len, &side, &phases, HORIZON);
         let cut = broke.unwrap_or(HORIZON) as usize;
-        prop_assert_eq!(&per_cycle(&runs, HORIZON)[..cut], &pops[..cut], "reader pops");
-        match end {
-            FollowEnd::Break(t) => prop_assert_eq!(Some(t), broke, "strict break"),
-            FollowEnd::Done(t) => {
-                prop_assert!(broke.is_none());
-                let total: u64 = phases.iter().map(|p| p.1).sum();
-                prop_assert_eq!(pops.iter().sum::<u64>(), total);
-                prop_assert_eq!(runs.last().map_or(0, |r| r.stop), t, "last tick");
-            }
-            FollowEnd::Horizon => prop_assert!(broke.is_none()),
-        }
+        prop_assert_eq!(&got[..cut], &pops[..cut], "reader pops");
+        prop_assert_eq!(end, broke, "strict break");
 
         // A waiting writer chain following the drawn reader's actual pops.
         let waiting: Vec<Phase> = phases.iter().map(|&(lanes, n, _)| (lanes, n, false)).collect();
         let (pushes, actual_pops, peaks) =
             brute_writer(len, cap, &side, &waiting, reader_first, HORIZON);
         let popped = side_from(&actual_pops);
-        let feed = SpanFeed::output(&popped, (cap - len) as usize, reader_first);
-        let (runs, _, _) = follow_chain(feed, &waiting, HORIZON);
-        prop_assert_eq!(per_cycle(&runs, HORIZON), pushes, "writer pushes");
+        let writer = End::Writer { len, cap, reader_first };
+        let (got, _) = drive(writer, &popped, &waiting, 0, HORIZON);
+        prop_assert_eq!(&got, &pushes, "writer pushes");
         for k in 0..=HORIZON {
             prop_assert_eq!(
-                span_peak(len as usize, &runs, &popped, k) as u64,
+                flow_of(len, &pushes, &actual_pops, k).peak(k) as u64,
                 peaks[k as usize],
                 "occupancy peak of a {}-cycle span",
                 k
@@ -661,29 +720,23 @@ props! {
             reader_first,
         );
         let side = |start: Option<u64>| {
-            start.map_or(Vec::new(), |start| vec![SpanRun { start, stop: 4 * HORIZON, rate: 1 }])
+            start.map_or(Vec::new(), |start| vec![Run { start, stop: 4 * HORIZON, rate: 1 }])
         };
         let (wside, rside) = (side(w), side(r));
-        let strict_break = |feed: SpanFeed<'_>, start: u64| {
-            let (mut runs, mut stalls) = (Vec::new(), Vec::new());
-            let mut feeds = [feed];
-            let left = 8 * HORIZON;
-            match follow(&mut feeds, 1, left, true, start, HORIZON, &mut runs, &mut stalls) {
-                FollowEnd::Break(t) => t,
-                _ => u64::MAX,
-            }
+        let lockstep = [(1, 8 * HORIZON, true)];
+        let strict_break = |end: End, other: &[Run], start: u64| {
+            drive(end, other, &lockstep, start, HORIZON).1.unwrap_or(u64::MAX)
         };
         let mut limit = u64::MAX;
         if let Some(b) = r {
-            let feed = SpanFeed::input(&wside, len as usize);
-            limit = limit.min(strict_break(feed, b));
+            limit = limit.min(strict_break(End::Reader { len }, &wside, b));
             if reader_first && w.is_some() {
                 limit = limit.min(b + len);
             }
         }
         if let Some(a) = w {
-            let feed = SpanFeed::output(&rside, (cap - len) as usize, reader_first && r.is_some());
-            limit = limit.min(strict_break(feed, a));
+            let writer = End::Writer { len, cap, reader_first: reader_first && r.is_some() };
+            limit = limit.min(strict_break(writer, &rside, a));
         }
         let expect = if legacy < HORIZON { legacy } else { u64::MAX };
         prop_assert_eq!(if limit < HORIZON { limit } else { u64::MAX }, expect);

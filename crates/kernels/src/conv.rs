@@ -63,8 +63,8 @@
 use crate::loader::{LoadStep, ParamLoader};
 use dfe_platform::{Io, Kernel, Progress, SpanIo, SpanPhase, SpanPlan, WakeHint};
 use qnn_quant::{
-    conv_accumulate_all, conv_accumulate_all_i8_into, dot_i8, ActPlanes, PlaneRing, ThresholdBank,
-    ThresholdUnit,
+    conv_accumulate_all, conv_accumulate_i8_lanes, dot_i8, ActPlanes, I8Masks, PlaneRing,
+    ThresholdBank, ThresholdUnit,
 };
 use qnn_tensor::{BinaryFilters, BitVec, ConvGeometry};
 
@@ -127,6 +127,8 @@ pub struct ConvKernel {
     /// `thresholds` as the comparator bank the packed datapath latches
     /// through.
     bank: Option<ThresholdBank>,
+    /// `filters` as the first layer's lane masks (i8 mode).
+    i8_masks: Option<I8Masks>,
     mode: DotMode,
     datapath: ConvDatapath,
     // --- window buffer ---
@@ -164,8 +166,8 @@ pub struct ConvKernel {
     window_codes: Vec<u8>,
     window_i8: Vec<i8>,
     planes: ActPlanes,
-    /// Packed-pixel words of the i8 accumulator precompute.
-    px_words: Vec<u64>,
+    /// The latched i8 window as lanes of `pixel + 128` (packed datapath).
+    i8_lanes: Vec<u16>,
     /// Stream elements of the latched position, finished at latch time
     /// (packed datapath): every filter's accumulator, through the fused
     /// thresholds when present. Emit tick `o` pops `latched[o]`.
@@ -264,11 +266,13 @@ impl ConvKernel {
             DotMode::I8 => 1, // planes unused in i8 mode
         };
         let datapath = ConvDatapath::default();
+        let i8_masks = (mode == DotMode::I8).then(|| I8Masks::new(&filters));
         Self {
             name: name.into(),
             geom,
             filters,
             bank: thresholds.as_deref().map(ThresholdBank::new),
+            i8_masks,
             thresholds,
             mode,
             datapath,
@@ -286,7 +290,7 @@ impl ConvKernel {
             window_codes: vec![0; wsize],
             window_i8: vec![0; wsize],
             planes: ActPlanes::new(bits, wsize),
-            px_words: Vec::new(),
+            i8_lanes: Vec::new(),
             latched: vec![0; geom.filter.o],
         }
     }
@@ -383,6 +387,9 @@ impl ConvKernel {
 
     /// The loader has delivered the caches: install them.
     fn install_params(&mut self, filters: BinaryFilters, thresholds: Option<Vec<ThresholdUnit>>) {
+        if self.mode == DotMode::I8 {
+            self.i8_masks = Some(I8Masks::new(&filters));
+        }
         self.filters = filters;
         if thresholds.is_some() {
             self.bank = thresholds.as_deref().map(ThresholdBank::new);
@@ -414,6 +421,15 @@ impl ConvKernel {
             }
             WindowRing::Scalar(ring) => {
                 let cap = ring.len();
+                // The i8 first layer under the packed datapath gathers
+                // straight into the lanes its kernel sums.
+                let lanes = match (self.mode, &self.i8_masks) {
+                    (DotMode::I8, Some(masks)) if self.datapath == ConvDatapath::Packed => {
+                        self.i8_lanes.resize(masks.stride(), 0);
+                        true
+                    }
+                    _ => false,
+                };
                 let mut at = 0;
                 for ky in 0..k {
                     for kx in 0..k {
@@ -427,21 +443,19 @@ impl ConvKernel {
                             }
                             match self.mode {
                                 DotMode::Codes { .. } => self.window_codes[at] = v as u8,
+                                DotMode::I8 if lanes => self.i8_lanes[at] = (v + 128) as u16,
                                 DotMode::I8 => self.window_i8[at] = v as i8,
                             }
                             at += 1;
                         }
                     }
                 }
-                match (self.mode, self.datapath) {
+                match (self.mode, &self.i8_masks) {
                     (DotMode::Codes { .. }, _) => self.planes.pack(&self.window_codes),
-                    (DotMode::I8, ConvDatapath::Packed) => conv_accumulate_all_i8_into(
-                        &self.filters,
-                        &self.window_i8,
-                        &mut self.px_words,
-                        &mut self.latched,
-                    ),
-                    (DotMode::I8, ConvDatapath::ScalarReference) => {}
+                    (DotMode::I8, Some(masks)) if lanes => {
+                        conv_accumulate_i8_lanes(masks, &self.i8_lanes, &mut self.latched)
+                    }
+                    (DotMode::I8, _) => {}
                 }
             }
         }
@@ -900,20 +914,28 @@ mod tests {
 
     #[test]
     fn matches_reference_conv_i8() {
-        let geom = ConvGeometry::new(Shape3::new(5, 5, 2), FilterShape::new(3, 2, 3), 1, 0);
-        let filters = filters_for(&geom, 7);
-        let input = Tensor3::from_fn(geom.input, |y, x, c| {
-            ((y * 31 + x * 13 + c * 5) as i32 % 200 - 100) as i8
-        });
-        let expect = qnn_nn::reference::conv_acc_i8(&geom, &input, &filters);
-        let (got, _) = run_conv(
-            geom,
-            filters,
-            None,
-            DotMode::I8,
-            vec![input.as_slice().iter().map(|&p| i32::from(p)).collect()],
-        );
-        assert_eq!(got, expect.as_slice());
+        // Windows of 18 and 75 taps (one and two words of weight bits),
+        // extreme pixels included, on both datapaths: the packed one sums
+        // lane masks built once per bank, the scalar one dots per emit.
+        for (c, k) in [(2, 3), (3, 5)] {
+            let geom = ConvGeometry::new(Shape3::new(7, 7, c), FilterShape::new(k, c, 3), 1, 0);
+            let filters = filters_for(&geom, 7);
+            let input = Tensor3::from_fn(geom.input, |y, x, c| match (y + x + c) % 7 {
+                0 => i8::MIN,
+                1 => i8::MAX,
+                _ => ((y * 31 + x * 13 + c * 5) as i32 % 200 - 100) as i8,
+            });
+            let expect = qnn_nn::reference::conv_acc_i8(&geom, &input, &filters);
+            let img: Vec<i32> = input.as_slice().iter().map(|&p| i32::from(p)).collect();
+            for dp in [ConvDatapath::Packed, ConvDatapath::ScalarReference] {
+                let kernel = ConvKernel::new("conv", geom, filters.clone(), None, DotMode::I8);
+                let out_len = 2 * geom.output().len();
+                let (got, _) =
+                    run_conv_kernel(kernel.with_datapath(dp), out_len, vec![img.clone(); 2]);
+                let twice = [expect.as_slice(), expect.as_slice()].concat();
+                assert_eq!(got, twice, "{dp:?} c={c} k={k}");
+            }
+        }
     }
 
     #[test]

@@ -90,88 +90,142 @@ fn block4(r0: &[u64], r1: &[u64], r2: &[u64], r3: &[u64], window: &ActPlanes) ->
     (s0, s1, s2, s3)
 }
 
-/// Expand 8 filter bits into 8 byte lanes of `0xFF`/`0x00` — the select
-/// mask of the SWAR first-layer kernel. Built at compile time.
-const fn byte_masks() -> [u64; 256] {
-    let mut table = [0u64; 256];
+/// Expand 8 filter bits into 8 `u16` lanes of `0xFFFF`/`0x0000` — the
+/// select masks of the first-layer kernel. Built at compile time.
+const fn lane_masks() -> [[u16; 8]; 256] {
+    let mut table = [[0u16; 8]; 256];
     let mut b = 0usize;
     while b < 256 {
-        let mut m = 0u64;
         let mut j = 0;
         while j < 8 {
             if (b >> j) & 1 == 1 {
-                m |= 0xFF << (8 * j);
+                table[b][j] = 0xFFFF;
             }
             j += 1;
         }
-        table[b] = m;
         b += 1;
     }
     table
 }
-const BYTE_MASKS: [u64; 256] = byte_masks();
+const LANE_MASKS: [[u16; 8]; 256] = lane_masks();
 
-/// First-layer (i8 pixel) counterpart: `acc[o] = dot_i8(filters.filter(o),
-/// pixels)` for all `o`.
+/// A filter bank as `u16` select masks for the first-layer (i8 pixel)
+/// kernel ([`conv_accumulate_i8_lanes`]): per filter and byte of its
+/// weight bits, eight lanes of `0xFFFF` where the bit is set; and each
+/// filter's set-bit count. Built once per installed bank.
+#[derive(Clone, Debug)]
+pub struct I8Masks {
+    taps: usize,
+    /// Words of filter bits per filter.
+    words: usize,
+    masks: Vec<[u16; 8]>,
+    ones: Vec<i32>,
+}
+
+impl I8Masks {
+    /// The masks of every filter of `filters`.
+    pub fn new(filters: &BinaryFilters) -> Self {
+        let (taps, nf) = (filters.bits_per_filter(), filters.num_filters());
+        let words = taps.div_ceil(64);
+        let (mut masks, mut ones) = (Vec::with_capacity(8 * words * nf), Vec::with_capacity(nf));
+        for o in 0..nf {
+            let words = filters.filter(o).words();
+            masks.extend((0..8 * words.len()).map(|j| *table_row(words, j / 8, j % 8)));
+            ones.push(words.iter().map(|w| w.count_ones() as i32).sum());
+        }
+        Self { taps, words, masks, ones }
+    }
+
+    /// Lanes a window must fill ([`conv_accumulate_i8_lanes`]).
+    pub fn stride(&self) -> usize {
+        64 * self.words
+    }
+}
+
+/// The eight lane masks of byte `b` of word `c` of a filter's bits.
+fn table_row(words: &[u64], c: usize, b: usize) -> &'static [u16; 8] {
+    &LANE_MASKS[(words[c] >> (8 * b) & 0xFF) as usize]
+}
+
+/// One filter's accumulator over one window: `2·(S₁ᵤ − 128·ones) − T`.
 ///
-/// A ±1 dot over signed pixels is `2·S₁ − T`, where `T = Σ pxⱼ` is
-/// filter-independent (computed once per window) and `S₁ = Σ_{wⱼ=1} pxⱼ`
-/// is a masked byte sum: pixels are offset to unsigned bytes once, then
-/// each 8-bit filter chunk selects its 8 pixel bytes via a mask table and
-/// a SWAR horizontal add folds them — ~8 ops per 8 pixels against
-/// [`dot_i8`](crate::dot::dot_i8)'s ~5 per pixel. Every step is exact integer arithmetic
-/// (`S₁ = S₁ᵤ − 128·popcount(w)`, no lane can overflow), so the values are
-/// bit-identical to the scalar datapath's per-emit-tick [`dot_i8`](crate::dot::dot_i8).
+/// A ±1 dot over signed pixels is `2·S₁ − T`, where `T = Σ pixelⱼ` is
+/// filter-independent (computed once per window) and `S₁ = Σ_{wⱼ=1}
+/// pixelⱼ = S₁ᵤ − 128·ones`. `S₁ᵤ` is a masked sum: `lanes` holds the
+/// window's pixels offset to unsigned, `row(c, b)` the lane masks of byte
+/// `b` of word `c` of the filter's `words`, and `lane & mask` adds up in
+/// eight `u16` lanes side by side, folded every 32 words (256 taps a lane,
+/// `256 · 255 < 65 536`) so no lane wraps. Every step is exact integer
+/// arithmetic, so the values are bit-identical to the scalar datapath's
+/// per-emit-tick [`dot_i8`](crate::dot::dot_i8).
+fn i8_acc<'a>(
+    lanes: &[u16],
+    words: usize,
+    row: impl Fn(usize, usize) -> &'a [u16; 8],
+    ones: i32,
+    total: i32,
+) -> i32 {
+    let mut s1u = 0u32;
+    for block in (0..words).step_by(32) {
+        let mut part = [0u16; 8];
+        for c in block..words.min(block + 32) {
+            let lanes = &lanes[64 * c..64 * (c + 1)];
+            for (b, l) in lanes.chunks_exact(8).enumerate() {
+                let m = row(c, b);
+                for k in 0..8 {
+                    part[k] = part[k].wrapping_add(m[k] & l[k]);
+                }
+            }
+        }
+        s1u += part.iter().map(|&p| u32::from(p)).sum::<u32>();
+    }
+    2 * (s1u as i32 - 128 * ones) - total
+}
+
+/// First-layer (i8 pixel) counterpart of [`conv_accumulate_all`]:
+/// `acc[o] = dot_i8(filters.filter(o), pixels)` for all `o`, each filter
+/// byte's lane masks read from a 256-entry table as the sum goes. A kernel
+/// latching many windows builds them once ([`I8Masks`]) and calls
+/// [`conv_accumulate_i8_lanes`]; both sum the same way.
 ///
 /// # Panics
 /// Panics if `acc.len() != filters.num_filters()` or the filter width
 /// differs from the pixel count.
 pub fn conv_accumulate_all_i8(filters: &BinaryFilters, pixels: &[i8], acc: &mut [i32]) {
-    conv_accumulate_all_i8_into(filters, pixels, &mut Vec::new(), acc);
-}
-
-/// [`conv_accumulate_all_i8`] with the packed-pixel words built in a
-/// caller-owned scratch (contents ignored on entry), so a kernel latching
-/// thousands of windows per image allocates it once.
-pub fn conv_accumulate_all_i8_into(
-    filters: &BinaryFilters,
-    pixels: &[i8],
-    px: &mut Vec<u64>,
-    acc: &mut [i32],
-) {
     assert_eq!(acc.len(), filters.num_filters(), "one accumulator per filter");
     assert_eq!(
         filters.bits_per_filter(),
         pixels.len(),
         "filter width must match the window"
     );
-    let n = pixels.len();
-    // Pixels offset by +128 into unsigned byte lanes, 8 per word, in the
-    // same element order as the filter bits; padding bytes stay zero and
-    // are never selected (trailing filter bits are zero by invariant).
-    px.clear();
-    px.resize(n.div_ceil(8), 0);
-    for (i, &p) in pixels.iter().enumerate() {
-        px[i / 8] |= ((p as i32 + 128) as u64) << (8 * (i % 8));
+    let words = pixels.len().div_ceil(64);
+    let mut lanes = vec![0u16; 64 * words];
+    for (lane, &p) in lanes.iter_mut().zip(pixels) {
+        *lane = (i16::from(p) + 128) as u16;
     }
     let total: i32 = pixels.iter().map(|&p| i32::from(p)).sum();
-    const LANES: u64 = 0x00FF_00FF_00FF_00FF;
     for (o, a) in acc.iter_mut().enumerate() {
         let row = filters.filter(o).words();
-        let mut s1u = 0u32; // Σ over set filter bits of (px + 128)
-        let mut ones = 0u32;
-        for (c, &w) in row.iter().enumerate() {
-            ones += w.count_ones();
-            let mut wb = w;
-            for &chunk in px[c * 8..].iter().take(8) {
-                let sel = chunk & BYTE_MASKS[(wb & 0xFF) as usize];
-                wb >>= 8;
-                // Bytes → u16 lanes → one u16 horizontal sum (≤ 8·255).
-                let pair = (sel & LANES) + ((sel >> 8) & LANES);
-                s1u += (pair.wrapping_mul(0x0001_0001_0001_0001) >> 48) as u32;
-            }
-        }
-        *a = 2 * (s1u as i32 - 128 * ones as i32) - total;
+        let ones = row.iter().map(|w| w.count_ones() as i32).sum();
+        *a = i8_acc(&lanes, words, |c, b| table_row(row, c, b), ones, total);
+    }
+}
+
+/// [`conv_accumulate_all_i8`] over masks built once and one window of
+/// pixels offset to unsigned, `lanes[j] = pixelⱼ + 128` (the lanes past
+/// the taps zero).
+///
+/// # Panics
+/// Panics if `acc` does not hold one accumulator per filter or `lanes`
+/// one lane per mask lane.
+pub fn conv_accumulate_i8_lanes(masks: &I8Masks, lanes: &[u16], acc: &mut [i32]) {
+    assert_eq!(acc.len(), masks.ones.len(), "one accumulator per filter");
+    assert_eq!(lanes.len(), masks.stride(), "one lane per mask lane");
+    let sum: u32 = lanes.iter().map(|&l| u32::from(l)).sum();
+    let total = sum as i32 - 128 * masks.taps as i32;
+    let rows = masks.masks.chunks_exact(8 * masks.words);
+    for ((a, row), &ones) in acc.iter_mut().zip(rows).zip(&masks.ones) {
+        *a = i8_acc(lanes, masks.words, |c, b| &row[8 * c + b], ones, total);
     }
 }
 
@@ -226,29 +280,42 @@ mod tests {
 
     #[test]
     fn i8_precompute_matches_per_filter_dot() {
-        // Widths across byte and word boundaries (the SWAR path selects
-        // 8 pixels per mask lookup), extreme pixel values included.
-        for &n in &[1usize, 7, 8, 9, 63, 64, 65, 147, 363] {
+        // Widths across byte, lane-row and word boundaries and past one
+        // lane block (4 096 taps), extreme pixel values included.
+        for &n in &[1usize, 7, 8, 9, 15, 16, 17, 63, 64, 65, 147, 363, 4100] {
             for &o in &[1usize, 5, 6] {
                 let filters = bank(o, n, (3 * o + n) as u64);
                 let pixels: Vec<i8> = (0..n)
                     .map(|i| match i % 5 {
                         0 => 127,
-                        1 => -127,
+                        1 => -128,
                         _ => ((i as i32 * 37) % 255 - 127) as i8,
                     })
                     .collect();
                 let mut got = vec![0; o];
                 conv_accumulate_all_i8(&filters, &pixels, &mut got);
+                // The kernel's path: masks built once, windows as lanes.
+                let masks = I8Masks::new(&filters);
+                let mut lanes = vec![0u16; masks.stride()];
+                for (l, &p) in lanes.iter_mut().zip(&pixels) {
+                    *l = (i32::from(p) + 128) as u16;
+                }
+                let mut again = vec![0; o];
+                conv_accumulate_i8_lanes(&masks, &lanes, &mut again);
                 for (idx, &a) in got.iter().enumerate() {
-                    assert_eq!(
-                        a,
-                        dot_i8(filters.filter(idx), &pixels),
-                        "o={o} n={n} filter {idx}"
-                    );
+                    let expect = dot_i8(filters.filter(idx), &pixels);
+                    assert_eq!(a, expect, "o={o} n={n} filter {idx}");
+                    assert_eq!(again[idx], expect, "lanes: o={o} n={n} filter {idx}");
                 }
             }
         }
+        // Every weight set and every pixel at the top of its range: the
+        // widest lane sums there are.
+        let n = 4100;
+        let filters = BinaryFilters::from_float_rows(&vec![1.0; n], n);
+        let mut got = [0];
+        conv_accumulate_all_i8(&filters, &vec![127; n], &mut got);
+        assert_eq!(got[0], 127 * n as i32);
     }
 
     #[test]

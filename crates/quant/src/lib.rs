@@ -36,8 +36,8 @@ pub use attention::{
 pub use batchnorm::BnParams;
 pub use dot::{dot_codes, dot_i8, dot_planes, dot_pm1};
 pub use gemm::{
-    conv_accumulate_all, conv_accumulate_all_i8, conv_accumulate_all_i8_into,
-    conv_accumulate_all_reference,
+    conv_accumulate_all, conv_accumulate_all_i8, conv_accumulate_all_reference,
+    conv_accumulate_i8_lanes, I8Masks,
 };
 pub use planes::ActPlanes;
 pub use ring::PlaneRing;

@@ -151,6 +151,41 @@ props! {
         prop_assert!(burst_cycles > 0, "no burst fired at a folded design point");
     }
 
+    /// The same folded design points with every FIFO one or two deep (all
+    /// but the structural skip and downsample buffers): every link is
+    /// backpressured, each writer into a full FIFO waiting on a reader it
+    /// sees a cycle late — the schedules a burst planner settles last.
+    #[test]
+    fn folded_backpressured_reports_identical(
+        seed in 0u64..200,
+        pe_bits in 0u32..3,
+        simd_bits in 0u32..3,
+        depths in 0u64..u64::MAX,
+    ) {
+        let net = Network::random(models::test_net(8, 4, 2), seed);
+        let images = [image_for(&net.spec, seed + 29)];
+        let folding = FoldPlan::new()
+            .with("conv0", Fold::new(1 << pe_bits, 1 << simd_bits))
+            .with("pool1", Fold::new(1 << simd_bits, 2))
+            .with("res2.conv2", Fold::new(4, 1 << pe_bits))
+            .with("res3.conv1", Fold::new(2, 2))
+            .with("fc6", Fold::new(1 << pe_bits, 4));
+        let shallow =
+            CompileOptions { layer_folding: folding, fifo_capacity: 2, ..CompileOptions::default() };
+        let report = &run_images(&net, &images, &shallow).expect("run").reports[0];
+        let fifo_overrides = report
+            .streams
+            .iter()
+            .filter(|s| s.capacity == 2)
+            .enumerate()
+            .map(|(i, s)| (s.name.clone(), 1 + (depths >> (i % 64) & 1) as usize))
+            .collect();
+        let base = CompileOptions { fifo_overrides, ..shallow };
+        assert_dispatch_agrees(&net, &images, &base)?;
+        let (_, burst_cycles, _) = span_coverage(&net, &images, &base, "conv0");
+        prop_assert!(burst_cycles > 0, "no burst fired with every FIFO backpressured");
+    }
+
     /// 1–3-device cuts, contiguous or not (`[0, 1, 0, …]`). A device is a
     /// tag, so a cut network is the uncut network's graph: on every tier
     /// it matches `Dense`, and it matches the *uncut* run — same logits,
