@@ -250,7 +250,9 @@ impl Flow {
 /// rate holds (before this side's own moves).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Gauge {
+    /// Elements or free slots found on the tick.
     pub avail: i64,
+    /// More found on each following tick, from the other end alone.
     pub gain: i64,
     /// An input port (its data decides a wait's verdict).
     pub input: bool,
@@ -279,7 +281,8 @@ pub fn greedy(gauges: impl Iterator<Item = Gauge> + Clone, lanes: u64, left: u64
         let ready = |g: Gauge| match g.avail {
             a if a >= 1 => 0,
             _ if g.gain <= 0 => u64::MAX,
-            a => ((1 - a + g.gain - 1) / g.gain) as u64,
+            // ⌈(1 − a) / gain⌉ ticks until it holds one.
+            a => ((g.gain - a) / g.gain) as u64,
         };
         let ticks = gauges.clone().map(ready).max().unwrap_or(0);
         let fed = gauges.filter(|g| g.input).map(ready).min().unwrap_or(0);
