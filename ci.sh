@@ -52,7 +52,7 @@
 #   ci.sh transformer    NOT tier-1 (but fast): the streaming-attention
 #                        batteries in release — the encoder equivalence
 #                        grid/property suite (stall injection, FIFO
-#                        stress, every scheduler tier) and the mixed
+#                        stress, both steppers) and the mixed
 #                        CNN+transformer serving suite — at the tier-1
 #                        case count (soak reruns the property half at
 #                        1024).
@@ -79,7 +79,6 @@ if [[ "${1:-}" == "soak" ]]; then
   run cargo test -q --release --offline -p dfe-platform --test span_conservation
   run cargo test -q --release --offline -p qnn --test property_streaming
   run cargo test -q --release --offline -p qnn --test pipeline_rearm
-  run cargo test -q --release --offline -p qnn --test scheduler_equivalence
   run cargo test -q --release --offline -p qnn --test conv_datapath_equivalence
   run cargo test -q --release --offline -p qnn --test macro_tick_equivalence
   run cargo test -q --release --offline -p qnn --test dse_frontier

@@ -35,11 +35,11 @@ pub struct CompileOptions {
     /// (§III-B1a) instead of instantiating pre-filled caches. Functionally
     /// identical; adds the one-time load cycles to the run.
     pub stream_parameters: bool,
-    /// Scheduler tier for the compiled graph (and so every
-    /// `qnn-serve` replica worker): `Dense < ReadyList < Span < Replay`,
-    /// each a host-side fast-forward of the tier below and all
-    /// bit-identical in outputs and reports. The default is the top tier;
-    /// `Dense` is the oracle the differential batteries compare against.
+    /// Stepper for the compiled graph (and so every `qnn-serve` replica
+    /// worker). The default, `Replay`, parks idle kernels, dispatches spans
+    /// as bursts and replays the steady-state schedule; `Dense` ticks every
+    /// kernel every cycle and is the oracle the differential batteries
+    /// compare against. Both are bit-identical in outputs and reports.
     pub scheduler: SchedulerMode,
     /// Busy-path datapath for every convolution kernel. Packed (the
     /// default) and ScalarReference (the oracle) are bit-identical in

@@ -1,8 +1,8 @@
 //! The kernel graph and the deterministic cycle scheduler.
 //!
-//! Four stepping tiers are available (see [`SchedulerMode`]); all are
+//! Two steppers are available (see [`SchedulerMode`]); both are
 //! cycle-accurate-equivalent — identical outputs, identical
-//! [`CycleReport`]s — which `tests/scheduler_equivalence.rs` asserts over
+//! [`CycleReport`]s — which `tests/macro_tick_equivalence.rs` asserts over
 //! randomized networks.
 
 use crate::burst::{dispatch, Planner, View};
@@ -117,7 +117,7 @@ pub struct CycleReport {
     /// Schedule-replay diagnostics (see [`crate::replay`]). Like
     /// [`Graph::bursts`], this describes how the run was *dispatched*, not
     /// what it computed — so it is excluded from report equality, which the
-    /// differential batteries hold bit-identical across scheduler tiers.
+    /// differential batteries hold bit-identical across steppers.
     pub replay: ReplayDiag,
 }
 
@@ -201,9 +201,8 @@ pub struct Graph {
     burst_backoff: u64,
     /// The burst planner and its scratch (see [`crate::burst`]).
     planner: Planner,
-    /// Steady-state schedule replay — the [`SchedulerMode::Replay`] tier
-    /// (see [`crate::replay`]). Inert until armed with a marker via
-    /// [`Graph::set_replay_marker`].
+    /// Steady-state schedule replay (see [`crate::replay`]). Inert until
+    /// armed with a marker via [`Graph::set_replay_marker`].
     replay: ReplayState,
 }
 
@@ -259,7 +258,7 @@ impl Graph {
         Self::default()
     }
 
-    /// Empty graph with an explicit scheduler mode.
+    /// Empty graph with an explicit stepper.
     pub fn with_scheduler(scheduler: SchedulerMode) -> Self {
         Self {
             nodes: Vec::new(),
@@ -332,32 +331,9 @@ impl Graph {
         }
     }
 
-    /// The active scheduler mode.
+    /// The graph's stepper.
     pub fn scheduler(&self) -> SchedulerMode {
         self.scheduler
-    }
-
-    /// Switch scheduler tier. Safe at any point, including mid-run: pending
-    /// park state is settled (outstanding stall credit lands on the
-    /// counters) and cleared, so every kernel is ticked on the next cycle
-    /// in any tier, and bursts leave no cross-cycle state behind (no staged
-    /// writes, identical park bookkeeping). Any schedule-replay tape is
-    /// dropped (replay re-arms; its tape encodes park state that the switch
-    /// just settled, and the old tier's dispatch policy).
-    pub fn set_scheduler(&mut self, scheduler: SchedulerMode) {
-        self.settle_refusal();
-        self.scheduler = scheduler;
-        self.replay.rearm();
-        for i in 0..self.nodes.len() {
-            if let Some((verdict, since)) = self.parked[i].take() {
-                if verdict == Progress::Stalled {
-                    self.nodes[i].stalled += self.now - 1 - since;
-                }
-            }
-        }
-        // High bits beyond the node count are harmless: the tick loop stops
-        // at `nodes.len()`.
-        self.awake.iter_mut().for_each(|w| *w = !0);
     }
 
     /// Return the graph to the state it was in when its last kernel was
@@ -366,7 +342,7 @@ impl Graph {
     /// ([`Kernel::rearm`]), every stream's contents and statistics, the
     /// park and awake sets, the burst counters and back-off, and the
     /// schedule-replay tape with its diagnostics. Structure (kernels,
-    /// streams, wiring), configuration (scheduler tier, replay marker) and
+    /// streams, wiring), configuration (stepper, replay marker) and
     /// the kernels' weights are kept.
     ///
     /// The reset is explicit, not inferred from where the last run
@@ -484,6 +460,11 @@ impl Graph {
         self.streams.len()
     }
 
+    /// Every kernel's id, in node order.
+    pub fn kernel_ids(&self) -> impl Iterator<Item = KernelId> {
+        (0..self.nodes.len()).map(KernelId)
+    }
+
     /// Kernel name lookup.
     pub fn kernel_name(&self, id: KernelId) -> &str {
         self.nodes[id.0].kernel.name()
@@ -580,19 +561,17 @@ impl Graph {
         // mutex lock per simulated cycle, which dominates shallow cycles.
         // Macro-tick span dispatch is a self-stepped ready-list refinement;
         // traced runs sample per-cycle state and so step per-element.
-        let burst_ok = self.scheduler >= SchedulerMode::Span && trace.is_none();
+        let burst_ok = self.scheduler != SchedulerMode::Dense && trace.is_none();
         // Schedule replay (see [`crate::replay`]) rides the same
         // self-stepped path and needs a marker stream to observe image
         // boundaries; unarmed graphs skip every replay branch.
-        let replay_ok = self.scheduler == SchedulerMode::Replay
-            && self.replay.marker.is_some()
-            && trace.is_none();
+        let replay_ok = burst_ok && self.replay.marker.is_some();
         if !self.complete() {
             loop {
                 if cycle >= max_cycles {
                     return Err(RunError::Timeout { max_cycles });
                 }
-                // Replay tier: execute the validated tape directly. A span
+                // Replay: execute the validated tape directly. A span
                 // step advances the clock wholesale; a dense step falls
                 // through to the ordinary stepper below (with the burst
                 // planner bypassed — the tape already says this cycle is
@@ -718,12 +697,12 @@ impl Graph {
     ///
     /// Returns `(any_progress, committed)`: whether any kernel reported
     /// [`Progress::Busy`] and whether any stream element moved from staging
-    /// into its FIFO. Dispatches on the active [`SchedulerMode`]; both
+    /// into its FIFO. Dispatches on the graph's [`SchedulerMode`]; both
     /// steppers produce bit-identical stream contents and counters.
     fn step_cycle(&mut self) -> (bool, bool) {
         match self.scheduler {
             SchedulerMode::Dense => self.step_cycle_dense(),
-            _ => self.step_cycle_ready(),
+            SchedulerMode::Replay => self.step_cycle_ready(),
         }
     }
 
@@ -776,9 +755,9 @@ impl Graph {
     ///   credited one stall per skipped cycle and a parked `Idle` node
     ///   credits nothing — exactly the counters dense would produce. The
     ///   credit is settled *lazily*: the park records the cycle ordinal and
-    ///   the wake (or [`Graph::report`] / [`Graph::set_scheduler`], for
-    ///   nodes still parked then) adds the whole span at once, so skipped
-    ///   cycles cost nothing — not even a counter increment.
+    ///   the wake (or [`Graph::report`], for nodes still parked then) adds
+    ///   the whole span at once, so skipped cycles cost nothing — not even
+    ///   a counter increment.
     /// * **Wakes happen at the dense-visible instant.** A reader's pop
     ///   mutates the queue immediately, so the stream's writer is woken
     ///   during the tick phase: a writer *after* the reader in node order
@@ -1270,6 +1249,7 @@ mod tests {
     use crate::kernel::Progress;
 
     /// A pass-through kernel that adds a constant, one element per cycle.
+    /// Port-inert whenever it is not `Busy`, so it parks.
     struct AddConst {
         c: i32,
     }
@@ -1289,11 +1269,22 @@ mod tests {
             }
         }
         fn rearm(&mut self) {}
+        fn wake_hint(&self) -> WakeHint {
+            WakeHint::Parkable
+        }
     }
 
     fn pipeline(data: Vec<i32>, stages: usize) -> (Graph, crate::host::SinkHandle) {
+        pipeline_on(SchedulerMode::default(), data, stages)
+    }
+
+    fn pipeline_on(
+        mode: SchedulerMode,
+        data: Vec<i32>,
+        stages: usize,
+    ) -> (Graph, crate::host::SinkHandle) {
         let n = data.len();
-        let mut g = Graph::new();
+        let mut g = Graph::with_scheduler(mode);
         let mut prev = g.add_stream(StreamSpec::new("s0", 8, 4));
         g.add_kernel(Box::new(HostSource::new("src", data)), &[], &[prev]);
         for i in 0..stages {
@@ -1393,23 +1384,60 @@ mod tests {
     #[test]
     fn ready_list_matches_dense_on_pipeline() {
         let run_mode = |mode| {
-            let (mut g, handle) = pipeline((0..25).collect(), 3);
-            g.set_scheduler(mode);
+            let (mut g, handle) = pipeline_on(mode, (0..25).collect(), 3);
             let report = g.run(10_000).expect("run ok");
             (handle.take(), report)
         };
         assert_eq!(
             run_mode(SchedulerMode::Dense),
-            run_mode(SchedulerMode::ReadyList)
+            run_mode(SchedulerMode::default())
         );
     }
 
+    /// The pop-wake edge for a writer *after* its reader in node order: a
+    /// pipeline added sink-first, so every reader precedes its writer. A
+    /// sink reading every other cycle keeps 2-deep FIFOs full and the
+    /// parked writers are woken by pops in the tick phase — mid-cycle,
+    /// ticked the same cycle, and owed one stall fewer than a writer woken
+    /// from behind. The timer-driven sink vetoes every burst, so the run
+    /// is stepped per element.
+    #[test]
+    fn reversed_pipeline_wakes_later_writers_at_the_dense_instant() {
+        let run_mode = |mode| {
+            let mut g = Graph::with_scheduler(mode);
+            let s: Vec<StreamId> = (0..4)
+                .map(|i| g.add_stream(StreamSpec::new(format!("s{i}"), 8, 2)))
+                .collect();
+            let sink = LazySink {
+                wait: 0,
+                gap: 1,
+                expect: 30,
+                got: 0,
+            };
+            g.add_kernel(Box::new(sink), &[s[3]], &[]);
+            for i in (0..3).rev() {
+                g.add_kernel(Box::new(AddConst { c: 1 }), &[s[i]], &[s[i + 1]]);
+            }
+            g.add_kernel(Box::new(HostSource::new("src", (0..30).collect())), &[], &[s[0]]);
+            // The sink's idle ticks are whole cycles without progress.
+            g.run_opts(10_000, false).expect("run ok")
+        };
+        let dense = run_mode(SchedulerMode::Dense);
+        assert!(
+            dense.kernels[1..].iter().all(|k| k.stalled > 0),
+            "every writer must stall on the half-rate sink: {dense:?}"
+        );
+        assert_eq!(run_mode(SchedulerMode::default()), dense);
+    }
+
     /// A sink that ignores its input for `wait` cycles, then drains one
-    /// element per cycle. The idle-wait is a timer (internal state advances
-    /// with no port activity), so it correctly keeps the default
-    /// `WakeHint::AlwaysTick` — parking it would sleep forever.
+    /// element per cycle, idling `gap` cycles after each. The idle-wait is
+    /// a timer (internal state advances with no port activity), so it
+    /// correctly keeps the default `WakeHint::AlwaysTick` — parking it
+    /// would sleep forever.
     struct LazySink {
         wait: u64,
+        gap: u64,
         expect: usize,
         got: usize,
     }
@@ -1428,6 +1456,7 @@ mod tests {
             match io.read(0) {
                 Some(_) => {
                     self.got += 1;
+                    self.wait = self.gap;
                     Progress::Busy
                 }
                 None => Progress::Stalled,
@@ -1457,6 +1486,7 @@ mod tests {
             g.add_kernel(
                 Box::new(LazySink {
                     wait: 5,
+                    gap: 0,
                     expect: 6,
                     got: 0,
                 }),
@@ -1468,7 +1498,7 @@ mod tests {
             g.run_opts(1000, false).expect("run ok")
         };
         let dense = run_mode(SchedulerMode::Dense);
-        let ready = run_mode(SchedulerMode::ReadyList);
+        let ready = run_mode(SchedulerMode::default());
         assert_eq!(dense, ready, "reports must be bit-identical");
         let s = &dense.streams[0];
         assert_eq!(
@@ -1482,29 +1512,16 @@ mod tests {
         );
     }
 
-    /// Parking must actually happen (otherwise the ready-list mode is a
-    /// silent no-op and its benchmark claims are vacuous).
+    /// Parking must actually happen (otherwise the default stepper's ready
+    /// list is a silent no-op and its benchmark claims are vacuous).
     #[test]
     fn exhausted_source_parks_idle_under_ready_list() {
         let (mut g, _h) = pipeline(vec![1, 2, 3], 2);
-        g.set_scheduler(SchedulerMode::ReadyList);
         g.run(1000).expect("run ok");
         assert_eq!(
             g.parked_state(KernelId(0)),
             Some(Progress::Idle),
             "drained source should end the run parked"
         );
-    }
-
-    /// Switching modes clears park state so no kernel sleeps through the
-    /// next cycle.
-    #[test]
-    fn set_scheduler_unparks_everything() {
-        let (mut g, _h) = pipeline(vec![1], 1);
-        g.set_scheduler(SchedulerMode::ReadyList);
-        g.run(1000).expect("run ok");
-        assert!(g.parked_state(KernelId(0)).is_some());
-        g.set_scheduler(SchedulerMode::Dense);
-        assert_eq!(g.parked_state(KernelId(0)), None);
     }
 }

@@ -142,8 +142,8 @@ enum K {
 }
 
 /// One row of the table: the FIFO depths, the kernels in node order with
-/// the streams they read and write, the ready-list cycles stepped before
-/// the attempt, the schedule-replay boundary (stream, pops due), and the
+/// the streams they read and write, the cycles stepped at the default
+/// stepper before the attempt, the schedule-replay boundary (stream, pops due), and the
 /// burst the planner must find.
 type Row = (
     &'static str,
@@ -269,7 +269,7 @@ const ROWS: &[Row] = &[
 #[test]
 fn planned_bursts_match_dense_stepping() {
     for &(name, depths, kernels, warmup, marker, expect) in ROWS {
-        let mut g = build(SchedulerMode::ReadyList, depths, kernels);
+        let mut g = build(SchedulerMode::default(), depths, kernels);
         let _ = g.run_opts(warmup, false);
         let view = View {
             nodes: &g.nodes,

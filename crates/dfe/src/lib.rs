@@ -20,12 +20,11 @@
 //! * **The cycle scheduler** advances the graph one clock at a time and
 //!   reports cycle counts, per-kernel busy/stall statistics and stream
 //!   occupancies. It detects deadlock (no progress while sinks are
-//!   incomplete). Four stepping tiers exist — the dense reference
-//!   stepper, an event-driven ready-list stepper that parks stalled/idle
-//!   kernels until a stream event, span dispatch on top of it, and
-//!   steady-state schedule replay on top of that — selected by the one
-//!   ordered [`SchedulerMode`]; they are bit-identical in outputs and
-//!   reports.
+//!   incomplete). Two steppers exist, selected by [`SchedulerMode`] — the
+//!   dense reference stepper, and the default event-driven one that parks
+//!   stalled/idle kernels until a stream event, dispatches uniform spans
+//!   as bursts and replays a recorded steady-state schedule; they are
+//!   bit-identical in outputs and reports.
 //! * **Devices and MaxRing links** carry resource budgets and bandwidth
 //!   limits so the compiler can place kernels onto multiple DFEs and verify
 //!   link feasibility. The simulator itself knows nothing of devices: a

@@ -1,5 +1,6 @@
-//! Steady-state schedule replay — the top scheduler tier
-//! ([`SchedulerMode::Replay`](crate::SchedulerMode::Replay)).
+//! Steady-state schedule replay, part of the default stepper
+//! ([`SchedulerMode::Replay`](crate::SchedulerMode::Replay)) on graphs
+//! armed with a replay marker.
 //!
 //! The paper's pipeline is statically scheduled in hardware: every image
 //! takes the identical path through the fabric, so at steady state the
@@ -65,7 +66,7 @@ use crate::burst::{SpanPart, SpanStream};
 /// Deliberately **excluded from report equality**: like
 /// [`Graph::bursts`](crate::Graph::bursts), these describe how the run was
 /// dispatched, not what it computed, and reports must stay bit-identical
-/// across every scheduler tier.
+/// across steppers.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ReplayDiag {
     /// Steps in the validated tape (dense runs + spans), 0 before a tape
@@ -219,7 +220,7 @@ impl ReplayState {
     }
 
     /// Drop any tape and fingerprint history and return to `Armed` — the
-    /// reset applied on guard failures and on a mid-run `set_scheduler`.
+    /// reset applied on guard failures, vetoes and marker changes.
     /// Diagnostics counters survive (they describe the whole run).
     pub fn rearm(&mut self) {
         self.phase = ReplayPhase::Armed { have_prev: false };

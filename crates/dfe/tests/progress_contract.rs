@@ -1,10 +1,10 @@
 //! The `Progress` contract, enforced by a debug-mode check in both
-//! schedulers (see `check_progress_contract` in `graph.rs`):
+//! steppers (see `check_progress_contract` in `graph.rs`):
 //!
 //! * a tick returning `Idle` must not have read or written any port;
 //! * a `WakeHint::Parkable` kernel returning `Stalled` must not have
-//!   touched a port either (the ready-list stepper replays the verdict
-//!   without re-running the tick).
+//!   touched a port either (the default stepper parks it and replays the
+//!   verdict without re-running the tick).
 //!
 //! Violations would make ready-list parking unsound — a "skipped" tick
 //! would have had observable effects — so they abort loudly in debug
@@ -78,7 +78,7 @@ fn idle_after_read_is_caught_dense() {
 )]
 #[should_panic(expected = "returned Idle after touching a port")]
 fn idle_after_read_is_caught_ready_list() {
-    drive(Box::new(IdleLiar), SchedulerMode::ReadyList);
+    drive(Box::new(IdleLiar), SchedulerMode::default());
 }
 
 #[test]
@@ -88,7 +88,7 @@ fn idle_after_read_is_caught_ready_list() {
 )]
 #[should_panic(expected = "Parkable fixed-point contract")]
 fn parkable_stall_after_write_is_caught() {
-    drive(Box::new(ParkableStallLiar), SchedulerMode::ReadyList);
+    drive(Box::new(ParkableStallLiar), SchedulerMode::default());
 }
 
 #[test]
@@ -159,6 +159,6 @@ props! {
             let report = g.run(1_000_000).expect("lawful pipeline completes");
             (handle.take(), report)
         };
-        prop_assert_eq!(run_mode(SchedulerMode::Dense), run_mode(SchedulerMode::ReadyList));
+        prop_assert_eq!(run_mode(SchedulerMode::Dense), run_mode(SchedulerMode::default()));
     }
 }

@@ -560,7 +560,7 @@ props! {
         let n = data.len();
         let expect = reference(&data, &stages);
         let (mut g, handle, ids) =
-            build_chain(data.clone(), &stages, cap, SchedulerMode::Span, None);
+            build_chain(data.clone(), &stages, cap, SchedulerMode::default(), None);
         let report = g.run(BUDGET).expect("macro-tick chain must complete");
         prop_assert_eq!(handle.take(), expect.clone());
         assert_ledger(&g, &report, &ids, n, stages.len())?;
@@ -589,7 +589,7 @@ props! {
             data,
             &stages,
             cap,
-            SchedulerMode::Span,
+            SchedulerMode::default(),
             Some((seed, pct)),
         );
         // Injected stalls can idle the whole graph for a cycle; that is not
@@ -762,11 +762,9 @@ props! {
             (handle.take(), report)
         };
         let (_, dense) = run(SchedulerMode::Dense);
-        for mode in &SchedulerMode::ALL[1..] {
-            let (out, report) = run(*mode);
-            prop_assert_eq!(&out, &expect, "{:?}", mode);
-            prop_assert_eq!(&report, &dense, "{:?} diverges from dense", mode);
-        }
+        let (out, report) = run(SchedulerMode::default());
+        prop_assert_eq!(&out, &expect);
+        prop_assert_eq!(&report, &dense, "span dispatch diverges from dense");
     }
 }
 
@@ -779,7 +777,7 @@ fn bursts_fire_on_a_wide_chain() {
     // Lane-width traffic: a 4-wide source into 4-wide stages over deep
     // FIFOs (the sink's one-per-cycle drain backs up only at the end).
     let fast = [(3, 7, 4, 8192), (-1, 11, 4, 8192)];
-    let (mut g, handle) = build_wide_chain(data.clone(), 4, &fast, SchedulerMode::Span);
+    let (mut g, handle) = build_wide_chain(data.clone(), 4, &fast, SchedulerMode::default());
     let report = g.run(BUDGET).expect("run");
     assert_eq!(handle.take(), reference(&data, &[(3, 7), (-1, 11)]));
     assert!(g.burst_cycles() > 0, "no burst on a wide pipeline");
@@ -790,7 +788,7 @@ fn bursts_fire_on_a_wide_chain() {
     );
     // Sub-lane traffic: the same stages behind a one-per-cycle source run
     // one element per tick, every tick.
-    let (mut g, handle) = build_wide_chain(data.clone(), 1, &fast, SchedulerMode::Span);
+    let (mut g, handle) = build_wide_chain(data.clone(), 1, &fast, SchedulerMode::default());
     let report = g.run(BUDGET).expect("run");
     assert_eq!(handle.take(), reference(&data, &[(3, 7), (-1, 11)]));
     assert_eq!(report.kernels[1].busy, 4096, "one tick per element");
@@ -809,7 +807,7 @@ fn bursts_fire_on_a_span_capable_chain() {
     let data: Vec<i32> = (0..512).collect();
     let stages = [(3, 7), (-1, 11)];
     let (mut g, handle, _) =
-        build_chain(data.clone(), &stages, 16, SchedulerMode::Span, None);
+        build_chain(data.clone(), &stages, 16, SchedulerMode::default(), None);
     let report = g.run(BUDGET).expect("run");
     assert_eq!(handle.take(), reference(&data, &stages));
     assert!(
@@ -820,28 +818,31 @@ fn bursts_fire_on_a_span_capable_chain() {
     assert!(report.cycles >= 512);
 
     let (mut g_off, handle_off, _) =
-        build_chain(data.clone(), &stages, 16, SchedulerMode::ReadyList, None);
+        build_chain(data.clone(), &stages, 16, SchedulerMode::Dense, None);
     let report_off = g_off.run(BUDGET).expect("run");
     assert_eq!(handle_off.take(), reference(&data, &stages));
-    assert_eq!(g_off.bursts(), 0, "the ready-list tier must never burst");
     assert_eq!(report, report_off, "dispatch mode leaked into the report");
 }
 
-/// Mid-run mode switches are safe: bursts leave no cross-cycle state, so
-/// dropping a tier with `set_scheduler` between segments of a multi-image
-/// run keeps the stream contents coherent.
+/// Segmented runs are safe: bursts leave no cross-cycle state, so a run
+/// stopped by its cycle budget and resumed on the same graph keeps the
+/// stream contents coherent and the counters of one uninterrupted dense
+/// run.
 #[test]
 fn mode_switch_mid_run_preserves_output() {
+    const PREFIX: u64 = 64;
     let stages = [(5, -3)];
     let all: Vec<i32> = (-100..100).collect();
     let expect = reference(&all, &stages);
-    // Run the first half with spans on, then flip them off and continue on
-    // the same graph with the remaining input arriving via a second run.
-    let (mut g, handle, _) =
-        build_chain(all.clone(), &stages, 8, SchedulerMode::Span, None);
+    let (mut gd, _, _) = build_chain(all.clone(), &stages, 8, SchedulerMode::Dense, None);
+    let dense = gd.run(BUDGET).expect("dense run");
+    let (mut g, handle, _) = build_chain(all, &stages, 8, SchedulerMode::default(), None);
     // Step a bounded prefix: too few cycles to finish, enough to burst.
-    let _ = g.run_opts(64, false);
-    g.set_scheduler(SchedulerMode::ReadyList);
-    g.run_opts(BUDGET, false).expect("finish per-element");
+    assert!(g.run_opts(PREFIX, false).is_err(), "prefix finished the run");
+    assert!(g.bursts() > 0, "no burst in the prefix");
+    let report = g.run_opts(BUDGET, false).expect("finish the run");
     assert_eq!(handle.take(), expect);
+    assert_eq!(report.kernels, dense.kernels);
+    assert_eq!(report.streams, dense.streams);
+    assert_eq!(PREFIX + report.cycles, dense.cycles);
 }

@@ -13,8 +13,9 @@
 //! every run.
 //!
 //! The folded pad → conv → pool → residual pair → FC cell at the end adds
-//! the *dispatch* dimension: clean runs with macro-tick spans on and off
-//! (and dense stepping) must agree on every counter, at any PE/SIMD
+//! the *dispatch* dimension: clean runs with macro-tick spans on (the
+//! default stepper) and off (dense stepping) must agree on every counter,
+//! at any PE/SIMD
 //! folding — the rate-annotated span promises of the folded kernels, and
 //! the slice-level `run_span` body of every kernel in the cell, against
 //! their own `tick`.
@@ -190,7 +191,7 @@ impl FoldedCell {
 }
 
 props! {
-    /// The folded cell: every scheduler tier agrees with dense stepping on
+    /// The folded cell: the default stepper agrees with dense stepping on
     /// outputs and on every counter of the report, at any folding, stride,
     /// FIFO depth and image count — and the output stream survives random
     /// stall injection on every node.
@@ -215,12 +216,10 @@ props! {
         };
         let images: Vec<_> = (0..n_images as u64).map(|i| cell.image(seed ^ i)).collect();
         let (out_d, dense, _) = cell.run(&images, SchedulerMode::Dense, None);
-        for mode in &SchedulerMode::ALL[1..] {
-            let (out, report, _) = cell.run(&images, *mode, None);
-            prop_assert_eq!(&out, &out_d, "{:?}", mode);
-            prop_assert_eq!(&report, &dense, "{:?} diverges from dense", mode);
-        }
-        let (out_s, ..) = cell.run(&images, SchedulerMode::Span, Some((seed, stall)));
+        let (out, report, _) = cell.run(&images, SchedulerMode::default(), None);
+        prop_assert_eq!(&out, &out_d);
+        prop_assert_eq!(&report, &dense, "span dispatch diverges from dense");
+        let (out_s, ..) = cell.run(&images, SchedulerMode::default(), Some((seed, stall)));
         prop_assert_eq!(&out_d, &out_s, "stall injection changed the output");
     }
 
@@ -382,7 +381,7 @@ fn folded_cell_bursts() {
         cap: 64,
     };
     let images = [cell.image(5), cell.image(6)];
-    let (_, report, burst_cycles) = cell.run(&images, SchedulerMode::Span, None);
+    let (_, report, burst_cycles) = cell.run(&images, SchedulerMode::default(), None);
     assert!(
         burst_cycles * 2 > report.cycles,
         "spans cover {burst_cycles} of {} cycles at a folded cell",

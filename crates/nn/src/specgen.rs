@@ -1,16 +1,28 @@
-//! Randomized [`NetworkSpec`] generation for property and differential
-//! test suites.
+//! Randomized [`NetworkSpec`] generation, and deterministic input images,
+//! for property and differential test suites.
 //!
 //! Lives in `qnn-nn` (rather than `qnn-testkit`) because spec construction
 //! needs the network types and `qnn-nn` already depends on the testkit —
 //! the reverse dependency would be a cycle. Used by
 //! `tests/property_streaming.rs` (bit-exactness vs the reference
-//! interpreter) and `tests/scheduler_equivalence.rs` (Dense vs ReadyList
-//! differential battery).
+//! interpreter) and `tests/macro_tick_equivalence.rs` (default stepper vs
+//! `Dense` differential battery).
 
 use crate::spec::{EncoderGeometry, NetworkSpec, PoolKind, SpecBuilder, Stage};
-use qnn_tensor::{ConvGeometry, FilterShape, Shape3};
+use qnn_tensor::{ConvGeometry, FilterShape, Shape3, Tensor3};
 use qnn_testkit::{map, Strategy};
+
+/// A deterministic pseudo-random input image for `spec`, one per `seed`
+/// (a multiplicative hash of the seed and the pixel coordinates).
+pub fn image_for(spec: &NetworkSpec, seed: u64) -> Tensor3<i8> {
+    Tensor3::from_fn(spec.input, |y, x, c| {
+        ((seed as usize)
+            .wrapping_mul(31)
+            .wrapping_add(y * 131 + x * 17 + c * 7)
+            .wrapping_mul(2654435761)
+            >> 16) as i8
+    })
+}
 
 /// A random two-conv network with a pool and a classifier, or `None` when
 /// the sampled geometry is inconsistent (kernel larger than its padded

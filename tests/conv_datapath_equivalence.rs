@@ -2,8 +2,8 @@
 //! convolution busy path must be **bit-identical** to the scalar reference
 //! datapath — same logits, same `CycleReport`s (cycle counts, per-kernel
 //! busy/stall tallies, per-stream pushed/max-occupancy) — across randomized
-//! networks, streamed-parameter loading, multi-device cuts, and every
-//! scheduler tier.
+//! networks, streamed-parameter loading, multi-device cuts, and both
+//! steppers.
 //!
 //! This is the proof obligation behind making `Packed` the default: every
 //! golden vector, determinism test, and flaky-threshold band was calibrated
@@ -63,8 +63,8 @@ fn assert_datapaths_agree(
 }
 
 props! {
-    /// Single-device: random conv/pool/fc networks, 1–2 images, a random
-    /// scheduler tier, with the §III-B1a parameter-streaming path folded in —
+    /// Single-device: random conv/pool/fc networks, 1–2 images, either
+    /// stepper, with the §III-B1a parameter-streaming path folded in —
     /// streamed loading swaps the filter bank *after* the plane rings are
     /// built, so it exercises the placeholder-filters path too.
     #[test]
@@ -73,7 +73,7 @@ props! {
         seed in 0u64..1000,
         n_images in 1usize..3,
         stream_params in 0u8..2,
-        tier in 0usize..4,
+        dense in 0u8..2,
     ) {
         let Some(spec) = spec else {
             return Ok(());
@@ -83,7 +83,7 @@ props! {
             (0..n_images as u64).map(|i| image_for(&net.spec, seed + i)).collect();
         let base = CompileOptions {
             stream_parameters: stream_params == 1,
-            scheduler: SchedulerMode::ALL[tier],
+            scheduler: if dense == 1 { SchedulerMode::Dense } else { SchedulerMode::default() },
             ..CompileOptions::default()
         };
         assert_datapaths_agree(&net, &images, &base)?;

@@ -16,20 +16,9 @@ use qnn::compiler::dse::{explore, pick, DseConfig, ResourceBudget};
 use qnn::compiler::{run_images, CompileOptions, SimError};
 use qnn::dfe::STRATIX_10_GX2800;
 use qnn::hw::CycleModel;
-use qnn::nn::specgen::spec_strategy;
+use qnn::nn::specgen::{image_for, spec_strategy};
 use qnn::nn::{models, Network, NetworkSpec};
-use qnn::tensor::Tensor3;
 use qnn_testkit::{prop_assert, prop_assert_eq, props};
-
-fn image_for(spec: &NetworkSpec, seed: u64) -> Tensor3<i8> {
-    Tensor3::from_fn(spec.input, |y, x, c| {
-        ((seed as usize)
-            .wrapping_mul(31)
-            .wrapping_add(y * 131 + x * 17 + c * 7)
-            .wrapping_mul(2654435761)
-            >> 16) as i8
-    })
-}
 
 /// At least three option sets per spec: the frontier's fastest points,
 /// padded with uniform-folding FIFO variants when the frontier is shorter.

@@ -1,15 +1,19 @@
-//! Differential macro-tick battery: span dispatch (and every other
-//! scheduler tier) must be **bit-identical** to dense per-element stepping
-//! — same logits, same `CycleReport`s (cycle counts, per-kernel busy/stall
-//! tallies, per-stream pushed/max-occupancy) — across randomized networks,
-//! streamed-parameter loading, multi-image sequences, 1–3-device cuts
+//! Differential stepper battery: the default stepper — ready-list
+//! parking, span dispatch and schedule replay — must be **bit-identical**
+//! to the `Dense` reference stepper — same logits, same `CycleReport`s
+//! (cycle counts, per-kernel busy/stall tallies, per-stream
+//! pushed/max-occupancy) — across randomized networks, streamed-parameter
+//! loading, multi-image sequences, folded design points, 1–3-device cuts
 //! (which must also be invisible next to the uncut run), stall-injected
-//! pipelines, and mid-run tier switches.
+//! pipelines in both node orders, and runs resumed after a timeout.
 //!
-//! This is the proof obligation behind crediting whole spans
-//! arithmetically: a burst replays `k` dense cycles in one dispatch per
-//! kernel, so every counter the dense interleaving would have produced
-//! must come out of the closed-form credit, exactly.
+//! This is the proof obligation behind defaulting to a stepper above
+//! `Dense`: a parked kernel's verdict is replayed into its counters and a
+//! burst replays `k` dense cycles in one dispatch per kernel, so every
+//! counter the dense interleaving would have produced must come out of the
+//! lazy and closed-form credits, exactly — and every golden vector,
+//! determinism test and flaky-threshold band calibrated under dense
+//! stepping carries over unchanged.
 //!
 //! Part of `./ci.sh soak` at `QNN_TEST_CASES=1024`.
 
@@ -18,24 +22,14 @@ use qnn::dfe::{
     CycleReport, Graph, HostSink, HostSource, Io, Kernel, Progress, ReplayDiag, SchedulerMode,
     SpanIo, SpanPlan, StallInjector, StreamSpec, WakeHint,
 };
-use qnn::nn::specgen::spec_strategy;
+use qnn::nn::specgen::{image_for, spec_strategy};
 use qnn::nn::{models, Network, NetworkSpec, PoolKind, SpecBuilder};
 use qnn::tensor::{ConvGeometry, FilterShape, Shape3, Tensor3};
 use qnn_testkit::prop::CaseResult;
 use qnn_testkit::{prop_assert, prop_assert_eq, props, vec};
 
-fn image_for(spec: &NetworkSpec, seed: u64) -> Tensor3<i8> {
-    Tensor3::from_fn(spec.input, |y, x, c| {
-        ((seed as usize)
-            .wrapping_mul(31)
-            .wrapping_add(y * 131 + x * 17 + c * 7)
-            .wrapping_mul(2654435761)
-            >> 16) as i8
-    })
-}
-
-/// Run the same workload on every scheduler tier and assert logits and
-/// every per-device report agree with the `Dense` oracle.
+/// Run the same workload on the default stepper and on the `Dense` oracle
+/// and assert logits and every per-device report agree.
 fn assert_dispatch_agrees(
     net: &Network,
     images: &[Tensor3<i8>],
@@ -45,16 +39,14 @@ fn assert_dispatch_agrees(
         run_images(net, images, &CompileOptions { scheduler, ..base.clone() }).expect("run")
     };
     let dense = run(SchedulerMode::Dense);
-    for mode in &SchedulerMode::ALL[1..] {
-        let got = run(*mode);
-        prop_assert_eq!(&got.logits, &dense.logits, "{:?}", mode);
-        prop_assert_eq!(&got.reports, &dense.reports, "{:?}", mode);
-    }
+    let got = run(SchedulerMode::default());
+    prop_assert_eq!(&got.logits, &dense.logits);
+    prop_assert_eq!(&got.reports, &dense.reports);
     Ok(())
 }
 
-/// Span coverage of one single-device run at the `Span` tier: the report,
-/// the cycles covered by bursts, and the busy count of the kernel named
+/// Span coverage of one single-device run on the default stepper: the
+/// report, the cycles covered by bursts, and the busy count of the kernel named
 /// `kernel`. Bursts need every awake kernel's promise, so
 /// `burst_cycles + busy > cycles` proves (pigeonhole) that `kernel` ran
 /// inside a burst rather than vetoing whenever it was awake.
@@ -64,8 +56,7 @@ fn span_coverage(
     base: &CompileOptions,
     kernel: &str,
 ) -> (u64, u64, u64) {
-    let opts = CompileOptions { scheduler: SchedulerMode::Span, ..base.clone() };
-    let mut compiled = try_compile(net, images, &opts).expect("valid options");
+    let mut compiled = try_compile(net, images, base).expect("valid options");
     let [graph] = &mut compiled.graphs[..] else {
         panic!("single-device run expected");
     };
@@ -121,9 +112,10 @@ props! {
     /// A non-trivial folded design point: folded kernels promise spans at
     /// their lane rates (or the sub-lane rate a narrower neighbour holds
     /// them to), so the wavefront carries several elements per port per
-    /// cycle — with identical logits and reports, and with bursts actually
-    /// firing. This pins the folding/span interaction the DSE frontier
-    /// relies on.
+    /// cycle — with identical logits and reports, multi-lane wakeups in
+    /// play, and bursts actually firing. Two fold plans fold different
+    /// residual-block convolutions and the downsample path. This pins the
+    /// folding/span interaction the DSE frontier relies on.
     #[test]
     fn folded_design_point_reports_identical(
         seed in 0u64..200,
@@ -131,16 +123,21 @@ props! {
         simd_bits in 0u32..3,
         fifo in 16usize..128,
         n_images in 1usize..3,
+        plan in 0u8..2,
     ) {
         let net = Network::random(models::test_net(8, 4, 2), seed);
         let images: Vec<_> =
             (0..n_images as u64).map(|i| image_for(&net.spec, seed + 13 + i)).collect();
-        let folding = FoldPlan::new()
-            .with("conv0", Fold::new(1 << pe_bits, 1 << simd_bits))
-            .with("pool1", Fold::new(1 << simd_bits, 2))
-            .with("res2.conv2", Fold::new(4, 1 << pe_bits))
-            .with("res3.conv1", Fold::new(2, 2))
-            .with("fc6", Fold::new(1 << pe_bits, 4));
+        let folding = if plan == 0 {
+            folded_plan(pe_bits, simd_bits)
+        } else {
+            FoldPlan::new()
+                .with("conv0", Fold::new(1 << pe_bits, 1 << simd_bits))
+                .with("pool1", Fold::new(2, 1 << simd_bits))
+                .with("res2.conv1", Fold::new(1 << simd_bits, 4))
+                .with("res3.ds", Fold::new(2, 2))
+                .with("fc5", Fold::new(4, 1 << pe_bits))
+        };
         let base = CompileOptions {
             layer_folding: folding,
             fifo_capacity: fifo,
@@ -164,14 +161,11 @@ props! {
     ) {
         let net = Network::random(models::test_net(8, 4, 2), seed);
         let images = [image_for(&net.spec, seed + 29)];
-        let folding = FoldPlan::new()
-            .with("conv0", Fold::new(1 << pe_bits, 1 << simd_bits))
-            .with("pool1", Fold::new(1 << simd_bits, 2))
-            .with("res2.conv2", Fold::new(4, 1 << pe_bits))
-            .with("res3.conv1", Fold::new(2, 2))
-            .with("fc6", Fold::new(1 << pe_bits, 4));
-        let shallow =
-            CompileOptions { layer_folding: folding, fifo_capacity: 2, ..CompileOptions::default() };
+        let shallow = CompileOptions {
+            layer_folding: folded_plan(pe_bits, simd_bits),
+            fifo_capacity: 2,
+            ..CompileOptions::default()
+        };
         let report = &run_images(&net, &images, &shallow).expect("run").reports[0];
         let fifo_overrides = report
             .streams
@@ -187,10 +181,10 @@ props! {
     }
 
     /// 1–3-device cuts, contiguous or not (`[0, 1, 0, …]`). A device is a
-    /// tag, so a cut network is the uncut network's graph: on every tier
-    /// it matches `Dense`, and it matches the *uncut* run — same logits,
-    /// same clock, same bursts — while its per-device reports partition
-    /// the uncut report.
+    /// tag, so a cut network is the uncut network's graph: on the default
+    /// stepper it matches `Dense`, and on either stepper it matches the
+    /// *uncut* run — same logits, same clock, same bursts — while its
+    /// per-device reports partition the uncut report.
     #[test]
     fn device_cuts_reports_identical(
         spec in spec_strategy(),
@@ -211,7 +205,7 @@ props! {
             ..CompileOptions::default()
         };
         assert_dispatch_agrees(&net, images, &cut)?;
-        for scheduler in SchedulerMode::ALL {
+        for scheduler in [SchedulerMode::Dense, SchedulerMode::default()] {
             let (parts, cut_bursts) =
                 run_counted(&net, images, &CompileOptions { scheduler, ..cut.clone() });
             let uncut = CompileOptions { scheduler, ..CompileOptions::default() };
@@ -227,9 +221,14 @@ props! {
     /// StallInjector-laced pipelines: injector-wrapped stages are
     /// `AlwaysTick` with no span promise, so every burst window they are
     /// awake in is vetoed — runs interleave spans with per-element
-    /// stretches at injector-chosen boundaries. Any mis-credited span
-    /// would shift the injector's tick-driven RNG and change every
-    /// downstream cycle count.
+    /// stretches at injector-chosen boundaries, and the injector's RNG
+    /// advances on every tick, so any mis-credited span or parked cycle
+    /// would shift the stall pattern and change every downstream cycle
+    /// count. Stages offer a span promise or not (then only parking
+    /// fast-forwards them). `reverse` adds the kernels
+    /// sink-first: every reader then precedes its writer in node order, so
+    /// a pop wakes a parked writer mid-cycle, which must tick that same
+    /// cycle — the one wake edge no compiled network reaches.
     #[test]
     fn stall_injected_pipelines_reports_identical(
         n in 1usize..80,
@@ -238,74 +237,78 @@ props! {
         pct in 0u8..50,
         seed in 0u64..10_000,
         wrap_mask in 0u32..64,
+        span in 0u8..2,
+        reverse in 0u8..2,
     ) {
         let build = |mode| {
             let mut g = Graph::with_scheduler(mode);
+            let s: Vec<_> = (0..=stages)
+                .map(|i| g.add_stream(StreamSpec::new(format!("s{i}"), 8, fifo)))
+                .collect();
+            let (sink, handle) = HostSink::new("dst", n);
+            let mut kernels: Vec<(Box<dyn Kernel>, &[_], &[_])> = Vec::new();
             let data: Vec<i32> = (0..n as i32).collect();
-            let mut prev = g.add_stream(StreamSpec::new("s0", 8, fifo));
-            g.add_kernel(Box::new(HostSource::new("src", data)), &[], &[prev]);
+            kernels.push((Box::new(HostSource::new("src", data)), &[], &s[..1]));
             for i in 0..stages {
-                let next = g.add_stream(StreamSpec::new(format!("s{}", i + 1), 8, fifo));
-                let k: Box<dyn Kernel> = Box::new(SpanAffine { mul: 3, add: i as i32 });
+                let k: Box<dyn Kernel> =
+                    Box::new(Affine { mul: 3, add: i as i32, span: span == 1 });
                 let k = if wrap_mask & (1 << i) != 0 {
                     StallInjector::wrap(k, seed.wrapping_add(i as u64), pct)
                 } else {
                     k
                 };
-                g.add_kernel(k, &[prev], &[next]);
-                prev = next;
+                kernels.push((k, &s[i..=i], &s[i + 1..=i + 1]));
             }
-            let (sink, handle) = HostSink::new("dst", n);
-            g.add_kernel(Box::new(sink), &[prev], &[]);
+            kernels.push((Box::new(sink), &s[stages..], &[]));
+            if reverse == 1 {
+                kernels.reverse();
+            }
+            for (k, inputs, outputs) in kernels {
+                g.add_kernel(k, inputs, outputs);
+            }
             // Injected stalls can produce legitimate full-stall cycles, so
             // deadlock detection is off (the budget still bounds the run).
             let report = g.run_opts(4_000_000, false).expect("run");
             (handle.take(), report)
         };
         let (out_d, rep_d) = build(SchedulerMode::Dense);
-        for mode in &SchedulerMode::ALL[1..] {
-            let (out, rep) = build(*mode);
-            prop_assert_eq!(&out, &out_d, "{:?}", mode);
-            prop_assert_eq!(&rep, &rep_d, "{:?}", mode);
-        }
+        let (out, rep) = build(SchedulerMode::default());
+        prop_assert_eq!(&out, &out_d);
+        prop_assert_eq!(&rep, &rep_d);
     }
 
-    /// Mid-run tier switches on a compiled network: hop between scheduler
-    /// tiers at arbitrary cycle boundaries mid-inference. Bursts leave no
-    /// cross-cycle state behind and a switch settles park state, so the
-    /// stitched run must equal one uninterrupted dense run — same logits,
-    /// same cumulative counters, same total cycle count.
+    /// Segmented runs on a compiled network: stop at arbitrary cycle
+    /// boundaries mid-inference (a timeout) and resume on the same graph
+    /// state. Bursts leave no cross-cycle state behind and park state
+    /// carries over, so the stitched run on either stepper must equal one
+    /// uninterrupted dense run — same logits, same cumulative counters,
+    /// same total cycle count.
     #[test]
     fn mid_run_mode_switches_are_invisible(
         seed in 0u64..200,
         segment in 16u64..400,
-        start in 0usize..4,
-        stride in 1usize..4,
+        dense in 0u8..2,
     ) {
         let net = Network::random(models::test_net(8, 3, 2), seed);
         let img = image_for(&net.spec, seed + 3);
         let images = std::slice::from_ref(&img);
-        let tier = |hop: usize| SchedulerMode::ALL[hop % SchedulerMode::ALL.len()];
         let at = |scheduler| CompileOptions { scheduler, ..CompileOptions::default() };
         let reference =
             run_images(&net, images, &at(SchedulerMode::Dense)).expect("reference run");
 
-        let compiled = try_compile(&net, images, &at(tier(start))).expect("valid options");
+        let scheduler = if dense == 1 { SchedulerMode::Dense } else { SchedulerMode::default() };
+        let compiled = try_compile(&net, images, &at(scheduler)).expect("valid options");
         let mut graphs = compiled.graphs;
         prop_assert_eq!(graphs.len(), 1);
         let g = &mut graphs[0];
-        let mut hop = start;
         let mut total: u64 = 0;
         let report = loop {
             match g.run_opts(segment, false) {
                 Ok(report) => break report,
                 Err(_) => {
-                    // Timed out mid-flight: hop to another tier and keep
-                    // going on the same graph state.
+                    // Timed out mid-flight: resume on the same graph state.
                     total += segment;
-                    hop += stride;
-                    g.set_scheduler(tier(hop));
-                    prop_assert!(total < 50_000_000, "mode-switch run wedged");
+                    prop_assert!(total < 50_000_000, "segmented run wedged");
                 }
             }
         };
@@ -365,14 +368,26 @@ fn splits<T: PartialEq>(parts: &[&[T]], whole: &[T]) -> bool {
     }) && next.iter().zip(parts).all(|(&n, p)| n == p.len())
 }
 
-/// A span-capable pass-through stage for the injector battery: parkable,
-/// uniform one-in-one-out promise, pure on `Stalled`/`Idle`.
-struct SpanAffine {
-    mul: i32,
-    add: i32,
+/// The folding of `test_net` shared by the folded batteries.
+fn folded_plan(pe_bits: u32, simd_bits: u32) -> FoldPlan {
+    FoldPlan::new()
+        .with("conv0", Fold::new(1 << pe_bits, 1 << simd_bits))
+        .with("pool1", Fold::new(1 << simd_bits, 2))
+        .with("res2.conv2", Fold::new(4, 1 << pe_bits))
+        .with("res3.conv1", Fold::new(2, 2))
+        .with("fc6", Fold::new(1 << pe_bits, 4))
 }
 
-impl Kernel for SpanAffine {
+/// A parkable pass-through stage for the injector battery: pure on
+/// `Stalled`/`Idle`, so it honours the `WakeHint::Parkable` contract, and
+/// with `span` a uniform one-in-one-out span promise.
+struct Affine {
+    mul: i32,
+    add: i32,
+    span: bool,
+}
+
+impl Kernel for Affine {
     fn name(&self) -> &str {
         "affine"
     }
@@ -392,7 +407,7 @@ impl Kernel for SpanAffine {
         WakeHint::Parkable
     }
     fn span_hint(&self, _in_len: &[usize], _out_room: &[usize]) -> Option<SpanPlan> {
-        Some(SpanPlan::new(u64::MAX, 0b1, 0b1))
+        self.span.then(|| SpanPlan::new(u64::MAX, 0b1, 0b1))
     }
     fn run_span(&mut self, io: &mut SpanIo<'_>, n: u64) {
         for _ in 0..n {
@@ -403,28 +418,17 @@ impl Kernel for SpanAffine {
 }
 
 /// Deterministic spot-check (not property-sized): the exact cycle count of
-/// a full residual network is identical across scheduler tiers, so the
+/// a full residual network is identical on both steppers, so the
 /// EXPERIMENTS flaky-threshold bands calibrated under per-element stepping
 /// carry over unchanged.
 #[test]
 fn cycle_counts_identical_on_residual_network() {
     let net = Network::random(models::test_net(16, 4, 2), 3);
     let img = image_for(&net.spec, 11);
-    let run = |scheduler| {
-        run_images(
-            &net,
-            std::slice::from_ref(&img),
-            &CompileOptions { scheduler, ..CompileOptions::default() },
-        )
-        .expect("run")
-    };
-    let dense = run(SchedulerMode::Dense);
-    assert!(dense.cycles() > 0);
-    for mode in &SchedulerMode::ALL[1..] {
-        let got = run(*mode);
-        assert_eq!(got.logits, dense.logits, "{mode:?}");
-        assert_eq!(got.reports, dense.reports, "{mode:?}");
-    }
+    let images = std::slice::from_ref(&img);
+    let dense = CompileOptions { scheduler: SchedulerMode::Dense, ..CompileOptions::default() };
+    assert!(run_images(&net, images, &dense).expect("run").cycles() > 0);
+    assert_dispatch_agrees(&net, images, &CompileOptions::default()).expect("steppers agree");
 }
 
 /// A miniature ResNet front end: a 7×7 stride-2 stem, a padded 2×2 max
@@ -447,7 +451,7 @@ fn resnet_front_end() -> NetworkSpec {
         .expect("front-end spec")
 }
 
-/// The front end, unfolded and folded, on every tier against `Dense` — and
+/// The front end, unfolded and folded, on the default stepper against `Dense` — and
 /// with bursts covering at least 90 % of its cycles. Chained span plans
 /// carry a burst across the convs' phase edges; without them coverage
 /// falls to about half (0.48 unfolded, 0.37 folded), so this pins it.

@@ -5,21 +5,10 @@
 //! machines (ring indexing, drain/reset paths, threshold fusion).
 
 use qnn::compiler::{run_images, CompileOptions};
-use qnn::nn::{models, Network, NetworkSpec};
-use qnn::tensor::Tensor3;
+use qnn::nn::{models, Network};
 use qnn_testkit::{prop_assert_eq, props};
 
-fn image_for(spec: &NetworkSpec, seed: u64) -> Tensor3<i8> {
-    Tensor3::from_fn(spec.input, |y, x, c| {
-        ((seed as usize)
-            .wrapping_mul(31)
-            .wrapping_add(y * 131 + x * 17 + c * 7)
-            .wrapping_mul(2654435761)
-            >> 16) as i8
-    })
-}
-
-use qnn::nn::specgen::spec_strategy;
+use qnn::nn::specgen::{image_for, spec_strategy};
 
 props! {
     /// Randomized conv/pool/fc chains are bit-exact in the simulator.

@@ -1,9 +1,10 @@
 //! Differential schedule-replay battery: replaying a recorded steady-state
-//! period must be **bit-identical** to planning every burst live — same
-//! logits, same `CycleReport`s — and must *fall back* (never corrupt)
+//! period must be **bit-identical** to the `Dense` reference stepper —
+//! same logits, same `CycleReport`s — and must *fall back* (never corrupt)
 //! whenever the stream leaves steady state: the final-period drain, short
-//! ramps that never settle, stall-injected pipelines, and mid-run tier
-//! switches. Folded lanes replay like any other kernel.
+//! ramps that never settle, stall-injected pipelines, runs cut into
+//! cycle-budget segments, and a kernel whose replay token hides part of
+//! its control state. Folded lanes replay like any other kernel.
 //!
 //! The equivalence argument lives in `dfe_platform::replay` and DESIGN.md
 //! §"Steady-state schedule replay"; these tests are its proof obligation
@@ -11,22 +12,42 @@
 
 use qnn::compiler::{run_images, try_compile, CompileOptions, Fold, FoldPlan};
 use qnn::dfe::{
-    Graph, HostSink, HostSource, Io, Kernel, Progress, SchedulerMode, SpanIo, SpanPhase,
-    SpanPlan, StallInjector, StreamSpec, WakeHint,
+    CycleReport, Graph, HostSink, HostSource, Io, Kernel, Progress, ReplayDiag, SchedulerMode,
+    SpanIo, SpanPhase, SpanPlan, StallInjector, StreamSpec, WakeHint,
 };
-use qnn::nn::{models, Network, NetworkSpec};
+use qnn::nn::specgen::image_for;
+use qnn::nn::{models, Network};
 use qnn::tensor::Tensor3;
-// `Replay` is held against the tier below it: `Span` plans every burst live.
-use SchedulerMode::{Replay, Span};
+// The default stepper, `Replay`, is held against the `Dense` oracle.
+use SchedulerMode::{Dense, Replay};
 
-fn image_for(spec: &NetworkSpec, seed: u64) -> Tensor3<i8> {
-    Tensor3::from_fn(spec.input, |y, x, c| {
-        ((seed as usize)
-            .wrapping_mul(31)
-            .wrapping_add(y * 131 + x * 17 + c * 7)
-            .wrapping_mul(2654435761)
-            >> 16) as i8
-    })
+/// Run `g` to completion in `segment`-cycle slices and hold the stitched
+/// run to one uninterrupted dense run: same cumulative counters, same total
+/// cycles. The replay counters describe the whole run, so no slice may see
+/// them go backwards — they survive the re-arms a cut replayed period
+/// triggers. Returns the final replay diagnostics.
+fn run_segmented(g: &mut Graph, segment: u64, dense: &CycleReport) -> ReplayDiag {
+    let (mut total, mut banked) = (0, ReplayDiag::default());
+    let report = loop {
+        let result = g.run_opts(segment, false);
+        let d = g.replay_diag();
+        assert!(
+            d.images_replayed >= banked.images_replayed
+                && d.guard_fallbacks >= banked.guard_fallbacks
+                && d.spans_bypassed >= banked.spans_bypassed,
+            "counters went backwards: {banked:?} -> {d:?}"
+        );
+        banked = d;
+        match result {
+            Ok(report) => break report,
+            Err(_) => total += segment,
+        }
+        assert!(total < 50_000_000, "segmented run wedged");
+    };
+    assert_eq!(report.kernels, dense.kernels);
+    assert_eq!(report.streams, dense.streams);
+    assert_eq!(total + report.cycles, dense.cycles);
+    banked
 }
 
 fn run_at(
@@ -40,7 +61,7 @@ fn run_at(
 
 /// The tentpole invariant: on a stream long enough to reach steady state,
 /// replay engages (records one period, replays many) and the run is
-/// bit-identical to the planned-burst run — including the tail image,
+/// bit-identical to the dense run — including the tail image,
 /// where the source's final-period drain fingerprint forces the guard
 /// fallback instead of replaying past the end of the buffer.
 #[test]
@@ -48,7 +69,7 @@ fn long_stream_replays_and_stays_bit_identical() {
     let net = Network::random(models::test_net(8, 4, 2), 42);
     let images: Vec<_> = (0..24).map(|s| image_for(&net.spec, s)).collect();
     let on = run_at(&net, &images, Replay);
-    let off = run_at(&net, &images, Span);
+    let off = run_at(&net, &images, Dense);
     assert_eq!(on.logits, off.logits);
     assert_eq!(on.reports, off.reports);
     let d = on.reports[0].replay;
@@ -57,8 +78,8 @@ fn long_stream_replays_and_stays_bit_identical() {
     assert!(d.spans_bypassed > 0, "replayed images must bypass planning: {d:?}");
     // The non-periodic tail must exit via the guard, not a panic.
     assert!(d.guard_fallbacks >= 1, "tail drain should fall back: {d:?}");
-    // The replay-off run never touches the machine.
-    assert_eq!(off.reports[0].replay, qnn::dfe::ReplayDiag::default());
+    // The dense run never touches the machine.
+    assert_eq!(off.reports[0].replay, ReplayDiag::default());
 }
 
 /// A ramp that never settles (too few images for the pipeline depth) must
@@ -69,11 +90,36 @@ fn short_ramp_never_replays_but_stays_correct() {
     let net = Network::random(models::test_net(8, 4, 2), 42);
     let images: Vec<_> = (0..2).map(|s| image_for(&net.spec, s)).collect();
     let on = run_at(&net, &images, Replay);
-    let off = run_at(&net, &images, Span);
+    let off = run_at(&net, &images, Dense);
     assert_eq!(on.logits, off.logits);
     assert_eq!(on.reports, off.reports);
     assert_eq!(on.reports[0].replay.images_replayed, 0);
     assert_eq!(on.reports[0].replay.spans_bypassed, 0);
+}
+
+/// The `Dense` oracle stays dense: on a marker-armed compiled network,
+/// where the default stepper bursts, parks and replays, a dense run
+/// dispatches no burst, records no replay diagnostics and leaves no kernel
+/// parked.
+#[test]
+fn dense_oracle_never_bursts_parks_or_replays() {
+    let net = Network::random(models::test_net(8, 4, 2), 42);
+    let images: Vec<_> = (0..24).map(|s| image_for(&net.spec, s)).collect();
+    let run = |scheduler| {
+        let opts = CompileOptions { scheduler, ..CompileOptions::default() };
+        let mut compiled = try_compile(&net, &images, &opts).expect("valid options");
+        compiled.run().expect("run");
+        let [g] = &compiled.graphs[..] else {
+            panic!("a network lowers to one graph");
+        };
+        let parked = g.kernel_ids().filter(|&k| g.parked_state(k).is_some()).count();
+        (g.bursts(), g.burst_cycles(), g.replay_diag(), parked)
+    };
+    let (bursts, burst_cycles, diag, parked) = run(Replay);
+    assert!(bursts > 0 && burst_cycles > 0, "the default stepper never burst");
+    assert!(diag.images_replayed > 0, "the default stepper never replayed: {diag:?}");
+    assert!(parked > 0, "the default stepper ended with no kernel parked");
+    assert_eq!(run(Dense), (0, 0, ReplayDiag::default(), 0));
 }
 
 /// Folded lanes replay like any other kernel: the span plans on the tape
@@ -102,7 +148,7 @@ fn folded_lanes_replay() {
         .expect("run")
     };
     let on = run(Replay);
-    let off = run(Span);
+    let off = run(Dense);
     assert_eq!(on.logits, off.logits);
     assert_eq!(on.reports, off.reports);
     let d = on.reports[0].replay;
@@ -111,47 +157,7 @@ fn folded_lanes_replay() {
         d.spans_bypassed > 0,
         "replayed images must bypass planning: {d:?}"
     );
-    assert_eq!(off.reports[0].replay, qnn::dfe::ReplayDiag::default());
-}
-
-/// A parkable span-capable pass-through stage (the injector battery's
-/// workhorse, with a replay token so un-wrapped copies don't veto).
-struct SpanAffine {
-    mul: i32,
-    add: i32,
-}
-
-impl Kernel for SpanAffine {
-    fn name(&self) -> &str {
-        "affine"
-    }
-    fn rearm(&mut self) {}
-    fn tick(&mut self, io: &mut Io<'_>) -> Progress {
-        if io.can_read(0) && io.can_write(0) {
-            let v = io.read(0).expect("checked");
-            io.write(0, v * self.mul + self.add);
-            Progress::Busy
-        } else if io.can_read(0) {
-            Progress::Stalled
-        } else {
-            Progress::Idle
-        }
-    }
-    fn wake_hint(&self) -> WakeHint {
-        WakeHint::Parkable
-    }
-    fn span_hint(&self, _in_len: &[usize], _out_room: &[usize]) -> Option<SpanPlan> {
-        Some(SpanPlan::new(u64::MAX, 0b1, 0b1))
-    }
-    fn run_span(&mut self, io: &mut SpanIo<'_>, n: u64) {
-        for _ in 0..n {
-            let v = io.pop(0);
-            io.push(0, v * self.mul + self.add);
-        }
-    }
-    fn replay_token(&self) -> Option<u64> {
-        Some(0)
-    }
+    assert_eq!(off.reports[0].replay, ReplayDiag::default());
 }
 
 /// A stage whose span plan is a chain: it absorbs a batch of `m` elements,
@@ -274,7 +280,7 @@ fn chained_spans_replay_and_fall_back_mid_chain() {
         g.set_replay_marker(s2, per_image as u64);
         (g, handle)
     };
-    let (mut g, handle) = build(SchedulerMode::Dense);
+    let (mut g, handle) = build(Dense);
     let dense = g.run(1_000_000).expect("dense run");
     let expect = handle.take();
 
@@ -289,21 +295,8 @@ fn chained_spans_replay_and_fall_back_mid_chain() {
     assert!(mean_span > 6.0, "bursts of {mean_span:.1} cycles never crossed a phase edge");
 
     let (mut g, handle) = build(Replay);
-    let mut total = 0;
-    let report = loop {
-        match g.run_opts(SEGMENT, false) {
-            Ok(report) => break report,
-            Err(_) => {
-                total += SEGMENT;
-                assert!(total < 1_000_000, "segmented run wedged");
-            }
-        }
-    };
+    let cut = run_segmented(&mut g, SEGMENT, &dense);
     assert_eq!(handle.take(), expect, "segmented outputs diverged");
-    assert_eq!(report.kernels, dense.kernels);
-    assert_eq!(report.streams, dense.streams);
-    assert_eq!(total + report.cycles, dense.cycles);
-    let cut = g.replay_diag();
     assert!(cut.images_replayed > 0, "segments left no room to replay: {cut:?}");
     assert!(
         cut.guard_fallbacks > whole.guard_fallbacks,
@@ -330,7 +323,7 @@ fn stall_injected_marker_graph_vetoes_replay() {
         );
         let s1 = g.add_stream(StreamSpec::new("s1", 8, 8));
         g.add_kernel(
-            StallInjector::wrap(Box::new(SpanAffine { mul: 3, add: 1 }), 0xFEED, 25),
+            StallInjector::wrap(Box::new(Batcher::new(2)), 0xFEED, 25),
             &[s0],
             &[s1],
         );
@@ -344,101 +337,156 @@ fn stall_injected_marker_graph_vetoes_replay() {
         (handle.take(), report, diag)
     };
     let (out_on, rep_on, diag) = build(Replay);
-    let (out_off, rep_off, _) = build(Span);
+    let (out_off, rep_off, _) = build(Dense);
     assert_eq!(out_on, out_off);
     assert_eq!(rep_on, rep_off);
     assert_eq!(diag.images_replayed, 0, "injector must veto: {diag:?}");
     assert_eq!(diag.tape_len, 0, "vetoed graphs never record: {diag:?}");
 }
 
-/// Mid-run tier switches: hopping between `Replay`, `Span` and `ReadyList`
-/// at arbitrary segment boundaries mid-inference re-arms the state machine
-/// and must be invisible — the stitched run equals one uninterrupted
-/// replay-off run in logits, cumulative counters, and total cycles.
+/// A sink with a header before every image: one tick on even images, six
+/// on odd ones. Its replay token leaves the image parity out, so a
+/// boundary fingerprints the same on either parity and a tape recorded on
+/// one image is replayed on the next. The header and the image's first
+/// element veto bursts, so they are dense steps on the tape: run on the
+/// wrong parity, those steps read a different number of elements, and the
+/// next recorded span starts from other queue lengths. It never parks, so
+/// the awake mask is the same on either parity.
+struct ParityHeaderSink {
+    per_image: usize,
+    images: usize,
+    read: usize,
+    header: usize,
+}
+
+impl ParityHeaderSink {
+    fn in_header(&self) -> bool {
+        self.read == 0 && self.header < if self.images % 2 == 1 { 6 } else { 1 }
+    }
+
+    fn count_read(&mut self, n: usize) {
+        self.read += n;
+        if self.read == self.per_image {
+            (self.images, self.read, self.header) = (self.images + 1, 0, 0);
+        }
+    }
+}
+
+impl Kernel for ParityHeaderSink {
+    fn name(&self) -> &str {
+        "parity-header-sink"
+    }
+    fn rearm(&mut self) {
+        (self.images, self.read, self.header) = (0, 0, 0);
+    }
+    fn tick(&mut self, io: &mut Io<'_>) -> Progress {
+        if self.in_header() {
+            self.header += 1;
+        } else if io.read(0).is_some() {
+            self.count_read(1);
+        } else {
+            return Progress::Idle;
+        }
+        Progress::Busy
+    }
+    fn is_done(&self) -> bool {
+        self.images == 24
+    }
+    fn span_hint(&self, _in_len: &[usize], _out_room: &[usize]) -> Option<SpanPlan> {
+        let left = (self.per_image - self.read) as u64;
+        (self.read > 0).then(|| SpanPlan::new(left, 0b1, 0))
+    }
+    fn run_span(&mut self, io: &mut SpanIo<'_>, n: u64) {
+        for _ in 0..n {
+            io.pop(0);
+        }
+        self.count_read(n as usize);
+    }
+    fn replay_token(&self) -> Option<u64> {
+        Some((self.read * 8 + self.header) as u64)
+    }
+}
+
+/// The queue-length replay guard against a kernel whose token hides
+/// control state (`ParityHeaderSink`). A batcher feeds it four elements at
+/// a time with four-cycle gaps, which absorb the odd images' longer header
+/// well before each boundary, so replay engages and records; every
+/// recorded span replayed on the wrong parity must be refused, and the run
+/// stays bit-identical to dense stepping.
+#[test]
+fn hidden_cadence_fails_the_queue_guard() {
+    let per_image = 24;
+    let build = |scheduler| {
+        let mut g = Graph::with_scheduler(scheduler);
+        let s0 = g.add_stream(StreamSpec::new("s0", 8, 8));
+        let src = HostSource::new("src", (0..24 * per_image as i32).collect());
+        g.add_kernel(Box::new(src.with_period(per_image)), &[], &[s0]);
+        let s1 = g.add_stream(StreamSpec::new("s1", 8, 8));
+        g.add_kernel(Box::new(Batcher::new(4)), &[s0], &[s1]);
+        let sink = ParityHeaderSink { per_image, images: 0, read: 0, header: 0 };
+        g.add_kernel(Box::new(sink), &[s1], &[]);
+        g.set_replay_marker(s1, per_image as u64);
+        // The sink idles through whole cycles without progress.
+        (g.run_opts(1_000_000, false).expect("run"), g.replay_diag())
+    };
+    let (dense, _) = build(Dense);
+    let (report, diag) = build(Replay);
+    assert_eq!(report, dense);
+    assert!(diag.tape_len > 0, "no period recorded: {diag:?}");
+    assert!(diag.guard_fallbacks > 1, "no guard refused a replayed span: {diag:?}");
+}
+
+/// Segmented runs of a compiled network: stopping at arbitrary segment
+/// boundaries mid-inference (a timeout) and resuming on the same graph must
+/// be invisible — a replayed span that would overrun a segment fails its
+/// guard and re-arms the state machine, and the stitched run equals one
+/// uninterrupted dense run in logits, cumulative counters, and total
+/// cycles.
 #[test]
 fn mid_run_replay_switches_are_invisible() {
     let net = Network::random(models::test_net(8, 4, 2), 5);
     let images: Vec<_> = (0..16).map(|s| image_for(&net.spec, s + 100)).collect();
-    let reference = run_at(&net, &images, Span);
+    let reference = run_at(&net, &images, Dense);
+    let whole = run_at(&net, &images, Replay).reports[0].replay;
 
     let compiled = try_compile(&net, &images, &CompileOptions::default()).expect("valid options");
     let mut graphs = compiled.graphs;
     assert_eq!(graphs.len(), 1);
     assert_eq!(graphs[0].scheduler(), Replay);
-    let g = &mut graphs[0];
-    let segment = 700u64;
-    let mut flips = 0u32;
-    let mut total: u64 = 0;
-    let report = loop {
-        match g.run_opts(segment, false) {
-            Ok(report) => break report,
-            Err(_) => {
-                total += segment;
-                flips += 1;
-                g.set_scheduler(if flips % 2 == 0 {
-                    Replay
-                } else if flips % 3 == 0 {
-                    SchedulerMode::ReadyList
-                } else {
-                    Span
-                });
-                assert!(total < 50_000_000, "switch run wedged");
-            }
-        }
-    };
+    let cut = run_segmented(&mut graphs[0], 700, &reference.reports[0]);
     let logits = compiled.sink.take();
     let flat: Vec<i32> = reference.logits.iter().flatten().copied().collect();
-    assert_eq!(logits, flat, "mid-switch logits diverged");
-    let reference_report = &reference.reports[0];
-    assert_eq!(report.kernels, reference_report.kernels);
-    assert_eq!(report.streams, reference_report.streams);
-    assert_eq!(total + report.cycles, reference_report.cycles);
-    assert!(flips > 0, "segment too large to exercise any switch");
+    assert_eq!(logits, flat, "segmented logits diverged");
+    assert!(cut.spans_bypassed > 0, "segments left no room to replay: {cut:?}");
+    assert!(
+        cut.guard_fallbacks > whole.guard_fallbacks,
+        "no segment end cut a replayed period: {cut:?} vs {whole:?}"
+    );
 }
 
 /// Replay diagnostics are observability, not behaviour: `CycleReport`
 /// equality deliberately ignores them (so every differential battery can
-/// compare replay-on vs replay-off reports bit-for-bit), and the counters
-/// survive the re-arms that tier switches trigger instead of resetting.
+/// compare replay-on vs dense reports bit-for-bit), and the counters
+/// survive the re-arms that guard fallbacks trigger instead of resetting.
 #[test]
 fn replay_diag_is_excluded_from_report_equality_and_survives_rearm() {
     let net = Network::random(models::test_net(8, 4, 2), 42);
     let images: Vec<_> = (0..24).map(|s| image_for(&net.spec, s)).collect();
     let on = run_at(&net, &images, Replay);
-    let off = run_at(&net, &images, Span);
+    let off = run_at(&net, &images, Dense);
     // The diags differ…
     assert_ne!(on.reports[0].replay, off.reports[0].replay);
     // …but the reports compare equal: diag is outside the equality.
     assert_eq!(on.reports, off.reports);
 
-    // Counter persistence across a mid-run re-arm: drop a tier and come
-    // back after the run completes a stretch; the accumulated counters
-    // must not reset (they describe the whole run).
+    // Counter persistence across mid-run re-arms: a segment end that cuts
+    // a replayed period fails its guard and re-arms; the accumulated
+    // counters must not reset (they describe the whole run).
     let compiled = try_compile(&net, &images, &CompileOptions::default()).expect("valid options");
     let mut graphs = compiled.graphs;
-    let g = &mut graphs[0];
-    let mut banked = qnn::dfe::ReplayDiag::default();
-    loop {
-        match g.run_opts(40_000, false) {
-            Ok(_) => break,
-            Err(_) => {
-                let d = g.replay_diag();
-                assert!(
-                    d.images_replayed >= banked.images_replayed
-                        && d.guard_fallbacks >= banked.guard_fallbacks
-                        && d.spans_bypassed >= banked.spans_bypassed,
-                    "counters went backwards: {banked:?} -> {d:?}"
-                );
-                banked = d;
-                // Re-arm (twice: off and back on). Counters must survive.
-                g.set_scheduler(Span);
-                g.set_scheduler(Replay);
-                let d = g.replay_diag();
-                assert_eq!(d.images_replayed, banked.images_replayed);
-                assert_eq!(d.guard_fallbacks, banked.guard_fallbacks);
-                assert_eq!(d.spans_bypassed, banked.spans_bypassed);
-            }
-        }
-    }
+    let last = run_segmented(&mut graphs[0], 4_000, &off.reports[0]);
+    let whole = on.reports[0].replay;
+    assert!(last.guard_fallbacks > whole.guard_fallbacks, "no re-arm mid-run: {last:?}");
+    assert!(last.images_replayed > 0, "replay never resumed after a re-arm: {last:?}");
     compiled.sink.take();
 }

@@ -41,11 +41,13 @@ fn serve_trace(net: &Network, images: &[Tensor3<i8>], config: &ServerConfig) -> 
     responses
 }
 
-/// Every scheduler tier must serve the same bits. The direct reference
-/// runs on the `Dense` oracle, which shares no parking, span or replay code
-/// with the tiers above it, so a span-crediting or tape-replay bug in the
+/// Both steppers must serve the same bits. The direct reference runs on
+/// the `Dense` oracle, which shares no parking, span or replay code with
+/// the default stepper, so a span-crediting or tape-replay bug in the
 /// serving path cannot hide by also infecting the reference.
-fn at_tier(scheduler: SchedulerMode) -> CompileOptions {
+const STEPPERS: [SchedulerMode; 2] = [SchedulerMode::Dense, SchedulerMode::Replay];
+
+fn on_stepper(scheduler: SchedulerMode) -> CompileOptions {
     CompileOptions { scheduler, ..CompileOptions::default() }
 }
 
@@ -56,12 +58,12 @@ fn every_served_batch_matches_a_direct_run_of_that_batch_bit_for_bit() {
     // and the rest coalesce behind it, so the warm pipeline runs several
     // batches of several sizes.
     let images = trace(12);
-    let reference = at_tier(SchedulerMode::Dense);
-    for tier in SchedulerMode::ALL {
+    let reference = on_stepper(SchedulerMode::Dense);
+    for stepper in STEPPERS {
         let config = ServerConfig {
             replicas: 1,
             max_batch: 4,
-            compile: at_tier(tier),
+            compile: on_stepper(stepper),
             ..ServerConfig::default()
         };
         let responses = serve_trace(&net, &images, &config);
@@ -75,7 +77,7 @@ fn every_served_batch_matches_a_direct_run_of_that_batch_bit_for_bit() {
             let direct = run_images(&net, &batch, &reference).expect("direct");
             for (slot, &i) in members.iter().enumerate() {
                 let resp = &responses[i];
-                let mode = format!("{tier:?}, batch {batch_id} of {}", members.len());
+                let mode = format!("{stepper:?}, batch {batch_id} of {}", members.len());
                 assert_eq!(resp.stats.batch_size, members.len(), "{mode}");
                 assert_eq!(resp.logits, direct.logits[slot], "{mode}: logits diverged");
                 assert_eq!(resp.stats.cycles, direct.cycles(), "{mode}: cycles diverged");
@@ -87,15 +89,15 @@ fn every_served_batch_matches_a_direct_run_of_that_batch_bit_for_bit() {
 #[test]
 fn multi_replica_serving_is_identical_across_ten_runs() {
     // Batch composition and replica assignment vary run to run with the
-    // thread scheduler; the logits must not — on any scheduler tier.
+    // thread scheduler; the logits must not — on either stepper.
     let net = Network::random(models::test_net(8, 4, 2), 22);
     let images = trace(8);
     let expected: Vec<Vec<i32>> = images.iter().map(|i| net.forward(i).logits).collect();
-    for tier in SchedulerMode::ALL {
+    for stepper in STEPPERS {
         let config = ServerConfig {
             replicas: 3,
             max_batch: 2,
-            compile: at_tier(tier),
+            compile: on_stepper(stepper),
             ..ServerConfig::default()
         };
         for run in 0..5 {
@@ -103,7 +105,7 @@ fn multi_replica_serving_is_identical_across_ten_runs() {
                 serve_trace(&net, &images, &config).into_iter().map(|r| r.logits).collect();
             assert_eq!(
                 logits, expected,
-                "{tier:?}: run {run} diverged from the interpreter"
+                "{stepper:?}: run {run} diverged from the interpreter"
             );
         }
     }

@@ -26,29 +26,31 @@ fn trace(seed: u64, n: usize) -> Vec<Tensor3<i8>> {
         .collect()
 }
 
-/// Every scheduler tier must serve the same bits; direct references run
-/// on the `Dense` oracle, which shares no parking, span or replay code
-/// with the tiers above it, so a crediting bug in the serving path cannot
-/// hide by also infecting the reference.
-fn at_tier(scheduler: SchedulerMode) -> CompileOptions {
+/// Both steppers must serve the same bits; direct references run on the
+/// `Dense` oracle, which shares no parking, span or replay code with the
+/// default stepper, so a crediting bug in the serving path cannot hide by
+/// also infecting the reference.
+const STEPPERS: [SchedulerMode; 2] = [SchedulerMode::Dense, SchedulerMode::Replay];
+
+fn on_stepper(scheduler: SchedulerMode) -> CompileOptions {
     CompileOptions { scheduler, ..CompileOptions::default() }
 }
 
 /// Two models behind one server answer exactly what each would answer
 /// behind its own dedicated single-model server — the pools share nothing
-/// but the submission queue. Parameterized over every scheduler tier.
+/// but the submission queue. Parameterized over both steppers.
 #[test]
 fn two_models_served_concurrently_match_single_model_baselines() {
     let alpha = Network::random(models::test_net(8, 4, 2), 31);
     let beta = Network::random(models::test_net(8, 6, 3), 32);
     let alpha_trace = trace(0xA1FA, 6);
     let beta_trace = trace(0xBE7A, 6);
-    let dense = at_tier(SchedulerMode::Dense);
+    let dense = on_stepper(SchedulerMode::Dense);
     let alpha_direct = run_images(&alpha, &alpha_trace, &dense).expect("alpha direct");
     let beta_direct = run_images(&beta, &beta_trace, &dense).expect("beta direct");
 
-    for tier in SchedulerMode::ALL {
-        let compile = at_tier(tier);
+    for stepper in STEPPERS {
+        let compile = on_stepper(stepper);
         let server = Server::builder()
             .config(ServerConfig { replicas: 2, max_batch: 3, compile, ..ServerConfig::default() })
             .model("alpha", &alpha)
@@ -81,12 +83,12 @@ fn two_models_served_concurrently_match_single_model_baselines() {
             assert_eq!(pair[0].model, "alpha");
             assert_eq!(
                 pair[0].logits, alpha_direct.logits[i],
-                "{tier:?}: alpha image {i} diverged"
+                "{stepper:?}: alpha image {i} diverged"
             );
             assert_eq!(pair[1].model, "beta");
             assert_eq!(
                 pair[1].logits, beta_direct.logits[i],
-                "{tier:?}: beta image {i} diverged"
+                "{stepper:?}: beta image {i} diverged"
             );
         }
 
@@ -107,13 +109,13 @@ fn weight_swap_cohorts_each_match_direct_execution() {
     let old_net = Network::random(spec.clone(), 41);
     let new_net = Network::random(spec, 42);
     let images = trace(0x5A4B, 6);
-    let dense = at_tier(SchedulerMode::Dense);
+    let dense = on_stepper(SchedulerMode::Dense);
     let old_direct = run_images(&old_net, &images, &dense).expect("old direct");
     let new_direct = run_images(&new_net, &images, &dense).expect("new direct");
     assert_ne!(old_direct.logits, new_direct.logits, "seeds must give distinct weights");
 
-    for tier in SchedulerMode::ALL {
-        let compile = at_tier(tier);
+    for stepper in STEPPERS {
+        let compile = on_stepper(stepper);
         let server = Server::builder()
             .config(ServerConfig { replicas: 2, max_batch: 2, compile, ..ServerConfig::default() })
             .model("m", &old_net)
@@ -141,14 +143,14 @@ fn weight_swap_cohorts_each_match_direct_execution() {
             assert_eq!(r.stats.weight_version, 0, "old cohort ran pre-publish weights");
             assert_eq!(
                 r.logits, old_direct.logits[i],
-                "{tier:?}: old cohort image {i} diverged"
+                "{stepper:?}: old cohort image {i} diverged"
             );
         }
         for (i, r) in new_cohort.iter().enumerate() {
             assert_eq!(r.stats.weight_version, 1, "new cohort ran post-publish weights");
             assert_eq!(
                 r.logits, new_direct.logits[i],
-                "{tier:?}: new cohort image {i} diverged"
+                "{stepper:?}: new cohort image {i} diverged"
             );
         }
 
@@ -168,8 +170,8 @@ fn racing_publish_never_mixes_weight_versions_within_a_batch() {
         (0..3).map(|v| Network::random(spec.clone(), 50 + v)).collect();
     let images = trace(0xACE5, 18);
 
-    for tier in SchedulerMode::ALL {
-        let compile = at_tier(tier);
+    for stepper in STEPPERS {
+        let compile = on_stepper(stepper);
         let server = Server::builder()
             .config(ServerConfig { replicas: 2, max_batch: 4, compile, ..ServerConfig::default() })
             .model("m", &versions[0])
@@ -200,7 +202,7 @@ fn racing_publish_never_mixes_weight_versions_within_a_batch() {
             let expect = versions[v].forward(&images[i]).logits;
             assert_eq!(
                 r.logits, expect,
-                "{tier:?}: image {i} diverged from claimed version {v}"
+                "{stepper:?}: image {i} diverged from claimed version {v}"
             );
             // Swap atomicity: one batch, one version.
             if let Some(prev) = batch_versions.insert(r.stats.batch_id, r.stats.weight_version)
@@ -231,14 +233,14 @@ props! {
         max_batch in 1usize..6,
         queue_depth in 1usize..5,
         seed in 0u64..1_000_000,
-        tier in 0usize..4,
+        stepper in 0usize..2,
     ) {
         let net = Network::random(models::test_net(8, 2, 1), 7);
         let config = ServerConfig::builder()
             .replicas(replicas)
             .max_batch(max_batch)
             .queue_depth(queue_depth)
-            .compile_options(at_tier(SchedulerMode::ALL[tier]))
+            .compile_options(on_stepper(STEPPERS[stepper]))
             .admission(AdmissionPolicy::Reject)
             .flush_deadline(Duration::from_micros(200))
             .interactive_flush_deadline(Duration::from_micros(50))

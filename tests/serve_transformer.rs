@@ -15,6 +15,9 @@ use qnn::serve::{Server, ServerConfig, SubmitOptions};
 use qnn::tensor::{Shape3, Tensor3};
 use qnn_testkit::Rng;
 
+/// The `Dense` oracle and the default stepper.
+const STEPPERS: [SchedulerMode; 2] = [SchedulerMode::Dense, SchedulerMode::Replay];
+
 fn trace(shape: Shape3, seed: u64, n: usize) -> Vec<Tensor3<i8>> {
     let mut rng = Rng::seed_from_u64(seed);
     (0..n).map(|_| Tensor3::from_fn(shape, |_, _, _| rng.gen_range(-127i8..=127))).collect()
@@ -28,8 +31,8 @@ fn transformer() -> Network {
     Network::random(models::tiny_transformer(6, 2, 3, 5, 2, 8), 62)
 }
 
-/// Interleaved CNN and transformer requests through one server, on every
-/// scheduler tier: responses bit-identical to direct execution on the
+/// Interleaved CNN and transformer requests through one server, on both
+/// steppers: responses bit-identical to direct execution on the
 /// `Dense` oracle, ledger balanced across both models.
 #[test]
 fn mixed_cnn_and_transformer_traffic_matches_direct_execution() {
@@ -37,13 +40,13 @@ fn mixed_cnn_and_transformer_traffic_matches_direct_execution() {
     let tf_net = transformer();
     let cnn_trace = trace(cnn_net.spec.input, 0xC44, 5);
     let tf_trace = trace(tf_net.spec.input, 0x7F0, 5);
-    let at_tier = |scheduler| CompileOptions { scheduler, ..CompileOptions::default() };
-    let dense = at_tier(SchedulerMode::Dense);
+    let on_stepper = |scheduler| CompileOptions { scheduler, ..CompileOptions::default() };
+    let dense = on_stepper(SchedulerMode::Dense);
     let cnn_direct = run_images(&cnn_net, &cnn_trace, &dense).expect("cnn direct");
     let tf_direct = run_images(&tf_net, &tf_trace, &dense).expect("transformer direct");
 
-    for tier in SchedulerMode::ALL {
-        let compile = at_tier(tier);
+    for stepper in STEPPERS {
+        let compile = on_stepper(stepper);
         let server = Server::builder()
             .config(ServerConfig {
                 replicas: 2,
@@ -78,12 +81,12 @@ fn mixed_cnn_and_transformer_traffic_matches_direct_execution() {
             assert_eq!(pair[0].model, "cnn");
             assert_eq!(
                 pair[0].logits, cnn_direct.logits[i],
-                "{tier:?}: cnn image {i} diverged"
+                "{stepper:?}: cnn image {i} diverged"
             );
             assert_eq!(pair[1].model, "transformer");
             assert_eq!(
                 pair[1].logits, tf_direct.logits[i],
-                "{tier:?}: transformer image {i} diverged"
+                "{stepper:?}: transformer image {i} diverged"
             );
         }
 
