@@ -13,7 +13,8 @@
 //! counter the dense interleaving would have produced must come out of the
 //! lazy and closed-form credits, exactly — and every golden vector,
 //! determinism test and flaky-threshold band calibrated under dense
-//! stepping carries over unchanged.
+//! stepping carries over unchanged. `scheduler_equivalence.rs` holds
+//! parking alone (traced runs, which never burst) against the same oracle.
 //!
 //! Part of `./ci.sh soak` at `QNN_TEST_CASES=1024`.
 
@@ -112,10 +113,9 @@ props! {
     /// A non-trivial folded design point: folded kernels promise spans at
     /// their lane rates (or the sub-lane rate a narrower neighbour holds
     /// them to), so the wavefront carries several elements per port per
-    /// cycle — with identical logits and reports, multi-lane wakeups in
-    /// play, and bursts actually firing. Two fold plans fold different
-    /// residual-block convolutions and the downsample path. This pins the
-    /// folding/span interaction the DSE frontier relies on.
+    /// cycle — with identical logits and reports, and with bursts actually
+    /// firing. This pins the folding/span interaction the DSE frontier
+    /// relies on.
     #[test]
     fn folded_design_point_reports_identical(
         seed in 0u64..200,
@@ -123,23 +123,12 @@ props! {
         simd_bits in 0u32..3,
         fifo in 16usize..128,
         n_images in 1usize..3,
-        plan in 0u8..2,
     ) {
         let net = Network::random(models::test_net(8, 4, 2), seed);
         let images: Vec<_> =
             (0..n_images as u64).map(|i| image_for(&net.spec, seed + 13 + i)).collect();
-        let folding = if plan == 0 {
-            folded_plan(pe_bits, simd_bits)
-        } else {
-            FoldPlan::new()
-                .with("conv0", Fold::new(1 << pe_bits, 1 << simd_bits))
-                .with("pool1", Fold::new(2, 1 << simd_bits))
-                .with("res2.conv1", Fold::new(1 << simd_bits, 4))
-                .with("res3.ds", Fold::new(2, 2))
-                .with("fc5", Fold::new(4, 1 << pe_bits))
-        };
         let base = CompileOptions {
-            layer_folding: folding,
+            layer_folding: folded_plan(pe_bits, simd_bits),
             fifo_capacity: fifo,
             ..CompileOptions::default()
         };
@@ -224,11 +213,11 @@ props! {
     /// stretches at injector-chosen boundaries, and the injector's RNG
     /// advances on every tick, so any mis-credited span or parked cycle
     /// would shift the stall pattern and change every downstream cycle
-    /// count. Stages offer a span promise or not (then only parking
-    /// fast-forwards them). `reverse` adds the kernels
-    /// sink-first: every reader then precedes its writer in node order, so
-    /// a pop wakes a parked writer mid-cycle, which must tick that same
-    /// cycle — the one wake edge no compiled network reaches.
+    /// count (`scheduler_equivalence.rs` runs span-less stages, which
+    /// only parking fast-forwards). `reverse` adds the kernels sink-first:
+    /// every reader then precedes its writer in node order, so a pop wakes
+    /// a parked writer mid-cycle, which must tick that same cycle — the
+    /// one wake edge no compiled network reaches.
     #[test]
     fn stall_injected_pipelines_reports_identical(
         n in 1usize..80,
@@ -237,7 +226,6 @@ props! {
         pct in 0u8..50,
         seed in 0u64..10_000,
         wrap_mask in 0u32..64,
-        span in 0u8..2,
         reverse in 0u8..2,
     ) {
         let build = |mode| {
@@ -250,8 +238,7 @@ props! {
             let data: Vec<i32> = (0..n as i32).collect();
             kernels.push((Box::new(HostSource::new("src", data)), &[], &s[..1]));
             for i in 0..stages {
-                let k: Box<dyn Kernel> =
-                    Box::new(Affine { mul: 3, add: i as i32, span: span == 1 });
+                let k: Box<dyn Kernel> = Box::new(SpanAffine { mul: 3, add: i as i32 });
                 let k = if wrap_mask & (1 << i) != 0 {
                     StallInjector::wrap(k, seed.wrapping_add(i as u64), pct)
                 } else {
@@ -378,16 +365,14 @@ fn folded_plan(pe_bits: u32, simd_bits: u32) -> FoldPlan {
         .with("fc6", Fold::new(1 << pe_bits, 4))
 }
 
-/// A parkable pass-through stage for the injector battery: pure on
-/// `Stalled`/`Idle`, so it honours the `WakeHint::Parkable` contract, and
-/// with `span` a uniform one-in-one-out span promise.
-struct Affine {
+/// A span-capable pass-through stage for the injector battery: parkable,
+/// uniform one-in-one-out promise, pure on `Stalled`/`Idle`.
+struct SpanAffine {
     mul: i32,
     add: i32,
-    span: bool,
 }
 
-impl Kernel for Affine {
+impl Kernel for SpanAffine {
     fn name(&self) -> &str {
         "affine"
     }
@@ -407,7 +392,7 @@ impl Kernel for Affine {
         WakeHint::Parkable
     }
     fn span_hint(&self, _in_len: &[usize], _out_room: &[usize]) -> Option<SpanPlan> {
-        self.span.then(|| SpanPlan::new(u64::MAX, 0b1, 0b1))
+        Some(SpanPlan::new(u64::MAX, 0b1, 0b1))
     }
     fn run_span(&mut self, io: &mut SpanIo<'_>, n: u64) {
         for _ in 0..n {
