@@ -1,0 +1,123 @@
+//! Inputs shared by the two differential stepper batteries,
+//! `scheduler_equivalence.rs` and `macro_tick_equivalence.rs`.
+
+use qnn::compiler::{Fold, FoldPlan};
+use qnn::dfe::{
+    CycleReport, Graph, HostSink, HostSource, Io, Kernel, Progress, SchedulerMode, SpanIo,
+    SpanPlan, StallInjector, StreamSpec, WakeHint,
+};
+
+/// A folding of `test_net`. Plan 0 folds `pool1`, two residual
+/// convolutions and `fc6`; plan 1 folds a different residual convolution,
+/// the `res3` downsample path and `fc5`.
+pub fn folded_plan(plan: u8, pe_bits: u32, simd_bits: u32) -> FoldPlan {
+    let first = FoldPlan::new().with("conv0", Fold::new(1 << pe_bits, 1 << simd_bits));
+    match plan {
+        0 => first
+            .with("pool1", Fold::new(1 << simd_bits, 2))
+            .with("res2.conv2", Fold::new(4, 1 << pe_bits))
+            .with("res3.conv1", Fold::new(2, 2))
+            .with("fc6", Fold::new(1 << pe_bits, 4)),
+        _ => first
+            .with("pool1", Fold::new(2, 1 << simd_bits))
+            .with("res2.conv1", Fold::new(1 << simd_bits, 4))
+            .with("res3.ds", Fold::new(2, 2))
+            .with("fc5", Fold::new(4, 1 << pe_bits)),
+    }
+}
+
+/// A host source, `stages` pass-through `Affine` stages and a host sink,
+/// chained by `fifo`-deep streams. Stage `i` is wrapped in a
+/// `StallInjector` (seed `seed + i`, `pct` % stalls) when bit `i` of
+/// `wrap_mask` is set.
+pub struct StallPipeline {
+    pub n: usize,
+    pub stages: usize,
+    pub fifo: usize,
+    pub pct: u8,
+    pub seed: u64,
+    pub wrap_mask: u32,
+    /// Add the kernels sink-first, so every reader precedes its writer in
+    /// node order.
+    pub reverse: bool,
+    /// Whether the `Affine` stages promise spans.
+    pub span: bool,
+}
+
+impl StallPipeline {
+    /// Build the pipeline on `mode` and run it to completion: the sink's
+    /// output and the report.
+    pub fn run(&self, mode: SchedulerMode) -> (Vec<i32>, CycleReport) {
+        let mut g = Graph::with_scheduler(mode);
+        let s: Vec<_> = (0..=self.stages)
+            .map(|i| g.add_stream(StreamSpec::new(format!("s{i}"), 8, self.fifo)))
+            .collect();
+        let (sink, handle) = HostSink::new("dst", self.n);
+        let mut kernels: Vec<(Box<dyn Kernel>, &[_], &[_])> = Vec::new();
+        let data: Vec<i32> = (0..self.n as i32).collect();
+        kernels.push((Box::new(HostSource::new("src", data)), &[], &s[..1]));
+        for i in 0..self.stages {
+            let k: Box<dyn Kernel> = Box::new(Affine {
+                mul: 3,
+                add: i as i32,
+                span: self.span,
+            });
+            let k = if self.wrap_mask & (1 << i) != 0 {
+                StallInjector::wrap(k, self.seed.wrapping_add(i as u64), self.pct)
+            } else {
+                k
+            };
+            kernels.push((k, &s[i..=i], &s[i + 1..=i + 1]));
+        }
+        kernels.push((Box::new(sink), &s[self.stages..], &[]));
+        if self.reverse {
+            kernels.reverse();
+        }
+        for (k, inputs, outputs) in kernels {
+            g.add_kernel(k, inputs, outputs);
+        }
+        // Injected stalls can produce legitimate full-stall cycles, so
+        // deadlock detection is off (the budget still bounds the run).
+        let report = g.run_opts(4_000_000, false).expect("run");
+        (handle.take(), report)
+    }
+}
+
+/// A parkable pass-through stage: pure on `Stalled`/`Idle`, so it honours
+/// the `WakeHint::Parkable` contract, and with a uniform one-in-one-out
+/// span promise when `span` is set.
+struct Affine {
+    mul: i32,
+    add: i32,
+    span: bool,
+}
+
+impl Kernel for Affine {
+    fn name(&self) -> &str {
+        "affine"
+    }
+    fn rearm(&mut self) {}
+    fn tick(&mut self, io: &mut Io<'_>) -> Progress {
+        if io.can_read(0) && io.can_write(0) {
+            let v = io.read(0).expect("checked");
+            io.write(0, v * self.mul + self.add);
+            Progress::Busy
+        } else if io.can_read(0) {
+            Progress::Stalled
+        } else {
+            Progress::Idle
+        }
+    }
+    fn wake_hint(&self) -> WakeHint {
+        WakeHint::Parkable
+    }
+    fn span_hint(&self, _in_len: &[usize], _out_room: &[usize]) -> Option<SpanPlan> {
+        self.span.then(|| SpanPlan::new(u64::MAX, 0b1, 0b1))
+    }
+    fn run_span(&mut self, io: &mut SpanIo<'_>, n: u64) {
+        for _ in 0..n {
+            let v = io.pop(0);
+            io.push(0, v * self.mul + self.add);
+        }
+    }
+}

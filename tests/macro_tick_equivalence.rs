@@ -18,11 +18,11 @@
 //!
 //! Part of `./ci.sh soak` at `QNN_TEST_CASES=1024`.
 
+mod common;
+
+use common::{folded_plan, StallPipeline};
 use qnn::compiler::{run_images, try_compile, CompileOptions, Fold, FoldPlan, SimResult};
-use qnn::dfe::{
-    CycleReport, Graph, HostSink, HostSource, Io, Kernel, Progress, ReplayDiag, SchedulerMode,
-    SpanIo, SpanPlan, StallInjector, StreamSpec, WakeHint,
-};
+use qnn::dfe::{CycleReport, ReplayDiag, SchedulerMode};
 use qnn::nn::specgen::{image_for, spec_strategy};
 use qnn::nn::{models, Network, NetworkSpec, PoolKind, SpecBuilder};
 use qnn::tensor::{ConvGeometry, FilterShape, Shape3, Tensor3};
@@ -37,7 +37,15 @@ fn assert_dispatch_agrees(
     base: &CompileOptions,
 ) -> CaseResult {
     let run = |scheduler| {
-        run_images(net, images, &CompileOptions { scheduler, ..base.clone() }).expect("run")
+        run_images(
+            net,
+            images,
+            &CompileOptions {
+                scheduler,
+                ..base.clone()
+            },
+        )
+        .expect("run")
     };
     let dense = run(SchedulerMode::Dense);
     let got = run(SchedulerMode::default());
@@ -114,8 +122,9 @@ props! {
     /// their lane rates (or the sub-lane rate a narrower neighbour holds
     /// them to), so the wavefront carries several elements per port per
     /// cycle — with identical logits and reports, and with bursts actually
-    /// firing. This pins the folding/span interaction the DSE frontier
-    /// relies on.
+    /// firing. `plan` picks one of two foldings, the second with the
+    /// downsample path folded. This pins the folding/span interaction the
+    /// DSE frontier relies on.
     #[test]
     fn folded_design_point_reports_identical(
         seed in 0u64..200,
@@ -123,12 +132,13 @@ props! {
         simd_bits in 0u32..3,
         fifo in 16usize..128,
         n_images in 1usize..3,
+        plan in 0u8..2,
     ) {
         let net = Network::random(models::test_net(8, 4, 2), seed);
         let images: Vec<_> =
             (0..n_images as u64).map(|i| image_for(&net.spec, seed + 13 + i)).collect();
         let base = CompileOptions {
-            layer_folding: folded_plan(pe_bits, simd_bits),
+            layer_folding: folded_plan(plan, pe_bits, simd_bits),
             fifo_capacity: fifo,
             ..CompileOptions::default()
         };
@@ -151,7 +161,7 @@ props! {
         let net = Network::random(models::test_net(8, 4, 2), seed);
         let images = [image_for(&net.spec, seed + 29)];
         let shallow = CompileOptions {
-            layer_folding: folded_plan(pe_bits, simd_bits),
+            layer_folding: folded_plan(0, pe_bits, simd_bits),
             fifo_capacity: 2,
             ..CompileOptions::default()
         };
@@ -213,11 +223,11 @@ props! {
     /// stretches at injector-chosen boundaries, and the injector's RNG
     /// advances on every tick, so any mis-credited span or parked cycle
     /// would shift the stall pattern and change every downstream cycle
-    /// count (`scheduler_equivalence.rs` runs span-less stages, which
-    /// only parking fast-forwards). `reverse` adds the kernels sink-first:
-    /// every reader then precedes its writer in node order, so a pop wakes
-    /// a parked writer mid-cycle, which must tick that same cycle — the
-    /// one wake edge no compiled network reaches.
+    /// count (`scheduler_equivalence.rs` runs the same pipelines with
+    /// span-less stages). `reverse` adds the kernels sink-first: every
+    /// reader then precedes its writer in node order, so a pop wakes a
+    /// parked writer mid-cycle, which must tick that same cycle — the one
+    /// wake edge no compiled network reaches.
     #[test]
     fn stall_injected_pipelines_reports_identical(
         n in 1usize..80,
@@ -228,38 +238,11 @@ props! {
         wrap_mask in 0u32..64,
         reverse in 0u8..2,
     ) {
-        let build = |mode| {
-            let mut g = Graph::with_scheduler(mode);
-            let s: Vec<_> = (0..=stages)
-                .map(|i| g.add_stream(StreamSpec::new(format!("s{i}"), 8, fifo)))
-                .collect();
-            let (sink, handle) = HostSink::new("dst", n);
-            let mut kernels: Vec<(Box<dyn Kernel>, &[_], &[_])> = Vec::new();
-            let data: Vec<i32> = (0..n as i32).collect();
-            kernels.push((Box::new(HostSource::new("src", data)), &[], &s[..1]));
-            for i in 0..stages {
-                let k: Box<dyn Kernel> = Box::new(SpanAffine { mul: 3, add: i as i32 });
-                let k = if wrap_mask & (1 << i) != 0 {
-                    StallInjector::wrap(k, seed.wrapping_add(i as u64), pct)
-                } else {
-                    k
-                };
-                kernels.push((k, &s[i..=i], &s[i + 1..=i + 1]));
-            }
-            kernels.push((Box::new(sink), &s[stages..], &[]));
-            if reverse == 1 {
-                kernels.reverse();
-            }
-            for (k, inputs, outputs) in kernels {
-                g.add_kernel(k, inputs, outputs);
-            }
-            // Injected stalls can produce legitimate full-stall cycles, so
-            // deadlock detection is off (the budget still bounds the run).
-            let report = g.run_opts(4_000_000, false).expect("run");
-            (handle.take(), report)
+        let pipeline = StallPipeline {
+            n, stages, fifo, pct, seed, wrap_mask, reverse: reverse == 1, span: true,
         };
-        let (out_d, rep_d) = build(SchedulerMode::Dense);
-        let (out, rep) = build(SchedulerMode::default());
+        let (out_d, rep_d) = pipeline.run(SchedulerMode::Dense);
+        let (out, rep) = pipeline.run(SchedulerMode::default());
         prop_assert_eq!(&out, &out_d);
         prop_assert_eq!(&rep, &rep_d);
     }
@@ -332,11 +315,20 @@ fn assert_partition(parts: &[CycleReport], whole: &CycleReport) -> CaseResult {
         prop_assert_eq!(p.cycles, whole.cycles);
     }
     let kernels: Vec<&[_]> = parts.iter().map(|p| &p.kernels[..]).collect();
-    prop_assert!(splits(&kernels, &whole.kernels), "kernels: {parts:?} vs {whole:?}");
+    prop_assert!(
+        splits(&kernels, &whole.kernels),
+        "kernels: {parts:?} vs {whole:?}"
+    );
     let streams: Vec<&[_]> = parts.iter().map(|p| &p.streams[..]).collect();
-    prop_assert!(splits(&streams, &whole.streams), "streams: {parts:?} vs {whole:?}");
-    let replay: Vec<ReplayDiag> =
-        parts.iter().map(|p| p.replay).filter(|r| *r != ReplayDiag::default()).collect();
+    prop_assert!(
+        splits(&streams, &whole.streams),
+        "streams: {parts:?} vs {whole:?}"
+    );
+    let replay: Vec<ReplayDiag> = parts
+        .iter()
+        .map(|p| p.replay)
+        .filter(|r| *r != ReplayDiag::default())
+        .collect();
     prop_assert!(replay.len() <= 1, "replay diagnostics on several devices");
     prop_assert_eq!(replay.first().copied().unwrap_or_default(), whole.replay);
     Ok(())
@@ -346,60 +338,15 @@ fn assert_partition(parts: &[CycleReport], whole: &CycleReport) -> CaseResult {
 /// elements exactly once.
 fn splits<T: PartialEq>(parts: &[&[T]], whole: &[T]) -> bool {
     let mut next = vec![0; parts.len()];
-    whole.iter().all(|x| match (0..parts.len()).find(|&d| parts[d].get(next[d]) == Some(x)) {
-        Some(d) => {
-            next[d] += 1;
-            true
-        }
-        None => false,
-    }) && next.iter().zip(parts).all(|(&n, p)| n == p.len())
-}
-
-/// The folding of `test_net` shared by the folded batteries.
-fn folded_plan(pe_bits: u32, simd_bits: u32) -> FoldPlan {
-    FoldPlan::new()
-        .with("conv0", Fold::new(1 << pe_bits, 1 << simd_bits))
-        .with("pool1", Fold::new(1 << simd_bits, 2))
-        .with("res2.conv2", Fold::new(4, 1 << pe_bits))
-        .with("res3.conv1", Fold::new(2, 2))
-        .with("fc6", Fold::new(1 << pe_bits, 4))
-}
-
-/// A span-capable pass-through stage for the injector battery: parkable,
-/// uniform one-in-one-out promise, pure on `Stalled`/`Idle`.
-struct SpanAffine {
-    mul: i32,
-    add: i32,
-}
-
-impl Kernel for SpanAffine {
-    fn name(&self) -> &str {
-        "affine"
-    }
-    fn rearm(&mut self) {}
-    fn tick(&mut self, io: &mut Io<'_>) -> Progress {
-        if io.can_read(0) && io.can_write(0) {
-            let v = io.read(0).expect("checked");
-            io.write(0, v * self.mul + self.add);
-            Progress::Busy
-        } else if io.can_read(0) {
-            Progress::Stalled
-        } else {
-            Progress::Idle
-        }
-    }
-    fn wake_hint(&self) -> WakeHint {
-        WakeHint::Parkable
-    }
-    fn span_hint(&self, _in_len: &[usize], _out_room: &[usize]) -> Option<SpanPlan> {
-        Some(SpanPlan::new(u64::MAX, 0b1, 0b1))
-    }
-    fn run_span(&mut self, io: &mut SpanIo<'_>, n: u64) {
-        for _ in 0..n {
-            let v = io.pop(0);
-            io.push(0, v * self.mul + self.add);
-        }
-    }
+    whole.iter().all(
+        |x| match (0..parts.len()).find(|&d| parts[d].get(next[d]) == Some(x)) {
+            Some(d) => {
+                next[d] += 1;
+                true
+            }
+            None => false,
+        },
+    ) && next.iter().zip(parts).all(|(&n, p)| n == p.len())
 }
 
 /// Deterministic spot-check (not property-sized): the exact cycle count of
@@ -411,7 +358,10 @@ fn cycle_counts_identical_on_residual_network() {
     let net = Network::random(models::test_net(16, 4, 2), 3);
     let img = image_for(&net.spec, 11);
     let images = std::slice::from_ref(&img);
-    let dense = CompileOptions { scheduler: SchedulerMode::Dense, ..CompileOptions::default() };
+    let dense = CompileOptions {
+        scheduler: SchedulerMode::Dense,
+        ..CompileOptions::default()
+    };
     assert!(run_images(&net, images, &dense).expect("run").cycles() > 0);
     assert_dispatch_agrees(&net, images, &CompileOptions::default()).expect("steppers agree");
 }
