@@ -34,14 +34,13 @@
 #                        suites in release — wire protocol properties,
 #                        edge/router/autoscaler integration. Loopback
 #                        sockets only; still offline.
-#   ci.sh bench-smoke    NOT tier-1: every bench once in quick mode
-#                        (QNN_BENCH_QUICK=1: 1 iteration, no warmup,
-#                        speedup assertions off), then the repo benchmark
-#                        in its own quick mode (`benchmark/run.sh --quick`:
-#                        a separate workspace tier-1 never compiles, and it
-#                        links against the public `dfe`/`kernels` types) —
-#                        catches harness rot without waiting for real
-#                        measurement runs.
+#   ci.sh bench-smoke    NOT tier-1: the fast analytic `paper-tables` set
+#                        (every table and figure plus the ablations), then
+#                        the repo benchmark in its quick mode
+#                        (`benchmark/run.sh --quick`: a separate workspace
+#                        tier-1 never compiles, and it links against the
+#                        public `dfe`/`kernels` types) — catches harness
+#                        rot without waiting for real measurement runs.
 #   ci.sh perf-gate PARENT.json
 #                        NOT tier-1 (minutes): run the repo benchmark and
 #                        compare its ledger against PARENT.json (a ledger
@@ -126,11 +125,7 @@ if [[ "${1:-}" == "net" ]]; then
 fi
 
 if [[ "${1:-}" == "bench-smoke" ]]; then
-  export QNN_BENCH_QUICK=1
-  for bench in table3_networks fig5_runtime fig6_resources fig7_fig8_power_energy \
-               ablations kernels_micro serve_throughput dse_frontier; do
-    run cargo bench -q --offline -p qnn-bench --bench "$bench"
-  done
+  run cargo run --release --offline -p qnn-bench --bin paper-tables
   run bash benchmark/run.sh --quick
   echo "ci.sh bench-smoke: all green"
   exit 0
@@ -157,7 +152,7 @@ run cargo clippy --all-targets --offline -- -D warnings
 RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" \
   run cargo doc --no-deps --workspace --offline
 # Configuration is a typed value, never ambient process state: only the
-# test/bench harness knobs (QNN_TEST_*, QNN_BENCH_*) read the environment.
+# test harness knobs (QNN_TEST_*) read the environment.
 if grep -rn 'env::var' crates/*/src --include='*.rs' | grep -v '^crates/testkit/'; then
   echo "ci.sh: env::var outside crates/testkit (see above)" >&2; exit 1
 fi

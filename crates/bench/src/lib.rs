@@ -1,10 +1,7 @@
-//! Shared measurement helpers for the benchmark harness and the
-//! `paper-tables` binary.
+//! Shared measurement helpers for the `paper-tables` binary.
 //!
 //! Every table and figure of the paper's evaluation maps to one function
-//! here (see DESIGN.md §4 for the experiment index); the criterion benches
-//! and the binary both call these, so the printed artifacts and the timed
-//! artifacts can never diverge.
+//! here or in the binary (see DESIGN.md §4 for the experiment index).
 
 #![forbid(unsafe_code)]
 
@@ -87,14 +84,6 @@ pub fn comparison_row(label: &str, spec: &NetworkSpec) -> ComparisonRow {
         p100_w: gpu_power_watts(&P100),
         gtx_w: gpu_power_watts(&GTX1080),
     }
-}
-
-/// Simulate `n` images of `data` through `spec` and return the measured
-/// per-image milliseconds at the Maia clock (cycle-accurate, single DFE).
-pub fn simulate_ms(spec: &NetworkSpec, data: &Dataset, n: usize, seed: u64) -> f64 {
-    let net = Network::random(spec.clone(), seed);
-    let sim = run_images(&net, &data.images(n), &CompileOptions::default()).expect("sim");
-    sim.cycles() as f64 / n as f64 / (MAIA_FCLK_MHZ * 1e3)
 }
 
 /// Simulate and return (cycles, per-image ms) for a single image.

@@ -30,7 +30,7 @@
 //!   §III-B1 ("the kernel halts the input and calculates one output pixel
 //!   per clock cycle"): no input is accepted while a position's filters are
 //!   being emitted, giving `inputs + outputs` busy cycles. Kept as an
-//!   ablation (`cargo bench -p qnn-bench --bench ablations`).
+//!   ablation (`paper-tables ablations`).
 //!
 //! # Busy-path datapaths
 //!

@@ -229,9 +229,9 @@ pub fn conv_accumulate_i8_lanes(masks: &I8Masks, lanes: &[u16], acc: &mut [i32])
     }
 }
 
-/// Scalar-reference mirror of [`conv_accumulate_all`] for tests and the
-/// `kernels_micro` bench: the per-emit-tick loop the packed datapath
-/// replaces, one full window dot per filter.
+/// Scalar-reference mirror of [`conv_accumulate_all`] for tests: the
+/// per-emit-tick loop the packed datapath replaces, one full window dot
+/// per filter.
 pub fn conv_accumulate_all_reference(filters: &BinaryFilters, window: &ActPlanes, acc: &mut [i32]) {
     assert_eq!(acc.len(), filters.num_filters(), "one accumulator per filter");
     for (o, a) in acc.iter_mut().enumerate() {

@@ -1,4 +1,4 @@
-//! Serving-runtime configuration: admission, batching, dispatch, and the
+//! Serving-runtime configuration: admission, batching, and the
 //! scheduling classes of the two-level scheduler.
 
 use qnn_compiler::{CompileOptions, OptionsError};
@@ -14,22 +14,6 @@ pub enum AdmissionPolicy {
     /// Fail fast with [`crate::SubmitError::QueueFull`], returning the
     /// image to the caller (load shedding at the admission edge).
     Reject,
-}
-
-/// How the batcher picks the replica for a flushed batch (level 2 of the
-/// scheduler, within the target model's pool).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum DispatchPolicy {
-    /// Shortest-queue-first: the pool replica with the fewest in-flight
-    /// images (queued + running, ties to the lowest id). A slow or busy
-    /// replica stops attracting work until it drains — the sensible
-    /// default for heterogeneous load.
-    #[default]
-    LeastLoaded,
-    /// Cycle through the pool's replicas in id order regardless of load.
-    /// Shard sizes depend only on the flush sequence, which makes
-    /// per-replica cycle counts reproducible — used by the scaling bench.
-    RoundRobin,
 }
 
 /// Scheduling class of a request — level 1 of the two-level scheduler.
@@ -144,8 +128,10 @@ impl std::error::Error for ConfigError {}
 pub struct ServerConfig {
     /// Default pool size: independent pipeline replicas (worker threads)
     /// per registered model that does not override it. Each replica runs
-    /// its own warm pipeline on its own thread; batches are dispatched
-    /// within a model's pool per [`DispatchPolicy`].
+    /// its own warm pipeline on its own thread; a flushed batch goes to
+    /// the pool replica with the fewest in-flight images (queued +
+    /// running, ties to the lowest id), so a slow or busy replica stops
+    /// attracting work until it drains.
     pub replicas: usize,
     /// Maximum images per batch. A lane that reaches it closes into the
     /// batch a busy replica queues behind the one it is running.
@@ -166,8 +152,6 @@ pub struct ServerConfig {
     pub queue_depth: usize,
     /// Behaviour when the submission queue is full.
     pub admission: AdmissionPolicy,
-    /// Replica-selection policy for flushed batches.
-    pub dispatch: DispatchPolicy,
     /// Test/bench knob: extra busy time injected per batch on replica
     /// `i` of each pool, modeling a slower card or a co-tenant. Empty
     /// (the default) injects nothing; otherwise the length must equal
@@ -188,7 +172,6 @@ impl Default for ServerConfig {
             interactive_flush_deadline: Duration::from_micros(500),
             queue_depth: 64,
             admission: AdmissionPolicy::Block,
-            dispatch: DispatchPolicy::default(),
             synthetic_replica_delay: Vec::new(),
             compile: CompileOptions::default(),
         }
@@ -271,12 +254,6 @@ impl ServerConfigBuilder {
         self
     }
 
-    /// Replica-selection policy.
-    pub fn dispatch(mut self, policy: DispatchPolicy) -> Self {
-        self.config.dispatch = policy;
-        self
-    }
-
     /// Per-replica synthetic busy time (test/bench knob).
     pub fn synthetic_replica_delay(mut self, delays: Vec<Duration>) -> Self {
         self.config.synthetic_replica_delay = delays;
@@ -316,7 +293,6 @@ mod tests {
             .interactive_flush_deadline(Duration::from_millis(1))
             .queue_depth(16)
             .admission(AdmissionPolicy::Reject)
-            .dispatch(DispatchPolicy::RoundRobin)
             .synthetic_replica_delay(vec![Duration::ZERO; 3])
             .build()
             .expect("valid");
@@ -326,7 +302,6 @@ mod tests {
         assert_eq!(config.interactive_flush_deadline, Duration::from_millis(1));
         assert_eq!(config.queue_depth, 16);
         assert_eq!(config.admission, AdmissionPolicy::Reject);
-        assert_eq!(config.dispatch, DispatchPolicy::RoundRobin);
         assert_eq!(config.synthetic_replica_delay.len(), 3);
     }
 

@@ -18,8 +18,7 @@
 //!   ([`Priority::Interactive`] before [`Priority::Batch`], each class
 //!   with its own flush deadline) and sheds requests whose per-request
 //!   deadline has already passed; level 2 picks the replica inside the
-//!   target model's pool (least-loaded, or round-robin via
-//!   [`DispatchPolicy`]);
+//!   target model's pool (the least-loaded one);
 //! * **bounded admission** (at most `queue_depth` requests not yet placed
 //!   in a batch) with a configurable policy (block for backpressure, or
 //!   reject-when-full for load shedding);
@@ -31,7 +30,7 @@
 //!   version and re-arms that pipeline between batches;
 //! * **per-request, per-class, per-model, and per-replica statistics** —
 //!   queue wait, batch occupancy, p50/p95 latency, shed counts,
-//!   images/sec — via `qnn-testkit`'s bench helpers;
+//!   images/sec;
 //! * **handle-based lifecycle**: [`Server::builder`] →
 //!   [`ServerBuilder::model`] → [`ServerBuilder::start`], submit through
 //!   [`Server::client`] handles, and [`Server::shutdown`] drains every
@@ -77,9 +76,7 @@ mod registry;
 mod server;
 mod stats;
 
-pub use config::{
-    AdmissionPolicy, ConfigError, DispatchPolicy, Priority, ServerConfig, ServerConfigBuilder,
-};
+pub use config::{AdmissionPolicy, ConfigError, Priority, ServerConfig, ServerConfigBuilder};
 pub use registry::{ModelRegistry, PublishError};
 pub use server::{
     Client, Completion, Dropped, ModelOptions, ResizeError, Response, Server, ServerBuilder,

@@ -12,7 +12,7 @@
 //!                              lanes per (model, priority); level 1 picks the
 //!                            class (interactive first, deadline-expired requests
 //!                           shed at dispatch), level 2 picks the replica inside
-//!                          the model's pool (least-loaded or round-robin)
+//!                          the model's pool (the least-loaded one)
 //!                          │           │          ‖           ‖
 //!                     [batch q]   [batch q]   [batch q]   [batch q]   (1 running
 //!                          │           │          ‖           ‖        + 1 queued)
@@ -45,7 +45,7 @@
 //! before `shutdown` is answered — with a [`Response`] or, if its deadline
 //! expired while it queued, with [`Dropped::Deadline`].
 
-use crate::config::{AdmissionPolicy, ConfigError, DispatchPolicy, Priority, ServerConfig};
+use crate::config::{AdmissionPolicy, ConfigError, Priority, ServerConfig};
 use crate::registry::{self, ModelRegistry, PublishError};
 use crate::stats::{
     ClassStats, LatencySummary, LoadWindow, ModelStats, ReplicaStats, RequestStats, ServerReport,
@@ -494,9 +494,6 @@ impl ReplicaSlot {
 /// exits.
 struct PoolHandle {
     slots: Vec<ReplicaSlot>,
-    /// Round-robin cursor (per pool, so shard order is reproducible per
-    /// model regardless of other models' traffic).
-    seq: usize,
     /// Synthetic per-batch busy time replicas of this pool inject
     /// ([`ModelOptions::synthetic_delay`]); replicas added by a resize
     /// inherit it, so scaling experiments stay apples-to-apples.
@@ -514,7 +511,6 @@ struct BatcherKnobs {
     max_batch: usize,
     flush_deadline: Duration,
     interactive_flush_deadline: Duration,
-    dispatch: DispatchPolicy,
 }
 
 impl BatcherKnobs {
@@ -673,27 +669,19 @@ impl Batcher {
 
     /// The replica the next batch of `model` goes to, if one can take it
     /// (any one, when `force`d by the shutdown drain).
+    ///
+    /// Fewest in-flight images wins, ties to the lowest id. The loads move
+    /// underneath us (workers decrement as batches finish), but only the
+    /// batcher increments, so the chosen replica can only be less loaded
+    /// than observed.
     fn target(&self, model: usize, force: bool) -> Option<usize> {
-        let pool = &self.pools[model];
-        match self.knobs.dispatch {
-            // The sequence slot moves only when a batch is sent, so shard
-            // order depends on the flush sequence alone.
-            DispatchPolicy::RoundRobin => {
-                let next = pool.seq % pool.slots.len();
-                (force || pool.slots[next].accepts()).then_some(next)
-            }
-            // Fewest in-flight images wins, ties to the lowest id. The
-            // loads move underneath us (workers decrement as batches
-            // finish), but only the batcher increments, so the chosen
-            // replica can only be less loaded than observed.
-            DispatchPolicy::LeastLoaded => pool
-                .slots
-                .iter()
-                .enumerate()
-                .filter(|(_, slot)| force || slot.accepts())
-                .min_by_key(|(_, slot)| slot.images())
-                .map(|(i, _)| i),
-        }
+        self.pools[model]
+            .slots
+            .iter()
+            .enumerate()
+            .filter(|(_, slot)| force || slot.accepts())
+            .min_by_key(|(_, slot)| slot.images())
+            .map(|(i, _)| i)
     }
 
     /// Close the front of a lane (up to `max_batch` requests) into a batch:
@@ -732,9 +720,7 @@ impl Batcher {
         let id = self.stats.batches;
         self.stats.batches += 1;
         self.stats.occupancy_sum += kept.len() as u64;
-        let pool = &mut self.pools[model];
-        pool.seq += 1;
-        let slot = &pool.slots[target];
+        let slot = &self.pools[model].slots[target];
         // Counted before the send: the worker counts a batch out when it
         // is answered, which may be before this thread runs again.
         slot.load.images.fetch_add(kept.len() as u64, Ordering::AcqRel);
@@ -1012,7 +998,6 @@ impl ServerBuilder {
             }
             pools.push(PoolHandle {
                 slots,
-                seq: 0,
                 delay: model_delay.unwrap_or(Duration::ZERO),
             });
         }
@@ -1023,7 +1008,6 @@ impl ServerBuilder {
                 max_batch: config.max_batch,
                 flush_deadline: config.flush_deadline,
                 interactive_flush_deadline: config.interactive_flush_deadline,
-                dispatch: config.dispatch,
             },
             lanes: (0..pools.len()).map(|_| Default::default()).collect(),
             stats: BatcherStats { batches: 0, occupancy_sum: 0, shed: vec![[0; 2]; pools.len()] },
@@ -1126,7 +1110,7 @@ impl Server {
             shed: live.shed.load(Ordering::Relaxed),
             in_flight: live.in_flight.load(Ordering::Relaxed),
             interactive_samples: samples.len(),
-            interactive: LatencySummary::from_samples("interactive", samples),
+            interactive: LatencySummary::from_samples(samples),
         })
     }
 
@@ -1218,7 +1202,7 @@ fn build_report(
                 priority,
                 completed: class_completed[m][i],
                 shed: batcher.shed[m][i],
-                latency: LatencySummary::from_samples("latency", class_latencies[m][i].clone()),
+                latency: LatencySummary::from_samples(class_latencies[m][i].clone()),
             });
         }
         per_model.push(ModelStats {
@@ -1227,7 +1211,7 @@ fn build_report(
             completed: m_completed,
             shed: m_shed,
             weight_publishes: registry.publishes(m),
-            latency: LatencySummary::from_samples("latency", model_latencies),
+            latency: LatencySummary::from_samples(model_latencies),
             per_priority,
         });
     }
@@ -1244,7 +1228,7 @@ fn build_report(
                 priority,
                 completed: (0..models).map(|m| class_completed[m][i]).sum(),
                 shed: (0..models).map(|m| batcher.shed[m][i]).sum(),
-                latency: LatencySummary::from_samples("latency", samples),
+                latency: LatencySummary::from_samples(samples),
             }
         })
         .collect();
@@ -1265,8 +1249,8 @@ fn build_report(
         } else {
             0.0
         },
-        queue_wait: LatencySummary::from_samples("queue_wait", queue_waits),
-        latency: LatencySummary::from_samples("latency", latencies),
+        queue_wait: LatencySummary::from_samples(queue_waits),
+        latency: LatencySummary::from_samples(latencies),
         per_replica,
         per_model,
         per_priority,

@@ -1,7 +1,6 @@
 //! Per-request and aggregate serving statistics.
 
 use crate::config::Priority;
-use qnn_testkit::bench::Measurement;
 use std::time::Duration;
 
 /// Timing and placement breakdown attached to every completed request.
@@ -50,9 +49,7 @@ pub struct ReplicaStats {
     pub lowerings: u64,
 }
 
-/// p50/p95/max over a set of duration samples (via `qnn-testkit`'s
-/// median/p95 bench helpers, so serving reports and bench output agree on
-/// percentile arithmetic).
+/// p50/p95/max over a set of duration samples.
 #[derive(Clone, Copy, Debug)]
 pub struct LatencySummary {
     /// Median.
@@ -65,14 +62,22 @@ pub struct LatencySummary {
 
 impl LatencySummary {
     /// Summarize `samples`; `None` when no requests completed.
-    pub fn from_samples(name: &str, mut samples: Vec<Duration>) -> Option<Self> {
+    ///
+    /// The median of an even count is the mean of the two middle samples;
+    /// p95 is nearest-rank.
+    pub fn from_samples(mut samples: Vec<Duration>) -> Option<Self> {
         if samples.is_empty() {
             return None;
         }
         samples.sort_unstable();
-        let max = *samples.last().expect("non-empty");
-        let m = Measurement { name: name.to_string(), sorted: samples };
-        Some(Self { p50: m.median(), p95: m.p95(), max })
+        let n = samples.len();
+        let p50 = if n % 2 == 1 {
+            samples[n / 2]
+        } else {
+            (samples[n / 2 - 1] + samples[n / 2]) / 2
+        };
+        let p95 = samples[(n * 95).div_ceil(100).max(1) - 1];
+        Some(Self { p50, p95, max: samples[n - 1] })
     }
 
     fn render(this: &Option<Self>) -> String {
@@ -195,23 +200,6 @@ impl ServerReport {
         if secs > 0.0 { self.completed as f64 / secs } else { 0.0 }
     }
 
-    /// Throughput at the modeled device clock (`fclk_mhz`, e.g. the Maia
-    /// fabric clock).
-    ///
-    /// Replicas model *independent DFE cards* running concurrently, so the
-    /// modeled makespan is the **maximum** per-replica cycle load — unlike
-    /// [`Self::images_per_sec`], whose wall clock serializes the replica
-    /// workers when the host has fewer cores than replicas. This is the
-    /// number that exhibits replica scaling regardless of host hardware,
-    /// and it is bit-deterministic across runs for a fixed trace.
-    pub fn device_images_per_sec(&self, fclk_mhz: f64) -> f64 {
-        let makespan = self.per_replica.iter().map(|r| r.cycles).max().unwrap_or(0);
-        if makespan == 0 {
-            return 0.0;
-        }
-        self.completed as f64 * fclk_mhz * 1e6 / makespan as f64
-    }
-
     /// The per-model breakdown for `model`, if it was registered.
     pub fn model(&self, model: &str) -> Option<&ModelStats> {
         self.per_model.iter().find(|m| m.model == model)
@@ -291,15 +279,23 @@ mod tests {
     #[test]
     fn latency_summary_orders_percentiles() {
         let samples: Vec<Duration> = (1..=100).map(Duration::from_micros).collect();
-        let s = LatencySummary::from_samples("t", samples).expect("non-empty");
+        let s = LatencySummary::from_samples(samples).expect("non-empty");
         assert!(s.p50 <= s.p95 && s.p95 <= s.max);
         assert_eq!(s.max, Duration::from_micros(100));
         assert_eq!(s.p95, Duration::from_micros(95));
     }
 
     #[test]
+    fn median_and_p95_of_known_samples() {
+        let samples: Vec<Duration> = (1..=20).map(Duration::from_micros).collect();
+        let s = LatencySummary::from_samples(samples).expect("non-empty");
+        assert_eq!(s.p50, Duration::from_nanos(10_500));
+        assert_eq!(s.p95, Duration::from_micros(19));
+    }
+
+    #[test]
     fn empty_samples_yield_none() {
-        assert!(LatencySummary::from_samples("t", Vec::new()).is_none());
+        assert!(LatencySummary::from_samples(Vec::new()).is_none());
     }
 
     #[test]
@@ -315,10 +311,10 @@ mod tests {
             wall: Duration::from_millis(100),
             mean_batch_occupancy: 2.0,
             queue_wait: None,
-            latency: LatencySummary::from_samples(
-                "l",
-                vec![Duration::from_millis(1), Duration::from_millis(3)],
-            ),
+            latency: LatencySummary::from_samples(vec![
+                Duration::from_millis(1),
+                Duration::from_millis(3),
+            ]),
             per_replica: vec![],
             per_model: vec![ModelStats {
                 model: "cnv".to_string(),

@@ -6,8 +6,8 @@
 use qnn_compiler::{CompileOptions, OptionsError};
 use qnn_nn::{models, Network};
 use qnn_serve::{
-    AdmissionPolicy, ConfigError, DispatchPolicy, ModelOptions, Priority, ResizeError, Response,
-    Server, ServerConfig, SubmitError, SubmitOptions, Ticket,
+    AdmissionPolicy, ConfigError, ModelOptions, Priority, ResizeError, Response, Server,
+    ServerConfig, SubmitError, SubmitOptions, Ticket,
 };
 use qnn_tensor::{Shape3, Tensor3};
 use qnn_testkit::Rng;
@@ -185,14 +185,15 @@ fn report_statistics_are_internally_consistent() {
 
 #[test]
 fn work_is_sharded_across_replicas() {
-    // With more batches than replicas and round-robin dispatch, every
-    // replica must execute at least one batch (round-robin pinned: the
-    // guarantee is policy-specific).
+    // With more batches than replicas and every replica busy for a few ms
+    // per batch, least-loaded dispatch must spread the 12 single-image
+    // batches over the whole pool: a replica still running its batch holds
+    // one in-flight image, so the next batch goes to an idle one.
     let net = net();
     let config = ServerConfig {
         replicas: 3,
         max_batch: 1,
-        dispatch: DispatchPolicy::RoundRobin,
+        synthetic_replica_delay: vec![Duration::from_millis(5); 3],
         ..ServerConfig::default()
     };
     let server = start(&net, config);
@@ -211,9 +212,9 @@ fn least_loaded_dispatch_steers_work_away_from_a_slow_replica() {
     // Replica 0 is artificially slowed by 60 ms per batch; replica 1 runs
     // at full speed. Under least-loaded dispatch the slow replica holds at
     // most the batch it runs and the one queued behind it, so nearly every
-    // batch goes to the fast replica as it drains. Round-robin would split
-    // the 12 single-image batches 6/6; least-loaded must give the fast
-    // replica strictly more (in practice ~3/9).
+    // batch goes to the fast replica as it drains. An even split would be
+    // 6/6; least-loaded must give the fast replica strictly more (in
+    // practice ~3/9).
     let net = net();
     let n = 12usize;
     let config = ServerConfig {
@@ -222,7 +223,6 @@ fn least_loaded_dispatch_steers_work_away_from_a_slow_replica() {
         synthetic_replica_delay: vec![Duration::from_millis(60), Duration::ZERO],
         ..ServerConfig::default()
     };
-    assert_eq!(config.dispatch, DispatchPolicy::LeastLoaded, "the default policy");
     let server = start(&net, config);
     let client = server.client();
     wait_all((0..n).map(|s| client.submit(image(8, 500 + s as u64)).expect("admitted")).collect());

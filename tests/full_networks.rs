@@ -1,15 +1,16 @@
 //! Full-architecture runs. The paper-scale 224×224 networks are exercised
 //! end to end; because the cycle simulator executes every fabric clock,
 //! the ImageNet-scale cases are `#[ignore]`d by default and promoted to
-//! the `./ci.sh release-tests` stage (they are also covered by the
-//! benches in release mode):
+//! the `./ci.sh release-tests` stage:
 //!
 //! ```text
 //! ./ci.sh release-tests   # == cargo test --release --test full_networks -- --ignored
 //! ```
 
+use qnn::compiler::dse::{pick, ResourceBudget};
 use qnn::compiler::{run_image, run_images, CompileOptions};
 use qnn::data::{CIFAR10, IMAGENET, STL10};
+use qnn::dfe::STRATIX_10_GX2800;
 use qnn::hw::CycleModel;
 use qnn::nn::{models, Network};
 
@@ -81,6 +82,23 @@ fn resnet18_full_imagenet_scale() {
     assert!(
         (0.8e6..4.0e6).contains(&cycles),
         "ResNet-18 cycles {cycles:.3e} out of the paper's regime"
+    );
+    // The DSE headline: the design point `dse::pick` chooses for two
+    // Stratix 10 devices computes the same logits as the uniform default
+    // in at least 1.15× fewer simulated cycles.
+    let point = pick(&net.spec, &ResourceBudget::new(STRATIX_10_GX2800, 2))
+        .expect("ResNet-18 fits two Stratix 10");
+    let folded = run_images(&net, std::slice::from_ref(&img), &point.compile_options())
+        .expect("folded sim");
+    assert_eq!(folded.logits, sim.logits, "the picked design point changed the logits");
+    let speedup = sim.cycles() as f64 / folded.cycles() as f64;
+    assert!(
+        speedup >= 1.15,
+        "picked design point is only {speedup:.2}× faster than the uniform default \
+         ({} vs {} cycles, plan {:?})",
+        folded.cycles(),
+        sim.cycles(),
+        point.folding
     );
 }
 
