@@ -7,7 +7,7 @@
 
 use qnn::compiler::{partition, run_images, CompileOptions, Partition};
 use qnn::data::Dataset;
-use qnn::dfe::{MaxRing, MAIA_FCLK_MHZ, STRATIX_V_5SGSD8};
+use qnn::dfe::{MAIA_FCLK_MHZ, STRATIX_V_5SGSD8};
 use qnn::hw::{
     dfe_power_watts, energy_joules, estimate_network, gpu_power_watts, CycleModel, GpuModel,
     GTX1080, P100,
@@ -64,7 +64,7 @@ pub fn sweep_specs() -> Vec<(String, NetworkSpec)> {
 
 /// Partition a spec onto Stratix V DFEs.
 pub fn place(spec: &NetworkSpec) -> Partition {
-    partition(spec, &STRATIX_V_5SGSD8, &MaxRing::default()).expect("partition")
+    partition(spec, &STRATIX_V_5SGSD8).expect("partition")
 }
 
 /// Build one comparison row from the analytic models.

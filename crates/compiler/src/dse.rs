@@ -9,13 +9,15 @@
 //!   doubling: repeatedly take the busiest foldable layer of the
 //!   fold-aware cycle model and double whichever lane knob (`pe`, `simd`,
 //!   or both) shrinks it most, until the pipeline is limited by structures
-//!   folding cannot touch (the host source, residual skip glue) or the
-//!   resource budget;
-//! * default FIFO capacity — a small candidate sweep (elasticity vs BRAM);
-//! * device cuts — greedy contiguous first-fit of fold-aware per-stage
-//!   resource estimates onto the budget's device type, refusing any cut
-//!   the default MaxRing cannot carry at the device's clock (as
-//!   [`partition`](crate::partition()) does).
+//!   folding cannot touch (the host source, residual skip glue), a factor
+//!   would pass 64, or 16 steps have run;
+//! * default FIFO capacity — a fixed sweep over 256, 512 and 1024
+//!   elements (elasticity vs BRAM);
+//! * device cuts — the placer behind [`partition`](crate::partition()),
+//!   run on the fold-aware stage estimates with each kernel's FIFO BRAM
+//!   charged: greedy contiguous first-fit onto the budget's device type,
+//!   refusing any cut the default MaxRing cannot carry at the device's
+//!   clock.
 //!
 //! Every candidate is scored analytically
 //! (`hw_model::cycles::analyze_folded` + `estimate_stage_folded`),
@@ -26,9 +28,8 @@
 //! estimator's promises against the cycle simulator.
 
 use crate::lower::CompileOptions;
-use crate::partition::Partition;
-use dfe_platform::{DeviceSpec, MaxRing, ResourceUsage};
-use hw_model::resources::{estimate_stage_folded, PER_DFE_INFRA_BRAM_KBITS};
+use crate::partition::place;
+use dfe_platform::{DeviceSpec, ResourceUsage};
 use hw_model::{CycleModel, Fold, FoldPlan};
 use qnn_nn::NetworkSpec;
 
@@ -54,23 +55,12 @@ impl ResourceBudget {
     }
 }
 
-/// Search-shape knobs (defaults fit the paper's networks).
-#[derive(Clone, Debug)]
-pub struct DseConfig {
-    /// Cap on either folding factor (power-of-two doubling never exceeds
-    /// it).
-    pub max_fold: usize,
-    /// Default FIFO capacities to sweep.
-    pub fifo_candidates: Vec<usize>,
-    /// Maximum bottleneck-doubling steps.
-    pub max_steps: usize,
-}
-
-impl Default for DseConfig {
-    fn default() -> Self {
-        Self { max_fold: 64, fifo_candidates: vec![256, 512, 1024], max_steps: 16 }
-    }
-}
+/// Cap on either folding factor (power-of-two doubling never exceeds it).
+const MAX_FOLD: usize = 64;
+/// Default FIFO capacities to sweep.
+const FIFO_CANDIDATES: [usize; 3] = [256, 512, 1024];
+/// Maximum bottleneck-doubling steps.
+const MAX_STEPS: usize = 16;
 
 /// One candidate configuration with its analytic score.
 #[derive(Clone, Debug)]
@@ -81,8 +71,6 @@ pub struct DesignPoint {
     pub fifo_capacity: usize,
     /// Device index per stage (contiguous, non-decreasing).
     pub stage_device: Vec<usize>,
-    /// Analytic steady-state cycles per image.
-    pub est_period: u64,
     /// Analytic single-image latency.
     pub est_latency: u64,
     /// Total usage across devices (infrastructure included).
@@ -128,73 +116,27 @@ impl Frontier {
     }
 }
 
-/// Layers the search may fold. The host source and residual skip glue are
-/// fixed-rate; folding targets everything else.
-fn foldable(name: &str) -> bool {
-    name != "host.image" && !name.ends_with(".skip")
-}
-
-/// Greedy contiguous first-fit of fold-aware stage estimates, charging a
-/// per-kernel FIFO BRAM term for the chosen default capacity. Returns the
-/// per-stage device map and per-device usage, or `None` when any stage
-/// alone (or the chain) exceeds the budget or a cut exceeds the default
-/// MaxRing's bandwidth.
-fn place(
-    spec: &NetworkSpec,
-    plan: &FoldPlan,
-    fifo_capacity: usize,
-    budget: &ResourceBudget,
-) -> Option<(Vec<usize>, Vec<ResourceUsage>)> {
-    let infra = ResourceUsage { luts: 0, ffs: 0, bram_kbits: PER_DFE_INFRA_BRAM_KBITS };
-    let mut stage_device = Vec::with_capacity(spec.stages.len());
-    let mut per_device: Vec<ResourceUsage> = vec![infra];
-    for (i, stage) in spec.stages.iter().enumerate() {
-        let est = estimate_stage_folded(stage, spec.act_bits, i, plan);
-        let mut need = est.usage;
-        // Each kernel's output FIFO holds `fifo_capacity` activation codes.
-        need.bram_kbits +=
-            est.kernels as u64 * (fifo_capacity as u64 * spec.act_bits as u64).div_ceil(1024);
-        if !need.plus(infra).fits(&budget.device) {
-            return None;
-        }
-        let cur = per_device.last_mut().expect("at least one device");
-        if cur.plus(need).fits(&budget.device) {
-            *cur = cur.plus(need);
-        } else {
-            let cut = Partition::cut_bits(spec, i);
-            if !MaxRing::default().supports(&cut, budget.device.fclk_mhz) {
-                return None;
-            }
-            per_device.push(infra.plus(need));
-        }
-        stage_device.push(per_device.len() - 1);
-    }
-    if per_device.len() > budget.max_devices {
-        return None;
-    }
-    Some((stage_device, per_device))
-}
-
 fn evaluate(
     spec: &NetworkSpec,
     plan: &FoldPlan,
     fifo_capacity: usize,
     budget: &ResourceBudget,
 ) -> Option<DesignPoint> {
-    let (stage_device, per_device) = place(spec, plan, fifo_capacity, budget)?;
-    let model = CycleModel::analyze_folded(spec, plan);
-    let usage: ResourceUsage = per_device.iter().copied().sum();
-    let utilization = per_device
+    let placed = place(spec, plan, fifo_capacity, &budget.device).ok()?;
+    if placed.num_dfes() > budget.max_devices {
+        return None;
+    }
+    let utilization = placed
+        .per_device
         .iter()
         .map(|u| u.utilization(&budget.device))
         .fold(0.0f64, f64::max);
     Some(DesignPoint {
         folding: plan.clone(),
         fifo_capacity,
-        stage_device,
-        est_period: model.period(),
-        est_latency: model.latency(),
-        usage,
+        usage: placed.total_usage(),
+        stage_device: placed.stage_device,
+        est_latency: CycleModel::analyze_folded(spec, plan).latency(),
         utilization,
     })
 }
@@ -202,23 +144,23 @@ fn evaluate(
 /// One bottleneck-doubling step: take the busiest foldable layer and
 /// double the lane knob that shrinks it most. `None` when the pipeline is
 /// already limited by unfoldable structures or the caps.
-fn next_plan(spec: &NetworkSpec, plan: &FoldPlan, cfg: &DseConfig) -> Option<FoldPlan> {
+fn next_plan(spec: &NetworkSpec, plan: &FoldPlan) -> Option<FoldPlan> {
     let model = CycleModel::analyze_folded(spec, plan);
     let floor = model
         .layers
         .iter()
-        .filter(|l| !foldable(&l.name))
+        .filter(|l| !l.foldable())
         .map(|l| l.busy)
         .max()
         .unwrap_or(0);
-    let target = model.layers.iter().filter(|l| foldable(&l.name)).max_by_key(|l| l.busy)?;
+    let target = model.layers.iter().filter(|l| l.foldable()).max_by_key(|l| l.busy)?;
     if target.busy <= floor {
         return None; // the host source / skip glue sets the period now
     }
     let f = plan.get(&target.name);
     let mut best: Option<(u64, u64, FoldPlan)> = None;
     for (pe, simd) in [(f.pe * 2, f.simd), (f.pe, f.simd * 2), (f.pe * 2, f.simd * 2)] {
-        if pe > cfg.max_fold || simd > cfg.max_fold {
+        if pe > MAX_FOLD || simd > MAX_FOLD {
             continue;
         }
         let cand = plan.clone().with(&target.name, Fold::new(pe, simd));
@@ -243,16 +185,16 @@ fn next_plan(spec: &NetworkSpec, plan: &FoldPlan, cfg: &DseConfig) -> Option<Fol
 /// Enumerate folding × FIFO × cut candidates under `budget`, score them
 /// analytically, and return the Pareto frontier over
 /// (latency, utilization, device count).
-pub fn explore(spec: &NetworkSpec, budget: &ResourceBudget, cfg: &DseConfig) -> Frontier {
+pub fn explore(spec: &NetworkSpec, budget: &ResourceBudget) -> Frontier {
     let mut candidates = Vec::new();
     let mut plan = FoldPlan::new();
-    for _ in 0..=cfg.max_steps {
-        for &fifo in &cfg.fifo_candidates {
+    for _ in 0..=MAX_STEPS {
+        for fifo in FIFO_CANDIDATES {
             if let Some(p) = evaluate(spec, &plan, fifo, budget) {
                 candidates.push(p);
             }
         }
-        match next_plan(spec, &plan, cfg) {
+        match next_plan(spec, &plan) {
             Some(next) => plan = next,
             None => break,
         }
@@ -288,16 +230,17 @@ pub fn explore(spec: &NetworkSpec, budget: &ResourceBudget, cfg: &DseConfig) -> 
     Frontier { points }
 }
 
-/// The fastest feasible design point under `budget` with the default
-/// search shape (`None` when the network cannot fit).
+/// The fastest feasible design point under `budget` (`None` when the
+/// network cannot fit).
 pub fn pick(spec: &NetworkSpec, budget: &ResourceBudget) -> Option<DesignPoint> {
-    explore(spec, budget, &DseConfig::default()).pick().cloned()
+    explore(spec, budget).pick().cloned()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use dfe_platform::{STRATIX_10_GX2800, STRATIX_V_5SGSD8};
+    use hw_model::resources::estimate_stage_folded;
     use qnn_nn::{models, PoolKind, ResidualGeometry, SpecBuilder};
     use qnn_tensor::{ConvGeometry, FilterShape, Shape3};
 
@@ -305,7 +248,7 @@ mod tests {
     fn resnet18_frontier_beats_uniform() {
         let spec = models::resnet18(1000);
         let budget = ResourceBudget::new(STRATIX_10_GX2800, 2);
-        let frontier = explore(&spec, &budget, &DseConfig::default());
+        let frontier = explore(&spec, &budget);
         assert!(!frontier.points.is_empty(), "nothing fit the budget");
         let best = frontier.pick().expect("frontier non-empty");
         let uniform = CycleModel::analyze_folded(&spec, &FoldPlan::new());
@@ -324,7 +267,7 @@ mod tests {
     fn frontier_is_pareto_minimal() {
         let spec = models::vgg_like(32, 10, 2);
         let budget = ResourceBudget::single(STRATIX_V_5SGSD8);
-        let frontier = explore(&spec, &budget, &DseConfig::default());
+        let frontier = explore(&spec, &budget);
         for (i, a) in frontier.points.iter().enumerate() {
             for (j, b) in frontier.points.iter().enumerate() {
                 if i == j {
@@ -349,7 +292,7 @@ mod tests {
         small.luts /= 8;
         small.ffs /= 8;
         small.bram_kbits /= 8;
-        let frontier = explore(&spec, &ResourceBudget::single(small), &DseConfig::default());
+        let frontier = explore(&spec, &ResourceBudget::single(small));
         for p in &frontier.points {
             assert!(p.utilization <= 1.0 + 1e-9);
             assert_eq!(p.num_devices(), 1);
@@ -391,14 +334,12 @@ mod tests {
         let mut device = STRATIX_10_GX2800;
         let usable = luts(0) + luts(1) + luts(2) / 2;
         device.luts = (usable as f64 / device.usable_fraction).ceil() as u64;
-        let cfg = DseConfig::default();
 
-        let fast = explore(&spec, &ResourceBudget::new(device, 2), &cfg);
+        let fast = explore(&spec, &ResourceBudget::new(device, 2));
         assert!(fast.points.iter().all(|p| p.num_devices() == 1), "{:?}", fast.points);
         let slow = explore(
             &spec,
             &ResourceBudget::new(DeviceSpec { fclk_mhz: 105.0, ..device }, 2),
-            &cfg,
         );
         assert!(
             slow.points.iter().any(|p| p.stage_device == [0, 0, 1, 1, 1]),

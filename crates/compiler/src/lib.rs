@@ -23,9 +23,9 @@ pub mod partition;
 pub mod replicate;
 pub mod run;
 
-pub use dse::{explore, DesignPoint, DseConfig, Frontier, ResourceBudget};
+pub use dse::{explore, DesignPoint, Frontier, ResourceBudget};
 pub use hw_model::{Fold, FoldPlan};
 pub use lower::{elaborate, try_compile, CompileOptions, CompiledNetwork, OptionsError};
 pub use partition::{partition, Partition, PartitionError};
-pub use replicate::{ArtifactCache, ModelArtifact, SpecMismatch};
+pub use replicate::{ModelArtifact, SpecMismatch};
 pub use run::{run_image, run_images, Logits, SimError, SimResult};

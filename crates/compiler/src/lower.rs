@@ -16,10 +16,6 @@ use qnn_quant::ThresholdUnit;
 use qnn_tensor::{BinaryFilters, ConvGeometry, Shape3, Tensor3};
 
 /// Compilation knobs.
-///
-/// `PartialEq`/`Eq` make options usable as an artifact-cache key
-/// ([`crate::ArtifactCache`]): two registrations of a model with equal
-/// options share one compiled snapshot.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CompileOptions {
     /// Default FIFO capacity between kernels (elements). The paper's FMem

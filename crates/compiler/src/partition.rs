@@ -6,9 +6,14 @@
 //! overflow, and every cut is checked against the ring bandwidth — for the
 //! paper's 2-bit streams at 105 MHz this is the 210 Mbps vs "several Gbps"
 //! argument that makes the split essentially free.
+//!
+//! One placer serves both entry points: [`partition`] places the unfolded
+//! network, and the DSE (`crate::dse`) places each folded candidate with
+//! its FIFO BRAM charged.
 
 use dfe_platform::{DeviceSpec, MaxRing, ResourceUsage};
-use hw_model::resources::{estimate_stage, PER_DFE_INFRA_BRAM_KBITS};
+use hw_model::resources::{estimate_stage_folded, PER_DFE_INFRA_BRAM_KBITS};
+use hw_model::FoldPlan;
 use qnn_nn::{NetworkSpec, Stage};
 
 /// Why partitioning failed.
@@ -67,7 +72,7 @@ impl Partition {
     /// Stream widths crossing the cut before `stage` (activation codes,
     /// plus the 16-bit skip when both sides are identity-linked residual
     /// stages).
-    pub(crate) fn cut_bits(spec: &NetworkSpec, stage: usize) -> Vec<u32> {
+    fn cut_bits(spec: &NetworkSpec, stage: usize) -> Vec<u32> {
         let mut bits = vec![spec.act_bits];
         let prev_residual = matches!(spec.stages[stage - 1], Stage::Residual { .. });
         let next_identity = matches!(
@@ -81,19 +86,32 @@ impl Partition {
     }
 }
 
-/// Greedy contiguous first-fit placement of `spec` onto devices of type
-/// `device`, honoring `ring` bandwidth on every cut.
-pub fn partition(
+/// Greedy contiguous first-fit placement of the unfolded `spec` onto
+/// devices of type `device`, honoring the default MaxRing's bandwidth on
+/// every cut.
+pub fn partition(spec: &NetworkSpec, device: &DeviceSpec) -> Result<Partition, PartitionError> {
+    place(spec, &FoldPlan::new(), 0, device)
+}
+
+/// The one placer behind [`partition`] and the DSE: greedy contiguous
+/// first-fit of fold-aware stage estimates under `plan`, charging each
+/// kernel's output FIFO `fifo_capacity` activation codes of BRAM (0
+/// charges none).
+pub(crate) fn place(
     spec: &NetworkSpec,
+    plan: &FoldPlan,
+    fifo_capacity: usize,
     device: &DeviceSpec,
-    ring: &MaxRing,
 ) -> Result<Partition, PartitionError> {
     let infra = ResourceUsage { luts: 0, ffs: 0, bram_kbits: PER_DFE_INFRA_BRAM_KBITS };
+    let fifo_kbits = (fifo_capacity as u64 * spec.act_bits as u64).div_ceil(1024);
     let mut stage_device = Vec::with_capacity(spec.stages.len());
     let mut per_device: Vec<ResourceUsage> = vec![infra];
 
     for (i, stage) in spec.stages.iter().enumerate() {
-        let need = estimate_stage(stage, spec.act_bits).usage;
+        let est = estimate_stage_folded(stage, spec.act_bits, i, plan);
+        let mut need = est.usage;
+        need.bram_kbits += est.kernels as u64 * fifo_kbits;
         if !need.plus(infra).fits(device) {
             return Err(PartitionError::StageTooLarge(i, need));
         }
@@ -103,7 +121,7 @@ pub fn partition(
         } else {
             // Open a new device; the cut must fit the ring.
             let bits = Partition::cut_bits(spec, i);
-            if !ring.supports(&bits, device.fclk_mhz) {
+            if !MaxRing::default().supports(&bits, device.fclk_mhz) {
                 return Err(PartitionError::RingOverloaded {
                     at_stage: i,
                     demand_mbps: MaxRing::demand_mbps(&bits, device.fclk_mhz),
@@ -122,16 +140,12 @@ mod tests {
     use dfe_platform::{STRATIX_10_GX2800, STRATIX_V_5SGSD8};
     use qnn_nn::models;
 
-    fn ring() -> MaxRing {
-        MaxRing::default()
-    }
-
     #[test]
     fn vgg32_fits_one_stratix_v() {
         // §V: "For inputs up to 144×144, resource utilization is small
         // enough to fit on a single Stratix V 5SGSD8 FPGA."
         for side in [32, 64, 96, 144] {
-            let p = partition(&models::vgg_like(side, 10, 2), &STRATIX_V_5SGSD8, &ring())
+            let p = partition(&models::vgg_like(side, 10, 2), &STRATIX_V_5SGSD8)
                 .expect("partition");
             assert_eq!(p.num_dfes(), 1, "VGG-{side} should fit one DFE");
         }
@@ -140,7 +154,7 @@ mod tests {
     #[test]
     fn alexnet_needs_multiple_dfes() {
         // §IV-B1: "three DFEs are needed to fit the network" (AlexNet).
-        let p = partition(&models::alexnet(1000), &STRATIX_V_5SGSD8, &ring()).expect("partition");
+        let p = partition(&models::alexnet(1000), &STRATIX_V_5SGSD8).expect("partition");
         assert!(
             (2..=3).contains(&p.num_dfes()),
             "AlexNet on {} DFEs (paper: 3)",
@@ -156,7 +170,7 @@ mod tests {
         // surrounding stages that makes four. Greedy contiguous first-fit
         // is optimal for contiguous placements, so 4 is the true minimum
         // at this granularity; see EXPERIMENTS.md.
-        let p = partition(&models::resnet18(1000), &STRATIX_V_5SGSD8, &ring()).expect("partition");
+        let p = partition(&models::resnet18(1000), &STRATIX_V_5SGSD8).expect("partition");
         assert!(
             (2..=4).contains(&p.num_dfes()),
             "ResNet-18 on {} DFEs (paper: 2–3)",
@@ -168,14 +182,14 @@ mod tests {
     fn resnet18_fits_one_stratix_10() {
         // §IV-B4: Stratix 10 would "fit even bigger networks onto a single
         // FPGA".
-        let p = partition(&models::resnet18(1000), &STRATIX_10_GX2800, &ring()).expect("partition");
+        let p = partition(&models::resnet18(1000), &STRATIX_10_GX2800).expect("partition");
         assert_eq!(p.num_dfes(), 1);
     }
 
     #[test]
     fn assignments_are_contiguous_and_complete() {
         let spec = models::resnet18(1000);
-        let p = partition(&spec, &STRATIX_V_5SGSD8, &ring()).expect("partition");
+        let p = partition(&spec, &STRATIX_V_5SGSD8).expect("partition");
         assert_eq!(p.stage_device.len(), spec.stages.len());
         for w in p.stage_device.windows(2) {
             assert!(w[1] == w[0] || w[1] == w[0] + 1, "non-contiguous placement");
@@ -187,9 +201,11 @@ mod tests {
 
     #[test]
     fn narrow_ring_rejects_the_cut() {
-        // A ring with almost no bandwidth cannot host any cut.
-        let tiny_ring = MaxRing { rate_gbps: 0.0001, latency_cycles: 4 };
-        let err = partition(&models::resnet18(1000), &STRATIX_V_5SGSD8, &tiny_ring).unwrap_err();
+        // At a 5 GHz device clock one 2-bit stream needs 10 Gbps, more than
+        // the default ring carries, so no cut is possible.
+        let device = DeviceSpec { fclk_mhz: 5_000.0, ..STRATIX_V_5SGSD8 };
+        assert!(!MaxRing::default().supports(&[2], device.fclk_mhz));
+        let err = partition(&models::resnet18(1000), &device).unwrap_err();
         assert!(matches!(err, PartitionError::RingOverloaded { .. }), "{err}");
     }
 
@@ -197,7 +213,7 @@ mod tests {
     fn paper_cut_bandwidth_is_210_mbps() {
         // The canonical cut carries one 2-bit stream at 105 MHz.
         let spec = models::alexnet(1000);
-        let p = partition(&spec, &STRATIX_V_5SGSD8, &ring()).expect("partition");
+        let p = partition(&spec, &STRATIX_V_5SGSD8).expect("partition");
         assert!(p.num_dfes() > 1);
         let first_cut = p.stage_device.iter().position(|&d| d == 1).expect("cut exists");
         let bits = Partition::cut_bits(&spec, first_cut);

@@ -1,4 +1,4 @@
-//! Compiled model artifacts and the artifact cache.
+//! Compiled model artifacts.
 //!
 //! The paper scales *one* image stream across devices (model parallelism
 //! over MaxRing); a serving deployment additionally replicates the whole
@@ -21,11 +21,6 @@
 //! bumped [`ModelArtifact::version`]; batches already dispatched keep
 //! their `Arc` to the old snapshot and finish on it, later batches pick
 //! up the new one — parameter versions can never mix inside one batch.
-//!
-//! [`ArtifactCache`] is the registration-time cache: per model name,
-//! artifacts are keyed by their [`CompileOptions`], so registering the
-//! same model again with the same options (or sizing a pool up) reuses
-//! the existing snapshot instead of re-cloning parameters.
 
 use crate::lower::{elaborate, CompileOptions, CompiledNetwork, OptionsError};
 use qnn_nn::Network;
@@ -107,80 +102,6 @@ impl ModelArtifact {
     }
 }
 
-/// Registration-time artifact cache: per model name, keyed by
-/// [`CompileOptions`]. Lets a server (or a bench loop re-registering the
-/// same portfolio) share one parameter snapshot per (model, options)
-/// instead of cloning the network once per replica.
-#[derive(Default)]
-pub struct ArtifactCache {
-    entries: Vec<(String, CompileOptions, Arc<ModelArtifact>)>,
-    hits: u64,
-}
-
-impl ArtifactCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The cached artifact for `(name, opts)`, built from `net` on a miss
-    /// by [`ModelArtifact::try_new`]: options `net` cannot take are an
-    /// error, and nothing is cached.
-    ///
-    /// The cache trusts the caller that one model *name* maps to one
-    /// parameter set: publishing new weights for a name goes through
-    /// [`Self::publish`], which replaces the name's entries.
-    pub fn get_or_compile(
-        &mut self,
-        name: &str,
-        net: &Network,
-        opts: &CompileOptions,
-    ) -> Result<Arc<ModelArtifact>, OptionsError> {
-        if let Some((_, _, a)) =
-            self.entries.iter().find(|(n, o, _)| n == name && o == opts)
-        {
-            self.hits += 1;
-            return Ok(Arc::clone(a));
-        }
-        let artifact = Arc::new(ModelArtifact::try_new(net, opts)?);
-        self.entries.push((name.to_string(), opts.clone(), Arc::clone(&artifact)));
-        Ok(artifact)
-    }
-
-    /// Swap weights for every cached artifact of `name`, bumping each
-    /// entry's version. Returns the new artifacts (empty if `name` has no
-    /// entries).
-    pub fn publish(
-        &mut self,
-        name: &str,
-        net: &Network,
-    ) -> Result<Vec<Arc<ModelArtifact>>, SpecMismatch> {
-        let mut swapped = Vec::new();
-        for (n, _, a) in &mut self.entries {
-            if n == name {
-                *a = Arc::new(a.with_weights(net.clone())?);
-                swapped.push(Arc::clone(a));
-            }
-        }
-        Ok(swapped)
-    }
-
-    /// Number of distinct (name, options) artifacts held.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when nothing has been compiled yet.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// How many lookups were answered from cache.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -222,36 +143,5 @@ mod tests {
         .expect("valid options");
         let other = Network::random(models::test_net(8, 3, 2), 1);
         assert_eq!(a.with_weights(other).err(), Some(SpecMismatch));
-    }
-
-    #[test]
-    fn artifact_cache_reuses_by_name_and_options() {
-        let net = Network::random(models::test_net(8, 3, 2), 3);
-        let mut cache = ArtifactCache::new();
-        let opts = CompileOptions::default();
-        let a = cache.get_or_compile("m", &net, &opts).expect("valid options");
-        let b = cache.get_or_compile("m", &net, &opts).expect("valid options");
-        assert!(Arc::ptr_eq(&a, &b), "same (name, options) must hit");
-        assert_eq!(cache.hits(), 1);
-        let streamed =
-            CompileOptions { stream_parameters: true, ..CompileOptions::default() };
-        let c = cache.get_or_compile("m", &net, &streamed).expect("valid options");
-        assert!(!Arc::ptr_eq(&a, &c), "different options are distinct artifacts");
-        assert_eq!(cache.len(), 2);
-    }
-
-    #[test]
-    fn artifact_cache_publish_replaces_a_name() {
-        let spec = models::test_net(8, 3, 2);
-        let old = Network::random(spec.clone(), 4);
-        let new = Network::random(spec, 5);
-        let mut cache = ArtifactCache::new();
-        let a0 = cache.get_or_compile("m", &old, &CompileOptions::default()).expect("valid");
-        let swapped = cache.publish("m", &new).expect("same spec");
-        assert_eq!(swapped.len(), 1);
-        assert_eq!(swapped[0].version(), 1);
-        let a1 = cache.get_or_compile("m", &new, &CompileOptions::default()).expect("valid");
-        assert!(Arc::ptr_eq(&swapped[0], &a1), "cache must serve the new weights");
-        assert_eq!(a0.version(), 0, "dispatched handles keep the old snapshot");
     }
 }

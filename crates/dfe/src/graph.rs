@@ -470,11 +470,6 @@ impl Graph {
         self.nodes[id.0].kernel.name()
     }
 
-    /// Total FMem bits of all stream FIFOs (for the resource model).
-    pub fn total_fmem_bits(&self) -> usize {
-        self.streams.iter().map(|s| s.spec.fmem_bits()).sum()
-    }
-
     fn validate(&self) -> Result<(), RunError> {
         for (i, s) in self.streams.iter().enumerate() {
             if self.writers[i].is_none() {

@@ -11,11 +11,15 @@
 //! single-image *latency* adds each kernel's window-fill offset, because a
 //! kernel cannot start until its first window arrives.
 //!
+//! There is one model: a [`FoldPlan`] widens a layer's ports, and
+//! [`CycleModel::analyze`] is [`CycleModel::analyze_folded`] at the unit
+//! plan.
+//!
 //! The cycle simulator in `dfe-platform` is the ground truth; integration
 //! tests pin this model to it on small networks, then the model scales to
-//! the full-size estimates the benches report.
+//! the full-size estimates `paper-tables` reports.
 
-use crate::folding::FoldPlan;
+use crate::folding::{Fold, FoldPlan};
 use qnn_nn::{NetworkSpec, Stage};
 use qnn_tensor::ConvGeometry;
 
@@ -34,23 +38,37 @@ pub struct LayerCycles {
     pub fill: u64,
 }
 
-fn conv_cycles(name: &str, geom: &ConvGeometry) -> LayerCycles {
-    let padded = geom.padded_input();
-    let inputs = padded.len() as u64;
-    let out = geom.output();
-    let outputs = out.len() as u64;
-    // First window completes after ((K−1)·W + K) · I elements.
-    let fill = ((geom.filter.k - 1) * padded.w + geom.filter.k) as u64 * padded.c as u64;
-    LayerCycles { name: name.to_string(), inputs, outputs, busy: inputs.max(outputs), fill }
+impl LayerCycles {
+    /// Whether folding can move this entry: everything but the fixed-rate
+    /// host source (`host.image`) and skip glue (`*.skip`).
+    pub fn foldable(&self) -> bool {
+        self.name != "host.image" && !self.name.ends_with(".skip")
+    }
 }
 
-fn conv_cycles_folded(name: &str, geom: &ConvGeometry, pe: u64, simd: u64) -> LayerCycles {
+/// A layer that absorbs `inputs` on `simd` lanes and emits `outputs` on
+/// `pe` lanes; its window fill arrives `simd` elements a clock.
+fn lane_cycles(name: String, inputs: u64, outputs: u64, fill: u64, fold: Fold) -> LayerCycles {
+    let (pe, simd) = (fold.pe as u64, fold.simd as u64);
+    let busy = inputs.div_ceil(simd).max(outputs.div_ceil(pe));
+    LayerCycles { name, inputs, outputs, busy, fill: fill.div_ceil(simd) }
+}
+
+/// A fixed-rate structure moving `elements` one per clock, whatever the
+/// folding around it.
+fn fixed_rate(name: String, elements: u64, fill: u64) -> LayerCycles {
+    LayerCycles { name, inputs: elements, outputs: elements, busy: elements, fill }
+}
+
+fn conv_cycles(name: &str, geom: &ConvGeometry, fold: Fold) -> LayerCycles {
+    let (pe, simd) = (fold.pe as u64, fold.simd as u64);
     let padded = geom.padded_input();
     let inputs = padded.len() as u64;
     let out = geom.output();
     let outputs = out.len() as u64;
     let positions = (out.h * out.w) as u64;
     let o = geom.filter.o as u64;
+    // First window completes after ((K−1)·W + K) · I elements.
     let fill = ((geom.filter.k - 1) * padded.w + geom.filter.k) as u64 * padded.c as u64;
     LayerCycles {
         name: name.to_string(),
@@ -65,14 +83,13 @@ fn conv_cycles_folded(name: &str, geom: &ConvGeometry, pe: u64, simd: u64) -> La
 
 /// Push one encoder stage's cycle entries: the 1×1 projections (foldable,
 /// conv-like), the per-head attention tile engine, and the fixed-rate
-/// split/add/LayerNorm glue. `plan == None` is the unfolded model; since
-/// the attention and glue entries are fold-independent, an all-unit plan
-/// matches the unfolded analysis exactly.
+/// split/add/LayerNorm glue. The attention and glue entries are
+/// fold-independent.
 fn encoder_cycles(
     layers: &mut Vec<LayerCycles>,
     i: usize,
     geom: &qnn_nn::EncoderGeometry,
-    plan: Option<&FoldPlan>,
+    plan: &FoldPlan,
 ) {
     let projs = geom.projection_geometries();
     let mut suffixes = vec!["q", "k", "v", "proj"];
@@ -81,13 +98,7 @@ fn encoder_cycles(
     }
     for (suffix, g) in suffixes.iter().zip(&projs) {
         let name = format!("enc{i}.{suffix}");
-        match plan {
-            Some(p) => {
-                let f = p.get(&name);
-                layers.push(conv_cycles_folded(&name, g, f.pe as u64, f.simd as u64));
-            }
-            None => layers.push(conv_cycles(&name, g)),
-        }
+        layers.push(conv_cycles(&name, g, plan.get(&name)));
     }
     // Heads run in parallel; one head's tile engine stands for all of
     // them. It absorbs its three seq×head_dim tiles (one element per port
@@ -103,84 +114,29 @@ fn encoder_cycles(
     });
     // Fixed-rate glue: splits, head fan-out/concat, adders and LayerNorm
     // all move one token-stream element per clock regardless of folding.
-    let glue = (geom.seq_len * geom.d_model) as u64;
-    layers.push(LayerCycles {
-        name: format!("enc{i}.skip"),
-        inputs: glue,
-        outputs: glue,
-        busy: glue,
-        fill: 0,
-    });
+    layers.push(fixed_rate(format!("enc{i}.skip"), (geom.seq_len * geom.d_model) as u64, 0));
 }
 
 /// Whole-network cycle model.
 #[derive(Clone, Debug)]
 pub struct CycleModel {
-    /// Per-stage busy/fill decomposition (residual blocks contribute their
-    /// slowest internal conv).
+    /// Busy/fill entries in pipeline order: the host feed, then each
+    /// stage's kernels (a residual block its convs and skip glue, an
+    /// encoder its projections, attention engine and glue).
     pub layers: Vec<LayerCycles>,
 }
 
 impl CycleModel {
-    /// Analyze a network spec.
+    /// Analyze a network spec with every layer unfolded.
     pub fn analyze(spec: &NetworkSpec) -> Self {
-        let mut layers = Vec::new();
-        for (i, stage) in spec.stages.iter().enumerate() {
-            match stage {
-                Stage::ConvInput { geom } | Stage::Conv { geom } => {
-                    layers.push(conv_cycles(&format!("conv{i}"), geom));
-                }
-                Stage::Pool { input, k, stride, pad, .. } => {
-                    let ph = input.h + 2 * pad;
-                    let pw = input.w + 2 * pad;
-                    let inputs = (ph * pw * input.c) as u64;
-                    let oh = (ph - k) / stride + 1;
-                    let ow = (pw - k) / stride + 1;
-                    let outputs = (oh * ow * input.c) as u64;
-                    let fill = (((k - 1) * pw + k) * input.c) as u64;
-                    layers.push(LayerCycles {
-                        name: format!("pool{i}"),
-                        inputs,
-                        outputs,
-                        // Pooling overlaps I/O (§III-B2).
-                        busy: inputs.max(outputs),
-                        fill,
-                    });
-                }
-                Stage::FullyConnected { in_features, out_features, .. } => {
-                    let inputs = *in_features as u64;
-                    let outputs = *out_features as u64;
-                    layers.push(LayerCycles {
-                        name: format!("fc{i}"),
-                        inputs,
-                        outputs,
-                        busy: inputs.max(outputs),
-                        fill: inputs,
-                    });
-                }
-                Stage::Residual { geom } => {
-                    let c1 = conv_cycles(&format!("res{i}.conv1"), &geom.conv1);
-                    let c2 = conv_cycles(&format!("res{i}.conv2"), &geom.conv2);
-                    layers.push(c1);
-                    layers.push(c2);
-                    if let Some(ds) = &geom.downsample {
-                        layers.push(conv_cycles(&format!("res{i}.ds"), ds));
-                    }
-                }
-                Stage::Encoder { geom } => {
-                    encoder_cycles(&mut layers, i, geom, None);
-                }
-            }
-        }
-        Self { layers }
+        Self::analyze_folded(spec, &FoldPlan::new())
     }
 
     /// Analyze a network under a per-layer [`FoldPlan`].
     ///
-    /// This is the *rate-matched* variant the DSE scores against: folded
-    /// layers cost `⌈elements / lanes⌉` cycles on each port, and two
-    /// fixed-rate structures the plain model omits are made explicit,
-    /// because folding can push a layer below them:
+    /// Folded layers cost `⌈elements / lanes⌉` cycles on each port. Two
+    /// fixed-rate structures get entries of their own, because folding can
+    /// push a layer below them:
     ///
     /// * `host.image` — the host source feeds one element per clock, so no
     ///   fold can beat `input.len()` cycles per image at the pipe's head;
@@ -191,30 +147,19 @@ impl CycleModel {
     ///   clock, so the fill cycles folding "saved" inside the conv are
     ///   charged back here (`fill − ⌈fill/simd⌉`).
     ///
-    /// With an all-unit plan, `period()` and `latency()` match
-    /// [`CycleModel::analyze`] exactly (the extra terms are dominated by
-    /// the unfolded convs that surround them, and the ramp is zero).
+    /// At the unit plan ([`CycleModel::analyze`]) neither entry sets the
+    /// period (the unfolded convs around them are at least as busy) and
+    /// the ramp is zero, so they count only towards `serial_bound()`.
     pub fn analyze_folded(spec: &NetworkSpec, plan: &FoldPlan) -> Self {
-        let mut layers = Vec::new();
-        let image = spec.input.len() as u64;
-        layers.push(LayerCycles {
-            name: "host.image".to_string(),
-            inputs: image,
-            outputs: image,
-            busy: image,
-            fill: 0,
-        });
+        let mut layers = vec![fixed_rate("host.image".to_string(), spec.input.len() as u64, 0)];
         for (i, stage) in spec.stages.iter().enumerate() {
             match stage {
                 Stage::ConvInput { geom } | Stage::Conv { geom } => {
                     let name = format!("conv{i}");
-                    let f = plan.get(&name);
-                    layers.push(conv_cycles_folded(&name, geom, f.pe as u64, f.simd as u64));
+                    layers.push(conv_cycles(&name, geom, plan.get(&name)));
                 }
                 Stage::Pool { input, k, stride, pad, .. } => {
                     let name = format!("pool{i}");
-                    let f = plan.get(&name);
-                    let (pe, simd) = (f.pe as u64, f.simd as u64);
                     let ph = input.h + 2 * pad;
                     let pw = input.w + 2 * pad;
                     let inputs = (ph * pw * input.c) as u64;
@@ -222,38 +167,23 @@ impl CycleModel {
                     let ow = (pw - k) / stride + 1;
                     let outputs = (oh * ow * input.c) as u64;
                     let fill = (((k - 1) * pw + k) * input.c) as u64;
-                    layers.push(LayerCycles {
-                        name,
-                        inputs,
-                        outputs,
-                        busy: inputs.div_ceil(simd).max(outputs.div_ceil(pe)),
-                        fill: fill.div_ceil(simd),
-                    });
+                    let fold = plan.get(&name);
+                    // Pooling overlaps I/O (§III-B2).
+                    layers.push(lane_cycles(name, inputs, outputs, fill, fold));
                 }
                 Stage::FullyConnected { in_features, out_features, .. } => {
                     let name = format!("fc{i}");
-                    let f = plan.get(&name);
-                    let inputs = *in_features as u64;
-                    let outputs = *out_features as u64;
-                    layers.push(LayerCycles {
-                        name,
-                        inputs,
-                        outputs,
-                        busy: inputs
-                            .div_ceil(f.simd as u64)
-                            .max(outputs.div_ceil(f.pe as u64)),
-                        fill: inputs.div_ceil(f.simd as u64),
-                    });
+                    let (inputs, outputs) = (*in_features as u64, *out_features as u64);
+                    let fold = plan.get(&name);
+                    layers.push(lane_cycles(name, inputs, outputs, inputs, fold));
                 }
                 Stage::Residual { geom } => {
-                    for (suffix, g) in [("conv1", Some(&geom.conv1)), ("conv2", Some(&geom.conv2))]
+                    for (suffix, g) in [("conv1", &geom.conv1), ("conv2", &geom.conv2)]
                         .into_iter()
-                        .chain([("ds", geom.downsample.as_ref())])
+                        .chain(geom.downsample.as_ref().map(|ds| ("ds", ds)))
                     {
-                        let Some(g) = g else { continue };
                         let name = format!("res{i}.{suffix}");
-                        let f = plan.get(&name);
-                        layers.push(conv_cycles_folded(&name, g, f.pe as u64, f.simd as u64));
+                        layers.push(conv_cycles(&name, g, plan.get(&name)));
                     }
                     // Fixed-rate skip glue: the input split moves the block's
                     // input once, the adder/threshold its output once.
@@ -265,23 +195,14 @@ impl CycleModel {
                     // time to arrive — the folded conv merely waits. Charge
                     // the difference here as the glue's fill so the latency
                     // sum sees what the simulator measures. Unit plans give
-                    // `fill − ⌈fill/1⌉ = 0`, keeping `analyze_folded` equal
-                    // to `analyze` at all-unit folding.
-                    let c1 = &geom.conv1;
-                    let c1_padded = c1.padded_input();
-                    let c1_fill = ((c1.filter.k - 1) * c1_padded.w + c1.filter.k) as u64
-                        * c1_padded.c as u64;
+                    // `fill − ⌈fill/1⌉ = 0`.
+                    let c1_fill = conv_cycles("", &geom.conv1, Fold::UNIT).fill;
                     let c1_simd = plan.get(&format!("res{i}.conv1")).simd as u64;
-                    layers.push(LayerCycles {
-                        name: format!("res{i}.skip"),
-                        inputs: glue,
-                        outputs: glue,
-                        busy: glue,
-                        fill: c1_fill - c1_fill.div_ceil(c1_simd),
-                    });
+                    let ramp = c1_fill - c1_fill.div_ceil(c1_simd);
+                    layers.push(fixed_rate(format!("res{i}.skip"), glue, ramp));
                 }
                 Stage::Encoder { geom } => {
-                    encoder_cycles(&mut layers, i, geom, Some(plan));
+                    encoder_cycles(&mut layers, i, geom, plan);
                 }
             }
         }
@@ -376,7 +297,7 @@ mod tests {
         // only valid ones would cost ~13× more compute cycles (≈S²·share).
         let alex = models::alexnet(1000);
         let Stage::ConvInput { geom } = alex.stages[0] else { panic!("stem") };
-        let strided = conv_cycles("s", &geom);
+        let strided = conv_cycles("s", &geom, Fold::UNIT);
         let dense_outputs = {
             let p = geom.padded_input();
             ((p.h - geom.filter.k + 1) * (p.w - geom.filter.k + 1) * geom.filter.o) as u64
@@ -400,20 +321,22 @@ mod tests {
     #[test]
     fn unit_fold_plan_matches_plain_analysis() {
         use crate::folding::{Fold, FoldPlan};
-        for spec in
-            [models::resnet18(1000), models::alexnet(1000), models::vgg_like(32, 10, 2)]
-        {
+        // Pinned (period, latency) of the unfolded networks: `paper-tables`
+        // and the calibration bands rest on these.
+        for (spec, period, latency) in [
+            (models::resnet18(1000), 831_744, 1_015_169),
+            (models::alexnet(1000), 290_400, 389_625),
+            (models::vgg_like(32, 10, 2), 73_984, 107_477),
+        ] {
             let plain = CycleModel::analyze(&spec);
-            let unit = CycleModel::analyze_folded(&spec, &FoldPlan::new());
-            assert_eq!(plain.period(), unit.period(), "{}", spec.name);
-            assert_eq!(plain.latency(), unit.latency(), "{}", spec.name);
+            assert_eq!((plain.period(), plain.latency()), (period, latency), "{}", spec.name);
             // An explicit all-unit plan is the same as an empty one.
             let mut plan = FoldPlan::new();
             for l in &plain.layers {
                 plan.set(&l.name, Fold::UNIT);
             }
             let explicit = CycleModel::analyze_folded(&spec, &plan);
-            assert_eq!(unit.period(), explicit.period());
+            assert_eq!((explicit.period(), explicit.latency()), (period, latency));
         }
     }
 

@@ -43,7 +43,7 @@ impl Default for Fold {
 /// A per-layer folding assignment, keyed by the lowering's stage labels
 /// (`conv0`, `pool1`, `fc5`, `res2.conv1`, …). Layers not mentioned run
 /// at [`Fold::UNIT`]. Stored as a sorted vector so the plan is `Eq` and
-/// `Hash` (it participates in compiler artifact-cache keys).
+/// `Hash` (it is part of the compiler's `CompileOptions`).
 #[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
 pub struct FoldPlan {
     entries: Vec<(String, Fold)>,

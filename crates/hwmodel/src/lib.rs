@@ -15,6 +15,12 @@
 //! * [`gpu`] / [`power`] — the GPU baseline latency model (per-layer launch
 //!   overhead + effective GEMM throughput, specs from Table IIa) and the
 //!   power/energy models for Figures 7 and 8.
+//!
+//! The resource and cycle models take a per-layer [`FoldPlan`] (the
+//! [`folding`] lane widths the DSE searches). The unfolded design is the
+//! unit plan, not a second model: [`CycleModel::analyze`] and
+//! [`estimate_network`] are [`CycleModel::analyze_folded`] and
+//! [`estimate_network_folded`] at [`FoldPlan::new`].
 
 #![forbid(unsafe_code)]
 
@@ -32,7 +38,7 @@ pub use folding::{Fold, FoldPlan};
 pub use gpu::{GpuModel, GpuSpec, GTX1080, P100};
 pub use power::{dfe_power_watts, energy_joules, gpu_power_watts, PowerBreakdown};
 pub use resources::{
-    estimate_network, estimate_network_folded, estimate_stage, estimate_stage_folded,
-    NetworkResources, StageResources,
+    estimate_network, estimate_network_folded, estimate_stage_folded, NetworkResources,
+    StageResources,
 };
 pub use specs::FinnReference;

@@ -85,16 +85,10 @@ pub fn cache_waste_fraction(width_bits: u64, entries: u64) -> f64 {
 }
 
 /// Estimate one convolution (geometry includes padding; an upstream pad
-/// inserter is charged when `geom.pad > 0`).
-fn conv_resources(geom: &ConvGeometry, elem_bits: u32, planes: u32, with_bn: bool) -> StageResources {
-    conv_resources_folded(geom, elem_bits, planes, with_bn, Fold::UNIT)
-}
-
-/// Fold-aware convolution estimate. `pe` replicates the XNOR/popcount
-/// datapath and banks the weight cache (`pe` banks of `⌈O/pe⌉` entries —
-/// banking never shrinks the cache, block quantization only rounds up);
-/// `simd` widens the window-buffer write side. At `Fold::UNIT` this is
-/// exactly the unfolded estimate.
+/// inserter is charged when `geom.pad > 0`). `pe` replicates the
+/// XNOR/popcount datapath and banks the weight cache (`pe` banks of
+/// `⌈O/pe⌉` entries — banking never shrinks the cache, block quantization
+/// only rounds up); `simd` widens the window-buffer write side.
 fn conv_resources_folded(
     geom: &ConvGeometry,
     elem_bits: u32,
@@ -151,12 +145,13 @@ fn minor_resources(window_bits: u64, count: usize) -> StageResources {
 /// Q/K/V/ff1 carry fused thresholds, proj/ff2 emit raw accumulators), the
 /// per-head attention tile engines with their gather/pending buffers, the
 /// sequence-deep skip FIFOs in BRAM, and the stream glue (splits, head
-/// fan-out/concat, adders, LayerNorm). `folds == None` is the unfolded
-/// estimate; an all-unit plan matches it exactly.
+/// fan-out/concat, adders, LayerNorm). `index` is the stage's position
+/// in the spec.
 fn encoder_resources(
     geom: &qnn_nn::EncoderGeometry,
     act_bits: u32,
-    folds: Option<(&FoldPlan, usize)>,
+    plan: &FoldPlan,
+    index: usize,
 ) -> StageResources {
     let projs = geom.projection_geometries();
     let mut suffixes = vec![("q", true), ("k", true), ("v", true), ("proj", false)];
@@ -165,10 +160,7 @@ fn encoder_resources(
     }
     let mut r = StageResources::default();
     for ((suffix, with_bn), g) in suffixes.iter().zip(&projs) {
-        let fold = match folds {
-            Some((plan, index)) => plan.get(&format!("enc{index}.{suffix}")),
-            None => Fold::UNIT,
-        };
+        let fold = plan.get(&format!("enc{index}.{suffix}"));
         let c = conv_resources_folded(g, act_bits, act_bits, *with_bn, fold);
         r.usage = r.usage.plus(c.usage);
         r.kernels += c.kernels;
@@ -196,69 +188,9 @@ fn encoder_resources(
     r
 }
 
-/// Estimate one pipeline stage.
-pub fn estimate_stage(stage: &Stage, act_bits: u32) -> StageResources {
-    match *stage {
-        Stage::ConvInput { geom } => conv_resources(&geom, 8, 8, true),
-        Stage::Conv { geom } => conv_resources(&geom, act_bits, act_bits, true),
-        Stage::Pool { input, k, pad, kind, .. } => {
-            let padded_w = (input.w + 2 * pad) as u64;
-            let window_bits =
-                input.c as u64 * (padded_w * (k as u64 - 1) + k as u64) * act_bits as u64;
-            let kernels = if pad > 0 { 2 } else { 1 };
-            let mut r = minor_resources(window_bits, kernels);
-            if matches!(kind, PoolKind::AvgSum) {
-                // Accumulator per channel.
-                r.usage.luts += 500;
-            }
-            r
-        }
-        Stage::FullyConnected { in_features, out_features, bn_act } => {
-            let geom = ConvGeometry::new(
-                qnn_tensor::Shape3::new(1, 1, in_features),
-                qnn_tensor::FilterShape::new(1, in_features, out_features),
-                1,
-                0,
-            );
-            // FC windows hold activation codes (the avg-pool widening is
-            // folded into thresholds, not stored wider).
-            conv_resources(&geom, act_bits, act_bits, bn_act)
-        }
-        Stage::Residual { geom } => {
-            let mut r = conv_resources(&geom.conv1, act_bits, act_bits, true);
-            let c2 = conv_resources(&geom.conv2, act_bits, act_bits, false);
-            r.usage = r.usage.plus(c2.usage);
-            r.kernels += c2.kernels;
-            if let Some(ds) = geom.downsample {
-                let d = conv_resources(&ds, act_bits, act_bits, false);
-                r.usage = r.usage.plus(d.usage);
-                r.kernels += d.kernels;
-            }
-            // Skip buffer: one convolution-sized buffer of 16-bit data in
-            // BRAM (§III-B5), plus adder, two splits and the post-adder
-            // threshold unit.
-            let skip_elems = ConvGeometry::new(
-                geom.conv2.padded_input(),
-                geom.conv2.filter,
-                geom.conv2.stride,
-                0,
-            )
-            .depth_first_buffer() as u64;
-            let skip_blocks = bram_blocks(16, skip_elems);
-            r.usage.bram_kbits += skip_blocks * BRAM_BLOCK_KBITS;
-            let glue = minor_resources(0, 4); // add + 2 splits + threshold
-            r.usage = r.usage.plus(glue.usage);
-            r.kernels += glue.kernels;
-            r
-        }
-        Stage::Encoder { ref geom } => encoder_resources(geom, act_bits, None),
-    }
-}
-
 /// Estimate one pipeline stage under a [`FoldPlan`]; `index` is the
 /// stage's position in the spec (it determines the lowering labels the
-/// plan is keyed by). With an all-unit plan this matches
-/// [`estimate_stage`] exactly.
+/// plan is keyed by). [`FoldPlan::new`] is the unfolded design.
 pub fn estimate_stage_folded(
     stage: &Stage,
     act_bits: u32,
@@ -276,10 +208,18 @@ pub fn estimate_stage_folded(
             true,
             plan.get(&format!("conv{index}")),
         ),
-        Stage::Pool { .. } => {
+        Stage::Pool { input, k, pad, kind, .. } => {
+            let padded_w = (input.w + 2 * pad) as u64;
+            let window_bits =
+                input.c as u64 * (padded_w * (k as u64 - 1) + k as u64) * act_bits as u64;
+            let kernels = if pad > 0 { 2 } else { 1 };
+            let mut r = minor_resources(window_bits, kernels);
+            if matches!(kind, PoolKind::AvgSum) {
+                // Accumulator per channel.
+                r.usage.luts += 500;
+            }
             let f = plan.get(&format!("pool{index}"));
             let lanes = (f.pe + f.simd - 2) as u64;
-            let mut r = estimate_stage(stage, act_bits);
             // Wider comparator front-end and emit mux per extra lane.
             r.usage.luts += LUT_PER_SIMD_LANE * lanes;
             r.usage.ffs += (FF_SCALE * (FF_PER_LANE * lanes) as f64) as u64;
@@ -292,6 +232,8 @@ pub fn estimate_stage_folded(
                 1,
                 0,
             );
+            // FC windows hold activation codes (the avg-pool widening is
+            // folded into thresholds, not stored wider).
             conv_resources_folded(
                 &geom,
                 act_bits,
@@ -328,6 +270,9 @@ pub fn estimate_stage_folded(
                 r.usage = r.usage.plus(d.usage);
                 r.kernels += d.kernels;
             }
+            // Skip buffer: one convolution-sized buffer of 16-bit data in
+            // BRAM (§III-B5), plus adder, two splits and the post-adder
+            // threshold unit.
             let skip_elems = ConvGeometry::new(
                 geom.conv2.padded_input(),
                 geom.conv2.filter,
@@ -341,7 +286,7 @@ pub fn estimate_stage_folded(
             r.kernels += glue.kernels;
             r
         }
-        Stage::Encoder { ref geom } => encoder_resources(geom, act_bits, Some((plan, index))),
+        Stage::Encoder { ref geom } => encoder_resources(geom, act_bits, plan, index),
     }
 }
 
@@ -358,22 +303,13 @@ pub struct NetworkResources {
     pub num_dfes: usize,
 }
 
-/// Estimate a whole network assuming it is spread over `num_dfes` devices.
+/// Estimate the unfolded network spread over `num_dfes` devices.
 pub fn estimate_network(spec: &NetworkSpec, num_dfes: usize) -> NetworkResources {
-    assert!(num_dfes >= 1);
-    let stages: Vec<StageResources> =
-        spec.stages.iter().map(|s| estimate_stage(s, spec.act_bits)).collect();
-    let design: ResourceUsage = stages.iter().map(|s| s.usage).sum();
-    let infra = ResourceUsage {
-        luts: 0,
-        ffs: 0,
-        bram_kbits: BRAM_PER_DFE_BLOCKS * BRAM_BLOCK_KBITS * num_dfes as u64,
-    };
-    NetworkResources { stages, design, total: design.plus(infra), num_dfes }
+    estimate_network_folded(spec, num_dfes, &FoldPlan::new())
 }
 
-/// Whole-network estimate under a [`FoldPlan`]. With an all-unit plan this
-/// matches [`estimate_network`] exactly.
+/// Whole-network estimate under a [`FoldPlan`], spread over `num_dfes`
+/// devices.
 pub fn estimate_network_folded(
     spec: &NetworkSpec,
     num_dfes: usize,
@@ -499,14 +435,30 @@ mod tests {
 
     #[test]
     fn unit_fold_plan_matches_plain_estimate() {
-        use crate::folding::FoldPlan;
-        for spec in
-            [models::resnet18(1000), models::alexnet(1000), models::vgg_like(32, 10, 2)]
-        {
+        use crate::cycles::CycleModel;
+        use crate::folding::{Fold, FoldPlan};
+        // Pinned (design, total) of the unfolded networks at 2 DFEs, as
+        // (LUT, FF, BRAM Kbits): the Table III/IV calibration rests on these.
+        for (spec, design, total) in [
+            (
+                models::resnet18(1000),
+                (537_636, 1_151_098, 25_280),
+                (537_636, 1_151_098, 29_280),
+            ),
+            (models::alexnet(1000), (348_580, 668_448, 32_560), (348_580, 668_448, 36_560)),
+            (models::vgg_like(32, 10, 2), (145_828, 258_151, 5_440), (145_828, 258_151, 9_440)),
+        ] {
+            let usage = |(luts, ffs, bram_kbits)| ResourceUsage { luts, ffs, bram_kbits };
             let plain = estimate_network(&spec, 2);
-            let unit = estimate_network_folded(&spec, 2, &FoldPlan::new());
-            assert_eq!(plain.design, unit.design, "{}", spec.name);
-            assert_eq!(plain.total, unit.total, "{}", spec.name);
+            assert_eq!(plain.design, usage(design), "{}", spec.name);
+            assert_eq!(plain.total, usage(total), "{}", spec.name);
+            // An explicit all-unit plan is the same as an empty one.
+            let mut plan = FoldPlan::new();
+            for l in &CycleModel::analyze(&spec).layers {
+                plan.set(&l.name, Fold::UNIT);
+            }
+            let explicit = estimate_network_folded(&spec, 2, &plan);
+            assert_eq!((explicit.design, explicit.total), (plain.design, plain.total));
         }
     }
 

@@ -8,17 +8,26 @@
 //!   power-of-two doubling chains the DSE actually searches (BRAM block
 //!   quantization guarantees `⌈x⌉ ≤ 2·⌈x/2⌉`, so doubling a bank count
 //!   never shrinks the bill; arbitrary non-power steps can round either
-//!   way and are deliberately out of scope).
+//!   way and are deliberately out of scope);
+//!
+//! and over random CNN and encoder specs, the fixed-rate entries of the
+//! unit-plan model (host source, skip glue) never set the period and
+//! carry no fill.
 
 use hw_model::resources::estimate_network_folded;
 use hw_model::{CycleModel, Fold, FoldPlan};
-use qnn_nn::specgen::spec_strategy;
+use qnn_nn::specgen::{encoder_spec_strategy, spec_strategy};
 use qnn_nn::NetworkSpec;
 use qnn_testkit::{prop_assert, props};
 
 /// The foldable layer labels of a spec, in model order.
 fn foldable_layers(spec: &NetworkSpec) -> Vec<String> {
-    CycleModel::analyze(spec).layers.iter().map(|l| l.name.clone()).collect()
+    CycleModel::analyze(spec)
+        .layers
+        .iter()
+        .filter(|l| l.foldable())
+        .map(|l| l.name.clone())
+        .collect()
 }
 
 /// A random fold plan: each layer gets power-of-two factors chosen by
@@ -139,5 +148,28 @@ props! {
         prop_assert!(folded.design.luts >= base.design.luts);
         prop_assert!(folded.design.ffs >= base.design.ffs);
         prop_assert!(folded.design.bram_kbits >= base.design.bram_kbits);
+    }
+
+    /// Unit plan: the period is set by an entry folding can move, and no
+    /// fixed-rate entry adds fill — so the unfolded model's `period()` and
+    /// `latency()` are those of the foldable layers alone.
+    #[test]
+    fn fixed_rate_entries_are_inert_at_the_unit_plan(
+        spec in spec_strategy(),
+        encoder in encoder_spec_strategy(),
+    ) {
+        for spec in spec.into_iter().chain([encoder]) {
+            let m = CycleModel::analyze(&spec);
+            let peak = m.layers.iter().filter(|l| l.foldable()).map(|l| l.busy).max();
+            prop_assert!(
+                peak == Some(m.period()),
+                "{}: a fixed-rate entry sets the period {} (foldable peak {peak:?})",
+                spec.name,
+                m.period()
+            );
+            for l in m.layers.iter().filter(|l| !l.foldable()) {
+                prop_assert!(l.fill == 0, "{}: {} carries fill {}", spec.name, l.name, l.fill);
+            }
+        }
     }
 }

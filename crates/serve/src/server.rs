@@ -50,7 +50,7 @@ use crate::registry::{self, ModelRegistry, PublishError};
 use crate::stats::{
     ClassStats, LatencySummary, LoadWindow, ModelStats, ReplicaStats, RequestStats, ServerReport,
 };
-use qnn_compiler::{ArtifactCache, CompileOptions, CompiledNetwork, Logits, ModelArtifact};
+use qnn_compiler::{CompileOptions, CompiledNetwork, Logits, ModelArtifact};
 use qnn_nn::Network;
 use qnn_tensor::Tensor3;
 use std::collections::VecDeque;
@@ -204,10 +204,6 @@ impl Ticket {
         }
     }
 
-    /// Non-blocking poll; `None` while the request is still in flight.
-    pub fn try_wait(&self) -> Option<Result<Response, Dropped>> {
-        self.rx.try_recv().ok().map(|c| c.result)
-    }
 }
 
 /// Per-request routing and scheduling options for [`Client::submit_with`].
@@ -937,9 +933,9 @@ impl ServerBuilder {
         self
     }
 
-    /// Validate, compile every registered model (through an
-    /// [`ArtifactCache`] keyed by options, so pools share parameter
-    /// snapshots), spawn the batcher and every pool's workers, and return
+    /// Validate, compile every registered model into one
+    /// [`ModelArtifact`] (its pool's replicas share that parameter
+    /// snapshot), spawn the batcher and every pool's workers, and return
     /// the running [`Server`]. Options a model cannot take are
     /// [`ConfigError::InvalidOptions`], before any thread starts.
     pub fn start(self) -> Result<Server, ConfigError> {
@@ -954,7 +950,6 @@ impl ServerBuilder {
             }
         }
 
-        let mut cache = ArtifactCache::new();
         let mut entries = Vec::with_capacity(self.models.len());
         let mut pool_specs = Vec::with_capacity(self.models.len());
         for (name, net, opts) in &self.models {
@@ -963,9 +958,9 @@ impl ServerBuilder {
                 return Err(ConfigError::ZeroReplicas);
             }
             let compile = opts.compile.as_ref().unwrap_or(&config.compile);
-            let artifact = cache.get_or_compile(name, net, compile).map_err(|error| {
+            let artifact = Arc::new(ModelArtifact::try_new(net, compile).map_err(|error| {
                 ConfigError::InvalidOptions { model: name.clone(), error }
-            })?;
+            })?);
             entries.push(registry::entry(name.clone(), artifact, replicas));
             pool_specs.push((replicas, opts.synthetic_delay));
         }

@@ -10,14 +10,14 @@
 
 use qnn::compiler::{partition, run_images, CompileOptions};
 use qnn::data::CIFAR10;
-use qnn::dfe::{MaxRing, MAIA_FCLK_MHZ, STRATIX_V_5SGSD8};
+use qnn::dfe::{MAIA_FCLK_MHZ, STRATIX_V_5SGSD8};
 use qnn::hw::specs::FINN_CNV_CIFAR10;
 use qnn::hw::{dfe_power_watts, energy_joules, estimate_network, gpu_power_watts, GpuModel, P100};
 use qnn::nn::{models, Network};
 
 fn main() {
     let spec = models::vgg_like(32, 10, 2);
-    let p = partition(&spec, &STRATIX_V_5SGSD8, &MaxRing::default()).expect("partition");
+    let p = partition(&spec, &STRATIX_V_5SGSD8).expect("partition");
     println!("{} fits on {} DFE(s)", spec.name, p.num_dfes());
 
     let net = Network::random(spec.clone(), 7);

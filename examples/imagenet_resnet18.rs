@@ -10,7 +10,7 @@
 
 use qnn::compiler::{partition, run_image};
 use qnn::data::IMAGENET;
-use qnn::dfe::{MaxRing, MAIA_FCLK_MHZ, STRATIX_V_5SGSD8};
+use qnn::dfe::{MAIA_FCLK_MHZ, STRATIX_V_5SGSD8};
 use qnn::hw::specs::paper;
 use qnn::hw::{estimate_network, CycleModel};
 use qnn::nn::{models, Network};
@@ -21,7 +21,7 @@ fn main() {
         spec.name, spec.stages.len(), spec.num_skip_connections(),
         spec.total_weight_bits() as f64 / 1e6);
 
-    let p = partition(&spec, &STRATIX_V_5SGSD8, &MaxRing::default()).expect("partition");
+    let p = partition(&spec, &STRATIX_V_5SGSD8).expect("partition");
     println!("partitioned onto {} DFEs (paper: 2-3)", p.num_dfes());
     let usage = estimate_network(&spec, p.num_dfes()).total;
     println!("estimated resources: {} LUT / {} FF / {} Kbit BRAM", usage.luts, usage.ffs, usage.bram_kbits);

@@ -17,7 +17,7 @@ use qnn::nn::{models, Network};
 fn main() {
     // Demonstrate the partitioner on the real AlexNet first.
     let alex = models::alexnet(1000);
-    let p = partition(&alex, &STRATIX_V_5SGSD8, &MaxRing::default()).expect("partition");
+    let p = partition(&alex, &STRATIX_V_5SGSD8).expect("partition");
     println!("AlexNet (224×224) partitions onto {} Stratix V DFEs:", p.num_dfes());
     for (d, u) in p.per_device.iter().enumerate() {
         println!("  DFE {d}: {:>7} LUT  {:>8} FF  {:>6} Kbit BRAM", u.luts, u.ffs, u.bram_kbits);

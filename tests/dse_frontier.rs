@@ -12,7 +12,7 @@
 //!
 //! Part of `./ci.sh dse` (tier-1, reduced cases) and `./ci.sh soak`.
 
-use qnn::compiler::dse::{explore, pick, DseConfig, ResourceBudget};
+use qnn::compiler::dse::{explore, pick, ResourceBudget};
 use qnn::compiler::{run_images, CompileOptions, SimError};
 use qnn::dfe::STRATIX_10_GX2800;
 use qnn::hw::CycleModel;
@@ -24,7 +24,7 @@ use qnn_testkit::{prop_assert, prop_assert_eq, props};
 /// padded with uniform-folding FIFO variants when the frontier is shorter.
 fn option_sets(spec: &NetworkSpec) -> Vec<CompileOptions> {
     let budget = ResourceBudget::new(STRATIX_10_GX2800, 2);
-    let frontier = explore(spec, &budget, &DseConfig::default());
+    let frontier = explore(spec, &budget);
     assert!(frontier.pick().is_some(), "{} does not fit two Stratix 10", spec.name);
     let mut options: Vec<CompileOptions> =
         frontier.top(3).iter().map(|p| p.compile_options()).collect();

@@ -1,7 +1,7 @@
 //! Multi-DFE partitioning and scale-out behaviour (paper §III-B6, §IV-B4).
 
 use qnn::compiler::{partition, run_images, CompileOptions};
-use qnn::dfe::{MaxRing, STRATIX_10_GX2800, STRATIX_V_5SGSD8};
+use qnn::dfe::{STRATIX_10_GX2800, STRATIX_V_5SGSD8};
 use qnn::hw::estimate_network;
 use qnn::nn::{models, Network};
 
@@ -14,7 +14,7 @@ fn partitioner_output_drives_the_lowerer() {
     tiny_device.luts /= 6;
     tiny_device.ffs /= 6;
     let spec = models::vgg_like(32, 10, 2);
-    let p = partition(&spec, &tiny_device, &MaxRing::default()).expect("partition");
+    let p = partition(&spec, &tiny_device).expect("partition");
     assert!(p.num_dfes() >= 2, "expected a forced split, got {}", p.num_dfes());
 
     let net = Network::random(spec, 9);
@@ -32,7 +32,7 @@ fn partitioner_output_drives_the_lowerer() {
 #[test]
 fn partition_usage_matches_network_estimate() {
     let spec = models::alexnet(1000);
-    let p = partition(&spec, &STRATIX_V_5SGSD8, &MaxRing::default()).expect("partition");
+    let p = partition(&spec, &STRATIX_V_5SGSD8).expect("partition");
     let est = estimate_network(&spec, p.num_dfes());
     assert_eq!(p.total_usage(), est.total, "partitioner and estimator disagree");
 }
@@ -48,7 +48,7 @@ fn every_paper_network_partitions_on_stratix_v() {
         models::resnet18(1000),
         models::resnet18_plain(1000),
     ] {
-        let p = partition(&spec, &STRATIX_V_5SGSD8, &MaxRing::default())
+        let p = partition(&spec, &STRATIX_V_5SGSD8)
             .unwrap_or_else(|e| panic!("{} failed to partition: {e}", spec.name));
         assert!(p.num_dfes() <= 8, "{} needs {} DFEs (> MPC-X's 8)", spec.name, p.num_dfes());
     }
@@ -58,8 +58,8 @@ fn every_paper_network_partitions_on_stratix_v() {
 fn stratix10_consolidates_devices() {
     // §IV-B4: next-generation parts fit bigger networks on fewer devices.
     for spec in [models::alexnet(1000), models::resnet18(1000)] {
-        let v = partition(&spec, &STRATIX_V_5SGSD8, &MaxRing::default()).expect("v");
-        let s10 = partition(&spec, &STRATIX_10_GX2800, &MaxRing::default()).expect("s10");
+        let v = partition(&spec, &STRATIX_V_5SGSD8).expect("v");
+        let s10 = partition(&spec, &STRATIX_10_GX2800).expect("s10");
         assert!(
             s10.num_dfes() < v.num_dfes(),
             "{}: Stratix 10 should need fewer devices ({} vs {})",
