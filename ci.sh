@@ -33,7 +33,9 @@
 #   ci.sh net            NOT tier-1 (but fast): the loopback-TCP cluster
 #                        suites in release — wire protocol properties,
 #                        edge/router/autoscaler integration. Loopback
-#                        sockets only; still offline.
+#                        sockets only; still offline. Then the `serve`
+#                        example, which checks its responses bit-exact
+#                        and its report's ledger partition.
 #   ci.sh bench-smoke    NOT tier-1: the fast analytic `paper-tables` set
 #                        (every table and figure plus the ablations), then
 #                        the repo benchmark in its quick mode
@@ -120,6 +122,7 @@ fi
 
 if [[ "${1:-}" == "net" ]]; then
   run cargo test -q --release --offline -p qnn-cluster
+  run cargo run --release --offline -p qnn --example serve
   echo "ci.sh net: all green"
   exit 0
 fi

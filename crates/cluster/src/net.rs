@@ -67,8 +67,11 @@ impl NetServer {
     }
 
     /// [`NetServer::bind`] with an explicit response timeout: a request
-    /// whose ticket is still unresolved after this long is answered with
+    /// still unresolved after this long is answered with
     /// [`ErrorCode::Timeout`] instead of pinning its connection forever.
+    /// The edge submits with [`Client::submit_to`] on one shared reply
+    /// channel, so a request lost with a dead worker never resolves to
+    /// [`Dropped::Stopped`]; this timeout is its only answer.
     pub fn bind_with(
         server: Server,
         addr: impl ToSocketAddrs,

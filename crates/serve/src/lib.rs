@@ -28,9 +28,10 @@
 //!   flush deadline bound how long a lane fills while the pool is busy;
 //! * **warm replicas**: each worker lowers its network once per weight
 //!   version and re-arms that pipeline between batches;
-//! * **per-request, per-class, per-model, and per-replica statistics** —
-//!   queue wait, batch occupancy, p50/p95 latency, shed counts,
-//!   images/sec;
+//! * **one serving ledger per model**, counting a request in at admission
+//!   and out where it is answered, read by the [`ServerReport`] (per-class,
+//!   per-model and per-replica counts, queue wait, batch occupancy, p50/p95
+//!   latency, images/sec), [`Server::load_window`] and [`Client::queue_depth`];
 //! * **handle-based lifecycle**: [`Server::builder`] →
 //!   [`ServerBuilder::model`] → [`ServerBuilder::start`], submit through
 //!   [`Server::client`] handles, and [`Server::shutdown`] drains every

@@ -1,4 +1,5 @@
-//! The model registry: names → compiled artifacts, with hot weight swaps.
+//! The model registry: names → compiled artifacts, with hot weight swaps,
+//! and each model's serving [`Ledger`].
 //!
 //! Each registered model owns one slot holding the *current*
 //! [`ModelArtifact`] behind a mutex. The batcher samples the slot once per
@@ -8,8 +9,11 @@
 //! and no batch ever sees a mix — the snapshot is pinned by `Arc` for the
 //! batch's whole lifetime.
 
+use crate::config::Priority;
+use crate::server::{Dropped, Response};
 use qnn_compiler::ModelArtifact;
 use qnn_nn::Network;
+use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -20,47 +24,88 @@ use std::time::Duration;
 /// one is sampling — old samples are dropped, newest kept.
 const LIVE_SAMPLE_CAP: usize = 1024;
 
-/// Live per-model load counters, updated on the request path and read by
-/// the autoscaler / cluster router between shutdown reports. All plain
-/// atomics except the latency sample buffer, which is a drained-on-read
-/// mutex-guarded vector (one short lock per completed interactive
-/// request).
-pub(crate) struct LiveCounters {
-    /// Requests admitted for this model (cumulative).
-    pub submitted: AtomicU64,
-    /// Requests answered with a response (cumulative).
-    pub completed: AtomicU64,
-    /// Requests shed at dispatch (cumulative).
-    pub shed: AtomicU64,
-    /// Current backlog: admitted but not yet answered or shed.
-    pub in_flight: AtomicU64,
+/// One model's serving ledger, the only place a request outcome is
+/// counted: in once at admission ([`Ledger::admit`] or [`Ledger::reject`]),
+/// out once on the answer path ([`Ledger::answer`]). Reports, live windows
+/// and the backlog all derive from a [`Tally`] of it. Counts are written
+/// `Release` and read `Acquire`, so a tally that sees an answer also sees
+/// the admission that happened before it (through the inbox lock and the
+/// batch channel), and a reader that saw the completion sees it counted.
+#[derive(Default)]
+pub(crate) struct Ledger {
+    /// Requests admitted, and attempts refused at admission.
+    submitted: AtomicU64,
+    rejected: AtomicU64,
+    /// Requests answered with a response, and shed at dispatch, per class.
+    completed: [AtomicU64; 2],
+    shed: [AtomicU64; 2],
     /// Interactive end-to-end latencies since the last window read.
-    interactive: Mutex<Vec<Duration>>,
+    interactive: Mutex<VecDeque<Duration>>,
 }
 
-impl LiveCounters {
-    fn new() -> Self {
-        Self {
-            submitted: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
-            in_flight: AtomicU64::new(0),
-            interactive: Mutex::new(Vec::new()),
+/// A read of one [`Ledger`]. Answers are loaded before admissions, so no
+/// request is seen answered but not admitted.
+pub(crate) struct Tally {
+    pub submitted: u64,
+    pub rejected: u64,
+    pub completed: [u64; 2],
+    pub shed: [u64; 2],
+}
+
+impl Tally {
+    /// Admitted but not yet answered: queued, batching, or running.
+    pub fn in_flight(&self) -> u64 {
+        self.submitted.saturating_sub(self.completed.iter().chain(&self.shed).sum())
+    }
+}
+
+impl Ledger {
+    /// Count one admitted request in — inside the critical section that
+    /// publishes it, so no answer can be counted before it.
+    pub fn admit(&self) {
+        self.submitted.fetch_add(1, Ordering::Release);
+    }
+
+    /// Count one submission attempt refused at admission.
+    pub fn reject(&self) {
+        self.rejected.fetch_add(1, Ordering::Release);
+    }
+
+    /// Count one answered request of class `priority` out, by outcome (an
+    /// interactive response also feeds the live latency window).
+    pub fn answer(&self, priority: Priority, result: &Result<Response, Dropped>) {
+        let class = priority.index();
+        match result {
+            Ok(response) => {
+                self.completed[class].fetch_add(1, Ordering::Release);
+                if priority == Priority::Interactive {
+                    let mut buf = self.interactive.lock().expect("live sample buffer poisoned");
+                    if buf.len() >= LIVE_SAMPLE_CAP {
+                        buf.pop_front();
+                    }
+                    buf.push_back(response.stats.latency);
+                }
+            }
+            Err(Dropped::Deadline) => _ = self.shed[class].fetch_add(1, Ordering::Release),
+            // Only a reply channel closed unanswered reports it.
+            Err(Dropped::Stopped) => unreachable!("Dropped::Stopped is never sent"),
         }
     }
 
-    /// Record one interactive completion latency.
-    pub fn push_interactive(&self, latency: Duration) {
-        let mut buf = self.interactive.lock().expect("live sample buffer poisoned");
-        if buf.len() >= LIVE_SAMPLE_CAP {
-            buf.remove(0);
+    /// Read the counters: answers first, admissions last (written order).
+    pub fn tally(&self) -> Tally {
+        let load = |c: &AtomicU64| c.load(Ordering::Acquire);
+        Tally {
+            completed: self.completed.each_ref().map(load),
+            shed: self.shed.each_ref().map(load),
+            rejected: load(&self.rejected),
+            submitted: load(&self.submitted),
         }
-        buf.push(latency);
     }
 
     /// Drain the buffered interactive latencies (the window read).
     pub fn take_interactive(&self) -> Vec<Duration> {
-        std::mem::take(&mut *self.interactive.lock().expect("live sample buffer poisoned"))
+        std::mem::take(&mut *self.interactive.lock().expect("live sample buffer poisoned")).into()
     }
 }
 
@@ -102,8 +147,8 @@ pub(crate) struct ModelEntry {
     replicas: AtomicUsize,
     /// How many weight versions were published after registration.
     publishes: AtomicU64,
-    /// Live load counters for this model.
-    pub live: LiveCounters,
+    /// This model's serving ledger.
+    ledger: Ledger,
 }
 
 /// Maps model names to compiled artifacts and carries the swap protocol.
@@ -161,9 +206,9 @@ impl ModelRegistry {
         self.models[idx].publishes.load(Ordering::Relaxed)
     }
 
-    /// The live load counters of model `idx`.
-    pub(crate) fn live(&self, idx: usize) -> &LiveCounters {
-        &self.models[idx].live
+    /// The serving ledger of model `idx`.
+    pub(crate) fn ledger(&self, idx: usize) -> &Ledger {
+        &self.models[idx].ledger
     }
 
     /// Current pool size of model `idx`.
@@ -201,6 +246,6 @@ pub(crate) fn entry(name: String, artifact: Arc<ModelArtifact>, replicas: usize)
         current: Mutex::new(artifact),
         replicas: AtomicUsize::new(replicas),
         publishes: AtomicU64::new(0),
-        live: LiveCounters::new(),
+        ledger: Ledger::default(),
     }
 }

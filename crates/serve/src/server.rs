@@ -38,15 +38,21 @@
 //! A worker keeps one elaborated pipeline per weight version it is running
 //! and re-arms it between batches, instead of lowering the network again.
 //!
+//! Each model's ledger (`registry::Ledger`) is the one account of its
+//! requests: counted in at admission, out by `Request::answer`, the answer
+//! path both the dispatch-time shed and the worker's completion loop take.
+//! [`ServerReport`], [`Server::load_window`] and [`Client::queue_depth`]
+//! read it; the backlog is `submitted − completed − shed`, not a counter.
+//!
 //! Shutdown is explicit and drains: [`Server::shutdown`] closes admission;
 //! the batcher lanes every request admitted before that, flushes its lanes
 //! (interactive first) and drops the batch senders; each worker drains its
-//! remaining batches and returns its counters. Every request admitted
-//! before `shutdown` is answered — with a [`Response`] or, if its deadline
-//! expired while it queued, with [`Dropped::Deadline`].
+//! remaining batches and returns its samples and counters. Every request
+//! admitted before `shutdown` is answered — with a [`Response`] or, if its
+//! deadline expired while it queued, with [`Dropped::Deadline`].
 
 use crate::config::{AdmissionPolicy, ConfigError, Priority, ServerConfig};
-use crate::registry::{self, ModelRegistry, PublishError};
+use crate::registry::{self, Ledger, ModelRegistry, PublishError, Tally};
 use crate::stats::{
     ClassStats, LatencySummary, LoadWindow, ModelStats, ReplicaStats, RequestStats, ServerReport,
 };
@@ -94,8 +100,10 @@ pub enum Dropped {
     /// its batch flushed. Counted in [`ServerReport::shed`], never
     /// silently served late.
     Deadline,
-    /// The server tore down (or a worker died) before the request was
-    /// served.
+    /// The reply channel closed unanswered: the server tore down or, for a
+    /// [`Ticket`] only, the worker holding the request died. A
+    /// [`Client::submit_to`] request shares the caller's sender, so a dead
+    /// worker resolves it not at all: the caller must time it out.
     Stopped,
 }
 
@@ -203,7 +211,6 @@ impl Ticket {
             Err(RecvTimeoutError::Disconnected) => Some(Err(Dropped::Stopped)),
         }
     }
-
 }
 
 /// Per-request routing and scheduling options for [`Client::submit_with`].
@@ -269,8 +276,6 @@ struct Shared {
     /// Global replica id allocator — replicas spawned by a pool resize get
     /// fresh ids, so `RequestStats::replica` stays unique server-wide.
     next_replica: AtomicU64,
-    submitted: AtomicU64,
-    rejected: AtomicU64,
     inbox: Mutex<Inbox>,
     /// The batcher sleeps here; anything put in the inbox signals it.
     wake: Condvar,
@@ -368,11 +373,7 @@ impl Client {
                     inbox = shared.space.wait(inbox).expect("inbox poisoned");
                 }
                 AdmissionPolicy::Reject => {
-                    // A rejected attempt still counts as submitted, so the
-                    // admission ledger stays a partition:
-                    // completed + rejected + shed == submitted.
-                    shared.submitted.fetch_add(1, Ordering::Relaxed);
-                    shared.rejected.fetch_add(1, Ordering::Relaxed);
+                    shared.registry.ledger(model).reject();
                     return Err(SubmitError::QueueFull(Box::new(image)));
                 }
             }
@@ -380,13 +381,7 @@ impl Client {
         // Counted in the critical section that publishes the request: no
         // worker can answer it — and count it back out — before it is in.
         let id = shared.next_id.fetch_add(1, Ordering::Relaxed);
-        shared.submitted.fetch_add(1, Ordering::Relaxed);
-        // Per-model live window: offered load and backlog, sampled by the
-        // autoscaler (and any other saturation-aware router) while the
-        // server runs.
-        let live = shared.registry.live(model);
-        live.submitted.fetch_add(1, Ordering::Relaxed);
-        live.in_flight.fetch_add(1, Ordering::Relaxed);
+        shared.registry.ledger(model).admit();
         inbox.backlog += 1;
         inbox.requests.push(Request {
             id,
@@ -408,9 +403,7 @@ impl Client {
     /// cluster router reads before spilling traffic to another backend.
     pub fn queue_depth(&self) -> u64 {
         let registry = &self.shared.registry;
-        (0..registry.len())
-            .map(|m| registry.live(m).in_flight.load(Ordering::Relaxed))
-            .sum()
+        (0..registry.len()).map(|m| registry.ledger(m).tally().in_flight()).sum()
     }
 }
 
@@ -426,9 +419,11 @@ struct Request {
 }
 
 impl Request {
-    /// The ticket (or the front-end) may have gone away; the request still
-    /// counts as resolved.
-    fn resolve(&self, result: Result<Response, Dropped>) {
+    /// The one answer path: count the outcome in the model's ledger, then
+    /// send the completion. The ticket (or the front-end) may have gone
+    /// away; the request still counts as answered.
+    fn answer(self, ledger: &Ledger, result: Result<Response, Dropped>) {
+        ledger.answer(self.priority, &result);
         let _ = self.reply.send(Completion { tag: self.tag, result });
     }
 }
@@ -496,13 +491,6 @@ struct PoolHandle {
     delay: Duration,
 }
 
-struct BatcherStats {
-    batches: u64,
-    occupancy_sum: u64,
-    /// Shed counts per model per class index.
-    shed: Vec<[u64; 2]>,
-}
-
 struct BatcherKnobs {
     max_batch: usize,
     flush_deadline: Duration,
@@ -546,14 +534,15 @@ struct Batcher {
     workers: Vec<JoinHandle<WorkerOutput>>,
     /// Per model, per class index, in arrival order.
     lanes: Vec<[VecDeque<Request>; 2]>,
-    stats: BatcherStats,
+    /// The next batch's [`RequestStats::batch_id`].
+    next_batch: u64,
     /// Requests batched or shed since the inbox was last locked: taken off
     /// its backlog at the next lock.
     closed: usize,
 }
 
 impl Batcher {
-    fn run(mut self) -> (BatcherStats, Vec<JoinHandle<WorkerOutput>>) {
+    fn run(mut self) -> Vec<JoinHandle<WorkerOutput>> {
         loop {
             let now = Instant::now();
             self.flush_ready(now);
@@ -571,7 +560,7 @@ impl Batcher {
                         while self.dispatch(model, priority, true) {}
                     }
                 }
-                return (self.stats, self.workers);
+                return self.workers;
             }
         }
     }
@@ -701,11 +690,7 @@ impl Batcher {
         for req in lane.drain(..take) {
             match req.deadline {
                 Some(budget) if now.duration_since(req.submitted_at) > budget => {
-                    self.stats.shed[model][priority.index()] += 1;
-                    let live = registry.live(model);
-                    live.shed.fetch_add(1, Ordering::Relaxed);
-                    live.in_flight.fetch_sub(1, Ordering::Relaxed);
-                    req.resolve(Err(Dropped::Deadline));
+                    req.answer(registry.ledger(model), Err(Dropped::Deadline));
                 }
                 _ => kept.push(req),
             }
@@ -713,9 +698,8 @@ impl Batcher {
         if kept.is_empty() {
             return true;
         }
-        let id = self.stats.batches;
-        self.stats.batches += 1;
-        self.stats.occupancy_sum += kept.len() as u64;
+        let id = self.next_batch;
+        self.next_batch += 1;
         let slot = &self.pools[model].slots[target];
         // Counted before the send: the worker counts a batch out when it
         // is answered, which may be before this thread runs again.
@@ -817,26 +801,18 @@ fn run_worker(
             std::thread::sleep(synthetic_delay);
         }
         let busy = started.elapsed();
+        let n = requests.len();
         out.stats.batches += 1;
-        out.stats.images += requests.len() as u64;
+        out.stats.images += n as u64;
         out.stats.busy += busy;
         let cycles = sim.cycles();
         out.stats.cycles += cycles;
-        let n = requests.len();
-        let live = shared.registry.live(model_idx);
+        let ledger = shared.registry.ledger(model_idx);
         for (req, logits) in requests.into_iter().zip(sim.logits) {
             let queue_wait = started.saturating_duration_since(req.submitted_at);
             let latency = req.submitted_at.elapsed();
             out.samples.push(Sample { priority, queue_wait, latency });
-            // Feed the model's live window: completions, backlog, and the
-            // interactive-latency samples the autoscaler's control law
-            // reads between reports.
-            live.completed.fetch_add(1, Ordering::Relaxed);
-            live.in_flight.fetch_sub(1, Ordering::Relaxed);
-            if priority == Priority::Interactive {
-                live.push_interactive(latency);
-            }
-            req.resolve(Ok(Response {
+            let response = Response {
                 id: req.id,
                 model: model.to_string(),
                 logits,
@@ -850,7 +826,8 @@ fn run_worker(
                     weight_version: version,
                     cycles,
                 },
-            }));
+            };
+            req.answer(ledger, Ok(response));
         }
         load.images.fetch_sub(n as u64, Ordering::AcqRel);
         load.batches.fetch_sub(1, Ordering::AcqRel);
@@ -970,8 +947,6 @@ impl ServerBuilder {
             queue_depth: config.queue_depth,
             next_id: AtomicU64::new(0),
             next_replica: AtomicU64::new(0),
-            submitted: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
             inbox: Mutex::new(Inbox::default()),
             wake: Condvar::new(),
             space: Condvar::new(),
@@ -1005,7 +980,7 @@ impl ServerBuilder {
                 interactive_flush_deadline: config.interactive_flush_deadline,
             },
             lanes: (0..pools.len()).map(|_| Default::default()).collect(),
-            stats: BatcherStats { batches: 0, occupancy_sum: 0, shed: vec![[0; 2]; pools.len()] },
+            next_batch: 0,
             pools,
             workers,
             closed: 0,
@@ -1025,7 +1000,7 @@ pub struct Server {
     shared: Arc<Shared>,
     /// Taken by [`Server::shutdown`]; a server dropped without it only
     /// closes admission and lets its threads drain unobserved.
-    batcher: Option<JoinHandle<(BatcherStats, Vec<JoinHandle<WorkerOutput>>)>>,
+    batcher: Option<JoinHandle<Vec<JoinHandle<WorkerOutput>>>>,
     started: Instant,
 }
 
@@ -1095,15 +1070,16 @@ impl Server {
     pub fn load_window(&self, model: &str) -> Option<LoadWindow> {
         let registry = &self.shared.registry;
         let idx = registry.resolve(model)?;
-        let live = registry.live(idx);
-        let samples = live.take_interactive();
+        let ledger = registry.ledger(idx);
+        let samples = ledger.take_interactive();
+        let tally = ledger.tally();
         Some(LoadWindow {
             model: model.to_string(),
             replicas: registry.replicas(idx),
-            submitted: live.submitted.load(Ordering::Relaxed),
-            completed: live.completed.load(Ordering::Relaxed),
-            shed: live.shed.load(Ordering::Relaxed),
-            in_flight: live.in_flight.load(Ordering::Relaxed),
+            submitted: tally.submitted,
+            completed: tally.completed.iter().sum(),
+            shed: tally.shed.iter().sum(),
+            in_flight: tally.in_flight(),
             interactive_samples: samples.len(),
             interactive: LatencySummary::from_samples(samples),
         })
@@ -1118,13 +1094,13 @@ impl Server {
     pub fn shutdown(mut self) -> ServerReport {
         self.shared.close();
         let batcher = self.batcher.take().expect("shutdown consumes the server");
-        let (batcher_stats, workers) = batcher.join().expect("batcher thread panicked");
+        let workers = batcher.join().expect("batcher thread panicked");
         let outputs: Vec<WorkerOutput> = workers
             .into_iter()
             .map(|h| h.join().expect("replica worker panicked"))
             .collect();
         let wall = self.started.elapsed();
-        build_report(&self.shared, batcher_stats, outputs, wall)
+        build_report(&self.shared.registry, outputs, wall)
     }
 }
 
@@ -1154,96 +1130,71 @@ impl fmt::Display for ResizeError {
 
 impl std::error::Error for ResizeError {}
 
+/// The shutdown report: outcomes from the ledgers, batches from the
+/// replicas (after the drain all have run), latencies from the samples.
 fn build_report(
-    shared: &Shared,
-    batcher: BatcherStats,
+    registry: &ModelRegistry,
     outputs: Vec<WorkerOutput>,
     wall: Duration,
 ) -> ServerReport {
-    let registry = &shared.registry;
     let models = registry.len();
+    let tallies: Vec<Tally> = (0..models).map(|m| registry.ledger(m).tally()).collect();
 
     let mut queue_waits = Vec::new();
     let mut latencies = Vec::new();
     let mut per_replica = Vec::with_capacity(outputs.len());
-    let mut completed = 0u64;
-    let mut class_completed = vec![[0u64; 2]; models];
     let mut class_latencies: Vec<[Vec<Duration>; 2]> =
         (0..models).map(|_| Default::default()).collect();
     for out in outputs {
-        completed += out.stats.images;
         for s in out.samples {
             queue_waits.push(s.queue_wait);
             latencies.push(s.latency);
-            class_completed[out.model_idx][s.priority.index()] += 1;
             class_latencies[out.model_idx][s.priority.index()].push(s.latency);
         }
         per_replica.push(out.stats);
     }
     per_replica.sort_by_key(|r| r.replica);
 
-    let mut per_model = Vec::with_capacity(models);
-    for m in 0..models {
-        let entry = registry.entry(m);
-        let mut model_latencies = Vec::new();
-        let mut per_priority = Vec::with_capacity(2);
-        let (mut m_completed, mut m_shed) = (0u64, 0u64);
-        for priority in Priority::ALL {
-            let i = priority.index();
-            m_completed += class_completed[m][i];
-            m_shed += batcher.shed[m][i];
-            model_latencies.extend_from_slice(&class_latencies[m][i]);
-            per_priority.push(ClassStats {
-                priority,
-                completed: class_completed[m][i],
-                shed: batcher.shed[m][i],
-                latency: LatencySummary::from_samples(class_latencies[m][i].clone()),
-            });
-        }
-        per_model.push(ModelStats {
-            model: entry.name.to_string(),
+    let class = |p: Priority, tallies: &[Tally], samples: Vec<Duration>| ClassStats {
+        priority: p,
+        completed: tallies.iter().map(|t| t.completed[p.index()]).sum(),
+        shed: tallies.iter().map(|t| t.shed[p.index()]).sum(),
+        latency: LatencySummary::from_samples(samples),
+    };
+    let per_model = (0..models)
+        .map(|m| ModelStats {
+            model: registry.entry(m).name.to_string(),
             replicas: registry.replicas(m),
-            completed: m_completed,
-            shed: m_shed,
+            completed: tallies[m].completed.iter().sum(),
+            shed: tallies[m].shed.iter().sum(),
             weight_publishes: registry.publishes(m),
-            latency: LatencySummary::from_samples(model_latencies),
-            per_priority,
-        });
-    }
-
-    let per_priority = Priority::ALL
-        .iter()
-        .map(|&priority| {
-            let i = priority.index();
-            let mut samples = Vec::new();
-            for lanes in &class_latencies {
-                samples.extend_from_slice(&lanes[i]);
-            }
-            ClassStats {
-                priority,
-                completed: (0..models).map(|m| class_completed[m][i]).sum(),
-                shed: (0..models).map(|m| batcher.shed[m][i]).sum(),
-                latency: LatencySummary::from_samples(samples),
-            }
+            latency: LatencySummary::from_samples(class_latencies[m].concat()),
+            per_priority: Priority::ALL
+                .map(|p| class(p, &tallies[m..=m], class_latencies[m][p.index()].clone()))
+                .into(),
         })
         .collect();
+    let per_priority = Priority::ALL
+        .map(|p| {
+            let samples = class_latencies.iter().flat_map(|l| &l[p.index()]).copied().collect();
+            class(p, &tallies, samples)
+        })
+        .into();
 
+    let batches = per_replica.iter().map(|r| r.batches).sum();
+    let images: u64 = per_replica.iter().map(|r| r.images).sum();
     ServerReport {
         // Final pool sizes (a resize changes these); retired workers still
         // appear in `per_replica` with the counters they accumulated.
         replicas: (0..models).map(|m| registry.replicas(m)).sum(),
-        submitted: shared.submitted.load(Ordering::Relaxed),
-        completed,
-        rejected: shared.rejected.load(Ordering::Relaxed),
-        shed: batcher.shed.iter().map(|s| s[0] + s[1]).sum(),
-        batches: batcher.batches,
+        submitted: tallies.iter().map(|t| t.submitted + t.rejected).sum(),
+        completed: tallies.iter().flat_map(|t| t.completed).sum(),
+        rejected: tallies.iter().map(|t| t.rejected).sum(),
+        shed: tallies.iter().flat_map(|t| t.shed).sum(),
+        batches,
         lowerings: per_replica.iter().map(|r| r.lowerings).sum(),
         wall,
-        mean_batch_occupancy: if batcher.batches > 0 {
-            batcher.occupancy_sum as f64 / batcher.batches as f64
-        } else {
-            0.0
-        },
+        mean_batch_occupancy: if batches > 0 { images as f64 / batches as f64 } else { 0.0 },
         queue_wait: LatencySummary::from_samples(queue_waits),
         latency: LatencySummary::from_samples(latencies),
         per_replica,

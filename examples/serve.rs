@@ -8,7 +8,9 @@
 //! counts, batch occupancy, queue wait, p50/p95 latency and images/sec.
 //! Every response is checked against the reference interpreter running the
 //! exact weight version the response claims, so the numbers are for
-//! bit-exact inference across the swap, not an approximation.
+//! bit-exact inference across the swap, not an approximation; and the
+//! report's serving ledger must partition in total, per model and per
+//! class.
 //!
 //! ```text
 //! cargo run --release --example serve
@@ -16,7 +18,7 @@
 
 use qnn::data::CIFAR10;
 use qnn::nn::{models, Network};
-use qnn::serve::{Priority, Server, ServerConfig, SubmitOptions, Ticket};
+use qnn::serve::{ClassStats, Priority, Server, ServerConfig, ServerReport, SubmitOptions, Ticket};
 
 fn main() {
     let cnv_v0 = Network::random(models::vgg_like(32, 10, 2), 7);
@@ -74,5 +76,26 @@ fn main() {
 
     let report = server.shutdown();
     println!("{}", report.render());
+    check_ledger(&report, images.len() as u64);
     println!("all {} responses bit-exact across the weight swap", 2 * images.len());
+}
+
+/// Every request was admitted (blocking admission) and none carried a
+/// deadline, so each model completed `per_model` requests in one class,
+/// and the breakdowns sum to the totals.
+fn check_ledger(report: &ServerReport, per_model: u64) {
+    let sum = |classes: &[ClassStats]| {
+        classes.iter().fold((0, 0), |(c, s), k| (c + k.completed, s + k.shed))
+    };
+    assert_eq!(report.completed + report.rejected + report.shed, report.submitted);
+    assert_eq!((report.submitted, report.completed), (2 * per_model, 2 * per_model));
+    assert_eq!(sum(&report.per_priority), (report.completed, report.shed));
+    for m in &report.per_model {
+        assert_eq!((m.completed, m.shed), (per_model, 0), "model {}", m.model);
+        assert_eq!(sum(&m.per_priority), (m.completed, m.shed), "model {}", m.model);
+    }
+    for priority in Priority::ALL {
+        let class = report.class(priority).expect("every class is reported");
+        assert_eq!((class.completed, class.shed), (per_model, 0), "class {priority}");
+    }
 }

@@ -12,7 +12,8 @@ use qnn::compiler::{run_images, CompileOptions};
 use qnn::dfe::SchedulerMode;
 use qnn::nn::{models, Network};
 use qnn::serve::{
-    AdmissionPolicy, Dropped, Priority, Server, ServerConfig, SubmitError, SubmitOptions,
+    AdmissionPolicy, ClassStats, Dropped, Priority, Server, ServerConfig, SubmitError,
+    SubmitOptions,
 };
 use qnn::tensor::{Shape3, Tensor3};
 use qnn_testkit::{prop_assert, prop_assert_eq, props, Rng};
@@ -225,7 +226,10 @@ props! {
     /// The admission ledger is a partition: across random traffic mixes
     /// (priorities, deadlines, queue pressure), every submission attempt
     /// is accounted exactly once — completed, rejected at admission, or
-    /// shed at dispatch — and only zero-deadline requests ever shed.
+    /// shed at dispatch — and only zero-deadline requests ever shed. The
+    /// per-class counts match what the clients saw, the per-model and
+    /// per-class breakdowns sum to the totals, and the live window agrees
+    /// with the report once every ticket has resolved.
     #[test]
     fn deadline_shedding_accounting_identity(
         n in 1usize..24,
@@ -273,7 +277,7 @@ props! {
                 opts = opts.deadline(d);
             }
             match client.submit_with(img, opts) {
-                Ok(t) => tickets.push((t, deadline)),
+                Ok(t) => tickets.push((t, priority, deadline)),
                 Err(SubmitError::QueueFull(_)) => client_rejected += 1,
                 Err(e) => return Err(qnn_testkit::prop::CaseError::Fail(
                     format!("unexpected submit error: {e}"),
@@ -283,15 +287,21 @@ props! {
 
         let mut client_completed = 0u64;
         let mut client_shed = 0u64;
-        for (t, deadline) in tickets {
+        // Per class, as the clients saw it: [completed, shed].
+        let mut client_class: HashMap<Priority, [u64; 2]> = HashMap::new();
+        for (t, priority, deadline) in tickets {
             match t.wait() {
-                Ok(_) => client_completed += 1,
+                Ok(_) => {
+                    client_completed += 1;
+                    client_class.entry(priority).or_default()[0] += 1;
+                }
                 Err(Dropped::Deadline) => {
                     prop_assert!(
                         deadline == Some(Duration::ZERO),
                         "a request with budget {deadline:?} was shed"
                     );
                     client_shed += 1;
+                    client_class.entry(priority).or_default()[1] += 1;
                 }
                 Err(Dropped::Stopped) => {
                     prop_assert!(false, "server stopped before draining an admitted request");
@@ -299,6 +309,8 @@ props! {
             }
         }
 
+        let window = server.load_window("m").expect("known model");
+        prop_assert_eq!(window.in_flight, 0, "every ticket has resolved");
         let report = server.shutdown();
         prop_assert_eq!(report.submitted, n as u64, "every attempt reached admission");
         prop_assert_eq!(
@@ -309,5 +321,25 @@ props! {
         prop_assert_eq!(report.completed, client_completed);
         prop_assert_eq!(report.rejected, client_rejected);
         prop_assert_eq!(report.shed, client_shed);
+
+        prop_assert_eq!(window.submitted, report.submitted - report.rejected, "window admitted");
+        prop_assert_eq!(window.completed, report.completed, "window completed");
+        prop_assert_eq!(window.shed, report.shed, "window shed");
+        for priority in Priority::ALL {
+            let class = report.class(priority).expect("every class is reported");
+            let [completed, shed] = client_class.get(&priority).copied().unwrap_or_default();
+            prop_assert_eq!(class.completed, completed, "{priority} completed");
+            prop_assert_eq!(class.shed, shed, "{priority} shed");
+        }
+        let sum = |classes: &[ClassStats]| {
+            classes.iter().fold((0, 0), |(c, s), k| (c + k.completed, s + k.shed))
+        };
+        prop_assert_eq!(sum(&report.per_priority), (report.completed, report.shed), "per class");
+        let mut per_model = (0, 0);
+        for m in &report.per_model {
+            prop_assert_eq!(sum(&m.per_priority), (m.completed, m.shed), "{} per class", m.model);
+            per_model = (per_model.0 + m.completed, per_model.1 + m.shed);
+        }
+        prop_assert_eq!(per_model, (report.completed, report.shed), "per model");
     }
 }
