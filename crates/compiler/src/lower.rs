@@ -163,9 +163,14 @@ pub struct CompiledNetwork {
 impl CompiledNetwork {
     /// Arm the pipeline for one batch: hand `images` to the host source,
     /// size the sink for that many images, and re-arm the graph
-    /// ([`Graph::rearm`]). The next run then behaves exactly as on a
-    /// [`try_compile`] of the same batch — same logits, same cycle
-    /// reports, same dispatch diagnostics.
+    /// ([`Graph::rearm`]) under the image count as its batch key. The next
+    /// run then behaves exactly as on a [`try_compile`] of the same batch —
+    /// same logits, same cycle reports. Once the pipeline has run, it keeps
+    /// one whole-batch schedule tape per batch size (see
+    /// `dfe_platform::replay`): the first re-armed batch of a size records
+    /// it, later ones replay it, and only those runs' dispatch diagnostics
+    /// differ from a fresh compile's ([`ReplayDiag::whole_batch`] says
+    /// which).
     ///
     /// # Panics
     /// Panics on an empty batch, on an image of the wrong shape, and on an
@@ -180,8 +185,20 @@ impl CompiledNetwork {
         }
         self.source.refill(pixels);
         self.sink.set_expected(self.classes * images.len());
-        self.graphs.iter_mut().for_each(Graph::rearm);
+        for g in &mut self.graphs {
+            g.rearm(images.len() as u64);
+        }
         self.images = images.len();
+    }
+
+    /// Take over `old`'s whole-batch schedule tapes ([`Graph::adopt_tapes`]),
+    /// so the first batch of an already-seen size replays instead of
+    /// recording. `old` must have been elaborated from the same spec and
+    /// options — a weight publish swaps parameters, never the schedule.
+    pub fn adopt_tapes(&mut self, old: &mut CompiledNetwork) {
+        for (g, o) in self.graphs.iter_mut().zip(&mut old.graphs) {
+            g.adopt_tapes(o);
+        }
     }
 }
 

@@ -1,7 +1,7 @@
 //! Convenience runners: compile + execute + collect logits.
 
 use crate::lower::{try_compile, CompileOptions, CompiledNetwork, OptionsError};
-use dfe_platform::{CycleReport, RunError};
+use dfe_platform::{CycleReport, RunError, WholeBatch};
 use qnn_nn::Network;
 use qnn_tensor::Tensor3;
 use std::fmt;
@@ -113,6 +113,12 @@ impl SimResult {
     /// Cycles of the run (every device's report carries the same clock).
     pub fn cycles(&self) -> u64 {
         self.reports.iter().map(|r| r.cycles).max().unwrap_or(0)
+    }
+
+    /// Whether the run replayed a whole-batch schedule tape end to end
+    /// (see [`CompiledNetwork::load`]).
+    pub fn replayed_whole_batch(&self) -> bool {
+        self.reports.iter().any(|r| r.replay.whole_batch == WholeBatch::Replayed)
     }
 }
 

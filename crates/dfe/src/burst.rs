@@ -53,7 +53,9 @@
 
 use crate::diag::{BurstEnd, Refusal};
 use crate::graph::{End, Node};
-use crate::kernel::{Progress, SpanIo, SpanPhase, SpanPlan, WakeHint, MAX_SPAN_PORTS};
+use crate::kernel::{
+    Progress, SpanIo, SpanPhase, SpanPlan, WakeHint, MAX_GATHER_PORTS, MAX_SPAN_PORTS,
+};
 use crate::stream::{greedy, Flow, Gauge, Step, StreamState};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -64,6 +66,10 @@ const HORIZON_CAP: u64 = 1 << 40;
 
 /// Ports of one kernel (inputs, then outputs).
 const PORTS: usize = 2 * MAX_SPAN_PORTS;
+
+/// Independent sides of one phase: a coupled phase has one, an overlapped
+/// one a read and a write side, a gather one per port.
+const SIDES: usize = MAX_GATHER_PORTS;
 
 /// One stream port of a participant, resolved when it joins.
 #[derive(Clone, Copy)]
@@ -91,11 +97,11 @@ struct Part {
     parked: Option<Progress>,
     /// The phase of its chain it is in, and the elements left on each side
     /// of it: a coupled phase has one side, an overlapped one a read side
-    /// and a write side.
+    /// and a write side, a gather one side per port.
     phase: usize,
-    left: [u64; 2],
+    left: [u64; SIDES],
     /// Elements per tick on each side from `since` on.
-    rate: [u64; 2],
+    rate: [u64; SIDES],
     since: u64,
     /// What it does from `since` on (`None`: busy), and on the cycle before.
     act: Option<Progress>,
@@ -128,13 +134,15 @@ pub(crate) struct SpanPart {
 
 /// One stream a planned burst moves elements through.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// `u32` fields keep a schedule-replay tape, which stores one per stream
+/// of every recorded span, small.
 pub(crate) struct SpanStream {
-    pub stream: usize,
+    pub stream: u32,
     /// Committed queue length when the burst starts (the replay guard).
-    pub start_len: usize,
+    pub start_len: u32,
     /// Occupancy high-water mark the burst credits in closed form
     /// ([`Flow::peak`]; 0 ⇒ nothing committed).
-    pub peak: usize,
+    pub peak: u32,
 }
 
 /// The graph as the planner reads it.
@@ -210,20 +218,32 @@ impl Default for Cut {
 /// for some ticks while the other ends keep theirs — or a tick its promise
 /// does not cover, and why.
 enum Tick {
-    Runs { rate: [u64; 2], act: Option<Progress>, ticks: u64 },
+    Runs { rate: [u64; SIDES], act: Option<Progress>, ticks: u64 },
     Breaks(Refusal),
 }
 
 /// A phase's sides as port masks (bit per port: inputs, then outputs)
-/// with their lanes: one coupled side, or an overlapped read side and
-/// write side.
-fn sides(ph: &SpanPhase, ni: usize) -> [(u32, u64); 2] {
+/// with their lanes: one coupled side, an overlapped read side and write
+/// side, or one side per gathered port.
+fn sides(ph: &SpanPhase, ni: usize) -> [(u32, u64); SIDES] {
     let (reads, writes) = (u32::from(ph.reads), u32::from(ph.writes) << ni);
-    if ph.overlapped {
-        [(reads, u64::from(ph.read_lanes)), (writes, u64::from(ph.write_lanes))]
+    let mut sides = [(0, 0); SIDES];
+    if ph.is_gather() {
+        for (side, q) in sides.iter_mut().zip(bits(reads)) {
+            *side = (1 << q, 1);
+        }
+    } else if ph.overlapped {
+        sides[0] = (reads, u64::from(ph.read_lanes));
+        sides[1] = (writes, u64::from(ph.write_lanes));
     } else {
-        [(reads | writes, u64::from(ph.read_lanes.max(ph.write_lanes))), (0, 0)]
+        sides[0] = (reads | writes, u64::from(ph.read_lanes.max(ph.write_lanes)));
     }
+    sides
+}
+
+/// Every port of a phase's sides.
+fn side_ports(sides: &[(u32, u64); SIDES]) -> u32 {
+    sides.iter().fold(0, |m, &(mask, _)| m | mask)
 }
 
 /// The ports set in a mask.
@@ -236,21 +256,37 @@ fn bits(mut mask: u32) -> impl Iterator<Item = usize> + Clone {
 }
 
 /// The elements each side of a phase moves.
-fn side_lens(ph: &SpanPhase) -> [u64; 2] {
-    match (ph.overlapped, ph.reads != 0) {
-        (true, _) => [ph.read_len, ph.write_len],
-        (false, true) => [ph.read_len, 0],
-        (false, false) => [ph.write_len, 0],
+fn side_lens(ph: &SpanPhase) -> [u64; SIDES] {
+    let mut lens = [0; SIDES];
+    if ph.is_gather() {
+        lens = ph.gather.map(u64::from);
+    } else if ph.overlapped {
+        (lens[0], lens[1]) = (ph.read_len, ph.write_len);
+    } else {
+        lens[0] = if ph.reads != 0 { ph.read_len } else { ph.write_len };
     }
+    lens
 }
 
 /// The tick of phase `ph` with `left` elements per side, on ports that
 /// look like `g` (inputs `0..ni`, then outputs).
-fn decide(ph: &SpanPhase, left: [u64; 2], ni: usize, g: &[Gauge]) -> Tick {
+fn decide(ph: &SpanPhase, left: [u64; SIDES], ni: usize, g: &[Gauge]) -> Tick {
     let strict = ph.dry.is_none();
-    let (mut rate, mut ticks, mut idle) = ([0; 2], u64::MAX, false);
+    let gather = ph.is_gather();
+    // A gather idles unless a port whose quota is met holds an element.
+    let (mut rate, mut ticks, mut idle) = ([0; SIDES], u64::MAX, gather);
     for (s, (mask, lanes)) in sides(ph, ni).into_iter().enumerate() {
         if left[s] == 0 {
+            if let (true, Some(q)) = (gather, bits(mask).next()) {
+                match g[q] {
+                    Gauge { avail: 1.., .. } => idle = false,
+                    // Until it holds one: ⌈(1 − avail) / gain⌉ ticks.
+                    Gauge { avail: avail @ ..=0, gain: gain @ 1.., .. } => {
+                        ticks = ticks.min(((gain - avail) / gain) as u64);
+                    }
+                    _ => {}
+                }
+            }
             continue;
         }
         let side = bits(mask).map(|q| g[q]);
@@ -269,6 +305,8 @@ fn decide(ph: &SpanPhase, left: [u64; 2], ni: usize, g: &[Gauge]) -> Tick {
                 rate[s] = m;
                 ticks = ticks.min(d);
             }
+            // A gathered port waits, empty, until it holds an element.
+            Step::Wait { ticks: d, .. } if gather => ticks = ticks.min(d),
             Step::Wait { ticks: d, fed } => {
                 // Idle while every masked input is empty, if the phase's
                 // dry verdict says so; `Stalled` from the first element on.
@@ -278,9 +316,9 @@ fn decide(ph: &SpanPhase, left: [u64; 2], ni: usize, g: &[Gauge]) -> Tick {
             }
         }
     }
-    let act = match (rate, idle) {
-        ([0, 0], true) => Some(Progress::Idle),
-        ([0, 0], false) => Some(Progress::Stalled),
+    let act = match (rate == [0; SIDES], idle) {
+        (true, true) => Some(Progress::Idle),
+        (true, false) => Some(Progress::Stalled),
         _ => None,
     };
     Tick::Runs { rate, act, ticks }
@@ -349,7 +387,7 @@ impl Planner {
             parked: view.parked[i].map(|(v, _)| v),
             phase: 0,
             left: side_lens(&plan.phases()[0]),
-            rate: [0; 2],
+            rate: [0; SIDES],
             since: 0,
             act,
             prev: act,
@@ -475,13 +513,13 @@ impl Planner {
                     p.kept_park &= p.parked == Some(v);
                 }
             }
-            p.left = [0, 1].map(|s| p.left[s] - p.rate[s] * elapsed);
+            p.left = std::array::from_fn(|s| p.left[s] - p.rate[s] * elapsed);
             (p.prev, p.since) = (p.act, t);
         }
         let (i, ni, (p0, np)) = (p.node, p.ni, p.ports);
         let (mut phase, mut left) = (p.phase, p.left);
         let chain = self.plans[pi].phases().len();
-        while left == [0, 0] {
+        while left == [0; SIDES] {
             phase += 1;
             if phase == chain {
                 self.bound(t, BurstEnd::Phase, Refusal::ShortPhase);
@@ -491,8 +529,9 @@ impl Planner {
         }
         let ph = &self.plans[pi].phases()[phase].clone();
         // What the phase's ports find (the others cannot bind its move).
-        let [(mask, lanes), (mask1, _)] = sides(ph, ni);
-        let mut seen = mask | mask1;
+        let own = sides(ph, ni);
+        let (mask, lanes) = own[0];
+        let mut seen = side_ports(&own);
         let mut g = [Gauge { avail: 0, gain: 0, input: false }; PORTS];
         for q in bits(seen) {
             g[q] = self.gauge(&self.ports[p0 as usize + q], t);
@@ -511,8 +550,9 @@ impl Planner {
             return Err(Refusal::Admission);
         }
         let mut moves = [0u64; PORTS];
-        bits(mask).for_each(|q| moves[q] = rate[0]);
-        bits(mask1).for_each(|q| moves[q] = rate[1]);
+        for (&(mask, _), &r) in own.iter().zip(&rate) {
+            bits(mask).for_each(|q| moves[q] = r);
+        }
         if ph.spill && rate[0] > 0 && rate[0] < lanes {
             if rate[0] * ticks == left[0] && ticks > 1 {
                 // The tick finishing the phase may spill: evaluate it alone.
@@ -536,14 +576,14 @@ impl Planner {
                         self.bound(t, BurstEnd::Stream, Refusal::StreamCap);
                         return Ok(());
                     };
-                    let [(mask, lanes), _] = sides(&next, ni);
+                    let [(mask, lanes), ..] = sides(&next, ni);
                     for q in bits(mask & !seen) {
                         g[q] = self.gauge(&self.ports[p0 as usize + q], t);
                     }
                     seen |= mask;
                     let room = bits(mask).map(|q| g[q].avail - moves[q] as i64).min();
                     let room = room.unwrap_or(i64::MAX).max(0) as u64;
-                    if next.overlapped || next.dry.is_none() {
+                    if next.overlapped || next.dry.is_none() || next.is_gather() {
                         if room > 0 {
                             // Not a tick a promise covers: end before it.
                             self.bound(t, BurstEnd::Stream, Refusal::StreamCap);
@@ -564,7 +604,8 @@ impl Planner {
                 }
                 if let Some(rest) = rest {
                     // A one-cycle move across the phases.
-                    (left, rate, ticks) = ([rest, 0], [0, 0], 1);
+                    (left, rate, ticks) = ([0; SIDES], [0; SIDES], 1);
+                    left[0] = rest;
                 }
             }
         }
@@ -697,7 +738,7 @@ impl Planner {
                 let avail = if port.input { self.flows[port.stream].len as i64 } else { port.room };
                 *g = Gauge { avail, gain: 0, input: port.input };
             }
-            let first = plan.phases().iter().find(|ph| side_lens(ph) != [0, 0]);
+            let first = plan.phases().iter().find(|ph| side_lens(ph) != [0; SIDES]);
             match first.map(|ph| decide(ph, side_lens(ph), p.ni, &base)) {
                 None => self.bound(0, BurstEnd::Phase, Refusal::ShortPhase),
                 Some(Tick::Breaks(reason)) => self.bound(0, BurstEnd::Stream, reason),
@@ -760,11 +801,12 @@ impl Planner {
         }
         self.order = order;
         // Every stream the burst moves elements through, once.
+        let narrow = |v: usize| u32::try_from(v).expect("stream index or occupancy fits u32");
         for &s in &self.touched {
             let f = &self.flows[s];
             if f.pushed_before(k) + f.popped_before(k) > 0 {
-                let (start_len, peak) = (f.len as usize, f.peak(k));
-                self.streams.push(SpanStream { stream: s, start_len, peak });
+                let (start_len, peak) = (narrow(f.len as usize), narrow(f.peak(k)));
+                self.streams.push(SpanStream { stream: narrow(s), start_len, peak });
             }
         }
     }
@@ -833,7 +875,7 @@ pub(crate) fn dispatch(
         }
     }
     for bs in span_streams {
-        streams[bs.stream].note_span(bs.peak);
+        streams[bs.stream as usize].note_span(bs.peak as usize);
     }
     sink_progress
 }

@@ -285,7 +285,8 @@ impl Graph {
     /// Arm schedule replay: watch `marker` (conventionally the logits
     /// stream) and treat every `period` elements popped from it as one
     /// image boundary, where steady state is fingerprinted (see
-    /// [`crate::replay`]). Resets any previous tape.
+    /// [`crate::replay`]). Resets any previous tape, whole-batch tapes
+    /// included.
     pub fn set_replay_marker(&mut self, marker: StreamId, period: u64) {
         assert!(period > 0, "replay period must be positive");
         let st = &self.streams[marker.0];
@@ -293,6 +294,25 @@ impl Graph {
         self.replay.marker = Some((marker.0, period));
         self.replay.next_target = popped + period;
         self.replay.rearm();
+        self.replay.batch_tapes.clear();
+    }
+
+    /// Move `from`'s whole-batch tapes (see [`crate::replay`]) to this
+    /// graph, which then counts as warm: its next re-armed run replays a
+    /// tape recorded on `from`. Meant for a graph lowered from the same
+    /// spec and options — a weight publish, whose schedule is the old
+    /// one's — and a no-op unless both have the same kernels and streams.
+    pub fn adopt_tapes(&mut self, from: &mut Graph) {
+        let same = self.nodes.len() == from.nodes.len()
+            && self.streams.len() == from.streams.len()
+            && self.nodes.iter().zip(&from.nodes).all(|(a, b)| {
+                a.kernel.name() == b.kernel.name() && a.inputs == b.inputs && a.outputs == b.outputs
+            })
+            && self.streams.iter().zip(&from.streams).all(|(a, b)| a.spec == b.spec);
+        if same && from.replay.warm {
+            self.replay.batch_tapes = std::mem::take(&mut from.replay.batch_tapes);
+            self.replay.warm = true;
+        }
     }
 
     /// Schedule-replay diagnostics so far (also surfaced on
@@ -341,19 +361,28 @@ impl Graph {
     /// clock, every kernel's counters and control state
     /// ([`Kernel::rearm`]), every stream's contents and statistics, the
     /// park and awake sets, the burst counters and back-off, and the
-    /// schedule-replay tape with its diagnostics. Structure (kernels,
-    /// streams, wiring), configuration (stepper, replay marker) and
-    /// the kernels' weights are kept.
+    /// period-replay tape with its diagnostics. Structure (kernels,
+    /// streams, wiring), configuration (stepper, replay marker), the
+    /// kernels' weights and the whole-batch tapes are kept.
+    ///
+    /// `batch` keys the next run's whole-batch tape (see
+    /// [`crate::replay`]): on a graph that has run, the first run under a
+    /// key records its schedule from cycle 0 and later runs under the key
+    /// replay it. Runs under one key must present the same schedule — the
+    /// same source element count and sink count; `CompiledNetwork::load`
+    /// passes the image count.
     ///
     /// The reset is explicit, not inferred from where the last run
     /// stopped: a run ends at the sink's last element, which leaves
     /// upstream kernels mid-image (see [`Kernel::rearm`]), nodes parked
     /// mid-verdict and FIFOs holding elements nobody will read. A re-armed
     /// graph runs a batch exactly as a freshly built one does — same
-    /// outputs, same [`CycleReport`], same dispatch diagnostics
-    /// (`tests/pipeline_rearm.rs`). Not meant for a graph whose run
-    /// returned a [`RunError`]; build a new one.
-    pub fn rearm(&mut self) {
+    /// outputs, same [`CycleReport`] (`tests/pipeline_rearm.rs`). The
+    /// dispatch diagnostics ([`Graph::bursts`], [`CycleReport::replay`])
+    /// match too, except on a run that records or replays a whole-batch
+    /// tape, which [`ReplayDiag::whole_batch`] names. Not meant for a graph
+    /// whose run returned a [`RunError`]; build a new one.
+    pub fn rearm(&mut self, batch: u64) {
         for node in &mut self.nodes {
             node.kernel.rearm();
             node.busy = 0;
@@ -382,6 +411,8 @@ impl Graph {
         if let Some((_, period)) = self.replay.marker {
             self.replay.next_target = period;
         }
+        let attested = self.nodes.iter().all(|n| n.kernel.replay_token().is_some());
+        self.replay.next_batch = (self.replay.warm && attested).then_some(batch);
     }
 
     /// Register a stream.
@@ -561,6 +592,11 @@ impl Graph {
         // self-stepped path and needs a marker stream to observe image
         // boundaries; unarmed graphs skip every replay branch.
         let replay_ok = burst_ok && self.replay.marker.is_some();
+        if replay_ok {
+            self.replay.begin_batch();
+        } else {
+            self.replay.next_batch = None;
+        }
         if !self.complete() {
             loop {
                 if cycle >= max_cycles {
@@ -609,7 +645,11 @@ impl Graph {
                                 &self.planner.quotas,
                                 &self.planner.streams,
                             );
-                            if !within_cap {
+                            if !within_cap && self.replay.batch.is_some() {
+                                // A whole-batch tape over the cap: plan the
+                                // rest of this run live.
+                                self.replay.abandon_batch(false);
+                            } else if !within_cap {
                                 // A period too irregular to record compactly
                                 // will not amortize: permanently veto.
                                 self.replay.rearm();
@@ -685,6 +725,11 @@ impl Graph {
                 }
             }
         }
+        if let Some((m, period)) = self.replay.marker {
+            let st = &self.streams[m];
+            self.replay.end_batch((st.pushed - st.total_len() as u64) / period);
+        }
+        self.replay.warm = true;
         Ok((self.report(cycle), trace))
     }
 
@@ -891,8 +936,10 @@ impl Graph {
             return Err(budget);
         }
         self.settle_refusal();
-        // The next schedule-replay boundary: pops still due on the marker.
+        // The next schedule-replay boundary: pops still due on the marker
+        // (none while a whole-batch tape records: its period is the run).
         let marker = match self.replay.phase {
+            _ if self.replay.batch.is_some() => None,
             ReplayPhase::Vetoed => None,
             _ => self.replay.marker.map(|(m, _)| {
                 let st = &self.streams[m];
@@ -985,7 +1032,9 @@ impl Graph {
                     || tape
                         .streams(&rec)
                         .iter()
-                        .any(|bs| live_streams[bs.stream].queue.len() != bs.start_len)
+                        .any(|bs| {
+                            live_streams[bs.stream as usize].queue.len() != bs.start_len as usize
+                        })
                 {
                     return self.replay_guard_fallback();
                 }
@@ -1023,10 +1072,11 @@ impl Graph {
     }
 
     /// A replay guard failed: count it and re-arm (normal stepping resumes
-    /// and steady state is re-detected from scratch).
+    /// and steady state is re-detected from scratch; a whole-batch tape is
+    /// dropped, to be recorded again on its key's next run).
     fn replay_guard_fallback(&mut self) -> ReplayOutcome {
         self.replay.diag.guard_fallbacks += 1;
-        self.replay.rearm();
+        self.replay.abandon_batch(true);
         ReplayOutcome::Fallback
     }
 
@@ -1051,6 +1101,10 @@ impl Graph {
         // several images — still a valid periodic unit).
         while self.replay.next_target <= popped {
             self.replay.next_target += period;
+        }
+        if self.replay.batch.is_some() {
+            // A whole-batch tape's period is the whole run.
+            return;
         }
         if !self.compute_fingerprint() {
             // A kernel without a replay token: permanently off.

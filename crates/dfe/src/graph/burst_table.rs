@@ -128,6 +128,54 @@ impl Kernel for Splice {
     }
 }
 
+/// A three-port gatherer, the shape of an attention head's gather: reads
+/// each input on its own, one element a tick while that port's count is
+/// below `quota`; a tick that reads nothing stalls if a full port holds an
+/// element. Once every port is full it has nothing left to do.
+struct Gather {
+    quota: usize,
+    got: [usize; 3],
+}
+
+impl Kernel for Gather {
+    fn name(&self) -> &str {
+        "gather"
+    }
+    fn rearm(&mut self) {
+        self.got = [0; 3];
+    }
+    fn tick(&mut self, io: &mut Io<'_>) -> Progress {
+        let (mut moved, mut waiting) = (false, false);
+        for p in 0..3 {
+            if self.got[p] < self.quota && io.read(p).is_some() {
+                self.got[p] += 1;
+                moved = true;
+            } else if io.can_read(p) {
+                waiting = true;
+            }
+        }
+        match (moved, waiting) {
+            (true, _) => Progress::Busy,
+            (false, true) => Progress::Stalled,
+            _ => Progress::Idle,
+        }
+    }
+    fn wake_hint(&self) -> WakeHint {
+        WakeHint::Parkable
+    }
+    fn span_hint(&self, _: &[usize], _: &[usize]) -> Option<SpanPlan> {
+        let left = self.got.map(|g| (self.quota - g) as u64);
+        (left != [0; 3]).then(|| SpanPlan::of(SpanPhase::gather(&left)))
+    }
+    fn run_span(&mut self, io: &mut SpanIo<'_>, _: u64) {
+        for p in 0..3 {
+            let n = io.read_quota(p);
+            io.pop_n(p, n, |_| {});
+            self.got[p] += n as usize;
+        }
+    }
+}
+
 /// A kernel of a table graph, in node order.
 #[derive(Clone, Copy)]
 enum K {
@@ -139,6 +187,9 @@ enum K {
     Pass(bool),
     /// A [`Splice`]: `(pass, fill, lanes, pos)`.
     Splice(usize, usize, usize, usize),
+    /// A [`Gather`] of `quota` per port, reading streams `i`, `i + 1` and
+    /// `i + 2`.
+    Gather(usize),
 }
 
 /// One row of the table: the FIFO depths, the kernels in node order with
@@ -167,9 +218,14 @@ fn build(scheduler: SchedulerMode, depths: &[usize], kernels: &[(K, usize, usize
             K::Dst => Box::new(HostSink::new("dst", 1000).0),
             K::Pass(promise) => Box::new(Pass { promise }),
             K::Splice(pass, fill, lanes, pos) => Box::new(Splice { pass, fill, lanes, pos }),
+            K::Gather(quota) => Box::new(Gather { quota, got: [0; 3] }),
         };
         let port = |s: usize| if s == NO { vec![] } else { vec![ids[s]] };
-        g.add_kernel(kernel, &port(i), &port(o));
+        let inputs = match k {
+            K::Gather(_) => ids[i..i + 3].to_vec(),
+            _ => port(i),
+        };
+        g.add_kernel(kernel, &inputs, &port(o));
     }
     g
 }
@@ -188,9 +244,12 @@ fn dense_counts(g: &Graph) -> Vec<(u64, u64, Vec<u64>)> {
         .collect()
 }
 
-use K::{Dst, Pass as P, Splice as S, Src};
+use K::{Dst, Gather as G, Pass as P, Splice as S, Src};
 
 const CHAIN: &[(K, usize, usize)] = &[(Src, NO, 0), (P(true), 0, 1), (Dst, 1, NO)];
+
+const GATHER_SKEWED: u64 = 13;
+const GATHER_STALLS: u64 = 24;
 
 const ROWS: &[Row] = &[
     // The writer sees a pop a cycle late, so a full 1-deep FIFO passes one
@@ -254,6 +313,41 @@ const ROWS: &[Row] = &[
         1,
         None,
         Ok((17, BurstEnd::Phase)),
+    ),
+    // Q straight from its source, K and V one stage behind it: each port
+    // is read on its own, Q's a cycle ahead, and the gather ends on the
+    // tick that fills the last port.
+    (
+        "gather from skewed ports",
+        &[64, 64, 64, 64, 64],
+        &[
+            (Src, NO, 0),
+            (Src, NO, 3),
+            (P(true), 3, 1),
+            (Src, NO, 4),
+            (P(true), 4, 2),
+            (G(12), 0, NO),
+        ],
+        1,
+        None,
+        Ok((GATHER_SKEWED, BurstEnd::Phase)),
+    ),
+    // K and V through 1-deep FIFOs, so at half rate: once Q's port is
+    // full, the ticks between K/V elements stall on the element Q holds.
+    (
+        "gather stalls on a full port holding data",
+        &[64, 64, 64, 1, 1],
+        &[
+            (Src, NO, 0),
+            (Src, NO, 3),
+            (P(true), 3, 1),
+            (Src, NO, 4),
+            (P(true), 4, 2),
+            (G(12), 0, NO),
+        ],
+        1,
+        None,
+        Ok((GATHER_STALLS, BurstEnd::Phase)),
     ),
     // The boundary ends the burst on the cycle after the due pop.
     (

@@ -142,6 +142,9 @@ pub const MAX_SPAN_PORTS: usize = 8;
 /// Most phases one [`SpanPlan`] chains.
 pub const MAX_SPAN_PHASES: usize = 8;
 
+/// Most input ports one [`SpanPhase::gather`] reads independently.
+pub const MAX_GATHER_PORTS: usize = 3;
+
 /// One phase of a [`SpanPlan`]: a stretch of the kernel's state machine
 /// whose ticks all follow one rule, stated in elements rather than cycles.
 ///
@@ -158,6 +161,13 @@ pub const MAX_SPAN_PHASES: usize = 8;
 /// as its write lanes and the free slots allow — a convolution emitting one
 /// position while absorbing the next window. The phase ends on the tick after
 /// the later side finishes.
+///
+/// A **gather** ([`SpanPhase::gather`]) reads each masked input port on its
+/// own: each tick reads one element from every port that holds one and still
+/// has elements left — an attention head filling its Q, K and V tiles from
+/// streams that arrive skewed. A tick that reads nothing is `Stalled` when a
+/// port whose quota is met holds an element, `Idle` otherwise, and the phase
+/// ends on the tick that meets the last port's quota.
 ///
 /// A tick that moves nothing is a **stall**. With [`SpanPhase::stalls`] the
 /// kernel promises that such a tick is a port-inert fixed point (the
@@ -196,6 +206,9 @@ pub struct SpanPhase {
     /// the coupled phases the chain holds, and ends the promise before one
     /// it cannot state that way.
     pub spill: bool,
+    /// A gather's elements left on each masked input port, in port order;
+    /// all zero for the other phase kinds.
+    pub gather: [u32; MAX_GATHER_PORTS],
 }
 
 /// A port mask as a phase stores it ([`MAX_SPAN_PORTS`] bits).
@@ -225,7 +238,31 @@ impl SpanPhase {
             overlapped: false,
             dry: None,
             spill: false,
+            gather: [0; MAX_GATHER_PORTS],
         }
+    }
+
+    /// A gather from input ports `0..lens.len()`, `lens[p]` more elements
+    /// from port `p`, one per tick each (see the type docs).
+    pub fn gather(lens: &[u64]) -> Self {
+        assert!(
+            (1..=MAX_GATHER_PORTS).contains(&lens.len()),
+            "a gather reads 1 to {MAX_GATHER_PORTS} ports"
+        );
+        let mut gather = [0; MAX_GATHER_PORTS];
+        for (g, &len) in gather.iter_mut().zip(lens) {
+            *g = u32::try_from(len).expect("gather length exceeds the u32 range");
+        }
+        Self {
+            gather,
+            dry: Some(Progress::Idle),
+            ..Self::coupled(0, (1 << lens.len()) - 1, 0)
+        }
+    }
+
+    /// Whether this is a [`SpanPhase::gather`].
+    pub fn is_gather(&self) -> bool {
+        self.gather != [0; MAX_GATHER_PORTS]
     }
 
     /// An overlapped phase: `read_len` elements from the ports in `reads`
@@ -249,6 +286,7 @@ impl SpanPhase {
             overlapped: true,
             dry: Some(Progress::Stalled),
             spill: false,
+            gather: [0; MAX_GATHER_PORTS],
         }
     }
 
@@ -278,6 +316,7 @@ impl SpanPhase {
     /// tick for tick.
     fn merged(&self, next: &Self) -> Option<Self> {
         let same = !self.overlapped
+            && !self.is_gather()
             && Self {
                 read_len: 0,
                 write_len: 0,

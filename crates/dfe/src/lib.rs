@@ -52,7 +52,7 @@ pub use diag::{BurstDiag, BurstEnd, Refusal};
 pub use graph::{CycleReport, Graph, KernelId, RunError, StreamId};
 pub use host::{HostSink, HostSource, SinkHandle, SourceHandle};
 pub use kernel::{Io, Kernel, Progress, SpanIo, SpanPhase, SpanPlan, WakeHint, MAX_SPAN_PHASES};
-pub use replay::ReplayDiag;
+pub use replay::{ReplayDiag, WholeBatch};
 pub use ring::MaxRing;
 pub use sched::SchedulerMode;
 pub use stall::StallInjector;

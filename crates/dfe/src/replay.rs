@@ -40,9 +40,43 @@
 //!   mismatch at a period boundary (e.g. the source running dry on the last
 //!   image) falls the graph back to normal stepping and re-arms.
 //! * **Vetoed** — any kernel without a replay token (a
-//!   [`StallInjector`](crate::StallInjector), an attention kernel, a
-//!   custom kernel) permanently disables replay for the graph; boundaries
+//!   [`StallInjector`](crate::StallInjector), a custom kernel)
+//!   permanently disables replay for the graph; boundaries
 //!   are no longer even checked.
+//!
+//! ## Whole-batch tapes
+//!
+//! Period replay needs two matching image boundaries before it can record,
+//! so it never engages on a batch of one or two images — yet a warm graph
+//! re-armed for another batch ([`Graph::rearm`](crate::Graph::rearm))
+//! starts from exactly the state it started from last time, and the
+//! schedule does not depend on element values. So a graph that has already
+//! run keeps one whole-run tape per *batch key* (the image count, as
+//! `CompiledNetwork::load` passes it down):
+//!
+//! * The first re-armed run under a key **records** from cycle 0 under the
+//!   aggressive policy above and, when it completes, stores the tape under
+//!   that key.
+//! * Later runs under the key **replay** the tape from cycle 0 under the
+//!   same per-span guards (awake mask, queue lengths, cycle budget). A
+//!   guard miss, or a cursor running past the tape, drops the tape and
+//!   falls back to live planning with period replay re-armed; the next run
+//!   under the key records again.
+//! * A graph's first run never records, so a one-shot compile-and-run
+//!   plans exactly as before. Any kernel without a replay token keeps the
+//!   graph off whole-batch tapes, as it keeps it off period replay. Traced
+//!   runs and the `Dense` stepper never use them.
+//!
+//! Image boundaries are ignored while a whole-batch tape runs: the tape's
+//! period is the whole run. [`ReplayDiag::whole_batch`] says what the run
+//! did with its tape; [`Graph::adopt_tapes`](crate::Graph::adopt_tapes)
+//! moves the tapes to a structurally identical graph (a weight publish).
+//!
+//! The equivalence argument below carries over with the rearm state in the
+//! place of a boundary fingerprint: every run under a key starts from the
+//! kernels' rearm states and empty streams, which is why a key must fix
+//! everything the schedule depends on — the source's element count and the
+//! sink's expected count.
 //!
 //! ## Equivalence argument
 //!
@@ -70,15 +104,36 @@ use crate::burst::{SpanPart, SpanStream};
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ReplayDiag {
     /// Steps in the validated tape (dense runs + spans), 0 before a tape
-    /// validates.
+    /// validates; for a run with a whole-batch tape, the steps it recorded
+    /// or replays.
     pub tape_len: u64,
-    /// Periods replayed to completion from the tape.
+    /// Periods replayed to completion from the tape, or every image of a
+    /// run that replayed its whole-batch tape to the end.
     pub images_replayed: u64,
     /// Guard-check failures that fell the graph back to normal stepping
     /// (span guards, tape-position checks, boundary fingerprint mismatches).
     pub guard_fallbacks: u64,
     /// Recorded spans re-dispatched without any planning.
     pub spans_bypassed: u64,
+    /// What the run did with a whole-batch tape (see the module docs).
+    pub whole_batch: WholeBatch,
+}
+
+/// A run's use of a whole-batch tape (see the [module docs](self)).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum WholeBatch {
+    /// Planned live from cycle 0: a graph's first run, a run no tape
+    /// could serve (traced, `Dense`, a kernel without a replay token), or
+    /// a recording cut short by the tape size cap.
+    #[default]
+    Off,
+    /// Recorded the tape its batch key replays from now on.
+    Recorded,
+    /// Replayed its batch key's tape to the end.
+    Replayed,
+    /// Started replaying, missed a guard and finished live; the key
+    /// records again on its next run.
+    FellBack,
 }
 
 /// Fold `parts` into one 64-bit replay token (splitmix64-style mixing).
@@ -156,6 +211,16 @@ impl ScheduleTape {
         self.mask_pool.clear();
     }
 
+    /// Release the pools' spare capacity (a tape kept for later runs).
+    fn shrink_to_fit(&mut self) {
+        self.steps.shrink_to_fit();
+        self.span_recs.shrink_to_fit();
+        self.part_pool.shrink_to_fit();
+        self.quota_pool.shrink_to_fit();
+        self.stream_pool.shrink_to_fit();
+        self.mask_pool.shrink_to_fit();
+    }
+
     pub fn parts(&self, r: &SpanRec) -> &[SpanPart] {
         window(&self.part_pool, r.parts)
     }
@@ -202,6 +267,17 @@ pub(crate) struct ReplayState {
     /// Awake mask snapshot taken just before a recording burst attempt.
     pub mask_scratch: Vec<u64>,
     pub diag: ReplayDiag,
+    /// Whole-batch tapes by batch key (see the module docs); the tape of
+    /// the run in progress is out in `tape` while it records or replays.
+    pub batch_tapes: Vec<(u64, ScheduleTape)>,
+    /// The batch key the next run records or replays under.
+    pub next_batch: Option<u64>,
+    /// The batch key the run in progress records or replays under; while
+    /// set, `phase` drives `tape` from cycle 0 and boundaries are ignored.
+    pub batch: Option<u64>,
+    /// The graph has run (or adopted another graph's tapes): re-armed runs
+    /// use whole-batch tapes.
+    pub warm: bool,
 }
 
 impl ReplayState {
@@ -216,6 +292,10 @@ impl ReplayState {
             fp_scratch: Vec::new(),
             mask_scratch: Vec::new(),
             diag: ReplayDiag::default(),
+            batch_tapes: Vec::new(),
+            next_batch: None,
+            batch: None,
+            warm: false,
         }
     }
 
@@ -227,6 +307,58 @@ impl ReplayState {
         self.tape.clear();
         self.pending_dense = 0;
         self.prev_fp.clear();
+    }
+
+    /// Start the run under the batch key set by the last re-arm, if any:
+    /// replay its tape from cycle 0, or record one.
+    pub fn begin_batch(&mut self) {
+        let Some(key) = self.next_batch.take() else {
+            return;
+        };
+        self.rearm();
+        self.batch = Some(key);
+        if let Some(i) = self.batch_tapes.iter().position(|(k, _)| *k == key) {
+            self.tape = self.batch_tapes.swap_remove(i).1;
+            self.diag.tape_len = self.tape.steps.len() as u64;
+            self.phase = ReplayPhase::Replaying { step: 0, done: 0 };
+        } else {
+            self.phase = ReplayPhase::Recording;
+        }
+    }
+
+    /// Leave whole-batch mode at the end of a completed run, storing the
+    /// tape it recorded or replayed under its key. `images` is the run's
+    /// image count, credited as replayed when the tape ran to the end.
+    pub fn end_batch(&mut self, images: u64) {
+        let Some(key) = self.batch.take() else {
+            return;
+        };
+        match self.phase {
+            ReplayPhase::Recording => {
+                self.flush_dense();
+                self.tape.shrink_to_fit();
+                self.diag.tape_len = self.tape.steps.len() as u64;
+                self.diag.whole_batch = WholeBatch::Recorded;
+            }
+            ReplayPhase::Replaying { .. } => {
+                self.diag.images_replayed += images;
+                self.diag.whole_batch = WholeBatch::Replayed;
+            }
+            ReplayPhase::Armed { .. } | ReplayPhase::Vetoed => {
+                unreachable!("whole-batch mode ends on every fallback")
+            }
+        }
+        self.batch_tapes.push((key, std::mem::take(&mut self.tape)));
+        self.rearm();
+    }
+
+    /// Drop the run's whole-batch tape after a guard miss (`replayed`) or
+    /// a recording over the size cap; the period machine takes over.
+    pub fn abandon_batch(&mut self, replayed: bool) {
+        if self.batch.take().is_some() && replayed {
+            self.diag.whole_batch = WholeBatch::FellBack;
+        }
+        self.rearm();
     }
 
     pub fn snapshot_mask(&mut self, awake: &[u64]) {
@@ -285,7 +417,7 @@ mod tests {
     use super::*;
     use crate::kernel::Progress;
 
-    fn stream(stream: usize, start_len: usize) -> SpanStream {
+    fn stream(stream: u32, start_len: u32) -> SpanStream {
         SpanStream {
             stream,
             start_len,

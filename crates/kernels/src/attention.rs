@@ -9,21 +9,108 @@
 //! post-residual accumulator stream back into activation codes.
 //!
 //! All four kernels keep the scalar one-element-per-clock stream contract,
-//! so they compose with the conv/pool/elemwise kernels unchanged. None of
-//! them overrides [`Kernel::span_hint`] or [`Kernel::replay_token`]: the
-//! attention head gathers a whole `seq_len × head_dim` tile before it can
-//! emit anything, so its port behaviour is phase-dependent in a way no
-//! span promise has been written for yet, and the whole family vetoes both
-//! span dispatch and schedule replay rather than promise contracts it
-//! cannot keep. Transformer graphs
-//! therefore always run with live planning; CNN graphs are unaffected.
+//! so they compose with the conv/pool/elemwise kernels unchanged. Each
+//! offers span promises ([`Kernel::span_hint`]) for the phases of its state
+//! machine it can state without knowing when its inputs arrive, and a
+//! replay token over its counters, so transformer graphs burst and replay
+//! like CNN graphs:
+//!
+//! * [`HeadSplitKernel`] and [`ConcatKernel`] promise one phase per
+//!   `head_dim` channel slice, each on that slice's port.
+//! * [`AttentionHeadKernel`] promises a gather that fills its Q, K and V
+//!   tiles port by port ([`SpanPhase::gather`]: the three streams arrive
+//!   skewed), then the emit phase of the tile it computes.
+//! * [`LayerNormKernel`] promises gather then emit, token by token.
 //!
 //! The numeric core lives in `qnn_quant::attention` and is shared verbatim
 //! with the reference interpreter, which is what makes the streaming and
 //! reference paths bit-identical by construction.
 
-use dfe_platform::{Io, Kernel, Progress, WakeHint};
+use dfe_platform::replay::token_mix;
+use dfe_platform::{Io, Kernel, Progress, SpanIo, SpanPhase, SpanPlan, WakeHint, MAX_SPAN_PHASES};
 use qnn_quant::{head_attention, layernorm_codes};
+
+/// The phases of a router that moves `head_dim`-element slices through one
+/// port per head in turn, starting `at` elements into the round: one phase
+/// per slice, `phase(len, mask)` for a `len`-element slice on the ports in
+/// `mask`, as far as the chain holds.
+fn slice_phases(
+    at: usize,
+    heads: usize,
+    head_dim: usize,
+    phase: impl Fn(u64, u32) -> SpanPhase,
+) -> SpanPlan {
+    let mut slice = at / head_dim;
+    let mut plan = SpanPlan::of(phase((head_dim - at % head_dim) as u64, 1 << slice));
+    for _ in 1..MAX_SPAN_PHASES {
+        slice = (slice + 1) % heads;
+        if !plan.push(phase(head_dim as u64, 1 << slice)) {
+            break;
+        }
+    }
+    plan
+}
+
+/// A computed tile or row draining onto output port 0, one code per tick:
+/// the emit phase the attention head and LayerNorm share.
+#[derive(Default)]
+struct Pending {
+    codes: Vec<i32>,
+    emitted: usize,
+}
+
+impl Pending {
+    fn is_empty(&self) -> bool {
+        self.codes.is_empty()
+    }
+
+    /// Codes still to emit.
+    fn left(&self) -> usize {
+        self.codes.len() - self.emitted
+    }
+
+    /// Queue `codes` for emission.
+    fn set(&mut self, codes: Vec<u8>) {
+        self.codes = codes.into_iter().map(i32::from).collect();
+    }
+
+    fn clear(&mut self) {
+        self.codes.clear();
+        self.emitted = 0;
+    }
+
+    /// Emit up to `n` codes, returning how many.
+    fn emit(&mut self, n: usize, mut push: impl FnMut(&[i32])) -> usize {
+        let end = self.codes.len().min(self.emitted + n);
+        push(&self.codes[self.emitted..end]);
+        let moved = end - self.emitted;
+        self.emitted = end;
+        if self.emitted == self.codes.len() {
+            self.clear();
+        }
+        moved
+    }
+
+    /// One emit tick: a code out, or a stall on a full output.
+    fn tick(&mut self, io: &mut Io<'_>) -> Progress {
+        if !io.can_write(0) {
+            return Progress::Stalled;
+        }
+        self.emit(1, |code| io.write(0, code[0]));
+        Progress::Busy
+    }
+
+    /// The span's share of the emit: up to `writes` codes, returning how
+    /// many went out.
+    fn run_span(&mut self, io: &mut SpanIo<'_>, writes: u64) -> u64 {
+        self.emit(writes as usize, |codes| io.push_slice(0, codes)) as u64
+    }
+
+    /// The emit phase's promise: the codes left, a full output stalling.
+    fn phase(len: usize) -> SpanPhase {
+        SpanPhase::coupled(len as u64, 0, 0b1).stalls(Progress::Stalled)
+    }
+}
 
 /// Routes a channel-innermost projected token stream onto one output port
 /// per head: channel `c` of each token goes to port `c / head_dim`.
@@ -78,6 +165,31 @@ impl Kernel for HeadSplitKernel {
     fn wake_hint(&self) -> WakeHint {
         WakeHint::Parkable
     }
+
+    /// One phase per channel slice: input to the slice's head port, one
+    /// element per tick. A tick without an input element idles; one whose
+    /// head port is full stalls — exactly `tick`'s verdicts.
+    fn span_hint(&self, _in_len: &[usize], _out_room: &[usize]) -> Option<SpanPlan> {
+        Some(slice_phases(self.channel, self.heads, self.head_dim, |len, port| {
+            SpanPhase::coupled(len, 0b1, port).stalls(Progress::Idle)
+        }))
+    }
+
+    fn run_span(&mut self, io: &mut SpanIo<'_>, _n: u64) {
+        let mut left = io.read_quota(0);
+        while left > 0 {
+            let into = self.channel % self.head_dim;
+            let m = left.min((self.head_dim - into) as u64);
+            io.transfer(0, self.channel / self.head_dim, m);
+            self.channel = (self.channel + m as usize) % (self.heads * self.head_dim);
+            left -= m;
+        }
+    }
+
+    /// The channel counter is the only state.
+    fn replay_token(&self) -> Option<u64> {
+        Some(self.channel as u64)
+    }
 }
 
 /// One attention head: gathers the head's `seq_len × head_dim` Q, K and V
@@ -97,8 +209,7 @@ pub struct AttentionHeadKernel {
     q: Vec<u8>,
     k: Vec<u8>,
     v: Vec<u8>,
-    pending: Vec<u8>,
-    emitted: usize,
+    pending: Pending,
 }
 
 impl AttentionHeadKernel {
@@ -115,13 +226,25 @@ impl AttentionHeadKernel {
             q: Vec::with_capacity(tile),
             k: Vec::with_capacity(tile),
             v: Vec::with_capacity(tile),
-            pending: Vec::new(),
-            emitted: 0,
+            pending: Pending::default(),
         }
     }
 
     fn tile(&self) -> usize {
         self.seq_len * self.head_dim
+    }
+
+    /// Run the head once all three tiles are full, leaving the output tile
+    /// pending and the tiles empty.
+    fn compute_if_full(&mut self) {
+        let tile = self.tile();
+        if self.q.len() == tile && self.k.len() == tile && self.v.len() == tile {
+            let out = head_attention(self.act_bits, self.head_dim, &self.q, &self.k, &self.v);
+            self.pending.set(out);
+            self.q.clear();
+            self.k.clear();
+            self.v.clear();
+        }
     }
 }
 
@@ -133,17 +256,7 @@ impl Kernel for AttentionHeadKernel {
     fn tick(&mut self, io: &mut Io<'_>) -> Progress {
         // Emit phase: drain the computed tile before touching the inputs.
         if !self.pending.is_empty() {
-            if io.can_write(0) {
-                let v = self.pending[self.emitted];
-                io.write(0, i32::from(v));
-                self.emitted += 1;
-                if self.emitted == self.pending.len() {
-                    self.pending.clear();
-                    self.emitted = 0;
-                }
-                return Progress::Busy;
-            }
-            return Progress::Stalled;
+            return self.pending.tick(io);
         }
         // Gather phase: absorb at most one element per port per cycle.
         let tile = self.tile();
@@ -159,12 +272,7 @@ impl Kernel for AttentionHeadKernel {
                 waiting = true;
             }
         }
-        if self.q.len() == tile && self.k.len() == tile && self.v.len() == tile {
-            self.pending = head_attention(self.act_bits, self.head_dim, &self.q, &self.k, &self.v);
-            self.q.clear();
-            self.k.clear();
-            self.v.clear();
-        }
+        self.compute_if_full();
         if moved {
             Progress::Busy
         } else if waiting {
@@ -180,7 +288,6 @@ impl Kernel for AttentionHeadKernel {
         self.k.clear();
         self.v.clear();
         self.pending.clear();
-        self.emitted = 0;
     }
 
     /// Both phases only act on a stream event (new input while gathering,
@@ -189,6 +296,55 @@ impl Kernel for AttentionHeadKernel {
     /// for the single tick in which the compute fires and clears them.
     fn wake_hint(&self) -> WakeHint {
         WakeHint::Parkable
+    }
+
+    /// Emit what is pending (a full output stalls), then alternate the
+    /// gather that fills the three tiles — each port read on its own, as
+    /// `tick` reads them — with the emit of the tile it computes.
+    fn span_hint(&self, _in_len: &[usize], _out_room: &[usize]) -> Option<SpanPlan> {
+        let tile = self.tile();
+        let gather = |lens: [usize; 3]| SpanPhase::gather(&lens.map(|l| (tile - l) as u64));
+        let mut plan = if self.pending.is_empty() {
+            let plan = SpanPlan::of(gather([self.q.len(), self.k.len(), self.v.len()]));
+            plan.then(Pending::phase(tile))
+        } else {
+            SpanPlan::of(Pending::phase(self.pending.left()))
+        };
+        while plan.push(gather([0; 3])) && plan.push(Pending::phase(tile)) {}
+        Some(plan)
+    }
+
+    fn run_span(&mut self, io: &mut SpanIo<'_>, _n: u64) {
+        let tile = self.tile();
+        let mut reads = [0, 1, 2].map(|p| io.read_quota(p));
+        let mut writes = io.write_quota(0);
+        while reads.iter().sum::<u64>() + writes > 0 {
+            if self.pending.is_empty() {
+                let mut moved = false;
+                for (port, buf) in [(0usize, &mut self.q), (1, &mut self.k), (2, &mut self.v)] {
+                    let m = reads[port].min((tile - buf.len()) as u64);
+                    io.pop_n(port, m, |vals| {
+                        buf.extend(vals.iter().map(|&raw| {
+                            u8::try_from(raw).expect("activation code fits u8")
+                        }));
+                    });
+                    reads[port] -= m;
+                    moved |= m > 0;
+                }
+                assert!(moved, "attention head '{}' gather beyond its promise", self.name);
+                self.compute_if_full();
+            } else {
+                let moved = self.pending.run_span(io, writes);
+                assert!(moved > 0, "attention head '{}' emit beyond its promise", self.name);
+                writes -= moved;
+            }
+        }
+    }
+
+    /// Tile fill levels and emit progress are the whole control state.
+    fn replay_token(&self) -> Option<u64> {
+        let counters = [self.q.len(), self.k.len(), self.v.len(), self.pending.left()];
+        Some(token_mix(&counters.map(|c| c as u64)))
     }
 }
 
@@ -249,6 +405,40 @@ impl Kernel for ConcatKernel {
     fn wake_hint(&self) -> WakeHint {
         WakeHint::Parkable
     }
+
+    /// One lockstep phase per slice, from the current head's port to the
+    /// output. A tick that moves nothing stalls or idles on what the
+    /// *other* head ports hold, which no phase can state, so the promise
+    /// covers moving ticks only (and is withheld while the current port is
+    /// empty).
+    fn span_hint(&self, in_len: &[usize], _out_room: &[usize]) -> Option<SpanPlan> {
+        if in_len[self.head] == 0 {
+            return None;
+        }
+        let at = self.head * self.head_dim + self.idx;
+        Some(slice_phases(at, self.heads, self.head_dim, |len, port| {
+            SpanPhase::coupled(len, port, 0b1)
+        }))
+    }
+
+    fn run_span(&mut self, io: &mut SpanIo<'_>, _n: u64) {
+        let mut left = io.write_quota(0);
+        while left > 0 {
+            let m = left.min((self.head_dim - self.idx) as u64);
+            io.transfer(self.head, 0, m);
+            self.idx += m as usize;
+            if self.idx == self.head_dim {
+                self.idx = 0;
+                self.head = (self.head + 1) % self.heads;
+            }
+            left -= m;
+        }
+    }
+
+    /// The head and element counters are the whole control state.
+    fn replay_token(&self) -> Option<u64> {
+        Some((self.head * self.head_dim + self.idx) as u64)
+    }
 }
 
 /// Integer LayerNorm over the post-residual accumulator stream: gathers
@@ -260,8 +450,7 @@ pub struct LayerNormKernel {
     gains: Vec<i32>,
     act_bits: u32,
     row: Vec<i32>,
-    pending: Vec<u8>,
-    emitted: usize,
+    pending: Pending,
 }
 
 impl LayerNormKernel {
@@ -274,8 +463,15 @@ impl LayerNormKernel {
             gains,
             act_bits,
             row: Vec::new(),
-            pending: Vec::new(),
-            emitted: 0,
+            pending: Pending::default(),
+        }
+    }
+
+    /// Normalize the gathered row once it holds a whole token.
+    fn compute_if_full(&mut self) {
+        if self.row.len() == self.gains.len() {
+            self.pending.set(layernorm_codes(&self.row, &self.gains, self.act_bits));
+            self.row.clear();
         }
     }
 }
@@ -287,25 +483,12 @@ impl Kernel for LayerNormKernel {
 
     fn tick(&mut self, io: &mut Io<'_>) -> Progress {
         if !self.pending.is_empty() {
-            if io.can_write(0) {
-                let v = self.pending[self.emitted];
-                io.write(0, i32::from(v));
-                self.emitted += 1;
-                if self.emitted == self.pending.len() {
-                    self.pending.clear();
-                    self.emitted = 0;
-                }
-                return Progress::Busy;
-            }
-            return Progress::Stalled;
+            return self.pending.tick(io);
         }
         if io.can_read(0) {
             let v = io.read(0).expect("checked");
             self.row.push(v);
-            if self.row.len() == self.gains.len() {
-                self.pending = layernorm_codes(&self.row, &self.gains, self.act_bits);
-                self.row.clear();
-            }
+            self.compute_if_full();
             Progress::Busy
         } else {
             Progress::Idle
@@ -316,13 +499,49 @@ impl Kernel for LayerNormKernel {
     fn rearm(&mut self) {
         self.row.clear();
         self.pending.clear();
-        self.emitted = 0;
     }
 
     /// Gather acts only on input arrival, emit only on output space: every
     /// non-`Busy` tick is a fixed point.
     fn wake_hint(&self) -> WakeHint {
         WakeHint::Parkable
+    }
+
+    /// Emit what is pending, then alternate gathering a token (a dry input
+    /// idles) with emitting its codes (a full output stalls).
+    fn span_hint(&self, _in_len: &[usize], _out_room: &[usize]) -> Option<SpanPlan> {
+        let d = self.gains.len();
+        let gather = |len| SpanPhase::coupled(len as u64, 0b1, 0).stalls(Progress::Idle);
+        let mut plan = if self.pending.is_empty() {
+            SpanPlan::of(gather(d - self.row.len())).then(Pending::phase(d))
+        } else {
+            SpanPlan::of(Pending::phase(self.pending.left()))
+        };
+        while plan.push(gather(d)) && plan.push(Pending::phase(d)) {}
+        Some(plan)
+    }
+
+    fn run_span(&mut self, io: &mut SpanIo<'_>, _n: u64) {
+        let d = self.gains.len();
+        let (mut reads, mut writes) = (io.read_quota(0), io.write_quota(0));
+        while reads + writes > 0 {
+            if self.pending.is_empty() {
+                let m = reads.min((d - self.row.len()) as u64);
+                assert!(m > 0, "layernorm '{}' gather beyond its promise", self.name);
+                io.pop_n(0, m, |vals| self.row.extend_from_slice(vals));
+                reads -= m;
+                self.compute_if_full();
+            } else {
+                let moved = self.pending.run_span(io, writes);
+                assert!(moved > 0, "layernorm '{}' emit beyond its promise", self.name);
+                writes -= moved;
+            }
+        }
+    }
+
+    /// Row fill level and emit progress are the whole control state.
+    fn replay_token(&self) -> Option<u64> {
+        Some(token_mix(&[self.row.len() as u64, self.pending.left() as u64]))
     }
 }
 
@@ -473,16 +692,35 @@ mod tests {
         assert_eq!(out.take(), want);
     }
 
+    /// Every kernel of the family promises spans and attests its control
+    /// state, in every state the serving graphs reach: the head mid-gather
+    /// with skewed tiles and mid-emit, LayerNorm mid-row.
     #[test]
-    fn attention_family_vetoes_span_and_replay() {
+    fn attention_family_offers_spans_and_tokens() {
         let hs = HeadSplitKernel::new("hs", 2, 2);
-        let attn = AttentionHeadKernel::new("a", 2, 2, 2);
+        let mut attn = AttentionHeadKernel::new("a", 2, 2, 2);
         let cat = ConcatKernel::new("c", 2, 2);
         let ln = LayerNormKernel::new("l", vec![1, 1], 2);
         let ks: [&dyn Kernel; 4] = [&hs, &attn, &cat, &ln];
         for k in ks {
-            assert!(k.span_hint(&[8; 3], &[8; 3]).is_none(), "{} must not offer spans", k.name());
-            assert!(k.replay_token().is_none(), "{} must veto replay", k.name());
+            assert!(k.span_hint(&[8; 3], &[8; 3]).is_some(), "{} must offer spans", k.name());
+            assert!(k.replay_token().is_some(), "{} must attest its state", k.name());
         }
+        // Q one element ahead: a gather with per-port quotas, then the emit.
+        let fresh = attn.replay_token();
+        attn.q.push(1);
+        let plan = attn.span_hint(&[0; 3], &[8]).expect("a skewed gather promises");
+        let phases = plan.phases();
+        assert!(phases[0].is_gather());
+        assert_eq!(phases[0].gather, [3, 4, 4]);
+        assert_eq!((phases[1].writes, phases[1].write_len), (0b1, 4));
+        assert_ne!(attn.replay_token(), fresh, "the token covers the tile levels");
+        // Mid-emit: the rest of the tile first.
+        attn.pending.set(vec![0; 4]);
+        attn.pending.emitted = 3;
+        let plan = attn.span_hint(&[0; 3], &[8]).expect("an emit promises");
+        assert_eq!(plan.phases()[0].write_len, 1);
+        // Concat promises only while its current head port holds data.
+        assert!(cat.span_hint(&[0, 8], &[8]).is_none());
     }
 }

@@ -8,9 +8,9 @@
 //! interpreter) and `tests/macro_tick_equivalence.rs` (default stepper vs
 //! `Dense` differential battery).
 
-use crate::spec::{EncoderGeometry, NetworkSpec, PoolKind, SpecBuilder, Stage};
+use crate::spec::{EncoderGeometry, NetworkSpec, PoolKind, ResidualGeometry, SpecBuilder, Stage};
 use qnn_tensor::{ConvGeometry, FilterShape, Shape3, Tensor3};
-use qnn_testkit::{map, Strategy};
+use qnn_testkit::{map, vec, Strategy};
 
 /// A deterministic pseudo-random input image for `spec`, one per `seed`
 /// (a multiplicative hash of the seed and the pixel coordinates).
@@ -153,6 +153,82 @@ pub fn spec_strategy() -> impl Strategy<Value = Option<NetworkSpec>> {
     )
 }
 
+/// A random residual network: a 3×3 stem over a `side`² image, a 2/2 max
+/// pool, then one basic block per `(kind, width)` entry — `0` an identity
+/// block, which carries its skip on into the next block; `1` a block
+/// changing the width to `width` (a 1×1 downsample on the skip, or an
+/// identity block when the width stays); `2` a stride-2 downsampling block
+/// — a global sum pool and a classifier, with a hidden FC layer when
+/// `hidden` is set.
+pub fn random_residual_spec(
+    side: usize,
+    stem: usize,
+    blocks: &[(usize, usize)],
+    hidden: bool,
+    act_bits: u32,
+) -> NetworkSpec {
+    let input = Shape3::square(side, 3);
+    let stem = ConvGeometry::new(input, FilterShape::new(3, 3, stem), 1, 1);
+    let mut cur = Shape3::square((side - 2) / 2 + 1, stem.filter.o);
+    let mut b = SpecBuilder::new("prop-residual", input, act_bits)
+        .conv_input(stem)
+        .pool(stem.output(), 2, 2, 0, PoolKind::Max);
+    for &(kind, width) in blocks {
+        let (o, stride) = match kind {
+            0 => (cur.c, 1),
+            1 => (width, 1),
+            _ => (width, 2),
+        };
+        let conv1 = ConvGeometry::new(cur, FilterShape::new(3, cur.c, o), stride, 1);
+        let conv2 = ConvGeometry::new(conv1.output(), FilterShape::new(3, o, o), 1, 1);
+        let downsample = (stride != 1 || cur.c != o)
+            .then(|| ConvGeometry::new(cur, FilterShape::new(1, cur.c, o), stride, 0));
+        let geom = ResidualGeometry { conv1, conv2, downsample };
+        cur = geom.output();
+        b = b.residual(geom);
+    }
+    b = b.pool(cur, cur.h, cur.h, 0, PoolKind::AvgSum);
+    b = if hidden {
+        b.fully_connected(cur.c, 6, true).fully_connected(6, 4, false)
+    } else {
+        b.fully_connected(cur.c, 4, false)
+    };
+    b.try_build().expect("residual geometry is consistent by construction")
+}
+
+/// Strategy over [`random_residual_spec`] networks with 0–3 blocks,
+/// shrink-aware like [`spec_strategy`]: failures shrink toward fewer
+/// blocks, identity blocks, narrow widths and small images.
+pub fn residual_spec_strategy() -> impl Strategy<Value = NetworkSpec> {
+    map(
+        (
+            4usize..9,                            // side
+            1usize..4,                            // stem width
+            vec((0usize..3, 1usize..4), 0..4),    // (kind, width) per block
+            0usize..2,                            // hidden FC layer
+            1u32..4,                              // act_bits
+        ),
+        |(side, stem, blocks, hidden, act_bits)| {
+            random_residual_spec(side, stem, &blocks, hidden == 1, act_bits)
+        },
+        |spec| {
+            let Stage::ConvInput { geom: stem } = spec.stages[0] else {
+                return None;
+            };
+            let blocks = spec.stages.iter().filter_map(|st| match st {
+                Stage::Residual { geom } => Some(match geom.downsample {
+                    None => (0, 1),
+                    Some(_) if geom.conv1.stride == 2 => (2, geom.conv1.filter.o),
+                    Some(_) => (1, geom.conv1.filter.o),
+                }),
+                _ => None,
+            });
+            let fcs = spec.stages.iter().filter(|st| matches!(st, Stage::FullyConnected { .. }));
+            Some((spec.input.h, stem.filter.o, blocks.collect(), fcs.count() - 1, spec.act_bits))
+        },
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -166,5 +242,22 @@ mod tests {
         // A sane small geometry builds.
         let spec = random_spec(8, 3, 1, 1, 2, 2, 0, 2, 2).expect("valid spec");
         assert_eq!(spec.stages.len(), 4);
+    }
+
+    /// Every block kind builds at the smallest image, and consecutive
+    /// identity blocks are what a carried skip needs.
+    #[test]
+    fn residual_specs_build_every_block_kind() {
+        let spec = random_residual_spec(4, 2, &[(2, 3), (0, 1), (0, 1), (1, 2)], true, 2);
+        let kinds: Vec<_> = spec
+            .stages
+            .iter()
+            .filter_map(|st| match st {
+                Stage::Residual { geom } => Some((geom.downsample.is_some(), geom.conv1.stride)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(kinds, [(true, 2), (false, 1), (false, 1), (true, 1)]);
+        assert_eq!(spec.classes(), 4);
     }
 }

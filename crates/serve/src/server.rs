@@ -54,7 +54,8 @@
 use crate::config::{AdmissionPolicy, ConfigError, Priority, ServerConfig};
 use crate::registry::{self, Ledger, ModelRegistry, PublishError, Tally};
 use crate::stats::{
-    ClassStats, LatencySummary, LoadWindow, ModelStats, ReplicaStats, RequestStats, ServerReport,
+    ClassStats, Histogram, LatencySummary, LoadWindow, ModelStats, ReplicaStats, RequestStats,
+    ServerReport,
 };
 use qnn_compiler::{CompileOptions, CompiledNetwork, Logits, ModelArtifact};
 use qnn_nn::Network;
@@ -713,16 +714,13 @@ impl Batcher {
     }
 }
 
-struct Sample {
-    priority: Priority,
-    queue_wait: Duration,
-    latency: Duration,
-}
-
 struct WorkerOutput {
     model_idx: usize,
     stats: ReplicaStats,
-    samples: Vec<Sample>,
+    /// Latencies by scheduling class, and queue waits, of the requests
+    /// this replica answered.
+    latency: [Histogram; 2],
+    queue_wait: Histogram,
 }
 
 /// Spawn one replica worker for `model_idx`, wired to a fresh batch queue
@@ -773,8 +771,10 @@ fn run_worker(
             busy: Duration::ZERO,
             cycles: 0,
             lowerings: 0,
+            replayed_batches: 0,
         },
-        samples: Vec::new(),
+        latency: Default::default(),
+        queue_wait: Histogram::default(),
     };
     let mut warm: Option<(u64, CompiledNetwork)> = None;
     while let Ok(batch) = rx.recv() {
@@ -786,7 +786,13 @@ fn run_worker(
             Some((held, pipeline)) if *held == version => pipeline,
             stale => {
                 out.stats.lowerings += 1;
-                &mut stale.insert((version, artifact.pipeline())).1
+                let mut fresh = artifact.pipeline();
+                // A publish swaps weights, never the spec or options, so
+                // the old pipeline's schedule tapes still hold.
+                if let Some((_, old)) = stale {
+                    fresh.adopt_tapes(old);
+                }
+                &mut stale.insert((version, fresh)).1
             }
         };
         pipeline.load(&images);
@@ -807,11 +813,15 @@ fn run_worker(
         out.stats.busy += busy;
         let cycles = sim.cycles();
         out.stats.cycles += cycles;
+        if sim.replayed_whole_batch() {
+            out.stats.replayed_batches += 1;
+        }
         let ledger = shared.registry.ledger(model_idx);
         for (req, logits) in requests.into_iter().zip(sim.logits) {
             let queue_wait = started.saturating_duration_since(req.submitted_at);
             let latency = req.submitted_at.elapsed();
-            out.samples.push(Sample { priority, queue_wait, latency });
+            out.latency[priority.index()].record(latency);
+            out.queue_wait.record(queue_wait);
             let response = Response {
                 id: req.id,
                 model: model.to_string(),
@@ -1131,7 +1141,8 @@ impl fmt::Display for ResizeError {
 impl std::error::Error for ResizeError {}
 
 /// The shutdown report: outcomes from the ledgers, batches from the
-/// replicas (after the drain all have run), latencies from the samples.
+/// replicas (after the drain all have run), latencies from the replicas'
+/// histograms.
 fn build_report(
     registry: &ModelRegistry,
     outputs: Vec<WorkerOutput>,
@@ -1140,26 +1151,24 @@ fn build_report(
     let models = registry.len();
     let tallies: Vec<Tally> = (0..models).map(|m| registry.ledger(m).tally()).collect();
 
-    let mut queue_waits = Vec::new();
-    let mut latencies = Vec::new();
+    let mut queue_wait = Histogram::default();
     let mut per_replica = Vec::with_capacity(outputs.len());
-    let mut class_latencies: Vec<[Vec<Duration>; 2]> =
+    let mut class_latency: Vec<[Histogram; 2]> =
         (0..models).map(|_| Default::default()).collect();
     for out in outputs {
-        for s in out.samples {
-            queue_waits.push(s.queue_wait);
-            latencies.push(s.latency);
-            class_latencies[out.model_idx][s.priority.index()].push(s.latency);
+        queue_wait.merge(&out.queue_wait);
+        for (mine, theirs) in class_latency[out.model_idx].iter_mut().zip(&out.latency) {
+            mine.merge(theirs);
         }
         per_replica.push(out.stats);
     }
     per_replica.sort_by_key(|r| r.replica);
 
-    let class = |p: Priority, tallies: &[Tally], samples: Vec<Duration>| ClassStats {
+    let class = |p: Priority, tallies: &[Tally], latency: &Histogram| ClassStats {
         priority: p,
         completed: tallies.iter().map(|t| t.completed[p.index()]).sum(),
         shed: tallies.iter().map(|t| t.shed[p.index()]).sum(),
-        latency: LatencySummary::from_samples(samples),
+        latency: LatencySummary::from_histogram(latency),
     };
     let per_model = (0..models)
         .map(|m| ModelStats {
@@ -1168,18 +1177,16 @@ fn build_report(
             completed: tallies[m].completed.iter().sum(),
             shed: tallies[m].shed.iter().sum(),
             weight_publishes: registry.publishes(m),
-            latency: LatencySummary::from_samples(class_latencies[m].concat()),
+            latency: LatencySummary::from_histogram(&Histogram::sum(&class_latency[m])),
             per_priority: Priority::ALL
-                .map(|p| class(p, &tallies[m..=m], class_latencies[m][p.index()].clone()))
+                .map(|p| class(p, &tallies[m..=m], &class_latency[m][p.index()]))
                 .into(),
         })
         .collect();
     let per_priority = Priority::ALL
-        .map(|p| {
-            let samples = class_latencies.iter().flat_map(|l| &l[p.index()]).copied().collect();
-            class(p, &tallies, samples)
-        })
+        .map(|p| class(p, &tallies, &Histogram::sum(class_latency.iter().map(|l| &l[p.index()]))))
         .into();
+    let latency = Histogram::sum(class_latency.iter().flatten());
 
     let batches = per_replica.iter().map(|r| r.batches).sum();
     let images: u64 = per_replica.iter().map(|r| r.images).sum();
@@ -1193,10 +1200,11 @@ fn build_report(
         shed: tallies.iter().flat_map(|t| t.shed).sum(),
         batches,
         lowerings: per_replica.iter().map(|r| r.lowerings).sum(),
+        replayed_batches: per_replica.iter().map(|r| r.replayed_batches).sum(),
         wall,
         mean_batch_occupancy: if batches > 0 { images as f64 / batches as f64 } else { 0.0 },
-        queue_wait: LatencySummary::from_samples(queue_waits),
-        latency: LatencySummary::from_samples(latencies),
+        queue_wait: LatencySummary::from_histogram(&queue_wait),
+        latency: LatencySummary::from_histogram(&latency),
         per_replica,
         per_model,
         per_priority,

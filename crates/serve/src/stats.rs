@@ -47,9 +47,97 @@ pub struct ReplicaStats {
     /// Pipelines this replica built: one for the first batch of each
     /// weight version it ran, never one per batch.
     pub lowerings: u64,
+    /// Batches that replayed a whole-batch schedule tape recorded by an
+    /// earlier batch of their size (see `dfe_platform::replay`).
+    pub replayed_batches: u64,
 }
 
-/// p50/p95/max over a set of duration samples.
+/// Durations counted in log-linear buckets: what a server keeps of its
+/// requests' latencies for the shutdown report, in memory that does not
+/// grow with the requests it answers. Below 128 ns every nanosecond count
+/// is a bucket; above, a bucket holds the counts that share their leading
+/// seven bits, so it spans at most 1/64 of its lower bound.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Histogram {
+    counts: Vec<u64>,
+    n: u64,
+    max: Duration,
+}
+
+impl Histogram {
+    /// Bits of a count kept below its leading one.
+    const SUB_BITS: u32 = 6;
+
+    fn bucket(ns: u64) -> usize {
+        let e = 63 - (ns | 1).leading_zeros();
+        if e <= Self::SUB_BITS {
+            ns as usize
+        } else {
+            let shift = e - Self::SUB_BITS;
+            (((shift as u64) << Self::SUB_BITS) + (ns >> shift)) as usize
+        }
+    }
+
+    /// The smallest count in bucket `b`.
+    fn lower(b: usize) -> u64 {
+        let per = 1usize << Self::SUB_BITS;
+        if b < 2 * per {
+            b as u64
+        } else {
+            let shift = b / per - 1;
+            ((b % per + per) as u64) << shift
+        }
+    }
+
+    /// Count one duration.
+    pub(crate) fn record(&mut self, d: Duration) {
+        let b = Self::bucket(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
+        if b >= self.counts.len() {
+            self.counts.resize(b + 1, 0);
+        }
+        self.counts[b] += 1;
+        self.n += 1;
+        self.max = self.max.max(d);
+    }
+
+    /// Add every duration `other` counted.
+    pub(crate) fn merge(&mut self, other: &Histogram) {
+        if other.counts.len() > self.counts.len() {
+            self.counts.resize(other.counts.len(), 0);
+        }
+        for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
+            *mine += theirs;
+        }
+        self.n += other.n;
+        self.max = self.max.max(other.max);
+    }
+
+    /// The sum of `hists`.
+    pub(crate) fn sum<'a>(hists: impl IntoIterator<Item = &'a Histogram>) -> Histogram {
+        let mut total = Histogram::default();
+        for h in hists {
+            total.merge(h);
+        }
+        total
+    }
+
+    /// The duration of 0-based rank `r`, as its bucket's lower bound.
+    fn at(&self, r: u64) -> Duration {
+        let mut seen = 0;
+        for (b, &c) in self.counts.iter().enumerate() {
+            seen += c;
+            if seen > r {
+                return Duration::from_nanos(Self::lower(b)).min(self.max);
+            }
+        }
+        self.max
+    }
+}
+
+/// p50/p95/max over a set of durations. A [`LoadWindow`]'s are exact; a
+/// [`ServerReport`]'s come from per-replica histograms, so a server's memory
+/// does not grow with the requests it answers: their percentiles are at
+/// most 1/64 below the exact ones, and their maximum is exact.
 #[derive(Clone, Copy, Debug)]
 pub struct LatencySummary {
     /// Median.
@@ -78,6 +166,24 @@ impl LatencySummary {
         };
         let p95 = samples[(n * 95).div_ceil(100).max(1) - 1];
         Some(Self { p50, p95, max: samples[n - 1] })
+    }
+
+    /// Summarize the durations `hist` counted, by the same rules as
+    /// [`LatencySummary::from_samples`]; `None` when it counted none. The
+    /// percentiles are their buckets' lower bounds, at most 1/64 below the
+    /// exact ones; the maximum is exact.
+    pub(crate) fn from_histogram(hist: &Histogram) -> Option<Self> {
+        let n = hist.n;
+        if n == 0 {
+            return None;
+        }
+        let p50 = if n % 2 == 1 {
+            hist.at(n / 2)
+        } else {
+            (hist.at(n / 2 - 1) + hist.at(n / 2)) / 2
+        };
+        let p95 = hist.at((n * 95).div_ceil(100).max(1) - 1);
+        Some(Self { p50, p95, max: hist.max })
     }
 
     fn render(this: &Option<Self>) -> String {
@@ -176,6 +282,9 @@ pub struct ServerReport {
     pub batches: u64,
     /// Pipelines built, summed over replicas ([`ReplicaStats::lowerings`]).
     pub lowerings: u64,
+    /// Batches that replayed a whole-batch schedule tape, summed over
+    /// replicas ([`ReplicaStats::replayed_batches`]).
+    pub replayed_batches: u64,
     /// Wall time from server start to the end of the drain.
     pub wall: Duration,
     /// Mean images per dispatched batch.
@@ -217,7 +326,7 @@ impl ServerReport {
         let _ = writeln!(
             out,
             "replicas {}  submitted {}  completed {}  rejected {}  shed {}  batches {} \
-             (mean occupancy {:.2})",
+             (mean occupancy {:.2}, {} replayed)",
             self.replicas,
             self.submitted,
             self.completed,
@@ -225,6 +334,7 @@ impl ServerReport {
             self.shed,
             self.batches,
             self.mean_batch_occupancy,
+            self.replayed_batches,
         );
         let _ = writeln!(
             out,
@@ -259,10 +369,11 @@ impl ServerReport {
         for r in &self.per_replica {
             let _ = writeln!(
                 out,
-                "replica {} ({}): {} batches, {} images, busy {:.3} ms, {} cycles",
+                "replica {} ({}): {} batches ({} replayed), {} images, busy {:.3} ms, {} cycles",
                 r.replica,
                 r.model,
                 r.batches,
+                r.replayed_batches,
                 r.images,
                 r.busy.as_secs_f64() * 1e3,
                 r.cycles,
@@ -296,6 +407,41 @@ mod tests {
     #[test]
     fn empty_samples_yield_none() {
         assert!(LatencySummary::from_samples(Vec::new()).is_none());
+        assert!(LatencySummary::from_histogram(&Histogram::default()).is_none());
+    }
+
+    /// Every bucket's lower bound maps back to that bucket, and a count
+    /// lies at most 1/64 above its bucket's lower bound.
+    #[test]
+    fn histogram_buckets_are_contiguous_and_narrow() {
+        for b in 0..3000 {
+            assert_eq!(Histogram::bucket(Histogram::lower(b)), b, "bucket {b}");
+        }
+        let mut rng = qnn_testkit::Rng::seed_from_u64(5);
+        for _ in 0..10_000 {
+            let ns = rng.next_u64() >> rng.below(64);
+            let lower = Histogram::lower(Histogram::bucket(ns));
+            assert!(lower <= ns && ns - lower <= lower / 64, "{ns} in a bucket from {lower}");
+        }
+    }
+
+    /// A histogram summary reads the exact summary's percentiles to within
+    /// 1/64 below, and its maximum exactly, over merged histograms.
+    #[test]
+    fn histogram_summary_tracks_the_exact_one() {
+        let mut rng = qnn_testkit::Rng::seed_from_u64(9);
+        let samples: Vec<Duration> =
+            (0..5_001).map(|_| Duration::from_nanos(1_000 + rng.below(50_000_000))).collect();
+        let (mut a, mut b) = (Histogram::default(), Histogram::default());
+        for (i, &d) in samples.iter().enumerate() {
+            if i % 3 == 0 { a.record(d) } else { b.record(d) }
+        }
+        let got = LatencySummary::from_histogram(&Histogram::sum([&a, &b])).expect("counted");
+        let want = LatencySummary::from_samples(samples).expect("non-empty");
+        for (g, w) in [(got.p50, want.p50), (got.p95, want.p95)] {
+            assert!(g <= w && w - g <= w / 64, "{g:?} against {w:?}");
+        }
+        assert_eq!(got.max, want.max);
     }
 
     #[test]
@@ -308,6 +454,7 @@ mod tests {
             shed: 1,
             batches: 5,
             lowerings: 2,
+            replayed_batches: 3,
             wall: Duration::from_millis(100),
             mean_batch_occupancy: 2.0,
             queue_wait: None,
@@ -335,6 +482,7 @@ mod tests {
         assert!((report.images_per_sec() - 90.0).abs() < 1e-9);
         let text = report.render();
         assert!(text.contains("replicas 2"), "render was: {text}");
+        assert!(text.contains("3 replayed"), "render was: {text}");
         assert!(text.contains("images/sec"), "render was: {text}");
         assert!(text.contains("model \"cnv\""), "render was: {text}");
         assert!(text.contains("class interactive"), "render was: {text}");

@@ -3,7 +3,7 @@
 //! invariants. Everything uses the small `test_net` so the whole file runs
 //! in tier-1 time.
 
-use qnn_compiler::{CompileOptions, OptionsError};
+use qnn_compiler::{run_images, CompileOptions, OptionsError};
 use qnn_nn::{models, Network};
 use qnn_serve::{
     AdmissionPolicy, ConfigError, ModelOptions, Priority, ResizeError, Response, Server,
@@ -540,12 +540,22 @@ fn replica_lowers_once_per_weight_version_not_once_per_batch() {
         }
         let resp = client.submit(image(8, i)).expect("admitted").wait().expect("answered");
         versions.insert(resp.stats.weight_version);
+        if i == 50 {
+            let direct = run_images(&v1, &[image(8, i)], &CompileOptions::default()).expect("sim");
+            assert_eq!(resp.logits, direct.logits[0], "first batch on the new weights");
+            assert_eq!(resp.stats.cycles, direct.cycles());
+        }
     }
     let report = server.shutdown();
     assert_eq!(report.batches, 60);
     assert_eq!(versions.len(), 2);
     assert_eq!(report.per_replica[0].lowerings, versions.len() as u64);
     assert_eq!(report.lowerings, versions.len() as u64);
+    // Batch 0 plans live and batch 1 records the one-image schedule tape;
+    // every later batch replays it — batch 50, the first on the new
+    // weights, on the tape its new pipeline took over from the old one.
+    assert_eq!(report.per_replica[0].replayed_batches, 58);
+    assert_eq!(report.replayed_batches, 58);
 }
 
 #[test]

@@ -2,13 +2,16 @@
 //! utilization and buffer occupancy — the §IV-B2 bottleneck analysis done
 //! with data instead of intuition. A traced run steps every cycle, so a
 //! second, untraced run of the same images reports how much of the run the
-//! simulator fast-forwarded in bursts, and why it stepped the rest.
+//! simulator fast-forwarded in bursts, and why it stepped the rest. Last, a
+//! warm pipeline runs the batch three times: the host time of the first
+//! batch against the third, which replays the schedule tape the second
+//! recorded.
 //!
 //! ```text
 //! cargo run --release --example pipeline_analysis
 //! ```
 
-use qnn::compiler::{try_compile, CompileOptions};
+use qnn::compiler::{elaborate, try_compile, CompileOptions};
 use qnn::data::CIFAR10;
 use qnn::nn::{models, Network};
 
@@ -73,4 +76,28 @@ fn main() {
         g.burst_cycles() as f64 / g.bursts().max(1) as f64
     );
     println!("{}", g.burst_diag());
+
+    // A warm pipeline: batch 1 plans live, batch 2 records its schedule
+    // tape, batch 3 replays it.
+    let mut warm = elaborate(&net, &CompileOptions::default()).expect("valid options");
+    let mut host_ms = Vec::new();
+    let mut last = None;
+    for _ in 0..3 {
+        warm.load(&images);
+        let t = std::time::Instant::now();
+        let sim = warm.run().expect("warm run");
+        host_ms.push(t.elapsed().as_secs_f64() * 1e3);
+        assert_eq!(sim.reports[0], untraced, "a warm batch must run as a fresh one");
+        last = Some(sim);
+    }
+    let replayed = last.expect("three batches ran");
+    assert!(replayed.replayed_whole_batch(), "the third batch must replay its tape");
+    println!(
+        "\nwarm pipeline: first batch {:.2} ms host, replayed batch {:.2} ms ({:.1}x), \
+         {} spans bypassed the planner",
+        host_ms[0],
+        host_ms[2],
+        host_ms[0] / host_ms[2],
+        replayed.reports[0].replay.spans_bypassed
+    );
 }

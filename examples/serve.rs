@@ -8,9 +8,10 @@
 //! counts, batch occupancy, queue wait, p50/p95 latency and images/sec.
 //! Every response is checked against the reference interpreter running the
 //! exact weight version the response claims, so the numbers are for
-//! bit-exact inference across the swap, not an approximation; and the
+//! bit-exact inference across the swap, not an approximation; the
 //! report's serving ledger must partition in total, per model and per
-//! class.
+//! class; and warm replicas must have replayed batches from their schedule
+//! tapes.
 //!
 //! ```text
 //! cargo run --release --example serve
@@ -40,11 +41,13 @@ fn main() {
     let client = server.client();
 
     // Interleave interactive CNV traffic with bulk traffic to the small
-    // model; halfway through, hot-swap the CNV weights. In-flight batches
-    // finish on v0, later batches run bit-identically on v1.
+    // model, three passes over the images; halfway through, hot-swap the
+    // CNV weights. In-flight batches finish on v0, later batches run
+    // bit-identically on v1.
+    let passes = 3;
     let mut tickets: Vec<Ticket> = Vec::new();
-    for (i, img) in images.iter().enumerate() {
-        if i == images.len() / 2 {
+    for (i, img) in images.iter().cycle().take(passes * images.len()).enumerate() {
+        if i == passes * images.len() / 2 {
             let version =
                 server.publish_weights("cnv", cnv_v1.clone()).expect("same architecture");
             println!("published cnv weight version {version} mid-stream\n");
@@ -59,7 +62,7 @@ fn main() {
 
     for t in tickets {
         let resp = t.wait().expect("answered");
-        let idx = (resp.id / 2) as usize;
+        let idx = (resp.id / 2) as usize % images.len();
         let reference = match (resp.model.as_str(), resp.stats.weight_version) {
             ("cnv", 0) => &cnv_v0,
             ("cnv", _) => &cnv_v1,
@@ -76,8 +79,13 @@ fn main() {
 
     let report = server.shutdown();
     println!("{}", report.render());
-    check_ledger(&report, images.len() as u64);
-    println!("all {} responses bit-exact across the weight swap", 2 * images.len());
+    let per_model = (passes * images.len()) as u64;
+    check_ledger(&report, per_model);
+    // Each model ran at least 12 batches of at most two images on two
+    // replicas, so some replica ran 6: its second batch recorded a size's
+    // schedule tape and a later batch of that size replayed it.
+    assert!(report.replayed_batches > 0, "no warm replica replayed a batch");
+    println!("all {} responses bit-exact across the weight swap", 2 * per_model);
 }
 
 /// Every request was admitted (blocking admission) and none carried a

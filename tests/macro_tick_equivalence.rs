@@ -5,7 +5,9 @@
 //! pushed/max-occupancy) — across randomized networks, streamed-parameter
 //! loading, multi-image sequences, folded design points, 1–3-device cuts
 //! (which must also be invisible next to the uncut run), stall-injected
-//! pipelines in both node orders, and runs resumed after a timeout.
+//! pipelines in both node orders, runs resumed after a timeout, and
+//! transformer encoders (whose attention heads gather skewed Q/K/V
+//! streams port by port).
 //!
 //! This is the proof obligation behind defaulting to a stepper above
 //! `Dense`: a parked kernel's verdict is replayed into its counters and a
@@ -23,7 +25,7 @@ mod common;
 use common::{folded_plan, StallPipeline};
 use qnn::compiler::{run_images, try_compile, CompileOptions, Fold, FoldPlan, SimResult};
 use qnn::dfe::{CycleReport, ReplayDiag, SchedulerMode};
-use qnn::nn::specgen::{image_for, spec_strategy};
+use qnn::nn::specgen::{encoder_spec_strategy, image_for, spec_strategy};
 use qnn::nn::{models, Network, NetworkSpec, PoolKind, SpecBuilder};
 use qnn::tensor::{ConvGeometry, FilterShape, Shape3, Tensor3};
 use qnn_testkit::prop::CaseResult;
@@ -101,6 +103,23 @@ props! {
             stream_parameters: stream_params == 1,
             ..CompileOptions::default()
         };
+        assert_dispatch_agrees(&net, &images, &base)?;
+    }
+
+    /// Random single-encoder transformers, multi-image sequences, under
+    /// FIFO stress: the attention family's slice, gather and emit promises
+    /// must replay exactly the ticks dense stepping runs.
+    #[test]
+    fn encoder_reports_identical(
+        spec in encoder_spec_strategy(),
+        seed in 0u64..1000,
+        n_images in 1usize..4,
+        fifo in 2usize..64,
+    ) {
+        let net = Network::random(spec, seed);
+        let images: Vec<_> =
+            (0..n_images as u64).map(|i| image_for(&net.spec, seed + i)).collect();
+        let base = CompileOptions { fifo_capacity: fifo, ..CompileOptions::default() };
         assert_dispatch_agrees(&net, &images, &base)?;
     }
 
@@ -432,6 +451,25 @@ fn folded_kernels_run_inside_bursts() {
         ..CompileOptions::default()
     };
     for kernel in ["conv0", "conv1.pad", "conv1", "pool2"] {
+        let (cycles, burst_cycles, busy) = span_coverage(&net, &images, &base, kernel);
+        assert!(
+            burst_cycles + busy > cycles,
+            "{kernel}: {burst_cycles} burst cycles + {busy} busy cycles fit in {cycles} \
+             without overlapping — it never ran inside a burst"
+        );
+    }
+}
+
+/// The serving benchmark's transformer, two images: bit-identical to
+/// `Dense`, and every attention-family kernel runs inside bursts (see
+/// [`folded_kernels_run_inside_bursts`] for the pigeonhole).
+#[test]
+fn attention_kernels_run_inside_bursts() {
+    let net = Network::random(models::tiny_transformer(16, 2, 8, 10, 2, 32), 12);
+    let images: Vec<_> = (0..2).map(|i| image_for(&net.spec, 50 + i)).collect();
+    assert_dispatch_agrees(&net, &images, &CompileOptions::default()).expect("agrees");
+    for kernel in ["enc1.q.heads", "enc1.attn0", "enc1.attn1", "enc1.cat", "enc1.ln", "enc1.ln2"] {
+        let base = CompileOptions::default();
         let (cycles, burst_cycles, busy) = span_coverage(&net, &images, &base, kernel);
         assert!(
             burst_cycles + busy > cycles,

@@ -1,16 +1,20 @@
 //! Differential warm-pipeline battery: batch *k* on a re-armed instance
 //! must be **bit-identical** to the same batch on a fresh `try_compile` —
-//! logits, every `CycleReport` field, the schedule-replay diagnostics and
-//! the burst counters — for any sequence of batch sizes, on both
-//! steppers, and for every lowering option that adds control state a
-//! re-arm must restore (parameter loaders, stall injectors, device cuts,
-//! folded lanes, attention tiles).
+//! logits and every `CycleReport` field — for any sequence of batch sizes,
+//! on both steppers, and for every lowering option that adds control state
+//! a re-arm must restore (parameter loaders, stall injectors, device cuts,
+//! folded lanes, attention tiles, residual skips). A batch that plans live
+//! must also match the fresh run's dispatch diagnostics (the replay
+//! diagnostics and burst counters); one that records or replays a
+//! whole-batch schedule tape dispatches differently by design, and the
+//! battery checks that the tapes engage where they should.
 //!
 //! The argument lives in DESIGN.md §7 ("warm instances"): a run stops at
 //! the sink's last element, so end-of-run state is *not* start-of-run
 //! state, and every kernel's `rearm` says explicitly what the latter is.
-//! These tests are that argument's proof obligation; the last one shows the
-//! battery notices a kernel that skips it.
+//! These tests are that argument's proof obligation; the last ones show the
+//! battery notices a kernel that skips it and a tape that stops matching
+//! the graph it replays on.
 //!
 //! Tier-1 at the default case count; `./ci.sh soak` reruns it at 1024.
 
@@ -18,13 +22,15 @@ use qnn::compiler::dse::{pick, ResourceBudget};
 use qnn::compiler::{elaborate, try_compile, CompileOptions, CompiledNetwork};
 use qnn::dfe::{
     CycleReport, Graph, HostSink, HostSource, Io, Kernel, Progress, ReplayDiag, RunError,
-    SchedulerMode, SpanIo, SpanPlan, StreamSpec, WakeHint, STRATIX_10_GX2800,
+    SchedulerMode, SpanIo, SpanPlan, StreamSpec, WakeHint, WholeBatch, STRATIX_10_GX2800,
 };
 use qnn::kernels::{PoolKernel, PoolOp};
-use qnn::nn::specgen::{image_for, random_spec, spec_strategy};
+use qnn::nn::specgen::{image_for, random_spec, residual_spec_strategy, spec_strategy};
 use qnn::nn::{models, Network, Stage};
 use qnn::tensor::Shape3;
 use qnn_testkit::{prop_assert_eq, props, vec};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 /// Everything a run lets an observer see.
 #[derive(Debug, PartialEq)]
@@ -54,6 +60,17 @@ fn on_stepper(opts: &CompileOptions, scheduler: SchedulerMode) -> CompileOptions
     CompileOptions { scheduler, ..opts.clone() }
 }
 
+/// What batch `k` of `sizes` does with a whole-batch tape on a warm
+/// instance whose runs can use one: the first batch plans live, the first
+/// re-armed batch of each size records, and later ones of that size replay.
+fn expected_tape(sizes: &[usize], k: usize) -> WholeBatch {
+    match k {
+        0 => WholeBatch::Off,
+        _ if sizes[1..k].contains(&sizes[k]) => WholeBatch::Replayed,
+        _ => WholeBatch::Recorded,
+    }
+}
+
 /// Run batches of `sizes` images one after another on one warm instance,
 /// holding each against a fresh compile of the same batch.
 fn warm_matches_fresh(
@@ -62,6 +79,9 @@ fn warm_matches_fresh(
     sizes: &[usize],
     seed: u64,
 ) -> Result<(), String> {
+    // Whole-batch tapes need the default stepper and a replay token on
+    // every kernel, which stall injectors do not have.
+    let taped = opts.scheduler == SchedulerMode::Replay && opts.stall_injection.is_none();
     let mut warm = elaborate(net, opts).expect("valid options");
     let mut next_image = seed;
     for (k, &size) in sizes.iter().enumerate() {
@@ -74,10 +94,20 @@ fn warm_matches_fresh(
         warm.load(&batch);
         let got = observe(&mut warm);
         let want = observe(&mut try_compile(net, &batch, opts).expect("valid options"));
-        if got != want {
+        let tape = got.replay.iter().map(|r| r.whole_batch).find(|&t| t != WholeBatch::Off);
+        let tape = tape.unwrap_or_default();
+        let expect = if taped { expected_tape(sizes, k) } else { WholeBatch::Off };
+        // Only a batch planned live dispatches as the fresh run does.
+        let same = if tape == WholeBatch::Off {
+            got == want
+        } else {
+            (&got.logits, &got.reports) == (&want.logits, &want.reports)
+        };
+        if !same || tape != expect {
             return Err(format!(
-                "batch {k} ({size} images, sizes {sizes:?}, {:?}) \
-                 differs on the warm instance:\n warm  {got:?}\n fresh {want:?}",
+                "batch {k} ({size} images, sizes {sizes:?}, {:?}, tape {tape:?}, \
+                 expected {expect:?}) differs on the warm instance:\n warm  {got:?}\n \
+                 fresh {want:?}",
                 opts.scheduler
             ));
         }
@@ -125,6 +155,22 @@ props! {
         let outcome =
             warm_matches_fresh(&net, &on_stepper(&base, STEPPERS[mode]), &sizes, seed);
         prop_assert_eq!(outcome, Ok(()));
+    }
+
+    /// Random residual networks — identity blocks carrying their skip into
+    /// the next block, downsampling blocks — on either stepper, re-armed
+    /// for a random batch sequence that repeats sizes, so tapes record and
+    /// replay.
+    #[test]
+    fn warm_residual_instance_matches_fresh_compile(
+        spec in residual_spec_strategy(),
+        seed in 0u64..1000,
+        sizes in vec(1usize..3, 3..6),
+        mode in 0usize..2,
+    ) {
+        let net = Network::random(spec, seed);
+        let opts = on_stepper(&CompileOptions::default(), STEPPERS[mode]);
+        prop_assert_eq!(warm_matches_fresh(&net, &opts, &sizes, seed), Ok(()));
     }
 }
 
@@ -205,6 +251,121 @@ fn strided_pool_owed_an_unread_row_rearms() {
     check_all_modes(&net, &CompileOptions::default());
 }
 
+/// Whole-batch tapes: the third same-size batch replays nearly all of its
+/// cycles from the tape the second one recorded, on a residual network and
+/// on a transformer.
+#[test]
+fn third_same_size_batch_replays_its_schedule() {
+    let nets = [
+        Network::random(models::test_net(8, 4, 2), 5),
+        Network::random(models::tiny_transformer(6, 2, 4, 5, 2, 8), 6),
+    ];
+    for net in &nets {
+        let mut warm = elaborate(net, &CompileOptions::default()).expect("valid options");
+        let batch: Vec<_> = (0..2).map(|s| image_for(&net.spec, s)).collect();
+        let fresh = try_compile(net, &batch, &CompileOptions::default())
+            .expect("valid options")
+            .run()
+            .expect("run");
+        for want in [WholeBatch::Off, WholeBatch::Recorded, WholeBatch::Replayed] {
+            warm.load(&batch);
+            let sim = warm.run().expect("run");
+            assert_eq!((&sim.logits, &sim.reports), (&fresh.logits, &fresh.reports));
+            assert_eq!(sim.reports[0].replay.whole_batch, want, "{}", net.spec.name);
+        }
+        let replayed = warm.graphs[0].burst_cycles() as f64 / fresh.cycles() as f64;
+        assert!(replayed >= 0.95, "{}: replayed {replayed:.3} of the cycles", net.spec.name);
+    }
+}
+
+/// A kernel that delegates everything, but — while `awake` is set — asks
+/// to be ticked every cycle instead of parking. Its port traffic and
+/// counters are the same either way; only the scheduler's awake set
+/// differs.
+struct Insomniac {
+    inner: Box<dyn Kernel>,
+    awake: Arc<AtomicBool>,
+}
+
+impl Kernel for Insomniac {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+    fn tick(&mut self, io: &mut Io<'_>) -> Progress {
+        self.inner.tick(io)
+    }
+    fn rearm(&mut self) {
+        self.inner.rearm()
+    }
+    fn is_done(&self) -> bool {
+        self.inner.is_done()
+    }
+    fn wake_hint(&self) -> WakeHint {
+        if self.awake.load(Ordering::Relaxed) {
+            WakeHint::AlwaysTick
+        } else {
+            self.inner.wake_hint()
+        }
+    }
+    fn span_hint(&self, in_len: &[usize], out_room: &[usize]) -> Option<SpanPlan> {
+        self.inner.span_hint(in_len, out_room)
+    }
+    fn run_span(&mut self, io: &mut SpanIo<'_>, n: u64) {
+        self.inner.run_span(io, n)
+    }
+    fn replay_token(&self) -> Option<u64> {
+        self.inner.replay_token()
+    }
+}
+
+/// A tape replayed on a graph whose scheduler state has drifted from the
+/// one it was recorded on misses its awake-mask guard, falls back to live
+/// planning with identical results, and is recorded afresh on the next run.
+/// Source → 2/2 max pool → sink; on the drifting run the source stays
+/// awake once it runs dry instead of parking, so the spans after that
+/// start from another awake set.
+#[test]
+fn tape_guard_miss_falls_back_and_rerecords() {
+    let shape = Shape3::new(16, 16, 2);
+    let image = |seed: i32| -> Vec<i32> { (0..512).map(|i| (i * 5 + seed) % 11).collect() };
+    let build = |awake: bool| {
+        let mut g = Graph::new();
+        let a = g.add_stream(StreamSpec::new("in", 8, 64));
+        let b = g.add_stream(StreamSpec::new("out", 8, 64));
+        let (src, feed) = HostSource::new("src", Vec::new()).refillable();
+        let flag = Arc::new(AtomicBool::new(awake));
+        let src = Insomniac { inner: Box::new(src), awake: Arc::clone(&flag) };
+        g.add_kernel(Box::new(src), &[], &[a]);
+        g.add_kernel(Box::new(PoolKernel::new("pool", shape, 2, 2, PoolOp::Max)), &[a], &[b]);
+        let (sink, out) = HostSink::new("dst", 0);
+        g.add_kernel(Box::new(sink), &[b], &[]);
+        g.set_replay_marker(b, 128);
+        (g, feed, out, flag)
+    };
+    let run = |g: &mut Graph, feed: &qnn::dfe::SourceHandle, out: &qnn::dfe::SinkHandle, seed| {
+        feed.refill(image(seed));
+        out.set_expected(128);
+        g.rearm(1);
+        let report = g.run(10_000).expect("run");
+        (out.take(), report)
+    };
+    let (mut warm, feed, out, flag) = build(false);
+    for (k, want) in [
+        (0, WholeBatch::Off),
+        (1, WholeBatch::Recorded),
+        (2, WholeBatch::Replayed),
+        (3, WholeBatch::FellBack),
+        (4, WholeBatch::Recorded),
+        (5, WholeBatch::Replayed),
+    ] {
+        flag.store(k == 3, Ordering::Relaxed);
+        let got = run(&mut warm, &feed, &out, k);
+        let (mut fresh, feed, out, _) = build(k == 3);
+        assert_eq!(got, run(&mut fresh, &feed, &out, k), "run {k} differs from a fresh graph");
+        assert_eq!(got.1.replay.whole_batch, want, "run {k}: {:?}", got.1.replay);
+    }
+}
+
 /// A run that fails leaves the instance mid-batch: it refuses to be loaded
 /// again, and its replacement behaves like any fresh instance.
 #[test]
@@ -278,7 +439,7 @@ fn battery_catches_a_kernel_that_skips_its_rearm() {
         let mut last = None;
         for &seed in images {
             feed.refill(image(seed));
-            g.rearm();
+            g.rearm(1);
             let report = g.run(10_000).map_err(|e| e.to_string());
             last = Some((out.take(), report));
         }

@@ -1,12 +1,12 @@
 //! Mixed CNN + transformer serving: a residual CNN and a two-encoder
 //! transformer registered behind one server, with interleaved traffic.
 //!
-//! The transformer graph vetoes span promises and schedule replay in its
-//! attention/LayerNorm kernels while the CNN graph keeps both, so this is
-//! the one place the two dispatch regimes share a process: each model's
-//! replicas must stay on their own regime with no cross-talk, every
-//! response bit-identical to direct execution, and the admission ledger
-//! balanced.
+//! Both graphs burst and replay: the attention family offers span
+//! promises and replay tokens like the CNN kernels, so each model's warm
+//! replicas record and replay whole-batch schedule tapes of their own.
+//! Every response must stay bit-identical to direct execution on either
+//! stepper, with no cross-talk between the two models' pipelines, and the
+//! admission ledger balanced.
 
 use qnn::compiler::{run_images, CompileOptions};
 use qnn::dfe::SchedulerMode;

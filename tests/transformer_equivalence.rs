@@ -7,9 +7,11 @@
 //! The numeric core (`qnn_quant::attention`) is shared between the two
 //! paths, so these tests pin the *plumbing*: stream ordering through the
 //! branching subgraph, head slicing, skip alignment, and the gather/emit
-//! state machines under backpressure and arbitrary stall patterns.
+//! state machines under backpressure and arbitrary stall patterns — and
+//! that the attention family's span promises and replay tokens put
+//! transformer runs on burst dispatch and whole-batch replay.
 
-use qnn::compiler::{run_images, CompileOptions};
+use qnn::compiler::{elaborate, run_images, try_compile, CompileOptions};
 use qnn::dfe::SchedulerMode;
 use qnn::nn::specgen::{encoder_spec_strategy, image_for, random_encoder_spec};
 use qnn::nn::{models, Network};
@@ -67,6 +69,28 @@ fn transformer_image_stream_is_bit_exact() {
     let sim = run_images(&net, &images, &CompileOptions::default()).expect("sim");
     for (i, img) in images.iter().enumerate() {
         assert_eq!(sim.logits[i], net.forward(img).logits, "image {i}");
+    }
+}
+
+/// The default stepper fast-forwards transformer runs in bursts, and a
+/// warm pipeline's third same-size batch replays the tape the second one
+/// recorded — bit-exact throughout.
+#[test]
+fn transformer_runs_burst_and_warm_batches_replay() {
+    let net = Network::random(models::tiny_transformer(6, 2, 3, 5, 2, 8), 23);
+    let images: Vec<_> = (0..2).map(|s| image_for(&net.spec, 40 + s)).collect();
+    let expect: Vec<_> = images.iter().map(|img| net.forward(img).logits).collect();
+    let opts = CompileOptions::default();
+    let mut fresh = try_compile(&net, &images, &opts).expect("valid options");
+    let sim = fresh.run().expect("sim");
+    assert_eq!(sim.logits, expect);
+    assert!(fresh.graphs[0].burst_cycles() > 0, "no transformer cycle ran in a burst");
+    let mut warm = elaborate(&net, &opts).expect("valid options");
+    for batch in 0..3 {
+        warm.load(&images);
+        let run = warm.run().expect("sim");
+        assert_eq!((&run.logits, &run.reports), (&expect, &sim.reports), "batch {batch}");
+        assert_eq!(run.replayed_whole_batch(), batch == 2, "batch {batch}");
     }
 }
 
