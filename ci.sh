@@ -81,7 +81,6 @@ if [[ "${1:-}" == "soak" ]]; then
   run cargo test -q --release --offline -p qnn --test property_streaming
   run cargo test -q --release --offline -p qnn --test pipeline_rearm
   run cargo test -q --release --offline -p qnn --test scheduler_equivalence
-  run cargo test -q --release --offline -p qnn --test conv_datapath_equivalence
   run cargo test -q --release --offline -p qnn --test macro_tick_equivalence
   run cargo test -q --release --offline -p qnn --test dse_frontier
   run cargo test -q --release --offline -p hw-model --test folding_monotonic

@@ -7,15 +7,15 @@ use dfe_platform::{
 use hw_model::{CycleModel, Fold, FoldPlan};
 use qnn_kernels::loader::encode_conv_params;
 use qnn_kernels::{
-    AddKernel, AttentionHeadKernel, ConcatKernel, ConvDatapath, ConvKernel, DotMode,
-    HeadSplitKernel, LayerNormKernel, PadInserter, PoolKernel, PoolOp, SplitKernel,
-    ThresholdKernel,
+    AddKernel, AttentionHeadKernel, ConcatKernel, ConvKernel, DotMode, HeadSplitKernel,
+    LayerNormKernel, PadInserter, PoolKernel, PoolOp, SplitKernel, ThresholdKernel,
 };
 use qnn_nn::{Network, PoolKind, Stage, StageParams};
 use qnn_quant::ThresholdUnit;
 use qnn_tensor::{BinaryFilters, ConvGeometry, Shape3, Tensor3};
 
-/// Compilation knobs.
+/// Compilation knobs: the design point (FIFO depths, placement, parameter
+/// loading, folding) and the stepper that simulates it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CompileOptions {
     /// Default FIFO capacity between kernels (elements). The paper's FMem
@@ -37,10 +37,6 @@ pub struct CompileOptions {
     /// kernel every cycle and is the oracle the differential batteries
     /// compare against. Both are bit-identical in outputs and reports.
     pub scheduler: SchedulerMode,
-    /// Busy-path datapath for every convolution kernel. Packed (the
-    /// default) and ScalarReference (the oracle) are bit-identical in
-    /// outputs and reports.
-    pub conv_datapath: ConvDatapath,
     /// Per-layer folding overrides, keyed by the lowering's stage labels
     /// (`conv0`, `pool1`, `fc5`, `res2.conv1`, `res3.ds`, …). Layers not
     /// mentioned run unfolded. Folding changes per-cycle lane widths only,
@@ -53,15 +49,6 @@ pub struct CompileOptions {
     /// buffers). Unknown names and zero capacities are rejected by
     /// [`try_compile`].
     pub fifo_overrides: Vec<(String, usize)>,
-    /// Random stall injection `(seed, percent)`: wrap every lowered kernel
-    /// in a `dfe_platform::StallInjector` with a per-kernel seed derived
-    /// from `seed`, suppressing ~`percent`% of its ticks. A handshake-test
-    /// instrument — logits must be bit-identical to the uninjected run at
-    /// any setting. Injected stalls can produce legitimate full-stall
-    /// cycles, so [`crate::run_images`] disables deadlock detection when
-    /// this is set (the cycle budget still bounds the run); injectors also
-    /// veto span dispatch and schedule replay for the wrapped kernels.
-    pub stall_injection: Option<(u64, u8)>,
 }
 
 impl Default for CompileOptions {
@@ -71,10 +58,8 @@ impl Default for CompileOptions {
             stage_device: None,
             stream_parameters: false,
             scheduler: SchedulerMode::default(),
-            conv_datapath: ConvDatapath::default(),
             layer_folding: FoldPlan::new(),
             fifo_overrides: Vec::new(),
-            stall_injection: None,
         }
     }
 }
@@ -152,8 +137,8 @@ pub struct CompiledNetwork {
     /// serialized bound (a correct pipeline finishes far earlier; a wedged
     /// one times out).
     pub(crate) budget_per_image: u64,
-    /// Injected stalls can produce legitimate full-stall cycles, so runs
-    /// with stall injection rely on the budget alone to bound them.
+    /// Cleared only by [`CompiledNetwork::wrap_kernels`]: a wrapped
+    /// pipeline may go all-quiet for a cycle without being deadlocked.
     pub(crate) detect_deadlock: bool,
     /// A run on this instance returned an error: its kernels and streams
     /// hold mid-run state no re-arm is specified for.
@@ -189,6 +174,21 @@ impl CompiledNetwork {
             g.rearm(images.len() as u64);
         }
         self.images = images.len();
+    }
+
+    /// Replace every kernel `k` with `wrap(seq, k)`, `seq` its node index —
+    /// the post-elaboration hook a test uses to lace the pipeline with an
+    /// instrument such as `dfe_platform::StallInjector`. Call it before
+    /// the first [`CompiledNetwork::load`].
+    ///
+    /// Runs of this instance then go without deadlock detection and are
+    /// bounded by the cycle budget alone: a wrapper may hold back the one
+    /// kernel that could move on some cycle (an injected stall does), and
+    /// the detector cannot tell that all-quiet cycle from a deadlock.
+    pub fn wrap_kernels(&mut self, wrap: impl FnMut(u64, Box<dyn Kernel>) -> Box<dyn Kernel>) {
+        assert_eq!(self.images, 0, "kernels are wrapped before the first load");
+        self.graphs[0].map_kernels(wrap);
+        self.detect_deadlock = false;
     }
 
     /// Take over `old`'s whole-batch schedule tapes ([`Graph::adopt_tapes`]),
@@ -253,15 +253,11 @@ struct Builder {
     fifo_capacity: usize,
     stream_parameters: bool,
     act_bits: u32,
-    conv_datapath: ConvDatapath,
     /// Folding overrides with a consumed flag; any entry still unconsumed
     /// after lowering names a layer this network does not have.
     folds: Vec<(String, Fold, bool)>,
     /// FIFO capacity overrides with a consumed flag, same discipline.
     fifos: Vec<(String, usize, bool)>,
-    /// Stall-injection setting; each kernel's seed is derived from its
-    /// node index.
-    stall: Option<(u64, u8)>,
 }
 
 impl Builder {
@@ -274,7 +270,6 @@ impl Builder {
             fifo_capacity: opts.fifo_capacity,
             stream_parameters: opts.stream_parameters,
             act_bits,
-            conv_datapath: opts.conv_datapath,
             folds: opts
                 .layer_folding
                 .entries()
@@ -286,7 +281,6 @@ impl Builder {
                 .iter()
                 .map(|(n, c)| (n.clone(), *c, false))
                 .collect(),
-            stall: opts.stall_injection,
         }
     }
 
@@ -316,16 +310,6 @@ impl Builder {
     }
 
     fn kernel(&mut self, k: Box<dyn Kernel>, inputs: &[Wire], outputs: &[Wire]) {
-        // Stall injection wraps every kernel with its own splitmix-spread
-        // seed, so each one sees an independent stall pattern.
-        let k = match self.stall {
-            Some((seed, pct)) => {
-                let seq = self.kernel_device.len() as u64;
-                let per_kernel = seed ^ seq.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                dfe_platform::StallInjector::wrap(k, per_kernel, pct)
-            }
-            None => k,
-        };
         for w in inputs {
             self.stream_device[w.ix] = self.device;
         }
@@ -392,7 +376,6 @@ impl Builder {
                         thresholds.is_some(),
                         self.act_bits,
                     )
-                    .with_datapath(self.conv_datapath)
                     .with_folding(fold.pe, fold.simd),
                 ),
                 &[conv_in, params],
@@ -408,7 +391,6 @@ impl Builder {
                         thresholds.map(<[ThresholdUnit]>::to_vec),
                         mode,
                     )
-                    .with_datapath(self.conv_datapath)
                     .with_folding(fold.pe, fold.simd),
                 ),
                 &[conv_in],
@@ -707,13 +689,18 @@ pub fn elaborate(net: &Network, opts: &CompileOptions) -> Result<CompiledNetwork
 
                 let thr_in = if next_wants_skip {
                     // Split z: one copy continues as the next block's skip,
-                    // sized for that block's path delay.
+                    // sized for that block's path delay and named after it,
+                    // as every skip stream is after the block consuming it.
                     let next_geom = match spec.stages[i + 1] {
                         Stage::Residual { geom } => geom,
                         _ => unreachable!("lookahead said residual"),
                     };
                     let z_a = b.stream(format!("res{i}.z_a"), 16, opts.fifo_capacity);
-                    let z_skip = b.stream(format!("res{i}.skipbuf"), 16, skip_capacity(&next_geom));
+                    let z_skip = b.stream(
+                        format!("res{}.skipbuf", i + 1),
+                        16,
+                        skip_capacity(&next_geom),
+                    );
                     b.kernel(
                         Box::new(SplitKernel::new(format!("res{i}.split_out"))),
                         &[z],
@@ -934,7 +921,7 @@ pub fn elaborate(net: &Network, opts: &CompileOptions) -> Result<CompiledNetwork
             logits: logits_device,
         }),
         budget_per_image: CycleModel::analyze(spec).serial_bound() * 8 + 2_000_000,
-        detect_deadlock: opts.stall_injection.is_none(),
+        detect_deadlock: true,
         failed: false,
     })
 }
@@ -1018,6 +1005,35 @@ mod options_tests {
             elaborate(&net(), &opts).err(),
             Some(OptionsError::UnknownStream("nope.out".into()))
         );
+    }
+
+    /// Every stream of a lowered network has a name of its own, so a
+    /// `fifo_overrides` entry resizes exactly one stream.
+    fn assert_stream_names_unique(net: &Network) {
+        let pipeline = elaborate(net, &CompileOptions::default()).expect("default options");
+        let mut names: Vec<&str> = pipeline.graphs[0].stream_names().collect();
+        let streams = names.len();
+        names.sort_unstable();
+        names.dedup();
+        let name = &net.spec.name;
+        assert_eq!(names.len(), streams, "{name} reuses a stream name");
+    }
+
+    #[test]
+    fn stream_names_are_unique() {
+        assert_stream_names_unique(&net());
+        assert_stream_names_unique(&Network::random(models::resnet18(10), 1));
+    }
+
+    qnn_testkit::props! {
+        /// Random residual networks: identity chains carry their skip from
+        /// block to block, each under the consuming block's name.
+        #[test]
+        fn residual_stream_names_are_unique(
+            spec in qnn_nn::specgen::residual_spec_strategy(),
+        ) {
+            assert_stream_names_unique(&Network::random(spec, 0));
+        }
     }
 
     /// `Default` equivalence: an explicit folding=1 entry for every layer

@@ -219,7 +219,7 @@ mod tests {
     }
 
     /// A deadlock reachable from configuration, across a device cut: the
-    /// skip stream `res2.skipbuf`, from stage 2's output split to stage
+    /// skip stream `res3.skipbuf`, from stage 2's output split to stage
     /// 3's adder, crosses the cut, and one slot cannot cover stage 3's
     /// window fill. The run reports a deadlock naming that stream.
     #[test]
@@ -242,12 +242,12 @@ mod tests {
         let net = Network::random(spec, 3);
         let opts = CompileOptions {
             stage_device: Some(vec![0, 0, 0, 1, 1, 1]),
-            fifo_overrides: vec![("res2.skipbuf".into(), 1)],
+            fifo_overrides: vec![("res3.skipbuf".into(), 1)],
             ..CompileOptions::default()
         };
         match run_images(&net, &[image(8, 1)], &opts) {
             Err(SimError::Run(RunError::Deadlock { diagnostics, .. })) => {
-                assert!(diagnostics.contains("'res2.skipbuf': 1/1 occupied"), "{diagnostics}");
+                assert!(diagnostics.contains("'res3.skipbuf': 1/1 occupied"), "{diagnostics}");
             }
             other => panic!("expected a deadlock, got {other:?}"),
         }

@@ -635,6 +635,13 @@ impl Planner {
         }
         // The ports that held its move back: any change on them may move it.
         let held = bits(seen).filter(|&q| g[q].avail <= moves[q] as i64).fold(0, |h, q| h | 1 << q);
+        // Progress guard: a move re-queued on its own cycle would be
+        // evaluated again at `t` forever, and `run` would never return.
+        debug_assert!(
+            next > t,
+            "{} re-queued on its own cycle {t}",
+            view.nodes[i].kernel.name()
+        );
         let p = &mut self.list[pi];
         self.busy = self.busy + usize::from(act.is_none()) - usize::from(p.act.is_none());
         (p.phase, p.left, p.rate, p.act, p.next, p.held) = (phase, left, rate, act, next, held);

@@ -216,6 +216,18 @@ enum ReplayOutcome {
     Fallback,
 }
 
+/// A kernel's declared stream interface, which must move at least one
+/// element per port per tick.
+fn lanes_of(kernel: &dyn Kernel) -> (u16, u16) {
+    let (read_lanes, write_lanes) = kernel.lanes();
+    assert!(
+        read_lanes >= 1 && write_lanes >= 1,
+        "kernel '{}' declared a zero-lane stream interface",
+        kernel.name()
+    );
+    (read_lanes, write_lanes)
+}
+
 impl Default for Graph {
     /// Empty graph at the default [`SchedulerMode`].
     fn default() -> Self {
@@ -456,12 +468,7 @@ impl Graph {
             );
             self.writers[s] = Some(End { node: id, port });
         }
-        let (read_lanes, write_lanes) = kernel.lanes();
-        assert!(
-            read_lanes >= 1 && write_lanes >= 1,
-            "kernel '{}' declared a zero-lane stream interface",
-            kernel.name()
-        );
+        let (read_lanes, write_lanes) = lanes_of(kernel.as_ref());
         self.nodes.push(Node {
             kernel,
             inputs: inputs.iter().map(|s| s.0).collect(),
@@ -481,6 +488,23 @@ impl Graph {
         KernelId(id)
     }
 
+    /// Replace every kernel `k` with `wrap(seq, k)`, `seq` its node index,
+    /// keeping its wiring and re-reading its stream interface
+    /// ([`Kernel::lanes`]). This is how a test laces a built graph with an
+    /// instrument such as a [`StallInjector`](crate::StallInjector); call
+    /// it before the graph first runs.
+    pub fn map_kernels(&mut self, mut wrap: impl FnMut(u64, Box<dyn Kernel>) -> Box<dyn Kernel>) {
+        self.nodes = std::mem::take(&mut self.nodes)
+            .into_iter()
+            .enumerate()
+            .map(|(seq, mut node)| {
+                node.kernel = wrap(seq as u64, node.kernel);
+                (node.read_lanes, node.write_lanes) = lanes_of(node.kernel.as_ref());
+                node
+            })
+            .collect();
+    }
+
     /// Number of kernels.
     pub fn num_kernels(&self) -> usize {
         self.nodes.len()
@@ -489,6 +513,11 @@ impl Graph {
     /// Number of streams.
     pub fn num_streams(&self) -> usize {
         self.streams.len()
+    }
+
+    /// Every stream's name, in stream order.
+    pub fn stream_names(&self) -> impl Iterator<Item = &str> {
+        self.streams.iter().map(|s| s.spec.name.as_str())
     }
 
     /// Every kernel's id, in node order.
@@ -540,7 +569,10 @@ impl Graph {
     /// A graph whose kernels legitimately go all-quiet for whole cycles —
     /// a [`StallInjector`](crate::StallInjector) holding its stream, a
     /// timer-driven sink — disables detection and relies on the
-    /// `max_cycles` budget instead.
+    /// `max_cycles` budget instead. A compiled network runs with detection
+    /// on unless a test laced its kernels through the post-elaboration
+    /// hook `CompiledNetwork::wrap_kernels`, the one place that turns it
+    /// off.
     pub fn run_opts(
         &mut self,
         max_cycles: u64,

@@ -18,7 +18,11 @@
 //! full no-progress cycle as fatal, and an injected stall can legitimately
 //! produce one. Drive graphs containing injectors with
 //! [`Graph::run_opts`](crate::Graph::run_opts) and deadlock detection
-//! disabled (the timeout budget still bounds the run).
+//! disabled (the timeout budget still bounds the run). Injectors are laced
+//! into a hand-built graph at `add_kernel`, or into a built one with
+//! [`Graph::map_kernels`](crate::Graph::map_kernels); a compiled network
+//! takes them through its test-side hook `CompiledNetwork::wrap_kernels`,
+//! which also turns its detection off. No compile option injects stalls.
 
 use crate::kernel::{Io, Kernel, Progress, WakeHint};
 

@@ -32,39 +32,32 @@
 //!   being emitted, giving `inputs + outputs` busy cycles. Kept as an
 //!   ablation (`paper-tables ablations`).
 //!
-//! # Busy-path datapaths
+//! # Busy-path datapath
 //!
-//! The *modeled* cycle behavior above is fixed; how the simulator computes
-//! each busy cycle's arithmetic is selected by [`ConvDatapath`]:
+//! The *modeled* cycle behavior above is fixed; the simulator computes
+//! each busy cycle's arithmetic pack-on-arrival: code-mode inputs land
+//! directly in a [`PlaneRing`] (O(bits) bit writes per input tick; inside a
+//! span, one masked word store per plane per 64 arriving codes), a window
+//! latch is `K` contiguous bit-span copies per plane, and all `O` filter
+//! accumulators are precomputed in one weights-stationary blocked bit-GEMM
+//! ([`qnn_quant::conv_accumulate_all`]) and pushed through the fused
+//! thresholds in one banked compare pass ([`ThresholdBank`]) at latch time;
+//! each emit tick pops one finished stream element, and a span pushes a
+//! slice of them. The i8 first layer keeps a scalar ring and sums the
+//! latched window's lanes against per-filter masks
+//! ([`qnn_quant::conv_accumulate_i8_lanes`]).
 //!
-//! * [`ConvDatapath::Packed`] (default) — pack-on-arrival: code-mode inputs
-//!   land directly in a [`PlaneRing`] (O(bits) bit writes per input tick;
-//!   inside a span, one masked word store per plane per 64 arriving codes),
-//!   a window latch is `K` contiguous bit-span copies per plane, and all
-//!   `O` filter accumulators are precomputed in one weights-stationary
-//!   blocked bit-GEMM ([`qnn_quant::conv_accumulate_all`]) and pushed
-//!   through the fused thresholds in one banked compare pass
-//!   ([`ThresholdBank`]) at latch time; each emit tick pops one finished
-//!   stream element, and a span pushes a slice of them. The i8 first layer
-//!   keeps its scalar ring but latches the same way.
-//! * [`ConvDatapath::ScalarReference`] — the original datapath: a scalar
-//!   `Vec<i32>` ring written one element at a time, a gather-and-repack at
-//!   every latch, and one full window dot product plus one threshold binary
-//!   search per emit tick.
-//!
-//! Both datapaths make identical `tick` I/O decisions and per-filter
-//! arithmetic (`(2·agree − ones) << p`, planes ascending), so outputs *and*
-//! [`CycleReport`](dfe_platform::CycleReport)s are bit-identical — enforced
-//! by the `conv_datapath_equivalence` differential suite, the golden
-//! vectors, and the scheduler-equivalence battery. The default is the
-//! constant `Packed`; `ScalarReference` is the oracle those suites select
-//! through `CompileOptions::conv_datapath`.
+//! Where the arithmetic happens never changes `tick`'s I/O decisions, so
+//! the oracles sit outside the kernel: values are held against the
+//! reference interpreter (`qnn_nn::reference`, this module's
+//! `matches_reference_*` tests and the `property_streaming` battery), and
+//! cycle reports against the `Dense` stepper.
 
 use crate::loader::{LoadStep, ParamLoader};
 use dfe_platform::{Io, Kernel, Progress, SpanIo, SpanPhase, SpanPlan, WakeHint};
 use qnn_quant::{
-    conv_accumulate_all, conv_accumulate_i8_lanes, dot_i8, ActPlanes, I8Masks, PlaneRing,
-    ThresholdBank, ThresholdUnit,
+    conv_accumulate_all, conv_accumulate_i8_lanes, ActPlanes, I8Masks, PlaneRing, ThresholdBank,
+    ThresholdUnit,
 };
 use qnn_tensor::{BinaryFilters, BitVec, ConvGeometry};
 
@@ -80,20 +73,8 @@ pub enum DotMode {
     },
 }
 
-/// How the simulator computes the arithmetic of each modeled busy cycle
-/// (see the module docs — the cycle model itself is datapath-independent).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum ConvDatapath {
-    /// Pack-on-arrival plane ring + blocked accumulator precompute.
-    #[default]
-    Packed,
-    /// Scalar window ring, one full window dot per emit tick. Kept callable
-    /// for the differential suite.
-    ScalarReference,
-}
-
-/// The depth-first window buffer, in whichever representation the active
-/// datapath uses. Slot `s` always holds the element whose stream index
+/// The depth-first window buffer: bit planes for code streams, scalars for
+/// the i8 first layer. Slot `s` always holds the element whose stream index
 /// satisfies `idx % capacity == s`.
 enum WindowRing {
     Scalar(Vec<i32>),
@@ -123,14 +104,11 @@ pub struct ConvKernel {
     name: String,
     geom: ConvGeometry,
     filters: BinaryFilters,
-    thresholds: Option<Vec<ThresholdUnit>>,
-    /// `thresholds` as the comparator bank the packed datapath latches
-    /// through.
+    /// The fused BatchNorm+activation thresholds as a comparator bank,
+    /// fired on every accumulator of a window at latch time.
     bank: Option<ThresholdBank>,
-    /// `filters` as the first layer's lane masks (i8 mode).
+    /// `filters` as the first layer's lane masks (i8 mode only).
     i8_masks: Option<I8Masks>,
-    mode: DotMode,
-    datapath: ConvDatapath,
     // --- window buffer ---
     ring: WindowRing,
     /// Elements of the current image received so far.
@@ -163,14 +141,12 @@ pub struct ConvKernel {
     /// kernel: what a re-arm needs to expect the parameter stream again.
     streamed: Option<(bool, u32)>,
     // --- scratch (reused across positions, no per-cycle allocation) ---
-    window_codes: Vec<u8>,
-    window_i8: Vec<i8>,
     planes: ActPlanes,
-    /// The latched i8 window as lanes of `pixel + 128` (packed datapath).
+    /// The latched i8 window as lanes of `pixel + 128`.
     i8_lanes: Vec<u16>,
-    /// Stream elements of the latched position, finished at latch time
-    /// (packed datapath): every filter's accumulator, through the fused
-    /// thresholds when present. Emit tick `o` pops `latched[o]`.
+    /// Stream elements of the latched position, finished at latch time:
+    /// every filter's accumulator, through the fused thresholds when
+    /// present. Emit tick `o` pops `latched[o]`.
     latched: Vec<i32>,
 }
 
@@ -265,18 +241,20 @@ impl ConvKernel {
             DotMode::Codes { bits } => bits,
             DotMode::I8 => 1, // planes unused in i8 mode
         };
-        let datapath = ConvDatapath::default();
         let i8_masks = (mode == DotMode::I8).then(|| I8Masks::new(&filters));
+        let ring = match mode {
+            DotMode::Codes { bits } => {
+                WindowRing::Packed(PlaneRing::new(bits, geom.depth_first_buffer()))
+            }
+            DotMode::I8 => WindowRing::Scalar(vec![0; geom.depth_first_buffer()]),
+        };
         Self {
             name: name.into(),
             geom,
             filters,
             bank: thresholds.as_deref().map(ThresholdBank::new),
             i8_masks,
-            thresholds,
-            mode,
-            datapath,
-            ring: Self::make_ring(geom, mode, datapath),
+            ring,
             received: 0,
             wr: 0,
             needed_memo: (usize::MAX, 0),
@@ -287,39 +265,10 @@ impl ConvKernel {
             simd: 1,
             loader: None,
             streamed: None,
-            window_codes: vec![0; wsize],
-            window_i8: vec![0; wsize],
             planes: ActPlanes::new(bits, wsize),
             i8_lanes: Vec::new(),
             latched: vec![0; geom.filter.o],
         }
-    }
-
-    /// The window buffer for a mode/datapath pair: code streams pack on
-    /// arrival under the packed datapath; the i8 first layer and the scalar
-    /// reference keep the `Vec<i32>` ring.
-    fn make_ring(geom: ConvGeometry, mode: DotMode, datapath: ConvDatapath) -> WindowRing {
-        match (mode, datapath) {
-            (DotMode::Codes { bits }, ConvDatapath::Packed) => {
-                WindowRing::Packed(PlaneRing::new(bits, geom.depth_first_buffer()))
-            }
-            _ => WindowRing::Scalar(vec![0; geom.depth_first_buffer()]),
-        }
-    }
-
-    /// Rebuild this kernel with an explicit busy-path datapath (tests,
-    /// the differential suite, and benches; production call sites take the
-    /// process default). Must be applied before any input is streamed.
-    pub fn with_datapath(mut self, datapath: ConvDatapath) -> Self {
-        assert_eq!(self.received, 0, "datapath change mid-stream");
-        self.datapath = datapath;
-        self.ring = Self::make_ring(self.geom, self.mode, datapath);
-        self
-    }
-
-    /// The active busy-path datapath.
-    pub fn datapath(&self) -> ConvDatapath {
-        self.datapath
     }
 
     /// Rebuild this kernel with PE/SIMD folding: emit up to `pe` filter
@@ -387,20 +336,17 @@ impl ConvKernel {
 
     /// The loader has delivered the caches: install them.
     fn install_params(&mut self, filters: BinaryFilters, thresholds: Option<Vec<ThresholdUnit>>) {
-        if self.mode == DotMode::I8 {
+        if self.i8_masks.is_some() {
             self.i8_masks = Some(I8Masks::new(&filters));
         }
         self.filters = filters;
-        if thresholds.is_some() {
-            self.bank = thresholds.as_deref().map(ThresholdBank::new);
-            self.thresholds = thresholds;
+        if let Some(t) = thresholds {
+            self.bank = Some(ThresholdBank::new(&t));
         }
     }
 
-    /// Latch the current window out of the ring. Scalar datapath: gather
-    /// into scratch and (in code mode) repack the bit planes; accumulators
-    /// are then computed one per emit tick. Packed datapath: span-copy the
-    /// packed planes (or gather the i8 scratch), precompute *all* filter
+    /// Latch the current window out of the ring: span-copy the packed
+    /// planes (or gather the i8 lanes), precompute *all* filter
     /// accumulators and run them through the threshold bank now — the emit
     /// loop just pops finished elements. The comparators see nothing but
     /// the latched accumulator, so firing them here instead of on the emit
@@ -420,63 +366,29 @@ impl ConvKernel {
                 conv_accumulate_all(&self.filters, &self.planes, &mut self.latched);
             }
             WindowRing::Scalar(ring) => {
+                let masks = self.i8_masks.as_ref().expect("an i8 kernel has lane masks");
+                self.i8_lanes.resize(masks.stride(), 0);
                 let cap = ring.len();
-                // The i8 first layer under the packed datapath gathers
-                // straight into the lanes its kernel sums.
-                let lanes = match (self.mode, &self.i8_masks) {
-                    (DotMode::I8, Some(masks)) if self.datapath == ConvDatapath::Packed => {
-                        self.i8_lanes.resize(masks.stride(), 0);
-                        true
-                    }
-                    _ => false,
-                };
                 let mut at = 0;
                 for ky in 0..k {
                     for kx in 0..k {
                         let base = ((ty + ky) * w + tx + kx) * i;
                         let mut idx = base % cap; // channels are contiguous: wrap incrementally
                         for _ in 0..i {
-                            let v = ring[idx];
+                            self.i8_lanes[at] = (ring[idx] + 128) as u16;
                             idx += 1;
                             if idx == cap {
                                 idx = 0;
-                            }
-                            match self.mode {
-                                DotMode::Codes { .. } => self.window_codes[at] = v as u8,
-                                DotMode::I8 if lanes => self.i8_lanes[at] = (v + 128) as u16,
-                                DotMode::I8 => self.window_i8[at] = v as i8,
                             }
                             at += 1;
                         }
                     }
                 }
-                match (self.mode, &self.i8_masks) {
-                    (DotMode::Codes { .. }, _) => self.planes.pack(&self.window_codes),
-                    (DotMode::I8, Some(masks)) if lanes => {
-                        conv_accumulate_i8_lanes(masks, &self.i8_lanes, &mut self.latched)
-                    }
-                    (DotMode::I8, _) => {}
-                }
+                conv_accumulate_i8_lanes(masks, &self.i8_lanes, &mut self.latched);
             }
         }
-        if let (ConvDatapath::Packed, Some(bank)) = (self.datapath, &self.bank) {
+        if let Some(bank) = &self.bank {
             bank.activate_all(&mut self.latched);
-        }
-    }
-
-    /// The stream element for filter `o` of the latched window: its
-    /// accumulator, through the fused thresholds when present.
-    fn output(&self, o: usize) -> i32 {
-        if self.datapath == ConvDatapath::Packed {
-            return self.latched[o];
-        }
-        let acc = match self.mode {
-            DotMode::Codes { .. } => self.planes.dot(self.filters.filter(o)),
-            DotMode::I8 => dot_i8(self.filters.filter(o), &self.window_i8),
-        };
-        match &self.thresholds {
-            Some(t) => i32::from(t[o].activate(acc)),
-            None => acc,
         }
     }
 
@@ -530,8 +442,7 @@ impl ConvKernel {
     fn absorb(&mut self, v: i32) {
         match &mut self.ring {
             WindowRing::Scalar(ring) => ring[self.wr] = v,
-            // Pack on arrival: O(bits) plane writes, high bits dropped
-            // exactly as the scalar repack drops them.
+            // Pack on arrival: O(bits) plane writes, high bits dropped.
             WindowRing::Packed(ring) => ring.set(self.wr, v as u8),
         }
         self.wr += 1;
@@ -542,13 +453,8 @@ impl ConvKernel {
     }
 
     /// Land a run of stream elements in the window ring: a word-packed
-    /// plane write or a block copy, where the scalar reference stays
-    /// element by element.
+    /// plane write or a block copy.
     fn absorb_run(&mut self, vals: &[i32]) {
-        if self.datapath == ConvDatapath::ScalarReference {
-            vals.iter().for_each(|&v| self.absorb(v));
-            return;
-        }
         match &mut self.ring {
             WindowRing::Scalar(ring) => crate::ring_write(ring, self.wr, vals),
             WindowRing::Packed(ring) => ring.write_codes(self.wr, vals),
@@ -658,7 +564,7 @@ impl Kernel for ConvKernel {
                 if emitted == self.pe || !io.can_write(0) {
                     break;
                 }
-                io.write(0, self.output(o));
+                io.write(0, self.latched[o]);
                 emitted += 1;
                 self.advance_emit(o + 1);
             }
@@ -801,12 +707,7 @@ impl Kernel for ConvKernel {
             let mut emitted = 0;
             if let Some(o) = self.emitting {
                 emitted = writes.min(self.geom.filter.o - o);
-                match self.datapath {
-                    ConvDatapath::Packed => io.push_slice(0, &self.latched[o..o + emitted]),
-                    ConvDatapath::ScalarReference => {
-                        (o..o + emitted).for_each(|f| io.push(0, self.output(f)));
-                    }
-                }
+                io.push_slice(0, &self.latched[o..o + emitted]);
                 self.advance_emit(o + emitted);
                 writes -= emitted;
             }
@@ -915,8 +816,7 @@ mod tests {
     #[test]
     fn matches_reference_conv_i8() {
         // Windows of 18 and 75 taps (one and two words of weight bits),
-        // extreme pixels included, on both datapaths: the packed one sums
-        // lane masks built once per bank, the scalar one dots per emit.
+        // extreme pixels included, over two images back to back.
         for (c, k) in [(2, 3), (3, 5)] {
             let geom = ConvGeometry::new(Shape3::new(7, 7, c), FilterShape::new(k, c, 3), 1, 0);
             let filters = filters_for(&geom, 7);
@@ -927,14 +827,10 @@ mod tests {
             });
             let expect = qnn_nn::reference::conv_acc_i8(&geom, &input, &filters);
             let img: Vec<i32> = input.as_slice().iter().map(|&p| i32::from(p)).collect();
-            for dp in [ConvDatapath::Packed, ConvDatapath::ScalarReference] {
-                let kernel = ConvKernel::new("conv", geom, filters.clone(), None, DotMode::I8);
-                let out_len = 2 * geom.output().len();
-                let (got, _) =
-                    run_conv_kernel(kernel.with_datapath(dp), out_len, vec![img.clone(); 2]);
-                let twice = [expect.as_slice(), expect.as_slice()].concat();
-                assert_eq!(got, twice, "{dp:?} c={c} k={k}");
-            }
+            let kernel = ConvKernel::new("conv", geom, filters.clone(), None, DotMode::I8);
+            let (got, _) = run_conv_kernel(kernel, 2 * geom.output().len(), vec![img; 2]);
+            let twice = [expect.as_slice(), expect.as_slice()].concat();
+            assert_eq!(got, twice, "c={c} k={k}");
         }
     }
 
@@ -1065,31 +961,20 @@ mod tests {
     }
 
     #[test]
-    fn scalar_and_packed_datapaths_are_bit_identical() {
-        // Same images, both datapaths, both dot modes: outputs AND cycle
-        // reports must match exactly (the full property version lives in
-        // tests/conv_datapath_equivalence.rs).
+    fn strided_windows_match_reference_in_both_modes() {
+        // Stride 2 over a 7×6 map, two images back to back: both rings
+        // (packed codes, scalar i8) skip the stride gaps and drain the
+        // unread last column between images.
         let geom = ConvGeometry::new(Shape3::new(7, 6, 3), FilterShape::new(3, 3, 5), 2, 0);
         let filters = filters_for(&geom, 29);
         let input = Tensor3::from_fn(geom.input, |y, x, c| ((y * 11 + x * 5 + c * 3) % 4) as u8);
         let img: Vec<i32> = input.as_slice().iter().map(|&q| i32::from(q)).collect();
-        for mode in [DotMode::Codes { bits: 2 }, DotMode::I8] {
-            let out_len = geom.output().len() * 2;
-            let mk = |dp| {
-                ConvKernel::new("conv", geom, filters.clone(), None, mode).with_datapath(dp)
-            };
-            let (out_p, rep_p) = run_conv_kernel(
-                mk(ConvDatapath::Packed),
-                out_len,
-                vec![img.clone(), img.clone()],
-            );
-            let (out_s, rep_s) = run_conv_kernel(
-                mk(ConvDatapath::ScalarReference),
-                out_len,
-                vec![img.clone(), img.clone()],
-            );
-            assert_eq!(out_p, out_s, "{mode:?}: outputs diverge");
-            assert_eq!(rep_p, rep_s, "{mode:?}: cycle reports diverge");
+        let codes_ref = qnn_nn::reference::conv_acc_codes(&geom, &input, &filters, 2);
+        let i8_ref = qnn_nn::reference::conv_acc_i8(&geom, &input.map(|q| q as i8), &filters);
+        for (mode, expect) in [(DotMode::Codes { bits: 2 }, codes_ref), (DotMode::I8, i8_ref)] {
+            let kernel = ConvKernel::new("conv", geom, filters.clone(), None, mode);
+            let (got, _) = run_conv_kernel(kernel, 2 * geom.output().len(), vec![img.clone(); 2]);
+            assert_eq!(got, [expect.as_slice(), expect.as_slice()].concat(), "{mode:?}");
         }
     }
 

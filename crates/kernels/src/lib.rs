@@ -34,7 +34,7 @@ pub mod pad;
 pub mod pool;
 
 pub use attention::{AttentionHeadKernel, ConcatKernel, HeadSplitKernel, LayerNormKernel};
-pub use conv::{ConvDatapath, ConvKernel, DotMode};
+pub use conv::{ConvKernel, DotMode};
 pub use loader::{encode_conv_params, ParamLoader};
 pub use elemwise::{AddKernel, SplitKernel, ThresholdKernel};
 pub use pad::PadInserter;

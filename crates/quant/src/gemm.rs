@@ -3,19 +3,20 @@
 //!
 //! The emit loop of the streaming conv kernel produces one filter result
 //! per modeled clock (paper §III-B1: one weight-cache address per cycle).
-//! The scalar datapath re-walks the packed window once *per emit tick*;
-//! here the whole `O × (K·K·I)` bit-GEMM runs once at latch time, register-
-//! blocked over filters so each window word is loaded once per
-//! `FILTER_BLOCK` filters, and the filter rows — the big operand, the
-//! paper's weight cache — stream through exactly once. Each emit tick then
-//! pops a precomputed accumulator.
+//! A per-filter dot ([`ActPlanes::dot`]) would re-walk the packed window
+//! once *per emit tick*; here the whole `O × (K·K·I)` bit-GEMM runs once at
+//! latch time, register-blocked over filters so each window word is loaded
+//! once per `FILTER_BLOCK` filters, and the filter rows — the big operand,
+//! the paper's weight cache — stream through exactly once. Each emit tick
+//! then pops a precomputed accumulator.
 //!
 //! Per filter the arithmetic is *identical* to [`ActPlanes::dot`]
 //! (AND-popcount per plane, `(2·agree − ones) << p`, planes summed in
 //! ascending order), so accumulators — and therefore outputs and modeled
-//! cycle counts — are bit-identical to the scalar datapath. That identity
-//! is enforced by unit tests here, the kernel-level differential property
-//! suite, and the golden vectors.
+//! cycle counts — are bit-identical to that dot. That identity is enforced
+//! by unit tests here, by the conv kernel's tests and the
+//! `property_streaming` battery against the reference interpreter, and by
+//! the golden vectors.
 
 use crate::planes::ActPlanes;
 use qnn_tensor::BinaryFilters;
@@ -156,8 +157,8 @@ fn table_row(words: &[u64], c: usize, b: usize) -> &'static [u16; 8] {
 /// `b` of word `c` of the filter's `words`, and `lane & mask` adds up in
 /// eight `u16` lanes side by side, folded every 32 words (256 taps a lane,
 /// `256 · 255 < 65 536`) so no lane wraps. Every step is exact integer
-/// arithmetic, so the values are bit-identical to the scalar datapath's
-/// per-emit-tick [`dot_i8`](crate::dot::dot_i8).
+/// arithmetic, so the values are bit-identical to the per-filter
+/// [`dot_i8`](crate::dot::dot_i8) the reference interpreter uses.
 fn i8_acc<'a>(
     lanes: &[u16],
     words: usize,
@@ -229,9 +230,8 @@ pub fn conv_accumulate_i8_lanes(masks: &I8Masks, lanes: &[u16], acc: &mut [i32])
     }
 }
 
-/// Scalar-reference mirror of [`conv_accumulate_all`] for tests: the
-/// per-emit-tick loop the packed datapath replaces, one full window dot
-/// per filter.
+/// Scalar-reference mirror of [`conv_accumulate_all`] for tests: one full
+/// window dot per filter, as the reference interpreter computes it.
 pub fn conv_accumulate_all_reference(filters: &BinaryFilters, window: &ActPlanes, acc: &mut [i32]) {
     assert_eq!(acc.len(), filters.num_filters(), "one accumulator per filter");
     for (o, a) in acc.iter_mut().enumerate() {

@@ -1,6 +1,6 @@
 //! Pack-on-arrival plane rings for the streaming convolution window.
 //!
-//! The scalar conv datapath keeps the depth-first window buffer as a
+//! A scalar conv datapath keeps the depth-first window buffer as a
 //! `Vec<i32>` ring and re-packs all `K·K·I` codes into bit planes at every
 //! latched output position. [`PlaneRing`] moves the packing to the *input*
 //! side: each arriving n-bit activation code costs O(n) bit writes into n
@@ -58,7 +58,7 @@ impl PlaneRing {
 
     /// Store `code` in slot `slot`, overwriting whatever was there — the
     /// O(bits) per-input-tick write. Bits of `code` above [`Self::bits`]
-    /// are ignored, matching the scalar datapath's plane packer.
+    /// are ignored, matching [`ActPlanes::pack`].
     #[inline]
     pub fn set(&mut self, slot: usize, code: u8) {
         debug_assert!(slot < self.capacity);
@@ -114,7 +114,7 @@ impl PlaneRing {
     ///
     /// For a `K×K×I` window over a `W`-wide input this is `start =
     /// (ty·W + tx)·I`, `rows = K`, `row_len = K·I`, `row_stride = W·I` —
-    /// `K` span copies per plane in place of the scalar datapath's
+    /// `K` span copies per plane in place of a scalar ring's
     /// `K·K·I`-element gather-and-repack.
     ///
     /// # Panics
@@ -156,7 +156,7 @@ mod tests {
     use super::*;
 
     /// Scalar mirror of the ring: write codes by stream index, gather a
-    /// window the way the scalar conv datapath does.
+    /// window the way a scalar ring does.
     fn scalar_window(
         codes_by_index: &[u8],
         start: usize,

@@ -1,11 +1,35 @@
-//! Inputs shared by the two differential stepper batteries,
-//! `scheduler_equivalence.rs` and `macro_tick_equivalence.rs`.
+//! Inputs shared by the differential batteries: the stepper batteries
+//! (`scheduler_equivalence.rs`, `macro_tick_equivalence.rs`) and the ones
+//! that lace compiled networks with stall injectors (`pipeline_rearm.rs`,
+//! `transformer_equivalence.rs`). Each test crate uses a subset.
+#![allow(dead_code)]
 
-use qnn::compiler::{Fold, FoldPlan};
+use qnn::compiler::{elaborate, CompileOptions, CompiledNetwork, Fold, FoldPlan};
 use qnn::dfe::{
     CycleReport, Graph, HostSink, HostSource, Io, Kernel, Progress, SchedulerMode, SpanIo,
     SpanPlan, StallInjector, StreamSpec, WakeHint,
 };
+use qnn::nn::Network;
+
+/// Elaborate `net` at `opts`; with `stalls = Some((seed, pct))`, wrap every
+/// kernel in a `StallInjector` suppressing ~`pct` % of its ticks, seeded
+/// `seed ^ seq·0x9E37_79B9_7F4A_7C15` for node index `seq`, so each kernel
+/// sees its own stall pattern. Load and run it as any compiled network;
+/// logits must match the uninjected run's at any setting (see
+/// `CompiledNetwork::wrap_kernels` for what the wrapping switches off).
+pub fn elaborate_stalled(
+    net: &Network,
+    opts: &CompileOptions,
+    stalls: Option<(u64, u8)>,
+) -> CompiledNetwork {
+    let mut pipeline = elaborate(net, opts).expect("valid options");
+    if let Some((seed, pct)) = stalls {
+        pipeline.wrap_kernels(|seq, k| {
+            StallInjector::wrap(k, seed ^ seq.wrapping_mul(0x9E37_79B9_7F4A_7C15), pct)
+        });
+    }
+    pipeline
+}
 
 /// A folding of `test_net`. Plan 0 folds `pool1`, two residual
 /// convolutions and `fc6`; plan 1 folds a different residual convolution,

@@ -5,8 +5,8 @@
 //!
 //! The vectors were produced by this same harness (see `regen` below) and
 //! hold for both the reference interpreter and the streaming simulator on
-//! both steppers and conv datapaths — all must stay bit-identical to
-//! each other *and* to history.
+//! both steppers — all must stay bit-identical to each other *and* to
+//! history.
 //!
 //! To regenerate after an intentional semantic change:
 //!
@@ -16,7 +16,6 @@
 
 use qnn::compiler::{run_image, run_images, CompileOptions};
 use qnn::dfe::SchedulerMode;
-use qnn::kernels::ConvDatapath;
 use qnn::data::{Dataset, CIFAR10};
 use qnn::nn::{models, Network, NetworkSpec};
 use qnn::tensor::Tensor3;
@@ -41,18 +40,12 @@ const CNV_GOLDEN: [i32; 10] = [10, -110, -16, 16, -100, 36, 48, 44, 24, 14];
 
 const RESNET_BLOCK_GOLDEN: [i32; 6] = [-20, -2, 0, 14, 18, -24];
 
-/// The streaming logits of `(net, img)` equal `golden` in every
-/// stepper × conv-datapath cell.
+/// The streaming logits of `(net, img)` equal `golden` on both steppers.
 fn assert_streaming_matches(net: &Network, img: &Tensor3<i8>, golden: &[i32]) {
     for scheduler in [SchedulerMode::Dense, SchedulerMode::default()] {
-        for conv_datapath in [ConvDatapath::Packed, ConvDatapath::ScalarReference] {
-            let opts = CompileOptions { scheduler, conv_datapath, ..CompileOptions::default() };
-            let sim = run_images(net, std::slice::from_ref(img), &opts).expect("sim");
-            assert_eq!(
-                sim.logits[0], golden,
-                "streaming logits drifted at {scheduler:?}/{conv_datapath:?}"
-            );
-        }
+        let opts = CompileOptions { scheduler, ..CompileOptions::default() };
+        let sim = run_images(net, std::slice::from_ref(img), &opts).expect("sim");
+        assert_eq!(sim.logits[0], golden, "streaming logits drifted at {scheduler:?}");
     }
 }
 

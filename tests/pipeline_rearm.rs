@@ -2,8 +2,9 @@
 //! must be **bit-identical** to the same batch on a fresh `try_compile` —
 //! logits and every `CycleReport` field — for any sequence of batch sizes,
 //! on both steppers, and for every lowering option that adds control state
-//! a re-arm must restore (parameter loaders, stall injectors, device cuts,
-//! folded lanes, attention tiles, residual skips). A batch that plans live
+//! a re-arm must restore (parameter loaders, device cuts, folded lanes,
+//! attention tiles, residual skips) and for stall injectors laced in after
+//! elaboration. A batch that plans live
 //! must also match the fresh run's dispatch diagnostics (the replay
 //! diagnostics and burst counters); one that records or replays a
 //! whole-batch schedule tape dispatches differently by design, and the
@@ -19,6 +20,9 @@
 //! Tier-1 at the default case count; `./ci.sh soak` reruns it at 1024.
 
 use qnn::compiler::dse::{pick, ResourceBudget};
+mod common;
+
+use common::elaborate_stalled;
 use qnn::compiler::{elaborate, try_compile, CompileOptions, CompiledNetwork};
 use qnn::dfe::{
     CycleReport, Graph, HostSink, HostSource, Io, Kernel, Progress, ReplayDiag, RunError,
@@ -72,17 +76,19 @@ fn expected_tape(sizes: &[usize], k: usize) -> WholeBatch {
 }
 
 /// Run batches of `sizes` images one after another on one warm instance,
-/// holding each against a fresh compile of the same batch.
+/// holding each against a fresh compile of the same batch, both laced with
+/// the same `stalls` (see [`elaborate_stalled`]).
 fn warm_matches_fresh(
     net: &Network,
     opts: &CompileOptions,
+    stalls: Option<(u64, u8)>,
     sizes: &[usize],
     seed: u64,
 ) -> Result<(), String> {
     // Whole-batch tapes need the default stepper and a replay token on
     // every kernel, which stall injectors do not have.
-    let taped = opts.scheduler == SchedulerMode::Replay && opts.stall_injection.is_none();
-    let mut warm = elaborate(net, opts).expect("valid options");
+    let taped = opts.scheduler == SchedulerMode::Replay && stalls.is_none();
+    let mut warm = elaborate_stalled(net, opts, stalls);
     let mut next_image = seed;
     for (k, &size) in sizes.iter().enumerate() {
         let batch: Vec<_> = (0..size)
@@ -93,7 +99,9 @@ fn warm_matches_fresh(
             .collect();
         warm.load(&batch);
         let got = observe(&mut warm);
-        let want = observe(&mut try_compile(net, &batch, opts).expect("valid options"));
+        let mut fresh = elaborate_stalled(net, opts, stalls);
+        fresh.load(&batch);
+        let want = observe(&mut fresh);
         let tape = got.replay.iter().map(|r| r.whole_batch).find(|&t| t != WholeBatch::Off);
         let tape = tape.unwrap_or_default();
         let expect = if taped { expected_tape(sizes, k) } else { WholeBatch::Off };
@@ -120,17 +128,17 @@ fn warm_matches_fresh(
 }
 
 /// The fixed-spec cases run a mixed batch sequence on both steppers.
-fn check_all_modes(net: &Network, opts: &CompileOptions) {
+fn check_all_modes(net: &Network, opts: &CompileOptions, stalls: Option<(u64, u8)>) {
     for mode in STEPPERS {
-        warm_matches_fresh(net, &on_stepper(opts, mode), &[2, 1, 5, 1, 3], 7)
+        warm_matches_fresh(net, &on_stepper(opts, mode), stalls, &[2, 1, 5, 1, 3], 7)
             .unwrap_or_else(|e| panic!("{e}"));
     }
 }
 
 props! {
     /// Random conv/pool/fc chains, a random sequence of 3–6 batches of 1–5
-    /// images, either stepper, and one of the lowering options
-    /// whose kernels carry state between images.
+    /// images, either stepper, and one of the lowering options whose
+    /// kernels carry state between images, or stall injectors.
     #[test]
     fn warm_instance_matches_fresh_compile_on_random_specs(
         spec in spec_strategy(),
@@ -144,16 +152,13 @@ props! {
         };
         let net = Network::random(spec, seed);
         let base = match variant {
-            0 => CompileOptions::default(),
             1 => CompileOptions { stream_parameters: true, ..CompileOptions::default() },
-            2 => CompileOptions {
-                stall_injection: Some((seed, 30)),
-                ..CompileOptions::default()
-            },
-            _ => CompileOptions { fifo_capacity: 8, ..CompileOptions::default() },
+            3 => CompileOptions { fifo_capacity: 8, ..CompileOptions::default() },
+            _ => CompileOptions::default(),
         };
-        let outcome =
-            warm_matches_fresh(&net, &on_stepper(&base, STEPPERS[mode]), &sizes, seed);
+        let stalls = (variant == 2).then_some((seed, 30));
+        let opts = on_stepper(&base, STEPPERS[mode]);
+        let outcome = warm_matches_fresh(&net, &opts, stalls, &sizes, seed);
         prop_assert_eq!(outcome, Ok(()));
     }
 
@@ -170,20 +175,20 @@ props! {
     ) {
         let net = Network::random(spec, seed);
         let opts = on_stepper(&CompileOptions::default(), STEPPERS[mode]);
-        prop_assert_eq!(warm_matches_fresh(&net, &opts, &sizes, seed), Ok(()));
+        prop_assert_eq!(warm_matches_fresh(&net, &opts, None, &sizes, seed), Ok(()));
     }
 }
 
 #[test]
 fn residual_blocks_rearm() {
     let net = Network::random(models::test_net(8, 4, 2), 42);
-    check_all_modes(&net, &CompileOptions::default());
+    check_all_modes(&net, &CompileOptions::default(), None);
 }
 
 #[test]
 fn attention_tiles_rearm() {
     let net = Network::random(models::tiny_transformer(6, 2, 4, 5, 2, 8), 3);
-    check_all_modes(&net, &CompileOptions::default());
+    check_all_modes(&net, &CompileOptions::default(), None);
 }
 
 #[test]
@@ -191,7 +196,7 @@ fn folded_design_point_rearms() {
     let net = Network::random(models::test_net(8, 4, 2), 11);
     let point = pick(&net.spec, &ResourceBudget::new(STRATIX_10_GX2800, 2)).expect("fits");
     assert!(!point.folding.entries().is_empty(), "the picked point folds nothing");
-    check_all_modes(&net, &point.compile_options());
+    check_all_modes(&net, &point.compile_options(), None);
 }
 
 #[test]
@@ -204,7 +209,7 @@ fn two_device_split_rearms() {
     let batch = [image_for(&net.spec, 0)];
     let sim = try_compile(&net, &batch, &opts).expect("valid").run().expect("run");
     assert_eq!(sim.reports.len(), 2, "expected a two-device split");
-    check_all_modes(&net, &opts);
+    check_all_modes(&net, &opts, None);
 }
 
 /// A split whose second device opens with a strided layer leaves trailing
@@ -220,20 +225,20 @@ fn crossing_stream_left_holding_trailing_elements_rearms() {
         stage_device: Some(vec![0, 0, 1, 1]),
         ..CompileOptions::default()
     };
-    check_all_modes(&net, &opts);
+    check_all_modes(&net, &opts, None);
 }
 
 #[test]
 fn streamed_parameters_are_streamed_again() {
     let net = Network::random(models::test_net(8, 4, 2), 33);
-    check_all_modes(&net, &CompileOptions { stream_parameters: true, ..CompileOptions::default() });
+    let opts = CompileOptions { stream_parameters: true, ..CompileOptions::default() };
+    check_all_modes(&net, &opts, None);
 }
 
 #[test]
 fn stall_injectors_restart_their_pattern() {
     let net = Network::random(models::test_net(8, 4, 2), 34);
-    let opts = CompileOptions { stall_injection: Some((0xBEEF, 25)), ..CompileOptions::default() };
-    check_all_modes(&net, &opts);
+    check_all_modes(&net, &CompileOptions::default(), Some((0xBEEF, 25)));
 }
 
 /// The leftover-input case: a 2/2 pool over a 7×7 map reads rows and
@@ -248,7 +253,7 @@ fn strided_pool_owed_an_unread_row_rearms() {
     };
     assert_ne!((input.h - k) % stride, 0, "the pool reads its whole input");
     let net = Network::random(spec, 9);
-    check_all_modes(&net, &CompileOptions::default());
+    check_all_modes(&net, &CompileOptions::default(), None);
 }
 
 /// Whole-batch tapes: the third same-size batch replays nearly all of its
@@ -380,7 +385,7 @@ fn failed_run_retires_the_instance() {
     }
     let reload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| pipeline.load(&batch)));
     assert!(reload.is_err(), "a pipeline whose run failed was loaded again");
-    warm_matches_fresh(&net, &opts, &[3, 2, 3], 0).unwrap_or_else(|e| panic!("{e}"));
+    warm_matches_fresh(&net, &opts, None, &[3, 2, 3], 0).unwrap_or_else(|e| panic!("{e}"));
 }
 
 /// A kernel that delegates everything but `rearm`.

@@ -11,6 +11,9 @@
 //! that the attention family's span promises and replay tokens put
 //! transformer runs on burst dispatch and whole-batch replay.
 
+mod common;
+
+use common::elaborate_stalled;
 use qnn::compiler::{elaborate, run_images, try_compile, CompileOptions};
 use qnn::dfe::SchedulerMode;
 use qnn::nn::specgen::{encoder_spec_strategy, image_for, random_encoder_spec};
@@ -109,11 +112,12 @@ props! {
         let img = image_for(&net.spec, seed);
         let expect = net.forward(&img).logits;
         let opts = CompileOptions {
-            stall_injection: Some((seed ^ 0xA77E_1710, pct)),
             scheduler: if dense == 1 { SchedulerMode::Dense } else { SchedulerMode::default() },
             ..CompileOptions::default()
         };
-        let sim = run_images(&net, std::slice::from_ref(&img), &opts).expect("sim");
+        let mut pipeline = elaborate_stalled(&net, &opts, Some((seed ^ 0xA77E_1710, pct)));
+        pipeline.load(std::slice::from_ref(&img));
+        let sim = pipeline.run().expect("sim");
         prop_assert_eq!(&sim.logits[0], &expect);
     }
 
