@@ -38,6 +38,8 @@
 #                        and its report's ledger partition.
 #   ci.sh bench-smoke    NOT tier-1: the fast analytic `paper-tables` set
 #                        (every table and figure plus the ablations), then
+#                        the `pipeline_analysis` example (its assertions and
+#                        its burst-planner print), then
 #                        the repo benchmark in its quick mode
 #                        (`benchmark/run.sh --quick`: a separate workspace
 #                        tier-1 never compiles, and it links against the
@@ -128,6 +130,7 @@ fi
 
 if [[ "${1:-}" == "bench-smoke" ]]; then
   run cargo run --release --offline -p qnn-bench --bin paper-tables
+  run cargo run --release --offline -p qnn --example pipeline_analysis
   run bash benchmark/run.sh --quick
   echo "ci.sh bench-smoke: all green"
   exit 0

@@ -35,6 +35,33 @@
 //! recruited with its own promise — or, if it offers none, the burst ends
 //! before it would wake.
 //!
+//! ## Followers
+//!
+//! The pipeline runs at its slowest kernel's pace, and every other stage is
+//! rate-matched to it through the FIFOs: the ResNet-18 stem reads six
+//! elements of each 64-cycle position, so its pad stops and starts a cycle
+//! after it, and the host source a cycle after the pad. Most steps of the
+//! pass are such a coupled kernel (a pad, a split, an adder, a threshold
+//! stage, a source) carrying a neighbour's rate change on. A participant is
+//! a *follower* while it is inside a coupled phase whose inputs need no
+//! watch: its move is the one greedy side of that phase over its ports, so
+//! its step credits the run before it, sets the new rate and the cycle the
+//! move ends in closed form, and publishes the rates that changed — no
+//! phase walk, no sides to decide, no watches. A follower advance is
+//! exactly the full evaluation it replaces. Every other step is a full
+//! evaluation: a phase end, an overlapped or a gather phase, a lockstep
+//! break, a spill, an input read ahead of its writer or carrying the
+//! replay marker, and the steps on cycle 0.
+//!
+//! Steps run in `(cycle, node)` order, a follower's too. It cannot be
+//! applied when the change that triggers it is published: a neighbour may
+//! still take a step on an earlier cycle, which must find the flows as they
+//! were then. Publishing queues steps on the same or the next cycle, and
+//! those go to a short sorted list; phase ends and other later steps go to
+//! a heap. A participant whose step moves later keeps its queued entry,
+//! which re-queues it when it comes, so a follower toggling inside one
+//! phase does not push its phase end again.
+//!
 //! ## The length
 //!
 //! `k` is the earliest cycle at which one of these happens: the cycle
@@ -63,6 +90,9 @@ use std::collections::BinaryHeap;
 /// Farthest cycle a burst is planned to, so rate arithmetic never nears
 /// `u64` overflow; budgets beyond it are clamped.
 const HORIZON_CAP: u64 = 1 << 40;
+
+/// Bits of an event-queue entry below its cycle, which hold its node.
+const NODE_BITS: u32 = 24;
 
 /// Ports of one kernel (inputs, then outputs).
 const PORTS: usize = 2 * MAX_SPAN_PORTS;
@@ -111,11 +141,22 @@ struct Part {
     stalled: u64,
     /// Every tick before `since` repeated the verdict it is parked on.
     kept_park: bool,
-    /// The cycle it is next evaluated on (`u64::MAX`: none pending).
+    /// The cycle it is next stepped on (`u64::MAX`: none pending).
     next: u64,
+    /// The cycles of its entries in the near and the far event queue
+    /// (`u64::MAX`: none); while `next` is inside the burst, the earlier
+    /// is never after it.
+    near_at: u64,
+    far_at: u64,
     /// Ports that held its move back at `since`, bit per port: found empty
     /// (an input) or full (an output), or holding no more than it moves.
     held: u32,
+    /// Input ports whose pops a move must watch, bit per port: read ahead
+    /// of their writer in node order, or the schedule-replay marker.
+    watched: u32,
+    /// Its full evaluations and follower advances so far.
+    evals: u64,
+    follows: u64,
 }
 
 /// One participant's part in a planned burst, as the dispatch applies it
@@ -184,9 +225,15 @@ pub(crate) struct Planner {
     live: Vec<bool>,
     /// The streams with a live flow, in the order they joined.
     touched: Vec<usize>,
-    /// Pending evaluations as `(cycle, node)`, earliest first; an entry
-    /// whose cycle is no longer its participant's `next` is stale.
-    events: BinaryHeap<Reverse<(u64, u32)>>,
+    /// Pending steps as `cycle << NODE_BITS | node`, ordered as dense
+    /// stepping ticks: those due by the cycle after the one being planned
+    /// in `near`, latest first, the rest in `far`, earliest first. An entry
+    /// whose cycle is no longer its participant's `near_at` or `far_at` is
+    /// stale.
+    near: Vec<u64>,
+    far: BinaryHeap<Reverse<u64>>,
+    /// The cycle being planned.
+    cycle: u64,
     /// Participants that are busy on the cycle being planned.
     busy: usize,
     /// The schedule-replay boundary: the marker stream and the pops due.
@@ -346,7 +393,9 @@ impl Planner {
         self.plans.clear();
         self.ports.clear();
         self.touched.clear();
-        self.events.clear();
+        self.near.clear();
+        self.far.clear();
+        self.cycle = 0;
         self.parts.clear();
         self.quotas.clear();
         self.streams.clear();
@@ -359,6 +408,7 @@ impl Planner {
         self.part_of[i] = self.list.len() as u32;
         let node = &view.nodes[i];
         let p0 = self.ports.len() as u32;
+        let mut watched = 0;
         let ends =
             node.inputs.iter().map(|&s| (s, true)).chain(node.outputs.iter().map(|&s| (s, false)));
         for (s, input) in ends {
@@ -375,7 +425,12 @@ impl Planner {
             };
             let st = &view.streams[s];
             let room = (st.spec.capacity - st.queue.len()) as i64;
-            self.ports.push(Port { stream: s, input, other, facing, early: r.node < w.node, room });
+            let early = r.node < w.node;
+            let marked = self.marker.is_some_and(|(m, _)| m == s);
+            if input && (early || marked) {
+                watched |= 1 << (self.ports.len() as u32 - p0);
+            }
+            self.ports.push(Port { stream: s, input, other, facing, early, room });
         }
         let ports = (p0, self.ports.len() as u32 - p0);
         self.busy += usize::from(act.is_none());
@@ -395,9 +450,27 @@ impl Planner {
             stalled: 0,
             kept_park: true,
             next: at,
+            near_at: u64::MAX,
+            far_at: u64::MAX,
             held: u32::MAX,
+            watched,
+            evals: 0,
+            follows: 0,
         });
-        self.events.push(Reverse((at, i as u32)));
+        self.queue(self.list.len() - 1);
+    }
+
+    /// The full evaluations and the follower advances of the last attempt.
+    pub fn steps(&self) -> (u64, u64) {
+        self.list.iter().fold((0, 0), |(e, f), p| (e + p.evals, f + p.follows))
+    }
+
+    /// Node `i`'s full evaluations and follower advances in the last
+    /// attempt (`None`: not a participant).
+    #[cfg(test)]
+    pub fn steps_of(&self, i: usize) -> Option<(u64, u64)> {
+        let p = self.list.get(*self.part_of.get(i)? as usize)?;
+        Some((p.evals, p.follows))
     }
 
     /// Lower the burst to end at cycle `at`, for reason `end` (`reason`
@@ -419,6 +492,7 @@ impl Planner {
         marker: Option<(usize, u64)>,
     ) -> Result<Planned, Refused> {
         self.reset(view);
+        assert!(view.nodes.len() < 1 << NODE_BITS, "node index outgrows the event queue");
         let refuse = |reason, retry| Err(Refused { reason, retry });
         self.cut = Cut { k: budget.min(HORIZON_CAP), ..Cut::default() };
         self.marker = marker.filter(|&(_, due)| due > 0);
@@ -462,27 +536,67 @@ impl Planner {
     /// runs on the first cycle, nothing ever would, so the attempt is left
     /// to per-element stepping, which keeps deadlock detection live.
     fn run(&mut self, view: &View<'_>) -> Result<(), Refusal> {
-        let mut cycle = 0;
-        while let Some(&Reverse((t, i))) = self.events.peek() {
+        loop {
+            let far = self.far.peek().map(|&Reverse(e)| e);
+            let (near, e) = match (self.near.last(), far) {
+                (Some(&n), Some(f)) if f < n => (false, f),
+                (Some(&n), _) => (true, n),
+                (None, Some(f)) => (false, f),
+                (None, None) => break,
+            };
+            let (t, i) = (e >> NODE_BITS, e & ((1 << NODE_BITS) - 1));
             if t >= self.cut.k {
                 break;
             }
-            if t > cycle {
+            if t > self.cycle {
                 if self.busy == 0 {
                     break;
                 }
-                cycle = t;
+                self.cycle = t;
             }
-            self.events.pop();
             let pi = self.part_of[i as usize] as usize;
-            if self.list[pi].next == t {
-                self.eval(view, pi, t)?;
+            let p = &mut self.list[pi];
+            let at = if near {
+                self.near.pop();
+                &mut p.near_at
+            } else {
+                self.far.pop();
+                &mut p.far_at
+            };
+            if *at != t {
+                continue;
+            }
+            *at = u64::MAX;
+            if p.next == t {
+                self.step(view, pi, t)?;
+            } else {
+                // Its step moved later after this entry was queued.
+                self.queue(pi);
             }
         }
         if self.busy == 0 {
-            self.bound(cycle, BurstEnd::Phase, Refusal::AllDemoted);
+            self.bound(self.cycle, BurstEnd::Phase, Refusal::AllDemoted);
         }
         Ok(())
+    }
+
+    /// Queue participant `pi`'s step on its `next` cycle, unless an entry
+    /// no later is pending: that one re-queues it when it comes.
+    fn queue(&mut self, pi: usize) {
+        let p = &mut self.list[pi];
+        let at = p.next;
+        if at >= self.cut.k || p.near_at.min(p.far_at) <= at {
+            return;
+        }
+        let e = at << NODE_BITS | p.node as u64;
+        if at <= self.cycle + 1 {
+            p.near_at = at;
+            let pos = self.near.iter().rposition(|&x| x > e).map_or(0, |j| j + 1);
+            self.near.insert(pos, e);
+        } else {
+            p.far_at = at;
+            self.far.push(Reverse(e));
+        }
     }
 
     /// What a port finds on its tick at cycle `t`.
@@ -499,10 +613,10 @@ impl Planner {
         }
     }
 
-    /// Re-evaluate participant `pi` on cycle `t`: credit what it did since
-    /// its last evaluation, then find its move from `t` on and publish the
-    /// rates that changed.
-    fn eval(&mut self, view: &View<'_>, pi: usize, t: u64) -> Result<(), Refusal> {
+    /// Step participant `pi` on cycle `t`: credit what it did since its last
+    /// step, then find its move from `t` on — as a follower if it is one,
+    /// else by a full evaluation — and publish the rates that changed.
+    fn step(&mut self, view: &View<'_>, pi: usize, t: u64) -> Result<(), Refusal> {
         let p = &mut self.list[pi];
         let elapsed = t - p.since;
         if elapsed > 0 {
@@ -516,6 +630,77 @@ impl Planner {
             p.left = std::array::from_fn(|s| p.left[s] - p.rate[s] * elapsed);
             (p.prev, p.since) = (p.act, t);
         }
+        if self.follow(view, pi, t) {
+            self.list[pi].follows += 1;
+            return Ok(());
+        }
+        self.list[pi].evals += 1;
+        self.eval(view, pi, t)
+    }
+
+    /// The closed-form step of a follower: participant `pi` in the middle of
+    /// a coupled phase, on cycle `t > 0`, with no watched input in it. Its
+    /// one side moves what [`greedy`] says of the phase's ports, so the step
+    /// needs no phase walk, no [`decide`] over sides and no watch. `false`,
+    /// with nothing changed, when `pi` is no follower at `t` or its tick is
+    /// one only a full evaluation states: a lockstep break or a spill.
+    fn follow(&mut self, view: &View<'_>, pi: usize, t: u64) -> bool {
+        let p = &self.list[pi];
+        let ph = &self.plans[pi].phases()[p.phase];
+        let (left, p0, np) = (p.left[0], p.ports.0 as usize, p.ports.1 as usize);
+        let mask = u32::from(ph.reads) | u32::from(ph.writes) << p.ni;
+        if t == 0 || left == 0 || ph.overlapped || ph.is_gather() || mask & p.watched != 0 {
+            return false;
+        }
+        let lanes = u64::from(ph.read_lanes.max(ph.write_lanes));
+        let mut g = [Gauge { avail: 0, gain: 0, input: false }; PORTS];
+        for q in bits(mask) {
+            g[q] = self.gauge(&self.ports[p0 + q], t);
+        }
+        let strict = ph.dry.is_none();
+        let (rate, act, ticks) = match greedy(bits(mask).map(|q| g[q]), lanes, left) {
+            Step::Move { m, .. } if strict && m < lanes.min(left) => return false,
+            // The tick finishing the phase may spill: a full evaluation
+            // states it, on its own cycle.
+            Step::Move { m, ticks } if ph.spill && m < lanes && m * ticks == left => {
+                if ticks == 1 {
+                    return false;
+                }
+                (m, None, ticks - 1)
+            }
+            Step::Move { m, ticks } => (m, None, ticks),
+            Step::Wait { .. } if strict => return false,
+            Step::Wait { ticks, fed } => {
+                if ph.dry == Some(Progress::Idle) && ph.reads != 0 && fed > 0 {
+                    (0, Some(Progress::Idle), fed)
+                } else {
+                    (0, Some(Progress::Stalled), ticks)
+                }
+            }
+        };
+        let next = t.saturating_add(ticks);
+        debug_assert!(
+            next > t,
+            "{} re-queued on its own cycle {t}",
+            view.nodes[p.node].kernel.name()
+        );
+        let held = bits(mask).filter(|&q| g[q].avail <= rate as i64).fold(0, |h, q| h | 1 << q);
+        let p = &mut self.list[pi];
+        self.busy = self.busy + usize::from(act.is_none()) - usize::from(p.act.is_none());
+        (p.rate[0], p.act, p.next, p.held) = (rate, act, next, held);
+        self.queue(pi);
+        for q in 0..np {
+            let m = if mask >> q & 1 != 0 { rate } else { 0 };
+            self.publish(view, self.ports[p0 + q], t, m);
+        }
+        true
+    }
+
+    /// Find participant `pi`'s move from cycle `t` on in full — the phase
+    /// it is in, every side of it, the watches on its inputs — and publish
+    /// the rates that changed.
+    fn eval(&mut self, view: &View<'_>, pi: usize, t: u64) -> Result<(), Refusal> {
+        let p = &self.list[pi];
         let (i, ni, (p0, np)) = (p.node, p.ni, p.ports);
         let (mut phase, mut left) = (p.phase, p.left);
         let chain = self.plans[pi].phases().len();
@@ -645,9 +830,7 @@ impl Planner {
         let p = &mut self.list[pi];
         self.busy = self.busy + usize::from(act.is_none()) - usize::from(p.act.is_none());
         (p.phase, p.left, p.rate, p.act, p.next, p.held) = (phase, left, rate, act, next, held);
-        if next < self.cut.k {
-            self.events.push(Reverse((next, i as u32)));
-        }
+        self.queue(pi);
         for (q, &m) in moves.iter().enumerate().take(np as usize) {
             self.publish(view, self.ports[p0 as usize + q], t, m);
         }
@@ -710,9 +893,7 @@ impl Planner {
         };
         if at < next {
             self.list[pi].next = at;
-            if at < self.cut.k {
-                self.events.push(Reverse((at, o as u32)));
-            }
+            self.queue(pi);
         }
     }
 

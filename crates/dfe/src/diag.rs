@@ -4,8 +4,8 @@
 //! Like [`Graph::bursts`](crate::Graph::bursts), these describe how a run was
 //! *dispatched*, not what it computed, so they sit outside
 //! [`CycleReport`](crate::CycleReport) equality. The counters are touched only
-//! when an attempt is refused and once per dispatched burst — never per
-//! stepped cycle.
+//! once per planning attempt, refused or dispatched — never per stepped
+//! cycle.
 
 /// Why [`Graph`](crate::Graph)'s span planner refused a burst attempt:
 /// mostly the bound that cut the burst it found below the attempt's
@@ -80,6 +80,12 @@ pub struct BurstDiag {
     pub ended_at_stream: u64,
     /// Accepted bursts cut short by the run's cycle budget.
     pub ended_at_budget: u64,
+    /// Full participant evaluations the planner ran, over every attempt.
+    pub evals: u64,
+    /// Closed-form follower advances the planner took instead of a full
+    /// evaluation, over every attempt: steps of a coupled kernel carrying a
+    /// neighbour's rate change on (DESIGN.md §9, "Followers").
+    pub follows: u64,
 }
 
 impl BurstDiag {
@@ -116,7 +122,8 @@ impl BurstDiag {
 }
 
 impl std::fmt::Display for BurstDiag {
-    /// One line per refusal reason that occurred, then the end split.
+    /// One line per refusal reason that occurred, the end split, then the
+    /// planner's evaluation counts.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         for reason in Refusal::ALL {
             let n = self.refusals(reason);
@@ -130,14 +137,15 @@ impl std::fmt::Display for BurstDiag {
                 )?;
             }
         }
-        write!(
+        writeln!(
             f,
             "  accepted {:>8} bursts: {} ended at a phase end, {} at a stream limit, {} at the budget",
             self.accepted(),
             self.ended_at_phase,
             self.ended_at_stream,
             self.ended_at_budget
-        )
+        )?;
+        write!(f, "  planner  {:>8} evaluations, {} follower advances", self.evals, self.follows)
     }
 }
 

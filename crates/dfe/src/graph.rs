@@ -987,7 +987,11 @@ impl Graph {
             parked: &self.parked,
             awake: &self.awake,
         };
-        let planned = match self.planner.plan(&view, budget, min_burst, marker) {
+        let planned = self.planner.plan(&view, budget, min_burst, marker);
+        let (evals, follows) = self.planner.steps();
+        self.burst_diag.evals += evals;
+        self.burst_diag.follows += follows;
+        let planned = match planned {
             Ok(planned) => planned,
             Err(refused) => {
                 self.burst_diag.refuse(refused.reason);

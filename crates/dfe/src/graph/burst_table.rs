@@ -176,6 +176,66 @@ impl Kernel for Gather {
     }
 }
 
+/// A stage that reads `take` and writes `give` elements a round, one a
+/// tick on each side and side by side, the shape of a convolution
+/// absorbing a window while it emits a position: a round ends on the tick
+/// its later side finishes. With `take > give` its writes come in bursts
+/// with waits between them, with `take < give` its reads do.
+struct Rate {
+    take: u64,
+    give: u64,
+    read: u64,
+    wrote: u64,
+}
+
+impl Kernel for Rate {
+    fn name(&self) -> &str {
+        "rate"
+    }
+    fn rearm(&mut self) {
+        (self.read, self.wrote) = (0, 0);
+    }
+    fn tick(&mut self, io: &mut Io<'_>) -> Progress {
+        let mut moved = false;
+        if self.read < self.take && io.read(0).is_some() {
+            self.read += 1;
+            moved = true;
+        }
+        if self.wrote < self.give && io.can_write(0) {
+            io.write(0, 0);
+            self.wrote += 1;
+            moved = true;
+        }
+        if (self.read, self.wrote) == (self.take, self.give) {
+            (self.read, self.wrote) = (0, 0);
+        }
+        if moved {
+            Progress::Busy
+        } else {
+            Progress::Stalled
+        }
+    }
+    fn wake_hint(&self) -> WakeHint {
+        WakeHint::Parkable
+    }
+    fn span_hint(&self, _: &[usize], _: &[usize]) -> Option<SpanPlan> {
+        let round = |read, wrote| {
+            SpanPhase::overlapped(0b1, self.take - read, 1, 0b1, self.give - wrote, 1)
+        };
+        let mut plan = SpanPlan::of(round(self.read, self.wrote));
+        while plan.push(round(0, 0)) {}
+        Some(plan)
+    }
+    fn run_span(&mut self, io: &mut SpanIo<'_>, _: u64) {
+        let (r, w) = (io.read_quota(0), io.write_quota(0));
+        io.pop_n(0, r, |_| {});
+        io.push_fill(0, 0, w);
+        let (read, wrote) = (self.read + r, self.wrote + w);
+        let rounds = (read / self.take).min(wrote / self.give);
+        (self.read, self.wrote) = (read - rounds * self.take, wrote - rounds * self.give);
+    }
+}
+
 /// A kernel of a table graph, in node order.
 #[derive(Clone, Copy)]
 enum K {
@@ -190,6 +250,8 @@ enum K {
     /// A [`Gather`] of `quota` per port, reading streams `i`, `i + 1` and
     /// `i + 2`.
     Gather(usize),
+    /// A [`Rate`]: `(take, give)`.
+    Rate(u64, u64),
 }
 
 /// One row of the table: the FIFO depths, the kernels in node order with
@@ -219,6 +281,7 @@ fn build(scheduler: SchedulerMode, depths: &[usize], kernels: &[(K, usize, usize
             K::Pass(promise) => Box::new(Pass { promise }),
             K::Splice(pass, fill, lanes, pos) => Box::new(Splice { pass, fill, lanes, pos }),
             K::Gather(quota) => Box::new(Gather { quota, got: [0; 3] }),
+            K::Rate(take, give) => Box::new(Rate { take, give, read: 0, wrote: 0 }),
         };
         let port = |s: usize| if s == NO { vec![] } else { vec![ids[s]] };
         let inputs = match k {
@@ -244,7 +307,7 @@ fn dense_counts(g: &Graph) -> Vec<(u64, u64, Vec<u64>)> {
         .collect()
 }
 
-use K::{Dst, Gather as G, Pass as P, Splice as S, Src};
+use K::{Dst, Gather as G, Pass as P, Rate as R, Splice as S, Src};
 
 const CHAIN: &[(K, usize, usize)] = &[(Src, NO, 0), (P(true), 0, 1), (Dst, 1, NO)];
 
@@ -360,48 +423,101 @@ const ROWS: &[Row] = &[
     ),
 ];
 
+/// Plan `row`'s burst and check it against dense stepping of the same
+/// graph over the same cycles; the graph, its planner holding the attempt.
+fn check(&(name, depths, kernels, warmup, marker, expect): &Row) -> Graph {
+    let mut g = build(SchedulerMode::default(), depths, kernels);
+    let _ = g.run_opts(warmup, false);
+    let view = View {
+        nodes: &g.nodes,
+        streams: &g.streams,
+        writers: &g.writers,
+        readers: &g.readers,
+        parked: &g.parked,
+        awake: &g.awake,
+    };
+    let planned = match g.planner.plan(&view, 1000, 2, marker) {
+        Ok(p) => Ok((p.k, p.end)),
+        Err(r) => Err(r.reason),
+    };
+    assert_eq!(planned, expect, "{name}");
+    let Ok((k, _)) = planned else { return g };
+    // The same graph stepped densely over the same cycles.
+    let mut dense = build(SchedulerMode::Dense, depths, kernels);
+    let _ = dense.run_opts(warmup, false);
+    let before = dense_counts(&dense);
+    let _ = dense.run_opts(k, false);
+    let after = dense_counts(&dense);
+    for (i, (b, a)) in before.iter().zip(&after).enumerate() {
+        let moved: Vec<u64> = b.2.iter().zip(&a.2).map(|(b, a)| a - b).collect();
+        let counts = (a.0 - b.0, a.1 - b.1, &moved[..]);
+        match g.planner.parts.iter().find(|p| p.node as usize == i) {
+            Some(p) => {
+                let q = &g.planner.quotas[p.quotas.0 as usize..][..p.quotas.1 as usize];
+                assert_eq!((p.busy, p.stalled, q), counts, "{name}: node {i}");
+            }
+            // Parked throughout: nothing moves, the lazy credit covers it.
+            None => {
+                let parked = g.parked[i].map(|(v, _)| v);
+                let stalled = u64::from(parked == Some(Progress::Stalled)) * k;
+                assert_eq!(counts.0, 0, "{name}: node {i} outside");
+                assert_eq!(counts.1, stalled, "{name}: node {i} outside");
+                assert!(moved.iter().all(|&m| m == 0), "{name}: node {i} moved");
+            }
+        }
+    }
+    g
+}
+
 #[test]
 fn planned_bursts_match_dense_stepping() {
-    for &(name, depths, kernels, warmup, marker, expect) in ROWS {
-        let mut g = build(SchedulerMode::default(), depths, kernels);
-        let _ = g.run_opts(warmup, false);
-        let view = View {
-            nodes: &g.nodes,
-            streams: &g.streams,
-            writers: &g.writers,
-            readers: &g.readers,
-            parked: &g.parked,
-            awake: &g.awake,
-        };
-        let planned = match g.planner.plan(&view, 1000, 2, marker) {
-            Ok(p) => Ok((p.k, p.end)),
-            Err(r) => Err(r.reason),
-        };
-        assert_eq!(planned, expect, "{name}");
-        let Ok((k, _)) = planned else { continue };
-        // The same graph stepped densely over the same cycles.
-        let mut dense = build(SchedulerMode::Dense, depths, kernels);
-        let _ = dense.run_opts(warmup, false);
-        let before = dense_counts(&dense);
-        let _ = dense.run_opts(k, false);
-        let after = dense_counts(&dense);
-        for (i, (b, a)) in before.iter().zip(&after).enumerate() {
-            let moved: Vec<u64> = b.2.iter().zip(&a.2).map(|(b, a)| a - b).collect();
-            let counts = (a.0 - b.0, a.1 - b.1, &moved[..]);
-            match g.planner.parts.iter().find(|p| p.node as usize == i) {
-                Some(p) => {
-                    let q = &g.planner.quotas[p.quotas.0 as usize..][..p.quotas.1 as usize];
-                    assert_eq!((p.busy, p.stalled, q), counts, "{name}: node {i}");
-                }
-                // Parked throughout: nothing moves, the lazy credit covers it.
-                None => {
-                    let parked = g.parked[i].map(|(v, _)| v);
-                    let stalled = u64::from(parked == Some(Progress::Stalled)) * k;
-                    assert_eq!(counts.0, 0, "{name}: node {i} outside");
-                    assert_eq!(counts.1, stalled, "{name}: node {i} outside");
-                    assert!(moved.iter().all(|&m| m == 0), "{name}: node {i} moved");
-                }
-            }
+    for row in ROWS {
+        check(row);
+    }
+}
+
+/// Chains whose pass stages only ever follow a neighbour's rate change,
+/// with the nodes of those stages: each is evaluated in full at most once —
+/// on the burst's first cycle, if it is awake then — and advanced in closed
+/// form on every other step.
+const CHAINS: &[(Row, &[usize])] = &[
+    // The producer writes two elements, then waits four ticks while it
+    // reads the rest of its round: every toggle runs down the chain, a
+    // cycle later at each stage.
+    (
+        (
+            "pass chain behind a producer writing in bursts",
+            &[4, 4, 4, 64],
+            &[(Src, NO, 0), (R(6, 2), 0, 1), (P(true), 1, 2), (P(true), 2, 3), (Dst, 3, NO)],
+            1,
+            None,
+            Ok((39, BurstEnd::Phase)),
+        ),
+        &[2, 3],
+    ),
+    // The mirror: the consumer reads two elements, then writes on for four
+    // more ticks; the full FIFOs in front of it pass each toggle upstream.
+    (
+        (
+            "pass chain in front of a consumer reading in bursts",
+            &[4, 4, 4, 64],
+            &[(Src, NO, 0), (P(true), 0, 1), (P(true), 1, 2), (R(2, 6), 2, 3), (Dst, 3, NO)],
+            12,
+            None,
+            Ok((48, BurstEnd::Phase)),
+        ),
+        &[1, 2],
+    ),
+];
+
+#[test]
+fn rate_changes_run_down_chains_as_follower_advances() {
+    for (row, followers) in CHAINS {
+        let g = check(row);
+        for &i in *followers {
+            let (evals, follows) = g.planner.steps_of(i).expect("a participant");
+            assert!(evals <= 1, "{}: node {i} evaluated in full {evals} times", row.0);
+            assert!(follows > 2, "{}: node {i} followed {follows} times", row.0);
         }
     }
 }

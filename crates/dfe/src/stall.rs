@@ -104,6 +104,12 @@ impl Kernel for StallInjector {
         self.inner.is_done()
     }
 
+    /// The wrapped kernel's stream-interface width: a folded kernel keeps
+    /// its lanes under injection.
+    fn lanes(&self) -> (u16, u16) {
+        self.inner.lanes()
+    }
+
     /// Never parkable, whatever the wrapped kernel says: the injector's RNG
     /// advances on every tick, so skipping ticks would shift the stall
     /// pattern and change cycle timing relative to the dense scheduler.

@@ -368,20 +368,18 @@ impl ConvKernel {
             WindowRing::Scalar(ring) => {
                 let masks = self.i8_masks.as_ref().expect("an i8 kernel has lane masks");
                 self.i8_lanes.resize(masks.stride(), 0);
-                let cap = ring.len();
-                let mut at = 0;
-                for ky in 0..k {
-                    for kx in 0..k {
-                        let base = ((ty + ky) * w + tx + kx) * i;
-                        let mut idx = base % cap; // channels are contiguous: wrap incrementally
-                        for _ in 0..i {
-                            self.i8_lanes[at] = (ring[idx] + 128) as u16;
-                            idx += 1;
-                            if idx == cap {
-                                idx = 0;
-                            }
-                            at += 1;
-                        }
+                // K window rows of K·I contiguous stream elements, each at
+                // most two runs of the ring.
+                let (cap, run) = (ring.len(), k * i);
+                for (ky, lanes) in self.i8_lanes.chunks_exact_mut(run).take(k).enumerate() {
+                    let start = ((ty + ky) * w + tx) * i % cap;
+                    let head = run.min(cap - start);
+                    let (lead, wrap) = lanes.split_at_mut(head);
+                    for (lane, &v) in lead.iter_mut().zip(&ring[start..start + head]) {
+                        *lane = (v + 128) as u16;
+                    }
+                    for (lane, &v) in wrap.iter_mut().zip(&ring[..run - head]) {
+                        *lane = (v + 128) as u16;
                     }
                 }
                 conv_accumulate_i8_lanes(masks, &self.i8_lanes, &mut self.latched);

@@ -194,7 +194,8 @@ props! {
     /// The folded cell: the default stepper agrees with dense stepping on
     /// outputs and on every counter of the report, at any folding, stride,
     /// FIFO depth and image count — and the output stream survives random
-    /// stall injection on every node.
+    /// stall injection on every node, and a 0 % injector on every node
+    /// leaves the cycle count as it is.
     #[test]
     fn folded_cell_agrees_with_spans_on_and_off(
         side in 4usize..9,
@@ -221,6 +222,11 @@ props! {
         prop_assert_eq!(&report, &dense, "span dispatch diverges from dense");
         let (out_s, ..) = cell.run(&images, SchedulerMode::default(), Some((seed, stall)));
         prop_assert_eq!(&out_d, &out_s, "stall injection changed the output");
+        // Wrapped but never stalled, every kernel keeps its lanes: the run
+        // takes exactly the unwrapped run's cycles.
+        let (out_0, report_0, _) = cell.run(&images, SchedulerMode::default(), Some((seed, 0)));
+        prop_assert_eq!(&out_0, &out_d);
+        prop_assert_eq!(report_0.cycles, dense.cycles, "a 0 % injector changed the timing");
     }
 
     /// Pooling (both ops) is bit-identical under random stall injection,

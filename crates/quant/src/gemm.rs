@@ -112,13 +112,14 @@ const LANE_MASKS: [[u16; 8]; 256] = lane_masks();
 
 /// A filter bank as `u16` select masks for the first-layer (i8 pixel)
 /// kernel ([`conv_accumulate_i8_lanes`]): per filter and byte of its
-/// weight bits, eight lanes of `0xFFFF` where the bit is set; and each
-/// filter's set-bit count. Built once per installed bank.
+/// weight bits — one row of eight taps, the window padded to a whole row —
+/// eight lanes of `0xFFFF` where the bit is set; and each filter's set-bit
+/// count. Built once per installed bank.
 #[derive(Clone, Debug)]
 pub struct I8Masks {
     taps: usize,
-    /// Words of filter bits per filter.
-    words: usize,
+    /// Rows of eight lanes per filter.
+    rows: usize,
     masks: Vec<[u16; 8]>,
     ones: Vec<i32>,
 }
@@ -127,25 +128,26 @@ impl I8Masks {
     /// The masks of every filter of `filters`.
     pub fn new(filters: &BinaryFilters) -> Self {
         let (taps, nf) = (filters.bits_per_filter(), filters.num_filters());
-        let words = taps.div_ceil(64);
-        let (mut masks, mut ones) = (Vec::with_capacity(8 * words * nf), Vec::with_capacity(nf));
+        let rows = taps.div_ceil(8);
+        let (mut masks, mut ones) = (Vec::with_capacity(rows * nf), Vec::with_capacity(nf));
         for o in 0..nf {
             let words = filters.filter(o).words();
-            masks.extend((0..8 * words.len()).map(|j| *table_row(words, j / 8, j % 8)));
+            masks.extend((0..rows).map(|r| *lane_masks_of(words[r / 8], r % 8)));
             ones.push(words.iter().map(|w| w.count_ones() as i32).sum());
         }
-        Self { taps, words, masks, ones }
+        Self { taps, rows, masks, ones }
     }
 
-    /// Lanes a window must fill ([`conv_accumulate_i8_lanes`]).
+    /// Lanes a window must fill ([`conv_accumulate_i8_lanes`]): its taps
+    /// padded to a multiple of eight.
     pub fn stride(&self) -> usize {
-        64 * self.words
+        8 * self.rows
     }
 }
 
-/// The eight lane masks of byte `b` of word `c` of a filter's bits.
-fn table_row(words: &[u64], c: usize, b: usize) -> &'static [u16; 8] {
-    &LANE_MASKS[(words[c] >> (8 * b) & 0xFF) as usize]
+/// The eight lane masks of byte `b` of a word of filter bits.
+fn lane_masks_of(word: u64, b: usize) -> &'static [u16; 8] {
+    &LANE_MASKS[(word >> (8 * b) & 0xFF) as usize]
 }
 
 /// One filter's accumulator over one window: `2·(S₁ᵤ − 128·ones) − T`.
@@ -153,40 +155,45 @@ fn table_row(words: &[u64], c: usize, b: usize) -> &'static [u16; 8] {
 /// A ±1 dot over signed pixels is `2·S₁ − T`, where `T = Σ pixelⱼ` is
 /// filter-independent (computed once per window) and `S₁ = Σ_{wⱼ=1}
 /// pixelⱼ = S₁ᵤ − 128·ones`. `S₁ᵤ` is a masked sum: `lanes` holds the
-/// window's pixels offset to unsigned, `row(c, b)` the lane masks of byte
-/// `b` of word `c` of the filter's `words`, and `lane & mask` adds up in
-/// eight `u16` lanes side by side, folded every 32 words (256 taps a lane,
-/// `256 · 255 < 65 536`) so no lane wraps. Every step is exact integer
+/// window's pixels offset to unsigned, eight to a row, `row(c, b)` the lane
+/// masks of row `8c + b` — byte `b` of word `c` of the filter's bits — and
+/// `lane & mask` adds up in eight `u16` lanes side by side, folded every 32
+/// words (256 taps a lane, `256 · 255 < 65 536`) so no lane wraps. Every step is exact integer
 /// arithmetic, so the values are bit-identical to the per-filter
 /// [`dot_i8`](crate::dot::dot_i8) the reference interpreter uses.
 fn i8_acc<'a>(
     lanes: &[u16],
-    words: usize,
     row: impl Fn(usize, usize) -> &'a [u16; 8],
     ones: i32,
     total: i32,
 ) -> i32 {
-    let mut s1u = 0u32;
-    for block in (0..words).step_by(32) {
-        let mut part = [0u16; 8];
-        for c in block..words.min(block + 32) {
-            let lanes = &lanes[64 * c..64 * (c + 1)];
-            for (b, l) in lanes.chunks_exact(8).enumerate() {
-                let m = row(c, b);
-                for k in 0..8 {
-                    part[k] = part[k].wrapping_add(m[k] & l[k]);
-                }
-            }
+    fn add(part: &mut [u16; 8], m: &[u16; 8], l: &[u16]) {
+        for k in 0..8 {
+            part[k] = part[k].wrapping_add(m[k] & l[k]);
         }
-        s1u += part.iter().map(|&p| u32::from(p)).sum::<u32>();
     }
-    2 * (s1u as i32 - 128 * ones) - total
+    let fold = |part: [u16; 8]| part.iter().map(|&p| u32::from(p)).sum::<u32>();
+    let (mut s1u, mut part) = (0u32, [0u16; 8]);
+    // Whole words of rows, then the rows past the last whole word.
+    let (words, tail) = lanes.split_at(lanes.len() / 64 * 64);
+    for (c, word) in words.chunks_exact(64).enumerate() {
+        for (b, l) in word.chunks_exact(8).enumerate() {
+            add(&mut part, row(c, b), l);
+        }
+        if c % 32 == 31 {
+            s1u += fold(std::mem::take(&mut part));
+        }
+    }
+    for (b, l) in tail.chunks_exact(8).enumerate() {
+        add(&mut part, row(words.len() / 64, b), l);
+    }
+    2 * ((s1u + fold(part)) as i32 - 128 * ones) - total
 }
 
 /// First-layer (i8 pixel) counterpart of [`conv_accumulate_all`]:
-/// `acc[o] = dot_i8(filters.filter(o), pixels)` for all `o`, each filter
-/// byte's lane masks read from a 256-entry table as the sum goes. A kernel
-/// latching many windows builds them once ([`I8Masks`]) and calls
+/// `acc[o] = dot_i8(filters.filter(o), pixels)` for all `o`, each filter's
+/// lane masks read from a 256-entry table as it goes. A kernel latching
+/// many windows builds them once ([`I8Masks`]) and calls
 /// [`conv_accumulate_i8_lanes`]; both sum the same way.
 ///
 /// # Panics
@@ -199,16 +206,15 @@ pub fn conv_accumulate_all_i8(filters: &BinaryFilters, pixels: &[i8], acc: &mut 
         pixels.len(),
         "filter width must match the window"
     );
-    let words = pixels.len().div_ceil(64);
-    let mut lanes = vec![0u16; 64 * words];
+    let mut lanes = vec![0u16; pixels.len().next_multiple_of(8)];
     for (lane, &p) in lanes.iter_mut().zip(pixels) {
         *lane = (i16::from(p) + 128) as u16;
     }
     let total: i32 = pixels.iter().map(|&p| i32::from(p)).sum();
     for (o, a) in acc.iter_mut().enumerate() {
-        let row = filters.filter(o).words();
-        let ones = row.iter().map(|w| w.count_ones() as i32).sum();
-        *a = i8_acc(&lanes, words, |c, b| table_row(row, c, b), ones, total);
+        let words = filters.filter(o).words();
+        let ones = words.iter().map(|w| w.count_ones() as i32).sum();
+        *a = i8_acc(&lanes, |c, b| lane_masks_of(words[c], b), ones, total);
     }
 }
 
@@ -224,9 +230,9 @@ pub fn conv_accumulate_i8_lanes(masks: &I8Masks, lanes: &[u16], acc: &mut [i32])
     assert_eq!(lanes.len(), masks.stride(), "one lane per mask lane");
     let sum: u32 = lanes.iter().map(|&l| u32::from(l)).sum();
     let total = sum as i32 - 128 * masks.taps as i32;
-    let rows = masks.masks.chunks_exact(8 * masks.words);
+    let rows = masks.masks.chunks_exact(masks.rows);
     for ((a, row), &ones) in acc.iter_mut().zip(rows).zip(&masks.ones) {
-        *a = i8_acc(lanes, masks.words, |c, b| &row[8 * c + b], ones, total);
+        *a = i8_acc(lanes, |c, b| &row[8 * c + b], ones, total);
     }
 }
 
