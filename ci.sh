@@ -15,7 +15,9 @@
 #                        denied + the no-ambient-configuration guard
 #                        (only crates/testkit may read the environment)
 #                        + the single-threaded-simulator guard (no mpsc or
-#                        atomics in crates/dfe/src)
+#                        atomics in crates/dfe/src) + the test-side-oracle
+#                        guard (no crate source outside crates/dfe/src
+#                        names DenseOracle)
 #   ci.sh soak           NOT tier-1: the property suites, in release, at
 #                        QNN_TEST_CASES=1024 (overridable) — a long-running
 #                        hunt for rare ring-buffer/stall/scheduler/re-arm/
@@ -55,7 +57,7 @@
 #   ci.sh transformer    NOT tier-1 (but fast): the streaming-attention
 #                        batteries in release — the encoder equivalence
 #                        grid/property suite (stall injection, FIFO
-#                        stress, both steppers) and the mixed
+#                        stress, the dense oracle) and the mixed
 #                        CNN+transformer serving suite — at the tier-1
 #                        case count (soak reruns the property half at
 #                        1024).
@@ -165,6 +167,11 @@ fi
 # cross-thread channel or atomic belongs in it.
 if grep -rn 'mpsc\|atomic::' crates/dfe/src; then
   echo "ci.sh: cross-thread primitive in crates/dfe/src (see above)" >&2; exit 1
+fi
+# The dense oracle is a test instrument: only the crate that defines it
+# may name it, so it cannot drift back into a runtime path.
+if grep -rn 'DenseOracle' crates/*/src | grep -v '^crates/dfe/src/'; then
+  echo "ci.sh: DenseOracle named outside crates/dfe/src (see above)" >&2; exit 1
 fi
 
 echo "ci.sh: all green"

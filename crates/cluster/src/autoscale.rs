@@ -34,7 +34,7 @@
 //! longer default), giving the classic asymmetric deadband: quick to add
 //! capacity when latency is burning, slow to give it back.
 
-use crate::config::AutoscalerConfig;
+use crate::config::{AutoscalerConfig, ClusterConfigError};
 use qnn_serve::{LoadWindow, Server};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::thread;
@@ -80,8 +80,13 @@ pub struct Autoscaler {
 }
 
 impl Autoscaler {
-    /// An autoscaler managing every model registered on `server`.
-    pub fn new(config: AutoscalerConfig, server: &Server) -> Autoscaler {
+    /// An autoscaler managing every model registered on `server`, or why
+    /// `config` is refused ([`AutoscalerConfig::validate`]).
+    pub fn new(
+        config: AutoscalerConfig,
+        server: &Server,
+    ) -> Result<Autoscaler, ClusterConfigError> {
+        config.validate()?;
         let states = server
             .models()
             .into_iter()
@@ -93,7 +98,7 @@ impl Autoscaler {
                 last_submitted: 0,
             })
             .collect();
-        Autoscaler { config, states }
+        Ok(Autoscaler { config, states })
     }
 
     /// The config the loop runs under.

@@ -256,7 +256,9 @@ fn handle_request(
         let code = match &e {
             SubmitError::QueueFull(_) => ErrorCode::Rejected,
             SubmitError::UnknownModel { .. } => ErrorCode::UnknownModel,
-            SubmitError::AmbiguousModel(_) => ErrorCode::BadRequest,
+            SubmitError::AmbiguousModel(_) | SubmitError::ShapeMismatch { .. } => {
+                ErrorCode::BadRequest
+            }
             SubmitError::Stopped => ErrorCode::Stopped,
         };
         write_frame(writer, &error_frame(wire_id, code, &e.to_string()));

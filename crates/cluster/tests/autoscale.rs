@@ -3,7 +3,7 @@
 //! off transients, breaches grow pools, idleness shrinks them, and the
 //! min/max/budget bounds are never crossed.
 
-use qnn_cluster::{Autoscaler, AutoscalerConfig, ScaleAction};
+use qnn_cluster::{Autoscaler, AutoscalerConfig, ClusterConfigError, ScaleAction};
 use qnn_nn::{models, Network};
 use qnn_serve::{ModelOptions, Server, ServerConfig, SubmitOptions, Ticket};
 use qnn_tensor::{Shape3, Tensor3};
@@ -61,10 +61,27 @@ fn config() -> AutoscalerConfig {
         .expect("valid config")
 }
 
+/// A struct-literal config goes through the same validation as the
+/// builder's: a zero interval would spin `run` on the load-window locks,
+/// and a floor above the ceiling has no legal pool size.
+#[test]
+fn new_refuses_an_invalid_config() {
+    let server = slow_server(Duration::ZERO);
+    let zero = AutoscalerConfig { interval: Duration::ZERO, ..AutoscalerConfig::default() };
+    assert_eq!(Autoscaler::new(zero, &server).err(), Some(ClusterConfigError::ZeroInterval));
+    let inverted =
+        AutoscalerConfig { min_replicas: 3, max_replicas: 2, ..AutoscalerConfig::default() };
+    assert_eq!(
+        Autoscaler::new(inverted, &server).err(),
+        Some(ClusterConfigError::MinExceedsMax { min: 3, max: 2 })
+    );
+    server.shutdown();
+}
+
 #[test]
 fn backlog_breach_grows_the_pool_after_hysteresis() {
     let server = slow_server(Duration::from_millis(60));
-    let mut scaler = Autoscaler::new(config(), &server);
+    let mut scaler = Autoscaler::new(config(), &server).expect("valid config");
 
     let held = flood(&server, 12); // backlog 12 > 2 × 1 replica → breach
     assert_eq!(scaler.tick(&server), Vec::new(), "one breached tick must not scale yet");
@@ -85,7 +102,7 @@ fn backlog_breach_grows_the_pool_after_hysteresis() {
 #[test]
 fn transients_shorter_than_the_hysteresis_never_scale() {
     let server = slow_server(Duration::from_millis(40));
-    let mut scaler = Autoscaler::new(config(), &server);
+    let mut scaler = Autoscaler::new(config(), &server).expect("valid config");
 
     // Breach once, then drain: the streak must reset, so a later
     // single-tick breach doesn't scale either.
@@ -109,7 +126,7 @@ fn transients_shorter_than_the_hysteresis_never_scale() {
 #[test]
 fn cooldown_blocks_back_to_back_resizes() {
     let server = slow_server(Duration::from_millis(60));
-    let mut scaler = Autoscaler::new(config(), &server);
+    let mut scaler = Autoscaler::new(config(), &server).expect("valid config");
 
     let held = flood(&server, 20);
     scaler.tick(&server);
@@ -126,7 +143,7 @@ fn cooldown_blocks_back_to_back_resizes() {
 #[test]
 fn idle_pool_shrinks_to_min_replicas_and_stops() {
     let server = slow_server(Duration::from_millis(30));
-    let mut scaler = Autoscaler::new(config(), &server);
+    let mut scaler = Autoscaler::new(config(), &server).expect("valid config");
 
     // Grow to 2 first.
     let held = flood(&server, 12);
@@ -154,7 +171,7 @@ fn idle_pool_shrinks_to_min_replicas_and_stops() {
 #[test]
 fn growth_respects_max_replicas() {
     let server = slow_server(Duration::from_millis(80));
-    let mut scaler = Autoscaler::new(config(), &server); // max 3
+    let mut scaler = Autoscaler::new(config(), &server).expect("valid config"); // max 3
     let held = flood(&server, 60);
     let mut ups = 0;
     for _ in 0..20 {
@@ -191,7 +208,7 @@ fn total_budget_caps_growth_across_models() {
         .cooldown_ticks(0)
         .build()
         .expect("valid config");
-    let mut scaler = Autoscaler::new(config, &server);
+    let mut scaler = Autoscaler::new(config, &server).expect("valid config");
 
     let client = server.client();
     let held: Vec<Ticket> = (0..40)

@@ -196,6 +196,35 @@ fn unknown_model_resolves_to_a_typed_remote_error() {
     assert_eq!(report.completed + report.rejected + report.shed, report.submitted);
 }
 
+/// A well-formed frame whose image is not the model's input shape is
+/// answered with `BadRequest` at admission, and the edge keeps serving.
+#[test]
+fn wrongly_shaped_image_is_a_bad_request_and_the_edge_keeps_serving() {
+    let net = Network::random(models::test_net(8, 4, 2), 43);
+    let server = Server::builder()
+        .config(ServerConfig { replicas: 1, ..ServerConfig::default() })
+        .model("mnist", &net)
+        .start()
+        .expect("valid server");
+    let edge = NetServer::bind(server, "127.0.0.1:0").expect("bind loopback");
+    let client = NetClient::connect(edge.local_addr()).expect("connect");
+
+    let wide = Tensor3::from_fn(Shape3::square(9, 3), |_, _, _| 1i8);
+    let ticket = client.submit(wide, SubmitOptions::model("mnist")).expect("submit");
+    match ticket.wait() {
+        Err(NetError::Remote { code, .. }) => assert_eq!(code, ErrorCode::BadRequest),
+        other => panic!("expected a remote BadRequest error, got {other:?}"),
+    }
+    let img = trace(1, 0x9E7).pop().expect("one image");
+    let ticket = client.submit(img.clone(), SubmitOptions::model("mnist")).expect("submit");
+    assert_eq!(ticket.wait().expect("answered").logits, net.forward(&img).logits);
+
+    drop(client);
+    let report = edge.shutdown();
+    assert_eq!((report.completed, report.rejected), (1, 1));
+    assert_eq!(report.completed + report.rejected + report.shed, report.submitted);
+}
+
 #[test]
 fn expired_deadline_sheds_over_the_wire() {
     let net = Network::random(models::test_net(8, 4, 2), 43);

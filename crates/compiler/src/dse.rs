@@ -85,8 +85,8 @@ impl DesignPoint {
         self.stage_device.iter().max().copied().unwrap_or(0) + 1
     }
 
-    /// Compile options realizing this point (the stepper and parameter
-    /// loading stay at their defaults).
+    /// Compile options realizing this point (parameter loading stays at
+    /// its default).
     pub fn compile_options(&self) -> CompileOptions {
         CompileOptions {
             fifo_capacity: self.fifo_capacity,

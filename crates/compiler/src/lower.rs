@@ -1,8 +1,8 @@
 //! Lowering: network spec + parameters → one streaming kernel graph.
 
 use dfe_platform::{
-    CycleReport, Graph, HostSink, HostSource, Kernel, ReplayDiag, SchedulerMode, SinkHandle,
-    SourceHandle, StreamId, StreamSpec,
+    CycleReport, Graph, HostSink, HostSource, Kernel, ReplayDiag, SinkHandle, SourceHandle,
+    StreamId, StreamSpec,
 };
 use hw_model::{CycleModel, Fold, FoldPlan};
 use qnn_kernels::loader::encode_conv_params;
@@ -15,7 +15,7 @@ use qnn_quant::ThresholdUnit;
 use qnn_tensor::{BinaryFilters, ConvGeometry, Shape3, Tensor3};
 
 /// Compilation knobs: the design point (FIFO depths, placement, parameter
-/// loading, folding) and the stepper that simulates it.
+/// loading, folding).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CompileOptions {
     /// Default FIFO capacity between kernels (elements). The paper's FMem
@@ -31,12 +31,6 @@ pub struct CompileOptions {
     /// (§III-B1a) instead of instantiating pre-filled caches. Functionally
     /// identical; adds the one-time load cycles to the run.
     pub stream_parameters: bool,
-    /// Stepper for the compiled graph (and so every `qnn-serve` replica
-    /// worker). The default, `Replay`, parks idle kernels, dispatches spans
-    /// as bursts and replays the steady-state schedule; `Dense` ticks every
-    /// kernel every cycle and is the oracle the differential batteries
-    /// compare against. Both are bit-identical in outputs and reports.
-    pub scheduler: SchedulerMode,
     /// Per-layer folding overrides, keyed by the lowering's stage labels
     /// (`conv0`, `pool1`, `fc5`, `res2.conv1`, `res3.ds`, …). Layers not
     /// mentioned run unfolded. Folding changes per-cycle lane widths only,
@@ -57,7 +51,6 @@ impl Default for CompileOptions {
             fifo_capacity: 512,
             stage_device: None,
             stream_parameters: false,
-            scheduler: SchedulerMode::default(),
             layer_folding: FoldPlan::new(),
             fifo_overrides: Vec::new(),
         }
@@ -263,7 +256,7 @@ struct Builder {
 impl Builder {
     fn new(opts: &CompileOptions, act_bits: u32) -> Self {
         Self {
-            graph: Graph::with_scheduler(opts.scheduler),
+            graph: Graph::new(),
             device: 0,
             kernel_device: Vec::new(),
             stream_device: Vec::new(),

@@ -151,8 +151,6 @@ impl CompiledNetwork {
 /// run. A warm serving replica takes the same three steps through the same
 /// code; it just repeats only the last two for each further batch.
 ///
-/// The stepper comes from `opts.scheduler`; both return bit-identical
-/// logits and reports, differing only in wall-clock time.
 /// Options the network cannot take come back as [`SimError::Options`]
 /// before anything runs.
 pub fn run_images(

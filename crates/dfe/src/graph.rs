@@ -1,15 +1,14 @@
 //! The kernel graph and the deterministic cycle scheduler.
 //!
-//! Two steppers are available (see [`SchedulerMode`]); both are
-//! cycle-accurate-equivalent — identical outputs, identical
-//! [`CycleReport`]s — which `tests/macro_tick_equivalence.rs` asserts over
-//! randomized networks.
+//! One stepper, whose oracle is the same stepper over
+//! [`DenseOracle`](crate::DenseOracle)-wrapped kernels: identical outputs
+//! and [`CycleReport`]s, which `tests/macro_tick_equivalence.rs` asserts
+//! over randomized networks.
 
 use crate::burst::{dispatch, Planner, View};
 use crate::diag::{BurstDiag, Refusal};
 use crate::kernel::{Io, Kernel, Progress, WakeHint};
 use crate::replay::{ReplayDiag, ReplayPhase, ReplayState, Step};
-use crate::sched::SchedulerMode;
 use crate::stream::{StreamSpec, StreamState};
 use crate::trace::Trace;
 use std::fmt;
@@ -117,7 +116,7 @@ pub struct CycleReport {
     /// Schedule-replay diagnostics (see [`crate::replay`]). Like
     /// [`Graph::bursts`], this describes how the run was *dispatched*, not
     /// what it computed — so it is excluded from report equality, which the
-    /// differential batteries hold bit-identical across steppers.
+    /// differential batteries hold bit-identical against the dense oracle.
     pub replay: ReplayDiag,
 }
 
@@ -153,21 +152,20 @@ pub struct Graph {
     streams: Vec<StreamState>,
     writers: Vec<Option<End>>,
     readers: Vec<Option<End>>,
-    scheduler: SchedulerMode,
     /// Ready-list state: `Some((p, c))` means node `i` parked at cycle `c`
     /// with verdict `p`; `None` means it will be ticked next cycle. Stall
     /// credit for the skipped cycles is settled lazily at wake time (see
-    /// [`Graph::step_cycle_ready`]), so parked nodes cost nothing per cycle.
+    /// [`Graph::step_cycle`]), so parked nodes cost nothing per cycle.
     parked: Vec<Option<(Progress, u64)>>,
     /// Awake set as a bitmask (bit `i` set ⇔ `parked[i]` is `None`), so the
     /// ready-list tick loop skips parked stretches 64 nodes per word load
     /// instead of probing every node's park slot each cycle.
     awake: Vec<u64>,
-    /// Scratch: streams written during the current cycle (ready-list mode
-    /// commits only these).
+    /// Scratch: streams written during the current cycle (the only ones
+    /// committed).
     dirty: Vec<usize>,
-    /// Cycle ordinal for lazy stall crediting; advanced only by the
-    /// ready-list stepper (credits are differences, so the base is free).
+    /// Cycle ordinal for lazy stall crediting (credits are differences, so
+    /// the base is free).
     now: u64,
     /// Whether the last `step_cycle` saw a sink kernel report `Busy` —
     /// the only event that can flip [`Graph::complete`], so run loops
@@ -229,9 +227,27 @@ fn lanes_of(kernel: &dyn Kernel) -> (u16, u16) {
 }
 
 impl Default for Graph {
-    /// Empty graph at the default [`SchedulerMode`].
+    /// Empty graph.
     fn default() -> Self {
-        Self::with_scheduler(SchedulerMode::default())
+        Self {
+            nodes: Vec::new(),
+            streams: Vec::new(),
+            writers: Vec::new(),
+            readers: Vec::new(),
+            parked: Vec::new(),
+            awake: Vec::new(),
+            dirty: Vec::new(),
+            now: 0,
+            sink_progress: false,
+            bursts: 0,
+            burst_cycles: 0,
+            burst_diag: BurstDiag::default(),
+            pending_refusal: None,
+            burst_cooldown: 0,
+            burst_backoff: 1,
+            planner: Planner::default(),
+            replay: ReplayState::new(),
+        }
     }
 }
 
@@ -265,33 +281,9 @@ impl Graph {
     /// short-phase residue back to dense stepping.
     const REPLAY_MIN_BURST: u64 = 2;
 
-    /// Empty graph at the default [`SchedulerMode`].
+    /// Empty graph.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Empty graph with an explicit stepper.
-    pub fn with_scheduler(scheduler: SchedulerMode) -> Self {
-        Self {
-            nodes: Vec::new(),
-            streams: Vec::new(),
-            writers: Vec::new(),
-            readers: Vec::new(),
-            scheduler,
-            parked: Vec::new(),
-            awake: Vec::new(),
-            dirty: Vec::new(),
-            now: 0,
-            sink_progress: false,
-            bursts: 0,
-            burst_cycles: 0,
-            burst_diag: BurstDiag::default(),
-            pending_refusal: None,
-            burst_cooldown: 0,
-            burst_backoff: 1,
-            planner: Planner::default(),
-            replay: ReplayState::new(),
-        }
     }
 
     /// Arm schedule replay: watch `marker` (conventionally the logits
@@ -363,18 +355,13 @@ impl Graph {
         }
     }
 
-    /// The graph's stepper.
-    pub fn scheduler(&self) -> SchedulerMode {
-        self.scheduler
-    }
-
     /// Return the graph to the state it was in when its last kernel was
     /// added, so [`Graph::run`] can execute it again on new host data: the
     /// clock, every kernel's counters and control state
     /// ([`Kernel::rearm`]), every stream's contents and statistics, the
     /// park and awake sets, the burst counters and back-off, and the
     /// period-replay tape with its diagnostics. Structure (kernels,
-    /// streams, wiring), configuration (stepper, replay marker), the
+    /// streams, wiring), configuration (the replay marker), the
     /// kernels' weights and the whole-batch tapes are kept.
     ///
     /// `batch` keys the next run's whole-batch tape (see
@@ -491,8 +478,9 @@ impl Graph {
     /// Replace every kernel `k` with `wrap(seq, k)`, `seq` its node index,
     /// keeping its wiring and re-reading its stream interface
     /// ([`Kernel::lanes`]). This is how a test laces a built graph with an
-    /// instrument such as a [`StallInjector`](crate::StallInjector); call
-    /// it before the graph first runs.
+    /// instrument such as a [`StallInjector`](crate::StallInjector) or a
+    /// [`DenseOracle`](crate::DenseOracle); call it before the graph first
+    /// runs.
     pub fn map_kernels(&mut self, mut wrap: impl FnMut(u64, Box<dyn Kernel>) -> Box<dyn Kernel>) {
         self.nodes = std::mem::take(&mut self.nodes)
             .into_iter()
@@ -617,9 +605,8 @@ impl Graph {
         // `Busy` — the sole event that can flip it (see [`Kernel::is_done`]).
         // Checking it every cycle would cost an O(kernels) scan plus a sink
         // mutex lock per simulated cycle, which dominates shallow cycles.
-        // Macro-tick span dispatch is a self-stepped ready-list refinement;
-        // traced runs sample per-cycle state and so step per-element.
-        let burst_ok = self.scheduler != SchedulerMode::Dense && trace.is_none();
+        // Traced runs sample per-cycle state and so step per-element.
+        let burst_ok = trace.is_none();
         // Schedule replay (see [`crate::replay`]) rides the same
         // self-stepped path and needs a marker stream to observe image
         // boundaries; unarmed graphs skip every replay branch.
@@ -765,59 +752,15 @@ impl Graph {
         Ok((self.report(cycle), trace))
     }
 
-    /// Advance the graph by one cycle and commit staged stream writes.
+    /// Advance the graph by one cycle: skip parked kernels, tick the rest in
+    /// node order, commit only the streams written this cycle.
     ///
     /// Returns `(any_progress, committed)`: whether any kernel reported
     /// [`Progress::Busy`] and whether any stream element moved from staging
-    /// into its FIFO. Dispatches on the graph's [`SchedulerMode`]; both
-    /// steppers produce bit-identical stream contents and counters.
-    fn step_cycle(&mut self) -> (bool, bool) {
-        match self.scheduler {
-            SchedulerMode::Dense => self.step_cycle_dense(),
-            SchedulerMode::Replay => self.step_cycle_ready(),
-        }
-    }
-
-    /// Dense stepper: tick every kernel, commit every stream.
-    fn step_cycle_dense(&mut self) -> (bool, bool) {
-        let mut any_progress = false;
-        let mut sink_progress = false;
-        for node in &mut self.nodes {
-            node.read_used.fill(0);
-            node.write_used.fill(0);
-            let mut io = Io::new(
-                &mut self.streams,
-                &node.inputs,
-                &node.outputs,
-                &mut node.read_used,
-                &mut node.write_used,
-                node.read_lanes,
-                node.write_lanes,
-            );
-            let prog = node.kernel.tick(&mut io);
-            check_progress_contract(node, prog);
-            match prog {
-                Progress::Busy => {
-                    node.busy += 1;
-                    any_progress = true;
-                    sink_progress |= node.outputs.is_empty();
-                }
-                Progress::Stalled => node.stalled += 1,
-                Progress::Idle => {}
-            }
-        }
-        let mut committed = false;
-        for s in &mut self.streams {
-            committed |= s.commit() > 0;
-        }
-        self.sink_progress = sink_progress;
-        (any_progress, committed)
-    }
-
-    /// Ready-list stepper: skip parked kernels, tick the rest in node
-    /// order, commit only streams written this cycle.
+    /// into its FIFO.
     ///
-    /// Equivalence to the dense stepper hinges on two points:
+    /// Equivalence to dense stepping (every kernel ticked every cycle, as
+    /// under a [`DenseOracle`](crate::DenseOracle)) hinges on two points:
     ///
     /// * **Parking is a replay, not an omission.** A kernel parks only if
     ///   its `wake_hint` is [`WakeHint::Parkable`], whose contract makes a
@@ -839,7 +782,7 @@ impl Graph {
     ///   become readable at commit, so readers are woken in the commit
     ///   phase and tick next cycle — the registered-output latency dense
     ///   exhibits.
-    fn step_cycle_ready(&mut self) -> (bool, bool) {
+    fn step_cycle(&mut self) -> (bool, bool) {
         let c = self.now;
         let Self {
             nodes,
@@ -1290,16 +1233,15 @@ impl Graph {
     }
 }
 
-/// Debug-mode `Progress` contract check, applied by both steppers after
-/// every tick:
+/// Debug-mode `Progress` contract check, applied after every tick:
 ///
 /// * `Idle` must not have touched any port — an idle kernel that read or
 ///   wrote did observable work and must report `Busy` (this is also what
 ///   makes `Idle` parking sound).
 /// * A [`WakeHint::Parkable`] kernel returning `Stalled` must not have
-///   touched any port either: the ready-list scheduler replays the stall
-///   verdict without re-running the tick, which is only valid if the
-///   stalled tick was port-inert.
+///   touched any port either: the stepper replays the stall verdict
+///   without re-running the tick, which is only valid if the stalled tick
+///   was port-inert.
 ///
 /// Compiled out in release builds (`cargo test` runs debug, so the tier-1
 /// suite exercises it on every kernel in the workspace).
@@ -1332,6 +1274,7 @@ mod tests {
     use super::*;
     use crate::host::{HostSink, HostSource};
     use crate::kernel::Progress;
+    use crate::DenseOracle;
 
     /// A pass-through kernel that adds a constant, one element per cycle.
     /// Port-inert whenever it is not `Busy`, so it parks.
@@ -1360,16 +1303,8 @@ mod tests {
     }
 
     fn pipeline(data: Vec<i32>, stages: usize) -> (Graph, crate::host::SinkHandle) {
-        pipeline_on(SchedulerMode::default(), data, stages)
-    }
-
-    fn pipeline_on(
-        mode: SchedulerMode,
-        data: Vec<i32>,
-        stages: usize,
-    ) -> (Graph, crate::host::SinkHandle) {
         let n = data.len();
-        let mut g = Graph::with_scheduler(mode);
+        let mut g = Graph::new();
         let mut prev = g.add_stream(StreamSpec::new("s0", 8, 4));
         g.add_kernel(Box::new(HostSource::new("src", data)), &[], &[prev]);
         for i in 0..stages {
@@ -1468,15 +1403,15 @@ mod tests {
 
     #[test]
     fn ready_list_matches_dense_on_pipeline() {
-        let run_mode = |mode| {
-            let (mut g, handle) = pipeline_on(mode, (0..25).collect(), 3);
+        let run_mode = |dense: bool| {
+            let (mut g, handle) = pipeline((0..25).collect(), 3);
+            if dense {
+                g.map_kernels(|_, k| DenseOracle::wrap(k));
+            }
             let report = g.run(10_000).expect("run ok");
             (handle.take(), report)
         };
-        assert_eq!(
-            run_mode(SchedulerMode::Dense),
-            run_mode(SchedulerMode::default())
-        );
+        assert_eq!(run_mode(true), run_mode(false));
     }
 
     /// The pop-wake edge for a writer *after* its reader in node order: a
@@ -1488,8 +1423,8 @@ mod tests {
     /// is stepped per element.
     #[test]
     fn reversed_pipeline_wakes_later_writers_at_the_dense_instant() {
-        let run_mode = |mode| {
-            let mut g = Graph::with_scheduler(mode);
+        let run_mode = |dense: bool| {
+            let mut g = Graph::new();
             let s: Vec<StreamId> = (0..4)
                 .map(|i| g.add_stream(StreamSpec::new(format!("s{i}"), 8, 2)))
                 .collect();
@@ -1504,15 +1439,18 @@ mod tests {
                 g.add_kernel(Box::new(AddConst { c: 1 }), &[s[i]], &[s[i + 1]]);
             }
             g.add_kernel(Box::new(HostSource::new("src", (0..30).collect())), &[], &[s[0]]);
+            if dense {
+                g.map_kernels(|_, k| DenseOracle::wrap(k));
+            }
             // The sink's idle ticks are whole cycles without progress.
             g.run_opts(10_000, false).expect("run ok")
         };
-        let dense = run_mode(SchedulerMode::Dense);
+        let dense = run_mode(true);
         assert!(
             dense.kernels[1..].iter().all(|k| k.stalled > 0),
             "every writer must stall on the half-rate sink: {dense:?}"
         );
-        assert_eq!(run_mode(SchedulerMode::default()), dense);
+        assert_eq!(run_mode(false), dense);
     }
 
     /// A sink that ignores its input for `wait` cycles, then drains one
@@ -1557,11 +1495,11 @@ mod tests {
 
     /// Regression for `max_occupancy` accounting (sampled after commit):
     /// a two-kernel graph whose FIFO fills to capacity while the sink is
-    /// lazy must pin identical occupancy stats in both scheduler modes.
+    /// lazy must pin identical occupancy stats stepped densely and not.
     #[test]
     fn full_fifo_occupancy_stats_pinned_in_both_modes() {
-        let run_mode = |mode| {
-            let mut g = Graph::with_scheduler(mode);
+        let run_mode = |dense: bool| {
+            let mut g = Graph::new();
             let s = g.add_stream(StreamSpec::new("s", 8, 2));
             g.add_kernel(
                 Box::new(HostSource::new("src", (1..=6).collect())),
@@ -1578,12 +1516,15 @@ mod tests {
                 &[s],
                 &[],
             );
+            if dense {
+                g.map_kernels(|_, k| DenseOracle::wrap(k));
+            }
             // The lazy phase has legitimate full no-progress cycles, so
             // deadlock detection is off (identically in both modes).
             g.run_opts(1000, false).expect("run ok")
         };
-        let dense = run_mode(SchedulerMode::Dense);
-        let ready = run_mode(SchedulerMode::default());
+        let dense = run_mode(true);
+        let ready = run_mode(false);
         assert_eq!(dense, ready, "reports must be bit-identical");
         let s = &dense.streams[0];
         assert_eq!(

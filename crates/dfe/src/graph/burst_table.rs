@@ -9,6 +9,7 @@ use crate::burst::View;
 use crate::diag::BurstEnd;
 use crate::host::{HostSink, HostSource};
 use crate::kernel::{SpanIo, SpanPhase, SpanPlan};
+use crate::DenseOracle;
 
 /// A pass-through stage, one element a tick. One without a promise
 /// vetoes the bursts that would wake it.
@@ -270,8 +271,9 @@ type Row = (
 /// No stream on that side.
 const NO: usize = usize::MAX;
 
-fn build(scheduler: SchedulerMode, depths: &[usize], kernels: &[(K, usize, usize)]) -> Graph {
-    let mut g = Graph::with_scheduler(scheduler);
+/// The row's graph; with `dense`, every kernel under a [`DenseOracle`].
+fn build(dense: bool, depths: &[usize], kernels: &[(K, usize, usize)]) -> Graph {
+    let mut g = Graph::new();
     let ids: Vec<StreamId> =
         depths.iter().map(|&d| g.add_stream(StreamSpec::new("s", 8, d))).collect();
     for &(k, i, o) in kernels {
@@ -288,6 +290,7 @@ fn build(scheduler: SchedulerMode, depths: &[usize], kernels: &[(K, usize, usize
             K::Gather(_) => ids[i..i + 3].to_vec(),
             _ => port(i),
         };
+        let kernel = if dense { DenseOracle::wrap(kernel) } else { kernel };
         g.add_kernel(kernel, &inputs, &port(o));
     }
     g
@@ -426,7 +429,7 @@ const ROWS: &[Row] = &[
 /// Plan `row`'s burst and check it against dense stepping of the same
 /// graph over the same cycles; the graph, its planner holding the attempt.
 fn check(&(name, depths, kernels, warmup, marker, expect): &Row) -> Graph {
-    let mut g = build(SchedulerMode::default(), depths, kernels);
+    let mut g = build(false, depths, kernels);
     let _ = g.run_opts(warmup, false);
     let view = View {
         nodes: &g.nodes,
@@ -443,7 +446,7 @@ fn check(&(name, depths, kernels, warmup, marker, expect): &Row) -> Graph {
     assert_eq!(planned, expect, "{name}");
     let Ok((k, _)) = planned else { return g };
     // The same graph stepped densely over the same cycles.
-    let mut dense = build(SchedulerMode::Dense, depths, kernels);
+    let mut dense = build(true, depths, kernels);
     let _ = dense.run_opts(warmup, false);
     let before = dense_counts(&dense);
     let _ = dense.run_opts(k, false);

@@ -19,7 +19,8 @@ pub enum Progress {
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum WakeHint {
     /// Tick the kernel every cycle regardless of stream events — the safe
-    /// default, behaviourally identical to the dense stepper. Required for
+    /// default, and the dense stepping a
+    /// [`DenseOracle`](crate::DenseOracle) relies on. Required for
     /// kernels whose tick has effects beyond the ports: advancing an
     /// internal clock or RNG, polling an external channel, shifting a
     /// non-empty delay line.
@@ -653,8 +654,8 @@ pub trait Kernel: Send {
     /// tick? Consulted at park time, so the answer may depend on current
     /// internal state (a delay line is parkable only while empty).
     ///
-    /// Defaults to [`WakeHint::AlwaysTick`], which preserves the dense
-    /// stepper's every-cycle ticking for custom kernels; override to
+    /// Defaults to [`WakeHint::AlwaysTick`], which keeps dense
+    /// every-cycle ticking for custom kernels; override to
     /// [`WakeHint::Parkable`] only if the kernel honours the fixed-point
     /// contract documented on [`WakeHint`].
     fn wake_hint(&self) -> WakeHint {

@@ -20,11 +20,11 @@
 //! * **The cycle scheduler** advances the graph one clock at a time and
 //!   reports cycle counts, per-kernel busy/stall statistics and stream
 //!   occupancies. It detects deadlock (no progress while sinks are
-//!   incomplete). Two steppers exist, selected by [`SchedulerMode`] — the
-//!   dense reference stepper, and the default event-driven one that parks
-//!   stalled/idle kernels until a stream event, dispatches uniform spans
-//!   as bursts and replays a recorded steady-state schedule; they are
-//!   bit-identical in outputs and reports.
+//!   incomplete). There is one stepper: it parks stalled/idle kernels
+//!   until a stream event, dispatches uniform spans as bursts and replays
+//!   a recorded steady-state schedule. Its oracle is the same stepper over
+//!   kernels wrapped in a [`DenseOracle`], which ticks every kernel every
+//!   cycle; the two are bit-identical in outputs and reports.
 //! * **Devices and MaxRing links** carry resource budgets and bandwidth
 //!   limits so the compiler can place kernels onto multiple DFEs and verify
 //!   link feasibility. The simulator itself knows nothing of devices: a
@@ -39,9 +39,9 @@ pub mod diag;
 pub mod graph;
 pub mod host;
 pub mod kernel;
+pub mod oracle;
 pub mod replay;
 pub mod ring;
-pub mod sched;
 pub mod stall;
 pub mod stream;
 pub mod threaded;
@@ -53,8 +53,8 @@ pub use graph::{CycleReport, Graph, KernelId, RunError, StreamId};
 pub use host::{HostSink, HostSource, SinkHandle, SourceHandle};
 pub use kernel::{Io, Kernel, Progress, SpanIo, SpanPhase, SpanPlan, WakeHint, MAX_SPAN_PHASES};
 pub use replay::{ReplayDiag, WholeBatch};
+pub use oracle::DenseOracle;
 pub use ring::MaxRing;
-pub use sched::SchedulerMode;
 pub use stall::StallInjector;
 pub use stream::StreamSpec;
 pub use trace::Trace;

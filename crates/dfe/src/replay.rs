@@ -1,5 +1,4 @@
-//! Steady-state schedule replay, part of the default stepper
-//! ([`SchedulerMode::Replay`](crate::SchedulerMode::Replay)) on graphs
+//! Steady-state schedule replay, part of the graph's stepper on graphs
 //! armed with a replay marker.
 //!
 //! The paper's pipeline is statically scheduled in hardware: every image
@@ -64,8 +63,9 @@
 //!   under the key records again.
 //! * A graph's first run never records, so a one-shot compile-and-run
 //!   plans exactly as before. Any kernel without a replay token keeps the
-//!   graph off whole-batch tapes, as it keeps it off period replay. Traced
-//!   runs and the `Dense` stepper never use them.
+//!   graph off whole-batch tapes, as it keeps it off period replay — a
+//!   [`DenseOracle`](crate::DenseOracle)-wrapped graph among them. Traced
+//!   runs never use them.
 //!
 //! Image boundaries are ignored while a whole-batch tape runs: the tape's
 //! period is the whole run. [`ReplayDiag::whole_batch`] says what the run
@@ -100,7 +100,7 @@ use crate::burst::{SpanPart, SpanStream};
 /// Deliberately **excluded from report equality**: like
 /// [`Graph::bursts`](crate::Graph::bursts), these describe how the run was
 /// dispatched, not what it computed, and reports must stay bit-identical
-/// across steppers.
+/// to the [`DenseOracle`](crate::DenseOracle)'s, which never replays.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ReplayDiag {
     /// Steps in the validated tape (dense runs + spans), 0 before a tape
@@ -123,7 +123,8 @@ pub struct ReplayDiag {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum WholeBatch {
     /// Planned live from cycle 0: a graph's first run, a run no tape
-    /// could serve (traced, `Dense`, a kernel without a replay token), or
+    /// could serve (traced, a kernel without a replay token — a
+    /// [`DenseOracle`](crate::DenseOracle), say), or
     /// a recording cut short by the tape size cap.
     #[default]
     Off,

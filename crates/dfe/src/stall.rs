@@ -112,7 +112,7 @@ impl Kernel for StallInjector {
 
     /// Never parkable, whatever the wrapped kernel says: the injector's RNG
     /// advances on every tick, so skipping ticks would shift the stall
-    /// pattern and change cycle timing relative to the dense scheduler.
+    /// pattern and change cycle timing relative to dense stepping.
     fn wake_hint(&self) -> WakeHint {
         WakeHint::AlwaysTick
     }

@@ -1,17 +1,18 @@
-//! The `Progress` contract, enforced by a debug-mode check in both
-//! steppers (see `check_progress_contract` in `graph.rs`):
+//! The `Progress` contract, enforced by a debug-mode check after every
+//! tick (see `check_progress_contract` in `graph.rs`):
 //!
 //! * a tick returning `Idle` must not have read or written any port;
 //! * a `WakeHint::Parkable` kernel returning `Stalled` must not have
-//!   touched a port either (the default stepper parks it and replays the
-//!   verdict without re-running the tick).
+//!   touched a port either (the stepper parks it and replays the verdict
+//!   without re-running the tick). A `DenseOracle`-wrapped kernel is never
+//!   parkable, so only the first clause applies under the oracle.
 //!
 //! Violations would make ready-list parking unsound — a "skipped" tick
 //! would have had observable effects — so they abort loudly in debug
 //! builds, where the entire tier-1 suite runs.
 
 use dfe_platform::{
-    Graph, HostSink, HostSource, Io, Kernel, Progress, SchedulerMode, StreamSpec, WakeHint,
+    DenseOracle, Graph, HostSink, HostSource, Io, Kernel, Progress, StreamSpec, WakeHint,
 };
 use qnn_testkit::{prop_assert_eq, props};
 
@@ -48,14 +49,19 @@ impl Kernel for ParkableStallLiar {
     }
 }
 
-fn drive(kernel: Box<dyn Kernel>, mode: SchedulerMode) {
-    let mut g = Graph::with_scheduler(mode);
+/// Drive `kernel` between a source and a sink; with `dense`, every kernel
+/// under a `DenseOracle`.
+fn drive(kernel: Box<dyn Kernel>, dense: bool) {
+    let mut g = Graph::new();
     let a = g.add_stream(StreamSpec::new("a", 8, 4));
     let b = g.add_stream(StreamSpec::new("b", 8, 4));
     g.add_kernel(Box::new(HostSource::new("src", vec![1, 2, 3])), &[], &[a]);
     g.add_kernel(kernel, &[a], &[b]);
     let (sink, _h) = HostSink::new("dst", 3);
     g.add_kernel(Box::new(sink), &[b], &[]);
+    if dense {
+        g.map_kernels(|_, k| DenseOracle::wrap(k));
+    }
     // Liars never complete the pipeline; any termination path is fine —
     // the point is whether the contract check fires first.
     let _ = g.run_opts(100, false);
@@ -68,7 +74,7 @@ fn drive(kernel: Box<dyn Kernel>, mode: SchedulerMode) {
 )]
 #[should_panic(expected = "returned Idle after touching a port")]
 fn idle_after_read_is_caught_dense() {
-    drive(Box::new(IdleLiar), SchedulerMode::Dense);
+    drive(Box::new(IdleLiar), true);
 }
 
 #[test]
@@ -78,7 +84,7 @@ fn idle_after_read_is_caught_dense() {
 )]
 #[should_panic(expected = "returned Idle after touching a port")]
 fn idle_after_read_is_caught_ready_list() {
-    drive(Box::new(IdleLiar), SchedulerMode::default());
+    drive(Box::new(IdleLiar), false);
 }
 
 #[test]
@@ -88,19 +94,7 @@ fn idle_after_read_is_caught_ready_list() {
 )]
 #[should_panic(expected = "Parkable fixed-point contract")]
 fn parkable_stall_after_write_is_caught() {
-    drive(Box::new(ParkableStallLiar), SchedulerMode::default());
-}
-
-#[test]
-#[cfg_attr(
-    not(debug_assertions),
-    ignore = "contract check compiles out in release"
-)]
-#[should_panic(expected = "Parkable fixed-point contract")]
-fn parkable_stall_after_write_is_caught_dense_too() {
-    // The check is scheduler-independent: a dense run flags the same lie,
-    // so a kernel author cannot ship a violation by testing under Dense.
-    drive(Box::new(ParkableStallLiar), SchedulerMode::Dense);
+    drive(Box::new(ParkableStallLiar), false);
 }
 
 /// An honest parkable stage for the positive property below.
@@ -130,8 +124,8 @@ impl Kernel for Affine {
 }
 
 props! {
-    /// Honest pipelines sail through the contract check in both modes and
-    /// agree bit-for-bit — the positive side of the property: the check
+    /// Honest pipelines sail through the contract check with and without
+    /// the dense oracle and agree bit-for-bit — the positive side of the property: the check
     /// admits every lawful kernel, including ones that stall and idle
     /// under tight FIFOs.
     #[test]
@@ -141,8 +135,8 @@ props! {
         fifo in 1usize..6,
         mul in 1i32..5,
     ) {
-        let run_mode = |mode| {
-            let mut g = Graph::with_scheduler(mode);
+        let run_mode = |dense: bool| {
+            let mut g = Graph::new();
             let mut prev = g.add_stream(StreamSpec::new("s0", 8, fifo));
             g.add_kernel(
                 Box::new(HostSource::new("src", (0..n as i32).collect())),
@@ -156,9 +150,12 @@ props! {
             }
             let (sink, handle) = HostSink::new("dst", n);
             g.add_kernel(Box::new(sink), &[prev], &[]);
+            if dense {
+                g.map_kernels(|_, k| DenseOracle::wrap(k));
+            }
             let report = g.run(1_000_000).expect("lawful pipeline completes");
             (handle.take(), report)
         };
-        prop_assert_eq!(run_mode(SchedulerMode::Dense), run_mode(SchedulerMode::default()));
+        prop_assert_eq!(run_mode(true), run_mode(false));
     }
 }

@@ -18,7 +18,7 @@
 
 use dfe_platform::stream::{greedy, Flow, Gauge, Step};
 use dfe_platform::{
-    Graph, HostSink, HostSource, Io, Kernel, Progress, SchedulerMode, SinkHandle, SpanIo,
+    DenseOracle, Graph, HostSink, HostSource, Io, Kernel, Progress, SinkHandle, SpanIo,
     SpanPhase, SpanPlan, StallInjector, StreamId, StreamSpec, WakeHint,
 };
 use qnn_testkit::{any, prop_assert, prop_assert_eq, props, vec};
@@ -78,15 +78,16 @@ fn reference(data: &[i32], stages: &[(i32, i32)]) -> Vec<i32> {
 /// Source → span-affine stages → sink, optionally wrapping each stage in a
 /// [`StallInjector`] (which, being `AlwaysTick` with no span promise,
 /// vetoes every burst it is awake for — the per-element fallback path).
+/// With `dense`, every kernel runs under a [`DenseOracle`].
 fn build_chain(
     data: Vec<i32>,
     stages: &[(i32, i32)],
     cap: usize,
-    scheduler: SchedulerMode,
+    dense: bool,
     stall: Option<(u64, u8)>,
 ) -> (Graph, SinkHandle, Vec<StreamId>) {
     let n = data.len();
-    let mut g = Graph::with_scheduler(scheduler);
+    let mut g = Graph::new();
     let mut ids = Vec::new();
     let mut prev = g.add_stream(StreamSpec::new("s0", 32, cap));
     ids.push(prev);
@@ -106,6 +107,9 @@ fn build_chain(
     }
     let (sink, handle) = HostSink::new("dst", n);
     g.add_kernel(Box::new(sink), &[prev], &[]);
+    if dense {
+        g.map_kernels(|_, k| DenseOracle::wrap(k));
+    }
     (g, handle, ids)
 }
 
@@ -221,15 +225,16 @@ impl Kernel for WideSource {
 
 /// Source → wide stages → sink. The sink drains one element per cycle, so
 /// wide stages run at their lane width only while filling FIFOs and settle
-/// into sub-lane exact promises behind the narrow end.
+/// into sub-lane exact promises behind the narrow end. With `dense`, every
+/// kernel runs under a [`DenseOracle`].
 fn build_wide_chain(
     data: Vec<i32>,
     src_lanes: usize,
     stages: &[(i32, i32, usize, usize)],
-    scheduler: SchedulerMode,
+    dense: bool,
 ) -> (Graph, SinkHandle) {
     let n = data.len();
-    let mut g = Graph::with_scheduler(scheduler);
+    let mut g = Graph::new();
     let mut prev = g.add_stream(StreamSpec::new("s0", 32, stages[0].3));
     let src = WideSource { data, pos: 0, lanes: src_lanes };
     g.add_kernel(Box::new(src), &[], &[prev]);
@@ -242,6 +247,9 @@ fn build_wide_chain(
     }
     let (sink, handle) = HostSink::new("dst", n);
     g.add_kernel(Box::new(sink), &[prev], &[]);
+    if dense {
+        g.map_kernels(|_, k| DenseOracle::wrap(k));
+    }
     (g, handle)
 }
 
@@ -560,13 +568,13 @@ props! {
         let n = data.len();
         let expect = reference(&data, &stages);
         let (mut g, handle, ids) =
-            build_chain(data.clone(), &stages, cap, SchedulerMode::default(), None);
+            build_chain(data.clone(), &stages, cap, false, None);
         let report = g.run(BUDGET).expect("macro-tick chain must complete");
         prop_assert_eq!(handle.take(), expect.clone());
         assert_ledger(&g, &report, &ids, n, stages.len())?;
 
         let (mut gd, hd, _) =
-            build_chain(data, &stages, cap, SchedulerMode::Dense, None);
+            build_chain(data, &stages, cap, true, None);
         let dense = gd.run(BUDGET).expect("dense chain must complete");
         prop_assert_eq!(hd.take(), expect);
         prop_assert_eq!(report, dense, "macro-tick report diverges from dense");
@@ -589,7 +597,7 @@ props! {
             data,
             &stages,
             cap,
-            SchedulerMode::default(),
+            false,
             Some((seed, pct)),
         );
         // Injected stalls can idle the whole graph for a cycle; that is not
@@ -756,13 +764,13 @@ props! {
             &data,
             &stages.iter().map(|&(mul, add, ..)| (mul, add)).collect::<Vec<_>>(),
         );
-        let run = |scheduler| {
-            let (mut g, handle) = build_wide_chain(data.clone(), src_lanes, &stages, scheduler);
+        let run = |dense| {
+            let (mut g, handle) = build_wide_chain(data.clone(), src_lanes, &stages, dense);
             let report = g.run(BUDGET).expect("wide chain must complete");
             (handle.take(), report)
         };
-        let (_, dense) = run(SchedulerMode::Dense);
-        let (out, report) = run(SchedulerMode::default());
+        let (_, dense) = run(true);
+        let (out, report) = run(false);
         prop_assert_eq!(&out, &expect);
         prop_assert_eq!(&report, &dense, "span dispatch diverges from dense");
     }
@@ -777,7 +785,7 @@ fn bursts_fire_on_a_wide_chain() {
     // Lane-width traffic: a 4-wide source into 4-wide stages over deep
     // FIFOs (the sink's one-per-cycle drain backs up only at the end).
     let fast = [(3, 7, 4, 8192), (-1, 11, 4, 8192)];
-    let (mut g, handle) = build_wide_chain(data.clone(), 4, &fast, SchedulerMode::default());
+    let (mut g, handle) = build_wide_chain(data.clone(), 4, &fast, false);
     let report = g.run(BUDGET).expect("run");
     assert_eq!(handle.take(), reference(&data, &[(3, 7), (-1, 11)]));
     assert!(g.burst_cycles() > 0, "no burst on a wide pipeline");
@@ -788,7 +796,7 @@ fn bursts_fire_on_a_wide_chain() {
     );
     // Sub-lane traffic: the same stages behind a one-per-cycle source run
     // one element per tick, every tick.
-    let (mut g, handle) = build_wide_chain(data.clone(), 1, &fast, SchedulerMode::default());
+    let (mut g, handle) = build_wide_chain(data.clone(), 1, &fast, false);
     let report = g.run(BUDGET).expect("run");
     assert_eq!(handle.take(), reference(&data, &[(3, 7), (-1, 11)]));
     assert_eq!(report.kernels[1].busy, 4096, "one tick per element");
@@ -807,7 +815,7 @@ fn bursts_fire_on_a_span_capable_chain() {
     let data: Vec<i32> = (0..512).collect();
     let stages = [(3, 7), (-1, 11)];
     let (mut g, handle, _) =
-        build_chain(data.clone(), &stages, 16, SchedulerMode::default(), None);
+        build_chain(data.clone(), &stages, 16, false, None);
     let report = g.run(BUDGET).expect("run");
     assert_eq!(handle.take(), reference(&data, &stages));
     assert!(
@@ -818,7 +826,7 @@ fn bursts_fire_on_a_span_capable_chain() {
     assert!(report.cycles >= 512);
 
     let (mut g_off, handle_off, _) =
-        build_chain(data.clone(), &stages, 16, SchedulerMode::Dense, None);
+        build_chain(data.clone(), &stages, 16, true, None);
     let report_off = g_off.run(BUDGET).expect("run");
     assert_eq!(handle_off.take(), reference(&data, &stages));
     assert_eq!(report, report_off, "dispatch mode leaked into the report");
@@ -834,9 +842,9 @@ fn mode_switch_mid_run_preserves_output() {
     let stages = [(5, -3)];
     let all: Vec<i32> = (-100..100).collect();
     let expect = reference(&all, &stages);
-    let (mut gd, _, _) = build_chain(all.clone(), &stages, 8, SchedulerMode::Dense, None);
+    let (mut gd, _, _) = build_chain(all.clone(), &stages, 8, true, None);
     let dense = gd.run(BUDGET).expect("dense run");
-    let (mut g, handle, _) = build_chain(all, &stages, 8, SchedulerMode::default(), None);
+    let (mut g, handle, _) = build_chain(all, &stages, 8, false, None);
     // Step a bounded prefix: too few cycles to finish, enough to burst.
     assert!(g.run_opts(PREFIX, false).is_err(), "prefix finished the run");
     assert!(g.bursts() > 0, "no burst in the prefix");

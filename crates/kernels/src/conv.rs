@@ -51,7 +51,7 @@
 //! the oracles sit outside the kernel: values are held against the
 //! reference interpreter (`qnn_nn::reference`, this module's
 //! `matches_reference_*` tests and the `property_streaming` battery), and
-//! cycle reports against the `Dense` stepper.
+//! cycle reports against dense stepping (the dense oracle).
 
 use crate::loader::{LoadStep, ParamLoader};
 use dfe_platform::{Io, Kernel, Progress, SpanIo, SpanPhase, SpanPlan, WakeHint};

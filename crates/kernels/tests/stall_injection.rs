@@ -14,14 +14,15 @@
 //!
 //! The folded pad → conv → pool → residual pair → FC cell at the end adds
 //! the *dispatch* dimension: clean runs with macro-tick spans on (the
-//! default stepper) and off (dense stepping) must agree on every counter,
+//! default stepper) and off (every kernel under a `DenseOracle`) must
+//! agree on every counter,
 //! at any PE/SIMD
 //! folding — the rate-annotated span promises of the folded kernels, and
 //! the slice-level `run_span` body of every kernel in the cell, against
 //! their own `tick`.
 
 use dfe_platform::{
-    CycleReport, Graph, HostSink, HostSource, Kernel, SchedulerMode, StallInjector, StreamSpec,
+    CycleReport, DenseOracle, Graph, HostSink, HostSource, Kernel, StallInjector, StreamSpec,
 };
 use qnn_kernels::{
     AddKernel, ConvKernel, DotMode, PadInserter, PoolKernel, PoolOp, SplitKernel, ThresholdKernel,
@@ -109,13 +110,13 @@ impl FoldedCell {
             .collect()
     }
 
-    /// Run `images` through the cell; `stall` wraps every node in a
-    /// [`StallInjector`]. Returns the output stream, the report, and the
-    /// cycles covered by bursts.
+    /// Run `images` through the cell; `dense` wraps every node in a
+    /// [`DenseOracle`], `stall` in a [`StallInjector`]. Returns the output
+    /// stream, the report, and the cycles covered by bursts.
     fn run(
         &self,
         images: &[Vec<i32>],
-        scheduler: SchedulerMode,
+        dense: bool,
         stall: Option<(u64, u8)>,
     ) -> (Vec<i32>, CycleReport, u64) {
         let inject = |k: Box<dyn Kernel>, node: u64| match stall {
@@ -168,7 +169,7 @@ impl FoldedCell {
             .with_folding(fc_pe, fc_simd);
         let out_len = fc_geom.output().len() * images.len();
 
-        let mut g = Graph::with_scheduler(scheduler);
+        let mut g = Graph::new();
         let [s_in, padded, conv_out, pool_out, main, skip, act, sum, fc_out] =
             ["in", "padded", "conv.out", "pool.out", "main", "skip", "act", "sum", "fc.out"]
                 .map(|name| g.add_stream(StreamSpec::new(name, 32, self.cap)));
@@ -185,6 +186,9 @@ impl FoldedCell {
         g.add_kernel(inject(Box::new(fc), 7), &[sum], &[fc_out]);
         let (sink, handle) = HostSink::new("dst", out_len);
         g.add_kernel(inject(Box::new(sink), 8), &[fc_out], &[]);
+        if dense {
+            g.map_kernels(|_, k| DenseOracle::wrap(k));
+        }
         let report = g.run_opts(MAX_CYCLES, stall.is_none()).expect("folded cell run");
         (handle.take(), report, g.burst_cycles())
     }
@@ -216,15 +220,15 @@ props! {
             side, channels, filters, conv_stride, fused, pool, avg, conv_fold, pool_fold, fc, cap,
         };
         let images: Vec<_> = (0..n_images as u64).map(|i| cell.image(seed ^ i)).collect();
-        let (out_d, dense, _) = cell.run(&images, SchedulerMode::Dense, None);
-        let (out, report, _) = cell.run(&images, SchedulerMode::default(), None);
+        let (out_d, dense, _) = cell.run(&images, true, None);
+        let (out, report, _) = cell.run(&images, false, None);
         prop_assert_eq!(&out, &out_d);
         prop_assert_eq!(&report, &dense, "span dispatch diverges from dense");
-        let (out_s, ..) = cell.run(&images, SchedulerMode::default(), Some((seed, stall)));
+        let (out_s, ..) = cell.run(&images, false, Some((seed, stall)));
         prop_assert_eq!(&out_d, &out_s, "stall injection changed the output");
         // Wrapped but never stalled, every kernel keeps its lanes: the run
         // takes exactly the unwrapped run's cycles.
-        let (out_0, report_0, _) = cell.run(&images, SchedulerMode::default(), Some((seed, 0)));
+        let (out_0, report_0, _) = cell.run(&images, false, Some((seed, 0)));
         prop_assert_eq!(&out_0, &out_d);
         prop_assert_eq!(report_0.cycles, dense.cycles, "a 0 % injector changed the timing");
     }
@@ -387,7 +391,7 @@ fn folded_cell_bursts() {
         cap: 64,
     };
     let images = [cell.image(5), cell.image(6)];
-    let (_, report, burst_cycles) = cell.run(&images, SchedulerMode::default(), None);
+    let (_, report, burst_cycles) = cell.run(&images, false, None);
     assert!(
         burst_cycles * 2 > report.cycles,
         "spans cover {burst_cycles} of {} cycles at a folded cell",

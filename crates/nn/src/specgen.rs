@@ -6,7 +6,7 @@
 //! the reverse dependency would be a cycle. Used by
 //! `tests/property_streaming.rs` (bit-exactness vs the reference
 //! interpreter) and `tests/macro_tick_equivalence.rs` (default stepper vs
-//! `Dense` differential battery).
+//! dense-oracle differential battery).
 
 use crate::spec::{EncoderGeometry, NetworkSpec, PoolKind, ResidualGeometry, SpecBuilder, Stage};
 use qnn_tensor::{ConvGeometry, FilterShape, Shape3, Tensor3};

@@ -9,7 +9,7 @@
 //! | [`tensor`] | HWC tensors, bit-packed binary weights |
 //! | [`quant`] | XNOR-popcount dot products, threshold-form BatchNorm+activation |
 //! | [`nn`] | network IR, reference interpreter, ResNet-18 / AlexNet / CNV builders |
-//! | [`dfe`] | the Maxeler-substitute dataflow platform (streams, kernels, schedulers, devices) |
+//! | [`dfe`] | the Maxeler-substitute dataflow platform (streams, kernels, the stepper, devices) |
 //! | [`kernels`] | streaming conv / pool / threshold / skip kernels |
 //! | [`compiler`] | lowering, multi-DFE partitioning, run helpers |
 //! | [`hw`] | resource / cycle / power models and the GPU baseline |

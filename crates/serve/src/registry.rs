@@ -13,6 +13,7 @@ use crate::config::Priority;
 use crate::server::{Dropped, Response};
 use qnn_compiler::ModelArtifact;
 use qnn_nn::Network;
+use qnn_tensor::Shape3;
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -140,6 +141,9 @@ impl std::error::Error for PublishError {}
 /// hot-swap protocol revolves around.
 pub(crate) struct ModelEntry {
     pub name: Arc<str>,
+    /// Shape every image submitted to this model must have: fixed, since
+    /// `publish` refuses a spec change.
+    pub input: Shape3,
     /// Current weight snapshot; swapped wholesale by `publish`.
     current: Mutex<Arc<ModelArtifact>>,
     /// Number of replica workers currently in this model's pool
@@ -243,6 +247,7 @@ impl ModelRegistry {
 pub(crate) fn entry(name: String, artifact: Arc<ModelArtifact>, replicas: usize) -> ModelEntry {
     ModelEntry {
         name: Arc::from(name),
+        input: artifact.network().spec.input,
         current: Mutex::new(artifact),
         replicas: AtomicUsize::new(replicas),
         publishes: AtomicU64::new(0),

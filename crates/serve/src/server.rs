@@ -59,7 +59,7 @@ use crate::stats::{
 };
 use qnn_compiler::{CompileOptions, CompiledNetwork, Logits, ModelArtifact};
 use qnn_nn::Network;
-use qnn_tensor::Tensor3;
+use qnn_tensor::{Shape3, Tensor3};
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -135,6 +135,16 @@ pub enum SubmitError {
     /// No model was named and the server hosts more than one, so the
     /// target is ambiguous; the image is handed back to the caller.
     AmbiguousModel(Box<Tensor3<i8>>),
+    /// The image's shape is not the model's input shape; counted in the
+    /// model's `rejected`, and the image is handed back to the caller.
+    ShapeMismatch {
+        /// The model's input shape.
+        expected: Shape3,
+        /// The submitted image's shape.
+        got: Shape3,
+        /// The image handed back.
+        image: Box<Tensor3<i8>>,
+    },
     /// The runtime is no longer accepting requests.
     Stopped,
 }
@@ -148,6 +158,9 @@ impl fmt::Debug for SubmitError {
             }
             SubmitError::AmbiguousModel(img) => {
                 write!(f, "AmbiguousModel({:?})", img.shape())
+            }
+            SubmitError::ShapeMismatch { expected, got, .. } => {
+                write!(f, "ShapeMismatch {{ expected: {expected:?}, got: {got:?} }}")
             }
             SubmitError::Stopped => write!(f, "Stopped"),
         }
@@ -163,6 +176,9 @@ impl fmt::Display for SubmitError {
             }
             SubmitError::AmbiguousModel(_) => {
                 write!(f, "several models are registered; name one in SubmitOptions")
+            }
+            SubmitError::ShapeMismatch { expected, got, .. } => {
+                write!(f, "image shape {got:?} does not match the model's input {expected:?}")
             }
             SubmitError::Stopped => write!(f, "serving runtime stopped"),
         }
@@ -361,6 +377,12 @@ impl Client {
             None if shared.registry.len() == 1 => 0,
             None => return Err(SubmitError::AmbiguousModel(Box::new(image))),
         };
+        let expected = shared.registry.entry(model).input;
+        if image.shape() != expected {
+            shared.registry.ledger(model).reject();
+            let got = image.shape();
+            return Err(SubmitError::ShapeMismatch { expected, got, image: Box::new(image) });
+        }
         let mut inbox = shared.inbox();
         loop {
             if inbox.shutdown {

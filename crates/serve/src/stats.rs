@@ -271,8 +271,9 @@ pub struct ServerReport {
     pub submitted: u64,
     /// Requests that completed with a response.
     pub completed: u64,
-    /// Requests refused at admission (only under
-    /// [`crate::AdmissionPolicy::Reject`]).
+    /// Requests refused at admission: a full queue (only under
+    /// [`crate::AdmissionPolicy::Reject`]) or an image whose shape is not
+    /// the model's input ([`crate::SubmitError::ShapeMismatch`]).
     pub rejected: u64,
     /// Requests admitted but shed at dispatch because their deadline had
     /// already passed. The admission ledger partitions after a clean

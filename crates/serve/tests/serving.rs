@@ -644,6 +644,33 @@ fn model_resolution_errors_hand_the_image_back() {
     assert_eq!(report.submitted, 0, "failed resolutions never reach admission");
 }
 
+/// An image of the wrong shape is refused at admission and handed back,
+/// counted as a rejection; the pool never sees it, so the next good image
+/// is answered, the ledger partitions and the server shuts down cleanly.
+#[test]
+fn wrongly_shaped_image_is_refused_at_admission() {
+    let net = net();
+    let server = start(&net, ServerConfig { replicas: 1, ..ServerConfig::default() });
+    let client = server.client();
+    match client.submit(image(9, 1)) {
+        Err(SubmitError::ShapeMismatch { expected, got, image }) => {
+            assert_eq!(expected, Shape3::square(8, 3));
+            assert_eq!(got, Shape3::square(9, 3));
+            assert_eq!(image.shape(), got, "image handed back");
+        }
+        Ok(_) => panic!("expected ShapeMismatch, got a ticket"),
+        Err(other) => panic!("expected ShapeMismatch, got {other:?}"),
+    }
+    assert_eq!(client.queue_depth(), 0, "a refused image is not in flight");
+    let good = image(8, 2);
+    let resp = client.submit(good.clone()).expect("admitted").wait().expect("answered");
+    assert_eq!(resp.logits, net.forward(&good).logits);
+    assert_eq!(client.queue_depth(), 0);
+    let report = server.shutdown();
+    assert_eq!((report.submitted, report.completed, report.rejected), (2, 1, 1));
+    assert_eq!(report.completed + report.rejected + report.shed, report.submitted);
+}
+
 #[test]
 fn builder_rejects_invalid_registrations_with_typed_errors() {
     let net = net();

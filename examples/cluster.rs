@@ -73,7 +73,8 @@ fn main() {
         let scalers: Vec<_> = [&edge_a, &edge_b]
             .into_iter()
             .map(|edge| {
-                let scaler = Autoscaler::new(scaler_config.clone(), edge.server());
+                let scaler = Autoscaler::new(scaler_config.clone(), edge.server())
+                    .expect("valid autoscaler config");
                 scope.spawn(move || scaler.run(edge.server(), stop))
             })
             .collect();

@@ -1,15 +1,53 @@
-//! Inputs shared by the differential batteries: the stepper batteries
-//! (`scheduler_equivalence.rs`, `macro_tick_equivalence.rs`) and the ones
-//! that lace compiled networks with stall injectors (`pipeline_rearm.rs`,
+//! Inputs shared by the differential batteries: the dense oracle every
+//! stepper battery holds the default stepping against
+//! (`scheduler_equivalence.rs`, `macro_tick_equivalence.rs`, …) and the
+//! stall injectors laced into compiled networks (`pipeline_rearm.rs`,
 //! `transformer_equivalence.rs`). Each test crate uses a subset.
 #![allow(dead_code)]
 
-use qnn::compiler::{elaborate, CompileOptions, CompiledNetwork, Fold, FoldPlan};
+use qnn::compiler::{
+    elaborate, CompileOptions, CompiledNetwork, Fold, FoldPlan, SimError, SimResult,
+};
 use qnn::dfe::{
-    CycleReport, Graph, HostSink, HostSource, Io, Kernel, Progress, SchedulerMode, SpanIo,
+    CycleReport, DenseOracle, Graph, HostSink, HostSource, Io, Kernel, Progress, SpanIo,
     SpanPlan, StallInjector, StreamSpec, WakeHint,
 };
 use qnn::nn::Network;
+use qnn::tensor::Tensor3;
+
+/// Lace every kernel of an elaborated, not yet loaded `pipeline` with a
+/// `DenseOracle`: its runs then tick every kernel every cycle, with no
+/// parking, bursts or replay — the reference the default stepping must
+/// match bit for bit. Deadlock detection stays on.
+pub fn dense(pipeline: &mut CompiledNetwork) {
+    assert_eq!(pipeline.images, 0, "the oracle is laced in before the first load");
+    pipeline.graphs[0].map_kernels(|_, k| DenseOracle::wrap(k));
+}
+
+/// `try_compile`, on the dense oracle when `on_oracle` is set: elaborate,
+/// [`dense`], load.
+pub fn compile_on(
+    on_oracle: bool,
+    net: &Network,
+    images: &[Tensor3<i8>],
+    opts: &CompileOptions,
+) -> Result<CompiledNetwork, SimError> {
+    let mut pipeline = elaborate(net, opts)?;
+    if on_oracle {
+        dense(&mut pipeline);
+    }
+    pipeline.load(images);
+    Ok(pipeline)
+}
+
+/// `run_images` on the dense oracle.
+pub fn run_dense(
+    net: &Network,
+    images: &[Tensor3<i8>],
+    opts: &CompileOptions,
+) -> Result<SimResult, SimError> {
+    Ok(compile_on(true, net, images, opts)?.run()?)
+}
 
 /// Elaborate `net` at `opts`; with `stalls = Some((seed, pct))`, wrap every
 /// kernel in a `StallInjector` suppressing ~`pct` % of its ticks, seeded
@@ -69,10 +107,11 @@ pub struct StallPipeline {
 }
 
 impl StallPipeline {
-    /// Build the pipeline on `mode` and run it to completion: the sink's
-    /// output and the report.
-    pub fn run(&self, mode: SchedulerMode) -> (Vec<i32>, CycleReport) {
-        let mut g = Graph::with_scheduler(mode);
+    /// Build the pipeline — with `dense`, every kernel under a
+    /// `DenseOracle` — and run it to completion: the sink's output and the
+    /// report.
+    pub fn run(&self, dense: bool) -> (Vec<i32>, CycleReport) {
+        let mut g = Graph::new();
         let s: Vec<_> = (0..=self.stages)
             .map(|i| g.add_stream(StreamSpec::new(format!("s{i}"), 8, self.fifo)))
             .collect();
@@ -98,7 +137,7 @@ impl StallPipeline {
             kernels.reverse();
         }
         for (k, inputs, outputs) in kernels {
-            g.add_kernel(k, inputs, outputs);
+            g.add_kernel(if dense { DenseOracle::wrap(k) } else { k }, inputs, outputs);
         }
         // Injected stalls can produce legitimate full-stall cycles, so
         // deadlock detection is off (the budget still bounds the run).

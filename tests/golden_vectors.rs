@@ -4,9 +4,9 @@
 //! here as a concrete logit diff, not just a reference-mismatch boolean.
 //!
 //! The vectors were produced by this same harness (see `regen` below) and
-//! hold for both the reference interpreter and the streaming simulator on
-//! both steppers — all must stay bit-identical to each other *and* to
-//! history.
+//! hold for both the reference interpreter and the streaming simulator,
+//! stepped by default and on the dense oracle — all must stay
+//! bit-identical to each other *and* to history.
 //!
 //! To regenerate after an intentional semantic change:
 //!
@@ -14,8 +14,10 @@
 //! cargo test --release --test golden_vectors -- --ignored --nocapture
 //! ```
 
+mod common;
+
+use common::run_dense;
 use qnn::compiler::{run_image, run_images, CompileOptions};
-use qnn::dfe::SchedulerMode;
 use qnn::data::{Dataset, CIFAR10};
 use qnn::nn::{models, Network, NetworkSpec};
 use qnn::tensor::Tensor3;
@@ -40,13 +42,15 @@ const CNV_GOLDEN: [i32; 10] = [10, -110, -16, 16, -100, 36, 48, 44, 24, 14];
 
 const RESNET_BLOCK_GOLDEN: [i32; 6] = [-20, -2, 0, 14, 18, -24];
 
-/// The streaming logits of `(net, img)` equal `golden` on both steppers.
+/// The streaming logits of `(net, img)` equal `golden`, stepped by default
+/// and on the dense oracle.
 fn assert_streaming_matches(net: &Network, img: &Tensor3<i8>, golden: &[i32]) {
-    for scheduler in [SchedulerMode::Dense, SchedulerMode::default()] {
-        let opts = CompileOptions { scheduler, ..CompileOptions::default() };
-        let sim = run_images(net, std::slice::from_ref(img), &opts).expect("sim");
-        assert_eq!(sim.logits[0], golden, "streaming logits drifted at {scheduler:?}");
-    }
+    let images = std::slice::from_ref(img);
+    let opts = CompileOptions::default();
+    let sim = run_images(net, images, &opts).expect("sim");
+    assert_eq!(sim.logits[0], golden, "streaming logits drifted");
+    let sim = run_dense(net, images, &opts).expect("dense sim");
+    assert_eq!(sim.logits[0], golden, "streaming logits drifted on the dense oracle");
 }
 
 #[test]

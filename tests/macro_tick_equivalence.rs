@@ -1,16 +1,16 @@
 //! Differential stepper battery: the default stepper — ready-list
 //! parking, span dispatch and schedule replay — must be **bit-identical**
-//! to the `Dense` reference stepper — same logits, same `CycleReport`s
-//! (cycle counts, per-kernel busy/stall tallies, per-stream
-//! pushed/max-occupancy) — across randomized networks, streamed-parameter
-//! loading, multi-image sequences, folded design points, 1–3-device cuts
-//! (which must also be invisible next to the uncut run), stall-injected
-//! pipelines in both node orders, runs resumed after a timeout, and
-//! transformer encoders (whose attention heads gather skewed Q/K/V
-//! streams port by port).
+//! to the dense oracle, the same stepper over `DenseOracle`-wrapped
+//! kernels — same logits, same `CycleReport`s (cycle counts, per-kernel
+//! busy/stall tallies, per-stream pushed/max-occupancy) — across
+//! randomized networks, streamed-parameter loading, multi-image sequences,
+//! folded design points, 1–3-device cuts (which must also be invisible
+//! next to the uncut run), stall-injected pipelines in both node orders,
+//! runs resumed after a timeout, and transformer encoders (whose attention
+//! heads gather skewed Q/K/V streams port by port).
 //!
-//! This is the proof obligation behind defaulting to a stepper above
-//! `Dense`: a parked kernel's verdict is replayed into its counters and a
+//! This is the proof obligation behind the default stepper's shortcuts: a
+//! parked kernel's verdict is replayed into its counters and a
 //! burst replays `k` dense cycles in one dispatch per kernel, so every
 //! counter the dense interleaving would have produced must come out of the
 //! lazy and closed-form credits, exactly — and every golden vector,
@@ -22,35 +22,24 @@
 
 mod common;
 
-use common::{folded_plan, StallPipeline};
+use common::{compile_on, folded_plan, run_dense, StallPipeline};
 use qnn::compiler::{run_images, try_compile, CompileOptions, Fold, FoldPlan, SimResult};
-use qnn::dfe::{CycleReport, ReplayDiag, SchedulerMode};
+use qnn::dfe::{CycleReport, ReplayDiag};
 use qnn::nn::specgen::{encoder_spec_strategy, image_for, spec_strategy};
 use qnn::nn::{models, Network, NetworkSpec, PoolKind, SpecBuilder};
 use qnn::tensor::{ConvGeometry, FilterShape, Shape3, Tensor3};
 use qnn_testkit::prop::CaseResult;
 use qnn_testkit::{prop_assert, prop_assert_eq, props, vec};
 
-/// Run the same workload on the default stepper and on the `Dense` oracle
+/// Run the same workload on the default stepper and on the dense oracle
 /// and assert logits and every per-device report agree.
 fn assert_dispatch_agrees(
     net: &Network,
     images: &[Tensor3<i8>],
     base: &CompileOptions,
 ) -> CaseResult {
-    let run = |scheduler| {
-        run_images(
-            net,
-            images,
-            &CompileOptions {
-                scheduler,
-                ..base.clone()
-            },
-        )
-        .expect("run")
-    };
-    let dense = run(SchedulerMode::Dense);
-    let got = run(SchedulerMode::default());
+    let dense = run_dense(net, images, base).expect("dense run");
+    let got = run_images(net, images, base).expect("run");
     prop_assert_eq!(&got.logits, &dense.logits);
     prop_assert_eq!(&got.reports, &dense.reports);
     Ok(())
@@ -200,7 +189,7 @@ props! {
 
     /// 1–3-device cuts, contiguous or not (`[0, 1, 0, …]`). A device is a
     /// tag, so a cut network is the uncut network's graph: on the default
-    /// stepper it matches `Dense`, and on either stepper it matches the
+    /// stepper it matches the dense oracle, and on either it matches the
     /// *uncut* run — same logits, same clock, same bursts — while its
     /// per-device reports partition the uncut report.
     #[test]
@@ -223,14 +212,13 @@ props! {
             ..CompileOptions::default()
         };
         assert_dispatch_agrees(&net, images, &cut)?;
-        for scheduler in [SchedulerMode::Dense, SchedulerMode::default()] {
-            let (parts, cut_bursts) =
-                run_counted(&net, images, &CompileOptions { scheduler, ..cut.clone() });
-            let uncut = CompileOptions { scheduler, ..CompileOptions::default() };
-            let (whole, whole_bursts) = run_counted(&net, images, &uncut);
-            prop_assert_eq!(&parts.logits, &whole.logits, "{:?}", scheduler);
-            prop_assert_eq!(parts.cycles(), whole.cycles(), "{:?}", scheduler);
-            prop_assert_eq!(cut_bursts, whole_bursts, "{:?}", scheduler);
+        for dense in [true, false] {
+            let (parts, cut_bursts) = run_counted(dense, &net, images, &cut);
+            let (whole, whole_bursts) =
+                run_counted(dense, &net, images, &CompileOptions::default());
+            prop_assert_eq!(&parts.logits, &whole.logits, "dense={}", dense);
+            prop_assert_eq!(parts.cycles(), whole.cycles(), "dense={}", dense);
+            prop_assert_eq!(cut_bursts, whole_bursts, "dense={}", dense);
             prop_assert_eq!(parts.reports.len(), devices);
             assert_partition(&parts.reports, &whole.reports[0])?;
         }
@@ -260,8 +248,8 @@ props! {
         let pipeline = StallPipeline {
             n, stages, fifo, pct, seed, wrap_mask, reverse: reverse == 1, span: true,
         };
-        let (out_d, rep_d) = pipeline.run(SchedulerMode::Dense);
-        let (out, rep) = pipeline.run(SchedulerMode::default());
+        let (out_d, rep_d) = pipeline.run(true);
+        let (out, rep) = pipeline.run(false);
         prop_assert_eq!(&out, &out_d);
         prop_assert_eq!(&rep, &rep_d);
     }
@@ -269,8 +257,8 @@ props! {
     /// Segmented runs on a compiled network: stop at arbitrary cycle
     /// boundaries mid-inference (a timeout) and resume on the same graph
     /// state. Bursts leave no cross-cycle state behind and park state
-    /// carries over, so the stitched run on either stepper must equal one
-    /// uninterrupted dense run — same logits, same cumulative counters,
+    /// carries over, so the stitched run, stepped by default or on the dense
+    /// oracle, must equal one uninterrupted dense run — same logits, same cumulative counters,
     /// same total cycle count.
     #[test]
     fn mid_run_mode_switches_are_invisible(
@@ -281,12 +269,10 @@ props! {
         let net = Network::random(models::test_net(8, 3, 2), seed);
         let img = image_for(&net.spec, seed + 3);
         let images = std::slice::from_ref(&img);
-        let at = |scheduler| CompileOptions { scheduler, ..CompileOptions::default() };
-        let reference =
-            run_images(&net, images, &at(SchedulerMode::Dense)).expect("reference run");
+        let opts = CompileOptions::default();
+        let reference = run_dense(&net, images, &opts).expect("reference run");
 
-        let scheduler = if dense == 1 { SchedulerMode::Dense } else { SchedulerMode::default() };
-        let compiled = try_compile(&net, images, &at(scheduler)).expect("valid options");
+        let compiled = compile_on(dense == 1, &net, images, &opts).expect("valid options");
         let mut graphs = compiled.graphs;
         prop_assert_eq!(graphs.len(), 1);
         let g = &mut graphs[0];
@@ -312,13 +298,15 @@ props! {
     }
 }
 
-/// One run plus its graph's `(bursts, burst_cycles)`.
+/// One run, on the dense oracle when `dense` is set, plus its graph's
+/// `(bursts, burst_cycles)`.
 fn run_counted(
+    dense: bool,
     net: &Network,
     images: &[Tensor3<i8>],
     opts: &CompileOptions,
 ) -> (SimResult, (u64, u64)) {
-    let mut compiled = try_compile(net, images, opts).expect("valid options");
+    let mut compiled = compile_on(dense, net, images, opts).expect("valid options");
     let sim = compiled.run().expect("run");
     let [graph] = &compiled.graphs[..] else {
         panic!("a network lowers to one graph");
@@ -369,7 +357,8 @@ fn splits<T: PartialEq>(parts: &[&[T]], whole: &[T]) -> bool {
 }
 
 /// Deterministic spot-check (not property-sized): the exact cycle count of
-/// a full residual network is identical on both steppers, so the
+/// a full residual network is identical stepped by default and on the
+/// dense oracle, so the
 /// EXPERIMENTS flaky-threshold bands calibrated under per-element stepping
 /// carry over unchanged.
 #[test]
@@ -377,11 +366,8 @@ fn cycle_counts_identical_on_residual_network() {
     let net = Network::random(models::test_net(16, 4, 2), 3);
     let img = image_for(&net.spec, 11);
     let images = std::slice::from_ref(&img);
-    let dense = CompileOptions {
-        scheduler: SchedulerMode::Dense,
-        ..CompileOptions::default()
-    };
-    assert!(run_images(&net, images, &dense).expect("run").cycles() > 0);
+    let opts = CompileOptions::default();
+    assert!(run_dense(&net, images, &opts).expect("run").cycles() > 0);
     assert_dispatch_agrees(&net, images, &CompileOptions::default()).expect("steppers agree");
 }
 
@@ -405,7 +391,8 @@ fn resnet_front_end() -> NetworkSpec {
         .expect("front-end spec")
 }
 
-/// The front end, unfolded and folded, on the default stepper against `Dense` — and
+/// The front end, unfolded and folded, on the default stepper against the
+/// dense oracle — and
 /// with bursts covering at least 90 % of its cycles. Chained span plans
 /// carry a burst across the convs' phase edges; without them coverage
 /// falls to about half (0.48 unfolded, 0.37 folded), so this pins it.
@@ -460,8 +447,8 @@ fn folded_kernels_run_inside_bursts() {
     }
 }
 
-/// The serving benchmark's transformer, two images: bit-identical to
-/// `Dense`, and every attention-family kernel runs inside bursts (see
+/// The serving benchmark's transformer, two images: bit-identical to the
+/// dense oracle, and every attention-family kernel runs inside bursts (see
 /// [`folded_kernels_run_inside_bursts`] for the pigeonhole).
 #[test]
 fn attention_kernels_run_inside_bursts() {

@@ -1,10 +1,10 @@
 //! Differential warm-pipeline battery: batch *k* on a re-armed instance
 //! must be **bit-identical** to the same batch on a fresh `try_compile` —
 //! logits and every `CycleReport` field — for any sequence of batch sizes,
-//! on both steppers, and for every lowering option that adds control state
-//! a re-arm must restore (parameter loaders, device cuts, folded lanes,
-//! attention tiles, residual skips) and for stall injectors laced in after
-//! elaboration. A batch that plans live
+//! stepped by default and on the dense oracle, and for every lowering
+//! option that adds control state a re-arm must restore (parameter
+//! loaders, device cuts, folded lanes, attention tiles, residual skips) and
+//! for stall injectors laced in after elaboration. A batch that plans live
 //! must also match the fresh run's dispatch diagnostics (the replay
 //! diagnostics and burst counters); one that records or replays a
 //! whole-batch schedule tape dispatches differently by design, and the
@@ -22,11 +22,11 @@
 use qnn::compiler::dse::{pick, ResourceBudget};
 mod common;
 
-use common::elaborate_stalled;
+use common::{dense, elaborate_stalled};
 use qnn::compiler::{elaborate, try_compile, CompileOptions, CompiledNetwork};
 use qnn::dfe::{
-    CycleReport, Graph, HostSink, HostSource, Io, Kernel, Progress, ReplayDiag, RunError,
-    SchedulerMode, SpanIo, SpanPlan, StreamSpec, WakeHint, WholeBatch, STRATIX_10_GX2800,
+    CycleReport, Graph, HostSink, HostSource, Io, Kernel, Progress, ReplayDiag, RunError, SpanIo,
+    SpanPlan, StreamSpec, WakeHint, WholeBatch, STRATIX_10_GX2800,
 };
 use qnn::kernels::{PoolKernel, PoolOp};
 use qnn::nn::specgen::{image_for, random_spec, residual_spec_strategy, spec_strategy};
@@ -57,11 +57,19 @@ fn observe(pipeline: &mut CompiledNetwork) -> Observed {
     }
 }
 
-/// The `Dense` oracle and the default stepper.
-const STEPPERS: [SchedulerMode; 2] = [SchedulerMode::Dense, SchedulerMode::Replay];
-
-fn on_stepper(opts: &CompileOptions, scheduler: SchedulerMode) -> CompileOptions {
-    CompileOptions { scheduler, ..opts.clone() }
+/// `net` elaborated at `opts`, laced with `stalls` (see
+/// [`elaborate_stalled`]) and, with `on_oracle`, with the dense oracle.
+fn build(
+    net: &Network,
+    opts: &CompileOptions,
+    stalls: Option<(u64, u8)>,
+    on_oracle: bool,
+) -> CompiledNetwork {
+    let mut pipeline = elaborate_stalled(net, opts, stalls);
+    if on_oracle {
+        dense(&mut pipeline);
+    }
+    pipeline
 }
 
 /// What batch `k` of `sizes` does with a whole-batch tape on a warm
@@ -77,18 +85,20 @@ fn expected_tape(sizes: &[usize], k: usize) -> WholeBatch {
 
 /// Run batches of `sizes` images one after another on one warm instance,
 /// holding each against a fresh compile of the same batch, both laced with
-/// the same `stalls` (see [`elaborate_stalled`]).
+/// the same `stalls` (see [`elaborate_stalled`]) and, with `on_oracle`,
+/// both on the dense oracle.
 fn warm_matches_fresh(
     net: &Network,
     opts: &CompileOptions,
     stalls: Option<(u64, u8)>,
+    on_oracle: bool,
     sizes: &[usize],
     seed: u64,
 ) -> Result<(), String> {
-    // Whole-batch tapes need the default stepper and a replay token on
-    // every kernel, which stall injectors do not have.
-    let taped = opts.scheduler == SchedulerMode::Replay && stalls.is_none();
-    let mut warm = elaborate_stalled(net, opts, stalls);
+    // Whole-batch tapes need a replay token on every kernel, which stall
+    // injectors and the dense oracle do not have.
+    let taped = !on_oracle && stalls.is_none();
+    let mut warm = build(net, opts, stalls, on_oracle);
     let mut next_image = seed;
     for (k, &size) in sizes.iter().enumerate() {
         let batch: Vec<_> = (0..size)
@@ -99,7 +109,7 @@ fn warm_matches_fresh(
             .collect();
         warm.load(&batch);
         let got = observe(&mut warm);
-        let mut fresh = elaborate_stalled(net, opts, stalls);
+        let mut fresh = build(net, opts, stalls, on_oracle);
         fresh.load(&batch);
         let want = observe(&mut fresh);
         let tape = got.replay.iter().map(|r| r.whole_batch).find(|&t| t != WholeBatch::Off);
@@ -113,10 +123,9 @@ fn warm_matches_fresh(
         };
         if !same || tape != expect {
             return Err(format!(
-                "batch {k} ({size} images, sizes {sizes:?}, {:?}, tape {tape:?}, \
-                 expected {expect:?}) differs on the warm instance:\n warm  {got:?}\n \
-                 fresh {want:?}",
-                opts.scheduler
+                "batch {k} ({size} images, sizes {sizes:?}, dense oracle {on_oracle}, \
+                 tape {tape:?}, expected {expect:?}) differs on the warm instance:\n \
+                 warm  {got:?}\n fresh {want:?}"
             ));
         }
         let expect: Vec<_> = batch.iter().map(|img| net.forward(img).logits).collect();
@@ -127,17 +136,19 @@ fn warm_matches_fresh(
     Ok(())
 }
 
-/// The fixed-spec cases run a mixed batch sequence on both steppers.
+/// The fixed-spec cases run a mixed batch sequence on the dense oracle and
+/// stepped by default.
 fn check_all_modes(net: &Network, opts: &CompileOptions, stalls: Option<(u64, u8)>) {
-    for mode in STEPPERS {
-        warm_matches_fresh(net, &on_stepper(opts, mode), stalls, &[2, 1, 5, 1, 3], 7)
+    for on_oracle in [true, false] {
+        warm_matches_fresh(net, opts, stalls, on_oracle, &[2, 1, 5, 1, 3], 7)
             .unwrap_or_else(|e| panic!("{e}"));
     }
 }
 
 props! {
     /// Random conv/pool/fc chains, a random sequence of 3–6 batches of 1–5
-    /// images, either stepper, and one of the lowering options whose
+    /// images, on the dense oracle (`mode` 0) or not, and one of the
+    /// lowering options whose
     /// kernels carry state between images, or stall injectors.
     #[test]
     fn warm_instance_matches_fresh_compile_on_random_specs(
@@ -157,13 +168,13 @@ props! {
             _ => CompileOptions::default(),
         };
         let stalls = (variant == 2).then_some((seed, 30));
-        let opts = on_stepper(&base, STEPPERS[mode]);
-        let outcome = warm_matches_fresh(&net, &opts, stalls, &sizes, seed);
+        let outcome = warm_matches_fresh(&net, &base, stalls, mode == 0, &sizes, seed);
         prop_assert_eq!(outcome, Ok(()));
     }
 
     /// Random residual networks — identity blocks carrying their skip into
-    /// the next block, downsampling blocks — on either stepper, re-armed
+    /// the next block, downsampling blocks — on the dense oracle (`mode` 0)
+    /// or not, re-armed
     /// for a random batch sequence that repeats sizes, so tapes record and
     /// replay.
     #[test]
@@ -174,8 +185,9 @@ props! {
         mode in 0usize..2,
     ) {
         let net = Network::random(spec, seed);
-        let opts = on_stepper(&CompileOptions::default(), STEPPERS[mode]);
-        prop_assert_eq!(warm_matches_fresh(&net, &opts, None, &sizes, seed), Ok(()));
+        let opts = CompileOptions::default();
+        let outcome = warm_matches_fresh(&net, &opts, None, mode == 0, &sizes, seed);
+        prop_assert_eq!(outcome, Ok(()));
     }
 }
 
@@ -385,7 +397,8 @@ fn failed_run_retires_the_instance() {
     }
     let reload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| pipeline.load(&batch)));
     assert!(reload.is_err(), "a pipeline whose run failed was loaded again");
-    warm_matches_fresh(&net, &opts, None, &[3, 2, 3], 0).unwrap_or_else(|e| panic!("{e}"));
+    warm_matches_fresh(&net, &opts, None, false, &[3, 2, 3], 0)
+        .unwrap_or_else(|e| panic!("{e}"));
 }
 
 /// A kernel that delegates everything but `rearm`.

@@ -1,25 +1,27 @@
 //! Differential schedule-replay battery: replaying a recorded steady-state
-//! period must be **bit-identical** to the `Dense` reference stepper —
-//! same logits, same `CycleReport`s — and must *fall back* (never corrupt)
-//! whenever the stream leaves steady state: the final-period drain, short
-//! ramps that never settle, stall-injected pipelines, runs cut into
-//! cycle-budget segments, and a kernel whose replay token hides part of
-//! its control state. Folded lanes replay like any other kernel.
+//! period must be **bit-identical** to the dense oracle (the same stepper
+//! over `DenseOracle`-wrapped kernels) — same logits, same `CycleReport`s —
+//! and must *fall back* (never corrupt) whenever the stream leaves steady
+//! state: the final-period drain, short ramps that never settle,
+//! stall-injected pipelines, runs cut into cycle-budget segments, and a
+//! kernel whose replay token hides part of its control state. Folded lanes
+//! replay like any other kernel.
 //!
 //! The equivalence argument lives in `dfe_platform::replay` and DESIGN.md
 //! §"Steady-state schedule replay"; these tests are its proof obligation
 //! at the compiled-network level.
 
-use qnn::compiler::{run_images, try_compile, CompileOptions, Fold, FoldPlan};
+mod common;
+
+use common::{compile_on, run_dense};
+use qnn::compiler::{run_images, try_compile, CompileOptions, Fold, FoldPlan, SimResult};
 use qnn::dfe::{
-    CycleReport, Graph, HostSink, HostSource, Io, Kernel, Progress, ReplayDiag, SchedulerMode,
+    CycleReport, DenseOracle, Graph, HostSink, HostSource, Io, Kernel, Progress, ReplayDiag,
     SpanIo, SpanPhase, SpanPlan, StallInjector, StreamSpec, WakeHint,
 };
 use qnn::nn::specgen::image_for;
 use qnn::nn::{models, Network};
 use qnn::tensor::Tensor3;
-// The default stepper, `Replay`, is held against the `Dense` oracle.
-use SchedulerMode::{Dense, Replay};
 
 /// Run `g` to completion in `segment`-cycle slices and hold the stitched
 /// run to one uninterrupted dense run: same cumulative counters, same total
@@ -50,13 +52,19 @@ fn run_segmented(g: &mut Graph, segment: u64, dense: &CycleReport) -> ReplayDiag
     banked
 }
 
-fn run_at(
-    net: &Network,
-    images: &[Tensor3<i8>],
-    scheduler: SchedulerMode,
-) -> qnn::compiler::SimResult {
-    run_images(net, images, &CompileOptions { scheduler, ..CompileOptions::default() })
-        .expect("run")
+/// A run at default options, stepped by default.
+fn run_default(net: &Network, images: &[Tensor3<i8>]) -> SimResult {
+    run_images(net, images, &CompileOptions::default()).expect("run")
+}
+
+/// The same run on the dense oracle.
+fn run_oracle(net: &Network, images: &[Tensor3<i8>]) -> SimResult {
+    run_dense(net, images, &CompileOptions::default()).expect("dense run")
+}
+
+/// Lace every kernel of a hand-built graph with the dense oracle.
+fn oracle(g: &mut Graph) {
+    g.map_kernels(|_, k| DenseOracle::wrap(k));
 }
 
 /// The tentpole invariant: on a stream long enough to reach steady state,
@@ -68,8 +76,8 @@ fn run_at(
 fn long_stream_replays_and_stays_bit_identical() {
     let net = Network::random(models::test_net(8, 4, 2), 42);
     let images: Vec<_> = (0..24).map(|s| image_for(&net.spec, s)).collect();
-    let on = run_at(&net, &images, Replay);
-    let off = run_at(&net, &images, Dense);
+    let on = run_default(&net, &images);
+    let off = run_oracle(&net, &images);
     assert_eq!(on.logits, off.logits);
     assert_eq!(on.reports, off.reports);
     let d = on.reports[0].replay;
@@ -89,25 +97,25 @@ fn long_stream_replays_and_stays_bit_identical() {
 fn short_ramp_never_replays_but_stays_correct() {
     let net = Network::random(models::test_net(8, 4, 2), 42);
     let images: Vec<_> = (0..2).map(|s| image_for(&net.spec, s)).collect();
-    let on = run_at(&net, &images, Replay);
-    let off = run_at(&net, &images, Dense);
+    let on = run_default(&net, &images);
+    let off = run_oracle(&net, &images);
     assert_eq!(on.logits, off.logits);
     assert_eq!(on.reports, off.reports);
     assert_eq!(on.reports[0].replay.images_replayed, 0);
     assert_eq!(on.reports[0].replay.spans_bypassed, 0);
 }
 
-/// The `Dense` oracle stays dense: on a marker-armed compiled network,
-/// where the default stepper bursts, parks and replays, a dense run
-/// dispatches no burst, records no replay diagnostics and leaves no kernel
-/// parked.
+/// The dense oracle stays dense: on a marker-armed compiled network,
+/// where the default stepper bursts, parks and replays, the same network
+/// over `DenseOracle`-wrapped kernels dispatches no burst, records no
+/// replay diagnostics and leaves no kernel parked.
 #[test]
 fn dense_oracle_never_bursts_parks_or_replays() {
     let net = Network::random(models::test_net(8, 4, 2), 42);
     let images: Vec<_> = (0..24).map(|s| image_for(&net.spec, s)).collect();
-    let run = |scheduler| {
-        let opts = CompileOptions { scheduler, ..CompileOptions::default() };
-        let mut compiled = try_compile(&net, &images, &opts).expect("valid options");
+    let run = |dense: bool| {
+        let opts = CompileOptions::default();
+        let mut compiled = compile_on(dense, &net, &images, &opts).expect("valid options");
         compiled.run().expect("run");
         let [g] = &compiled.graphs[..] else {
             panic!("a network lowers to one graph");
@@ -115,11 +123,11 @@ fn dense_oracle_never_bursts_parks_or_replays() {
         let parked = g.kernel_ids().filter(|&k| g.parked_state(k).is_some()).count();
         (g.bursts(), g.burst_cycles(), g.replay_diag(), parked)
     };
-    let (bursts, burst_cycles, diag, parked) = run(Replay);
+    let (bursts, burst_cycles, diag, parked) = run(false);
     assert!(bursts > 0 && burst_cycles > 0, "the default stepper never burst");
     assert!(diag.images_replayed > 0, "the default stepper never replayed: {diag:?}");
     assert!(parked > 0, "the default stepper ended with no kernel parked");
-    assert_eq!(run(Dense), (0, 0, ReplayDiag::default(), 0));
+    assert_eq!(run(true), (0, 0, ReplayDiag::default(), 0));
 }
 
 /// Folded lanes replay like any other kernel: the span plans on the tape
@@ -135,20 +143,9 @@ fn folded_lanes_replay() {
     let folding = FoldPlan::new()
         .with("conv0", Fold::new(2, 2))
         .with("pool1", Fold::new(2, 2));
-    let run = |scheduler| {
-        run_images(
-            &net,
-            &images,
-            &CompileOptions {
-                scheduler,
-                layer_folding: folding.clone(),
-                ..CompileOptions::default()
-            },
-        )
-        .expect("run")
-    };
-    let on = run(Replay);
-    let off = run(Dense);
+    let opts = CompileOptions { layer_folding: folding, ..CompileOptions::default() };
+    let on = run_images(&net, &images, &opts).expect("run");
+    let off = run_dense(&net, &images, &opts).expect("dense run");
     assert_eq!(on.logits, off.logits);
     assert_eq!(on.reports, off.reports);
     let d = on.reports[0].replay;
@@ -262,8 +259,8 @@ fn chained_spans_replay_and_fall_back_mid_chain() {
     const SEGMENT: u64 = 240;
     let (per_image, images) = (24usize, 20usize);
     let n = per_image * images;
-    let build = |scheduler| {
-        let mut g = Graph::with_scheduler(scheduler);
+    let build = |dense: bool| {
+        let mut g = Graph::new();
         let data: Vec<i32> = (0..n as i32).map(|v| v % 13).collect();
         let s0 = g.add_stream(StreamSpec::new("s0", 8, 8));
         g.add_kernel(
@@ -278,13 +275,16 @@ fn chained_spans_replay_and_fall_back_mid_chain() {
         let (sink, handle) = HostSink::new("dst", n);
         g.add_kernel(Box::new(sink.with_period(per_image)), &[s2], &[]);
         g.set_replay_marker(s2, per_image as u64);
+        if dense {
+            oracle(&mut g);
+        }
         (g, handle)
     };
-    let (mut g, handle) = build(Dense);
+    let (mut g, handle) = build(true);
     let dense = g.run(1_000_000).expect("dense run");
     let expect = handle.take();
 
-    let (mut g, handle) = build(Replay);
+    let (mut g, handle) = build(false);
     let report = g.run(1_000_000).expect("replay run");
     assert_eq!(handle.take(), expect);
     assert_eq!(report, dense);
@@ -294,7 +294,7 @@ fn chained_spans_replay_and_fall_back_mid_chain() {
     let mean_span = g.burst_cycles() as f64 / g.bursts() as f64;
     assert!(mean_span > 6.0, "bursts of {mean_span:.1} cycles never crossed a phase edge");
 
-    let (mut g, handle) = build(Replay);
+    let (mut g, handle) = build(false);
     let cut = run_segmented(&mut g, SEGMENT, &dense);
     assert_eq!(handle.take(), expect, "segmented outputs diverged");
     assert!(cut.images_replayed > 0, "segments left no room to replay: {cut:?}");
@@ -312,8 +312,8 @@ fn stall_injected_marker_graph_vetoes_replay() {
     let per_image = 16usize;
     let images = 12usize;
     let n = per_image * images;
-    let build = |scheduler| {
-        let mut g = Graph::with_scheduler(scheduler);
+    let build = |dense: bool| {
+        let mut g = Graph::new();
         let data: Vec<i32> = (0..n as i32).map(|v| v % per_image as i32).collect();
         let s0 = g.add_stream(StreamSpec::new("s0", 8, 8));
         g.add_kernel(
@@ -330,14 +330,17 @@ fn stall_injected_marker_graph_vetoes_replay() {
         let (sink, handle) = HostSink::new("dst", n);
         g.add_kernel(Box::new(sink.with_period(per_image)), &[s1], &[]);
         g.set_replay_marker(s1, per_image as u64);
+        if dense {
+            oracle(&mut g);
+        }
         // Injected stalls can produce legitimate full-stall cycles, so
         // deadlock detection is off (the budget still bounds the run).
         let report = g.run_opts(4_000_000, false).expect("run");
         let diag = g.replay_diag();
         (handle.take(), report, diag)
     };
-    let (out_on, rep_on, diag) = build(Replay);
-    let (out_off, rep_off, _) = build(Dense);
+    let (out_on, rep_on, diag) = build(false);
+    let (out_off, rep_off, _) = build(true);
     assert_eq!(out_on, out_off);
     assert_eq!(rep_on, rep_off);
     assert_eq!(diag.images_replayed, 0, "injector must veto: {diag:?}");
@@ -416,8 +419,8 @@ impl Kernel for ParityHeaderSink {
 #[test]
 fn hidden_cadence_fails_the_queue_guard() {
     let per_image = 24;
-    let build = |scheduler| {
-        let mut g = Graph::with_scheduler(scheduler);
+    let build = |dense: bool| {
+        let mut g = Graph::new();
         let s0 = g.add_stream(StreamSpec::new("s0", 8, 8));
         let src = HostSource::new("src", (0..24 * per_image as i32).collect());
         g.add_kernel(Box::new(src.with_period(per_image)), &[], &[s0]);
@@ -426,11 +429,14 @@ fn hidden_cadence_fails_the_queue_guard() {
         let sink = ParityHeaderSink { per_image, images: 0, read: 0, header: 0 };
         g.add_kernel(Box::new(sink), &[s1], &[]);
         g.set_replay_marker(s1, per_image as u64);
+        if dense {
+            oracle(&mut g);
+        }
         // The sink idles through whole cycles without progress.
         (g.run_opts(1_000_000, false).expect("run"), g.replay_diag())
     };
-    let (dense, _) = build(Dense);
-    let (report, diag) = build(Replay);
+    let (dense, _) = build(true);
+    let (report, diag) = build(false);
     assert_eq!(report, dense);
     assert!(diag.tape_len > 0, "no period recorded: {diag:?}");
     assert!(diag.guard_fallbacks > 1, "no guard refused a replayed span: {diag:?}");
@@ -446,13 +452,12 @@ fn hidden_cadence_fails_the_queue_guard() {
 fn mid_run_replay_switches_are_invisible() {
     let net = Network::random(models::test_net(8, 4, 2), 5);
     let images: Vec<_> = (0..16).map(|s| image_for(&net.spec, s + 100)).collect();
-    let reference = run_at(&net, &images, Dense);
-    let whole = run_at(&net, &images, Replay).reports[0].replay;
+    let reference = run_oracle(&net, &images);
+    let whole = run_default(&net, &images).reports[0].replay;
 
     let compiled = try_compile(&net, &images, &CompileOptions::default()).expect("valid options");
     let mut graphs = compiled.graphs;
     assert_eq!(graphs.len(), 1);
-    assert_eq!(graphs[0].scheduler(), Replay);
     let cut = run_segmented(&mut graphs[0], 700, &reference.reports[0]);
     let logits = compiled.sink.take();
     let flat: Vec<i32> = reference.logits.iter().flatten().copied().collect();
@@ -472,8 +477,8 @@ fn mid_run_replay_switches_are_invisible() {
 fn replay_diag_is_excluded_from_report_equality_and_survives_rearm() {
     let net = Network::random(models::test_net(8, 4, 2), 42);
     let images: Vec<_> = (0..24).map(|s| image_for(&net.spec, s)).collect();
-    let on = run_at(&net, &images, Replay);
-    let off = run_at(&net, &images, Dense);
+    let on = run_default(&net, &images);
+    let off = run_oracle(&net, &images);
     // The diags differ…
     assert_ne!(on.reports[0].replay, off.reports[0].replay);
     // …but the reports compare equal: diag is outside the equality.

@@ -1,10 +1,11 @@
 //! Differential park/wake battery: the default stepper's ready-list
-//! parking, on its own, must be **bit-identical** to the `Dense` reference
-//! stepper — same logits, same `CycleReport`s (cycle counts, per-kernel
-//! busy/stall tallies, per-stream pushed/max-occupancy) and the same
-//! per-cycle trace samples — across randomized networks, multi-device
-//! cuts, streamed-parameter loading, folded design points, and graphs
-//! laced with random stall injection in both node orders.
+//! parking, on its own, must be **bit-identical** to the dense oracle (the
+//! same stepper over `DenseOracle`-wrapped kernels) — same logits, same
+//! `CycleReport`s (cycle counts, per-kernel busy/stall tallies, per-stream
+//! pushed/max-occupancy) and the same per-cycle trace samples — across
+//! randomized networks, multi-device cuts, streamed-parameter loading,
+//! folded design points, and graphs laced with random stall injection in
+//! both node orders.
 //!
 //! Traced runs step per element (no bursts, no replay), so the compiled
 //! cases here run traced and isolate parking. A parked kernel's verdict is
@@ -17,9 +18,8 @@
 
 mod common;
 
-use common::{folded_plan, StallPipeline};
-use qnn::compiler::{try_compile, CompileOptions};
-use qnn::dfe::SchedulerMode;
+use common::{compile_on, folded_plan, StallPipeline};
+use qnn::compiler::CompileOptions;
 use qnn::nn::specgen::{image_for, spec_strategy};
 use qnn::nn::{models, Network};
 use qnn::tensor::Tensor3;
@@ -29,7 +29,7 @@ use qnn_testkit::{prop_assert_eq, props};
 /// Cycles between trace samples: odd, so samples land mid-phase.
 const SAMPLE_EVERY: u64 = 7;
 
-/// Run the same workload traced on the default stepper and on the `Dense`
+/// Run the same workload traced on the default stepper and on the dense
 /// oracle and assert the logits, the whole-graph report and every trace
 /// sample agree — and that the traced default run never burst.
 fn assert_parking_agrees(
@@ -37,19 +37,15 @@ fn assert_parking_agrees(
     images: &[Tensor3<i8>],
     base: &CompileOptions,
 ) -> CaseResult {
-    let run = |scheduler| {
-        let opts = CompileOptions {
-            scheduler,
-            ..base.clone()
-        };
-        let mut compiled = try_compile(net, images, &opts).expect("valid options");
+    let run = |dense: bool| {
+        let mut compiled = compile_on(dense, net, images, base).expect("valid options");
         let graph = &mut compiled.graphs[0];
         let (report, trace) = graph.run_traced(100_000_000, SAMPLE_EVERY).expect("run");
         let bursts = graph.bursts();
         (compiled.sink.take(), report, trace, bursts)
     };
-    let (logits_d, report_d, trace_d, _) = run(SchedulerMode::Dense);
-    let (logits, report, trace, bursts) = run(SchedulerMode::default());
+    let (logits_d, report_d, trace_d, _) = run(true);
+    let (logits, report, trace, bursts) = run(false);
     prop_assert_eq!(bursts, 0, "a traced run burst");
     prop_assert_eq!(&logits, &logits_d);
     prop_assert_eq!(&report, &report_d);
@@ -163,8 +159,8 @@ props! {
         let pipeline = StallPipeline {
             n, stages, fifo, pct, seed, wrap_mask, reverse: reverse == 1, span: false,
         };
-        let (out_d, rep_d) = pipeline.run(SchedulerMode::Dense);
-        let (out, rep) = pipeline.run(SchedulerMode::default());
+        let (out_d, rep_d) = pipeline.run(true);
+        let (out, rep) = pipeline.run(false);
         prop_assert_eq!(&out, &out_d);
         prop_assert_eq!(&rep, &rep_d);
     }

@@ -8,8 +8,10 @@
 //! *exact* weight version its response claims, no matter how batches,
 //! pools, classes, and publishes interleave.
 
-use qnn::compiler::{run_images, CompileOptions};
-use qnn::dfe::SchedulerMode;
+mod common;
+
+use common::run_dense;
+use qnn::compiler::CompileOptions;
 use qnn::nn::{models, Network};
 use qnn::serve::{
     AdmissionPolicy, ClassStats, Dropped, Priority, Server, ServerConfig, SubmitError,
@@ -27,78 +29,71 @@ fn trace(seed: u64, n: usize) -> Vec<Tensor3<i8>> {
         .collect()
 }
 
-/// Both steppers must serve the same bits; direct references run on the
-/// `Dense` oracle, which shares no parking, span or replay code with the
-/// default stepper, so a crediting bug in the serving path cannot hide by
-/// also infecting the reference.
-const STEPPERS: [SchedulerMode; 2] = [SchedulerMode::Dense, SchedulerMode::Replay];
-
-fn on_stepper(scheduler: SchedulerMode) -> CompileOptions {
-    CompileOptions { scheduler, ..CompileOptions::default() }
+/// Direct references run on the dense oracle, which shares no parking,
+/// span or replay code with the replicas' stepping, so a crediting bug in
+/// the serving path cannot hide by also infecting the reference.
+fn direct(net: &Network, images: &[Tensor3<i8>]) -> Vec<Vec<i32>> {
+    run_dense(net, images, &CompileOptions::default()).expect("direct run").logits
 }
 
 /// Two models behind one server answer exactly what each would answer
 /// behind its own dedicated single-model server — the pools share nothing
-/// but the submission queue. Parameterized over both steppers.
+/// but the submission queue.
 #[test]
 fn two_models_served_concurrently_match_single_model_baselines() {
     let alpha = Network::random(models::test_net(8, 4, 2), 31);
     let beta = Network::random(models::test_net(8, 6, 3), 32);
     let alpha_trace = trace(0xA1FA, 6);
     let beta_trace = trace(0xBE7A, 6);
-    let dense = on_stepper(SchedulerMode::Dense);
-    let alpha_direct = run_images(&alpha, &alpha_trace, &dense).expect("alpha direct");
-    let beta_direct = run_images(&beta, &beta_trace, &dense).expect("beta direct");
+    let alpha_direct = direct(&alpha, &alpha_trace);
+    let beta_direct = direct(&beta, &beta_trace);
 
-    for stepper in STEPPERS {
-        let compile = on_stepper(stepper);
-        let server = Server::builder()
-            .config(ServerConfig { replicas: 2, max_batch: 3, compile, ..ServerConfig::default() })
-            .model("alpha", &alpha)
-            .model("beta", &beta)
-            .start()
-            .expect("valid server");
-        assert_eq!(server.models(), vec!["alpha".to_string(), "beta".to_string()]);
-        let client = server.client();
+    let server = Server::builder()
+        .config(ServerConfig { replicas: 2, max_batch: 3, ..ServerConfig::default() })
+        .model("alpha", &alpha)
+        .model("beta", &beta)
+        .start()
+        .expect("valid server");
+    assert_eq!(server.models(), vec!["alpha".to_string(), "beta".to_string()]);
+    let client = server.client();
 
-        // Interleave the two traces through one client so batches of both
-        // models are in flight simultaneously.
-        let tickets: Vec<_> = alpha_trace
-            .iter()
-            .zip(&beta_trace)
-            .flat_map(|(a, b)| {
-                [
-                    client
-                        .submit_with(a.clone(), SubmitOptions::model("alpha"))
-                        .expect("admitted"),
-                    client
-                        .submit_with(b.clone(), SubmitOptions::model("beta"))
-                        .expect("admitted"),
-                ]
-            })
-            .collect();
-        let responses: Vec<_> =
-            tickets.into_iter().map(|t| t.wait().expect("answered")).collect();
+    // Interleave the two traces through one client so batches of both
+    // models are in flight simultaneously.
+    let tickets: Vec<_> = alpha_trace
+        .iter()
+        .zip(&beta_trace)
+        .flat_map(|(a, b)| {
+            [
+                client
+                    .submit_with(a.clone(), SubmitOptions::model("alpha"))
+                    .expect("admitted"),
+                client
+                    .submit_with(b.clone(), SubmitOptions::model("beta"))
+                    .expect("admitted"),
+            ]
+        })
+        .collect();
+    let responses: Vec<_> =
+        tickets.into_iter().map(|t| t.wait().expect("answered")).collect();
 
-        for (i, pair) in responses.chunks(2).enumerate() {
-            assert_eq!(pair[0].model, "alpha");
-            assert_eq!(
-                pair[0].logits, alpha_direct.logits[i],
-                "{stepper:?}: alpha image {i} diverged"
-            );
-            assert_eq!(pair[1].model, "beta");
-            assert_eq!(
-                pair[1].logits, beta_direct.logits[i],
-                "{stepper:?}: beta image {i} diverged"
-            );
-        }
-
-        let report = server.shutdown();
-        assert_eq!(report.completed, 12);
-        assert_eq!(report.replicas, 4, "two pools of two replicas each");
-        assert_eq!(report.model("alpha").map(|m| m.completed), Some(6));
-        assert_eq!(report.model("beta").map(|m| m.completed), Some(6));
+    for (i, pair) in responses.chunks(2).enumerate() {
+        assert_eq!(pair[0].model, "alpha");
+        assert_eq!(
+            pair[0].logits, alpha_direct[i],
+            "alpha image {i} diverged"
+        );
+        assert_eq!(pair[1].model, "beta");
+        assert_eq!(
+            pair[1].logits, beta_direct[i],
+            "beta image {i} diverged"
+        );
     }
+
+    let report = server.shutdown();
+    assert_eq!(report.completed, 12);
+    assert_eq!(report.replicas, 4, "two pools of two replicas each");
+    assert_eq!(report.model("alpha").map(|m| m.completed), Some(6));
+    assert_eq!(report.model("beta").map(|m| m.completed), Some(6));
 }
 
 /// Hot weight swap, quiesced: the cohort submitted before the publish is
@@ -110,54 +105,50 @@ fn weight_swap_cohorts_each_match_direct_execution() {
     let old_net = Network::random(spec.clone(), 41);
     let new_net = Network::random(spec, 42);
     let images = trace(0x5A4B, 6);
-    let dense = on_stepper(SchedulerMode::Dense);
-    let old_direct = run_images(&old_net, &images, &dense).expect("old direct");
-    let new_direct = run_images(&new_net, &images, &dense).expect("new direct");
-    assert_ne!(old_direct.logits, new_direct.logits, "seeds must give distinct weights");
+    let old_direct = direct(&old_net, &images);
+    let new_direct = direct(&new_net, &images);
+    assert_ne!(old_direct, new_direct, "seeds must give distinct weights");
 
-    for stepper in STEPPERS {
-        let compile = on_stepper(stepper);
-        let server = Server::builder()
-            .config(ServerConfig { replicas: 2, max_batch: 2, compile, ..ServerConfig::default() })
-            .model("m", &old_net)
-            .start()
-            .expect("valid server");
-        let client = server.client();
-        assert_eq!(server.registry().version("m"), Some(0));
+    let server = Server::builder()
+        .config(ServerConfig { replicas: 2, max_batch: 2, ..ServerConfig::default() })
+        .model("m", &old_net)
+        .start()
+        .expect("valid server");
+    let client = server.client();
+    assert_eq!(server.registry().version("m"), Some(0));
 
-        let submit_all = |imgs: &[Tensor3<i8>]| -> Vec<_> {
-            imgs.iter()
-                .map(|i| client.submit(i.clone()).expect("admitted"))
-                .collect::<Vec<_>>()
-                .into_iter()
-                .map(|t| t.wait().expect("answered"))
-                .collect()
-        };
+    let submit_all = |imgs: &[Tensor3<i8>]| -> Vec<_> {
+        imgs.iter()
+            .map(|i| client.submit(i.clone()).expect("admitted"))
+            .collect::<Vec<_>>()
+            .into_iter()
+            .map(|t| t.wait().expect("answered"))
+            .collect()
+    };
 
-        let old_cohort = submit_all(&images);
-        let version = server.publish_weights("m", new_net.clone()).expect("spec matches");
-        assert_eq!(version, 1);
-        assert_eq!(server.registry().version("m"), Some(1));
-        let new_cohort = submit_all(&images);
+    let old_cohort = submit_all(&images);
+    let version = server.publish_weights("m", new_net.clone()).expect("spec matches");
+    assert_eq!(version, 1);
+    assert_eq!(server.registry().version("m"), Some(1));
+    let new_cohort = submit_all(&images);
 
-        for (i, r) in old_cohort.iter().enumerate() {
-            assert_eq!(r.stats.weight_version, 0, "old cohort ran pre-publish weights");
-            assert_eq!(
-                r.logits, old_direct.logits[i],
-                "{stepper:?}: old cohort image {i} diverged"
-            );
-        }
-        for (i, r) in new_cohort.iter().enumerate() {
-            assert_eq!(r.stats.weight_version, 1, "new cohort ran post-publish weights");
-            assert_eq!(
-                r.logits, new_direct.logits[i],
-                "{stepper:?}: new cohort image {i} diverged"
-            );
-        }
-
-        let report = server.shutdown();
-        assert_eq!(report.model("m").map(|m| m.weight_publishes), Some(1));
+    for (i, r) in old_cohort.iter().enumerate() {
+        assert_eq!(r.stats.weight_version, 0, "old cohort ran pre-publish weights");
+        assert_eq!(
+            r.logits, old_direct[i],
+            "old cohort image {i} diverged"
+        );
     }
+    for (i, r) in new_cohort.iter().enumerate() {
+        assert_eq!(r.stats.weight_version, 1, "new cohort ran post-publish weights");
+        assert_eq!(
+            r.logits, new_direct[i],
+            "new cohort image {i} diverged"
+        );
+    }
+
+    let report = server.shutdown();
+    assert_eq!(report.model("m").map(|m| m.weight_publishes), Some(1));
 }
 
 /// Hot weight swap, racing: publishes land *while* batches are in flight.
@@ -171,55 +162,52 @@ fn racing_publish_never_mixes_weight_versions_within_a_batch() {
         (0..3).map(|v| Network::random(spec.clone(), 50 + v)).collect();
     let images = trace(0xACE5, 18);
 
-    for stepper in STEPPERS {
-        let compile = on_stepper(stepper);
-        let server = Server::builder()
-            .config(ServerConfig { replicas: 2, max_batch: 4, compile, ..ServerConfig::default() })
-            .model("m", &versions[0])
-            .start()
-            .expect("valid server");
-        let client = server.client();
+    let server = Server::builder()
+        .config(ServerConfig { replicas: 2, max_batch: 4, ..ServerConfig::default() })
+        .model("m", &versions[0])
+        .start()
+        .expect("valid server");
+    let client = server.client();
 
-        // Publish twice mid-stream with no quiescing: in-flight batches keep
-        // the snapshot they were flushed with.
-        let mut tickets = Vec::new();
-        for (i, img) in images.iter().enumerate() {
-            if i == 6 {
-                server.publish_weights("m", versions[1].clone()).expect("publish v1");
-            }
-            if i == 12 {
-                server.publish_weights("m", versions[2].clone()).expect("publish v2");
-            }
-            tickets.push(client.submit(img.clone()).expect("admitted"));
+    // Publish twice mid-stream with no quiescing: in-flight batches keep
+    // the snapshot they were flushed with.
+    let mut tickets = Vec::new();
+    for (i, img) in images.iter().enumerate() {
+        if i == 6 {
+            server.publish_weights("m", versions[1].clone()).expect("publish v1");
         }
-        let responses: Vec<_> =
-            tickets.into_iter().map(|t| t.wait().expect("answered")).collect();
-
-        let mut batch_versions: HashMap<u64, u64> = HashMap::new();
-        for (i, r) in responses.iter().enumerate() {
-            let v = r.stats.weight_version as usize;
-            assert!(v < versions.len(), "unknown weight version {v}");
-            // Bit-identity against the interpreter running the claimed version.
-            let expect = versions[v].forward(&images[i]).logits;
-            assert_eq!(
-                r.logits, expect,
-                "{stepper:?}: image {i} diverged from claimed version {v}"
-            );
-            // Swap atomicity: one batch, one version.
-            if let Some(prev) = batch_versions.insert(r.stats.batch_id, r.stats.weight_version)
-            {
-                assert_eq!(
-                    prev, r.stats.weight_version,
-                    "batch {} mixed weight versions",
-                    r.stats.batch_id
-                );
-            }
+        if i == 12 {
+            server.publish_weights("m", versions[2].clone()).expect("publish v2");
         }
-
-        let report = server.shutdown();
-        assert_eq!(report.completed, images.len() as u64);
-        assert_eq!(report.model("m").map(|m| m.weight_publishes), Some(2));
+        tickets.push(client.submit(img.clone()).expect("admitted"));
     }
+    let responses: Vec<_> =
+        tickets.into_iter().map(|t| t.wait().expect("answered")).collect();
+
+    let mut batch_versions: HashMap<u64, u64> = HashMap::new();
+    for (i, r) in responses.iter().enumerate() {
+        let v = r.stats.weight_version as usize;
+        assert!(v < versions.len(), "unknown weight version {v}");
+        // Bit-identity against the interpreter running the claimed version.
+        let expect = versions[v].forward(&images[i]).logits;
+        assert_eq!(
+            r.logits, expect,
+            "image {i} diverged from claimed version {v}"
+        );
+        // Swap atomicity: one batch, one version.
+        if let Some(prev) = batch_versions.insert(r.stats.batch_id, r.stats.weight_version)
+        {
+            assert_eq!(
+                prev, r.stats.weight_version,
+                "batch {} mixed weight versions",
+                r.stats.batch_id
+            );
+        }
+    }
+
+    let report = server.shutdown();
+    assert_eq!(report.completed, images.len() as u64);
+    assert_eq!(report.model("m").map(|m| m.weight_publishes), Some(2));
 }
 
 props! {
@@ -237,14 +225,12 @@ props! {
         max_batch in 1usize..6,
         queue_depth in 1usize..5,
         seed in 0u64..1_000_000,
-        stepper in 0usize..2,
     ) {
         let net = Network::random(models::test_net(8, 2, 1), 7);
         let config = ServerConfig::builder()
             .replicas(replicas)
             .max_batch(max_batch)
             .queue_depth(queue_depth)
-            .compile_options(on_stepper(STEPPERS[stepper]))
             .admission(AdmissionPolicy::Reject)
             .flush_deadline(Duration::from_micros(200))
             .interactive_flush_deadline(Duration::from_micros(50))

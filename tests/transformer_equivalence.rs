@@ -2,7 +2,7 @@
 //! Q/K/V projections, per-head fan-out, attention tile engines, concat,
 //! output projection, residual adds and LayerNorm — must match the
 //! reference interpreter bit for bit, across a geometry grid, randomized
-//! specs, stall injection, and both steppers.
+//! specs, stall injection, and both default stepping and the dense oracle.
 //!
 //! The numeric core (`qnn_quant::attention`) is shared between the two
 //! paths, so these tests pin the *plumbing*: stream ordering through the
@@ -13,16 +13,15 @@
 
 mod common;
 
-use common::elaborate_stalled;
+use common::{dense, elaborate_stalled, run_dense};
 use qnn::compiler::{elaborate, run_images, try_compile, CompileOptions};
-use qnn::dfe::SchedulerMode;
 use qnn::nn::specgen::{encoder_spec_strategy, image_for, random_encoder_spec};
 use qnn::nn::{models, Network};
 use qnn_testkit::{prop_assert_eq, props};
 
 /// Deterministic grid over heads × head_dim × seq_len × FFN × act_bits,
-/// each point checked on both steppers. Covers the corners
-/// the random battery may miss (single-token sequences, single head,
+/// each point checked stepped by default and on the dense oracle. Covers
+/// the corners the random battery may miss (single-token sequences, single head,
 /// 1-bit codes) with a stable, always-run set.
 #[test]
 fn encoder_grid_sweep_is_bit_exact_in_both_dispatch_modes() {
@@ -42,17 +41,14 @@ fn encoder_grid_sweep_is_bit_exact_in_both_dispatch_modes() {
                         let net = Network::random(spec, seed);
                         let img = image_for(&net.spec, seed);
                         let expect = net.forward(&img).logits;
-                        for scheduler in [SchedulerMode::Dense, SchedulerMode::default()] {
-                            let opts =
-                                CompileOptions { scheduler, ..CompileOptions::default() };
-                            let sim = run_images(&net, std::slice::from_ref(&img), &opts)
-                                .expect("sim");
-                            assert_eq!(
-                                sim.logits[0], expect,
-                                "h{heads} d{head_dim} s{seq_len} ff{ff_hidden} \
-                                 b{act_bits} {scheduler:?}"
-                            );
-                        }
+                        let images = std::slice::from_ref(&img);
+                        let opts = CompileOptions::default();
+                        let at =
+                            format!("h{heads} d{head_dim} s{seq_len} ff{ff_hidden} b{act_bits}");
+                        let sim = run_images(&net, images, &opts).expect("sim");
+                        assert_eq!(sim.logits[0], expect, "{at}");
+                        let sim = run_dense(&net, images, &opts).expect("dense sim");
+                        assert_eq!(sim.logits[0], expect, "{at} on the dense oracle");
                         checked += 1;
                     }
                 }
@@ -100,22 +96,22 @@ fn transformer_runs_burst_and_warm_batches_replay() {
 props! {
     /// Randomized encoder specs stay bit-exact under random stall
     /// injection — every kernel's handshake must tolerate arbitrary
-    /// flow-control timing — on either stepper.
+    /// flow-control timing — stepped by default or on the dense oracle.
     #[test]
     fn random_encoders_bit_exact_under_stall_injection(
         spec in encoder_spec_strategy(),
         seed in 0u64..1000,
         pct in 0u8..40,
-        dense in 0u8..2,
+        on_oracle in 0u8..2,
     ) {
         let net = Network::random(spec, seed);
         let img = image_for(&net.spec, seed);
         let expect = net.forward(&img).logits;
-        let opts = CompileOptions {
-            scheduler: if dense == 1 { SchedulerMode::Dense } else { SchedulerMode::default() },
-            ..CompileOptions::default()
-        };
+        let opts = CompileOptions::default();
         let mut pipeline = elaborate_stalled(&net, &opts, Some((seed ^ 0xA77E_1710, pct)));
+        if on_oracle == 1 {
+            dense(&mut pipeline);
+        }
         pipeline.load(std::slice::from_ref(&img));
         let sim = pipeline.run().expect("sim");
         prop_assert_eq!(&sim.logits[0], &expect);
