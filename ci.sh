@@ -17,7 +17,10 @@
 #                        + the single-threaded-simulator guard (no mpsc or
 #                        atomics in crates/dfe/src) + the test-side-oracle
 #                        guard (no crate source outside crates/dfe/src
-#                        names DenseOracle)
+#                        names DenseOracle) + the one-account guard (no
+#                        file in crates/serve/src records a latency
+#                        histogram outside the ledger, registry.rs, and
+#                        stats.rs, which defines and unit-tests it)
 #   ci.sh soak           NOT tier-1: the property suites, in release, at
 #                        QNN_TEST_CASES=1024 (overridable) — a long-running
 #                        hunt for rare ring-buffer/stall/scheduler/re-arm/
@@ -172,6 +175,11 @@ fi
 # may name it, so it cannot drift back into a runtime path.
 if grep -rn 'DenseOracle' crates/*/src | grep -v '^crates/dfe/src/'; then
   echo "ci.sh: DenseOracle named outside crates/dfe/src (see above)" >&2; exit 1
+fi
+# A model's ledger is the one account of its requests, latencies included:
+# only it (and the histogram's own unit tests) records into a Histogram.
+if grep -rn '\.record(' crates/serve/src | grep -v '^crates/serve/src/\(registry\|stats\)\.rs:'; then
+  echo "ci.sh: latency recorded outside the serving ledger (see above)" >&2; exit 1
 fi
 
 echo "ci.sh: all green"

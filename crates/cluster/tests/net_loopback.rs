@@ -272,6 +272,45 @@ fn expired_deadline_sheds_over_the_wire() {
     assert_eq!(report.completed + report.rejected + report.shed, report.submitted);
 }
 
+/// A request still unresolved after the edge's response timeout is
+/// answered `Timeout`; the connection keeps serving, and the request itself
+/// still completes inside the server.
+#[test]
+fn unresolved_request_times_out_and_the_connection_keeps_serving() {
+    let net = Network::random(models::test_net(8, 4, 2), 47);
+    let server = Server::builder()
+        .model("fast", &net)
+        .model_with("slow", &net, ModelOptions::new().synthetic_delay(Duration::from_millis(400)))
+        .start()
+        .expect("valid server");
+    let img = trace(1, 0x71E).pop().expect("one image");
+    // Warm the fast pool in process, so its wire request only runs the
+    // pipeline and answers well inside the timeout.
+    let warm = server.client().submit_with(img.clone(), SubmitOptions::model("fast"));
+    warm.expect("admitted").wait().expect("warm-up answered");
+    let edge = NetServer::bind_with(server, "127.0.0.1:0", Duration::from_millis(50))
+        .expect("bind loopback");
+    let client = NetClient::connect(edge.local_addr()).expect("connect");
+
+    let slow = client.submit(img.clone(), SubmitOptions::model("slow")).expect("submit slow");
+    match slow.wait() {
+        Err(NetError::Remote { code: ErrorCode::Timeout, .. }) => {}
+        other => panic!("expected a remote Timeout error, got {other:?}"),
+    }
+    let fast = client.submit(img.clone(), SubmitOptions::model("fast")).expect("submit fast");
+    assert_eq!(fast.wait().expect("answered").logits, net.forward(&img).logits);
+
+    drop(client);
+    let report = edge.shutdown();
+    let slow = report.model("slow").expect("slow is reported");
+    assert_eq!((slow.submitted, slow.completed), (1, 1), "the timed-out request still ran");
+    assert_eq!(report.model("fast").map(|m| m.completed), Some(2));
+    for m in &report.per_model {
+        assert_eq!(m.completed + m.rejected + m.shed, m.submitted, "model {}", m.model);
+    }
+    assert_eq!(report.completed + report.rejected + report.shed, report.submitted);
+}
+
 #[test]
 fn client_disconnect_mid_request_keeps_the_ledger_balanced() {
     let net = Network::random(models::test_net(8, 4, 2), 51);

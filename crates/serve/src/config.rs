@@ -70,14 +70,6 @@ pub enum ConfigError {
     ZeroBatch,
     /// `queue_depth == 0` — the submission queue cannot be zero-depth.
     ZeroQueueDepth,
-    /// `synthetic_replica_delay` is non-empty but does not name every
-    /// replica of the default pool.
-    SyntheticDelayLength {
-        /// The configured default pool size (`replicas`).
-        expected: usize,
-        /// The delay vector's actual length.
-        got: usize,
-    },
     /// `Server::start` was called with no registered models.
     NoModels,
     /// Two models were registered under the same name.
@@ -100,11 +92,6 @@ impl fmt::Display for ConfigError {
             ConfigError::ZeroQueueDepth => {
                 write!(f, "the submission queue cannot be zero-depth")
             }
-            ConfigError::SyntheticDelayLength { expected, got } => write!(
-                f,
-                "synthetic_replica_delay must be empty or name every replica \
-                 (expected {expected}, got {got})"
-            ),
             ConfigError::NoModels => write!(f, "a server needs at least one model"),
             ConfigError::DuplicateModel(name) => {
                 write!(f, "model {name:?} registered twice")
@@ -152,12 +139,6 @@ pub struct ServerConfig {
     pub queue_depth: usize,
     /// Behaviour when the submission queue is full.
     pub admission: AdmissionPolicy,
-    /// Test/bench knob: extra busy time injected per batch on replica
-    /// `i` of each pool, modeling a slower card or a co-tenant. Empty
-    /// (the default) injects nothing; otherwise the length must equal
-    /// `replicas` (pools sized differently fall back to zero delay past
-    /// the end).
-    pub synthetic_replica_delay: Vec<Duration>,
     /// Compile options shared by every replica of models that do not
     /// override them (placement, FIFO sizing, parameter streaming).
     pub compile: CompileOptions,
@@ -172,7 +153,6 @@ impl Default for ServerConfig {
             interactive_flush_deadline: Duration::from_micros(500),
             queue_depth: 64,
             admission: AdmissionPolicy::Block,
-            synthetic_replica_delay: Vec::new(),
             compile: CompileOptions::default(),
         }
     }
@@ -194,14 +174,6 @@ impl ServerConfig {
         }
         if self.queue_depth == 0 {
             return Err(ConfigError::ZeroQueueDepth);
-        }
-        if !self.synthetic_replica_delay.is_empty()
-            && self.synthetic_replica_delay.len() != self.replicas
-        {
-            return Err(ConfigError::SyntheticDelayLength {
-                expected: self.replicas,
-                got: self.synthetic_replica_delay.len(),
-            });
         }
         Ok(())
     }
@@ -254,12 +226,6 @@ impl ServerConfigBuilder {
         self
     }
 
-    /// Per-replica synthetic busy time (test/bench knob).
-    pub fn synthetic_replica_delay(mut self, delays: Vec<Duration>) -> Self {
-        self.config.synthetic_replica_delay = delays;
-        self
-    }
-
     /// Default compile options for registered models.
     pub fn compile_options(mut self, compile: CompileOptions) -> Self {
         self.config.compile = compile;
@@ -293,7 +259,6 @@ mod tests {
             .interactive_flush_deadline(Duration::from_millis(1))
             .queue_depth(16)
             .admission(AdmissionPolicy::Reject)
-            .synthetic_replica_delay(vec![Duration::ZERO; 3])
             .build()
             .expect("valid");
         assert_eq!(config.replicas, 3);
@@ -302,7 +267,6 @@ mod tests {
         assert_eq!(config.interactive_flush_deadline, Duration::from_millis(1));
         assert_eq!(config.queue_depth, 16);
         assert_eq!(config.admission, AdmissionPolicy::Reject);
-        assert_eq!(config.synthetic_replica_delay.len(), 3);
     }
 
     #[test]
@@ -327,17 +291,6 @@ mod tests {
             ServerConfig::builder().queue_depth(0).build().err(),
             Some(ConfigError::ZeroQueueDepth)
         );
-    }
-
-    #[test]
-    fn synthetic_delay_length_mismatch_is_typed() {
-        let err = ServerConfig::builder()
-            .replicas(2)
-            .synthetic_replica_delay(vec![Duration::ZERO])
-            .build()
-            .err();
-        assert_eq!(err, Some(ConfigError::SyntheticDelayLength { expected: 2, got: 1 }));
-        assert!(err.unwrap().to_string().contains("every replica"));
     }
 
     #[test]

@@ -29,7 +29,8 @@
 //! * **warm replicas**: each worker lowers its network once per weight
 //!   version and re-arms that pipeline between batches;
 //! * **one serving ledger per model**, counting a request in at admission
-//!   and out where it is answered, read by the [`ServerReport`] (per-class,
+//!   and out where it is answered, with its latency and queue wait, read by
+//!   the [`ServerReport`] (per-class,
 //!   per-model and per-replica counts, queue wait, batch occupancy, p50/p95
 //!   latency, images/sec), [`Server::load_window`] and [`Client::queue_depth`];
 //! * **handle-based lifecycle**: [`Server::builder`] →

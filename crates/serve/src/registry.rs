@@ -11,13 +11,14 @@
 
 use crate::config::Priority;
 use crate::server::{Dropped, Response};
+use crate::stats::Histogram;
 use qnn_compiler::ModelArtifact;
 use qnn_nn::Network;
 use qnn_tensor::Shape3;
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 /// Cap on buffered interactive-latency samples per model: the autoscaler
@@ -25,10 +26,11 @@ use std::time::Duration;
 /// one is sampling — old samples are dropped, newest kept.
 const LIVE_SAMPLE_CAP: usize = 1024;
 
-/// One model's serving ledger, the only place a request outcome is
-/// counted: in once at admission ([`Ledger::admit`] or [`Ledger::reject`]),
-/// out once on the answer path ([`Ledger::answer`]). Reports, live windows
-/// and the backlog all derive from a [`Tally`] of it. Counts are written
+/// One model's serving ledger, the only place a request is accounted for:
+/// counted in once at admission ([`Ledger::admit`] or [`Ledger::reject`]),
+/// out once on the answer path ([`Ledger::answer`]), which also keeps a
+/// completed request's latencies. Reports, live windows and the backlog all
+/// derive from a [`Tally`] and the [`Latencies`] of it. Counts are written
 /// `Release` and read `Acquire`, so a tally that sees an answer also sees
 /// the admission that happened before it (through the inbox lock and the
 /// batch channel), and a reader that saw the completion sees it counted.
@@ -40,8 +42,18 @@ pub(crate) struct Ledger {
     /// Requests answered with a response, and shed at dispatch, per class.
     completed: [AtomicU64; 2],
     shed: [AtomicU64; 2],
+    /// Every latency the ledger keeps, behind its one lock.
+    latencies: Mutex<Latencies>,
+}
+
+/// The latencies of a model's completed requests.
+#[derive(Clone, Default)]
+pub(crate) struct Latencies {
     /// Interactive end-to-end latencies since the last window read.
-    interactive: Mutex<VecDeque<Duration>>,
+    window: VecDeque<Duration>,
+    /// End-to-end latencies per class, and queue waits, since server start.
+    pub latency: [Histogram; 2],
+    pub queue_wait: Histogram,
 }
 
 /// A read of one [`Ledger`]. Answers are loaded before admissions, so no
@@ -72,19 +84,23 @@ impl Ledger {
         self.rejected.fetch_add(1, Ordering::Release);
     }
 
-    /// Count one answered request of class `priority` out, by outcome (an
-    /// interactive response also feeds the live latency window).
+    /// Count one answered request of class `priority` out, by outcome. A
+    /// response's latency and queue wait are kept too, and an interactive
+    /// one's latency also feeds the live window.
     pub fn answer(&self, priority: Priority, result: &Result<Response, Dropped>) {
         let class = priority.index();
         match result {
             Ok(response) => {
                 self.completed[class].fetch_add(1, Ordering::Release);
+                let latency = response.stats.latency;
+                let mut kept = self.lock_latencies();
+                kept.latency[class].record(latency);
+                kept.queue_wait.record(response.stats.queue_wait);
                 if priority == Priority::Interactive {
-                    let mut buf = self.interactive.lock().expect("live sample buffer poisoned");
-                    if buf.len() >= LIVE_SAMPLE_CAP {
-                        buf.pop_front();
+                    if kept.window.len() >= LIVE_SAMPLE_CAP {
+                        kept.window.pop_front();
                     }
-                    buf.push_back(response.stats.latency);
+                    kept.window.push_back(latency);
                 }
             }
             Err(Dropped::Deadline) => _ = self.shed[class].fetch_add(1, Ordering::Release),
@@ -106,7 +122,16 @@ impl Ledger {
 
     /// Drain the buffered interactive latencies (the window read).
     pub fn take_interactive(&self) -> Vec<Duration> {
-        std::mem::take(&mut *self.interactive.lock().expect("live sample buffer poisoned")).into()
+        std::mem::take(&mut self.lock_latencies().window).into()
+    }
+
+    /// A copy of the latencies kept so far.
+    pub fn latencies(&self) -> Latencies {
+        self.lock_latencies().clone()
+    }
+
+    fn lock_latencies(&self) -> MutexGuard<'_, Latencies> {
+        self.latencies.lock().expect("ledger latencies poisoned")
     }
 }
 

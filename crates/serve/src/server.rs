@@ -40,19 +40,21 @@
 //!
 //! Each model's ledger (`registry::Ledger`) is the one account of its
 //! requests: counted in at admission, out by `Request::answer`, the answer
-//! path both the dispatch-time shed and the worker's completion loop take.
+//! path both the dispatch-time shed and the worker's completion loop take,
+//! which also keeps a completed request's latency and queue wait.
 //! [`ServerReport`], [`Server::load_window`] and [`Client::queue_depth`]
 //! read it; the backlog is `submitted − completed − shed`, not a counter.
+//! A worker keeps only its own [`ReplicaStats`].
 //!
 //! Shutdown is explicit and drains: [`Server::shutdown`] closes admission;
 //! the batcher lanes every request admitted before that, flushes its lanes
 //! (interactive first) and drops the batch senders; each worker drains its
-//! remaining batches and returns its samples and counters. Every request
-//! admitted before `shutdown` is answered — with a [`Response`] or, if its
-//! deadline expired while it queued, with [`Dropped::Deadline`].
+//! remaining batches and returns its counters. Every request admitted
+//! before `shutdown` is answered — with a [`Response`] or, if its deadline
+//! expired while it queued, with [`Dropped::Deadline`].
 
 use crate::config::{AdmissionPolicy, ConfigError, Priority, ServerConfig};
-use crate::registry::{self, Ledger, ModelRegistry, PublishError, Tally};
+use crate::registry::{self, Latencies, Ledger, ModelRegistry, PublishError, Tally};
 use crate::stats::{
     ClassStats, Histogram, LatencySummary, LoadWindow, ModelStats, ReplicaStats, RequestStats,
     ServerReport,
@@ -508,10 +510,29 @@ impl ReplicaSlot {
 /// exits.
 struct PoolHandle {
     slots: Vec<ReplicaSlot>,
-    /// Synthetic per-batch busy time replicas of this pool inject
-    /// ([`ModelOptions::synthetic_delay`]); replicas added by a resize
-    /// inherit it, so scaling experiments stay apples-to-apples.
-    delay: Duration,
+    /// Synthetic per-batch busy time of this pool's replicas
+    /// ([`ModelOptions::synthetic_delay`]): slot `i` injects
+    /// `delays[i % len]`, whether it started with the pool or was added by
+    /// a resize, so scaling experiments stay apples-to-apples.
+    delays: Vec<Duration>,
+}
+
+impl PoolHandle {
+    /// Spawn workers for `model` until the pool holds `replicas` slots.
+    fn grow(
+        &mut self,
+        shared: &Arc<Shared>,
+        model: usize,
+        replicas: usize,
+        workers: &mut Vec<JoinHandle<ReplicaStats>>,
+    ) {
+        while self.slots.len() < replicas {
+            let delay = self.delays.iter().cycle().nth(self.slots.len()).copied();
+            let (slot, handle) = spawn_worker(shared, model, delay.unwrap_or_default());
+            self.slots.push(slot);
+            workers.push(handle);
+        }
+    }
 }
 
 struct BatcherKnobs {
@@ -554,7 +575,7 @@ struct Batcher {
     shared: Arc<Shared>,
     knobs: BatcherKnobs,
     pools: Vec<PoolHandle>,
-    workers: Vec<JoinHandle<WorkerOutput>>,
+    workers: Vec<JoinHandle<ReplicaStats>>,
     /// Per model, per class index, in arrival order.
     lanes: Vec<[VecDeque<Request>; 2]>,
     /// The next batch's [`RequestStats::batch_id`].
@@ -565,7 +586,7 @@ struct Batcher {
 }
 
 impl Batcher {
-    fn run(mut self) -> Vec<JoinHandle<WorkerOutput>> {
+    fn run(mut self) -> Vec<JoinHandle<ReplicaStats>> {
         loop {
             let now = Instant::now();
             self.flush_ready(now);
@@ -624,11 +645,7 @@ impl Batcher {
     fn apply(&mut self, Control::Resize { model, replicas, ack }: Control) {
         let pool = &mut self.pools[model];
         let old = pool.slots.len();
-        while pool.slots.len() < replicas {
-            let (slot, handle) = spawn_worker(&self.shared, model, pool.delay);
-            pool.slots.push(slot);
-            self.workers.push(handle);
-        }
+        pool.grow(&self.shared, model, replicas, &mut self.workers);
         // Shrink: dropping the slot's sender lets the worker drain any
         // batch already queued to it, answer those requests, and exit;
         // its join handle stays with the batcher for shutdown, so its
@@ -736,15 +753,6 @@ impl Batcher {
     }
 }
 
-struct WorkerOutput {
-    model_idx: usize,
-    stats: ReplicaStats,
-    /// Latencies by scheduling class, and queue waits, of the requests
-    /// this replica answered.
-    latency: [Histogram; 2],
-    queue_wait: Histogram,
-}
-
 /// Spawn one replica worker for `model_idx`, wired to a fresh batch queue
 /// and a fresh load counter. Used both at server start and by the batcher
 /// when a resize grows a pool.
@@ -752,7 +760,7 @@ fn spawn_worker(
     shared: &Arc<Shared>,
     model_idx: usize,
     synthetic_delay: Duration,
-) -> (ReplicaSlot, JoinHandle<WorkerOutput>) {
+) -> (ReplicaSlot, JoinHandle<ReplicaStats>) {
     let name = Arc::clone(&shared.registry.entry(model_idx).name);
     let global_id = shared.next_replica.fetch_add(1, Ordering::Relaxed) as usize;
     // Unbounded, but the batcher never puts more than `SLOT_DEPTH` batches
@@ -782,21 +790,16 @@ fn run_worker(
     rx: Receiver<Batch>,
     load: Arc<SlotLoad>,
     synthetic_delay: Duration,
-) -> WorkerOutput {
-    let mut out = WorkerOutput {
-        model_idx,
-        stats: ReplicaStats {
-            replica: global_id,
-            model: model.to_string(),
-            batches: 0,
-            images: 0,
-            busy: Duration::ZERO,
-            cycles: 0,
-            lowerings: 0,
-            replayed_batches: 0,
-        },
-        latency: Default::default(),
-        queue_wait: Histogram::default(),
+) -> ReplicaStats {
+    let mut stats = ReplicaStats {
+        replica: global_id,
+        model: model.to_string(),
+        batches: 0,
+        images: 0,
+        busy: Duration::ZERO,
+        cycles: 0,
+        lowerings: 0,
+        replayed_batches: 0,
     };
     let mut warm: Option<(u64, CompiledNetwork)> = None;
     while let Ok(batch) = rx.recv() {
@@ -807,7 +810,7 @@ fn run_worker(
         let pipeline = match &mut warm {
             Some((held, pipeline)) if *held == version => pipeline,
             stale => {
-                out.stats.lowerings += 1;
+                stats.lowerings += 1;
                 let mut fresh = artifact.pipeline();
                 // A publish swaps weights, never the spec or options, so
                 // the old pipeline's schedule tapes still hold.
@@ -830,20 +833,18 @@ fn run_worker(
         }
         let busy = started.elapsed();
         let n = requests.len();
-        out.stats.batches += 1;
-        out.stats.images += n as u64;
-        out.stats.busy += busy;
+        stats.batches += 1;
+        stats.images += n as u64;
+        stats.busy += busy;
         let cycles = sim.cycles();
-        out.stats.cycles += cycles;
+        stats.cycles += cycles;
         if sim.replayed_whole_batch() {
-            out.stats.replayed_batches += 1;
+            stats.replayed_batches += 1;
         }
         let ledger = shared.registry.ledger(model_idx);
         for (req, logits) in requests.into_iter().zip(sim.logits) {
             let queue_wait = started.saturating_duration_since(req.submitted_at);
             let latency = req.submitted_at.elapsed();
-            out.latency[priority.index()].record(latency);
-            out.queue_wait.record(queue_wait);
             let response = Response {
                 id: req.id,
                 model: model.to_string(),
@@ -866,7 +867,7 @@ fn run_worker(
         shared.inbox().freed = true;
         shared.wake.notify_one();
     }
-    out
+    stats
 }
 
 /// Per-model overrides for [`ServerBuilder::model_with`]; unset fields
@@ -878,13 +879,13 @@ pub struct ModelOptions {
     pub replicas: Option<usize>,
     /// Compile options for this model (defaults to `config.compile`).
     pub compile: Option<CompileOptions>,
-    /// Test/bench knob: uniform extra busy time per batch on *every*
-    /// replica of this pool — including replicas added later by
-    /// [`Server::resize_pool`], which the per-slot
-    /// [`ServerConfig::synthetic_replica_delay`] vector cannot describe.
-    /// Models a card whose service time dominates host compute, so
-    /// autoscaling behaviour is reproducible on any host.
-    pub synthetic_delay: Option<Duration>,
+    /// Test/bench knob: extra busy time per batch, by replica slot — slot
+    /// `i` of this pool injects `synthetic_delay[i % len]`, including slots
+    /// added later by [`Server::resize_pool`]; empty (the default) injects
+    /// nothing. Models a slower card, a co-tenant, or a card whose service
+    /// time dominates host compute, so scheduling and autoscaling behaviour
+    /// is reproducible on any host.
+    pub synthetic_delay: Vec<Duration>,
 }
 
 impl ModelOptions {
@@ -905,9 +906,10 @@ impl ModelOptions {
         self
     }
 
-    /// Uniform synthetic per-batch busy time for this pool's replicas.
+    /// Uniform synthetic per-batch busy time for every replica of this
+    /// pool.
     pub fn synthetic_delay(mut self, delay: Duration) -> Self {
-        self.synthetic_delay = Some(delay);
+        self.synthetic_delay = vec![delay];
         self
     }
 }
@@ -961,16 +963,16 @@ impl ServerBuilder {
 
         let mut entries = Vec::with_capacity(self.models.len());
         let mut pool_specs = Vec::with_capacity(self.models.len());
-        for (name, net, opts) in &self.models {
+        for (name, net, opts) in self.models {
             let replicas = opts.replicas.unwrap_or(config.replicas);
             if replicas == 0 {
                 return Err(ConfigError::ZeroReplicas);
             }
             let compile = opts.compile.as_ref().unwrap_or(&config.compile);
-            let artifact = Arc::new(ModelArtifact::try_new(net, compile).map_err(|error| {
+            let artifact = Arc::new(ModelArtifact::try_new(&net, compile).map_err(|error| {
                 ConfigError::InvalidOptions { model: name.clone(), error }
             })?);
-            entries.push(registry::entry(name.clone(), artifact, replicas));
+            entries.push(registry::entry(name, artifact, replicas));
             pool_specs.push((replicas, opts.synthetic_delay));
         }
         let shared = Arc::new(Shared {
@@ -986,22 +988,10 @@ impl ServerBuilder {
 
         let mut pools = Vec::with_capacity(pool_specs.len());
         let mut workers = Vec::new();
-        for (model_idx, &(replicas, model_delay)) in pool_specs.iter().enumerate() {
-            let mut slots = Vec::with_capacity(replicas);
-            for slot in 0..replicas {
-                // Per-slot delays come from the legacy config vector
-                // unless the model sets a uniform pool-wide delay.
-                let delay = model_delay.unwrap_or_else(|| {
-                    config.synthetic_replica_delay.get(slot).copied().unwrap_or(Duration::ZERO)
-                });
-                let (replica_slot, handle) = spawn_worker(&shared, model_idx, delay);
-                slots.push(replica_slot);
-                workers.push(handle);
-            }
-            pools.push(PoolHandle {
-                slots,
-                delay: model_delay.unwrap_or(Duration::ZERO),
-            });
+        for (model, (replicas, delays)) in pool_specs.into_iter().enumerate() {
+            let mut pool = PoolHandle { slots: Vec::with_capacity(replicas), delays };
+            pool.grow(&shared, model, replicas, &mut workers);
+            pools.push(pool);
         }
 
         let batcher = Batcher {
@@ -1032,7 +1022,7 @@ pub struct Server {
     shared: Arc<Shared>,
     /// Taken by [`Server::shutdown`]; a server dropped without it only
     /// closes admission and lets its threads drain unobserved.
-    batcher: Option<JoinHandle<Vec<JoinHandle<WorkerOutput>>>>,
+    batcher: Option<JoinHandle<Vec<JoinHandle<ReplicaStats>>>>,
     started: Instant,
 }
 
@@ -1127,12 +1117,12 @@ impl Server {
         self.shared.close();
         let batcher = self.batcher.take().expect("shutdown consumes the server");
         let workers = batcher.join().expect("batcher thread panicked");
-        let outputs: Vec<WorkerOutput> = workers
+        let per_replica = workers
             .into_iter()
             .map(|h| h.join().expect("replica worker panicked"))
             .collect();
         let wall = self.started.elapsed();
-        build_report(&self.shared.registry, outputs, wall)
+        build_report(&self.shared.registry, per_replica, wall)
     }
 }
 
@@ -1162,29 +1152,17 @@ impl fmt::Display for ResizeError {
 
 impl std::error::Error for ResizeError {}
 
-/// The shutdown report: outcomes from the ledgers, batches from the
-/// replicas (after the drain all have run), latencies from the replicas'
-/// histograms.
+/// The shutdown report: outcomes and latencies from the ledgers, batches
+/// from the replicas (after the drain all have run).
 fn build_report(
     registry: &ModelRegistry,
-    outputs: Vec<WorkerOutput>,
+    mut per_replica: Vec<ReplicaStats>,
     wall: Duration,
 ) -> ServerReport {
+    per_replica.sort_by_key(|r| r.replica);
     let models = registry.len();
     let tallies: Vec<Tally> = (0..models).map(|m| registry.ledger(m).tally()).collect();
-
-    let mut queue_wait = Histogram::default();
-    let mut per_replica = Vec::with_capacity(outputs.len());
-    let mut class_latency: Vec<[Histogram; 2]> =
-        (0..models).map(|_| Default::default()).collect();
-    for out in outputs {
-        queue_wait.merge(&out.queue_wait);
-        for (mine, theirs) in class_latency[out.model_idx].iter_mut().zip(&out.latency) {
-            mine.merge(theirs);
-        }
-        per_replica.push(out.stats);
-    }
-    per_replica.sort_by_key(|r| r.replica);
+    let latencies: Vec<Latencies> = (0..models).map(|m| registry.ledger(m).latencies()).collect();
 
     let class = |p: Priority, tallies: &[Tally], latency: &Histogram| ClassStats {
         priority: p,
@@ -1192,23 +1170,32 @@ fn build_report(
         shed: tallies.iter().map(|t| t.shed[p.index()]).sum(),
         latency: LatencySummary::from_histogram(latency),
     };
-    let per_model = (0..models)
+    let per_model: Vec<ModelStats> = (0..models)
         .map(|m| ModelStats {
             model: registry.entry(m).name.to_string(),
             replicas: registry.replicas(m),
+            submitted: tallies[m].submitted + tallies[m].rejected,
             completed: tallies[m].completed.iter().sum(),
+            rejected: tallies[m].rejected,
             shed: tallies[m].shed.iter().sum(),
             weight_publishes: registry.publishes(m),
-            latency: LatencySummary::from_histogram(&Histogram::sum(&class_latency[m])),
+            latency: LatencySummary::from_histogram(&Histogram::sum(&latencies[m].latency)),
             per_priority: Priority::ALL
-                .map(|p| class(p, &tallies[m..=m], &class_latency[m][p.index()]))
+                .map(|p| class(p, &tallies[m..=m], &latencies[m].latency[p.index()]))
                 .into(),
         })
         .collect();
     let per_priority = Priority::ALL
-        .map(|p| class(p, &tallies, &Histogram::sum(class_latency.iter().map(|l| &l[p.index()]))))
+        .map(|p| {
+            let latency = Histogram::sum(latencies.iter().map(|l| &l.latency[p.index()]));
+            class(p, &tallies, &latency)
+        })
         .into();
-    let latency = Histogram::sum(class_latency.iter().flatten());
+    let latency = Histogram::sum(latencies.iter().flat_map(|l| &l.latency));
+    let queue_wait = Histogram::sum(latencies.iter().map(|l| &l.queue_wait));
+    let (submitted, completed, rejected, shed) = per_model.iter().fold((0, 0, 0, 0), |t, m| {
+        (t.0 + m.submitted, t.1 + m.completed, t.2 + m.rejected, t.3 + m.shed)
+    });
 
     let batches = per_replica.iter().map(|r| r.batches).sum();
     let images: u64 = per_replica.iter().map(|r| r.images).sum();
@@ -1216,10 +1203,10 @@ fn build_report(
         // Final pool sizes (a resize changes these); retired workers still
         // appear in `per_replica` with the counters they accumulated.
         replicas: (0..models).map(|m| registry.replicas(m)).sum(),
-        submitted: tallies.iter().map(|t| t.submitted + t.rejected).sum(),
-        completed: tallies.iter().flat_map(|t| t.completed).sum(),
-        rejected: tallies.iter().map(|t| t.rejected).sum(),
-        shed: tallies.iter().flat_map(|t| t.shed).sum(),
+        submitted,
+        completed,
+        rejected,
+        shed,
         batches,
         lowerings: per_replica.iter().map(|r| r.lowerings).sum(),
         replayed_batches: per_replica.iter().map(|r| r.replayed_batches).sum(),

@@ -52,8 +52,8 @@ pub struct ReplicaStats {
     pub replayed_batches: u64,
 }
 
-/// Durations counted in log-linear buckets: what a server keeps of its
-/// requests' latencies for the shutdown report, in memory that does not
+/// Durations counted in log-linear buckets: what a model's ledger keeps of
+/// its requests' latencies for the shutdown report, in memory that does not
 /// grow with the requests it answers. Below 128 ns every nanosecond count
 /// is a bucket; above, a bucket holds the counts that share their leading
 /// seven bits, so it spans at most 1/64 of its lower bound.
@@ -135,9 +135,9 @@ impl Histogram {
 }
 
 /// p50/p95/max over a set of durations. A [`LoadWindow`]'s are exact; a
-/// [`ServerReport`]'s come from per-replica histograms, so a server's memory
-/// does not grow with the requests it answers: their percentiles are at
-/// most 1/64 below the exact ones, and their maximum is exact.
+/// [`ServerReport`]'s come from the ledgers' histograms, so a server's
+/// memory does not grow with the requests it answers: their percentiles are
+/// at most 1/64 below the exact ones, and their maximum is exact.
 #[derive(Clone, Copy, Debug)]
 pub struct LatencySummary {
     /// Median.
@@ -249,9 +249,16 @@ pub struct ModelStats {
     pub model: String,
     /// Pool size (replica workers).
     pub replicas: usize,
+    /// Submission attempts for this model that reached admission (admitted
+    /// + rejected), as in [`ServerReport::submitted`].
+    pub submitted: u64,
     /// Requests answered with a response.
     pub completed: u64,
-    /// Requests shed at dispatch (deadline already passed).
+    /// Attempts refused at admission, as in [`ServerReport::rejected`].
+    pub rejected: u64,
+    /// Requests shed at dispatch (deadline already passed). The model's
+    /// ledger partitions after a clean drain: `completed + rejected + shed
+    /// == submitted`.
     pub shed: u64,
     /// Weight versions published over the server's lifetime.
     pub weight_publishes: u64,
@@ -358,10 +365,13 @@ impl ServerReport {
         for m in &self.per_model {
             let _ = writeln!(
                 out,
-                "model {:?}: {} replicas, {} completed, {} shed, {} weight publish(es), {}",
+                "model {:?}: {} replicas, {} submitted, {} completed, {} rejected, {} shed, \
+                 {} weight publish(es), {}",
                 m.model,
                 m.replicas,
+                m.submitted,
                 m.completed,
+                m.rejected,
                 m.shed,
                 m.weight_publishes,
                 LatencySummary::render(&m.latency),
@@ -467,7 +477,9 @@ mod tests {
             per_model: vec![ModelStats {
                 model: "cnv".to_string(),
                 replicas: 2,
+                submitted: 10,
                 completed: 9,
+                rejected: 0,
                 shed: 1,
                 weight_publishes: 1,
                 latency: None,
@@ -486,6 +498,7 @@ mod tests {
         assert!(text.contains("3 replayed"), "render was: {text}");
         assert!(text.contains("images/sec"), "render was: {text}");
         assert!(text.contains("model \"cnv\""), "render was: {text}");
+        assert!(text.contains("10 submitted, 9 completed, 0 rejected"), "render was: {text}");
         assert!(text.contains("class interactive"), "render was: {text}");
         assert_eq!(report.model("cnv").map(|m| m.shed), Some(1));
         assert!(report.class(Priority::Batch).is_none());

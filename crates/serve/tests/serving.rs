@@ -155,14 +155,24 @@ fn reject_admission_sheds_load_without_losing_accepted_requests() {
     assert!(completed >= 1, "nothing was ever admitted");
 }
 
+/// The report's counts and latencies are the responses': histogram maxima
+/// are exact, so each one equals the largest its responses carry, in total
+/// and per class.
 #[test]
 fn report_statistics_are_internally_consistent() {
     let net = net();
     let n = 8usize;
     let server = start(&net, ServerConfig { replicas: 2, max_batch: 4, ..ServerConfig::default() });
     let client = server.client();
-    let tickets = (0..n).map(|s| client.submit(image(8, s as u64)).expect("admitted")).collect();
-    for resp in wait_all(tickets) {
+    let tickets = (0..n)
+        .map(|s| {
+            let priority = Priority::ALL[s % 2];
+            let opts = SubmitOptions::default().priority(priority);
+            client.submit_with(image(8, s as u64), opts).expect("admitted")
+        })
+        .collect();
+    let responses = wait_all(tickets);
+    for resp in &responses {
         assert!(resp.stats.batch_size >= 1 && resp.stats.batch_size <= 4);
         assert!(resp.stats.replica < 2);
         assert!(resp.stats.queue_wait <= resp.stats.latency);
@@ -178,6 +188,25 @@ fn report_statistics_are_internally_consistent() {
     let qw = report.queue_wait.expect("completed requests imply a summary");
     assert!(lat.p50 <= lat.p95 && lat.p95 <= lat.max);
     assert!(qw.p50 <= lat.max, "queue wait cannot exceed worst latency");
+    let max_of = |class: Option<Priority>, f: fn(&Response) -> Duration| {
+        let of_class = responses.iter().filter(|r| class.is_none_or(|p| r.stats.priority == p));
+        of_class.map(f).max()
+    };
+    assert_eq!(Some(lat.max), max_of(None, |r| r.stats.latency), "report latency max");
+    assert_eq!(Some(qw.max), max_of(None, |r| r.stats.queue_wait), "report queue wait max");
+    for priority in Priority::ALL {
+        let class = report.class(priority).expect("every class is reported");
+        let completed = responses.iter().filter(|r| r.stats.priority == priority).count();
+        assert_eq!(class.completed, completed as u64, "{priority} completed");
+        assert_eq!(
+            class.latency.map(|l| l.max),
+            max_of(Some(priority), |r| r.stats.latency),
+            "{priority} latency max"
+        );
+    }
+    let m = report.model("m").expect("the one model is reported");
+    assert_eq!((m.submitted, m.completed, m.rejected, m.shed), (n as u64, n as u64, 0, 0));
+    assert_eq!(m.latency.map(|l| l.max), Some(lat.max), "model latency max");
     let per_replica_images: u64 = report.per_replica.iter().map(|r| r.images).sum();
     assert_eq!(per_replica_images, n as u64);
     assert!(!report.render().is_empty());
@@ -190,13 +219,12 @@ fn work_is_sharded_across_replicas() {
     // batches over the whole pool: a replica still running its batch holds
     // one in-flight image, so the next batch goes to an idle one.
     let net = net();
-    let config = ServerConfig {
-        replicas: 3,
-        max_batch: 1,
-        synthetic_replica_delay: vec![Duration::from_millis(5); 3],
-        ..ServerConfig::default()
-    };
-    let server = start(&net, config);
+    let config = ServerConfig { replicas: 3, max_batch: 1, ..ServerConfig::default() };
+    let server = Server::builder()
+        .config(config)
+        .model_with("m", &net, ModelOptions::new().synthetic_delay(Duration::from_millis(5)))
+        .start()
+        .expect("valid server");
     let client = server.client();
     wait_all((0..12).map(|s| client.submit(image(8, s)).expect("admitted")).collect());
     let report = server.shutdown();
@@ -217,13 +245,13 @@ fn least_loaded_dispatch_steers_work_away_from_a_slow_replica() {
     // practice ~3/9).
     let net = net();
     let n = 12usize;
-    let config = ServerConfig {
-        replicas: 2,
-        max_batch: 1,
-        synthetic_replica_delay: vec![Duration::from_millis(60), Duration::ZERO],
-        ..ServerConfig::default()
+    let config = ServerConfig { replicas: 2, max_batch: 1, ..ServerConfig::default() };
+    let slow_first = ModelOptions {
+        synthetic_delay: vec![Duration::from_millis(60), Duration::ZERO],
+        ..ModelOptions::default()
     };
-    let server = start(&net, config);
+    let server =
+        Server::builder().config(config).model_with("m", &net, slow_first).start().expect("valid");
     let client = server.client();
     wait_all((0..n).map(|s| client.submit(image(8, 500 + s as u64)).expect("admitted")).collect());
     let report = server.shutdown();
@@ -669,6 +697,8 @@ fn wrongly_shaped_image_is_refused_at_admission() {
     let report = server.shutdown();
     assert_eq!((report.submitted, report.completed, report.rejected), (2, 1, 1));
     assert_eq!(report.completed + report.rejected + report.shed, report.submitted);
+    let m = report.model("m").expect("the one model is reported");
+    assert_eq!((m.submitted, m.completed, m.rejected), (2, 1, 1));
 }
 
 #[test]

@@ -90,7 +90,7 @@ fn main() {
 
 /// Every request was admitted (blocking admission) and none carried a
 /// deadline, so each model completed `per_model` requests in one class,
-/// and the breakdowns sum to the totals.
+/// each model's ledger partitions, and the breakdowns sum to the totals.
 fn check_ledger(report: &ServerReport, per_model: u64) {
     let sum = |classes: &[ClassStats]| {
         classes.iter().fold((0, 0), |(c, s), k| (c + k.completed, s + k.shed))
@@ -98,10 +98,19 @@ fn check_ledger(report: &ServerReport, per_model: u64) {
     assert_eq!(report.completed + report.rejected + report.shed, report.submitted);
     assert_eq!((report.submitted, report.completed), (2 * per_model, 2 * per_model));
     assert_eq!(sum(&report.per_priority), (report.completed, report.shed));
+    let mut totals = (0, 0);
     for m in &report.per_model {
-        assert_eq!((m.completed, m.shed), (per_model, 0), "model {}", m.model);
+        assert_eq!(
+            (m.submitted, m.completed, m.rejected, m.shed),
+            (per_model, per_model, 0, 0),
+            "model {}",
+            m.model
+        );
+        assert_eq!(m.completed + m.rejected + m.shed, m.submitted, "model {}", m.model);
         assert_eq!(sum(&m.per_priority), (m.completed, m.shed), "model {}", m.model);
+        totals = (totals.0 + m.submitted, totals.1 + m.rejected);
     }
+    assert_eq!(totals, (report.submitted, report.rejected), "per-model sums");
     for priority in Priority::ALL {
         let class = report.class(priority).expect("every class is reported");
         assert_eq!((class.completed, class.shed), (per_model, 0), "class {priority}");

@@ -321,11 +321,26 @@ props! {
             classes.iter().fold((0, 0), |(c, s), k| (c + k.completed, s + k.shed))
         };
         prop_assert_eq!(sum(&report.per_priority), (report.completed, report.shed), "per class");
-        let mut per_model = (0, 0);
+        let mut per_model = (0, 0, 0, 0);
         for m in &report.per_model {
             prop_assert_eq!(sum(&m.per_priority), (m.completed, m.shed), "{} per class", m.model);
-            per_model = (per_model.0 + m.completed, per_model.1 + m.shed);
+            prop_assert_eq!(
+                m.completed + m.rejected + m.shed,
+                m.submitted,
+                "{}'s ledger must partition",
+                m.model
+            );
+            per_model = (
+                per_model.0 + m.submitted,
+                per_model.1 + m.completed,
+                per_model.2 + m.rejected,
+                per_model.3 + m.shed,
+            );
         }
-        prop_assert_eq!(per_model, (report.completed, report.shed), "per model");
+        prop_assert_eq!(
+            per_model,
+            (report.submitted, report.completed, report.rejected, report.shed),
+            "per model"
+        );
     }
 }
