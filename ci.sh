@@ -5,12 +5,25 @@
 # dependencies, so a clean checkout must pass this on a network-isolated
 # machine with bit-identical test results across runs.
 #
+# Codegen floor: .cargo/config.toml builds every x86-64 target at
+# target-cpu=x86-64-v3 (README "Hermetic builds"), so `count_ones` in the
+# XNOR-popcount GEMM is one popcnt instruction. Tier-1 also runs a portable
+# pass with the floor off (RUSTFLAGS set but empty overrides the config's
+# rustflags) in its own target dir, target/portable, so the bit-twiddling
+# popcount fallback stays built and tested. That pass skips exactly one
+# test by name, the floor's witness (qnn-quant's
+# gemm::tests::codegen_floor_witness, which asserts the floor's target
+# features and so fails by design in a portable build), and nothing else.
+#
 # Knobs (see crates/testkit):
 #   QNN_TEST_SEED=<u64|0xhex>  base seed for all property suites
 #   QNN_TEST_CASES=<n>         cases per property (default 64)
 #
 # Modes:
 #   ci.sh                tier-1: offline release build + full test suite
+#                        + the portable pass (release build + full test
+#                        suite with RUSTFLAGS= in target/portable, minus
+#                        the floor's witness test)
 #                        + clippy + rustdoc with broken intra-doc links
 #                        denied + the no-ambient-configuration guard
 #                        (only crates/testkit may read the environment)
@@ -157,6 +170,11 @@ fi
 
 run cargo build --release --offline
 run cargo test -q --offline
+# The portable pass: no codegen floor, its own target dir so the two
+# builds do not evict each other's cache.
+run env RUSTFLAGS= CARGO_TARGET_DIR=target/portable cargo build --release --offline
+run env RUSTFLAGS= CARGO_TARGET_DIR=target/portable \
+  cargo test -q --offline -- --skip gemm::tests::codegen_floor_witness
 run cargo clippy --all-targets --offline -- -D warnings
 # Doc links must resolve, so deleting an item also finds the docs naming it.
 RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" \

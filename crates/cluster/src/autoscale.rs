@@ -10,8 +10,9 @@
 //!   *or* the backlog exceeds `backlog_per_replica × replicas` (the
 //!   backlog test catches pure batch floods, which produce no
 //!   interactive samples at all);
-//! * **idle** — nothing in flight and nothing new submitted since the
-//!   previous tick;
+//! * **idle** — nothing in flight and no new admission attempt (admitted
+//!   or rejected) since the previous tick: a model refusing traffic is
+//!   not idle;
 //! * **steady** — otherwise.
 //!
 //! A pool grows by one replica after `up_hysteresis` *consecutive*
@@ -69,7 +70,7 @@ struct ModelState {
     breach_streak: u32,
     idle_streak: u32,
     cooldown: u32,
-    last_submitted: u64,
+    last_offered: u64,
 }
 
 /// The control loop. Drive it manually with [`Autoscaler::tick`] (tests,
@@ -95,7 +96,7 @@ impl Autoscaler {
                 breach_streak: 0,
                 idle_streak: 0,
                 cooldown: 0,
-                last_submitted: 0,
+                last_offered: 0,
             })
             .collect();
         Ok(Autoscaler { config, states })
@@ -128,8 +129,9 @@ impl Autoscaler {
                 .map(|l| l.p95 > self.config.target_p95)
                 .unwrap_or(false)
                 || window.in_flight > self.config.backlog_per_replica * replicas as u64;
-            let idle = window.in_flight == 0 && window.submitted == state.last_submitted;
-            state.last_submitted = window.submitted;
+            let offered = window.admitted + window.rejected;
+            let idle = window.in_flight == 0 && offered == state.last_offered;
+            state.last_offered = offered;
 
             if breached {
                 state.breach_streak += 1;

@@ -168,6 +168,33 @@ fn idle_pool_shrinks_to_min_replicas_and_stops() {
     server.shutdown();
 }
 
+/// Refused attempts are traffic: a pool whose every request is refused at
+/// admission has nothing in flight, but it is not idle, so it keeps its
+/// replicas until the attempts stop.
+#[test]
+fn a_pool_refusing_traffic_is_not_idle() {
+    let net = Network::random(models::test_net(8, 4, 2), 17);
+    let server = Server::builder()
+        .model_with("mnist", &net, ModelOptions::new().replicas(2))
+        .start()
+        .expect("valid server");
+    let mut scaler = Autoscaler::new(config(), &server).expect("valid config");
+    let client = server.client();
+    let misshapen = Tensor3::from_fn(Shape3::square(9, 3), |_, _, _| 0i8);
+    for _ in 0..8 {
+        let refused = client.submit_with(misshapen.clone(), SubmitOptions::model("mnist"));
+        assert!(refused.is_err(), "a misshapen image is refused at admission");
+        assert_eq!(scaler.tick(&server), vec![], "a refusing pool is not idle");
+    }
+    let window = server.load_window("mnist").expect("known model");
+    assert_eq!((window.admitted, window.rejected, window.in_flight), (0, 8, 0));
+
+    // The attempts stop: the third idle tick (down_hysteresis) shrinks it.
+    let downs: Vec<ScaleAction> = (0..4).flat_map(|_| scaler.tick(&server)).collect();
+    assert_eq!(downs, vec![ScaleAction::Down { model: "mnist".to_string(), from: 2, to: 1 }]);
+    server.shutdown();
+}
+
 #[test]
 fn growth_respects_max_replicas() {
     let server = slow_server(Duration::from_millis(80));

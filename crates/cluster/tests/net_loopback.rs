@@ -334,7 +334,7 @@ fn client_disconnect_mid_request_keeps_the_ledger_balanced() {
     // (an early close can RST away frames still in the receive buffer,
     // which would be a *different* scenario: a partially-heard client).
     let deadline = Instant::now() + Duration::from_secs(10);
-    while edge.server().load_window("mnist").expect("known model").submitted < n as u64 {
+    while edge.server().load_window("mnist").expect("known model").admitted < n as u64 {
         assert!(Instant::now() < deadline, "edge never admitted the submitted requests");
         thread::sleep(Duration::from_millis(2));
     }

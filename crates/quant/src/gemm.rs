@@ -331,6 +331,25 @@ mod tests {
         conv_accumulate_all_i8(&filters, &[0; 9], &mut [0; 4]);
     }
 
+    /// The codegen floor's witness. `.cargo/config.toml` builds x86-64 at
+    /// `target-cpu=x86-64-v3`, so each `count_ones` in the GEMM above is one
+    /// `popcnt`; without it the same source compiles to a bit-twiddling
+    /// sequence that costs about a quarter of a ResNet-18 image. A build
+    /// that lost or never read the config fails here. `ci.sh`'s portable
+    /// pass builds with the floor off and skips exactly this test.
+    #[test]
+    fn codegen_floor_witness() {
+        let floor = [
+            ("popcnt", cfg!(target_feature = "popcnt")),
+            ("avx2", cfg!(target_feature = "avx2")),
+        ];
+        let missing: Vec<&str> =
+            floor.iter().filter(|(_, on)| !on).map(|(name, _)| *name).collect();
+        if cfg!(target_arch = "x86_64") {
+            assert!(missing.is_empty(), "built below the x86-64-v3 codegen floor: no {missing:?}");
+        }
+    }
+
     #[test]
     #[should_panic(expected = "one accumulator per filter")]
     fn gemm_rejects_wrong_accumulator_count() {

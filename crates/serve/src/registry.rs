@@ -37,7 +37,7 @@ const LIVE_SAMPLE_CAP: usize = 1024;
 #[derive(Default)]
 pub(crate) struct Ledger {
     /// Requests admitted, and attempts refused at admission.
-    submitted: AtomicU64,
+    admitted: AtomicU64,
     rejected: AtomicU64,
     /// Requests answered with a response, and shed at dispatch, per class.
     completed: [AtomicU64; 2],
@@ -59,7 +59,7 @@ pub(crate) struct Latencies {
 /// A read of one [`Ledger`]. Answers are loaded before admissions, so no
 /// request is seen answered but not admitted.
 pub(crate) struct Tally {
-    pub submitted: u64,
+    pub admitted: u64,
     pub rejected: u64,
     pub completed: [u64; 2],
     pub shed: [u64; 2],
@@ -68,7 +68,7 @@ pub(crate) struct Tally {
 impl Tally {
     /// Admitted but not yet answered: queued, batching, or running.
     pub fn in_flight(&self) -> u64 {
-        self.submitted.saturating_sub(self.completed.iter().chain(&self.shed).sum())
+        self.admitted.saturating_sub(self.completed.iter().chain(&self.shed).sum())
     }
 }
 
@@ -76,7 +76,7 @@ impl Ledger {
     /// Count one admitted request in — inside the critical section that
     /// publishes it, so no answer can be counted before it.
     pub fn admit(&self) {
-        self.submitted.fetch_add(1, Ordering::Release);
+        self.admitted.fetch_add(1, Ordering::Release);
     }
 
     /// Count one submission attempt refused at admission.
@@ -116,7 +116,7 @@ impl Ledger {
             completed: self.completed.each_ref().map(load),
             shed: self.shed.each_ref().map(load),
             rejected: load(&self.rejected),
-            submitted: load(&self.submitted),
+            admitted: load(&self.admitted),
         }
     }
 

@@ -43,7 +43,7 @@
 //! path both the dispatch-time shed and the worker's completion loop take,
 //! which also keeps a completed request's latency and queue wait.
 //! [`ServerReport`], [`Server::load_window`] and [`Client::queue_depth`]
-//! read it; the backlog is `submitted − completed − shed`, not a counter.
+//! read it; the backlog is `admitted − completed − shed`, not a counter.
 //! A worker keeps only its own [`ReplicaStats`].
 //!
 //! Shutdown is explicit and drains: [`Server::shutdown`] closes admission;
@@ -1083,12 +1083,12 @@ impl Server {
         rx.recv().map_err(|_| ResizeError::Stopped)
     }
 
-    /// A live load sample for `model`: cumulative offered/completed
-    /// counts, current backlog, pool size, and the interactive-latency
-    /// summary of the window since the previous call (the call drains the
-    /// sample buffer). This is the signal the replica autoscaler's control
-    /// loop runs on — available while the server runs, unlike the
-    /// [`ServerReport`] which only exists after shutdown.
+    /// A live load sample for `model`: cumulative admitted, rejected,
+    /// completed and shed counts, current backlog, pool size, and the
+    /// interactive-latency summary of the window since the previous call
+    /// (the call drains the sample buffer). This is the signal the replica
+    /// autoscaler's control loop runs on — available while the server
+    /// runs, unlike the [`ServerReport`] which only exists after shutdown.
     pub fn load_window(&self, model: &str) -> Option<LoadWindow> {
         let registry = &self.shared.registry;
         let idx = registry.resolve(model)?;
@@ -1098,7 +1098,8 @@ impl Server {
         Some(LoadWindow {
             model: model.to_string(),
             replicas: registry.replicas(idx),
-            submitted: tally.submitted,
+            admitted: tally.admitted,
+            rejected: tally.rejected,
             completed: tally.completed.iter().sum(),
             shed: tally.shed.iter().sum(),
             in_flight: tally.in_flight(),
@@ -1174,7 +1175,7 @@ fn build_report(
         .map(|m| ModelStats {
             model: registry.entry(m).name.to_string(),
             replicas: registry.replicas(m),
-            submitted: tallies[m].submitted + tallies[m].rejected,
+            submitted: tallies[m].admitted + tallies[m].rejected,
             completed: tallies[m].completed.iter().sum(),
             rejected: tallies[m].rejected,
             shed: tallies[m].shed.iter().sum(),

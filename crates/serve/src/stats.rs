@@ -211,7 +211,10 @@ pub struct LoadWindow {
     /// Current replica pool size.
     pub replicas: usize,
     /// Requests admitted for this model since server start.
-    pub submitted: u64,
+    pub admitted: u64,
+    /// Submission attempts refused at admission since server start.
+    /// `admitted + rejected` is [`ModelStats::submitted`].
+    pub rejected: u64,
     /// Requests answered with a response since server start.
     pub completed: u64,
     /// Requests shed at dispatch since server start.

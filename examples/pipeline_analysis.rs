@@ -5,7 +5,8 @@
 //! simulator fast-forwarded in bursts, and why it stepped the rest. Last, a
 //! warm pipeline runs the batch three times: the host time of the first
 //! batch against the third, which replays the schedule tape the second
-//! recorded.
+//! recorded. Its first line names the target features the binary was built
+//! with, so a run shows whether the codegen floor applied.
 //!
 //! ```text
 //! cargo run --release --example pipeline_analysis
@@ -16,6 +17,7 @@ use qnn::data::CIFAR10;
 use qnn::nn::{models, Network};
 
 fn main() {
+    println!("{}", codegen_line());
     let spec = models::vgg_like(32, 10, 2);
     let net = Network::random(spec, 3);
     let images = CIFAR10.images(2);
@@ -100,4 +102,21 @@ fn main() {
         host_ms[0] / host_ms[2],
         replayed.reports[0].replay.spans_bypassed
     );
+}
+
+/// The target features this binary was compiled with, of those the codegen
+/// floor (`.cargo/config.toml`) decides: a `RUSTFLAGS=` build lists none on
+/// x86-64, so the XNOR-popcount GEMM's `count_ones` runs as a bit-twiddling
+/// sequence instead of one `popcnt`.
+fn codegen_line() -> String {
+    let features = [
+        ("sse4.2", cfg!(target_feature = "sse4.2")),
+        ("popcnt", cfg!(target_feature = "popcnt")),
+        ("avx2", cfg!(target_feature = "avx2")),
+        ("bmi2", cfg!(target_feature = "bmi2")),
+        ("fma", cfg!(target_feature = "fma")),
+        ("avx512f", cfg!(target_feature = "avx512f")),
+    ];
+    let on: Vec<&str> = features.iter().filter(|(_, on)| *on).map(|(name, _)| *name).collect();
+    format!("codegen: {} with [{}]", std::env::consts::ARCH, on.join(" "))
 }

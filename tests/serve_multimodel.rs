@@ -308,7 +308,8 @@ props! {
         prop_assert_eq!(report.rejected, client_rejected);
         prop_assert_eq!(report.shed, client_shed);
 
-        prop_assert_eq!(window.submitted, report.submitted - report.rejected, "window admitted");
+        prop_assert_eq!(window.admitted, report.submitted - report.rejected, "window admitted");
+        prop_assert_eq!(window.rejected, report.rejected, "window rejected");
         prop_assert_eq!(window.completed, report.completed, "window completed");
         prop_assert_eq!(window.shed, report.shed, "window shed");
         for priority in Priority::ALL {
