@@ -33,7 +33,11 @@
 #                        names DenseOracle) + the one-account guard (no
 #                        file in crates/serve/src records a latency
 #                        histogram outside the ledger, registry.rs, and
-#                        stats.rs, which defines and unit-tests it)
+#                        stats.rs, which defines and unit-tests it) + the
+#                        one-replay-module guard (no file in crates/dfe/src
+#                        but replay.rs and its test submodule names
+#                        ReplayPhase, ScheduleTape or batch_tapes: the
+#                        schedule-replay protocol sits behind replay.rs)
 #   ci.sh soak           NOT tier-1: the property suites, in release, at
 #                        QNN_TEST_CASES=1024 (overridable) — a long-running
 #                        hunt for rare ring-buffer/stall/scheduler/re-arm/
@@ -198,6 +202,13 @@ fi
 # only it (and the histogram's own unit tests) records into a Histogram.
 if grep -rn '\.record(' crates/serve/src | grep -v '^crates/serve/src/\(registry\|stats\)\.rs:'; then
   echo "ci.sh: latency recorded outside the serving ledger (see above)" >&2; exit 1
+fi
+
+# The schedule-replay protocol (phase machine, tapes, whole-batch tapes)
+# sits behind one module; the graph's run loop only asks it for cues.
+if grep -rnE 'ReplayPhase|ScheduleTape|batch_tapes' crates/dfe/src \
+    | grep -v '^crates/dfe/src/replay\(\.rs\|/\)'; then
+  echo "ci.sh: replay protocol named outside crates/dfe/src/replay.rs (see above)" >&2; exit 1
 fi
 
 echo "ci.sh: all green"

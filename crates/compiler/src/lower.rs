@@ -133,9 +133,6 @@ pub struct CompiledNetwork {
     /// Cleared only by [`CompiledNetwork::wrap_kernels`]: a wrapped
     /// pipeline may go all-quiet for a cycle without being deadlocked.
     pub(crate) detect_deadlock: bool,
-    /// A run on this instance returned an error: its kernels and streams
-    /// hold mid-run state no re-arm is specified for.
-    pub(crate) failed: bool,
 }
 
 impl CompiledNetwork {
@@ -143,7 +140,8 @@ impl CompiledNetwork {
     /// size the sink for that many images, and re-arm the graph
     /// ([`Graph::rearm`]) under the image count as its batch key. The next
     /// run then behaves exactly as on a [`try_compile`] of the same batch —
-    /// same logits, same cycle reports. Once the pipeline has run, it keeps
+    /// same logits, same cycle reports — whether the last run completed or
+    /// returned an error. Once the pipeline has run, it keeps
     /// one whole-batch schedule tape per batch size (see
     /// `dfe_platform::replay`): the first re-armed batch of a size records
     /// it, later ones replay it, and only those runs' dispatch diagnostics
@@ -151,11 +149,9 @@ impl CompiledNetwork {
     /// which).
     ///
     /// # Panics
-    /// Panics on an empty batch, on an image of the wrong shape, and on an
-    /// instance whose last run failed (elaborate a new one).
+    /// Panics on an empty batch and on an image of the wrong shape.
     pub fn load(&mut self, images: &[Tensor3<i8>]) {
         assert!(!images.is_empty(), "compile needs at least one image");
-        assert!(!self.failed, "a pipeline whose run failed cannot be reloaded");
         let mut pixels = Vec::with_capacity(self.input.len() * images.len());
         for img in images {
             assert_eq!(img.shape(), self.input, "image shape mismatch");
@@ -915,7 +911,6 @@ pub fn elaborate(net: &Network, opts: &CompileOptions) -> Result<CompiledNetwork
         }),
         budget_per_image: CycleModel::analyze(spec).serial_bound() * 8 + 2_000_000,
         detect_deadlock: true,
-        failed: false,
     })
 }
 

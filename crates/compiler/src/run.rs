@@ -130,12 +130,10 @@ impl CompiledNetwork {
     }
 
     /// [`CompiledNetwork::run`] under an explicit cycle budget. After an
-    /// `Err` the instance holds mid-run state and must be dropped:
-    /// [`CompiledNetwork::load`] refuses it.
+    /// `Err` the instance holds mid-run state until the next
+    /// [`CompiledNetwork::load`] re-arms it.
     pub fn run_within(&mut self, max_cycles: u64) -> Result<SimResult, RunError> {
-        let report = self.graphs[0]
-            .run_opts(max_cycles, self.detect_deadlock)
-            .inspect_err(|_| self.failed = true)?;
+        let report = self.graphs[0].run_opts(max_cycles, self.detect_deadlock)?;
         let reports = match &self.placement {
             Some(placement) => placement.project(&report),
             None => vec![report],

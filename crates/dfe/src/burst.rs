@@ -196,6 +196,16 @@ pub(crate) struct View<'a> {
     pub awake: &'a [u64],
 }
 
+/// A burst as [`dispatch`] applies it: its length, its participants (each
+/// with a window into `quotas`) and its streams — planned or replayed.
+#[derive(Clone, Copy)]
+pub(crate) struct Span<'a> {
+    pub k: u64,
+    pub parts: &'a [SpanPart],
+    pub quotas: &'a [u64],
+    pub streams: &'a [SpanStream],
+}
+
 /// A planned burst: its length and what bounded it.
 pub(crate) struct Planned {
     pub k: u64,
@@ -211,7 +221,7 @@ pub(crate) struct Refused {
 
 /// Planner scratch, reused across attempts so planning never allocates in
 /// steady state. After a successful [`Planner::plan`], `parts`, `quotas`
-/// and `streams` hold the burst for [`dispatch`].
+/// and `streams` hold the burst for [`dispatch`] ([`Planner::span`]).
 #[derive(Default)]
 pub(crate) struct Planner {
     list: Vec<Part>,
@@ -479,6 +489,11 @@ impl Planner {
         if at < self.cut.k {
             self.cut = Cut { k: at, end, reason };
         }
+    }
+
+    /// The burst of `k` cycles the last successful [`Planner::plan`] left.
+    pub fn span(&self, k: u64) -> Span<'_> {
+        Span { k, parts: &self.parts, quotas: &self.quotas, streams: &self.streams }
     }
 
     /// Plan a burst of at most `budget` cycles starting now, worth taking
@@ -1016,24 +1031,21 @@ fn span_hint(streams: &[StreamState], node: &Node) -> Option<SpanPlan> {
     node.kernel.span_hint(&lens[..node.inputs.len()], &room[..node.outputs.len()])
 }
 
-/// Apply a planned (or replayed) burst of `k` cycles starting at clock
+/// Apply a planned (or replayed) burst of `span.k` cycles starting at clock
 /// `t_now`: for each participant, in node order, settle the lazy stall
 /// credit of its park, credit its busy and stall counts, move its quotas in
 /// one [`Kernel::run_span`](crate::Kernel::run_span), and leave it awake or
 /// parked as dense stepping would; then credit every stream's occupancy
 /// peak. Returns whether a sink kernel ran.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn dispatch(
     nodes: &mut [Node],
     streams: &mut [StreamState],
     parked: &mut [Option<(Progress, u64)>],
     awake: &mut [u64],
-    parts: &[SpanPart],
-    quotas: &[u64],
-    span_streams: &[SpanStream],
+    span: Span<'_>,
     t_now: u64,
-    k: u64,
 ) -> bool {
+    let Span { k, parts, quotas, streams: span_streams } = span;
     let mut sink_progress = false;
     for p in parts {
         let i = p.node as usize;

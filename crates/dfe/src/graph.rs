@@ -1,4 +1,8 @@
-//! The kernel graph and the deterministic cycle scheduler.
+//! The kernel graph and the deterministic cycle scheduler: the stepper and
+//! its one run loop. Each iteration picks one advance — a replayed span
+//! (the protocol is [`crate::replay`]'s), a planned burst (the
+//! `burst` module) or one per-element cycle — and runs it through one
+//! tail.
 //!
 //! One stepper, whose oracle is the same stepper over
 //! [`DenseOracle`](crate::DenseOracle)-wrapped kernels: identical outputs
@@ -8,10 +12,14 @@
 use crate::burst::{dispatch, Planner, View};
 use crate::diag::{BurstDiag, Refusal};
 use crate::kernel::{Io, Kernel, Progress, WakeHint};
-use crate::replay::{ReplayDiag, ReplayPhase, ReplayState, Step};
+use crate::replay::{Cue, ReplayDiag, ReplayState};
 use crate::stream::{StreamSpec, StreamState};
 use crate::trace::Trace;
 use std::fmt;
+
+mod report;
+
+pub use report::{CycleReport, KernelStats, StreamStats};
 
 /// Identifier of a stream within a [`Graph`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -80,73 +88,12 @@ impl fmt::Display for RunError {
 
 impl std::error::Error for RunError {}
 
-/// Per-kernel activity counters.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct KernelStats {
-    /// Kernel name.
-    pub name: String,
-    /// Cycles in which the kernel did useful work.
-    pub busy: u64,
-    /// Cycles in which the kernel was blocked on I/O.
-    pub stalled: u64,
-}
-
-/// Per-stream traffic counters.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct StreamStats {
-    /// Stream name.
-    pub name: String,
-    /// Total elements transported.
-    pub pushed: u64,
-    /// High-water mark of occupancy.
-    pub max_occupancy: usize,
-    /// Configured capacity.
-    pub capacity: usize,
-}
-
-/// Result of a completed run.
-#[derive(Clone, Debug)]
-pub struct CycleReport {
-    /// Clock cycles until the last sink completed.
-    pub cycles: u64,
-    /// Per-kernel counters, index-aligned with kernel ids.
-    pub kernels: Vec<KernelStats>,
-    /// Per-stream counters, index-aligned with stream ids.
-    pub streams: Vec<StreamStats>,
-    /// Schedule-replay diagnostics (see [`crate::replay`]). Like
-    /// [`Graph::bursts`], this describes how the run was *dispatched*, not
-    /// what it computed — so it is excluded from report equality, which the
-    /// differential batteries hold bit-identical against the dense oracle.
-    pub replay: ReplayDiag,
-}
-
-impl PartialEq for CycleReport {
-    fn eq(&self, other: &Self) -> bool {
-        self.cycles == other.cycles
-            && self.kernels == other.kernels
-            && self.streams == other.streams
-    }
-}
-
-impl Eq for CycleReport {}
-
-impl CycleReport {
-    /// Wall-clock time for the run at a fabric clock of `fclk_mhz`.
-    pub fn time_ms(&self, fclk_mhz: f64) -> f64 {
-        self.cycles as f64 / (fclk_mhz * 1e3)
-    }
-
-    /// The busiest kernel (pipeline bottleneck).
-    pub fn bottleneck(&self) -> Option<&KernelStats> {
-        self.kernels.iter().max_by_key(|k| k.busy)
-    }
-}
-
 /// A dataflow graph: kernels connected by bounded streams.
 ///
 /// Build with [`Graph::add_stream`] / [`Graph::add_kernel`], then execute
 /// with [`Graph::run`]. Every stream must end up with exactly one writer
 /// and one reader (sources/sinks are kernels too).
+#[derive(Default)]
 pub struct Graph {
     nodes: Vec<Node>,
     streams: Vec<StreamState>,
@@ -172,7 +119,7 @@ pub struct Graph {
     /// re-check completion (an `is_done` call per sink, one of which takes
     /// a mutex) only when this is set.
     sink_progress: bool,
-    /// Number of spans dispatched by [`Graph::try_burst`] — diagnostics
+    /// Number of spans dispatched, planned or replayed — diagnostics
     /// only, deliberately not part of [`CycleReport`] (which must stay
     /// bit-identical across dispatch modes).
     bursts: u64,
@@ -195,23 +142,14 @@ pub struct Graph {
     /// Purely a cost knob: skipping an attempt never changes semantics,
     /// bursts being optional replays of dense cycles.
     burst_cooldown: u64,
-    /// Cooldown the *next* failure will impose (doubles up to the cap).
+    /// Cooldown the *next* failure will impose (doubles up to the cap; 0
+    /// counts as 1).
     burst_backoff: u64,
     /// The burst planner and its scratch (see [`crate::burst`]).
     planner: Planner,
     /// Steady-state schedule replay (see [`crate::replay`]). Inert until
     /// armed with a marker via [`Graph::set_replay_marker`].
     replay: ReplayState,
-}
-
-/// What a replay-tape step executed as (see [`Graph::try_replay_step`]).
-enum ReplayOutcome {
-    /// A recorded span was re-dispatched, advancing the clock `k` cycles.
-    Span(u64),
-    /// The tape step is a dense cycle: run the ordinary stepper.
-    Dense,
-    /// A guard failed; replay re-armed, step this cycle normally.
-    Fallback,
 }
 
 /// A kernel's declared stream interface, which must move at least one
@@ -226,34 +164,9 @@ fn lanes_of(kernel: &dyn Kernel) -> (u16, u16) {
     (read_lanes, write_lanes)
 }
 
-impl Default for Graph {
-    /// Empty graph.
-    fn default() -> Self {
-        Self {
-            nodes: Vec::new(),
-            streams: Vec::new(),
-            writers: Vec::new(),
-            readers: Vec::new(),
-            parked: Vec::new(),
-            awake: Vec::new(),
-            dirty: Vec::new(),
-            now: 0,
-            sink_progress: false,
-            bursts: 0,
-            burst_cycles: 0,
-            burst_diag: BurstDiag::default(),
-            pending_refusal: None,
-            burst_cooldown: 0,
-            burst_backoff: 1,
-            planner: Planner::default(),
-            replay: ReplayState::new(),
-        }
-    }
-}
-
 impl Graph {
     /// Longest stretch of per-element cycles a failed burst attempt can
-    /// suppress retries for (see [`Graph::run_inner`]'s backoff). Low
+    /// suppress retries for (see [`Graph::span`]'s backoff). Low
     /// enough that a regime change re-engages spans within a typical row
     /// transition, high enough that a trickle equilibrium pays one
     /// planning scan per cap instead of one per cycle.
@@ -293,12 +206,7 @@ impl Graph {
     /// included.
     pub fn set_replay_marker(&mut self, marker: StreamId, period: u64) {
         assert!(period > 0, "replay period must be positive");
-        let st = &self.streams[marker.0];
-        let popped = st.pushed - st.total_len() as u64;
-        self.replay.marker = Some((marker.0, period));
-        self.replay.next_target = popped + period;
-        self.replay.rearm();
-        self.replay.batch_tapes.clear();
+        self.replay.arm(&self.streams, marker.0, period);
     }
 
     /// Move `from`'s whole-batch tapes (see [`crate::replay`]) to this
@@ -313,16 +221,15 @@ impl Graph {
                 a.kernel.name() == b.kernel.name() && a.inputs == b.inputs && a.outputs == b.outputs
             })
             && self.streams.iter().zip(&from.streams).all(|(a, b)| a.spec == b.spec);
-        if same && from.replay.warm {
-            self.replay.batch_tapes = std::mem::take(&mut from.replay.batch_tapes);
-            self.replay.warm = true;
+        if same {
+            self.replay.adopt(&mut from.replay);
         }
     }
 
     /// Schedule-replay diagnostics so far (also surfaced on
     /// [`CycleReport::replay`]).
     pub fn replay_diag(&self) -> ReplayDiag {
-        self.replay.diag
+        self.replay.diag()
     }
 
     /// Spans dispatched so far (diagnostics; not part of [`CycleReport`]).
@@ -347,16 +254,9 @@ impl Graph {
         diag
     }
 
-    /// Credit the per-element cycles stepped since the last refusal to its
-    /// reason (called at each attempt and each replayed span).
-    fn settle_refusal(&mut self) {
-        if let Some((reason, at)) = self.pending_refusal.take() {
-            self.burst_diag.add_dense(reason, self.now - at);
-        }
-    }
-
     /// Return the graph to the state it was in when its last kernel was
-    /// added, so [`Graph::run`] can execute it again on new host data: the
+    /// added, so [`Graph::run`] can execute it again on new host data —
+    /// after a completed run or after one that returned a [`RunError`]: the
     /// clock, every kernel's counters and control state
     /// ([`Kernel::rearm`]), every stream's contents and statistics, the
     /// park and awake sets, the burst counters and back-off, and the
@@ -379,8 +279,7 @@ impl Graph {
     /// outputs, same [`CycleReport`] (`tests/pipeline_rearm.rs`). The
     /// dispatch diagnostics ([`Graph::bursts`], [`CycleReport::replay`])
     /// match too, except on a run that records or replays a whole-batch
-    /// tape, which [`ReplayDiag::whole_batch`] names. Not meant for a graph
-    /// whose run returned a [`RunError`]; build a new one.
+    /// tape, which [`ReplayDiag::whole_batch`] names.
     pub fn rearm(&mut self, batch: u64) {
         for node in &mut self.nodes {
             node.kernel.rearm();
@@ -403,15 +302,9 @@ impl Graph {
         self.burst_diag = BurstDiag::default();
         self.pending_refusal = None;
         self.burst_cooldown = 0;
-        self.burst_backoff = 1;
-        self.replay.rearm();
-        self.replay.diag = ReplayDiag::default();
-        // Streams are empty again, so the marker has popped nothing.
-        if let Some((_, period)) = self.replay.marker {
-            self.replay.next_target = period;
-        }
+        self.burst_backoff = 0;
         let attested = self.nodes.iter().all(|n| n.kernel.replay_token().is_some());
-        self.replay.next_batch = (self.replay.warm && attested).then_some(batch);
+        self.replay.rearm(attested.then_some(batch));
     }
 
     /// Register a stream.
@@ -566,8 +459,7 @@ impl Graph {
         max_cycles: u64,
         detect_deadlock: bool,
     ) -> Result<CycleReport, RunError> {
-        self.run_inner(max_cycles, detect_deadlock, 0)
-            .map(|(r, _)| r)
+        self.run_inner(max_cycles, detect_deadlock, 0).map(|(r, _)| r)
     }
 
     /// Run while sampling stream occupancy and kernel activity every
@@ -590,166 +482,109 @@ impl Graph {
     ) -> Result<(CycleReport, Option<Trace>), RunError> {
         self.validate()?;
         let mut trace = (sample_every > 0).then(|| {
-            Trace::new(
-                sample_every,
-                self.streams.iter().map(|s| s.spec.name.clone()).collect(),
-                self.nodes
-                    .iter()
-                    .map(|n| n.kernel.name().to_string())
-                    .collect(),
-            )
+            let kernels = self.nodes.iter().map(|n| n.kernel.name().to_string()).collect();
+            Trace::new(sample_every, self.stream_names().map(String::from).collect(), kernels)
         });
         let mut busy_at_last_sample: Vec<u64> = self.nodes.iter().map(|n| n.busy).collect();
         let mut cycle: u64 = 0;
-        // `complete()` is re-evaluated only after cycles where a sink ticked
-        // `Busy` — the sole event that can flip it (see [`Kernel::is_done`]).
-        // Checking it every cycle would cost an O(kernels) scan plus a sink
-        // mutex lock per simulated cycle, which dominates shallow cycles.
-        // Traced runs sample per-cycle state and so step per-element.
+        // Traced runs sample per-cycle state and so step per-element, and
+        // schedule replay (see [`crate::replay`]) rides the self-stepped
+        // path of an armed graph.
         let burst_ok = trace.is_none();
-        // Schedule replay (see [`crate::replay`]) rides the same
-        // self-stepped path and needs a marker stream to observe image
-        // boundaries; unarmed graphs skip every replay branch.
-        let replay_ok = burst_ok && self.replay.marker.is_some();
-        if replay_ok {
-            self.replay.begin_batch();
-        } else {
-            self.replay.next_batch = None;
-        }
-        if !self.complete() {
-            loop {
-                if cycle >= max_cycles {
-                    return Err(RunError::Timeout { max_cycles });
-                }
-                // Replay: execute the validated tape directly. A span
-                // step advances the clock wholesale; a dense step falls
-                // through to the ordinary stepper below (with the burst
-                // planner bypassed — the tape already says this cycle is
-                // dense); a guard failure re-arms and steps normally.
-                let mut replay_dense = false;
-                if replay_ok && matches!(self.replay.phase, ReplayPhase::Replaying { .. }) {
-                    match self.try_replay_step(max_cycles - cycle) {
-                        ReplayOutcome::Span(k) => {
-                            cycle += k;
-                            self.replay_boundary();
-                            if self.sink_progress && self.complete() {
-                                break;
-                            }
-                            continue;
-                        }
-                        ReplayOutcome::Dense => replay_dense = true,
-                        ReplayOutcome::Fallback => {}
+        let replay_ok = self.replay.begin_run(burst_ok);
+        let mut done = self.complete();
+        while !done {
+            if cycle >= max_cycles {
+                return Err(RunError::Timeout { max_cycles });
+            }
+            let k = match self.span(max_cycles - cycle, burst_ok, replay_ok) {
+                Some(k) => k,
+                None => {
+                    let (any_progress, committed) = self.step_cycle();
+                    if !any_progress && !committed && detect_deadlock {
+                        return Err(RunError::Deadlock { cycle, diagnostics: self.dump_streams() });
                     }
+                    1
                 }
-                let recording = replay_ok && matches!(self.replay.phase, ReplayPhase::Recording);
-                if burst_ok && !replay_dense {
-                    if recording {
-                        // While the tape records, mine aggressively: no
-                        // cooldown and a lower span floor. `min_burst` only
-                        // sets the admission threshold — the feasibility
-                        // scan returns the same large `k` either way — so
-                        // this keeps every span the default policy would
-                        // dispatch and *additionally* converts the short
-                        // residue it leaves to dense stepping into 2–7-cycle
-                        // spans, which replay far cheaper than dense cycles.
-                        // Burst policy is a pure cost knob (any admitted
-                        // burst is an exact fast-forward of dense cycles),
-                        // so this changes nothing observable — the planning
-                        // cost is paid once here and replayed for free.
-                        self.replay.snapshot_mask(&self.awake);
-                        if let Ok(k) = self.try_burst(max_cycles - cycle, Self::REPLAY_MIN_BURST) {
-                            let within_cap = self.replay.record_span(
-                                k,
-                                &self.planner.parts,
-                                &self.planner.quotas,
-                                &self.planner.streams,
-                            );
-                            if !within_cap && self.replay.batch.is_some() {
-                                // A whole-batch tape over the cap: plan the
-                                // rest of this run live.
-                                self.replay.abandon_batch(false);
-                            } else if !within_cap {
-                                // A period too irregular to record compactly
-                                // will not amortize: permanently veto.
-                                self.replay.rearm();
-                                self.replay.phase = ReplayPhase::Vetoed;
-                            }
-                            cycle += k;
-                            self.replay_boundary();
-                            if self.sink_progress && self.complete() {
-                                break;
-                            }
-                            continue;
-                        }
-                        // Failed attempt: step densely (recorded below).
-                    } else if self.burst_cooldown == 0 {
-                        match self.try_burst(max_cycles - cycle, Self::MIN_BURST) {
-                            Ok(k) => {
-                                cycle += k;
-                                self.burst_backoff = 1;
-                                if replay_ok {
-                                    self.replay_boundary();
-                                }
-                                if self.sink_progress && self.complete() {
-                                    break;
-                                }
-                                continue;
-                            }
-                            // A refusal that names the cycle its binding
-                            // bound passes steps through to it and retries
-                            // there, without escalating the blind backoff.
-                            Err(hint) if hint > 0 => self.burst_cooldown = hint,
-                            Err(_) => {
-                                self.burst_cooldown = self.burst_backoff;
-                                self.burst_backoff =
-                                    (self.burst_backoff * 2).min(Self::BURST_BACKOFF_CAP);
-                            }
-                        }
-                    } else {
-                        self.burst_cooldown -= 1;
-                    }
-                }
-                let (any_progress, committed) = self.step_cycle();
-                if recording {
-                    self.replay.record_dense();
-                }
-                if !any_progress && !committed && detect_deadlock {
-                    return Err(RunError::Deadlock {
-                        cycle,
-                        diagnostics: self.dump_streams(),
-                    });
-                }
-                cycle += 1;
-                if replay_ok {
-                    self.replay_boundary();
-                }
-                if let Some(t) = &mut trace {
-                    if cycle % sample_every == 0 {
-                        t.occupancy
-                            .push(self.streams.iter().map(|s| s.queue.len() as u32).collect());
-                        t.busy_delta.push(
-                            self.nodes
-                                .iter()
-                                .zip(&busy_at_last_sample)
-                                .map(|(n, &prev)| (n.busy - prev) as u32)
-                                .collect(),
-                        );
-                        for (slot, n) in busy_at_last_sample.iter_mut().zip(&self.nodes) {
-                            *slot = n.busy;
-                        }
-                    }
-                }
-                if self.sink_progress && self.complete() {
-                    break;
+            };
+            // One tail for every advance: the clock, the replay boundary,
+            // the trace sample (a traced run advances one cycle at a time),
+            // completion. `complete()` is re-evaluated only after an
+            // advance in which a sink ticked `Busy` — the sole event that
+            // can flip it (see [`Kernel::is_done`]); checking it every cycle
+            // would cost an O(kernels) scan plus a sink mutex lock per
+            // simulated cycle.
+            cycle += k;
+            if replay_ok {
+                self.replay.boundary(&self.nodes, &self.streams, &self.parked);
+            }
+            if let Some(t) = &mut trace {
+                if cycle % sample_every == 0 {
+                    t.sample(&self.streams, &self.nodes, &mut busy_at_last_sample);
                 }
             }
+            done = self.sink_progress && self.complete();
         }
-        if let Some((m, period)) = self.replay.marker {
-            let st = &self.streams[m];
-            self.replay.end_batch((st.pushed - st.total_len() as u64) / period);
-        }
-        self.replay.warm = true;
+        self.replay.end_run(&self.streams);
         Ok((self.report(cycle), trace))
+    }
+
+    /// Advance by a span if this iteration has one: the replay tape's next
+    /// span, or a burst the planner admits — planned with the recording
+    /// policy and handed to the tape while one records. Returns the cycles
+    /// advanced, or `None` for one per-element cycle.
+    fn span(&mut self, budget: u64, burst_ok: bool, replay_ok: bool) -> Option<u64> {
+        let cue = if replay_ok {
+            self.replay.cue(budget, &self.awake, &self.streams)
+        } else if burst_ok {
+            Cue::Plan { record: false }
+        } else {
+            return None;
+        };
+        let span = match cue {
+            Cue::Replay(span) => span,
+            Cue::Dense => return None,
+            // While a tape records: no cooldown and the lower span floor,
+            // whose planning is paid once and replayed for free.
+            Cue::Plan { record: true } => match self.plan(budget, Self::REPLAY_MIN_BURST) {
+                Ok(k) => {
+                    self.replay.record_span(self.planner.span(k), &self.awake);
+                    self.planner.span(k)
+                }
+                Err(_) => {
+                    self.replay.record_dense();
+                    return None;
+                }
+            },
+            Cue::Plan { record: false } if self.burst_cooldown > 0 => {
+                self.burst_cooldown -= 1;
+                return None;
+            }
+            Cue::Plan { record: false } => match self.plan(budget, Self::MIN_BURST) {
+                Ok(k) => {
+                    self.burst_backoff = 0;
+                    self.planner.span(k)
+                }
+                // A refusal that names the cycle its binding bound passes
+                // steps through to it and retries there, without
+                // escalating the blind backoff.
+                Err(hint) if hint > 0 => {
+                    self.burst_cooldown = hint;
+                    return None;
+                }
+                Err(_) => {
+                    self.burst_cooldown = self.burst_backoff.max(1);
+                    self.burst_backoff = (self.burst_cooldown * 2).min(Self::BURST_BACKOFF_CAP);
+                    return None;
+                }
+            },
+        };
+        let (nodes, streams, now) = (&mut self.nodes, &mut self.streams, self.now);
+        self.sink_progress = dispatch(nodes, streams, &mut self.parked, &mut self.awake, span, now);
+        self.now += span.k;
+        self.bursts += 1;
+        self.burst_cycles += span.k;
+        Some(span.k)
     }
 
     /// Advance the graph by one cycle: skip parked kernels, tick the rest in
@@ -770,7 +605,7 @@ impl Graph {
     ///   credited one stall per skipped cycle and a parked `Idle` node
     ///   credits nothing — exactly the counters dense would produce. The
     ///   credit is settled *lazily*: the park records the cycle ordinal and
-    ///   the wake (or [`Graph::report`], for nodes still parked then) adds
+    ///   the wake (or the [`CycleReport`], for nodes still parked then) adds
     ///   the whole span at once, so skipped cycles cost nothing — not even
     ///   a counter increment.
     /// * **Wakes happen at the dense-visible instant.** A reader's pop
@@ -886,42 +721,26 @@ impl Graph {
         (any_progress, committed)
     }
 
-    /// Macro-tick span dispatch: attempt to fast-forward a whole burst of
-    /// `k ≥ 2` cycles in one dispatch per participating kernel, advancing
-    /// the clock by `k`. Returns `Ok(k)`, the cycles advanced, or
-    /// `Err(hint)` when this cycle must be stepped per-element: `hint > 0`
-    /// is the number of dense cycles after which the bound that cut the
-    /// attempt short has passed and a retry can succeed, `0` means no such
+    /// Macro-tick span planning: solve a burst of `k ≥ min_burst` cycles
+    /// from the [`SpanPlan`](crate::SpanPlan) chains of every kernel it
+    /// touches, to exactly the cycles per-element stepping would run (see
+    /// [`crate::burst`] for the planner and the equivalence argument).
+    /// Returns `Ok(k)`, leaving the burst in the planner for [`dispatch`]
+    /// ([`Planner::span`]), or `Err(hint)` when this cycle must be stepped
+    /// per-element: `hint > 0` is the number of dense cycles after which
+    /// the bound that cut the attempt short has passed, `0` means no such
     /// bound is known (the caller backs off). Every refusal is counted by
     /// reason in [`Graph::burst_diag`].
-    ///
-    /// The burst is solved from the [`SpanPlan`](crate::SpanPlan) chains of
-    /// every kernel it touches — awake kernels from cycle 0, parked ones as
-    /// the schedules reach them — to exactly the cycles the per-element
-    /// ready-list stepper would execute, and credited arithmetically; see
-    /// [`crate::burst`] for the planner and the equivalence argument. The
-    /// differential battery (`tests/macro_tick_equivalence.rs`) holds it to
-    /// bit-identity. `min_burst` is the smallest span worth dispatching on
-    /// this attempt — [`Graph::MIN_BURST`] normally,
-    /// [`Graph::REPLAY_MIN_BURST`] while a schedule-replay tape records (a
-    /// pure cost knob; see the const docs).
-    fn try_burst(&mut self, budget: u64, min_burst: u64) -> Result<u64, u64> {
+    fn plan(&mut self, budget: u64, min_burst: u64) -> Result<u64, u64> {
         if budget < min_burst.max(2) {
             // Too close to the cycle budget for any burst worth taking.
             return Err(budget);
         }
-        self.settle_refusal();
-        // The next schedule-replay boundary: pops still due on the marker
-        // (none while a whole-batch tape records: its period is the run).
-        let marker = match self.replay.phase {
-            _ if self.replay.batch.is_some() => None,
-            ReplayPhase::Vetoed => None,
-            _ => self.replay.marker.map(|(m, _)| {
-                let st = &self.streams[m];
-                let popped = st.pushed - st.total_len() as u64;
-                (m, self.replay.next_target.saturating_sub(popped))
-            }),
-        };
+        // Credit the per-element cycles since the last refusal to it.
+        if let Some((reason, at)) = self.pending_refusal.take() {
+            self.burst_diag.add_dense(reason, self.now - at);
+        }
+        let marker = self.replay.due(&self.streams);
         let view = View {
             nodes: &self.nodes,
             streams: &self.streams,
@@ -934,277 +753,16 @@ impl Graph {
         let (evals, follows) = self.planner.steps();
         self.burst_diag.evals += evals;
         self.burst_diag.follows += follows;
-        let planned = match planned {
-            Ok(planned) => planned,
+        match planned {
+            Ok(planned) => {
+                self.burst_diag.accept(planned.end);
+                Ok(planned.k)
+            }
             Err(refused) => {
                 self.burst_diag.refuse(refused.reason);
                 self.pending_refusal = Some((refused.reason, self.now));
-                return Err(refused.retry);
+                Err(refused.retry)
             }
-        };
-        let k = planned.k;
-        let sink_progress = dispatch(
-            &mut self.nodes,
-            &mut self.streams,
-            &mut self.parked,
-            &mut self.awake,
-            &self.planner.parts,
-            &self.planner.quotas,
-            &self.planner.streams,
-            self.now,
-            k,
-        );
-        self.now += k;
-        self.sink_progress = sink_progress;
-        self.bursts += 1;
-        self.burst_cycles += k;
-        self.burst_diag.accept(planned.end);
-        Ok(k)
-    }
-
-    /// Execute the replay-tape step under the cursor (see
-    /// [`crate::replay`]). Span steps re-check their guards — the live
-    /// awake mask and every recorded stream's queue length must equal the
-    /// recorded pre-dispatch state — and then re-dispatch the recorded
-    /// records through [`dispatch`], the same code path a planned burst
-    /// takes. Any guard failure re-arms replay and reports
-    /// [`ReplayOutcome::Fallback`]; the caller steps the cycle normally.
-    fn try_replay_step(&mut self, budget: u64) -> ReplayOutcome {
-        let ReplayPhase::Replaying { step, done } = self.replay.phase else {
-            return ReplayOutcome::Fallback;
-        };
-        let Some(&tape_step) = self.replay.tape.steps.get(step) else {
-            // Cursor ran past the tape without a period boundary: the run
-            // diverged from the recorded schedule.
-            return self.replay_guard_fallback();
-        };
-        match tape_step {
-            Step::Dense(n) => {
-                let done = done + 1;
-                self.replay.phase = if done >= n {
-                    ReplayPhase::Replaying {
-                        step: step + 1,
-                        done: 0,
-                    }
-                } else {
-                    ReplayPhase::Replaying { step, done }
-                };
-                ReplayOutcome::Dense
-            }
-            Step::Span(ix) => {
-                let t_now = self.now;
-                let Self {
-                    nodes,
-                    streams: live_streams,
-                    parked,
-                    awake,
-                    replay,
-                    ..
-                } = self;
-                let tape = &replay.tape;
-                let rec = tape.span_recs[ix as usize];
-                // A replayed span must not overrun the run's cycle budget —
-                // dense stepping would time out mid-span, and the timeout
-                // arithmetic must match it exactly.
-                if rec.k > budget
-                    || tape.mask(&rec) != &awake[..]
-                    || tape
-                        .streams(&rec)
-                        .iter()
-                        .any(|bs| {
-                            live_streams[bs.stream as usize].queue.len() != bs.start_len as usize
-                        })
-                {
-                    return self.replay_guard_fallback();
-                }
-                // Guards passed: re-dispatch the recorded pool windows
-                // directly — no per-step gathering, and consecutive steps
-                // read consecutive pool ranges. The plan set was admitted
-                // by the planner against this exact scheduler-visible state
-                // (same awake set, same queue lengths, same kernel control
-                // state per the boundary fingerprint), so the dispatch is
-                // the same fast-forward of dense cycles it was originally.
-                let k = rec.k;
-                let sink_progress = dispatch(
-                    nodes,
-                    live_streams,
-                    parked,
-                    awake,
-                    tape.parts(&rec),
-                    &tape.quota_pool,
-                    tape.streams(&rec),
-                    t_now,
-                    k,
-                );
-                self.now += k;
-                self.sink_progress = sink_progress;
-                self.bursts += 1;
-                self.burst_cycles += k;
-                self.replay.diag.spans_bypassed += 1;
-                self.replay.phase = ReplayPhase::Replaying {
-                    step: step + 1,
-                    done: 0,
-                };
-                ReplayOutcome::Span(k)
-            }
-        }
-    }
-
-    /// A replay guard failed: count it and re-arm (normal stepping resumes
-    /// and steady state is re-detected from scratch; a whole-batch tape is
-    /// dropped, to be recorded again on its key's next run).
-    fn replay_guard_fallback(&mut self) -> ReplayOutcome {
-        self.replay.diag.guard_fallbacks += 1;
-        self.replay.abandon_batch(true);
-        ReplayOutcome::Fallback
-    }
-
-    /// Check for a period boundary on the marker stream and drive the
-    /// replay state machine (see [`crate::replay`]'s protocol docs). Called
-    /// after every clock advance of a replay-eligible run; cheap until the
-    /// marker's popped count crosses the next period multiple.
-    fn replay_boundary(&mut self) {
-        if matches!(self.replay.phase, ReplayPhase::Vetoed) {
-            return;
-        }
-        let Some((m, period)) = self.replay.marker else {
-            return;
-        };
-        let st = &self.streams[m];
-        let popped = st.pushed - st.total_len() as u64;
-        if popped < self.replay.next_target {
-            return;
-        }
-        // One state-machine event per detection even if a span crossed
-        // several period multiples at once (the tape period then covers
-        // several images — still a valid periodic unit).
-        while self.replay.next_target <= popped {
-            self.replay.next_target += period;
-        }
-        if self.replay.batch.is_some() {
-            // A whole-batch tape's period is the whole run.
-            return;
-        }
-        if !self.compute_fingerprint() {
-            // A kernel without a replay token: permanently off.
-            self.replay.rearm();
-            self.replay.phase = ReplayPhase::Vetoed;
-            return;
-        }
-        let fp_matches = self.replay.fp_scratch == self.replay.prev_fp;
-        match self.replay.phase {
-            ReplayPhase::Vetoed => {}
-            ReplayPhase::Armed { have_prev } => {
-                if have_prev && fp_matches {
-                    // Steady state: the machine state at this boundary
-                    // recurs. Record the next period's schedule.
-                    self.replay.tape.clear();
-                    self.replay.pending_dense = 0;
-                    self.replay.phase = ReplayPhase::Recording;
-                } else {
-                    std::mem::swap(&mut self.replay.prev_fp, &mut self.replay.fp_scratch);
-                    self.replay.phase = ReplayPhase::Armed { have_prev: true };
-                }
-            }
-            ReplayPhase::Recording => {
-                self.replay.flush_dense();
-                if fp_matches && !self.replay.tape.steps.is_empty() {
-                    // The recorded period closed on the same fingerprint:
-                    // the tape is a valid periodic unit. Replay it.
-                    self.replay.diag.tape_len = self.replay.tape.steps.len() as u64;
-                    self.replay.phase = ReplayPhase::Replaying { step: 0, done: 0 };
-                } else {
-                    // Diverged mid-recording (e.g. ramp not actually
-                    // settled): drop the tape, keep watching.
-                    self.replay.tape.clear();
-                    std::mem::swap(&mut self.replay.prev_fp, &mut self.replay.fp_scratch);
-                    self.replay.phase = ReplayPhase::Armed { have_prev: true };
-                }
-            }
-            ReplayPhase::Replaying { step, done } => {
-                // Every replayed period re-checks the fingerprint — this is
-                // the macro guard that catches the non-periodic tail (the
-                // source entering its final-period drain fingerprints
-                // differently by construction, see `host::drain_token`).
-                let at_end = step == self.replay.tape.steps.len() && done == 0;
-                if at_end && fp_matches {
-                    self.replay.diag.images_replayed += 1;
-                    self.replay.phase = ReplayPhase::Replaying { step: 0, done: 0 };
-                } else {
-                    self.replay.diag.guard_fallbacks += 1;
-                    self.replay.rearm();
-                }
-            }
-        }
-    }
-
-    /// Fill `replay.fp_scratch` with the boundary fingerprint: every
-    /// kernel's replay token and park verdict, then every stream's
-    /// committed queue length. Park *instants* are excluded — the
-    /// fingerprint must be invariant under time shift, that is the whole
-    /// point. Returns `false` when a kernel has no token (replay must be
-    /// vetoed: its control state cannot be attested).
-    fn compute_fingerprint(&mut self) -> bool {
-        let Self {
-            nodes,
-            streams,
-            parked,
-            replay,
-            ..
-        } = self;
-        let fp = &mut replay.fp_scratch;
-        fp.clear();
-        for (i, n) in nodes.iter().enumerate() {
-            let Some(token) = n.kernel.replay_token() else {
-                return false;
-            };
-            fp.push(token);
-            fp.push(match parked[i] {
-                None => 0,
-                Some((Progress::Busy, _)) => 1,
-                Some((Progress::Stalled, _)) => 2,
-                Some((Progress::Idle, _)) => 3,
-            });
-        }
-        for s in streams.iter() {
-            fp.push(s.queue.len() as u64);
-        }
-        true
-    }
-
-    /// Outstanding lazy stall credit for node `i`: cycles skipped while
-    /// parked `Stalled` that no wake has settled yet (report-time view).
-    fn pending_stall_credit(&self, i: usize) -> u64 {
-        match self.parked[i] {
-            Some((Progress::Stalled, since)) => self.now - 1 - since,
-            _ => 0,
-        }
-    }
-
-    fn report(&self, cycles: u64) -> CycleReport {
-        CycleReport {
-            cycles,
-            replay: self.replay.diag,
-            kernels: self
-                .nodes
-                .iter()
-                .enumerate()
-                .map(|(i, n)| KernelStats {
-                    name: n.kernel.name().to_string(),
-                    busy: n.busy,
-                    stalled: n.stalled + self.pending_stall_credit(i),
-                })
-                .collect(),
-            streams: self
-                .streams
-                .iter()
-                .map(|s| StreamStats {
-                    name: s.spec.name.clone(),
-                    pushed: s.pushed,
-                    max_occupancy: s.max_occupancy,
-                    capacity: s.spec.capacity,
-                })
-                .collect(),
         }
     }
 
@@ -1212,24 +770,6 @@ impl Graph {
     /// while parked, `None` while schedulable. Exposed for tests.
     pub fn parked_state(&self, id: KernelId) -> Option<Progress> {
         self.parked[id.0].map(|(p, _)| p)
-    }
-
-    fn dump_streams(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::new();
-        for (i, s) in self.streams.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "  stream {:3} '{}': {}/{} occupied, writer={:?} reader={:?}",
-                i,
-                s.spec.name,
-                s.queue.len(),
-                s.spec.capacity,
-                self.writers[i].map(|e| self.nodes[e.node].kernel.name()),
-                self.readers[i].map(|e| self.nodes[e.node].kernel.name()),
-            );
-        }
-        out
     }
 }
 
@@ -1270,284 +810,4 @@ fn check_progress_contract(node: &Node, prog: Progress) {
 mod burst_table;
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::host::{HostSink, HostSource};
-    use crate::kernel::Progress;
-    use crate::DenseOracle;
-
-    /// A pass-through kernel that adds a constant, one element per cycle.
-    /// Port-inert whenever it is not `Busy`, so it parks.
-    struct AddConst {
-        c: i32,
-    }
-    impl Kernel for AddConst {
-        fn name(&self) -> &str {
-            "add-const"
-        }
-        fn tick(&mut self, io: &mut Io<'_>) -> Progress {
-            if io.can_read(0) && io.can_write(0) {
-                let v = io.read(0).expect("checked");
-                io.write(0, v + self.c);
-                Progress::Busy
-            } else if io.can_read(0) || io.num_inputs() == 0 {
-                Progress::Stalled
-            } else {
-                Progress::Idle
-            }
-        }
-        fn rearm(&mut self) {}
-        fn wake_hint(&self) -> WakeHint {
-            WakeHint::Parkable
-        }
-    }
-
-    fn pipeline(data: Vec<i32>, stages: usize) -> (Graph, crate::host::SinkHandle) {
-        let n = data.len();
-        let mut g = Graph::new();
-        let mut prev = g.add_stream(StreamSpec::new("s0", 8, 4));
-        g.add_kernel(Box::new(HostSource::new("src", data)), &[], &[prev]);
-        for i in 0..stages {
-            let next = g.add_stream(StreamSpec::new(format!("s{}", i + 1), 8, 4));
-            g.add_kernel(Box::new(AddConst { c: 1 }), &[prev], &[next]);
-            prev = next;
-        }
-        let (sink, handle) = HostSink::new("dst", n);
-        g.add_kernel(Box::new(sink), &[prev], &[]);
-        (g, handle)
-    }
-
-    #[test]
-    fn pipeline_computes_and_counts_cycles() {
-        let (mut g, handle) = pipeline(vec![10, 20, 30], 2);
-        let report = g.run(1000).expect("run ok");
-        assert_eq!(handle.take(), vec![12, 22, 32]);
-        // 3 elements through a 4-stage pipeline (src + 2 adders + sink):
-        // latency ≈ depth + n; must be far below the serial bound yet > n.
-        assert!(
-            report.cycles >= 5 && report.cycles <= 20,
-            "cycles = {}",
-            report.cycles
-        );
-    }
-
-    #[test]
-    fn registered_outputs_cost_one_cycle_per_stage() {
-        // A single element through k stages must take ≥ k+1 cycles.
-        let (mut g, _h) = pipeline(vec![1], 5);
-        let report = g.run(100).expect("run ok");
-        assert!(
-            report.cycles >= 6,
-            "combinational ripple detected: {}",
-            report.cycles
-        );
-    }
-
-    #[test]
-    fn throughput_is_one_element_per_cycle() {
-        let n = 100;
-        let (mut g, handle) = pipeline((0..n).collect(), 1);
-        let report = g.run(10_000).expect("run ok");
-        assert_eq!(handle.take().len(), n as usize);
-        // Fully pipelined: cycles ≈ n + small latency.
-        assert!(report.cycles < n as u64 + 10, "cycles = {}", report.cycles);
-    }
-
-    #[test]
-    fn unconnected_stream_is_invalid() {
-        let mut g = Graph::new();
-        let s = g.add_stream(StreamSpec::new("dangling", 2, 4));
-        g.add_kernel(Box::new(HostSource::new("src", vec![1])), &[], &[s]);
-        match g.run(10) {
-            Err(RunError::Invalid(msg)) => assert!(msg.contains("no reader")),
-            other => panic!("expected Invalid, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn starved_sink_deadlocks_with_diagnostics() {
-        // Sink expects 2 elements but the source provides 1.
-        let mut g = Graph::new();
-        let s = g.add_stream(StreamSpec::new("s", 8, 4));
-        g.add_kernel(Box::new(HostSource::new("src", vec![7])), &[], &[s]);
-        let (sink, _h) = HostSink::new("dst", 2);
-        g.add_kernel(Box::new(sink), &[s], &[]);
-        match g.run(1000) {
-            Err(RunError::Deadlock { diagnostics, .. }) => {
-                assert!(diagnostics.contains("'s'"));
-            }
-            other => panic!("expected deadlock, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn timeout_is_reported() {
-        let (mut g, _h) = pipeline(vec![1, 2, 3], 2);
-        match g.run(2) {
-            Err(RunError::Timeout { max_cycles: 2 }) => {}
-            other => panic!("expected timeout, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn stats_account_busy_and_stalls() {
-        let (mut g, _h) = pipeline((0..10).collect(), 1);
-        let report = g.run(1000).expect("run ok");
-        let adder = &report.kernels[1];
-        assert_eq!(adder.name, "add-const");
-        assert_eq!(adder.busy, 10, "one busy cycle per element");
-        let src_stream = &report.streams[0];
-        assert_eq!(src_stream.pushed, 10);
-        assert!(src_stream.max_occupancy <= src_stream.capacity);
-    }
-
-    #[test]
-    fn ready_list_matches_dense_on_pipeline() {
-        let run_mode = |dense: bool| {
-            let (mut g, handle) = pipeline((0..25).collect(), 3);
-            if dense {
-                g.map_kernels(|_, k| DenseOracle::wrap(k));
-            }
-            let report = g.run(10_000).expect("run ok");
-            (handle.take(), report)
-        };
-        assert_eq!(run_mode(true), run_mode(false));
-    }
-
-    /// The pop-wake edge for a writer *after* its reader in node order: a
-    /// pipeline added sink-first, so every reader precedes its writer. A
-    /// sink reading every other cycle keeps 2-deep FIFOs full and the
-    /// parked writers are woken by pops in the tick phase — mid-cycle,
-    /// ticked the same cycle, and owed one stall fewer than a writer woken
-    /// from behind. The timer-driven sink vetoes every burst, so the run
-    /// is stepped per element.
-    #[test]
-    fn reversed_pipeline_wakes_later_writers_at_the_dense_instant() {
-        let run_mode = |dense: bool| {
-            let mut g = Graph::new();
-            let s: Vec<StreamId> = (0..4)
-                .map(|i| g.add_stream(StreamSpec::new(format!("s{i}"), 8, 2)))
-                .collect();
-            let sink = LazySink {
-                wait: 0,
-                gap: 1,
-                expect: 30,
-                got: 0,
-            };
-            g.add_kernel(Box::new(sink), &[s[3]], &[]);
-            for i in (0..3).rev() {
-                g.add_kernel(Box::new(AddConst { c: 1 }), &[s[i]], &[s[i + 1]]);
-            }
-            g.add_kernel(Box::new(HostSource::new("src", (0..30).collect())), &[], &[s[0]]);
-            if dense {
-                g.map_kernels(|_, k| DenseOracle::wrap(k));
-            }
-            // The sink's idle ticks are whole cycles without progress.
-            g.run_opts(10_000, false).expect("run ok")
-        };
-        let dense = run_mode(true);
-        assert!(
-            dense.kernels[1..].iter().all(|k| k.stalled > 0),
-            "every writer must stall on the half-rate sink: {dense:?}"
-        );
-        assert_eq!(run_mode(false), dense);
-    }
-
-    /// A sink that ignores its input for `wait` cycles, then drains one
-    /// element per cycle, idling `gap` cycles after each. The idle-wait is
-    /// a timer (internal state advances with no port activity), so it
-    /// correctly keeps the default `WakeHint::AlwaysTick` — parking it
-    /// would sleep forever.
-    struct LazySink {
-        wait: u64,
-        gap: u64,
-        expect: usize,
-        got: usize,
-    }
-    impl Kernel for LazySink {
-        fn name(&self) -> &str {
-            "lazy-dst"
-        }
-        fn tick(&mut self, io: &mut Io<'_>) -> Progress {
-            if self.wait > 0 {
-                self.wait -= 1;
-                return Progress::Idle;
-            }
-            if self.got >= self.expect {
-                return Progress::Idle;
-            }
-            match io.read(0) {
-                Some(_) => {
-                    self.got += 1;
-                    self.wait = self.gap;
-                    Progress::Busy
-                }
-                None => Progress::Stalled,
-            }
-        }
-        fn is_done(&self) -> bool {
-            self.got >= self.expect
-        }
-        fn rearm(&mut self) {
-            unreachable!("built per run")
-        }
-    }
-
-    /// Regression for `max_occupancy` accounting (sampled after commit):
-    /// a two-kernel graph whose FIFO fills to capacity while the sink is
-    /// lazy must pin identical occupancy stats stepped densely and not.
-    #[test]
-    fn full_fifo_occupancy_stats_pinned_in_both_modes() {
-        let run_mode = |dense: bool| {
-            let mut g = Graph::new();
-            let s = g.add_stream(StreamSpec::new("s", 8, 2));
-            g.add_kernel(
-                Box::new(HostSource::new("src", (1..=6).collect())),
-                &[],
-                &[s],
-            );
-            g.add_kernel(
-                Box::new(LazySink {
-                    wait: 5,
-                    gap: 0,
-                    expect: 6,
-                    got: 0,
-                }),
-                &[s],
-                &[],
-            );
-            if dense {
-                g.map_kernels(|_, k| DenseOracle::wrap(k));
-            }
-            // The lazy phase has legitimate full no-progress cycles, so
-            // deadlock detection is off (identically in both modes).
-            g.run_opts(1000, false).expect("run ok")
-        };
-        let dense = run_mode(true);
-        let ready = run_mode(false);
-        assert_eq!(dense, ready, "reports must be bit-identical");
-        let s = &dense.streams[0];
-        assert_eq!(
-            s.max_occupancy, 2,
-            "FIFO must fill to capacity during the lazy phase"
-        );
-        assert_eq!(s.pushed, 6, "every element crosses the stream exactly once");
-        assert!(
-            dense.kernels[0].stalled > 0,
-            "source must stall on the full FIFO"
-        );
-    }
-
-    /// Parking must actually happen (otherwise the default stepper's ready
-    /// list is a silent no-op and its benchmark claims are vacuous).
-    #[test]
-    fn exhausted_source_parks_idle_under_ready_list() {
-        let (mut g, _h) = pipeline(vec![1, 2, 3], 2);
-        g.run(1000).expect("run ok");
-        assert_eq!(
-            g.parked_state(KernelId(0)),
-            Some(Progress::Idle),
-            "drained source should end the run parked"
-        );
-    }
-}
+mod tests;

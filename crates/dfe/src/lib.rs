@@ -24,7 +24,11 @@
 //!   until a stream event, dispatches uniform spans as bursts and replays
 //!   a recorded steady-state schedule. Its oracle is the same stepper over
 //!   kernels wrapped in a [`DenseOracle`], which ticks every kernel every
-//!   cycle; the two are bit-identical in outputs and reports.
+//!   cycle; the two are bit-identical in outputs and reports. The stepper
+//!   and its one run loop live in [`graph`], the schedule-replay protocol
+//!   behind [`replay`], burst planning in `burst`, and what a run reports
+//!   ([`CycleReport`], the deadlock dump) in the graph's `report`
+//!   submodule.
 //! * **Devices and MaxRing links** carry resource budgets and bandwidth
 //!   limits so the compiler can place kernels onto multiple DFEs and verify
 //!   link feasibility. The simulator itself knows nothing of devices: a

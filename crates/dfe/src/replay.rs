@@ -1,99 +1,77 @@
 //! Steady-state schedule replay, part of the graph's stepper on graphs
-//! armed with a replay marker.
-//!
-//! The paper's pipeline is statically scheduled in hardware: every image
-//! takes the identical path through the fabric, so at steady state the
-//! simulator's scheduler re-derives the *same* wake/commit/burst decision
-//! sequence once per image. This module records that sequence for one
-//! period of the pipeline and replays it for subsequent identical periods,
-//! skipping ready-list planning and `span_hint`/`try_burst` work entirely.
+//! armed with a replay marker (DESIGN.md §12). The paper's pipeline is
+//! statically scheduled: every image takes the same path through the
+//! fabric, so at steady state the stepper re-derives the *same* burst and
+//! per-element decisions once per image. This module records them for one
+//! period and replays them for the following identical periods, skipping
+//! the planner. It holds the whole protocol: before each advance the run
+//! loop asks it for a `Cue`, hands it what it planned while a tape
+//! records, and reports every clock advance to `ReplayState::boundary`.
 //!
 //! ## Protocol
 //!
-//! A graph is *armed* with a marker stream and a period in elements
-//! ([`Graph::set_replay_marker`](crate::Graph::set_replay_marker) — the
+//! A graph is armed with a marker stream and a period in elements
+//! ([`Graph::set_replay_marker`](crate::Graph::set_replay_marker); the
 //! compiler uses the logits stream and the class count). Every time the
-//! marker's popped-element count crosses a multiple of the period (a
-//! **boundary**), the scheduler takes a *fingerprint*: every kernel's
-//! [`replay_token`](crate::Kernel::replay_token), every park verdict, and
-//! every stream's committed queue length. The state machine is then:
+//! marker's popped count crosses a multiple of the period (a
+//! **boundary**), the graph is fingerprinted: every kernel's
+//! [`replay_token`](crate::Kernel::replay_token) and park verdict, and
+//! every stream's committed queue length.
 //!
-//! * **Armed** — normal stepping; when two consecutive boundaries carry the
-//!   same fingerprint the pipeline is periodic and recording starts.
-//! * **Recording** — one period is stepped with an *aggressive* burst
-//!   policy (`min_burst = 2`, no retry backoff) so even the short-phase
-//!   residue that the default policy leaves to per-element stepping is
-//!   mined into tiny spans — burst policy is a pure cost knob, so this is
-//!   semantics-neutral. Each step (a dense cycle or a dispatched span with
-//!   its participant plans, offsets, stream traffic, and pre-dispatch awake
-//!   mask) is appended to the `ScheduleTape`. If the closing boundary's
-//!   fingerprint still matches, the tape is valid and replay begins.
-//! * **Replaying** — tape steps are executed directly: dense steps run the
-//!   ordinary ready-list cycle (already event-driven), span steps re-check
-//!   two cheap guards — the live awake mask equals the recorded one and
-//!   every burst stream's queue length equals its recorded start length —
-//!   and then re-dispatch the recorded plans through the same code path as
-//!   a planned burst, with busy/stalled cycles and `max_occupancy` credited
-//!   in closed form exactly as macro-ticks do. Any guard failure, a
-//!   boundary arriving at the wrong tape position, or a fingerprint
-//!   mismatch at a period boundary (e.g. the source running dry on the last
-//!   image) falls the graph back to normal stepping and re-arms.
-//! * **Vetoed** — any kernel without a replay token (a
-//!   [`StallInjector`](crate::StallInjector), a custom kernel)
-//!   permanently disables replay for the graph; boundaries
-//!   are no longer even checked.
+//! * **Armed** — live planning; two consecutive boundaries with the same
+//!   fingerprint start a recording.
+//! * **Recording** — one period is planned with an aggressive burst policy
+//!   (a 2-cycle span floor, no retry backoff; a pure cost knob) and every
+//!   dense cycle run and span (its participant records, stream records and
+//!   the awake mask it was planned against) goes to the tape. If the
+//!   closing boundary's fingerprint matches, replay begins.
+//! * **Replaying** — dense steps run the ordinary stepper; a span step
+//!   re-checks its guards (its cycles within the run's budget, the awake
+//!   mask and every recorded stream's queue length as recorded) and is
+//!   re-dispatched through the same path as a planned burst. A guard
+//!   miss, a boundary at the wrong tape position or a fingerprint mismatch
+//!   (the source running dry on the last image) falls back to live
+//!   planning and re-arms.
+//! * **Vetoed** — a kernel without a replay token (a
+//!   [`StallInjector`](crate::StallInjector), a custom kernel), or a period
+//!   too long for the tape cap, turns replay off until the graph is
+//!   re-armed.
 //!
 //! ## Whole-batch tapes
 //!
-//! Period replay needs two matching image boundaries before it can record,
-//! so it never engages on a batch of one or two images — yet a warm graph
-//! re-armed for another batch ([`Graph::rearm`](crate::Graph::rearm))
-//! starts from exactly the state it started from last time, and the
-//! schedule does not depend on element values. So a graph that has already
-//! run keeps one whole-run tape per *batch key* (the image count, as
-//! `CompiledNetwork::load` passes it down):
-//!
-//! * The first re-armed run under a key **records** from cycle 0 under the
-//!   aggressive policy above and, when it completes, stores the tape under
-//!   that key.
-//! * Later runs under the key **replay** the tape from cycle 0 under the
-//!   same per-span guards (awake mask, queue lengths, cycle budget). A
-//!   guard miss, or a cursor running past the tape, drops the tape and
-//!   falls back to live planning with period replay re-armed; the next run
-//!   under the key records again.
-//! * A graph's first run never records, so a one-shot compile-and-run
-//!   plans exactly as before. Any kernel without a replay token keeps the
-//!   graph off whole-batch tapes, as it keeps it off period replay — a
-//!   [`DenseOracle`](crate::DenseOracle)-wrapped graph among them. Traced
-//!   runs never use them.
-//!
-//! Image boundaries are ignored while a whole-batch tape runs: the tape's
-//! period is the whole run. [`ReplayDiag::whole_batch`] says what the run
-//! did with its tape; [`Graph::adopt_tapes`](crate::Graph::adopt_tapes)
-//! moves the tapes to a structurally identical graph (a weight publish).
-//!
-//! The equivalence argument below carries over with the rearm state in the
-//! place of a boundary fingerprint: every run under a key starts from the
-//! kernels' rearm states and empty streams, which is why a key must fix
-//! everything the schedule depends on — the source's element count and the
-//! sink's expected count.
+//! Period replay needs two matching boundaries, so it never engages on a
+//! batch of one or two images — yet a re-armed graph
+//! ([`Graph::rearm`](crate::Graph::rearm)) starts every batch from the same
+//! state, and the schedule does not depend on element values. So a graph
+//! that has completed a run keeps one whole-run tape per *batch key* (the
+//! image count `CompiledNetwork::load` passes): the first re-armed run
+//! under a key records from cycle 0 with the recording policy, later ones
+//! replay from cycle 0 under the same guards, with boundaries ignored. A
+//! guard miss drops the tape and the key records again on its next run; so
+//! does a run that stops on an error. A graph's first run, a traced run
+//! and a graph with a kernel without a token (a
+//! [`DenseOracle`](crate::DenseOracle)-wrapped one among them) never use
+//! them. [`ReplayDiag::whole_batch`] says what a run did with its tape;
+//! [`Graph::adopt_tapes`](crate::Graph::adopt_tapes) moves the tapes to a
+//! structurally identical graph (a weight publish).
 //!
 //! ## Equivalence argument
 //!
-//! Replay inherits macro-ticks' bit-identity proof: a recorded span is
-//! exactly a burst the planner admitted, and re-dispatching it is valid
-//! whenever the graph state it was planned against recurs. The fingerprint
-//! establishes that recurrence at period boundaries — equal tokens attest
-//! equal *control* state (tokens must cover every counter that influences
-//! port behaviour, which is why data-dependent kernels return `None`), and
-//! equal queue lengths plus park verdicts pin the scheduler-visible state —
-//! and determinism carries it forward step by step. The per-span guards are
-//! belt-and-suspenders that also catch the non-periodic tail (final image,
-//! mid-run reconfiguration) before any recorded plan could act on a state
-//! it was not planned for. Dense steps are not replayed from the tape at
-//! all — they run the ordinary stepper — so they cannot diverge.
+//! A recorded span is exactly a burst the planner admitted, and
+//! re-dispatching it is valid whenever the state it was planned against
+//! recurs. The fingerprint establishes that at period boundaries — equal
+//! tokens attest equal *control* state, equal queue lengths and park
+//! verdicts the scheduler-visible state — and determinism carries it
+//! forward; a whole-batch key does the same from the kernels' rearm states
+//! and empty streams, which is why a key must fix the source's element
+//! count and the sink's. The per-span guards also catch the non-periodic
+//! tail before a recorded plan could act on a state it was not planned
+//! for. Dense steps run the ordinary stepper, so they cannot diverge.
 
-use crate::burst::{SpanPart, SpanStream};
+use crate::burst::{Span, SpanPart, SpanStream};
+use crate::graph::Node;
+use crate::kernel::Progress;
+use crate::stream::StreamState;
 
 /// Schedule-replay diagnostics, surfaced on
 /// [`CycleReport`](crate::CycleReport) next to the per-kernel counters.
@@ -153,7 +131,7 @@ pub fn token_mix(parts: &[u64]) -> u64 {
 
 /// One recorded scheduler step.
 #[derive(Clone, Copy)]
-pub(crate) enum Step {
+enum Step {
     /// `n` consecutive per-element ready-list cycles.
     Dense(u32),
     /// A dispatched span: an index into [`ScheduleTape::span_recs`].
@@ -162,40 +140,34 @@ pub(crate) enum Step {
 
 /// One recorded span step: `(offset, len)` windows into the tape's flat
 /// pools. Replay walks the tape front to back, so consecutive steps read
-/// consecutive pool ranges — the layout keeps the replay loop's working set
-/// sequential (an earlier interned-step variant deduplicated identical
-/// steps into a shared pool, but steady-state spans rarely recur exactly —
-/// offsets and stream lengths drift across the image — and the scattered
-/// reads cost more than the ~25% of memory interning saved).
-///
-/// The recorded entries are already *pruned* by the planner: a participant
-/// parked throughout on one verdict has no dispatch record, and a stream
-/// without traffic no stream entry — for a short span most of the
-/// wavefront is exactly such dead weight.
+/// consecutive pool ranges (DESIGN.md §12 on why steps are not interned).
+/// The planner's records arrive pruned: a participant parked throughout on
+/// one verdict has no record, a stream without traffic no entry.
 #[derive(Clone, Copy)]
-pub(crate) struct SpanRec {
-    pub k: u64,
-    pub parts: (u32, u32),
-    pub streams: (u32, u32),
-    /// Awake-mask snapshot taken just before the recording burst attempt.
-    pub mask: (u32, u32),
+struct SpanRec {
+    k: u64,
+    parts: (u32, u32),
+    streams: (u32, u32),
+    /// The awake mask the span was planned against.
+    mask: (u32, u32),
 }
 
-/// The recorded schedule of one steady-state period, as one `Step` list
-/// plus flat side pools indexed by [`SpanRec`] windows. A part's quota
-/// window indexes `quota_pool` directly.
+/// The recorded schedule of one steady-state period (or of a whole run),
+/// as one `Step` list plus flat side pools indexed by [`SpanRec`] windows.
+/// A part's quota window indexes `quota_pool` directly.
 #[derive(Default)]
-pub(crate) struct ScheduleTape {
-    pub steps: Vec<Step>,
-    pub span_recs: Vec<SpanRec>,
-    pub part_pool: Vec<SpanPart>,
-    pub quota_pool: Vec<u64>,
-    pub stream_pool: Vec<SpanStream>,
-    pub mask_pool: Vec<u64>,
+struct ScheduleTape {
+    steps: Vec<Step>,
+    span_recs: Vec<SpanRec>,
+    part_pool: Vec<SpanPart>,
+    quota_pool: Vec<u64>,
+    stream_pool: Vec<SpanStream>,
+    mask_pool: Vec<u64>,
 }
 
-/// Recording aborts (vetoing replay) past this many pool entries — a
-/// period too irregular to record compactly will not amortize anyway.
+/// Recording stops past this many pool entries — a period too irregular to
+/// record compactly will not amortize anyway (see
+/// [`ReplayState::record_span`] for what happens then).
 const TAPE_ENTRY_CAP: usize = 1 << 22;
 
 fn window<T>(pool: &[T], w: (u32, u32)) -> &[T] {
@@ -203,15 +175,6 @@ fn window<T>(pool: &[T], w: (u32, u32)) -> &[T] {
 }
 
 impl ScheduleTape {
-    pub fn clear(&mut self) {
-        self.steps.clear();
-        self.span_recs.clear();
-        self.part_pool.clear();
-        self.quota_pool.clear();
-        self.stream_pool.clear();
-        self.mask_pool.clear();
-    }
-
     /// Release the pools' spare capacity (a tape kept for later runs).
     fn shrink_to_fit(&mut self) {
         self.steps.shrink_to_fit();
@@ -222,15 +185,17 @@ impl ScheduleTape {
         self.mask_pool.shrink_to_fit();
     }
 
-    pub fn parts(&self, r: &SpanRec) -> &[SpanPart] {
-        window(&self.part_pool, r.parts)
+    /// The recorded span as [`crate::burst::dispatch`] applies it.
+    fn span(&self, r: &SpanRec) -> Span<'_> {
+        Span {
+            k: r.k,
+            parts: window(&self.part_pool, r.parts),
+            quotas: &self.quota_pool,
+            streams: window(&self.stream_pool, r.streams),
+        }
     }
 
-    pub fn streams(&self, r: &SpanRec) -> &[SpanStream] {
-        window(&self.stream_pool, r.streams)
-    }
-
-    pub fn mask(&self, r: &SpanRec) -> &[u64] {
+    fn mask(&self, r: &SpanRec) -> &[u64] {
         window(&self.mask_pool, r.mask)
     }
 
@@ -239,269 +204,430 @@ impl ScheduleTape {
     }
 }
 
-/// Replay control state machine (see the module docs).
+/// Replay control state machine (see the module docs). `batch` is the
+/// whole-batch key a run records or replays under: while set, the tape
+/// runs from cycle 0 and boundaries are ignored. It lives in the phase, so
+/// every reset to `Armed` or `Vetoed` drops it with the tape.
 #[derive(Debug)]
-pub(crate) enum ReplayPhase {
+enum ReplayPhase {
     /// Watching boundary fingerprints for steady state.
     Armed { have_prev: bool },
-    /// Appending steps to the tape until the next boundary validates it.
-    Recording,
+    /// Appending steps to the tape until the next boundary validates it,
+    /// or under a whole-batch key until the run completes.
+    Recording { batch: Option<u64> },
     /// Executing the tape; `step` is the cursor, `done` counts cycles
     /// already executed of a `Step::Dense` run.
-    Replaying { step: usize, done: u32 },
-    /// A kernel without a replay token — permanently off for this graph.
+    Replaying {
+        step: usize,
+        done: u32,
+        batch: Option<u64>,
+    },
+    /// A kernel without a replay token, or a period over the tape cap —
+    /// off until the graph is re-armed.
     Vetoed,
 }
 
+impl Default for ReplayPhase {
+    fn default() -> Self {
+        ReplayPhase::Armed { have_prev: false }
+    }
+}
+
+/// What the protocol makes of the run loop's next advance
+/// ([`ReplayState::cue`]).
+pub(crate) enum Cue<'a> {
+    /// Re-dispatch this span of the tape: its guards passed.
+    Replay(Span<'a>),
+    /// The tape steps this cycle per element, without planning.
+    Dense,
+    /// Plan the advance live. With `record`, a tape is recording: hand it
+    /// the burst ([`ReplayState::record_span`]) or the per-element cycle
+    /// ([`ReplayState::record_dense`]) the plan comes to.
+    Plan { record: bool },
+}
+
+/// A graph's schedule-replay state: the marker, the state machine, the
+/// tape in use and the whole-batch tapes kept between runs.
+#[derive(Default)]
 pub(crate) struct ReplayState {
     /// Marker stream index and period in elements; `None` ⇒ never armed.
-    pub marker: Option<(usize, u64)>,
+    marker: Option<(usize, u64)>,
     /// Next popped-count multiple that constitutes a boundary.
-    pub next_target: u64,
-    pub phase: ReplayPhase,
-    pub tape: ScheduleTape,
+    next_target: u64,
+    phase: ReplayPhase,
+    tape: ScheduleTape,
     /// Dense cycles stepped since the last recorded span (flushed into one
     /// `Step::Dense` entry).
-    pub pending_dense: u32,
-    pub prev_fp: Vec<u64>,
-    pub fp_scratch: Vec<u64>,
-    /// Awake mask snapshot taken just before a recording burst attempt.
-    pub mask_scratch: Vec<u64>,
-    pub diag: ReplayDiag,
+    pending_dense: u32,
+    prev_fp: Vec<u64>,
+    fp_scratch: Vec<u64>,
+    diag: ReplayDiag,
     /// Whole-batch tapes by batch key (see the module docs); the tape of
     /// the run in progress is out in `tape` while it records or replays.
-    pub batch_tapes: Vec<(u64, ScheduleTape)>,
+    batch_tapes: Vec<(u64, ScheduleTape)>,
     /// The batch key the next run records or replays under.
-    pub next_batch: Option<u64>,
-    /// The batch key the run in progress records or replays under; while
-    /// set, `phase` drives `tape` from cycle 0 and boundaries are ignored.
-    pub batch: Option<u64>,
-    /// The graph has run (or adopted another graph's tapes): re-armed runs
-    /// use whole-batch tapes.
-    pub warm: bool,
+    next_batch: Option<u64>,
+    /// The graph has completed a run (or adopted another graph's tapes):
+    /// re-armed runs use whole-batch tapes.
+    warm: bool,
 }
 
 impl ReplayState {
-    pub fn new() -> Self {
-        Self {
-            marker: None,
-            next_target: 0,
-            phase: ReplayPhase::Armed { have_prev: false },
-            tape: ScheduleTape::default(),
-            pending_dense: 0,
-            prev_fp: Vec::new(),
-            fp_scratch: Vec::new(),
-            mask_scratch: Vec::new(),
-            diag: ReplayDiag::default(),
-            batch_tapes: Vec::new(),
-            next_batch: None,
-            batch: None,
-            warm: false,
+    /// Watch stream `marker` of `streams`, one boundary every `period`
+    /// pops from now on; drops every tape, whole-batch ones included.
+    pub fn arm(&mut self, streams: &[StreamState], marker: usize, period: u64) {
+        self.marker = Some((marker, period));
+        self.next_target = streams[marker].popped() + period;
+        self.restart();
+        self.batch_tapes.clear();
+    }
+
+    /// Take `from`'s whole-batch tapes if it has run (the caller checks
+    /// that the two graphs have the same structure).
+    pub fn adopt(&mut self, from: &mut ReplayState) {
+        if from.warm {
+            self.batch_tapes = std::mem::take(&mut from.batch_tapes);
+            self.warm = true;
         }
     }
 
-    /// Drop any tape and fingerprint history and return to `Armed` — the
-    /// reset applied on guard failures, vetoes and marker changes.
-    /// Diagnostics counters survive (they describe the whole run).
-    pub fn rearm(&mut self) {
-        self.phase = ReplayPhase::Armed { have_prev: false };
-        self.tape.clear();
-        self.pending_dense = 0;
-        self.prev_fp.clear();
+    pub fn diag(&self) -> ReplayDiag {
+        self.diag
     }
 
-    /// Start the run under the batch key set by the last re-arm, if any:
-    /// replay its tape from cycle 0, or record one.
-    pub fn begin_batch(&mut self) {
-        let Some(key) = self.next_batch.take() else {
-            return;
+    /// Reset for a run from the graph's start state, whatever state the
+    /// last run left — completed, or stopped by an error mid-recording or
+    /// mid-replay (that run's tape is dropped, and its key records again).
+    /// Keeps the marker and the whole-batch tapes. `batch` keys the next
+    /// run's whole-batch tape; `None` when some kernel cannot attest its
+    /// control state, which keeps the run off them.
+    pub fn rearm(&mut self, batch: Option<u64>) {
+        self.restart();
+        self.diag = ReplayDiag::default();
+        // Streams are empty again, so the marker has popped nothing.
+        if let Some((_, period)) = self.marker {
+            self.next_target = period;
+        }
+        self.next_batch = batch.filter(|_| self.warm);
+    }
+
+    /// Start a run. Replay rides the self-stepped path, so a traced run
+    /// (`untraced` false) never replays, and it needs the marker; returns
+    /// whether this run is replay-eligible. An eligible run under a batch
+    /// key replays the key's tape from cycle 0, or records one.
+    pub fn begin_run(&mut self, untraced: bool) -> bool {
+        let batch = self.next_batch.take();
+        if !untraced || self.marker.is_none() {
+            // Nothing replays, and a whole-batch run stopped early keeps
+            // no part of its tape.
+            self.restart();
+            return false;
+        }
+        let Some(key) = batch else {
+            return true;
         };
-        self.rearm();
-        self.batch = Some(key);
+        self.restart();
         if let Some(i) = self.batch_tapes.iter().position(|(k, _)| *k == key) {
             self.tape = self.batch_tapes.swap_remove(i).1;
             self.diag.tape_len = self.tape.steps.len() as u64;
-            self.phase = ReplayPhase::Replaying { step: 0, done: 0 };
+            self.phase = ReplayPhase::Replaying {
+                step: 0,
+                done: 0,
+                batch: Some(key),
+            };
         } else {
-            self.phase = ReplayPhase::Recording;
+            self.phase = ReplayPhase::Recording { batch: Some(key) };
         }
+        true
     }
 
-    /// Leave whole-batch mode at the end of a completed run, storing the
-    /// tape it recorded or replayed under its key. `images` is the run's
-    /// image count, credited as replayed when the tape ran to the end.
-    pub fn end_batch(&mut self, images: u64) {
-        let Some(key) = self.batch.take() else {
-            return;
-        };
-        match self.phase {
-            ReplayPhase::Recording => {
+    /// End a completed run: store the whole-batch tape it recorded or
+    /// replayed under its key, crediting a replayed run's images, and
+    /// count the graph as warm.
+    pub fn end_run(&mut self, streams: &[StreamState]) {
+        self.warm = true;
+        let key = match self.phase {
+            ReplayPhase::Recording { batch: Some(key) } => {
                 self.flush_dense();
                 self.tape.shrink_to_fit();
                 self.diag.tape_len = self.tape.steps.len() as u64;
                 self.diag.whole_batch = WholeBatch::Recorded;
+                key
             }
-            ReplayPhase::Replaying { .. } => {
-                self.diag.images_replayed += images;
+            ReplayPhase::Replaying {
+                batch: Some(key), ..
+            } => {
+                if let Some((m, period)) = self.marker {
+                    self.diag.images_replayed += streams[m].popped() / period;
+                }
                 self.diag.whole_batch = WholeBatch::Replayed;
+                key
             }
-            ReplayPhase::Armed { .. } | ReplayPhase::Vetoed => {
-                unreachable!("whole-batch mode ends on every fallback")
-            }
-        }
+            _ => return,
+        };
         self.batch_tapes.push((key, std::mem::take(&mut self.tape)));
-        self.rearm();
+        self.restart();
     }
 
-    /// Drop the run's whole-batch tape after a guard miss (`replayed`) or
-    /// a recording over the size cap; the period machine takes over.
-    pub fn abandon_batch(&mut self, replayed: bool) {
-        if self.batch.take().is_some() && replayed {
+    /// The boundary a planned burst must stop at: the marker stream and
+    /// its pops still due (none while vetoed or under a whole-batch key,
+    /// whose period is the run).
+    pub fn due(&self, streams: &[StreamState]) -> Option<(usize, u64)> {
+        if matches!(self.phase, ReplayPhase::Vetoed) || self.batch().is_some() {
+            return None;
+        }
+        let (m, _) = self.marker?;
+        Some((m, self.next_target.saturating_sub(streams[m].popped())))
+    }
+
+    /// The next advance of a replay-eligible run with `budget` cycles left.
+    /// While a tape replays, its next step: dense, or a span whose guards
+    /// pass against the live `awake` mask and `streams`. A guard miss, or a
+    /// cursor past the tape's end, counts a fallback and re-arms (a
+    /// whole-batch tape is dropped; its key records again next run).
+    pub fn cue(&mut self, budget: u64, awake: &[u64], streams: &[StreamState]) -> Cue<'_> {
+        let (step, done, batch) = match self.phase {
+            ReplayPhase::Replaying { step, done, batch } => (step, done, batch),
+            ReplayPhase::Recording { .. } => return Cue::Plan { record: true },
+            _ => return Cue::Plan { record: false },
+        };
+        match self.tape.steps.get(step) {
+            Some(&Step::Dense(n)) => {
+                let (step, done) = if done + 1 >= n {
+                    (step + 1, 0)
+                } else {
+                    (step, done + 1)
+                };
+                self.phase = ReplayPhase::Replaying { step, done, batch };
+                return Cue::Dense;
+            }
+            Some(&Step::Span(ix)) => {
+                let rec = self.tape.span_recs[ix as usize];
+                let tape = &self.tape;
+                let queued = |bs: &SpanStream| {
+                    streams[bs.stream as usize].queue.len() == bs.start_len as usize
+                };
+                // A replayed span must not overrun the run's cycle budget —
+                // dense stepping would time out mid-span, and the timeout
+                // arithmetic must match it exactly.
+                if rec.k <= budget
+                    && tape.mask(&rec) == awake
+                    && tape.span(&rec).streams.iter().all(queued)
+                {
+                    // The planner admitted this span against this exact
+                    // scheduler-visible state (same awake set, same queue
+                    // lengths, same kernel control state per the boundary
+                    // fingerprint), so re-dispatching it is the same
+                    // fast-forward of dense cycles it was originally.
+                    self.diag.spans_bypassed += 1;
+                    self.phase = ReplayPhase::Replaying {
+                        step: step + 1,
+                        done: 0,
+                        batch,
+                    };
+                    return Cue::Replay(self.tape.span(&rec));
+                }
+            }
+            // Past the tape without a period boundary: the run diverged
+            // from the recorded schedule.
+            None => {}
+        }
+        self.diag.guard_fallbacks += 1;
+        if batch.is_some() {
             self.diag.whole_batch = WholeBatch::FellBack;
         }
-        self.rearm();
+        self.restart();
+        Cue::Plan { record: false }
     }
 
-    pub fn snapshot_mask(&mut self, awake: &[u64]) {
-        self.mask_scratch.clear();
-        self.mask_scratch.extend_from_slice(awake);
-    }
-
-    pub fn record_dense(&mut self) {
-        self.pending_dense += 1;
-    }
-
-    pub fn flush_dense(&mut self) {
-        if self.pending_dense > 0 {
-            self.tape.steps.push(Step::Dense(self.pending_dense));
-            self.pending_dense = 0;
-        }
-    }
-
-    /// Append a dispatched span (the planner's dispatch records) to the
-    /// tape. Returns `false` when the tape overran its size cap — the
-    /// caller vetoes replay for this graph.
-    pub fn record_span(
-        &mut self,
-        k: u64,
-        parts: &[SpanPart],
-        quotas: &[u64],
-        streams: &[SpanStream],
-    ) -> bool {
+    /// Append a burst about to be dispatched, planned against the live
+    /// `awake` mask, to the recording tape. A tape over the size cap stops
+    /// recording: a whole-batch recording drops its tape and the run goes
+    /// on planning live (the key stores nothing); a period recording vetoes
+    /// replay until the graph is re-armed.
+    pub fn record_span(&mut self, span: Span<'_>, awake: &[u64]) {
         self.flush_dense();
         let t = &mut self.tape;
         let p0 = t.part_pool.len() as u32;
         let q0 = t.quota_pool.len() as u32;
-        t.part_pool.extend(parts.iter().map(|p| SpanPart {
+        t.part_pool.extend(span.parts.iter().map(|p| SpanPart {
             quotas: (p.quotas.0 + q0, p.quotas.1),
             ..*p
         }));
-        t.quota_pool.extend_from_slice(quotas);
+        t.quota_pool.extend_from_slice(span.quotas);
         let s0 = t.stream_pool.len() as u32;
-        t.stream_pool.extend_from_slice(streams);
+        t.stream_pool.extend_from_slice(span.streams);
         let m0 = t.mask_pool.len() as u32;
-        t.mask_pool.extend_from_slice(&self.mask_scratch);
+        t.mask_pool.extend_from_slice(awake);
         let ix = t.span_recs.len() as u32;
         t.span_recs.push(SpanRec {
-            k,
+            k: span.k,
             parts: (p0, t.part_pool.len() as u32 - p0),
             streams: (s0, t.stream_pool.len() as u32 - s0),
             mask: (m0, t.mask_pool.len() as u32 - m0),
         });
         t.steps.push(Step::Span(ix));
-        t.entries() <= TAPE_ENTRY_CAP && t.steps.len() <= TAPE_ENTRY_CAP
+        if t.entries() > TAPE_ENTRY_CAP || t.steps.len() > TAPE_ENTRY_CAP {
+            match self.batch() {
+                Some(_) => self.restart(),
+                None => self.veto(),
+            }
+        }
     }
+
+    /// Count a per-element cycle stepped while the tape records.
+    pub fn record_dense(&mut self) {
+        self.pending_dense += 1;
+    }
+
+    /// Drive the state machine after a clock advance of a replay-eligible
+    /// run. Cheap until the marker's popped count crosses the next period
+    /// multiple; there the graph's state is fingerprinted (every node's
+    /// replay token and park verdict, every stream's queue length).
+    pub fn boundary(
+        &mut self,
+        nodes: &[Node],
+        streams: &[StreamState],
+        parked: &[Option<(Progress, u64)>],
+    ) {
+        if matches!(self.phase, ReplayPhase::Vetoed) {
+            return;
+        }
+        let Some((m, period)) = self.marker else {
+            return;
+        };
+        let popped = streams[m].popped();
+        if popped < self.next_target {
+            return;
+        }
+        // One state-machine event per detection even if a span crossed
+        // several period multiples at once (the tape period then covers
+        // several images — still a valid periodic unit).
+        while self.next_target <= popped {
+            self.next_target += period;
+        }
+        if self.batch().is_some() {
+            // A whole-batch tape's period is the whole run.
+            return;
+        }
+        if !fingerprint(&mut self.fp_scratch, nodes, streams, parked) {
+            // A kernel without a replay token: off until re-armed.
+            self.veto();
+            return;
+        }
+        let fp_matches = self.fp_scratch == self.prev_fp;
+        match self.phase {
+            ReplayPhase::Vetoed => {}
+            ReplayPhase::Armed { have_prev } => {
+                if have_prev && fp_matches {
+                    // Steady state: the machine state at this boundary
+                    // recurs. Record the next period's schedule (the tape
+                    // is empty while armed).
+                    self.phase = ReplayPhase::Recording { batch: None };
+                } else {
+                    std::mem::swap(&mut self.prev_fp, &mut self.fp_scratch);
+                    self.phase = ReplayPhase::Armed { have_prev: true };
+                }
+            }
+            ReplayPhase::Recording { .. } => {
+                self.flush_dense();
+                if fp_matches && !self.tape.steps.is_empty() {
+                    // The recorded period closed on the same fingerprint:
+                    // the tape is a valid periodic unit. Replay it.
+                    self.diag.tape_len = self.tape.steps.len() as u64;
+                    self.phase = ReplayPhase::Replaying {
+                        step: 0,
+                        done: 0,
+                        batch: None,
+                    };
+                } else {
+                    // Diverged mid-recording (e.g. ramp not actually
+                    // settled): drop the tape, keep watching.
+                    self.tape = ScheduleTape::default();
+                    std::mem::swap(&mut self.prev_fp, &mut self.fp_scratch);
+                    self.phase = ReplayPhase::Armed { have_prev: true };
+                }
+            }
+            ReplayPhase::Replaying { step, done, .. } => {
+                // Every replayed period re-checks the fingerprint — this is
+                // the macro guard that catches the non-periodic tail (the
+                // source entering its final-period drain fingerprints
+                // differently by construction, see `host::drain_token`).
+                let at_end = step == self.tape.steps.len() && done == 0;
+                if at_end && fp_matches {
+                    self.diag.images_replayed += 1;
+                    self.phase = ReplayPhase::Replaying {
+                        step: 0,
+                        done: 0,
+                        batch: None,
+                    };
+                } else {
+                    self.diag.guard_fallbacks += 1;
+                    self.restart();
+                }
+            }
+        }
+    }
+
+    /// The whole-batch key the run in progress records or replays under.
+    fn batch(&self) -> Option<u64> {
+        match self.phase {
+            ReplayPhase::Recording { batch } | ReplayPhase::Replaying { batch, .. } => batch,
+            _ => None,
+        }
+    }
+
+    /// Drop the tape in use and the fingerprint history and return to
+    /// `Armed` — the reset applied on guard failures, at re-arms and
+    /// marker changes. Diagnostics counters survive (they describe the
+    /// whole run).
+    fn restart(&mut self) {
+        self.phase = ReplayPhase::default();
+        self.tape = ScheduleTape::default();
+        self.pending_dense = 0;
+        self.prev_fp.clear();
+    }
+
+    fn veto(&mut self) {
+        self.restart();
+        self.phase = ReplayPhase::Vetoed;
+    }
+
+    fn flush_dense(&mut self) {
+        if self.pending_dense > 0 {
+            self.tape.steps.push(Step::Dense(self.pending_dense));
+            self.pending_dense = 0;
+        }
+    }
+}
+
+/// Fill `fp` with the boundary fingerprint: every kernel's replay token
+/// and park verdict, then every stream's committed queue length. Park
+/// *instants* are excluded — the fingerprint must be invariant under time
+/// shift, that is the whole point. Returns `false` when a kernel has no
+/// token (replay must be vetoed: its control state cannot be attested).
+fn fingerprint(
+    fp: &mut Vec<u64>,
+    nodes: &[Node],
+    streams: &[StreamState],
+    parked: &[Option<(Progress, u64)>],
+) -> bool {
+    fp.clear();
+    for (n, park) in nodes.iter().zip(parked) {
+        let Some(token) = n.kernel.replay_token() else {
+            return false;
+        };
+        fp.push(token);
+        fp.push(match park {
+            None => 0,
+            Some((Progress::Busy, _)) => 1,
+            Some((Progress::Stalled, _)) => 2,
+            Some((Progress::Idle, _)) => 3,
+        });
+    }
+    fp.extend(streams.iter().map(|s| s.queue.len() as u64));
+    true
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::kernel::Progress;
-
-    fn stream(stream: u32, start_len: u32) -> SpanStream {
-        SpanStream {
-            stream,
-            start_len,
-            peak: start_len,
-        }
-    }
-
-    fn part(node: u32, quotas: (u32, u32)) -> SpanPart {
-        SpanPart {
-            node,
-            busy: 4,
-            stalled: 0,
-            quotas,
-            end: None,
-        }
-    }
-
-    #[test]
-    fn token_mix_separates_nearby_states() {
-        // Counter states differing by one element must not collide (the
-        // fingerprint relies on it), and argument order must matter.
-        let a = token_mix(&[10, 3, 0]);
-        let b = token_mix(&[11, 3, 0]);
-        let c = token_mix(&[3, 10, 0]);
-        assert_ne!(a, b);
-        assert_ne!(a, c);
-        assert_eq!(a, token_mix(&[10, 3, 0]), "deterministic");
-    }
-
-    #[test]
-    fn tape_windows_recover_recorded_steps() {
-        let mut st = ReplayState::new();
-        let parts_a = [part(0, (0, 2))];
-        let streams_a = [stream(0, 2)];
-        let parts_b = [part(1, (0, 2)), part(2, (2, 2))];
-        let streams_b = [stream(1, 3)];
-        st.snapshot_mask(&[0b01]);
-        assert!(st.record_span(4, &parts_a, &[4, 4], &streams_a));
-        st.snapshot_mask(&[0b110]);
-        assert!(st.record_span(6, &parts_b, &[6, 6, 6, 5], &streams_b));
-        assert_eq!(st.tape.steps.len(), 2);
-        assert_eq!(st.tape.span_recs.len(), 2);
-        let a = st.tape.span_recs[0];
-        let b = st.tape.span_recs[1];
-        assert_eq!(st.tape.parts(&a), parts_a);
-        assert_eq!(st.tape.streams(&a), streams_a);
-        assert_eq!(st.tape.mask(&a), [0b01]);
-        assert_eq!(b.k, 6);
-        assert_eq!(st.tape.streams(&b), streams_b);
-        assert_eq!(st.tape.mask(&b), [0b110]);
-    }
-
-    /// Each recorded part's quota window is rebased onto the tape's quota
-    /// pool, so replay reads the quotas the span was planned with.
-    #[test]
-    fn record_span_rebases_quota_windows() {
-        let mut st = ReplayState::new();
-        st.snapshot_mask(&[0b11]);
-        assert!(st.record_span(3, &[part(0, (0, 1))], &[3], &[]));
-        let parked = SpanPart {
-            end: Some(Progress::Stalled),
-            ..part(1, (1, 1))
-        };
-        assert!(st.record_span(5, &[part(0, (0, 1)), parked], &[2, 5], &[]));
-        let rec = st.tape.span_recs[1];
-        let recorded = st.tape.parts(&rec);
-        let quotas: Vec<u64> = recorded
-            .iter()
-            .map(|p| st.tape.quota_pool[p.quotas.0 as usize])
-            .collect();
-        assert_eq!(quotas, [2, 5]);
-        assert_eq!(recorded[1].end, Some(Progress::Stalled));
-    }
-
-    #[test]
-    fn dense_runs_flush_before_spans() {
-        let mut st = ReplayState::new();
-        st.record_dense();
-        st.record_dense();
-        st.snapshot_mask(&[0b1]);
-        assert!(st.record_span(8, &[], &[], &[]));
-        assert_eq!(st.tape.steps.len(), 2);
-        assert!(matches!(st.tape.steps[0], Step::Dense(2)));
-        assert!(matches!(st.tape.steps[1], Step::Span(0)));
-    }
-}
+mod tests;

@@ -86,6 +86,11 @@ impl StreamState {
         self.queue.len() + self.staged.len()
     }
 
+    /// Elements its reader has popped so far.
+    pub fn popped(&self) -> u64 {
+        self.pushed - self.total_len() as u64
+    }
+
     pub fn can_write(&self) -> bool {
         self.total_len() < self.spec.capacity
     }

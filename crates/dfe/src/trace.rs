@@ -7,6 +7,9 @@
 //! "exactly one convolution buffer" sizing, the FMem elasticity argument,
 //! the bottleneck analysis behind Table III).
 
+use crate::graph::Node;
+use crate::stream::StreamState;
+
 /// A sampled timeline of one run.
 #[derive(Clone, Debug)]
 pub struct Trace {
@@ -26,6 +29,17 @@ pub struct Trace {
 impl Trace {
     pub(crate) fn new(sample_every: u64, streams: Vec<String>, kernels: Vec<String>) -> Self {
         Self { sample_every, streams, kernels, occupancy: Vec::new(), busy_delta: Vec::new() }
+    }
+
+    /// Take one sample: every stream's committed occupancy and every
+    /// node's busy cycles since `last`, which it then updates.
+    pub(crate) fn sample(&mut self, streams: &[StreamState], nodes: &[Node], last: &mut [u64]) {
+        self.occupancy.push(streams.iter().map(|s| s.queue.len() as u32).collect());
+        let delta = nodes.iter().zip(&*last).map(|(n, &prev)| (n.busy - prev) as u32);
+        self.busy_delta.push(delta.collect());
+        for (slot, n) in last.iter_mut().zip(nodes) {
+            *slot = n.busy;
+        }
     }
 
     /// Number of samples captured.

@@ -824,7 +824,8 @@ fn run_worker(
         // A RunError here (deadlock/timeout) means the compiled pipeline
         // itself is broken — a programming error, not a load condition —
         // so it propagates as a panic with the executor's diagnostics,
-        // taking the wedged instance down with the worker.
+        // taking the worker down. The instance itself is not wedged: the
+        // next `load` re-arms it from whatever state the failed run left.
         let sim = pipeline.run().unwrap_or_else(|e| {
             panic!("model {model} replica {global_id}: batch of {} failed: {e}", images.len())
         });

@@ -383,22 +383,50 @@ fn tape_guard_miss_falls_back_and_rerecords() {
     }
 }
 
-/// A run that fails leaves the instance mid-batch: it refuses to be loaded
-/// again, and its replacement behaves like any fresh instance.
+/// A run that fails leaves the instance mid-batch, and the next load
+/// re-arms it like any other: timed out mid-fill, mid-recording of a
+/// whole-batch tape and mid-replay of one, the next run of a batch matches
+/// a fresh compile of it in logits and cycle reports. A traced run after a
+/// failed recording completes too. A failed run keeps no tape, so its
+/// batch size records again on the next run.
 #[test]
-fn failed_run_retires_the_instance() {
+fn failed_run_rearms_like_a_fresh_compile() {
     let net = Network::random(models::test_net(8, 4, 2), 17);
     let opts = CompileOptions::default();
-    let batch: Vec<_> = (0..3).map(|s| image_for(&net.spec, s)).collect();
-    let mut pipeline = try_compile(&net, &batch, &opts).expect("valid options");
-    match pipeline.run_within(50) {
-        Err(RunError::Timeout { max_cycles: 50 }) => {}
-        other => panic!("expected a timeout, got {other:?}"),
-    }
-    let reload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| pipeline.load(&batch)));
-    assert!(reload.is_err(), "a pipeline whose run failed was loaded again");
-    warm_matches_fresh(&net, &opts, None, false, &[3, 2, 3], 0)
-        .unwrap_or_else(|e| panic!("{e}"));
+    let batch = |k: u64| -> Vec<_> { (0..3).map(|s| image_for(&net.spec, 3 * k + s)).collect() };
+    let fresh = |k: u64| try_compile(&net, &batch(k), &opts).expect("valid options").run();
+    let cycles = fresh(0).expect("run").cycles();
+    let mut warm = elaborate(&net, &opts).expect("valid options");
+    let fail = |warm: &mut CompiledNetwork, k: u64, budget: u64| {
+        warm.load(&batch(k));
+        match warm.run_within(budget) {
+            Err(RunError::Timeout { max_cycles }) if max_cycles == budget => {}
+            other => panic!("batch {k}: expected a timeout at {budget}, got {other:?}"),
+        }
+    };
+    let check = |sim: &qnn::compiler::SimResult, k: u64, want: WholeBatch| {
+        let fresh = fresh(k).expect("run");
+        assert_eq!((&sim.logits, &sim.reports), (&fresh.logits, &fresh.reports), "batch {k}");
+        assert_eq!(sim.reports[0].replay.whole_batch, want, "batch {k}");
+    };
+    // Mid-fill of the instance's first run, which then plans live.
+    fail(&mut warm, 0, 50);
+    warm.load(&batch(1));
+    check(&warm.run().expect("run"), 1, WholeBatch::Off);
+    // Mid-recording of the batch size's whole-batch tape, then traced.
+    fail(&mut warm, 2, 50);
+    warm.load(&batch(3));
+    let (report, _) = warm.graphs[0].run_traced(10 * cycles, 64).expect("traced run");
+    let logits = warm.sink.take().chunks_exact(warm.classes).map(<[i32]>::to_vec).collect();
+    check(&qnn::compiler::SimResult { logits, reports: vec![report] }, 3, WholeBatch::Off);
+    warm.load(&batch(4));
+    check(&warm.run().expect("run"), 4, WholeBatch::Recorded);
+    // Mid-replay of that tape: the size records again, then replays.
+    fail(&mut warm, 5, cycles / 2);
+    warm.load(&batch(6));
+    check(&warm.run().expect("run"), 6, WholeBatch::Recorded);
+    warm.load(&batch(7));
+    check(&warm.run().expect("run"), 7, WholeBatch::Replayed);
 }
 
 /// A kernel that delegates everything but `rearm`.
