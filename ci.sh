@@ -38,6 +38,10 @@
 #                        but replay.rs and its test submodule names
 #                        ReplayPhase, ScheduleTape or batch_tapes: the
 #                        schedule-replay protocol sits behind replay.rs)
+#                        + the sans-IO guard (crates/serve/src/core.rs, the
+#                        serving scheduler, names no std::thread,
+#                        Instant::now, mpsc, Mutex, Condvar or atomic: the
+#                        batcher thread does the I/O, the core decides)
 #   ci.sh soak           NOT tier-1: the property suites, in release, at
 #                        QNN_TEST_CASES=1024 (overridable) — a long-running
 #                        hunt for rare ring-buffer/stall/scheduler/re-arm/
@@ -209,6 +213,11 @@ fi
 if grep -rnE 'ReplayPhase|ScheduleTape|batch_tapes' crates/dfe/src \
     | grep -v '^crates/dfe/src/replay\(\.rs\|/\)'; then
   echo "ci.sh: replay protocol named outside crates/dfe/src/replay.rs (see above)" >&2; exit 1
+fi
+# The serving scheduler is a state machine driven in virtual time by its
+# tests: threads, clock reads, channels and locks stay in the batcher.
+if grep -nE 'std::thread|Instant::now|mpsc|Mutex|Condvar|atomic' crates/serve/src/core.rs; then
+  echo "ci.sh: I/O or concurrency named in crates/serve/src/core.rs (see above)" >&2; exit 1
 fi
 
 echo "ci.sh: all green"

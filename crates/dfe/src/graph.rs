@@ -406,11 +406,6 @@ impl Graph {
         (0..self.nodes.len()).map(KernelId)
     }
 
-    /// Kernel name lookup.
-    pub fn kernel_name(&self, id: KernelId) -> &str {
-        self.nodes[id.0].kernel.name()
-    }
-
     fn validate(&self) -> Result<(), RunError> {
         for (i, s) in self.streams.iter().enumerate() {
             if self.writers[i].is_none() {

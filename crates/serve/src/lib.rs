@@ -74,6 +74,7 @@
 #![forbid(unsafe_code)]
 
 mod config;
+mod core;
 mod registry;
 mod server;
 mod stats;

@@ -245,7 +245,7 @@ impl ModelRegistry {
         self.models[idx].replicas.load(Ordering::Relaxed)
     }
 
-    /// Record a pool resize (called by the batcher after reshaping).
+    /// Record a pool resize (called by `Server::resize_pool`).
     pub(crate) fn set_replicas(&self, idx: usize, replicas: usize) {
         self.models[idx].replicas.store(replicas, Ordering::Relaxed);
     }

@@ -2,33 +2,32 @@
 //! per-model replica pools.
 //!
 //! Thread topology (owned `std::thread::spawn` threads, a mutex + condvar
-//! inbox and `std::sync::mpsc` channels, per the hermetic-build policy):
+//! inbox and `std::sync::mpsc` channels, per the hermetic-build policy).
+//! Every scheduling decision is made by [`crate::core::Core`], a state
+//! machine with no threads, clock or channels inside; the batcher thread
+//! only drives it:
 //!
 //! ```text
-//!  clients ──submit(model, priority, deadline)──▶ [inbox: ≤ queue_depth
-//!                                                  requests not yet batched]
-//!                                                        │
-//!                                                  batcher thread
-//!                              lanes per (model, priority); level 1 picks the
-//!                            class (interactive first, deadline-expired requests
-//!                           shed at dispatch), level 2 picks the replica inside
-//!                          the model's pool (the least-loaded one)
-//!                          │           │          ‖           ‖
-//!                     [batch q]   [batch q]   [batch q]   [batch q]   (1 running
-//!                          │           │          ‖           ‖        + 1 queued)
-//!                      mnist/0     mnist/1     resnet/0    resnet/1    (worker
-//!                          │           │          ‖           ‖      threads, one
-//!                          └───────────┴──── reply channels ────▶ tickets  warm
-//!                          ╰── "finished a batch" wakes the batcher       pipeline
-//!                                                                          each)
+//!  clients ── Arrive (≤ queue_depth not yet batched) ──▶ ┌───────────────┐
+//!  resize_pool ── Resize ──────────────────────────────▶ │     inbox     │
+//!  shutdown ── flag ───────────────────────────────────▶ │ (one event    │
+//!  workers ── Done { replica } ────────────────────────▶ │  list)        │
+//!                                                        └───────┬───────┘
+//!                                   batcher thread: take events, │
+//!                         core.on(event, now) → actions, sleep until an
+//!                              event or core.next_wake()         │
+//!          Dispatch ─┬───────────┬───────────┬───────────┐       ├─ Shed →
+//!               [batch q]   [batch q]   [batch q]   [batch q]    │  Dropped::
+//!                    │           │           ‖           ‖       │  Deadline
+//!                mnist/0     mnist/1     resnet/0    resnet/1    └─ Spawn /
+//!                    │           │           ‖           ‖          Retire →
+//!                    └───────────┴── reply channels ──▶ tickets     workers
 //! ```
 //!
-//! The flush rule is **work-conserving**: a lane closes into a batch the
-//! moment a replica of its pool has nothing in flight — on arrival, or when
-//! a worker reports a finished batch — so a request never waits for company
-//! beside an idle replica. `max_batch` and the per-class flush deadlines
-//! bind only while every replica of the pool is busy: they close the lane
-//! into the one batch a busy replica may queue behind the one it runs.
+//! The core's flush rule is **work-conserving**: a lane closes the moment a
+//! replica of its pool has nothing in flight, so a request never waits for
+//! company beside an idle replica; `max_batch` and the class flush
+//! deadlines bind only while every replica is busy.
 //!
 //! Every batch is stamped with the model's *current* weight snapshot
 //! ([`qnn_compiler::ModelArtifact`], sampled once at flush time), so a
@@ -54,6 +53,7 @@
 //! expired while it queued, with [`Dropped::Deadline`].
 
 use crate::config::{AdmissionPolicy, ConfigError, Priority, ServerConfig};
+use crate::core::{Action, Core, Event, Job};
 use crate::registry::{self, Latencies, Ledger, ModelRegistry, PublishError, Tally};
 use crate::stats::{
     ClassStats, Histogram, LatencySummary, LoadWindow, ModelStats, ReplicaStats, RequestStats,
@@ -62,10 +62,9 @@ use crate::stats::{
 use qnn_compiler::{CompileOptions, CompiledNetwork, Logits, ModelArtifact};
 use qnn_nn::Network;
 use qnn_tensor::{Shape3, Tensor3};
-use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, sync_channel, Receiver, RecvTimeoutError, Sender, SyncSender};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -268,21 +267,18 @@ impl SubmitOptions {
 }
 
 /// Everything the batcher waits for, behind one lock, so it has a single
-/// place to sleep: a request, a pool command, a finished batch and the
+/// place to sleep: an arrival, a finished batch, a pool resize and the
 /// shutdown flag all wake the same condition variable.
 #[derive(Default)]
 struct Inbox {
-    /// Admitted requests the batcher has not laned yet.
-    requests: Vec<Request>,
+    /// Events the batcher has not taken yet, in the order they happened.
+    /// A resize is not queued behind requests the core cannot place, so it
+    /// lands while the pool is saturated — exactly when it is needed.
+    events: Vec<Event<Request>>,
     /// Admitted requests not yet closed into a batch or shed — what
     /// `queue_depth` bounds. The batcher lanes arrivals at once, so the
     /// bound is on work it cannot place, whichever model it is for.
     backlog: usize,
-    /// Pool commands. They are not queued behind requests, so a resize
-    /// lands while the pool is saturated — exactly when it is needed.
-    control: Vec<Control>,
-    /// A worker finished a batch since the batcher last looked.
-    freed: bool,
     /// Admission is closed; the batcher drains and exits.
     shutdown: bool,
 }
@@ -292,9 +288,6 @@ struct Shared {
     admission: AdmissionPolicy,
     queue_depth: usize,
     next_id: AtomicU64,
-    /// Global replica id allocator — replicas spawned by a pool resize get
-    /// fresh ids, so `RequestStats::replica` stays unique server-wide.
-    next_replica: AtomicU64,
     inbox: Mutex<Inbox>,
     /// The batcher sleeps here; anything put in the inbox signals it.
     wake: Condvar,
@@ -305,6 +298,12 @@ struct Shared {
 impl Shared {
     fn inbox(&self) -> MutexGuard<'_, Inbox> {
         self.inbox.lock().expect("a serving thread panicked holding the inbox")
+    }
+
+    /// Hand the batcher one event.
+    fn push(&self, event: Event<Request>) {
+        self.inbox().events.push(event);
+        self.wake.notify_one();
     }
 
     /// Close admission and tell the batcher to drain.
@@ -408,7 +407,7 @@ impl Client {
         let id = shared.next_id.fetch_add(1, Ordering::Relaxed);
         shared.registry.ledger(model).admit();
         inbox.backlog += 1;
-        inbox.requests.push(Request {
+        inbox.events.push(Event::Arrive(Request {
             id,
             tag: tag.unwrap_or(id),
             model,
@@ -417,7 +416,7 @@ impl Client {
             image,
             submitted_at,
             reply,
-        });
+        }));
         drop(inbox);
         shared.wake.notify_one();
         Ok(id)
@@ -453,11 +452,22 @@ impl Request {
     }
 }
 
-/// Commands to the batcher, the sole owner of pool handles.
-enum Control {
-    /// Grow or shrink one model's replica pool to `replicas` workers,
-    /// ack'd with `(old_size, new_size)` once the pool has the new shape.
-    Resize { model: usize, replicas: usize, ack: SyncSender<(usize, usize)> },
+impl Job for Request {
+    fn model(&self) -> usize {
+        self.model
+    }
+
+    fn priority(&self) -> Priority {
+        self.priority
+    }
+
+    fn submitted_at(&self) -> Instant {
+        self.submitted_at
+    }
+
+    fn deadline(&self) -> Option<Duration> {
+        self.deadline
+    }
 }
 
 struct Batch {
@@ -472,114 +482,24 @@ struct Batch {
     requests: Vec<Request>,
 }
 
-/// Dispatch-side load of one replica: incremented by the batcher before a
-/// batch is sent, decremented by the worker once it is fully answered, so
-/// both counts cover queued *and* running work. The worker's `AcqRel`
-/// decrements pair with the batcher's `Acquire` loads; a stale read only
-/// makes a replica look busier than it is.
-#[derive(Default)]
-struct SlotLoad {
-    images: AtomicU64,
-    batches: AtomicU64,
-}
-
-/// Batches a replica may hold: the one it runs and one queued behind it,
-/// so it never idles between back-to-back batches but the batcher cannot
-/// run arbitrarily far ahead of a slow replica.
-const SLOT_DEPTH: u64 = 2;
-
-/// One live replica worker, as the batcher sees it.
-struct ReplicaSlot {
-    tx: Sender<Batch>,
-    load: Arc<SlotLoad>,
-}
-
-impl ReplicaSlot {
-    fn images(&self) -> u64 {
-        self.load.images.load(Ordering::Acquire)
-    }
-
-    fn accepts(&self) -> bool {
-        self.load.batches.load(Ordering::Acquire) < SLOT_DEPTH
-    }
-}
-
-/// Batcher-side view of one model's replica pool. Pools are resizable at
-/// runtime ([`Server::resize_pool`]): growing spawns fresh workers,
-/// shrinking drops a slot's sender so that worker drains its queue and
-/// exits.
-struct PoolHandle {
-    slots: Vec<ReplicaSlot>,
-    /// Synthetic per-batch busy time of this pool's replicas
-    /// ([`ModelOptions::synthetic_delay`]): slot `i` injects
-    /// `delays[i % len]`, whether it started with the pool or was added by
-    /// a resize, so scaling experiments stay apples-to-apples.
-    delays: Vec<Duration>,
-}
-
-impl PoolHandle {
-    /// Spawn workers for `model` until the pool holds `replicas` slots.
-    fn grow(
-        &mut self,
-        shared: &Arc<Shared>,
-        model: usize,
-        replicas: usize,
-        workers: &mut Vec<JoinHandle<ReplicaStats>>,
-    ) {
-        while self.slots.len() < replicas {
-            let delay = self.delays.iter().cycle().nth(self.slots.len()).copied();
-            let (slot, handle) = spawn_worker(shared, model, delay.unwrap_or_default());
-            self.slots.push(slot);
-            workers.push(handle);
-        }
-    }
-}
-
-struct BatcherKnobs {
-    max_batch: usize,
-    flush_deadline: Duration,
-    interactive_flush_deadline: Duration,
-}
-
-impl BatcherKnobs {
-    fn deadline_of(&self, priority: Priority) -> Duration {
-        match priority {
-            Priority::Interactive => self.interactive_flush_deadline,
-            Priority::Batch => self.flush_deadline,
-        }
-    }
-}
-
-/// Assembles requests into per-(model, class) batches and dispatches them.
+/// The thread around the scheduling [`Core`]: it takes the inbox's events,
+/// hands them to the core with the instant it woke at, performs the
+/// actions, and sleeps until the next event or [`Core::next_wake`].
 ///
-/// The batcher is also the pool supervisor: it owns every replica slot and
-/// every worker join handle (including workers retired by a shrink), so
-/// [`Control::Resize`] needs no lock around pool shape.
-///
-/// One scheduling step: dispatch every lane that is *ready*, then sleep on
-/// the inbox until a request, a command, a finished batch, shutdown or the
-/// next lane deadline. A lane is ready when it is non-empty and
-///
-/// * a replica of its pool has nothing in flight (work-conserving: a
-///   request never waits beside an idle replica), or
-/// * it holds `max_batch` requests, or its oldest request has waited the
-///   class's flush deadline — the two bounds on how long a lane keeps
-///   filling while every replica is busy.
-///
-/// A ready lane is closed only if a replica can take the batch (it holds
-/// fewer than [`SLOT_DEPTH`]); otherwise it stays as it is — still
-/// accepting arrivals, still one lane — until a worker reports a finished
-/// batch. Nothing the batcher does blocks on one pool, so a saturated
-/// model never delays another model's lanes.
+/// The batcher is also the pool supervisor: it owns every replica's batch
+/// sender and every worker join handle (including workers retired by a
+/// shrink). Nothing it does blocks on one pool, so a saturated model never
+/// delays another model's lanes.
 struct Batcher {
     shared: Arc<Shared>,
-    knobs: BatcherKnobs,
-    pools: Vec<PoolHandle>,
+    core: Core<Request>,
+    /// Synthetic per-batch busy time per model ([`ModelOptions::synthetic_delay`]):
+    /// slot `i` injects `delays[i % len]`, whether it started with the pool
+    /// or was added by a resize, so scaling experiments stay apples-to-apples.
+    delays: Vec<Vec<Duration>>,
+    /// Batch queue of each replica by global id; `None` once retired.
+    senders: Vec<Option<Sender<Batch>>>,
     workers: Vec<JoinHandle<ReplicaStats>>,
-    /// Per model, per class index, in arrival order.
-    lanes: Vec<[VecDeque<Request>; 2]>,
-    /// The next batch's [`RequestStats::batch_id`].
-    next_batch: u64,
     /// Requests batched or shed since the inbox was last locked: taken off
     /// its backlog at the next lock.
     closed: usize,
@@ -588,195 +508,89 @@ struct Batcher {
 impl Batcher {
     fn run(mut self) -> Vec<JoinHandle<ReplicaStats>> {
         loop {
+            let (events, shutdown) = self.wait();
             let now = Instant::now();
-            self.flush_ready(now);
-            let (arrivals, control, shutdown) = self.wait(self.next_deadline(now));
-            for command in control {
-                self.apply(command);
-            }
-            for req in arrivals {
-                self.lanes[req.model][req.priority.index()].push_back(req);
+            for event in events {
+                let actions = self.core.on(event, now);
+                self.perform(actions);
             }
             if shutdown {
-                // Everything admitted before the flag is laned by now.
-                for priority in Priority::ALL {
-                    for model in 0..self.lanes.len() {
-                        while self.dispatch(model, priority, true) {}
-                    }
-                }
+                // Everything admitted before the flag is laned by now;
+                // dropping the senders lets each worker drain and exit.
+                let actions = self.core.on(Event::Shutdown, now);
+                self.perform(actions);
                 return self.workers;
             }
         }
     }
 
-    /// Sleep until the inbox has something or `wake_at` passes, and take
-    /// what it has.
-    fn wait(&mut self, wake_at: Option<Instant>) -> (Vec<Request>, Vec<Control>, bool) {
+    /// Sleep until the inbox has something or the core's next wake passes,
+    /// and take what it has ([`Event::Tick`] for a timer wake-up).
+    fn wait(&mut self) -> (Vec<Event<Request>>, bool) {
         let shared = &*self.shared;
+        let wake_at = self.core.next_wake();
         let mut inbox = shared.inbox();
         if self.closed > 0 {
             inbox.backlog -= std::mem::take(&mut self.closed);
             shared.space.notify_all();
         }
-        while inbox.requests.is_empty()
-            && inbox.control.is_empty()
-            && !inbox.freed
-            && !inbox.shutdown
-        {
+        while inbox.events.is_empty() && !inbox.shutdown {
             inbox = match wake_at {
                 None => shared.wake.wait(inbox).expect("inbox poisoned"),
                 Some(at) => {
                     let left = at.saturating_duration_since(Instant::now());
                     if left.is_zero() {
-                        break;
+                        return (vec![Event::Tick], false);
                     }
                     shared.wake.wait_timeout(inbox, left).expect("inbox poisoned").0
                 }
             };
         }
-        inbox.freed = false;
-        (
-            std::mem::take(&mut inbox.requests),
-            std::mem::take(&mut inbox.control),
-            inbox.shutdown,
-        )
+        (std::mem::take(&mut inbox.events), inbox.shutdown)
     }
 
-    fn apply(&mut self, Control::Resize { model, replicas, ack }: Control) {
-        let pool = &mut self.pools[model];
-        let old = pool.slots.len();
-        pool.grow(&self.shared, model, replicas, &mut self.workers);
-        // Shrink: dropping the slot's sender lets the worker drain any
-        // batch already queued to it, answer those requests, and exit;
-        // its join handle stays with the batcher for shutdown, so its
-        // counters still reach the final report.
-        pool.slots.truncate(replicas);
-        self.shared.registry.set_replicas(model, replicas);
-        let _ = ack.send((old, replicas));
-    }
-
-    /// When the earliest lane that is still filling hits its class
-    /// deadline. A lane already past it is waiting for a replica, not for
-    /// the clock: a finished batch wakes the batcher for those.
-    fn next_deadline(&self, now: Instant) -> Option<Instant> {
-        let mut wake = None;
-        for pair in &self.lanes {
-            for priority in Priority::ALL {
-                if let Some(oldest) = pair[priority.index()].front() {
-                    let at = oldest.submitted_at + self.knobs.deadline_of(priority);
-                    if at > now {
-                        wake = Some(wake.map_or(at, |w: Instant| w.min(at)));
-                    }
-                }
-            }
-        }
-        wake
-    }
-
-    fn ready(&self, model: usize, priority: Priority, now: Instant) -> bool {
-        let lane = &self.lanes[model][priority.index()];
-        let Some(oldest) = lane.front() else { return false };
-        lane.len() >= self.knobs.max_batch
-            || now.duration_since(oldest.submitted_at) >= self.knobs.deadline_of(priority)
-            || self.pools[model].slots.iter().any(|slot| slot.images() == 0)
-    }
-
-    /// Dispatch every ready lane — interactive lanes first, so latency
-    /// traffic is placed ahead of throughput traffic at every scheduling
-    /// decision.
-    fn flush_ready(&mut self, now: Instant) {
-        for priority in Priority::ALL {
-            for model in 0..self.lanes.len() {
-                while self.ready(model, priority, now) && self.dispatch(model, priority, false) {}
-            }
-        }
-    }
-
-    /// The replica the next batch of `model` goes to, if one can take it
-    /// (any one, when `force`d by the shutdown drain).
-    ///
-    /// Fewest in-flight images wins, ties to the lowest id. The loads move
-    /// underneath us (workers decrement as batches finish), but only the
-    /// batcher increments, so the chosen replica can only be less loaded
-    /// than observed.
-    fn target(&self, model: usize, force: bool) -> Option<usize> {
-        self.pools[model]
-            .slots
-            .iter()
-            .enumerate()
-            .filter(|(_, slot)| force || slot.accepts())
-            .min_by_key(|(_, slot)| slot.images())
-            .map(|(i, _)| i)
-    }
-
-    /// Close the front of a lane (up to `max_batch` requests) into a batch:
-    /// shed deadline-expired requests, pin the model's current weight
-    /// snapshot, and send it to a pool replica. `false` when the lane is
-    /// empty or no replica can take a batch now.
-    fn dispatch(&mut self, model: usize, priority: Priority, force: bool) -> bool {
-        if self.lanes[model][priority.index()].is_empty() {
-            return false;
-        }
-        let Some(target) = self.target(model, force) else { return false };
-        let lane = &mut self.lanes[model][priority.index()];
-        let take = lane.len().min(self.knobs.max_batch);
-        self.closed += take;
-        // Dispatch-time deadline check: a request that already blew its
-        // latency budget is answered `Dropped::Deadline` now — running it
-        // would waste a pipeline slot on an answer nobody is waiting for.
-        let now = Instant::now();
+    fn perform(&mut self, actions: Vec<Action<Request>>) {
         let registry = &self.shared.registry;
-        let mut kept = Vec::with_capacity(take);
-        for req in lane.drain(..take) {
-            match req.deadline {
-                Some(budget) if now.duration_since(req.submitted_at) > budget => {
-                    req.answer(registry.ledger(model), Err(Dropped::Deadline));
+        for action in actions {
+            match action {
+                Action::Dispatch { model, replica, batch_id, priority, requests } => {
+                    self.closed += requests.len();
+                    let artifact = registry.current(model);
+                    let batch = Batch { id: batch_id, priority, artifact, requests };
+                    let tx = self.senders[replica].as_ref().expect("dispatch to a live replica");
+                    let hung_up = |_| panic!("replica {replica} hung up before shutdown");
+                    tx.send(batch).unwrap_or_else(hung_up);
                 }
-                _ => kept.push(req),
+                Action::Shed(req) => {
+                    self.closed += 1;
+                    let ledger = registry.ledger(req.model);
+                    req.answer(ledger, Err(Dropped::Deadline));
+                }
+                Action::Spawn { model, replica, slot } => {
+                    let delays = &self.delays[model];
+                    let delay = delays.get(slot % delays.len().max(1)).copied().unwrap_or_default();
+                    // Unbounded, but the core never puts more than
+                    // `SLOT_DEPTH` batches in flight per replica (the
+                    // shutdown drain excepted).
+                    let (tx, rx) = channel();
+                    let shared = Arc::clone(&self.shared);
+                    let worker = move || run_worker(shared, model, replica, rx, delay);
+                    self.workers.push(std::thread::spawn(worker));
+                    self.senders.push(Some(tx));
+                }
+                // Dropping the sender lets the worker drain any batch
+                // already queued to it, answer those requests, and exit;
+                // its join handle stays here for shutdown, so its counters
+                // still reach the final report.
+                Action::Retire { replica } => self.senders[replica] = None,
             }
         }
-        if kept.is_empty() {
-            return true;
-        }
-        let id = self.next_batch;
-        self.next_batch += 1;
-        let slot = &self.pools[model].slots[target];
-        // Counted before the send: the worker counts a batch out when it
-        // is answered, which may be before this thread runs again.
-        slot.load.images.fetch_add(kept.len() as u64, Ordering::AcqRel);
-        slot.load.batches.fetch_add(1, Ordering::AcqRel);
-        let artifact = registry.current(model);
-        slot.tx
-            .send(Batch { id, priority, artifact, requests: kept })
-            .unwrap_or_else(|_| panic!("model {model} replica {target} hung up before shutdown"));
-        true
     }
-}
-
-/// Spawn one replica worker for `model_idx`, wired to a fresh batch queue
-/// and a fresh load counter. Used both at server start and by the batcher
-/// when a resize grows a pool.
-fn spawn_worker(
-    shared: &Arc<Shared>,
-    model_idx: usize,
-    synthetic_delay: Duration,
-) -> (ReplicaSlot, JoinHandle<ReplicaStats>) {
-    let name = Arc::clone(&shared.registry.entry(model_idx).name);
-    let global_id = shared.next_replica.fetch_add(1, Ordering::Relaxed) as usize;
-    // Unbounded, but the batcher never puts more than `SLOT_DEPTH` batches
-    // in flight per replica (the shutdown drain excepted).
-    let (tx, rx) = channel::<Batch>();
-    let load = Arc::new(SlotLoad::default());
-    let slot = ReplicaSlot { tx, load: Arc::clone(&load) };
-    let shared = Arc::clone(shared);
-    let handle = std::thread::spawn(move || {
-        run_worker(shared, model_idx, name, global_id, rx, load, synthetic_delay)
-    });
-    (slot, handle)
 }
 
 /// Execute batches on one pool replica until its queue disconnects
-/// (drain), telling the batcher after each one that the replica has room.
+/// (drain), telling the batcher after each one that the replica is done
+/// with it.
 ///
 /// The replica keeps one elaborated pipeline for the weight version it is
 /// running and re-arms it for each batch; a batch stamped with another
@@ -785,12 +599,11 @@ fn spawn_worker(
 fn run_worker(
     shared: Arc<Shared>,
     model_idx: usize,
-    model: Arc<str>,
     global_id: usize,
     rx: Receiver<Batch>,
-    load: Arc<SlotLoad>,
     synthetic_delay: Duration,
 ) -> ReplicaStats {
+    let model = Arc::clone(&shared.registry.entry(model_idx).name);
     let mut stats = ReplicaStats {
         replica: global_id,
         model: model.to_string(),
@@ -863,10 +676,7 @@ fn run_worker(
             };
             req.answer(ledger, Ok(response));
         }
-        load.images.fetch_sub(n as u64, Ordering::AcqRel);
-        load.batches.fetch_sub(1, Ordering::AcqRel);
-        shared.inbox().freed = true;
-        shared.wake.notify_one();
+        shared.push(Event::Done { replica: global_id });
     }
     stats
 }
@@ -963,7 +773,7 @@ impl ServerBuilder {
         }
 
         let mut entries = Vec::with_capacity(self.models.len());
-        let mut pool_specs = Vec::with_capacity(self.models.len());
+        let mut pools = Vec::with_capacity(self.models.len());
         for (name, net, opts) in self.models {
             let replicas = opts.replicas.unwrap_or(config.replicas);
             if replicas == 0 {
@@ -974,40 +784,33 @@ impl ServerBuilder {
                 ConfigError::InvalidOptions { model: name.clone(), error }
             })?);
             entries.push(registry::entry(name, artifact, replicas));
-            pool_specs.push((replicas, opts.synthetic_delay));
+            pools.push((replicas, opts.synthetic_delay));
         }
         let shared = Arc::new(Shared {
             registry: ModelRegistry::new(entries),
             admission: config.admission,
             queue_depth: config.queue_depth,
             next_id: AtomicU64::new(0),
-            next_replica: AtomicU64::new(0),
             inbox: Mutex::new(Inbox::default()),
             wake: Condvar::new(),
             space: Condvar::new(),
         });
 
-        let mut pools = Vec::with_capacity(pool_specs.len());
-        let mut workers = Vec::new();
-        for (model, (replicas, delays)) in pool_specs.into_iter().enumerate() {
-            let mut pool = PoolHandle { slots: Vec::with_capacity(replicas), delays };
-            pool.grow(&shared, model, replicas, &mut workers);
-            pools.push(pool);
-        }
-
-        let batcher = Batcher {
+        let flush = [config.interactive_flush_deadline, config.flush_deadline];
+        let mut batcher = Batcher {
             shared: Arc::clone(&shared),
-            knobs: BatcherKnobs {
-                max_batch: config.max_batch,
-                flush_deadline: config.flush_deadline,
-                interactive_flush_deadline: config.interactive_flush_deadline,
-            },
-            lanes: (0..pools.len()).map(|_| Default::default()).collect(),
-            next_batch: 0,
-            pools,
-            workers,
+            core: Core::new(pools.len(), config.max_batch, flush),
+            delays: Vec::with_capacity(pools.len()),
+            senders: Vec::new(),
+            workers: Vec::new(),
             closed: 0,
         };
+        let now = Instant::now();
+        for (model, (replicas, delays)) in pools.into_iter().enumerate() {
+            batcher.delays.push(delays);
+            let actions = batcher.core.on(Event::Resize { model, replicas }, now);
+            batcher.perform(actions);
+        }
         let batcher = Some(std::thread::spawn(move || batcher.run()));
 
         Ok(Server { shared, batcher, started: Instant::now() })
@@ -1068,20 +871,25 @@ impl Server {
     /// the pool's current artifact through the registry); shrinking
     /// retires the highest-numbered slots, each retired worker draining
     /// any batch already queued to it before exiting. Returns
-    /// `(old_size, new_size)` once the pool has the new shape.
+    /// `(old_size, new_size)`; the batcher takes its events in order, so
+    /// every request admitted after the call is placed on the new shape.
     pub fn resize_pool(&self, model: &str, replicas: usize) -> Result<(usize, usize), ResizeError> {
         if replicas == 0 {
             return Err(ResizeError::ZeroReplicas);
         }
-        let idx = self
-            .shared
-            .registry
-            .resolve(model)
-            .ok_or_else(|| ResizeError::UnknownModel(model.to_string()))?;
-        let (ack, rx) = sync_channel(1);
-        self.shared.inbox().control.push(Control::Resize { model: idx, replicas, ack });
+        let registry = &self.shared.registry;
+        let idx =
+            registry.resolve(model).ok_or_else(|| ResizeError::UnknownModel(model.to_string()))?;
+        let mut inbox = self.shared.inbox();
+        if inbox.shutdown {
+            return Err(ResizeError::Stopped);
+        }
+        let old = registry.replicas(idx);
+        registry.set_replicas(idx, replicas);
+        inbox.events.push(Event::Resize { model: idx, replicas });
+        drop(inbox);
         self.shared.wake.notify_one();
-        rx.recv().map_err(|_| ResizeError::Stopped)
+        Ok((old, replicas))
     }
 
     /// A live load sample for `model`: cumulative admitted, rejected,
@@ -1136,7 +944,7 @@ pub enum ResizeError {
     /// Pools need at least one replica; drain a model by removing its
     /// traffic, not by resizing to zero.
     ZeroReplicas,
-    /// The server tore down before acknowledging the resize.
+    /// The server had closed admission.
     Stopped,
 }
 
@@ -1147,7 +955,7 @@ impl fmt::Display for ResizeError {
                 write!(f, "no model named {name:?} is registered")
             }
             ResizeError::ZeroReplicas => write!(f, "pools need at least one replica"),
-            ResizeError::Stopped => write!(f, "server stopped before acknowledging resize"),
+            ResizeError::Stopped => write!(f, "server stopped before the resize"),
         }
     }
 }
