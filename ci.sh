@@ -65,7 +65,12 @@
 #   ci.sh bench-smoke    NOT tier-1: the fast analytic `paper-tables` set
 #                        (every table and figure plus the ablations), then
 #                        the `pipeline_analysis` example (its assertions and
-#                        its burst-planner print), then
+#                        its burst-planner print), then the
+#                        `imagenet_resnet18` example (bit-exact logits, its
+#                        BurstDiag and HostProfile print, and ceilings on the
+#                        planner's attempts and steps per image: counts that
+#                        repeat exactly, so a planner regression fails here
+#                        without wall-clock noise), then
 #                        the repo benchmark in its quick mode
 #                        (`benchmark/run.sh --quick`: a separate workspace
 #                        tier-1 never compiles, and it links against the
@@ -157,6 +162,7 @@ fi
 if [[ "${1:-}" == "bench-smoke" ]]; then
   run cargo run --release --offline -p qnn-bench --bin paper-tables
   run cargo run --release --offline -p qnn --example pipeline_analysis
+  run cargo run --release --offline -p qnn --example imagenet_resnet18
   run bash benchmark/run.sh --quick
   echo "ci.sh bench-smoke: all green"
   exit 0

@@ -4,7 +4,9 @@
 //!
 //! ## One pass in time
 //!
-//! A participant walks its chain phase by phase. Each tick of a phase moves
+//! A participant walks its chain phase by phase, and a repeated phase
+//! ([`SpanPhase::repeat`]) copy by copy without leaving its slot. Each tick
+//! of a phase moves
 //! what the kernel's greedy tick would — as many elements as its lanes, the
 //! queued input, the free output slots and the phase's remaining length
 //! allow ([`SpanPhase`]) — and a tick that moves nothing is a port-inert
@@ -14,8 +16,8 @@
 //! every port it needs is serviceable again.
 //!
 //! So the planner simulates the burst event by event. It keeps every
-//! participant's current *move* (a rate per side of its phase, or a wait
-//! with its verdict) and every stream's running push and pop counts
+//! participant's current *move* (a [`Rate`] per side of its phase, or a
+//! wait with its verdict) and every stream's running push and pop counts
 //! ([`Flow`]), advances to the earliest cycle at which some move changes —
 //! ties in node order, dense stepping's order within a cycle — and
 //! re-evaluates only that participant. A change of its rates on a stream
@@ -62,6 +64,28 @@
 //! which re-queues it when it comes, so a follower toggling inside one
 //! phase does not push its phase end again.
 //!
+//! ## Repeats
+//!
+//! A convolution or a pool states the identical positions of an output row
+//! as one repeated phase. When every copy provably moves the same counts on
+//! the same ticks, one evaluation crosses the copies ([`duty`]): each side
+//! is then a duty-cycled [`Rate`] (`on` elements on `a` ticks of every
+//! `p`) and the participant is busy on every tick. A side qualifies when
+//! every port keeps up with its lanes — each read tick finds its full
+//! count, each write tick room for it, checked port by port in O(1) per
+//! period ([`Level`](crate::stream::Level)) — or when it is pinned to its
+//! port's other end, finding on each tick exactly what that end moved on
+//! the cycle before, and so moves that end's rate a cycle later. A coupled
+//! kernel pinned the same way to a duty-cycled neighbour (a pad or source
+//! in front of the bottleneck, a split or pad behind a crossing pool)
+//! relays its rate in one follower step, its other ports checked to keep
+//! up. A neighbour facing a duty-cycled rate it does not relay takes no
+//! move past the rate's next change on a port that bounds it. A rate
+//! change on a port a crossing or a relay is pinned to steps it again; on
+//! any other port only that port is re-checked. Anything the closed forms
+//! cannot state — copies with idle gaps, a reader wider than the kernel's
+//! lanes, a spill, a watched input — is walked copy by copy.
+//!
 //! ## The length
 //!
 //! `k` is the earliest cycle at which one of these happens: the cycle
@@ -73,19 +97,27 @@
 //! can consume only what was queued at the start. Each is a check at the
 //! event where it happens, and the pass stops there. Within `k` the dense
 //! outcome is exactly what the moves say, so the dispatch credits it
-//! arithmetically: per participant, its busy and stall counts, one
-//! [`Kernel::run_span`](crate::Kernel::run_span) moving each port's quota,
-//! and the park state dense stepping would leave it in; per stream, the
-//! occupancy peak ([`Flow::peak`]).
+//! arithmetically ([`emit`]): per participant, its busy and stall counts,
+//! one [`Kernel::run_span`](crate::Kernel::run_span) moving each port's
+//! quota, and the park state dense stepping would leave it in; per stream,
+//! the occupancy peak ([`Flow::peak`]). Participants and their moves live in
+//! `part`, how a rate change reaches the other end of a stream in
+//! `publish`.
 
 use crate::diag::{BurstEnd, Refusal};
 use crate::graph::{End, Node};
-use crate::kernel::{
-    Progress, SpanIo, SpanPhase, SpanPlan, WakeHint, MAX_GATHER_PORTS, MAX_SPAN_PORTS,
-};
-use crate::stream::{greedy, Flow, Gauge, Step, StreamState};
+use crate::kernel::{Progress, SpanPlan, MAX_GATHER_PORTS, MAX_SPAN_PORTS};
+use crate::stream::{greedy, Flow, Gauge, Rate, Step, StreamState};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+
+mod duty;
+mod emit;
+mod part;
+mod publish;
+
+pub(crate) use emit::dispatch;
+use part::{bits, decide, side_lens, side_ports, sides, Move, Part, Tick};
 
 /// Farthest cycle a burst is planned to, so rate arithmetic never nears
 /// `u64` overflow; budgets beyond it are clamped.
@@ -115,48 +147,6 @@ struct Port {
     early: bool,
     /// Free slots at the burst's start (an output).
     room: i64,
-}
-
-/// A kernel taking part in the planned burst, as of cycle `since`.
-struct Part {
-    node: usize,
-    /// Its ports' window into `Planner::ports`, and how many are inputs.
-    ports: (u32, u32),
-    ni: usize,
-    /// Park verdict at the burst's start (`None`: awake).
-    parked: Option<Progress>,
-    /// The phase of its chain it is in, and the elements left on each side
-    /// of it: a coupled phase has one side, an overlapped one a read side
-    /// and a write side, a gather one side per port.
-    phase: usize,
-    left: [u64; SIDES],
-    /// Elements per tick on each side from `since` on.
-    rate: [u64; SIDES],
-    since: u64,
-    /// What it does from `since` on (`None`: busy), and on the cycle before.
-    act: Option<Progress>,
-    prev: Option<Progress>,
-    /// Busy and `Stalled` ticks before `since`.
-    busy: u64,
-    stalled: u64,
-    /// Every tick before `since` repeated the verdict it is parked on.
-    kept_park: bool,
-    /// The cycle it is next stepped on (`u64::MAX`: none pending).
-    next: u64,
-    /// The cycles of its entries in the near and the far event queue
-    /// (`u64::MAX`: none); while `next` is inside the burst, the earlier
-    /// is never after it.
-    near_at: u64,
-    far_at: u64,
-    /// Ports that held its move back at `since`, bit per port: found empty
-    /// (an input) or full (an output), or holding no more than it moves.
-    held: u32,
-    /// Input ports whose pops a move must watch, bit per port: read ahead
-    /// of their writer in node order, or the schedule-replay marker.
-    watched: u32,
-    /// Its full evaluations and follower advances so far.
-    evals: u64,
-    follows: u64,
 }
 
 /// One participant's part in a planned burst, as the dispatch applies it
@@ -271,116 +261,6 @@ impl Default for Cut {
     }
 }
 
-/// What a participant does on a tick: a rate per side and a verdict, held
-/// for some ticks while the other ends keep theirs — or a tick its promise
-/// does not cover, and why.
-enum Tick {
-    Runs { rate: [u64; SIDES], act: Option<Progress>, ticks: u64 },
-    Breaks(Refusal),
-}
-
-/// A phase's sides as port masks (bit per port: inputs, then outputs)
-/// with their lanes: one coupled side, an overlapped read side and write
-/// side, or one side per gathered port.
-fn sides(ph: &SpanPhase, ni: usize) -> [(u32, u64); SIDES] {
-    let (reads, writes) = (u32::from(ph.reads), u32::from(ph.writes) << ni);
-    let mut sides = [(0, 0); SIDES];
-    if ph.is_gather() {
-        for (side, q) in sides.iter_mut().zip(bits(reads)) {
-            *side = (1 << q, 1);
-        }
-    } else if ph.overlapped {
-        sides[0] = (reads, u64::from(ph.read_lanes));
-        sides[1] = (writes, u64::from(ph.write_lanes));
-    } else {
-        sides[0] = (reads | writes, u64::from(ph.read_lanes.max(ph.write_lanes)));
-    }
-    sides
-}
-
-/// Every port of a phase's sides.
-fn side_ports(sides: &[(u32, u64); SIDES]) -> u32 {
-    sides.iter().fold(0, |m, &(mask, _)| m | mask)
-}
-
-/// The ports set in a mask.
-fn bits(mut mask: u32) -> impl Iterator<Item = usize> + Clone {
-    std::iter::from_fn(move || {
-        let q = mask.trailing_zeros() as usize;
-        mask &= mask.wrapping_sub(1);
-        (q < 32).then_some(q)
-    })
-}
-
-/// The elements each side of a phase moves.
-fn side_lens(ph: &SpanPhase) -> [u64; SIDES] {
-    let mut lens = [0; SIDES];
-    if ph.is_gather() {
-        lens = ph.gather.map(u64::from);
-    } else if ph.overlapped {
-        (lens[0], lens[1]) = (ph.read_len, ph.write_len);
-    } else {
-        lens[0] = if ph.reads != 0 { ph.read_len } else { ph.write_len };
-    }
-    lens
-}
-
-/// The tick of phase `ph` with `left` elements per side, on ports that
-/// look like `g` (inputs `0..ni`, then outputs).
-fn decide(ph: &SpanPhase, left: [u64; SIDES], ni: usize, g: &[Gauge]) -> Tick {
-    let strict = ph.dry.is_none();
-    let gather = ph.is_gather();
-    // A gather idles unless a port whose quota is met holds an element.
-    let (mut rate, mut ticks, mut idle) = ([0; SIDES], u64::MAX, gather);
-    for (s, (mask, lanes)) in sides(ph, ni).into_iter().enumerate() {
-        if left[s] == 0 {
-            if let (true, Some(q)) = (gather, bits(mask).next()) {
-                match g[q] {
-                    Gauge { avail: 1.., .. } => idle = false,
-                    // Until it holds one: ⌈(1 − avail) / gain⌉ ticks.
-                    Gauge { avail: avail @ ..=0, gain: gain @ 1.., .. } => {
-                        ticks = ticks.min(((gain - avail) / gain) as u64);
-                    }
-                    _ => {}
-                }
-            }
-            continue;
-        }
-        let side = bits(mask).map(|q| g[q]);
-        let step = greedy(side.clone(), lanes, left[s]);
-        let full = matches!(step, Step::Move { m, .. } if m == lanes.min(left[s]));
-        if strict && !full {
-            let lanes = i64::from(ph.write_lanes);
-            return Tick::Breaks(if side.clone().any(|g| !g.input && g.avail < lanes) {
-                Refusal::WriteBlockedNonHalting
-            } else {
-                Refusal::StreamCap
-            });
-        }
-        match step {
-            Step::Move { m, ticks: d } => {
-                rate[s] = m;
-                ticks = ticks.min(d);
-            }
-            // A gathered port waits, empty, until it holds an element.
-            Step::Wait { ticks: d, .. } if gather => ticks = ticks.min(d),
-            Step::Wait { ticks: d, fed } => {
-                // Idle while every masked input is empty, if the phase's
-                // dry verdict says so; `Stalled` from the first element on.
-                let dry = !ph.overlapped && ph.dry == Some(Progress::Idle) && ph.reads != 0;
-                idle = dry && fed > 0;
-                ticks = ticks.min(if idle { fed } else { d });
-            }
-        }
-    }
-    let act = match (rate == [0; SIDES], idle) {
-        (true, true) => Some(Progress::Idle),
-        (true, false) => Some(Progress::Stalled),
-        _ => None,
-    };
-    Tick::Runs { rate, act, ticks }
-}
-
 impl Planner {
     /// Clear the last attempt and size the per-node and per-stream scratch.
     fn reset(&mut self, view: &View<'_>) {
@@ -451,11 +331,15 @@ impl Planner {
             ni: node.inputs.len(),
             parked: view.parked[i].map(|(v, _)| v),
             phase: 0,
+            reps: u64::from(plan.phases()[0].repeat) - 1,
             left: side_lens(&plan.phases()[0]),
-            rate: [0; SIDES],
+            rate: [Rate::default(); SIDES],
             since: 0,
             act,
             prev: act,
+            beat: None,
+            cross: None,
+            pins: 0,
             busy: 0,
             stalled: 0,
             kept_park: true,
@@ -632,21 +516,11 @@ impl Planner {
     /// step, then find its move from `t` on — as a follower if it is one,
     /// else by a full evaluation — and publish the rates that changed.
     fn step(&mut self, view: &View<'_>, pi: usize, t: u64) -> Result<(), Refusal> {
-        let p = &mut self.list[pi];
-        let elapsed = t - p.since;
-        if elapsed > 0 {
-            match p.act {
-                None => p.busy += elapsed,
-                Some(v) => {
-                    p.stalled += elapsed * u64::from(v == Progress::Stalled);
-                    p.kept_park &= p.parked == Some(v);
-                }
-            }
-            p.left = std::array::from_fn(|s| p.left[s] - p.rate[s] * elapsed);
-            (p.prev, p.since) = (p.act, t);
-        }
-        if self.follow(view, pi, t) {
+        let ph = self.plans[pi].phases()[self.list[pi].phase];
+        self.list[pi].credit(&ph, t);
+        if let Some(mv) = self.follow(pi, t) {
             self.list[pi].follows += 1;
+            self.apply(view, pi, t, mv);
             return Ok(());
         }
         self.list[pi].evals += 1;
@@ -655,17 +529,21 @@ impl Planner {
 
     /// The closed-form step of a follower: participant `pi` in the middle of
     /// a coupled phase, on cycle `t > 0`, with no watched input in it. Its
-    /// one side moves what [`greedy`] says of the phase's ports, so the step
-    /// needs no phase walk, no [`decide`] over sides and no watch. `false`,
-    /// with nothing changed, when `pi` is no follower at `t` or its tick is
-    /// one only a full evaluation states: a lockstep break or a spill.
-    fn follow(&mut self, view: &View<'_>, pi: usize, t: u64) -> bool {
+    /// one side relays a duty-cycled neighbour ([`Planner::relay`]) or moves
+    /// what [`greedy`] says of the phase's ports, so the step needs no phase
+    /// walk, no [`decide`] over sides and no watch. `None` when `pi` is no
+    /// follower at `t` or its tick is one only a full evaluation states: a
+    /// lockstep break or a spill.
+    fn follow(&self, pi: usize, t: u64) -> Option<Move> {
         let p = &self.list[pi];
         let ph = &self.plans[pi].phases()[p.phase];
-        let (left, p0, np) = (p.left[0], p.ports.0 as usize, p.ports.1 as usize);
+        let (left, p0) = (p.left[0], p.ports.0 as usize);
         let mask = u32::from(ph.reads) | u32::from(ph.writes) << p.ni;
         if t == 0 || left == 0 || ph.overlapped || ph.is_gather() || mask & p.watched != 0 {
-            return false;
+            return None;
+        }
+        if let Some(mv) = self.relay(pi, t, p.phase, left) {
+            return Some(mv);
         }
         let lanes = u64::from(ph.read_lanes.max(ph.write_lanes));
         let mut g = [Gauge { avail: 0, gain: 0, input: false }; PORTS];
@@ -674,17 +552,17 @@ impl Planner {
         }
         let strict = ph.dry.is_none();
         let (rate, act, ticks) = match greedy(bits(mask).map(|q| g[q]), lanes, left) {
-            Step::Move { m, .. } if strict && m < lanes.min(left) => return false,
+            Step::Move { m, .. } if strict && m < lanes.min(left) => return None,
             // The tick finishing the phase may spill: a full evaluation
             // states it, on its own cycle.
             Step::Move { m, ticks } if ph.spill && m < lanes && m * ticks == left => {
                 if ticks == 1 {
-                    return false;
+                    return None;
                 }
                 (m, None, ticks - 1)
             }
             Step::Move { m, ticks } => (m, None, ticks),
-            Step::Wait { .. } if strict => return false,
+            Step::Wait { .. } if strict => return None,
             Step::Wait { ticks, fed } => {
                 if ph.dry == Some(Progress::Idle) && ph.reads != 0 && fed > 0 {
                     (0, Some(Progress::Idle), fed)
@@ -693,22 +571,43 @@ impl Planner {
                 }
             }
         };
-        let next = t.saturating_add(ticks);
-        debug_assert!(
-            next > t,
-            "{} re-queued on its own cycle {t}",
-            view.nodes[p.node].kernel.name()
-        );
+        let next = bits(mask).fold(t.saturating_add(ticks), |n, q| {
+            n.min(self.horizon(&self.ports[p0 + q], t, rate, n))
+        });
         let held = bits(mask).filter(|&q| g[q].avail <= rate as i64).fold(0, |h, q| h | 1 << q);
+        let mut r = [Rate::default(); SIDES];
+        r[0] = Rate::flat(rate);
+        Some(Move { rate: r, act, next, held, ..p.stay() })
+    }
+
+    /// Make `mv` participant `pi`'s move from cycle `t` on: queue its next
+    /// step and publish the rates that changed.
+    fn apply(&mut self, view: &View<'_>, pi: usize, t: u64, mv: Move) {
+        debug_assert!(
+            mv.next > t,
+            "{} re-queued on its own cycle {t}",
+            view.nodes[self.list[pi].node].kernel.name()
+        );
         let p = &mut self.list[pi];
-        self.busy = self.busy + usize::from(act.is_none()) - usize::from(p.act.is_none());
-        (p.rate[0], p.act, p.next, p.held) = (rate, act, next, held);
+        let was_busy = p.busy_now();
+        (p.phase, p.reps, p.left, p.rate) = (mv.phase, mv.reps, mv.left, mv.rate);
+        (p.act, p.beat, p.cross, p.pins) = (mv.act, mv.beat, mv.cross, mv.pins);
+        (p.next, p.held) = (mv.next, mv.held);
+        self.busy = self.busy + usize::from(p.busy_now()) - usize::from(was_busy);
+        let (p0, np, ni) = (p.ports.0 as usize, p.ports.1 as usize, p.ni);
         self.queue(pi);
+        let own = sides(&self.plans[pi].phases()[mv.phase], ni);
         for q in 0..np {
-            let m = if mask >> q & 1 != 0 { rate } else { 0 };
+            let m = match mv.moves {
+                Some(moves) => Rate::flat(moves[q]),
+                None => own
+                    .iter()
+                    .zip(mv.rate)
+                    .find(|(&(mask, _), _)| mask >> q & 1 != 0)
+                    .map_or(Rate::default(), |(_, r)| r),
+            };
             self.publish(view, self.ports[p0 + q], t, m);
         }
-        true
     }
 
     /// Find participant `pi`'s move from cycle `t` on in full — the phase
@@ -716,18 +615,35 @@ impl Planner {
     /// the rates that changed.
     fn eval(&mut self, view: &View<'_>, pi: usize, t: u64) -> Result<(), Refusal> {
         let p = &self.list[pi];
-        let (i, ni, (p0, np)) = (p.node, p.ni, p.ports);
-        let (mut phase, mut left) = (p.phase, p.left);
+        let (ni, p0) = (p.ni, p.ports.0);
+        let (mut phase, mut left, mut reps) = (p.phase, p.left, p.reps);
         let chain = self.plans[pi].phases().len();
         while left == [0; SIDES] {
-            phase += 1;
-            if phase == chain {
-                self.bound(t, BurstEnd::Phase, Refusal::ShortPhase);
-                return Ok(());
+            if reps > 0 {
+                reps -= 1;
+            } else {
+                phase += 1;
+                if phase == chain {
+                    self.bound(t, BurstEnd::Phase, Refusal::ShortPhase);
+                    return Ok(());
+                }
+                reps = u64::from(self.plans[pi].phases()[phase].repeat) - 1;
             }
             left = side_lens(&self.plans[pi].phases()[phase]);
         }
         let ph = &self.plans[pi].phases()[phase].clone();
+        // A repeat crossed, or a duty-cycled neighbour relayed, in closed form.
+        let closed = if ph.overlapped {
+            self.cross(pi, t, phase, reps, left)
+        } else if t > 0 && !ph.is_gather() && left[0] > 0 {
+            self.relay(pi, t, phase, left[0])
+        } else {
+            None
+        };
+        if let Some(mv) = closed {
+            self.apply(view, pi, t, mv);
+            return Ok(());
+        }
         // What the phase's ports find (the others cannot bind its move).
         let own = sides(ph, ni);
         let (mask, lanes) = own[0];
@@ -803,8 +719,9 @@ impl Planner {
                     }
                 }
                 if let Some(rest) = rest {
-                    // A one-cycle move across the phases.
-                    (left, rate, ticks) = ([0; SIDES], [0; SIDES], 1);
+                    // A one-cycle move across the phases (coupled ones, which
+                    // never repeat).
+                    (left, rate, ticks, reps) = ([0; SIDES], [0; SIDES], 1, 0);
                     left[0] = rest;
                 }
             }
@@ -833,185 +750,30 @@ impl Planner {
                 }
             }
         }
+        // A side through with its copy no longer reads its ports (a gather's
+        // full port still decides its verdict).
+        let done = own.iter().zip(&left).filter(|(_, &l)| l == 0 && !ph.is_gather());
+        let live = seen & !done.fold(0, |m, (&(mask, _), _)| m | mask);
+        for q in bits(live) {
+            next = self.horizon(&self.ports[p0 as usize + q], t, moves[q], next);
+        }
         // The ports that held its move back: any change on them may move it.
         let held = bits(seen).filter(|&q| g[q].avail <= moves[q] as i64).fold(0, |h, q| h | 1 << q);
-        // Progress guard: a move re-queued on its own cycle would be
-        // evaluated again at `t` forever, and `run` would never return.
-        debug_assert!(
-            next > t,
-            "{} re-queued on its own cycle {t}",
-            view.nodes[i].kernel.name()
-        );
-        let p = &mut self.list[pi];
-        self.busy = self.busy + usize::from(act.is_none()) - usize::from(p.act.is_none());
-        (p.phase, p.left, p.rate, p.act, p.next, p.held) = (phase, left, rate, act, next, held);
-        self.queue(pi);
-        for (q, &m) in moves.iter().enumerate().take(np as usize) {
-            self.publish(view, self.ports[p0 as usize + q], t, m);
-        }
+        let mv = Move {
+            phase,
+            reps,
+            left,
+            rate: rate.map(Rate::flat),
+            act,
+            beat: None,
+            cross: None,
+            pins: 0,
+            next,
+            held,
+            moves: Some(moves),
+        };
+        self.apply(view, pi, t, mv);
         Ok(())
-    }
-
-    /// A participant moves `rate` per tick through `port` from cycle `t` on:
-    /// advance the stream's flow and re-evaluate the other end from the
-    /// first tick the change can show in its move — or, on the first move
-    /// towards a parked kernel, recruit it.
-    fn publish(&mut self, view: &View<'_>, port: Port, t: u64, rate: u64) {
-        let f = &mut self.flows[port.stream];
-        let (first, sees) = if port.input {
-            if f.rates_on(t).1 == rate {
-                return;
-            }
-            let first = f.popped_before(t) == 0;
-            f.set_pop(t, rate);
-            (first, t + u64::from(!port.early))
-        } else {
-            if f.rates_on(t).0 == rate {
-                return;
-            }
-            let first = f.pushed_before(t) == 0;
-            f.set_push(t, rate);
-            (first, t + 1)
-        };
-        let o = port.other;
-        let pi = match self.part_of[o] {
-            u32::MAX if first && rate > 0 && t < self.cut.k => {
-                return self.recruit(view, o, port.input, t, sees);
-            }
-            u32::MAX => return,
-            pi => pi as usize,
-        };
-        // Only a port that held its move back, or starts to before its next
-        // evaluation, can change what the other end does.
-        let p = &self.list[pi];
-        let (next, held) = (p.next, p.held & 1 << port.facing != 0);
-        if sees >= next {
-            return;
-        }
-        let (push, pop) = self.flows[port.stream].rates_on(sees);
-        let m = (if port.input { push } else { pop }) as i64;
-        if m == 0 && !held {
-            return;
-        }
-        let g = self.gauge(&self.ports[p.ports.0 as usize + port.facing], sees);
-        let at = match g.gain - m {
-            // A wait on the port ends once it holds an element.
-            _ if m == 0 && g.avail >= 1 => sees,
-            _ if m == 0 && g.gain > 0 => sees + ((g.gain - g.avail) / g.gain) as u64,
-            _ if m == 0 => return,
-            _ if g.avail < m => sees,
-            slope if slope < 0 => sees + ((g.avail - m) / -slope) as u64 + 1,
-            // More on a port that held the move back lifts it.
-            _ if held && g.avail > m => sees,
-            slope if held && slope > 0 => sees + 1,
-            _ => return,
-        };
-        if at < next {
-            self.list[pi].next = at;
-            self.queue(pi);
-        }
-    }
-
-    /// The first move on cycle `t` towards parked node `o` (a pop of its
-    /// output when `drained`, else a push to its input) wakes it on cycle
-    /// `wakes`: it joins with its own promise, or the burst ends before the
-    /// event.
-    fn recruit(&mut self, view: &View<'_>, o: usize, drained: bool, t: u64, wakes: u64) {
-        let verdict = match view.parked[o] {
-            // Pops cannot un-idle a writer: `Idle` is input-driven, so it
-            // wakes, re-ticks `Idle` and parks again.
-            Some((Progress::Idle, _)) if drained => return,
-            Some((v, _)) => v,
-            None => unreachable!("awake kernels are participants"),
-        };
-        let Some(plan) = span_hint(view.streams, &view.nodes[o]) else {
-            // Without a promise the burst must end before the event, so
-            // per-element stepping delivers the wake.
-            self.bound(t, BurstEnd::Stream, Refusal::RecruitVeto);
-            return;
-        };
-        self.add(view, o, plan, Some(verdict), wakes);
-        if wakes > 0 {
-            // Its ticks before the wake are a fixed point of its state at the
-            // burst's start: the promise must say the same there.
-            let p = self.list.last().expect("just added");
-            let mut base = [Gauge { avail: 0, gain: 0, input: false }; PORTS];
-            let ports = &self.ports[p.ports.0 as usize..][..p.ports.1 as usize];
-            for (g, port) in base.iter_mut().zip(ports) {
-                let avail = if port.input { self.flows[port.stream].len as i64 } else { port.room };
-                *g = Gauge { avail, gain: 0, input: port.input };
-            }
-            let first = plan.phases().iter().find(|ph| side_lens(ph) != [0; SIDES]);
-            match first.map(|ph| decide(ph, side_lens(ph), p.ni, &base)) {
-                None => self.bound(0, BurstEnd::Phase, Refusal::ShortPhase),
-                Some(Tick::Breaks(reason)) => self.bound(0, BurstEnd::Stream, reason),
-                Some(Tick::Runs { act, .. }) if act != Some(verdict) => {
-                    self.bound(0, BurstEnd::Stream, Refusal::Admission);
-                }
-                Some(Tick::Runs { .. }) => {}
-            }
-        }
-    }
-
-    /// Build the dispatch records of a burst of `k` cycles.
-    fn emit(&mut self, view: &View<'_>, k: u64) {
-        let mut order = std::mem::take(&mut self.order);
-        order.clear();
-        order.extend(0..self.list.len() as u32);
-        order.sort_unstable_by_key(|&pi| self.list[pi as usize].node);
-        for &pi in &order {
-            let p = &self.list[pi as usize];
-            let node = &view.nodes[p.node];
-            let elapsed = k - p.since;
-            let (mut busy, mut stalled, mut kept_park) = (p.busy, p.stalled, p.kept_park);
-            match p.act {
-                None => busy += elapsed,
-                Some(v) if elapsed > 0 => {
-                    stalled += elapsed * u64::from(v == Progress::Stalled);
-                    kept_park &= p.parked == Some(v);
-                }
-                Some(_) => {}
-            }
-            let last = if elapsed > 0 { p.act } else { p.prev };
-            // Parked over the last cycle, unless an event on it wakes the
-            // kernel for the next: a commit on an input (a push on `k − 1`)
-            // or a pop by a reader later in node order.
-            let end = last.filter(|_| {
-                let fed = node.inputs.iter().any(|&s| self.flows[s].rates_on(k - 1).0 > 0);
-                let drained = node.outputs.iter().any(|&s| {
-                    view.readers[s].expect("validated").node > p.node
-                        && self.flows[s].rates_on(k - 1).1 > 0
-                });
-                !fed && !drained
-            });
-            if busy == 0 && kept_park && end == p.parked {
-                // Parked throughout on one verdict: the lazy credit already
-                // covers it.
-                continue;
-            }
-            let q0 = self.quotas.len() as u32;
-            let quotas = node.inputs.iter().map(|&s| self.flows[s].popped_before(k));
-            self.quotas.extend(quotas);
-            let quotas = node.outputs.iter().map(|&s| self.flows[s].pushed_before(k));
-            self.quotas.extend(quotas);
-            self.parts.push(SpanPart {
-                node: p.node as u32,
-                busy,
-                stalled,
-                quotas: (q0, self.quotas.len() as u32 - q0),
-                end,
-            });
-        }
-        self.order = order;
-        // Every stream the burst moves elements through, once.
-        let narrow = |v: usize| u32::try_from(v).expect("stream index or occupancy fits u32");
-        for &s in &self.touched {
-            let f = &self.flows[s];
-            if f.pushed_before(k) + f.popped_before(k) > 0 {
-                let (start_len, peak) = (narrow(f.len as usize), narrow(f.peak(k)));
-                self.streams.push(SpanStream { stream: narrow(s), start_len, peak });
-            }
-        }
     }
 }
 
@@ -1029,53 +791,4 @@ fn span_hint(streams: &[StreamState], node: &Node) -> Option<SpanPlan> {
         room[p] = streams[s].spec.capacity - streams[s].queue.len();
     }
     node.kernel.span_hint(&lens[..node.inputs.len()], &room[..node.outputs.len()])
-}
-
-/// Apply a planned (or replayed) burst of `span.k` cycles starting at clock
-/// `t_now`: for each participant, in node order, settle the lazy stall
-/// credit of its park, credit its busy and stall counts, move its quotas in
-/// one [`Kernel::run_span`](crate::Kernel::run_span), and leave it awake or
-/// parked as dense stepping would; then credit every stream's occupancy
-/// peak. Returns whether a sink kernel ran.
-pub(crate) fn dispatch(
-    nodes: &mut [Node],
-    streams: &mut [StreamState],
-    parked: &mut [Option<(Progress, u64)>],
-    awake: &mut [u64],
-    span: Span<'_>,
-    t_now: u64,
-) -> bool {
-    let Span { k, parts, quotas, streams: span_streams } = span;
-    let mut sink_progress = false;
-    for p in parts {
-        let i = p.node as usize;
-        let node = &mut nodes[i];
-        if let Some((verdict, since)) = parked[i].take() {
-            if verdict == Progress::Stalled {
-                node.stalled += t_now - 1 - since;
-            }
-        }
-        node.busy += p.busy;
-        node.stalled += p.stalled;
-        if p.busy > 0 {
-            let q = &quotas[p.quotas.0 as usize..(p.quotas.0 + p.quotas.1) as usize];
-            let (qi, qo) = q.split_at(node.inputs.len());
-            let mut io = SpanIo::new(streams, &node.inputs, &node.outputs, qi, qo);
-            node.kernel.run_span(&mut io, p.busy);
-            #[cfg(debug_assertions)]
-            io.audit(node.kernel.name());
-            sink_progress |= node.outputs.is_empty();
-        }
-        match p.end {
-            Some(v) if node.kernel.wake_hint() == WakeHint::Parkable => {
-                parked[i] = Some((v, t_now + k - 1));
-                awake[i / 64] &= !(1 << (i % 64));
-            }
-            _ => awake[i / 64] |= 1 << (i % 64),
-        }
-    }
-    for bs in span_streams {
-        streams[bs.stream as usize].note_span(bs.peak as usize);
-    }
-    sink_progress
 }

@@ -1,5 +1,6 @@
 //! Burst explainers: why the span planner refused an attempt, how many
-//! per-element cycles each refusal cost, and what ended each accepted burst.
+//! per-element cycles each refusal cost, and what ended each accepted burst
+//! — and where a run's host time went ([`HostProfile`]).
 //!
 //! Like [`Graph::bursts`](crate::Graph::bursts), these describe how a run was
 //! *dispatched*, not what it computed, so they sit outside
@@ -146,6 +147,54 @@ impl std::fmt::Display for BurstDiag {
             self.ended_at_budget
         )?;
         write!(f, "  planner  {:>8} evaluations, {} follower advances", self.evals, self.follows)
+    }
+}
+
+/// Host time of a run by what the run loop spent it on, and the planner's
+/// attempts (see [`Graph::host_profile`](crate::Graph::host_profile)).
+///
+/// The loop reads the clock once per advance, and once more after each
+/// planning attempt: every nanosecond between two reads goes to the one
+/// part that ran between them, so the parts sum to the run's wall time but
+/// for the validation before the first advance and the report after the
+/// last. Diagnostics like [`BurstDiag`]: outside
+/// [`CycleReport`](crate::CycleReport) equality, reset with the graph.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct HostProfile {
+    /// Burst planning, refused attempts included.
+    pub plan_ns: u64,
+    /// Applying planned bursts ([`Kernel::run_span`](crate::Kernel::run_span)
+    /// bodies and the closed-form credit).
+    pub dispatch_ns: u64,
+    /// Per-element cycles.
+    pub step_ns: u64,
+    /// Spans replayed from a schedule tape, their dispatch included.
+    pub replay_ns: u64,
+    /// Burst planning attempts, accepted or refused.
+    pub attempts: u64,
+}
+
+impl HostProfile {
+    /// The parts' sum.
+    pub fn total_ns(&self) -> u64 {
+        self.plan_ns + self.dispatch_ns + self.step_ns + self.replay_ns
+    }
+}
+
+impl std::fmt::Display for HostProfile {
+    /// One line: each part in ms and its share, then the attempts.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let total = self.total_ns().max(1) as f64;
+        let part = |ns: u64| format!("{:.2} ms ({:.0}%)", ns as f64 / 1e6, ns as f64 / total * 1e2);
+        write!(
+            f,
+            "  host     plan {}, dispatch {}, step {}, replay {}; {} attempts",
+            part(self.plan_ns),
+            part(self.dispatch_ns),
+            part(self.step_ns),
+            part(self.replay_ns),
+            self.attempts
+        )
     }
 }
 

@@ -10,12 +10,13 @@
 //! over randomized networks.
 
 use crate::burst::{dispatch, Planner, View};
-use crate::diag::{BurstDiag, Refusal};
+use crate::diag::{BurstDiag, HostProfile, Refusal};
 use crate::kernel::{Io, Kernel, Progress, WakeHint};
 use crate::replay::{Cue, ReplayDiag, ReplayState};
 use crate::stream::{StreamSpec, StreamState};
 use crate::trace::Trace;
 use std::fmt;
+use std::time::Instant;
 
 mod report;
 
@@ -130,6 +131,9 @@ pub struct Graph {
     /// Burst explainers (see [`crate::diag`]) — diagnostics only, like
     /// `bursts`.
     burst_diag: BurstDiag,
+    /// Where the runs' host time went (see [`HostProfile`]) — diagnostics
+    /// only, like `bursts`.
+    profile: HostProfile,
     /// The last refused attempt's reason and the clock at the refusal; the
     /// per-element cycles since are credited to it at the next attempt.
     pending_refusal: Option<(Refusal, u64)>,
@@ -254,6 +258,13 @@ impl Graph {
         diag
     }
 
+    /// Where the host time of the runs since the last re-arm went, and the
+    /// planner's attempts (diagnostics only, outside [`CycleReport`]
+    /// equality; see [`HostProfile`]).
+    pub fn host_profile(&self) -> HostProfile {
+        self.profile
+    }
+
     /// Return the graph to the state it was in when its last kernel was
     /// added, so [`Graph::run`] can execute it again on new host data —
     /// after a completed run or after one that returned a [`RunError`]: the
@@ -300,6 +311,7 @@ impl Graph {
         self.bursts = 0;
         self.burst_cycles = 0;
         self.burst_diag = BurstDiag::default();
+        self.profile = HostProfile::default();
         self.pending_refusal = None;
         self.burst_cooldown = 0;
         self.burst_backoff = 0;
@@ -488,14 +500,16 @@ impl Graph {
         let burst_ok = trace.is_none();
         let replay_ok = self.replay.begin_run(burst_ok);
         let mut done = self.complete();
+        let mut clock = Instant::now();
         while !done {
             if cycle >= max_cycles {
                 return Err(RunError::Timeout { max_cycles });
             }
-            let k = match self.span(max_cycles - cycle, burst_ok, replay_ok) {
+            let k = match self.span(max_cycles - cycle, burst_ok, replay_ok, &mut clock) {
                 Some(k) => k,
                 None => {
                     let (any_progress, committed) = self.step_cycle();
+                    self.profile.step_ns += lap(&mut clock);
                     if !any_progress && !committed && detect_deadlock {
                         return Err(RunError::Deadlock { cycle, diagnostics: self.dump_streams() });
                     }
@@ -527,8 +541,15 @@ impl Graph {
     /// Advance by a span if this iteration has one: the replay tape's next
     /// span, or a burst the planner admits — planned with the recording
     /// policy and handed to the tape while one records. Returns the cycles
-    /// advanced, or `None` for one per-element cycle.
-    fn span(&mut self, budget: u64, burst_ok: bool, replay_ok: bool) -> Option<u64> {
+    /// advanced, or `None` for one per-element cycle. Laps `clock` after a
+    /// planning attempt and after a dispatch.
+    fn span(
+        &mut self,
+        budget: u64,
+        burst_ok: bool,
+        replay_ok: bool,
+        clock: &mut Instant,
+    ) -> Option<u64> {
         let cue = if replay_ok {
             self.replay.cue(budget, &self.awake, &self.streams)
         } else if burst_ok {
@@ -536,12 +557,13 @@ impl Graph {
         } else {
             return None;
         };
+        let replayed = matches!(cue, Cue::Replay(_));
         let span = match cue {
             Cue::Replay(span) => span,
             Cue::Dense => return None,
             // While a tape records: no cooldown and the lower span floor,
             // whose planning is paid once and replayed for free.
-            Cue::Plan { record: true } => match self.plan(budget, Self::REPLAY_MIN_BURST) {
+            Cue::Plan { record: true } => match self.plan(budget, Self::REPLAY_MIN_BURST, clock) {
                 Ok(k) => {
                     self.replay.record_span(self.planner.span(k), &self.awake);
                     self.planner.span(k)
@@ -555,7 +577,7 @@ impl Graph {
                 self.burst_cooldown -= 1;
                 return None;
             }
-            Cue::Plan { record: false } => match self.plan(budget, Self::MIN_BURST) {
+            Cue::Plan { record: false } => match self.plan(budget, Self::MIN_BURST, clock) {
                 Ok(k) => {
                     self.burst_backoff = 0;
                     self.planner.span(k)
@@ -576,6 +598,12 @@ impl Graph {
         };
         let (nodes, streams, now) = (&mut self.nodes, &mut self.streams, self.now);
         self.sink_progress = dispatch(nodes, streams, &mut self.parked, &mut self.awake, span, now);
+        let ns = lap(clock);
+        if replayed {
+            self.profile.replay_ns += ns;
+        } else {
+            self.profile.dispatch_ns += ns;
+        }
         self.now += span.k;
         self.bursts += 1;
         self.burst_cycles += span.k;
@@ -726,7 +754,7 @@ impl Graph {
     /// the bound that cut the attempt short has passed, `0` means no such
     /// bound is known (the caller backs off). Every refusal is counted by
     /// reason in [`Graph::burst_diag`].
-    fn plan(&mut self, budget: u64, min_burst: u64) -> Result<u64, u64> {
+    fn plan(&mut self, budget: u64, min_burst: u64, clock: &mut Instant) -> Result<u64, u64> {
         if budget < min_burst.max(2) {
             // Too close to the cycle budget for any burst worth taking.
             return Err(budget);
@@ -745,6 +773,8 @@ impl Graph {
             awake: &self.awake,
         };
         let planned = self.planner.plan(&view, budget, min_burst, marker);
+        self.profile.plan_ns += lap(clock);
+        self.profile.attempts += 1;
         let (evals, follows) = self.planner.steps();
         self.burst_diag.evals += evals;
         self.burst_diag.follows += follows;
@@ -766,6 +796,14 @@ impl Graph {
     pub fn parked_state(&self, id: KernelId) -> Option<Progress> {
         self.parked[id.0].map(|(p, _)| p)
     }
+}
+
+/// Nanoseconds since `clock`, which moves on to now.
+fn lap(clock: &mut Instant) -> u64 {
+    let now = Instant::now();
+    let ns = now.duration_since(*clock).as_nanos() as u64;
+    *clock = now;
+    ns
 }
 
 /// Debug-mode `Progress` contract check, applied after every tick:

@@ -8,7 +8,7 @@ use super::*;
 use crate::burst::View;
 use crate::diag::BurstEnd;
 use crate::host::{HostSink, HostSource};
-use crate::kernel::{SpanIo, SpanPhase, SpanPlan};
+use crate::kernel::{SpanIo, SpanPhase, SpanPlan, MAX_SPAN_PHASES};
 use crate::DenseOracle;
 
 /// A pass-through stage, one element a tick. One without a promise
@@ -187,6 +187,8 @@ struct Rate {
     give: u64,
     read: u64,
     wrote: u64,
+    /// State its rounds one phase each instead of as one repeated phase.
+    unrolled: bool,
 }
 
 impl Kernel for Rate {
@@ -224,8 +226,11 @@ impl Kernel for Rate {
             SpanPhase::overlapped(0b1, self.take - read, 1, 0b1, self.give - wrote, 1)
         };
         let mut plan = SpanPlan::of(round(self.read, self.wrote));
-        while plan.push(round(0, 0)) {}
-        Some(plan)
+        if self.unrolled {
+            while plan.push_unfolded(round(0, 0)) {}
+            return Some(plan);
+        }
+        Some(plan.then(round(0, 0).times(MAX_SPAN_PHASES as u32 - 1)))
     }
     fn run_span(&mut self, io: &mut SpanIo<'_>, _: u64) {
         let (r, w) = (io.read_quota(0), io.write_quota(0));
@@ -253,6 +258,8 @@ enum K {
     Gather(usize),
     /// A [`Rate`]: `(take, give)`.
     Rate(u64, u64),
+    /// A [`Rate`] stating its rounds unrolled.
+    Unrolled(u64, u64),
 }
 
 /// One row of the table: the FIFO depths, the kernels in node order with
@@ -283,7 +290,12 @@ fn build(dense: bool, depths: &[usize], kernels: &[(K, usize, usize)]) -> Graph 
             K::Pass(promise) => Box::new(Pass { promise }),
             K::Splice(pass, fill, lanes, pos) => Box::new(Splice { pass, fill, lanes, pos }),
             K::Gather(quota) => Box::new(Gather { quota, got: [0; 3] }),
-            K::Rate(take, give) => Box::new(Rate { take, give, read: 0, wrote: 0 }),
+            K::Rate(take, give) => {
+                Box::new(Rate { take, give, read: 0, wrote: 0, unrolled: false })
+            }
+            K::Unrolled(take, give) => {
+                Box::new(Rate { take, give, read: 0, wrote: 0, unrolled: true })
+            }
         };
         let port = |s: usize| if s == NO { vec![] } else { vec![ids[s]] };
         let inputs = match k {
@@ -428,7 +440,12 @@ const ROWS: &[Row] = &[
 
 /// Plan `row`'s burst and check it against dense stepping of the same
 /// graph over the same cycles; the graph, its planner holding the attempt.
-fn check(&(name, depths, kernels, warmup, marker, expect): &Row) -> Graph {
+fn check(row: &Row) -> Graph {
+    check_within(row, 1000)
+}
+
+/// [`check`] with a cycle budget of `budget`.
+fn check_within(&(name, depths, kernels, warmup, marker, expect): &Row, budget: u64) -> Graph {
     let mut g = build(false, depths, kernels);
     let _ = g.run_opts(warmup, false);
     let view = View {
@@ -439,7 +456,7 @@ fn check(&(name, depths, kernels, warmup, marker, expect): &Row) -> Graph {
         parked: &g.parked,
         awake: &g.awake,
     };
-    let planned = match g.planner.plan(&view, 1000, 2, marker) {
+    let planned = match g.planner.plan(&view, budget, 2, marker) {
         Ok(p) => Ok((p.k, p.end)),
         Err(r) => Err(r.reason),
     };
@@ -522,5 +539,116 @@ fn rate_changes_run_down_chains_as_follower_advances() {
             assert!(evals <= 1, "{}: node {i} evaluated in full {evals} times", row.0);
             assert!(follows > 2, "{}: node {i} followed {follows} times", row.0);
         }
+    }
+}
+
+/// A producer that reads two elements and writes six a round behind a
+/// splicer and a source, into a deep FIFO: once the FIFOs in front of it
+/// fill, every round reads two and writes six at its own pace.
+const SELF_PACED: &[(K, usize, usize)] =
+    &[(Src, NO, 0), (S(1000, 1, 1, 0), 0, 1), (R(2, 6), 1, 2), (Dst, 2, NO)];
+
+/// Rows whose repeated rounds ([`SpanPhase::repeat`]) are checked, with the
+/// most steps (full evaluations and follower advances) each node may take.
+const REPEATS: &[(Row, &[(usize, u64)])] = &[
+    // Seven rounds crossed in closed form: the producer evaluates the
+    // round it is in, the crossing from the next round's start, and the
+    // crossing again once the splicer relays its duty-cycled pops — a
+    // cycle later, as the source does the splicer's — in one follower step.
+    (
+        (
+            "self-paced repeat behind a relaying splicer and source",
+            &[4, 4, 64],
+            SELF_PACED,
+            12,
+            None,
+            Ok((48, BurstEnd::Phase)),
+        ),
+        &[(0, 2), (1, 3), (2, 3)],
+    ),
+    // The consumer reads each element a cycle after the producer, which
+    // writes one every four cycles: each round waits on its input, so its
+    // repeat is walked round by round, while the producer's is crossed.
+    (
+        (
+            "input-paced repeat stays per-position",
+            &[64, 64, 64],
+            &[(Src, NO, 0), (R(4, 1), 0, 1), (R(2, 1), 1, 2), (Dst, 2, NO)],
+            1,
+            None,
+            Ok((32, BurstEnd::Phase)),
+        ),
+        &[(1, 3)],
+    ),
+];
+
+#[test]
+fn repeats_cross_in_closed_form_or_walk_copy_by_copy() {
+    for (row, bounds) in REPEATS {
+        let g = check(row);
+        for &(i, most) in *bounds {
+            let (evals, follows) = g.planner.steps_of(i).expect("a participant");
+            assert!(evals + follows <= most, "{}: node {i} took {evals} + {follows} steps", row.0);
+        }
+    }
+    // The input-paced consumer evaluates at least once a round.
+    let g = check(&REPEATS[1].0);
+    let (evals, _) = g.planner.steps_of(2).expect("a participant");
+    assert!(evals >= 8, "input-paced repeat crossed in {evals} evaluations");
+}
+
+/// A crossing cut mid-stretch: by the cycle budget, and by a replay marker
+/// on the repeat's output, both inside a round.
+#[test]
+fn crossed_repeat_cut_by_budget_and_marker() {
+    let (name, depths, kernels, warmup, _, _) = REPEATS[0].0;
+    check_within(&(name, depths, kernels, warmup, None, Ok((21, BurstEnd::Budget))), 21);
+    check(&(name, depths, kernels, warmup, Some((2, 10)), Ok((10, BurstEnd::Budget))));
+}
+
+qnn_testkit::props! {
+    /// Span conservation for repeats: a chain stated with repeated phases
+    /// plans the same burst as the same chain unrolled, one phase a copy —
+    /// the same length and end (or refusal), every participant's counts,
+    /// quotas and park state, every stream's peak — whether the planner
+    /// crosses the repeat in closed form or walks it copy by copy.
+    #[test]
+    fn repeats_plan_as_unrolled(
+        rounds in qnn_testkit::vec((1u64..5, 1u64..5), 2..3),
+        depths in qnn_testkit::vec(1usize..9, 4..5),
+        front in 0u8..3,
+        warmup in 0u64..24,
+        budget in 2u64..96,
+    ) {
+        let (a, b) = (rounds[0], rounds[1]);
+        let stage = match front {
+            0 => P(true),
+            1 => S(1000, 1, 1, 0),
+            _ => S(3, 2, 2, 0),
+        };
+        let chain = |unrolled: bool| {
+            let rate = |(take, give)| if unrolled { K::Unrolled(take, give) } else { R(take, give) };
+            [(Src, NO, 0), (stage, 0, 1), (rate(a), 1, 2), (rate(b), 2, 3), (Dst, 3, NO)]
+        };
+        let plan = |unrolled: bool| {
+            let mut g = build(false, &depths, &chain(unrolled));
+            let _ = g.run_opts(warmup, false);
+            let view = View {
+                nodes: &g.nodes,
+                streams: &g.streams,
+                writers: &g.writers,
+                readers: &g.readers,
+                parked: &g.parked,
+                awake: &g.awake,
+            };
+            let planned = match g.planner.plan(&view, budget, 2, None) {
+                Ok(p) => Ok((p.k, p.end)),
+                Err(r) => Err((r.reason, r.retry)),
+            };
+            let p = &g.planner;
+            (planned, p.parts.clone(), p.quotas.clone(), p.streams.clone())
+        };
+        let (repeated, unrolled) = (plan(false), plan(true));
+        qnn_testkit::prop_assert_eq!(repeated, unrolled);
     }
 }

@@ -52,7 +52,7 @@ pub mod threaded;
 pub mod trace;
 
 pub use device::{DeviceSpec, ResourceUsage, MAIA_FCLK_MHZ, STRATIX_10_GX2800, STRATIX_V_5SGSD8};
-pub use diag::{BurstDiag, BurstEnd, Refusal};
+pub use diag::{BurstDiag, BurstEnd, HostProfile, Refusal};
 pub use graph::{CycleReport, Graph, KernelId, RunError, StreamId};
 pub use host::{HostSink, HostSource, SinkHandle, SourceHandle};
 pub use kernel::{Io, Kernel, Progress, SpanIo, SpanPhase, SpanPlan, WakeHint, MAX_SPAN_PHASES};

@@ -149,11 +149,263 @@ pub(crate) fn front_slices(queue: &VecDeque<i32>, n: usize) -> (&[i32], &[i32]) 
     (&head[..first], &tail[..n - first])
 }
 
+/// What one end of a FIFO moves on each cycle of a planned burst: `on`
+/// elements on the first `a` of every `p` cycles, the pattern's first cycle
+/// being congruent to `off` modulo `p` — a *duty-cycled* rate. A constant
+/// rate is the case `p == 1` (every constructor normalizes to it), so two
+/// rates are equal exactly when they move the same elements on every cycle.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub struct Rate {
+    on: u32,
+    a: u32,
+    p: u32,
+    off: u32,
+}
+
+impl Default for Rate {
+    fn default() -> Self {
+        Self::flat(0)
+    }
+}
+
+impl From<u64> for Rate {
+    fn from(rate: u64) -> Self {
+        Self::flat(rate)
+    }
+}
+
+impl Rate {
+    /// `rate` elements on every cycle.
+    pub const fn flat(rate: u64) -> Self {
+        debug_assert!(rate <= u32::MAX as u64, "a rate's count fits u32");
+        Self { on: rate as u32, a: 1, p: 1, off: 0 }
+    }
+
+    /// `on` elements on each of the first `a` cycles of every `p`, the
+    /// first period starting on cycle `from`.
+    pub fn duty(on: u64, a: u64, p: u64, from: u64) -> Self {
+        assert!(a <= p && p >= 1, "a duty cycle of {a} in {p}");
+        assert!(on.max(p) <= u64::from(u32::MAX), "a rate's count and period fit u32");
+        match (on, a) {
+            (0, _) | (_, 0) => Self::flat(0),
+            _ if a == p => Self::flat(on),
+            _ => Self { on: on as u32, a: a as u32, p: p as u32, off: (from % p) as u32 },
+        }
+    }
+
+    /// Elements on an active cycle.
+    pub fn on(&self) -> u64 {
+        u64::from(self.on)
+    }
+
+    /// The pattern's period (1: a constant rate).
+    pub fn period(&self) -> u64 {
+        u64::from(self.p)
+    }
+
+    /// A constant rate.
+    pub fn is_flat(&self) -> bool {
+        self.p == 1
+    }
+
+    /// The same pattern `d` cycles later.
+    pub fn later(self, d: u64) -> Self {
+        let p = self.period();
+        Self { off: ((u64::from(self.off) + d % p) % p) as u32, ..self }
+    }
+
+    /// Cycle `c`'s place in the pattern (0: a period's first cycle).
+    fn phase(&self, c: u64) -> u64 {
+        let p = self.period();
+        (c % p + p - u64::from(self.off)) % p
+    }
+
+    /// Elements moved on cycle `c`.
+    pub fn at(&self, c: u64) -> u64 {
+        if self.p == 1 || self.phase(c) < u64::from(self.a) {
+            self.on()
+        } else {
+            0
+        }
+    }
+
+    /// Active cycles before `x`, from a fixed origin (differences only).
+    fn actives(&self, x: u64) -> u64 {
+        let (a, p) = (u64::from(self.a), self.period());
+        let z = x + p - u64::from(self.off);
+        z / p * a + (z % p).min(a)
+    }
+
+    /// Elements moved on the cycles `from..to`.
+    pub fn count(&self, from: u64, to: u64) -> u64 {
+        debug_assert!(from <= to, "rate counted backwards");
+        if self.p == 1 {
+            return self.on() * (to - from);
+        }
+        self.on() * (self.actives(to) - self.actives(from))
+    }
+
+    /// The first cycle after `c` that moves a different count
+    /// (`u64::MAX`: none).
+    pub fn next_change(&self, c: u64) -> u64 {
+        if self.is_flat() {
+            return u64::MAX;
+        }
+        let (a, p) = (u64::from(self.a), self.period());
+        let ph = self.phase(c);
+        c + if ph < a { a - ph } else { p - ph }
+    }
+
+    /// The first cycle `y ≥ from` by which the cycles `from..y` have moved
+    /// at least `n` elements (`u64::MAX`: never).
+    pub fn reach(&self, from: u64, n: u64) -> u64 {
+        if n == 0 {
+            return from;
+        }
+        if self.on == 0 {
+            return u64::MAX;
+        }
+        let (a, p) = (u64::from(self.a), self.period());
+        // The active cycle that completes `n`, counted from the origin
+        // (beyond any cycle a burst plans to: never).
+        let target = self.actives(from).checked_add(n.div_ceil(self.on()) - 1);
+        let z = target.and_then(|x| (x / a).checked_mul(p)?.checked_add(x % a + 1));
+        z.map_or(u64::MAX, |z| z - (p - u64::from(self.off)))
+    }
+
+    /// The cycles in `lo..lo + p` on which the rate switches on and off
+    /// (the first cycle of each run), for a rate with a period above 1.
+    fn edges(&self, lo: u64) -> [u64; 2] {
+        let p = self.period();
+        [0, u64::from(self.a)].map(|edge| lo + (edge + p - self.phase(lo)) % p)
+    }
+}
+
+/// A FIFO level (or free room) as a function of the cycle `y` it is read
+/// on: `base`, plus what `up` moves on the cycles `from..y + shift`, minus
+/// what `down` moves on its own. Between two changes of either rate it is
+/// linear, and one period later it has moved by the same amount at every
+/// cycle, so its extremes over any stretch are at a handful of cycles of
+/// the stretch's first and last period ([`Level::holds_until`],
+/// [`Level::greatest`]).
+#[derive(Clone, Copy, Debug)]
+pub struct Level {
+    pub base: i64,
+    /// `(rate, from, shift)`.
+    pub up: (Rate, u64, u64),
+    pub down: (Rate, u64, u64),
+}
+
+impl Level {
+    /// The level on cycle `y`.
+    pub fn at(&self, y: u64) -> i64 {
+        let term = |(r, from, shift): (Rate, u64, u64)| r.count(from, y + shift) as i64;
+        self.base + term(self.up) - term(self.down)
+    }
+
+    /// The period every rate involved repeats with, `mask`'s included:
+    /// `None` when two of them have different periods above 1.
+    fn period(&self, mask: Rate) -> Option<u64> {
+        [self.up.0, self.down.0, mask].iter().try_fold(1, |p, r| match (p, r.period()) {
+            (p, 1) => Some(p),
+            (1, q) => Some(q),
+            (p, q) => (p == q).then_some(p),
+        })
+    }
+
+    /// The level's extreme (`least` or greatest) over the cycles of
+    /// `lo..hi` on which `mask` moves, within one period (`None`: no such
+    /// cycle). The level is linear between the cycles where a rate (as the
+    /// level reads it) or the mask switches, so the walk visits only the
+    /// first and the last cycle of each of those runs.
+    fn extreme(&self, mask: Rate, lo: u64, hi: u64, least: bool) -> Option<i64> {
+        let (up, down) = ((self.up.0, self.up.2), (self.down.0, self.down.2));
+        let mut cuts = [hi; 7];
+        let mut n = 0;
+        for (r, shift) in [up, down, (mask, 0)] {
+            if !r.is_flat() {
+                for edge in r.edges(lo + shift) {
+                    if (lo + 1..hi).contains(&(edge - shift)) {
+                        (cuts[n], n) = (edge - shift, n + 1);
+                    }
+                }
+            }
+        }
+        cuts[..n].sort_unstable();
+        let (mut best, mut y, mut level): (Option<i64>, _, _) = (None, lo, self.at(lo));
+        for &cut in &cuts[..=n] {
+            if cut == y {
+                continue;
+            }
+            let slope = up.0.at(y + up.1) as i64 - down.0.at(y + down.1) as i64;
+            if mask.at(y) > 0 {
+                let last = level + slope * (cut - 1 - y) as i64;
+                let v = if least { level.min(last) } else { level.max(last) };
+                best = Some(best.map_or(v, |b| if least { b.min(v) } else { b.max(v) }));
+            }
+            (level, y) = (level + slope * (cut - y) as i64, cut);
+        }
+        best
+    }
+
+    /// What the level moves by over `l` cycles, a multiple of every rate's
+    /// period.
+    fn drift(&self, l: u64) -> i64 {
+        let per = |r: Rate| (r.on() * u64::from(r.a) * (l / r.period())) as i64;
+        per(self.up.0) - per(self.down.0)
+    }
+
+    /// The first cycle of `lo..hi` from which the level may fall below
+    /// `need` on a cycle `mask` moves on: `hi` when it never does, `lo` when
+    /// it does in the first period or the rates do not share one. Checked
+    /// period by period from `lo`: the least level of a period falls by the
+    /// same amount each period.
+    pub fn holds_until(&self, mask: Rate, need: i64, lo: u64, hi: u64) -> u64 {
+        let Some(l) = self.period(mask) else {
+            return lo;
+        };
+        if lo >= hi {
+            return hi;
+        }
+        let Some(least) = self.extreme(mask, lo, hi.min(lo + l), true) else {
+            return hi;
+        };
+        if least < need {
+            return lo;
+        }
+        let drift = self.drift(l);
+        if drift >= 0 {
+            return hi;
+        }
+        let periods = ((least - need) / -drift) as u64 + 1;
+        hi.min(lo.saturating_add(periods.saturating_mul(l)))
+    }
+
+    /// The greatest level over the cycles of `lo..hi` on which `mask`
+    /// moves (`None`: no such cycle): each cycle's level moves by the same
+    /// amount every period, so it peaks in the first or the last period.
+    pub fn greatest(&self, mask: Rate, lo: u64, hi: u64) -> Option<i64> {
+        if lo >= hi {
+            return None;
+        }
+        match self.period(mask) {
+            Some(l) => {
+                let first = self.extreme(mask, lo, hi.min(lo + l), false);
+                let last = self.extreme(mask, hi.saturating_sub(l).max(lo), hi, false);
+                first.max(last)
+            }
+            // Unreachable while the planner keeps every flow's periods
+            // compatible; cycle by cycle otherwise.
+            None => (lo..hi).filter(|&y| mask.at(y) > 0).map(|y| self.at(y)).max(),
+        }
+    }
+}
+
 /// The running counts of one FIFO over a planned burst: what its writer
-/// pushed and its reader popped before cycle `at`, the rate each end moves
-/// at from `at` on (and moved at on the cycle before), and the occupancy
-/// high-water mark dense stepping records before `at`. Every count the
-/// planner reads is O(1) from these; a rate change advances them.
+/// pushed and its reader popped before cycle `at`, the [`Rate`] each end
+/// moves at from `at` on (and what they moved on the cycle before), and
+/// the occupancy high-water mark dense stepping records before `at`. Every
+/// count the planner reads is O(1) from these; a rate change advances them.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Flow {
     /// Committed length at the burst's start.
@@ -161,9 +413,9 @@ pub struct Flow {
     at: u64,
     pushed: u64,
     popped: u64,
-    push: u64,
-    pop: u64,
-    /// The rates on cycle `at − 1`.
+    push: Rate,
+    pop: Rate,
+    /// The counts moved on cycle `at − 1`.
     was: (u64, u64),
     peak: u64,
 }
@@ -178,58 +430,91 @@ impl Flow {
     /// rate change).
     pub fn pushed_before(&self, x: u64) -> u64 {
         debug_assert!(x >= self.at, "flow read before its last change");
-        self.pushed + self.push * (x - self.at)
+        self.pushed + self.push.count(self.at, x)
     }
 
     /// Elements popped on the cycles before `x` (see [`Flow::pushed_before`]).
     pub fn popped_before(&self, x: u64) -> u64 {
         debug_assert!(x >= self.at, "flow read before its last change");
-        self.popped + self.pop * (x - self.at)
+        self.popped + self.pop.count(self.at, x)
     }
 
-    /// The writer's and the reader's rates on cycle `c` (no earlier than
-    /// the cycle before the last change).
+    /// The elements the writer and the reader move on cycle `c` (no earlier
+    /// than the cycle before the last change).
     pub fn rates_on(&self, c: u64) -> (u64, u64) {
         if c >= self.at {
-            (self.push, self.pop)
+            (self.push.at(c), self.pop.at(c))
         } else {
             debug_assert_eq!(c + 1, self.at, "flow rates read too far back");
             self.was
         }
     }
 
+    /// The writer's and the reader's rates from the last change on.
+    pub fn rates(&self) -> (Rate, Rate) {
+        (self.push, self.pop)
+    }
+
+    /// The writer's pushes before cycle `y` as a [`Level`] term.
+    pub fn pushes(&self) -> (Rate, u64, u64) {
+        (self.push, self.at, 0)
+    }
+
+    /// The reader's pops before cycle `y + shift` as a [`Level`] term.
+    pub fn pops(&self, shift: u64) -> (Rate, u64, u64) {
+        (self.pop, self.at, shift)
+    }
+
+    /// Elements pushed and popped before the last change.
+    pub fn moved(&self) -> (u64, u64) {
+        (self.pushed, self.popped)
+    }
+
     /// Advance the counts to cycle `t`, sampling the peak over the push
     /// cycles passed: the post-commit length is linear between changes, so
-    /// it peaks on the first or the last of them.
+    /// it peaks on the first or the last of them — of each period, for a
+    /// duty-cycled rate ([`Level::greatest`]).
     fn advance(&mut self, t: u64) {
         debug_assert!(t >= self.at, "flow changes out of order");
         if t == self.at {
             return;
         }
         let d = t - self.at;
-        if self.push > 0 {
-            let level = self.len + self.pushed - self.popped;
-            let step = self.push as i64 - self.pop as i64;
-            let first = level as i64 + step;
-            let last = level as i64 + step * d as i64;
-            self.peak = self.peak.max(first.max(last) as u64);
+        let level = self.len + self.pushed - self.popped;
+        if self.push.is_flat() && self.pop.is_flat() {
+            if self.push.on > 0 {
+                let step = self.push.on() as i64 - self.pop.on() as i64;
+                let first = level as i64 + step;
+                let last = level as i64 + step * d as i64;
+                self.peak = self.peak.max(first.max(last) as u64);
+            }
+        } else {
+            // The post-commit length after cycle `c`: its pushes committed.
+            let after = Level {
+                base: level as i64,
+                up: (self.push, self.at, 1),
+                down: (self.pop, self.at, 1),
+            };
+            if let Some(peak) = after.greatest(self.push, self.at, t) {
+                self.peak = self.peak.max(peak as u64);
+            }
         }
-        self.pushed += self.push * d;
-        self.popped += self.pop * d;
-        self.was = (self.push, self.pop);
+        self.pushed = self.pushed_before(t);
+        self.popped = self.popped_before(t);
+        self.was = (self.push.at(t - 1), self.pop.at(t - 1));
         self.at = t;
     }
 
-    /// The writer pushes `rate` per cycle from cycle `t` on.
-    pub fn set_push(&mut self, t: u64, rate: u64) {
+    /// The writer pushes `rate` from cycle `t` on.
+    pub fn set_push(&mut self, t: u64, rate: impl Into<Rate>) {
         self.advance(t);
-        self.push = rate;
+        self.push = rate.into();
     }
 
-    /// The reader pops `rate` per cycle from cycle `t` on.
-    pub fn set_pop(&mut self, t: u64, rate: u64) {
+    /// The reader pops `rate` from cycle `t` on.
+    pub fn set_pop(&mut self, t: u64, rate: impl Into<Rate>) {
         self.advance(t);
-        self.pop = rate;
+        self.pop = rate.into();
     }
 
     /// Occupancy high-water mark dense stepping would record over the

@@ -14,9 +14,12 @@
 //! running counts and occupancy peak) against a cycle-by-cycle trajectory
 //! over multi-run sides, and whole pipelines of *wide* greedy kernels
 //! (several elements per port per tick, sub-lane rates, mid-span stalls)
-//! against dense stepping.
+//! against dense stepping. Duty-cycled rates — what a repeat crossed in
+//! closed form and a follower relaying it publish — are held to the same
+//! cycle-by-cycle trajectory: `Flow`'s counts and peak, and the first cycle
+//! `Level::holds_until` lets a crossing run to.
 
-use dfe_platform::stream::{greedy, Flow, Gauge, Step};
+use dfe_platform::stream::{greedy, Flow, Gauge, Level, Rate, Step};
 use dfe_platform::{
     DenseOracle, Graph, HostSink, HostSource, Io, Kernel, Progress, SinkHandle, SpanIo,
     SpanPhase, SpanPlan, StallInjector, StreamId, StreamSpec, WakeHint,
@@ -853,4 +856,80 @@ fn mode_switch_mid_run_preserves_output() {
     assert_eq!(report.kernels, dense.kernels);
     assert_eq!(report.streams, dense.streams);
     assert_eq!(PREFIX + report.cycles, dense.cycles);
+}
+
+/// A drawn rate: flat when `a == 0`, else `on` on `a` of every `period`
+/// cycles from cycle `from`.
+fn drawn_rate((on, a, from): (u64, u64, u64), period: u64) -> Rate {
+    if a == 0 {
+        Rate::flat(on)
+    } else {
+        Rate::duty(on, a.min(period), period, from)
+    }
+}
+
+props! {
+    /// `Flow` over duty-cycled rates (a common period, flat rates mixed in)
+    /// against the per-cycle trajectory: its push and pop counts, its
+    /// per-cycle rates, and the occupancy peak of every prefix. Then
+    /// `Level::holds_until` on the pair's level: it never lets a crossing
+    /// run past the first cycle the level falls short, and stops it at most
+    /// one period before.
+    #[test]
+    fn duty_cycled_flows_match_the_brute_force_trajectory(
+        period in 2u64..9,
+        changes in vec((0u64..60, any::<bool>(), (0u64..4, 0u64..9, 0u64..9)), 1..6),
+        need in 1i64..4,
+        lo in 0u64..40,
+    ) {
+        const HORIZON: u64 = 96;
+        // Deep enough that the level never goes negative.
+        let len = 4 * HORIZON;
+        let mut changes = changes;
+        changes.sort_by_key(|c| c.0);
+        let (mut flow, mut pushes, mut pops) = (Flow::new(len as usize), vec![0; 96], vec![0; 96]);
+        for &(t, push, drawn) in &changes {
+            let rate = drawn_rate(drawn, period);
+            let moves = if push { &mut pushes } else { &mut pops };
+            for (c, m) in moves.iter_mut().enumerate().skip(t as usize) {
+                *m = rate.at(c as u64);
+            }
+            if push {
+                flow.set_push(t, rate);
+            } else {
+                flow.set_pop(t, rate);
+            }
+        }
+        let last = changes.last().expect("one change at least").0;
+        let before = |moves: &[u64], x: u64| moves[..x as usize].iter().sum::<u64>();
+        for x in last..HORIZON {
+            prop_assert_eq!(flow.pushed_before(x), before(&pushes, x), "pushed before {}", x);
+            prop_assert_eq!(flow.popped_before(x), before(&pops, x), "popped before {}", x);
+            prop_assert_eq!(flow.rates_on(x), (pushes[x as usize], pops[x as usize]));
+        }
+        for k in 0..HORIZON {
+            let peak = (0..k)
+                .filter(|&c| pushes[c as usize] > 0)
+                .map(|c| len + before(&pushes, c + 1) - before(&pops, c + 1))
+                .max()
+                .unwrap_or(0);
+            if k >= last {
+                prop_assert_eq!(flow.peak(k) as u64, peak, "peak over {} cycles", k);
+            }
+        }
+        // The level a reader popping the flow's pop rate from `at` finds.
+        let (push, pop) = flow.rates();
+        let at = last;
+        let (pushed, popped) = (flow.pushed_before(at), flow.popped_before(at));
+        let base = (len + pushed) as i64 - popped as i64 - 4 * HORIZON as i64 + need;
+        let level = Level { base, up: (push, at, 0), down: (pop, at, 0) };
+        let lo = at + lo;
+        let until = level.holds_until(pop, need, lo, HORIZON);
+        let short = (lo..HORIZON).find(|&y| pop.at(y) > 0 && level.at(y) < need).unwrap_or(HORIZON);
+        prop_assert!(until <= short, "holds until {} past the shortfall at {}", until, short);
+        prop_assert!(
+            until == HORIZON || short < until + period,
+            "stops at {} more than a period before the shortfall at {}", until, short
+        );
+    }
 }

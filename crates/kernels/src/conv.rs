@@ -513,6 +513,30 @@ impl ConvKernel {
         Some((phase, next))
     }
 
+    /// [`ConvKernel::phase`], with the positions after it that repeat it:
+    /// a whole position of an output row (its window complete, nothing of
+    /// the next read yet) absorbs the `stride·I` elements that complete the
+    /// next window while it emits, and so does every position after it but
+    /// the row's last, which reads on into the next row. So the run up to
+    /// that last position is one repeated phase, its end state computed
+    /// arithmetically. The halt-strict kernel alternates an emit phase with
+    /// a fill phase and repeats nothing.
+    fn run(&self, ctl: ConvCtl) -> Option<(SpanPhase, ConvCtl)> {
+        let (phase, next) = self.phase(ctl)?;
+        let out_w = self.geom.output().w;
+        let ox = ctl.out_pos % out_w;
+        let whole = ctl.emitting.unwrap_or(0) == 0
+            && ctl.out_pos < self.positions()
+            && ctl.received == self.needed(ctl.out_pos);
+        if self.halt_input || !whole || ox + 2 > out_w {
+            return Some((phase, next));
+        }
+        let n = out_w - 1 - ox;
+        let out_pos = ctl.out_pos + n;
+        let after = ConvCtl { received: self.needed(out_pos), out_pos, emitting: None };
+        Some((phase.times(n as u32), after))
+    }
+
     /// Image complete: reset for the next one.
     #[inline]
     fn reset_if_image_done(&mut self) {
@@ -639,9 +663,11 @@ impl Kernel for ConvKernel {
     /// increasing in position, and the bound is the same whether the final
     /// emit has advanced `out_pos` yet or not). The next window latches at
     /// the top of the tick after both sides are through, which is where the
-    /// next phase starts — position after position. A streamed kernel's
-    /// parameter load comes first: one word per tick from port 1. A tick
-    /// that can do nothing is a bare `Stalled` stall.
+    /// next phase starts — position after position, the identical positions
+    /// of a row's interior as one repeated phase (`ConvKernel::run`), so a
+    /// chain covers rows. A streamed kernel's parameter load comes first:
+    /// one word per tick from port 1. A tick that can do nothing is a bare
+    /// `Stalled` stall.
     fn span_hint(&self, _in_len: &[usize], _out_room: &[usize]) -> Option<SpanPlan> {
         let mut ctl = self.ctl();
         let mut plan = match &self.loader {
@@ -655,7 +681,7 @@ impl Kernel for ConvKernel {
                 SpanPlan::of(first)
             }
         };
-        while let Some((phase, next)) = self.phase(ctl) {
+        while let Some((phase, next)) = self.run(ctl) {
             if !plan.push(phase) {
                 break;
             }

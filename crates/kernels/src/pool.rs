@@ -265,6 +265,32 @@ impl PoolKernel {
         Some((phase, next))
     }
 
+    /// [`PoolKernel::phase`], with the positions after it that repeat it:
+    /// once the last window's results are pending, a window `stride`
+    /// columns on completes after `stride·I` more elements, and so does
+    /// every window to the row's end. So the rest of the row is one
+    /// repeated phase, its end state computed arithmetically.
+    fn run(&self, ctl: PoolCtl) -> Option<(SpanPhase, PoolCtl)> {
+        let (phase, next) = self.phase(ctl)?;
+        let out_w = self.output_shape().w;
+        let ox = ctl.out_pos % out_w;
+        let whole = ctl.out_pos < self.positions()
+            && ox > 0
+            && ctl.pending == self.input.c
+            && ctl.received == self.needed(ctl.out_pos - 1);
+        if !whole || ox + 1 == out_w {
+            return Some((phase, next));
+        }
+        let n = out_w - ox;
+        let last = ctl.out_pos + n - 1;
+        let after = PoolCtl {
+            received: self.needed(last),
+            out_pos: last + 1,
+            pending: self.input.c,
+        };
+        Some((phase.times(n as u32), after))
+    }
+
     /// Image finished: reset for the next one.
     fn reset_if_image_done(&mut self) {
         if self.out_pos == self.positions()
@@ -371,12 +397,13 @@ impl Kernel for PoolKernel {
     /// `pe` per tick, as the output frees) while absorbing (up to `simd`
     /// per tick, as input arrives) up to the element that completes the
     /// next window, whose results become pending on the tick after both
-    /// sides are through — chained position after position. A tick that can
-    /// do neither is a bare stall.
+    /// sides are through — chained position after position, the rest of a
+    /// row as one repeated phase (`PoolKernel::run`), so a chain covers
+    /// rows. A tick that can do neither is a bare stall.
     fn span_hint(&self, _in_len: &[usize], _out_room: &[usize]) -> Option<SpanPlan> {
         let (first, mut ctl) = self.phase(self.ctl())?;
         let mut plan = SpanPlan::of(first);
-        while let Some((phase, next)) = self.phase(ctl) {
+        while let Some((phase, next)) = self.run(ctl) {
             if !plan.push(phase) {
                 break;
             }

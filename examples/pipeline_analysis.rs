@@ -78,6 +78,7 @@ fn main() {
         g.burst_cycles() as f64 / g.bursts().max(1) as f64
     );
     println!("{}", g.burst_diag());
+    println!("{}", g.host_profile());
 
     // A warm pipeline: batch 1 plans live, batch 2 records its schedule
     // tape, batch 3 replays it.

@@ -25,11 +25,23 @@ mod common;
 use common::{compile_on, folded_plan, run_dense, StallPipeline};
 use qnn::compiler::{run_images, try_compile, CompileOptions, Fold, FoldPlan, SimResult};
 use qnn::dfe::{CycleReport, ReplayDiag};
-use qnn::nn::specgen::{encoder_spec_strategy, image_for, spec_strategy};
+use qnn::hw::CycleModel;
+use qnn::nn::specgen::{encoder_spec_strategy, image_for, residual_spec_strategy, spec_strategy};
 use qnn::nn::{models, Network, NetworkSpec, PoolKind, SpecBuilder};
 use qnn::tensor::{ConvGeometry, FilterShape, Shape3, Tensor3};
 use qnn_testkit::prop::CaseResult;
 use qnn_testkit::{prop_assert, prop_assert_eq, props, vec};
+
+/// A fold plan over every foldable layer of `spec`, each with power-of-two
+/// PE and SIMD factors from 1 to 4 drawn from the bits of `seed`.
+fn random_plan(spec: &NetworkSpec, mut seed: u64) -> FoldPlan {
+    let mut plan = FoldPlan::new();
+    for layer in CycleModel::analyze(spec).layers.iter().filter(|l| l.foldable()) {
+        plan.set(&layer.name, Fold::new(1 << ((seed & 3) % 3), 1 << ((seed >> 2 & 3) % 3)));
+        seed >>= 4;
+    }
+    plan
+}
 
 /// Run the same workload on the default stepper and on the dense oracle
 /// and assert logits and every per-device report agree.
@@ -124,6 +136,29 @@ props! {
         let img = image_for(&net.spec, seed + 7);
         let base = CompileOptions { fifo_capacity: fifo, ..CompileOptions::default() };
         assert_dispatch_agrees(&net, std::slice::from_ref(&img), &base)?;
+    }
+
+    /// Random residual networks — identity, width-changing and stride-2
+    /// blocks, the `res{i}.ds` downsample path — at the unit plan and at
+    /// random folded plans: the repeated phases their convolutions and
+    /// pools state (the interior of an output row) must replay exactly the
+    /// ticks dense stepping runs, crossed in closed form or walked copy by
+    /// copy.
+    #[test]
+    fn residual_specs_reports_identical(
+        spec in residual_spec_strategy(),
+        seed in 0u64..1000,
+        n_images in 1usize..3,
+        folded in 0u8..2,
+        fold_seed in 0u64..u64::MAX,
+    ) {
+        let net = Network::random(spec, seed);
+        let images: Vec<_> =
+            (0..n_images as u64).map(|i| image_for(&net.spec, seed + 3 + i)).collect();
+        let layer_folding =
+            if folded == 1 { random_plan(&net.spec, fold_seed) } else { FoldPlan::new() };
+        let base = CompileOptions { layer_folding, ..CompileOptions::default() };
+        assert_dispatch_agrees(&net, &images, &base)?;
     }
 
     /// A non-trivial folded design point: folded kernels promise spans at
