@@ -3,9 +3,10 @@
 //! planned or replayed burst to the graph.
 
 use super::{Planner, Span, SpanPart, SpanStream, View};
-use crate::graph::Node;
+use crate::graph::{lap, Node};
 use crate::kernel::{Progress, SpanIo, WakeHint};
 use crate::stream::StreamState;
+use std::time::Instant;
 
 impl Planner {
     /// Build the dispatch records of a burst of `k` cycles.
@@ -66,8 +67,9 @@ impl Planner {
 /// `t_now`: for each participant, in node order, settle the lazy stall
 /// credit of its park, credit its busy and stall counts, move its quotas in
 /// one [`Kernel::run_span`](crate::Kernel::run_span), and leave it awake or
-/// parked as dense stepping would; then credit every stream's occupancy
-/// peak. Returns whether a sink kernel ran.
+/// parked as dense stepping would, and lap `clock`, when given, into its
+/// host time; then credit every stream's occupancy peak. Returns whether
+/// a sink kernel ran.
 pub(crate) fn dispatch(
     nodes: &mut [Node],
     streams: &mut [StreamState],
@@ -75,6 +77,7 @@ pub(crate) fn dispatch(
     awake: &mut [u64],
     span: Span<'_>,
     t_now: u64,
+    mut clock: Option<Instant>,
 ) -> bool {
     let Span { k, parts, quotas, streams: span_streams } = span;
     let mut sink_progress = false;
@@ -103,6 +106,9 @@ pub(crate) fn dispatch(
                 awake[i / 64] &= !(1 << (i % 64));
             }
             _ => awake[i / 64] |= 1 << (i % 64),
+        }
+        if let Some(at) = &mut clock {
+            node.host_ns += lap(at);
         }
     }
     for bs in span_streams {

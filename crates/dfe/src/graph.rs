@@ -51,6 +51,9 @@ pub(crate) struct Node {
     write_lanes: u16,
     pub busy: u64,
     pub stalled: u64,
+    /// Host time of the node's dispatched spans (see
+    /// [`Graph::kernel_host_ns`]).
+    pub host_ns: u64,
 }
 
 /// Why a run stopped abnormally.
@@ -198,6 +201,15 @@ impl Graph {
     /// short-phase residue back to dense stepping.
     const REPLAY_MIN_BURST: u64 = 2;
 
+    /// Shortest span whose participants are timed one by one
+    /// ([`Graph::kernel_host_ns`]). A clock read costs about 23 ns, and a
+    /// participant of a small network's span works about 1 ns per cycle,
+    /// so below this length the reads would cost over a percent of what
+    /// they time: timed on every span, a warm replayed batch of the served
+    /// `test_net`/`tiny_transformer` models ran 6–13 % slower. ResNet-18's
+    /// and VGG's spans run thousands of cycles and are all timed.
+    pub const KERNEL_TIMED_SPAN: u64 = 2048;
+
     /// Empty graph.
     pub fn new() -> Self {
         Self::default()
@@ -265,6 +277,19 @@ impl Graph {
         self.profile
     }
 
+    /// Host time per kernel of the spans of at least
+    /// [`Graph::KERNEL_TIMED_SPAN`] cycles dispatched since the last
+    /// re-arm, replayed ones included: `(kernel name, ns)` in node order.
+    /// The dispatch of such a span reads the clock once per participant,
+    /// so each node's time is its [`Kernel::run_span`] body and its share
+    /// of the dispatch's bookkeeping, and the sum stays within
+    /// [`HostProfile::dispatch_ns`] + [`HostProfile::replay_ns`]. Shorter
+    /// spans and per-element cycles are not broken down. Diagnostics like
+    /// [`Graph::host_profile`]: outside [`CycleReport`] equality.
+    pub fn kernel_host_ns(&self) -> Vec<(&str, u64)> {
+        self.nodes.iter().map(|n| (n.kernel.name(), n.host_ns)).collect()
+    }
+
     /// Return the graph to the state it was in when its last kernel was
     /// added, so [`Graph::run`] can execute it again on new host data —
     /// after a completed run or after one that returned a [`RunError`]: the
@@ -296,6 +321,7 @@ impl Graph {
             node.kernel.rearm();
             node.busy = 0;
             node.stalled = 0;
+            node.host_ns = 0;
         }
         for s in &mut self.streams {
             s.clear();
@@ -371,6 +397,7 @@ impl Graph {
             write_lanes,
             busy: 0,
             stalled: 0,
+            host_ns: 0,
         });
         self.parked.push(None);
         if id % 64 == 0 {
@@ -597,7 +624,9 @@ impl Graph {
             },
         };
         let (nodes, streams, now) = (&mut self.nodes, &mut self.streams, self.now);
-        self.sink_progress = dispatch(nodes, streams, &mut self.parked, &mut self.awake, span, now);
+        let at = (span.k >= Self::KERNEL_TIMED_SPAN).then(Instant::now);
+        self.sink_progress =
+            dispatch(nodes, streams, &mut self.parked, &mut self.awake, span, now, at);
         let ns = lap(clock);
         if replayed {
             self.profile.replay_ns += ns;
@@ -799,7 +828,7 @@ impl Graph {
 }
 
 /// Nanoseconds since `clock`, which moves on to now.
-fn lap(clock: &mut Instant) -> u64 {
+pub(crate) fn lap(clock: &mut Instant) -> u64 {
     let now = Instant::now();
     let ns = now.duration_since(*clock).as_nanos() as u64;
     *clock = now;

@@ -277,3 +277,38 @@ fn exhausted_source_parks_idle_under_ready_list() {
         "drained source should end the run parked"
     );
 }
+
+/// Per-kernel host time: one entry per node, named as the report names
+/// them, within the dispatch and replay time it splits — on a run that
+/// plans its spans, one that records them and one that replays them,
+/// every span long enough to be timed — and back to zero on a re-arm.
+#[test]
+fn kernel_host_time_splits_dispatch_and_replay() {
+    use crate::replay::WholeBatch;
+    let n = 4 * Graph::KERNEL_TIMED_SPAN as usize;
+    let mut g = Graph::new();
+    let s = g.add_stream(StreamSpec::new("s", 8, 64));
+    let (src, feed) = HostSource::new("src", Vec::new()).refillable();
+    g.add_kernel(Box::new(src), &[], &[s]);
+    let (sink, out) = HostSink::new("dst", 0);
+    g.add_kernel(Box::new(sink), &[s], &[]);
+    g.set_replay_marker(s, n as u64);
+    let mut kinds = Vec::new();
+    for _ in 0..3 {
+        feed.refill((0..n as i32).collect());
+        out.set_expected(n);
+        g.rearm(1);
+        assert!(g.kernel_host_ns().iter().all(|&(_, ns)| ns == 0), "a re-arm resets");
+        let report = g.run(10 * n as u64).expect("run ok");
+        assert_eq!(out.take().len(), n);
+        let per_kernel = g.kernel_host_ns();
+        let names: Vec<&str> = per_kernel.iter().map(|&(name, _)| name).collect();
+        let reported: Vec<&str> = report.kernels.iter().map(|k| k.name.as_str()).collect();
+        assert_eq!(names, reported, "one entry per node, in node order");
+        let (sum, p) = (per_kernel.iter().map(|&(_, ns)| ns).sum::<u64>(), g.host_profile());
+        assert!(sum > 0, "no kernel time recorded");
+        assert!(sum <= p.dispatch_ns + p.replay_ns, "{sum} ns > {p}");
+        kinds.push(report.replay.whole_batch);
+    }
+    assert_eq!(kinds, [WholeBatch::Off, WholeBatch::Recorded, WholeBatch::Replayed]);
+}

@@ -43,8 +43,9 @@
 //! ([`qnn_quant::conv_accumulate_all`]) and pushed through the fused
 //! thresholds in one banked compare pass ([`ThresholdBank`]) at latch time;
 //! each emit tick pops one finished stream element, and a span pushes a
-//! slice of them. The i8 first layer keeps a scalar ring and sums the
-//! latched window's lanes against per-filter masks
+//! slice of them. The i8 first layer keeps a scalar ring, gathers the
+//! latched window as one `pixel + 128` lane per tap, and adds each lane
+//! through tap-major filter masks into 64 filter accumulators side by side
 //! ([`qnn_quant::conv_accumulate_i8_lanes`]).
 //!
 //! Where the arithmetic happens never changes `tick`'s I/O decisions, so
@@ -142,7 +143,7 @@ pub struct ConvKernel {
     streamed: Option<(bool, u32)>,
     // --- scratch (reused across positions, no per-cycle allocation) ---
     planes: ActPlanes,
-    /// The latched i8 window as lanes of `pixel + 128`.
+    /// The latched i8 window as lanes of `pixel + 128`, one per tap.
     i8_lanes: Vec<u16>,
     /// Stream elements of the latched position, finished at latch time:
     /// every filter's accumulator, through the fused thresholds when
@@ -266,7 +267,7 @@ impl ConvKernel {
             loader: None,
             streamed: None,
             planes: ActPlanes::new(bits, wsize),
-            i8_lanes: Vec::new(),
+            i8_lanes: if mode == DotMode::I8 { vec![0; wsize] } else { Vec::new() },
             latched: vec![0; geom.filter.o],
         }
     }
@@ -367,11 +368,10 @@ impl ConvKernel {
             }
             WindowRing::Scalar(ring) => {
                 let masks = self.i8_masks.as_ref().expect("an i8 kernel has lane masks");
-                self.i8_lanes.resize(masks.stride(), 0);
                 // K window rows of K·I contiguous stream elements, each at
-                // most two runs of the ring.
+                // most two runs of the ring: one lane per tap.
                 let (cap, run) = (ring.len(), k * i);
-                for (ky, lanes) in self.i8_lanes.chunks_exact_mut(run).take(k).enumerate() {
+                for (ky, lanes) in self.i8_lanes.chunks_exact_mut(run).enumerate() {
                     let start = ((ty + ky) * w + tx) * i % cap;
                     let head = run.min(cap - start);
                     let (lead, wrap) = lanes.split_at_mut(head);
@@ -839,10 +839,17 @@ mod tests {
 
     #[test]
     fn matches_reference_conv_i8() {
-        // Windows of 18 and 75 taps (one and two words of weight bits),
-        // extreme pixels included, over two images back to back.
-        for (c, k) in [(2, 3), (3, 5)] {
-            let geom = ConvGeometry::new(Shape3::new(7, 7, c), FilterShape::new(k, c, 3), 1, 0);
+        // Windows of 18 and 75 taps (one and two words of weight bits), and
+        // ResNet-18's stem scaled down: 7×7×3 filters at stride 2, 65 of
+        // them (a 64-filter block and a one-filter tail group), over a map
+        // wide enough that windows wrap the ring. Extreme pixels included,
+        // two images back to back, and a folded run that must match.
+        for (input, k, o, stride) in [
+            (Shape3::new(7, 7, 2), 3, 3, 1),
+            (Shape3::new(7, 7, 3), 5, 3, 1),
+            (Shape3::new(11, 13, 3), 7, 65, 2),
+        ] {
+            let geom = ConvGeometry::new(input, FilterShape::new(k, input.c, o), stride, 0);
             let filters = filters_for(&geom, 7);
             let input = Tensor3::from_fn(geom.input, |y, x, c| match (y + x + c) % 7 {
                 0 => i8::MIN,
@@ -852,10 +859,23 @@ mod tests {
             let expect = qnn_nn::reference::conv_acc_i8(&geom, &input, &filters);
             let img: Vec<i32> = input.as_slice().iter().map(|&p| i32::from(p)).collect();
             let kernel = ConvKernel::new("conv", geom, filters.clone(), None, DotMode::I8);
-            let (got, _) = run_conv_kernel(kernel, 2 * geom.output().len(), vec![img; 2]);
+            let (got, _) = run_conv_kernel(kernel, 2 * geom.output().len(), vec![img.clone(); 2]);
             let twice = [expect.as_slice(), expect.as_slice()].concat();
-            assert_eq!(got, twice, "c={c} k={k}");
+            assert_eq!(got, twice, "{geom:?}");
+            let kernel = ConvKernel::new("conv", geom, filters, None, DotMode::I8);
+            let (got, _) =
+                run_conv_kernel(kernel.with_folding(4, 3), 2 * geom.output().len(), vec![img; 2]);
+            assert_eq!(got, twice, "folded {geom:?}");
         }
+        // The stem case's premise: some window row runs off the ring's end.
+        let geom = ConvGeometry::new(Shape3::new(11, 13, 3), FilterShape::new(7, 3, 65), 2, 0);
+        let (k, s, w, c) = (geom.filter.k, geom.stride, geom.input.w, geom.input.c);
+        let (cap, out) = (geom.depth_first_buffer(), geom.output());
+        let wraps = (0..out.h * out.w).any(|pos| {
+            let (ty, tx) = (pos / out.w * s, pos % out.w * s);
+            (0..k).any(|ky| ((ty + ky) * w + tx) * c % cap + k * c > cap)
+        });
+        assert!(wraps, "no window wraps the ring");
     }
 
     #[test]

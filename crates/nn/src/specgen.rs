@@ -153,26 +153,43 @@ pub fn spec_strategy() -> impl Strategy<Value = Option<NetworkSpec>> {
     )
 }
 
-/// A random residual network: a 3×3 stem over a `side`² image, a 2/2 max
-/// pool, then one basic block per `(kind, width)` entry — `0` an identity
-/// block, which carries its skip on into the next block; `1` a block
-/// changing the width to `width` (a 1×1 downsample on the skip, or an
-/// identity block when the width stays); `2` a stride-2 downsampling block
-/// — a global sum pool and a classifier, with a hidden FC layer when
-/// `hidden` is set.
+/// The stem of a [`random_residual_spec`]: `width` filters of `k`×`k` at
+/// `stride`, padded `k / 2`, then a 2/2 max pool when `pool` is set.
+/// ResNet-18's is 64 filters of 7×7 at stride 2 with a pool.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Stem {
+    /// Output channels.
+    pub width: usize,
+    /// Kernel side (odd).
+    pub k: usize,
+    /// Stride.
+    pub stride: usize,
+    /// A 2/2 max pool after the conv.
+    pub pool: bool,
+}
+
+/// A random residual network: a [`Stem`] over a `side`² image, then one
+/// basic block per `(kind, width)` entry — `0` an identity block, which
+/// carries its skip on into the next block; `1` a block changing the width
+/// to `width` (a 1×1 downsample on the skip, or an identity block when the
+/// width stays); `2` a stride-2 downsampling block — a global sum pool and
+/// a classifier, with a hidden FC layer when `hidden` is set.
 pub fn random_residual_spec(
     side: usize,
-    stem: usize,
+    stem: Stem,
     blocks: &[(usize, usize)],
     hidden: bool,
     act_bits: u32,
 ) -> NetworkSpec {
     let input = Shape3::square(side, 3);
-    let stem = ConvGeometry::new(input, FilterShape::new(3, 3, stem), 1, 1);
-    let mut cur = Shape3::square((side - 2) / 2 + 1, stem.filter.o);
-    let mut b = SpecBuilder::new("prop-residual", input, act_bits)
-        .conv_input(stem)
-        .pool(stem.output(), 2, 2, 0, PoolKind::Max);
+    let filter = FilterShape::new(stem.k, 3, stem.width);
+    let geom = ConvGeometry::new(input, filter, stem.stride, stem.k / 2);
+    let mut cur = geom.output();
+    let mut b = SpecBuilder::new("prop-residual", input, act_bits).conv_input(geom);
+    if stem.pool {
+        b = b.pool(cur, 2, 2, 0, PoolKind::Max);
+        cur = Shape3::new((cur.h - 2) / 2 + 1, (cur.w - 2) / 2 + 1, cur.c);
+    }
     for &(kind, width) in blocks {
         let (o, stride) = match kind {
             0 => (cur.c, 1),
@@ -196,25 +213,30 @@ pub fn random_residual_spec(
     b.try_build().expect("residual geometry is consistent by construction")
 }
 
-/// Strategy over [`random_residual_spec`] networks with 0–3 blocks,
-/// shrink-aware like [`spec_strategy`]: failures shrink toward fewer
-/// blocks, identity blocks, narrow widths and small images.
+/// Strategy over [`random_residual_spec`] networks with 0–3 blocks and a
+/// stem of 3×3, 5×5 or 7×7 at stride 1 or 2, pooled or not, shrink-aware
+/// like [`spec_strategy`]: failures shrink toward fewer blocks, identity
+/// blocks, narrow widths, small images and a 3×3 stride-1 stem without a
+/// pool.
 pub fn residual_spec_strategy() -> impl Strategy<Value = NetworkSpec> {
     map(
         (
-            4usize..9,                            // side
-            1usize..4,                            // stem width
-            vec((0usize..3, 1usize..4), 0..4),    // (kind, width) per block
-            0usize..2,                            // hidden FC layer
-            1u32..4,                              // act_bits
+            4usize..9,                                    // side
+            (1usize..4, 0usize..3, 1usize..3, 0usize..2), // stem width, (k − 3) / 2, stride, pool
+            vec((0usize..3, 1usize..4), 0..4),            // (kind, width) per block
+            0usize..2,                                    // hidden FC layer
+            1u32..4,                                      // act_bits
         ),
-        |(side, stem, blocks, hidden, act_bits)| {
+        |(side, (width, k, stride, pool), blocks, hidden, act_bits)| {
+            let stem = Stem { width, k: 3 + 2 * k, stride, pool: pool == 1 };
             random_residual_spec(side, stem, &blocks, hidden == 1, act_bits)
         },
         |spec| {
             let Stage::ConvInput { geom: stem } = spec.stages[0] else {
                 return None;
             };
+            let pool = matches!(spec.stages[1], Stage::Pool { kind: PoolKind::Max, .. });
+            let stem = (stem.filter.o, (stem.filter.k - 3) / 2, stem.stride, usize::from(pool));
             let blocks = spec.stages.iter().filter_map(|st| match st {
                 Stage::Residual { geom } => Some(match geom.downsample {
                     None => (0, 1),
@@ -224,7 +246,7 @@ pub fn residual_spec_strategy() -> impl Strategy<Value = NetworkSpec> {
                 _ => None,
             });
             let fcs = spec.stages.iter().filter(|st| matches!(st, Stage::FullyConnected { .. }));
-            Some((spec.input.h, stem.filter.o, blocks.collect(), fcs.count() - 1, spec.act_bits))
+            Some((spec.input.h, stem, blocks.collect(), fcs.count() - 1, spec.act_bits))
         },
     )
 }
@@ -245,10 +267,12 @@ mod tests {
     }
 
     /// Every block kind builds at the smallest image, and consecutive
-    /// identity blocks are what a carried skip needs.
+    /// identity blocks are what a carried skip needs; so does every stem,
+    /// ResNet-18's 7×7 stride-2 pooled one at the smallest image included.
     #[test]
     fn residual_specs_build_every_block_kind() {
-        let spec = random_residual_spec(4, 2, &[(2, 3), (0, 1), (0, 1), (1, 2)], true, 2);
+        let stem = Stem { width: 2, k: 3, stride: 1, pool: true };
+        let spec = random_residual_spec(4, stem, &[(2, 3), (0, 1), (0, 1), (1, 2)], true, 2);
         let kinds: Vec<_> = spec
             .stages
             .iter()
@@ -259,5 +283,44 @@ mod tests {
             .collect();
         assert_eq!(kinds, [(true, 2), (false, 1), (false, 1), (true, 1)]);
         assert_eq!(spec.classes(), 4);
+        for k in [3, 5, 7] {
+            for stride in [1, 2] {
+                for pool in [false, true] {
+                    for side in [4, 8] {
+                        let stem = Stem { width: 3, k, stride, pool };
+                        let spec = random_residual_spec(side, stem, &[(2, 2), (0, 1)], false, 2);
+                        let Stage::ConvInput { geom } = spec.stages[0] else {
+                            panic!("a stem conv leads");
+                        };
+                        assert_eq!((geom.filter.k, geom.stride, geom.pad), (k, stride, k / 2));
+                        let first = &spec.stages[1];
+                        let pooled = matches!(first, Stage::Pool { kind: PoolKind::Max, .. });
+                        assert_eq!(pooled, pool, "{stem:?} at {side}");
+                        let map = (side - 1) / stride + 1;
+                        let map = if pool { (map - 2) / 2 + 1 } else { map };
+                        assert_eq!(spec.stages[1 + usize::from(pool)].input_shape().h, map);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The strategy's inverse recovers the stem, so a failing spec shrinks
+    /// through it: toward a smaller kernel, stride 1 and no pool.
+    #[test]
+    fn residual_specs_shrink_through_the_stem() {
+        let stem_of = |spec: &NetworkSpec| {
+            let Stage::ConvInput { geom } = spec.stages[0] else {
+                panic!("a stem conv leads");
+            };
+            let pool = matches!(spec.stages[1], Stage::Pool { kind: PoolKind::Max, .. });
+            (geom.filter.k, geom.stride, pool)
+        };
+        let stem = Stem { width: 3, k: 7, stride: 2, pool: true };
+        let spec = random_residual_spec(8, stem, &[(0, 1)], false, 2);
+        let stems: Vec<_> = residual_spec_strategy().shrink(&spec).iter().map(stem_of).collect();
+        assert!(stems.contains(&(3, 2, true)), "{stems:?}");
+        assert!(stems.contains(&(7, 1, true)), "{stems:?}");
+        assert!(stems.contains(&(7, 2, false)), "{stems:?}");
     }
 }

@@ -9,14 +9,15 @@
 //! ```
 //!
 //! It also prints how the run was dispatched — the burst planner's
-//! `BurstDiag` and the host-time split of `HostProfile` — and holds the
+//! `BurstDiag`, the host-time split of `HostProfile` and the five kernels
+//! with the most host time in dispatched spans — and holds the
 //! planner to ceilings on its attempts and steps per image. Those are
 //! deterministic counts, so `ci.sh bench-smoke` running this example fails
 //! on a planner regression without any wall-clock noise.
 
 use qnn::compiler::{partition, try_compile, CompileOptions};
 use qnn::data::IMAGENET;
-use qnn::dfe::{MAIA_FCLK_MHZ, STRATIX_V_5SGSD8};
+use qnn::dfe::{Graph, MAIA_FCLK_MHZ, STRATIX_V_5SGSD8};
 use qnn::hw::specs::paper;
 use qnn::hw::{estimate_network, CycleModel};
 use qnn::nn::{models, Network};
@@ -64,6 +65,13 @@ fn main() {
 
     let (diag, profile) = (graph.burst_diag(), graph.host_profile());
     println!("\n{} bursts; burst planner:\n{diag}\n{profile}", graph.bursts());
+    let mut kernels = graph.kernel_host_ns();
+    kernels.sort_by_key(|&(_, ns)| std::cmp::Reverse(ns));
+    let spans = (profile.dispatch_ns + profile.replay_ns).max(1) as f64;
+    println!("  largest kernels by host time in spans of {}+ cycles:", Graph::KERNEL_TIMED_SPAN);
+    for (name, ns) in kernels.iter().take(5) {
+        println!("    {name:<18} {:>7.2} ms ({:.0}%)", *ns as f64 / 1e6, *ns as f64 / spans * 1e2);
+    }
     let steps = diag.evals + diag.follows;
     assert!(profile.attempts <= MAX_ATTEMPTS, "{} planning attempts", profile.attempts);
     assert!(steps <= MAX_STEPS, "{steps} planner steps");

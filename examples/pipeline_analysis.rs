@@ -14,6 +14,7 @@
 
 use qnn::compiler::{elaborate, try_compile, CompileOptions};
 use qnn::data::CIFAR10;
+use qnn::dfe::Graph;
 use qnn::nn::{models, Network};
 
 fn main() {
@@ -78,7 +79,15 @@ fn main() {
         g.burst_cycles() as f64 / g.bursts().max(1) as f64
     );
     println!("{}", g.burst_diag());
-    println!("{}", g.host_profile());
+    let profile = g.host_profile();
+    println!("{profile}");
+    let mut kernels = g.kernel_host_ns();
+    kernels.sort_by_key(|&(_, ns)| std::cmp::Reverse(ns));
+    let spans = (profile.dispatch_ns + profile.replay_ns).max(1) as f64;
+    println!("  largest kernels by host time in spans of {}+ cycles:", Graph::KERNEL_TIMED_SPAN);
+    for (name, ns) in kernels.iter().take(5) {
+        println!("    {name:<18} {:>7.3} ms ({:.0}%)", *ns as f64 / 1e6, *ns as f64 / spans * 1e2);
+    }
 
     // A warm pipeline: batch 1 plans live, batch 2 records its schedule
     // tape, batch 3 replays it.
