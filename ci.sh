@@ -42,6 +42,12 @@
 #                        serving scheduler, names no std::thread,
 #                        Instant::now, mpsc, Mutex, Condvar or atomic: the
 #                        batcher thread does the I/O, the core decides)
+#                        + the one-sizing-rule guard (no file in
+#                        crates/compiler/src calls depth_first_buffer or
+#                        writes a `seq_len *` skip formula: every
+#                        reconvergent path's buffer comes from
+#                        hw_model::skip_buffers, which the resource model
+#                        charges)
 #   ci.sh soak           NOT tier-1: the property suites, in release, at
 #                        QNN_TEST_CASES=1024 (overridable) — a long-running
 #                        hunt for rare ring-buffer/stall/scheduler/re-arm/
@@ -224,6 +230,11 @@ fi
 # tests: threads, clock reads, channels and locks stay in the batcher.
 if grep -nE 'std::thread|Instant::now|mpsc|Mutex|Condvar|atomic' crates/serve/src/core.rs; then
   echo "ci.sh: I/O or concurrency named in crates/serve/src/core.rs (see above)" >&2; exit 1
+fi
+# Skip buffers are sized by one rule in hw_model, the one the resource
+# model charges: the lowering computes no window fill or sequence depth.
+if grep -rnE 'depth_first_buffer|seq_len \*' crates/compiler/src; then
+  echo "ci.sh: skip-buffer sizing outside hw_model::skip_buffers (see above)" >&2; exit 1
 fi
 
 echo "ci.sh: all green"

@@ -329,7 +329,7 @@ mod tests {
             .try_build()
             .expect("valid spec");
         let luts = |i: usize| {
-            estimate_stage_folded(&spec.stages[i], 2, i, &FoldPlan::new()).usage.luts
+            estimate_stage_folded(&spec.stages[i], 2, i, &FoldPlan::new(), 0).usage.luts
         };
         let mut device = STRATIX_10_GX2800;
         let usable = luts(0) + luts(1) + luts(2) / 2;

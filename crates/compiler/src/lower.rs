@@ -4,7 +4,7 @@ use dfe_platform::{
     CycleReport, Graph, HostSink, HostSource, Kernel, ReplayDiag, SinkHandle, SourceHandle,
     StreamId, StreamSpec,
 };
-use hw_model::{CycleModel, Fold, FoldPlan};
+use hw_model::{skip_buffers, CycleModel, Fold, FoldPlan, SkipBuffer};
 use qnn_kernels::loader::encode_conv_params;
 use qnn_kernels::{
     AddKernel, AttentionHeadKernel, ConcatKernel, ConvKernel, DotMode, HeadSplitKernel,
@@ -39,9 +39,9 @@ pub struct CompileOptions {
     pub layer_folding: FoldPlan,
     /// Per-stream FIFO capacity overrides, keyed by full stream name
     /// (`image`, `conv0.out`, `res2.skipbuf`, …). Streams not mentioned
-    /// use `fifo_capacity` (or their structural default, e.g. skip
-    /// buffers). Unknown names and zero capacities are rejected by
-    /// [`try_compile`].
+    /// use `fifo_capacity`, or on a reconvergent path (`res4.ds.out`, …)
+    /// the depth [`skip_buffers`] gives it. Unknown names and zero
+    /// capacities are rejected by [`try_compile`].
     pub fifo_overrides: Vec<(String, usize)>,
 }
 
@@ -298,6 +298,11 @@ impl Builder {
         Wire { id, ix: self.stream_device.len() - 1 }
     }
 
+    /// The stream of `label`'s reconvergent path `skip`.
+    fn skip(&mut self, label: &str, skip: SkipBuffer) -> Wire {
+        self.stream(format!("{label}.{}", skip.suffix), skip.bits, skip.depth)
+    }
+
     fn kernel(&mut self, k: Box<dyn Kernel>, inputs: &[Wire], outputs: &[Wire]) {
         for w in inputs {
             self.stream_device[w.ix] = self.device;
@@ -388,26 +393,6 @@ impl Builder {
         }
         out
     }
-}
-
-/// Skip-buffer capacity covering the convolution path's worst-case lead:
-/// both window fills plus one position of compute halts and slack.
-fn skip_capacity(geom: &qnn_nn::ResidualGeometry) -> usize {
-    let b1 = ConvGeometry::new(
-        geom.conv1.padded_input(),
-        geom.conv1.filter,
-        geom.conv1.stride,
-        0,
-    )
-    .depth_first_buffer();
-    let b2 = ConvGeometry::new(
-        geom.conv2.padded_input(),
-        geom.conv2.filter,
-        geom.conv2.stride,
-        0,
-    )
-    .depth_first_buffer();
-    b1 + b2 + geom.conv2.filter.o + 256
 }
 
 /// Compile a network over `images` into its graph, rejecting
@@ -601,13 +586,14 @@ pub fn elaborate(net: &Network, opts: &CompileOptions) -> Result<CompiledNetwork
                     downsample,
                 },
             ) => {
+                let skip_buf = skip_buffers(stage, opts.fifo_capacity)[0];
                 // --- establish the conv-path input and the skip input ---
                 let (conv_in, skip_in) = match (geom.downsample, downsample) {
                     (Some(ds_geom), Some(ds_filters)) => {
                         // Split the regular input; the skip path goes
                         // through the 1×1 strided downsample conv.
                         let a = b.stream(format!("res{i}.a"), act_bits, opts.fifo_capacity);
-                        let ds_in = b.stream(format!("res{i}.dsin"), act_bits, skip_capacity(geom));
+                        let ds_in = b.stream(format!("res{i}.dsin"), act_bits, opts.fifo_capacity);
                         b.kernel(
                             Box::new(SplitKernel::new(format!("res{i}.split_in"))),
                             &[prev],
@@ -620,8 +606,8 @@ pub fn elaborate(net: &Network, opts: &CompileOptions) -> Result<CompiledNetwork
                             ds_filters,
                             None,
                             DotMode::Codes { bits: act_bits },
-                            16,
-                            skip_capacity(geom),
+                            skip_buf.bits,
+                            skip_buf.depth,
                         );
                         // Any carried skip is superseded at downsampling
                         // blocks (shape changes); the lookahead logic never
@@ -634,7 +620,7 @@ pub fn elaborate(net: &Network, opts: &CompileOptions) -> Result<CompiledNetwork
                         None => {
                             // Chain head: skip is the widened regular input.
                             let a = b.stream(format!("res{i}.a"), act_bits, opts.fifo_capacity);
-                            let s = b.stream(format!("res{i}.skipbuf"), 16, skip_capacity(geom));
+                            let s = b.skip(&format!("res{i}"), skip_buf);
                             b.kernel(
                                 Box::new(SplitKernel::new(format!("res{i}.split_in"))),
                                 &[prev],
@@ -680,16 +666,9 @@ pub fn elaborate(net: &Network, opts: &CompileOptions) -> Result<CompiledNetwork
                     // Split z: one copy continues as the next block's skip,
                     // sized for that block's path delay and named after it,
                     // as every skip stream is after the block consuming it.
-                    let next_geom = match spec.stages[i + 1] {
-                        Stage::Residual { geom } => geom,
-                        _ => unreachable!("lookahead said residual"),
-                    };
                     let z_a = b.stream(format!("res{i}.z_a"), 16, opts.fifo_capacity);
-                    let z_skip = b.stream(
-                        format!("res{}.skipbuf", i + 1),
-                        16,
-                        skip_capacity(&next_geom),
-                    );
+                    let next = skip_buffers(&spec.stages[i + 1], opts.fifo_capacity)[0];
+                    let z_skip = b.skip(&format!("res{}", i + 1), next);
                     b.kernel(
                         Box::new(SplitKernel::new(format!("res{i}.split_out"))),
                         &[z],
@@ -711,18 +690,12 @@ pub fn elaborate(net: &Network, opts: &CompileOptions) -> Result<CompiledNetwork
             }
             (Stage::Encoder { geom }, StageParams::Encoder(p)) => {
                 let projs = geom.projection_geometries();
-                let d = geom.d_model;
                 let codes = DotMode::Codes { bits: act_bits };
-                // The attention skip is consumed only after the whole
-                // sequence has crossed the Q/K/V → heads → concat → proj
-                // pipeline (attention needs every key before the first
-                // output token), so the buffer must hold the full sequence
-                // plus slack.
-                let skip_cap = geom.seq_len * d + 2 * d + 64;
+                let skips = skip_buffers(stage, opts.fifo_capacity);
 
                 // --- attention sublayer: split skip, fan out Q/K/V ---
                 let a = b.stream(format!("enc{i}.a"), act_bits, opts.fifo_capacity);
-                let skip_s = b.stream(format!("enc{i}.skipbuf"), 16, skip_cap);
+                let skip_s = b.skip(&format!("enc{i}"), skips[0]);
                 b.kernel(
                     Box::new(SplitKernel::new(format!("enc{i}.split_in"))),
                     &[prev],
@@ -834,11 +807,8 @@ pub fn elaborate(net: &Network, opts: &CompileOptions) -> Result<CompiledNetwork
 
                 // --- optional feed-forward sublayer with its own skip ---
                 if let Some(ffn) = &p.ffn {
-                    // ff1/ff2 emit token t's output right after absorbing
-                    // token t, so two tokens of each width cover the lead.
-                    let ff_cap = 2 * (d + geom.ff_hidden) + 64;
                     let fa = b.stream(format!("enc{i}.ffa"), act_bits, opts.fifo_capacity);
-                    let fskip = b.stream(format!("enc{i}.ffskip"), 16, ff_cap);
+                    let fskip = b.skip(&format!("enc{i}"), skips[1]);
                     b.kernel(
                         Box::new(SplitKernel::new(format!("enc{i}.split_ff"))),
                         &[prev],
@@ -999,7 +969,8 @@ mod options_tests {
     /// `fifo_overrides` entry resizes exactly one stream.
     fn assert_stream_names_unique(net: &Network) {
         let pipeline = elaborate(net, &CompileOptions::default()).expect("default options");
-        let mut names: Vec<&str> = pipeline.graphs[0].stream_names().collect();
+        let mut names: Vec<&str> =
+            pipeline.graphs[0].stream_specs().map(|s| s.name.as_str()).collect();
         let streams = names.len();
         names.sort_unstable();
         names.dedup();

@@ -109,7 +109,7 @@ pub(crate) fn place(
     let mut per_device: Vec<ResourceUsage> = vec![infra];
 
     for (i, stage) in spec.stages.iter().enumerate() {
-        let est = estimate_stage_folded(stage, spec.act_bits, i, plan);
+        let est = estimate_stage_folded(stage, spec.act_bits, i, plan, fifo_capacity);
         let mut need = est.usage;
         need.bram_kbits += est.kernels as u64 * fifo_kbits;
         if !need.plus(infra).fits(device) {

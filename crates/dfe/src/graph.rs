@@ -435,9 +435,9 @@ impl Graph {
         self.streams.len()
     }
 
-    /// Every stream's name, in stream order.
-    pub fn stream_names(&self) -> impl Iterator<Item = &str> {
-        self.streams.iter().map(|s| s.spec.name.as_str())
+    /// Every stream's spec (name, width, capacity), in stream order.
+    pub fn stream_specs(&self) -> impl Iterator<Item = &StreamSpec> {
+        self.streams.iter().map(|s| &s.spec)
     }
 
     /// Every kernel's id, in node order.
@@ -517,7 +517,7 @@ impl Graph {
         self.validate()?;
         let mut trace = (sample_every > 0).then(|| {
             let kernels = self.nodes.iter().map(|n| n.kernel.name().to_string()).collect();
-            Trace::new(sample_every, self.stream_names().map(String::from).collect(), kernels)
+            Trace::new(sample_every, self.stream_specs().map(|s| s.name.clone()).collect(), kernels)
         });
         let mut busy_at_last_sample: Vec<u64> = self.nodes.iter().map(|n| n.busy).collect();
         let mut cycle: u64 = 0;

@@ -31,6 +31,7 @@ pub mod lmem;
 pub mod pcie;
 pub mod power;
 pub mod resources;
+pub mod skip;
 pub mod specs;
 
 pub use cycles::{CycleModel, LayerCycles};
@@ -41,4 +42,5 @@ pub use resources::{
     estimate_network, estimate_network_folded, estimate_stage_folded, NetworkResources,
     StageResources,
 };
+pub use skip::{skip_buffers, SkipBuffer};
 pub use specs::FinnReference;

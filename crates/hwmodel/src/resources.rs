@@ -7,8 +7,8 @@
 //!   its 512×40 shape, so a cache with ≤384 entries wastes ≥25% of each
 //!   block (§III-B1a);
 //! * BatchNorm caches of `O` entries × 64 bits (§III-B1a);
-//! * skip buffers sized like a convolution window buffer, carrying 16-bit
-//!   data (§III-B5).
+//! * skip buffers in BRAM, one per reconvergent path at the depth
+//!   [`skip_buffers`] gives it and the lowering allocates (§III-B5).
 //!
 //! The *infrastructure* terms (per-kernel stream controllers, manager glue,
 //! pipelined popcount registers) are constants calibrated so that the model
@@ -19,6 +19,7 @@ use qnn_nn::{NetworkSpec, PoolKind, Stage};
 use qnn_tensor::ConvGeometry;
 
 use crate::folding::{Fold, FoldPlan};
+use crate::skip::skip_buffers;
 use dfe_platform::ResourceUsage;
 
 /// LUTs per datapath bit-plane bit: XNOR + pipelined popcount compressor
@@ -96,7 +97,6 @@ fn conv_resources_folded(
     with_bn: bool,
     fold: Fold,
 ) -> StageResources {
-    let padded = ConvGeometry::new(geom.padded_input(), geom.filter, geom.stride, 0);
     let n = geom.filter.weights_per_filter() as u64;
     let o = geom.filter.o as u64;
     // More emit lanes than filters buys nothing; the DSE never asks, but
@@ -104,7 +104,7 @@ fn conv_resources_folded(
     let pe = (fold.pe as u64).min(o).max(1);
     let simd = fold.simd as u64;
     let datapath_bits = n * planes as u64;
-    let window_bits = padded.depth_first_buffer() as u64 * elem_bits as u64;
+    let window_bits = geom.depth_first_buffer() as u64 * elem_bits as u64;
 
     let mut luts = (LUT_PER_DATAPATH_BIT * (datapath_bits * pe) as f64) as u64
         + LUT_MAJOR_FIXED
@@ -143,10 +143,9 @@ fn minor_resources(window_bits: u64, count: usize) -> StageResources {
 
 /// Estimate one encoder stage: the 1×1 projection convolutions (foldable;
 /// Q/K/V/ff1 carry fused thresholds, proj/ff2 emit raw accumulators), the
-/// per-head attention tile engines with their gather/pending buffers, the
-/// sequence-deep skip FIFOs in BRAM, and the stream glue (splits, head
-/// fan-out/concat, adders, LayerNorm). `index` is the stage's position
-/// in the spec.
+/// per-head attention tile engines with their gather/pending buffers, and
+/// the stream glue (splits, head fan-out/concat, adders, LayerNorm).
+/// `index` is the stage's position in the spec.
 fn encoder_resources(
     geom: &qnn_nn::EncoderGeometry,
     act_bits: u32,
@@ -171,15 +170,8 @@ fn encoder_resources(
     let heads = minor_resources(4 * tile_bits * geom.heads as u64, geom.heads);
     r.usage = r.usage.plus(heads.usage);
     r.kernels += heads.kernels;
-    // Skip FIFOs: the attention skip holds the whole sequence (every key
-    // must arrive before the first output token); the FFN skip holds two
-    // tokens of each width. Both carry 16-bit accumulator data.
-    let skip_elems = (geom.seq_len * geom.d_model + 2 * geom.d_model + 64) as u64;
-    r.usage.bram_kbits += bram_blocks(16, skip_elems) * BRAM_BLOCK_KBITS;
     let mut glue = 3 + 3 + 1 + 1 + 1; // splits, head fan-outs, concat, add, LN
     if geom.has_ffn() {
-        let ff_elems = 2 * (geom.d_model + geom.ff_hidden) as u64 + 64;
-        r.usage.bram_kbits += bram_blocks(16, ff_elems) * BRAM_BLOCK_KBITS;
         glue += 3; // split_ff, add2, ln2
     }
     let g = minor_resources(0, glue);
@@ -190,14 +182,17 @@ fn encoder_resources(
 
 /// Estimate one pipeline stage under a [`FoldPlan`]; `index` is the
 /// stage's position in the spec (it determines the lowering labels the
-/// plan is keyed by). [`FoldPlan::new`] is the unfolded design.
+/// plan is keyed by). [`FoldPlan::new`] is the unfolded design. Each of
+/// the stage's [`skip_buffers`] beside FIFOs of `fifo_capacity` (0 where
+/// FIFOs go uncharged) is charged once, in BRAM.
 pub fn estimate_stage_folded(
     stage: &Stage,
     act_bits: u32,
     index: usize,
     plan: &FoldPlan,
+    fifo_capacity: usize,
 ) -> StageResources {
-    match *stage {
+    let mut r = match *stage {
         Stage::ConvInput { geom } => {
             conv_resources_folded(&geom, 8, 8, true, plan.get(&format!("conv{index}")))
         }
@@ -270,24 +265,17 @@ pub fn estimate_stage_folded(
                 r.usage = r.usage.plus(d.usage);
                 r.kernels += d.kernels;
             }
-            // Skip buffer: one convolution-sized buffer of 16-bit data in
-            // BRAM (§III-B5), plus adder, two splits and the post-adder
-            // threshold unit.
-            let skip_elems = ConvGeometry::new(
-                geom.conv2.padded_input(),
-                geom.conv2.filter,
-                geom.conv2.stride,
-                0,
-            )
-            .depth_first_buffer() as u64;
-            r.usage.bram_kbits += bram_blocks(16, skip_elems) * BRAM_BLOCK_KBITS;
             let glue = minor_resources(0, 4); // add + 2 splits + threshold
             r.usage = r.usage.plus(glue.usage);
             r.kernels += glue.kernels;
             r
         }
         Stage::Encoder { ref geom } => encoder_resources(geom, act_bits, plan, index),
+    };
+    for b in skip_buffers(stage, fifo_capacity) {
+        r.usage.bram_kbits += bram_blocks(b.bits.into(), b.depth as u64) * BRAM_BLOCK_KBITS;
     }
+    r
 }
 
 /// Whole-network resource estimate.
@@ -320,7 +308,7 @@ pub fn estimate_network_folded(
         .stages
         .iter()
         .enumerate()
-        .map(|(i, s)| estimate_stage_folded(s, spec.act_bits, i, plan))
+        .map(|(i, s)| estimate_stage_folded(s, spec.act_bits, i, plan, 0))
         .collect();
     let design: ResourceUsage = stages.iter().map(|s| s.usage).sum();
     let infra = ResourceUsage {
@@ -336,6 +324,7 @@ mod tests {
     use super::*;
     use crate::specs::paper;
     use qnn_nn::models;
+    use qnn_tensor::Shape3;
 
     fn within(actual: u64, reported: u64, tol: f64) -> bool {
         let (a, r) = (actual as f64, reported as f64);
@@ -442,8 +431,8 @@ mod tests {
         for (spec, design, total) in [
             (
                 models::resnet18(1000),
-                (537_636, 1_151_098, 25_280),
-                (537_636, 1_151_098, 29_280),
+                (537_636, 1_151_098, 27_940),
+                (537_636, 1_151_098, 31_940),
             ),
             (models::alexnet(1000), (348_580, 668_448, 32_560), (348_580, 668_448, 36_560)),
             (models::vgg_like(32, 10, 2), (145_828, 258_151, 5_440), (145_828, 258_151, 9_440)),
@@ -486,5 +475,63 @@ mod tests {
         let sum: ResourceUsage = r.stages.iter().map(|s| s.usage).sum();
         assert_eq!(sum, r.design);
         assert!(r.total.bram_kbits > r.design.bram_kbits);
+    }
+
+    /// Each reconvergent path is charged once, in BRAM, at the depth
+    /// [`skip_buffers`] gives it (the depth the lowering allocates): a
+    /// stage's BRAM is its kernels' plus `bram_blocks` of those depths.
+    #[test]
+    fn skip_bram_is_charged_at_the_lowered_depths() {
+        let plan = FoldPlan::new();
+        for spec in [
+            models::resnet18(1000),
+            models::test_net(16, 10, 2),
+            models::tiny_transformer(16, 2, 8, 10, 2, 32),
+        ] {
+            let bits = spec.act_bits;
+            let conv = |g: &ConvGeometry, bn| {
+                conv_resources_folded(g, bits, bits, bn, Fold::UNIT).usage.bram_kbits
+            };
+            for (i, stage) in spec.stages.iter().enumerate() {
+                let kernels = match stage {
+                    Stage::Residual { geom } => {
+                        conv(&geom.conv1, true)
+                            + conv(&geom.conv2, false)
+                            + geom.downsample.map_or(0, |ds| conv(&ds, false))
+                            + minor_resources(0, 4).usage.bram_kbits
+                    }
+                    Stage::Encoder { geom } => {
+                        encoder_resources(geom, bits, &plan, i).usage.bram_kbits
+                    }
+                    _ => continue,
+                };
+                let skips: u64 = skip_buffers(stage, 0)
+                    .iter()
+                    .map(|b| bram_blocks(b.bits.into(), b.depth as u64) * BRAM_BLOCK_KBITS)
+                    .sum();
+                assert!(skips > 0, "{} stage {i} has no skip buffer", spec.name);
+                let stage_bram = estimate_stage_folded(stage, bits, i, &plan, 0).usage.bram_kbits;
+                assert_eq!(stage_bram, kernels + skips, "{} stage {i}", spec.name);
+            }
+        }
+        // ResNet-18's first block: both 64-channel window fills at 58
+        // padded columns, 2 · 64 · (58 · 2 + 3) = 15 232 elements.
+        let res2 = skip_buffers(&models::resnet18(1000).stages[2], 512);
+        assert_eq!(res2, [crate::SkipBuffer { suffix: "skipbuf", bits: 16, depth: 15_232 }]);
+        // A widening downsample's skip grows with the FIFOs beside it, and
+        // its charge with it.
+        let conv = |i, o, k: usize| {
+            ConvGeometry::new(Shape3::new(7, 7, i), qnn_tensor::FilterShape::new(k, i, o), 1, k / 2)
+        };
+        let geom = qnn_nn::ResidualGeometry {
+            conv1: conv(1, 3, 3),
+            conv2: conv(3, 3, 3),
+            downsample: Some(conv(1, 3, 1)),
+        };
+        let stage = Stage::Residual { geom };
+        let charged = |f| estimate_stage_folded(&stage, 1, 0, &plan, f).usage.bram_kbits;
+        let skip = |f| bram_blocks(16, skip_buffers(&stage, f)[0].depth as u64) * BRAM_BLOCK_KBITS;
+        assert!(skip(1024) > skip(0));
+        assert_eq!(charged(1024) - charged(0), skip(1024) - skip(0));
     }
 }

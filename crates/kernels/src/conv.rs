@@ -300,11 +300,6 @@ impl ConvKernel {
         (self.pe, self.simd)
     }
 
-    /// The window-buffer size in elements — the paper's `I·(W·(K−1)+K)`.
-    pub fn buffer_elems(&self) -> usize {
-        self.ring.capacity()
-    }
-
     fn positions(&self) -> usize {
         let out = self.geom.output();
         out.h * out.w

@@ -121,11 +121,6 @@ impl PoolKernel {
         )
     }
 
-    /// Window-buffer size in elements.
-    pub fn buffer_elems(&self) -> usize {
-        self.ring.len()
-    }
-
     fn positions(&self) -> usize {
         let o = self.output_shape();
         o.h * o.w

@@ -12,7 +12,8 @@ use qnn::dfe::{
     CycleReport, DenseOracle, Graph, HostSink, HostSource, Io, Kernel, Progress, SpanIo,
     SpanPlan, StallInjector, StreamSpec, WakeHint,
 };
-use qnn::nn::Network;
+use qnn::hw::{skip_buffers, CycleModel, SkipBuffer};
+use qnn::nn::{Network, NetworkSpec, Stage};
 use qnn::tensor::Tensor3;
 
 /// Lace every kernel of an elaborated, not yet loaded `pipeline` with a
@@ -67,6 +68,34 @@ pub fn elaborate_stalled(
         });
     }
     pipeline
+}
+
+/// A fold plan over every foldable layer of `spec`, each with power-of-two
+/// PE and SIMD factors from 1 to 4 drawn from the bits of `seed`.
+pub fn random_plan(spec: &NetworkSpec, mut seed: u64) -> FoldPlan {
+    let mut plan = FoldPlan::new();
+    for layer in CycleModel::analyze(spec).layers.iter().filter(|l| l.foldable()) {
+        plan.set(&layer.name, Fold::new(1 << ((seed & 3) % 3), 1 << ((seed >> 2 & 3) % 3)));
+        seed >>= 4;
+    }
+    plan
+}
+
+/// Every reconvergent-path stream the lowering of `spec` builds, by full
+/// name (`res2.skipbuf`, `res3.ds.out`, `enc1.ffskip`, …), with the buffer
+/// `skip_buffers` sizes it to beside FIFOs of `fifo_capacity`.
+pub fn skip_streams(spec: &NetworkSpec, fifo_capacity: usize) -> Vec<(String, SkipBuffer)> {
+    let mut streams = Vec::new();
+    for (i, stage) in spec.stages.iter().enumerate() {
+        let label = match stage {
+            Stage::Encoder { .. } => format!("enc{i}"),
+            _ => format!("res{i}"),
+        };
+        for b in skip_buffers(stage, fifo_capacity) {
+            streams.push((format!("{label}.{}", b.suffix), b));
+        }
+    }
+    streams
 }
 
 /// A folding of `test_net`. Plan 0 folds `pool1`, two residual

@@ -8,15 +8,21 @@
 //!     surfaces as `RunError` and fails the case);
 //! (c) sim/analytic cycle ratio inside the EXPERIMENTS.md flaky band
 //!     (0.6–1.1) once the design is large enough for steady-state to
-//!     dominate ramp effects.
+//!     dominate ramp effects;
+//! (d) every reconvergent path runs at full rate at the depth
+//!     `hw::skip_buffers` gives it: deepening the skip paths changes no
+//!     count, and none of them ever fills.
 //!
 //! Part of `./ci.sh dse` (tier-1, reduced cases) and `./ci.sh soak`.
 
+mod common;
+
+use common::{random_plan, skip_streams};
 use qnn::compiler::dse::{explore, pick, ResourceBudget};
 use qnn::compiler::{run_images, CompileOptions, SimError};
 use qnn::dfe::STRATIX_10_GX2800;
 use qnn::hw::CycleModel;
-use qnn::nn::specgen::{image_for, spec_strategy};
+use qnn::nn::specgen::{image_for, residual_spec_strategy, spec_strategy};
 use qnn::nn::{models, Network, NetworkSpec};
 use qnn_testkit::{prop_assert, prop_assert_eq, props};
 
@@ -97,13 +103,66 @@ props! {
             point.folding
         );
     }
+
+    /// (d): a random residual network at a random folding and a FIFO
+    /// capacity from 2–64 or the DSE's sweep (256, 512, 1024) runs
+    /// exactly — cycles, every kernel's counts, every stream's traffic
+    /// and peak — as with every skip path four times deeper, and no skip
+    /// path reaches its capacity.
+    #[test]
+    fn skip_paths_run_at_full_rate(
+        spec in residual_spec_strategy(),
+        seed in 0u64..1000,
+        fold_seed in 0u64..u64::MAX,
+        fifo in 0usize..66,
+    ) {
+        let fifo_capacity = match fifo {
+            63 => 256,
+            64 => 512,
+            65 => 1024,
+            f => f + 2,
+        };
+        let net = Network::random(spec, seed);
+        let img = image_for(&net.spec, seed + 1);
+        let images = std::slice::from_ref(&img);
+        let sized = CompileOptions {
+            fifo_capacity,
+            layer_folding: random_plan(&net.spec, fold_seed),
+            ..CompileOptions::default()
+        };
+        let skips = skip_streams(&net.spec, fifo_capacity);
+        let deep = CompileOptions {
+            fifo_overrides: skips.iter().map(|(name, b)| (name.clone(), 4 * b.depth)).collect(),
+            ..sized.clone()
+        };
+        let at_rule = run_images(&net, images, &sized).expect("structural skip depths wedged");
+        let deeper = run_images(&net, images, &deep).expect("deep skip paths wedged");
+        prop_assert_eq!(&at_rule.logits, &deeper.logits);
+        let (a, d) = (&at_rule.reports[0], &deeper.reports[0]);
+        prop_assert_eq!(a.cycles, d.cycles, "fifo {}, plan {:?}", fifo_capacity, sized.layer_folding);
+        prop_assert_eq!(&a.kernels, &d.kernels);
+        let traffic = |r: &qnn::dfe::CycleReport| -> Vec<(String, u64, usize)> {
+            r.streams.iter().map(|s| (s.name.clone(), s.pushed, s.max_occupancy)).collect()
+        };
+        prop_assert_eq!(traffic(a), traffic(d));
+        for s in a.streams.iter().filter(|s| skips.iter().any(|(name, _)| *name == s.name)) {
+            prop_assert!(
+                s.max_occupancy < s.capacity,
+                "'{}' filled ({}/{}) at fifo {}",
+                s.name,
+                s.max_occupancy,
+                s.capacity,
+                fifo_capacity
+            );
+        }
+    }
 }
 
 /// The paper's FMem case: the residual skip buffer must absorb the conv
-/// path's lead. Probe downward from the structural default to the minimal
-/// power-of-two capacity that still completes, pin that it is well under
-/// the default (the formula over-provisions with slack), and pin
-/// deadlock-freedom at that minimum.
+/// path's lead. Probe upward to the minimal power-of-two capacity that
+/// completes, pin that it is well under the structural depth (which sizes
+/// for full rate, not for the minimum), and pin deadlock-freedom at that
+/// minimum.
 #[test]
 fn skip_path_runs_at_minimal_fifo_capacity() {
     let net = Network::random(models::test_net(8, 4, 2), 11);
@@ -130,8 +189,8 @@ fn skip_path_runs_at_minimal_fifo_capacity() {
     }
     let minimal = minimal.expect("default-sized skip buffer must be reachable");
     // Regression pin: the minimal viable capacity for this geometry. The
-    // structural default (`skip_capacity`) carries ≥256 slack on top of
-    // both window fills, so the DSE-chosen minimum must sit well below it.
+    // structural depth (`hw::skip_buffers`, both window fills) is what the
+    // path needs at full rate; the minimum to complete sits well below it.
     assert!(
         (8..=128).contains(&minimal),
         "minimal skip capacity moved to {minimal}; skip scheduling changed"
@@ -164,6 +223,37 @@ fn undersized_skip_fifo_deadlocks_with_diagnostics() {
             assert!(
                 diagnostics.contains("2/2 occupied"),
                 "diagnostics do not show the full buffer:\n{diagnostics}"
+            );
+        }
+        other => panic!("expected a deadlock, got {other:?}"),
+    }
+}
+
+/// The same for a downsample block, whose one skip buffer is the `ds`
+/// conv's output: two slots there deadlock the block, and the diagnostics
+/// name that stream. The split's branch into `ds` (`res3.dsin`) is an
+/// ordinary FIFO in front of it; at the default 512 slots it alone holds
+/// this small block's lead, so the ordinary FIFOs run at 16.
+#[test]
+fn undersized_downsample_skip_deadlocks_with_diagnostics() {
+    let net = Network::random(models::test_net(8, 4, 2), 11);
+    let img = image_for(&net.spec, 4);
+    let err = run_images(
+        &net,
+        std::slice::from_ref(&img),
+        &CompileOptions {
+            fifo_capacity: 16,
+            fifo_overrides: vec![("res3.ds.out".into(), 2)],
+            ..CompileOptions::default()
+        },
+    )
+    .expect_err("a 2-slot downsample output cannot absorb the conv path's lead");
+    match err {
+        SimError::Run(qnn::dfe::RunError::Deadlock { cycle, diagnostics }) => {
+            assert!(cycle > 0);
+            assert!(
+                diagnostics.contains("'res3.ds.out': 2/2 occupied"),
+                "diagnostics do not name the full downsample output:\n{diagnostics}"
             );
         }
         other => panic!("expected a deadlock, got {other:?}"),

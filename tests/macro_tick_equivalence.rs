@@ -22,26 +22,14 @@
 
 mod common;
 
-use common::{compile_on, folded_plan, run_dense, StallPipeline};
+use common::{compile_on, folded_plan, random_plan, run_dense, StallPipeline};
 use qnn::compiler::{run_images, try_compile, CompileOptions, Fold, FoldPlan, SimResult};
 use qnn::dfe::{CycleReport, ReplayDiag};
-use qnn::hw::CycleModel;
 use qnn::nn::specgen::{encoder_spec_strategy, image_for, residual_spec_strategy, spec_strategy};
 use qnn::nn::{models, Network, NetworkSpec, PoolKind, SpecBuilder};
 use qnn::tensor::{ConvGeometry, FilterShape, Shape3, Tensor3};
 use qnn_testkit::prop::CaseResult;
 use qnn_testkit::{prop_assert, prop_assert_eq, props, vec};
-
-/// A fold plan over every foldable layer of `spec`, each with power-of-two
-/// PE and SIMD factors from 1 to 4 drawn from the bits of `seed`.
-fn random_plan(spec: &NetworkSpec, mut seed: u64) -> FoldPlan {
-    let mut plan = FoldPlan::new();
-    for layer in CycleModel::analyze(spec).layers.iter().filter(|l| l.foldable()) {
-        plan.set(&layer.name, Fold::new(1 << ((seed & 3) % 3), 1 << ((seed >> 2 & 3) % 3)));
-        seed >>= 4;
-    }
-    plan
-}
 
 /// Run the same workload on the default stepper and on the dense oracle
 /// and assert logits and every per-device report agree.

@@ -1,8 +1,12 @@
 //! Multi-DFE partitioning and scale-out behaviour (paper §III-B6, §IV-B4).
 
+mod common;
+
+use common::skip_streams;
 use qnn::compiler::{partition, run_images, CompileOptions};
 use qnn::dfe::{STRATIX_10_GX2800, STRATIX_V_5SGSD8};
 use qnn::hw::estimate_network;
+use qnn::nn::specgen::image_for;
 use qnn::nn::{models, Network};
 
 #[test]
@@ -73,24 +77,31 @@ fn stratix10_consolidates_devices() {
 
 #[test]
 fn skip_buffer_occupancy_stays_within_provisioned_capacity() {
-    // The Fig. 2 skip buffer is provisioned from the paper's sizing rule;
-    // the measured high-water mark must stay within it (and be nonzero —
-    // the buffer really is needed).
-    let net = Network::random(models::test_net(16, 4, 2), 13);
-    let img = qnn::data::Dataset { name: "s", side: 16, classes: 4 }.image(0);
-    let sim = run_images(&net, std::slice::from_ref(&img), &CompileOptions::default())
-        .expect("run");
-    let mut saw_skip = false;
-    for s in &sim.reports[0].streams {
-        if s.name.contains("skipbuf") {
-            saw_skip = true;
-            assert!(s.max_occupancy > 0, "skip buffer '{}' never used", s.name);
-            assert!(
-                s.max_occupancy <= s.capacity,
-                "skip buffer '{}' overflows its provisioning",
-                s.name
-            );
+    // The Fig. 2 skip buffers — `skipbuf`, a downsample block's `ds.out`,
+    // an encoder's `skipbuf` and `ffskip` — are provisioned from the one
+    // sizing rule; the measured high-water mark of each must stay within
+    // it (and be nonzero — the buffer really is needed).
+    let cnn = Network::random(models::test_net(16, 4, 2), 13);
+    let cnn_img = qnn::data::Dataset { name: "s", side: 16, classes: 4 }.image(0);
+    let txf = Network::random(models::tiny_transformer(16, 2, 8, 10, 2, 32), 13);
+    let txf_img = image_for(&txf.spec, 0);
+    for (net, img) in [(cnn, cnn_img), (txf, txf_img)] {
+        let opts = CompileOptions::default();
+        let sim = run_images(&net, std::slice::from_ref(&img), &opts).expect("run");
+        let skips = skip_streams(&net.spec, opts.fifo_capacity);
+        let mut seen = 0;
+        for s in &sim.reports[0].streams {
+            if skips.iter().any(|(name, _)| *name == s.name) {
+                seen += 1;
+                assert!(s.max_occupancy > 0, "skip buffer '{}' never used", s.name);
+                assert!(
+                    s.max_occupancy <= s.capacity,
+                    "skip buffer '{}' overflows its provisioning",
+                    s.name
+                );
+            }
         }
+        assert_eq!(seen, skips.len(), "{}: skip buffers missing from the lowered design", net.spec.name);
+        assert!(seen > 0, "no skip buffers found in {}", net.spec.name);
     }
-    assert!(saw_skip, "no skip buffers found in the lowered design");
 }
