@@ -187,8 +187,8 @@ impl CycleModel {
                     }
                     // Fixed-rate skip glue: the input split moves the block's
                     // input once, the adder/threshold its output once.
-                    let glue = (geom.conv1.input.len() as u64)
-                        .max(geom.conv2.output().len() as u64);
+                    let glue =
+                        (geom.conv1.input.len() as u64).max(geom.conv2.output().len() as u64);
                     // Skip-path ramp: the split feeds conv1 at one element
                     // per clock no matter how the conv is folded, so the
                     // conv's first window still takes its *unfolded* fill
@@ -347,9 +347,8 @@ mod tests {
         let unit = CycleModel::analyze_folded(&spec, &FoldPlan::new());
         let plan = FoldPlan::new().with("res2.conv1", Fold::new(1, 4));
         let folded = CycleModel::analyze_folded(&spec, &plan);
-        let fill_of = |m: &CycleModel, name: &str| {
-            m.layers.iter().find(|l| l.name == name).expect(name).fill
-        };
+        let fill_of =
+            |m: &CycleModel, name: &str| m.layers.iter().find(|l| l.name == name).expect(name).fill;
         // SIMD folding divides the conv's own window fill…
         let conv_unit = fill_of(&unit, "res2.conv1");
         let conv_folded = fill_of(&folded, "res2.conv1");
@@ -361,10 +360,7 @@ mod tests {
         // Net effect: the block's fill contribution is invariant under
         // SIMD folding — exactly what the simulator measures (the ramp
         // cannot be folded away).
-        assert_eq!(
-            fill_of(&folded, "res2.conv1") + fill_of(&folded, "res2.skip"),
-            conv_unit
-        );
+        assert_eq!(fill_of(&folded, "res2.conv1") + fill_of(&folded, "res2.skip"), conv_unit);
     }
 
     #[test]
@@ -372,9 +368,7 @@ mod tests {
         use crate::folding::{Fold, FoldPlan};
         let spec = models::resnet18(1000);
         let base = CycleModel::analyze_folded(&spec, &FoldPlan::new());
-        let plan = FoldPlan::new()
-            .with("conv0", Fold::new(4, 4))
-            .with("pool1", Fold::new(4, 4));
+        let plan = FoldPlan::new().with("conv0", Fold::new(4, 4)).with("pool1", Fold::new(4, 4));
         let folded = CycleModel::analyze_folded(&spec, &plan);
         // The 114·114·64 stem-pool stream drops out of the bottleneck; the
         // new period is set by the unfolded res-block convs.

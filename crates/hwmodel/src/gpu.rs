@@ -31,20 +31,12 @@ pub struct GpuSpec {
 }
 
 /// Nvidia Tesla P100-12GB (Pascal).
-pub const P100: GpuSpec = GpuSpec {
-    name: "Tesla P100",
-    cuda_cores: 3584,
-    core_clock_mhz: 1480.0,
-    tdp_w: 250.0,
-};
+pub const P100: GpuSpec =
+    GpuSpec { name: "Tesla P100", cuda_cores: 3584, core_clock_mhz: 1480.0, tdp_w: 250.0 };
 
 /// Nvidia GeForce GTX 1080 (Pascal).
-pub const GTX1080: GpuSpec = GpuSpec {
-    name: "GTX 1080",
-    cuda_cores: 2560,
-    core_clock_mhz: 1733.0,
-    tdp_w: 180.0,
-};
+pub const GTX1080: GpuSpec =
+    GpuSpec { name: "GTX 1080", cuda_cores: 2560, core_clock_mhz: 1733.0, tdp_w: 180.0 };
 
 /// Calibrated latency model for one GPU.
 #[derive(Clone, Copy, Debug)]

@@ -62,11 +62,7 @@ mod tests {
 
     #[test]
     fn on_chip_choice_is_justified_for_every_paper_network() {
-        for spec in [
-            models::vgg_like(32, 10, 2),
-            models::alexnet(1000),
-            models::resnet18(1000),
-        ] {
+        for spec in [models::vgg_like(32, 10, 2), models::alexnet(1000), models::resnet18(1000)] {
             assert!(
                 lmem_slowdown(&spec, 105.0, 3) > 1.0,
                 "{}: LMem would have been free?!",

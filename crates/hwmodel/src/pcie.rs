@@ -79,7 +79,7 @@ mod tests {
     fn pcie_never_binds_the_image_stream() {
         assert!(image_stream_fits(105.0));
         assert!(image_stream_fits(5.0 * 105.0)); // even at Stratix 10 clocks
-        // A 224×224×3 image is ~1.2 Mbit: well under 0.1 ms on the link.
+                                                 // A 224×224×3 image is ~1.2 Mbit: well under 0.1 ms on the link.
         let ms = image_stream_ms(&models::resnet18(1000));
         assert!(ms < 0.1, "image stream {ms} ms");
     }

@@ -110,8 +110,8 @@ fn conv_resources_folded(
         + LUT_MAJOR_FIXED
         + LUT_PER_SIMD_LANE * (simd - 1);
     let mut ffs = (FF_SCALE
-        * (window_bits + 2 * datapath_bits * pe + FF_MAJOR_FIXED + FF_PER_LANE * (simd - 1))
-            as f64) as u64;
+        * (window_bits + 2 * datapath_bits * pe + FF_MAJOR_FIXED + FF_PER_LANE * (simd - 1)) as f64)
+        as u64;
     let mut bram = pe * bram_blocks(n, o.div_ceil(pe)); // banked weight cache
     if with_bn {
         bram += bram_blocks(64, o); // normalization cache
@@ -339,11 +339,7 @@ mod tests {
         let r = estimate_network(&models::alexnet(1000), 3);
         assert!(within(r.total.luts, paper::ALEXNET_LUT, 0.30), "LUT {:?}", r.total);
         assert!(within(r.total.ffs, paper::ALEXNET_FF, 0.35), "FF {:?}", r.total);
-        assert!(
-            within(r.total.bram_kbits, paper::ALEXNET_BRAM_KBITS, 0.30),
-            "BRAM {:?}",
-            r.total
-        );
+        assert!(within(r.total.bram_kbits, paper::ALEXNET_BRAM_KBITS, 0.30), "BRAM {:?}", r.total);
     }
 
     #[test]
@@ -351,11 +347,7 @@ mod tests {
         let r = estimate_network(&models::resnet18(1000), 3);
         assert!(within(r.total.luts, paper::RESNET18_LUT, 0.30), "LUT {:?}", r.total);
         assert!(within(r.total.ffs, paper::RESNET18_FF, 0.40), "FF {:?}", r.total);
-        assert!(
-            within(r.total.bram_kbits, paper::RESNET18_BRAM_KBITS, 0.45),
-            "BRAM {:?}",
-            r.total
-        );
+        assert!(within(r.total.bram_kbits, paper::RESNET18_BRAM_KBITS, 0.45), "BRAM {:?}", r.total);
     }
 
     #[test]
@@ -429,11 +421,7 @@ mod tests {
         // Pinned (design, total) of the unfolded networks at 2 DFEs, as
         // (LUT, FF, BRAM Kbits): the Table III/IV calibration rests on these.
         for (spec, design, total) in [
-            (
-                models::resnet18(1000),
-                (537_636, 1_151_098, 27_940),
-                (537_636, 1_151_098, 31_940),
-            ),
+            (models::resnet18(1000), (537_636, 1_151_098, 27_940), (537_636, 1_151_098, 31_940)),
             (models::alexnet(1000), (348_580, 668_448, 32_560), (348_580, 668_448, 36_560)),
             (models::vgg_like(32, 10, 2), (145_828, 258_151, 5_440), (145_828, 258_151, 9_440)),
         ] {
@@ -456,9 +444,8 @@ mod tests {
         use crate::folding::{Fold, FoldPlan};
         let spec = models::resnet18(1000);
         let base = estimate_network_folded(&spec, 1, &FoldPlan::new());
-        let plan = FoldPlan::new()
-            .with("conv0", Fold::new(8, 4))
-            .with("res2.conv1", Fold::new(4, 4));
+        let plan =
+            FoldPlan::new().with("conv0", Fold::new(8, 4)).with("res2.conv1", Fold::new(4, 4));
         let folded = estimate_network_folded(&spec, 1, &plan);
         assert!(folded.design.luts > base.design.luts);
         assert!(folded.design.ffs > base.design.ffs);

@@ -324,9 +324,10 @@ impl Kernel for AttentionHeadKernel {
                 for (port, buf) in [(0usize, &mut self.q), (1, &mut self.k), (2, &mut self.v)] {
                     let m = reads[port].min((tile - buf.len()) as u64);
                     io.pop_n(port, m, |vals| {
-                        buf.extend(vals.iter().map(|&raw| {
-                            u8::try_from(raw).expect("activation code fits u8")
-                        }));
+                        buf.extend(
+                            vals.iter()
+                                .map(|&raw| u8::try_from(raw).expect("activation code fits u8")),
+                        );
                     });
                     reads[port] -= m;
                     moved |= m > 0;
@@ -458,13 +459,7 @@ impl LayerNormKernel {
     /// gain count fixes `d_model`.
     pub fn new(name: impl Into<String>, gains: Vec<i32>, act_bits: u32) -> Self {
         assert!(!gains.is_empty(), "layernorm needs at least one channel gain");
-        Self {
-            name: name.into(),
-            gains,
-            act_bits,
-            row: Vec::new(),
-            pending: Pending::default(),
-        }
+        Self { name: name.into(), gains, act_bits, row: Vec::new(), pending: Pending::default() }
     }
 
     /// Normalize the gathered row once it holds a whole token.
@@ -558,11 +553,7 @@ mod tests {
         let a = g.add_stream(StreamSpec::new("a", 16, 8));
         let h0 = g.add_stream(StreamSpec::new("h0", 16, 8));
         let h1 = g.add_stream(StreamSpec::new("h1", 16, 8));
-        g.add_kernel(
-            Box::new(HostSource::new("src", vec![1, 2, 3, 4, 5, 6, 7, 8])),
-            &[],
-            &[a],
-        );
+        g.add_kernel(Box::new(HostSource::new("src", vec![1, 2, 3, 4, 5, 6, 7, 8])), &[], &[a]);
         g.add_kernel(Box::new(HeadSplitKernel::new("hs", 2, 2)), &[a], &[h0, h1]);
         let (s0, o0) = HostSink::new("d0", 4);
         let (s1, o1) = HostSink::new("d1", 4);
@@ -594,10 +585,8 @@ mod tests {
         let q: Vec<u8> = vec![3, 1, 0, 2, 1, 1];
         let k: Vec<u8> = vec![2, 2, 3, 0, 1, 3];
         let v: Vec<u8> = vec![0, 3, 1, 2, 3, 0];
-        let want: Vec<i32> = head_attention(act_bits, head_dim, &q, &k, &v)
-            .into_iter()
-            .map(i32::from)
-            .collect();
+        let want: Vec<i32> =
+            head_attention(act_bits, head_dim, &q, &k, &v).into_iter().map(i32::from).collect();
 
         let as_i32 = |s: &[u8]| s.iter().map(|&x| i32::from(x)).collect::<Vec<_>>();
         let mut g = Graph::new();
@@ -676,16 +665,8 @@ mod tests {
         let mut g = Graph::new();
         let a = g.add_stream(StreamSpec::new("a", 16, 8));
         let b = g.add_stream(StreamSpec::new("b", 16, 8));
-        g.add_kernel(
-            Box::new(HostSource::new("src", rows.concat())),
-            &[],
-            &[a],
-        );
-        g.add_kernel(
-            Box::new(LayerNormKernel::new("ln", gains, act_bits)),
-            &[a],
-            &[b],
-        );
+        g.add_kernel(Box::new(HostSource::new("src", rows.concat())), &[], &[a]);
+        g.add_kernel(Box::new(LayerNormKernel::new("ln", gains, act_bits)), &[a], &[b]);
         let (sink, out) = HostSink::new("dst", 8);
         g.add_kernel(Box::new(sink), &[b], &[]);
         g.run(1000).expect("run");

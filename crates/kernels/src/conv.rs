@@ -179,9 +179,7 @@ impl ConvKernel {
         act_bits: u32,
     ) -> Self {
         let placeholder = BinaryFilters::from_rows(
-            (0..geom.filter.o)
-                .map(|_| BitVec::zeros(geom.filter.weights_per_filter()))
-                .collect(),
+            (0..geom.filter.o).map(|_| BitVec::zeros(geom.filter.weights_per_filter())).collect(),
         );
         let mut k = Self::build(name, geom, placeholder, None, mode, false);
         k.streamed = Some((with_thresholds, act_bits));
@@ -220,15 +218,8 @@ impl ConvKernel {
         mode: DotMode,
         halt_input: bool,
     ) -> Self {
-        assert_eq!(
-            geom.pad, 0,
-            "padding must be inserted upstream of ConvKernel"
-        );
-        assert_eq!(
-            filters.num_filters(),
-            geom.filter.o,
-            "filter count mismatch"
-        );
+        assert_eq!(geom.pad, 0, "padding must be inserted upstream of ConvKernel");
+        assert_eq!(filters.num_filters(), geom.filter.o, "filter count mismatch");
         assert_eq!(
             filters.bits_per_filter(),
             geom.filter.weights_per_filter(),
@@ -458,11 +449,7 @@ impl ConvKernel {
 
     /// The control state a span chain starts from.
     fn ctl(&self) -> ConvCtl {
-        ConvCtl {
-            received: self.received,
-            out_pos: self.out_pos,
-            emitting: self.emitting,
-        }
+        ConvCtl { received: self.received, out_pos: self.out_pos, emitting: self.emitting }
     }
 
     /// The phase that starts in control state `ctl`, and the control state
@@ -497,11 +484,7 @@ impl ConvKernel {
             return None;
         }
         if next.out_pos == positions && next.received == self.total_inputs() {
-            next = ConvCtl {
-                received: 0,
-                out_pos: 0,
-                emitting: None,
-            };
+            next = ConvCtl { received: 0, out_pos: 0, emitting: None };
         }
         let phase =
             SpanPhase::overlapped(0b1, reads as u64, self.simd, 0b1, writes as u64, self.pe);
@@ -758,13 +741,7 @@ mod tests {
 
     fn filters_for(geom: &ConvGeometry, seed: u64) -> BinaryFilters {
         let w: Vec<f32> = (0..geom.filter.total_weights())
-            .map(|i| {
-                if (i as u64).wrapping_mul(seed * 2 + 1) % 5 < 2 {
-                    1.0
-                } else {
-                    -1.0
-                }
-            })
+            .map(|i| if (i as u64).wrapping_mul(seed * 2 + 1) % 5 < 2 { 1.0 } else { -1.0 })
             .collect();
         BinaryFilters::from_float_rows(&w, geom.filter.weights_per_filter())
     }
@@ -795,11 +772,7 @@ mod tests {
         images: Vec<Vec<i32>>,
     ) -> (Vec<i32>, dfe_platform::CycleReport) {
         let out_len = geom.output().len() * images.len();
-        run_conv_kernel(
-            ConvKernel::new("conv", geom, filters, thresholds, mode),
-            out_len,
-            images,
-        )
+        run_conv_kernel(ConvKernel::new("conv", geom, filters, thresholds, mode), out_len, images)
     }
 
     fn run_conv_halted(
@@ -809,11 +782,7 @@ mod tests {
         images: Vec<Vec<i32>>,
     ) -> (Vec<i32>, dfe_platform::CycleReport) {
         let out_len = geom.output().len() * images.len();
-        run_conv_kernel(
-            ConvKernel::new_halted("conv", geom, filters, None, mode),
-            out_len,
-            images,
-        )
+        run_conv_kernel(ConvKernel::new_halted("conv", geom, filters, None, mode), out_len, images)
     }
 
     #[test]
@@ -881,13 +850,8 @@ mod tests {
         let expect = qnn_nn::reference::conv_acc_codes(&geom, &input, &filters, 2);
         // Two images back to back: the drain/reset path must keep them aligned.
         let img: Vec<i32> = input.as_slice().iter().map(|&q| i32::from(q)).collect();
-        let (got, _) = run_conv(
-            geom,
-            filters,
-            None,
-            DotMode::Codes { bits: 2 },
-            vec![img.clone(), img],
-        );
+        let (got, _) =
+            run_conv(geom, filters, None, DotMode::Codes { bits: 2 }, vec![img.clone(), img]);
         let mut expect2 = expect.as_slice().to_vec();
         expect2.extend_from_slice(expect.as_slice());
         assert_eq!(got, expect2);
@@ -944,12 +908,8 @@ mod tests {
             DotMode::Codes { bits: 2 },
             vec![img.clone()],
         );
-        let (out_h, rep_h) = run_conv_halted(
-            geom,
-            filters_for(&geom, 13),
-            DotMode::Codes { bits: 2 },
-            vec![img],
-        );
+        let (out_h, rep_h) =
+            run_conv_halted(geom, filters_for(&geom, 13), DotMode::Codes { bits: 2 }, vec![img]);
         assert_eq!(out_o, out_h, "discipline must not change results");
         let (inputs, outputs) = (geom.input.len() as u64, geom.output().len() as u64);
         assert!(rep_o.cycles < rep_h.cycles, "overlap must be faster");
@@ -1031,7 +991,8 @@ mod tests {
         let input = Tensor3::from_fn(geom.input, |y, x, c| ((y * 13 + x * 7 + c) % 4) as u8);
         let img: Vec<i32> = input.as_slice().iter().map(|&q| i32::from(q)).collect();
         let out_len = geom.output().len() * 2;
-        let mk = || ConvKernel::new("conv", geom, filters.clone(), None, DotMode::Codes { bits: 2 });
+        let mk =
+            || ConvKernel::new("conv", geom, filters.clone(), None, DotMode::Codes { bits: 2 });
         // Unthrottled output FIFO: the stock helper's 32-deep FIFO plus the
         // one-pop-per-cycle host sink would cap the emit rate at one element
         // per cycle and hide the folded datapath's rate entirely.
@@ -1082,21 +1043,20 @@ mod tests {
     #[should_panic(expected = "halt-strict ablation does not support folding")]
     fn halted_folding_rejected() {
         let geom = ConvGeometry::new(Shape3::new(4, 4, 1), FilterShape::new(3, 1, 2), 1, 0);
-        let _ =
-            ConvKernel::new_halted("c", geom, filters_for(&geom, 1), None, DotMode::Codes { bits: 2 })
-                .with_folding(2, 1);
+        let _ = ConvKernel::new_halted(
+            "c",
+            geom,
+            filters_for(&geom, 1),
+            None,
+            DotMode::Codes { bits: 2 },
+        )
+        .with_folding(2, 1);
     }
 
     #[test]
     #[should_panic(expected = "padding must be inserted upstream")]
     fn padded_geometry_rejected() {
         let geom = ConvGeometry::new(Shape3::new(4, 4, 1), FilterShape::new(3, 1, 1), 1, 1);
-        let _ = ConvKernel::new(
-            "c",
-            geom,
-            filters_for(&geom, 1),
-            None,
-            DotMode::Codes { bits: 2 },
-        );
+        let _ = ConvKernel::new("c", geom, filters_for(&geom, 1), None, DotMode::Codes { bits: 2 });
     }
 }

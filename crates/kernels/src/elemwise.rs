@@ -16,10 +16,7 @@ pub struct AddKernel {
 impl AddKernel {
     /// Create an adder.
     pub fn new(name: impl Into<String>) -> Self {
-        Self {
-            name: name.into(),
-            scratch: Vec::new(),
-        }
+        Self { name: name.into(), scratch: Vec::new() }
     }
 }
 
@@ -92,10 +89,7 @@ pub struct SplitKernel {
 impl SplitKernel {
     /// Create a splitter.
     pub fn new(name: impl Into<String>) -> Self {
-        Self {
-            name: name.into(),
-            scratch: Vec::new(),
-        }
+        Self { name: name.into(), scratch: Vec::new() }
     }
 }
 
@@ -166,10 +160,7 @@ pub struct ThresholdKernel {
 impl ThresholdKernel {
     /// Create a threshold kernel with one unit per channel.
     pub fn new(name: impl Into<String>, units: Vec<ThresholdUnit>) -> Self {
-        assert!(
-            !units.is_empty(),
-            "threshold kernel needs at least one unit"
-        );
+        assert!(!units.is_empty(), "threshold kernel needs at least one unit");
         Self {
             name: name.into(),
             bank: ThresholdBank::new(&units),
@@ -270,11 +261,7 @@ mod tests {
         let b0 = g.add_stream(StreamSpec::new("b0", 16, 8));
         let b = g.add_stream(StreamSpec::new("b", 16, 8));
         let c = g.add_stream(StreamSpec::new("c", 16, 8));
-        g.add_kernel(
-            Box::new(HostSource::new("sa", (0..20).collect())),
-            &[],
-            &[a],
-        );
+        g.add_kernel(Box::new(HostSource::new("sa", (0..20).collect())), &[], &[a]);
         g.add_kernel(
             Box::new(HostSource::new("sb", (0..20).map(|v| v * 100).collect())),
             &[],
@@ -316,11 +303,7 @@ mod tests {
         let a = g.add_stream(StreamSpec::new("a", 16, 8));
         let b = g.add_stream(StreamSpec::new("b", 16, 1));
         let c = g.add_stream(StreamSpec::new("c", 16, 1));
-        g.add_kernel(
-            Box::new(HostSource::new("src", (0..10).collect())),
-            &[],
-            &[a],
-        );
+        g.add_kernel(Box::new(HostSource::new("src", (0..10).collect())), &[], &[a]);
         g.add_kernel(Box::new(SplitKernel::new("split")), &[a], &[b, c]);
         let (s1, h1) = HostSink::new("d1", 10);
         let (s2, h2) = HostSink::new("d2", 10);
@@ -342,11 +325,7 @@ mod tests {
         let a = g.add_stream(StreamSpec::new("a", 16, 8));
         let b = g.add_stream(StreamSpec::new("b", 2, 8));
         // Stream of (c0, c1) pairs: [2, 12, 0, 10].
-        g.add_kernel(
-            Box::new(HostSource::new("src", vec![2, 12, 0, 10])),
-            &[],
-            &[a],
-        );
+        g.add_kernel(Box::new(HostSource::new("src", vec![2, 12, 0, 10])), &[], &[a]);
         g.add_kernel(Box::new(ThresholdKernel::new("thr", units)), &[a], &[b]);
         let (sink, h) = HostSink::new("dst", 4);
         g.add_kernel(Box::new(sink), &[b], &[]);

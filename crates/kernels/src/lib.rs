@@ -35,8 +35,8 @@ pub mod pool;
 
 pub use attention::{AttentionHeadKernel, ConcatKernel, HeadSplitKernel, LayerNormKernel};
 pub use conv::{ConvKernel, DotMode};
-pub use loader::{encode_conv_params, ParamLoader};
 pub use elemwise::{AddKernel, SplitKernel, ThresholdKernel};
+pub use loader::{encode_conv_params, ParamLoader};
 pub use pad::PadInserter;
 pub use pool::{PoolKernel, PoolOp};
 

@@ -37,39 +37,22 @@ impl PadInserter {
     /// Create a pad inserter for images of shape `input`.
     pub fn new(name: impl Into<String>, input: Shape3, pad: usize, fill: i32) -> Self {
         assert!(pad > 0, "useless pad inserter (pad = 0)");
-        Self {
-            name: name.into(),
-            input,
-            pad,
-            fill,
-            pos: PadPos { y: 0, x: 0, c: 0 },
-            lanes: 1,
-        }
+        Self { name: name.into(), input, pad, fill, pos: PadPos { y: 0, x: 0, c: 0 }, lanes: 1 }
     }
 
     /// Rebuild with a widened stream interface: pass up to `lanes` elements
     /// per tick. Element order is unchanged, so the padded stream is
     /// bit-identical at any width. Must be applied before streaming starts.
     pub fn with_lanes(mut self, lanes: usize) -> Self {
-        assert!(
-            self.pos == PadPos { y: 0, x: 0, c: 0 },
-            "lane change mid-stream"
-        );
-        assert!(
-            (1..=u16::MAX as usize).contains(&lanes),
-            "lane count out of range"
-        );
+        assert!(self.pos == PadPos { y: 0, x: 0, c: 0 }, "lane change mid-stream");
+        assert!((1..=u16::MAX as usize).contains(&lanes), "lane count out of range");
         self.lanes = lanes;
         self
     }
 
     /// Shape of the padded output image.
     pub fn output_shape(&self) -> Shape3 {
-        Shape3::new(
-            self.input.h + 2 * self.pad,
-            self.input.w + 2 * self.pad,
-            self.input.c,
-        )
+        Shape3::new(self.input.h + 2 * self.pad, self.input.w + 2 * self.pad, self.input.c)
     }
 
     /// Is `pos` a border (padding) element?
@@ -103,11 +86,7 @@ impl PadInserter {
         debug_assert!(at <= out.w * out.c, "advance past the row end");
         let (x, c) = (at / out.c, at % out.c);
         if x == out.w {
-            PadPos {
-                y: (pos.y + 1) % out.h,
-                x: 0,
-                c,
-            }
+            PadPos { y: (pos.y + 1) % out.h, x: 0, c }
         } else {
             PadPos { y: pos.y, x, c }
         }
@@ -257,11 +236,7 @@ mod tests {
         let a = g.add_stream(StreamSpec::new("in", 8, 16));
         let b = g.add_stream(StreamSpec::new("out", 8, 16));
         g.add_kernel(Box::new(HostSource::new("src", data)), &[], &[a]);
-        g.add_kernel(
-            Box::new(PadInserter::new("pad", shape, pad, fill)),
-            &[a],
-            &[b],
-        );
+        g.add_kernel(Box::new(PadInserter::new("pad", shape, pad, fill)), &[a], &[b]);
         let (sink, handle) = HostSink::new("dst", padded_len);
         g.add_kernel(Box::new(sink), &[b], &[]);
         g.run(1_000_000).expect("pad run");
@@ -270,9 +245,7 @@ mod tests {
 
     #[test]
     fn padded_stream_matches_tensor_pad() {
-        let t = Tensor3::from_fn(Shape3::new(3, 4, 2), |y, x, c| {
-            (y * 100 + x * 10 + c) as i32 + 1
-        });
+        let t = Tensor3::from_fn(Shape3::new(3, 4, 2), |y, x, c| (y * 100 + x * 10 + c) as i32 + 1);
         let got = run_pad(t.clone(), 2, -1, 1);
         let expect = t.pad(2, -1);
         assert_eq!(got, expect.as_slice());
@@ -299,11 +272,7 @@ mod tests {
             let mut g = Graph::new();
             let a = g.add_stream(StreamSpec::new("in", 8, 16));
             let b = g.add_stream(StreamSpec::new("out", 8, 64));
-            g.add_kernel(
-                Box::new(HostSource::new("src", t.as_slice().to_vec())),
-                &[],
-                &[a],
-            );
+            g.add_kernel(Box::new(HostSource::new("src", t.as_slice().to_vec())), &[], &[a]);
             g.add_kernel(
                 Box::new(PadInserter::new("pad", shape, 1, -9).with_lanes(lanes)),
                 &[a],

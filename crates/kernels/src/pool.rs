@@ -71,10 +71,7 @@ impl PoolKernel {
         op: PoolOp,
     ) -> Self {
         assert!(k >= 1 && stride >= 1);
-        assert!(
-            input.h >= k && input.w >= k,
-            "pool window larger than input"
-        );
+        assert!(input.h >= k && input.w >= k, "pool window larger than input");
         let buf = input.c * (input.w * (k - 1) + k);
         Self {
             name: name.into(),
@@ -207,11 +204,7 @@ impl PoolKernel {
 
     /// The control state a span chain starts from.
     fn ctl(&self) -> PoolCtl {
-        PoolCtl {
-            received: self.received,
-            out_pos: self.out_pos,
-            pending: self.pending_len(),
-        }
+        PoolCtl { received: self.received, out_pos: self.out_pos, pending: self.pending_len() }
     }
 
     /// The phase that starts in control state `ctl` — emit the pending
@@ -238,11 +231,7 @@ impl PoolKernel {
             // out folds the position in and reads on within the tick.
             phase = phase.spills();
         }
-        let mut next = PoolCtl {
-            received: read_cap,
-            out_pos: ctl.out_pos,
-            pending: 0,
-        };
+        let mut next = PoolCtl { received: read_cap, out_pos: ctl.out_pos, pending: 0 };
         if next.out_pos < self.positions() {
             next.out_pos += 1;
             next.pending = self.input.c;
@@ -251,11 +240,7 @@ impl PoolKernel {
             && next.received == self.input.len()
             && next.pending == 0
         {
-            next = PoolCtl {
-                received: 0,
-                out_pos: 0,
-                pending: 0,
-            };
+            next = PoolCtl { received: 0, out_pos: 0, pending: 0 };
         }
         Some((phase, next))
     }
@@ -278,11 +263,8 @@ impl PoolKernel {
         }
         let n = out_w - ox;
         let last = ctl.out_pos + n - 1;
-        let after = PoolCtl {
-            received: self.needed(last),
-            out_pos: last + 1,
-            pending: self.input.c,
-        };
+        let after =
+            PoolCtl { received: self.needed(last), out_pos: last + 1, pending: self.input.c };
         Some((phase.times(n as u32), after))
     }
 
@@ -490,9 +472,8 @@ mod tests {
 
     #[test]
     fn max_pool_matches_reference() {
-        let input = Tensor3::from_fn(Shape3::new(6, 6, 3), |y, x, c| {
-            ((y * 5 + x * 2 + c) % 4) as u8
-        });
+        let input =
+            Tensor3::from_fn(Shape3::new(6, 6, 3), |y, x, c| ((y * 5 + x * 2 + c) % 4) as u8);
         let expect = qnn_nn::reference::max_pool(&input, 2, 2, 0);
         let (got, _) = run_pool(&input, 2, 2, PoolOp::Max, 1);
         let got_u8: Vec<u8> = got.iter().map(|&v| v as u8).collect();
@@ -548,12 +529,12 @@ mod tests {
 
     #[test]
     fn folded_pool_is_bit_identical() {
-        let input = Tensor3::from_fn(Shape3::new(8, 8, 3), |y, x, c| ((y * 5 + x * 3 + c) % 4) as u8);
+        let input =
+            Tensor3::from_fn(Shape3::new(8, 8, 3), |y, x, c| ((y * 5 + x * 3 + c) % 4) as u8);
         let shape = input.shape();
         let data: Vec<i32> = input.as_slice().iter().map(|&q| i32::from(q)).collect();
         let run = |pe: usize, simd: usize| {
-            let kernel =
-                PoolKernel::new("pool", shape, 3, 2, PoolOp::Max).with_folding(pe, simd);
+            let kernel = PoolKernel::new("pool", shape, 3, 2, PoolOp::Max).with_folding(pe, simd);
             let out_len = kernel.output_shape().len();
             let mut g = Graph::new();
             let a = g.add_stream(StreamSpec::new("in", 2, 64));

@@ -2,9 +2,9 @@
 //! interpreter, over randomized geometries and execution conditions.
 
 use dfe_platform::{Graph, HostSink, HostSource, StreamSpec};
-use qnn_testkit::{any, prop_assert_eq, prop_assume, props};
 use qnn_kernels::{ConvKernel, DotMode, PadInserter, PoolKernel, PoolOp};
 use qnn_tensor::{BinaryFilters, ConvGeometry, FilterShape, Shape3, Tensor3};
+use qnn_testkit::{any, prop_assert_eq, prop_assume, props};
 
 fn run_one(
     kernel: Box<dyn dfe_platform::Kernel>,
@@ -24,9 +24,16 @@ fn run_one(
 }
 
 fn filters_for(geom: &ConvGeometry, seed: u64) -> BinaryFilters {
-    let w: Vec<f32> = (0..geom.filter.total_weights())
-        .map(|i| if (i as u64).wrapping_mul(seed | 1).wrapping_add(seed) % 7 < 3 { 1.0 } else { -1.0 })
-        .collect();
+    let w: Vec<f32> =
+        (0..geom.filter.total_weights())
+            .map(|i| {
+                if (i as u64).wrapping_mul(seed | 1).wrapping_add(seed) % 7 < 3 {
+                    1.0
+                } else {
+                    -1.0
+                }
+            })
+            .collect();
     BinaryFilters::from_float_rows(&w, geom.filter.weights_per_filter())
 }
 

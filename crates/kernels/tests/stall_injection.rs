@@ -154,12 +154,8 @@ impl FoldedCell {
         let pool = PoolKernel::new("pool", geom.output(), self.pool.0, self.pool.1, op)
             .with_folding(self.pool_fold.0, self.pool_fold.1);
         let (fc_out, (fc_pe, fc_simd)) = self.fc;
-        let fc_geom = ConvGeometry::new(
-            pool.output_shape(),
-            FilterShape::new(1, self.filters, fc_out),
-            1,
-            0,
-        );
+        let fc_geom =
+            ConvGeometry::new(pool.output_shape(), FilterShape::new(1, self.filters, fc_out), 1, 0);
         let fc_weights: Vec<f32> = (0..fc_geom.filter.total_weights())
             .map(|i| if (i * 5 + i / 7) % 3 == 0 { 1.0 } else { -1.0 })
             .collect();

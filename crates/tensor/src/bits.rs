@@ -21,10 +21,7 @@ pub struct BitVec {
 impl BitVec {
     /// All-zeros (all −1 weights) vector of `len` bits.
     pub fn zeros(len: usize) -> Self {
-        Self {
-            len,
-            words: vec![0; len.div_ceil(WORD_BITS)],
-        }
+        Self { len, words: vec![0; len.div_ceil(WORD_BITS)] }
     }
 
     /// Build from a boolean slice (`true` ⇒ bit 1 ⇒ +1).
@@ -137,11 +134,7 @@ impl BitVec {
     /// unsigned `{0,1}` per plane rather than ±1.
     pub fn and_popcount(&self, other: &Self) -> u32 {
         assert_eq!(self.len, other.len, "and_popcount length mismatch");
-        self.words
-            .iter()
-            .zip(&other.words)
-            .map(|(a, b)| (a & b).count_ones())
-            .sum()
+        self.words.iter().zip(&other.words).map(|(a, b)| (a & b).count_ones()).sum()
     }
 
     /// Bits as an iterator of bools.
@@ -282,14 +275,8 @@ impl BinaryFilters {
             weights.len(),
             bits_per_filter
         );
-        let filters = weights
-            .chunks_exact(bits_per_filter)
-            .map(BitVec::from_signs)
-            .collect();
-        Self {
-            bits_per_filter,
-            filters,
-        }
+        let filters = weights.chunks_exact(bits_per_filter).map(BitVec::from_signs).collect();
+        Self { bits_per_filter, filters }
     }
 
     /// Assemble from pre-packed rows.
@@ -302,10 +289,7 @@ impl BinaryFilters {
             filters.iter().all(|f| f.len() == bits_per_filter),
             "all filters must have equal length"
         );
-        Self {
-            bits_per_filter,
-            filters,
-        }
+        Self { bits_per_filter, filters }
     }
 
     /// Number of filters (`O`, cache entries).
@@ -365,12 +349,8 @@ mod tests {
         // ±1 dot product = 2·agreements − n, on a length that is not a
         // multiple of the word size to exercise the tail mask.
         let n = 100;
-        let a_sign: Vec<i32> = (0..n)
-            .map(|i| if (i * 7) % 3 == 0 { 1 } else { -1 })
-            .collect();
-        let b_sign: Vec<i32> = (0..n)
-            .map(|i| if (i * 5) % 4 < 2 { 1 } else { -1 })
-            .collect();
+        let a_sign: Vec<i32> = (0..n).map(|i| if (i * 7) % 3 == 0 { 1 } else { -1 }).collect();
+        let b_sign: Vec<i32> = (0..n).map(|i| if (i * 5) % 4 < 2 { 1 } else { -1 }).collect();
         let a = BitVec::from_bools(&a_sign.iter().map(|&s| s > 0).collect::<Vec<_>>());
         let b = BitVec::from_bools(&b_sign.iter().map(|&s| s > 0).collect::<Vec<_>>());
         let dot = 2 * a.xnor_popcount(&b) as i32 - n;
@@ -405,9 +385,7 @@ mod tests {
     #[test]
     fn binary_filters_geometry() {
         // 4 filters of 3·3·2 = 18 bits each.
-        let weights: Vec<f32> = (0..72)
-            .map(|i| if i % 3 == 0 { 1.0 } else { -1.0 })
-            .collect();
+        let weights: Vec<f32> = (0..72).map(|i| if i % 3 == 0 { 1.0 } else { -1.0 }).collect();
         let bank = BinaryFilters::from_float_rows(&weights, 18);
         assert_eq!(bank.num_filters(), 4);
         assert_eq!(bank.bits_per_filter(), 18);
@@ -480,7 +458,18 @@ mod tests {
 
     #[test]
     fn store_bits_matches_a_set_loop_across_word_seams() {
-        for (off, n) in [(0, 64), (0, 1), (63, 1), (63, 2), (1, 64), (60, 9), (64, 64), (130, 64), (199, 1), (136, 64)] {
+        for (off, n) in [
+            (0, 64),
+            (0, 1),
+            (63, 1),
+            (63, 2),
+            (1, 64),
+            (60, 9),
+            (64, 64),
+            (130, 64),
+            (199, 1),
+            (136, 64),
+        ] {
             let v = 0xA5C3_96F0_1E87_D24Bu64 >> (WORD_BITS - n);
             let mut got = patterned(200, 29);
             let mut expect = got.clone();

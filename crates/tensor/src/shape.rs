@@ -242,12 +242,7 @@ mod tests {
     #[test]
     fn conv_output_shapes_match_resnet_table1() {
         // conv1 of ResNet-18: 224×224×3, 7×7×3→64, stride 2, pad 3 → 112×112×64.
-        let g = ConvGeometry::new(
-            Shape3::square(224, 3),
-            FilterShape::new(7, 3, 64),
-            2,
-            3,
-        );
+        let g = ConvGeometry::new(Shape3::square(224, 3), FilterShape::new(7, 3, 64), 2, 3);
         assert_eq!(g.output(), Shape3::square(112, 64));
 
         // conv2_x body: 56×56×64, 3×3×64→64, stride 1, pad 1 → 56×56×64.
@@ -262,12 +257,7 @@ mod tests {
     #[test]
     fn alexnet_conv1_geometry() {
         // AlexNet conv1: 224×224×3, 11×11×3→64 (Hubara variant), stride 4, pad 2 → 55×55.
-        let g = ConvGeometry::new(
-            Shape3::square(224, 3),
-            FilterShape::new(11, 3, 64),
-            4,
-            2,
-        );
+        let g = ConvGeometry::new(Shape3::square(224, 3), FilterShape::new(11, 3, 64), 4, 2);
         assert_eq!(g.output().h, 55);
         assert_eq!(g.output().w, 55);
     }

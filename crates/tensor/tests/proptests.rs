@@ -1,7 +1,7 @@
 //! Property-based tests for tensor layout and bit-packing invariants.
 
-use qnn_testkit::{any, prop_assert, prop_assert_eq, prop_assume, props};
 use qnn_tensor::{BitVec, ConvGeometry, FilterShape, Shape3, Tensor3};
+use qnn_testkit::{any, prop_assert, prop_assert_eq, prop_assume, props};
 
 props! {
     /// index ∘ coords and coords ∘ index are inverse bijections.
