@@ -48,6 +48,17 @@
 #                        reconvergent path's buffer comes from
 #                        hw_model::skip_buffers, which the resource model
 #                        charges)
+#                        + the one-window-rule guard (no file under
+#                        crates/kernels/src, crates/hwmodel/src or
+#                        crates/compiler/src, nor crates/nn/src/spec.rs,
+#                        writes an output-size `/ stride + 1` or a
+#                        window-fill `k - 1)` formula: a sliding window's
+#                        output, buffer and completion counts come from
+#                        qnn_tensor::Window; the reference interpreter,
+#                        crates/nn/src/reference.rs, keeps its own as the
+#                        oracle)
+#                        + the format gate (cargo fmt --check on qnn-tensor,
+#                        qnn-kernels and hw-model, under rustfmt.toml)
 #   ci.sh soak           NOT tier-1: the property suites, in release, at
 #                        QNN_TEST_CASES=1024 (overridable) — a long-running
 #                        hunt for rare ring-buffer/stall/scheduler/re-arm/
@@ -188,6 +199,7 @@ if [[ "${1:-}" == "release-tests" ]]; then
   exit 0
 fi
 
+run cargo fmt --check -p qnn-tensor -p qnn-kernels -p hw-model
 run cargo build --release --offline
 run cargo test -q --offline
 # The portable pass: no codegen floor, its own target dir so the two
@@ -235,6 +247,14 @@ fi
 # model charges: the lowering computes no window fill or sequence depth.
 if grep -rnE 'depth_first_buffer|seq_len \*' crates/compiler/src; then
   echo "ci.sh: skip-buffer sizing outside hw_model::skip_buffers (see above)" >&2; exit 1
+fi
+
+# A sliding window's geometry is one rule, qnn_tensor::Window: the kernels,
+# the analytic models, the lowering and the spec's shape check read it and
+# write no output-size or window-fill formula of their own.
+if grep -rnE '/ \(?\*?([a-z_]+\.)*stride\)? \+ 1|\bk( as u(64|size))? - 1\)' \
+    crates/kernels/src crates/hwmodel/src crates/compiler/src crates/nn/src/spec.rs; then
+  echo "ci.sh: window formula outside qnn_tensor::Window (see above)" >&2; exit 1
 fi
 
 echo "ci.sh: all green"

@@ -503,10 +503,9 @@ pub fn elaborate(net: &Network, opts: &CompileOptions) -> Result<CompiledNetwork
             (
                 Stage::Pool {
                     input,
-                    k,
-                    stride,
                     pad,
                     kind,
+                    ..
                 },
                 StageParams::Pool,
             ) => {
@@ -525,12 +524,12 @@ pub fn elaborate(net: &Network, opts: &CompileOptions) -> Result<CompiledNetwork
                 } else {
                     prev
                 };
-                let padded_shape = Shape3::new(input.h + 2 * pad, input.w + 2 * pad, input.c);
+                let win = stage.pool_window().expect("a pool stage slides a window");
                 let op = match kind {
                     PoolKind::Max => PoolOp::Max,
                     PoolKind::AvgSum => PoolOp::AvgShift,
                 };
-                let kernel = PoolKernel::new(format!("pool{i}"), padded_shape, *k, *stride, op)
+                let kernel = PoolKernel::new(format!("pool{i}"), win.input, win.k, win.stride, op)
                     .with_folding(fold.pe, fold.simd);
                 let out = b.stream(format!("pool{i}.out"), act_bits, opts.fifo_capacity);
                 b.kernel(Box::new(kernel), &[pool_in], &[out]);

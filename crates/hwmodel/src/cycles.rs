@@ -68,8 +68,8 @@ fn conv_cycles(name: &str, geom: &ConvGeometry, fold: Fold) -> LayerCycles {
     let outputs = out.len() as u64;
     let positions = (out.h * out.w) as u64;
     let o = geom.filter.o as u64;
-    // First window completes after ((K−1)·W + K) · I elements.
-    let fill = ((geom.filter.k - 1) * padded.w + geom.filter.k) as u64 * padded.c as u64;
+    // The first window completes after the depth-first buffer's worth.
+    let fill = geom.depth_first_buffer() as u64;
     LayerCycles {
         name: name.to_string(),
         inputs,
@@ -158,15 +158,11 @@ impl CycleModel {
                     let name = format!("conv{i}");
                     layers.push(conv_cycles(&name, geom, plan.get(&name)));
                 }
-                Stage::Pool { input, k, stride, pad, .. } => {
+                Stage::Pool { .. } => {
                     let name = format!("pool{i}");
-                    let ph = input.h + 2 * pad;
-                    let pw = input.w + 2 * pad;
-                    let inputs = (ph * pw * input.c) as u64;
-                    let oh = (ph - k) / stride + 1;
-                    let ow = (pw - k) / stride + 1;
-                    let outputs = (oh * ow * input.c) as u64;
-                    let fill = (((k - 1) * pw + k) * input.c) as u64;
+                    let win = stage.pool_window().expect("a pool stage slides a window");
+                    let (inputs, outputs) = (win.input.len() as u64, win.output().len() as u64);
+                    let fill = win.depth_first_buffer() as u64;
                     let fold = plan.get(&name);
                     // Pooling overlaps I/O (§III-B2).
                     layers.push(lane_cycles(name, inputs, outputs, fill, fold));

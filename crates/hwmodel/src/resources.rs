@@ -203,10 +203,9 @@ pub fn estimate_stage_folded(
             true,
             plan.get(&format!("conv{index}")),
         ),
-        Stage::Pool { input, k, pad, kind, .. } => {
-            let padded_w = (input.w + 2 * pad) as u64;
-            let window_bits =
-                input.c as u64 * (padded_w * (k as u64 - 1) + k as u64) * act_bits as u64;
+        Stage::Pool { pad, kind, .. } => {
+            let win = stage.pool_window().expect("a pool stage slides a window");
+            let window_bits = win.depth_first_buffer() as u64 * act_bits as u64;
             let kernels = if pad > 0 { 2 } else { 1 };
             let mut r = minor_resources(window_bits, kernels);
             if matches!(kind, PoolKind::AvgSum) {

@@ -4,8 +4,9 @@
 //!
 //! * **Fill**: one stream element (one channel value, depth-first order)
 //!   enters the shift-register window buffer of `I·(W·(K−1)+K)` elements —
-//!   the Fig. 4a depth-first buffer, realized here as a ring indexed by the
-//!   element's absolute stream position.
+//!   the Fig. 4a depth-first buffer, realized by the window cursor the
+//!   pooling kernel shares as a ring indexed by the element's absolute
+//!   stream position.
 //! * **Compute**: once every element of the next valid window has arrived,
 //!   the window is latched and the kernel emits one output per clock — one
 //!   filter (XNOR-popcount against one weight-cache entry) per cycle, `O`
@@ -55,6 +56,7 @@
 //! cycle reports against dense stepping (the dense oracle).
 
 use crate::loader::{LoadStep, ParamLoader};
+use crate::window::{check_folding, Mark, Ring, WindowCursor};
 use dfe_platform::{Io, Kernel, Progress, SpanIo, SpanPhase, SpanPlan, WakeHint};
 use qnn_quant::{
     conv_accumulate_all, conv_accumulate_i8_lanes, ActPlanes, I8Masks, PlaneRing, ThresholdBank,
@@ -74,19 +76,28 @@ pub enum DotMode {
     },
 }
 
-/// The depth-first window buffer: bit planes for code streams, scalars for
-/// the i8 first layer. Slot `s` always holds the element whose stream index
-/// satisfies `idx % capacity == s`.
+/// The window ring: bit planes for code streams, scalars for the i8 first
+/// layer.
 enum WindowRing {
     Scalar(Vec<i32>),
     Packed(PlaneRing),
 }
 
-impl WindowRing {
-    fn capacity(&self) -> usize {
+impl Ring for WindowRing {
+    #[inline]
+    fn set(&mut self, slot: usize, v: i32) {
         match self {
-            WindowRing::Scalar(r) => r.len(),
-            WindowRing::Packed(r) => r.capacity(),
+            WindowRing::Scalar(r) => r[slot] = v,
+            // Pack on arrival: O(bits) plane writes, high bits dropped.
+            WindowRing::Packed(r) => r.set(slot, v as u8),
+        }
+    }
+
+    /// A block copy, or a word-packed plane write.
+    fn write_run(&mut self, slot: usize, vals: &[i32]) {
+        match self {
+            WindowRing::Scalar(r) => r.write_run(slot, vals),
+            WindowRing::Packed(r) => r.write_codes(slot, vals),
         }
     }
 }
@@ -95,8 +106,7 @@ impl WindowRing {
 /// follows — as a span chain walks it forward from the live kernel.
 #[derive(Clone, Copy)]
 struct ConvCtl {
-    received: usize,
-    out_pos: usize,
+    at: Mark,
     emitting: Option<usize>,
 }
 
@@ -110,21 +120,10 @@ pub struct ConvKernel {
     bank: Option<ThresholdBank>,
     /// `filters` as the first layer's lane masks (i8 mode only).
     i8_masks: Option<I8Masks>,
-    // --- window buffer ---
-    ring: WindowRing,
-    /// Elements of the current image received so far.
-    received: usize,
-    /// Ring slot the next element lands in (≡ `received % ring.len()`,
-    /// kept incrementally — the hot loop runs once per clock).
-    wr: usize,
-    /// Memo of the last `needed(pos)` query: `(pos, value)`. The tick loop
-    /// asks about the same position for thousands of consecutive clocks,
-    /// and the div/mod inside `needed` is measurable at ImageNet scale.
-    needed_memo: (usize, usize),
-    // --- output bookkeeping ---
-    /// Linear output position (oy·W_out + ox) currently awaited/computed.
-    out_pos: usize,
-    /// Next filter to emit for the latched position (None ⇒ filling).
+    /// The window buffer; a window latches when the cursor takes it.
+    cursor: WindowCursor<WindowRing>,
+    /// Next filter to emit for the latched position, the one before the
+    /// cursor's next (None ⇒ filling).
     emitting: Option<usize>,
     /// Halt the input while emitting (see the module docs).
     halt_input: bool,
@@ -234,11 +233,9 @@ impl ConvKernel {
             DotMode::I8 => 1, // planes unused in i8 mode
         };
         let i8_masks = (mode == DotMode::I8).then(|| I8Masks::new(&filters));
-        let ring = match mode {
-            DotMode::Codes { bits } => {
-                WindowRing::Packed(PlaneRing::new(bits, geom.depth_first_buffer()))
-            }
-            DotMode::I8 => WindowRing::Scalar(vec![0; geom.depth_first_buffer()]),
+        let ring = |buffer| match mode {
+            DotMode::Codes { bits } => WindowRing::Packed(PlaneRing::new(bits, buffer)),
+            DotMode::I8 => WindowRing::Scalar(vec![0; buffer]),
         };
         Self {
             name: name.into(),
@@ -246,11 +243,7 @@ impl ConvKernel {
             filters,
             bank: thresholds.as_deref().map(ThresholdBank::new),
             i8_masks,
-            ring,
-            received: 0,
-            wr: 0,
-            needed_memo: (usize::MAX, 0),
-            out_pos: 0,
+            cursor: WindowCursor::new(geom.window(), ring),
             emitting: None,
             halt_input,
             pe: 1,
@@ -271,15 +264,11 @@ impl ConvKernel {
     /// the unfolded kernel at any folding. Must be applied before any input
     /// is streamed; the halt-strict ablation stays at folding 1.
     pub fn with_folding(mut self, pe: usize, simd: usize) -> Self {
-        assert_eq!(self.received, 0, "folding change mid-stream");
-        assert!(pe >= 1 && simd >= 1, "folding factors must be ≥ 1");
+        assert_eq!(self.cursor.mark(), Mark::default(), "folding change mid-stream");
+        check_folding(pe, simd);
         assert!(
             !self.halt_input || (pe == 1 && simd == 1),
             "halt-strict ablation does not support folding"
-        );
-        assert!(
-            pe <= u16::MAX as usize && simd <= u16::MAX as usize,
-            "folding factor exceeds the lane-count range"
         );
         self.pe = pe;
         self.simd = simd;
@@ -289,36 +278,6 @@ impl ConvKernel {
     /// The active `(pe, simd)` folding factors.
     pub fn folding(&self) -> (usize, usize) {
         (self.pe, self.simd)
-    }
-
-    fn positions(&self) -> usize {
-        let out = self.geom.output();
-        out.h * out.w
-    }
-
-    fn total_inputs(&self) -> usize {
-        self.geom.input.len()
-    }
-
-    /// Stream index of the last element of the window for output position
-    /// `pos`, plus one (i.e. the `received` count at which it is complete).
-    fn needed(&self, pos: usize) -> usize {
-        let out_w = self.geom.output().w;
-        let (oy, ox) = (pos / out_w, pos % out_w);
-        let (ty, tx) = (oy * self.geom.stride, ox * self.geom.stride);
-        let k = self.geom.filter.k;
-        let w = self.geom.input.w;
-        let i = self.geom.input.c;
-        ((ty + k - 1) * w + tx + k - 1) * i + i
-    }
-
-    /// `needed(pos)` through the single-entry memo.
-    #[inline]
-    fn needed_cached(&mut self, pos: usize) -> usize {
-        if self.needed_memo.0 != pos {
-            self.needed_memo = (pos, self.needed(pos));
-        }
-        self.needed_memo.1
     }
 
     /// The loader has delivered the caches: install them.
@@ -338,18 +297,15 @@ impl ConvKernel {
     /// loop just pops finished elements. The comparators see nothing but
     /// the latched accumulator, so firing them here instead of on the emit
     /// clock is unobservable.
-    fn latch_window(&mut self) {
-        let out_w = self.geom.output().w;
-        let (oy, ox) = (self.out_pos / out_w, self.out_pos % out_w);
-        let (ty, tx) = (oy * self.geom.stride, ox * self.geom.stride);
-        let k = self.geom.filter.k;
-        let w = self.geom.input.w;
-        let i = self.geom.input.c;
-        match &self.ring {
+    fn latch_window(&mut self, pos: usize) {
+        let win = self.cursor.window();
+        let (origin, k, row) = (win.origin(pos), win.k, win.input.w * win.input.c);
+        let i = win.input.c;
+        match self.cursor.ring() {
             WindowRing::Packed(ring) => {
                 // K contiguous bit-spans of K·I slots, one ring row apart.
-                let start = ((ty * w + tx) * i) % ring.capacity();
-                ring.extract_window(start, k, k * i, w * i, &mut self.planes);
+                let start = origin % ring.capacity();
+                ring.extract_window(start, k, k * i, row, &mut self.planes);
                 conv_accumulate_all(&self.filters, &self.planes, &mut self.latched);
             }
             WindowRing::Scalar(ring) => {
@@ -358,7 +314,7 @@ impl ConvKernel {
                 // most two runs of the ring: one lane per tap.
                 let (cap, run) = (ring.len(), k * i);
                 for (ky, lanes) in self.i8_lanes.chunks_exact_mut(run).enumerate() {
-                    let start = ((ty + ky) * w + tx) * i % cap;
+                    let start = (origin + ky * row) % cap;
                     let head = run.min(cap - start);
                     let (lead, wrap) = lanes.split_at_mut(head);
                     for (lane, &v) in lead.iter_mut().zip(&ring[start..start + head]) {
@@ -379,77 +335,19 @@ impl ConvKernel {
     /// Latch the next window as soon as it is complete.
     #[inline]
     fn latch_if_ready(&mut self) {
-        if self.emitting.is_none()
-            && self.out_pos < self.positions()
-            && self.received >= self.needed_cached(self.out_pos)
-        {
-            self.latch_window();
-            self.emitting = Some(0);
+        if self.emitting.is_none() {
+            if let Some(pos) = self.cursor.take() {
+                self.latch_window(pos);
+                self.emitting = Some(0);
+            }
         }
     }
 
     /// Filters `..next` of the latched position are out: move the emit
-    /// cursor, on to the next position after the last filter.
+    /// cursor, back to filling after the last filter.
     #[inline]
     fn advance_emit(&mut self, next: usize) {
-        if next == self.geom.filter.o {
-            self.emitting = None;
-            self.out_pos += 1;
-        } else {
-            self.emitting = Some(next);
-        }
-    }
-
-    /// `received` may run up to the completing element of window `pos` —
-    /// prefetching further would evict ring data another window still
-    /// needs — or to the image end once only the drain remains.
-    fn read_limit(&self, pos: usize) -> usize {
-        if pos >= self.positions() {
-            self.total_inputs()
-        } else {
-            self.needed(pos)
-        }
-    }
-
-    /// [`ConvKernel::read_limit`] through the `needed` memo.
-    #[inline]
-    fn read_limit_cached(&mut self, pos: usize) -> usize {
-        if pos >= self.positions() {
-            self.total_inputs()
-        } else {
-            self.needed_cached(pos)
-        }
-    }
-
-    /// Land one stream element in the window ring.
-    #[inline]
-    fn absorb(&mut self, v: i32) {
-        match &mut self.ring {
-            WindowRing::Scalar(ring) => ring[self.wr] = v,
-            // Pack on arrival: O(bits) plane writes, high bits dropped.
-            WindowRing::Packed(ring) => ring.set(self.wr, v as u8),
-        }
-        self.wr += 1;
-        if self.wr == self.ring.capacity() {
-            self.wr = 0;
-        }
-        self.received += 1;
-    }
-
-    /// Land a run of stream elements in the window ring: a word-packed
-    /// plane write or a block copy.
-    fn absorb_run(&mut self, vals: &[i32]) {
-        match &mut self.ring {
-            WindowRing::Scalar(ring) => crate::ring_write(ring, self.wr, vals),
-            WindowRing::Packed(ring) => ring.write_codes(self.wr, vals),
-        }
-        self.wr = (self.wr + vals.len()) % self.ring.capacity();
-        self.received += vals.len();
-    }
-
-    /// The control state a span chain starts from.
-    fn ctl(&self) -> ConvCtl {
-        ConvCtl { received: self.received, out_pos: self.out_pos, emitting: self.emitting }
+        self.emitting = (next < self.geom.filter.o).then_some(next);
     }
 
     /// The phase that starts in control state `ctl`, and the control state
@@ -459,72 +357,45 @@ impl ConvKernel {
     /// element; otherwise it fills up to the current window's. `None` when
     /// there is nothing left to do.
     fn phase(&self, ctl: ConvCtl) -> Option<(SpanPhase, ConvCtl)> {
-        let positions = self.positions();
+        let mut at = ctl.at;
         let emit_from = match ctl.emitting {
             Some(o) => Some(o),
-            None if ctl.out_pos < positions && ctl.received >= self.needed(ctl.out_pos) => Some(0),
+            None if self.cursor.ready(at) => {
+                at.pos += 1;
+                Some(0)
+            }
             None => None,
         };
-        let mut next = ctl;
-        let (reads, writes) = match emit_from {
-            Some(o) => {
-                next.emitting = None;
-                next.out_pos += 1;
-                if !self.halt_input {
-                    next.received = self.read_limit(ctl.out_pos + 1);
-                }
-                (next.received - ctl.received, self.geom.filter.o - o)
-            }
-            None => {
-                next.received = self.read_limit(ctl.out_pos);
-                (next.received - ctl.received, 0)
-            }
-        };
+        if emit_from.is_none() || !self.halt_input {
+            at.received = self.cursor.limit(at.pos);
+        }
+        let reads = at.received - ctl.at.received;
+        let writes = emit_from.map_or(0, |o| self.geom.filter.o - o);
         if reads == 0 && writes == 0 {
             return None;
         }
-        if next.out_pos == positions && next.received == self.total_inputs() {
-            next = ConvCtl { received: 0, out_pos: 0, emitting: None };
-        }
+        let next = ConvCtl { at: self.cursor.settle(at, true), emitting: None };
         let phase =
             SpanPhase::overlapped(0b1, reads as u64, self.simd, 0b1, writes as u64, self.pe);
         Some((phase, next))
     }
 
     /// [`ConvKernel::phase`], with the positions after it that repeat it:
-    /// a whole position of an output row (its window complete, nothing of
-    /// the next read yet) absorbs the `stride·I` elements that complete the
-    /// next window while it emits, and so does every position after it but
-    /// the row's last, which reads on into the next row. So the run up to
-    /// that last position is one repeated phase, its end state computed
-    /// arithmetically. The halt-strict kernel alternates an emit phase with
-    /// a fill phase and repeats nothing.
+    /// a whole position (its window complete, nothing of the next read yet)
+    /// absorbs the `stride·I` elements that complete the next window while
+    /// it emits, and so does every position of the row after it but the
+    /// last, which reads on into the next row ([`WindowCursor::row_run`]).
+    /// The halt-strict kernel alternates an emit phase with a fill phase
+    /// and repeats nothing.
     fn run(&self, ctl: ConvCtl) -> Option<(SpanPhase, ConvCtl)> {
         let (phase, next) = self.phase(ctl)?;
-        let out_w = self.geom.output().w;
-        let ox = ctl.out_pos % out_w;
-        let whole = ctl.emitting.unwrap_or(0) == 0
-            && ctl.out_pos < self.positions()
-            && ctl.received == self.needed(ctl.out_pos);
-        if self.halt_input || !whole || ox + 2 > out_w {
+        if self.halt_input || ctl.emitting.unwrap_or(0) != 0 {
             return Some((phase, next));
         }
-        let n = out_w - 1 - ox;
-        let out_pos = ctl.out_pos + n;
-        let after = ConvCtl { received: self.needed(out_pos), out_pos, emitting: None };
-        Some((phase.times(n as u32), after))
-    }
-
-    /// Image complete: reset for the next one.
-    #[inline]
-    fn reset_if_image_done(&mut self) {
-        if self.out_pos == self.positions()
-            && self.received == self.total_inputs()
-            && self.emitting.is_none()
-        {
-            self.received = 0;
-            self.wr = 0;
-            self.out_pos = 0;
+        let pos = ctl.at.pos - usize::from(ctl.emitting.is_some());
+        match self.cursor.row_run(ctl.at, pos) {
+            Some((n, at)) => Some((phase.times(n), ConvCtl { at, emitting: None })),
+            None => Some((phase, next)),
         }
     }
 }
@@ -577,31 +448,16 @@ impl Kernel for ConvKernel {
         }
 
         // Absorb up to `simd` input elements, bounded by the next unlatched
-        // window ([`ConvKernel::read_limit`]). In halt-strict mode no input
+        // window ([`WindowCursor::read`]). In halt-strict mode no input
         // moves in a cycle that produced output.
-        let read_limit = if self.halt_input && (did_emit || self.emitting.is_some()) {
-            0
-        } else {
-            self.read_limit_cached(self.out_pos + usize::from(self.emitting.is_some()))
-        };
-        let mut absorbed = 0;
-        while self.received < read_limit && absorbed < self.simd {
-            match io.read(0) {
-                Some(v) => {
-                    self.absorb(v);
-                    absorbed += 1;
-                    progress = Progress::Busy;
-                }
-                None => {
-                    if progress == Progress::Idle {
-                        progress = Progress::Stalled;
-                    }
-                    break;
-                }
+        if !(self.halt_input && (did_emit || self.emitting.is_some())) {
+            let mut absorbed = 0;
+            while absorbed < self.simd && self.cursor.read(io, &mut progress) {
+                absorbed += 1;
             }
         }
 
-        self.reset_if_image_done();
+        self.cursor.settle_live(self.emitting.is_none());
         progress
     }
 
@@ -612,9 +468,7 @@ impl Kernel for ConvKernel {
     /// freshly built one does. Ring contents are not cleared: a window
     /// latches only after all its elements arrived in *this* image.
     fn rearm(&mut self) {
-        self.received = 0;
-        self.wr = 0;
-        self.out_pos = 0;
+        self.cursor.rearm();
         self.emitting = None;
         self.loader = self.fresh_loader();
     }
@@ -636,18 +490,16 @@ impl Kernel for ConvKernel {
 
     /// One overlapped phase per position (see `ConvKernel::phase`): the
     /// emit side moves up to `pe` results per tick as the output frees, the
-    /// absorb side up to `simd` elements per tick as input arrives, bounded
-    /// by the next window's completing element (`needed` is strictly
-    /// increasing in position, and the bound is the same whether the final
-    /// emit has advanced `out_pos` yet or not). The next window latches at
-    /// the top of the tick after both sides are through, which is where the
-    /// next phase starts — position after position, the identical positions
-    /// of a row's interior as one repeated phase (`ConvKernel::run`), so a
-    /// chain covers rows. A streamed kernel's parameter load comes first:
-    /// one word per tick from port 1. A tick that can do nothing is a bare
-    /// `Stalled` stall.
+    /// absorb side up to `simd` elements per tick as input arrives, up to
+    /// the cursor's read limit, the next window's completing element. The
+    /// next window latches at the top of the tick after both sides are
+    /// through, which is where the next phase starts — position after
+    /// position, the identical positions of a row's interior as one
+    /// repeated phase (`ConvKernel::run`), so a chain covers rows. A
+    /// streamed kernel's parameter load comes first: one word per tick from
+    /// port 1. A tick that can do nothing is a bare `Stalled` stall.
     fn span_hint(&self, _in_len: &[usize], _out_room: &[usize]) -> Option<SpanPlan> {
-        let mut ctl = self.ctl();
+        let mut ctl = ConvCtl { at: self.cursor.mark(), emitting: self.emitting };
         let mut plan = match &self.loader {
             Some(loader) => {
                 let load = SpanPhase::coupled(loader.remaining() as u64, 0b10, 0);
@@ -669,13 +521,14 @@ impl Kernel for ConvKernel {
     }
 
     /// Control state is the phase machine: loader progress, absorb count,
-    /// emit position and latch flag. The ring write index tracks `received`
-    /// modulo the ring length and the latched window codes are data (they
-    /// never alter port behaviour), so neither enters the token.
+    /// window position and latch flag. The ring write index tracks
+    /// `received` modulo the ring length and the latched window codes are
+    /// data (they never alter port behaviour), so neither enters the token.
     fn replay_token(&self) -> Option<u64> {
+        let at = self.cursor.mark();
         Some(dfe_platform::replay::token_mix(&[
-            self.received as u64,
-            self.out_pos as u64,
+            at.received as u64,
+            at.pos as u64,
             self.emitting.map_or(u64::MAX, |o| o as u64),
             self.loader.as_ref().map_or(u64::MAX, |l| l.remaining() as u64),
         ]))
@@ -713,17 +566,12 @@ impl Kernel for ConvKernel {
                 self.advance_emit(o + emitted);
                 writes -= emitted;
             }
-            let read_limit = if self.halt_input && self.emitting.is_some() {
+            let absorbed = if self.halt_input && self.emitting.is_some() {
                 0
             } else {
-                self.read_limit_cached(self.out_pos + usize::from(self.emitting.is_some()))
+                self.cursor.read_span(io, &mut reads)
             };
-            let absorbed = reads.min(read_limit.saturating_sub(self.received));
-            if absorbed > 0 {
-                io.pop_n(0, absorbed as u64, |vals| self.absorb_run(vals));
-                reads -= absorbed;
-            }
-            self.reset_if_image_done();
+            self.cursor.settle_live(self.emitting.is_none());
             if emitted == 0 && absorbed == 0 {
                 break;
             }

@@ -7,8 +7,9 @@
 //! overlaps reading and writing: each tick it may consume one element *and*
 //! emit one pending output.
 
+use crate::window::{check_folding, Mark, WindowCursor};
 use dfe_platform::{Io, Kernel, Progress, SpanIo, SpanPhase, SpanPlan, WakeHint};
-use qnn_tensor::Shape3;
+use qnn_tensor::{Shape3, Window};
 
 /// Pooling operation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -24,32 +25,20 @@ pub enum PoolOp {
 /// follows — as a span chain walks it forward from the live kernel.
 #[derive(Clone, Copy)]
 struct PoolCtl {
-    received: usize,
-    out_pos: usize,
+    at: Mark,
     /// Results computed but not yet emitted.
     pending: usize,
 }
 
-/// The streaming pooling kernel. Like the convolution kernel it scans
-/// depth-first with an `I·(W·(K−1)+K)`-element window buffer, but per
-/// channel and without weights. Input must be pre-padded (use
-/// [`crate::PadInserter`]).
+/// The streaming pooling kernel. It slides the convolution's depth-first
+/// window buffer ([`crate::ConvKernel`]), but per channel and without
+/// weights, and folds a window in on the tick it completes. Input must be
+/// pre-padded (use [`crate::PadInserter`]).
 pub struct PoolKernel {
     name: String,
-    input: Shape3,
-    k: usize,
-    stride: usize,
     op: PoolOp,
-    shift: u32,
-    ring: Vec<i32>,
-    received: usize,
-    /// Ring slot the next element lands in (≡ `received % ring.len()`).
-    wr: usize,
-    out_pos: usize,
-    /// Memo of the last `needed(pos)` query: `(pos, value)` — same
-    /// per-clock div/mod avoidance as the convolution kernel.
-    needed_memo: (usize, usize),
-    /// The `I` channel results of the last completed position, of which
+    cursor: WindowCursor<Vec<i32>>,
+    /// The `I` channel results of the last taken window, of which
     /// `pending[sent..]` still wait for their emit tick.
     pending: Vec<i32>,
     sent: usize,
@@ -63,6 +52,9 @@ pub struct PoolKernel {
 
 impl PoolKernel {
     /// Create a pooling kernel over (pre-padded) images of shape `input`.
+    ///
+    /// # Panics
+    /// Panics if the window does not fit ([`Window::check`]).
     pub fn new(
         name: impl Into<String>,
         input: Shape3,
@@ -70,21 +62,14 @@ impl PoolKernel {
         stride: usize,
         op: PoolOp,
     ) -> Self {
-        assert!(k >= 1 && stride >= 1);
-        assert!(input.h >= k && input.w >= k, "pool window larger than input");
-        let buf = input.c * (input.w * (k - 1) + k);
+        let win = Window::new(input, k, stride);
+        if let Err(reason) = win.check() {
+            panic!("pool {reason}");
+        }
         Self {
             name: name.into(),
-            input,
-            k,
-            stride,
             op,
-            shift: ((k * k) as u32).ilog2(),
-            ring: vec![0; buf],
-            received: 0,
-            wr: 0,
-            out_pos: 0,
-            needed_memo: (usize::MAX, 0),
+            cursor: WindowCursor::new(win, |buffer| vec![0; buffer]),
             pending: Vec::with_capacity(input.c),
             sent: 0,
             sums: Vec::new(),
@@ -98,12 +83,8 @@ impl PoolKernel {
     /// interface. Output order is unchanged, so results are bit-identical
     /// at any folding. Must be applied before any input is streamed.
     pub fn with_folding(mut self, pe: usize, simd: usize) -> Self {
-        assert_eq!(self.received, 0, "folding change mid-stream");
-        assert!(pe >= 1 && simd >= 1, "folding factors must be ≥ 1");
-        assert!(
-            pe <= u16::MAX as usize && simd <= u16::MAX as usize,
-            "folding factor exceeds the lane-count range"
-        );
+        assert_eq!(self.cursor.mark(), Mark::default(), "folding change mid-stream");
+        check_folding(pe, simd);
         self.pe = pe;
         self.simd = simd;
         self
@@ -111,32 +92,7 @@ impl PoolKernel {
 
     /// Output shape.
     pub fn output_shape(&self) -> Shape3 {
-        Shape3::new(
-            (self.input.h - self.k) / self.stride + 1,
-            (self.input.w - self.k) / self.stride + 1,
-            self.input.c,
-        )
-    }
-
-    fn positions(&self) -> usize {
-        let o = self.output_shape();
-        o.h * o.w
-    }
-
-    fn needed(&self, pos: usize) -> usize {
-        let out_w = self.output_shape().w;
-        let (oy, ox) = (pos / out_w, pos % out_w);
-        let (ty, tx) = (oy * self.stride, ox * self.stride);
-        ((ty + self.k - 1) * self.input.w + tx + self.k - 1) * self.input.c + self.input.c
-    }
-
-    /// `needed(pos)` through the single-entry memo.
-    #[inline]
-    fn needed_cached(&mut self, pos: usize) -> usize {
-        if self.needed_memo.0 != pos {
-            self.needed_memo = (pos, self.needed(pos));
-        }
-        self.needed_memo.1
+        self.cursor.window().output()
     }
 
     /// Results computed but not yet emitted.
@@ -144,16 +100,15 @@ impl PoolKernel {
         self.pending.len() - self.sent
     }
 
-    /// Compute all `I` channel outputs for the completed position (only
-    /// ever called with nothing pending). The `I` channels of one window
-    /// tap sit side by side in the ring, so each tap folds into the
-    /// results as a slice pass (two at the ring seam).
-    fn compute_position(&mut self) {
-        let out_w = self.output_shape().w;
-        let (oy, ox) = (self.out_pos / out_w, self.out_pos % out_w);
-        let (ty, tx) = (oy * self.stride, ox * self.stride);
-        let cap = self.ring.len();
-        let i = self.input.c;
+    /// Compute all `I` channel outputs of window `pos` (only ever called
+    /// with nothing pending). The `I` channels of one window tap sit side
+    /// by side in the ring, so each tap folds into the results as a slice
+    /// pass (two at the ring seam).
+    fn compute_position(&mut self, pos: usize) {
+        let win = self.cursor.window();
+        let (origin, k, w, i) = (win.origin(pos), win.k, win.input.w, win.input.c);
+        let ring = self.cursor.ring();
+        let cap = ring.len();
         self.pending.clear();
         self.sent = 0;
         match self.op {
@@ -163,11 +118,11 @@ impl PoolKernel {
                 self.sums.resize(i, 0);
             }
         }
-        for ky in 0..self.k {
-            for kx in 0..self.k {
-                let start = (((ty + ky) * self.input.w + tx + kx) * i) % cap;
+        for ky in 0..k {
+            for kx in 0..k {
+                let start = (origin + (ky * w + kx) * i) % cap;
                 let head = i.min(cap - start);
-                let halves = [(0, &self.ring[start..start + head]), (head, &self.ring[..i - head])];
+                let halves = [(0, &ring[start..start + head]), (head, &ring[..i - head])];
                 for (c, tap) in halves {
                     match self.op {
                         PoolOp::Max => {
@@ -185,42 +140,28 @@ impl PoolKernel {
             }
         }
         if self.op == PoolOp::AvgShift {
-            let shift = self.shift;
+            let shift = ((k * k) as u32).ilog2();
             self.pending.extend(self.sums.iter().map(|&sum| (sum >> shift) as i32));
         }
-        self.out_pos += 1;
     }
 
-    /// Completed positions become pending outputs (combinational w.r.t.
-    /// this model's bookkeeping; the emit itself still costs a cycle).
+    /// Completed windows become pending outputs (combinational w.r.t. this
+    /// model's bookkeeping; the emit itself still costs a cycle).
     fn fold_completed(&mut self) {
-        while self.out_pos < self.positions()
-            && self.pending_len() == 0
-            && self.received >= self.needed_cached(self.out_pos)
-        {
-            self.compute_position();
+        while self.pending_len() == 0 {
+            let Some(pos) = self.cursor.take() else { break };
+            self.compute_position(pos);
         }
-    }
-
-    /// The control state a span chain starts from.
-    fn ctl(&self) -> PoolCtl {
-        PoolCtl { received: self.received, out_pos: self.out_pos, pending: self.pending_len() }
     }
 
     /// The phase that starts in control state `ctl` — emit the pending
     /// results while absorbing up to the next window's completing element —
-    /// and the control state it leaves: the completed position folded in
+    /// and the control state it leaves: the completed window folded in
     /// (pending again) and, at the image end, the reset. `None` when there
     /// is nothing left to do.
     fn phase(&self, ctl: PoolCtl) -> Option<(SpanPhase, PoolCtl)> {
-        let read_cap = if ctl.out_pos >= self.positions() {
-            self.input.len()
-        } else {
-            // `needed` is a div/mod per *phase* here, not per tick, so the
-            // memo (which needs `&mut self`) is not worth threading through.
-            self.needed(ctl.out_pos)
-        };
-        let reads = read_cap - ctl.received;
+        let mut at = Mark { received: self.cursor.limit(ctl.at.pos), ..ctl.at };
+        let reads = at.received - ctl.at.received;
         if reads == 0 && ctl.pending == 0 {
             return None;
         }
@@ -231,52 +172,29 @@ impl PoolKernel {
             // out folds the position in and reads on within the tick.
             phase = phase.spills();
         }
-        let mut next = PoolCtl { received: read_cap, out_pos: ctl.out_pos, pending: 0 };
-        if next.out_pos < self.positions() {
-            next.out_pos += 1;
-            next.pending = self.input.c;
+        let mut pending = 0;
+        if self.cursor.ready(at) {
+            at.pos += 1;
+            pending = self.cursor.window().input.c;
         }
-        if next.out_pos == self.positions()
-            && next.received == self.input.len()
-            && next.pending == 0
-        {
-            next = PoolCtl { received: 0, out_pos: 0, pending: 0 };
-        }
-        Some((phase, next))
+        Some((phase, PoolCtl { at: self.cursor.settle(at, pending == 0), pending }))
     }
 
-    /// [`PoolKernel::phase`], with the positions after it that repeat it:
-    /// once the last window's results are pending, a window `stride`
-    /// columns on completes after `stride·I` more elements, and so does
-    /// every window to the row's end. So the rest of the row is one
-    /// repeated phase, its end state computed arithmetically.
+    /// [`PoolKernel::phase`], with the windows after it that repeat it:
+    /// once a window's results are pending, the next window of its row
+    /// completes after `stride·I` more elements, and so does every window to
+    /// the row's end ([`WindowCursor::row_run`]). So the rest of the row is
+    /// one repeated phase, its end state computed arithmetically.
     fn run(&self, ctl: PoolCtl) -> Option<(SpanPhase, PoolCtl)> {
         let (phase, next) = self.phase(ctl)?;
-        let out_w = self.output_shape().w;
-        let ox = ctl.out_pos % out_w;
-        let whole = ctl.out_pos < self.positions()
-            && ox > 0
-            && ctl.pending == self.input.c
-            && ctl.received == self.needed(ctl.out_pos - 1);
-        if !whole || ox + 1 == out_w {
-            return Some((phase, next));
-        }
-        let n = out_w - ox;
-        let last = ctl.out_pos + n - 1;
-        let after =
-            PoolCtl { received: self.needed(last), out_pos: last + 1, pending: self.input.c };
-        Some((phase.times(n as u32), after))
-    }
-
-    /// Image finished: reset for the next one.
-    fn reset_if_image_done(&mut self) {
-        if self.out_pos == self.positions()
-            && self.received == self.input.len()
-            && self.pending_len() == 0
-        {
-            self.received = 0;
-            self.wr = 0;
-            self.out_pos = 0;
+        let taken = ctl.at.pos.checked_sub(1);
+        let row = taken.filter(|_| ctl.pending == self.cursor.window().input.c);
+        match row.and_then(|pos| self.cursor.row_run(ctl.at, pos)) {
+            Some((n, at)) => {
+                let at = Mark { pos: at.pos + 1, ..at };
+                Some((phase.times(n), PoolCtl { at, pending: ctl.pending }))
+            }
+            None => Some((phase, next)),
         }
     }
 }
@@ -305,45 +223,21 @@ impl Kernel for PoolKernel {
             }
         }
 
-        // Absorb up to `simd` inputs, each bounded by the completing element
-        // of the current uncomputed position: element `e` overwrites ring
-        // slot `e % buf`, and `needed(out_pos)` equals the window start plus
-        // exactly `buf`, so reading beyond it would clobber window data
-        // that `compute_position` still needs. (Gating on the *pending*
-        // length instead is wrong: under output backpressure the queue can
-        // sit partially drained for many cycles while reads run ahead.)
-        // Completed positions are folded in between reads so a wide absorb
+        // Absorb up to `simd` inputs, each bounded by the cursor's read
+        // limit, the completing element of the next untaken window. (Gating
+        // on the *pending* length instead is wrong: under output
+        // backpressure the queue can sit partially drained for many cycles
+        // while reads run ahead and clobber that window's ring slots.)
+        // Completed windows are folded in between reads so a wide absorb
         // can cross a window boundary once backpressure allows it.
         let mut absorbed = 0;
-        while absorbed < self.simd {
-            let ahead_ok = self.out_pos >= self.positions()
-                || self.received < self.needed_cached(self.out_pos);
-            if !(ahead_ok && self.received < self.input.len()) {
-                break;
-            }
-            match io.read(0) {
-                Some(v) => {
-                    self.ring[self.wr] = v;
-                    self.wr += 1;
-                    if self.wr == self.ring.len() {
-                        self.wr = 0;
-                    }
-                    self.received += 1;
-                    absorbed += 1;
-                    progress = Progress::Busy;
-                    self.fold_completed();
-                }
-                None => {
-                    if progress == Progress::Idle {
-                        progress = Progress::Stalled;
-                    }
-                    break;
-                }
-            }
+        while absorbed < self.simd && self.cursor.read(io, &mut progress) {
+            absorbed += 1;
+            self.fold_completed();
         }
 
         self.fold_completed();
-        self.reset_if_image_done();
+        self.cursor.settle_live(self.pending_len() == 0);
         progress
     }
 
@@ -351,9 +245,7 @@ impl Kernel for PoolKernel {
     /// can stop while the last input row or column — which no window reads
     /// when `(size − k) % stride ≠ 0` — is still owed.
     fn rearm(&mut self) {
-        self.received = 0;
-        self.wr = 0;
-        self.out_pos = 0;
+        self.cursor.rearm();
         self.pending.clear();
         self.sent = 0;
     }
@@ -378,7 +270,8 @@ impl Kernel for PoolKernel {
     /// row as one repeated phase (`PoolKernel::run`), so a chain covers
     /// rows. A tick that can do neither is a bare stall.
     fn span_hint(&self, _in_len: &[usize], _out_room: &[usize]) -> Option<SpanPlan> {
-        let (first, mut ctl) = self.phase(self.ctl())?;
+        let ctl = PoolCtl { at: self.cursor.mark(), pending: self.pending_len() };
+        let (first, mut ctl) = self.phase(ctl)?;
         let mut plan = SpanPlan::of(first);
         while let Some((phase, next)) = self.run(ctl) {
             if !plan.push(phase) {
@@ -393,9 +286,10 @@ impl Kernel for PoolKernel {
     /// results (their *values* are data). The ring write index tracks
     /// `received` modulo the ring length, so it adds nothing.
     fn replay_token(&self) -> Option<u64> {
+        let at = self.cursor.mark();
         Some(dfe_platform::replay::token_mix(&[
-            self.received as u64,
-            self.out_pos as u64,
+            at.received as u64,
+            at.pos as u64,
             self.pending_len() as u64,
         ]))
     }
@@ -415,22 +309,9 @@ impl Kernel for PoolKernel {
                 self.sent += emit;
                 writes -= emit;
             }
-            let read_cap = if self.out_pos >= self.positions() {
-                self.input.len()
-            } else {
-                self.needed_cached(self.out_pos)
-            };
-            let absorb = reads.min(read_cap - self.received);
-            if absorb > 0 {
-                io.pop_n(0, absorb as u64, |vals| {
-                    crate::ring_write(&mut self.ring, self.wr, vals);
-                    self.wr = (self.wr + vals.len()) % self.ring.len();
-                });
-                self.received += absorb;
-                reads -= absorb;
-            }
+            let absorb = self.cursor.read_span(io, &mut reads);
             self.fold_completed();
-            self.reset_if_image_done();
+            self.cursor.settle_live(self.pending_len() == 0);
             if emit == 0 && absorb == 0 {
                 break;
             }

@@ -11,7 +11,7 @@
 //! [`Stage::Encoder`] — expand into *branching* subgraphs (skip splits,
 //! attention-head fan-out/rejoin) when the compiler lowers them.
 
-use qnn_tensor::{ConvGeometry, FilterShape, Shape3};
+use qnn_tensor::{ConvGeometry, FilterShape, Shape3, Window};
 
 /// Pooling flavor. The paper uses max pooling everywhere except the final
 /// global pooling of ResNet-18, which is an average (paper §III-B2).
@@ -238,14 +238,23 @@ impl Stage {
     pub fn output_shape(&self) -> Shape3 {
         match *self {
             Stage::ConvInput { geom } | Stage::Conv { geom } => geom.output(),
-            Stage::Pool { input, k, stride, pad, .. } => {
-                let ph = input.h + 2 * pad;
-                let pw = input.w + 2 * pad;
-                Shape3::new((ph - k) / stride + 1, (pw - k) / stride + 1, input.c)
+            Stage::Pool { .. } => {
+                self.pool_window().expect("a pool stage slides a window").output()
             }
             Stage::FullyConnected { out_features, .. } => Shape3::new(1, 1, out_features),
             Stage::Residual { geom } => geom.output(),
             Stage::Encoder { geom } => geom.shape(),
+        }
+    }
+
+    /// The window a pooling stage slides over its padded input; `None` for
+    /// every other stage.
+    pub fn pool_window(&self) -> Option<Window> {
+        match *self {
+            Stage::Pool { input, k, stride, pad, .. } => {
+                Some(Window::new(input.padded(pad), k, stride))
+            }
+            _ => None,
         }
     }
 
@@ -331,7 +340,8 @@ pub enum SpecError {
         /// The shape the previous stage actually produces.
         found: Shape3,
     },
-    /// A residual or encoder block is internally inconsistent.
+    /// A pooling window does not fit, or a residual or encoder block is
+    /// internally inconsistent.
     InvalidStage {
         /// Index of the offending stage.
         index: usize,
@@ -433,6 +443,15 @@ impl SpecBuilder {
             let block_check = match stage {
                 Stage::Residual { geom } => geom.check(),
                 Stage::Encoder { geom } => geom.check(),
+                Stage::Pool { pad, kind, .. } => {
+                    let window = stage.pool_window().expect("a pool stage slides a window");
+                    window.check().and_then(|()| match kind {
+                        PoolKind::AvgSum if *pad > 0 => {
+                            Err("average pooling must be unpadded".into())
+                        }
+                        _ => Ok(()),
+                    })
+                }
                 _ => Ok(()),
             };
             if let Err(reason) = block_check {
@@ -681,6 +700,53 @@ mod tests {
             .conv(g)
             .try_build()
             .unwrap_or_else(|e| panic!("{e}"));
+    }
+
+    /// A stem's 4×4×4 map, pooled.
+    fn pooled(
+        k: usize,
+        stride: usize,
+        pad: usize,
+        kind: PoolKind,
+    ) -> Result<NetworkSpec, SpecError> {
+        let stem = ConvGeometry::new(Shape3::square(4, 3), FilterShape::new(3, 3, 4), 1, 1);
+        SpecBuilder::new("pooled", Shape3::square(4, 3), 2)
+            .conv_input(stem)
+            .pool(Shape3::square(4, 4), k, stride, pad, kind)
+            .try_build()
+    }
+
+    fn invalid_pool(err: SpecError, why: &str) {
+        match err {
+            SpecError::InvalidStage { index: 1, reason } => {
+                assert!(reason.contains(why), "{reason}")
+            }
+            other => panic!("expected the pool stage to be invalid, got {other}"),
+        }
+    }
+
+    #[test]
+    fn pool_of_zero_side_is_rejected() {
+        invalid_pool(pooled(0, 1, 0, PoolKind::Max).unwrap_err(), "side must be positive");
+    }
+
+    #[test]
+    fn pool_of_zero_stride_is_rejected() {
+        invalid_pool(pooled(2, 0, 0, PoolKind::Max).unwrap_err(), "stride must be positive");
+    }
+
+    #[test]
+    fn pool_window_larger_than_padded_input_is_rejected() {
+        invalid_pool(pooled(5, 1, 0, PoolKind::Max).unwrap_err(), "larger than padded input");
+        // Padding makes room: a 5×5 window over the 6×6 padded map fits.
+        let spec = pooled(5, 1, 1, PoolKind::Max).expect("padded window fits");
+        assert_eq!(spec.output_shape(), Shape3::new(2, 2, 4));
+    }
+
+    #[test]
+    fn padded_average_pool_is_rejected() {
+        invalid_pool(pooled(4, 4, 1, PoolKind::AvgSum).unwrap_err(), "must be unpadded");
+        assert!(pooled(4, 4, 0, PoolKind::AvgSum).is_ok());
     }
 
     #[test]

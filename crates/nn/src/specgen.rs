@@ -9,7 +9,7 @@
 //! dense-oracle differential battery).
 
 use crate::spec::{EncoderGeometry, NetworkSpec, PoolKind, ResidualGeometry, SpecBuilder, Stage};
-use qnn_tensor::{ConvGeometry, FilterShape, Shape3, Tensor3};
+use qnn_tensor::{ConvGeometry, FilterShape, Shape3, Tensor3, Window};
 use qnn_testkit::{map, vec, Strategy};
 
 /// A deterministic pseudo-random input image for `spec`, one per `seed`
@@ -50,10 +50,9 @@ pub fn random_spec(
     }
     let g2 = ConvGeometry::new(s1, FilterShape::new(k2, c1, c2), 1, pad2);
     let s2 = g2.output();
-    if s2.h < 2 || s2.w < 2 {
-        return None;
-    }
-    let pool_out = Shape3::new((s2.h - 2) / 2 + 1, (s2.w - 2) / 2 + 1, c2);
+    let pool = Window::new(s2, 2, 2);
+    pool.check().ok()?;
+    let pool_out = pool.output();
     Some(
         SpecBuilder::new("prop", input, act_bits)
             .conv_input(g1)
@@ -188,7 +187,7 @@ pub fn random_residual_spec(
     let mut b = SpecBuilder::new("prop-residual", input, act_bits).conv_input(geom);
     if stem.pool {
         b = b.pool(cur, 2, 2, 0, PoolKind::Max);
-        cur = Shape3::new((cur.h - 2) / 2 + 1, (cur.w - 2) / 2 + 1, cur.c);
+        cur = Window::new(cur, 2, 2).output();
     }
     for &(kind, width) in blocks {
         let (o, stride) = match kind {

@@ -18,5 +18,5 @@ pub mod shape;
 pub mod tensor;
 
 pub use bits::{BinaryFilters, BitVec};
-pub use shape::{ConvGeometry, FilterShape, Shape3};
+pub use shape::{ConvGeometry, FilterShape, Shape3, Window};
 pub use tensor::Tensor3;

@@ -60,6 +60,12 @@ impl Shape3 {
         let px = idx / self.c;
         (px / self.w, px % self.w, c)
     }
+
+    /// This shape with `pad` rows and columns added on every border.
+    #[inline]
+    pub const fn padded(&self, pad: usize) -> Self {
+        Self { h: self.h + 2 * pad, w: self.w + 2 * pad, c: self.c }
+    }
 }
 
 impl fmt::Debug for Shape3 {
@@ -115,8 +121,95 @@ impl fmt::Debug for FilterShape {
     }
 }
 
-/// Full geometry of one convolution (or pooling) layer: input shape, filter
-/// bank, stride and symmetric padding.
+/// One sliding window over a depth-first stream: `k × k` taps, moved
+/// `stride` pixels at a time in row-scan order over an already padded input
+/// map, every channel of a tap side by side.
+///
+/// Convolution (paper §III-B1) and pooling (§III-B2) slide the same window
+/// through the same depth-first buffer (Fig. 4a), so its output size, its
+/// buffer and the count at which each window completes are worked out here
+/// and nowhere else; the analytic models and the streaming kernels read
+/// them from one place.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub struct Window {
+    /// The padded input map the window slides over.
+    pub input: Shape3,
+    /// Window side.
+    pub k: usize,
+    /// Spatial stride (same in both dimensions).
+    pub stride: usize,
+}
+
+impl Window {
+    /// A `k × k` window at `stride` over the padded map `input`.
+    #[inline]
+    pub const fn new(input: Shape3, k: usize, stride: usize) -> Self {
+        Self { input, k, stride }
+    }
+
+    /// Whether the window fits: a positive side and stride, and a side no
+    /// larger than the padded input. Every other method assumes it does.
+    pub fn check(&self) -> Result<(), String> {
+        if self.k == 0 {
+            return Err("window side must be positive".into());
+        }
+        if self.stride == 0 {
+            return Err("window stride must be positive".into());
+        }
+        if self.k > self.input.h || self.k > self.input.w {
+            let k = self.k;
+            return Err(format!("{k}×{k} window larger than padded input {:?}", self.input));
+        }
+        Ok(())
+    }
+
+    /// Output map: one pixel per window position, the input's channels.
+    #[inline]
+    pub fn output(&self) -> Shape3 {
+        let along = |side: usize| (side - self.k) / self.stride + 1;
+        Shape3::new(along(self.input.h), along(self.input.w), self.input.c)
+    }
+
+    /// Window positions per image, in row-scan order.
+    #[inline]
+    pub fn positions(&self) -> usize {
+        self.output().pixels()
+    }
+
+    /// Stream index of the first element of window `pos` (its top-left
+    /// tap, channel 0). Tap `(ky, kx)` starts `(ky·W + kx)·C` later.
+    #[inline]
+    pub fn origin(&self, pos: usize) -> usize {
+        let out_w = self.output().w;
+        let (y, x) = (pos / out_w * self.stride, pos % out_w * self.stride);
+        self.input.index(y, x, 0)
+    }
+
+    /// The count of stream elements at which window `pos` is complete: the
+    /// stream index of its last element (bottom-right tap, last channel)
+    /// plus one. Strictly increasing in `pos`; inside an output row each
+    /// window completes `stride·C` elements after the one before.
+    #[inline]
+    pub fn completes_at(&self, pos: usize) -> usize {
+        let last = self.k - 1;
+        self.origin(pos) + self.input.index(last, last, 0) + self.input.c
+    }
+
+    /// Size, in elements, of the depth-first (row-scan) window buffer,
+    /// `C·(W·(K−1) + K)`: everything from a window's first element to its
+    /// last, which is when window 0 completes.
+    ///
+    /// This is the paper's §III-B1b expression with H↔W swapped because we
+    /// scan rows rather than columns; the asymptotics — Θ(C·W·K) versus
+    /// Θ(H·W·C) for the width-first scan — are identical.
+    #[inline]
+    pub fn depth_first_buffer(&self) -> usize {
+        self.completes_at(0)
+    }
+}
+
+/// Full geometry of one convolution layer: input shape, filter bank, stride
+/// and symmetric padding.
 ///
 /// This is the unit the analytic cycle/resource models and the streaming
 /// kernels both consume, so the two can never disagree about sizes.
@@ -136,14 +229,15 @@ impl ConvGeometry {
     /// Build a geometry, checking channel agreement.
     ///
     /// # Panics
-    /// Panics if `filter.i != input.c`, if the stride is zero, or if the
-    /// padded input is smaller than the kernel.
+    /// Panics if `filter.i != input.c`, if the kernel side or the stride is
+    /// zero, or if the padded input is smaller than the kernel.
     pub fn new(input: Shape3, filter: FilterShape, stride: usize, pad: usize) -> Self {
         assert_eq!(
             filter.i, input.c,
             "filter input channels ({}) must match input shape channels ({})",
             filter.i, input.c
         );
+        assert!(filter.k > 0, "kernel side must be positive");
         assert!(stride > 0, "stride must be positive");
         assert!(
             input.h + 2 * pad >= filter.k && input.w + 2 * pad >= filter.k,
@@ -156,18 +250,20 @@ impl ConvGeometry {
     /// Padded input shape.
     #[inline]
     pub fn padded_input(&self) -> Shape3 {
-        Shape3::new(self.input.h + 2 * self.pad, self.input.w + 2 * self.pad, self.input.c)
+        self.input.padded(self.pad)
     }
 
-    /// Output feature-map shape using the standard floor formula.
+    /// The filter's sliding window over the padded input.
+    #[inline]
+    pub fn window(&self) -> Window {
+        Window::new(self.padded_input(), self.filter.k, self.stride)
+    }
+
+    /// Output feature-map shape: one pixel per window position, one
+    /// channel per filter.
     #[inline]
     pub fn output(&self) -> Shape3 {
-        let p = self.padded_input();
-        Shape3::new(
-            (p.h - self.filter.k) / self.stride + 1,
-            (p.w - self.filter.k) / self.stride + 1,
-            self.filter.o,
-        )
+        Shape3 { c: self.filter.o, ..self.window().output() }
     }
 
     /// Multiply–accumulate operations for one image through this layer.
@@ -180,15 +276,11 @@ impl ConvGeometry {
     }
 
     /// Size, in elements, of the depth-first (row-scan) window buffer:
-    /// `I·(W·(K−1) + K)` for the padded input width.
-    ///
-    /// This is the paper's §III-B1b expression with H↔W swapped because we
-    /// scan rows rather than columns; the asymptotics — Θ(I·W·K) versus
-    /// Θ(H·W·I) for the width-first scan — are identical.
+    /// `I·(W·(K−1) + K)` for the padded input width
+    /// ([`Window::depth_first_buffer`]).
     #[inline]
     pub fn depth_first_buffer(&self) -> usize {
-        let p = self.padded_input();
-        p.c * (p.w * (self.filter.k - 1) + self.filter.k)
+        self.window().depth_first_buffer()
     }
 
     /// Size, in elements, of the width-first scan buffer:
@@ -294,6 +386,13 @@ mod tests {
     #[should_panic(expected = "must match")]
     fn mismatched_channels_panic() {
         let _ = ConvGeometry::new(Shape3::square(8, 3), FilterShape::new(3, 4, 8), 1, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "kernel side must be positive")]
+    fn zero_side_kernel_panics() {
+        // A 0×0 filter would "fit" anywhere and slide to a 5×5 map over 4×4.
+        let _ = ConvGeometry::new(Shape3::square(4, 3), FilterShape::new(0, 3, 8), 1, 0);
     }
 
     #[test]

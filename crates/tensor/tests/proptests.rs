@@ -1,6 +1,6 @@
 //! Property-based tests for tensor layout and bit-packing invariants.
 
-use qnn_tensor::{BitVec, ConvGeometry, FilterShape, Shape3, Tensor3};
+use qnn_tensor::{BitVec, ConvGeometry, FilterShape, Shape3, Tensor3, Window};
 use qnn_testkit::{any, prop_assert, prop_assert_eq, prop_assume, props};
 
 props! {
@@ -77,6 +77,50 @@ props! {
         // And the next window would fall off the edge.
         prop_assert!(out.h * stride + k > p.h);
         prop_assert!(out.w * stride + k > p.w);
+    }
+
+    /// The one window rule against brute force. Each window completes one
+    /// past the stream index of its last element, found by scanning the
+    /// padded map; the positions are every placement that fits; window 0
+    /// completes at the depth-first buffer size; inside an output row the
+    /// windows complete `stride·C` apart (what lets the conv and pool
+    /// kernels cross a row in one repeated phase); and the output shape is
+    /// the reference max pool's.
+    #[test]
+    fn window_rule_matches_brute_force(
+        h in 1usize..9,
+        w in 1usize..9,
+        c in 1usize..4,
+        k in 1usize..5,
+        stride in 1usize..4,
+        pad in 0usize..3,
+    ) {
+        let input = Shape3::new(h, w, c);
+        let win = Window::new(input.padded(pad), k, stride);
+        prop_assume!(win.check().is_ok());
+        let p = win.input;
+        let fits = |side: usize| (0..side).step_by(stride).filter(|&o| o + k <= side).count();
+        let out = win.output();
+        prop_assert_eq!((out.h, out.w, out.c), (fits(p.h), fits(p.w), c));
+        prop_assert_eq!(win.positions(), out.h * out.w);
+        for pos in 0..win.positions() {
+            let (y0, x0) = (pos / out.w * stride, pos % out.w * stride);
+            let last = (0..p.len())
+                .filter(|&idx| {
+                    let (y, x, _) = p.coords(idx);
+                    (y0..y0 + k).contains(&y) && (x0..x0 + k).contains(&x)
+                })
+                .max()
+                .expect("a window has elements");
+            prop_assert_eq!(win.completes_at(pos), last + 1, "window {}", pos);
+            prop_assert_eq!(win.origin(pos), p.index(y0, x0, 0), "window {}", pos);
+            if pos % out.w > 0 {
+                prop_assert_eq!(win.completes_at(pos) - win.completes_at(pos - 1), stride * c);
+            }
+        }
+        prop_assert_eq!(win.completes_at(0), win.depth_first_buffer());
+        let image = Tensor3::from_fn(input, |y, x, ch| ((y * 3 + x + ch) % 4) as u8);
+        prop_assert_eq!(qnn_nn::reference::max_pool(&image, k, stride, pad).shape(), out);
     }
 
     /// Depth-first buffer is never larger than width-first when W ≥ K·K

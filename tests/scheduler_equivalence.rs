@@ -5,7 +5,8 @@
 //! pushed/max-occupancy) and the same per-cycle trace samples — across
 //! randomized networks, multi-device cuts, streamed-parameter loading,
 //! folded design points, and graphs laced with random stall injection in
-//! both node orders.
+//! both node orders. The random-network properties draw a residual network
+//! beside each plain one, so strided and pooled stems park too.
 //!
 //! Traced runs step per element (no bursts, no replay), so the compiled
 //! cases here run traced and isolate parking. A parked kernel's verdict is
@@ -20,7 +21,7 @@ mod common;
 
 use common::{compile_on, folded_plan, StallPipeline};
 use qnn::compiler::CompileOptions;
-use qnn::nn::specgen::{image_for, spec_strategy};
+use qnn::nn::specgen::{image_for, residual_spec_strategy, spec_strategy};
 use qnn::nn::{models, Network};
 use qnn::tensor::Tensor3;
 use qnn_testkit::prop::CaseResult;
@@ -61,21 +62,21 @@ props! {
     #[test]
     fn single_device_reports_identical(
         spec in spec_strategy(),
+        residual in residual_spec_strategy(),
         seed in 0u64..1000,
         n_images in 1usize..3,
         stream_params in 0u8..2,
     ) {
-        let Some(spec) = spec else {
-            return Ok(());
-        };
-        let net = Network::random(spec, seed);
-        let images: Vec<_> =
-            (0..n_images as u64).map(|i| image_for(&net.spec, seed + i)).collect();
         let base = CompileOptions {
             stream_parameters: stream_params == 1,
             ..CompileOptions::default()
         };
-        assert_parking_agrees(&net, &images, &base)?;
+        for spec in spec.into_iter().chain([residual]) {
+            let net = Network::random(spec, seed);
+            let images: Vec<_> =
+                (0..n_images as u64).map(|i| image_for(&net.spec, seed + i)).collect();
+            assert_parking_agrees(&net, &images, &base)?;
+        }
     }
 
     /// Multi-device: the same random networks cut across two devices at a
@@ -85,21 +86,21 @@ props! {
     #[test]
     fn multi_device_lockstep_reports_identical(
         spec in spec_strategy(),
+        residual in residual_spec_strategy(),
         seed in 0u64..1000,
         cut in 1usize..4,
     ) {
-        let Some(spec) = spec else {
-            return Ok(());
-        };
-        let stage_device: Vec<usize> =
-            (0..spec.stages.len()).map(|i| usize::from(i >= cut)).collect();
-        let net = Network::random(spec, seed);
-        let img = image_for(&net.spec, seed);
-        let base = CompileOptions {
-            stage_device: Some(stage_device),
-            ..CompileOptions::default()
-        };
-        assert_parking_agrees(&net, std::slice::from_ref(&img), &base)?;
+        for spec in spec.into_iter().chain([residual]) {
+            let stage_device: Vec<usize> =
+                (0..spec.stages.len()).map(|i| usize::from(i >= cut)).collect();
+            let net = Network::random(spec, seed);
+            let img = image_for(&net.spec, seed);
+            let base = CompileOptions {
+                stage_device: Some(stage_device),
+                ..CompileOptions::default()
+            };
+            assert_parking_agrees(&net, std::slice::from_ref(&img), &base)?;
+        }
     }
 
     /// Residual networks (split/add/skip-buffer kernels) under FIFO
